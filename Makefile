@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-wire bench-transport bench-blob chaos-soak
+.PHONY: build test test-short race cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-micro bench-wire bench-transport bench-blob chaos-soak
 
 build:
 	$(GO) build ./...
@@ -36,8 +36,8 @@ fuzz-frames:
 smoke-multiprocess:
 	./scripts/smoke_multiprocess.sh
 
-# Write BENCH_<date>.json with the figure-benchmark metrics so the
-# perf trajectory is a diffable artifact.
+# Write BENCH_<date>.json with the figure-benchmark metrics and the
+# micro-benchmark table so the perf trajectory is a diffable artifact.
 bench-snapshot:
 	$(GO) run ./cmd/experiments -snapshot auto
 
@@ -46,20 +46,24 @@ bench-snapshot:
 bench-diff:
 	./scripts/bench_diff.sh
 
-# Only the codec/SAN wire benchmarks, for quick local iteration on the
-# serialization hot path.
+# The micro-benchmark table (microbench.go) — the same bodies the
+# snapshot records — and slices of it for quick local iteration:
+# bench-wire is the codec/SAN serialization hot path, bench-transport
+# the frame encode/decode cost and the batched-vs-unbatched socket
+# send, bench-blob the zero-copy blob relay (FE→cache→FE over two
+# bridges) at 4 KB / 64 KB / 512 KB, where B/op and allocs/op are the
+# copy count per request.
+bench-micro:
+	$(GO) test -run='^$$' -bench='Micro' -benchmem -count=1 .
+
 bench-wire:
-	$(GO) test -run='^$$' -bench='Wire' -benchmem -count=1 ./internal/stub .
+	$(GO) test -run='^$$' -bench='Wire|Micro/(wire|san)' -benchmem -count=1 ./internal/stub .
 
-# Frame + bridge benchmarks: encode/decode cost and the batched-vs-
-# unbatched socket send comparison.
 bench-transport:
-	$(GO) test -run='^$$' -bench='Frame|Bridge' -benchmem -count=1 .
+	$(GO) test -run='^$$' -bench='Micro/(frame|bridge)' -benchmem -count=1 .
 
-# The zero-copy blob relay (FE→cache→FE over two bridges) at 4 KB /
-# 64 KB / 512 KB — B/op and allocs/op are the copy count per request.
 bench-blob:
-	$(GO) test -run='^$$' -bench='BlobRelay' -benchmem -count=1 ./internal/transport
+	$(GO) test -run='^$$' -bench='Micro/blob_relay' -benchmem -count=1 .
 
 # The randomized kill-anything soak plus the full chaos suite.
 chaos-soak:

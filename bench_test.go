@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,8 +25,6 @@ import (
 	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/vcache"
 )
 
 // BenchmarkFig5SizeSampling measures the Figure 5 content model and
@@ -101,23 +98,6 @@ func BenchmarkTable2Scalability(b *testing.B) {
 		cap = res.PerDistillerReqS
 	}
 	b.ReportMetric(cap, "req/s-per-distiller")
-}
-
-// BenchmarkCachePartition measures the live cache partition's
-// get/put path (the Harvest stand-in of §4.4).
-func BenchmarkCachePartition(b *testing.B) {
-	p := vcache.NewPartition(64<<20, nil)
-	data := make([]byte, 8192)
-	for i := 0; i < 1000; i++ {
-		p.Put(fmt.Sprintf("warm%d", i), data, "b", 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("warm%d", i%1000)
-		if _, ok := p.Get(key); !ok {
-			b.Fatal("miss on warm key")
-		}
-	}
 }
 
 // BenchmarkCacheServiceModel reproduces the §4.4 service-time numbers.
@@ -305,99 +285,39 @@ func BenchmarkChaosKillRestartCycle(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "recovery-ms")
 }
 
+// BenchmarkMicro runs the shared micro-benchmark table (microbench.go)
+// — the same bodies the bench snapshot records.
+func BenchmarkMicro(b *testing.B) {
+	for _, mb := range MicroBenches {
+		b.Run(mb.Name, mb.F)
+	}
+}
+
 // --- Wire-path benchmarks -------------------------------------------------
 //
-// Matched passthrough/wire pairs over the same traffic shape, so the
-// serialization overhead of wire mode is a direct A/B read (the
-// acceptance bar: wire Send ≤ 1.5x passthrough in the parallel SAN
-// bench, steady-state encode allocs ~0 via pooling).
-
-// benchSANSendParallel is the shared body of the send pairs: many
-// concurrent sender/receiver pairs, 1% loss to keep the rng hot,
-// mirroring san.BenchmarkSANSendParallel's traffic shape.
-func benchSANSendParallel(b *testing.B, net *san.Network, kind string, body any) {
-	net.SetLoss(0.01, 0)
-	var next atomic.Int64
-	b.SetBytes(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := fmt.Sprint(next.Add(1))
-		src := net.Endpoint(san.Addr{Node: "senders", Proc: id}, 8)
-		dst := net.Endpoint(san.Addr{Node: "sinks", Proc: id}, 4096)
-		go func() {
-			for range dst.Inbox() {
-			}
-		}()
-		for pb.Next() {
-			if err := src.Send(dst.Addr(), kind, body, 1024); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSANSendParallelPassthrough / Wire is the acceptance pair:
-// identical traffic to san.BenchmarkSANSendParallel, with and without
-// the codec on the path (wire must stay ≤ 1.5x passthrough).
-func BenchmarkSANSendParallelPassthrough(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1), "d", nil)
-}
-
-func BenchmarkSANSendParallelWire(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})), "d", nil)
-}
+// Real control-plane bodies over the table's parallel SAN send shape
+// (Micro/san_send_wire is the nil-body floor), and the encode-once
+// multicast fanout.
 
 // BenchmarkSANSendParallelWireSpawnReq puts the smallest real
 // control-plane body on the wire path (encode + per-delivery decode).
 func BenchmarkSANSendParallelWireSpawnReq(b *testing.B) {
-	benchSANSendParallel(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})),
-		stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"})
-}
-
-// wireLoadReport is the heavier data-plane shape for the load-report
-// send pair.
-func wireLoadReport() stub.LoadReport {
-	info := stub.WorkerInfo{
-		ID: "w0", Class: "echo",
-		Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1", QLen: 2.5,
-	}
-	return stub.LoadReport{
-		ID: "w0", Class: "echo", QLen: 10, CostMs: 3.75,
-		Done: 100, Errors: 2, Crashes: 1, Info: info,
-	}
+	benchSANSendParallel(b, stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"})
 }
 
 // BenchmarkSANSendParallelWireLoadReport measures the realistic worst
 // case of the periodic control plane: a full load report per send.
 func BenchmarkSANSendParallelWireLoadReport(b *testing.B) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	net.SetLoss(0.01, 0)
-	report := wireLoadReport()
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := fmt.Sprint(next.Add(1))
-		src := net.Endpoint(san.Addr{Node: "senders", Proc: id}, 8)
-		dst := net.Endpoint(san.Addr{Node: "sinks", Proc: id}, 4096)
-		go func() {
-			for range dst.Inbox() {
-			}
-		}()
-		for pb.Next() {
-			if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 64); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchSANSendParallel(b, stub.MsgLoadReport, wireLoadReport())
 }
 
-// benchSANMulticast is the shared body of the multicast pair: 16-member
-// group, beacon-shaped body — the manager's actual fanout.
-func benchSANMulticast(b *testing.B, net *san.Network) {
+// BenchmarkSANMulticastBeaconWire is the encode-once fanout: a
+// 16-member group and a beacon-shaped body — the manager's actual
+// fanout.
+func BenchmarkSANMulticastBeaconWire(b *testing.B) {
+	net := wireNet(1)
 	const members = 16
-	workers := []stub.WorkerInfo{wireLoadReport().Info}
+	workers := []stub.WorkerInfo{wireLoadReport().(stub.LoadReport).Info}
 	beacon := stub.Beacon{Manager: san.Addr{Node: "mgr", Proc: "manager"}, Seq: 1, Workers: workers}
 	for i := 0; i < members; i++ {
 		ep := net.Endpoint(san.Addr{Node: "m", Proc: fmt.Sprintf("p%d", i)}, 4096)
@@ -413,22 +333,9 @@ func benchSANMulticast(b *testing.B, net *san.Network) {
 	for i := 0; i < b.N; i++ {
 		src.Multicast("grp", stub.MsgBeacon, beacon, 128)
 	}
-	if net.WireMode() {
-		st := net.Stats()
-		if st.WireEncodes != uint64(b.N) {
-			b.Fatalf("encode-once violated: %d encodes for %d multicasts", st.WireEncodes, b.N)
-		}
+	if st := net.Stats(); st.WireEncodes != uint64(b.N) {
+		b.Fatalf("encode-once violated: %d encodes for %d multicasts", st.WireEncodes, b.N)
 	}
-}
-
-// BenchmarkSANMulticastBeaconPassthrough / Wire: the encode-once
-// fanout pair.
-func BenchmarkSANMulticastBeaconPassthrough(b *testing.B) {
-	benchSANMulticast(b, san.NewNetwork(1))
-}
-
-func BenchmarkSANMulticastBeaconWire(b *testing.B) {
-	benchSANMulticast(b, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})))
 }
 
 // BenchmarkHotBotQuery measures fan-out query latency over a deployed
@@ -503,114 +410,3 @@ func BenchmarkEndToEndRequest(b *testing.B) {
 		}
 	}
 }
-
-// --- Transport benchmarks -------------------------------------------------
-//
-// The socket layer's cost structure: frame encode/decode as pure CPU
-// (frame encode must stay 0 allocs/op — gated in the bench snapshot),
-// and the bridged send pair with batching on vs off, where the delta
-// is the syscall amortization the batching writer buys.
-
-// BenchmarkFrameEncodeData appends a data frame carrying a real
-// encoded load report into a warm buffer — the bridge's send path.
-func BenchmarkFrameEncodeData(b *testing.B) {
-	body, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
-	if err != nil {
-		b.Fatal(err)
-	}
-	from := san.Addr{Node: "a-node0", Proc: "fe0"}
-	to := san.Addr{Node: "b-node1", Proc: "w0"}
-	buf := transport.AppendData(nil, from, to, stub.MsgLoadReport, 1, false, body)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = transport.AppendData(buf[:0], from, to, stub.MsgLoadReport, 1, false, body)
-	}
-}
-
-// BenchmarkFrameDecodeData runs the streaming decoder over the same
-// frame — the bridge's receive path before SAN injection.
-func BenchmarkFrameDecodeData(b *testing.B) {
-	body, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame := transport.AppendData(nil,
-		san.Addr{Node: "a-node0", Proc: "fe0"},
-		san.Addr{Node: "b-node1", Proc: "w0"},
-		stub.MsgLoadReport, 1, false, body)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var dec transport.Decoder
-	for i := 0; i < b.N; i++ {
-		if _, err := dec.Write(frame); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := dec.Next(); err != nil || !ok {
-			b.Fatalf("decode: ok=%v err=%v", ok, err)
-		}
-	}
-}
-
-// benchBridgeSend measures one-way sends across two bridged networks
-// over loopback TCP, batched (default microsecond-deadline writer) or
-// unbatched (every frame its own write syscall).
-func benchBridgeSend(b *testing.B, batched bool) {
-	netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
-	delay := time.Duration(0) // transport default (batched)
-	if !batched {
-		delay = -1 // flush every frame
-	}
-	ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "bench-a", FlushDelay: delay})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ba.Close()
-	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "bench-b", FlushDelay: delay, Join: []string{ba.Advertise()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bb.Close()
-	if !ba.WaitPeers(1, 5*time.Second) {
-		b.Fatal("bridges never connected")
-	}
-	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
-	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16)
-	go func() {
-		for range dst.Inbox() {
-		}
-	}()
-	// Teach A a route for dst: routes are learned from the source
-	// address of RECEIVED frames, so dst must send something back
-	// once; after that the benchmark loop is routed, not flooded.
-	report := wireLoadReport()
-	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report, 64); err != nil {
-		b.Fatal(err)
-	}
-	for range src.Inbox() {
-		break // route learned when the frame arrives
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := ba.Stats()
-	if st.Batches > 0 {
-		b.ReportMetric(float64(st.FramesOut)/float64(st.Batches), "frames/batch")
-	}
-	netA.Close()
-	netB.Close()
-}
-
-// BenchmarkBridgeSendBatched / Unbatched is the coalescing A/B: the
-// same wire traffic with the batching writer on vs one syscall per
-// frame.
-func BenchmarkBridgeSendBatched(b *testing.B)   { benchBridgeSend(b, true) }
-func BenchmarkBridgeSendUnbatched(b *testing.B) { benchBridgeSend(b, false) }

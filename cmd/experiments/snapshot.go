@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/distiller"
@@ -26,11 +27,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/snsim"
-	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/trace"
-	"repro/internal/transport"
-	"repro/internal/vcache"
 )
 
 // BenchSnapshot is the serialized form.
@@ -132,15 +130,40 @@ func writeSnapshot(path string, seed int64) error {
 		fmt.Fprintln(os.Stderr, "snapshot: latency profile failed:", err)
 	}
 
-	// Hot-path micro costs: SAN send (passthrough vs wire), partition
-	// get, wire encode/decode — ns/op is hardware-bound (tracked, not
-	// gated); allocs/op is deterministic and regression-gated.
-	measureHotPaths(m)
+	// Hot-path micro costs, from the table `go test -bench Micro .`
+	// also runs (via testing.Benchmark, so the snapshot needs no `go
+	// test` run): ns/op is hardware-bound (tracked, not gated);
+	// allocs/op — and B/op on the blob relay, where it is what "at most
+	// one body copy per hop" means in numbers — is deterministic and
+	// regression-gated.
+	for _, mb := range repro.MicroBenches {
+		r := testing.Benchmark(mb.F)
+		if r.N == 0 {
+			fmt.Fprintf(os.Stderr, "snapshot: micro-benchmark %s failed\n", mb.Name)
+			continue
+		}
+		m[mb.Name+"_ns"] = float64(r.NsPerOp())
+		// Kept fractional so amortized pool misses stay visible.
+		m[mb.Name+"_allocs"] = float64(r.MemAllocs) / float64(r.N)
+		if mb.Mem {
+			m[mb.Name+"_bytes"] = float64(r.MemBytes) / float64(r.N)
+		}
+	}
 
-	// Zero-copy data plane: the FE→cache→FE blob relay at the three
-	// characteristic sizes (ns tracked; allocs and B/op gated — they
-	// are what "at most one body copy per hop" means in numbers).
-	measureBlobRelay(m)
+	// Trace machinery: ns per span recorded into the ring on a sampled
+	// trace — the per-hop price a request pays when sampling fires.
+	// (An unsampled Record is a single branch; the gated send metrics
+	// above run with tracing disabled and must not move.) Tracked for
+	// the trajectory, never gated — never add this to benchdiff's gate
+	// list.
+	tr := obs.NewTracer(1, 0)
+	tr.SetSampleRate(1)
+	sp := obs.Span{Trace: tr.NewTrace(), Proc: "snap", Comp: "fe0", Hop: obs.RootHop, Start: time.Now().UnixNano(), Dur: 1000}
+	m["trace_overhead_ns"] = float64(testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tr.Record(sp)
+		}
+	}).NsPerOp())
 
 	// Edge front door: what one hop through the L7 proxy adds on top of
 	// hitting the FE adapter directly (ns tracked, not gated — loopback
@@ -163,257 +186,6 @@ func writeSnapshot(path string, seed int64) error {
 	}
 	fmt.Printf("wrote %s\n%s\n", path, out)
 	return nil
-}
-
-// record stores one benchmark's ns/op and allocs/op under
-// <name>_ns / <name>_allocs. Allocs are kept fractional so amortized
-// pool misses stay visible.
-func record(m map[string]float64, name string, r testing.BenchmarkResult) {
-	m[name+"_ns"] = float64(r.NsPerOp())
-	if r.N > 0 {
-		m[name+"_allocs"] = float64(r.MemAllocs) / float64(r.N)
-	}
-}
-
-// recordMem is record plus allocated bytes per op (<name>_bytes) — for
-// the data-plane metrics where B/op is the copy count made measurable.
-func recordMem(m map[string]float64, name string, r testing.BenchmarkResult) {
-	record(m, name, r)
-	if r.N > 0 {
-		m[name+"_bytes"] = float64(r.MemBytes) / float64(r.N)
-	}
-}
-
-// measureHotPaths benchmarks the request hot path's building blocks
-// (via testing.Benchmark, so the snapshot needs no `go test` run):
-// the SAN send pair with and without the wire codec, the encode-once
-// codec primitives, and the sharded cache partition get.
-func measureHotPaths(m map[string]float64) {
-	// Wire codec primitives over a load report (the highest-rate
-	// control-plane message).
-	kind := stub.MsgLoadReport
-	var body any = stub.LoadReport{
-		ID: "w0", Class: "echo", QLen: 10, CostMs: 3.75,
-		Done: 100, Errors: 2, Crashes: 1,
-		Info: stub.WorkerInfo{
-			ID: "w0", Class: "echo",
-			Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1", QLen: 2.5,
-		},
-	}
-	buf, err := stub.EncodeBodyAppend(nil, kind, body)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshot: encode failed:", err)
-		return
-	}
-	record(m, "wire_encode_append", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if buf, err = stub.EncodeBodyAppend(buf[:0], kind, body); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	record(m, "wire_decode", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := stub.DecodeBody(kind, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// Transport frame primitives over the same load report: encode
-	// must stay at 0 allocs/op (pooled buffers + alloc-free append),
-	// and the zero-copy streaming decoder likewise.
-	from := san.Addr{Node: "a-node0", Proc: "fe0"}
-	to := san.Addr{Node: "b-node1", Proc: "w0"}
-	frame := transport.AppendData(nil, from, to, kind, 1, false, buf)
-	record(m, "frame_encode", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			frame = transport.AppendData(frame[:0], from, to, kind, 1, false, buf)
-		}
-	}))
-	record(m, "frame_decode", testing.Benchmark(func(b *testing.B) {
-		var dec transport.Decoder
-		for i := 0; i < b.N; i++ {
-			_, _ = dec.Write(frame)
-			if _, ok, err := dec.Next(); err != nil || !ok {
-				b.Fatalf("decode: ok=%v err=%v", ok, err)
-			}
-		}
-	}))
-
-	// Bridged send pair over loopback TCP: batching writer on vs one
-	// write per frame (ns tracked for the trajectory, not gated —
-	// socket costs are host-bound).
-	bridgeBench := func(batched bool) testing.BenchmarkResult {
-		netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-		netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
-		defer netA.Close()
-		defer netB.Close()
-		delay := time.Duration(0)
-		if !batched {
-			delay = -1
-		}
-		ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "snap-a", FlushDelay: delay})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot: bridge:", err)
-			return testing.BenchmarkResult{}
-		}
-		defer ba.Close()
-		bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "snap-b", FlushDelay: delay, Join: []string{ba.Advertise()}})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot: bridge:", err)
-			return testing.BenchmarkResult{}
-		}
-		defer bb.Close()
-		if !ba.WaitPeers(1, 5*time.Second) {
-			fmt.Fprintln(os.Stderr, "snapshot: bridges never connected")
-			return testing.BenchmarkResult{}
-		}
-		src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
-		dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16)
-		go func() {
-			for range dst.Inbox() {
-			}
-		}()
-		// Teach A a route for dst (routes are learned from received
-		// frames, so dst must send once), then measure routed sends.
-		_ = dst.Send(src.Addr(), kind, body, 64)
-		for range src.Inbox() {
-			break
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := src.Send(dst.Addr(), kind, body, 64); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	record(m, "bridge_send_batched", bridgeBench(true))
-	record(m, "bridge_send_unbatched", bridgeBench(false))
-
-	// SAN send pair: identical traffic, codec off vs on.
-	sendBench := func(opts ...san.Option) testing.BenchmarkResult {
-		n := san.NewNetwork(1, opts...)
-		src := n.Endpoint(san.Addr{Node: "s", Proc: "src"}, 8)
-		dst := n.Endpoint(san.Addr{Node: "d", Proc: "dst"}, 1<<16)
-		go func() {
-			for range dst.Inbox() {
-			}
-		}()
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := src.Send(dst.Addr(), "d", nil, 1024); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	record(m, "san_send_passthrough", sendBench())
-	record(m, "san_send_wire", sendBench(san.WithCodec(stub.WireCodec{})))
-
-	// Trace machinery: ns per span recorded into the ring on a sampled
-	// trace — the per-hop price a request pays when sampling fires.
-	// (An unsampled Record is a single branch; the gated send metrics
-	// above run with tracing disabled and must not move.) Tracked for
-	// the trajectory, never gated — never add this to benchdiff's gate
-	// list.
-	tr := obs.NewTracer(1, 0)
-	tr.SetSampleRate(1)
-	sp := obs.Span{Trace: tr.NewTrace(), Proc: "snap", Comp: "fe0", Hop: obs.RootHop, Start: time.Now().UnixNano(), Dur: 1000}
-	m["trace_overhead_ns"] = float64(testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tr.Record(sp)
-		}
-	}).NsPerOp())
-
-	// Sharded partition get on warm keys.
-	p := vcache.NewPartition(64<<20, nil)
-	data := make([]byte, 8192)
-	keys := make([]string, 1000)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("warm%d", i)
-		p.Put(keys[i], data, "b", 0)
-	}
-	record(m, "partition_get", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := p.Get(keys[i%len(keys)]); !ok {
-				b.Fatal("miss on warm key")
-			}
-		}
-	}))
-}
-
-// measureBlobRelay benchmarks one cached-object fetch end to end over
-// a real two-bridge SAN (client → wire → cache partition → wire →
-// client) at 4 KB, 64 KB, and 512 KB. The small sizes ride a single
-// vectored frame; 512 KB crosses as chunk fragments. GetView keeps the
-// client zero-copy, so <size>_allocs / <size>_bytes are the data
-// plane's whole per-request footprint.
-func measureBlobRelay(m map[string]float64) {
-	netA := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	netB := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
-	defer netA.Close()
-	defer netB.Close()
-	ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "relay-a"})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshot: blob relay bridge:", err)
-		return
-	}
-	defer ba.Close()
-	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "relay-b", Join: []string{ba.Advertise()}})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshot: blob relay bridge:", err)
-		return
-	}
-	defer bb.Close()
-	if !ba.WaitPeers(1, 5*time.Second) {
-		fmt.Fprintln(os.Stderr, "snapshot: blob relay bridges never connected")
-		return
-	}
-
-	svc := vcache.NewService("cache0", netB, "b-cnode", vcache.NewPartition(256<<20, nil))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { _ = svc.Run(ctx) }()
-
-	ep := netA.Endpoint(san.Addr{Node: "a-fe", Proc: "client"}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
-		}
-	}()
-	client := vcache.NewClient(ep)
-	client.AddNode("cache0", svc.Addr())
-
-	for _, tc := range []struct {
-		name string
-		size int
-	}{
-		{"blob_relay_4k", 4 << 10},
-		{"blob_relay_64k", 64 << 10},
-		{"blob_relay_512k", 512 << 10},
-	} {
-		payload := make([]byte, tc.size)
-		for i := range payload {
-			payload[i] = byte(i)
-		}
-		client.Put(ctx, tc.name, payload, "image/gif", 0)
-		recordMem(m, tc.name, testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				data, _, release, ok := client.GetView(ctx, tc.name)
-				if !ok || len(data) != tc.size {
-					b.Fatalf("relay get: ok=%v len=%d want %d", ok, len(data), tc.size)
-				}
-				if release != nil {
-					release()
-				}
-			}
-		}))
-	}
-	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
-		fmt.Fprintf(os.Stderr, "snapshot: blob relay saw %d wire errors\n", we)
-	}
 }
 
 // measureEdgeProxy benchmarks one GET through the edge (pool pick,

@@ -15,8 +15,25 @@
 //	    -roles frontend,monitor -join tcp:127.0.0.1:7401 \
 //	    -cache-host b -http :8089
 //
-//	curl 'localhost:8089/fetch?url=http://origin1.example/obj42.sjpg'
+//	curl 'localhost:8089/fetch?url=http://origin1.example/obj42.sjpg&user=alice'
 //	curl 'localhost:8089/status'
+//
+// With no flags but -http, one process hosts every role — the TranSend
+// proxy on localhost:
+//
+//	go run ./cmd/node -http 127.0.0.1:8089
+//
+//	GET /fetch?url=<synthetic-url>&user=<id>   proxy + distill a page
+//	GET /fetch?url=...&raw=1                   bypass distillation
+//	GET /prefs?user=<id>&key=<k>&val=<v>       set a profile entry
+//	GET /prefs?user=<id>                       show a profile
+//	GET /status[?format=text]                  metrics map / monitor view
+//	GET /metrics, /trace?id=<hex>              Prometheus text, span tree
+//	GET /kill?component=<name>                 fault injection (fe0, cache0, a worker id)
+//
+// Synthetic URLs look like http://origin7.example/obj123.sjpg — any
+// obj<N>.<sgif|sjpg|html> works; content is generated deterministically
+// by the simulated origin universe.
 //
 // Every message between the two terminals crosses a real TCP
 // connection as length-framed, CRC-protected, batched wire bytes.
@@ -47,7 +64,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -570,44 +586,29 @@ func awaitDelegatedRestart(sys *core.System, timeout time.Duration) error {
 	return fmt.Errorf("no supervisor-delegated restart within %s (stats %+v)", timeout, sys.Manager().Stats())
 }
 
-// serveHTTP exposes the same /fetch and /status endpoints as
-// cmd/transend, backed by this process's front ends. The returned
-// server is already serving; the caller owns its graceful Shutdown.
+// serveHTTP exposes the TranSend HTTP API (/fetch, /prefs) and the
+// operator endpoints (/status, /metrics, /trace, /kill), backed by this
+// process's front ends. The returned server is already serving; the
+// caller owns its graceful Shutdown.
 func serveHTTP(sys *core.System, addr string) *http.Server {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fetch", func(w http.ResponseWriter, r *http.Request) {
-		url := r.URL.Query().Get("url")
-		if url == "" {
-			http.Error(w, "missing url parameter", http.StatusBadRequest)
+	mux.Handle("/fetch", edge.FetchHandler(sys.Do))
+	// /prefs?user=<id>[&key=<k>&val=<v>] sets one profile entry (when a
+	// key is given) and shows the user's profile.
+	mux.HandleFunc("/prefs", func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		user := q.Get("user")
+		if user == "" {
+			http.Error(w, "missing user parameter", http.StatusBadRequest)
 			return
 		}
-		ctx := r.Context()
-		// Honor a propagated absolute deadline (the edge stamps one);
-		// requests arriving without one get the local default.
-		if h := r.Header.Get(edge.HeaderDeadline); h != "" {
-			if ns, err := strconv.ParseInt(h, 10, 64); err == nil {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx, time.Unix(0, ns))
-				defer cancel()
+		if key := q.Get("key"); key != "" {
+			if err := sys.SetProfile(user, key, q.Get("val")); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
 			}
-		} else {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, 30*time.Second)
-			defer cancel()
 		}
-		resp, err := sys.Request(ctx, url, r.URL.Query().Get("user"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.Header().Set(edge.HeaderSource, resp.Source)
-		if resp.Degraded {
-			w.Header().Set(edge.HeaderDegraded, "1")
-		}
-		if resp.Trace.Valid() {
-			w.Header().Set(edge.HeaderTraceID, resp.Trace.String())
-		}
-		w.Write(resp.Blob.Data)
+		fmt.Fprintf(w, "profile %s: %v\n", user, sys.Profile.Get(user))
 	})
 	// /status defaults to the machine-readable registry snapshot (every
 	// component's published metrics under dotted names); ?format=text
@@ -630,7 +631,7 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 				}
 			}
 			fmt.Fprintf(w, "supervisor(local): %s %+v\n", sys.Supervisor().Addr(), sys.Supervisor().Stats())
-			fmt.Fprintf(w, "san: wire=%v %+v\n", sys.Net.WireMode(), sys.Net.Stats())
+			fmt.Fprintf(w, "san: %+v\n", sys.Net.Stats())
 			fmt.Fprintf(w, "bridge: %+v\n", sys.Bridge.Stats())
 			return
 		}

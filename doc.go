@@ -6,15 +6,15 @@
 // paper's evaluation.
 //
 // Start with README.md for the tour and the package map (including
-// the SAN's wire mode — the production serialization path, default-on
-// in chaos runs — internal/transport, the framed, batched socket
+// the SAN's wire codec — the serialization path every assembled
+// system runs — internal/transport, the framed, batched socket
 // layer that lets one cluster span real OS processes via cmd/node,
 // and internal/supervisor, the per-process daemon that makes
 // process-peer restarts and rolling upgrades location-transparent
 // across those processes).
-// The benchmarks in bench_test.go (one per reproduced artifact, plus
-// matched passthrough/wire SAN pairs and the batched/unbatched bridge
-// pair) and cmd/experiments regenerate the results; make
-// bench-snapshot and make bench-diff track the perf trajectory across
-// PRs.
+// The benchmarks in bench_test.go (one per reproduced artifact) and
+// cmd/experiments regenerate the results; microbench.go is the one
+// table of hot-path micro-benchmarks both go test -bench and the bench
+// snapshot run; make bench-snapshot and make bench-diff track the perf
+// trajectory across PRs.
 package repro

@@ -20,13 +20,6 @@ import (
 type Config struct {
 	Seed int64
 
-	// Passthrough disables the SAN's wire mode. Chaos runs default to
-	// wire mode — every message serialized through the production
-	// codec — so the encoding path is exercised under faults; the
-	// passthrough-vs-wire equivalence test is the only expected user
-	// of this knob.
-	Passthrough bool
-
 	// Topology. Defaults: 10 dedicated nodes (one process each, so
 	// node-level faults map 1:1 to component faults), 2 overflow.
 	DedicatedNodes int
@@ -154,7 +147,6 @@ func New(cfg Config) (*Harness, error) {
 	}
 	sys, err := core.Start(core.Config{
 		Seed:              cfg.Seed,
-		WireMode:          !cfg.Passthrough,
 		DedicatedNodes:    cfg.DedicatedNodes,
 		OverflowNodes:     cfg.OverflowNodes,
 		FrontEnds:         cfg.FrontEnds,

@@ -35,7 +35,14 @@ func newHarness(t *testing.T, cfg Config) *Harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(h.Stop)
+	t.Cleanup(func() {
+		// Every scenario runs over the wire codec, so every message a
+		// fault path sends must have a body layout.
+		if st := h.Net().Stats(); st.WireEncodes == 0 || st.WireErrors != 0 {
+			t.Errorf("codec under faults: %d encodes, %d messages failed serialization", st.WireEncodes, st.WireErrors)
+		}
+		h.Stop()
+	})
 	return h
 }
 

@@ -75,7 +75,7 @@ func (r Roles) edge() bool      { return r.All() || r.Edge }
 
 // ParseRoles parses a comma-separated role list
 // ("frontend,manager,worker,cache,monitor,edge"; "all" or "" selects
-// everything) — the cmd/node and cmd/transend flag format.
+// everything) — the cmd/node flag format.
 func ParseRoles(s string) (Roles, error) {
 	var r Roles
 	if s == "" || s == "all" {
@@ -108,8 +108,7 @@ func ParseRoles(s string) (Roles, error) {
 
 // TransportConfig attaches the SAN to a socket bridge
 // (internal/transport) so the process can splice into a cluster that
-// spans real OS processes. A non-empty Listen enables it and forces
-// wire mode.
+// spans real OS processes. A non-empty Listen enables it.
 type TransportConfig struct {
 	// Listen is the bridge's socket: "tcp:host:port" or "unix:/path"
 	// (port 0 picks a free port).
@@ -133,12 +132,6 @@ type TransportConfig struct {
 // Config describes a deployment.
 type Config struct {
 	Seed int64
-
-	// WireMode serializes every SAN message body through the stub wire
-	// codec on send and decodes it on delivery, so inter-process
-	// messages cross the SAN as bytes exactly as they would a
-	// production interconnect. Chaos runs enable this by default.
-	WireMode bool
 
 	// Roles selects the components this process hosts (zero = all).
 	Roles Roles
@@ -373,9 +366,6 @@ func CacheAddrs(nodePrefix string, cacheParts, dedicatedNodes int) map[string]sa
 // Start builds and boots a system.
 func Start(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Transport.Listen != "" {
-		cfg.WireMode = true // bodies must be bytes to cross processes
-	}
 	s := &System{
 		cfg:         cfg,
 		cacheNodes:  make(map[string]san.Addr),
@@ -386,14 +376,12 @@ func Start(cfg Config) (*System, error) {
 		workerNodes: make(map[string]string),
 		workerStubs: make(map[string]*stub.WorkerStub),
 	}
-	var netOpts []san.Option
-	if cfg.WireMode {
-		// Decode views ride along with the codec: []byte bodies alias
-		// pooled receive buffers (see san.WithDecodeViews), and every
-		// consumer in this tree honors the Lease/Release contract.
-		netOpts = append(netOpts, san.WithCodec(stub.WireCodec{}), san.WithDecodeViews(true))
-	}
-	s.Net = san.NewNetwork(cfg.Seed, netOpts...)
+	// Every message body crosses the SAN as stub wire-codec bytes, in
+	// one process or many — the same serialization path a production
+	// interconnect runs. Decode views ride along: []byte bodies alias
+	// pooled receive buffers (see san.WithDecodeViews), and every
+	// consumer in this tree honors the Lease/Release contract.
+	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}), san.WithDecodeViews(true))
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
 		id := cfg.Transport.ID
@@ -1086,6 +1074,12 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 // ends — the in-process analogue of the paper's client-side load
 // balancing (JavaScript auto-config / round-robin DNS, §3.1.2).
 func (s *System) Request(ctx context.Context, url, user string) (frontend.Response, error) {
+	return s.Do(ctx, frontend.Request{URL: url, User: user})
+}
+
+// Do is Request for a fully specified frontend.Request — what the HTTP
+// adapter (edge.FetchHandler) calls.
+func (s *System) Do(ctx context.Context, req frontend.Request) (frontend.Response, error) {
 	fes := s.FrontEnds()
 	if len(fes) == 0 {
 		return frontend.Response{}, fmt.Errorf("core: no front ends")
@@ -1097,7 +1091,7 @@ func (s *System) Request(ctx context.Context, url, user string) (frontend.Respon
 		if !fe.Running() {
 			continue // masks transient front end failures
 		}
-		resp, err := fe.Do(ctx, frontend.Request{URL: url, User: user})
+		resp, err := fe.Do(ctx, req)
 		if err == nil {
 			return resp, nil
 		}

@@ -23,11 +23,13 @@ import (
 // end is built: it goes into frontend.Config.HTTPAddr so the very
 // first heartbeat already advertises it.
 type FEServer struct {
-	fe      *frontend.FrontEnd
-	ln      net.Listener
-	srv     *http.Server
-	timeout time.Duration
+	ln  net.Listener
+	srv *http.Server
 }
+
+// fetchTimeout bounds a /fetch that arrives without a usable
+// X-Deadline-Ns.
+const fetchTimeout = 30 * time.Second
 
 // NewFEServer binds a listener on host:0 (or any explicit host:port).
 func NewFEServer(listen string) (*FEServer, error) {
@@ -38,7 +40,7 @@ func NewFEServer(listen string) (*FEServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edge: fe listen %s: %w", listen, err)
 	}
-	return &FEServer{ln: ln, timeout: 30 * time.Second}, nil
+	return &FEServer{ln: ln}, nil
 }
 
 // Addr returns the bound host:port.
@@ -46,9 +48,8 @@ func (s *FEServer) Addr() string { return s.ln.Addr().String() }
 
 // Serve attaches the front end and starts serving. Call once.
 func (s *FEServer) Serve(fe *frontend.FrontEnd) {
-	s.fe = fe
 	mux := http.NewServeMux()
-	mux.HandleFunc("/fetch", s.handleFetch)
+	mux.Handle("/fetch", FetchHandler(fe.Do))
 	s.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -67,64 +68,64 @@ func (s *FEServer) Close() error {
 	return s.srv.Shutdown(ctx)
 }
 
-// handleFetch adapts one HTTP request onto frontend.Do: deadline from
-// X-Deadline-Ns (else the adapter default), trace id adopted from
-// X-Trace-Id, refusals classified via X-TranSend-Error so the edge and
-// load generators can tell shed from failure.
-func (s *FEServer) handleFetch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	url := q.Get("url")
-	if url == "" {
-		http.Error(w, "missing url", http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	if h := r.Header.Get(HeaderDeadline); h != "" {
-		if ns, err := strconv.ParseInt(h, 10, 64); err == nil {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, ns))
-			defer cancel()
+// FetchHandler is the one HTTP ↔ frontend.Request adapter, mounted on
+// every HTTP entry to a front end (the per-FE listeners above and
+// cmd/node -http). GET /fetch?url=<u>&user=<id>&raw=1: the deadline
+// comes from X-Deadline-Ns (else, or if malformed, fetchTimeout), the
+// trace id is adopted from X-Trace-Id, and refusals are classified via
+// X-TranSend-Error so the edge and load generators can tell shed from
+// failure.
+func FetchHandler(do func(context.Context, frontend.Request) (frontend.Response, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		url := q.Get("url")
+		if url == "" {
+			http.Error(w, "missing url", http.StatusBadRequest)
+			return
 		}
-	} else if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		ns, err := strconv.ParseInt(r.Header.Get(HeaderDeadline), 10, 64)
+		deadline := time.Unix(0, ns)
+		if err != nil { // absent or malformed
+			deadline = time.Now().Add(fetchTimeout)
+		}
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
 		defer cancel()
-	}
-	if h := r.Header.Get(HeaderTraceID); h != "" {
-		if id, err := obs.ParseTraceID(h); err == nil {
-			ctx = obs.WithTrace(ctx, id)
+		if h := r.Header.Get(HeaderTraceID); h != "" {
+			if id, err := obs.ParseTraceID(h); err == nil {
+				ctx = obs.WithTrace(ctx, id)
+			}
 		}
-	}
 
-	resp, err := s.fe.Do(ctx, frontend.Request{
-		URL:  url,
-		User: q.Get("user"),
-		Raw:  q.Get("raw") == "1",
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, frontend.ErrDisabled):
-			w.Header().Set(HeaderError, "disabled")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		case errors.Is(err, frontend.ErrOverloaded):
-			w.Header().Set(HeaderError, "overloaded")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		case ctx.Err() != nil:
-			w.Header().Set(HeaderError, "deadline")
-			http.Error(w, err.Error(), http.StatusGatewayTimeout)
-		default:
-			http.Error(w, err.Error(), http.StatusBadGateway)
+		resp, err := do(ctx, frontend.Request{
+			URL:  url,
+			User: q.Get("user"),
+			Raw:  q.Get("raw") == "1",
+		})
+		if err != nil {
+			switch {
+			case errors.Is(err, frontend.ErrDisabled):
+				w.Header().Set(HeaderError, "disabled")
+				http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			case errors.Is(err, frontend.ErrOverloaded):
+				w.Header().Set(HeaderError, "overloaded")
+				http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			case ctx.Err() != nil:
+				w.Header().Set(HeaderError, "deadline")
+				http.Error(w, err.Error(), http.StatusGatewayTimeout)
+			default:
+				http.Error(w, err.Error(), http.StatusBadGateway)
+			}
+			return
 		}
-		return
-	}
-	defer resp.Release()
-	w.Header().Set("Content-Type", resp.Blob.MIME)
-	w.Header().Set(HeaderSource, resp.Source)
-	if resp.Degraded {
-		w.Header().Set(HeaderDegraded, "1")
-	}
-	if resp.Trace.Valid() {
-		w.Header().Set(HeaderTraceID, resp.Trace.String())
-	}
-	_, _ = w.Write(resp.Blob.Data)
+		defer resp.Release()
+		w.Header().Set("Content-Type", resp.Blob.MIME)
+		w.Header().Set(HeaderSource, resp.Source)
+		if resp.Degraded {
+			w.Header().Set(HeaderDegraded, "1")
+		}
+		if resp.Trace.Valid() {
+			w.Header().Set(HeaderTraceID, resp.Trace.String())
+		}
+		_, _ = w.Write(resp.Blob.Data)
+	})
 }

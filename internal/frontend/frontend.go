@@ -73,6 +73,14 @@ func (r *Response) Release() {
 	}
 }
 
+// WithRelease returns r with release as its buffer-return hook, for
+// producers of view responses outside this package (the HTTP adapter's
+// test counts Release calls with it).
+func (r Response) WithRelease(release func()) Response {
+	r.release = release
+	return r
+}
+
 // Config assembles a front end.
 type Config struct {
 	Name string
@@ -475,8 +483,8 @@ func (fe *FrontEnd) saturated() bool {
 }
 
 // Do submits a request and waits for the response — the programmatic
-// equivalent of an HTTP arrival (cmd/transend adapts net/http onto
-// this). Under saturation it degrades before shedding: a stale cache
+// equivalent of an HTTP arrival (edge.FetchHandler adapts net/http
+// onto this). Under saturation it degrades before shedding: a stale cache
 // entry past its TTL (Response.Degraded) beats a refusal, and a
 // refusal (ErrOverloaded, fast and typed) beats a queued request that
 // will miss its deadline anyway.

@@ -4,57 +4,16 @@ import (
 	"testing"
 )
 
-// benchBody is a representative hot-path message: the periodic load
-// report every worker sends every ReportInterval.
-func benchBody() (string, any) {
-	return MsgLoadReport, wireSamples()[MsgLoadReport]
-}
-
-// BenchmarkWireEncodeAppend measures the steady-state encode path the
-// SAN's wire mode runs: appending into a recycled buffer. This must
-// stay at 0 allocs/op — the pooled-codec acceptance criterion.
-func BenchmarkWireEncodeAppend(b *testing.B) {
-	kind, body := benchBody()
-	buf, err := EncodeBodyAppend(nil, kind, body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err = EncodeBodyAppend(buf[:0], kind, body)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWireEncode is the cold path: every encode allocates its own
-// buffer.
+// buffer. (The steady-state append and the decode are rows of the
+// root micro-benchmark table: go test -bench 'Micro/wire' repro.)
 func BenchmarkWireEncode(b *testing.B) {
-	kind, body := benchBody()
+	// The periodic load report every worker sends every ReportInterval.
+	kind, body := MsgLoadReport, wireSamples()[MsgLoadReport]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EncodeBody(kind, body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireDecode measures the per-delivery decode cost (each
-// recipient materializes its own value from the shared bytes).
-func BenchmarkWireDecode(b *testing.B) {
-	kind, body := benchBody()
-	data, err := EncodeBody(kind, body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBody(kind, data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,9 +3,10 @@ package transport
 // Blob relay: the FE→cache→FE data path over a real two-bridge SAN,
 // exercised at the paper's content sizes (a small HTML page, a mid-size
 // image, a huge GIF). This is the path the zero-copy data plane exists
-// for: the benchmark tracks per-request cost at each size, and the
-// latency test pins down the property chunked relay buys — a 512 KB
-// body in flight does not stall small frames behind it.
+// for: the root micro-benchmark table (go test -bench 'Micro/blob_relay'
+// repro) tracks per-request cost at each size, and the latency test
+// here pins down the property chunked relay buys — a 512 KB body in
+// flight does not stall small frames behind it.
 
 import (
 	"bytes"
@@ -59,51 +60,6 @@ func startRelayPair(tb testing.TB) *relayPair {
 	client := vcache.NewClient(ep)
 	client.AddNode("cache0", svc.Addr())
 	return &relayPair{client: client, netA: netA, netB: netB, ba: ba, bb: bb}
-}
-
-// BenchmarkBlobRelay measures one cached-object fetch end to end
-// (client → wire → cache partition → wire → client) at the three
-// characteristic sizes. The 4 KB and 64 KB responses ride a single
-// vectored frame; 512 KB crosses as chunk fragments and reassembles.
-// GetView keeps the client side zero-copy, so allocs/op and B/op here
-// are the data plane's whole per-request footprint.
-func BenchmarkBlobRelay(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		size int
-	}{
-		{"4k", 4 << 10},
-		{"64k", 64 << 10},
-		{"512k", 512 << 10},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			pair := startRelayPair(b)
-			ctx := context.Background()
-			payload := bytes.Repeat([]byte{0xAB}, tc.size)
-			pair.client.Put(ctx, "blob", payload, "image/gif", 0)
-			if data, _, release, ok := pair.client.GetView(ctx, "blob"); !ok || len(data) != tc.size {
-				b.Fatalf("warmup get: ok=%v len=%d", ok, len(data))
-			} else if release != nil {
-				release()
-			}
-			b.SetBytes(int64(tc.size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				data, _, release, ok := pair.client.GetView(ctx, "blob")
-				if !ok || len(data) != tc.size {
-					b.Fatalf("get: ok=%v len=%d", ok, len(data))
-				}
-				if release != nil {
-					release()
-				}
-			}
-			b.StopTimer()
-			if we := pair.netA.Stats().WireErrors + pair.netB.Stats().WireErrors; we != 0 {
-				b.Fatalf("wire errors during relay: %d", we)
-			}
-		})
-	}
 }
 
 // TestChunkedRelayLatency: while 512 KB responses stream continuously

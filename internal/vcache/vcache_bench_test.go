@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkPartitionGetHit(b *testing.B) {
-	p := NewPartition(64<<20, nil)
-	data := make([]byte, 4096)
-	for i := 0; i < 1024; i++ {
-		p.Put(fmt.Sprintf("k%d", i), data, "b", 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Get(fmt.Sprintf("k%d", i%1024))
-	}
-}
-
 func BenchmarkPartitionPutEvict(b *testing.B) {
 	p := NewPartition(1<<20, nil) // small budget: constant eviction
 	data := make([]byte, 4096)

@@ -1,0 +1,294 @@
+package repro
+
+// The one table of hot-path micro-benchmarks. `go test -bench Micro .`
+// (BenchmarkMicro in bench_test.go) and the snapshot writer
+// (cmd/experiments -snapshot) both range over MicroBenches, so a
+// number in BENCH_*.json and a number on a developer's terminal come
+// from the same body.
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/san"
+	"repro/internal/stub"
+	"repro/internal/transport"
+	"repro/internal/vcache"
+)
+
+// MicroBench is one named micro-benchmark. The snapshot records it as
+// <Name>_ns and <Name>_allocs, plus <Name>_bytes when Mem is set (the
+// data-plane benches, where B/op is the copy count made measurable).
+type MicroBench struct {
+	Name string
+	Mem  bool
+	F    func(*testing.B)
+}
+
+// MicroBenches lists the request hot path's building blocks, bottom
+// up: codec, frame, SAN send, bridged send, cache partition, and the
+// FE→cache→FE blob relay at the paper's three content sizes.
+var MicroBenches = []MicroBench{
+	{Name: "wire_encode_append", F: benchWireEncodeAppend},
+	{Name: "wire_decode", F: benchWireDecode},
+	{Name: "frame_encode", F: benchFrameEncode},
+	{Name: "frame_decode", F: benchFrameDecode},
+	{Name: "san_send_wire", F: func(b *testing.B) { benchSANSendParallel(b, "d", nil) }},
+	{Name: "bridge_send_batched", F: func(b *testing.B) { benchBridgeSend(b, true) }},
+	{Name: "bridge_send_unbatched", F: func(b *testing.B) { benchBridgeSend(b, false) }},
+	{Name: "partition_get", F: benchPartitionGet},
+	{Name: "blob_relay_4k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 4<<10) }},
+	{Name: "blob_relay_64k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 64<<10) }},
+	{Name: "blob_relay_512k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 512<<10) }},
+}
+
+// wireLoadReport is the representative hot-path message: the periodic
+// load report every worker sends every ReportInterval, pre-boxed so the
+// measurement is the codec, not callsite interface conversion.
+func wireLoadReport() any {
+	return stub.LoadReport{
+		ID: "w0", Class: "echo", QLen: 10, CostMs: 3.75,
+		Done: 100, Errors: 2, Crashes: 1,
+		Info: stub.WorkerInfo{
+			ID: "w0", Class: "echo",
+			Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1", QLen: 2.5,
+		},
+	}
+}
+
+func wireNet(seed int64) *san.Network {
+	return san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
+}
+
+// benchWireEncodeAppend is the steady-state encode the SAN runs:
+// appending into a recycled buffer. Must stay at 0 allocs/op.
+func benchWireEncodeAppend(b *testing.B) {
+	body := wireLoadReport()
+	buf, err := stub.EncodeBodyAppend(nil, stub.MsgLoadReport, body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = stub.EncodeBodyAppend(buf[:0], stub.MsgLoadReport, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchWireDecode is the per-delivery decode: each recipient
+// materializes its own value from the shared bytes.
+func benchWireDecode(b *testing.B) {
+	data, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := stub.DecodeBody(stub.MsgLoadReport, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// loadReportFrame returns the data frame both frame benches work on —
+// an encoded load report between two prefix-qualified addresses — and
+// the arguments that rebuild it.
+func loadReportFrame(b *testing.B) (frame []byte, from, to san.Addr, body []byte) {
+	body, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
+	if err != nil {
+		b.Fatal(err)
+	}
+	from = san.Addr{Node: "a-node0", Proc: "fe0"}
+	to = san.Addr{Node: "b-node1", Proc: "w0"}
+	return transport.AppendData(nil, from, to, stub.MsgLoadReport, 1, false, body), from, to, body
+}
+
+// benchFrameEncode appends a data frame into a warm buffer — the
+// bridge's send path. Must stay at 0 allocs/op.
+func benchFrameEncode(b *testing.B) {
+	buf, from, to, body := loadReportFrame(b)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = transport.AppendData(buf[:0], from, to, stub.MsgLoadReport, 1, false, body)
+	}
+}
+
+// benchFrameDecode runs the streaming decoder over the same frame — the
+// bridge's receive path before SAN injection.
+func benchFrameDecode(b *testing.B) {
+	frame, _, _, _ := loadReportFrame(b)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var dec transport.Decoder
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Write(frame); err != nil {
+			b.Fatal(err)
+		}
+		if _, ok, err := dec.Next(); err != nil || !ok {
+			b.Fatalf("decode: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// benchSANSendParallel sends one body over the wire codec from many
+// concurrent sender/receiver pairs, 1% loss keeping the rng hot —
+// san.BenchmarkSANSendParallel's traffic shape with the codec on the
+// path (encode per send, decode per delivery).
+func benchSANSendParallel(b *testing.B, kind string, body any) {
+	net := wireNet(1)
+	net.SetLoss(0.01, 0)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := fmt.Sprint(next.Add(1))
+		src := net.Endpoint(san.Addr{Node: "senders", Proc: id}, 8)
+		dst := net.Endpoint(san.Addr{Node: "sinks", Proc: id}, 4096)
+		go func() {
+			for range dst.Inbox() {
+			}
+		}()
+		for pb.Next() {
+			if err := src.Send(dst.Addr(), kind, body, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// bridgedPair joins two wire networks over loopback TCP with the given
+// flush delay (0 = the transport's batching default).
+func bridgedPair(b *testing.B, flushDelay time.Duration) (netA, netB *san.Network, ba *transport.Bridge) {
+	netA, netB = wireNet(1), wireNet(2)
+	b.Cleanup(netA.Close)
+	b.Cleanup(netB.Close)
+	ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "bench-a", FlushDelay: flushDelay})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ba.Close() })
+	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "bench-b", FlushDelay: flushDelay, Join: []string{ba.Advertise()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { bb.Close() })
+	if !ba.WaitPeers(1, 5*time.Second) || !bb.WaitPeers(1, 5*time.Second) {
+		b.Fatal("bridges never connected")
+	}
+	return netA, netB, ba
+}
+
+// benchBridgeSend measures one-way load-report sends across two bridged
+// networks: batched (the default microsecond-deadline writer) or
+// unbatched (every frame its own write syscall). The delta is the
+// syscall amortization batching buys.
+func benchBridgeSend(b *testing.B, batched bool) {
+	delay := time.Duration(0)
+	if !batched {
+		delay = -1 // flush every frame
+	}
+	netA, netB, ba := bridgedPair(b, delay)
+	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
+	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16) // absorbs a whole b.N burst undrained
+	go func() {
+		for range dst.Inbox() {
+		}
+	}()
+	// Teach A a route for dst: routes are learned from the source
+	// address of RECEIVED frames, so dst must send something back
+	// once; after that the benchmark loop is routed, not flooded.
+	report := wireLoadReport()
+	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report, 0); err != nil {
+		b.Fatal(err)
+	}
+	<-src.Inbox()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := ba.Stats(); st.Batches > 0 {
+		b.ReportMetric(float64(st.FramesOut)/float64(st.Batches), "frames/batch")
+	}
+}
+
+// benchPartitionGet is the sharded cache partition's get on warm keys
+// (the Harvest stand-in of §4.4).
+func benchPartitionGet(b *testing.B) {
+	p := vcache.NewPartition(64<<20, nil)
+	data := make([]byte, 8192)
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("warm%d", i)
+		p.Put(keys[i], data, "b", 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := p.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("miss on warm key")
+		}
+	}
+}
+
+// benchBlobRelay measures one cached-object fetch end to end over a
+// real two-bridge SAN (client → wire → cache partition → wire →
+// client). 4 KB and 64 KB ride a single vectored frame; 512 KB crosses
+// as chunk fragments and reassembles. GetView keeps the client side
+// zero-copy, so allocs/op and B/op are the data plane's whole
+// per-request footprint.
+func benchBlobRelay(b *testing.B, size int) {
+	netA, netB, _ := bridgedPair(b, 0)
+	svc := vcache.NewService("cache0", netB, "b-cnode", vcache.NewPartition(256<<20, nil))
+	ctx, cancel := context.WithCancel(context.Background())
+	b.Cleanup(cancel)
+	go func() { _ = svc.Run(ctx) }()
+
+	ep := netA.Endpoint(san.Addr{Node: "a-fe", Proc: "client"}, 256)
+	go func() {
+		for msg := range ep.Inbox() {
+			ep.DeliverReply(msg)
+		}
+	}()
+	client := vcache.NewClient(ep)
+	client.AddNode("cache0", svc.Addr())
+
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	client.Put(ctx, "blob", payload, "image/gif", 0)
+	get := func() {
+		data, _, release, ok := client.GetView(ctx, "blob")
+		if !ok || len(data) != size {
+			b.Fatalf("relay get: ok=%v len=%d want %d", ok, len(data), size)
+		}
+		if release != nil {
+			release()
+		}
+	}
+	get() // warm-up: the Put has landed and the route is learned
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+	b.StopTimer()
+	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
+		b.Fatalf("wire errors during relay: %d", we)
+	}
+}
