@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-micro bench-wire bench-transport bench-blob chaos-soak
+.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-micro bench-wire bench-transport bench-blob chaos-soak
 
 build:
 	$(GO) build ./...
@@ -13,9 +13,17 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race pass over the packages with real concurrency on the hot path.
+# Race pass over the packages with real concurrency on the hot path,
+# plus the lifecycle trio: core's component table is mutated by the
+# manager sweep, the supervisor, the exit observer and chaos at once.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos
+	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/manager
+
+# Non-test Go lines outside bench/ (whole tree, then internal/core) —
+# the numbers CHANGES.md and ROADMAP.md quote for "net-negative" PRs.
+loc:
+	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
+	@printf 'non-test Go lines in internal/core: '; find internal/core -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).

@@ -245,7 +245,7 @@ func BenchmarkFaultRecovery(b *testing.B) {
 			b.Fatal("no worker to kill")
 		}
 		spawnsBefore := sys.Manager().Stats().Spawns
-		if err := sys.KillWorker(victim); err != nil {
+		if err := sys.Kill(victim); err != nil {
 			b.Fatal(err)
 		}
 		deadline = time.Now().Add(10 * time.Second)

@@ -130,7 +130,7 @@ func runFaults(seed int64) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t0 := time.Now()
-	sys.KillWorker(victim)
+	sys.Kill(victim)
 	fmt.Printf("t=0       killed %s (no deregistration — crash)\n", victim)
 	src, err := probe()
 	fmt.Printf("t=%-7s request served via %q (err=%v)\n", time.Since(t0).Round(time.Millisecond), src, err)
@@ -161,7 +161,7 @@ func runFaults(seed int64) {
 
 	fmt.Println("--- front-end crash ---")
 	t0 = time.Now()
-	sys.KillFrontEnd("fe0")
+	sys.Kill("fe0")
 	for time.Now().Before(t0.Add(10 * time.Second)) {
 		fes := sys.FrontEnds()
 		if len(fes) == 1 && fes[0].Running() {

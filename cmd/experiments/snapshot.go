@@ -309,7 +309,7 @@ func measureManagerFailover(seed int64) (float64, error) {
 		return 0, err
 	}
 	defer h.Stop()
-	old := h.Sys.PrimaryManager()
+	old := h.Sys.Manager()
 	oldEpoch := old.Epoch()
 	// The harness awaited steady state, so the dying primary's worker
 	// table is the full configured inventory.
@@ -318,7 +318,7 @@ func measureManagerFailover(seed int64) (float64, error) {
 	h.Execute(context.Background(), chaos.Schedule{Seed: seed, Events: []chaos.Event{{Kind: chaos.KillManager}}})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m := h.Sys.PrimaryManager()
+		m := h.Sys.Manager()
 		if m != nil && m != old && m.IsPrimary() && m.Epoch() > oldEpoch && m.Stats().Workers >= want {
 			return float64(time.Since(start).Nanoseconds()), nil
 		}
@@ -413,7 +413,7 @@ func measureSupervisorRestart(seed int64) (float64, error) {
 	}
 
 	start := time.Now()
-	if err := sysA.KillFrontEnd("fe0"); err != nil {
+	if err := sysA.Kill("fe0"); err != nil {
 		return 0, err
 	}
 	deadline = time.Now().Add(15 * time.Second)

@@ -29,7 +29,7 @@
 //	GET /prefs?user=<id>                       show a profile
 //	GET /status[?format=text]                  metrics map / monitor view
 //	GET /metrics, /trace?id=<hex>              Prometheus text, span tree
-//	GET /kill?component=<name>                 fault injection (fe0, cache0, a worker id)
+//	GET /kill?component=<name>                 fault injection: any hosted component by name
 //
 // Synthetic URLs look like http://origin7.example/obj123.sjpg — any
 // obj<N>.<sgif|sjpg|html> works; content is generated deterministically
@@ -560,12 +560,12 @@ func selftestKillRemote(ctx context.Context, sys *core.System, name string) erro
 func awaitLocalPrimary(sys *core.System, want uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if m := sys.PrimaryManager(); m != nil && m.IsPrimary() && m.Epoch() >= want {
+		if m := sys.Manager(); m != nil && m.IsPrimary() && m.Epoch() >= want {
 			return nil
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	m := sys.PrimaryManager()
+	m := sys.Manager()
 	if m == nil {
 		return fmt.Errorf("no local manager replica became primary within %s", timeout)
 	}
@@ -676,7 +676,7 @@ func serveHTTP(sys *core.System, addr string) *http.Server {
 			http.Error(w, "missing component parameter", http.StatusBadRequest)
 			return
 		}
-		if err := sys.KillComponent(name); err != nil {
+		if err := sys.Kill(name); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}

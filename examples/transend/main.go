@@ -98,7 +98,7 @@ func main() {
 	fmt.Println("== fault tolerance ==")
 	victim := findWorker(sys, distiller.ClassSJPG)
 	fmt.Printf("crashing %s ...\n", victim)
-	if err := sys.KillWorker(victim); err != nil {
+	if err := sys.Kill(victim); err != nil {
 		log.Fatal(err)
 	}
 	resp, err := sys.Request(ctx, trace.ObjectURL(9999, media.MIMESJPG), "dialup-user")

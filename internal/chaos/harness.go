@@ -260,29 +260,14 @@ func (h *Harness) Execute(ctx context.Context, sched Schedule) int {
 func (h *Harness) inject(ev Event) {
 	detail := ""
 	switch ev.Kind {
-	case KillWorker:
-		if id := h.pickWorker(ev.Slot); id != "" {
-			_ = h.Sys.KillWorker(id)
-			detail = id
-		} else {
-			detail = "no-target"
+	case KillWorker, KillCache, KillFrontEnd:
+		detail = "no-target"
+		if name := h.pick(killKinds[ev.Kind], ev.Slot); name != "" {
+			_ = h.Sys.Kill(name)
+			detail = name
 		}
 	case KillManager:
 		_ = h.Sys.KillManager()
-	case KillCache:
-		if name := h.pickCache(ev.Slot); name != "" {
-			_ = h.Sys.KillCache(name)
-			detail = name
-		} else {
-			detail = "no-target"
-		}
-	case KillFrontEnd:
-		if name := h.pickFrontEnd(ev.Slot); name != "" {
-			_ = h.Sys.KillFrontEnd(name)
-			detail = name
-		} else {
-			detail = "no-target"
-		}
 	case PartitionCaches:
 		groups := h.CachePartitionGroups()
 		if ev.Dur > 0 {
@@ -295,7 +280,7 @@ func (h *Harness) inject(ev Event) {
 	case HangWorker:
 		// As with PartitionCaches, Dur <= 0 means the fault persists
 		// until lifted manually.
-		if id := h.pickWorker(ev.Slot); id != "" {
+		if id := h.pick(core.KindWorker, ev.Slot); id != "" {
 			if ws := h.Sys.WorkerStub(id); ws != nil {
 				ws.InjectHang(true)
 				if ev.Dur > 0 {
@@ -305,7 +290,7 @@ func (h *Harness) inject(ev Event) {
 			}
 		}
 	case SlowWorker:
-		if id := h.pickWorker(ev.Slot); id != "" {
+		if id := h.pick(core.KindWorker, ev.Slot); id != "" {
 			if ws := h.Sys.WorkerStub(id); ws != nil {
 				ws.InjectSlowdown(ev.Delay)
 				if ev.Dur > 0 {
@@ -326,32 +311,22 @@ func (h *Harness) inject(ev Event) {
 	h.rec.record("fault", ev.String(), detail)
 }
 
-// pickWorker resolves a slot to a live worker id (sorted order).
-func (h *Harness) pickWorker(slot int) string {
-	ids := h.Sys.Workers()
-	if len(ids) == 0 {
-		return ""
-	}
-	return ids[slot%len(ids)]
+// killKinds maps each kill-by-slot fault to the kind of component it
+// crashes.
+var killKinds = map[ActionKind]core.Kind{
+	KillWorker:   core.KindWorker,
+	KillCache:    core.KindCache,
+	KillFrontEnd: core.KindFrontEnd,
 }
 
-// pickCache resolves a slot to a locally hosted cache name (sorted
-// order).
-func (h *Harness) pickCache(slot int) string {
-	names := h.Sys.Caches()
+// pick resolves a slot to the name of a live locally hosted component
+// of kind (sorted order), "" when there is none.
+func (h *Harness) pick(kind core.Kind, slot int) string {
+	names := h.Sys.Names(kind)
 	if len(names) == 0 {
 		return ""
 	}
 	return names[slot%len(names)]
-}
-
-// pickFrontEnd resolves a slot to a front-end name (creation order).
-func (h *Harness) pickFrontEnd(slot int) string {
-	fes := h.Sys.FrontEnds()
-	if len(fes) == 0 {
-		return ""
-	}
-	return fes[slot%len(fes)].ID()
 }
 
 // AwaitSteady blocks until the system is at full strength: every

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/tacc"
 )
 
@@ -48,7 +49,7 @@ func TestScenarioSlowWorkerEstimatorShift(t *testing.T) {
 		h := newHarness(t, Config{Seed: seed, CallTimeout: callTimeout})
 		ctx := context.Background()
 
-		victim := h.pickWorker(0)
+		victim := h.pick(core.KindWorker, 0)
 		vs := h.Sys.WorkerStub(victim)
 		if vs == nil {
 			t.Fatalf("no stub for %s", victim)
@@ -140,7 +141,7 @@ func TestScenarioHangWorkerEstimatorShift(t *testing.T) {
 		h := newHarness(t, Config{Seed: seed, CallTimeout: callTimeout})
 		ctx := context.Background()
 
-		victim := h.pickWorker(0)
+		victim := h.pick(core.KindWorker, 0)
 		vs := h.Sys.WorkerStub(victim)
 		if vs == nil {
 			t.Fatalf("no stub for %s", victim)

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 const seed = 1
@@ -256,7 +258,7 @@ func TestScenarioWorkerHangDrains(t *testing.T) {
 	h := newHarness(t, Config{Seed: seed, CallTimeout: 100 * time.Millisecond})
 	ctx := context.Background()
 
-	victim := h.pickWorker(0)
+	victim := h.pick(core.KindWorker, 0)
 	ws := h.Sys.WorkerStub(victim)
 	if ws == nil {
 		t.Fatalf("no stub for %s", victim)
@@ -294,7 +296,7 @@ func TestScenarioMonitorSeesComponentDeath(t *testing.T) {
 	h := newHarness(t, Config{Seed: seed})
 	ctx := context.Background()
 
-	victim := h.pickWorker(0)
+	victim := h.pick(core.KindWorker, 0)
 	// The monitor must have seen the victim alive first.
 	waitFor(t, "monitor sees "+victim, func() bool {
 		for _, st := range h.Sys.Mon.Snapshot() {
@@ -330,7 +332,7 @@ func TestScenarioHotUpgradeDisableEnable(t *testing.T) {
 	h := newHarness(t, Config{Seed: seed})
 	ctx := context.Background()
 
-	victim := h.pickWorker(0)
+	victim := h.pick(core.KindWorker, 0)
 	ws := h.Sys.WorkerStub(victim)
 	if ws == nil {
 		t.Fatalf("no stub for %s", victim)
@@ -432,7 +434,7 @@ func TestScenarioPrimaryManagerKilledMidRespawn(t *testing.T) {
 		h := newHarness(t, Config{Seed: seed, Managers: 3})
 		ctx := context.Background()
 
-		oldPrimary := h.Sys.PrimaryManager()
+		oldPrimary := h.Sys.Manager()
 		oldEpoch := oldPrimary.Epoch()
 		if reps := h.Sys.ManagerReplicas(); len(reps) != 3 {
 			t.Fatalf("%d manager replicas, want 3", len(reps))
@@ -442,12 +444,12 @@ func TestScenarioPrimaryManagerKilledMidRespawn(t *testing.T) {
 
 		// A standby takes over: new primary instance, higher epoch.
 		waitFor(t, "standby takeover", func() bool {
-			m := h.Sys.PrimaryManager()
+			m := h.Sys.Manager()
 			return m != nil && m != oldPrimary && m.IsPrimary() && m.Epoch() > oldEpoch
 		})
 		elected := time.Since(killAt) - 30*time.Millisecond
 		h.Note("manager-failover", elected.String())
-		newPrimary := h.Sys.PrimaryManager()
+		newPrimary := h.Sys.Manager()
 		if st := newPrimary.Stats(); st.Takeovers != 1 {
 			t.Fatalf("new primary stats %+v, want exactly one takeover", st)
 		}

@@ -2,7 +2,16 @@
 // assembles the cluster, SAN, manager, front ends, cache partitions,
 // monitor, and profile database into a running system, and wires the
 // process-peer fault-tolerance loops (front ends restart the manager;
-// the manager restarts front ends and workers).
+// the manager restarts front ends, caches and workers).
+//
+// Every hosted component — supervisor, cache partition, manager
+// replica, monitor, worker, span reporter, front end, edge — is one
+// entry in System's name-keyed component table (components.go). One
+// start path places, builds, spawns and records an entry; Restart, Kill
+// and Addr only resolve a name in that table, so the manager's Spawner,
+// the supervisor's Host, cmd/node's /kill and the chaos harness all
+// pull the same lever, and a watcher "restarts a silent peer by name"
+// (§3.1.3) whatever the peer is.
 //
 // A new service is exactly what the paper promises: register TACC
 // worker classes, supply a dispatch rule, call Start. Everything below
@@ -15,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,7 +41,6 @@ import (
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/transport"
-	"repro/internal/vcache"
 )
 
 // Roles selects which SNS components a process hosts. The zero value
@@ -49,9 +56,11 @@ import (
 // several processes of one cluster — FE and cache heartbeats are
 // keyed by SAN address and worker ids are prefix-qualified, so
 // same-named components in different processes never interleave in
-// the manager's soft-state tables. The manager role itself must still
-// be hosted by exactly one process (beacons carry a single manager
-// address; there is no election yet).
+// the manager's soft-state tables. The manager role replicates too:
+// each hosting process runs Config.Managers replicas at election ranks
+// from Config.ManagerRank, global rank 0 boots as the acting primary,
+// and the epoch-stamped election in internal/manager moves the primacy
+// when it goes silent.
 type Roles struct {
 	FrontEnds bool
 	Manager   bool
@@ -305,21 +314,8 @@ type System struct {
 	// multi-process SAN; nil in single-process deployments.
 	Bridge *transport.Bridge
 
-	mu          sync.Mutex
-	cacheNodes  map[string]san.Addr // local + remote partitions (FE view)
-	localCaches map[string]bool     // partitions this process hosts
-	mgrs        []*mgrReplica
-	mgrEpochHW  uint64 // high-water election epoch across local replicas
-	lastMgrFix  time.Time
-	sup         *supervisor.Supervisor
-	supNode     string
-	fes         map[string]*frontend.FrontEnd
-	feNodes     map[string]string
-	feOrder     []string
-	feHTTP      map[string]*edge.FEServer
-	edge        *edge.Edge
-	workerNodes map[string]string
-	workerStubs map[string]*stub.WorkerStub
+	mu    sync.Mutex
+	table map[string]*component // every hosted component, by name
 
 	workerSeq atomic.Int64
 	rr        atomic.Uint64
@@ -327,20 +323,12 @@ type System struct {
 	stopped   atomic.Bool
 }
 
-// mgrReplica tracks one locally hosted manager replica across its
-// respawns. The rank is stable; the Manager instance and handle are
-// replaced each time the replica is respawned.
-type mgrReplica struct {
-	rank int
-	gen  int // spawn generation, for distinct process names
-	m    *manager.Manager
-	h    *cluster.Handle
-}
-
 // nodeName/ovfName build prefix-qualified cluster node names — unique
 // across processes when each supplies a distinct NodePrefix.
 func nodeName(prefix string, i int) string { return fmt.Sprintf("%snode%d", prefix, i) }
 func ovfName(prefix string, i int) string  { return fmt.Sprintf("%sovf%d", prefix, i) }
+
+func cacheName(i int) string { return fmt.Sprintf("cache%d", i) }
 
 // CacheAddrs computes the deterministic SAN addresses the cache
 // partitions of a process started with the given prefix and topology
@@ -357,25 +345,26 @@ func CacheAddrs(nodePrefix string, cacheParts, dedicatedNodes int) map[string]sa
 	}
 	out := make(map[string]san.Addr, cacheParts)
 	for i := 0; i < cacheParts; i++ {
-		name := fmt.Sprintf("cache%d", i)
-		out[name] = san.Addr{Node: nodeName(nodePrefix, i%dedicatedNodes), Proc: name}
+		out[cacheName(i)] = san.Addr{Node: nodeName(nodePrefix, i%dedicatedNodes), Proc: cacheName(i)}
 	}
 	return out
 }
 
 // Start builds and boots a system.
 func Start(cfg Config) (*System, error) {
-	cfg = cfg.withDefaults()
-	s := &System{
-		cfg:         cfg,
-		cacheNodes:  make(map[string]san.Addr),
-		localCaches: make(map[string]bool),
-		fes:         make(map[string]*frontend.FrontEnd),
-		feNodes:     make(map[string]string),
-		feHTTP:      make(map[string]*edge.FEServer),
-		workerNodes: make(map[string]string),
-		workerStubs: make(map[string]*stub.WorkerStub),
+	s := &System{cfg: cfg.withDefaults(), table: make(map[string]*component)}
+	if err := s.boot(); err != nil {
+		s.cleanup()
+		return nil, err
 	}
+	return s, nil
+}
+
+// boot assembles the substrate (SAN, bridge, nodes, profile store) and
+// then starts the role-ordered component list. Any error aborts; Start
+// tears down whatever was built.
+func (s *System) boot() error {
+	cfg := s.cfg
 	// Every message body crosses the SAN as stub wire-codec bytes, in
 	// one process or many — the same serialization path a production
 	// interconnect runs. Decode views ride along: []byte bodies alias
@@ -398,7 +387,7 @@ func Start(cfg Config) (*System, error) {
 			MaxBatchBytes: cfg.Transport.MaxBatchBytes,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Bridge = br
 	}
@@ -409,21 +398,21 @@ func Start(cfg Config) (*System, error) {
 	for i := 0; i < cfg.OverflowNodes; i++ {
 		s.Cluster.AddNode(ovfName(cfg.NodePrefix, i), true)
 	}
+	s.Cluster.OnExit(s.onExit)
 
 	// ACID island: the profile database.
 	dir := cfg.ProfileDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "sns-profiles-*")
 		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
+			return fmt.Errorf("core: %w", err)
 		}
 		s.tmpDir = tmp
 		dir = tmp
 	}
 	db, err := profiledb.Open(dir)
 	if err != nil {
-		s.cleanup()
-		return nil, err
+		return err
 	}
 	s.DB = db
 	s.Profile = profiledb.NewReadCache(db)
@@ -432,178 +421,60 @@ func Start(cfg Config) (*System, error) {
 		s.cfg.Origin = origin.NewSimulated(cfg.Seed)
 	}
 
-	// Per-process supervisor daemon — every role set gets one, so the
-	// manager's process-peer duties reach into this process wherever
-	// the manager itself lives. A local watchdog respawns it if it
-	// dies: the supervisor must not be the one component nobody
-	// supervises.
-	if err := s.spawnSupervisor(); err != nil {
-		s.cleanup()
-		return nil, err
-	}
-	s.Cluster.OnExit(func(info cluster.ExitInfo) {
-		if info.Proc == "sup" && !s.stopped.Load() {
-			go func() { _ = s.spawnSupervisor() }()
-		}
-	})
-
-	// Cache partitions. Placement comes from CacheAddrs — the same
-	// function peer processes call — so the "computed address ==
-	// actual address" contract that replaces a discovery protocol is
-	// enforced by construction, not by keeping two formulas in sync.
+	// The start list, in dependency order. Every process gets a
+	// supervisor, whatever its roles, so the manager's process-peer
+	// duties reach into it wherever the manager itself lives. Caches
+	// precede the front ends, which are built with their addresses.
+	boot := []*component{s.supervisorComponent()}
 	if cfg.Roles.caches() {
-		for name, addr := range CacheAddrs(cfg.NodePrefix, cfg.CacheParts, cfg.DedicatedNodes) {
-			svc := s.newCacheService(name, addr.Node)
-			if _, err := s.Cluster.Spawn(addr.Node, svc); err != nil {
-				s.cleanup()
-				return nil, err
-			}
-			s.cacheNodes[name] = svc.Addr()
-			s.localCaches[name] = true
+		// Placement comes from CacheAddrs — the same function peer
+		// processes call — so the "computed address == actual address"
+		// contract that replaces a discovery protocol is enforced by
+		// construction, not by keeping two formulas in sync.
+		addrs := CacheAddrs(cfg.NodePrefix, cfg.CacheParts, cfg.DedicatedNodes)
+		for i := 0; i < cfg.CacheParts; i++ {
+			boot = append(boot, s.cacheComponent(cacheName(i), addrs[cacheName(i)].Node))
 		}
 	}
-	// Partitions hosted by peer processes join the front ends' view.
-	for name, addr := range cfg.RemoteCaches {
-		if _, local := s.localCaches[name]; !local {
-			s.cacheNodes[name] = addr
-		}
-	}
-
-	// Manager replicas: global rank 0 boots as the acting primary,
-	// everyone else standby. The election (internal/manager) owns
-	// primacy from here on.
 	if cfg.Roles.manager() {
 		for i := 0; i < cfg.Managers; i++ {
-			rank := cfg.ManagerRank + i
-			if err := s.spawnManagerReplica(rank, rank != 0, 0); err != nil {
-				s.cleanup()
-				return nil, err
-			}
+			boot = append(boot, s.managerComponent(cfg.ManagerRank+i))
 		}
 	}
-
-	// Monitor.
 	if cfg.Roles.monitor() {
-		s.Mon = monitor.New(monitor.Config{
-			Node:         s.placeOrErr(),
-			Net:          s.Net,
-			SilenceAfter: 4 * cfg.ReportInterval,
-		})
-		if _, err := s.Cluster.Spawn(s.Mon.Addr().Node, s.Mon); err != nil {
-			s.cleanup()
-			return nil, err
-		}
+		boot = append(boot, s.monitorComponent())
 	}
-
-	// Initial workers.
 	if cfg.Roles.workers() {
-		sp := &spawner{s: s}
 		for class, n := range cfg.Workers {
 			for i := 0; i < n; i++ {
-				if _, err := sp.SpawnWorker(class, false); err != nil {
-					s.cleanup()
-					return nil, err
-				}
+				boot = append(boot, s.workerComponent(class))
 			}
 		}
 	}
-
-	// Span reporter: publishes this process's trace spans on the report
-	// group and ingests its peers', so any process can answer
-	// /trace?id= with the cluster-wide tree.
-	rep := &obsReporter{
-		name:     "obsrep",
-		node:     s.placeOrErr(),
-		net:      s.Net,
-		interval: cfg.ReportInterval,
-	}
-	if _, err := s.Cluster.Spawn(rep.node, rep); err != nil {
-		s.cleanup()
-		return nil, err
-	}
-
-	// Front ends.
+	boot = append(boot, s.reporterComponent())
 	if cfg.Roles.frontEnds() {
 		for i := 0; i < cfg.FrontEnds; i++ {
-			name := fmt.Sprintf("fe%d", i)
-			node := s.placeOrErr()
-			if err := s.spawnFrontEnd(name, node); err != nil {
-				s.cleanup()
-				return nil, err
-			}
+			boot = append(boot, s.frontEndComponent(fmt.Sprintf("fe%d", i)))
 		}
 	}
-
-	// Front door: one L7 edge proxy balancing across the FE replicas
-	// it hears heartbeating (local and peer-process alike).
 	if cfg.EdgeListen != "" && cfg.Roles.edge() {
-		// Generous pool TTL: an FE being SIGKILLed and respawned must
-		// keep its (ejected) slot across the gap so the probe
-		// readmission path runs. The kill→respawn window is wall-clock
-		// (detection sweep + spawn), not a beacon multiple, so the TTL
-		// gets an absolute floor even under very fast test beacons.
-		poolTTL := 20 * cfg.BeaconInterval
-		if poolTTL < 2*time.Second {
-			poolTTL = 2 * time.Second
-		}
-		eg, err := edge.New(edge.Config{
-			Name:        "edge",
-			Node:        s.placeOrErr(),
-			Net:         s.Net,
-			Listen:      cfg.EdgeListen,
-			RetryBudget: cfg.EdgeRetryBudget,
-			Pool: edge.PoolConfig{
-				TTL:        poolTTL,
-				ProbeAfter: 2 * cfg.BeaconInterval,
-				Seed:       cfg.Seed,
-			},
-			RequestTimeout: cfg.RequestDeadline,
-		})
-		if err != nil {
-			s.cleanup()
-			return nil, err
-		}
-		if _, err := s.Cluster.Spawn(eg.Addr().Node, eg); err != nil {
-			_ = eg.Close()
-			s.cleanup()
-			return nil, err
-		}
-		s.mu.Lock()
-		s.edge = eg
-		s.mu.Unlock()
+		boot = append(boot, s.edgeComponent())
 	}
-	return s, nil
+	for _, e := range boot {
+		if err := s.start(e, false); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// newCacheService builds one cache partition process with its
-// supervision heartbeat wired to the control group, so whichever
-// process hosts the manager carries the cache's process-peer duty.
-func (s *System) newCacheService(name, node string) *vcache.Service {
-	svc := vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil))
-	svc.ServiceTime = s.cfg.CacheServiceTime
-	svc.HeartbeatGroup = stub.GroupControl
-	svc.HeartbeatInterval = s.cfg.ReportInterval
-	return svc
-}
-
-func (s *System) placeOrErr() string {
-	return s.Cluster.Place(false, nil)
-}
-
+// cleanup tears down whatever boot managed to build.
 func (s *System) cleanup() {
-	s.Cluster.StopAll()
-	s.mu.Lock()
-	adapters := make([]*edge.FEServer, 0, len(s.feHTTP))
-	for _, a := range s.feHTTP {
-		adapters = append(adapters, a)
+	if s.Cluster != nil {
+		s.Cluster.StopAll()
 	}
-	eg := s.edge
-	s.mu.Unlock()
-	for _, a := range adapters {
-		_ = a.Close()
-	}
-	if eg != nil {
-		_ = eg.Close()
+	for _, v := range s.snapshot("") {
+		closeProc(v.proc) // listeners outlive their process's Run loop
 	}
 	if s.Bridge != nil {
 		_ = s.Bridge.Close()
@@ -625,385 +496,129 @@ func (s *System) Stop() {
 	s.cleanup()
 }
 
-// spawnManagerReplica starts (or restarts) one manager replica. Each
-// spawn generation gets a distinct process name so a lingering old
-// instance can never collide with its replacement; initialEpoch seeds
-// the replica's election epoch so a respawn re-enters the cluster
-// already knowing roughly where the epoch stands (its first claim
-// outbids the epoch it died holding instead of a long-deposed one).
-func (s *System) spawnManagerReplica(rank int, standby bool, initialEpoch uint64) error {
-	s.mu.Lock()
-	var rep *mgrReplica
-	for _, r := range s.mgrs {
-		if r.rank == rank {
-			rep = r
-			break
-		}
-	}
-	if rep == nil {
-		rep = &mgrReplica{rank: rank}
-		s.mgrs = append(s.mgrs, rep)
-	}
-	rep.gen++
-	name := "manager"
-	if rank > 0 {
-		name = fmt.Sprintf("manager-r%d", rank)
-	}
-	if rep.gen > 1 {
-		name = fmt.Sprintf("%s.%d", name, rep.gen)
-	}
-	s.mu.Unlock()
-	node := s.placeOrErr()
-	if node == "" {
-		return fmt.Errorf("core: no node for manager")
-	}
-	m := manager.New(manager.Config{
-		Name:           name,
-		Node:           node,
-		Net:            s.Net,
-		Policy:         s.cfg.Policy,
-		BeaconInterval: s.cfg.BeaconInterval,
-		WorkerTTL:      5 * s.cfg.ReportInterval,
-		FETTL:          6 * s.cfg.BeaconInterval,
-		CacheTTL:       s.cfg.CacheSuperviseTTL,
-		Prefix:         s.cfg.NodePrefix,
-		CmdTimeout:     s.cfg.CallTimeout,
-		Spawner:        &spawner{s: s},
-		Rank:           rank,
-		Standby:        standby,
-		InitialEpoch:   initialEpoch,
-	})
-	h, err := s.Cluster.Spawn(node, m)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	rep.m = m
-	rep.h = h
-	s.mu.Unlock()
-	return nil
+// Manager returns the local replica currently acting as primary — the
+// newest-epoch one if several claim it (a deposed replica that has not
+// yet heard the winner's beacon may still say yes). With no acting
+// primary it returns the newest-epoch replica, so callers polling "who
+// won?" always have a candidate to watch.
+func (s *System) Manager() *manager.Manager {
+	_, m := s.pickManager(false)
+	return m
 }
 
-// Manager returns the acting primary manager replica (an alias for
-// PrimaryManager — existing callers predate replication and always
-// mean "the manager that is actually running the cluster").
-func (s *System) Manager() *manager.Manager { return s.PrimaryManager() }
-
-// PrimaryManager returns the local replica currently acting as
-// primary — the newest-epoch one if several claim it (a deposed
-// replica that has not yet heard the winner's beacon may still say
-// yes). With no acting primary it returns the newest-epoch replica,
-// so callers polling "who won?" always have a candidate to watch.
-func (s *System) PrimaryManager() *manager.Manager {
-	// Snapshot the manager pointers under the lock — the replica slots
-	// themselves are rewritten by respawns.
-	s.mu.Lock()
-	ms := make([]*manager.Manager, 0, len(s.mgrs))
-	for _, r := range s.mgrs {
-		if r.m != nil {
-			ms = append(ms, r.m)
+// pickManager applies Manager's rule over the manager entries,
+// optionally skipping replicas whose process has exited.
+func (s *System) pickManager(liveOnly bool) (name string, m *manager.Manager) {
+	var epoch uint64
+	primary := false
+	for _, v := range s.snapshot(KindManager) {
+		if liveOnly && !v.live {
+			continue
+		}
+		// Epoch and IsPrimary take the manager's lock, so they are read
+		// off the snapshot, never under s.mu.
+		cand := v.proc.(*manager.Manager)
+		e, p := cand.Epoch(), cand.IsPrimary()
+		if m == nil || (p && !primary) || (p == primary && e > epoch) {
+			name, m, epoch, primary = v.e.name, cand, e, p
 		}
 	}
-	s.mu.Unlock()
-	var best, fallback *manager.Manager
-	var bestEpoch, fbEpoch uint64
-	for _, m := range ms {
-		e := m.Epoch()
-		if fallback == nil || e > fbEpoch {
-			fallback, fbEpoch = m, e
-		}
-		if m.IsPrimary() && (best == nil || e > bestEpoch) {
-			best, bestEpoch = m, e
-		}
-	}
-	if best != nil {
-		return best
-	}
-	return fallback
+	return name, m
 }
 
-// ManagerReplicas returns every locally hosted manager replica in
-// rank order (standbys included), for tests and operator tooling.
+// ManagerReplicas returns every locally hosted manager replica in name
+// (so, below ten replicas, rank) order, standbys included — for tests
+// and operator tooling.
 func (s *System) ManagerReplicas() []*manager.Manager {
-	s.mu.Lock()
-	type slot struct {
-		rank int
-		m    *manager.Manager
-	}
-	slots := make([]slot, 0, len(s.mgrs))
-	for _, r := range s.mgrs {
-		if r.m != nil {
-			slots = append(slots, slot{r.rank, r.m})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(slots, func(i, j int) bool { return slots[i].rank < slots[j].rank })
-	out := make([]*manager.Manager, 0, len(slots))
-	for _, sl := range slots {
-		out = append(out, sl.m)
+	views := s.snapshot(KindManager)
+	out := make([]*manager.Manager, len(views))
+	for i, v := range views {
+		out[i] = v.proc.(*manager.Manager)
 	}
 	return out
 }
 
-// Supervisor returns this process's supervisor daemon.
-func (s *System) Supervisor() *supervisor.Supervisor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sup
-}
-
-// spawnSupervisor starts (or restarts) the per-process supervisor. The
-// address is stable across respawns — a restarted daemon reclaims its
-// name, and managers keep delegating to the same place.
-func (s *System) spawnSupervisor() error {
-	if s.stopped.Load() {
-		return fmt.Errorf("core: system stopped")
+// KillManager crashes the acting primary manager replica (fault
+// injection), or any live replica mid-election. Standbys are left
+// running — surviving the primary's death is their whole job.
+func (s *System) KillManager() error {
+	name, m := s.pickManager(true)
+	if m == nil {
+		return fmt.Errorf("core: no manager")
 	}
-	s.mu.Lock()
-	node := s.supNode
-	s.mu.Unlock()
-	// If the daemon's node died, it moves; the fresh hello re-teaches
-	// every manager the new address (the table is address-keyed).
-	for _, n := range s.Cluster.Nodes() {
-		if n.ID == node && !n.Alive {
-			node = ""
-			break
-		}
-	}
-	if node == "" {
-		node = s.placeOrErr()
-		if node == "" {
-			return fmt.Errorf("core: no node for supervisor")
-		}
-	}
-	sup := supervisor.New(supervisor.Config{
-		Node:              node,
-		Net:               s.Net,
-		Prefix:            s.cfg.NodePrefix,
-		Host:              supHost{s: s},
-		HeartbeatGroup:    stub.GroupControl,
-		HeartbeatInterval: s.cfg.ReportInterval,
-		DisableKind:       stub.MsgDisable,
-		EnableKind:        stub.MsgEnable,
-		// The supervisor cannot import the stub package (stub's wire
-		// codec encodes supervisor commands), so the beacon-epoch
-		// extraction it fences stale commands with is injected here.
-		EpochFrom: func(kind string, body any) (uint64, bool) {
-			if kind != stub.MsgBeacon {
-				return 0, false
-			}
-			if b, ok := body.(stub.Beacon); ok {
-				return b.Epoch, true
-			}
-			return 0, false
-		},
-	})
-	if _, err := s.Cluster.Spawn(node, sup); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.sup = sup
-	s.supNode = node
-	s.mu.Unlock()
-	return nil
+	return s.Kill(name)
 }
 
 // restartManager is the front ends' process-peer action ("the front
-// end detects and restarts a crashed manager", §3.1.3). A cooldown
-// keeps multiple front ends from racing to restart it. In a
-// multi-process deployment only the process hosting the manager role
-// may act — a front-end-only process inferring silence must not spawn
-// a second manager of its own.
-//
-// With replication, the election — not this watchdog — owns primacy:
-// dead replicas are respawned as standbys so the replica set stays at
-// full strength, and a surviving standby's takeover is what restores
-// beacons. Only when every local replica is dead does the first
-// respawn boot as an immediate primary, seeded past the local epoch
-// high-water mark so its beacons outbid every stub's and supervisor's
-// memory of the dead regime.
+// end detects and restarts a crashed manager", §3.1.3). It acts on the
+// table's manager entries only — a front-end-only process inferring
+// silence has none, and must not spawn a manager of its own — and only
+// on replicas whose process has exited: silence without a corpse is the
+// election's business. A live replica is not even locked: its lock may
+// be held by a Kill waiting for it to exit while it, in turn, waits in
+// Restart for the very front end that is calling here.
 func (s *System) restartManager() {
-	if s.stopped.Load() || !s.cfg.Roles.manager() {
-		return
-	}
-	s.mu.Lock()
-	if time.Since(s.lastMgrFix) < 2*s.cfg.BeaconInterval {
-		s.mu.Unlock()
-		return
-	}
-	s.lastMgrFix = time.Now()
-	type slot struct {
-		rank int
-		m    *manager.Manager
-		h    *cluster.Handle
-	}
-	reps := make([]slot, 0, len(s.mgrs))
-	for _, r := range s.mgrs {
-		reps = append(reps, slot{r.rank, r.m, r.h})
-	}
-	s.mu.Unlock()
-
-	var hw uint64
-	var dead []slot
-	live := 0
-	for _, r := range reps {
-		if r.m != nil {
-			// Readable even after the replica's goroutine died: the
-			// epoch a killed primary last held is exactly what its
-			// replacement's first claim must outbid.
-			if e := r.m.Epoch(); e > hw {
-				hw = e
-			}
+	for _, v := range s.snapshot(KindManager) {
+		if !v.live {
+			_ = s.start(v.e, true)
 		}
-		if r.h == nil {
-			continue
-		}
-		select {
-		case <-r.h.Done():
-			dead = append(dead, r)
-		default:
-			live++
-		}
-	}
-	s.mu.Lock()
-	if hw > s.mgrEpochHW {
-		s.mgrEpochHW = hw
-	}
-	hw = s.mgrEpochHW
-	s.mu.Unlock()
-	if len(dead) == 0 {
-		return // silence without a corpse: the election owns this
-	}
-	for i, r := range dead {
-		standby := live > 0 || i > 0
-		_ = s.spawnManagerReplica(r.rank, standby, hw)
 	}
 }
 
-// spawnFrontEnd builds and spawns one front end.
-func (s *System) spawnFrontEnd(name, node string) error {
-	if node == "" {
-		return fmt.Errorf("core: no node for %s", name)
-	}
-	// Remote congestion sheds upstream: each FE's admission estimator
-	// samples the bridge's backpressure counter, so a stalled peer
-	// process shows up as saturation here instead of as silent frame
-	// loss.
-	var backpressureFn func() uint64
-	if s.Bridge != nil {
-		br := s.Bridge
-		backpressureFn = func() uint64 { return br.Stats().Backpressure }
-	}
-	// Bind the replica's HTTP adapter before building the front end:
-	// the bound address goes into the config so the very first
-	// heartbeat already advertises it. A respawn rebinds (fresh port);
-	// the edge's pool entry is keyed by SAN address, so the new
-	// address refreshes the existing slot and the half-open probe
-	// readmits it.
-	var fesrv *edge.FEServer
-	if s.cfg.FEHTTP != "" {
-		var err error
-		fesrv, err = edge.NewFEServer(s.cfg.FEHTTP)
-		if err != nil {
-			return err
-		}
-	}
-	httpAddr := ""
-	if fesrv != nil {
-		httpAddr = fesrv.Addr()
-	}
-	fe := frontend.New(frontend.Config{
-		Name:              name,
-		Node:              node,
-		Net:               s.Net,
-		Rules:             s.cfg.Rules,
-		Profiles:          s.Profile,
-		Origin:            s.cfg.Origin,
-		CacheNodes:        s.CacheNodes(),
-		Threads:           s.cfg.FEThreads,
-		CacheTTL:          s.cfg.CacheTTL,
-		CacheTimeout:      s.cfg.CacheTimeout,
-		HeartbeatInterval: s.cfg.BeaconInterval,
-		HTTPAddr:          httpAddr,
-		MinDistillSize:    s.cfg.MinDistillSize,
-		RequestDeadline:   s.cfg.RequestDeadline,
-		MaxInflight:       s.cfg.FEMaxInflight,
-		QueueHighWater:    s.cfg.FEQueueHighWater,
-		BackpressureFn:    backpressureFn,
-		ManagerStub: stub.ManagerStubConfig{
-			Seed:             s.cfg.Seed,
-			CallTimeout:      s.cfg.CallTimeout,
-			UseDelta:         !s.cfg.DisableDeltaEstimator,
-			WorkerTTL:        20 * s.cfg.BeaconInterval,
-			ManagerTimeout:   5 * s.cfg.BeaconInterval,
-			OnManagerSilence: s.restartManager,
-		},
-	})
-	if _, err := s.Cluster.Spawn(node, fe); err != nil {
-		if fesrv != nil {
-			_ = fesrv.Close()
-		}
-		return err
-	}
-	if fesrv != nil {
-		fesrv.Serve(fe)
-	}
-	s.mu.Lock()
-	if old := s.feHTTP[name]; old != nil {
-		// Respawn: retire the dead instance's adapter.
-		_ = old.Close()
-	}
-	if fesrv != nil {
-		s.feHTTP[name] = fesrv
-	} else {
-		delete(s.feHTTP, name)
-	}
-	s.fes[name] = fe
-	s.feNodes[name] = node
-	if !contains(s.feOrder, name) {
-		s.feOrder = append(s.feOrder, name)
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+// Supervisor returns this process's supervisor daemon.
+func (s *System) Supervisor() *supervisor.Supervisor {
+	sup, _ := s.proc("sup").(*supervisor.Supervisor)
+	return sup
 }
 
 // Edge returns the front-door proxy this process hosts (nil when the
 // edge role or EdgeListen is unset).
 func (s *System) Edge() *edge.Edge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.edge
+	eg, _ := s.proc("edge").(*edge.Edge)
+	return eg
 }
 
 // FrontEndHTTPAddr returns the HTTP adapter address of a local front
 // end ("" when FEHTTP is unset or the name is unknown).
 func (s *System) FrontEndHTTPAddr(name string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a := s.feHTTP[name]; a != nil {
-		return a.Addr()
+	if fe, ok := s.proc(name).(*feProc); ok && fe.http != nil {
+		return fe.http.Addr()
 	}
 	return ""
 }
 
-// FrontEnds returns the live front-end instances in creation order.
+// FrontEnds returns the current instance of every registered front
+// end in name order, running or not (Do and WaitReady check Running
+// themselves).
 func (s *System) FrontEnds() []*frontend.FrontEnd {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*frontend.FrontEnd, 0, len(s.feOrder))
-	for _, name := range s.feOrder {
-		if fe, ok := s.fes[name]; ok {
-			out = append(out, fe)
-		}
+	views := s.snapshot(KindFrontEnd)
+	out := make([]*frontend.FrontEnd, len(views))
+	for i, v := range views {
+		out[i] = v.proc.(*feProc).FrontEnd
+	}
+	return out
+}
+
+// Workers returns the ids of the live worker processes, sorted.
+func (s *System) Workers() []string { return s.Names(KindWorker) }
+
+// WorkerStub returns the live stub for a tracked worker id (nil if
+// unknown), giving chaos harnesses access to the per-worker fault
+// injection knobs (InjectSlowdown, InjectHang).
+func (s *System) WorkerStub(id string) *stub.WorkerStub {
+	ws, _ := s.proc(id).(*stub.WorkerStub)
+	return ws
+}
+
+// CacheNodes returns the cache partition addresses the front ends
+// route to: the partitions hosted here plus Config.RemoteCaches.
+func (s *System) CacheNodes() map[string]san.Addr {
+	out := make(map[string]san.Addr, len(s.cfg.RemoteCaches))
+	for name, addr := range s.cfg.RemoteCaches {
+		out[name] = addr
+	}
+	for _, v := range s.snapshot(KindCache) {
+		out[v.e.name] = v.proc.Addr()
 	}
 	return out
 }
@@ -1029,7 +644,7 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 		if s.cfg.Roles.manager() {
 			// The primary's (or, in a standby-only process, the beacon
 			// mirror's) worker table carries the cluster-wide count.
-			if m := s.PrimaryManager(); m == nil || m.Stats().Workers < want {
+			if m := s.Manager(); m == nil || m.Stats().Workers < want {
 				ready = false
 			}
 		}
@@ -1106,422 +721,4 @@ func (s *System) Do(ctx context.Context, req frontend.Request) (frontend.Respons
 // SetProfile writes one user preference through to the ACID store.
 func (s *System) SetProfile(user, key, val string) error {
 	return s.Profile.Set(user, key, val)
-}
-
-// spawner implements manager.Spawner against the live cluster.
-type spawner struct{ s *System }
-
-// SpawnWorker places a fresh worker stub on the least-loaded eligible
-// node.
-func (sp *spawner) SpawnWorker(class string, overflow bool) (stub.WorkerInfo, error) {
-	s := sp.s
-	w, err := s.cfg.Registry.New(class)
-	if err != nil {
-		return stub.WorkerInfo{}, err
-	}
-	var node string
-	if overflow {
-		node = s.Cluster.Place(true, func(n cluster.Node) bool { return n.Overflow })
-	} else {
-		node = s.Cluster.Place(false, func(n cluster.Node) bool {
-			return len(n.Procs) < s.cfg.ProcsPerNode
-		})
-		if node == "" {
-			// Dedicated pool exhausted: recruit overflow (§2.2.3).
-			node = s.Cluster.Place(true, func(n cluster.Node) bool { return n.Overflow })
-			overflow = node != ""
-		}
-	}
-	if node == "" {
-		return stub.WorkerInfo{}, fmt.Errorf("core: no capacity for worker class %s", class)
-	}
-	// Prefix-qualified like node names, so replicated worker roles
-	// across processes never collide in the manager's id-keyed table.
-	id := fmt.Sprintf("%s%s.%d", s.cfg.NodePrefix, class, s.workerSeq.Add(1))
-	ws := stub.NewWorkerStub(id, node, w, s.Net, stub.WorkerConfig{
-		ReportInterval: s.cfg.ReportInterval,
-		Overflow:       overflow,
-	})
-	if _, err := s.Cluster.Spawn(node, ws); err != nil {
-		return stub.WorkerInfo{}, err
-	}
-	s.mu.Lock()
-	s.workerNodes[id] = node
-	s.workerStubs[id] = ws
-	s.mu.Unlock()
-	return ws.Info(), nil
-}
-
-// ReapWorker stops a worker process.
-func (sp *spawner) ReapWorker(id string) error {
-	s := sp.s
-	s.mu.Lock()
-	node, ok := s.workerNodes[id]
-	if ok {
-		delete(s.workerNodes, id)
-		delete(s.workerStubs, id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: unknown worker %s", id)
-	}
-	return s.Cluster.KillProcess(node, id)
-}
-
-// RestartFrontEnd is the manager's process-peer action. Restart means
-// stop-then-start: if the silence was a false alarm (a live but slow
-// front end), the old instance is killed first so the replacement can
-// claim its name — the paper's watchers restart peers, they never try
-// to coexist with them.
-func (sp *spawner) RestartFrontEnd(name string) error {
-	s := sp.s
-	if s.stopped.Load() {
-		return fmt.Errorf("core: system stopped")
-	}
-	s.mu.Lock()
-	node := s.feNodes[name]
-	s.mu.Unlock()
-	if node == "" {
-		return fmt.Errorf("core: unknown front end %s", name)
-	}
-	_ = s.Cluster.KillProcess(node, name) // usually already dead
-	// If the node itself died, move the front end.
-	for _, n := range s.Cluster.Nodes() {
-		if n.ID == node && !n.Alive {
-			node = s.placeOrErr()
-			break
-		}
-	}
-	return s.spawnFrontEnd(name, node)
-}
-
-// RestartCache is the manager's process-peer action for cache
-// services: kill any lingering instance, then respawn the partition
-// (empty — it is a cache) under the same name. The address is
-// preserved when the node survives, so front ends re-absorb the
-// partition with no reconfiguration; if the node died the service
-// moves and the local front ends' clients are re-pointed.
-func (sp *spawner) RestartCache(name string) error {
-	s := sp.s
-	if s.stopped.Load() {
-		return fmt.Errorf("core: system stopped")
-	}
-	s.mu.Lock()
-	addr, ok := s.cacheNodes[name]
-	local := s.localCaches[name]
-	s.mu.Unlock()
-	if !ok || !local {
-		// A heartbeat from a partition another process hosts: that
-		// process's manager-peer (or supervisor) owns the restart.
-		return fmt.Errorf("core: cache %s is not hosted here", name)
-	}
-	_ = s.Cluster.KillProcess(addr.Node, name) // usually already dead
-	node := addr.Node
-	for _, n := range s.Cluster.Nodes() {
-		if n.ID == node && !n.Alive {
-			node = s.placeOrErr()
-			break
-		}
-	}
-	if node == "" {
-		return fmt.Errorf("core: no node for cache %s", name)
-	}
-	svc := s.newCacheService(name, node)
-	if _, err := s.Cluster.Spawn(node, svc); err != nil {
-		return err
-	}
-	if newAddr := svc.Addr(); newAddr != addr {
-		s.mu.Lock()
-		s.cacheNodes[name] = newAddr
-		fes := make([]*frontend.FrontEnd, 0, len(s.fes))
-		for _, fe := range s.fes {
-			fes = append(fes, fe)
-		}
-		s.mu.Unlock()
-		for _, fe := range fes {
-			fe.Cache().RemoveNode(name)
-			fe.Cache().AddNode(name, newAddr)
-		}
-	}
-	return nil
-}
-
-// HasDedicatedCapacity reports whether any dedicated node has room.
-func (sp *spawner) HasDedicatedCapacity() bool {
-	s := sp.s
-	node := s.Cluster.Place(false, func(n cluster.Node) bool {
-		return len(n.Procs) < s.cfg.ProcsPerNode
-	})
-	return node != ""
-}
-
-// supHost adapts the System into the supervisor's lever on this
-// process (supervisor.Host): the same restart duties the manager's
-// spawner performs, now reachable from a manager in any process.
-type supHost struct{ s *System }
-
-func (h supHost) RestartFrontEnd(name string) error { return (&spawner{s: h.s}).RestartFrontEnd(name) }
-func (h supHost) RestartCache(name string) error    { return (&spawner{s: h.s}).RestartCache(name) }
-func (h supHost) RestartWorker(id string) error     { return h.s.restartWorker(id) }
-
-func (h supHost) SpawnWorker(class string) error {
-	sp := &spawner{s: h.s}
-	_, err := sp.SpawnWorker(class, !sp.HasDedicatedCapacity())
-	return err
-}
-
-func (h supHost) KillComponent(name string) error { return h.s.KillComponent(name) }
-
-func (h supHost) ComponentAddr(name string) (san.Addr, bool) { return h.s.ComponentAddr(name) }
-
-// restartWorker kills and respawns a worker under the same id and
-// class — the supervisor's hot-upgrade restart. The stub's context
-// cancellation deregisters it cleanly (a voluntary departure, so the
-// manager spawns no replacement), and the fresh stub re-registers on
-// the next beacon as the "upgraded binary".
-func (s *System) restartWorker(id string) error {
-	if s.stopped.Load() {
-		return fmt.Errorf("core: system stopped")
-	}
-	s.mu.Lock()
-	ws := s.workerStubs[id]
-	node := s.workerNodes[id]
-	s.mu.Unlock()
-	if ws == nil {
-		return fmt.Errorf("core: unknown worker %s", id)
-	}
-	info := ws.Info()
-	w, err := s.cfg.Registry.New(info.Class)
-	if err != nil {
-		return err
-	}
-	_ = s.Cluster.KillProcess(node, id) // graceful: the stub deregisters on its way out
-	for _, n := range s.Cluster.Nodes() {
-		if n.ID == node && !n.Alive {
-			node = s.placeOrErr()
-			break
-		}
-	}
-	if node == "" {
-		return fmt.Errorf("core: no node for worker %s", id)
-	}
-	ws2 := stub.NewWorkerStub(id, node, w, s.Net, stub.WorkerConfig{
-		ReportInterval: s.cfg.ReportInterval,
-		Overflow:       info.Overflow,
-	})
-	if _, err := s.Cluster.Spawn(node, ws2); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.workerNodes[id] = node
-	s.workerStubs[id] = ws2
-	s.mu.Unlock()
-	return nil
-}
-
-// KillComponent crashes any locally hosted component by name — the
-// supervisor's remote fault-injection op for multi-process chaos.
-func (s *System) KillComponent(name string) error {
-	s.mu.Lock()
-	_, isWorker := s.workerStubs[name]
-	_, isFE := s.fes[name]
-	isCache := s.localCaches[name]
-	s.mu.Unlock()
-	switch {
-	case isWorker:
-		return s.KillWorker(name)
-	case isCache:
-		return s.KillCache(name)
-	case isFE:
-		return s.KillFrontEnd(name)
-	}
-	return fmt.Errorf("core: no component %s hosted here", name)
-}
-
-// ComponentAddr resolves a locally hosted component's SAN address.
-func (s *System) ComponentAddr(name string) (san.Addr, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ws, ok := s.workerStubs[name]; ok {
-		return ws.Addr(), true
-	}
-	if _, ok := s.fes[name]; ok {
-		if node := s.feNodes[name]; node != "" {
-			return san.Addr{Node: node, Proc: name}, true
-		}
-	}
-	if s.localCaches[name] {
-		return s.cacheNodes[name], true
-	}
-	for _, r := range s.mgrs {
-		if r.m != nil && r.m.ID() == name {
-			return r.m.Addr(), true
-		}
-	}
-	return san.Addr{}, false
-}
-
-// KillWorker crashes a worker abruptly (fault injection for tests and
-// experiments): its endpoint drops off the SAN before the process is
-// cancelled, so no deregistration reaches the manager — the loss must
-// be inferred by timeout, exactly as for a real crash (§3.1.3).
-func (s *System) KillWorker(id string) error {
-	s.mu.Lock()
-	node, ok := s.workerNodes[id]
-	if ok {
-		delete(s.workerNodes, id)
-		delete(s.workerStubs, id)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: unknown worker %s", id)
-	}
-	s.Net.Drop(san.Addr{Node: node, Proc: id})
-	// The endpoint closure usually makes the stub exit on its own;
-	// a racing "already gone" from the cluster is success here.
-	if err := s.Cluster.KillProcess(node, id); err != nil && !s.stopped.Load() {
-		return nil
-	}
-	return nil
-}
-
-// KillFrontEnd crashes a front end process.
-func (s *System) KillFrontEnd(name string) error {
-	s.mu.Lock()
-	node := s.feNodes[name]
-	s.mu.Unlock()
-	if node == "" {
-		return fmt.Errorf("core: unknown front end %s", name)
-	}
-	return s.Cluster.KillProcess(node, name)
-}
-
-// KillManager crashes the acting primary manager replica (fault
-// injection). Standby replicas are left running — surviving the
-// primary's death is their whole job; the election promotes one
-// within ElectionTimeout plus its rank stagger.
-func (s *System) KillManager() error {
-	type slot struct {
-		m *manager.Manager
-		h *cluster.Handle
-	}
-	s.mu.Lock()
-	reps := make([]slot, 0, len(s.mgrs))
-	for _, r := range s.mgrs {
-		if r.m != nil && r.h != nil {
-			reps = append(reps, slot{r.m, r.h})
-		}
-	}
-	s.mu.Unlock()
-	var victim *slot
-	var vEpoch uint64
-	var anyLive *slot
-	for i := range reps {
-		r := &reps[i]
-		select {
-		case <-r.h.Done():
-			continue
-		default:
-		}
-		if anyLive == nil {
-			anyLive = r
-		}
-		if e := r.m.Epoch(); r.m.IsPrimary() && (victim == nil || e > vEpoch) {
-			victim, vEpoch = r, e
-		}
-	}
-	if victim == nil {
-		victim = anyLive // mid-election: kill any live replica
-	}
-	if victim == nil {
-		return fmt.Errorf("core: no manager")
-	}
-	s.mu.Lock()
-	if vEpoch > s.mgrEpochHW {
-		s.mgrEpochHW = vEpoch
-	}
-	s.mu.Unlock()
-	victim.h.Kill()
-	return nil
-}
-
-// Workers returns the ids of currently tracked worker processes
-// (spawned and not yet reaped/killed), sorted.
-func (s *System) Workers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.workerNodes))
-	for id := range s.workerNodes {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WorkerStub returns the live stub for a tracked worker id (nil if
-// unknown), giving chaos harnesses access to the per-worker fault
-// injection knobs (InjectSlowdown, InjectHang).
-func (s *System) WorkerStub(id string) *stub.WorkerStub {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workerStubs[id]
-}
-
-// WorkerNode returns the node hosting a tracked worker ("" if
-// unknown).
-func (s *System) WorkerNode(id string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workerNodes[id]
-}
-
-// FrontEndNode returns the node hosting a front end ("" if unknown).
-func (s *System) FrontEndNode(name string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.feNodes[name]
-}
-
-// CacheNodes returns the cache partition addresses (local and
-// remote).
-func (s *System) CacheNodes() map[string]san.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]san.Addr, len(s.cacheNodes))
-	for k, v := range s.cacheNodes {
-		out[k] = v
-	}
-	return out
-}
-
-// Caches returns the names of cache partitions hosted by this
-// process, sorted.
-func (s *System) Caches() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.localCaches))
-	for name := range s.localCaches {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// KillCache crashes a locally hosted cache service abruptly (fault
-// injection): its endpoint drops off the SAN before the process is
-// cancelled, so no goodbye traffic is sent — the manager must infer
-// the loss from heartbeat silence, exactly as for a real crash.
-func (s *System) KillCache(name string) error {
-	s.mu.Lock()
-	addr, ok := s.cacheNodes[name]
-	local := s.localCaches[name]
-	s.mu.Unlock()
-	if !ok || !local {
-		return fmt.Errorf("core: unknown local cache %s", name)
-	}
-	s.Net.Drop(addr)
-	// The endpoint closure usually makes the service exit on its own;
-	// racing "already gone" is success, as with KillWorker.
-	_ = s.Cluster.KillProcess(addr.Node, name)
-	return nil
 }

@@ -169,17 +169,15 @@ func TestWorkerCrashFallsBackThenRecovers(t *testing.T) {
 
 	// Find and crash the SJPG distiller.
 	var victim string
-	s.mu.Lock()
-	for id := range s.workerNodes {
+	for _, id := range s.Workers() {
 		if strings.HasPrefix(id, distiller.ClassSJPG) {
 			victim = id
 		}
 	}
-	s.mu.Unlock()
 	if victim == "" {
 		t.Fatal("no sjpg worker found")
 	}
-	if err := s.KillWorker(victim); err != nil {
+	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +239,7 @@ func TestManagerCrashIsMaskedAndRepaired(t *testing.T) {
 func TestFrontEndCrashIsRestartedByManager(t *testing.T) {
 	s := startTranSend(t, nil)
 	waitForWorkers(t, s, 3)
-	if err := s.KillFrontEnd("fe0"); err != nil {
+	if err := s.Kill("fe0"); err != nil {
 		t.Fatal(err)
 	}
 	// The manager's FE TTL expires and it respawns fe0.
@@ -308,14 +306,12 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 
 	// Crash a worker: the monitor alerts on its silence.
 	var victim string
-	s.mu.Lock()
-	for id := range s.workerNodes {
+	for _, id := range s.Workers() {
 		if strings.HasPrefix(id, distiller.ClassHTML) {
 			victim = id
 		}
 	}
-	s.mu.Unlock()
-	if err := s.KillWorker(victim); err != nil {
+	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "silence alert", func() bool {
@@ -363,11 +359,10 @@ func TestHotUpgradeDisableEnableWorker(t *testing.T) {
 
 func stubAddrOf(t *testing.T, s *System, class string) (addr sanAddr) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, node := range s.workerNodes {
+	for _, id := range s.Workers() {
 		if strings.HasPrefix(id, class) {
-			return sanAddr{Node: node, Proc: id}
+			a, _ := s.Addr(id)
+			return sanAddr(a)
 		}
 	}
 	t.Fatalf("no worker of class %s", class)
@@ -418,17 +413,7 @@ func TestSANPartitionWorkerRestartedOnVisibleSide(t *testing.T) {
 	})
 	waitForWorkers(t, s, 1)
 
-	var node string
-	s.mu.Lock()
-	for id, n := range s.workerNodes {
-		if strings.HasPrefix(id, distiller.ClassSJPG) {
-			node = n
-		}
-	}
-	s.mu.Unlock()
-	if node == "" {
-		t.Fatal("no sjpg worker")
-	}
+	node := stubAddrOf(t, s, distiller.ClassSJPG).Node
 
 	// Cut the worker's node off from the rest of the cluster. Its
 	// reports stop arriving; the manager infers the loss by timeout

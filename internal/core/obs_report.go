@@ -31,8 +31,10 @@ const spanDigestBatch = 256
 
 func (r *obsReporter) ID() string { return r.name }
 
+func (r *obsReporter) Addr() san.Addr { return san.Addr{Node: r.node, Proc: r.name} }
+
 func (r *obsReporter) Run(ctx context.Context) error {
-	ep := r.net.Endpoint(san.Addr{Node: r.node, Proc: r.name}, 1024)
+	ep := r.net.Endpoint(r.Addr(), 1024)
 	defer ep.Close()
 	ep.Join(stub.GroupReports)
 	tracer := r.net.Tracer()
@@ -92,7 +94,7 @@ func (s *System) configureObs() {
 
 	reg := s.Net.Registry()
 	reg.SetCollector("manager", func(emit func(string, float64)) {
-		m := s.PrimaryManager()
+		m := s.Manager()
 		if m == nil {
 			return
 		}

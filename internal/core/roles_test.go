@@ -57,7 +57,7 @@ func TestCacheAddrsMatchPlacement(t *testing.T) {
 			t.Fatalf("cache %s placed at %v, predicted %v", name, got, want)
 		}
 	}
-	for _, name := range s.Caches() {
+	for _, name := range s.Names(KindCache) {
 		if !strings.HasPrefix(actual[name].Node, "px-node") {
 			t.Fatalf("cache %s on unprefixed node %s", name, actual[name].Node)
 		}
@@ -80,18 +80,18 @@ func TestCacheCrashRespawn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	names := s.Caches()
+	names := s.Names(KindCache)
 	if len(names) == 0 {
 		t.Fatal("no local caches")
 	}
 	victim := names[0]
 	addrBefore := s.CacheNodes()[victim]
 	restarts := s.Manager().Stats().CacheRestarts
-	if err := s.KillCache(victim); err != nil {
+	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.KillCache("no-such-cache"); err == nil {
-		t.Fatal("KillCache accepted an unknown name")
+	if err := s.Kill("no-such-cache"); err == nil {
+		t.Fatal("Kill accepted an unknown name")
 	}
 
 	// Requests during the outage must still succeed.
@@ -125,17 +125,20 @@ func TestSystemAccessors(t *testing.T) {
 		if s.WorkerStub(id) == nil {
 			t.Fatalf("no stub for tracked worker %s", id)
 		}
-		if s.WorkerNode(id) == "" {
+		if addr, ok := s.Addr(id); !ok || addr.Node == "" {
 			t.Fatalf("no node for tracked worker %s", id)
 		}
 	}
-	if s.WorkerStub("ghost") != nil || s.WorkerNode("ghost") != "" {
+	if _, ok := s.Addr("ghost"); ok || s.WorkerStub("ghost") != nil {
 		t.Fatal("accessors resolved an unknown worker")
 	}
-	if s.FrontEndNode("fe0") == "" {
+	if s.WorkerStub("fe0") != nil {
+		t.Fatal("WorkerStub resolved a front end")
+	}
+	if addr, ok := s.Addr("fe0"); !ok || addr.Node == "" {
 		t.Fatal("fe0 has no node")
 	}
-	if s.FrontEndNode("feX") != "" {
+	if _, ok := s.Addr("feX"); ok {
 		t.Fatal("unknown front end resolved to a node")
 	}
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/supervisor"
 )
 
@@ -32,32 +36,38 @@ func TestSupervisorWiredIntoEveryRoleSet(t *testing.T) {
 		t.Fatalf("Supervisors() = %v", sups)
 	}
 
-	// ComponentAddr covers workers, front ends, caches, the manager.
+	// Addr covers every registered kind.
 	workers := s.Workers()
 	if len(workers) == 0 {
 		t.Fatal("no workers")
 	}
-	if addr, ok := s.ComponentAddr(workers[0]); !ok || addr.Proc != workers[0] {
-		t.Fatalf("worker ComponentAddr = %v ok=%v", addr, ok)
+	for _, name := range []string{workers[0], "fe0", "cache0", "manager", "monitor", "sup", "obsrep"} {
+		if addr, ok := s.Addr(name); !ok || addr.Node == "" || !strings.HasPrefix(addr.Proc, name) {
+			t.Fatalf("Addr(%s) = %v ok=%v", name, addr, ok)
+		}
 	}
-	if addr, ok := s.ComponentAddr("fe0"); !ok || addr.Proc != "fe0" {
-		t.Fatalf("fe ComponentAddr = %v ok=%v", addr, ok)
-	}
-	if addr, ok := s.ComponentAddr("cache0"); !ok || addr.Proc != "cache0" {
-		t.Fatalf("cache ComponentAddr = %v ok=%v", addr, ok)
-	}
-	if _, ok := s.ComponentAddr("manager"); !ok {
-		t.Fatal("manager ComponentAddr missing")
-	}
-	if _, ok := s.ComponentAddr("nonesuch"); ok {
+	if _, ok := s.Addr("nonesuch"); ok {
 		t.Fatal("unknown component resolved")
 	}
 }
 
-// TestKillComponentByName: the supervisor's kill op crashes any local
-// component kind; unknown names refuse.
+// TestKillComponentByName: Kill crashes any registered component by
+// name — the lever behind cmd/node's /kill and the supervisor's kill
+// op — and whoever watches that kind brings it back: the manager's
+// replica floor replaces a worker under a fresh id, its sweeps restart
+// a cache and a front end by name, the election replaces a primary
+// manager. Nobody watches the edge; an explicit Restart returns it to
+// the same public address. Unknown names refuse.
 func TestKillComponentByName(t *testing.T) {
-	s := startTranSend(t, func(c *Config) { c.Seed = 2 })
+	s := startTranSend(t, func(c *Config) {
+		c.Seed = 2
+		c.Managers = 2
+		c.EdgeListen = "127.0.0.1:0"
+		c.FEHTTP = "127.0.0.1"
+	})
+	if !s.WaitReady(10 * time.Second) {
+		t.Fatal("system not ready")
+	}
 	waitForWorkers(t, s, 3)
 	// Supervision must be live before the kill: the manager can only
 	// infer the death of a component it has heard from.
@@ -65,21 +75,118 @@ func TestKillComponentByName(t *testing.T) {
 		return s.Manager().Stats().Caches >= 2
 	})
 
-	victim := s.Workers()[0]
-	if err := s.KillComponent(victim); err != nil {
-		t.Fatalf("kill worker: %v", err)
+	worker := s.Workers()[0]
+	primary := s.Manager()
+	door := s.Edge().HTTPAddr()
+	live := func(kind Kind, name string) bool {
+		return slices.Contains(s.Names(kind), name)
 	}
-	if err := s.KillComponent("cache0"); err != nil {
-		t.Fatalf("kill cache: %v", err)
+	for _, c := range []struct {
+		name string
+		kind Kind
+		back func() bool
+	}{
+		{worker, KindWorker, func() bool {
+			return len(s.Workers()) >= 3 && s.Manager().Stats().Workers >= 3
+		}},
+		{"cache0", KindCache, func() bool {
+			return live(KindCache, "cache0") && s.Manager().Stats().CacheRestarts >= 1
+		}},
+		{"fe0", KindFrontEnd, func() bool {
+			return s.FrontEnds()[0].Running() && s.Manager().Stats().FERestarts >= 1
+		}},
+		// A singleton carries no kind; Names("") lists every live component.
+		{"edge", "", func() bool { return s.Edge().Running() && s.Edge().HTTPAddr() == door }},
+		{"manager", KindManager, func() bool {
+			m := s.Manager()
+			return m != primary && m.IsPrimary() && m.Epoch() > primary.Epoch()
+		}},
+	} {
+		if _, ok := s.Addr(c.name); !ok {
+			t.Fatalf("%s: Addr does not resolve what Kill is about to", c.name)
+		}
+		if err := s.Kill(c.name); err != nil {
+			t.Fatalf("kill %s: %v", c.name, err)
+		}
+		if live(c.kind, c.name) {
+			t.Fatalf("%s still listed live after Kill", c.name)
+		}
+		if c.name == "edge" {
+			if err := s.Restart(c.name); err != nil {
+				t.Fatalf("restart %s: %v", c.name, err)
+			}
+		}
+		waitFor(t, c.name+" back", c.back)
 	}
-	if err := s.KillComponent("nonesuch"); err == nil {
+	if live(KindWorker, worker) {
+		t.Fatalf("dead worker %s back in the table", worker)
+	}
+	if err := s.Kill("nonesuch"); err == nil {
 		t.Fatal("killed a component that does not exist")
 	}
-	// The manager's process-peer duty brings the cache back (local
-	// path — no delegation in one process).
-	waitFor(t, "cache respawned", func() bool {
-		return s.Manager().Stats().CacheRestarts >= 1
+	if err := s.Restart("nonesuch"); err == nil {
+		t.Fatal("restarted a component that does not exist")
+	}
+}
+
+// TestWorkerTableHoldsNoCorpses: a worker that dies without Kill or
+// ReapWorker — here its node is powered off under it — leaves
+// Workers() through the exit observer, and the manager's replacement
+// takes its place. A late exit notice for an instance that a same-id
+// Restart has already replaced retires nothing.
+func TestWorkerTableHoldsNoCorpses(t *testing.T) {
+	s := startTranSend(t, func(c *Config) { c.Seed = 5 })
+	waitForWorkers(t, s, 3)
+
+	victim := s.Workers()[0]
+	addr, _ := s.Addr(victim)
+	if err := s.Cluster.KillNode(addr.Node); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "corpse retired, replacement tracked", func() bool {
+		ids := s.Workers()
+		return !slices.Contains(ids, victim) && len(ids) >= 3
 	})
+	if s.WorkerStub(victim) != nil {
+		t.Fatalf("dead worker %s still resolves", victim)
+	}
+	waitForWorkers(t, s, 3)
+
+	// Restart racing the old instance's exit: hammer same-id restarts
+	// while a reader lists the table, then replay the old instance's
+	// exit notice by hand.
+	id := s.Workers()[0]
+	old, _ := s.Addr(id)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Workers()
+				s.WorkerStub(id)
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		before := s.WorkerStub(id)
+		if err := s.Restart(id); err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+		if after := s.WorkerStub(id); after == nil || after == before {
+			t.Fatalf("restart %d: stub %p -> %p", i, before, after)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	s.onExit(cluster.ExitInfo{Node: old.Node, Proc: id})
+	if !slices.Contains(s.Workers(), id) || s.WorkerStub(id) == nil {
+		t.Fatalf("late exit of a replaced instance retired the live entry %s", id)
+	}
 }
 
 // TestSupervisorRespawnedByWatchdog: the supervisor is not the one
@@ -118,14 +225,15 @@ func TestRestartWorkerKeepsIdentity(t *testing.T) {
 
 	victim := s.Workers()[0]
 	before := s.WorkerStub(victim)
-	hb, _ := s.Manager().SupervisorFor(s.WorkerNode(victim))
+	addr, _ := s.Addr(victim)
+	hb, _ := s.Manager().SupervisorFor(addr.Node)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	ack, err := sup.Invoke(ctx, hb.Addr, supervisor.Command{
-		Op: supervisor.OpRestartWorker, Target: victim,
+		Op: supervisor.OpRestart, Target: victim,
 	})
 	if err != nil || !ack.OK {
-		t.Fatalf("restart-worker: ack=%+v err=%v", ack, err)
+		t.Fatalf("restart: ack=%+v err=%v", ack, err)
 	}
 	after := s.WorkerStub(victim)
 	if after == nil || after == before {

@@ -273,7 +273,8 @@ func (e *Edge) Run(ctx context.Context) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(e.ln) }()
+	ln := e.ln // the shutdown below clears the field, possibly before Serve starts
+	go func() { serveErr <- srv.Serve(ln) }()
 	defer func() {
 		shctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		defer cancel()

@@ -115,19 +115,14 @@ func startManagerWithPrefix(t *testing.T, net *san.Network, sp Spawner) *Manager
 	return m
 }
 
-// failingRestartSpawner is a spawner whose FE/cache restarts always
-// fail — the truthful local answer for a component hosted elsewhere.
+// failingRestartSpawner is a spawner whose restarts always fail — the
+// truthful local answer for a component hosted elsewhere.
 type failingRestartSpawner struct {
 	*testSpawner
 }
 
-func (s *failingRestartSpawner) RestartFrontEnd(name string) error {
-	s.feStarts.Add(1)
-	return fmt.Errorf("%s is not hosted here", name)
-}
-
-func (s *failingRestartSpawner) RestartCache(name string) error {
-	s.cacheStarts.Add(1)
+func (s *failingRestartSpawner) Restart(name string) error {
+	s.restarts.Add(1)
 	return fmt.Errorf("%s is not hosted here", name)
 }
 
@@ -154,7 +149,7 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 		t.Fatal("delegated restart not counted as an FE restart")
 	}
 	cmds := sup.received()
-	if len(cmds) == 0 || cmds[0].Op != supervisor.OpRestartFrontEnd || cmds[0].Target != "fe0" {
+	if len(cmds) == 0 || cmds[0].Op != supervisor.OpRestart || cmds[0].Target != "fe0" {
 		t.Fatalf("supervisor saw %+v", cmds)
 	}
 }
@@ -204,7 +199,7 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 		if c.ID != cmds[0].ID {
 			t.Fatalf("retry minted a new command id: %+v", cmds)
 		}
-		if c.Op != supervisor.OpRestartCache || c.Target != "cache0" {
+		if c.Op != supervisor.OpRestart || c.Target != "cache0" {
 			t.Fatalf("unexpected command %+v", c)
 		}
 	}
@@ -222,7 +217,7 @@ func TestNoSupervisorFallsBackToLocalRestart(t *testing.T) {
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
 	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
-	waitFor(t, "local restart", func() bool { return sp.feStarts.Load() >= 1 })
+	waitFor(t, "local restart", func() bool { return sp.restarts.Load() >= 1 })
 	if st := m.Stats(); st.Delegated != 0 || st.FERestarts == 0 {
 		t.Fatalf("stats %+v: want a local (non-delegated) restart", st)
 	}
@@ -269,7 +264,7 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	}()
 	waitFor(t, "dead replica restarted via its supervisor", func() bool {
 		for _, c := range supB.received() {
-			if c.Op == supervisor.OpRestartFrontEnd && c.Target == "fe0" {
+			if c.Op == supervisor.OpRestart && c.Target == "fe0" {
 				return true
 			}
 		}

@@ -56,8 +56,8 @@ func TestStandbySuppressesOutput(t *testing.T) {
 	primary, _ := startReplica(t, net, "mgrA", sp, 0, false)
 	standby, _ := startReplica(t, net, "mgrB", nil, 1, true)
 
-	sp.SpawnWorker("echo", false)
-	sp.SpawnWorker("echo", false)
+	sp.spawn("echo", false)
+	sp.spawn("echo", false)
 	waitFor(t, "registrations", func() bool { return primary.Stats().Workers == 2 })
 	waitFor(t, "standby mirror", func() bool { return standby.Stats().Workers == 2 })
 
@@ -89,7 +89,7 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 	// prefers a duplicate worker over a lost one — but noisy here).
 	standby, _ := startReplica(t, net, "mgrB", nil, 1, true)
 
-	sp.SpawnWorker("echo", false)
+	sp.spawn("echo", false)
 	waitFor(t, "registration", func() bool { return primary.Stats().Workers == 1 })
 	waitFor(t, "standby mirror", func() bool { return standby.Stats().Workers == 1 })
 

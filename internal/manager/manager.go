@@ -106,20 +106,16 @@ func (p Policy) ShouldReap(classAvg float64, count int, now, lastSpawn time.Time
 // deployment would run).
 type Spawner interface {
 	// SpawnWorker starts a fresh worker of class somewhere
-	// appropriate; overflow selects the overflow pool.
-	SpawnWorker(class string, overflow bool) (stub.WorkerInfo, error)
+	// appropriate: dedicated capacity first, the overflow pool once
+	// that is exhausted (§2.2.3).
+	SpawnWorker(class string) error
 	// ReapWorker stops a worker process.
 	ReapWorker(id string) error
-	// RestartFrontEnd restarts a crashed front end (process peer).
-	RestartFrontEnd(name string) error
-	// RestartCache restarts a crashed cache service (process peer).
-	// The content is gone — it was a cache — but the partition's
-	// address and key range come back, so front ends re-absorb it
-	// without reconfiguration.
-	RestartCache(name string) error
-	// HasDedicatedCapacity reports whether a dedicated (non-
-	// overflow) node can host another worker.
-	HasDedicatedCapacity() bool
+	// Restart restarts a crashed front end or cache service by name
+	// (process peer). A cache's content is gone — it was a cache — but
+	// the partition's address and key range come back, so front ends
+	// re-absorb it without reconfiguration.
+	Restart(name string) error
 }
 
 // Config tunes the manager.
@@ -568,7 +564,7 @@ func (m *Manager) handle(msg san.Message) {
 		// Keyed by SAN address, not name: several processes may each
 		// host a "cache0", and one process's heartbeats must not mask
 		// the death of another's (the restart call still passes the
-		// name — RestartCache acts on locally hosted partitions only).
+		// name — Spawner.Restart acts on locally hosted components only).
 		m.mu.Lock()
 		m.caches.Delete(provisionalKey(hb.Name))
 		m.caches.Put(hb.Addr.String(), hb)
@@ -715,7 +711,7 @@ func (m *Manager) evaluatePolicy() {
 			have += cv.count
 		}
 		for have < want {
-			if _, err := m.spawn(class, "replace crashed worker"); err != nil {
+			if err := m.spawn(class, "replace crashed worker"); err != nil {
 				break
 			}
 			have++
@@ -756,8 +752,7 @@ func (m *Manager) evaluatePolicy() {
 	goneFEs := append(feTargets(m.fes.ExpiredEntries()), m.feRetry...)
 	m.feRetry = nil
 	m.mu.Unlock()
-	m.restartSweep(goneFEs, supervisor.OpRestartFrontEnd, &m.feRetry, &m.feRetryCount,
-		m.cfg.Spawner.RestartFrontEnd, &m.stats.FERestarts, m.followFE)
+	m.restartSweep(goneFEs, &m.feRetry, &m.feRetryCount, &m.stats.FERestarts, m.followFE)
 
 	// 6. Cache process peer: same watch-until-back discipline for
 	// silent cache services. Cache state is soft twice over — the
@@ -767,8 +762,7 @@ func (m *Manager) evaluatePolicy() {
 	goneCaches := append(cacheTargets(m.caches.ExpiredEntries()), m.cacheRetry...)
 	m.cacheRetry = nil
 	m.mu.Unlock()
-	m.restartSweep(goneCaches, supervisor.OpRestartCache, &m.cacheRetry, &m.cacheRetryN,
-		m.cfg.Spawner.RestartCache, &m.stats.CacheRestarts, m.followCache)
+	m.restartSweep(goneCaches, &m.cacheRetry, &m.cacheRetryN, &m.stats.CacheRestarts, m.followCache)
 }
 
 // provisionalKey builds the follow-through table key for a component a
@@ -823,9 +817,9 @@ func cacheTargets(gone map[string]vcache.HelloMsg) []peerTarget {
 // manager's own inbox, so waiting inline would deadlock the receive
 // loop); everything else takes the direct local path.
 // retry/counts/stat are fields of m guarded by m.mu.
-func (m *Manager) restartSweep(gone []peerTarget, op string, retry *[]peerTarget, counts *map[string]int, restart func(string) error, stat *uint64, follow func(peerTarget)) {
+func (m *Manager) restartSweep(gone []peerTarget, retry *[]peerTarget, counts *map[string]int, stat *uint64, follow func(peerTarget)) {
 	for _, t := range gone {
-		key := op + ":" + t.name
+		key := supervisor.OpRestart + ":" + t.name
 		sup, remote := m.remoteSupervisorFor(t.node)
 		if remote {
 			m.mu.Lock()
@@ -836,10 +830,10 @@ func (m *Manager) restartSweep(gone []peerTarget, op string, retry *[]peerTarget
 			m.inflight[key] = true
 			cmdID := m.commandIDLocked(key)
 			m.mu.Unlock()
-			go m.delegateRestart(key, op, t, cmdID, sup, retry, counts, restart, stat, follow)
+			go m.delegateRestart(key, t, cmdID, sup, retry, counts, stat, follow)
 			continue
 		}
-		if err := restart(t.name); err == nil {
+		if err := m.cfg.Spawner.Restart(t.name); err == nil {
 			m.mu.Lock()
 			*stat++
 			delete(*counts, t.name)
@@ -887,9 +881,9 @@ func (m *Manager) commandIDLocked(key string) uint64 {
 // and applies the result: success counts like a local restart; failure
 // falls back to the local spawner (covering components that are in
 // fact hosted here), then to the shared retry budget.
-func (m *Manager) delegateRestart(key, op string, t peerTarget, cmdID uint64, sup supervisor.HelloMsg, retry *[]peerTarget, counts *map[string]int, restart func(string) error, stat *uint64, follow func(peerTarget)) {
+func (m *Manager) delegateRestart(key string, t peerTarget, cmdID uint64, sup supervisor.HelloMsg, retry *[]peerTarget, counts *map[string]int, stat *uint64, follow func(peerTarget)) {
 	ack, err := m.invokeSupervisor(sup, supervisor.Command{
-		ID: cmdID, Origin: m.addr().String(), Op: op, Target: t.name,
+		ID: cmdID, Origin: m.addr().String(), Op: supervisor.OpRestart, Target: t.name,
 	})
 	delegated := err == nil && ack.OK
 	success := delegated
@@ -906,7 +900,7 @@ func (m *Manager) delegateRestart(key, op string, t peerTarget, cmdID uint64, su
 		// stale-epoch fence) must not touch anything: the duty belongs
 		// to the new primary now.
 		if m.IsPrimary() {
-			success = restart(t.name) == nil
+			success = m.cfg.Spawner.Restart(t.name) == nil
 		}
 	}
 	m.mu.Lock()
@@ -1017,19 +1011,17 @@ func (m *Manager) trySpawn(class, reason string) {
 	if time.Since(last) < m.cfg.Policy.Damping {
 		return
 	}
-	_, _ = m.spawn(class, reason)
+	_ = m.spawn(class, reason)
 }
 
-// spawn starts a worker, preferring dedicated capacity and falling
-// back to the overflow pool (§2.2.3).
-func (m *Manager) spawn(class, reason string) (stub.WorkerInfo, error) {
+// spawn starts a worker and books it against the class's replica
+// floor and damping window.
+func (m *Manager) spawn(class, reason string) error {
 	if m.cfg.Spawner == nil {
-		return stub.WorkerInfo{}, fmt.Errorf("manager: no spawner configured")
+		return fmt.Errorf("manager: no spawner configured")
 	}
-	overflow := !m.cfg.Spawner.HasDedicatedCapacity()
-	info, err := m.cfg.Spawner.SpawnWorker(class, overflow)
-	if err != nil {
-		return stub.WorkerInfo{}, err
+	if err := m.cfg.Spawner.SpawnWorker(class); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	m.lastSpawn[class] = time.Now()
@@ -1039,7 +1031,7 @@ func (m *Manager) spawn(class, reason string) (stub.WorkerInfo, error) {
 	}
 	m.mu.Unlock()
 	_ = reason // reasons surface via the monitor's spawn metric
-	return info, nil
+	return nil
 }
 
 func (m *Manager) classCountLocked(class string) int {

@@ -26,15 +26,14 @@ type testSpawner struct {
 	net      *san.Network
 	interval time.Duration
 
-	mu          sync.Mutex
-	nextID      int
-	cancels     map[string]context.CancelFunc
-	nodes       map[string]string
-	spawns      atomic.Int64
-	reaps       atomic.Int64
-	feStarts    atomic.Int64
-	cacheStarts atomic.Int64
-	dedicated   atomic.Bool
+	mu        sync.Mutex
+	nextID    int
+	cancels   map[string]context.CancelFunc
+	nodes     map[string]string
+	spawns    atomic.Int64
+	reaps     atomic.Int64
+	restarts  atomic.Int64
+	dedicated atomic.Bool
 }
 
 func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
@@ -48,7 +47,14 @@ func newTestSpawner(net *san.Network, interval time.Duration) *testSpawner {
 	return s
 }
 
-func (s *testSpawner) SpawnWorker(class string, overflow bool) (stub.WorkerInfo, error) {
+// SpawnWorker is the Spawner method: like the platform, the fake picks
+// the overflow pool itself once dedicated capacity is gone.
+func (s *testSpawner) SpawnWorker(class string) error {
+	s.spawn(class, !s.dedicated.Load())
+	return nil
+}
+
+func (s *testSpawner) spawn(class string, overflow bool) stub.WorkerInfo {
 	s.mu.Lock()
 	id := fmt.Sprintf("%s-%d", class, s.nextID)
 	node := fmt.Sprintf("nd%d", s.nextID)
@@ -66,7 +72,7 @@ func (s *testSpawner) SpawnWorker(class string, overflow bool) (stub.WorkerInfo,
 	s.mu.Unlock()
 	go ws.Run(ctx)
 	s.spawns.Add(1)
-	return ws.Info(), nil
+	return ws.Info()
 }
 
 // crash kills a worker abruptly: its node drops off the SAN before the
@@ -96,17 +102,10 @@ func (s *testSpawner) ReapWorker(id string) error {
 	return nil
 }
 
-func (s *testSpawner) RestartFrontEnd(name string) error {
-	s.feStarts.Add(1)
+func (s *testSpawner) Restart(name string) error {
+	s.restarts.Add(1)
 	return nil
 }
-
-func (s *testSpawner) RestartCache(name string) error {
-	s.cacheStarts.Add(1)
-	return nil
-}
-
-func (s *testSpawner) HasDedicatedCapacity() bool { return s.dedicated.Load() }
 
 func (s *testSpawner) stopAll() {
 	s.mu.Lock()
@@ -154,8 +153,8 @@ func TestWorkerLifecycle(t *testing.T) {
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
 	// Spawn two workers out-of-band; they register via beacons.
-	info1, _ := sp.SpawnWorker("echo", false)
-	info2, _ := sp.SpawnWorker("echo", false)
+	info1 := sp.spawn("echo", false)
+	info2 := sp.spawn("echo", false)
 	_ = info2
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
 
@@ -335,8 +334,8 @@ func TestReapOverflowWorkers(t *testing.T) {
 
 	// Two workers: one dedicated (registered directly), one overflow.
 	sp.dedicated.Store(true)
-	sp.SpawnWorker("echo", false)
-	sp.SpawnWorker("echo", true) // overflow
+	sp.spawn("echo", false)
+	sp.spawn("echo", true) // overflow
 	waitFor(t, "both registered", func() bool { return m.Stats().Workers == 2 })
 
 	// Idle (queue 0 reports flow automatically from the stubs), so
@@ -362,7 +361,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 	hb()
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 	// Stop heartbeating: the manager restarts the FE after FETTL.
-	waitFor(t, "FE restart", func() bool { return sp.feStarts.Load() >= 1 })
+	waitFor(t, "FE restart", func() bool { return sp.restarts.Load() >= 1 })
 	if m.Stats().FERestarts == 0 {
 		t.Fatal("restart not recorded in stats")
 	}
@@ -370,7 +369,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 
 // TestCacheProcessPeerRestart: cache services heartbeat on the
 // control group; silence past CacheTTL triggers the manager's
-// RestartCache duty, exactly like front ends.
+// Restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
 	net := san.NewNetwork(1)
 	sp := newTestSpawner(net, tick)
@@ -386,7 +385,7 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 		return m.Stats().Caches == 1
 	})
 	// Stop heartbeating: the manager restarts the cache after CacheTTL.
-	waitFor(t, "cache restart", func() bool { return sp.cacheStarts.Load() >= 1 })
+	waitFor(t, "cache restart", func() bool { return sp.restarts.Load() >= 1 })
 	if m.Stats().CacheRestarts == 0 {
 		t.Fatal("cache restart not recorded in stats")
 	}
@@ -398,7 +397,7 @@ func TestDeregisterLowersReplicaFloor(t *testing.T) {
 	defer sp.stopAll()
 	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
 
-	info, _ := sp.SpawnWorker("echo", false)
+	info := sp.spawn("echo", false)
 	waitFor(t, "registered", func() bool { return m.Stats().Workers == 1 })
 
 	// Clean deregistration must NOT trigger a replacement.
@@ -426,8 +425,8 @@ func TestManagerRestartRebuildsSoftState(t *testing.T) {
 		BeaconInterval: tick, WorkerTTL: time.Hour, Spawner: sp,
 	})
 	go m1.Run(ctx1)
-	sp.SpawnWorker("echo", false)
-	sp.SpawnWorker("echo", false)
+	sp.spawn("echo", false)
+	sp.spawn("echo", false)
 	waitFor(t, "initial registrations", func() bool { return m1.Stats().Workers == 2 })
 
 	cancel1()

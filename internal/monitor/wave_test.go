@@ -12,15 +12,15 @@ import (
 	"repro/internal/supervisor"
 )
 
-// waveHost fakes the platform behind a supervisor: RestartWorker
-// records the id and reports success.
+// waveHost fakes the platform behind a supervisor: Restart records the
+// id and reports success.
 type waveHost struct {
 	mu        sync.Mutex
 	restarted []string
 	fail      bool
 }
 
-func (h *waveHost) RestartWorker(id string) error {
+func (h *waveHost) Restart(id string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.fail {
@@ -29,11 +29,9 @@ func (h *waveHost) RestartWorker(id string) error {
 	h.restarted = append(h.restarted, id)
 	return nil
 }
-func (h *waveHost) RestartFrontEnd(string) error          { return nil }
-func (h *waveHost) RestartCache(string) error             { return nil }
-func (h *waveHost) SpawnWorker(string) error              { return nil }
-func (h *waveHost) KillComponent(string) error            { return nil }
-func (h *waveHost) ComponentAddr(string) (san.Addr, bool) { return san.Addr{}, false }
+func (h *waveHost) SpawnWorker(string) error     { return nil }
+func (h *waveHost) Kill(string) error            { return nil }
+func (h *waveHost) Addr(string) (san.Addr, bool) { return san.Addr{}, false }
 
 func (h *waveHost) ids() []string {
 	h.mu.Lock()

@@ -105,7 +105,7 @@ func wireSamples() map[string]any {
 			Node: "b-node0", Prefix: "b-",
 		},
 		supervisor.MsgCmd: supervisor.Command{
-			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestartCache, Target: "cache0",
+			ID: 9, Origin: "a-node1/manager", Op: "restart-cache", Target: "cache0", // pre-OpRestart spelling, still accepted
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
 	}

@@ -39,16 +39,15 @@ const (
 
 // Command operations.
 const (
-	// OpRestartFrontEnd restarts the named front end hosted by this
-	// supervisor's process (kill any lingering instance, spawn a fresh
-	// one under the same name).
-	OpRestartFrontEnd = "restart-frontend"
-	// OpRestartCache restarts the named cache partition (empty — it is
-	// a cache — but the address and key range come back).
-	OpRestartCache = "restart-cache"
-	// OpRestartWorker kills and respawns the worker with the given id
-	// under the same id and class — the hot-upgrade restart step.
-	OpRestartWorker = "restart-worker"
+	// OpRestart restarts the named component hosted by this
+	// supervisor's process, whatever its kind: kill any lingering
+	// instance, spawn a fresh one under the same name. A front end or
+	// cache comes back at its address (the cache empty — it is a cache);
+	// a worker comes back under the same id and class, the hot-upgrade
+	// restart step. Peers that predate the single op still send
+	// "restart-frontend", "restart-cache" and "restart-worker"; execute
+	// accepts them as aliases.
+	OpRestart = "restart"
 	// OpSpawnWorker starts a fresh worker of the target class in this
 	// process (cross-process replacement spawns).
 	OpSpawnWorker = "spawn-worker"
@@ -119,17 +118,16 @@ type Ack struct {
 // component another process hosts is that process's supervisor's
 // business.
 type Host interface {
-	RestartFrontEnd(name string) error
-	RestartCache(name string) error
-	// RestartWorker kills and respawns the worker with the same id.
-	RestartWorker(id string) error
+	// Restart stops any lingering instance of the named component and
+	// starts a fresh one under the same name.
+	Restart(name string) error
 	// SpawnWorker starts a fresh worker of class.
 	SpawnWorker(class string) error
-	// KillComponent crashes a hosted component without respawn.
-	KillComponent(name string) error
-	// ComponentAddr resolves a hosted component's SAN address (for
-	// forwarded disable/enable control messages).
-	ComponentAddr(name string) (san.Addr, bool)
+	// Kill crashes a hosted component without respawn.
+	Kill(name string) error
+	// Addr resolves a hosted component's SAN address (for forwarded
+	// disable/enable control messages).
+	Addr(name string) (san.Addr, bool)
 }
 
 // Config assembles a supervisor.
@@ -393,18 +391,18 @@ func (s *Supervisor) execute(cmd Command) Ack {
 	var err error
 	if s.cfg.Host == nil {
 		err = fmt.Errorf("supervisor: no host wired")
+	} else if cmd.Target == s.cfg.Name {
+		// The host's Restart and Kill wait for the old instance to exit,
+		// and this loop is that instance.
+		err = fmt.Errorf("supervisor: %s cannot %s itself", s.cfg.Name, cmd.Op)
 	} else {
 		switch cmd.Op {
-		case OpRestartFrontEnd:
-			err = s.cfg.Host.RestartFrontEnd(cmd.Target)
-		case OpRestartCache:
-			err = s.cfg.Host.RestartCache(cmd.Target)
-		case OpRestartWorker:
-			err = s.cfg.Host.RestartWorker(cmd.Target)
+		case OpRestart, "restart-frontend", "restart-cache", "restart-worker":
+			err = s.cfg.Host.Restart(cmd.Target)
 		case OpSpawnWorker:
 			err = s.cfg.Host.SpawnWorker(cmd.Target)
 		case OpKill:
-			err = s.cfg.Host.KillComponent(cmd.Target)
+			err = s.cfg.Host.Kill(cmd.Target)
 		case OpDisable:
 			err = s.forwardControl(cmd.Target, s.cfg.DisableKind)
 		case OpEnable:
@@ -426,7 +424,7 @@ func (s *Supervisor) forwardControl(name, kind string) error {
 	if kind == "" {
 		return fmt.Errorf("supervisor: no control kind configured")
 	}
-	addr, ok := s.cfg.Host.ComponentAddr(name)
+	addr, ok := s.cfg.Host.Addr(name)
 	if !ok {
 		return fmt.Errorf("supervisor: unknown component %s", name)
 	}

@@ -43,12 +43,10 @@ func (h *fakeHost) count(op, target string) int {
 	return h.restarts[op+":"+target]
 }
 
-func (h *fakeHost) RestartFrontEnd(name string) error { return h.act(OpRestartFrontEnd, name) }
-func (h *fakeHost) RestartCache(name string) error    { return h.act(OpRestartCache, name) }
-func (h *fakeHost) RestartWorker(id string) error     { return h.act(OpRestartWorker, id) }
-func (h *fakeHost) SpawnWorker(class string) error    { return h.act(OpSpawnWorker, class) }
-func (h *fakeHost) KillComponent(name string) error   { return h.act(OpKill, name) }
-func (h *fakeHost) ComponentAddr(name string) (san.Addr, bool) {
+func (h *fakeHost) Restart(name string) error      { return h.act(OpRestart, name) }
+func (h *fakeHost) SpawnWorker(class string) error { return h.act(OpSpawnWorker, class) }
+func (h *fakeHost) Kill(name string) error         { return h.act(OpKill, name) }
+func (h *fakeHost) Addr(name string) (san.Addr, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	a, ok := h.compAddrs[name]
@@ -94,25 +92,46 @@ func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
 }
 
 // TestCommandsExecuteThroughHost: every restart/spawn/kill op reaches
-// the host exactly once and acks OK.
+// the host exactly once and acks OK — the restart op under its own
+// name and under each of the three per-kind names older peers send —
+// and a redelivery of the same command id is answered from the result
+// cache, not executed again.
 func TestCommandsExecuteThroughHost(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
 
-	ops := []struct{ op, target string }{
-		{OpRestartFrontEnd, "fe0"},
-		{OpRestartCache, "cache1"},
-		{OpRestartWorker, "echo.3"},
-		{OpSpawnWorker, "echo"},
-		{OpKill, "cache0"},
+	ops := []struct{ op, hostOp, target string }{
+		{OpRestart, OpRestart, "fe1"},
+		{"restart-frontend", OpRestart, "fe0"},
+		{"restart-cache", OpRestart, "cache1"},
+		{"restart-worker", OpRestart, "echo.3"},
+		{OpSpawnWorker, OpSpawnWorker, "echo"},
+		{OpKill, OpKill, "cache0"},
 	}
 	for i, c := range ops {
-		ack := call(t, client, sup.Addr(), Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target})
-		if !ack.OK || ack.ID != uint64(i+1) {
-			t.Fatalf("%s: ack %+v", c.op, ack)
+		cmd := Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target}
+		for _, delivery := range []string{"first", "redelivered"} {
+			ack := call(t, client, sup.Addr(), cmd)
+			if !ack.OK || ack.ID != cmd.ID {
+				t.Fatalf("%s (%s): ack %+v", c.op, delivery, ack)
+			}
+			if got := host.count(c.hostOp, c.target); got != 1 {
+				t.Fatalf("%s (%s) reached the host %d times", c.op, delivery, got)
+			}
 		}
-		if host.count(c.op, c.target) != 1 {
-			t.Fatalf("%s executed %d times", c.op, host.count(c.op, c.target))
+	}
+	if st := sup.Stats(); st.Commands != uint64(len(ops)) || st.Dupes != uint64(len(ops)) {
+		t.Fatalf("stats %+v, want %d commands + %d dupes", st, len(ops), len(ops))
+	}
+
+	// The host's Restart/Kill wait for the old instance to exit; aimed at
+	// the supervisor itself they would wait on this very command loop.
+	for i, op := range []string{OpRestart, OpKill} {
+		if ack := call(t, client, sup.Addr(), Command{ID: uint64(100 + i), Origin: "t", Op: op, Target: "sup"}); ack.OK {
+			t.Fatalf("%s aimed at the supervisor itself acked OK", op)
+		}
+		if host.count(op, "sup") != 0 {
+			t.Fatalf("%s aimed at the supervisor itself reached the host", op)
 		}
 	}
 }
@@ -124,13 +143,13 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
 
-	cmd := Command{ID: 7, Origin: "mgr/a", Op: OpRestartFrontEnd, Target: "fe0"}
+	cmd := Command{ID: 7, Origin: "mgr/a", Op: OpRestart, Target: "fe0"}
 	first := call(t, client, sup.Addr(), cmd)
 	second := call(t, client, sup.Addr(), cmd)
 	if !first.OK || !second.OK {
 		t.Fatalf("acks: %+v / %+v", first, second)
 	}
-	if got := host.count(OpRestartFrontEnd, "fe0"); got != 1 {
+	if got := host.count(OpRestart, "fe0"); got != 1 {
 		t.Fatalf("duplicate delivery executed the restart %d times", got)
 	}
 	if st := sup.Stats(); st.Dupes != 1 || st.Commands != 1 {
@@ -138,9 +157,9 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 	}
 
 	// A different id from the same origin is a new incident.
-	third := call(t, client, sup.Addr(), Command{ID: 8, Origin: "mgr/a", Op: OpRestartFrontEnd, Target: "fe0"})
-	if !third.OK || host.count(OpRestartFrontEnd, "fe0") != 2 {
-		t.Fatalf("new incident not executed (count %d)", host.count(OpRestartFrontEnd, "fe0"))
+	third := call(t, client, sup.Addr(), Command{ID: 8, Origin: "mgr/a", Op: OpRestart, Target: "fe0"})
+	if !third.OK || host.count(OpRestart, "fe0") != 2 {
+		t.Fatalf("new incident not executed (count %d)", host.count(OpRestart, "fe0"))
 	}
 }
 
@@ -149,10 +168,10 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 // a transient refusal cannot be pinned against the incident's id.
 func TestFailedCommandAcksError(t *testing.T) {
 	host := newFakeHost()
-	host.failNext[OpRestartCache+":cache0"] = fmt.Errorf("node is down")
+	host.failNext[OpRestart+":cache0"] = fmt.Errorf("node is down")
 	sup, client := startSup(t, host)
 
-	ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestartCache, Target: "cache0"})
+	ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestart, Target: "cache0"})
 	if ack.OK || ack.Err == "" {
 		t.Fatalf("ack %+v, want error", ack)
 	}
@@ -162,13 +181,13 @@ func TestFailedCommandAcksError(t *testing.T) {
 	// The transient condition clears; the SAME command id must now
 	// execute for real instead of replaying the cached refusal.
 	host.mu.Lock()
-	delete(host.failNext, OpRestartCache+":cache0")
+	delete(host.failNext, OpRestart+":cache0")
 	host.mu.Unlock()
-	ack = call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestartCache, Target: "cache0"})
+	ack = call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestart, Target: "cache0"})
 	if !ack.OK {
 		t.Fatalf("retry after transient failure replayed the refusal: %+v", ack)
 	}
-	if got := host.count(OpRestartCache, "cache0"); got != 1 {
+	if got := host.count(OpRestart, "cache0"); got != 1 {
 		t.Fatalf("retry executed %d times, want 1", got)
 	}
 	// Unknown op also errors cleanly.
@@ -304,7 +323,7 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	const storm = 10
 	for i := 1; i <= storm; i++ {
 		target := fmt.Sprintf("w%d", i)
-		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestartWorker, Target: target}); !ack.OK {
+		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target}); !ack.OK {
 			t.Fatalf("command %d: %+v", i, ack)
 		}
 	}
@@ -313,11 +332,11 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	// still answer idempotently.
 	for i := 1; i <= storm; i++ {
 		target := fmt.Sprintf("w%d", i)
-		ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestartWorker, Target: target})
+		ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target})
 		if !ack.OK {
 			t.Fatalf("redelivery %d refused: %+v", i, ack)
 		}
-		if got := host.count(OpRestartWorker, target); got != 1 {
+		if got := host.count(OpRestart, target); got != 1 {
 			t.Fatalf("redelivery of in-retention command %d re-executed the restart (%d times)", i, got)
 		}
 	}
@@ -330,7 +349,7 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	hard := sup.cfg.ResultCacheCap * resultCacheHardFactor
 	for i := storm + 1; i <= hard+20; i++ {
 		target := fmt.Sprintf("w%d", i)
-		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestartWorker, Target: target}); !ack.OK {
+		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target}); !ack.OK {
 			t.Fatalf("command %d: %+v", i, ack)
 		}
 	}
@@ -366,11 +385,11 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	}()
 
 	for i := 1; i <= 10; i++ {
-		call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestartWorker, Target: fmt.Sprintf("w%d", i)})
+		call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: fmt.Sprintf("w%d", i)})
 	}
 	time.Sleep(25 * time.Millisecond) // everything ages out of retention
 	// The next completion triggers eviction down to the soft cap.
-	call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestartWorker, Target: "w11"})
+	call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestart, Target: "w11"})
 	sup.mu.Lock()
 	cached := len(sup.order)
 	sup.mu.Unlock()
@@ -378,8 +397,8 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 		t.Fatalf("aged results not evicted: %d cached, soft cap %d", cached, sup.cfg.ResultCacheCap)
 	}
 	// An aged-out incident re-executes on redelivery — exactly once more.
-	call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestartWorker, Target: "w1"})
-	if got := host.count(OpRestartWorker, "w1"); got != 2 {
+	call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "w1"})
+	if got := host.count(OpRestart, "w1"); got != 2 {
 		t.Fatalf("aged redelivery executed %d times total, want 2", got)
 	}
 }
@@ -414,23 +433,23 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	}()
 
 	// Epoch 3 command executes and raises the watermark.
-	if ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestartWorker, Target: "w0", Epoch: 3}); !ack.OK {
+	if ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "w0", Epoch: 3}); !ack.OK {
 		t.Fatalf("epoch-3 command refused: %+v", ack)
 	}
 	// A deposed primary's epoch-2 command is fenced: refused, never
 	// executed.
-	ack := call(t, client, sup.Addr(), Command{ID: 9, Origin: "mgr/b", Op: OpRestartWorker, Target: "w0", Epoch: 2})
+	ack := call(t, client, sup.Addr(), Command{ID: 9, Origin: "mgr/b", Op: OpRestart, Target: "w0", Epoch: 2})
 	if ack.OK {
 		t.Fatal("stale-epoch command executed")
 	}
-	if got := host.count(OpRestartWorker, "w0"); got != 1 {
+	if got := host.count(OpRestart, "w0"); got != 1 {
 		t.Fatalf("stale-epoch command reached the host (%d executions)", got)
 	}
 	if st := sup.Stats(); st.StaleEpoch != 1 {
 		t.Fatalf("stats %+v, want 1 stale-epoch refusal", st)
 	}
 	// Epoch 0 is no election claim at all: always accepted.
-	if ack := call(t, client, sup.Addr(), Command{ID: 10, Origin: "op/cli", Op: OpRestartWorker, Target: "w1", Epoch: 0}); !ack.OK {
+	if ack := call(t, client, sup.Addr(), Command{ID: 10, Origin: "op/cli", Op: OpRestart, Target: "w1", Epoch: 0}); !ack.OK {
 		t.Fatalf("unfenced command refused: %+v", ack)
 	}
 
@@ -446,7 +465,7 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	if sup.Epoch() != 7 {
 		t.Fatalf("beacon-observed epoch = %d, want 7", sup.Epoch())
 	}
-	ack = call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestartWorker, Target: "w0", Epoch: 3})
+	ack = call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestart, Target: "w0", Epoch: 3})
 	if ack.OK {
 		t.Fatal("command from a beacon-deposed epoch executed")
 	}
