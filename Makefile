@@ -57,10 +57,10 @@ bench-diff:
 # The micro-benchmark table (microbench.go) — the same bodies the
 # snapshot records — and slices of it for quick local iteration:
 # bench-wire is the codec/SAN serialization hot path, bench-transport
-# the frame encode/decode cost and the batched-vs-unbatched socket
-# send, bench-blob the zero-copy blob relay (FE→cache→FE over two
-# bridges) at 4 KB / 64 KB / 512 KB, where B/op and allocs/op are the
-# copy count per request.
+# the frame encode/decode cost and the bridged socket send (frames per
+# write, drops per op), bench-blob the zero-copy blob relay
+# (FE→cache→FE over two bridges) at 4 KB / 64 KB / 512 KB, where B/op
+# and allocs/op are the copy count per request.
 bench-micro:
 	$(GO) test -run='^$$' -bench='Micro' -benchmem -count=1 .
 
@@ -68,7 +68,7 @@ bench-wire:
 	$(GO) test -run='^$$' -bench='Wire|Micro/(wire|san)' -benchmem -count=1 ./internal/stub .
 
 bench-transport:
-	$(GO) test -run='^$$' -bench='Micro/(frame|bridge)' -benchmem -count=1 .
+	$(GO) test -run='^$$' -bench='Micro/(frame|bridge_send)' -benchmem -count=1 .
 
 bench-blob:
 	$(GO) test -run='^$$' -bench='Micro/blob_relay' -benchmem -count=1 .

@@ -289,7 +289,11 @@ func BenchmarkChaosKillRestartCycle(b *testing.B) {
 // — the same bodies the bench snapshot records.
 func BenchmarkMicro(b *testing.B) {
 	for _, mb := range MicroBenches {
-		b.Run(mb.Name, mb.F)
+		b.Run(mb.Name, func(b *testing.B) {
+			if err := mb.F(b); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ var gatedMetrics = map[string]float64{
 	// remaining allocs are the decoded body's owned strings; anything
 	// above that means frame scratch pooling or the vectored path
 	// regressed.
-	"bridge_send_batched_allocs": 0.20,
+	"bridge_send_allocs": 0.20,
 	// Blob relay (FE→cache→FE over two bridges): allocs at every size,
 	// plus allocated bytes at the sizes where B/op is the copy count
 	// ("at most one body copy per hop" = B/op stays far below the body

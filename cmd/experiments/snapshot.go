@@ -137,10 +137,17 @@ func writeSnapshot(path string, seed int64) error {
 	// one body copy per hop" means in numbers — is deterministic and
 	// regression-gated.
 	for _, mb := range repro.MicroBenches {
-		r := testing.Benchmark(mb.F)
-		if r.N == 0 {
-			fmt.Fprintf(os.Stderr, "snapshot: micro-benchmark %s failed\n", mb.Name)
-			continue
+		// A row reports failure by returning an error (b.Fatal would
+		// nil-deref outside `go test`); once one round has failed the
+		// remaining rounds are skipped.
+		var failed error
+		r := testing.Benchmark(func(b *testing.B) {
+			if failed == nil {
+				failed = mb.F(b)
+			}
+		})
+		if failed != nil {
+			return fmt.Errorf("micro-benchmark %s: %w", mb.Name, failed)
 		}
 		m[mb.Name+"_ns"] = float64(r.NsPerOp())
 		// Kept fractional so amortized pool misses stay visible.

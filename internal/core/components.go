@@ -341,7 +341,6 @@ func (s *System) cacheComponent(name, node string) *component {
 		name: name, kind: KindCache, drop: true, node: node,
 		build: func(node string) (process, error) {
 			svc := vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil))
-			svc.ServiceTime = s.cfg.CacheServiceTime
 			svc.HeartbeatGroup = stub.GroupControl
 			svc.HeartbeatInterval = s.cfg.ReportInterval
 			return svc, nil
@@ -474,7 +473,6 @@ func (s *System) frontEndComponent(name string) *component {
 				Profiles:          s.Profile,
 				Origin:            s.cfg.Origin,
 				CacheNodes:        s.CacheNodes(),
-				Threads:           s.cfg.FEThreads,
 				CacheTTL:          s.cfg.CacheTTL,
 				CacheTimeout:      s.cfg.CacheTimeout,
 				HeartbeatInterval: s.cfg.BeaconInterval,
@@ -485,7 +483,7 @@ func (s *System) frontEndComponent(name string) *component {
 				ManagerStub: stub.ManagerStubConfig{
 					Seed:             s.cfg.Seed,
 					CallTimeout:      s.cfg.CallTimeout,
-					UseDelta:         !s.cfg.DisableDeltaEstimator,
+					UseDelta:         true, // the §4.5 queue-delta estimator
 					WorkerTTL:        20 * s.cfg.BeaconInterval,
 					ManagerTimeout:   5 * s.cfg.BeaconInterval,
 					OnManagerSilence: s.restartManager,

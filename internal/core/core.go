@@ -117,7 +117,9 @@ func ParseRoles(s string) (Roles, error) {
 
 // TransportConfig attaches the SAN to a socket bridge
 // (internal/transport) so the process can splice into a cluster that
-// spans real OS processes. A non-empty Listen enables it.
+// spans real OS processes. A non-empty Listen enables it. These three
+// are all a deployment chooses; the bridge's batching, chunking,
+// queue bound and timeouts are constants of the transport package.
 type TransportConfig struct {
 	// Listen is the bridge's socket: "tcp:host:port" or "unix:/path"
 	// (port 0 picks a free port).
@@ -128,14 +130,6 @@ type TransportConfig struct {
 	// ID names this process's bridge uniquely in the cluster
 	// (defaults to NodePrefix, then to the resolved listen address).
 	ID string
-	// FlushBytes/FlushDelay tune frame batching (transport defaults
-	// when zero; negative FlushDelay disables batching).
-	FlushBytes int
-	FlushDelay time.Duration
-	// MaxBatchBytes bounds each peer's write queue: sends past the
-	// bound fail fast with backpressure instead of buffering behind a
-	// stalled peer (transport default when zero; negative unbounded).
-	MaxBatchBytes int
 }
 
 // Config describes a deployment.
@@ -200,12 +194,9 @@ type Config struct {
 	BeaconInterval time.Duration
 	ReportInterval time.Duration
 	CallTimeout    time.Duration
-	FEThreads      int
 	CacheTTL       time.Duration
 	CacheTimeout   time.Duration // per-lookup vcache bound (0 = client default)
 	MinDistillSize int
-	// CacheServiceTime optionally models per-hit cache cost (§4.4).
-	CacheServiceTime func() time.Duration
 	// CacheSuperviseTTL is how long the manager tolerates cache
 	// heartbeat silence before its process-peer duty restarts the
 	// service (default 5x ReportInterval). Keep it comfortably above
@@ -213,9 +204,6 @@ type Config struct {
 	// restarting a merely-partitioned cache is safe (the content is
 	// discardable) but churns.
 	CacheSuperviseTTL time.Duration
-	// DisableDeltaEstimator turns off the §4.5 queue-delta fix
-	// (used by the oscillation ablation).
-	DisableDeltaEstimator bool
 
 	// Overload robustness (zero values leave each check off or at the
 	// frontend package's own defaults).
@@ -291,9 +279,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSuperviseTTL <= 0 {
 		c.CacheSuperviseTTL = 5 * c.ReportInterval
-	}
-	if c.FEThreads <= 0 {
-		c.FEThreads = 64
 	}
 	if c.Policy == (manager.Policy{}) {
 		c.Policy = manager.DefaultPolicy()
@@ -378,13 +363,10 @@ func (s *System) boot() error {
 			id = cfg.NodePrefix // may still be empty; bridge then uses its listen addr
 		}
 		br, err := transport.New(transport.Config{
-			Net:           s.Net,
-			Listen:        cfg.Transport.Listen,
-			Join:          cfg.Transport.Join,
-			ID:            id,
-			FlushBytes:    cfg.Transport.FlushBytes,
-			FlushDelay:    cfg.Transport.FlushDelay,
-			MaxBatchBytes: cfg.Transport.MaxBatchBytes,
+			Net:    s.Net,
+			Listen: cfg.Transport.Listen,
+			Join:   cfg.Transport.Join,
+			ID:     id,
 		})
 		if err != nil {
 			return err

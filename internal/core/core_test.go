@@ -264,7 +264,6 @@ func TestAutoscaleUnderLoadAndOverflow(t *testing.T) {
 			Damping:        5 * tick,
 			ReapThreshold:  -1, // no reaping during the ramp
 		}
-		cfg.FEThreads = 64
 	})
 	waitForWorkers(t, s, 1)
 

@@ -103,13 +103,6 @@ type Config struct {
 	QueueCap int
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
-	// FetchTimeout bounds one origin fetch. Coalesced fetches run
-	// detached from the leader's request context (one departing
-	// client must not fail the whole flight), so only this timeout
-	// and the front end's own lifecycle bound them. Default
-	// 2 minutes — past the paper's observed 100 s worst-case miss
-	// penalty (§4.4).
-	FetchTimeout time.Duration
 	// HeartbeatInterval paces FE heartbeats to the manager.
 	HeartbeatInterval time.Duration
 	// HTTPAddr is the host:port of this front end's HTTP adapter
@@ -160,6 +153,13 @@ type Config struct {
 	BackpressureFn func() uint64
 }
 
+// fetchTimeout bounds one origin fetch. Coalesced fetches run detached
+// from the leader's request context (one departing client must not
+// fail the whole flight), so only this timeout and the front end's own
+// lifecycle bound them: past the paper's observed 100 s worst-case
+// miss penalty (§4.4).
+const fetchTimeout = 2 * time.Minute
+
 func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 64
@@ -172,9 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinDistillSize <= 0 {
 		c.MinDistillSize = 1024
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 2 * time.Minute
 	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = c.Threads + c.QueueCap
@@ -232,8 +229,8 @@ type FrontEnd struct {
 
 	running  atomic.Bool
 	runDone  atomic.Pointer[chan struct{}] // closed when the current Run exits
-	inflight atomic.Int64  // admitted requests currently queued or executing
-	lastBP   atomic.Uint64 // last BackpressureFn sample (delta = congestion)
+	inflight atomic.Int64                  // admitted requests currently queued or executing
+	lastBP   atomic.Uint64                 // last BackpressureFn sample (delta = congestion)
 	stats    struct {
 		requests, cacheDistilled, cacheOriginal, originFetches atomic.Uint64
 		distilled, passedThrough, fallbacks, errors            atomic.Uint64
@@ -714,7 +711,7 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 			return Response{}, fmt.Errorf("frontend: no origin configured for %s", req.URL)
 		}
 		fetched, err, shared := fe.origFlight.Do(ctx, origKey, func() (tacc.Blob, error) {
-			fctx, cancel := context.WithTimeout(life, fe.cfg.FetchTimeout)
+			fctx, cancel := context.WithTimeout(life, fetchTimeout)
 			defer cancel()
 			blob, err := fe.cfg.Origin.Fetch(fctx, req.URL)
 			if err != nil {

@@ -26,7 +26,7 @@
 // protocol.
 //
 // Election is by heartbeat rank: when a standby hears no primary
-// beacon for ElectionTimeout plus a rank-proportional stagger, it
+// beacon for three beacon intervals plus a rank-proportional stagger, it
 // increments the election epoch, declares itself primary, and beacons
 // immediately. Beacons carry the epoch; every listener (stubs,
 // supervisors, rival managers) ignores beacons older than the newest
@@ -130,15 +130,13 @@ type Config struct {
 	// used as a backup mechanism to infer failures", §3.1.3).
 	WorkerTTL time.Duration
 	// FETTL expires front ends that stop heartbeating; expiry
-	// triggers the process-peer restart.
+	// triggers the process-peer restart. Supervisors expire on the
+	// same TTL: one that stops heartbeating simply drops out of
+	// delegation resolution; its own process respawns it.
 	FETTL time.Duration
 	// CacheTTL expires cache services that stop heartbeating; expiry
 	// triggers the process-peer restart (defaults to FETTL).
 	CacheTTL time.Duration
-	// SupTTL expires supervisors that stop heartbeating (defaults to
-	// FETTL). An expired supervisor simply drops out of delegation
-	// resolution; its own process respawns it.
-	SupTTL time.Duration
 	// Prefix is the node-name prefix of the process hosting this
 	// manager. A dead component whose owning supervisor advertises a
 	// different prefix lives in another OS process: its restart is
@@ -151,8 +149,8 @@ type Config struct {
 	// Spawner performs cluster actions; may be nil (no spawning).
 	Spawner Spawner
 	// Rank is this replica's election rank. It staggers takeover
-	// timing (rank r waits r extra beacon intervals beyond
-	// ElectionTimeout) so replicas claim the primacy one at a time
+	// timing (rank r waits r extra beacon intervals beyond the
+	// election timeout) so replicas claim the primacy one at a time
 	// instead of racing.
 	Rank int
 	// Standby starts the replica in standby mode: full receive loop,
@@ -161,10 +159,6 @@ type Config struct {
 	// epoch 1, which keeps a single-manager deployment's behavior
 	// identical to the pre-replication code.
 	Standby bool
-	// ElectionTimeout is how long a standby tolerates primary silence
-	// before claiming the primacy (plus the rank stagger). Default
-	// 3 beacon intervals.
-	ElectionTimeout time.Duration
 	// InitialEpoch seeds the replica's election epoch. A respawned
 	// replica re-enters the cluster already knowing roughly where the
 	// epoch stands, so its eventual claim outbids the regime it died
@@ -190,14 +184,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = c.FETTL
 	}
-	if c.SupTTL <= 0 {
-		c.SupTTL = c.FETTL
-	}
 	if c.CmdTimeout <= 0 {
 		c.CmdTimeout = 2 * time.Second
-	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 3 * c.BeaconInterval
 	}
 	if c.Policy == (Policy{}) {
 		c.Policy = DefaultPolicy()
@@ -286,7 +274,7 @@ func New(cfg Config) *Manager {
 		workers:    softstate.NewTable[*workerState](cfg.WorkerTTL, nil),
 		fes:        softstate.NewTable[stub.FEHeartbeat](cfg.FETTL, nil),
 		caches:     softstate.NewTable[vcache.HelloMsg](cfg.CacheTTL, nil),
-		sups:       softstate.NewTable[supervisor.HelloMsg](cfg.SupTTL, nil),
+		sups:       softstate.NewTable[supervisor.HelloMsg](cfg.FETTL, nil),
 		desired:    make(map[string]int),
 		lastSpawn:  make(map[string]time.Time),
 		inflight:   make(map[string]bool),
@@ -386,17 +374,17 @@ func (m *Manager) Run(ctx context.Context) error {
 }
 
 // maybeTakeover is the standby half of the election: primary silence
-// past ElectionTimeout plus this replica's rank stagger means the
-// primary is gone — claim the next epoch and beacon immediately, so
-// every stub, supervisor, and rival replica re-anchors within one
-// beacon interval.
+// past the election timeout (three beacon intervals) plus this
+// replica's rank stagger means the primary is gone — claim the next
+// epoch and beacon immediately, so every stub, supervisor, and rival
+// replica re-anchors within one beacon interval.
 func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 	m.mu.Lock()
 	if m.primary {
 		m.mu.Unlock()
 		return
 	}
-	wait := m.cfg.ElectionTimeout + time.Duration(m.cfg.Rank)*m.cfg.BeaconInterval
+	wait := time.Duration(3+m.cfg.Rank) * m.cfg.BeaconInterval
 	if time.Since(m.lastClaim) < wait {
 		m.mu.Unlock()
 		return

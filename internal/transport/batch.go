@@ -19,11 +19,11 @@ const (
 // ErrBatcherClosed is returned by Append/Flush after Close.
 var ErrBatcherClosed = errors.New("transport: batcher closed")
 
-// ErrBackpressure is returned by Append/AppendVec when the bytes
-// queued behind an in-progress write exceed the batcher's bound: the
-// peer's reader has stalled and buffering more would only hide the
-// congestion. The frame is dropped (datagram semantics) and any
-// release hook has already run; the connection stays up.
+// ErrBackpressure is returned by Append when the bytes queued behind
+// an in-progress write exceed the batcher's bound: the peer's reader
+// has stalled and buffering more would only hide the congestion. The
+// frame is dropped (datagram semantics) and its done hook has already
+// run; the connection stays up.
 var ErrBackpressure = errors.New("transport: peer write queue full (backpressure)")
 
 // BatchStats counts a batcher's life. FramesPerBatch (derivable as
@@ -50,10 +50,11 @@ type vecWriter interface {
 	WriteVec(bufs *net.Buffers) (int64, error)
 }
 
-// cut records one externally-held body spliced into the staged stream:
-// the staging buffer splits at off, with body (and its release hook)
-// in between. Offsets, not subslices — the staging buffer's backing
-// array moves as it grows.
+// cut records one externally-held body and/or completion hook spliced
+// into the staged stream: the staging buffer splits at off, with body
+// (possibly empty) in between, and release runs after the write.
+// Offsets, not subslices — the staging buffer's backing array moves as
+// it grows.
 type cut struct {
 	off     int
 	body    []byte
@@ -61,11 +62,9 @@ type cut struct {
 }
 
 // Batcher coalesces frames into one buffered write per flush. Appends
-// accumulate until the buffer reaches FlushBytes (flushed by the
-// appender's goroutine) or the oldest pending frame has waited
-// FlushDelay (flushed from a timer). A FlushDelay of zero (or
-// negative) disables coalescing: every Append writes immediately — the
-// "unbatched" mode the benchmarks compare against.
+// accumulate until the staged bytes reach DefaultFlushBytes (flushed by
+// the appender's goroutine) or the oldest pending frame has waited
+// DefaultFlushDelay (flushed from a timer).
 //
 // Writes happen OUTSIDE the batcher's lock: the goroutine that
 // triggers a flush takes ownership of the staged bytes (becoming the
@@ -76,23 +75,23 @@ type cut struct {
 // its write before retiring. Errors are sticky and surface on the next
 // Append/Flush.
 //
-// maxBytes, when positive, bounds the bytes staged behind an active
-// drainer: an Append that would exceed it fails fast with
-// ErrBackpressure instead of buffering unboundedly behind a peer whose
-// reader has stalled. The bound only engages while a write is in
-// flight — a healthy batcher flushes at FlushBytes long before
-// reaching it — so it should be set comfortably above FlushBytes.
+// maxBytes bounds the bytes staged behind an active drainer: an Append
+// that would exceed it fails fast with ErrBackpressure instead of
+// buffering unboundedly behind a peer whose reader has stalled. The
+// bound only engages while a write is in flight — a healthy batcher
+// flushes at the size threshold long before reaching it — so it sits
+// comfortably above DefaultFlushBytes.
 type Batcher struct {
 	w          io.Writer
-	flushBytes int
-	delay      time.Duration
+	flushBytes int           // DefaultFlushBytes; tests shrink it
+	delay      time.Duration // DefaultFlushDelay; tests stretch it
 	maxBytes   int
 
 	mu        sync.Mutex
 	cond      *sync.Cond // signaled when the active drainer retires
 	buf       []byte
 	spare     []byte // recycled staging buffer (swapped by the drainer)
-	cuts      []cut  // external bodies interleaved with buf (vectored)
+	cuts      []cut  // external bodies and hooks interleaved with buf
 	spareCuts []cut
 	ext       int // total external body bytes pending
 	iov       net.Buffers
@@ -106,120 +105,73 @@ type Batcher struct {
 	stats BatchStats
 }
 
-// NewBatcher wraps w. Zero flushBytes/delay pick the defaults; a
-// negative delay disables batching entirely. maxBytes bounds the bytes
-// queued behind an in-progress write (see Batcher); zero or negative
-// leaves the queue unbounded.
-func NewBatcher(w io.Writer, flushBytes int, delay time.Duration, maxBytes int) *Batcher {
-	if flushBytes <= 0 {
-		flushBytes = DefaultFlushBytes
-	}
-	if delay == 0 {
-		delay = DefaultFlushDelay
-	}
-	b := &Batcher{w: w, flushBytes: flushBytes, delay: delay, maxBytes: maxBytes}
+// NewBatcher wraps w. maxBytes bounds the bytes queued behind an
+// in-progress write (see Batcher).
+func NewBatcher(w io.Writer, maxBytes int) *Batcher {
+	b := &Batcher{w: w, flushBytes: DefaultFlushBytes, delay: DefaultFlushDelay, maxBytes: maxBytes}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Append queues one frame. The bytes are copied; the caller's buffer
-// is free for reuse on return.
-func (b *Batcher) Append(frame []byte) error {
+// Append queues one frame — hdr ++ body ++ trailer on the wire — and
+// is the only way into the socket. hdr and trailer are copied into the
+// staging buffer, so the caller's buffers are free for reuse on return;
+// a fully staged frame is Append(frame, nil, nil, nil). A non-empty
+// body (the AppendDataVec split) is only referenced: at flush it goes
+// to the socket as its own iovec, and until done runs the caller must
+// keep it immutable and alive — exactly the Lease.Retain/Release
+// contract. done, if non-nil, runs exactly once: after the write that
+// carried the frame completes (successfully or not), or inline when
+// the append is refused (closed, sticky error, backpressure — nothing
+// will carry the frame); both with no lock held. The one exception is
+// a frame still staged when an earlier write fails: it is dropped and
+// its done runs under the batcher's lock, so done must never call back
+// into the Batcher.
+func (b *Batcher) Append(hdr, body, trailer []byte, done func()) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrBatcherClosed
-	}
-	if b.err != nil {
-		return b.err
-	}
-	if b.maxBytes > 0 && b.writing && len(b.buf)+b.ext+len(frame) > b.maxBytes {
-		b.stats.Backpressure++
-		return ErrBackpressure
-	}
-	b.buf = append(b.buf, frame...)
-	b.pending++
-	b.stats.Frames++
-	return b.afterAppendLocked()
-}
-
-// AppendHooked is Append plus a flush hook: fn runs once the write
-// carrying this frame completes (success or not) — the same contract
-// as an AppendVec release, without an external body. A refused append
-// (closed, sticky error, backpressure) runs fn inline. The traced
-// send path uses it to time transport batch+flush; the untraced path
-// never takes it, so the hot path stays hook-free.
-func (b *Batcher) AppendHooked(frame []byte, fn func()) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.err != nil {
-		if fn != nil {
-			fn()
+	if err := b.refusalLocked(len(hdr) + len(body) + len(trailer)); err != nil {
+		b.mu.Unlock()
+		if done != nil {
+			done()
 		}
-		if b.closed {
-			return ErrBatcherClosed
-		}
-		return b.err
-	}
-	if b.maxBytes > 0 && b.writing && len(b.buf)+b.ext+len(frame) > b.maxBytes {
-		b.stats.Backpressure++
-		if fn != nil {
-			fn()
-		}
-		return ErrBackpressure
-	}
-	b.buf = append(b.buf, frame...)
-	if fn != nil {
-		b.cuts = append(b.cuts, cut{off: len(b.buf), release: fn})
-	}
-	b.pending++
-	b.stats.Frames++
-	return b.afterAppendLocked()
-}
-
-// AppendVec queues one frame whose body stays in the caller's buffer:
-// hdr and trailer (from AppendDataVec) are copied into the staging
-// buffer as usual, but body is only referenced — at flush it goes to
-// the socket as its own iovec. release, if non-nil, runs once the
-// flush that carries the body completes (successfully or not); until
-// then the caller must keep body immutable and alive, which is
-// exactly the Lease.Retain/Release contract. A refused append (closed,
-// sticky error, or backpressure) runs release inline: nothing will
-// carry the body.
-func (b *Batcher) AppendVec(hdr, body []byte, trailer [4]byte, release func()) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.err != nil {
-		if release != nil {
-			release() // nothing will carry the body; drop the reference
-		}
-		if b.closed {
-			return ErrBatcherClosed
-		}
-		return b.err
-	}
-	if b.maxBytes > 0 && b.writing && len(b.buf)+b.ext+len(hdr)+len(body)+len(trailer) > b.maxBytes {
-		b.stats.Backpressure++
-		if release != nil {
-			release()
-		}
-		return ErrBackpressure
+		return err
 	}
 	b.buf = append(b.buf, hdr...)
-	b.cuts = append(b.cuts, cut{off: len(b.buf), body: body, release: release})
-	b.buf = append(b.buf, trailer[:]...)
-	b.ext += len(body)
+	if len(body) > 0 || done != nil {
+		b.cuts = append(b.cuts, cut{off: len(b.buf), body: body, release: done})
+	}
+	if len(body) > 0 {
+		b.ext += len(body)
+		b.stats.VecFrames++
+	}
+	b.buf = append(b.buf, trailer...)
 	b.pending++
 	b.stats.Frames++
-	b.stats.VecFrames++
-	return b.afterAppendLocked()
+	err := b.afterAppendLocked()
+	b.mu.Unlock()
+	return err
+}
+
+// refusalLocked reports why a frame of n bytes cannot be staged now,
+// nil if it can.
+func (b *Batcher) refusalLocked(n int) error {
+	switch {
+	case b.closed:
+		return ErrBatcherClosed
+	case b.err != nil:
+		return b.err
+	case b.writing && len(b.buf)+b.ext+n > b.maxBytes:
+		b.stats.Backpressure++
+		return ErrBackpressure
+	}
+	return nil
 }
 
 func (b *Batcher) afterAppendLocked() error {
 	if q := uint64(len(b.buf) + b.ext); q > b.stats.MaxQueued {
 		b.stats.MaxQueued = q
 	}
-	if b.delay >= 0 && len(b.buf)+b.ext < b.flushBytes {
+	if len(b.buf)+b.ext < b.flushBytes {
 		if !b.armed {
 			b.armed = true
 			if b.timer == nil {

@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,18 +27,27 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// testBatcher builds a batcher with the flush thresholds a test needs
+// in place of the package constants (both > 0; the rule under test is
+// the production one, only the numbers shrink).
+func testBatcher(w io.Writer, flushBytes int, delay time.Duration, maxBytes int) *Batcher {
+	b := NewBatcher(w, maxBytes)
+	b.flushBytes, b.delay = flushBytes, delay
+	return b
+}
+
 // TestBatcherPacksBurst is the coalescing acceptance test: a burst of
 // frames appended faster than the flush deadline must share packets —
 // at least 2 frames per Write on average, and far fewer Writes than
 // frames.
 func TestBatcherPacksBurst(t *testing.T) {
 	w := &recordingWriter{}
-	b := NewBatcher(w, 16<<10, 2*time.Millisecond, 0)
+	b := testBatcher(w, 16<<10, 2*time.Millisecond, DefaultMaxBatchBytes)
 	frame := AppendMcast(nil, san.Addr{Node: "a", Proc: "p"}, "g", "k", []byte("0123456789abcdef"))
 
 	const frames = 1000
 	for i := 0; i < frames; i++ {
-		if err := b.Append(frame); err != nil {
+		if err := b.Append(frame, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,9 +80,9 @@ func TestBatcherPacksBurst(t *testing.T) {
 // microsecond deadline flushes it without further appends.
 func TestBatcherDeadlineFlush(t *testing.T) {
 	w := &recordingWriter{}
-	b := NewBatcher(w, 1<<20, time.Millisecond, 0)
+	b := testBatcher(w, 1<<20, time.Millisecond, DefaultMaxBatchBytes)
 	defer b.Close()
-	if err := b.Append([]byte("solo")); err != nil {
+	if err := b.Append([]byte("solo"), nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)
@@ -91,39 +104,219 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 }
 
 // TestBatcherSizeFlush: crossing the size threshold flushes inline,
-// before any deadline.
+// before any deadline. A threshold of 1 is the degenerate row: every
+// append is its own write.
 func TestBatcherSizeFlush(t *testing.T) {
 	w := &recordingWriter{}
-	b := NewBatcher(w, 64, time.Hour, 0) // deadline effectively off
+	b := testBatcher(w, 64, time.Hour, DefaultMaxBatchBytes) // deadline effectively off
 	defer b.Close()
 	chunk := make([]byte, 48)
-	if err := b.Append(chunk); err != nil {
+	if err := b.Append(chunk, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.Stats(); st.Batches != 0 {
 		t.Fatal("flushed below the size threshold")
 	}
-	if err := b.Append(chunk); err != nil {
+	if err := b.Append(chunk, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
 	if st.SizeFlushes != 1 || st.Batches != 1 {
 		t.Fatalf("size flush not taken: %+v", st)
 	}
+
+	one := testBatcher(&recordingWriter{}, 1, time.Hour, DefaultMaxBatchBytes)
+	defer one.Close()
+	for i := 0; i < 10; i++ {
+		if err := one.Append([]byte("frame"), nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := one.Stats(); st.Batches != 10 || st.SizeFlushes != 10 {
+		t.Fatalf("threshold 1 issued %d writes (%d size flushes) for 10 frames", st.Batches, st.SizeFlushes)
+	}
 }
 
 // blockingWriter models a gray-failed peer: the connection is up but
 // its reader drains nothing, so every Write stalls until the gate
-// opens. Each Write announces itself on entered before blocking.
+// opens. Each Write announces itself on entered before blocking; once
+// through the gate it fails with fail, if set, else records its bytes.
 type blockingWriter struct {
 	entered chan struct{}
 	gate    chan struct{}
+
+	mu   sync.Mutex
+	wire bytes.Buffer
+	fail error
 }
 
 func (w *blockingWriter) Write(p []byte) (int, error) {
 	w.entered <- struct{}{}
 	<-w.gate
-	return len(p), nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.fail != nil {
+		return 0, w.fail
+	}
+	return w.wire.Write(p)
+}
+
+// stallDrainer appends a 32-byte lead frame below b's size threshold
+// and waits until the timer flush carrying it is stuck inside w.Write:
+// from then on a write is provably in flight.
+func stallDrainer(t *testing.T, b *Batcher, w *blockingWriter) []byte {
+	t.Helper()
+	lead := bytes.Repeat([]byte{'L'}, 32)
+	if err := b.Append(lead, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-w.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer flush never reached the writer")
+	}
+	return lead
+}
+
+// TestBatcherAppendShapes drives the one append path through every
+// shape a caller can hand it — a plain staged frame, a staged frame
+// with a done hook (the traced send), a vectored body pinned by a lease
+// — against every way an append can end. In every cell the wire holds
+// exactly the accepted frames in append order, done has run exactly
+// once per append that carried one, and the lease is back to the
+// test's own reference.
+func TestBatcherAppendShapes(t *testing.T) {
+	type shape struct {
+		name               string
+		hdr, body, trailer []byte
+		lease              *san.Lease // pins body; nil when the shape has none
+		hooked             bool
+	}
+	shapes := func() []shape {
+		lease, body := leasedBody(100)
+		return []shape{
+			{name: "plain", hdr: bytes.Repeat([]byte{'p'}, 120)},
+			{name: "hooked", hdr: bytes.Repeat([]byte{'h'}, 120), hooked: true},
+			{name: "vectored", hdr: bytes.Repeat([]byte{'v'}, 16), body: body, trailer: []byte("crc!"), lease: lease, hooked: true},
+		}
+	}
+	// appendShape hands sh to b the way the bridge does: one retained
+	// lease reference per append, released by done.
+	appendShape := func(b *Batcher, sh shape, ran *atomic.Int32) error {
+		var done func()
+		if sh.hooked {
+			done = func() {
+				ran.Add(1)
+				if sh.lease != nil {
+					sh.lease.Release()
+				}
+			}
+		}
+		if sh.lease != nil {
+			sh.lease.Retain()
+		}
+		return b.Append(sh.hdr, sh.body, sh.trailer, done)
+	}
+	newWriter := func(open bool) *blockingWriter {
+		w := &blockingWriter{entered: make(chan struct{}, 64), gate: make(chan struct{})}
+		if open {
+			close(w.gate)
+		}
+		return w
+	}
+	check := func(t *testing.T, sh shape, w *blockingWriter, ran *atomic.Int32, appends int, wire ...[]byte) {
+		t.Helper()
+		want := 0
+		if sh.hooked {
+			want = appends
+		}
+		if got := int(ran.Load()); got != want {
+			t.Fatalf("done ran %d times for %d appends, want %d", got, appends, want)
+		}
+		if sh.lease != nil {
+			if refs := sh.lease.Refs(); refs != 1 {
+				t.Fatalf("lease refs = %d, want 1", refs)
+			}
+		}
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if got, want := w.wire.Bytes(), bytes.Join(wire, nil); !bytes.Equal(got, want) {
+			t.Fatalf("wire holds %d bytes %q, want %d bytes %q", len(got), got, len(want), want)
+		}
+	}
+
+	for _, sh := range shapes() {
+		sh := sh
+		t.Run(sh.name+"/accepted", func(t *testing.T) {
+			w, ran := newWriter(true), new(atomic.Int32)
+			b := testBatcher(w, 1<<20, time.Hour, DefaultMaxBatchBytes)
+			first, last := []byte("AAAA"), []byte("ZZZZ")
+			for _, err := range []error{b.Append(first, nil, nil, nil), appendShape(b, sh, ran), b.Append(last, nil, nil, nil)} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ran.Load() != 0 {
+				t.Fatal("done ran before the write that carries the frame")
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, sh, w, ran, 1, first, sh.hdr, sh.body, sh.trailer, last)
+		})
+		t.Run(sh.name+"/closed", func(t *testing.T) {
+			w, ran := newWriter(true), new(atomic.Int32)
+			b := testBatcher(w, 1<<20, time.Hour, DefaultMaxBatchBytes)
+			_ = b.Close()
+			if err := appendShape(b, sh, ran); err != ErrBatcherClosed {
+				t.Fatalf("append after Close returned %v, want ErrBatcherClosed", err)
+			}
+			check(t, sh, w, ran, 1)
+		})
+		t.Run(sh.name+"/sticky write error", func(t *testing.T) {
+			w, ran := newWriter(false), new(atomic.Int32)
+			b := testBatcher(w, 64, time.Millisecond, DefaultMaxBatchBytes)
+			stallDrainer(t, b, w)
+			// Staged behind the stalled write: accepted now, stranded
+			// when that write fails.
+			if err := appendShape(b, sh, ran); err != nil {
+				t.Fatalf("append behind a stalled write: %v", err)
+			}
+			boom := errors.New("synthetic write failure")
+			w.mu.Lock()
+			w.fail = boom
+			w.mu.Unlock()
+			close(w.gate)
+			if err := b.Flush(); err != boom {
+				t.Fatalf("Flush after the failed write returned %v, want the write error", err)
+			}
+			// And refused outright from then on.
+			if err := appendShape(b, sh, ran); err != boom {
+				t.Fatalf("append on a failed batcher returned %v, want the sticky write error", err)
+			}
+			check(t, sh, w, ran, 2)
+		})
+		t.Run(sh.name+"/backpressure", func(t *testing.T) {
+			w, ran := newWriter(false), new(atomic.Int32)
+			b := testBatcher(w, 64, time.Millisecond, 256)
+			lead := stallDrainer(t, b, w)
+			filler := bytes.Repeat([]byte{'F'}, 200)
+			if err := b.Append(filler, nil, nil, nil); err != nil {
+				t.Fatalf("append within the bound: %v", err)
+			}
+			if err := appendShape(b, sh, ran); err != ErrBackpressure {
+				t.Fatalf("append past the bound returned %v, want ErrBackpressure", err)
+			}
+			close(w.gate)
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := b.Stats(); st.Backpressure != 1 {
+				t.Fatalf("Backpressure = %d, want 1", st.Backpressure)
+			}
+			check(t, sh, w, ran, 1, lead, filler)
+		})
+	}
 }
 
 // TestBatcherBackpressure: with a write in flight against a stalled
@@ -133,37 +326,29 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 // drains and accepts work again.
 func TestBatcherBackpressure(t *testing.T) {
 	w := &blockingWriter{entered: make(chan struct{}, 16), gate: make(chan struct{})}
-	b := NewBatcher(w, 64, time.Millisecond, 256)
+	b := testBatcher(w, 64, time.Millisecond, 256)
 
 	// Arm the timer flush with a small frame, then wait until its
 	// drainer is provably stuck inside Write.
-	if err := b.Append(make([]byte, 32)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-w.entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timer flush never reached the writer")
-	}
+	stallDrainer(t, b, w)
 
 	// Staging continues behind the stalled write until the bound.
-	if err := b.Append(make([]byte, 100)); err != nil {
+	if err := b.Append(make([]byte, 100), nil, nil, nil); err != nil {
 		t.Fatalf("first staged append: %v", err)
 	}
-	if err := b.Append(make([]byte, 100)); err != nil {
+	if err := b.Append(make([]byte, 100), nil, nil, nil); err != nil {
 		t.Fatalf("second staged append: %v", err)
 	}
-	if err := b.Append(make([]byte, 100)); err != ErrBackpressure {
+	if err := b.Append(make([]byte, 100), nil, nil, nil); err != ErrBackpressure {
 		t.Fatalf("append past the bound returned %v, want ErrBackpressure", err)
 	}
 	released := false
-	var trailer [4]byte
-	err := b.AppendVec(make([]byte, 16), make([]byte, 100), trailer, func() { released = true })
+	err := b.Append(make([]byte, 16), make([]byte, 100), make([]byte, 4), func() { released = true })
 	if err != ErrBackpressure {
-		t.Fatalf("AppendVec past the bound returned %v, want ErrBackpressure", err)
+		t.Fatalf("vectored append past the bound returned %v, want ErrBackpressure", err)
 	}
 	if !released {
-		t.Fatal("refused AppendVec did not run its release hook")
+		t.Fatal("refused vectored append did not run its done hook")
 	}
 
 	// Unstick the peer: the drainer finishes, carries the staged
@@ -172,7 +357,7 @@ func TestBatcherBackpressure(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if err := b.Append(make([]byte, 100)); err != nil {
+	if err := b.Append(make([]byte, 100), nil, nil, nil); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if err := b.Close(); err != nil {
@@ -184,21 +369,5 @@ func TestBatcherBackpressure(t *testing.T) {
 	}
 	if st.MaxQueued > 256 {
 		t.Fatalf("MaxQueued = %d exceeded the 256-byte bound", st.MaxQueued)
-	}
-}
-
-// TestBatcherUnbatched: negative delay writes every frame immediately
-// — the comparison mode for the batched-vs-unbatched bench.
-func TestBatcherUnbatched(t *testing.T) {
-	w := &recordingWriter{}
-	b := NewBatcher(w, 0, -1, 0)
-	defer b.Close()
-	for i := 0; i < 10; i++ {
-		if err := b.Append([]byte("frame")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := b.Stats(); st.Batches != 10 {
-		t.Fatalf("unbatched mode issued %d writes for 10 frames", st.Batches)
 	}
 }

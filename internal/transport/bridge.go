@@ -40,89 +40,49 @@ type Config struct {
 	// construction.
 	ID string
 
-	// FlushBytes / FlushDelay tune the per-peer batching writer
-	// (DefaultFlushBytes / DefaultFlushDelay when zero; negative
-	// FlushDelay disables batching).
-	FlushBytes int
-	FlushDelay time.Duration
-
-	// RedialMin/RedialMax bound the reconnect backoff (defaults
-	// 20 ms / 1 s).
-	RedialMin, RedialMax time.Duration
-
-	// HandshakeTimeout bounds the hello exchange (default 5 s).
-	HandshakeTimeout time.Duration
-
-	// WriteTimeout bounds one flush to a peer; a stall longer than
-	// this kills the connection rather than wedging every sender
-	// behind one sick peer (default 10 s).
-	WriteTimeout time.Duration
-
-	// MaxBatchBytes bounds the bytes queued behind an in-progress
-	// write to one peer. When a peer's reader stalls (gray failure:
-	// the connection is up but nothing drains), sends beyond the
-	// bound fail fast with ErrBackpressure — the datagram drops and
-	// its lease releases — instead of buffering without limit behind
-	// the stalled flush. The refusals are counted in
-	// Stats.Backpressure so upstream admission control can see remote
-	// congestion. Zero picks DefaultMaxBatchBytes; negative disables
-	// the bound.
-	MaxBatchBytes int
-
-	// ChunkBytes is the chunked-relay threshold: a leased body larger
-	// than this streams to peers as FlagChunk fragments (chunkFrag
-	// bytes each) instead of one giant frame, so ordinary frames
-	// interleave between fragments rather than stalling behind a
-	// 500 KB blob occupying a whole batch. Zero picks
-	// DefaultChunkBytes; negative disables chunking (bodies up to
-	// MaxFramePayload then ride single frames, as before).
-	ChunkBytes int
-
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.RedialMin <= 0 {
-		c.RedialMin = 20 * time.Millisecond
-	}
-	if c.RedialMax <= 0 {
-		c.RedialMax = time.Second
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = DefaultChunkBytes
-	}
-	if c.MaxBatchBytes == 0 {
-		c.MaxBatchBytes = DefaultMaxBatchBytes
-	}
-	return c
-}
-
-// Zero-copy data-plane thresholds.
+// Data-plane thresholds and connection timers. None is configurable:
+// no deployment ever set one, and each is sized against the others.
 const (
-	// DefaultChunkBytes: leased bodies above this are chunk-streamed.
-	// Sized so a 64 KB cache object still rides one (vectored) frame
-	// while the long tail of huge GIFs fragments.
+	// DefaultChunkBytes is the chunked-relay threshold: a leased body
+	// larger than this streams to peers as FlagChunk fragments instead
+	// of one giant frame, so ordinary frames interleave between
+	// fragments rather than stalling behind a 500 KB blob occupying a
+	// whole batch. Sized so a 64 KB cache object still rides one
+	// (vectored) frame while the long tail of huge GIFs fragments.
 	DefaultChunkBytes = 128 << 10
 	// chunkFrag is the fragment size of chunked relay — half the
-	// default batch threshold, so at most two fragments share a flush
-	// and competing small frames never wait behind more than that.
+	// batch threshold, so at most two fragments share a flush and
+	// competing small frames never wait behind more than that.
 	chunkFrag = 16 << 10
 	// vecMinBody: leased bodies at least this large skip the staging
 	// copy and go to the socket as their own iovec. Below it the
 	// iovec bookkeeping costs more than the memcpy it saves.
 	vecMinBody = 2 << 10
-	// DefaultMaxBatchBytes bounds the per-peer write queue: far above
-	// the flush threshold (a healthy peer drains long before this),
-	// small enough that a stalled peer triggers fail-fast
-	// backpressure within one RTT's worth of traffic.
+	// DefaultMaxBatchBytes bounds the bytes queued behind an
+	// in-progress write to one peer. When a peer's reader stalls (gray
+	// failure: the connection is up but nothing drains), sends beyond
+	// the bound fail fast with ErrBackpressure — the datagram drops
+	// and its lease releases — instead of buffering without limit; the
+	// refusals are counted in Stats.Backpressure so upstream admission
+	// control can see remote congestion. Far above the flush threshold
+	// (a healthy peer drains long before this), small enough that a
+	// stalled peer triggers backpressure within one RTT's worth of
+	// traffic.
 	DefaultMaxBatchBytes = 1 << 20
+
+	// redialMin/redialMax bound the reconnect backoff.
+	redialMin = 20 * time.Millisecond
+	redialMax = time.Second
+	// handshakeTimeout bounds the dial and the hello exchange.
+	handshakeTimeout = 5 * time.Second
+	// writeTimeout bounds one flush to a peer; a stall longer than
+	// this kills the connection rather than wedging every sender
+	// behind one sick peer.
+	writeTimeout = 10 * time.Second
 )
 
 // Stats counts bridge activity.
@@ -241,7 +201,6 @@ type Bridge struct {
 // and begins dialing the seed addresses. The bridge owns its listener
 // and all peer connections until Close.
 func New(cfg Config) (*Bridge, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Net == nil {
 		return nil, errors.New("transport: Config.Net is required")
 	}
@@ -528,41 +487,36 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bo
 	// Huge leased bodies stream as chunk fragments so competing small
 	// frames interleave between them instead of stalling a whole batch
 	// behind one 500 KB blob.
-	if lease != nil && b.cfg.ChunkBytes > 0 && len(wire) > b.cfg.ChunkBytes && len(wire) <= MaxChunkBody {
+	if lease != nil && len(wire) > DefaultChunkBytes && len(wire) <= MaxChunkBody {
 		return b.unicastChunked(targets, from, to, kind, callID, flags, trace, wire, lease)
 	}
 
 	bufp := b.framePool.Get().(*[]byte)
-	sent := 0
+	var hdr, body, trailer []byte
 	if lease != nil && len(wire) >= vecMinBody {
 		// Vectored: only the header and CRC trailer are staged; the
 		// already-encoded body goes to the socket as its own iovec,
 		// pinned by one lease reference per peer until its flush.
-		hdr, trailer := AppendDataVec((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), nil, wire)
-		for _, p := range targets {
-			lease.Retain()
-			release := lease.Release
-			if trace.Sampled() {
-				release = b.flushSpan(trace, kind, len(wire), lease.Release)
-			}
-			if b.appendVecToPeer(p, hdr, wire, trailer, release) {
-				sent++
-			}
-		}
-		*bufp = hdr[:0]
+		h, crc := AppendDataVec((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), nil, wire)
+		hdr, body, trailer = h, wire, crc[:]
 	} else {
-		frame := AppendDataTrace((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), wire)
-		for _, p := range targets {
-			if trace.Sampled() {
-				if b.appendToPeerHooked(p, frame, b.flushSpan(trace, kind, len(wire), nil)) {
-					sent++
-				}
-			} else if b.appendToPeer(p, frame) {
-				sent++
-			}
-		}
-		*bufp = frame[:0]
+		hdr = AppendDataTrace((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), wire)
 	}
+	sent := 0
+	for _, p := range targets {
+		var done func()
+		if body != nil {
+			lease.Retain()
+			done = lease.Release
+		}
+		if trace.Sampled() {
+			done = b.flushSpan(trace, kind, len(wire), done)
+		}
+		if b.appendToPeer(p, hdr, body, trailer, done) {
+			sent++
+		}
+	}
+	*bufp = hdr[:0]
 	b.framesOut.Add(uint64(sent))
 	b.framePool.Put(bufp)
 	return sent > 0
@@ -577,10 +531,10 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bo
 // failure later in the stream is a dying connection, and the loss
 // surfaces exactly like any other dropped datagram.
 //
-// Lease discipline: every appendVecToPeer call is handed exactly one
+// Lease discipline: every appendToPeer call is handed exactly one
 // retained reference, and the batcher guarantees exactly one release
-// of it — inline when the batcher is closed or sticky-errored, after
-// the flush that wrote the fragment otherwise. The Retain therefore
+// of it — inline when the append is refused, after the flush that
+// wrote the fragment otherwise. The Retain therefore
 // sits immediately before the hand-off and nowhere else; this loop
 // itself never releases.
 func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string, callID uint64, flags byte, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
@@ -592,7 +546,7 @@ func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string,
 	var env [3 * 10]byte // three uvarints, 10 bytes max each
 	sent := 0
 	frames := 0
-	// A peer whose batcher errors mid-stream is dying (appendVecToPeer
+	// A peer whose batcher errors mid-stream is dying (appendToPeer
 	// already closed it): skip its remaining fragments. Feeding them to
 	// the closed batcher would only retain/release the lease N more
 	// times for nothing — and were the connection redialed mid-stream,
@@ -614,13 +568,13 @@ func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string,
 				continue
 			}
 			lease.Retain() // ownership of this one ref passes to the batcher
-			release := lease.Release
+			done := lease.Release
 			if trace.Sampled() && last {
 				// One span per chunked send, closed when the final
 				// fragment's flush completes.
-				release = b.flushSpan(trace, kind, total, lease.Release)
+				done = b.flushSpan(trace, kind, total, done)
 			}
-			if b.appendVecToPeer(p, hdr, frag, trailer, release) {
+			if b.appendToPeer(p, hdr, frag, trailer[:], done) {
 				frames++
 				if off == 0 {
 					sent++
@@ -692,7 +646,7 @@ func (b *Bridge) broadcastAdvert(op byte, a san.Addr, peers []*peer) {
 	one[0] = a
 	frame := AppendAdvert((*bufp)[:0], op, one[:])
 	for _, p := range peers {
-		b.appendToPeer(p, frame)
+		b.appendToPeer(p, frame, nil, nil, nil)
 	}
 	*bufp = frame[:0]
 	b.framePool.Put(bufp)
@@ -730,13 +684,15 @@ func (b *Bridge) applyAdvertised(p *peer, addrs []san.Addr) {
 	b.mu.Unlock()
 }
 
-// appendToPeer queues a frame on one peer's batcher. A write error
-// (e.g. a WriteTimeout on a stalled peer) is fatal to the connection:
-// the conn is closed so the read loop unblocks, the peer is removed,
-// and the dial loop redials — a wedged connection must never keep
-// counting as a live peer.
-func (b *Bridge) appendToPeer(p *peer, frame []byte) bool {
-	err := p.batch.Append(frame)
+// appendToPeer queues one frame (hdr ++ body ++ trailer; see
+// Batcher.Append) on one peer's batcher, and is the one place a send
+// result is classified. A write error (e.g. the write timeout firing
+// on a stalled peer) is fatal to the connection: the conn is closed so
+// the read loop unblocks, the peer is removed, and the dial loop
+// redials — a wedged connection must never keep counting as a live
+// peer. The batcher runs done itself on every path, refusals included.
+func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, done func()) bool {
+	err := p.batch.Append(hdr, body, trailer, done)
 	if err == nil {
 		return true
 	}
@@ -746,43 +702,6 @@ func (b *Bridge) appendToPeer(p *peer, frame []byte) bool {
 		// into a reconnect storm; the counter lets admission control
 		// upstream shed instead.
 		return false
-	}
-	if !errors.Is(err, ErrBatcherClosed) {
-		b.logf("transport: %s: write to peer %s failed, dropping connection: %v", b.cfg.ID, p.id, err)
-		p.close()
-	}
-	return false
-}
-
-// appendVecToPeer is appendToPeer for vectored frames: hdr and trailer
-// are staged, body rides as its own iovec, release runs when the
-// batcher is done with the body (AppendVec runs it itself on a closed
-// or sticky-error batcher). Same fatality rule as appendToPeer.
-func (b *Bridge) appendVecToPeer(p *peer, hdr, body []byte, trailer [4]byte, release func()) bool {
-	err := p.batch.AppendVec(hdr, body, trailer, release)
-	if err == nil {
-		return true
-	}
-	if errors.Is(err, ErrBackpressure) {
-		return false // congestion drop; see appendToPeer
-	}
-	if !errors.Is(err, ErrBatcherClosed) {
-		b.logf("transport: %s: write to peer %s failed, dropping connection: %v", b.cfg.ID, p.id, err)
-		p.close()
-	}
-	return false
-}
-
-// appendToPeerHooked is appendToPeer for traced frames: fn runs when
-// the flush carrying the frame completes (AppendHooked runs it inline
-// on a refused append). Same fatality rule as appendToPeer.
-func (b *Bridge) appendToPeerHooked(p *peer, frame []byte, fn func()) bool {
-	err := p.batch.AppendHooked(frame, fn)
-	if err == nil {
-		return true
-	}
-	if errors.Is(err, ErrBackpressure) {
-		return false // congestion drop; see appendToPeer
 	}
 	if !errors.Is(err, ErrBatcherClosed) {
 		b.logf("transport: %s: write to peer %s failed, dropping connection: %v", b.cfg.ID, p.id, err)
@@ -831,7 +750,7 @@ func (b *Bridge) Multicast(from san.Addr, group, kind string, wire []byte) {
 	frame := AppendMcast((*bufp)[:0], from, group, kind, wire)
 	sent := 0
 	for _, p := range peers {
-		if b.appendToPeer(p, frame) {
+		if b.appendToPeer(p, frame, nil, nil, nil) {
 			sent++
 		}
 	}
@@ -900,7 +819,7 @@ func (b *Bridge) dialLoop(canon string) {
 		b.mu.Unlock()
 	}()
 	network, address, _ := splitListen(canon)
-	backoff := b.cfg.RedialMin
+	backoff := redialMin
 	connected := false
 	peerID := "" // who this address last identified as
 	deadSince := time.Now()
@@ -921,14 +840,14 @@ func (b *Bridge) dialLoop(canon string) {
 		if p := b.peerByAdvertiseOrID(canon, peerID); p != nil {
 			select {
 			case <-p.done:
-				backoff = b.cfg.RedialMin
+				backoff = redialMin
 				deadSince = time.Now()
 			case <-b.done:
 				return
 			}
 			continue
 		}
-		conn, err := net.DialTimeout(network, address, b.cfg.HandshakeTimeout)
+		conn, err := net.DialTimeout(network, address, handshakeTimeout)
 		if err == nil {
 			id, kept := b.runConn(conn, true) // returns when the conn dies or is rejected
 			if id != "" {
@@ -939,7 +858,7 @@ func (b *Bridge) dialLoop(canon string) {
 					b.reconnects.Add(1)
 				}
 				connected = true
-				backoff = b.cfg.RedialMin
+				backoff = redialMin
 				deadSince = time.Now()
 				continue
 			}
@@ -956,8 +875,8 @@ func (b *Bridge) dialLoop(canon string) {
 			return
 		}
 		backoff *= 2
-		if backoff > b.cfg.RedialMax {
-			backoff = b.cfg.RedialMax
+		if backoff > redialMax {
+			backoff = redialMax
 		}
 	}
 }
@@ -1016,7 +935,7 @@ func (b *Bridge) helloFor() Hello {
 // connection was kept (registered and run, vs rejected).
 func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) {
 	// Handshake: send our hello, read theirs, both under a deadline.
-	deadline := time.Now().Add(b.cfg.HandshakeTimeout)
+	deadline := time.Now().Add(handshakeTimeout)
 	_ = conn.SetDeadline(deadline)
 	if _, err := conn.Write(AppendHello(nil, b.helloFor())); err != nil {
 		_ = conn.Close()
@@ -1033,15 +952,11 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 	_ = conn.SetDeadline(time.Time{})
 	b.hellosIn.Add(1)
 
-	maxBatch := b.cfg.MaxBatchBytes
-	if maxBatch < 0 {
-		maxBatch = 0 // negative config = unbounded batcher
-	}
 	p := &peer{
 		id:        hello.ID,
 		advertise: hello.Advertise,
 		conn:      conn,
-		batch:     NewBatcher(&deadlineWriter{conn: conn, timeout: b.cfg.WriteTimeout}, b.cfg.FlushBytes, b.cfg.FlushDelay, maxBatch),
+		batch:     NewBatcher(deadlineWriter{conn}, DefaultMaxBatchBytes),
 		dialed:    dialed,
 		done:      make(chan struct{}),
 	}
@@ -1067,7 +982,7 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 	if len(catchup) > 0 {
 		bufp := b.framePool.Get().(*[]byte)
 		frame := AppendAdvert((*bufp)[:0], AdvertUp, catchup)
-		b.appendToPeer(p, frame)
+		b.appendToPeer(p, frame, nil, nil, nil)
 		*bufp = frame[:0]
 		b.framePool.Put(bufp)
 	}
@@ -1404,17 +1319,12 @@ func (b *Bridge) learn(addr san.Addr, p *peer) {
 	b.mu.Unlock()
 }
 
-// deadlineWriter applies a per-write deadline so one stalled peer
-// cannot wedge every sender behind the batcher's lock forever.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
+// deadlineWriter applies writeTimeout to every write so one stalled
+// peer cannot wedge its drainer (and Close, which waits on it) forever.
+type deadlineWriter struct{ conn net.Conn }
 
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return w.conn.Write(p)
 }
 
@@ -1423,10 +1333,8 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 // concrete TCP/unix conn types, which is exactly what w.conn is — this
 // forwarder exists so the Batcher's vecWriter probe survives the
 // deadline wrapper.
-func (w *deadlineWriter) WriteVec(bufs *net.Buffers) (int64, error) {
-	if w.timeout > 0 {
-		_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	}
+func (w deadlineWriter) WriteVec(bufs *net.Buffers) (int64, error) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return bufs.WriteTo(w.conn)
 }
 

@@ -20,23 +20,15 @@ func newWireNet(seed int64) *san.Network {
 
 // bridgePair splices two fresh networks over loopback TCP and waits
 // for the mesh to form.
-func bridgePair(t *testing.T, opts ...func(*Config)) (*san.Network, *san.Network, *Bridge, *Bridge) {
+func bridgePair(t *testing.T) (*san.Network, *san.Network, *Bridge, *Bridge) {
 	t.Helper()
 	netA, netB := newWireNet(1), newWireNet(2)
-	cfgA := Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a"}
-	for _, o := range opts {
-		o(&cfgA)
-	}
-	ba, err := New(cfgA)
+	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ba.Close() })
-	cfgB := Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b", Join: []string{ba.Advertise()}}
-	for _, o := range opts {
-		o(&cfgB)
-	}
-	bb, err := New(cfgB)
+	bb, err := New(Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b", Join: []string{ba.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,9 +166,7 @@ func TestBridgeMulticast(t *testing.T) {
 // path: a send burst across the bridge must average >=2 frames per
 // write syscall.
 func TestBridgeBurstBatches(t *testing.T) {
-	netA, netB, ba, _ := bridgePair(t, func(c *Config) {
-		c.FlushDelay = 2 * time.Millisecond
-	})
+	netA, netB, ba, _ := bridgePair(t)
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 64)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<14)
 	go func() {
@@ -327,9 +317,7 @@ func TestBridgeMeshGossip(t *testing.T) {
 // TestBridgeReconnect: severing a connection heals automatically and
 // traffic resumes.
 func TestBridgeReconnect(t *testing.T) {
-	netA, netB, ba, bb := bridgePair(t, func(c *Config) {
-		c.RedialMin = 5 * time.Millisecond
-	})
+	netA, netB, ba, bb := bridgePair(t)
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 64)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 256)
 

@@ -22,11 +22,11 @@
 // AppendDataVec stages only the header and CRC trailer, the body
 // rides as its own iovec, and the Batcher flushes via
 // net.Buffers/writev, releasing the body's san.Lease after the write.
-// Bodies above Config.ChunkBytes (default DefaultChunkBytes) stream
-// as chunkFrag-sized chunk frames (FlagChunk + a uvarint
-// id/total/offset envelope) so one huge body never stalls small
-// frames queued behind it; the receiving bridge reassembles the
-// stream into a single leased buffer before injecting it. Inbound,
+// Bodies above DefaultChunkBytes stream as chunkFrag-sized chunk
+// frames (FlagChunk + a uvarint id/total/offset envelope) so one huge
+// body never stalls small frames queued behind it; the receiving
+// bridge reassembles the stream into a single leased buffer before
+// injecting it. Inbound,
 // NewLeasedDecoder reads into san.Lease-backed buffers and delivery
 // views alias them; the decoder recycles a buffer only after every
 // consumer releases (see the Lease contract in internal/san —
@@ -196,7 +196,7 @@ func AppendDataTrace(dst []byte, from, to san.Addr, kind string, callID uint64, 
 // splicing the body into the staging buffer: it returns the frame's
 // header portion (prelude, meta, body length, and the optional prefix
 // — the chunk envelope) appended to dst, plus the 4-byte CRC trailer.
-// The frame on the wire is hdr ++ body ++ trailer; Batcher.AppendVec
+// The frame on the wire is hdr ++ body ++ trailer; Batcher.Append
 // hands the three pieces to writev so an already-encoded blob goes to
 // the socket straight from its lease, copy-free. The logical frame
 // body is prefix ++ body. The flags byte is taken verbatim (compose

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -29,17 +30,17 @@ func newChunkBridge() *Bridge {
 	return b
 }
 
-// newTestPeer wraps a writer in a peer whose batcher flushes per the
-// given delay (negative = inline per append). The conn exists only so
-// peer.close() has something to close.
-func newTestPeer(t *testing.T, id string, w interface{ Write([]byte) (int, error) }, delay time.Duration) *peer {
+// newTestPeer wraps a writer in a peer whose batcher flushes at the
+// given size threshold (1 = inline per append) or, below it, after
+// delay. The conn exists only so peer.close() has something to close.
+func newTestPeer(t *testing.T, id string, w io.Writer, flushBytes int, delay time.Duration) *peer {
 	t.Helper()
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { _ = c1.Close(); _ = c2.Close() })
 	return &peer{
 		id:    id,
 		conn:  c1,
-		batch: NewBatcher(w, DefaultFlushBytes, delay, 0),
+		batch: testBatcher(w, flushBytes, delay, DefaultMaxBatchBytes),
 		done:  make(chan struct{}),
 	}
 }
@@ -85,13 +86,13 @@ func leasedBody(total int) (*san.Lease, []byte) {
 func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 	b := newChunkBridge()
 	var goodBuf bytes.Buffer
-	good := newTestPeer(t, "good", &goodBuf, -1) // flush per fragment
+	good := newTestPeer(t, "good", &goodBuf, 1, time.Hour) // flush per fragment
 	// The bad writer survives exactly one flush (hdr+body+trailer ride
 	// as three sequential writes through the net.Buffers fallback), so
 	// fragment 1 lands and fragment 2 hits the error: a genuinely
 	// mid-stream death.
 	badW := &failAfterWriter{ok: 3}
-	bad := newTestPeer(t, "bad", badW, -1)
+	bad := newTestPeer(t, "bad", badW, 1, time.Hour)
 	t.Cleanup(func() { good.close(); bad.close() })
 
 	const total = 4 * chunkFrag // four fragments
@@ -167,8 +168,8 @@ func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 // exactly the caller's reference.
 func TestChunkedConcurrentStreamsLeaseBalance(t *testing.T) {
 	b := newChunkBridge()
-	good := newTestPeer(t, "good", discardWriter{}, 100*time.Microsecond)
-	bad := newTestPeer(t, "bad", &failAfterWriter{ok: 5}, 100*time.Microsecond)
+	good := newTestPeer(t, "good", discardWriter{}, DefaultFlushBytes, 100*time.Microsecond)
+	bad := newTestPeer(t, "bad", &failAfterWriter{ok: 5}, DefaultFlushBytes, 100*time.Microsecond)
 	t.Cleanup(func() { good.close(); bad.close() })
 
 	from := san.Addr{Node: "a", Proc: "src"}

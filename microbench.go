@@ -8,6 +8,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -22,10 +23,13 @@ import (
 // MicroBench is one named micro-benchmark. The snapshot records it as
 // <Name>_ns and <Name>_allocs, plus <Name>_bytes when Mem is set (the
 // data-plane benches, where B/op is the copy count made measurable).
+// F reports failure by returning an error, never through b.Fatal: the
+// snapshot writer runs it under testing.Benchmark outside `go test`,
+// where b.Fatal dereferences a nil test context.
 type MicroBench struct {
 	Name string
 	Mem  bool
-	F    func(*testing.B)
+	F    func(*testing.B) error
 }
 
 // MicroBenches lists the request hot path's building blocks, bottom
@@ -36,13 +40,12 @@ var MicroBenches = []MicroBench{
 	{Name: "wire_decode", F: benchWireDecode},
 	{Name: "frame_encode", F: benchFrameEncode},
 	{Name: "frame_decode", F: benchFrameDecode},
-	{Name: "san_send_wire", F: func(b *testing.B) { benchSANSendParallel(b, "d", nil) }},
-	{Name: "bridge_send_batched", F: func(b *testing.B) { benchBridgeSend(b, true) }},
-	{Name: "bridge_send_unbatched", F: func(b *testing.B) { benchBridgeSend(b, false) }},
+	{Name: "san_send_wire", F: func(b *testing.B) error { return benchSANSendParallel(b, "d", nil) }},
+	{Name: "bridge_send", F: benchBridgeSend},
 	{Name: "partition_get", F: benchPartitionGet},
-	{Name: "blob_relay_4k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 4<<10) }},
-	{Name: "blob_relay_64k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 64<<10) }},
-	{Name: "blob_relay_512k", Mem: true, F: func(b *testing.B) { benchBlobRelay(b, 512<<10) }},
+	{Name: "blob_relay_4k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
+	{Name: "blob_relay_64k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
+	{Name: "blob_relay_512k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
 }
 
 // wireLoadReport is the representative hot-path message: the periodic
@@ -65,89 +68,97 @@ func wireNet(seed int64) *san.Network {
 
 // benchWireEncodeAppend is the steady-state encode the SAN runs:
 // appending into a recycled buffer. Must stay at 0 allocs/op.
-func benchWireEncodeAppend(b *testing.B) {
+func benchWireEncodeAppend(b *testing.B) error {
 	body := wireLoadReport()
 	buf, err := stub.EncodeBodyAppend(nil, stub.MsgLoadReport, body)
 	if err != nil {
-		b.Fatal(err)
+		return err
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if buf, err = stub.EncodeBodyAppend(buf[:0], stub.MsgLoadReport, body); err != nil {
-			b.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // benchWireDecode is the per-delivery decode: each recipient
 // materializes its own value from the shared bytes.
-func benchWireDecode(b *testing.B) {
+func benchWireDecode(b *testing.B) error {
 	data, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
 	if err != nil {
-		b.Fatal(err)
+		return err
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stub.DecodeBody(stub.MsgLoadReport, data); err != nil {
-			b.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // loadReportFrame returns the data frame both frame benches work on —
 // an encoded load report between two prefix-qualified addresses — and
 // the arguments that rebuild it.
-func loadReportFrame(b *testing.B) (frame []byte, from, to san.Addr, body []byte) {
-	body, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
-	if err != nil {
-		b.Fatal(err)
-	}
+func loadReportFrame() (frame []byte, from, to san.Addr, body []byte, err error) {
+	body, err = stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
 	from = san.Addr{Node: "a-node0", Proc: "fe0"}
 	to = san.Addr{Node: "b-node1", Proc: "w0"}
-	return transport.AppendData(nil, from, to, stub.MsgLoadReport, 1, false, body), from, to, body
+	return transport.AppendData(nil, from, to, stub.MsgLoadReport, 1, false, body), from, to, body, err
 }
 
 // benchFrameEncode appends a data frame into a warm buffer — the
 // bridge's send path. Must stay at 0 allocs/op.
-func benchFrameEncode(b *testing.B) {
-	buf, from, to, body := loadReportFrame(b)
+func benchFrameEncode(b *testing.B) error {
+	buf, from, to, body, err := loadReportFrame()
+	if err != nil {
+		return err
+	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = transport.AppendData(buf[:0], from, to, stub.MsgLoadReport, 1, false, body)
 	}
+	return nil
 }
 
 // benchFrameDecode runs the streaming decoder over the same frame — the
 // bridge's receive path before SAN injection.
-func benchFrameDecode(b *testing.B) {
-	frame, _, _, _ := loadReportFrame(b)
+func benchFrameDecode(b *testing.B) error {
+	frame, _, _, _, err := loadReportFrame()
+	if err != nil {
+		return err
+	}
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var dec transport.Decoder
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Write(frame); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if _, ok, err := dec.Next(); err != nil || !ok {
-			b.Fatalf("decode: ok=%v err=%v", ok, err)
+			return fmt.Errorf("decode: ok=%v err=%v", ok, err)
 		}
 	}
+	return nil
 }
 
 // benchSANSendParallel sends one body over the wire codec from many
 // concurrent sender/receiver pairs, 1% loss keeping the rng hot —
 // san.BenchmarkSANSendParallel's traffic shape with the codec on the
 // path (encode per send, decode per delivery).
-func benchSANSendParallel(b *testing.B, kind string, body any) {
+func benchSANSendParallel(b *testing.B, kind string, body any) error {
 	net := wireNet(1)
 	net.SetLoss(0.01, 0)
 	var next atomic.Int64
+	var failed atomic.Pointer[error]
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -160,44 +171,50 @@ func benchSANSendParallel(b *testing.B, kind string, body any) {
 		}()
 		for pb.Next() {
 			if err := src.Send(dst.Addr(), kind, body, 0); err != nil {
-				b.Fatal(err)
+				first := err // copied here so the hot path's err stays off the heap
+				failed.CompareAndSwap(nil, &first)
+				return
 			}
 		}
 	})
+	if errp := failed.Load(); errp != nil {
+		return *errp
+	}
+	return nil
 }
 
-// bridgedPair joins two wire networks over loopback TCP with the given
-// flush delay (0 = the transport's batching default).
-func bridgedPair(b *testing.B, flushDelay time.Duration) (netA, netB *san.Network, ba *transport.Bridge) {
+// bridgedPair joins two wire networks over loopback TCP.
+func bridgedPair(b *testing.B) (netA, netB *san.Network, ba *transport.Bridge, err error) {
 	netA, netB = wireNet(1), wireNet(2)
 	b.Cleanup(netA.Close)
 	b.Cleanup(netB.Close)
-	ba, err := transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "bench-a", FlushDelay: flushDelay})
+	ba, err = transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "bench-a"})
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, nil, err
 	}
 	b.Cleanup(func() { ba.Close() })
-	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "bench-b", FlushDelay: flushDelay, Join: []string{ba.Advertise()}})
+	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "bench-b", Join: []string{ba.Advertise()}})
 	if err != nil {
-		b.Fatal(err)
+		return nil, nil, nil, err
 	}
 	b.Cleanup(func() { bb.Close() })
 	if !ba.WaitPeers(1, 5*time.Second) || !bb.WaitPeers(1, 5*time.Second) {
-		b.Fatal("bridges never connected")
+		return nil, nil, nil, errors.New("bridges never connected")
 	}
-	return netA, netB, ba
+	return netA, netB, ba, nil
 }
 
 // benchBridgeSend measures one-way load-report sends across two bridged
-// networks: batched (the default microsecond-deadline writer) or
-// unbatched (every frame its own write syscall). The delta is the
-// syscall amortization batching buys.
-func benchBridgeSend(b *testing.B, batched bool) {
-	delay := time.Duration(0)
-	if !batched {
-		delay = -1 // flush every frame
+// networks through the batching writer; frames/batch is the syscall
+// amortization batching buys. The loop floods faster than loopback TCP
+// drains, so the bridge legitimately refuses some sends with
+// backpressure: those are datagram drops, reported as drops/op, not
+// failures.
+func benchBridgeSend(b *testing.B) error {
+	netA, netB, ba, err := bridgedPair(b)
+	if err != nil {
+		return err
 	}
-	netA, netB, ba := bridgedPair(b, delay)
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 1<<16) // absorbs a whole b.N burst undrained
 	go func() {
@@ -209,25 +226,32 @@ func benchBridgeSend(b *testing.B, batched bool) {
 	// once; after that the benchmark loop is routed, not flooded.
 	report := wireLoadReport()
 	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report, 0); err != nil {
-		b.Fatal(err)
+		return err
 	}
 	<-src.Inbox()
+	refused, before := uint64(0), ba.Stats().Backpressure
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 0); err != nil {
-			b.Fatal(err)
+			refused++ // the SAN reports any fabric refusal as ErrUnknownAddr
 		}
 	}
 	b.StopTimer()
-	if st := ba.Stats(); st.Batches > 0 {
+	st := ba.Stats()
+	if bp := st.Backpressure - before; refused != bp {
+		return fmt.Errorf("%d sends refused but only %d by backpressure", refused, bp)
+	}
+	b.ReportMetric(float64(refused)/float64(b.N), "drops/op")
+	if st.Batches > 0 {
 		b.ReportMetric(float64(st.FramesOut)/float64(st.Batches), "frames/batch")
 	}
+	return nil
 }
 
 // benchPartitionGet is the sharded cache partition's get on warm keys
 // (the Harvest stand-in of §4.4).
-func benchPartitionGet(b *testing.B) {
+func benchPartitionGet(b *testing.B) error {
 	p := vcache.NewPartition(64<<20, nil)
 	data := make([]byte, 8192)
 	keys := make([]string, 1000)
@@ -239,9 +263,10 @@ func benchPartitionGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := p.Get(keys[i%len(keys)]); !ok {
-			b.Fatal("miss on warm key")
+			return errors.New("miss on warm key")
 		}
 	}
+	return nil
 }
 
 // benchBlobRelay measures one cached-object fetch end to end over a
@@ -250,8 +275,11 @@ func benchPartitionGet(b *testing.B) {
 // as chunk fragments and reassembles. GetView keeps the client side
 // zero-copy, so allocs/op and B/op are the data plane's whole
 // per-request footprint.
-func benchBlobRelay(b *testing.B, size int) {
-	netA, netB, _ := bridgedPair(b, 0)
+func benchBlobRelay(b *testing.B, size int) error {
+	netA, netB, _, err := bridgedPair(b)
+	if err != nil {
+		return err
+	}
 	svc := vcache.NewService("cache0", netB, "b-cnode", vcache.NewPartition(256<<20, nil))
 	ctx, cancel := context.WithCancel(context.Background())
 	b.Cleanup(cancel)
@@ -271,24 +299,30 @@ func benchBlobRelay(b *testing.B, size int) {
 		payload[i] = byte(i)
 	}
 	client.Put(ctx, "blob", payload, "image/gif", 0)
-	get := func() {
+	get := func() error {
 		data, _, release, ok := client.GetView(ctx, "blob")
 		if !ok || len(data) != size {
-			b.Fatalf("relay get: ok=%v len=%d want %d", ok, len(data), size)
+			return fmt.Errorf("relay get: ok=%v len=%d want %d", ok, len(data), size)
 		}
 		if release != nil {
 			release()
 		}
+		return nil
 	}
-	get() // warm-up: the Put has landed and the route is learned
+	if err := get(); err != nil { // warm-up: the Put has landed and the route is learned
+		return err
+	}
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		get()
+		if err := get(); err != nil {
+			return err
+		}
 	}
 	b.StopTimer()
 	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
-		b.Fatalf("wire errors during relay: %d", we)
+		return fmt.Errorf("wire errors during relay: %d", we)
 	}
+	return nil
 }
