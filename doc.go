@@ -9,9 +9,9 @@
 // the SAN's wire codec — the serialization path every assembled
 // system runs — internal/transport, the framed, batched socket
 // layer that lets one cluster span real OS processes via cmd/node,
-// and internal/supervisor, the per-process daemon that makes
-// process-peer restarts and rolling upgrades location-transparent
-// across those processes).
+// and internal/supervisor, the per-process daemon whose roster the
+// primary manager reconciles against what it hears, and whose hand
+// makes restarts and rolling upgrades reach across those processes).
 // The benchmarks in bench_test.go (one per reproduced artifact) and
 // cmd/experiments regenerate the results; microbench.go is the one
 // table of hot-path micro-benchmarks both go test -bench and the bench

@@ -94,11 +94,13 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = tacc.NewRegistry()
-		c.Registry.Register(EchoClass, func() tacc.Worker {
-			return tacc.WorkerFunc{Name: EchoClass, Fn: func(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
-				return task.Input, nil
-			}}
-		})
+		for class := range c.Workers { // every class echoes; the rule below routes to EchoClass
+			c.Registry.Register(class, func() tacc.Worker {
+				return tacc.WorkerFunc{Name: class, Fn: func(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
+					return task.Input, nil
+				}}
+			})
+		}
 		if c.Rules == nil {
 			c.Rules = func(url, mime string, profile map[string]string) tacc.Pipeline {
 				return tacc.Pipeline{{Class: EchoClass}}
@@ -131,11 +133,12 @@ type Harness struct {
 	cfg Config
 	Sys *core.System
 
-	rec        *recorder
-	removeObs  func()
-	load       *loadGen
-	baseline   float64 // pre-fault steady-state capacity (success fraction)
-	baselineOK bool
+	rec          *recorder
+	managerKills int // KillManager faults that found a live replica
+	removeObs    func()
+	load         *loadGen
+	baseline     float64 // pre-fault steady-state capacity (success fraction)
+	baselineOK   bool
 }
 
 // New boots a complete SNS instance and attaches the observers.
@@ -181,7 +184,7 @@ func New(cfg Config) (*Harness, error) {
 		}
 		h.rec.record("exit", info.Node+"/"+info.Proc, detail)
 	})
-	if !sys.WaitReady(10*time.Second) || !h.AwaitSteady(10*time.Second) {
+	if !h.AwaitSteady(10 * time.Second) {
 		h.Stop()
 		return nil, fmt.Errorf("chaos: system did not become ready")
 	}
@@ -267,7 +270,9 @@ func (h *Harness) inject(ev Event) {
 			detail = name
 		}
 	case KillManager:
-		_ = h.Sys.KillManager()
+		if h.Sys.KillManager() == nil {
+			h.managerKills++
+		}
 	case PartitionCaches:
 		groups := h.CachePartitionGroups()
 		if ev.Dur > 0 {
@@ -329,45 +334,64 @@ func (h *Harness) pick(kind core.Kind, slot int) string {
 	return names[slot%len(names)]
 }
 
-// AwaitSteady blocks until the system is at full strength: every
-// configured worker registered with the current manager, every front
-// end running, seeing beacons, and holding every worker class in its
-// dispatch cache (so a request needs no cold-start spawn). It returns
+// AwaitSteady blocks until the system is at full strength — the
+// platform's own readiness rule (core.System.WaitReady). It returns
 // false on timeout.
-func (h *Harness) AwaitSteady(timeout time.Duration) bool {
-	want := 0
-	for _, n := range h.cfg.Workers {
-		want += n
-	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if h.steadyNow(want) {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return h.steadyNow(want)
-}
+func (h *Harness) AwaitSteady(timeout time.Duration) bool { return h.Sys.WaitReady(timeout) }
 
-func (h *Harness) steadyNow(wantWorkers int) bool {
-	if h.Sys.Manager().Stats().Workers < wantWorkers {
-		return false
+// AwaitPopulation blocks until the live count of every component kind
+// has equalled the configured count — no fewer, no more — for ten
+// beacon periods on end (a surplus replacement takes a few to show),
+// and reports what is off if that takes longer than timeout. It is the
+// convergence every scenario must reach once its last fault is behind
+// it.
+func (h *Harness) AwaitPopulation(timeout time.Duration) error {
+	want := map[core.Kind]int{
+		core.KindCache:    h.cfg.CacheParts,
+		core.KindManager:  max(h.cfg.Managers, 1),
+		core.KindFrontEnd: h.cfg.FrontEnds,
 	}
-	fes := h.Sys.FrontEnds()
-	if len(fes) < h.cfg.FrontEnds {
-		return false
+	for _, n := range h.cfg.Workers {
+		want[core.KindWorker] += n
 	}
-	for _, fe := range fes {
-		if !fe.Running() || fe.ManagerStub().Stats().BeaconsSeen == 0 {
-			return false
-		}
-		for class, n := range h.cfg.Workers {
-			if len(fe.ManagerStub().Workers(class)) < n {
-				return false
+	start := time.Now()
+	for since := start; ; time.Sleep(2 * time.Millisecond) {
+		off := ""
+		for kind, n := range want {
+			got := h.Sys.Names(kind)
+			ok := len(got) == n
+			switch {
+			case kind == core.KindManager && n > 1:
+				// The one component a kill deliberately leaves dead: a
+				// replicated manager replaces a lost primary by election,
+				// and front ends respawn corpses only once every replica
+				// is silent.
+				ok = len(got) <= n && len(got) >= max(1, n-h.managerKills)
+			case kind == core.KindWorker:
+				// A worker expired by a timeout and heard from again was
+				// never dead; the replacement it was given meanwhile is
+				// the duplicate BASE prefers to a lost worker. No fault
+				// here injects that — a starved scheduler can.
+				spare := 0
+				for _, m := range h.Sys.ManagerReplicas() {
+					spare += int(m.Stats().Readmits)
+				}
+				ok = len(got) >= n && len(got) <= n+spare
+			}
+			if !ok {
+				off += fmt.Sprintf(" %s: %d live %v, %d configured;", kind, len(got), got, n)
 			}
 		}
+		now := time.Now()
+		switch {
+		case off != "" && now.Sub(start) > timeout:
+			return fmt.Errorf("chaos: population did not converge:%s", off)
+		case off != "":
+			since = now
+		case now.Sub(since) >= 10*h.cfg.BeaconInterval:
+			return nil
+		}
 	}
-	return true
 }
 
 // ProbeCapacity issues n sequential requests against the system and

@@ -243,3 +243,41 @@ func TestCrossProcessRespawnTimelineDeterministic(t *testing.T) {
 		t.Fatalf("timeline = %v, want %v", first, want)
 	}
 }
+
+// TestCrossProcessKilledBeforeAnyManagerHeard is bug (c) across the
+// process boundary: process A's front end and process B's manager die
+// inside one beacon interval. B hosts no front end to respawn its
+// manager, so the test stands in for that watchdog; the respawned
+// manager has never heard a-/fe0, learns of it from A's supervisor's
+// roster, and a TTL of silence later restarts it through that
+// supervisor.
+func TestCrossProcessKilledBeforeAnyManagerHeard(t *testing.T) {
+	sysA, sysB := startBridgedPair(t, 1, 2)
+	old := sysB.Manager()
+	waitFor(t, "cross-process supervisor hello", func() bool {
+		_, ok := old.SupervisorFor("a-node0")
+		return ok
+	})
+	if err := sysA.Kill("fe0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sysB.KillManager(); err != nil {
+		t.Fatal(err)
+	}
+	if st := old.Stats(); st.FERestarts != 0 {
+		t.Fatalf("the dying manager already restarted fe0: %+v", st)
+	}
+	if err := sysB.Restart("manager"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a-/fe0 restarted by a manager that never heard it", func() bool {
+		m := sysB.Manager()
+		st := m.Stats()
+		return m != old && st.FERestarts == 1 && st.Delegated == 1 && sysA.FrontEnds()[0].Running()
+	})
+	for side, sys := range map[string]*core.System{"A": sysA, "B": sysB} {
+		if st := sys.Net.Stats(); st.WireErrors != 0 {
+			t.Fatalf("process %s: WireErrors=%d", side, st.WireErrors)
+		}
+	}
+}

@@ -9,15 +9,23 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/manager"
 )
 
 const seed = 1
+
+// convergeWithin is N of the population-convergence invariant, in
+// beacon periods: generous next to the slowest recovery chain (manager
+// silence, respawn, one TTL of roster grace, restart) so that only a
+// population that never converges trips it.
+const convergeWithin = 300
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -42,6 +50,12 @@ func newHarness(t *testing.T, cfg Config) *Harness {
 		// fault path sends must have a body layout.
 		if st := h.Net().Stats(); st.WireEncodes == 0 || st.WireErrors != 0 {
 			t.Errorf("codec under faults: %d encodes, %d messages failed serialization", st.WireEncodes, st.WireErrors)
+		}
+		// Whatever a scenario killed, the population is back to what
+		// was configured — exactly — within convergeWithin beacon
+		// periods of its last fault.
+		if err := h.AwaitPopulation(convergeWithin * h.cfg.BeaconInterval); err != nil {
+			t.Errorf("%v\n%s", err, h.Timeline())
 		}
 		h.Stop()
 	})
@@ -86,6 +100,25 @@ func TestScenarioWorkerCrashRespawn(t *testing.T) {
 	h.Note("worker-respawn", time.Since(killAt).String())
 	if !h.AwaitSteady(10 * time.Second) {
 		t.Fatal("system did not return to full worker strength")
+	}
+
+	// The sole worker of a class, on a fresh 3-worker system: its
+	// replacement is booked from the moment it is issued, so the floor
+	// does not start a second one in the ticks before the first
+	// registers. Ten beacon periods on, exactly one spawn, exactly the
+	// configured three workers.
+	h = newHarness(t, Config{Seed: seed, Workers: map[string]int{EchoClass: 2, "solo": 1}})
+	spawnsBefore = h.Sys.Manager().Stats().Spawns
+	h.Execute(ctx, Schedule{Seed: seed, Events: []Event{{Kind: KillWorker, Slot: 2}}}) // sorted ids: solo.N is last
+	waitFor(t, "sole worker replaced", func() bool {
+		return h.Sys.Manager().Stats().Spawns > spawnsBefore
+	})
+	time.Sleep(10 * h.cfg.BeaconInterval)
+	if got := h.Sys.Manager().Stats().Spawns - spawnsBefore; got != 1 {
+		t.Fatalf("%d spawns for one crashed worker, want exactly 1", got)
+	}
+	if ids := h.Sys.Workers(); len(ids) != 3 {
+		t.Fatalf("workers %v, want the configured 3", ids)
 	}
 }
 
@@ -146,6 +179,40 @@ func TestScenarioFrontEndCrashRestart(t *testing.T) {
 	}
 	if h.Sys.Manager().Stats().FERestarts == 0 {
 		t.Fatal("manager did not record the process-peer restart")
+	}
+}
+
+// TestScenarioKilledBeforeAnyManagerHeard: kill a component and then
+// the manager inside one beacon interval, so the only manager that ever
+// heard the component dies before its TTL of silence is up. The
+// respawned manager's soft state never knew the victim — what it knows
+// is the supervisor's roster, which names it; a TTL on with nothing
+// heard at that address, it restarts it (§3.1.3: no recovery protocol,
+// and nothing lost for want of one).
+func TestScenarioKilledBeforeAnyManagerHeard(t *testing.T) {
+	for _, c := range []struct {
+		kill     ActionKind
+		kind     core.Kind
+		restarts func(st manager.Stats) uint64
+	}{
+		{KillFrontEnd, core.KindFrontEnd, func(st manager.Stats) uint64 { return st.FERestarts }},
+		{KillCache, core.KindCache, func(st manager.Stats) uint64 { return st.CacheRestarts }},
+	} {
+		t.Run(string(c.kill), func(t *testing.T) {
+			// The second front end is the manager's process peer: it
+			// outlives fe0 and respawns the manager.
+			h := newHarness(t, Config{Seed: seed, FrontEnds: 2, CacheSuperviseTTL: 80 * time.Millisecond})
+			old := h.Sys.Manager()
+			victim := h.pick(c.kind, 0)
+			h.Execute(context.Background(), Schedule{Seed: seed, Events: []Event{{Kind: c.kill, Slot: 0}, {Kind: KillManager}}})
+			if n := c.restarts(old.Stats()); n != 0 {
+				t.Fatalf("the dying manager already restarted %s (%d): the kill pair must land inside its TTL", victim, n)
+			}
+			waitFor(t, victim+" restarted by a manager that never heard it", func() bool {
+				m := h.Sys.Manager()
+				return m != old && c.restarts(m.Stats()) == 1 && slices.Contains(h.Sys.Names(c.kind), victim)
+			})
+		})
 	}
 }
 

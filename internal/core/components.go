@@ -25,10 +25,10 @@ import (
 type Kind string
 
 const (
-	KindCache    Kind = "cache"
-	KindManager  Kind = "manager"
-	KindWorker   Kind = "worker"
-	KindFrontEnd Kind = "frontend"
+	KindCache    Kind = supervisor.KindCache
+	KindManager  Kind = supervisor.KindManager
+	KindWorker   Kind = supervisor.KindWorker
+	KindFrontEnd Kind = supervisor.KindFrontEnd
 )
 
 // process is what every hosted component already is: a cluster process
@@ -67,6 +67,7 @@ type component struct {
 // view is a consistent copy of one entry's mutable state.
 type view struct {
 	e    *component
+	node string
 	proc process
 	live bool
 }
@@ -94,7 +95,7 @@ func (s *System) snapshot(kind Kind) []view {
 	out := make([]view, 0, len(s.table))
 	for _, e := range s.table {
 		if kind == "" || e.kind == kind {
-			out = append(out, view{e, e.proc, !exited(e.h)})
+			out = append(out, view{e, e.node, e.proc, !exited(e.h)})
 		}
 	}
 	s.mu.Unlock()
@@ -109,7 +110,7 @@ func (s *System) lookup(name string) (view, error) {
 	if e == nil {
 		return view{}, fmt.Errorf("core: no component %s hosted here", name)
 	}
-	return view{e, e.proc, !exited(e.h)}, nil
+	return view{e, e.node, e.proc, !exited(e.h)}, nil
 }
 
 // proc returns the current instance of a named component (nil if
@@ -126,6 +127,18 @@ func (s *System) Names(kind Kind) []string {
 		if v.live {
 			out = append(out, v.e.name)
 		}
+	}
+	return out
+}
+
+// Roster lists every row of the table, alive or not (supervisor.Host):
+// what this process is configured to run, advertised in the
+// supervisor's hello for the primary manager to reconcile against.
+func (s *System) Roster() []supervisor.Row {
+	views := s.snapshot("")
+	out := make([]supervisor.Row, len(views))
+	for i, v := range views {
+		out[i] = supervisor.Row{Name: v.e.name, Kind: string(v.e.kind), Node: v.node}
 	}
 	return out
 }

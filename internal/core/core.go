@@ -605,66 +605,52 @@ func (s *System) CacheNodes() map[string]san.Addr {
 	return out
 }
 
-// WaitReady blocks until the system is serviceable. In a
-// single-process deployment that means every front end's receive loop
-// is running and has heard a manager beacon, and the initially
-// configured workers have registered with the manager. A process
-// hosting only a subset of roles checks what it can observe: a
-// local manager counts registrations (from this process and its
-// peers alike); front ends without a local manager instead wait until
-// their stub's beacon cache holds every configured worker class at
-// full strength — the cluster-wide view a beacon carries. It returns
-// false on timeout.
+// WaitReady blocks until the system is serviceable, judged from what
+// this process hosts. A local manager (the primary or, in a
+// standby-only process, its beacon mirror) must count every configured
+// worker registered, from this process and its peers alike. Every
+// configured front end must be running, must have heard a manager
+// beacon, and its stub's beacon cache must hold every configured worker
+// class at full strength — the cluster-wide view a beacon carries — so
+// a request needs no cold-start spawn. The edge, if hosted, must be
+// listening with at least one routable front end. It returns false on
+// timeout.
 func (s *System) WaitReady(timeout time.Duration) bool {
 	want := 0
 	for _, n := range s.cfg.Workers {
 		want += n
 	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		ready := true
+	ready := func() bool {
 		if s.cfg.Roles.manager() {
-			// The primary's (or, in a standby-only process, the beacon
-			// mirror's) worker table carries the cluster-wide count.
 			if m := s.Manager(); m == nil || m.Stats().Workers < want {
-				ready = false
+				return false
 			}
 		}
 		if s.cfg.Roles.frontEnds() {
 			fes := s.FrontEnds()
-			if len(fes) == 0 {
-				ready = false
+			if len(fes) < s.cfg.FrontEnds {
+				return false
 			}
 			for _, fe := range fes {
 				if !fe.Running() || fe.ManagerStub().Stats().BeaconsSeen == 0 {
-					ready = false
-					break
+					return false
 				}
-				if !s.cfg.Roles.manager() {
-					// The manager is remote: readiness is judged from
-					// the worker inventory its beacons deliver.
-					for class, n := range s.cfg.Workers {
-						if len(fe.ManagerStub().Workers(class)) < n {
-							ready = false
-							break
-						}
+				for class, n := range s.cfg.Workers {
+					if len(fe.ManagerStub().Workers(class)) < n {
+						return false
 					}
 				}
 			}
 		}
-		if eg := s.Edge(); eg != nil {
-			// The front door is serviceable once its listener is live
-			// and it has heard at least one routable FE heartbeat.
-			if !eg.Running() || eg.PoolStats().Healthy < 1 {
-				ready = false
-			}
-		}
-		if ready {
+		eg := s.Edge()
+		return eg == nil || eg.Running() && eg.PoolStats().Healthy >= 1
+	}
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if ready() {
 			return true
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return false
+	return ready()
 }
 
 // Request submits a client request, round-robining across live front

@@ -25,6 +25,7 @@ type scriptedSupervisor struct {
 
 	mu       sync.Mutex
 	mode     string // "ok", "absorb", "refuse"
+	roster   []supervisor.Row
 	commands []supervisor.Command
 }
 
@@ -77,9 +78,18 @@ func startScriptedSupervisor(t *testing.T, net *san.Network, node, prefix string
 }
 
 func (s *scriptedSupervisor) hello() {
+	s.mu.Lock()
+	roster := append([]supervisor.Row(nil), s.roster...)
+	s.mu.Unlock()
 	s.ep.Multicast(stub.GroupControl, supervisor.MsgHello, supervisor.HelloMsg{
-		Name: "sup", Addr: s.addr, Node: s.addr.Node, Prefix: s.prefix,
+		Name: "sup", Addr: s.addr, Node: s.addr.Node, Prefix: s.prefix, Roster: roster,
 	}, 64)
+}
+
+func (s *scriptedSupervisor) setRoster(rows ...supervisor.Row) {
+	s.mu.Lock()
+	s.roster = rows
+	s.mu.Unlock()
 }
 
 func (s *scriptedSupervisor) setMode(mode string) {
@@ -273,5 +283,63 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	// The live replica never stopped being tracked.
 	if m.Stats().FrontEnds < 1 {
 		t.Fatal("live replica lost from the table")
+	}
+}
+
+// TestRosterRowNeverHeardIsRestartedOnce: the roster is the desired
+// state. A row that heartbeats is left alone; a row nobody ever heard
+// gets one TTL of grace from the moment the roster names it, then
+// exactly one restart through its supervisor. The restart moves it (its
+// old node died): the roster now names it at the new address, it
+// heartbeats from there, and the start still booked under the old
+// address is dropped instead of firing again a TTL later.
+func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
+	net := san.NewNetwork(1)
+	sp := newTestSpawner(net, tick)
+	defer sp.stopAll()
+	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
+	sup := startScriptedSupervisor(t, net, "b-node0", "b-")
+	fe := supervisor.Row{Name: "fe0", Kind: supervisor.KindFrontEnd, Node: "b-node1"}
+	cache := supervisor.Row{Name: "cache0", Kind: supervisor.KindCache, Node: "b-node2"}
+	sup.setRoster(fe, cache, supervisor.Row{Name: "sup", Node: "b-node0"})
+	named := time.Now()
+
+	heartbeat := func(stop chan struct{}, kind string, r supervisor.Row) {
+		ep := net.Endpoint(san.Addr{Node: r.Node, Proc: r.Name}, 8)
+		tk := time.NewTicker(tick)
+		defer tk.Stop()
+		for {
+			if kind == stub.MsgFEHello {
+				ep.Multicast(stub.GroupControl, kind, stub.FEHeartbeat{Name: r.Name, Addr: ep.Addr(), Node: r.Node}, 48)
+			} else {
+				ep.Multicast(stub.GroupControl, kind, vcache.HelloMsg{Name: r.Name, Addr: ep.Addr(), Node: r.Node}, 48)
+			}
+			select {
+			case <-stop:
+				return
+			case <-tk.C:
+			}
+		}
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go heartbeat(stop, stub.MsgFEHello, fe)
+
+	waitFor(t, "restart of the row nobody heard", func() bool { return len(sup.received()) >= 1 })
+	if grace := time.Since(named); grace < 6*tick {
+		t.Fatalf("restarted after %s, inside the %s grace a freshly named row is owed", grace, 6*tick)
+	}
+	cache.Node = "b-node3"
+	sup.setRoster(fe, cache)
+	go heartbeat(stop, vcache.MsgHello, cache)
+	waitFor(t, "restart counted", func() bool { return m.Stats().CacheRestarts == 1 })
+
+	time.Sleep(20 * tick) // three TTLs: time for a stale booking to fire again
+	cmds := sup.received()
+	if len(cmds) != 1 || cmds[0].Op != supervisor.OpRestart || cmds[0].Target != "cache0" {
+		t.Fatalf("supervisor saw %+v, want exactly one restart of cache0", cmds)
+	}
+	if st := m.Stats(); st.FERestarts != 0 || st.CacheRestarts != 1 || st.Delegated != 1 {
+		t.Fatalf("stats %+v, want one delegated cache restart and nothing else", st)
 	}
 }

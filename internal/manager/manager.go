@@ -5,12 +5,27 @@
 // beacons, spawns additional workers when a class's average queue
 // crosses the threshold H (damped by D seconds), recruits overflow
 // nodes for bursts and reaps them afterwards (§2.2.3), and carries the
-// process-peer duty of restarting crashed front ends.
+// process-peer duty of restarting whatever else has crashed.
 //
 // All manager state is soft (§3.1.3): workers re-register when they
 // see beacons from a restarted manager, so there is no crash-recovery
 // protocol at all — the BASE design that replaced the original
 // process-pair prototype.
+//
+// # One reconcile step
+//
+// Desired is the roster every live supervisor advertises in its hello
+// (its process's component table, alive or not) plus the learned
+// per-class worker floor. Actual is what the manager hears: front-end
+// heartbeats and cache hellos, keyed by SAN address, and worker
+// registrations. Pending holds every start the primary has issued,
+// local or delegated, under that same address (class#n for a worker
+// replacement) until the instance is heard or one TTL passes. Each tick
+// the primary diffs the three (reconcile) and issues what is missing
+// (act). Two restarts are deliberately somebody else's: front ends
+// restart a silent manager (stub's OnManagerSilence, §3.1.3), and a
+// process's exit observer respawns its own supervisor and retires dead
+// workers (core).
 //
 // # Replication, epochs, and standby mode
 //
@@ -131,8 +146,9 @@ type Config struct {
 	WorkerTTL time.Duration
 	// FETTL expires front ends that stop heartbeating; expiry
 	// triggers the process-peer restart. Supervisors expire on the
-	// same TTL: one that stops heartbeating simply drops out of
-	// delegation resolution; its own process respawns it.
+	// same TTL: one that stops heartbeating drops out of delegation
+	// resolution and takes its roster with it; its own process
+	// respawns it.
 	FETTL time.Duration
 	// CacheTTL expires cache services that stop heartbeating; expiry
 	// triggers the process-peer restart (defaults to FETTL).
@@ -206,6 +222,9 @@ type Stats struct {
 	ReportsHandled uint64
 	BeaconsSent    uint64
 	Registrations  uint64
+	// Readmits counts workers heard from again after silence expired
+	// them: never dead, so a replacement is the duplicate BASE tolerates.
+	Readmits uint64
 	// Delegated counts process-peer actions executed by a remote
 	// supervisor on this manager's behalf; DelegateFails counts
 	// delegation attempts that timed out or were refused (each is
@@ -227,13 +246,22 @@ type workerState struct {
 	avg  *softstate.MovingAverage
 }
 
-// peerTarget identifies one dead component awaiting its process-peer
-// restart: the name the restart duty acts on, plus the node whose
-// prefix resolves the owning supervisor.
-type peerTarget struct {
-	name string
-	node string
+// start is one row of the pending table: a start the primary has
+// booked and not yet seen the result of.
+type start struct {
+	key string // SAN address of a front end or cache; class#n for a worker replacement
+	// Name is the component to Restart (for Kind worker, the class to
+	// SpawnWorker); Node resolves the owning supervisor, "" this process.
+	supervisor.Row
+
+	cmdID    uint64    // minted at the first attempt of an incident, reused by its retries
+	issuedAt time.Time // last attempt, or when a roster first named the row; zero = due now
+	attempts int       // consecutive failures
+	busy     bool      // a command is in flight; its completion decides
 }
+
+// maxAttempts is the retry budget of one incident.
+const maxAttempts = 10
 
 // Manager is the centralized load balancer. It implements
 // cluster.Process.
@@ -241,61 +269,55 @@ type Manager struct {
 	cfg Config
 	ep  *san.Endpoint
 
-	mu           sync.Mutex
-	workers      *softstate.Table[*workerState]
-	fes          *softstate.Table[stub.FEHeartbeat] // keyed by SAN address
-	caches       *softstate.Table[vcache.HelloMsg]  // keyed by SAN address
-	sups         *softstate.Table[supervisor.HelloMsg]
-	desired      map[string]int // class -> replica floor (learned)
-	lastSpawn    map[string]time.Time
-	feRetry      []peerTarget
-	feRetryCount map[string]int
-	cacheRetry   []peerTarget
-	cacheRetryN  map[string]int
-	inflight     map[string]bool   // delegated commands awaiting an ack
-	cmdIDs       map[string]uint64 // incident key -> command id (reused on retry)
-	nextCmdID    uint64
-	inflightSp   map[string]int // class -> delegated respawns in flight
-	seq          uint64
-	stats        Stats
+	mu      sync.Mutex
+	workers *softstate.Table[*workerState]
+	// heard is the actual state of the kinds restarted by name (front
+	// ends, caches), each keyed by SAN address, not bare name: two
+	// processes may both host an "fe0", and one's heartbeats must not
+	// mask the other's death. A kind's table TTL is how long it may stay
+	// silent before it counts as dead.
+	heard     map[string]*softstate.Table[supervisor.Row]
+	sups      *softstate.Table[supervisor.HelloMsg]
+	floor     map[string]int // class -> replica floor (learned)
+	lastSpawn map[string]time.Time
+	pending   map[string]*start // every start in flight, by start.key
+	nextCmdID uint64
+	seq       uint64
+	stats     Stats
 
 	// Election state (guarded by mu).
-	primary    bool
-	epoch      uint64    // current election epoch (stamped on beacons/commands)
-	curPrimary san.Addr  // last observed primary (self when primary)
-	lastClaim  time.Time // when a rival primary's beacon was last heard
+	primary   bool
+	epoch     uint64    // current election epoch (stamped on beacons/commands)
+	lastClaim time.Time // when a rival primary's beacon was last heard
 }
 
 // New creates a manager and eagerly registers its SAN endpoint.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		cfg:        cfg,
-		workers:    softstate.NewTable[*workerState](cfg.WorkerTTL, nil),
-		fes:        softstate.NewTable[stub.FEHeartbeat](cfg.FETTL, nil),
-		caches:     softstate.NewTable[vcache.HelloMsg](cfg.CacheTTL, nil),
-		sups:       softstate.NewTable[supervisor.HelloMsg](cfg.FETTL, nil),
-		desired:    make(map[string]int),
-		lastSpawn:  make(map[string]time.Time),
-		inflight:   make(map[string]bool),
-		cmdIDs:     make(map[string]uint64),
-		inflightSp: make(map[string]int),
+		cfg:     cfg,
+		workers: softstate.NewTable[*workerState](cfg.WorkerTTL, nil),
+		heard: map[string]*softstate.Table[supervisor.Row]{
+			supervisor.KindFrontEnd: softstate.NewTable[supervisor.Row](cfg.FETTL, nil),
+			supervisor.KindCache:    softstate.NewTable[supervisor.Row](cfg.CacheTTL, nil),
+		},
+		sups:      softstate.NewTable[supervisor.HelloMsg](cfg.FETTL, nil),
+		floor:     make(map[string]int),
+		lastSpawn: make(map[string]time.Time),
+		pending:   make(map[string]*start),
 	}
 	m.epoch = cfg.InitialEpoch
 	if !cfg.Standby {
 		m.primary = true
 		m.epoch++
-		m.curPrimary = m.addr()
 	}
 	m.lastClaim = time.Now()
-	m.ep = cfg.Net.Endpoint(m.addr(), 4096)
+	m.ep = cfg.Net.Endpoint(m.Addr(), 4096)
 	return m
 }
 
-func (m *Manager) addr() san.Addr { return san.Addr{Node: m.cfg.Node, Proc: m.cfg.Name} }
-
 // Addr returns the manager's SAN address.
-func (m *Manager) Addr() san.Addr { return m.addr() }
+func (m *Manager) Addr() san.Addr { return san.Addr{Node: m.cfg.Node, Proc: m.cfg.Name} }
 
 // ID implements cluster.Process.
 func (m *Manager) ID() string { return m.cfg.Name }
@@ -306,8 +328,8 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	st := m.stats
 	st.Workers = m.workers.Len()
-	st.FrontEnds = m.fes.Len()
-	st.Caches = m.caches.Len()
+	st.FrontEnds = m.heard[supervisor.KindFrontEnd].Len()
+	st.Caches = m.heard[supervisor.KindCache].Len()
 	st.Supervisors = m.sups.Len()
 	st.Primary = m.primary
 	st.Epoch = m.epoch
@@ -330,17 +352,15 @@ func (m *Manager) Epoch() uint64 {
 
 // Run implements cluster.Process: serve until ctx is done.
 func (m *Manager) Run(ctx context.Context) error {
-	if m.ep == nil || !m.cfg.Net.Lookup(m.addr()) {
-		m.ep = m.cfg.Net.Endpoint(m.addr(), 4096)
+	if m.ep == nil || !m.cfg.Net.Lookup(m.Addr()) {
+		m.ep = m.cfg.Net.Endpoint(m.Addr(), 4096)
 	}
 	ep := m.ep
 	defer ep.Close()
 	ep.Join(stub.GroupControl)
 
-	beacon := time.NewTicker(m.cfg.BeaconInterval)
-	defer beacon.Stop()
-	policy := time.NewTicker(m.cfg.BeaconInterval)
-	defer policy.Stop()
+	tick := time.NewTicker(m.cfg.BeaconInterval)
+	defer tick.Stop()
 
 	m.mu.Lock()
 	m.lastClaim = time.Now() // fresh grace window per Run
@@ -354,15 +374,12 @@ func (m *Manager) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-beacon.C:
+		case <-tick.C:
 			if m.IsPrimary() {
 				m.sendBeacon(ep)
+				m.reconcile()
 			} else {
 				m.maybeTakeover(ep)
-			}
-		case <-policy.C:
-			if m.IsPrimary() {
-				m.evaluatePolicy()
 			}
 		case msg, ok := <-ep.Inbox():
 			if !ok {
@@ -380,18 +397,13 @@ func (m *Manager) Run(ctx context.Context) error {
 // replica re-anchors within one beacon interval.
 func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 	m.mu.Lock()
-	if m.primary {
-		m.mu.Unlock()
-		return
-	}
 	wait := time.Duration(3+m.cfg.Rank) * m.cfg.BeaconInterval
-	if time.Since(m.lastClaim) < wait {
+	if m.primary || time.Since(m.lastClaim) < wait {
 		m.mu.Unlock()
 		return
 	}
 	m.epoch++
 	m.primary = true
-	m.curPrimary = m.addr()
 	m.stats.Takeovers++
 	m.mu.Unlock()
 	m.sendBeacon(ep)
@@ -403,7 +415,7 @@ func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 // mirror the primary's worker inventory and replica floors so a later
 // takeover starts from state at most one beacon interval old.
 func (m *Manager) observeBeacon(b stub.Beacon) {
-	if b.Manager == m.addr() {
+	if b.Manager == m.Addr() {
 		return
 	}
 	m.mu.Lock()
@@ -411,20 +423,16 @@ func (m *Manager) observeBeacon(b stub.Beacon) {
 	if b.Epoch < m.epoch {
 		return // deposed primary still beaconing; ignore
 	}
-	if b.Epoch == m.epoch && m.primary {
-		// Split claim at the same epoch: lowest address wins, the
-		// other steps back to standby.
-		if m.addr().String() < b.Manager.String() {
+	if m.primary {
+		// A newer epoch deposes this replica; a split claim at the same
+		// epoch goes to the lowest address.
+		if b.Epoch == m.epoch && m.Addr().String() < b.Manager.String() {
 			return
 		}
 		m.primary = false
 		m.stats.StepDowns++
-	} else if b.Epoch > m.epoch && m.primary {
-		m.primary = false
-		m.stats.StepDowns++
 	}
 	m.epoch = b.Epoch
-	m.curPrimary = b.Manager
 	m.lastClaim = time.Now()
 
 	// Standby mirror: the primary's beacon is the ground truth for the
@@ -448,9 +456,9 @@ func (m *Manager) observeBeacon(b stub.Beacon) {
 			m.workers.Delete(id)
 		}
 	}
-	m.desired = make(map[string]int, len(b.Floors))
+	m.floor = make(map[string]int, len(b.Floors))
 	for class, f := range b.Floors {
-		m.desired[class] = f
+		m.floor[class] = f
 	}
 }
 
@@ -461,110 +469,49 @@ func (m *Manager) handle(msg san.Message) {
 		m.ep.DeliverReply(msg)
 		return
 	}
-	switch msg.Kind {
-	case stub.MsgBeacon:
-		b, ok := msg.Body.(stub.Beacon)
-		if !ok {
-			return
-		}
+	// Every message kind the manager consumes has a body type of its
+	// own, so the body selects the case.
+	switch b := msg.Body.(type) {
+	case stub.Beacon:
 		m.observeBeacon(b)
-	case stub.MsgRegister:
-		r, ok := msg.Body.(stub.RegisterMsg)
-		if !ok {
-			return
-		}
+	case stub.RegisterMsg:
 		m.mu.Lock()
-		ws := &workerState{info: r.Info, avg: &softstate.MovingAverage{Alpha: 0.3}}
-		m.workers.Put(r.Info.ID, ws)
-		m.stats.Registrations++
-		// The replica floor learns the highest concurrent count per
-		// class, so crashed workers get replaced.
-		count := m.classCountLocked(r.Info.Class)
-		if count > m.desired[r.Info.Class] {
-			m.desired[r.Info.Class] = count
-		}
+		m.admitLocked(b.Info, 0)
 		m.mu.Unlock()
-	case stub.MsgDeregister:
-		d, ok := msg.Body.(stub.DeregisterMsg)
-		if !ok {
-			return
-		}
+	case stub.DeregisterMsg:
 		m.mu.Lock()
-		if ws, ok := m.workers.Get(d.ID); ok {
+		if ws, ok := m.workers.Get(b.ID); ok {
 			class := ws.info.Class
-			m.workers.Delete(d.ID)
+			m.workers.Delete(b.ID)
 			// A voluntary de-registration lowers the floor: this
 			// worker is not coming back.
-			if m.desired[class] > m.classCountLocked(class) {
-				m.desired[class] = m.classCountLocked(class)
+			if m.floor[class] > m.classCountLocked(class) {
+				m.floor[class] = m.classCountLocked(class)
 			}
 		}
 		m.mu.Unlock()
-	case stub.MsgLoadReport:
-		r, ok := msg.Body.(stub.LoadReport)
-		if !ok {
-			return
-		}
+	case stub.LoadReport:
 		m.mu.Lock()
 		m.stats.ReportsHandled++
-		if ws, ok := m.workers.Get(r.ID); ok {
-			ws.avg.Add(float64(r.QLen))
-			m.workers.Put(r.ID, ws) // refresh TTL
-		} else if r.Info.ID == r.ID && !r.Info.Addr.IsZero() {
+		if ws, ok := m.workers.Get(b.ID); ok {
+			ws.avg.Add(float64(b.QLen))
+			m.workers.Put(b.ID, ws) // refresh TTL
+		} else if b.Info.ID == b.ID && !b.Info.Addr.IsZero() {
 			// A report from a worker we expired (e.g. marooned by a
 			// SAN partition that has since healed): re-admit it. Soft
 			// state rebuilds from periodic messages alone (§3.1.3).
-			ws := &workerState{info: r.Info, avg: &softstate.MovingAverage{Alpha: 0.3}}
-			ws.avg.Add(float64(r.QLen))
-			m.workers.Put(r.ID, ws)
-			m.stats.Registrations++
-			if count := m.classCountLocked(r.Info.Class); count > m.desired[r.Info.Class] {
-				m.desired[r.Info.Class] = count
-			}
+			m.stats.Readmits++
+			m.admitLocked(b.Info, float64(b.QLen))
 		}
 		m.mu.Unlock()
-	case stub.MsgFEHello:
-		hb, ok := msg.Body.(stub.FEHeartbeat)
-		if !ok {
-			return
-		}
-		// Keyed by SAN address, not bare name, so replicated roles
-		// across processes stop interleaving: two processes may each
-		// host an "fe0", and one's heartbeats must not mask the death
-		// of the other's (mirrors the cache table below). The first
-		// heartbeat after a restart also discharges the follow-through
-		// entry planted when the restart was issued.
-		m.mu.Lock()
-		m.fes.Delete(provisionalKey(hb.Name))
-		m.fes.Put(hb.Addr.String(), hb)
-		m.mu.Unlock()
-	case stub.MsgSpawnReq:
-		req, ok := msg.Body.(stub.SpawnReq)
-		if !ok {
-			return
-		}
-		m.trySpawn(req.Class, "front-end request")
-	case vcache.MsgHello:
-		hb, ok := msg.Body.(vcache.HelloMsg)
-		if !ok {
-			return
-		}
-		// Keyed by SAN address, not name: several processes may each
-		// host a "cache0", and one process's heartbeats must not mask
-		// the death of another's (the restart call still passes the
-		// name — Spawner.Restart acts on locally hosted components only).
-		m.mu.Lock()
-		m.caches.Delete(provisionalKey(hb.Name))
-		m.caches.Put(hb.Addr.String(), hb)
-		m.mu.Unlock()
-	case supervisor.MsgHello:
-		hb, ok := msg.Body.(supervisor.HelloMsg)
-		if !ok {
-			return
-		}
-		m.mu.Lock()
-		m.sups.Put(hb.Addr.String(), hb)
-		m.mu.Unlock()
+	case stub.FEHeartbeat:
+		m.heard[supervisor.KindFrontEnd].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindFrontEnd, Node: b.Node})
+	case vcache.HelloMsg:
+		m.heard[supervisor.KindCache].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindCache, Node: b.Node})
+	case supervisor.HelloMsg:
+		m.sups.Put(b.Addr.String(), b)
+	case stub.SpawnReq:
+		m.trySpawn(b.Class, true)
 	}
 }
 
@@ -583,9 +530,9 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 		workers = append(workers, info)
 	}
 	var floors map[string]int
-	if len(m.desired) > 0 {
-		floors = make(map[string]int, len(m.desired))
-		for class, f := range m.desired {
+	if len(m.floor) > 0 {
+		floors = make(map[string]int, len(m.floor))
+		for class, f := range m.floor {
 			if f > 0 {
 				floors[class] = f
 			}
@@ -595,7 +542,7 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 	m.mu.Unlock()
 	sort.Slice(workers, func(i, j int) bool { return workers[i].ID < workers[j].ID })
 	ep.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
-		Manager: m.addr(),
+		Manager: m.Addr(),
 		Seq:     seq,
 		Epoch:   epoch,
 		Workers: workers,
@@ -612,24 +559,38 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 	}, 96)
 }
 
-// evaluatePolicy runs expiry, replacement, spawn-on-load, reaping, and
-// front-end process-peer checks.
-func (m *Manager) evaluatePolicy() {
-	now := time.Now()
-
-	// 1. Expire silent workers (timeout failure inference). The
-	// expired entries keep their info: a worker whose node belongs to
-	// another OS process is respawned there, through that process's
-	// supervisor, so capacity stays where the operator placed it.
-	m.mu.Lock()
-	expiredWorkers := m.workers.ExpiredEntries()
-
-	// Gather per-class views.
-	type classView struct {
-		avg      float64
-		count    int
-		overflow []stub.WorkerInfo
+// admitLocked records a worker heard from for the first time — by
+// registration, or by a load report after the manager had expired it.
+// The replica floor learns the highest concurrent count per class, so
+// crashed workers get replaced; an id not seen before is the instance a
+// booked replacement of its class was waiting to hear.
+func (m *Manager) admitLocked(info stub.WorkerInfo, qlen float64) {
+	_, known := m.workers.Get(info.ID)
+	ws := &workerState{info: info, avg: &softstate.MovingAverage{Alpha: 0.3}}
+	ws.avg.Add(qlen)
+	m.workers.Put(info.ID, ws)
+	m.stats.Registrations++
+	if !known {
+		for key, p := range m.pending {
+			if p.Kind == supervisor.KindWorker && p.Name == info.Class {
+				delete(m.pending, key)
+				break
+			}
+		}
 	}
+	if count := m.classCountLocked(info.Class); count > m.floor[info.Class] {
+		m.floor[info.Class] = count
+	}
+}
+
+// classView is one worker class as the manager sees it now.
+type classView struct {
+	avg      float64 // mean of the live workers' queue-length averages
+	count    int
+	overflow []stub.WorkerInfo
+}
+
+func (m *Manager) classViewsLocked() map[string]*classView {
 	classes := make(map[string]*classView)
 	for _, ws := range m.workers.Snapshot() {
 		cv := classes[ws.info.Class]
@@ -644,320 +605,238 @@ func (m *Manager) evaluatePolicy() {
 		}
 	}
 	for _, cv := range classes {
-		if cv.count > 0 {
-			cv.avg /= float64(cv.count)
-		}
+		cv.avg /= float64(cv.count)
 	}
-	desired := make(map[string]int, len(m.desired))
-	for c, d := range m.desired {
-		desired[c] = d
-	}
-	lastSpawn := make(map[string]time.Time, len(m.lastSpawn))
-	for c, t := range m.lastSpawn {
-		lastSpawn[c] = t
-	}
-	inflightSp := make(map[string]int, len(m.inflightSp))
-	for c, n := range m.inflightSp {
-		inflightSp[c] = n
-	}
-	m.mu.Unlock()
+	return classes
+}
 
+// reconcile is the primary's policy tick: expire what went silent, diff
+// desired against actual, issue every missing start that is not already
+// pending, then apply the load-driven spawn and reap rules.
+func (m *Manager) reconcile() {
 	if m.cfg.Spawner == nil {
 		return
 	}
-
-	// 2a. Delegate respawns of workers that died in another process to
-	// that process's supervisor; while a delegation is in flight the
-	// floor loop below leaves its slot alone (no double spawn). A
-	// failed delegation simply clears the slot — the floor deficit is
-	// then made up locally on the next tick.
-	for id, ws := range expiredWorkers {
-		sup, remote := m.remoteSupervisorFor(ws.info.Node)
-		if !remote {
-			continue
+	now := time.Now()
+	m.mu.Lock()
+	// Timeout failure inference. An expired worker keeps its node: its
+	// replacement is started where the operator placed the capacity.
+	goneWorkers := m.workers.ExpiredEntries()
+	classes := m.classViewsLocked()
+	due := m.diffLocked(now, goneWorkers, classes)
+	var grow []string
+	var reap []stub.WorkerInfo
+	for class, cv := range classes {
+		// Spawn on load (threshold H, damping D); reap an idle overflow
+		// worker once the burst subsides.
+		if m.cfg.Policy.ShouldSpawn(cv.avg, cv.count, now, m.lastSpawn[class]) {
+			grow = append(grow, class)
 		}
-		key := "respawn:" + id
-		class := ws.info.Class
-		m.mu.Lock()
-		if m.inflight[key] {
-			m.mu.Unlock()
-			continue
+		if len(cv.overflow) > 0 && m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, m.lastSpawn[class]) {
+			reap = append(reap, cv.overflow[0])
 		}
-		m.inflight[key] = true
-		m.inflightSp[class]++
-		inflightSp[class]++
-		cmdID := m.commandIDLocked(key)
-		m.mu.Unlock()
-		go m.delegateSpawn(key, class, cmdID, sup)
 	}
+	m.mu.Unlock()
 
-	// 2b. Replace crashed workers below the replica floor.
-	for class, want := range desired {
-		cv := classes[class]
-		have := inflightSp[class]
-		if cv != nil {
+	for _, p := range due {
+		m.act(p)
+	}
+	for _, class := range grow {
+		m.trySpawn(class, false)
+	}
+	for _, victim := range reap {
+		_ = m.ep.Send(victim.Addr, stub.MsgShutdown, nil, 16)
+		if err := m.cfg.Spawner.ReapWorker(victim.ID); err == nil {
+			m.mu.Lock()
+			m.workers.Delete(victim.ID)
+			if m.floor[victim.Class] > 0 {
+				m.floor[victim.Class]--
+			}
+			m.stats.Reaps++
+			m.mu.Unlock()
+		}
+	}
+}
+
+// diffLocked books what is desired and neither heard nor pending, drops
+// pending rows that were heard or are no longer desired, and returns the
+// rows whose start is due now.
+func (m *Manager) diffLocked(now time.Time, goneWorkers map[string]*workerState, classes map[string]*classView) (due []*start) {
+	book := func(p *start) {
+		if m.pending[p.key] == nil {
+			m.pending[p.key] = p
+		}
+	}
+	// A component that was heard and fell silent is due at once: its
+	// TTL of silence has already passed.
+	for _, t := range m.heard {
+		for key, row := range t.ExpiredEntries() {
+			book(&start{key: key, Row: row})
+		}
+	}
+	// A component a roster names and nobody has heard yet — boot, a
+	// respawned manager — gets one TTL to speak up before it counts as
+	// dead; one killed before any manager heard it is restarted then.
+	sups := m.sups.Snapshot()
+	listed := make(map[string]bool)
+	for _, sup := range sups {
+		for _, r := range sup.Roster {
+			if t := m.heard[r.Kind]; t != nil { // a kind restarted by name
+				key := san.Addr{Node: r.Node, Proc: r.Name}.String()
+				listed[key] = true
+				if _, ok := t.Get(key); !ok {
+					book(&start{key: key, Row: r, issuedAt: now})
+				}
+			}
+		}
+	}
+	for key, p := range m.pending {
+		t, ttl, silent := m.heard[p.Kind], m.cfg.WorkerTTL, true // no table: a worker replacement
+		if t != nil {
+			_, ok := t.Get(key)
+			ttl, silent = t.TTL(), !ok
+		}
+		owner, owned := supervisor.Owner(p.Node, sups)
+		switch {
+		case p.busy:
+		case !silent:
+			delete(m.pending, key)
+		case t != nil && !listed[key] && owned && len(owner.Roster) > 0:
+			// Its process's table no longer holds it at this address:
+			// moved off a dead node, or removed.
+			delete(m.pending, key)
+		case now.Sub(p.issuedAt) >= ttl:
+			due = append(due, p)
+		}
+	}
+	// Replace crashed workers below the replica floor, each where an
+	// expired one of its class had been.
+	vacated := make(map[string][]string)
+	for _, ws := range goneWorkers {
+		vacated[ws.info.Class] = append(vacated[ws.info.Class], ws.info.Node)
+	}
+	for class, want := range m.floor {
+		have := m.pendingWorkersLocked(class)
+		if cv := classes[class]; cv != nil {
 			have += cv.count
 		}
-		for have < want {
-			if err := m.spawn(class, "replace crashed worker"); err != nil {
-				break
+		for ; have < want; have++ {
+			node := ""
+			if v := vacated[class]; len(v) > 0 {
+				node, vacated[class] = v[0], v[1:]
 			}
-			have++
+			due = append(due, m.bookWorkerLocked(class, node))
 		}
 	}
-
-	// 3. Spawn on load (threshold H, damping D).
-	for class, cv := range classes {
-		if m.cfg.Policy.ShouldSpawn(cv.avg, cv.count, now, lastSpawn[class]) {
-			m.trySpawn(class, "load threshold")
-		}
-	}
-
-	// 4. Reap idle overflow workers once the burst subsides.
-	for class, cv := range classes {
-		if len(cv.overflow) == 0 {
-			continue
-		}
-		if m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, lastSpawn[class]) {
-			victim := cv.overflow[0]
-			_ = m.ep.Send(victim.Addr, stub.MsgShutdown, nil, 16)
-			if err := m.cfg.Spawner.ReapWorker(victim.ID); err == nil {
-				m.mu.Lock()
-				m.workers.Delete(victim.ID)
-				if m.desired[class] > 0 {
-					m.desired[class]--
-				}
-				m.stats.Reaps++
-				m.mu.Unlock()
-			}
-		}
-	}
-
-	// 5. Front-end process peer: restart silent front ends. Failed
-	// restarts are retried on subsequent ticks — a watcher keeps
-	// watching until the peer is back.
-	m.mu.Lock()
-	goneFEs := append(feTargets(m.fes.ExpiredEntries()), m.feRetry...)
-	m.feRetry = nil
-	m.mu.Unlock()
-	m.restartSweep(goneFEs, &m.feRetry, &m.feRetryCount, &m.stats.FERestarts, m.followFE)
-
-	// 6. Cache process peer: same watch-until-back discipline for
-	// silent cache services. Cache state is soft twice over — the
-	// content was always discardable, and the inventory rebuilds from
-	// heartbeats alone.
-	m.mu.Lock()
-	goneCaches := append(cacheTargets(m.caches.ExpiredEntries()), m.cacheRetry...)
-	m.cacheRetry = nil
-	m.mu.Unlock()
-	m.restartSweep(goneCaches, &m.cacheRetry, &m.cacheRetryN, &m.stats.CacheRestarts, m.followCache)
+	return due
 }
 
-// provisionalKey builds the follow-through table key for a component a
-// restart was just issued for. It can never collide with a heartbeat
-// key — those are "node/proc" SAN addresses.
-func provisionalKey(name string) string { return "pending:" + name }
-
-// followFE/followCache plant the restart follow-through: a successful
-// restart inserts a provisional entry under the component's name that
-// only the restarted instance's first real heartbeat discharges. If
-// the component dies again before it ever heartbeats — or the restart
-// silently produced nothing — the provisional entry expires like any
-// silent peer and the watcher fires again. Without this, a component
-// killed in the gap between restart and first heartbeat vanishes from
-// the soft state entirely and nobody ever restarts it.
-func (m *Manager) followFE(t peerTarget) {
-	m.mu.Lock()
-	m.fes.Put(provisionalKey(t.name), stub.FEHeartbeat{Name: t.name, Node: t.node})
-	m.mu.Unlock()
-}
-
-func (m *Manager) followCache(t peerTarget) {
-	m.mu.Lock()
-	m.caches.Put(provisionalKey(t.name), vcache.HelloMsg{Name: t.name, Node: t.node})
-	m.mu.Unlock()
-}
-
-// feTargets/cacheTargets turn expired heartbeat entries into restart
-// targets: the component name the restart duty acts on, plus the node
-// that resolves the owning supervisor.
-func feTargets(gone map[string]stub.FEHeartbeat) []peerTarget {
-	out := make([]peerTarget, 0, len(gone))
-	for _, hb := range gone {
-		out = append(out, peerTarget{name: hb.Name, node: hb.Node})
-	}
-	return out
-}
-
-func cacheTargets(gone map[string]vcache.HelloMsg) []peerTarget {
-	out := make([]peerTarget, 0, len(gone))
-	for _, hb := range gone {
-		out = append(out, peerTarget{name: hb.Name, node: hb.Node})
-	}
-	return out
-}
-
-// restartSweep runs one process-peer restart pass with the shared
-// retry discipline: a success counts in stat and clears the retry
-// budget; a failure re-queues the target for the next tick, up to 10
-// attempts. Targets owned by a supervisor in another OS process are
-// delegated over the SAN (asynchronously — the ack arrives on the
-// manager's own inbox, so waiting inline would deadlock the receive
-// loop); everything else takes the direct local path.
-// retry/counts/stat are fields of m guarded by m.mu.
-func (m *Manager) restartSweep(gone []peerTarget, retry *[]peerTarget, counts *map[string]int, stat *uint64, follow func(peerTarget)) {
-	for _, t := range gone {
-		key := supervisor.OpRestart + ":" + t.name
-		sup, remote := m.remoteSupervisorFor(t.node)
-		if remote {
-			m.mu.Lock()
-			if m.inflight[key] {
-				m.mu.Unlock()
-				continue // command already in flight; the ack decides
-			}
-			m.inflight[key] = true
-			cmdID := m.commandIDLocked(key)
-			m.mu.Unlock()
-			go m.delegateRestart(key, t, cmdID, sup, retry, counts, stat, follow)
-			continue
-		}
-		if err := m.cfg.Spawner.Restart(t.name); err == nil {
-			m.mu.Lock()
-			*stat++
-			delete(*counts, t.name)
-			m.mu.Unlock()
-			follow(t)
-		} else {
-			m.recordRestartFailure(key, t, retry, counts)
-		}
-	}
-}
-
-// recordRestartFailure applies the shared retry budget. When the
-// budget exhausts, the incident's command id dies with it — a later,
-// fresh incident for the same component must mint a new id, not be
-// answered from a supervisor's cache of this one.
-func (m *Manager) recordRestartFailure(key string, t peerTarget, retry *[]peerTarget, counts *map[string]int) {
-	m.mu.Lock()
-	if *counts == nil {
-		*counts = make(map[string]int)
-	}
-	(*counts)[t.name]++
-	if (*counts)[t.name] < 10 {
-		*retry = append(*retry, t)
-	} else {
-		delete(*counts, t.name)
-		delete(m.cmdIDs, key)
-	}
-	m.mu.Unlock()
-}
-
-// commandIDLocked returns the command id for an incident, minting one
-// on first use. Retries of the same incident reuse the id, so a
-// supervisor that executed the command but whose ack was lost answers
-// the retry from its result cache instead of acting twice.
-func (m *Manager) commandIDLocked(key string) uint64 {
-	if id := m.cmdIDs[key]; id != 0 {
-		return id
-	}
+// bookWorkerLocked books the start of one more worker of class, owned
+// by whichever supervisor governs node.
+func (m *Manager) bookWorkerLocked(class, node string) *start {
 	m.nextCmdID++
-	m.cmdIDs[key] = m.nextCmdID
-	return m.nextCmdID
+	p := &start{key: fmt.Sprintf("%s#%d", class, m.nextCmdID), Row: supervisor.Row{Name: class, Kind: supervisor.KindWorker, Node: node}}
+	m.pending[p.key] = p
+	return p
 }
 
-// delegateRestart sends one restart command to the owning supervisor
-// and applies the result: success counts like a local restart; failure
-// falls back to the local spawner (covering components that are in
-// fact hosted here), then to the shared retry budget.
-func (m *Manager) delegateRestart(key string, t peerTarget, cmdID uint64, sup supervisor.HelloMsg, retry *[]peerTarget, counts *map[string]int, stat *uint64, follow func(peerTarget)) {
-	ack, err := m.invokeSupervisor(sup, supervisor.Command{
-		ID: cmdID, Origin: m.addr().String(), Op: supervisor.OpRestart, Target: t.name,
-	})
-	delegated := err == nil && ack.OK
-	success := delegated
-	if !success {
-		m.mu.Lock()
-		m.stats.DelegateFails++
-		m.mu.Unlock()
-		// Local fallback: if the component is actually hosted in this
-		// process (stale supervisor table, or a supervisor that died
-		// mid-restart of a local component), the direct path still
-		// works; otherwise it errors instantly and the retry budget
-		// re-delegates on the next tick. A replica that was deposed
-		// while the command was in flight (the refusal above may BE the
-		// stale-epoch fence) must not touch anything: the duty belongs
-		// to the new primary now.
-		if m.IsPrimary() {
-			success = m.cfg.Spawner.Restart(t.name) == nil
-		}
-	}
+// act issues the start one pending row stands for — the only place the
+// manager starts anything — off the receive loop: a restart waits for
+// the old instance to exit, a delegated one for an ack that arrives on
+// the manager's own inbox, and beacons must keep flowing meanwhile. A
+// row whose node belongs to a supervisor in another OS process (its
+// prefix is not the manager's own) is delegated over the SAN; everything
+// else takes the direct local path. Retries of one incident reuse its
+// command id, so a supervisor that executed the command but whose ack
+// was lost answers the retry from its result cache instead of acting
+// twice; the command carries the issuing epoch, so a supervisor that
+// has seen a newer one refuses a deposed primary's in-flight commands.
+func (m *Manager) act(p *start) {
 	m.mu.Lock()
-	delete(m.inflight, key)
+	if p.cmdID == 0 {
+		m.nextCmdID++
+		p.cmdID = m.nextCmdID
+	}
+	p.busy, p.issuedAt = true, time.Now()
+	cmd := supervisor.Command{ID: p.cmdID, Origin: m.Addr().String(), Op: supervisor.OpRestart, Target: p.Name, Epoch: m.epoch}
 	m.mu.Unlock()
-	if success {
-		m.mu.Lock()
-		*stat++
-		if delegated {
-			m.stats.Delegated++
+	local := func() bool { return m.cfg.Spawner.Restart(p.Name) == nil }
+	if p.Kind == supervisor.KindWorker {
+		cmd.Op = supervisor.OpSpawnWorker
+		local = func() bool { return m.cfg.Spawner.SpawnWorker(p.Name) == nil }
+	}
+	sup, owned := m.SupervisorFor(p.Node)
+	remote := owned && sup.Prefix != m.cfg.Prefix
+	go func() {
+		delegated := false
+		if remote {
+			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
+			resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
+			cancel()
+			ack, _ := resp.Body.(supervisor.Ack) // a malformed ack is a refusal
+			if delegated = err == nil && ack.OK; !delegated {
+				m.mu.Lock()
+				m.stats.DelegateFails++
+				m.mu.Unlock()
+			}
 		}
-		delete(*counts, t.name)
-		delete(m.cmdIDs, key)
-		m.mu.Unlock()
-		follow(t)
+		// Local fallback after a failed delegation: if the component is
+		// in fact hosted in this process (stale supervisor table, or a
+		// supervisor that died mid-restart of a local component), the
+		// direct path still works; otherwise it errors at once and the
+		// next tick re-delegates. A replica deposed while the command was
+		// in flight (the refusal may BE the stale-epoch fence) must not
+		// touch anything: the duty belongs to the new primary now.
+		m.complete(p, delegated || (!remote || m.IsPrimary()) && local(), delegated)
+	}()
+}
+
+// complete applies the result of one act. A failure leaves the row due
+// again at the next tick until the incident's budget is spent; then the
+// row, and its command id with it, is forgotten — a roster that still
+// names the component books a fresh incident.
+func (m *Manager) complete(p *start, ok, delegated bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p.busy = false
+	if !ok {
+		p.issuedAt = time.Time{}
+		p.attempts++
+		if p.attempts >= maxAttempts && m.pending[p.key] == p {
+			delete(m.pending, p.key)
+		}
 		return
 	}
-	m.recordRestartFailure(key, t, retry, counts)
-}
-
-// delegateSpawn asks a remote supervisor to start a replacement worker
-// of class. Failure is absorbed: the replica floor makes the deficit
-// up locally on the next policy tick.
-func (m *Manager) delegateSpawn(key, class string, cmdID uint64, sup supervisor.HelloMsg) {
-	ack, err := m.invokeSupervisor(sup, supervisor.Command{
-		ID: cmdID, Origin: m.addr().String(), Op: supervisor.OpSpawnWorker, Target: class,
-	})
-	ok := err == nil && ack.OK
-	m.mu.Lock()
-	delete(m.inflight, key)
-	if m.inflightSp[class] > 0 {
-		m.inflightSp[class]--
-	}
-	if m.inflightSp[class] == 0 {
-		delete(m.inflightSp, class)
-	}
-	delete(m.cmdIDs, key)
-	if ok {
-		m.lastSpawn[class] = time.Now()
+	p.attempts, p.cmdID = 0, 0
+	switch p.Kind {
+	case supervisor.KindFrontEnd:
+		m.stats.FERestarts++
+	case supervisor.KindCache:
+		m.stats.CacheRestarts++
+	case supervisor.KindWorker:
 		m.stats.Spawns++
-		m.stats.DelegatedSpawn++
-	} else {
-		m.stats.DelegateFails++
+		m.lastSpawn[p.Name] = p.issuedAt
+		// A load-driven spawn raises the floor; a replacement was
+		// already counted in it.
+		if c := m.classCountLocked(p.Name) + m.pendingWorkersLocked(p.Name); c > m.floor[p.Name] {
+			m.floor[p.Name] = c
+		}
 	}
-	m.mu.Unlock()
+	if delegated && p.Kind == supervisor.KindWorker {
+		m.stats.DelegatedSpawn++
+	} else if delegated {
+		m.stats.Delegated++
+	}
 }
 
-// invokeSupervisor performs one supervisor command Call with the
-// configured timeout. The manager's receive loop routes the ack back
-// into the pending call. Commands are stamped with the issuing epoch:
-// a supervisor that has seen a newer one refuses the command, which is
-// how a deposed primary's still-in-flight delegations die harmlessly.
-func (m *Manager) invokeSupervisor(sup supervisor.HelloMsg, cmd supervisor.Command) (supervisor.Ack, error) {
-	if cmd.Epoch == 0 {
-		m.mu.Lock()
-		cmd.Epoch = m.epoch
-		m.mu.Unlock()
+func (m *Manager) pendingWorkersLocked(class string) int {
+	n := 0
+	for _, p := range m.pending {
+		if p.Kind == supervisor.KindWorker && p.Name == class {
+			n++
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
-	defer cancel()
-	resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
-	if err != nil {
-		return supervisor.Ack{}, err
-	}
-	ack, ok := resp.Body.(supervisor.Ack)
-	if !ok {
-		return supervisor.Ack{}, fmt.Errorf("manager: malformed supervisor ack %T", resp.Body)
-	}
-	return ack, nil
+	return n
 }
 
 // SupervisorFor resolves the supervisor owning a node by longest
@@ -966,17 +845,6 @@ func (m *Manager) invokeSupervisor(sup supervisor.HelloMsg, cmd supervisor.Comma
 // carrying its prefix.
 func (m *Manager) SupervisorFor(node string) (supervisor.HelloMsg, bool) {
 	return supervisor.Owner(node, m.sups.Snapshot())
-}
-
-// remoteSupervisorFor resolves node ownership and reports whether the
-// owner lives in another OS process (its advertised prefix differs
-// from this manager's own). Components in the manager's own process
-// keep the direct in-process restart path: delegating to a supervisor
-// one function call away through a SAN round trip would only add a
-// failure mode.
-func (m *Manager) remoteSupervisorFor(node string) (supervisor.HelloMsg, bool) {
-	sup, ok := m.SupervisorFor(node)
-	return sup, ok && sup.Prefix != m.cfg.Prefix
 }
 
 // Supervisors returns the live supervisor table, sorted by address —
@@ -991,35 +859,22 @@ func (m *Manager) Supervisors() []supervisor.HelloMsg {
 	return out
 }
 
-// trySpawn spawns a worker of class if the damping window allows.
-func (m *Manager) trySpawn(class, reason string) {
+// trySpawn books and issues one more worker of class, unless the
+// damping window or a start of that class already pending says wait.
+// cold marks a front end's request: it knows no worker of the class, and
+// gets one only if the manager hears none either — a front end that gave
+// up on workers still reporting here is short of beacons, not workers.
+func (m *Manager) trySpawn(class string, cold bool) {
 	m.mu.Lock()
-	last := m.lastSpawn[class]
-	m.mu.Unlock()
-	if time.Since(last) < m.cfg.Policy.Damping {
-		return
-	}
-	_ = m.spawn(class, reason)
-}
-
-// spawn starts a worker and books it against the class's replica
-// floor and damping window.
-func (m *Manager) spawn(class, reason string) error {
-	if m.cfg.Spawner == nil {
-		return fmt.Errorf("manager: no spawner configured")
-	}
-	if err := m.cfg.Spawner.SpawnWorker(class); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.lastSpawn[class] = time.Now()
-	m.stats.Spawns++
-	if c := m.classCountLocked(class) + 1; c > m.desired[class] {
-		m.desired[class] = c
+	var p *start
+	if m.cfg.Spawner != nil && time.Since(m.lastSpawn[class]) >= m.cfg.Policy.Damping &&
+		m.pendingWorkersLocked(class) == 0 && !(cold && m.classCountLocked(class) > 0) {
+		p = m.bookWorkerLocked(class, "")
 	}
 	m.mu.Unlock()
-	_ = reason // reasons surface via the monitor's spawn metric
-	return nil
+	if p != nil {
+		m.act(p)
+	}
 }
 
 func (m *Manager) classCountLocked(class string) int {
@@ -1037,15 +892,9 @@ func (m *Manager) classCountLocked(class string) int {
 func (m *Manager) ClassAverages() map[string]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, ws := range m.workers.Snapshot() {
-		sums[ws.info.Class] += ws.avg.Value()
-		counts[ws.info.Class]++
-	}
-	out := make(map[string]float64, len(sums))
-	for c, s := range sums {
-		out[c] = s / float64(counts[c])
+	out := make(map[string]float64)
+	for class, cv := range m.classViewsLocked() {
+		out[class] = cv.avg
 	}
 	return out
 }

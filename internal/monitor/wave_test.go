@@ -32,6 +32,7 @@ func (h *waveHost) Restart(id string) error {
 func (h *waveHost) SpawnWorker(string) error     { return nil }
 func (h *waveHost) Kill(string) error            { return nil }
 func (h *waveHost) Addr(string) (san.Addr, bool) { return san.Addr{}, false }
+func (h *waveHost) Roster() []supervisor.Row     { return nil }
 
 func (h *waveHost) ids() []string {
 	h.mu.Lock()

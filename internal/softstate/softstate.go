@@ -59,6 +59,9 @@ func NewTable[V any](ttl time.Duration, clock Clock) *Table[V] {
 	return &Table[V]{ttl: ttl, clock: clock, m: make(map[string]Entry[V])}
 }
 
+// TTL returns how long an entry lives without a refresh.
+func (t *Table[V]) TTL() time.Duration { return t.ttl }
+
 // Put inserts or refreshes an entry.
 func (t *Table[V]) Put(key string, v V) {
 	t.mu.Lock()

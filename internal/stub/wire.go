@@ -389,6 +389,15 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		w.addr(m.Addr)
 		w.str(m.Node)
 		w.str(m.Prefix)
+		if len(m.Roster) > wireMaxRoster {
+			return nil, fmt.Errorf("%w: %s roster of %d rows exceeds %d", ErrWireFormat, kind, len(m.Roster), wireMaxRoster)
+		}
+		w.uvarint(uint64(len(m.Roster)))
+		for _, row := range m.Roster {
+			w.str(row.Name)
+			w.str(row.Kind)
+			w.str(row.Node)
+		}
 	case supervisor.MsgCmd:
 		m, ok := body.(supervisor.Command)
 		if !ok {
@@ -537,7 +546,20 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 			Objects:   int(r.varint()),
 		}
 	case supervisor.MsgHello:
-		body = supervisor.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str(), Prefix: r.str()}
+		m := supervisor.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str(), Prefix: r.str()}
+		// Optional tail: a hello encoded before the roster ends here.
+		if r.err == nil && r.pos < len(r.buf) {
+			n := r.sliceLen(wireMinRow)
+			if n > wireMaxRoster {
+				r.fail()
+			} else if n > 0 {
+				m.Roster = make([]supervisor.Row, 0, n)
+				for i := 0; i < n; i++ {
+					m.Roster = append(m.Roster, supervisor.Row{Name: r.str(), Kind: r.str(), Node: r.str()})
+				}
+			}
+		}
+		body = m
 	case supervisor.MsgCmd:
 		body = supervisor.Command{ID: r.u64(), Origin: r.str(), Op: r.str(), Target: r.str(), Epoch: r.u64()}
 	case supervisor.MsgAck:
@@ -575,7 +597,13 @@ const (
 	wireMinWorkerInfo = 7 // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
 	wireMinBlob       = 3 // empty MIME + empty data + empty meta
 	wireMinSpan       = 7 // trace uvarint + 4 empty strings + 2 varints
+	wireMinRow        = 3 // three empty strings
 )
+
+// wireMaxRoster bounds the component-table rows one supervisor hello
+// may carry, on both sides: a longer roster is refused whole, never cut
+// short — a manager handed half a table would stop watching the rest.
+const wireMaxRoster = 1024
 
 type wireWriter struct{ buf []byte }
 

@@ -2,7 +2,10 @@ package stub
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,14 +103,69 @@ func wireSamples() map[string]any {
 			Hits: 101, Misses: 17, Puts: 40, Injects: 12,
 			Evictions: 3, Expired: 1, Used: 1 << 20, Objects: 49,
 		},
-		supervisor.MsgHello: supervisor.HelloMsg{
-			Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"},
-			Node: "b-node0", Prefix: "b-",
-		},
+		supervisor.MsgHello: helloWithRoster(3),
 		supervisor.MsgCmd: supervisor.Command{
 			ID: 9, Origin: "a-node1/manager", Op: "restart-cache", Target: "cache0", // pre-OpRestart spelling, still accepted
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
+	}
+}
+
+// helloWithRoster is a supervisor hello advertising the first rows of a
+// component table (0 = the roster-less hello of a peer that predates
+// it, or of a process whose table is still empty).
+func helloWithRoster(rows int) supervisor.HelloMsg {
+	hb := supervisor.HelloMsg{
+		Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"},
+		Node: "b-node0", Prefix: "b-",
+	}
+	for i := 0; i < rows; i++ {
+		row := supervisor.Row{Name: fmt.Sprintf("fe%d", i), Kind: supervisor.KindFrontEnd, Node: fmt.Sprintf("b-node%d", i%8)}
+		if i == 0 {
+			row = supervisor.Row{Name: "sup", Node: "b-node0"} // a singleton carries no kind
+		}
+		hb.Roster = append(hb.Roster, row)
+	}
+	return hb
+}
+
+// TestHelloRosterRoundTrip: a hello carries a roster of any length up
+// to the codec's bound exactly; one row past it is refused whole by the
+// encoder and, hand-framed, by the decoder — never cut short. A hello
+// laid out before the roster existed still decodes, roster-less.
+func TestHelloRosterRoundTrip(t *testing.T) {
+	for _, rows := range []int{0, 1, 12, wireMaxRoster} {
+		want := helloWithRoster(rows)
+		data, err := EncodeBody(supervisor.MsgHello, want)
+		if err != nil {
+			t.Fatalf("%d rows: encode: %v", rows, err)
+		}
+		got, err := DecodeBody(supervisor.MsgHello, data)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d rows: round trip err=%v\n got %#v\nwant %#v", rows, err, got, want)
+		}
+	}
+	over := helloWithRoster(wireMaxRoster + 1)
+	if _, err := EncodeBody(supervisor.MsgHello, over); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("encoder accepted %d rows: %v", len(over.Roster), err)
+	}
+	w := &wireWriter{}
+	w.str(over.Name)
+	w.addr(over.Addr)
+	w.str(over.Node)
+	w.str(over.Prefix)
+	old := append([]byte(nil), w.buf...)
+	w.uvarint(uint64(len(over.Roster)))
+	for _, row := range over.Roster {
+		w.str(row.Name)
+		w.str(row.Kind)
+		w.str(row.Node)
+	}
+	if _, err := DecodeBody(supervisor.MsgHello, w.buf); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("decoder accepted %d rows: %v", len(over.Roster), err)
+	}
+	if got, err := DecodeBody(supervisor.MsgHello, old); err != nil || !reflect.DeepEqual(got, helloWithRoster(0)) {
+		t.Fatalf("pre-roster hello: %#v, %v", got, err)
 	}
 }
 
@@ -251,6 +309,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	for _, rows := range []int{0, 1, 40} { // the sample above carries 3
+		data, err := EncodeBody(supervisor.MsgHello, helloWithRoster(rows))
+		if err != nil {
+			f.Fatalf("hello seed, %d rows: %v", rows, err)
+		}
+		f.Add(slices.Index(kinds, supervisor.MsgHello), data)
+	}
 
 	f.Fuzz(func(t *testing.T, kindIdx int, data []byte) {
 		if kindIdx < 0 {

@@ -60,15 +60,38 @@ const (
 	OpEnable  = "enable"
 )
 
+// Row kinds: the clone sets a process hosts several instances of.
+// Singletons (the supervisor itself, monitor, edge) carry "".
+const (
+	KindCache    = "cache"
+	KindManager  = "manager"
+	KindWorker   = "worker"
+	KindFrontEnd = "frontend"
+)
+
+// Row is one row of the hosting process's component table: what the
+// process is configured to run, whether or not the instance is alive
+// right now. Node and Name together are the component's SAN address.
+type Row struct {
+	Name string
+	Kind string
+	Node string
+}
+
 // HelloMsg is the supervisor's heartbeat body. Prefix is the node-name
 // prefix of the process it governs: a manager resolving which
 // supervisor owns a dead component matches the component's node name
-// against the longest advertised prefix (Owner).
+// against the longest advertised prefix (Owner). Roster is the
+// process's component table (Host.Roster) — the desired state the
+// primary manager reconciles against what it hears. It rides an
+// optional tail on the wire, so a hello from a peer that predates it
+// decodes with none.
 type HelloMsg struct {
 	Name   string
 	Addr   san.Addr
 	Node   string
 	Prefix string
+	Roster []Row
 }
 
 // Owner resolves which supervisor owns a node by longest advertised
@@ -128,6 +151,8 @@ type Host interface {
 	// Addr resolves a hosted component's SAN address (for forwarded
 	// disable/enable control messages).
 	Addr(name string) (san.Addr, bool)
+	// Roster lists every row of the process's component table.
+	Roster() []Row
 }
 
 // Config assembles a supervisor.
@@ -267,7 +292,11 @@ func (s *Supervisor) ObserveEpoch(e uint64) {
 
 // Hello builds the heartbeat body this supervisor announces.
 func (s *Supervisor) Hello() HelloMsg {
-	return HelloMsg{Name: s.cfg.Name, Addr: s.addr(), Node: s.cfg.Node, Prefix: s.cfg.Prefix}
+	hb := HelloMsg{Name: s.cfg.Name, Addr: s.addr(), Node: s.cfg.Node, Prefix: s.cfg.Prefix}
+	if s.cfg.Host != nil {
+		hb.Roster = s.cfg.Host.Roster()
+	}
+	return hb
 }
 
 // Run implements cluster.Process: heartbeat and serve commands until
@@ -328,7 +357,8 @@ func (s *Supervisor) Run(ctx context.Context) error {
 
 func (s *Supervisor) heartbeat(ep *san.Endpoint) {
 	s.hellos.Add(1)
-	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, s.Hello(), 64)
+	hb := s.Hello()
+	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, hb, 64+32*len(hb.Roster))
 }
 
 // dispatch executes one command at most once: a duplicate delivery

@@ -3,6 +3,7 @@ package supervisor
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,11 @@ func (h *fakeHost) Addr(name string) (san.Addr, bool) {
 	defer h.mu.Unlock()
 	a, ok := h.compAddrs[name]
 	return a, ok
+}
+
+// Roster is a fixed two-row table: enough to see it ride the hello.
+func (h *fakeHost) Roster() []Row {
+	return []Row{{Name: "cache0", Kind: KindCache, Node: "b-node0"}, {Name: "sup", Node: "b-node0"}}
 }
 
 // startSup boots a supervisor on a fresh network and returns it plus a
@@ -239,7 +245,7 @@ func TestDisableEnableForwarded(t *testing.T) {
 }
 
 // TestHeartbeatsAnnouncePrefix: hellos carry the address and prefix a
-// manager needs for ownership resolution.
+// manager needs for ownership resolution, and the host's roster.
 func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
@@ -259,7 +265,7 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 			if !ok {
 				t.Fatalf("hello body %T", msg.Body)
 			}
-			if hb.Addr != sup.Addr() || hb.Prefix != "b-" || hb.Name != "sup" {
+			if hb.Addr != sup.Addr() || hb.Prefix != "b-" || hb.Name != "sup" || !reflect.DeepEqual(hb.Roster, host.Roster()) {
 				t.Fatalf("hello %+v", hb)
 			}
 			return
