@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-snapshot bench-diff bench-micro bench-wire bench-transport bench-blob chaos-soak
+.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro chaos-soak
 
 build:
 	$(GO) build ./...
@@ -19,12 +19,12 @@ test-short:
 race:
 	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/manager
 
-# Non-test Go lines outside bench/ (whole tree, then internal/core and
-# internal/manager) — the numbers CHANGES.md and ROADMAP.md quote for
-# "net-negative" PRs.
+# Non-test Go lines outside bench/ (whole tree, then internal/core,
+# internal/manager and cmd/experiments) — the numbers CHANGES.md and
+# ROADMAP.md quote for "net-negative" PRs.
 loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
-	@for d in internal/core internal/manager; do printf "non-test Go lines in $$d: "; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
+	@for d in internal/core internal/manager cmd/experiments; do printf "non-test Go lines in $$d: "; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).
@@ -45,34 +45,15 @@ fuzz-frames:
 smoke-multiprocess:
 	./scripts/smoke_multiprocess.sh
 
-# Write BENCH_<date>.json with the figure-benchmark metrics and the
-# micro-benchmark table so the perf trajectory is a diffable artifact.
-bench-snapshot:
-	$(GO) run ./cmd/experiments -snapshot auto
-
-# Regression gate: fresh snapshot vs the newest committed baseline;
-# fails on >20% drift of any seed-deterministic metric. CI runs this.
-bench-diff:
-	./scripts/bench_diff.sh
-
-# The micro-benchmark table (microbench.go) — the same bodies the
-# snapshot records — and slices of it for quick local iteration:
-# bench-wire is the codec/SAN serialization hot path, bench-transport
-# the frame encode/decode cost and the bridged socket send (frames per
-# write, drops per op), bench-blob the zero-copy blob relay
-# (FE→cache→FE over two bridges) at 4 KB / 64 KB / 512 KB, where B/op
-# and allocs/op are the copy count per request.
+# The micro-benchmark table (microbench_test.go): leaf costs of the
+# request hot path, single run. TestMicroCeilings gates the same rows'
+# allocs/op and B/op in `make test`. BENCH narrows the run, e.g.
+#   make bench-micro BENCH='Micro/(wire|san)'         codec + SAN send
+#   make bench-micro BENCH='Micro/(frame|bridge_send)' framing + socket
+#   make bench-micro BENCH='Micro/blob_relay'          FE→cache→FE relay
+BENCH ?= Micro
 bench-micro:
-	$(GO) test -run='^$$' -bench='Micro' -benchmem -count=1 .
-
-bench-wire:
-	$(GO) test -run='^$$' -bench='Wire|Micro/(wire|san)' -benchmem -count=1 ./internal/stub .
-
-bench-transport:
-	$(GO) test -run='^$$' -bench='Micro/(frame|bridge_send)' -benchmem -count=1 .
-
-bench-blob:
-	$(GO) test -run='^$$' -bench='Micro/blob_relay' -benchmem -count=1 .
+	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=1 .
 
 # The randomized kill-anything soak plus the full chaos suite.
 chaos-soak:

@@ -48,8 +48,9 @@ func runFig9(seed int64) {
 	after, within := h.RecoveredWithin(ctx, 40, 0.10)
 
 	fmt.Printf("injected %d faults under %d requests of background load "+
-		"(%.1f%% served, %d degraded, %d failed)\n\n",
-		injected, load.Issued, 100*load.SuccessRate(), load.Degraded, load.Failed)
+		"(%.1f%% served, %d degraded, %d failed; latency p50 %v p99 %v p999 %v)\n\n",
+		injected, load.Issued, 100*load.SuccessRate(), load.Degraded, load.Failed,
+		load.P50.Round(time.Microsecond), load.P99.Round(time.Microsecond), load.P999.Round(time.Microsecond))
 	fmt.Println("timeline (faults, process exits, monitor alerts):")
 	fmt.Print(h.Timeline())
 	fmt.Printf("\nreturned to steady state: %v\n", steady)

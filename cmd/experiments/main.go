@@ -19,7 +19,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 )
 
 type experiment struct {
@@ -47,40 +46,16 @@ var experiments = []experiment{
 	{"threshold", "the 1 KB distillation threshold rationale (§4.1)", runThreshold},
 }
 
-func main() {
-	runFlag := flag.String("run", "", "experiment id or 'all'")
-	seed := flag.Int64("seed", 1, "random seed")
-	list := flag.Bool("list", false, "list experiments")
-	snapshot := flag.String("snapshot", "", "write figure-benchmark metrics to this JSON file ('auto' = BENCH_<date>.json)")
-	benchdiff := flag.Bool("benchdiff", false, "compare two snapshots: -benchdiff BASELINE.json FRESH.json (exit 1 on gated regression)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if *benchdiff {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: experiments -benchdiff BASELINE.json FRESH.json")
-			os.Exit(2)
-		}
-		failures, err := runBenchDiff(flag.Arg(0), flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
-		}
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *snapshot != "" {
-		path := *snapshot
-		if path == "auto" {
-			path = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
-		}
-		if err := writeSnapshot(path, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "snapshot:", err)
-			os.Exit(1)
-		}
-		return
+// run is main with the exit status as its result.
+func run(args []string) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	runFlag := fs.String("run", "", "experiment id or 'all'")
+	seed := fs.Int64("seed", 1, "random seed")
+	list := fs.Bool("list", false, "list experiments")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	if *list || *runFlag == "" {
@@ -89,7 +64,7 @@ func main() {
 			fmt.Printf("  %-12s %s\n", e.id, e.what)
 		}
 		if *runFlag == "" {
-			os.Exit(0)
+			return 0
 		}
 	}
 
@@ -105,7 +80,7 @@ func main() {
 			e, ok := ids[id]
 			if !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, e)
 		}
@@ -115,6 +90,7 @@ func main() {
 		e.run(*seed)
 		fmt.Println()
 	}
+	return 0
 }
 
 func banner(s string) {

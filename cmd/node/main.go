@@ -82,54 +82,67 @@ import (
 	"repro/internal/vcache"
 )
 
-func main() {
-	listen := flag.String("listen", "tcp:127.0.0.1:0", "transport bridge listen address (tcp:host:port or unix:/path)")
-	join := flag.String("join", "", "comma-separated seed bridge addresses to join")
-	id := flag.String("id", "", "bridge id (default: -prefix, then the listen address)")
-	prefix := flag.String("prefix", "", "node-name prefix; must be unique per process (required with -join or when joined)")
-	rolesFlag := flag.String("roles", "all", "roles to host: frontend,manager,worker,cache,monitor,edge (or 'all')")
-	cacheHost := flag.String("cache-host", "", "node prefix of the process hosting the cache partitions (when the cache role is remote)")
-	frontEnds := flag.Int("frontends", 2, "front ends (frontend role)")
-	managers := flag.Int("managers", 1, "manager replicas hosted in this process (manager role)")
-	managerRank := flag.Int("manager-rank", 0, "election rank of this process's first manager replica; global rank 0 boots as the acting primary, everyone else standby")
-	cacheParts := flag.Int("caches", 2, "cache partitions (cluster-wide count; used to compute remote addresses too)")
-	nodes := flag.Int("nodes", 8, "dedicated cluster nodes in this process")
-	cacheNodes := flag.Int("cache-nodes", 0, "dedicated node count of the cache-hosting process (default: -nodes)")
-	overflow := flag.Int("overflow", 2, "overflow pool nodes")
-	spawnH := flag.Float64("H", 10, "spawn threshold (avg queue length)")
-	dampD := flag.Duration("D", 5*time.Second, "spawn damping window")
-	profileDir := flag.String("profiles", "", "profile DB directory (empty = temp)")
-	httpAddr := flag.String("http", "", "serve the TranSend HTTP API on this address (frontend role)")
-	edgeListen := flag.String("edge-listen", "", "serve the L7 front door on this address (edge role): one listener balancing across every FE replica heard heartbeating")
-	feHTTP := flag.String("fe-http", "", "bind an HTTP adapter for every local front end on this host (port auto-assigned) and advertise it in FE heartbeats — what the edge routes to")
-	edgeRetryBudget := flag.Float64("edge-retry-budget", 0.5, "edge retry budget: retries allowed per request, as a fraction (0 disables transparent retry)")
-	reqDeadline := flag.Duration("request-deadline", 0, "end-to-end deadline stamped onto requests arriving without one (0 = none)")
-	feMaxInflight := flag.Int("fe-max-inflight", 0, "per-front-end admitted request bound; past it requests degrade to stale cache or shed (0 = default)")
-	feHighWater := flag.Float64("fe-queue-highwater", 0, "shed at admission when the least-loaded worker's queue estimate exceeds this (0 = disabled)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "cache entry freshness TTL; expired entries survive as stale data for degraded service (0 = never stale)")
-	selftest := flag.Int("selftest", 0, "run N requests after ready, print a JSON summary, and exit")
-	selftestKill := flag.String("selftest-kill", "", "mid-selftest, kill this cache component via its process's supervisor and assert a delegated respawn (requires the manager role here)")
-	selftestSpacing := flag.Duration("selftest-spacing", 0, "pause between selftest requests (stretches the workload across externally injected faults)")
-	selftestEpoch := flag.Uint64("selftest-expect-epoch", 0, "after the request loop, require a local manager replica to be acting primary at this election epoch or later (the failover smoke: SIGKILL the rank-0 process mid-run, assert the standby here took over)")
-	selftestOverload := flag.Int("selftest-overload", 0, "after the request loop, fire a concurrent burst of N requests past the admission bound and require sheds > 0, degraded serves > 0, and no other failure (the overload smoke; pair with -fe-max-inflight and -cache-ttl)")
-	readyTimeout := flag.Duration("ready-timeout", 30*time.Second, "how long to wait for the cluster to become serviceable")
-	traceSample := flag.Int("trace-sample", 0, "request-trace sampling: record 1 in N requests (0 = default 1/64, 1 = every request, negative = off; shed/degraded/expired requests always record)")
-	traceSlow := flag.Duration("trace-slow", 0, "log any traced request slower than this to stderr (0 = disabled)")
-	seed := flag.Int64("seed", 0, "random seed (0 = time-based)")
-	flag.Parse()
+// nodeOptions is what the flags say beyond the cluster configuration:
+// how this process serves, and whether it tests itself and exits.
+type nodeOptions struct {
+	roles        string // as given, for the startup log line
+	httpAddr     string
+	readyTimeout time.Duration
+	selftest     selftestOpts // n > 0 selects selftest mode
+}
+
+// configFromFlags parses args on fs and maps them onto the core.Config
+// this process starts with.
+func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions, error) {
+	listen := fs.String("listen", "tcp:127.0.0.1:0", "transport bridge listen address (tcp:host:port or unix:/path)")
+	join := fs.String("join", "", "comma-separated seed bridge addresses to join")
+	id := fs.String("id", "", "bridge id (default: -prefix, then the listen address)")
+	prefix := fs.String("prefix", "", "node-name prefix; must be unique per process (required with -join or when joined)")
+	rolesFlag := fs.String("roles", "all", "roles to host: frontend,manager,worker,cache,monitor,edge (or 'all')")
+	cacheHost := fs.String("cache-host", "", "node prefix of the process hosting the cache partitions (when the cache role is remote)")
+	frontEnds := fs.Int("frontends", 2, "front ends (frontend role)")
+	managers := fs.Int("managers", 1, "manager replicas hosted in this process (manager role)")
+	managerRank := fs.Int("manager-rank", 0, "election rank of this process's first manager replica; global rank 0 boots as the acting primary, everyone else standby")
+	cacheParts := fs.Int("caches", 2, "cache partitions (cluster-wide count; used to compute remote addresses too)")
+	nodes := fs.Int("nodes", 8, "dedicated cluster nodes in this process")
+	cacheNodes := fs.Int("cache-nodes", 0, "dedicated node count of the cache-hosting process (default: -nodes)")
+	overflow := fs.Int("overflow", 2, "overflow pool nodes")
+	spawnH := fs.Float64("H", 10, "spawn threshold (avg queue length)")
+	dampD := fs.Duration("D", 5*time.Second, "spawn damping window")
+	profileDir := fs.String("profiles", "", "profile DB directory (empty = temp)")
+	httpAddr := fs.String("http", "", "serve the TranSend HTTP API on this address (frontend role)")
+	edgeListen := fs.String("edge-listen", "", "serve the L7 front door on this address (edge role): one listener balancing across every FE replica heard heartbeating")
+	feHTTP := fs.String("fe-http", "", "bind an HTTP adapter for every local front end on this host (port auto-assigned) and advertise it in FE heartbeats — what the edge routes to")
+	edgeRetryBudget := fs.Float64("edge-retry-budget", 0.5, "edge retry budget: retries allowed per request, as a fraction (0 disables transparent retry)")
+	reqDeadline := fs.Duration("request-deadline", 0, "end-to-end deadline stamped onto requests arriving without one (0 = none)")
+	feMaxInflight := fs.Int("fe-max-inflight", 0, "per-front-end admitted request bound; past it requests degrade to stale cache or shed (0 = default)")
+	feHighWater := fs.Float64("fe-queue-highwater", 0, "shed at admission when the least-loaded worker's queue estimate exceeds this (0 = disabled)")
+	cacheTTL := fs.Duration("cache-ttl", 0, "cache entry freshness TTL; expired entries survive as stale data for degraded service (0 = never stale)")
+	selftest := fs.Int("selftest", 0, "run N requests after ready, print a JSON summary, and exit")
+	selftestKill := fs.String("selftest-kill", "", "mid-selftest, kill this cache component via its process's supervisor and assert a delegated respawn (requires the manager role here)")
+	selftestSpacing := fs.Duration("selftest-spacing", 0, "pause between selftest requests (stretches the workload across externally injected faults)")
+	selftestEpoch := fs.Uint64("selftest-expect-epoch", 0, "after the request loop, require a local manager replica to be acting primary at this election epoch or later (the failover smoke: SIGKILL the rank-0 process mid-run, assert the standby here took over)")
+	selftestOverload := fs.Int("selftest-overload", 0, "after the request loop, fire a concurrent burst of N requests past the admission bound and require sheds > 0, degraded serves > 0, and no other failure (the overload smoke; pair with -fe-max-inflight and -cache-ttl)")
+	readyTimeout := fs.Duration("ready-timeout", 30*time.Second, "how long to wait for the cluster to become serviceable")
+	traceSample := fs.Int("trace-sample", 0, "request-trace sampling: record 1 in N requests (0 = default 1/64, 1 = every request, negative = off; shed/degraded/expired requests always record)")
+	traceSlow := fs.Duration("trace-slow", 0, "log any traced request slower than this to stderr (0 = disabled)")
+	seed := fs.Int64("seed", 0, "random seed (0 = time-based)")
+	if err := fs.Parse(args); err != nil {
+		return core.Config{}, nodeOptions{}, err
+	}
 
 	roles, err := core.ParseRoles(*rolesFlag)
 	if err != nil {
-		log.Fatal(err)
+		return core.Config{}, nodeOptions{}, err
 	}
 	if roles.Edge && *edgeListen == "" {
-		log.Fatal("node: the edge role requires -edge-listen")
+		return core.Config{}, nodeOptions{}, errors.New("node: the edge role requires -edge-listen")
 	}
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
 	}
 	if *prefix == "" && *join != "" {
-		log.Fatal("node: -prefix is required when joining a cluster (node names must be unique per process)")
+		return core.Config{}, nodeOptions{}, errors.New("node: -prefix is required when joining a cluster (node names must be unique per process)")
 	}
 	var joins []string
 	for _, a := range strings.Split(*join, ",") {
@@ -187,22 +200,11 @@ func main() {
 		}
 		cfg.RemoteCaches = core.CacheAddrs(*cacheHost, *cacheParts, cn)
 	}
-
-	sys, err := core.Start(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sys.Stop()
-	log.Printf("node: bridge %s listening on %s (roles %s, prefix %q)",
-		sys.Bridge.ID(), sys.Bridge.Advertise(), *rolesFlag, *prefix)
-
-	if !sys.WaitReady(*readyTimeout) {
-		log.Fatalf("node: cluster not serviceable within %s (peers: %v)", *readyTimeout, sys.Bridge.Peers())
-	}
-	log.Printf("node: ready — peers %v", sys.Bridge.Peers())
-
-	if *selftest > 0 {
-		opts := selftestOpts{
+	return cfg, nodeOptions{
+		roles:        *rolesFlag,
+		httpAddr:     *httpAddr,
+		readyTimeout: *readyTimeout,
+		selftest: selftestOpts{
 			n:           *selftest,
 			kill:        *selftestKill,
 			spacing:     *selftestSpacing,
@@ -211,16 +213,39 @@ func main() {
 			// The burst needs the warm set's entries expired into stale
 			// data before it fires, or nothing can degrade.
 			overloadAge: *cacheTTL + 200*time.Millisecond,
-		}
-		if err := runSelftest(sys, opts); err != nil {
+		},
+	}, nil
+}
+
+func main() {
+	cfg, opts, err := configFromFlags(flag.NewFlagSet(os.Args[0], flag.ExitOnError), os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	sys, err := core.Start(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sys.Stop()
+	log.Printf("node: bridge %s listening on %s (roles %s, prefix %q)",
+		sys.Bridge.ID(), sys.Bridge.Advertise(), opts.roles, cfg.NodePrefix)
+
+	if !sys.WaitReady(opts.readyTimeout) {
+		log.Fatalf("node: cluster not serviceable within %s (peers: %v)", opts.readyTimeout, sys.Bridge.Peers())
+	}
+	log.Printf("node: ready — peers %v", sys.Bridge.Peers())
+
+	if opts.selftest.n > 0 {
+		if err := runSelftest(sys, opts.selftest); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	var debugSrv *http.Server
-	if *httpAddr != "" {
-		debugSrv = serveHTTP(sys, *httpAddr)
+	if opts.httpAddr != "" {
+		debugSrv = serveHTTP(sys, opts.httpAddr)
 	}
 	if eg := sys.Edge(); eg != nil {
 		log.Printf("node: edge front door on http://%s", eg.HTTPAddr())

@@ -12,9 +12,11 @@
 // and internal/supervisor, the per-process daemon whose roster the
 // primary manager reconciles against what it hears, and whose hand
 // makes restarts and rolling upgrades reach across those processes).
-// The benchmarks in bench_test.go (one per reproduced artifact) and
-// cmd/experiments regenerate the results; microbench.go is the one
-// table of hot-path micro-benchmarks both go test -bench and the bench
-// snapshot run; make bench-snapshot and make bench-diff track the perf
-// trajectory across PRs.
+// Three tools measure it, and each number has one home: bench/ (its
+// own module, bash bench/run.sh) drives the two-process system through
+// the edge for the end-to-end and per-layer numbers; the table in
+// microbench_test.go holds the hot path's leaf costs (go test -bench
+// Micro .) with allocation ceilings that TestMicroCeilings enforces in
+// every go test run; cmd/experiments prints the paper's figures, tables
+// and ablations for side-by-side comparison.
 package repro

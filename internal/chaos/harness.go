@@ -21,11 +21,10 @@ type Config struct {
 	Seed int64
 
 	// Topology. Defaults: 10 dedicated nodes (one process each, so
-	// node-level faults map 1:1 to component faults), 2 overflow.
+	// node-level faults map 1:1 to component faults), no overflow
+	// pool, cacheParts cache partitions.
 	DedicatedNodes int
-	OverflowNodes  int
 	FrontEnds      int
-	CacheParts     int
 	Workers        map[string]int
 	// Managers is how many manager replicas to run (election-ranked:
 	// rank 0 boots as primary, the rest as standbys). Default 1 — the
@@ -49,7 +48,6 @@ type Config struct {
 	BeaconInterval time.Duration
 	ReportInterval time.Duration
 	CallTimeout    time.Duration
-	CacheTimeout   time.Duration
 
 	// CacheSuperviseTTL tunes the manager's cache process-peer
 	// timeout. The harness default (10 s) is deliberately longer than
@@ -59,18 +57,11 @@ type Config struct {
 	// scenario opts into a tight TTL explicitly.
 	CacheSuperviseTTL time.Duration
 
-	// Policy defaults to recovery-only: replace crashed workers,
-	// never spawn on load — so respawn counts are a pure function of
-	// the fault schedule.
-	Policy manager.Policy
-
 	// Overload robustness passthroughs (zero = the core defaults:
-	// no deadline stamping, inflight bound at Threads+QueueCap, no
-	// queue-high-water shedding, no cache expiry). The saturation
-	// scenarios set these; CacheTTL > 0 gives the degraded path stale
-	// entries to serve.
+	// no deadline stamping, no queue-high-water shedding, no cache
+	// expiry). The saturation scenarios set these; CacheTTL > 0 gives
+	// the degraded path stale entries to serve.
 	RequestDeadline  time.Duration
-	FEMaxInflight    int
 	FEQueueHighWater float64
 	CacheTTL         time.Duration
 }
@@ -79,15 +70,25 @@ type Config struct {
 // supplied.
 const EchoClass = "chaos-echo"
 
+// Fixed parts of every harness: two cache partitions; a cache round
+// trip bound tight enough that a partitioned cache group falls back to
+// origin fast.
+const (
+	cacheParts   = 2
+	cacheTimeout = 100 * time.Millisecond
+)
+
+// recoveryOnly is the manager policy every harness runs: replace
+// crashed workers, never spawn on load — so respawn counts are a pure
+// function of the fault schedule.
+var recoveryOnly = manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1}
+
 func (c Config) withDefaults() Config {
 	if c.DedicatedNodes <= 0 {
 		c.DedicatedNodes = 10
 	}
 	if c.FrontEnds <= 0 {
 		c.FrontEnds = 1
-	}
-	if c.CacheParts <= 0 {
-		c.CacheParts = 2
 	}
 	if len(c.Workers) == 0 {
 		c.Workers = map[string]int{EchoClass: 2}
@@ -116,14 +117,8 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 250 * time.Millisecond
 	}
-	if c.CacheTimeout <= 0 {
-		c.CacheTimeout = 100 * time.Millisecond
-	}
 	if c.CacheSuperviseTTL <= 0 {
 		c.CacheSuperviseTTL = 10 * time.Second
-	}
-	if c.Policy == (manager.Policy{}) {
-		c.Policy = manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1}
 	}
 	return c
 }
@@ -151,9 +146,8 @@ func New(cfg Config) (*Harness, error) {
 	sys, err := core.Start(core.Config{
 		Seed:              cfg.Seed,
 		DedicatedNodes:    cfg.DedicatedNodes,
-		OverflowNodes:     cfg.OverflowNodes,
 		FrontEnds:         cfg.FrontEnds,
-		CacheParts:        cfg.CacheParts,
+		CacheParts:        cacheParts,
 		Workers:           cfg.Workers,
 		Managers:          cfg.Managers,
 		Registry:          cfg.Registry,
@@ -161,12 +155,11 @@ func New(cfg Config) (*Harness, error) {
 		BeaconInterval:    cfg.BeaconInterval,
 		ReportInterval:    cfg.ReportInterval,
 		CallTimeout:       cfg.CallTimeout,
-		CacheTimeout:      cfg.CacheTimeout,
+		CacheTimeout:      cacheTimeout,
 		CacheSuperviseTTL: cfg.CacheSuperviseTTL,
 		MinDistillSize:    1, // everything traverses the worker pipeline
-		Policy:            cfg.Policy,
+		Policy:            recoveryOnly,
 		RequestDeadline:   cfg.RequestDeadline,
-		FEMaxInflight:     cfg.FEMaxInflight,
 		FEQueueHighWater:  cfg.FEQueueHighWater,
 		CacheTTL:          cfg.CacheTTL,
 		EdgeListen:        edgeListen,
@@ -347,7 +340,7 @@ func (h *Harness) AwaitSteady(timeout time.Duration) bool { return h.Sys.WaitRea
 // it.
 func (h *Harness) AwaitPopulation(timeout time.Duration) error {
 	want := map[core.Kind]int{
-		core.KindCache:    h.cfg.CacheParts,
+		core.KindCache:    cacheParts,
 		core.KindManager:  max(h.cfg.Managers, 1),
 		core.KindFrontEnd: h.cfg.FrontEnds,
 	}

@@ -95,8 +95,6 @@ type SoakOptions struct {
 	// Kinds is the action pool to draw from (default: the three
 	// §4.3 process kills).
 	Kinds []ActionKind
-	// ImpairDur bounds generated timed impairments (default Every/2).
-	ImpairDur time.Duration
 }
 
 func (o SoakOptions) withDefaults() SoakOptions {
@@ -109,9 +107,6 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	if len(o.Kinds) == 0 {
 		o.Kinds = []ActionKind{KillWorker, KillManager, KillFrontEnd}
 	}
-	if o.ImpairDur <= 0 {
-		o.ImpairDur = o.Every / 2
-	}
 	return o
 }
 
@@ -120,6 +115,7 @@ func (o SoakOptions) withDefaults() SoakOptions {
 // same seed always yields the identical event list.
 func RandomSoak(seed int64, opts SoakOptions) Schedule {
 	opts = opts.withDefaults()
+	impairDur := opts.Every / 2 // timed impairments end before the next event
 	rng := rand.New(rand.NewSource(seed))
 	s := Schedule{Seed: seed}
 	for i := 0; i < opts.Kills; i++ {
@@ -131,12 +127,12 @@ func RandomSoak(seed int64, opts SoakOptions) Schedule {
 		}
 		switch kind {
 		case PartitionCaches, HangWorker:
-			ev.Dur = opts.ImpairDur
+			ev.Dur = impairDur
 		case SlowWorker:
-			ev.Dur = opts.ImpairDur
+			ev.Dur = impairDur
 			ev.Delay = time.Duration(1+rng.Intn(20)) * time.Millisecond
 		case LossBurst:
-			ev.Dur = opts.ImpairDur
+			ev.Dur = impairDur
 			ev.P2P = 0.2 + 0.6*rng.Float64()
 			ev.Mcast = 0.2 + 0.6*rng.Float64()
 		}

@@ -210,6 +210,13 @@ func TestWorkerCrashFallsBackThenRecovers(t *testing.T) {
 		r, err := s.Request(ctx, trace.ObjectURL(2002, media.MIMESJPG), "u")
 		return err == nil && r.Source == "distilled"
 	})
+	// Worker ids are never reused, so the dead one's collector must be
+	// gone: /metrics does not grow a family per respawn.
+	for key := range s.Registry().Snapshot() {
+		if strings.HasPrefix(key, "worker."+victim+".") {
+			t.Fatalf("registry still publishes dead worker's %s", key)
+		}
+	}
 }
 
 func TestManagerCrashIsMaskedAndRepaired(t *testing.T) {
@@ -301,6 +308,24 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 	})
 	if !strings.Contains(s.Mon.RenderTable(), "COMPONENT") {
 		t.Fatal("render table broken")
+	}
+	// One metrics list per component: a row in the monitor's table
+	// carries exactly the names the component publishes to /metrics.
+	collector := map[string]string{"worker": "worker.", "frontend": "fe.", "manager": ""}
+	for _, c := range s.Mon.Snapshot() {
+		prefix, ok := collector[c.Kind]
+		if !ok {
+			continue
+		}
+		published := s.Registry().Collect(prefix + c.Component)
+		if len(published) == 0 || len(published) != len(c.Metrics) {
+			t.Fatalf("%s reports %v, publishes %v", c.Component, c.Metrics, published)
+		}
+		for name := range published {
+			if _, ok := c.Metrics[name]; !ok {
+				t.Fatalf("%s publishes %q but does not report it: %v", c.Component, name, c.Metrics)
+			}
+		}
 	}
 
 	// Crash a worker: the monitor alerts on its silence.

@@ -70,8 +70,7 @@ func (r *obsReporter) Run(ctx context.Context) error {
 
 // configureObs points the process's tracer and registry at this
 // deployment: proc label, sampling rate, slow-request logging, and the
-// collectors for components that don't own a Run loop of their own
-// (manager replicas, the supervisor).
+// supervisor's collector (every other component registers its own).
 func (s *System) configureObs() {
 	tr := s.Net.Tracer()
 	proc := s.cfg.NodePrefix
@@ -93,23 +92,6 @@ func (s *System) configureObs() {
 	}
 
 	reg := s.Net.Registry()
-	reg.SetCollector("manager", func(emit func(string, float64)) {
-		m := s.Manager()
-		if m == nil {
-			return
-		}
-		st := m.Stats()
-		emit("workers", float64(st.Workers))
-		emit("frontends", float64(st.FrontEnds))
-		emit("caches", float64(st.Caches))
-		emit("spawns", float64(st.Spawns))
-		emit("reaps", float64(st.Reaps))
-		emit("fe_restarts", float64(st.FERestarts))
-		emit("cache_restarts", float64(st.CacheRestarts))
-		emit("beacons_sent", float64(st.BeaconsSent))
-		emit("registrations", float64(st.Registrations))
-		emit("epoch", float64(st.Epoch))
-	})
 	reg.SetCollector("supervisor", func(emit func(string, float64)) {
 		sup := s.Supervisor()
 		if sup == nil {

@@ -97,10 +97,9 @@ type Config struct {
 	CacheNodes map[string]san.Addr
 
 	// Threads is the worker-pool size (the paper's production front
-	// end ran ~400 threads). Default 64.
+	// end ran ~400 threads). Default 64. The pending-request queue
+	// holds queuePerThread requests per thread.
 	Threads int
-	// QueueCap bounds the pending-request queue. Default 4*Threads.
-	QueueCap int
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
 	// HeartbeatInterval paces FE heartbeats to the manager.
@@ -135,7 +134,7 @@ type Config struct {
 	// executing). Requests beyond it take the degraded path — a stale
 	// cache answer when one exists, a fast typed ErrOverloaded reply
 	// otherwise — rather than queueing into a deadline they cannot
-	// meet. Zero defaults to Threads+QueueCap (the pool's natural
+	// meet. Zero defaults to threads plus queue (the pool's natural
 	// capacity); negative disables the check.
 	MaxInflight int
 	// QueueHighWater, when positive, sheds on the lottery estimator's
@@ -160,12 +159,12 @@ type Config struct {
 // miss penalty (§4.4).
 const fetchTimeout = 2 * time.Minute
 
+// queuePerThread sizes the pending-request queue against the pool.
+const queuePerThread = 4
+
 func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 64
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.Threads
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = stub.DefaultBeaconInterval
@@ -174,7 +173,7 @@ func (c Config) withDefaults() Config {
 		c.MinDistillSize = 1024
 	}
 	if c.MaxInflight == 0 {
-		c.MaxInflight = c.Threads + c.QueueCap
+		c.MaxInflight = (1 + queuePerThread) * c.Threads
 	}
 	return c
 }
@@ -245,7 +244,7 @@ type FrontEnd struct {
 // New creates a front end and eagerly registers its endpoint.
 func New(cfg Config) *FrontEnd {
 	cfg = cfg.withDefaults()
-	fe := &FrontEnd{cfg: cfg, jobs: make(chan job, cfg.QueueCap)}
+	fe := &FrontEnd{cfg: cfg, jobs: make(chan job, queuePerThread*cfg.Threads)}
 	fe.ep = cfg.Net.Endpoint(fe.addr(), 4096)
 	fe.mstub = stub.NewManagerStub(fe.ep, cfg.ManagerStub)
 	fe.cache = fe.newCacheClient()
@@ -426,19 +425,11 @@ func (fe *FrontEnd) heartbeat(ep *san.Endpoint) {
 		HTTPAddr: fe.cfg.HTTPAddr,
 		Draining: draining,
 	}, 64)
-	st := fe.Stats()
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
 		Component: fe.cfg.Name,
 		Kind:      "frontend",
 		Node:      fe.cfg.Node,
-		Metrics: map[string]float64{
-			"requests":  float64(st.Requests),
-			"fallbacks": float64(st.Fallbacks),
-			"errors":    float64(st.Errors),
-			"queue":     float64(len(fe.jobs)),
-			"shed":      float64(st.Shed),
-			"degraded":  float64(st.DegradedServes),
-		},
+		Metrics:   fe.cfg.Net.Registry().Collect("fe." + fe.cfg.Name),
 	}, 96)
 }
 

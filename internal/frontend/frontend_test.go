@@ -206,11 +206,11 @@ func (s slowFetcher) Fetch(ctx context.Context, url string) (tacc.Blob, error) {
 func TestOverload(t *testing.T) {
 	// A tiny pool with a slow origin: fill both admission slots with
 	// slow fetches, and the front end sheds further load instead of
-	// blocking forever. MaxInflight defaults to Threads+QueueCap = 2.
+	// blocking forever.
 	static := origin.NewStatic()
 	fe, _, _ := startFE(t, func(cfg *Config) {
 		cfg.Threads = 1
-		cfg.QueueCap = 1
+		cfg.MaxInflight = 2
 		cfg.Origin = slowFetcher{inner: static, delay: time.Second}
 	})
 	for i := 0; i < 3; i++ {

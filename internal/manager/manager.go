@@ -358,6 +358,22 @@ func (m *Manager) Run(ctx context.Context) error {
 	ep := m.ep
 	defer ep.Close()
 	ep.Join(stub.GroupControl)
+	// One list for /metrics and for the status report each beacon
+	// carries to the monitor. Per replica: a standby publishes its own
+	// mirror of the soft state under its own name.
+	m.cfg.Net.Registry().SetCollector(m.cfg.Name, func(emit func(string, float64)) {
+		st := m.Stats()
+		emit("workers", float64(st.Workers))
+		emit("frontends", float64(st.FrontEnds))
+		emit("caches", float64(st.Caches))
+		emit("spawns", float64(st.Spawns))
+		emit("reaps", float64(st.Reaps))
+		emit("fe_restarts", float64(st.FERestarts))
+		emit("cache_restarts", float64(st.CacheRestarts))
+		emit("beacons_sent", float64(st.BeaconsSent))
+		emit("registrations", float64(st.Registrations))
+		emit("epoch", float64(st.Epoch))
+	})
 
 	tick := time.NewTicker(m.cfg.BeaconInterval)
 	defer tick.Stop()
@@ -552,10 +568,7 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 		Component: m.cfg.Name,
 		Kind:      "manager",
 		Node:      m.cfg.Node,
-		Metrics: map[string]float64{
-			"workers": float64(len(workers)),
-			"seq":     float64(seq),
-		},
+		Metrics:   m.cfg.Net.Registry().Collect(m.cfg.Name),
 	}, 96)
 }
 

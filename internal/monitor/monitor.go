@@ -166,14 +166,9 @@ func (m *Monitor) handle(msg san.Message) {
 			return
 		}
 		m.mu.Lock()
-		m.seen[b.Manager.Proc] = &ComponentStatus{
-			Component: b.Manager.Proc,
-			Kind:      "manager",
-			Node:      b.Manager.Node,
-			Metrics:   map[string]float64{"workers": float64(len(b.Workers))},
-			LastSeen:  time.Now(),
-		}
-		// The beacon's worker list is the cluster-wide inventory the
+		// The manager's row in the table comes from the status report it
+		// sends with every beacon, like every other component's. The
+		// beacon's worker list is the cluster-wide inventory the
 		// upgrade-wave driver walks; the seq lets a reader insist on
 		// an inventory generated after some action took effect.
 		m.workers = append(m.workers[:0], b.Workers...)
@@ -371,10 +366,11 @@ type WaveOptions struct {
 	// Retries is the command attempt budget per worker (default 3);
 	// retries reuse the command id, so they are idempotent.
 	Retries int
-	// ReadyTimeout bounds the wait for the restarted worker to
-	// re-register before the wave rolls on (default 10s).
-	ReadyTimeout time.Duration
 }
+
+// waveReadyTimeout bounds the wait for a restarted worker to
+// re-register before the wave rolls on.
+const waveReadyTimeout = 10 * time.Second
 
 func (o WaveOptions) withDefaults() WaveOptions {
 	if o.Drain <= 0 {
@@ -385,9 +381,6 @@ func (o WaveOptions) withDefaults() WaveOptions {
 	}
 	if o.Retries <= 0 {
 		o.Retries = 3
-	}
-	if o.ReadyTimeout <= 0 {
-		o.ReadyTimeout = 10 * time.Second
 	}
 	return o
 }
@@ -506,7 +499,7 @@ func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, 
 	m.mu.Lock()
 	seqAtRestart := m.workersSeq
 	m.mu.Unlock()
-	deadline := time.Now().Add(opts.ReadyTimeout)
+	deadline := time.Now().Add(waveReadyTimeout)
 	for time.Now().Before(deadline) {
 		cur, seq := m.workersOfSeq(class)
 		if seq >= seqAtRestart+2 {

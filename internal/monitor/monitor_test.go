@@ -105,18 +105,23 @@ func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
 	}
 }
 
-func TestMonitorSeesManagerBeacons(t *testing.T) {
+// TestMonitorReadsInventoryFromBeacons: a beacon feeds the worker
+// inventory and nothing else — the manager's table row is its own
+// status report, never a second list synthesized here.
+func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
 	net := san.NewNetwork(1)
 	m, _ := startMonitor(t, net, time.Hour)
 	mgr := net.Endpoint(san.Addr{Node: "m", Proc: "manager"}, 16)
-	waitFor(t, "manager visible", func() bool {
+	waitFor(t, "inventory visible", func() bool {
 		mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
 			Manager: mgr.Addr(),
-			Workers: []stub.WorkerInfo{{ID: "w0"}},
+			Workers: []stub.WorkerInfo{{ID: "w0", Class: "echo"}},
 		}, 64)
-		snap := m.Snapshot()
-		return len(snap) == 1 && snap[0].Kind == "manager" && snap[0].Metrics["workers"] == 1
+		return len(m.WorkersOf("echo")) == 1
 	})
+	if snap := m.Snapshot(); len(snap) != 0 {
+		t.Fatalf("beacon produced table rows: %+v", snap)
+	}
 }
 
 func TestMonitorDisableEnable(t *testing.T) {

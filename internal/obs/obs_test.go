@@ -230,9 +230,15 @@ func TestRegistryBasics(t *testing.T) {
 	if snap := r.Snapshot(); snap["san.delivered"] != 9 {
 		t.Fatalf("collector not replaced: %v", snap["san.delivered"])
 	}
+	if one := r.Collect("san"); len(one) != 1 || one["delivered"] != 9 {
+		t.Fatalf("Collect(san) = %v, want the one collector's emissions unprefixed", one)
+	}
 	r.DropCollector("san")
 	if _, ok := r.Snapshot()["san.delivered"]; ok {
 		t.Fatal("dropped collector still emitting")
+	}
+	if one := r.Collect("san"); len(one) != 0 {
+		t.Fatalf("Collect of a dropped collector = %v", one)
 	}
 }
 

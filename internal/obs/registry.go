@@ -177,6 +177,20 @@ func (r *Registry) DropCollector(name string) {
 	r.mu.Unlock()
 }
 
+// Collect runs the one collector registered under name and returns
+// what it emits, keys unprefixed: the map a component multicasts as
+// its status report, so the monitor's table and /metrics read one list.
+func (r *Registry) Collect(name string) map[string]float64 {
+	r.mu.RLock()
+	fn := r.collectors[name]
+	r.mu.RUnlock()
+	out := make(map[string]float64)
+	if fn != nil {
+		fn(func(key string, v float64) { out[key] = v })
+	}
+	return out
+}
+
 // Snapshot folds every counter, gauge, collector emission, and
 // histogram summary (<name>.count / <name>.sum) into one flat map.
 func (r *Registry) Snapshot() map[string]float64 {

@@ -58,12 +58,10 @@ type shardService struct {
 	net   *san.Network
 	shard *Shard
 	ep    *san.Endpoint
-	// QueryDelay models per-query disk/CPU cost, if set.
-	queryDelay time.Duration
 }
 
-func newShardService(name, node string, net *san.Network, shard *Shard, delay time.Duration) *shardService {
-	s := &shardService{name: name, node: node, net: net, shard: shard, queryDelay: delay}
+func newShardService(name, node string, net *san.Network, shard *Shard) *shardService {
+	s := &shardService{name: name, node: node, net: net, shard: shard}
 	s.ep = net.Endpoint(san.Addr{Node: node, Proc: name}, 1024)
 	return s
 }
@@ -93,9 +91,6 @@ func (s *shardService) Run(ctx context.Context) error {
 			if !ok {
 				continue
 			}
-			if s.queryDelay > 0 {
-				time.Sleep(s.queryDelay)
-			}
 			hits := s.shard.Search(req.Query, req.K)
 			_ = ep.Respond(msg, msgHits, queryResp{Hits: hits, Docs: s.shard.Docs()}, 64+32*len(hits))
 		}
@@ -113,8 +108,6 @@ type Config struct {
 	Seed       int64
 	// QueryTimeout bounds each per-shard query.
 	QueryTimeout time.Duration
-	// QueryDelay models per-shard query cost.
-	QueryDelay time.Duration
 	// CacheSize bounds the recent-results cache (queries).
 	CacheSize int
 }
@@ -192,7 +185,7 @@ func Deploy(cfg Config, docs []Doc) (*Engine, error) {
 		shard := BuildShard(i, part)
 		primaryNode := hosts[i%len(hosts)]
 		name := fmt.Sprintf("shard%d", i)
-		svc := newShardService(name, primaryNode, cfg.Net, shard, cfg.QueryDelay)
+		svc := newShardService(name, primaryNode, cfg.Net, shard)
 		if _, err := cfg.Cluster.Spawn(primaryNode, svc); err != nil {
 			return nil, err
 		}
@@ -202,7 +195,7 @@ func Deploy(cfg Config, docs []Doc) (*Engine, error) {
 			// over — the cross-mounted-disk arrangement.
 			replicaNode := hosts[(i+1)%len(hosts)]
 			rname := fmt.Sprintf("shard%d.r", i)
-			rsvc := newShardService(rname, replicaNode, cfg.Net, shard, cfg.QueryDelay)
+			rsvc := newShardService(rname, replicaNode, cfg.Net, shard)
 			if _, err := cfg.Cluster.Spawn(replicaNode, rsvc); err != nil {
 				return nil, err
 			}

@@ -27,22 +27,29 @@ type CacheCurveParams struct {
 	// Universe is the number of distinct objects reachable (the
 	// "web"); it does not scale with population.
 	Universe int
-	// Popularity is a three-way mixture per request:
-	//   Locality     -> the shared Zipf head (cross-user popular set),
-	//   PrivateFrac  -> the requesting user's private working set of
-	//                   PrivateSet objects (bookmarks, home pages);
-	//                   the paper's "sum of the users' working sets",
-	//   remainder    -> uniform one-timers over the whole universe.
-	// ZipfS/ZipfV shape the head: P(k) ~ (ZipfV+k)^-ZipfS.
-	Locality    float64
-	PrivateFrac float64
-	PrivateSet  int
-	ZipfS       float64
-	ZipfV       int
+	// PrivateSet is the size of each user's private working set
+	// (bookmarks, home pages); see the popularity mixture below.
+	PrivateSet int
 	// CacheBytes is the total virtual-cache budget across all
 	// partitions.
 	CacheBytes int64
 }
+
+// Popularity is a three-way mixture per request:
+//
+//	locality     -> the shared Zipf head (cross-user popular set),
+//	privateFrac  -> the requesting user's private working set of
+//	                PrivateSet objects; the paper's "sum of the
+//	                users' working sets",
+//	remainder    -> uniform one-timers over the whole universe.
+//
+// zipfS/zipfV shape the head: P(k) ~ (zipfV+k)^-zipfS.
+const (
+	locality    = 0.48
+	privateFrac = 0.22
+	zipfS       = 1.1
+	zipfV       = 4
+)
 
 func (p CacheCurveParams) withDefaults() CacheCurveParams {
 	if p.Users <= 0 {
@@ -54,20 +61,8 @@ func (p CacheCurveParams) withDefaults() CacheCurveParams {
 	if p.Universe <= 0 {
 		p.Universe = 2_000_000
 	}
-	if p.Locality == 0 {
-		p.Locality = 0.48
-	}
-	if p.PrivateFrac == 0 {
-		p.PrivateFrac = 0.22
-	}
 	if p.PrivateSet <= 0 {
 		p.PrivateSet = 60
-	}
-	if p.ZipfS == 0 {
-		p.ZipfS = 1.1
-	}
-	if p.ZipfV <= 0 {
-		p.ZipfV = 4
 	}
 	if p.CacheBytes <= 0 {
 		p.CacheBytes = 6 << 30
@@ -135,13 +130,13 @@ func (c *byteLRU) access(obj int, size int64) bool {
 func RunCacheCurve(p CacheCurveParams) CacheCurveResult {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
-	z := rand.NewZipf(rng, p.ZipfS, float64(p.ZipfV), uint64(p.Universe-1))
+	z := rand.NewZipf(rng, zipfS, zipfV, uint64(p.Universe-1))
 	draw := func() int {
 		u := rng.Float64()
 		switch {
-		case u < p.Locality:
+		case u < locality:
 			return int(z.Uint64())
-		case u < p.Locality+p.PrivateFrac:
+		case u < locality+privateFrac:
 			// The requesting user's private working set lives past
 			// the shared universe in id space.
 			user := rng.Intn(p.Users)

@@ -40,23 +40,17 @@ type Params struct {
 	Seed int64
 
 	// Workload.
-	Rate        func(t time.Duration) float64 // offered load, req/s
-	MaxRate     float64                       // thinning bound (default 200)
-	SizeKB      func(rng *rand.Rand) float64  // object size (default fixed 10 KB)
-	HitRate     float64                       // cache hit probability (default 1: Table 2 methodology)
-	PassThrough bool                          // skip the distillation stage (default: distill)
+	Rate    func(t time.Duration) float64 // offered load, req/s (thinned against maxRate)
+	SizeKB  func(rng *rand.Rand) float64  // object size (default fixed 10 KB)
+	HitRate float64                       // cache hit probability (default 1: Table 2 methodology)
 
 	// Service times.
 	DistillMsPerKB float64 // default 4.3 (SJPG)
 	DistillNoise   float64 // lognormal sigma on distillation time (default 0.2)
-	CacheFixedMs   float64 // default 15
-	CacheExpMs     float64 // default 12
-	MissScale      float64 // scales the miss penalty (default 1)
 
 	// Topology.
 	FrontEnds      int     // initial (default 1)
 	Distillers     int     // initial (default 1)
-	CacheParts     int     // default 4
 	FECapacity     float64 // req/s per front end (default 75)
 	DedicatedNodes int     // distiller slots before overflow (default 10)
 
@@ -79,12 +73,19 @@ type Params struct {
 	SampleInterval time.Duration
 }
 
+// The parts of the model no experiment varies: the arrival thinning
+// bound, the §4.4 cache hit service time (15 ms fixed + Exp(12 ms)) and
+// the cache partition count.
+const (
+	maxRate      = 200.0
+	cacheFixedMs = 15.0
+	cacheExpMs   = 12.0
+	cacheParts   = 4
+)
+
 func (p Params) withDefaults() Params {
 	if p.Rate == nil {
 		p.Rate = func(time.Duration) float64 { return 10 }
-	}
-	if p.MaxRate <= 0 {
-		p.MaxRate = 200
 	}
 	if p.SizeKB == nil {
 		p.SizeKB = func(*rand.Rand) float64 { return 10 }
@@ -98,23 +99,11 @@ func (p Params) withDefaults() Params {
 	if p.DistillNoise == 0 {
 		p.DistillNoise = 0.2
 	}
-	if p.CacheFixedMs == 0 {
-		p.CacheFixedMs = 15
-	}
-	if p.CacheExpMs == 0 {
-		p.CacheExpMs = 12
-	}
-	if p.MissScale == 0 {
-		p.MissScale = 1
-	}
 	if p.FrontEnds <= 0 {
 		p.FrontEnds = 1
 	}
 	if p.Distillers <= 0 {
 		p.Distillers = 1
-	}
-	if p.CacheParts <= 0 {
-		p.CacheParts = 4
 	}
 	if p.FECapacity <= 0 {
 		p.FECapacity = 75
@@ -286,7 +275,7 @@ func New(p Params) *Model {
 	for i := 0; i < p.FrontEnds; i++ {
 		m.addFrontEnd()
 	}
-	for i := 0; i < p.CacheParts; i++ {
+	for i := 0; i < cacheParts; i++ {
 		m.addCachePart()
 	}
 	for i := 0; i < p.Distillers; i++ {
@@ -376,7 +365,7 @@ func (m *Model) addCachePart() {
 		m:    m,
 		name: fmt.Sprintf("cache%d", len(m.caches)),
 		service: func(r *request) time.Duration {
-			ms := m.p.CacheFixedMs + sim.Exp(m.svcRng, m.p.CacheExpMs)
+			ms := cacheFixedMs + sim.Exp(m.svcRng, cacheExpMs)
 			return time.Duration(ms * float64(time.Millisecond))
 		},
 	}
@@ -435,13 +424,13 @@ func (m *Model) KillDistiller(idx int) {
 
 // scheduleNextArrival draws the next arrival by Poisson thinning.
 func (m *Model) scheduleNextArrival() {
-	dt := m.arrRng.ExpFloat64() / m.p.MaxRate
+	dt := m.arrRng.ExpFloat64() / maxRate
 	m.eng.After(time.Duration(dt*float64(time.Second)), func() {
 		rate := m.p.Rate(m.eng.Now())
-		if rate > m.p.MaxRate {
-			rate = m.p.MaxRate
+		if rate > maxRate {
+			rate = maxRate
 		}
-		if rate > 0 && m.arrRng.Float64() < rate/m.p.MaxRate {
+		if rate > 0 && m.arrRng.Float64() < rate/maxRate {
 			m.arrive()
 		}
 		m.scheduleNextArrival()
@@ -467,16 +456,12 @@ func (m *Model) afterFE(r *request) {
 	}
 	// Miss: pay the origin penalty (no queueing — the bottleneck is
 	// the wide area, not a local resource), then distill.
-	penalty := sim.Clamp(sim.LogNormal(m.misRng, m.missMu, 1.5), 0.1, 100) * m.p.MissScale
+	penalty := sim.Clamp(sim.LogNormal(m.misRng, m.missMu, 1.5), 0.1, 100)
 	m.eng.After(sim.Seconds(penalty), func() { m.afterCache(r) })
 }
 
-// afterCache routes to a distiller (or completes for pass-through).
+// afterCache routes to a distiller.
 func (m *Model) afterCache(r *request) {
-	if m.p.PassThrough {
-		m.complete(r)
-		return
-	}
 	var ids []string
 	live := make(map[string]*distiller)
 	for _, d := range m.dists {

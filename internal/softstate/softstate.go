@@ -1,8 +1,8 @@
 // Package softstate provides the BASE building blocks the paper's SNS
 // layer is made of (§1.4, §2.2.4, §3.1.3): TTL tables whose entries
 // are kept alive by periodic beacons and silently expire otherwise,
-// beacon tickers, and process-peer watchdogs that infer failure from
-// silence and restart their peer rather than mirror its state.
+// and process-peer watchdogs that infer failure from silence and
+// restart their peer rather than mirror its state.
 //
 // Nothing here is durable and nothing needs crash recovery: a restarted
 // component simply rebuilds its tables from the next few beacons,
@@ -244,53 +244,6 @@ func (w *Watchdog) fire() {
 	if cb != nil {
 		cb(n)
 	}
-}
-
-// Beacon periodically invokes a send function — the paper's
-// "periodically beacons its existence on a multicast group" (§3.1.2).
-type Beacon struct {
-	Interval time.Duration
-	Send     func()
-
-	mu     sync.Mutex
-	ticker *time.Ticker
-	done   chan struct{}
-}
-
-// Start begins beaconing immediately (one beacon right away, then
-// every Interval).
-func (b *Beacon) Start() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.done != nil {
-		return
-	}
-	b.done = make(chan struct{})
-	b.ticker = time.NewTicker(b.Interval)
-	go func(done chan struct{}, tk *time.Ticker) {
-		b.Send()
-		for {
-			select {
-			case <-tk.C:
-				b.Send()
-			case <-done:
-				return
-			}
-		}
-	}(b.done, b.ticker)
-}
-
-// Stop halts beaconing.
-func (b *Beacon) Stop() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.done == nil {
-		return
-	}
-	close(b.done)
-	b.ticker.Stop()
-	b.done = nil
-	b.ticker = nil
 }
 
 // MovingAverage is the weighted (exponential) moving average the

@@ -179,27 +179,6 @@ func TestWatchdogStop(t *testing.T) {
 	w.Feed()
 }
 
-func TestBeacon(t *testing.T) {
-	var n atomic.Int32
-	b := &Beacon{Interval: 10 * time.Millisecond, Send: func() { n.Add(1) }}
-	b.Start()
-	b.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for n.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	b.Stop()
-	b.Stop() // idempotent
-	if n.Load() < 3 {
-		t.Fatalf("beacon fired %d times, want >= 3", n.Load())
-	}
-	at := n.Load()
-	time.Sleep(50 * time.Millisecond)
-	if n.Load() != at {
-		t.Fatal("beacon fired after Stop")
-	}
-}
-
 func TestMovingAverageFirstSample(t *testing.T) {
 	m := &MovingAverage{Alpha: 0.5}
 	if got := m.Add(10); got != 10 {

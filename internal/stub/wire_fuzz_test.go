@@ -69,7 +69,7 @@ func wireSamples() map[string]any {
 		MsgSpawnReq: SpawnReq{Class: "echo"},
 		MsgMonReport: StatusReport{
 			Component: "w0", Kind: "worker", Node: "n1",
-			Metrics: map[string]float64{"qlen": 3, "costMs": 1.5, "done": 7},
+			Metrics: map[string]float64{"qlen": 3, "cost_ms": 1.5, "done": 7},
 		},
 		MsgSpanDigest: SpanDigest{Spans: []obs.Span{
 			{

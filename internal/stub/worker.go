@@ -146,8 +146,10 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 	ep := s.ep
 	defer ep.Close()
 	ep.Join(GroupControl)
-	// Replace-by-name keeps restarts idempotent: a respawned stub with
-	// the same name takes over its metric slot.
+	// Worker ids are fresh per spawn, so nothing would ever replace this
+	// collector by name: drop it on exit, or every respawn leaves a dead
+	// worker.<id> family in /metrics with this stub pinned behind it.
+	defer s.net.Registry().DropCollector("worker." + s.name)
 	s.net.Registry().SetCollector("worker."+s.name, func(emit func(string, float64)) {
 		emit("qlen", float64(s.qlen.Load()))
 		emit("done", float64(s.done.Load()))
@@ -439,13 +441,7 @@ func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 		Component: s.name,
 		Kind:      "worker",
 		Node:      s.node,
-		Metrics: map[string]float64{
-			"qlen":    float64(report.QLen),
-			"costMs":  report.CostMs,
-			"done":    float64(report.Done),
-			"errors":  float64(report.Errors),
-			"expired": float64(s.expired.Load()),
-		},
+		Metrics:   s.net.Registry().Collect("worker." + s.name),
 	}, 96)
 }
 

@@ -31,7 +31,6 @@ type Config struct {
 	Users    int // population size (paper: ~8000 active users)
 	Objects  int // object universe size
 	ZipfS    float64
-	Arrivals *ArrivalModel // nil -> DefaultArrivals(Seed)
 }
 
 // DefaultConfig returns a configuration matching the paper's observed
@@ -62,12 +61,8 @@ func Generate(cfg Config) []Record {
 	if cfg.ZipfS <= 1 {
 		cfg.ZipfS = 1.1
 	}
-	arr := cfg.Arrivals
-	if arr == nil {
-		arr = DefaultArrivals(cfg.Seed)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	times := arr.Generate(rng, cfg.Start, cfg.Start+cfg.Duration)
+	times := DefaultArrivals(cfg.Seed).Generate(rng, cfg.Start, cfg.Start+cfg.Duration)
 	zipf := sim.Zipf(rng, cfg.ZipfS, cfg.Objects)
 	model := NewContentModel()
 

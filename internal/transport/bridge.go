@@ -22,14 +22,10 @@ type Config struct {
 
 	// Listen is the socket to accept peers on: "tcp:host:port" or
 	// "unix:/path" (a bare "host:port" implies tcp). Port 0 picks a
-	// free port; Advertise()/Addr() report the resolved address.
+	// free port; Advertise()/Addr() report the resolved address, which
+	// is what peers are told to dial — so bind a dialable address, not
+	// a wildcard.
 	Listen string
-
-	// Advertise overrides the address gossiped to peers. Required
-	// when Listen binds a wildcard ("tcp:0.0.0.0:7401") — the
-	// resolved listener address is not dialable from other hosts.
-	// Defaults to the resolved Listen address.
-	Advertise string
 
 	// Join lists seed addresses to dial. One live seed suffices: its
 	// hello gossips the rest of the mesh.
@@ -39,9 +35,6 @@ type Config struct {
 	// defaults to the advertised listen address, which is unique by
 	// construction.
 	ID string
-
-	// Logf, when set, receives connection lifecycle diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // Data-plane thresholds and connection timers. None is configurable:
@@ -215,19 +208,11 @@ func New(cfg Config) (*Bridge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
-	advertise := network + ":" + ln.Addr().String()
-	if cfg.Advertise != "" {
-		advertise, err = canonicalAddr(cfg.Advertise)
-		if err != nil {
-			_ = ln.Close()
-			return nil, fmt.Errorf("transport: bad advertise address: %w", err)
-		}
-	}
 	b := &Bridge{
 		cfg:        cfg,
 		net:        cfg.Net,
 		ln:         ln,
-		advertise:  advertise,
+		advertise:  network + ":" + ln.Addr().String(),
 		peers:      make(map[string]*peer),
 		routes:     make(map[san.Addr]*peer),
 		dialing:    make(map[string]bool),
@@ -436,12 +421,6 @@ func (b *Bridge) isClosed() bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.closed
-}
-
-func (b *Bridge) logf(format string, args ...any) {
-	if b.cfg.Logf != nil {
-		b.cfg.Logf(format, args...)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -704,7 +683,6 @@ func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, done func()) b
 		return false
 	}
 	if !errors.Is(err, ErrBatcherClosed) {
-		b.logf("transport: %s: write to peer %s failed, dropping connection: %v", b.cfg.ID, p.id, err)
 		p.close()
 	}
 	return false
@@ -781,7 +759,6 @@ func (b *Bridge) acceptLoop() {
 func (b *Bridge) ensureDial(addr string) {
 	canon, err := canonicalAddr(addr)
 	if err != nil {
-		b.logf("transport: bad peer address %q: %v", addr, err)
 		return
 	}
 	b.mu.Lock()
@@ -866,7 +843,6 @@ func (b *Bridge) dialLoop(canon string) {
 			// through to the backoff — instant redial would churn.
 		}
 		if !b.isSeed(canon) && time.Since(deadSince) > dialRetireAfter {
-			b.logf("transport: %s: retiring dead gossiped address %s", b.cfg.ID, canon)
 			return
 		}
 		select {
@@ -944,7 +920,6 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 	dec := NewLeasedDecoder()
 	hello, err := b.readHello(conn, dec)
 	if err != nil {
-		b.logf("transport: handshake with %s failed: %v", conn.RemoteAddr(), err)
 		_ = conn.Close()
 		dec.Close()
 		return "", false
@@ -965,7 +940,6 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 		dec.Close()
 		return hello.ID, false
 	}
-	b.logf("transport: %s connected to peer %s (%s, dialed=%v)", b.cfg.ID, p.id, p.advertise, dialed)
 
 	// The peer's hello advertises its endpoint table; seed routes from
 	// it so nothing we send it ever needs the flood path.
@@ -1084,7 +1058,6 @@ func (b *Bridge) removePeer(p *peer) {
 		}
 	}
 	b.mu.Unlock()
-	b.logf("transport: %s lost peer %s", b.cfg.ID, p.id)
 }
 
 // chunkBuild is one in-flight reassembly: fragments land at their
@@ -1163,7 +1136,6 @@ func (b *Bridge) readLoop(p *peer, dec *Decoder) {
 			f, ok, err := dec.Next()
 			if err != nil {
 				b.frameErrors.Add(1)
-				b.logf("transport: %s: corrupt stream from %s: %v", b.cfg.ID, p.id, err)
 				return
 			}
 			if !ok {

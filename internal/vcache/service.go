@@ -293,25 +293,8 @@ func (c *Client) Get(ctx context.Context, key string) (data []byte, mime string,
 // a miss). Front ends that write the bytes straight to a client socket
 // use this to serve a cache hit without any body copy in this process.
 func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime string, release func(), found bool) {
-	addr, ok := c.owner(key)
-	if !ok {
-		return nil, "", nil, false
-	}
-	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
-	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key}, len(key)+16)
-	if err != nil {
-		return nil, "", nil, false
-	}
-	got, ok := resp.Body.(GetResp)
-	if !ok || !got.Found {
-		resp.Release()
-		return nil, "", nil, false
-	}
-	if resp.Lease == nil {
-		return got.Data, got.MIME, nil, true
-	}
-	return got.Data, got.MIME, resp.Lease.Release, true
+	data, mime, _, release, found = c.getView(ctx, key, false)
+	return data, mime, release, found
 }
 
 // GetStaleView is GetView with the BASE degraded-mode widening: the
@@ -320,13 +303,17 @@ func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime str
 // argument. An overloaded front end uses this to keep answering without
 // spending worker capacity; release semantics match GetView.
 func (c *Client) GetStaleView(ctx context.Context, key string) (data []byte, mime string, stale bool, release func(), found bool) {
+	return c.getView(ctx, key, true)
+}
+
+func (c *Client) getView(ctx context.Context, key string, acceptStale bool) (data []byte, mime string, stale bool, release func(), found bool) {
 	addr, ok := c.owner(key)
 	if !ok {
 		return nil, "", false, nil, false
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key, Stale: true}, len(key)+16)
+	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key, Stale: acceptStale}, len(key)+16)
 	if err != nil {
 		return nil, "", false, nil, false
 	}

@@ -1,10 +1,9 @@
 package repro
 
 // The one table of hot-path micro-benchmarks. `go test -bench Micro .`
-// (BenchmarkMicro in bench_test.go) and the snapshot writer
-// (cmd/experiments -snapshot) both range over MicroBenches, so a
-// number in BENCH_*.json and a number on a developer's terminal come
-// from the same body.
+// prints each row's ns/op, B/op and allocs/op; TestMicroCeilings runs
+// the same bodies in tier-1 and fails when a row's allocs/op (or B/op)
+// climbs past the ceiling written next to it.
 
 import (
 	"context"
@@ -20,32 +19,52 @@ import (
 	"repro/internal/vcache"
 )
 
-// MicroBench is one named micro-benchmark. The snapshot records it as
-// <Name>_ns and <Name>_allocs, plus <Name>_bytes when Mem is set (the
-// data-plane benches, where B/op is the copy count made measurable).
-// F reports failure by returning an error, never through b.Fatal: the
-// snapshot writer runs it under testing.Benchmark outside `go test`,
-// where b.Fatal dereferences a nil test context.
+// MicroBench is one named micro-benchmark and the ceilings it must
+// stay under: allocs/op always, B/op where MaxBytes is set (the blob
+// relay, where B/op is the copy count made measurable). F reports
+// failure by returning an error so the ceilings test can tell a broken
+// row from a slow one.
 type MicroBench struct {
-	Name string
-	Mem  bool
-	F    func(*testing.B) error
+	Name      string
+	MaxAllocs float64
+	MaxBytes  float64
+	F         func(*testing.B) error
 }
+
+// ceiling is the alloc gate: 20 % over the measured baseline plus half
+// an alloc of absolute slack. Amortized pool misses put values like
+// 2e-7 allocs/op on the alloc-free rows, where relative drift means
+// nothing; any real regression of those rows — an alloc-free path
+// regressing to >= 1 alloc/op — clears half an alloc with room to spare.
+func ceiling(baseline float64) float64 { return baseline*1.2 + 0.5 }
 
 // MicroBenches lists the request hot path's building blocks, bottom
 // up: codec, frame, SAN send, bridged send, cache partition, and the
-// FE→cache→FE blob relay at the paper's three content sizes.
+// FE→cache→FE blob relay at the paper's three content sizes. Baselines
+// are allocs/op measured on the 2-CPU reference host.
 var MicroBenches = []MicroBench{
-	{Name: "wire_encode_append", F: benchWireEncodeAppend},
-	{Name: "wire_decode", F: benchWireDecode},
-	{Name: "frame_encode", F: benchFrameEncode},
-	{Name: "frame_decode", F: benchFrameDecode},
-	{Name: "san_send_wire", F: func(b *testing.B) error { return benchSANSendParallel(b, "d", nil) }},
-	{Name: "bridge_send", F: benchBridgeSend},
-	{Name: "partition_get", F: benchPartitionGet},
-	{Name: "blob_relay_4k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
-	{Name: "blob_relay_64k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
-	{Name: "blob_relay_512k", Mem: true, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
+	// Steady-state encode into a recycled buffer: alloc-free.
+	{Name: "wire_encode_append", MaxAllocs: ceiling(0), F: benchWireEncodeAppend},
+	// The decoded body's owned strings.
+	{Name: "wire_decode", MaxAllocs: ceiling(8), F: benchWireDecode},
+	// Alloc-free append and zero-copy streaming decode: >= 1 alloc/op
+	// means the append path or the decoder's buffer reuse broke.
+	{Name: "frame_encode", MaxAllocs: ceiling(0), F: benchFrameEncode},
+	{Name: "frame_decode", MaxAllocs: ceiling(0), F: benchFrameDecode},
+	{Name: "san_send_wire", MaxAllocs: ceiling(0), F: benchSANSendParallel},
+	// Per-frame cost of the socket data plane. What remains is the far
+	// side's decode (wire_decode's 8); more means frame scratch pooling
+	// or the vectored path regressed.
+	{Name: "bridge_send", MaxAllocs: ceiling(7.7), F: benchBridgeSend},
+	{Name: "partition_get", MaxAllocs: ceiling(0), F: benchPartitionGet},
+	// "At most one body copy per hop" in numbers: B/op stays far below
+	// the body size. The ceiling is an eighth of the body, not a margin
+	// over the ~1-2 KB baseline: at the gate's run length one missed
+	// buffer-pool get is body/N bytes per op, while the defect this
+	// guards — a body copy per request — is the whole body.
+	{Name: "blob_relay_4k", MaxAllocs: ceiling(16), F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
+	{Name: "blob_relay_64k", MaxAllocs: ceiling(16), MaxBytes: 64 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
+	{Name: "blob_relay_512k", MaxAllocs: ceiling(65), MaxBytes: 512 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
 }
 
 // wireLoadReport is the representative hot-path message: the periodic
@@ -150,11 +169,11 @@ func benchFrameDecode(b *testing.B) error {
 	return nil
 }
 
-// benchSANSendParallel sends one body over the wire codec from many
+// benchSANSendParallel sends a nil body over the wire codec from many
 // concurrent sender/receiver pairs, 1% loss keeping the rng hot —
 // san.BenchmarkSANSendParallel's traffic shape with the codec on the
 // path (encode per send, decode per delivery).
-func benchSANSendParallel(b *testing.B, kind string, body any) error {
+func benchSANSendParallel(b *testing.B) error {
 	net := wireNet(1)
 	net.SetLoss(0.01, 0)
 	var next atomic.Int64
@@ -170,7 +189,7 @@ func benchSANSendParallel(b *testing.B, kind string, body any) error {
 			}
 		}()
 		for pb.Next() {
-			if err := src.Send(dst.Addr(), kind, body, 0); err != nil {
+			if err := src.Send(dst.Addr(), "d", nil, 0); err != nil {
 				first := err // copied here so the hot path's err stays off the heap
 				failed.CompareAndSwap(nil, &first)
 				return
