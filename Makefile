@@ -20,11 +20,11 @@ race:
 	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/manager
 
 # Non-test Go lines outside bench/ (whole tree, then internal/core,
-# internal/manager and cmd/experiments) — the numbers CHANGES.md and
-# ROADMAP.md quote for "net-negative" PRs.
+# internal/manager, cmd/experiments and cmd/node) — the numbers
+# CHANGES.md and ROADMAP.md quote for "net-negative" PRs.
 loc:
 	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
-	@for d in internal/core internal/manager cmd/experiments; do printf "non-test Go lines in $$d: "; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
+	@for d in internal/core internal/manager cmd/experiments cmd/node; do printf "non-test Go lines in $$d: "; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).

@@ -268,8 +268,8 @@ func (s *System) Restart(name string) error {
 }
 
 // Kill crashes any hosted component by name, without respawn — fault
-// injection for tests, chaos schedules, cmd/node's /kill and the
-// supervisor's kill op. Whoever watches the component brings it back.
+// injection for tests, chaos schedules and cmd/node's /kill. Whoever
+// watches the component brings it back.
 func (s *System) Kill(name string) error { return s.stop(name, true) }
 
 // ReapWorker stops a worker gracefully (manager.Spawner): the stub

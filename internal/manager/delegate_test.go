@@ -234,14 +234,18 @@ func TestNoSupervisorFallsBackToLocalRestart(t *testing.T) {
 }
 
 // TestFEHeartbeatsAreAddressKeyed: two processes each hosting an "fe0"
-// must not interleave in the manager's table — the live one's
-// heartbeats cannot mask the dead one's silence.
+// must not interleave — the live one's heartbeats cannot mask the dead
+// one's silence in the manager's table, and the dead one's restart
+// cannot land on the live one: the local lever restarts by bare name, so
+// while the peer's supervisor refuses, the incident is retried there and
+// the manager process's own fe0 is left alone.
 func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
+	sp := newTestSpawner(net, tick) // a local Restart("fe0") would succeed, and is counted
 	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
+	m := startManagerWithPrefix(t, net, sp)
 	supB := startScriptedSupervisor(t, net, "b-node0", "b-")
+	supB.setMode("refuse")
 
 	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
 
@@ -272,17 +276,20 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 			}
 		}
 	}()
-	waitFor(t, "dead replica restarted via its supervisor", func() bool {
-		for _, c := range supB.received() {
-			if c.Op == supervisor.OpRestart && c.Target == "fe0" {
-				return true
-			}
+	waitFor(t, "two refused delegations", func() bool { return m.Stats().DelegateFails >= 2 })
+	if st := m.Stats(); sp.restarts.Load() != 0 || st.FERestarts != 0 || st.Delegated != 0 {
+		t.Fatalf("%d local restarts of fe0 for the peer's dead fe0; stats %+v", sp.restarts.Load(), st)
+	}
+	supB.setMode("ok")
+	waitFor(t, "dead replica restarted via its supervisor", func() bool { return m.Stats().Delegated >= 1 })
+	for _, c := range supB.received() {
+		if c.Op != supervisor.OpRestart || c.Target != "fe0" {
+			t.Fatalf("supervisor saw %+v", c)
 		}
-		return false
-	})
-	// The live replica never stopped being tracked.
-	if m.Stats().FrontEnds < 1 {
-		t.Fatal("live replica lost from the table")
+	}
+	// The live replica never stopped being tracked, and was never touched.
+	if m.Stats().FrontEnds < 1 || sp.restarts.Load() != 0 {
+		t.Fatalf("live replica: %d tracked, %d local restarts", m.Stats().FrontEnds, sp.restarts.Load())
 	}
 }
 

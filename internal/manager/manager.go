@@ -228,7 +228,7 @@ type Stats struct {
 	// Delegated counts process-peer actions executed by a remote
 	// supervisor on this manager's behalf; DelegateFails counts
 	// delegation attempts that timed out or were refused (each is
-	// retried, with fallback to the local spawner).
+	// retried at the next tick).
 	Delegated      uint64
 	DelegateFails  uint64
 	DelegatedSpawn uint64
@@ -373,6 +373,15 @@ func (m *Manager) Run(ctx context.Context) error {
 		emit("beacons_sent", float64(st.BeaconsSent))
 		emit("registrations", float64(st.Registrations))
 		emit("epoch", float64(st.Epoch))
+		primary := 0.0
+		if st.Primary {
+			primary = 1
+		}
+		emit("primary", primary)
+		emit("takeovers", float64(st.Takeovers))
+		emit("delegated", float64(st.Delegated))
+		emit("delegate_fails", float64(st.DelegateFails))
+		emit("supervisors", float64(st.Supervisors))
 	})
 
 	tick := time.NewTicker(m.cfg.BeaconInterval)
@@ -759,11 +768,14 @@ func (m *Manager) bookWorkerLocked(class, node string) *start {
 // the manager's own inbox, and beacons must keep flowing meanwhile. A
 // row whose node belongs to a supervisor in another OS process (its
 // prefix is not the manager's own) is delegated over the SAN; everything
-// else takes the direct local path. Retries of one incident reuse its
-// command id, so a supervisor that executed the command but whose ack
-// was lost answers the retry from its result cache instead of acting
-// twice; the command carries the issuing epoch, so a supervisor that
-// has seen a newer one refuses a deposed primary's in-flight commands.
+// else takes the direct local path. The two never mix: the local lever
+// restarts by bare name, so a failed delegation is retried at the next
+// tick and never attempted here — a peer's dead fe0 must not restart
+// this process's live fe0. Retries of one incident reuse its command id,
+// so a supervisor that executed the command but whose ack was lost
+// answers the retry from its result cache instead of acting twice; the
+// command carries the issuing epoch, so a supervisor that has seen a
+// newer one refuses a deposed primary's in-flight commands.
 func (m *Manager) act(p *start) {
 	m.mu.Lock()
 	if p.cmdID == 0 {
@@ -781,26 +793,21 @@ func (m *Manager) act(p *start) {
 	sup, owned := m.SupervisorFor(p.Node)
 	remote := owned && sup.Prefix != m.cfg.Prefix
 	go func() {
-		delegated := false
-		if remote {
-			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
-			resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
-			cancel()
-			ack, _ := resp.Body.(supervisor.Ack) // a malformed ack is a refusal
-			if delegated = err == nil && ack.OK; !delegated {
-				m.mu.Lock()
-				m.stats.DelegateFails++
-				m.mu.Unlock()
-			}
+		if !remote {
+			m.complete(p, local(), false)
+			return
 		}
-		// Local fallback after a failed delegation: if the component is
-		// in fact hosted in this process (stale supervisor table, or a
-		// supervisor that died mid-restart of a local component), the
-		// direct path still works; otherwise it errors at once and the
-		// next tick re-delegates. A replica deposed while the command was
-		// in flight (the refusal may BE the stale-epoch fence) must not
-		// touch anything: the duty belongs to the new primary now.
-		m.complete(p, delegated || (!remote || m.IsPrimary()) && local(), delegated)
+		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
+		resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
+		cancel()
+		ack, _ := resp.Body.(supervisor.Ack) // a malformed ack is a refusal
+		delegated := err == nil && ack.OK
+		if !delegated {
+			m.mu.Lock()
+			m.stats.DelegateFails++
+			m.mu.Unlock()
+		}
+		m.complete(p, delegated, delegated)
 	}()
 }
 
@@ -858,18 +865,6 @@ func (m *Manager) pendingWorkersLocked(class string) int {
 // carrying its prefix.
 func (m *Manager) SupervisorFor(node string) (supervisor.HelloMsg, bool) {
 	return supervisor.Owner(node, m.sups.Snapshot())
-}
-
-// Supervisors returns the live supervisor table, sorted by address —
-// operator tooling and selftests resolve delegation targets from it.
-func (m *Manager) Supervisors() []supervisor.HelloMsg {
-	snap := m.sups.Snapshot()
-	out := make([]supervisor.HelloMsg, 0, len(snap))
-	for _, hb := range snap {
-		out = append(out, hb)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.String() < out[j].Addr.String() })
-	return out
 }
 
 // trySpawn books and issues one more worker of class, unless the

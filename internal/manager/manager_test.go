@@ -495,3 +495,42 @@ func TestPolicyPureFunctions(t *testing.T) {
 		t.Fatal("reaped a busy class")
 	}
 }
+
+// TestCollectorCarriesElectionAndDelegation: /status and /metrics are the
+// collector, so what an operator asks after a failover — who is primary,
+// did it take over, is it delegating, to how many supervisors — has to
+// be there and has to agree with Stats(). A lone standby is left to take
+// over, then to fail one delegation and land the retry.
+func TestCollectorCarriesElectionAndDelegation(t *testing.T) {
+	net := san.NewNetwork(1)
+	sp := newTestSpawner(net, tick)
+	defer sp.stopAll()
+	sup := startScriptedSupervisor(t, net, "b-node0", "b-")
+	sup.setMode("refuse")
+	m, _ := startReplica(t, net, "a-mgr1", sp, 1, true)
+
+	collected := func() map[string]float64 { return net.Registry().Collect("manager") }
+	waitFor(t, "standby hears the supervisor", func() bool { return collected()["supervisors"] == 1 })
+	if got := collected(); got["primary"] != 0 || got["takeovers"] != 0 {
+		t.Fatalf("standby publishes %v, want primary 0 and no takeover", got)
+	}
+	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
+	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+
+	waitFor(t, "takeover", func() bool { return collected()["primary"] == 1 })
+	waitFor(t, "refused delegation", func() bool { return collected()["delegate_fails"] >= 1 })
+	sup.setMode("ok")
+	waitFor(t, "delegated restart", func() bool { return collected()["delegated"] >= 1 })
+	// The silent front end is re-delegated every TTL, so a counter may
+	// move between the two reads; retry until one comparison held still.
+	var st Stats
+	var got map[string]float64
+	waitFor(t, "collector equals Stats", func() bool {
+		st, got = m.Stats(), collected()
+		return got["delegated"] == float64(st.Delegated) && got["delegate_fails"] == float64(st.DelegateFails)
+	})
+	if !st.Primary || got["primary"] != 1 || st.Takeovers != 1 || got["takeovers"] != 1 ||
+		got["epoch"] != float64(st.Epoch) || st.Supervisors != 1 || got["supervisors"] != 1 {
+		t.Fatalf("collector %v\nstats %+v", got, st)
+	}
+}

@@ -383,9 +383,6 @@ func (n *Network) Registry() *obs.Registry { return n.registry }
 // WireMode reports whether a codec is installed.
 func (n *Network) WireMode() bool { return n.codec != nil }
 
-// DecodeViews reports whether deliveries decode zero-copy views.
-func (n *Network) DecodeViews() bool { return n.viewCodec != nil }
-
 // SetFabric installs (or, with nil, detaches) the cross-process
 // fabric. A fabric requires wire mode: message bodies must already be
 // bytes to cross a process boundary, so installing one on a

@@ -424,7 +424,7 @@ func (ms *ManagerStub) Dispatch(ctx context.Context, class string, task *tacc.Ta
 			// Copy-on-retain: Dispatch hands out an owned Blob (callers
 			// cache it, compose pipelines with it), so a view-decoded
 			// result is cloned out of its receive buffer here.
-			res.Blob.Data = CloneBytes(res.Blob.Data)
+			res.Blob.Data = san.CloneBytes(res.Blob.Data)
 			resp.Release()
 		}
 		return res.Blob, nil

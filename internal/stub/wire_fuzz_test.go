@@ -392,7 +392,7 @@ func TestDecodeBodyViewAliasing(t *testing.T) {
 
 	// A consumer that must outlive the buffer clones before the
 	// producer recycles it.
-	kept := CloneBytes(got.Blob.Data)
+	kept := san.CloneBytes(got.Blob.Data)
 
 	// Simulate buffer recycling: scribble over the wire bytes. The
 	// live view changes with them (it aliases); the clone does not.

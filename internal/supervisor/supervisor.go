@@ -3,7 +3,7 @@
 // process boundaries. Every core.Start process runs one: it announces
 // itself on the SAN control group with periodic hello heartbeats
 // (address-keyed, exactly like cache services) and executes
-// restart/kill/spawn/disable/enable commands sent to it as SAN calls.
+// restart/spawn/disable/enable commands sent to it as SAN calls.
 //
 // The manager stays the brain — it watches heartbeats and decides what
 // must be restarted — but the muscle is now location-transparent: when
@@ -51,9 +51,6 @@ const (
 	// OpSpawnWorker starts a fresh worker of the target class in this
 	// process (cross-process replacement spawns).
 	OpSpawnWorker = "spawn-worker"
-	// OpKill crashes the named component without respawn — remote
-	// fault injection for multi-process chaos.
-	OpKill = "kill"
 	// OpDisable / OpEnable forward a hot-upgrade disable/enable control
 	// message to the named local component (§2.1).
 	OpDisable = "disable"
@@ -146,8 +143,6 @@ type Host interface {
 	Restart(name string) error
 	// SpawnWorker starts a fresh worker of class.
 	SpawnWorker(class string) error
-	// Kill crashes a hosted component without respawn.
-	Kill(name string) error
 	// Addr resolves a hosted component's SAN address (for forwarded
 	// disable/enable control messages).
 	Addr(name string) (san.Addr, bool)
@@ -217,8 +212,7 @@ type Supervisor struct {
 	cfg Config
 	ep  *san.Endpoint
 
-	nextID atomic.Uint64
-	epoch  atomic.Uint64 // highest election epoch observed
+	epoch atomic.Uint64 // highest election epoch observed
 
 	mu    sync.Mutex
 	done  map[string]doneEntry // origin#id -> result, for idempotent redelivery
@@ -331,11 +325,6 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("supervisor: %s endpoint closed", s.cfg.Name)
 			}
-			if msg.Reply {
-				// Acks for Invoke calls issued through this endpoint.
-				ep.DeliverReply(msg)
-				continue
-			}
 			if msg.Kind != MsgCmd {
 				if s.cfg.EpochFrom != nil {
 					if e, ok := s.cfg.EpochFrom(msg.Kind, msg.Body); ok {
@@ -422,8 +411,8 @@ func (s *Supervisor) execute(cmd Command) Ack {
 	if s.cfg.Host == nil {
 		err = fmt.Errorf("supervisor: no host wired")
 	} else if cmd.Target == s.cfg.Name {
-		// The host's Restart and Kill wait for the old instance to exit,
-		// and this loop is that instance.
+		// The host's Restart waits for the old instance to exit, and this
+		// loop is that instance.
 		err = fmt.Errorf("supervisor: %s cannot %s itself", s.cfg.Name, cmd.Op)
 	} else {
 		switch cmd.Op {
@@ -431,8 +420,6 @@ func (s *Supervisor) execute(cmd Command) Ack {
 			err = s.cfg.Host.Restart(cmd.Target)
 		case OpSpawnWorker:
 			err = s.cfg.Host.SpawnWorker(cmd.Target)
-		case OpKill:
-			err = s.cfg.Host.Kill(cmd.Target)
 		case OpDisable:
 			err = s.forwardControl(cmd.Target, s.cfg.DisableKind)
 		case OpEnable:
@@ -459,31 +446,4 @@ func (s *Supervisor) forwardControl(name, kind string) error {
 		return fmt.Errorf("supervisor: unknown component %s", name)
 	}
 	return s.ep.Send(addr, kind, nil, 16)
-}
-
-// NextCommandID mints an id for a new incident issued from this
-// process (retries of the same incident must reuse the id).
-func (s *Supervisor) NextCommandID() uint64 { return s.nextID.Add(1) }
-
-// Invoke sends a command to a peer supervisor and waits for its ack —
-// the client half of the protocol, used by selftests and operator
-// tooling. The supervisor's Run loop must be live (it routes the reply
-// back into the pending call). An ack with OK=false is returned with a
-// nil error: the command was delivered and refused, which is an answer.
-func (s *Supervisor) Invoke(ctx context.Context, to san.Addr, cmd Command) (Ack, error) {
-	if cmd.Origin == "" {
-		cmd.Origin = s.addr().String()
-	}
-	if cmd.ID == 0 {
-		cmd.ID = s.NextCommandID()
-	}
-	resp, err := s.ep.Call(ctx, to, MsgCmd, cmd, 64)
-	if err != nil {
-		return Ack{}, err
-	}
-	ack, ok := resp.Body.(Ack)
-	if !ok {
-		return Ack{}, fmt.Errorf("supervisor: malformed ack %T", resp.Body)
-	}
-	return ack, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,7 +47,6 @@ func (h *fakeHost) count(op, target string) int {
 
 func (h *fakeHost) Restart(name string) error      { return h.act(OpRestart, name) }
 func (h *fakeHost) SpawnWorker(class string) error { return h.act(OpSpawnWorker, class) }
-func (h *fakeHost) Kill(name string) error         { return h.act(OpKill, name) }
 func (h *fakeHost) Addr(name string) (san.Addr, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -97,7 +97,7 @@ func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
 	return ack
 }
 
-// TestCommandsExecuteThroughHost: every restart/spawn/kill op reaches
+// TestCommandsExecuteThroughHost: every restart/spawn op reaches
 // the host exactly once and acks OK — the restart op under its own
 // name and under each of the three per-kind names older peers send —
 // and a redelivery of the same command id is answered from the result
@@ -112,7 +112,6 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 		{"restart-cache", OpRestart, "cache1"},
 		{"restart-worker", OpRestart, "echo.3"},
 		{OpSpawnWorker, OpSpawnWorker, "echo"},
-		{OpKill, OpKill, "cache0"},
 	}
 	for i, c := range ops {
 		cmd := Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target}
@@ -130,15 +129,18 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 		t.Fatalf("stats %+v, want %d commands + %d dupes", st, len(ops), len(ops))
 	}
 
-	// The host's Restart/Kill wait for the old instance to exit; aimed at
-	// the supervisor itself they would wait on this very command loop.
-	for i, op := range []string{OpRestart, OpKill} {
-		if ack := call(t, client, sup.Addr(), Command{ID: uint64(100 + i), Origin: "t", Op: op, Target: "sup"}); ack.OK {
-			t.Fatalf("%s aimed at the supervisor itself acked OK", op)
-		}
-		if host.count(op, "sup") != 0 {
-			t.Fatalf("%s aimed at the supervisor itself reached the host", op)
-		}
+	// The host's Restart waits for the old instance to exit; aimed at the
+	// supervisor itself it would wait on this very command loop.
+	if ack := call(t, client, sup.Addr(), Command{ID: 100, Origin: "t", Op: OpRestart, Target: "sup"}); ack.OK {
+		t.Fatal("restart aimed at the supervisor itself acked OK")
+	}
+	if host.count(OpRestart, "sup") != 0 {
+		t.Fatal("restart aimed at the supervisor itself reached the host")
+	}
+	// Remote fault injection is gone: a process's components are crashed
+	// through that process's own /kill, never over the SAN.
+	if ack := call(t, client, sup.Addr(), Command{ID: 101, Origin: "t", Op: "kill", Target: "cache0"}); ack.OK || !strings.Contains(ack.Err, "unknown op") {
+		t.Fatalf("retired kill op: ack %+v, want an unknown-op refusal", ack)
 	}
 }
 
@@ -273,32 +275,6 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 		}
 	}
 	t.Fatal("no hello heartbeat observed")
-}
-
-// TestInvoke: the client helper round-trips a command through a peer
-// supervisor, minting ids and origin automatically.
-func TestInvoke(t *testing.T) {
-	hostA, hostB := newFakeHost(), newFakeHost()
-	net := san.NewNetwork(3)
-	supA := New(Config{Name: "supA", Node: "a0", Net: net, Prefix: "a-", Host: hostA})
-	supB := New(Config{Name: "supB", Node: "b0", Net: net, Prefix: "b-", Host: hostB})
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go supA.Run(ctx)
-	go supB.Run(ctx)
-
-	cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
-	defer ccancel()
-	ack, err := supA.Invoke(cctx, supB.Addr(), Command{Op: OpKill, Target: "cache0"})
-	if err != nil || !ack.OK {
-		t.Fatalf("invoke: ack=%+v err=%v", ack, err)
-	}
-	if hostB.count(OpKill, "cache0") != 1 {
-		t.Fatal("kill did not reach the peer host")
-	}
-	if hostA.count(OpKill, "cache0") != 0 {
-		t.Fatal("kill executed on the wrong process")
-	}
 }
 
 // TestResultCacheRetentionUnderRetryStorm: a storm of distinct

@@ -1,466 +1,382 @@
 #!/usr/bin/env bash
 # Multi-process loopback smoke test (CI gate for internal/transport,
-# internal/supervisor, and manager replication).
+# internal/supervisor, manager replication, overload, tracing, the edge).
 #
-# Leg 1 — cross-process self-healing: spawn a data-plane node process
-# (workers + caches) and a control/serving process (front ends +
-# manager + monitor) joined over 127.0.0.1, run a short TranSend
-# workload from the serving side, and assert zero failed requests and
-# zero wire/frame errors. Mid-run, the serving side SIGKILLs the peer
-# process's cache0 through that process's supervisor daemon and
-# asserts the manager's process-peer duty respawned it by supervisor
-# delegation — still with zero failed requests. The serving process's
-# -selftest mode performs all assertions and exits non-zero on any
-# violation.
+# cmd/node only serves, so every leg is driven the same way, from
+# outside: the workload is curl against a serving process's -http
+# /fetch, a fault is /kill?component= on the process that hosts the
+# victim or kill -9 of an OS process, and every asserted number is a key
+# of some node's /status — the obs registry as one flat JSON map. Every
+# node gets an -http port so any of them can be asked.
 #
-# Leg 2 — manager failover: three processes (data-plane hub; a rank-0
-# manager-only process; a serving process hosting front ends plus a
-# rank-1 standby manager replica). Mid-workload the script SIGKILLs
-# the rank-0 manager's whole OS process; the standby must win the
-# election (epoch >= 2) within the beacon-silence timeout, the workers
-# and supervisors must re-anchor on it, and not one request may fail —
-# the last singleton is gone.
+# Leg 1 [heal] — cross-process self-healing: a data-plane process
+# (workers + caches) and a serving process (front ends + manager +
+# monitor). A third of the way through the workload cache0 is crashed
+# through its own process's /kill; the manager, in the other process,
+# must infer the death from hello silence and have cache0's supervisor
+# restart it (manager.delegated >= 1). Zero non-200 answers, zero
+# wire/frame errors in either process.
 #
-# Leg 3 — overload degradation: a two-process topology whose single
-# front end has a deliberately tiny admission bound and a short cache
-# TTL. After a normal workload the serving process fires a concurrent
-# burst past capacity and asserts the BASE ladder held: some requests
-# degraded to stale cached data, the rest shed with the typed overload
-# error, zero unexplained failures, zero wire errors.
+# Leg 2 [failover] — manager failover: data-plane hub, a rank-0
+# manager-only process, a serving process with a rank-1 standby. Once the
+# rank-0 process reports primary and the standby reports itself
+# subordinate at a heard epoch, the rank-0 process is kill -9ed
+# mid-workload. The standby must end up primary at epoch >= 2 with a
+# takeover counted, and not one request may fail.
 #
-# Leg 4 — end-to-end tracing: a two-process topology (data plane;
-# serving plane with -trace-sample 1 and the HTTP API). One /fetch
-# returns an X-Trace-Id header; /trace?id= on the serving process must
-# then render a span tree recorded by BOTH OS processes, decomposing
-# the request into front-end hops (this process) and worker
-# queue-wait + service hops (the peer, crossed back as span digests on
-# the report group). /metrics must expose the registry in Prometheus
-# form and /status must be machine-readable JSON.
+# Leg 3 [overload] — degradation ladder: one front end with an admission
+# bound of 2 and a 500 ms cache TTL. 64-wide concurrent bursts, half
+# against a warm set and half against fresh URLs, until one burst shows
+# both rungs: an answer marked X-TranSend-Degraded (stale cache) and a
+# 503 typed X-TranSend-Error: overloaded. Any other non-200 fails the
+# leg; fe.fe0.shed and fe.fe0.degraded must have counted.
 #
-# Leg 5 — edge front door: four processes (data plane with the
-# manager; two single-FE serving processes advertising HTTP adapters
-# in their heartbeats; an edge-only process). A curl workload runs
-# against the edge listener while one FE's OS process is SIGKILLed
-# mid-loop: every request must still return 200 (transparent retry on
-# the surviving replica), the edge must eject the dead backend, and
-# after the FE process is restarted a half-open probe must readmit it
-# — ejects >= 1 and readmits >= 1 on /status, zero failed requests,
-# zero wire errors on the edge's /metrics.
+# Leg 4 [trace] — end-to-end tracing: with -trace-sample 1 one /fetch
+# returns an X-Trace-Id; /trace?id= on the serving process must render a
+# span tree recorded by BOTH OS processes (front-end hops here, worker
+# queue-wait + service hops crossed back as span digests). /metrics
+# serves the same registry as Prometheus text.
+#
+# Leg 5 [edge] — edge front door: data plane with the manager, two
+# single-FE processes advertising HTTP adapters, an edge-only process.
+# One FE process is kill -9ed under a curl workload through the edge and
+# later restarted: every request returns 200, edge.edge.ejects >= 1,
+# edge.edge.readmits >= 1, zero wire errors on the edge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REQUESTS="${1:-150}"
 PORT="${SMOKE_PORT:-7461}"
+EDGE_PORT="${SMOKE_EDGE_PORT:-$((PORT + 11))}"
+next_http="${SMOKE_HTTP_PORT:-$((PORT + 20))}" # one per node started, counting up
 
-bin=$(mktemp -t sns-node.XXXXXX)
-ctl_log=$(mktemp -t sns-ctl.XXXXXX.log)
-hub_log=$(mktemp -t sns-hub.XXXXXX.log)
-mgr_log=$(mktemp -t sns-mgr.XXXXXX.log)
-srv_log=$(mktemp -t sns-srv.XXXXXX.log)
-srv_out=$(mktemp -t sns-srv.XXXXXX.json)
-ovl_log=$(mktemp -t sns-ovl.XXXXXX.log)
-trc_log=$(mktemp -t sns-trc.XXXXXX.log)
-tsv_log=$(mktemp -t sns-tsv.XXXXXX.log)
-dp5_log=$(mktemp -t sns-dp5.XXXXXX.log)
-fea_log=$(mktemp -t sns-fea.XXXXXX.log)
-feb_log=$(mktemp -t sns-feb.XXXXXX.log)
-edg_log=$(mktemp -t sns-edg.XXXXXX.log)
-cleanup() {
-    for pid in "${ctl_pid:-}" "${hub_pid:-}" "${mgr_pid:-}" "${srv_pid:-}" "${ovl_pid:-}" "${trc_pid:-}" "${tsv_pid:-}" \
-               "${dp5_pid:-}" "${fea_pid:-}" "${feb_pid:-}" "${edg_pid:-}"; do
-        [[ -n "${pid}" ]] && kill "${pid}" 2>/dev/null || true
-        [[ -n "${pid}" ]] && wait "${pid}" 2>/dev/null || true
+tmp=$(mktemp -d -t sns-smoke.XXXXXX)
+bin="${tmp}/sns-node"
+leg=build
+nodes=()          # names, in start order
+declare -A pid http # by name; pid is empty once the node was killed
+
+stop_nodes() {
+    local n
+    for n in "${nodes[@]}"; do
+        [[ -n "${pid[$n]}" ]] && kill "${pid[$n]}" 2>/dev/null || true
     done
-    rm -f "${bin}" "${ctl_log}" "${hub_log}" "${mgr_log}" "${srv_log}" "${srv_out}" "${ovl_log}" "${trc_log}" "${tsv_log}" \
-        "${dp5_log}" "${fea_log}" "${feb_log}" "${edg_log}"
+    for n in "${nodes[@]}"; do
+        [[ -n "${pid[$n]}" ]] && wait "${pid[$n]}" 2>/dev/null || true
+    done
+    nodes=()
 }
-trap cleanup EXIT
+trap 'stop_nodes; rm -rf "${tmp}"' EXIT
+
+# fail <leg> <msg>: the one way out on a violated gate — every node of
+# the leg dumps its log, and its /status if it is still alive.
+fail() {
+    local n
+    echo "smoke: [$1] FAILED — $2" >&2
+    for n in "${nodes[@]}"; do
+        echo "---- ${n} log ----" >&2
+        cat "${tmp}/${n}.log" >&2 || true
+        if [[ -n "${pid[$n]}" ]] && kill -0 "${pid[$n]}" 2>/dev/null; then
+            echo "---- ${n} /status ----" >&2
+            curl -fsS --max-time 5 "http://127.0.0.1:${http[$n]}/status" >&2 || true
+        fi
+    done
+    exit 1
+}
+
+# start_node <name> <flags...>: one cmd/node process named (and
+# node-prefixed) <name>, serving the HTTP API on the next free port.
+start_node() {
+    local n=$1
+    shift
+    [[ " ${nodes[*]} " == *" ${n} "* ]] || nodes+=("${n}")
+    http[$n]=$((next_http++))
+    "${bin}" -prefix "${n}" -http "127.0.0.1:${http[$n]}" "$@" >"${tmp}/${n}.log" 2>&1 &
+    pid[$n]=$!
+}
+
+# kill9 <name>: the OS process dies with no goodbye.
+kill9() {
+    kill -9 "${pid[$1]}" 2>/dev/null || true
+    wait "${pid[$1]}" 2>/dev/null || true
+    pid[$1]=
+}
+
+# status_get <port> <key>: the key's value in that node's /status (the
+# registry snapshot); empty when the key or the node is not there.
+status_get() {
+    curl -fsS --max-time 5 "http://127.0.0.1:$1/status" 2>/dev/null |
+        sed -n "s/^ *\"${2//./\\.}\": \([^,]*\),\{0,1\}\$/\1/p"
+}
+
+# status_is <port> <key> <-eq|-ge|...> <n>: compare a /status counter.
+status_is() {
+    local v
+    v=$(status_get "$1" "$2")
+    [[ -n "${v}" ]] && [ "${v%%.*}" "$3" "$4" ]
+}
+
+# await <seconds> <what> <command...>: poll until the command succeeds.
+# The command may leave what it last saw in ${seen} for the failure line.
+seen=
+await() {
+    local deadline=$((SECONDS + $1)) what=$2
+    shift 2
+    until "$@"; do
+        ((SECONDS < deadline)) || fail "${leg}" "timed out waiting for ${what}${seen:+ — ${seen}}"
+        sleep 0.1
+    done
+    seen=
+}
+
+# up <name>...: the HTTP API is served only once the node judged the
+# cluster serviceable, so an answer from /status is "ready".
+up() {
+    local n
+    for n in "$@"; do
+        await 30 "${n} to serve its HTTP API" status_is "${http[$n]}" san.wire_errors -ge 0
+    done
+}
+
+# expect <name> <key> <op> <n>: a gate on a /status counter.
+expect() {
+    status_is "${http[$1]}" "$2" "$3" "$4" ||
+        fail "${leg}" "$1 /status: $2 is '$(status_get "${http[$1]}" "$2")', want $3 $4"
+}
+
+# fetch <port> <url> [user] → "<code> <X-TranSend-Error|-> <X-TranSend-Degraded|->"
+fetch() {
+    { curl -s -o /dev/null -D - --max-time 20 "http://127.0.0.1:$1/fetch?url=$2&user=${3:-smoke}" || true; } |
+        tr -d '\r' | awk '
+            NR == 1 { code = $2 }
+            tolower($1) == "x-transend-error:" { err = $2 }
+            tolower($1) == "x-transend-degraded:" { deg = $2 }
+            END { print (code ? code : "000"), (err ? err : "-"), (deg ? deg : "-") }'
+}
+
+# get_ok <name> <url> [user]: one request that must answer 200.
+bad=0
+get_ok() {
+    local r
+    r=$(fetch "${http[$1]}" "$2" "${3:-}")
+    if [[ "${r}" != "200 "* ]]; then
+        bad=$((bad + 1))
+        echo "smoke: [${leg}] $2 → ${r}" >&2
+    fi
+}
+
+# clean <name>...: nothing was corrupted or torn on the wire.
+clean() {
+    local n
+    for n in "$@"; do
+        expect "${n}" san.wire_errors -eq 0
+        expect "${n}" bridge.frame_errors -eq 0
+    done
+}
 
 echo "smoke: building cmd/node..."
 go build -o "${bin}" ./cmd/node
 
-echo "smoke: starting data-plane process (worker,cache) on :${PORT}..."
-"${bin}" -listen "tcp:127.0.0.1:${PORT}" -prefix ctl -roles worker,cache \
-    -seed 1 >"${ctl_log}" 2>&1 &
-ctl_pid=$!
+leg=heal
+echo "smoke: [heal] data-plane process (worker,cache) on :${PORT}, serving process (frontend,manager,monitor)..."
+start_node ctl -listen "tcp:127.0.0.1:${PORT}" -roles worker,cache -seed 1
+start_node srv -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT}" \
+    -roles frontend,manager,monitor -cache-host ctl -seed 2
+up ctl srv
 
-echo "smoke: starting serving process (frontend,manager,monitor) with -selftest ${REQUESTS} -selftest-kill cache0..."
-if ! out=$("${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT}" \
-    -prefix srv -roles frontend,manager,monitor -cache-host ctl -seed 2 \
-    -selftest "${REQUESTS}" -selftest-kill cache0 2> >(cat >&2)); then
-    echo "smoke: FAILED — data-plane log:" >&2
-    cat "${ctl_log}" >&2
-    exit 1
-fi
-echo "${out}"
+bad=0
+for ((i = 0; i < REQUESTS; i++)); do
+    if ((i == REQUESTS / 3)); then
+        # The cache is an optimization: nothing may fail while it is gone.
+        echo "smoke: [heal] crashing cache0 on its host (ctl) at request ${i}..."
+        curl -fsS "http://127.0.0.1:${http[ctl]}/kill?component=cache0" >/dev/null ||
+            fail heal "/kill?component=cache0 on ctl refused"
+    fi
+    get_ok srv "http://origin$((i % 4)).example/obj$((i % 32)).sjpg" "user$((i % 8))"
+done
+# The manager lives in srv, cache0 in ctl: the restart has to be one
+# delegated to ctl's supervisor.
+await 60 "a supervisor-delegated restart of cache0" status_is "${http[srv]}" manager.delegated -ge 1
+await 30 "cache0 to be heard again" status_is "${http[srv]}" manager.caches -ge 2
+for ((i = 0; i < 20; i++)); do # the respawned partition serves
+    get_ok srv "http://origin$((i % 4)).example/obj$((i % 16)).sjpg" post-recovery
+done
+((bad == 0)) || fail heal "${bad} of $((REQUESTS + 20)) requests did not answer 200"
+expect srv manager.cache_restarts -ge 1
+clean ctl srv
+echo "smoke: [heal] OK — $((REQUESTS + 20)) requests across two OS processes, zero failures, zero wire errors, cache0 crashed via /kill and respawned by supervisor delegation (manager.delegated $(status_get "${http[srv]}" manager.delegated))"
+stop_nodes
 
-# Belt and braces on top of the selftest's own exit code: the JSON
-# must show the delegated respawn actually happened.
-if ! grep -q '"delegated_restarts":[1-9]' <<<"${out}"; then
-    echo "smoke: FAILED — no delegated restart in selftest report" >&2
-    cat "${ctl_log}" >&2
-    exit 1
-fi
-
-# The large-body leg must have round-tripped a 512 KB blob through the
-# remote cache partition — above the chunking threshold, so it crossed
-# the TCP bridge as chunk fragments and reassembled on both hops. The
-# selftest already failed on any wire/frame error; assert here that
-# the chunked path actually ran (not just small frames).
-if ! grep -q '"large_body_bytes":524288' <<<"${out}"; then
-    echo "smoke: FAILED — large-body leg did not complete" >&2
-    cat "${ctl_log}" >&2
-    exit 1
-fi
-if ! grep -q '"reassembled":[1-9]' <<<"${out}"; then
-    echo "smoke: FAILED — no chunk stream was reassembled on the serving side" >&2
-    cat "${ctl_log}" >&2
-    exit 1
-fi
-
-echo "smoke: OK — ${REQUESTS}+ requests plus a chunked 512 KB blob across two OS processes, zero failures, zero wire errors, cache0 respawned by supervisor delegation"
-
-# Leg 1's data-plane process is done serving; stop it before the
-# failover leg so the two clusters never share a port or a peer.
-kill "${ctl_pid}" 2>/dev/null || true
-wait "${ctl_pid}" 2>/dev/null || true
-ctl_pid=
-
+leg=failover
 PORT2=$((PORT + 1))
-echo "smoke: [failover] starting data-plane hub (worker,cache) on :${PORT2}..."
-"${bin}" -listen "tcp:127.0.0.1:${PORT2}" -prefix hub -roles worker,cache \
-    -seed 3 >"${hub_log}" 2>&1 &
-hub_pid=$!
+echo "smoke: [failover] data-plane hub on :${PORT2}, rank-0 manager process, serving process with a rank-1 standby..."
+start_node hub -listen "tcp:127.0.0.1:${PORT2}" -roles worker,cache -seed 3
+start_node m0 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
+    -roles manager -manager-rank 0 -seed 4
+up hub m0
+start_node srv2 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
+    -roles frontend,manager,monitor -manager-rank 1 -cache-host hub -seed 5
+up srv2
+# Kill on observed state, not on a timer: rank 0 is the acting primary
+# and the standby knows it (a standby that has heard no beacon yet would
+# claim epoch 1, not 2).
+standby_subordinate() {
+    status_is "${http[srv2]}" manager-r1.primary -eq 0 && status_is "${http[srv2]}" manager-r1.epoch -ge 1
+}
+took_over() {
+    status_is "${http[srv2]}" manager-r1.primary -eq 1 && status_is "${http[srv2]}" manager-r1.epoch -ge 2 &&
+        status_is "${http[srv2]}" manager-r1.takeovers -ge 1
+}
+await 30 "the rank-0 process to report primary" status_is "${http[m0]}" manager.primary -eq 1
+await 30 "the standby to report subordinate at a heard epoch" standby_subordinate
 
-echo "smoke: [failover] starting rank-0 manager process..."
-"${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
-    -prefix m0 -roles manager -manager-rank 0 -seed 4 >"${mgr_log}" 2>&1 &
-mgr_pid=$!
-
-echo "smoke: [failover] starting serving process (frontend,monitor + rank-1 standby manager) with -selftest ${REQUESTS}..."
-# 30 ms spacing stretches the workload to ~5 s so the SIGKILL below
-# lands mid-run; -selftest-expect-epoch 2 makes the serving process
-# itself assert the standby won the election.
-"${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
-    -prefix srv2 -roles frontend,manager,monitor -manager-rank 1 \
-    -cache-host hub -seed 5 \
-    -selftest "${REQUESTS}" -selftest-spacing 30ms -selftest-expect-epoch 2 \
-    >"${srv_out}" 2>"${srv_log}" &
-srv_pid=$!
-
-for _ in $(seq 1 300); do
-    grep -q "node: ready" "${srv_log}" 2>/dev/null && break
-    sleep 0.1
+bad=0
+for ((i = 0; i < REQUESTS; i++)); do
+    if ((i == REQUESTS / 3)); then
+        echo "smoke: [failover] kill -9 of the rank-0 manager's OS process at request ${i}..."
+        kill9 m0
+    fi
+    get_ok srv2 "http://origin$((i % 4)).example/obj$((i % 32)).sjpg" "user$((i % 8))"
+    sleep 0.03 # request spacing: the workload spans the election
 done
-if ! grep -q "node: ready" "${srv_log}"; then
-    echo "smoke: [failover] FAILED — serving process never became ready" >&2
-    cat "${srv_log}" "${mgr_log}" "${hub_log}" >&2
-    exit 1
-fi
-sleep 1.5
-echo "smoke: [failover] SIGKILLing the rank-0 manager's OS process mid-workload..."
-kill -9 "${mgr_pid}" 2>/dev/null || true
-wait "${mgr_pid}" 2>/dev/null || true
-mgr_pid=
+await 30 "the standby to be primary at epoch >= 2 with a takeover counted" took_over
+((bad == 0)) || fail failover "${bad} of ${REQUESTS} requests did not answer 200"
+clean hub srv2
+echo "smoke: [failover] OK — rank-0 manager process kill -9ed mid-workload, standby primary at epoch $(status_get "${http[srv2]}" manager-r1.epoch), zero failed requests, zero wire errors"
+stop_nodes
 
-if ! wait "${srv_pid}"; then
-    srv_pid=
-    echo "smoke: [failover] FAILED — serving-process selftest:" >&2
-    cat "${srv_out}" >&2
-    cat "${srv_log}" "${hub_log}" >&2
-    exit 1
-fi
-srv_pid=
-out=$(cat "${srv_out}")
-echo "${out}"
-
-# Belt and braces on top of the selftest's own gates (zero failures,
-# zero wire/frame errors, local primary at epoch >= 2): the JSON must
-# show the election actually ran — a takeover, not a quiet reboot.
-if ! grep -q '"failures":0' <<<"${out}" || ! grep -q '"wire_errors":0' <<<"${out}"; then
-    echo "smoke: [failover] FAILED — failures or wire errors in report" >&2
-    exit 1
-fi
-if ! grep -q '"manager_epoch":[2-9]' <<<"${out}"; then
-    echo "smoke: [failover] FAILED — no epoch >= 2 in report" >&2
-    exit 1
-fi
-if ! grep -q '"manager_takeovers":[1-9]' <<<"${out}"; then
-    echo "smoke: [failover] FAILED — standby recorded no takeover" >&2
-    exit 1
-fi
-
-echo "smoke: [failover] OK — rank-0 manager process SIGKILLed mid-workload, standby won epoch >= 2, zero failed requests, zero wire errors"
-
-# Leg 2's hub is done; stop it before the overload leg for the same
-# isolation reason as between legs 1 and 2.
-kill "${hub_pid}" 2>/dev/null || true
-wait "${hub_pid}" 2>/dev/null || true
-hub_pid=
-
+leg=overload
 PORT3=$((PORT + 2))
-echo "smoke: [overload] starting data-plane process (worker,cache) on :${PORT3}..."
-"${bin}" -listen "tcp:127.0.0.1:${PORT3}" -prefix ovl -roles worker,cache \
-    -seed 6 >"${ovl_log}" 2>&1 &
-ovl_pid=$!
+echo "smoke: [overload] data-plane process on :${PORT3}, serving process with 1 front end, inflight bound 2, cache TTL 500ms..."
+# One front end so a shed reaches the client instead of failing over to
+# a sibling; the TTL lets the warm set expire into stale data the
+# degraded rung can serve.
+start_node ovl -listen "tcp:127.0.0.1:${PORT3}" -roles worker,cache -seed 6
+start_node srv3 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT3}" \
+    -roles frontend,manager,monitor -cache-host ovl -seed 7 \
+    -frontends 1 -fe-max-inflight 2 -cache-ttl 500ms
+up ovl srv3
 
-echo "smoke: [overload] starting serving process (1 frontend, inflight bound 2, cache TTL 500ms) with -selftest 40 -selftest-overload 64..."
-# One front end so a shed surfaces to the client instead of failing
-# over to a sibling; -fe-max-inflight 2 makes the concurrent burst of
-# 64 trip admission control, and -cache-ttl 500ms lets the selftest's
-# warm set expire into stale data the degraded path can serve.
-if ! out=$("${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT3}" \
-    -prefix srv3 -roles frontend,manager,monitor -cache-host ovl -seed 7 \
-    -frontends 1 -fe-max-inflight 2 -cache-ttl 500ms \
-    -selftest 40 -selftest-overload 64 2> >(cat >&2)); then
-    echo "smoke: [overload] FAILED — data-plane log:" >&2
-    cat "${ovl_log}" >&2
-    exit 1
-fi
-echo "${out}"
+bad=0
+for ((i = 0; i < 40; i++)); do
+    get_ok srv3 "http://origin$((i % 4)).example/obj$((i % 32)).sjpg" "user$((i % 8))"
+done
+for ((i = 0; i < 8; i++)); do
+    get_ok srv3 "http://overload.example/obj${i}.sjpg" overload
+done
+((bad == 0)) || fail overload "${bad} of 48 unloaded requests did not answer 200"
 
-# Belt and braces on top of the selftest's own gates: degraded-before-
-# shed actually happened, every failure was a typed shed (the failure
-# counter excludes sheds and must be zero), and nothing corrupted the
-# wire under overload.
-if ! grep -q '"shed":[1-9]' <<<"${out}"; then
-    echo "smoke: [overload] FAILED — burst past capacity but nothing was shed" >&2
-    exit 1
-fi
-if ! grep -q '"degraded":[1-9]' <<<"${out}"; then
-    echo "smoke: [overload] FAILED — no degraded serves; the stale-cache ladder rung never ran" >&2
-    exit 1
-fi
-if ! grep -q '"failures":0' <<<"${out}" || ! grep -q '"wire_errors":0' <<<"${out}"; then
-    echo "smoke: [overload] FAILED — unexplained failures or wire errors under overload" >&2
-    exit 1
-fi
-
-echo "smoke: [overload] OK — 64-deep burst against an inflight bound of 2: degraded serves plus typed sheds, zero unexplained failures, zero wire errors"
-
-# Leg 3's data-plane process is done; stop it before the tracing leg.
-kill "${ovl_pid}" 2>/dev/null || true
-wait "${ovl_pid}" 2>/dev/null || true
-ovl_pid=
-
-PORT4=$((PORT + 3))
-HTTP4="${SMOKE_HTTP_PORT:-$((PORT + 10))}"
-echo "smoke: [trace] starting data-plane process (worker,cache) on :${PORT4}..."
-"${bin}" -listen "tcp:127.0.0.1:${PORT4}" -prefix trc -roles worker,cache \
-    -seed 8 >"${trc_log}" 2>&1 &
-trc_pid=$!
-
-echo "smoke: [trace] starting serving process with -trace-sample 1 and HTTP on :${HTTP4}..."
-"${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT4}" \
-    -prefix tsv -roles frontend,manager,monitor -cache-host trc -seed 9 \
-    -trace-sample 1 -http "127.0.0.1:${HTTP4}" >"${tsv_log}" 2>&1 &
-tsv_pid=$!
-
-for _ in $(seq 1 300); do
-    grep -q "node: http on" "${tsv_log}" 2>/dev/null && break
+# Burst until one burst shows both rungs; the first ones find the warm
+# set still fresh. Saturated requests with a stale answer degrade, the
+# rest shed with the typed error, and nothing else may go wrong.
+shed=0 degraded=0
+for ((round = 1; round <= 20 && (shed == 0 || degraded == 0); round++)); do
+    burst=()
+    for ((i = 0; i < 64; i++)); do
+        url="http://overload-fresh.example/obj$((round * 1000 + i)).sjpg"
+        ((i % 2)) || url="http://overload.example/obj$((i % 8)).sjpg"
+        fetch "${http[srv3]}" "${url}" overload >"${tmp}/burst.${i}" &
+        burst+=($!)
+    done
+    wait "${burst[@]}"
+    results=$(cat "${tmp}"/burst.*)
+    shed=$(grep -c '^503 overloaded -$' <<<"${results}" || true)
+    degraded=$(grep -c '^200 - 1$' <<<"${results}" || true)
+    other=$(grep -cv -e '^503 overloaded -$' -e '^200 - 1$' -e '^200 - -$' <<<"${results}" || true)
+    echo "smoke: [overload] burst ${round}: $(grep -c '^200 - -$' <<<"${results}" || true) ok, ${degraded} degraded, ${shed} shed, ${other} other"
+    ((other == 0)) || fail overload "burst ${round}: answers that are neither ok, degraded nor a typed shed: $(sort <<<"${results}" | uniq -c | tr '\n' ';')"
     sleep 0.1
 done
-if ! grep -q "node: http on" "${tsv_log}"; then
-    echo "smoke: [trace] FAILED — serving process never exposed the HTTP API" >&2
-    cat "${tsv_log}" "${trc_log}" >&2
-    exit 1
-fi
+((shed >= 1)) || fail overload "bursts past capacity but no 503 with X-TranSend-Error: overloaded"
+((degraded >= 1)) || fail overload "no answer marked X-TranSend-Degraded: the stale-cache rung never ran"
+expect srv3 fe.fe0.shed -ge 1
+expect srv3 fe.fe0.degraded -ge 1
+clean ovl srv3
+echo "smoke: [overload] OK — 64-wide burst against an inflight bound of 2: ${degraded} degraded serves plus ${shed} typed sheds, nothing else, zero wire errors"
+stop_nodes
 
-echo "smoke: [trace] fetching one object and extracting X-Trace-Id..."
+leg=trace
+PORT4=$((PORT + 3))
+echo "smoke: [trace] data-plane process on :${PORT4}, serving process with -trace-sample 1..."
+start_node trc -listen "tcp:127.0.0.1:${PORT4}" -roles worker,cache -seed 8
+start_node tsv -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT4}" \
+    -roles frontend,manager,monitor -cache-host trc -seed 9 -trace-sample 1
+up trc tsv
+
 trace_id=$(curl -fsS -D - -o /dev/null \
-    "http://127.0.0.1:${HTTP4}/fetch?url=http://origin4.example/trace.sjpg" \
-    | tr -d '\r' | grep -i '^x-trace-id:' | awk '{print $2}')
-if [[ -z "${trace_id}" ]]; then
-    echo "smoke: [trace] FAILED — /fetch returned no X-Trace-Id header" >&2
-    cat "${tsv_log}" "${trc_log}" >&2
-    exit 1
-fi
+    "http://127.0.0.1:${http[tsv]}/fetch?url=http://origin4.example/trace.sjpg" |
+    tr -d '\r' | grep -i '^x-trace-id:' | awk '{print $2}')
+[[ -n "${trace_id}" ]] || fail trace "/fetch returned no X-Trace-Id header"
 echo "smoke: [trace] trace id ${trace_id}"
 
-# The worker-side spans cross back on the next report tick; poll
-# /trace until the tree covers both OS processes and decomposes the
-# worker's part into queue-wait and service time.
-tree=""
-for _ in $(seq 1 100); do
-    tree=$(curl -fsS "http://127.0.0.1:${HTTP4}/trace?id=${trace_id}" || true)
-    if grep -q '"proc": "trc"' <<<"${tree}" && grep -q '"proc": "tsv"' <<<"${tree}" \
-        && grep -q '"hop": "worker.queue"' <<<"${tree}" \
-        && grep -q '"hop": "worker.service"' <<<"${tree}"; then
-        break
-    fi
-    sleep 0.1
-done
-for want in '"proc": "trc"' '"proc": "tsv"' '"hop": "worker.queue"' '"hop": "worker.service"' "\"hop\": \"fe.request\""; do
-    if ! grep -q "${want}" <<<"${tree}"; then
-        echo "smoke: [trace] FAILED — span tree missing ${want}:" >&2
-        echo "${tree}" >&2
-        cat "${tsv_log}" "${trc_log}" >&2
-        exit 1
-    fi
-done
-
-# The metrics plane: Prometheus exposition on /metrics, machine-
-# readable JSON on /status (with the old human dump behind
-# ?format=text).
-metrics=$(curl -fsS "http://127.0.0.1:${HTTP4}/metrics")
-if ! grep -q '^sns_' <<<"${metrics}"; then
-    echo "smoke: [trace] FAILED — /metrics has no sns_ samples" >&2
-    exit 1
-fi
-status=$(curl -fsS "http://127.0.0.1:${HTTP4}/status")
-if command -v python3 >/dev/null 2>&1; then
-    if ! python3 -c 'import json,sys; json.load(sys.stdin)' <<<"${status}"; then
-        echo "smoke: [trace] FAILED — /status is not valid JSON" >&2
-        echo "${status}" >&2
-        exit 1
-    fi
-fi
-if ! grep -q '"san.' <<<"${status}"; then
-    echo "smoke: [trace] FAILED — /status JSON missing san.* metrics" >&2
-    echo "${status}" >&2
-    exit 1
-fi
-text=$(curl -fsS "http://127.0.0.1:${HTTP4}/status?format=text")
-if ! grep -q '^san: {' <<<"${text}"; then
-    echo "smoke: [trace] FAILED — /status?format=text lost the human dump" >&2
-    exit 1
-fi
-
-echo "smoke: [trace] OK — one X-Trace-Id resolved to a span tree recorded by both OS processes (fe.request on tsv, worker.queue + worker.service on trc); /metrics and JSON /status served"
-
-# Leg 4's processes are done; stop them before the edge leg.
-kill "${trc_pid}" "${tsv_pid}" 2>/dev/null || true
-wait "${trc_pid}" 2>/dev/null || true
-wait "${tsv_pid}" 2>/dev/null || true
-trc_pid=
-tsv_pid=
-
-PORT5=$((PORT + 4))
-EDGE5="${SMOKE_EDGE_PORT:-$((PORT + 11))}"
-echo "smoke: [edge] starting data-plane process (manager,worker,cache,monitor) on :${PORT5}..."
-"${bin}" -listen "tcp:127.0.0.1:${PORT5}" -prefix dp5 -roles manager,worker,cache,monitor \
-    -seed 10 >"${dp5_log}" 2>&1 &
-dp5_pid=$!
-
-start_fe() { # start_fe <prefix> <seed> <log>
-    "${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
-        -prefix "$1" -roles frontend -frontends 1 -fe-http 127.0.0.1 \
-        -cache-host dp5 -seed "$2" >"$3" 2>&1 &
-}
-wait_ready() { # wait_ready <log> <label>
-    for _ in $(seq 1 300); do
-        grep -q "node: ready" "$1" 2>/dev/null && return 0
-        sleep 0.1
+# The worker-side spans cross back on the next report tick; poll /trace
+# until the tree covers both OS processes and decomposes the worker's
+# part into queue-wait and service time.
+tree_complete() {
+    local want tree
+    tree=$(curl -fsS "http://127.0.0.1:${http[tsv]}/trace?id=${trace_id}" || true)
+    for want in '"proc": "trc"' '"proc": "tsv"' '"hop": "worker.queue"' '"hop": "worker.service"' '"hop": "fe.request"'; do
+        seen="no ${want} in ${tree}"
+        grep -q "${want}" <<<"${tree}" || return 1
     done
-    echo "smoke: [edge] FAILED — $2 never became ready" >&2
-    cat "$1" "${dp5_log}" >&2
-    exit 1
 }
+await 10 "a span tree from both processes" tree_complete
 
-echo "smoke: [edge] starting two single-FE serving processes with HTTP adapters..."
-start_fe fea 11 "${fea_log}"
-fea_pid=$!
-start_fe feb 12 "${feb_log}"
-feb_pid=$!
-wait_ready "${fea_log}" "front-end process fea"
-wait_ready "${feb_log}" "front-end process feb"
+# The metrics plane: the one registry, as Prometheus text on /metrics
+# and as the JSON every leg above already read on /status.
+curl -fsS "http://127.0.0.1:${http[tsv]}/metrics" | grep -q '^sns_san_sent ' ||
+    fail trace "/metrics has no sns_san_sent sample"
+expect tsv san.sent -ge 1
+clean trc tsv
+echo "smoke: [trace] OK — one X-Trace-Id resolved to a span tree recorded by both OS processes (fe.request on tsv, worker.queue + worker.service on trc); /metrics and /status serve the registry"
+stop_nodes
 
-echo "smoke: [edge] starting edge-only process with the front door on :${EDGE5}..."
-"${bin}" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
-    -prefix edg -roles edge -edge-listen "127.0.0.1:${EDGE5}" \
-    -seed 13 >"${edg_log}" 2>&1 &
-edg_pid=$!
-for _ in $(seq 1 300); do
-    grep -q "node: edge front door on" "${edg_log}" 2>/dev/null && break
-    sleep 0.1
-done
-if ! grep -q "node: edge front door on" "${edg_log}"; then
-    echo "smoke: [edge] FAILED — edge process never became ready" >&2
-    cat "${edg_log}" "${fea_log}" "${feb_log}" "${dp5_log}" >&2
-    exit 1
-fi
+leg=edge
+PORT5=$((PORT + 4))
+echo "smoke: [edge] data-plane process (manager,worker,cache,monitor) on :${PORT5}, two single-FE processes, an edge on :${EDGE_PORT}..."
+start_node dp5 -listen "tcp:127.0.0.1:${PORT5}" -roles manager,worker,cache,monitor -seed 10
+start_fe() { # start_fe <name> <seed>
+    start_node "$1" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
+        -roles frontend -frontends 1 -fe-http 127.0.0.1 -cache-host dp5 -seed "$2"
+}
+start_fe fea 11
+start_fe feb 12
+up dp5 fea feb
+start_node edg -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
+    -roles edge -edge-listen "127.0.0.1:${EDGE_PORT}" -seed 13
+up edg
 # The edge must have learned BOTH replicas from heartbeats before the
 # kill, or the eject/readmit assertions race pool discovery.
-for _ in $(seq 1 100); do
-    curl -fsS "http://127.0.0.1:${EDGE5}/status" 2>/dev/null | grep -q '"healthy":2' && break
-    sleep 0.1
-done
-if ! curl -fsS "http://127.0.0.1:${EDGE5}/status" | grep -q '"healthy":2'; then
-    echo "smoke: [edge] FAILED — edge pool never saw both front ends" >&2
-    curl -fsS "http://127.0.0.1:${EDGE5}/status" >&2 || true
-    cat "${edg_log}" >&2
-    exit 1
-fi
+await 10 "the edge pool to see both front ends" status_is "${http[edg]}" edge.edge.healthy -eq 2
 
-edge_fails=0
-edge_get() {
+edge_get() { # through the front door, not a node's own -http
     curl -fsS -o /dev/null --max-time 10 \
-        "http://127.0.0.1:${EDGE5}/fetch?url=http://origin5.example/e$1.sbin" \
-        || edge_fails=$((edge_fails + 1))
+        "http://127.0.0.1:${EDGE_PORT}/fetch?url=http://origin5.example/e$1.sbin" || bad=$((bad + 1))
 }
-
-echo "smoke: [edge] warmup: 20 requests through the front door..."
-for i in $(seq 1 20); do edge_get "w${i}"; done
-
-echo "smoke: [edge] SIGKILLing front-end process feb mid-workload..."
-( sleep 0.7; kill -9 "${feb_pid}" 2>/dev/null ) &
-killer_pid=$!
-for i in $(seq 1 60); do
+bad=0
+for ((i = 1; i <= 20; i++)); do edge_get "w${i}"; done
+for ((i = 1; i <= 60; i++)); do
+    if ((i == 15)); then
+        echo "smoke: [edge] kill -9 of front-end process feb at request ${i}..."
+        kill9 feb
+    fi
     edge_get "k${i}"
-    sleep 0.05
+    sleep 0.05 # request spacing
 done
-wait "${killer_pid}" 2>/dev/null || true
-wait "${feb_pid}" 2>/dev/null || true
-feb_pid=
-
-if ! curl -fsS "http://127.0.0.1:${EDGE5}/status" | grep -q '"ejects":[1-9]'; then
-    echo "smoke: [edge] FAILED — dead backend was never ejected" >&2
-    curl -fsS "http://127.0.0.1:${EDGE5}/status" >&2 || true
-    cat "${edg_log}" >&2
-    exit 1
-fi
+expect edg edge.edge.ejects -ge 1
 
 echo "smoke: [edge] restarting front-end process feb..."
-start_fe feb 12 "${feb_log}"
-feb_pid=$!
-wait_ready "${feb_log}" "restarted front-end process feb"
-
-# Keep idempotent traffic flowing so the pool can risk a half-open
-# probe against the respawned replica, and poll until it is readmitted.
-readmitted=0
-for i in $(seq 1 150); do
-    edge_get "r${i}"
-    if curl -fsS "http://127.0.0.1:${EDGE5}/status" 2>/dev/null | grep -q '"readmits":[1-9]'; then
-        readmitted=1
-        break
-    fi
-    sleep 0.1
-done
-if [[ "${readmitted}" != 1 ]]; then
-    echo "smoke: [edge] FAILED — respawned backend was never readmitted" >&2
-    curl -fsS "http://127.0.0.1:${EDGE5}/status" >&2 || true
-    cat "${edg_log}" "${feb_log}" >&2
-    exit 1
-fi
-
-if [[ "${edge_fails}" -ne 0 ]]; then
-    echo "smoke: [edge] FAILED — ${edge_fails} client-visible request failures across the FE kill" >&2
-    curl -fsS "http://127.0.0.1:${EDGE5}/status" >&2 || true
-    cat "${edg_log}" >&2
-    exit 1
-fi
-
-# Zero wire errors on the edge's own metrics plane, and the edge.*
-# counters must be exposed there.
-edge_metrics=$(curl -fsS "http://127.0.0.1:${EDGE5}/metrics")
-if ! grep -q '^sns_edge_' <<<"${edge_metrics}"; then
-    echo "smoke: [edge] FAILED — /metrics on the edge has no sns_edge_ samples" >&2
-    exit 1
-fi
-if grep '^sns_.*wire_errors' <<<"${edge_metrics}" | grep -qv ' 0$'; then
-    echo "smoke: [edge] FAILED — wire errors on the edge process" >&2
-    grep '^sns_.*wire_errors' <<<"${edge_metrics}" >&2
-    exit 1
-fi
-
-echo "smoke: [edge] OK — FE process SIGKILLed and restarted under load through the front door: zero failed requests, >=1 eject, >=1 probe readmission, zero wire errors"
+start_fe feb 12
+up feb
+# Keep idempotent traffic flowing so the pool can risk a half-open probe
+# against the respawned replica, until it is readmitted.
+probe_readmitted() {
+    edge_get "r$((SECONDS))${RANDOM}"
+    status_is "${http[edg]}" edge.edge.readmits -ge 1
+}
+await 15 "the respawned backend to be readmitted" probe_readmitted
+((bad == 0)) || fail edge "${bad} client-visible request failures across the FE kill"
+curl -fsS "http://127.0.0.1:${EDGE_PORT}/metrics" | grep -q '^sns_edge_' ||
+    fail edge "/metrics on the edge listener has no sns_edge_ samples"
+expect edg san.wire_errors -eq 0
+echo "smoke: [edge] OK — FE process kill -9ed and restarted under load through the front door: zero failed requests, $(status_get "${http[edg]}" edge.edge.ejects) eject(s), $(status_get "${http[edg]}" edge.edge.readmits) probe readmission(s), zero wire errors"
