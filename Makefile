@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro chaos-soak
+.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro bench-pairs chaos-soak
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,13 @@ smoke-multiprocess:
 BENCH ?= Micro
 bench-micro:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=1 .
+
+# Alternating parent/working-tree runs of one bench/ workload with the
+# pair-rule summary a performance claim needs, e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=miss_distill [PAIRS=10]
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # The randomized kill-anything soak plus the full chaos suite.
 chaos-soak:

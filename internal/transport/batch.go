@@ -8,11 +8,18 @@ import (
 	"time"
 )
 
-// Batching defaults. The delay is the "microsecond deadline": long
-// enough for a burst of sends to pile into one packet, short enough to
-// be invisible next to even a loopback RTT.
+// Batching defaults. The delay is nominal: a Go process with idle Ps
+// parks in epoll_wait at millisecond granularity, so the timer fires
+// ~1.1 ms after it is armed and a frame that waits for it pays that on
+// some request's critical path. The size threshold says which frames
+// wait: at 8 KiB and up a frame is a body on the move (an original on
+// its way to Put, a distiller task, a relay fragment) — one or two per
+// request, several packets each, nothing to gain from sharing a
+// write(2) — so its appender writes it, and whatever is staged, at
+// once. The small frames that do arrive in bursts keep the deadline
+// (ROADMAP item 1 has what writing those at once measures and needs).
 const (
-	DefaultFlushBytes = 32 << 10
+	DefaultFlushBytes = 8 << 10
 	DefaultFlushDelay = 200 * time.Microsecond
 )
 
@@ -93,9 +100,10 @@ type Batcher struct {
 	spare     []byte // recycled staging buffer (swapped by the drainer)
 	cuts      []cut  // external bodies and hooks interleaved with buf
 	spareCuts []cut
-	ext       int // total external body bytes pending
-	iov       net.Buffers
-	pending   int // frames in buf
+	ext       int         // total external body bytes pending
+	iov       net.Buffers // gather-list scratch, owned by the drainer
+	iovArg    net.Buffers // the header WriteTo consumes; a field so &iovArg never allocates
+	pending   int         // frames in buf
 	armed     bool
 	timer     *time.Timer
 	writing   bool // a drainer owns a write in progress
@@ -306,14 +314,15 @@ func (b *Batcher) writeBatch(buf []byte, cuts []cut) (n int64, vecBytes uint64, 
 	if len(buf) > prev {
 		iov = append(iov, buf[prev:])
 	}
-	b.iov = iov // keep the grown backing array for the next flush
-	bufs := iov // WriteTo consumes its receiver; keep b.iov intact
+	b.iov = iov    // keep the grown backing array for the next flush
+	b.iovArg = iov // WriteTo consumes its receiver; keep b.iov intact
 	if vw, ok := b.w.(vecWriter); ok {
-		n, err = vw.WriteVec(&bufs)
+		n, err = vw.WriteVec(&b.iovArg)
 	} else {
 		// Plain writers get net.Buffers' sequential-Write fallback.
-		n, err = bufs.WriteTo(b.w)
+		n, err = b.iovArg.WriteTo(b.w)
 	}
+	b.iovArg = nil
 	for i := range b.iov {
 		b.iov[i] = nil // drop body references; the slots get reused
 	}

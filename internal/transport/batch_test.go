@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,6 +136,133 @@ func TestBatcherSizeFlush(t *testing.T) {
 	}
 	if st := one.Stats(); st.Batches != 10 || st.SizeFlushes != 10 {
 		t.Fatalf("threshold 1 issued %d writes (%d size flushes) for 10 frames", st.Batches, st.SizeFlushes)
+	}
+}
+
+// TestBatcherBodiesDoNotWait pins where the production threshold sits
+// and what counts toward it. The deadline is stretched so only the size
+// rule can write: small frames stage, referenced body bytes count (one
+// byte under the threshold still stages), and a relay fragment is at
+// the writer, behind everything staged before it, when its Append
+// returns.
+func TestBatcherBodiesDoNotWait(t *testing.T) {
+	var w bytes.Buffer
+	b := testBatcher(&w, DefaultFlushBytes, time.Hour, DefaultMaxBatchBytes)
+	defer b.Close()
+	small := bytes.Repeat([]byte{'s'}, 100)
+	if err := b.Append(small, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	under := bytes.Repeat([]byte{'u'}, DefaultFlushBytes-len(small)-1)
+	if err := b.Append(under[:8], under[8:], nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Batches != 0 {
+		t.Fatalf("%d bytes staged, one under the threshold, and already written: %+v", len(small)+len(under), st)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.Reset()
+
+	released := false
+	body := bytes.Repeat([]byte{'b'}, chunkFrag) // one relay fragment
+	if err := b.Append(small, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append([]byte("hdr4"), body, []byte("crc4"), func() { released = true }); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(append(append([]byte(nil), small...), "hdr4"...), body...), "crc4"...)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("writer holds %d bytes when Append returns, want the %d staged in append order", w.Len(), len(want))
+	}
+	if st := b.Stats(); !released || st.SizeFlushes != 1 || st.TimeFlushes != 1 {
+		t.Fatalf("released=%v, stats %+v: want the body's hook run by one size flush", released, st)
+	}
+}
+
+// TestBatcherConcurrentAppenders runs all three ways a frame reaches the
+// socket against each other on a real loopback connection: 8 senders,
+// alternating staged and vectored frames, a threshold they cross every
+// few frames, a deadline that fires in between, and a Flush for the
+// tail. Every frame must arrive exactly once and each sender's frames
+// in its own order.
+func TestBatcherConcurrentAppenders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	const senders, each, rec = 8, 500, 8 // a record is sender, seq: two big-endian uint32s
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, senders*each*rec)
+		if _, err := io.ReadFull(peer, buf); err != nil {
+			t.Errorf("reading the stream: %v", err)
+		}
+		got <- buf
+	}()
+
+	b := testBatcher(deadlineWriter{conn}, 16*rec, 50*time.Microsecond, DefaultMaxBatchBytes)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				var r [rec]byte
+				binary.BigEndian.PutUint32(r[:4], uint32(s))
+				binary.BigEndian.PutUint32(r[4:], uint32(i))
+				var err error
+				if s%2 == 0 {
+					err = b.Append(r[:], nil, nil, nil)
+				} else {
+					err = b.Append(r[:4], r[4:], nil, func() {})
+				}
+				if err != nil {
+					t.Errorf("sender %d append %d: %v", s, i, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := b.Stats()
+	if st.Frames != senders*each || st.Bytes != senders*each*rec || st.Batches == 0 || st.Batches > st.Frames {
+		t.Fatalf("stats after %d appends: %+v", senders*each, st)
+	}
+	if st.Backpressure != 0 {
+		t.Fatalf("%d appends refused on a draining socket", st.Backpressure)
+	}
+
+	var next [senders]uint32
+	stream := <-got
+	for off := 0; off < len(stream); off += rec {
+		s, seq := binary.BigEndian.Uint32(stream[off:]), binary.BigEndian.Uint32(stream[off+4:])
+		if s >= senders || seq != next[s] {
+			t.Fatalf("record %d: sender %d seq %d, want seq %d", off/rec, s, seq, next[s])
+		}
+		next[s]++
+	}
+	for s, n := range next {
+		if n != each {
+			t.Fatalf("sender %d delivered %d frames, want %d", s, n, each)
+		}
 	}
 }
 

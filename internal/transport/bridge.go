@@ -47,9 +47,9 @@ const (
 	// whole batch. Sized so a 64 KB cache object still rides one
 	// (vectored) frame while the long tail of huge GIFs fragments.
 	DefaultChunkBytes = 128 << 10
-	// chunkFrag is the fragment size of chunked relay — half the
-	// batch threshold, so at most two fragments share a flush and
-	// competing small frames never wait behind more than that.
+	// chunkFrag is the fragment size of chunked relay — above the
+	// batch threshold, so each fragment is written as it is appended
+	// and competing small frames never wait behind more than one.
 	chunkFrag = 16 << 10
 	// vecMinBody: leased bodies at least this large skip the staging
 	// copy and go to the socket as their own iovec. Below it the

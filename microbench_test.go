@@ -62,9 +62,9 @@ var MicroBenches = []MicroBench{
 	// over the ~1-2 KB baseline: at the gate's run length one missed
 	// buffer-pool get is body/N bytes per op, while the defect this
 	// guards — a body copy per request — is the whole body.
-	{Name: "blob_relay_4k", MaxAllocs: ceiling(16), F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
-	{Name: "blob_relay_64k", MaxAllocs: ceiling(16), MaxBytes: 64 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
-	{Name: "blob_relay_512k", MaxAllocs: ceiling(65), MaxBytes: 512 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
+	{Name: "blob_relay_4k", MaxAllocs: ceiling(15), F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
+	{Name: "blob_relay_64k", MaxAllocs: ceiling(15), MaxBytes: 64 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
+	{Name: "blob_relay_512k", MaxAllocs: ceiling(48), MaxBytes: 512 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
 }
 
 // wireLoadReport is the representative hot-path message: the periodic
