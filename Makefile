@@ -58,6 +58,8 @@ bench-micro:
 # Alternating parent/working-tree runs of one bench/ workload with the
 # pair-rule summary a performance claim needs, e.g.
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=miss_distill [PAIRS=10]
+# WORKLOAD=all runs the four in sequence (~35 min at ten pairs) and
+# fails if any row reads WORSE or unresolved: the merge check's rule.
 PAIRS ?= 10
 bench-pairs:
 	./scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)

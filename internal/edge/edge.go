@@ -262,7 +262,11 @@ func (e *Edge) Run(ctx context.Context) error {
 	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/status", e.handleStatus)
+	// /status is the registry snapshot, the same report cmd/node serves.
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(reg.Snapshot()) // a client that hung up is not the edge's error
+	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		reg.WritePrometheus(w)
 	})
@@ -303,25 +307,6 @@ func (e *Edge) Run(ctx context.Context) error {
 			msg.Release()
 		}
 	}
-}
-
-// handleStatus serves the edge's own state as JSON.
-func (e *Edge) handleStatus(w http.ResponseWriter, r *http.Request) {
-	type status struct {
-		Name     string          `json:"name"`
-		HTTPAddr string          `json:"http_addr"`
-		Stats    Stats           `json:"stats"`
-		Pool     PoolStats       `json:"pool"`
-		Backends []BackendStatus `json:"backends"`
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(status{
-		Name:     e.cfg.Name,
-		HTTPAddr: e.httpAddr,
-		Stats:    e.Stats(),
-		Pool:     e.pool.Stats(),
-		Backends: e.pool.Snapshot(),
-	})
 }
 
 // handleProxy is the front door: pick a backend, forward, retry once

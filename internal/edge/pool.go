@@ -258,35 +258,6 @@ func (pk *Pick) Done(ok bool) {
 	}
 }
 
-// BackendStatus is one backend's externally visible state.
-type BackendStatus struct {
-	Key      string `json:"key"`
-	Name     string `json:"name"`
-	HTTPAddr string `json:"http_addr"`
-	Draining bool   `json:"draining"`
-	Ejected  bool   `json:"ejected"`
-	Probing  bool   `json:"probing"`
-	Inflight int    `json:"inflight"`
-	Fails    int    `json:"fails"`
-}
-
-// Snapshot returns the backend table in key order.
-func (p *Pool) Snapshot() []BackendStatus {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.expireLocked(p.cfg.Clock())
-	out := make([]BackendStatus, 0, len(p.backends))
-	for _, b := range p.backends {
-		out = append(out, BackendStatus{
-			Key: b.key, Name: b.name, HTTPAddr: b.httpAddr,
-			Draining: b.draining, Ejected: b.ejected, Probing: b.probing,
-			Inflight: b.inflight, Fails: b.fails,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // PoolStats count pool membership and health transitions.
 type PoolStats struct {
 	Backends int    `json:"backends"`

@@ -321,6 +321,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 	done := make(chan struct{})
 	fe.runDone.Store(&done)
 	defer close(done)
+	cache := fe.cache // a respawn replaces the field; this Run's collector reads this Run's client
 	fe.cfg.Net.Registry().SetCollector("fe."+fe.cfg.Name, func(emit func(string, float64)) {
 		st := fe.Stats()
 		emit("requests", float64(st.Requests))
@@ -333,6 +334,11 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		emit("shed", float64(st.Shed))
 		emit("degraded", float64(st.DegradedServes))
 		emit("expired", float64(st.Expired))
+		// Cache writes are datagrams: a refused send is the only failure
+		// a writer ever sees, and this is where it is visible.
+		writes, writeErrs := cache.WriteStats()
+		emit("cache_writes", float64(writes))
+		emit("cache_write_errors", float64(writeErrs))
 		emit("queue", float64(len(fe.jobs)))
 		emit("inflight", float64(fe.inflight.Load()))
 	})
@@ -709,7 +715,7 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 				return tacc.Blob{}, err
 			}
 			fe.stats.originFetches.Add(1)
-			fe.cache.Put(fctx, origKey, blob.Data, blob.MIME, fe.cfg.CacheTTL)
+			fe.cache.Put(ctx, origKey, blob.Data, blob.MIME, fe.cfg.CacheTTL) // one-way: ctx only lends its trace id
 			return blob, nil
 		})
 		if shared {
@@ -755,7 +761,9 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 		if err != nil {
 			return tacc.Blob{}, err
 		}
-		// 7. Inject the distilled variant for future hits.
+		// 7. Inject the distilled variant for future hits: a datagram,
+		// like the Put above. This process's next probe of the key is
+		// staged behind it on the same connection, so it still hits.
 		fe.cache.Inject(dctx, distillKey, blob.Data, blob.MIME, fe.cfg.CacheTTL)
 		return blob, nil
 	})

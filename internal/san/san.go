@@ -1024,7 +1024,13 @@ func (e *Endpoint) Leave(group string) {
 // partition drops are silent (datagram semantics), mirroring a real
 // SAN.
 func (e *Endpoint) Send(to Addr, kind string, body any, size int) error {
-	return e.send(to, kind, body, size, 0, false, time.Time{}, 0)
+	return e.SendTraced(0, to, kind, body, size)
+}
+
+// SendTraced is Send stamped with a request's trace id, so the one-way
+// legs of a sampled request stay attributable at the receiver.
+func (e *Endpoint) SendTraced(trace obs.TraceID, to Addr, kind string, body any, size int) error {
+	return e.send(to, kind, body, size, 0, false, time.Time{}, trace)
 }
 
 func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64, reply bool, deadline time.Time, trace obs.TraceID) error {

@@ -191,8 +191,8 @@ const (
 // built with san.WithCodec(WireCodec{}) runs this codec on its live
 // message path (wire mode); EncodeBodyAppend is the pooled-buffer
 // entry point that path uses, and control signals without a body
-// layout (MsgShutdown, MsgDisable, MsgEnable, vcache.MsgOK,
-// vcache.MsgStats) encode a nil body as empty bytes.
+// layout (MsgShutdown, MsgDisable, MsgEnable, vcache.MsgStats) encode
+// a nil body as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
 var ErrWireFormat = errors.New("stub: malformed wire message")

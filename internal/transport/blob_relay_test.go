@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +24,23 @@ import (
 // bridge, a client endpoint behind the other, loopback TCP between.
 type relayPair struct {
 	client     *vcache.Client
+	cache      san.Addr
 	netA, netB *san.Network
 	ba, bb     *Bridge
+}
+
+// newRelayClient attaches one more virtual-cache client, on an endpoint
+// of its own, to a network bridged to the pair's cache.
+func (p *relayPair) newRelayClient(net *san.Network, node, proc string) *vcache.Client {
+	ep := net.Endpoint(san.Addr{Node: node, Proc: proc}, 256)
+	go func() {
+		for msg := range ep.Inbox() {
+			ep.DeliverReply(msg)
+		}
+	}()
+	client := vcache.NewClient(ep)
+	client.AddNode("cache0", p.cache)
+	return client
 }
 
 func startRelayPair(tb testing.TB) *relayPair {
@@ -51,15 +67,136 @@ func startRelayPair(tb testing.TB) *relayPair {
 	tb.Cleanup(cancel)
 	go func() { _ = svc.Run(ctx) }()
 
-	ep := netA.Endpoint(san.Addr{Node: "a-fe", Proc: "client"}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
+	pair := &relayPair{cache: svc.Addr(), netA: netA, netB: netB, ba: ba, bb: bb}
+	pair.client = pair.newRelayClient(netA, "a-fe", "client")
+	return pair
+}
+
+// fillRound stamps body with a pattern unique to (round, position), so
+// a probe answered with any earlier round's bytes cannot pass.
+func fillRound(body []byte, round int) {
+	for i := range body {
+		body[i] = byte(round + i)
+	}
+}
+
+// probeRound fetches key and reports whether it holds exactly body.
+func probeRound(client *vcache.Client, key string, body []byte) (hit, same bool) {
+	data, _, release, ok := client.GetView(context.Background(), key)
+	if !ok {
+		return false, false
+	}
+	same = bytes.Equal(data, body)
+	if release != nil {
+		release()
+	}
+	return true, same
+}
+
+// TestCacheWritesReadYourWrites is the argument one-way cache writes
+// rest on: Put and Inject send no receipt, yet a probe issued after the
+// write returns always sees it, because both ride one connection whose
+// batcher keeps append order, the peer's read loop injects in arrival
+// order, and the partition drains its inbox serially. The three sizes
+// are the three ways a write leaves: 32 KiB is one vectored frame its
+// appender writes at once, 4 KiB is staged for the flush timer (the
+// probe stages behind it), 256 KiB crosses as chunk fragments that are
+// reassembled before the probe behind them is injected. They run
+// concurrently off one endpoint so fragments and small frames
+// interleave. Every round overwrites its key: a hit with the previous
+// round's bytes is a failure too.
+func TestCacheWritesReadYourWrites(t *testing.T) {
+	pair := startRelayPair(t)
+	ctx := context.Background()
+	cases := []struct {
+		key    string
+		size   int
+		inject bool
+	}{
+		{"put-32k", 32 << 10, false},
+		{"inject-4k", 4 << 10, true},
+		{"put-256k-chunked", 256 << 10, false},
+	}
+	var wg sync.WaitGroup
+	for _, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := make([]byte, c.size)
+			for round := 0; round < 500; round++ {
+				fillRound(body, round)
+				if c.inject {
+					pair.client.Inject(ctx, c.key, body, "image/sjpg", 0)
+				} else {
+					pair.client.Put(ctx, c.key, body, "image/sjpg", 0)
+				}
+				if hit, same := probeRound(pair.client, c.key, body); !hit || !same {
+					t.Errorf("%s round %d: probe right behind the write: hit=%v right bytes=%v", c.key, round, hit, same)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := pair.ba.Stats(); st.Chunked < 500 || st.Backpressure != 0 {
+		t.Fatalf("client-side bridge: chunked %d (want >= 500), backpressure %d (want 0)", st.Chunked, st.Backpressure)
+	}
+	if w, werrs := pair.client.WriteStats(); w != 1500 || werrs != 0 {
+		t.Fatalf("client counted %d writes, %d refused; want 1500, 0", w, werrs)
+	}
+}
+
+// TestCacheWritesAcrossEndpoints marks the edge of that promise. It is
+// per connection, not per endpoint: two endpoints of one process (two
+// front ends in one node) share the bridge connection, so what one
+// wrote the other reads as soon as the write has returned. A writer in
+// a third process has a connection of its own to the cache's process,
+// and nothing orders the two: the reader's probe may overtake the
+// write, so all that is asserted there is that the write arrives.
+func TestCacheWritesAcrossEndpoints(t *testing.T) {
+	pair := startRelayPair(t)
+	ctx := context.Background()
+	body := make([]byte, 4<<10)
+
+	sibling := pair.newRelayClient(pair.netA, "a-fe", "sibling")
+	for round := 0; round < 200; round++ {
+		fillRound(body, round)
+		sibling.Inject(ctx, "shared", body, "image/sjpg", 0)
+		if hit, same := probeRound(pair.client, "shared", body); !hit || !same {
+			t.Fatalf("round %d: sibling endpoint's write, same connection: hit=%v right bytes=%v", round, hit, same)
 		}
-	}()
-	client := vcache.NewClient(ep)
-	client.AddNode("cache0", svc.Addr())
-	return &relayPair{client: client, netA: netA, netB: netB, ba: ba, bb: bb}
+	}
+
+	netC := newWireNet(3)
+	t.Cleanup(netC.Close)
+	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "relay-c", Join: []string{pair.bb.Advertise()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bc.Close() })
+	if !bc.WaitPeers(2, 5*time.Second) {
+		t.Fatalf("third process only reached %v", bc.Peers())
+	}
+	remote := pair.newRelayClient(netC, "c-fe", "remote")
+	overtaken := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for round := 0; round < 50; round++ {
+		fillRound(body, 1000+round)
+		remote.Inject(ctx, "shared", body, "image/sjpg", 0)
+		// Each probe is a full round trip, so this polls without spinning.
+		for first := true; ; first = false {
+			if _, same := probeRound(pair.client, "shared", body); same {
+				break
+			}
+			if first {
+				overtaken++
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: a write from another process never became visible", round)
+			}
+		}
+	}
+	t.Logf("%d of 50 probes overtook a write made over another connection", overtaken)
 }
 
 // TestChunkedRelayLatency: while 512 KB responses stream continuously

@@ -3,6 +3,7 @@ package vcache
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -11,14 +12,19 @@ import (
 
 // Message kinds for the cache wire protocol. Cache nodes are plain
 // workers reachable over the SAN; the paper notes each Harvest request
-// cost a TCP connection — here each request is one SAN round trip, and
-// an optional ServiceTime models the measured per-hit cost (§4.4).
+// cost a TCP connection — here a read is one SAN round trip (an
+// optional ServiceTime models the measured per-hit cost, §4.4) and a
+// write is one datagram: the cache is BASE soft state, nobody acts on
+// a store's receipt, so none is sent. A process still reads its own
+// writes, by ordering: a write and any later probe from that process
+// ride one connection to the partition's process, which keeps append
+// order, and Run drains the inbox serially. Writers in two processes
+// are promised nothing about each other.
 const (
 	MsgGet    = "cache.get"
 	MsgGot    = "cache.got"
 	MsgPut    = "cache.put"
 	MsgInject = "cache.inject"
-	MsgOK     = "cache.ok"
 	MsgStats  = "cache.stats"
 	MsgStatsR = "cache.stats.reply"
 	// MsgHello is the cache service's periodic liveness heartbeat,
@@ -196,6 +202,7 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 			msg.Release()
 			return
 		}
+		start := time.Now()
 		if msg.Lease != nil {
 			// Copy-on-retain: with decode views on, req.Data aliases a
 			// pooled receive buffer, and the partition stores data far
@@ -209,7 +216,12 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 			s.Partition.Put(req.Key, req.Data, req.MIME, req.TTL)
 		}
 		msg.Release()
-		_ = ep.Respond(msg, MsgOK, nil, 16)
+		if msg.Trace.Sampled() {
+			s.Net.Tracer().Record(obs.Span{
+				Trace: msg.Trace, Comp: s.Name, Hop: "cache.store", Note: msg.Kind,
+				Start: start.UnixNano(), Dur: int64(time.Since(start)),
+			})
+		}
 	case MsgStats:
 		_ = ep.Respond(msg, MsgStatsR, s.Partition.Stats(), 64)
 	}
@@ -225,6 +237,8 @@ type Client struct {
 	addrs   map[string]san.Addr
 	mu      chan struct{} // 1-token semaphore guarding addrs+ring mutation
 	Timeout time.Duration
+
+	writes, writeErrors atomic.Uint64
 }
 
 // NewClient creates a virtual-cache client over an endpoint.
@@ -328,12 +342,15 @@ func (c *Client) getView(ctx context.Context, key string, acceptStale bool) (dat
 	return got.Data, got.MIME, got.Stale, resp.Lease.Release, true
 }
 
-// Put stores original content; errors are swallowed (best effort).
+// Put stores original content. It is a datagram: it returns once the
+// message is handed to the SAN, waits for nothing, and reads ctx only
+// for its trace id. A send the SAN refuses is counted (WriteStats),
+// not returned — best effort.
 func (c *Client) Put(ctx context.Context, key string, data []byte, mime string, ttl time.Duration) {
 	c.put(ctx, MsgPut, key, data, mime, ttl)
 }
 
-// Inject stores post-transformation content.
+// Inject stores post-transformation content, one-way like Put.
 func (c *Client) Inject(ctx context.Context, key string, data []byte, mime string, ttl time.Duration) {
 	c.put(ctx, MsgInject, key, data, mime, ttl)
 }
@@ -343,9 +360,16 @@ func (c *Client) put(ctx context.Context, kind, key string, data []byte, mime st
 	if !ok {
 		return
 	}
-	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
-	defer cancel()
-	_, _ = c.ep.Call(cctx, addr, kind, PutReq{Key: key, Data: data, MIME: mime, TTL: ttl}, len(data)+len(key)+32)
+	c.writes.Add(1)
+	if c.ep.SendTraced(obs.TraceFrom(ctx), addr, kind, PutReq{Key: key, Data: data, MIME: mime, TTL: ttl}, len(data)+len(key)+32) != nil {
+		c.writeErrors.Add(1)
+	}
+}
+
+// WriteStats counts the Put/Inject datagrams sent and those the SAN
+// refused (no route to the partition, codec error, peer queue full).
+func (c *Client) WriteStats() (writes, refused uint64) {
+	return c.writes.Load(), c.writeErrors.Load()
 }
 
 // StatsOf fetches one partition's stats (for the monitor).

@@ -328,6 +328,37 @@ func TestClientNodeLossIsAMiss(t *testing.T) {
 	}
 }
 
+// TestClientWritesAreOneWay: Put and Inject are datagrams. Against a
+// partition endpoint nobody reads, both return while the messages still
+// sit in its inbox — before any reply could exist — and with the
+// client's timeout at an hour a write that waited for a receipt would
+// hang this test rather than slow it. Once the endpoint is dropped the
+// SAN refuses the send, which the caller sees only as a counter.
+func TestClientWritesAreOneWay(t *testing.T) {
+	net := san.NewNetwork(1)
+	silent := net.Endpoint(san.Addr{Node: "cnode", Proc: "silent"}, 8)
+	client := NewClient(clientEndpoint(t, net))
+	client.Timeout = time.Hour
+	client.AddNode("silent", silent.Addr())
+	ctx := context.Background()
+
+	client.Put(ctx, "k", []byte("original"), "b", 0)
+	client.Inject(ctx, "k|distilled", []byte("small"), "b", 0)
+	if queued := len(silent.Inbox()); queued != 2 {
+		t.Fatalf("%d messages in the unread inbox, want the 2 writes", queued)
+	}
+	if writes, refused := client.WriteStats(); writes != 2 || refused != 0 {
+		t.Fatalf("writes %d refused %d, want 2 and 0", writes, refused)
+	}
+
+	net.Drop(silent.Addr())
+	client.Put(ctx, "k", []byte("original"), "b", 0)
+	client.Inject(ctx, "k|distilled", []byte("small"), "b", 0)
+	if writes, refused := client.WriteStats(); writes != 4 || refused != 2 {
+		t.Fatalf("after the partition is gone: writes %d refused %d, want 4 and 2", writes, refused)
+	}
+}
+
 func TestClientInjectAndStats(t *testing.T) {
 	client, _ := startCacheCluster(t, 2)
 	ctx := context.Background()

@@ -57,6 +57,10 @@ var MicroBenches = []MicroBench{
 	// or the vectored path regressed.
 	{Name: "bridge_send", MaxAllocs: ceiling(7.7), F: benchBridgeSend},
 	{Name: "partition_get", MaxAllocs: ceiling(0), F: benchPartitionGet},
+	// A cache write as its caller pays it: one encode, one vectored
+	// frame, no wait. The 6 are the far side's decode and the partition's
+	// copy-on-retain, which run in this process too.
+	{Name: "cache_put_send", MaxAllocs: ceiling(6), F: benchCachePutSend},
 	// "At most one body copy per hop" in numbers: B/op stays far below
 	// the body size. The ceiling is an eighth of the body, not a margin
 	// over the ~1-2 KB baseline: at the gate's run length one missed
@@ -288,16 +292,12 @@ func benchPartitionGet(b *testing.B) error {
 	return nil
 }
 
-// benchBlobRelay measures one cached-object fetch end to end over a
-// real two-bridge SAN (client → wire → cache partition → wire →
-// client). 4 KB and 64 KB ride a single vectored frame; 512 KB crosses
-// as chunk fragments and reassembles. GetView keeps the client side
-// zero-copy, so allocs/op and B/op are the data plane's whole
-// per-request footprint.
-func benchBlobRelay(b *testing.B, size int) error {
-	netA, netB, _, err := bridgedPair(b)
+// cacheAcrossBridge is the FE→cache harness: a cache partition behind
+// one bridge, a virtual-cache client behind the other.
+func cacheAcrossBridge(b *testing.B) (client *vcache.Client, netA, netB *san.Network, ba *transport.Bridge, err error) {
+	netA, netB, ba, err = bridgedPair(b)
 	if err != nil {
-		return err
+		return nil, nil, nil, nil, err
 	}
 	svc := vcache.NewService("cache0", netB, "b-cnode", vcache.NewPartition(256<<20, nil))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -310,32 +310,85 @@ func benchBlobRelay(b *testing.B, size int) error {
 			ep.DeliverReply(msg)
 		}
 	}()
-	client := vcache.NewClient(ep)
+	client = vcache.NewClient(ep)
 	client.AddNode("cache0", svc.Addr())
+	return client, netA, netB, ba, nil
+}
 
+// relayGet fetches key as a view and checks its size. Right behind a
+// Put of the same key it is also the warm-up: Put sends no receipt, the
+// Get rides the same connection behind it, so its hit is the
+// observation that the store landed (and it teaches A the route).
+func relayGet(client *vcache.Client, key string, size int) error {
+	data, _, release, ok := client.GetView(context.Background(), key)
+	if !ok || len(data) != size {
+		return fmt.Errorf("relay get: ok=%v len=%d want %d", ok, len(data), size)
+	}
+	if release != nil {
+		release()
+	}
+	return nil
+}
+
+// benchCachePutSend measures the front end's side of a cache write: a
+// 16 KiB Put (a typical original) across the bridged pair, which since
+// the receipt went is a Send. A body this size is written by its own
+// appender, so a lone sender is paced by the socket and drops/op reads
+// 0; backpressure is still the only refusal the row accepts.
+func benchCachePutSend(b *testing.B) error {
+	client, netA, netB, ba, err := cacheAcrossBridge(b)
+	if err != nil {
+		return err
+	}
+	const size = 16 << 10
+	ctx := context.Background()
+	payload := make([]byte, size)
+	client.Put(ctx, "blob", payload, "image/gif", 0)
+	if err := relayGet(client, "blob", size); err != nil {
+		return err
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		client.Put(ctx, "blob", payload, "image/gif", 0)
+	}
+	b.StopTimer()
+	_, refused := client.WriteStats()
+	if bp := ba.Stats().Backpressure; refused != bp {
+		return fmt.Errorf("%d writes refused but only %d by backpressure", refused, bp)
+	}
+	b.ReportMetric(float64(refused)/float64(b.N), "drops/op")
+	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
+		return fmt.Errorf("wire errors during puts: %d", we)
+	}
+	return nil
+}
+
+// benchBlobRelay measures one cached-object fetch end to end over a
+// real two-bridge SAN (client → wire → cache partition → wire →
+// client). 4 KB and 64 KB ride a single vectored frame; 512 KB crosses
+// as chunk fragments and reassembles. GetView keeps the client side
+// zero-copy, so allocs/op and B/op are the data plane's whole
+// per-request footprint.
+func benchBlobRelay(b *testing.B, size int) error {
+	client, netA, netB, _, err := cacheAcrossBridge(b)
+	if err != nil {
+		return err
+	}
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	client.Put(ctx, "blob", payload, "image/gif", 0)
-	get := func() error {
-		data, _, release, ok := client.GetView(ctx, "blob")
-		if !ok || len(data) != size {
-			return fmt.Errorf("relay get: ok=%v len=%d want %d", ok, len(data), size)
-		}
-		if release != nil {
-			release()
-		}
-		return nil
-	}
-	if err := get(); err != nil { // warm-up: the Put has landed and the route is learned
+	client.Put(context.Background(), "blob", payload, "image/gif", 0)
+	if err := relayGet(client, "blob", size); err != nil {
 		return err
 	}
 	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := get(); err != nil {
+		if err := relayGet(client, "blob", size); err != nil {
 			return err
 		}
 	}

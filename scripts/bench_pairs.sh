@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired benchmark runs, parent against the working tree:
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=10]
+#   scripts/bench_pairs.sh <parent-ref> <workload|all> [pairs=10]
 #
 # The procedure bench/README.md §Comparing and the choosing-metrics
 # guide §8 ask of every performance claim: <parent-ref> is exported
@@ -22,16 +22,27 @@
 # a claim (the change wins at least nine tenths of the pairs, ties
 # counting for neither side, and the medians differ by more than the
 # parent's inter-quartile distance); otherwise "same".
+# The exit status is the merge check's: non-zero when any row reads
+# WORSE or unresolved. Workload "all" runs every workload BENCHMARK.json
+# lists, one after the other, and fails if any of them does.
 # The script only drives bench/run.sh; it reads BENCHMARK.json for the
 # run length, the metric list and the bounds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-	echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+	echo "usage: $0 <parent-ref> <workload|all> [pairs=10]" >&2
 	exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10}
+if [ "$workload" = all ]; then
+	rc=0
+	for w in $(awk '/"workloads"/ { inside = 1 } /"end_to_end"/ { inside = 0 }
+		inside && /"name"/ { gsub(/[",]/, "", $2); print $2 }' BENCHMARK.json); do
+		"$0" "$ref" "$w" "$pairs" || rc=1
+	done
+	exit $rc
+fi
 seconds=$(sed -n 's/^ *"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json)
 
 parent=.bench_build/parent
@@ -135,6 +146,7 @@ END {
 		if (iqr > lim || ciqr > lim) verdict = sprintf("unresolved (spread %.3g > %.3g)", iqr > ciqr ? iqr : ciqr, lim)
 		else if (-gain > lim) verdict = "WORSE"
 		else verdict = (w >= 0.9 * n && gain > iqr) ? "better" : "same"
+		if (verdict ~ /^(WORSE|unresolved)/) refused = 1
 		printf "%-16s %12.2f %-25s %12.2f %-25s %+7.1f%% %8s  %s\n", name[i], pm, \
 			sprintf("[%.2f, %.2f]", quantile(sp, n, .25), quantile(sp, n, .75)), cm, \
 			sprintf("[%.2f, %.2f]", quantile(sc, n, .25), quantile(sc, n, .75)), \
@@ -142,4 +154,5 @@ END {
 	}
 	printf "operations attempted/failed: parent %d/%d, change %d/%d; runs not correct: parent %d, change %d\n", \
 		tp["attempted"], tp["failed"], tc["attempted"], tc["failed"], tp["incorrect"], tc["incorrect"]
+	exit refused
 }' BENCHMARK.json

@@ -22,7 +22,9 @@
 # rank-0 process reports primary and the standby reports itself
 # subordinate at a heard epoch, the rank-0 process is kill -9ed
 # mid-workload. The standby must end up primary at epoch >= 2 with a
-# takeover counted, and not one request may fail.
+# takeover counted, and not one request may fail; the front end's
+# one-way cache writes went out (fe.fe0.cache_writes >= 1) and none was
+# refused (fe.fe0.cache_write_errors = 0).
 #
 # Leg 3 [overload] — degradation ladder: one front end with an admission
 # bound of 2 and a 500 ms cache TTL. 64-wide concurrent bursts, half
@@ -34,7 +36,8 @@
 # Leg 4 [trace] — end-to-end tracing: with -trace-sample 1 one /fetch
 # returns an X-Trace-Id; /trace?id= on the serving process must render a
 # span tree recorded by BOTH OS processes (front-end hops here, worker
-# queue-wait + service hops crossed back as span digests). /metrics
+# queue-wait + service hops and the partition's store of the request's
+# one-way cache writes crossed back as span digests). /metrics
 # serves the same registry as Prometheus text.
 #
 # Leg 5 [edge] — edge front door: data plane with the manager, two
@@ -241,6 +244,11 @@ for ((i = 0; i < REQUESTS; i++)); do
 done
 await 30 "the standby to be primary at epoch >= 2 with a takeover counted" took_over
 ((bad == 0)) || fail failover "${bad} of ${REQUESTS} requests did not answer 200"
+# Cache writes are datagrams: a refused send is the only failure the
+# writer ever sees. The hub's partitions outlived the manager, so the
+# front end must have sent writes and had none refused.
+expect srv2 fe.fe0.cache_writes -ge 1
+expect srv2 fe.fe0.cache_write_errors -eq 0
 clean hub srv2
 echo "smoke: [failover] OK — rank-0 manager process kill -9ed mid-workload, standby primary at epoch $(status_get "${http[srv2]}" manager-r1.epoch), zero failed requests, zero wire errors"
 stop_nodes
@@ -315,7 +323,7 @@ echo "smoke: [trace] trace id ${trace_id}"
 tree_complete() {
     local want tree
     tree=$(curl -fsS "http://127.0.0.1:${http[tsv]}/trace?id=${trace_id}" || true)
-    for want in '"proc": "trc"' '"proc": "tsv"' '"hop": "worker.queue"' '"hop": "worker.service"' '"hop": "fe.request"'; do
+    for want in '"proc": "trc"' '"proc": "tsv"' '"hop": "worker.queue"' '"hop": "worker.service"' '"hop": "cache.store"' '"hop": "fe.request"'; do
         seen="no ${want} in ${tree}"
         grep -q "${want}" <<<"${tree}" || return 1
     done
