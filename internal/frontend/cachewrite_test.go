@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/origin"
 	"repro/internal/san"
 	"repro/internal/stub"
 	"repro/internal/tacc"
@@ -20,6 +21,34 @@ func (shrinkWorker) Class() string { return "distill-sjpg" }
 
 func (shrinkWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
 	return tacc.Blob{MIME: task.Input.MIME, Data: task.Input.Data[:len(task.Input.Data)/2]}, nil
+}
+
+// startDistillFE boots a front end whose every request runs a one-stage
+// pipeline on a live shrinkWorker, with cache as its one partition: one
+// worker, and a beacon that names it, is all a front end's stub needs
+// of a manager.
+func startDistillFE(t *testing.T, net *san.Network, cache san.Addr, mutate func(*Config)) (*FrontEnd, *origin.Static) {
+	t.Helper()
+	fe, cl, static := startFEOn(t, net, func(cfg *Config) {
+		cfg.CacheNodes = map[string]san.Addr{cache.Proc: cache}
+		cfg.ManagerStub = stub.ManagerStubConfig{CallTimeout: time.Second}
+		cfg.Rules = func(url, mime string, profile map[string]string) tacc.Pipeline {
+			return tacc.Pipeline{{Class: "distill-sjpg"}}
+		}
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+	cl.AddNode("w-node", false)
+	ws := stub.NewWorkerStub("w0", "w-node", shrinkWorker{}, net, stub.WorkerConfig{})
+	if _, err := cl.Spawn("w-node", ws); err != nil {
+		t.Fatal(err)
+	}
+	mgr := net.Endpoint(san.Addr{Node: "w-node", Proc: "manager"}, 64)
+	mgr.Join(stub.GroupControl)
+	mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{Manager: mgr.Addr(), Seq: 1, Workers: []stub.WorkerInfo{ws.Info()}}, 128)
+	waitFor(t, "worker visible to the front end", func() bool { return len(fe.ManagerStub().Workers("distill-sjpg")) == 1 })
+	return fe, static
 }
 
 // TestMissDoesNotWaitOnCacheWrites: the front end's two cache writes
@@ -48,25 +77,7 @@ func TestMissDoesNotWaitOnCacheWrites(t *testing.T) {
 		}
 	}()
 
-	fe, cl, static := startFEOn(t, net, func(cfg *Config) {
-		cfg.CacheNodes = map[string]san.Addr{"mute": mute.Addr()}
-		cfg.CacheTimeout = time.Hour
-		cfg.ManagerStub = stub.ManagerStubConfig{CallTimeout: time.Second}
-		cfg.Rules = func(url, mime string, profile map[string]string) tacc.Pipeline {
-			return tacc.Pipeline{{Class: "distill-sjpg"}}
-		}
-	})
-	// One worker, and a beacon that names it: all a front end's stub
-	// needs of a manager.
-	cl.AddNode("w-node", false)
-	ws := stub.NewWorkerStub("w0", "w-node", shrinkWorker{}, net, stub.WorkerConfig{})
-	if _, err := cl.Spawn("w-node", ws); err != nil {
-		t.Fatal(err)
-	}
-	mgr := net.Endpoint(san.Addr{Node: "w-node", Proc: "manager"}, 64)
-	mgr.Join(stub.GroupControl)
-	mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{Manager: mgr.Addr(), Seq: 1, Workers: []stub.WorkerInfo{ws.Info()}}, 128)
-	waitFor(t, "worker visible to the front end", func() bool { return len(fe.ManagerStub().Workers("distill-sjpg")) == 1 })
+	fe, static := startDistillFE(t, net, mute.Addr(), func(cfg *Config) { cfg.CacheTimeout = time.Hour })
 
 	static.Put("http://a/one.sjpg", tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 9000)})
 	static.Put("http://a/two.sjpg", tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 9000)})

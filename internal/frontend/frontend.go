@@ -334,6 +334,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		emit("shed", float64(st.Shed))
 		emit("degraded", float64(st.DegradedServes))
 		emit("expired", float64(st.Expired))
+		emit("cache_probes", float64(cache.Probes())) // one per request
 		// Cache writes are datagrams: a refused send is the only failure
 		// a writer ever sees, and this is where it is visible.
 		writes, writeErrs := cache.WriteStats()
@@ -608,37 +609,36 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 // else served here is.
 func (fe *FrontEnd) degradedServe(ctx context.Context, req Request) (Response, bool) {
 	pipeline, profile := fe.plan(req)
-	if len(pipeline) > 0 {
-		key := pipeline.CacheKey(req.URL, profile)
-		if data, mime, stale, release, ok := fe.cache.GetStaleView(ctx, key); ok {
-			fe.stats.degradedServes.Add(1)
-			resp := Response{
-				Blob:    tacc.Blob{MIME: mime, Data: data},
-				Source:  "cache-distilled",
-				release: release,
-			}
-			if stale {
-				resp.Source = "fallback-stale"
-				resp.Degraded = true
-			}
-			return resp, true
-		}
+	key, elseKey := probeKeys(pipeline, pipeline.CacheKey(req.URL, profile), "orig|"+req.URL)
+	got, release := fe.cache.Probe(ctx, key, elseKey, true)
+	if !got.Found {
+		return Response{}, false
 	}
-	if data, mime, stale, release, ok := fe.cache.GetStaleView(ctx, "orig|"+req.URL); ok {
-		fe.stats.degradedServes.Add(1)
-		resp := Response{
-			Blob:     tacc.Blob{MIME: mime, Data: data},
-			Source:   "original",
-			Degraded: len(pipeline) > 0, // undistilled when distillation was asked for
-			release:  release,
-		}
-		if stale {
-			resp.Source = "fallback-stale"
-			resp.Degraded = true
-		}
-		return resp, true
+	fe.stats.degradedServes.Add(1)
+	resp := Response{
+		Blob:    tacc.Blob{MIME: got.MIME, Data: got.Data},
+		Source:  "cache-distilled",
+		release: release,
 	}
-	return Response{}, false
+	if got.Else || len(pipeline) == 0 {
+		resp.Source = "original"
+		resp.Degraded = got.Else // undistilled when distillation was asked for
+	}
+	if got.Stale {
+		resp.Source = "fallback-stale"
+		resp.Degraded = true
+	}
+	return resp, true
+}
+
+// probeKeys orders a request's two cache keys into the one question it
+// asks: the distilled variant, else the original — or only the original
+// when no pipeline applies.
+func probeKeys(pipeline tacc.Pipeline, distillKey, origKey string) (key, elseKey string) {
+	if len(pipeline) == 0 {
+		return origKey, ""
+	}
+	return distillKey, origKey
 }
 
 // handle shepherds one request end to end. life is the front end's
@@ -668,41 +668,40 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 	distillKey := pipeline.CacheKey(req.URL, profile)
 	origKey := "orig|" + req.URL
 
-	// 3. Distilled variant already cached? This is the steady-state
-	// hot path, so it serves the view directly — the bytes stay in the
-	// pooled receive buffer until the caller's Response.Release.
-	if len(pipeline) > 0 {
-		cstart := time.Now()
-		data, mime, release, ok := fe.cache.GetView(ctx, distillKey)
-		if trace.Sampled() {
-			note := "miss"
-			if ok {
-				note = "hit"
-			}
-			tracer.Record(obs.Span{
-				Trace: trace, Comp: fe.cfg.Name, Hop: "fe.cache", Note: note,
-				Start: cstart.UnixNano(), Dur: int64(time.Since(cstart)),
-			})
-		}
-		if ok {
-			fe.stats.cacheDistilled.Add(1)
-			return Response{
-				Blob:    tacc.Blob{MIME: mime, Data: data},
-				Source:  "cache-distilled",
-				release: release,
-			}, nil
-		}
+	// 3+4. One probe asks the URL's partition for the distilled variant,
+	// else the original. A distilled hit is the steady-state hot path, so
+	// it serves the view directly — the bytes stay in the pooled receive
+	// buffer until the caller's Response.Release. An original is copied
+	// out: it outlives this call inside the flights below.
+	key, elseKey := probeKeys(pipeline, distillKey, origKey)
+	cstart := time.Now()
+	got, release := fe.cache.Probe(ctx, key, elseKey, false)
+	if trace.Sampled() {
+		tracer.Record(obs.Span{
+			Trace: trace, Comp: fe.cfg.Name, Hop: "fe.cache", Note: got.Answered(),
+			Start: cstart.UnixNano(), Dur: int64(time.Since(cstart)),
+		})
 	}
-
-	// 4. Fetch the original (cache first, then origin). Concurrent
-	// misses on one URL coalesce into a single origin fetch: the
-	// leader fetches and populates the cache, followers share the
-	// result instead of stampeding the origin.
 	var orig tacc.Blob
-	if data, mime, ok := fe.cache.Get(ctx, origKey); ok {
+	switch {
+	case got.Found && !got.Else && len(pipeline) > 0:
+		fe.stats.cacheDistilled.Add(1)
+		return Response{
+			Blob:    tacc.Blob{MIME: got.MIME, Data: got.Data},
+			Source:  "cache-distilled",
+			release: release,
+		}, nil
+	case got.Found:
 		fe.stats.cacheOriginal.Add(1)
-		orig = tacc.Blob{MIME: mime, Data: data}
-	} else {
+		orig = tacc.Blob{MIME: got.MIME, Data: got.Data}
+		if release != nil {
+			orig.Data = san.CloneBytes(got.Data)
+			release()
+		}
+	default:
+		// Fetch the original. Concurrent misses on one URL coalesce into
+		// a single origin fetch: the leader fetches and populates the
+		// cache, followers share the result.
 		if fe.cfg.Origin == nil {
 			fe.stats.errors.Add(1)
 			return Response{}, fmt.Errorf("frontend: no origin configured for %s", req.URL)

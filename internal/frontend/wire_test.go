@@ -46,3 +46,41 @@ func TestFrontEndCachePathOverWire(t *testing.T) {
 		t.Fatalf("%d front-end messages failed serialization", ns.WireErrors)
 	}
 }
+
+// TestPairedProbeOverWire: the probe's two keys and the which-answered
+// flag cross the codec. A second user's profile makes a new variant key
+// for a URL whose original the first request cached, so the one probe
+// is answered by its fallback key — as a leased view the front end
+// copies out before it dispatches — and nothing is fetched twice.
+func TestPairedProbeOverWire(t *testing.T) {
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	fe, static := startDistillFE(t, net, san.Addr{Node: "c-node", Proc: "cache0"}, nil)
+	static.Put("http://a/x.sjpg", tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 9000)})
+	if err := fe.cfg.Profiles.Set("bob", "quality", "10"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, step := range []struct{ user, source string }{
+		{"alice", "distilled"},
+		{"bob", "distilled"},
+		{"bob", "cache-distilled"},
+	} {
+		resp, err := fe.Do(ctx, Request{URL: "http://a/x.sjpg", User: step.user})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Source != step.source || resp.Blob.Size() != 4500 {
+			t.Fatalf("%s: source %q, %d bytes; want %s, 4500", step.user, resp.Source, resp.Blob.Size(), step.source)
+		}
+		resp.Release()
+	}
+	if st := fe.Stats(); st.OriginFetches != 1 || st.CacheOriginal != 1 || st.CacheDistilled != 1 {
+		t.Fatalf("stats %+v: want 1 origin fetch, 1 original from cache, 1 variant from cache", st)
+	}
+	if probes := fe.Cache().Probes(); probes != 3 {
+		t.Fatalf("%d cache probes for 3 requests", probes)
+	}
+	if ns := net.Stats(); ns.WireErrors != 0 {
+		t.Fatalf("%d messages failed serialization", ns.WireErrors)
+	}
+}

@@ -341,6 +341,7 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		}
 		w.str(m.Key)
 		w.bool(m.Stale)
+		w.str(m.Else)
 	case vcache.MsgHello:
 		m, ok := body.(vcache.HelloMsg)
 		if !ok {
@@ -358,6 +359,7 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		w.bytes(m.Data)
 		w.str(m.MIME)
 		w.bool(m.Stale)
+		w.bool(m.Else)
 	case vcache.MsgPut, vcache.MsgInject:
 		m, ok := body.(vcache.PutReq)
 		if !ok {
@@ -527,11 +529,11 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		}
 		body = m
 	case vcache.MsgGet:
-		body = vcache.GetReq{Key: r.str(), Stale: r.bool()}
+		body = vcache.GetReq{Key: r.str(), Stale: r.bool(), Else: r.str()}
 	case vcache.MsgHello:
 		body = vcache.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str()}
 	case vcache.MsgGot:
-		body = vcache.GetResp{Found: r.bool(), Data: r.bytes(), MIME: r.str(), Stale: r.bool()}
+		body = vcache.GetResp{Found: r.bool(), Data: r.bytes(), MIME: r.str(), Stale: r.bool(), Else: r.bool()}
 	case vcache.MsgPut, vcache.MsgInject:
 		body = vcache.PutReq{Key: r.str(), Data: r.bytes(), MIME: r.str(), TTL: time.Duration(r.varint())}
 	case vcache.MsgStatsR:

@@ -86,11 +86,14 @@ func wireSamples() map[string]any {
 				Hop: "fe.admit", Note: "shed", Start: 1700000001000000000, Dur: 0,
 			},
 		}},
-		vcache.MsgGet: vcache.GetReq{Key: "http://origin1.example/obj42.sjpg#distilled", Stale: true},
+		vcache.MsgGet: vcache.GetReq{
+			Key: "http://origin1.example/obj42.sjpg|distill-sjpg#", Stale: true,
+			Else: "orig|http://origin1.example/obj42.sjpg",
+		},
 		vcache.MsgHello: vcache.HelloMsg{
 			Name: "cache0", Addr: san.Addr{Node: "node0", Proc: "cache0"}, Node: "node0",
 		},
-		vcache.MsgGot: vcache.GetResp{Found: true, Data: []byte("cached bytes"), MIME: "image/sjpg", Stale: true},
+		vcache.MsgGot: vcache.GetResp{Found: true, Data: []byte("cached bytes"), MIME: "image/sjpg", Stale: true, Else: true},
 		vcache.MsgPut: vcache.PutReq{
 			Key: "http://origin1.example/obj42.sjpg", Data: []byte("original"),
 			MIME: "image/sjpg", TTL: 90 * time.Second,
@@ -291,6 +294,46 @@ func TestFEHeartbeatOldFormatDecodes(t *testing.T) {
 	}
 }
 
+// probeWireBodies is every shape of the cache read pair beyond the two
+// in wireSamples: the single-key probe, a primary-key answer, a miss.
+func probeWireBodies() map[string][]any {
+	return map[string][]any{
+		vcache.MsgGet: {
+			vcache.GetReq{Key: "orig|http://origin1.example/blob.bin"},
+			vcache.GetReq{Key: "u|d#", Else: "orig|u"},
+		},
+		vcache.MsgGot: {
+			vcache.GetResp{},
+			vcache.GetResp{Found: true, Data: []byte("variant"), MIME: "image/sjpg"},
+			vcache.GetResp{Found: true, Data: []byte("original"), MIME: "image/sjpg", Else: true},
+		},
+	}
+}
+
+// TestProbeWireFields: the fallback key and the which-key-answered flag
+// cross the codec on both decode paths, and they are part of the layout,
+// not an optional tail — a frame that ends where the old layout did is
+// malformed (every process of a cluster runs one build).
+func TestProbeWireFields(t *testing.T) {
+	for kind, list := range probeWireBodies() {
+		for _, want := range list {
+			data, err := EncodeBody(kind, want)
+			if err != nil {
+				t.Fatalf("%s %+v: encode: %v", kind, want, err)
+			}
+			if got, err := DecodeBody(kind, data); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: owning decode %+v, %v; want %+v", kind, got, err, want)
+			}
+			if got, _, err := DecodeBodyView(kind, data); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: view decode %+v, %v; want %+v", kind, got, err, want)
+			}
+			if _, err := DecodeBody(kind, data[:len(data)-1]); !errors.Is(err, ErrWireFormat) {
+				t.Fatalf("%s %+v: frame cut before its last field decoded: %v", kind, want, err)
+			}
+		}
+	}
+}
+
 // FuzzWireRoundTrip fuzzes DecodeBody across every message kind
 // (including the cache protocol): arbitrary bytes must never panic or
 // over-allocate, and any input that decodes successfully must
@@ -317,11 +360,32 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(slices.Index(kinds, supervisor.MsgHello), data)
 	}
 
+	for kind, bodies := range probeWireBodies() { // the samples above carry the paired, stale, fallback-answered shapes
+		for _, body := range bodies {
+			data, err := EncodeBody(kind, body)
+			if err != nil {
+				f.Fatalf("%s seed %+v: %v", kind, body, err)
+			}
+			f.Add(slices.Index(kinds, kind), data)
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, kindIdx int, data []byte) {
 		if kindIdx < 0 {
 			kindIdx = -kindIdx
 		}
 		kind := kinds[kindIdx%len(kinds)]
+		// same compares two decoded bodies: deeply, or — for the one value
+		// that is not DeepEqual to itself, a NaN float, which the wire
+		// carries bit for bit — by their canonical encodings.
+		same := func(a, b any) bool {
+			if reflect.DeepEqual(a, b) {
+				return true
+			}
+			ea, errA := EncodeBody(kind, a)
+			eb, errB := EncodeBody(kind, b)
+			return errA == nil && errB == nil && bytes.Equal(ea, eb)
+		}
 		body, err := DecodeBody(kind, data)
 		if err != nil {
 			return // malformed input rejected cleanly: fine
@@ -340,7 +404,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: re-encoded bytes failed to decode: %v", kind, err)
 		}
-		if !reflect.DeepEqual(body, body2) {
+		if !same(body, body2) {
 			t.Fatalf("%s: canonical round trip mismatch:\n got %#v\nwant %#v", kind, body2, body)
 		}
 		// View-mode equivalence: the zero-copy decoder must produce the
@@ -352,7 +416,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: owning decode succeeded but view decode failed: %v", kind, err)
 		}
-		if !reflect.DeepEqual(view, body2) {
+		if !same(view, body2) {
 			t.Fatalf("%s: view decode diverges from DecodeBody:\n got %#v\nwant %#v", kind, view, body2)
 		}
 		if !aliased {
@@ -361,7 +425,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			for i := range vbuf {
 				vbuf[i] ^= 0xFF
 			}
-			if !reflect.DeepEqual(view, body2) {
+			if !same(view, body2) {
 				t.Fatalf("%s: aliased=false but the view changed when its buffer was dirtied", kind)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -93,6 +94,17 @@ func probeRound(client *vcache.Client, key string, body []byte) (hit, same bool)
 	return true, same
 }
 
+// probePair issues the paired probe (key, else elseKey) and reports
+// whether the expected key answered it with the expected bytes.
+func probePair(client *vcache.Client, key, elseKey string, want []byte, wantElse bool) bool {
+	got, release := client.Probe(context.Background(), key, elseKey, false)
+	ok := got.Found && got.Else == wantElse && bytes.Equal(got.Data, want)
+	if release != nil {
+		release()
+	}
+	return ok
+}
+
 // TestCacheWritesReadYourWrites is the argument one-way cache writes
 // rest on: Put and Inject send no receipt, yet a probe issued after the
 // write returns always sees it, because both ride one connection whose
@@ -104,7 +116,10 @@ func probeRound(client *vcache.Client, key string, body []byte) (hit, same bool)
 // reassembled before the probe behind them is injected. They run
 // concurrently off one endpoint so fragments and small frames
 // interleave. Every round overwrites its key: a hit with the previous
-// round's bytes is a failure too.
+// round's bytes is a failure too. A fourth writer does what a miss
+// does, on a URL new every round: right behind only the Put of the
+// original, the paired probe (variant, else original) is answered by the
+// fallback key; right behind the Inject of the variant, by the primary.
 func TestCacheWritesReadYourWrites(t *testing.T) {
 	pair := startRelayPair(t)
 	ctx := context.Background()
@@ -137,12 +152,33 @@ func TestCacheWritesReadYourWrites(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		orig, variant := make([]byte, 12<<10), make([]byte, 3<<10)
+		for round := 0; round < 500; round++ {
+			url := "http://pair.example/" + strconv.Itoa(round) + ".sjpg"
+			origKey, variantKey := "orig|"+url, url+"|distill-sjpg#"
+			fillRound(orig, round)
+			fillRound(variant, round+1)
+			pair.client.Put(ctx, origKey, orig, "image/sjpg", 0)
+			if !probePair(pair.client, variantKey, origKey, orig, true) {
+				t.Errorf("round %d: paired probe behind only the Put was not answered by the original", round)
+				return
+			}
+			pair.client.Inject(ctx, variantKey, variant, "image/sjpg", 0)
+			if !probePair(pair.client, variantKey, origKey, variant, false) {
+				t.Errorf("round %d: paired probe behind the Inject was not answered by the variant", round)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	if st := pair.ba.Stats(); st.Chunked < 500 || st.Backpressure != 0 {
 		t.Fatalf("client-side bridge: chunked %d (want >= 500), backpressure %d (want 0)", st.Chunked, st.Backpressure)
 	}
-	if w, werrs := pair.client.WriteStats(); w != 1500 || werrs != 0 {
-		t.Fatalf("client counted %d writes, %d refused; want 1500, 0", w, werrs)
+	if w, werrs := pair.client.WriteStats(); w != 2500 || werrs != 0 {
+		t.Fatalf("client counted %d writes, %d refused; want 2500, 0", w, werrs)
 	}
 }
 

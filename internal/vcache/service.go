@@ -3,6 +3,8 @@ package vcache
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +22,15 @@ import (
 // ride one connection to the partition's process, which keeps append
 // order, and Run drains the inbox serially. Writers in two processes
 // are promised nothing about each other.
+//
+// A read may name two keys: the partition looks up GetReq.Else only
+// when Key missed (two Partition.Gets, so a double miss counts twice)
+// and GetResp.Else says which answered — "the distilled variant, else
+// the original" in one round trip. That works because routing is by
+// object, not by key: Client.owner hashes objectOf(key), so "orig|U"
+// and every Pipeline.CacheKey(U, ...) name one partition. The price
+// under BASE: losing a partition loses a URL's original and variants
+// together (whole-key hashing sometimes lost only one) — still a miss.
 const (
 	MsgGet    = "cache.get"
 	MsgGot    = "cache.got"
@@ -42,21 +53,25 @@ type HelloMsg struct {
 	Node string
 }
 
-// GetReq asks for a key. Stale widens the lookup to entries whose TTL
+// GetReq asks for Key and, when Key misses and Else is set, for Else on
+// the same partition. Stale widens both lookups to entries whose TTL
 // has passed but which are still resident: the BASE degraded-mode read
 // an overloaded front end uses when stale data beats no data.
 type GetReq struct {
 	Key   string
 	Stale bool
+	Else  string
 }
 
 // GetResp answers a GetReq. Stale marks an entry served past its TTL
-// (only possible when the request asked for it).
+// (only possible when the request asked for it); Else marks an answer
+// found under the request's Else key, not its Key.
 type GetResp struct {
 	Found bool
 	Data  []byte
 	MIME  string
 	Stale bool
+	Else  bool
 }
 
 // PutReq stores content (Put or Inject depending on message kind).
@@ -174,28 +189,18 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 				time.Sleep(d)
 			}
 		}
-		var (
-			entry Entry
-			found bool
-			stale bool
-		)
-		if req.Stale {
-			entry, stale, found = s.Partition.GetStale(req.Key)
-		} else {
-			entry, found = s.Partition.Get(req.Key)
+		resp := s.lookup(req.Key, req.Stale)
+		if !resp.Found && req.Else != "" {
+			resp = s.lookup(req.Else, req.Stale)
+			resp.Else = resp.Found
 		}
 		if msg.Trace.Sampled() {
-			note := "miss"
-			if found {
-				note = "hit"
-			}
 			s.Net.Tracer().Record(obs.Span{
-				Trace: msg.Trace, Comp: s.Name, Hop: "cache.serve", Note: note,
+				Trace: msg.Trace, Comp: s.Name, Hop: "cache.serve", Note: resp.Answered(),
 				Start: gstart.UnixNano(), Dur: int64(time.Since(gstart)),
 			})
 		}
-		resp := GetResp{Found: found, Data: entry.Data, MIME: entry.MIME, Stale: stale}
-		_ = ep.Respond(msg, MsgGot, resp, len(entry.Data)+32)
+		_ = ep.Respond(msg, MsgGot, resp, len(resp.Data)+32)
 	case MsgPut, MsgInject:
 		req, ok := msg.Body.(PutReq)
 		if !ok {
@@ -227,61 +232,93 @@ func (s *Service) handle(ep *san.Endpoint, msg san.Message) {
 	}
 }
 
-// Client presents a set of cache partitions as one virtual cache: keys
-// are consistent-hashed to nodes, and membership changes re-hash
-// automatically. It shares its owner's SAN endpoint (whose receive
-// loop must route replies via DeliverReply).
+// lookup is one partition read, fresh-only or widened to stale entries.
+func (s *Service) lookup(key string, acceptStale bool) GetResp {
+	if acceptStale {
+		e, stale, found := s.Partition.GetStale(key)
+		return GetResp{Found: found, Data: e.Data, MIME: e.MIME, Stale: stale}
+	}
+	e, found := s.Partition.Get(key)
+	return GetResp{Found: found, Data: e.Data, MIME: e.MIME}
+}
+
+// Answered is the trace note: "hit" (Key), "orig" (Else) or "miss".
+func (r GetResp) Answered() string {
+	switch {
+	case !r.Found:
+		return "miss"
+	case r.Else:
+		return "orig"
+	}
+	return "hit"
+}
+
+// Client presents a set of cache partitions as one virtual cache: the
+// object a key is about (objectOf) is consistent-hashed to a node, and
+// membership changes re-hash automatically. It shares its owner's SAN
+// endpoint (whose receive loop must route replies via DeliverReply).
 type Client struct {
 	ep      *san.Endpoint
 	ring    *Ring
+	mu      sync.RWMutex // guards addrs, and ring mutation with it
 	addrs   map[string]san.Addr
-	mu      chan struct{} // 1-token semaphore guarding addrs+ring mutation
 	Timeout time.Duration
 
-	writes, writeErrors atomic.Uint64
+	probes, writes, writeErrors atomic.Uint64
 }
 
 // NewClient creates a virtual-cache client over an endpoint.
 func NewClient(ep *san.Endpoint) *Client {
-	c := &Client{
+	return &Client{
 		ep:      ep,
 		ring:    NewRing(0),
 		addrs:   make(map[string]san.Addr),
-		mu:      make(chan struct{}, 1),
 		Timeout: 2 * time.Second,
 	}
-	c.mu <- struct{}{}
-	return c
 }
 
 // AddNode registers a cache partition under a logical name.
 func (c *Client) AddNode(name string, addr san.Addr) {
-	<-c.mu
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.addrs[name] = addr
 	c.ring.Add(name)
-	c.mu <- struct{}{}
 }
 
 // RemoveNode drops a partition; its key range re-hashes to survivors.
 func (c *Client) RemoveNode(name string) {
-	<-c.mu
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	delete(c.addrs, name)
 	c.ring.Remove(name)
-	c.mu <- struct{}{}
 }
 
 // Nodes returns the current partition names.
 func (c *Client) Nodes() []string { return c.ring.Nodes() }
 
-// owner resolves the partition address for a key.
-func (c *Client) owner(key string) (san.Addr, bool) {
-	node := c.ring.Lookup(key)
-	if node == "" {
-		return san.Addr{}, false
+// objectOf is the part of a cache key that names its object: leading
+// "orig|"s stripped, then cut at the first '|' or '#'. A URL's original
+// ("orig|"+URL) and its variants (URL, '|'-led stages, '#'-led profile)
+// all begin with the URL, so they cut at the same byte even when the
+// URL holds a '|' or '#' itself. Only a "URL" spelled exactly "orig"
+// splits (its variant keys read as originals): its paired probes miss
+// the fallback and fetch — slower, not wrong.
+func objectOf(key string) string {
+	for strings.HasPrefix(key, "orig|") {
+		key = key[len("orig|"):]
 	}
-	<-c.mu
-	addr, ok := c.addrs[node]
-	c.mu <- struct{}{}
+	if i := strings.IndexAny(key, "|#"); i >= 0 {
+		key = key[:i]
+	}
+	return key
+}
+
+// owner resolves the partition address for a key: a pure function of
+// the key string and the membership, so every holder of a key agrees.
+func (c *Client) owner(key string) (san.Addr, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	addr, ok := c.addrs[c.ring.Lookup(objectOf(key))]
 	return addr, ok
 }
 
@@ -307,39 +344,37 @@ func (c *Client) Get(ctx context.Context, key string) (data []byte, mime string,
 // a miss). Front ends that write the bytes straight to a client socket
 // use this to serve a cache hit without any body copy in this process.
 func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime string, release func(), found bool) {
-	data, mime, _, release, found = c.getView(ctx, key, false)
-	return data, mime, release, found
+	got, release := c.Probe(ctx, key, "", false)
+	return got.Data, got.MIME, release, got.Found
 }
 
-// GetStaleView is GetView with the BASE degraded-mode widening: the
-// partition may answer with an entry whose TTL has passed but which is
-// still resident (stale=true), per the paper's stale-data-beats-no-data
-// argument. An overloaded front end uses this to keep answering without
-// spending worker capacity; release semantics match GetView.
-func (c *Client) GetStaleView(ctx context.Context, key string) (data []byte, mime string, stale bool, release func(), found bool) {
-	return c.getView(ctx, key, true)
-}
-
-func (c *Client) getView(ctx context.Context, key string, acceptStale bool) (data []byte, mime string, stale bool, release func(), found bool) {
+// Probe is the one read path: a single round trip to key's partition
+// for key, else (when set) elseKey — one URL's keys share a partition,
+// see objectOf. acceptStale is the BASE degraded-mode widening: either
+// key may be answered by an entry past its TTL but still resident
+// (got.Stale), per the paper's stale-data-beats-no-data argument.
+// got.Data and release follow GetView's rules.
+func (c *Client) Probe(ctx context.Context, key, elseKey string, acceptStale bool) (got GetResp, release func()) {
 	addr, ok := c.owner(key)
 	if !ok {
-		return nil, "", false, nil, false
+		return GetResp{}, nil
 	}
+	c.probes.Add(1)
 	cctx, cancel := context.WithTimeout(ctx, c.Timeout)
 	defer cancel()
-	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key, Stale: acceptStale}, len(key)+16)
+	resp, err := c.ep.Call(cctx, addr, MsgGet, GetReq{Key: key, Stale: acceptStale, Else: elseKey}, len(key)+len(elseKey)+16)
 	if err != nil {
-		return nil, "", false, nil, false
+		return GetResp{}, nil
 	}
-	got, ok := resp.Body.(GetResp)
+	got, ok = resp.Body.(GetResp)
 	if !ok || !got.Found {
 		resp.Release()
-		return nil, "", false, nil, false
+		return GetResp{}, nil
 	}
 	if resp.Lease == nil {
-		return got.Data, got.MIME, got.Stale, nil, true
+		return got, nil
 	}
-	return got.Data, got.MIME, got.Stale, resp.Lease.Release, true
+	return got, resp.Lease.Release
 }
 
 // Put stores original content. It is a datagram: it returns once the
@@ -372,11 +407,14 @@ func (c *Client) WriteStats() (writes, refused uint64) {
 	return c.writes.Load(), c.writeErrors.Load()
 }
 
+// Probes counts the read round trips sent (Get, GetView and Probe).
+func (c *Client) Probes() uint64 { return c.probes.Load() }
+
 // StatsOf fetches one partition's stats (for the monitor).
 func (c *Client) StatsOf(ctx context.Context, name string) (Stats, error) {
-	<-c.mu
+	c.mu.RLock()
 	addr, ok := c.addrs[name]
-	c.mu <- struct{}{}
+	c.mu.RUnlock()
 	if !ok {
 		return Stats{}, fmt.Errorf("vcache: unknown partition %q", name)
 	}

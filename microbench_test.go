@@ -61,6 +61,10 @@ var MicroBenches = []MicroBench{
 	// frame, no wait. The 6 are the far side's decode and the partition's
 	// copy-on-retain, which run in this process too.
 	{Name: "cache_put_send", MaxAllocs: ceiling(6), F: benchCachePutSend},
+	// The miss path's one read: a paired probe whose variant misses and
+	// whose 16 KiB original answers. blob_relay's round trip plus the
+	// second key's string at the partition's decode.
+	{Name: "cache_probe_pair", MaxAllocs: ceiling(16), F: benchCacheProbePair},
 	// "At most one body copy per hop" in numbers: B/op stays far below
 	// the body size. The ceiling is an eighth of the body, not a margin
 	// over the ~1-2 KB baseline: at the gate's run length one missed
@@ -361,6 +365,47 @@ func benchCachePutSend(b *testing.B) error {
 	b.ReportMetric(float64(refused)/float64(b.N), "drops/op")
 	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
 		return fmt.Errorf("wire errors during puts: %d", we)
+	}
+	return nil
+}
+
+// benchCacheProbePair measures the probe a distilled-miss/original-hit
+// request sends across the bridged pair: the partition misses the
+// variant key, finds the 16 KiB original under the fallback key and
+// answers with it, once, as a view.
+func benchCacheProbePair(b *testing.B) error {
+	client, netA, netB, _, err := cacheAcrossBridge(b)
+	if err != nil {
+		return err
+	}
+	const size = 16 << 10
+	const url = "http://origin1.example/obj42.sjpg"
+	ctx := context.Background()
+	client.Put(ctx, "orig|"+url, make([]byte, size), "image/sjpg", 0)
+	probe := func() error {
+		got, release := client.Probe(ctx, url+"|distill-sjpg#", "orig|"+url, false)
+		if !got.Found || !got.Else || len(got.Data) != size {
+			return fmt.Errorf("paired probe: found=%v else=%v len=%d", got.Found, got.Else, len(got.Data))
+		}
+		if release != nil {
+			release()
+		}
+		return nil
+	}
+	if err := probe(); err != nil { // rides behind the Put; teaches A the route
+		return err
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := probe(); err != nil {
+			return err
+		}
+	}
+	b.StopTimer()
+	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
+		return fmt.Errorf("wire errors during paired probes: %d", we)
 	}
 	return nil
 }

@@ -23,8 +23,9 @@
 # subordinate at a heard epoch, the rank-0 process is kill -9ed
 # mid-workload. The standby must end up primary at epoch >= 2 with a
 # takeover counted, and not one request may fail; the front end's
-# one-way cache writes went out (fe.fe0.cache_writes >= 1) and none was
-# refused (fe.fe0.cache_write_errors = 0).
+# one-way cache writes went out (fe.fe0.cache_writes >= 1), none was
+# refused (fe.fe0.cache_write_errors = 0), and no request probed the
+# cache twice (1 <= fe.fe0.cache_probes <= fe.fe0.requests).
 #
 # Leg 3 [overload] — degradation ladder: one front end with an admission
 # bound of 2 and a 500 ms cache TTL. 64-wide concurrent bursts, half
@@ -37,8 +38,10 @@
 # returns an X-Trace-Id; /trace?id= on the serving process must render a
 # span tree recorded by BOTH OS processes (front-end hops here, worker
 # queue-wait + service hops and the partition's store of the request's
-# one-way cache writes crossed back as span digests). /metrics
-# serves the same registry as Prometheus text.
+# one-way cache writes crossed back as span digests), with the cache
+# read in it as one hop a side: one fe.cache, one cache.serve, their
+# note hit, orig or miss — which key of the paired probe answered.
+# /metrics serves the same registry as Prometheus text.
 #
 # Leg 5 [edge] — edge front door: data plane with the manager, two
 # single-FE processes advertising HTTP adapters, an edge-only process.
@@ -249,6 +252,10 @@ await 30 "the standby to be primary at epoch >= 2 with a takeover counted" took_
 # front end must have sent writes and had none refused.
 expect srv2 fe.fe0.cache_writes -ge 1
 expect srv2 fe.fe0.cache_write_errors -eq 0
+# One paired probe a request (variant, else original): never two.
+fe0_requests=$(status_get "${http[srv2]}" fe.fe0.requests)
+expect srv2 fe.fe0.cache_probes -ge 1
+expect srv2 fe.fe0.cache_probes -le "${fe0_requests%%.*}"
 clean hub srv2
 echo "smoke: [failover] OK — rank-0 manager process kill -9ed mid-workload, standby primary at epoch $(status_get "${http[srv2]}" manager-r1.epoch), zero failed requests, zero wire errors"
 stop_nodes
@@ -326,6 +333,12 @@ tree_complete() {
     for want in '"proc": "trc"' '"proc": "tsv"' '"hop": "worker.queue"' '"hop": "worker.service"' '"hop": "cache.store"' '"hop": "fe.request"'; do
         seen="no ${want} in ${tree}"
         grep -q "${want}" <<<"${tree}" || return 1
+    done
+    # The cache read is one probe, so one hop in each process.
+    for want in fe.cache cache.serve; do
+        seen="not exactly one ${want} hop noted hit, orig or miss in ${tree}"
+        [ "$(grep -c "\"hop\": \"${want}\"" <<<"${tree}")" -eq 1 ] || return 1
+        grep -A1 "\"hop\": \"${want}\"" <<<"${tree}" | grep -Eq '"note": "(hit|orig|miss)"' || return 1
     done
 }
 await 10 "a span tree from both processes" tree_complete
