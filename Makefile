@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race loc cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro bench-pairs chaos-soak
+.PHONY: build test test-short race loc loc-gate cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro bench-pairs chaos-soak
 
 build:
 	$(GO) build ./...
@@ -23,8 +23,13 @@ race:
 # internal/manager, cmd/experiments and cmd/node) — the numbers
 # CHANGES.md and ROADMAP.md quote for "net-negative" PRs.
 loc:
-	@printf 'non-test Go lines outside bench/: '; find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
+	@./scripts/loc_check.sh --count
 	@for d in internal/core internal/manager cmd/experiments cmd/node; do printf "non-test Go lines in $$d: "; find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; done
+
+# The line-count ratchet: fails when the first figure above exceeds the
+# committed loc_baseline.txt (scripts/loc_check.sh --update moves it).
+loc-gate:
+	./scripts/loc_check.sh
 
 # Coverage with the committed-baseline regression gate (satellite:
 # fails if total coverage drops >2 points from coverage_baseline.txt).

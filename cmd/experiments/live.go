@@ -206,9 +206,9 @@ func runFaults(seed int64) {
 	front.Kill("fe0")
 	await(func() bool {
 		fes := front.FrontEnds()
-		return back.Manager().Stats().Delegated >= 1 && len(fes) == 1 && fes[0].Running()
+		return back.Manager().Stats().FERestarts >= 1 && len(fes) == 1 && fes[0].Running()
 	})
-	fmt.Printf("t=%-7s manager delegated the restart to the other process's supervisor; fe0 is serving\n", since())
+	fmt.Printf("t=%-7s manager had the other process's supervisor restart it; fe0 is serving\n", since())
 
 	fmt.Println("\npaper §3.1.3: manager, distillers and front ends are process peers; soft")
 	fmt.Println("state rebuilt from beacons means no recovery protocol anywhere")

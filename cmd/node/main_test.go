@@ -183,7 +183,7 @@ func TestAPIMux(t *testing.T) {
 	m := status("/status")
 	for _, key := range []string{
 		"san.wire_errors", "bridge.frame_errors",
-		"manager.primary", "manager.takeovers", "manager.delegated", "manager.delegate_fails", "manager.supervisors",
+		"manager.primary", "manager.takeovers", "manager.worker_restarts", "manager.delegate_fails", "manager.supervisors",
 		"manager.epoch", "fe.fe0.shed", "fe.fe0.degraded", "fe.fe0.requests",
 	} {
 		if _, ok := m[key]; !ok {

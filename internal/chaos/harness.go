@@ -9,8 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/manager"
-	"repro/internal/san"
-	"repro/internal/stub"
 	"repro/internal/tacc"
 )
 
@@ -78,8 +76,8 @@ const (
 	cacheTimeout = 100 * time.Millisecond
 )
 
-// recoveryOnly is the manager policy every harness runs: replace
-// crashed workers, never spawn on load — so respawn counts are a pure
+// recoveryOnly is the manager policy every harness runs: restart what
+// the roster names, never spawn on load — so restart counts are a pure
 // function of the fault schedule.
 var recoveryOnly = manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1}
 
@@ -334,10 +332,9 @@ func (h *Harness) AwaitSteady(timeout time.Duration) bool { return h.Sys.WaitRea
 
 // AwaitPopulation blocks until the live count of every component kind
 // has equalled the configured count — no fewer, no more — for ten
-// beacon periods on end (a surplus replacement takes a few to show),
-// and reports what is off if that takes longer than timeout. It is the
-// convergence every scenario must reach once its last fault is behind
-// it.
+// beacon periods on end, and reports what is off if that takes longer
+// than timeout. It is the convergence every scenario must reach once
+// its last fault is behind it.
 func (h *Harness) AwaitPopulation(timeout time.Duration) error {
 	want := map[core.Kind]int{
 		core.KindCache:    cacheParts,
@@ -353,23 +350,12 @@ func (h *Harness) AwaitPopulation(timeout time.Duration) error {
 		for kind, n := range want {
 			got := h.Sys.Names(kind)
 			ok := len(got) == n
-			switch {
-			case kind == core.KindManager && n > 1:
+			if kind == core.KindManager && n > 1 {
 				// The one component a kill deliberately leaves dead: a
 				// replicated manager replaces a lost primary by election,
 				// and front ends respawn corpses only once every replica
 				// is silent.
 				ok = len(got) <= n && len(got) >= max(1, n-h.managerKills)
-			case kind == core.KindWorker:
-				// A worker expired by a timeout and heard from again was
-				// never dead; the replacement it was given meanwhile is
-				// the duplicate BASE prefers to a lost worker. No fault
-				// here injects that — a starved scheduler can.
-				spare := 0
-				for _, m := range h.Sys.ManagerReplicas() {
-					spare += int(m.Stats().Readmits)
-				}
-				ok = len(got) >= n && len(got) <= n+spare
 			}
 			if !ok {
 				off += fmt.Sprintf(" %s: %d live %v, %d configured;", kind, len(got), got, n)
@@ -432,10 +418,6 @@ func (h *Harness) RecoveredWithin(ctx context.Context, n int, frac float64) (flo
 	return after, after >= h.baseline*(1-frac)
 }
 
-// Beacons re-exports the control-plane group name for experiments
-// that want to eavesdrop on the harnessed system.
-const Beacons = stub.GroupControl
-
 // CachePartitionGroups returns the partition map that isolates every
 // cache node — exported so scenarios can partition and heal manually
 // around their own assertions.
@@ -446,6 +428,3 @@ func (h *Harness) CachePartitionGroups() map[string]int {
 	}
 	return groups
 }
-
-// Net returns the underlying SAN (impairment knobs).
-func (h *Harness) Net() *san.Network { return h.Sys.Net }

@@ -137,7 +137,7 @@ func crossProcessRespawnTimeline(t *testing.T) []string {
 		}
 		waitFor(t, fmt.Sprintf("respawn cycle %d", cycle), func() bool {
 			st := sysB.Manager().Stats()
-			if int(st.FERestarts) < cycle || int(st.Delegated) < cycle {
+			if int(st.FERestarts) < cycle || int(sysA.Supervisor().Stats().Commands) < cycle {
 				return false
 			}
 			fes := sysA.FrontEnds()
@@ -273,7 +273,7 @@ func TestCrossProcessKilledBeforeAnyManagerHeard(t *testing.T) {
 	waitFor(t, "a-/fe0 restarted by a manager that never heard it", func() bool {
 		m := sysB.Manager()
 		st := m.Stats()
-		return m != old && st.FERestarts == 1 && st.Delegated == 1 && sysA.FrontEnds()[0].Running()
+		return m != old && st.FERestarts == 1 && sysA.Supervisor().Stats().Commands == 1 && sysA.FrontEnds()[0].Running()
 	})
 	for side, sys := range map[string]*core.System{"A": sysA, "B": sysB} {
 		if st := sys.Net.Stats(); st.WireErrors != 0 {

@@ -8,11 +8,13 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stub"
 	"repro/internal/tacc"
 )
 
@@ -177,11 +179,28 @@ func TestScenarioHangWorkerEstimatorShift(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		waitFor(t, "hung worker trapping work", func() bool { return vs.QueueLen() > 0 })
-		time.Sleep(50 * time.Millisecond) // several report intervals of a non-draining queue
+		// The evidence has to reach the estimator, not merely exist: every
+		// front end has taken beacons in which the victim's averaged queue
+		// has climbed to 0.9 of what is trapped (seven reports of the
+		// manager's 0.3-weight moving average, however long the scheduler
+		// takes to deliver them).
+		waitFor(t, "beacons carrying the trapped queue to every front end", func() bool {
+			for _, fe := range h.Sys.FrontEnds() {
+				ws := fe.ManagerStub().Workers(EchoClass)
+				i := slices.IndexFunc(ws, func(w stub.WorkerInfo) bool { return w.ID == victim })
+				if i < 0 || ws[i].QLen < 0.9*float64(vs.QueueLen()) {
+					return false
+				}
+			}
+			return true
+		})
 
 		// Measurement burst: the shift must happen via the estimator,
-		// not via CallTimeout failover.
-		const n = 32
+		// not via CallTimeout failover. The burst is long enough to read
+		// the estimator's steady share: the hung worker's falls as its
+		// queue grows (7-13 trapped of 64 over 100 runs, against 5-11 of
+		// the first 32, which sits at the n/3 bound).
+		const n = 64
 		trapped0 := vs.QueueLen()
 		done0 := vs.TasksDone()
 		lats := make([]time.Duration, n)

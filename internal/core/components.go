@@ -48,13 +48,15 @@ type component struct {
 	// the process, so no goodbye is sent and peers must infer the loss
 	// from silence, exactly as for a real crash (§3.1.3).
 	drop bool
-	// ephemeral: retired on exit. A dead worker is replaced under a
-	// fresh id, never restarted by name.
+	// ephemeral: retired on exit, and with that gone from the roster. A
+	// load-driven or cold-start worker is an extra nobody restarts; the
+	// spawn rule starts another if load still asks for one.
 	ephemeral bool
 	// respawn: restarted by the exit observer itself — the supervisor
 	// must not be the one component nobody supervises.
 	respawn bool
-	place   func() string                      // node for a first start or after the node died; nil = least-loaded dedicated
+	place   func(avoid string) string          // a node other than avoid, for a component free to move; nil = least-loaded dedicated
+	cutOff  func(p process) bool               // optional: p runs where it cannot hear the manager, so a restart moves it
 	build   func(node string) (process, error) // a fresh instance for node
 	started func(old, cur process)             // optional hook after a start; old is nil the first time
 
@@ -158,23 +160,31 @@ func (s *System) Addr(name string) (san.Addr, bool) {
 // peers, they never coexist with them. A watchdog that only replaces
 // corpses passes ifDead, so two of them racing cannot restart the
 // winner's fresh instance. The component keeps its node, and so its
-// address, unless the node died.
+// address, unless the node died — or the instance being replaced is a
+// worker still running where no beacon reaches it: cut off by a SAN
+// partition, it comes back on a still-visible node if one has room
+// (§2.2.4). An upgrade wave's restart, or a slow worker's, stays put.
 func (s *System) start(e *component, ifDead bool) error {
 	e.life.Lock()
 	defer e.life.Unlock()
 	if s.stopped.Load() {
 		return fmt.Errorf("core: system stopped")
 	}
+	node := e.node
 	if e.h != nil {
 		if ifDead && !exited(e.h) {
 			return nil
 		}
+		if e.cutOff != nil && !exited(e.h) && e.cutOff(e.proc) {
+			if n := e.place(node); n != "" {
+				node = n
+			}
+		}
 		e.h.Stop() // usually already dead
 	}
-	node := e.node
 	if node == "" || !s.nodeAlive(node) {
 		if e.place != nil {
-			node = e.place()
+			node = e.place(node)
 		} else {
 			node = s.Cluster.Place(false, nil)
 		}
@@ -255,10 +265,9 @@ func (s *System) onExit(info cluster.ExitInfo) {
 	}
 }
 
-// Restart is the process-peer action for every kind (manager.Spawner,
-// supervisor.Host). An unknown name is typically a heartbeat from a
-// same-named component another process hosts — that process's
-// supervisor owns the restart.
+// Restart is the process-peer action for every kind (supervisor.Host).
+// An unknown name is typically an extra worker that died after the
+// manager last heard its roster.
 func (s *System) Restart(name string) error {
 	v, err := s.lookup(name)
 	if err != nil {
@@ -272,34 +281,49 @@ func (s *System) Restart(name string) error {
 // watches the component brings it back.
 func (s *System) Kill(name string) error { return s.stop(name, true) }
 
-// ReapWorker stops a worker gracefully (manager.Spawner): the stub
-// deregisters on its way out, so the manager spawns no replacement.
-func (s *System) ReapWorker(id string) error { return s.stop(id, false) }
+// ReapWorker stops an extra worker gracefully (supervisor.Host): the
+// stub deregisters on its way out and its row leaves the roster. A
+// configured slot is not reaped: its row would stay, parked for good.
+func (s *System) ReapWorker(id string) error {
+	if v, err := s.lookup(id); err == nil && !v.e.ephemeral {
+		return fmt.Errorf("core: %s is a configured component, not an extra", id)
+	}
+	return s.stop(id, false)
+}
 
-// SpawnWorker starts a fresh worker of class (manager.Spawner,
-// supervisor.Host) on the least-loaded dedicated node with room, or on
-// the overflow pool once the dedicated nodes are full (§2.2.3).
-func (s *System) SpawnWorker(class string) error { return s.start(s.workerComponent(class), false) }
+// SpawnWorker starts an extra worker of class (supervisor.Host) on the
+// least-loaded dedicated node with room, or on the overflow pool once
+// the dedicated nodes are full (§2.2.3).
+func (s *System) SpawnWorker(class string) error {
+	return s.start(s.workerComponent(class, true), false)
+}
 
-func (s *System) workerComponent(class string) *component {
+// workerComponent is one worker of class: a configured slot (a roster
+// row like fe0, restarted by name) or, ephemeral, an extra. Only an extra
+// reports itself as overflow, which is what the reap rule retires.
+func (s *System) workerComponent(class string, ephemeral bool) *component {
 	// Prefix-qualified like node names, so replicated worker roles
 	// across processes never collide in the manager's id-keyed table.
 	id := fmt.Sprintf("%s%s.%d", s.cfg.NodePrefix, class, s.workerSeq.Add(1))
 	overflow := false
 	return &component{
-		name: id, kind: KindWorker, drop: true, ephemeral: true,
-		place: func() string {
+		name: id, kind: KindWorker, drop: true, ephemeral: ephemeral,
+		place: func(avoid string) string {
 			node := s.Cluster.Place(false, func(n cluster.Node) bool {
-				return len(n.Procs) < s.cfg.ProcsPerNode
+				return n.ID != avoid && len(n.Procs) < s.cfg.ProcsPerNode
 			})
-			if overflow = node == ""; overflow {
-				node = s.Cluster.Place(true, func(n cluster.Node) bool { return n.Overflow })
+			overflow = false
+			if node == "" {
+				node = s.Cluster.Place(true, func(n cluster.Node) bool { return n.ID != avoid && n.Overflow })
+				overflow = ephemeral
 			}
 			return node
 		},
+		// Three beacon intervals: the silence a standby takes for a dead primary.
+		cutOff: func(p process) bool { return p.(*stub.WorkerStub).BeaconAge() > 3*s.cfg.BeaconInterval },
 		// A Restart keeps id, class and pool: the stub deregisters as it
-		// stops and the fresh one re-registers on the next beacon — the
-		// hot-upgrade step ("the upgraded binary").
+		// stops and the fresh one re-registers on the next beacon — a dead
+		// slot coming back, or the hot-upgrade step ("the upgraded binary").
 		build: func(node string) (process, error) {
 			w, err := s.cfg.Registry.New(class)
 			if err != nil {
@@ -399,9 +423,7 @@ func (s *System) managerComponent(rank int) *component {
 			WorkerTTL:      5 * s.cfg.ReportInterval,
 			FETTL:          6 * s.cfg.BeaconInterval,
 			CacheTTL:       s.cfg.CacheSuperviseTTL,
-			Prefix:         s.cfg.NodePrefix,
 			CmdTimeout:     s.cfg.CallTimeout,
-			Spawner:        s,
 			Rank:           rank,
 			Standby:        standby,
 			InitialEpoch:   epoch,

@@ -8,10 +8,13 @@
 // replica, monitor, worker, span reporter, front end, edge — is one
 // entry in System's name-keyed component table (components.go). One
 // start path places, builds, spawns and records an entry; Restart, Kill
-// and Addr only resolve a name in that table, so the manager's Spawner,
-// the supervisor's Host, cmd/node's /kill and the chaos harness all
-// pull the same lever, and a watcher "restarts a silent peer by name"
-// (§3.1.3) whatever the peer is.
+// and Addr only resolve a name in that table. The table is the roster
+// the supervisor advertises: every row — each configured worker slot
+// included — is what the manager keeps running, and the supervisor's
+// Host (this System) is the one lever it, cmd/node's /kill and the chaos
+// harness pull, in this process or from another. A watcher "restarts a
+// silent peer by name" (§3.1.3) whatever the peer is; only the workers
+// the manager spawns on load are extras that come and go unnamed.
 //
 // A new service is exactly what the paper promises: register TACC
 // worker classes, supply a dispatch rule, call Start. Everything below
@@ -429,7 +432,7 @@ func (s *System) boot() error {
 	if cfg.Roles.workers() {
 		for class, n := range cfg.Workers {
 			for i := 0; i < n; i++ {
-				boot = append(boot, s.workerComponent(class))
+				boot = append(boot, s.workerComponent(class, false))
 			}
 		}
 	}

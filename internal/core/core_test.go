@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,6 +67,23 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(3 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// spawnExtra starts one more worker of class the way OpSpawnWorker does
+// and returns its id.
+func spawnExtra(t *testing.T, s *System, class string) string {
+	t.Helper()
+	before := s.Workers()
+	if err := s.SpawnWorker(class); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range s.Workers() {
+		if !slices.Contains(before, id) {
+			return id
+		}
+	}
+	t.Fatalf("no new worker of class %s in %v", class, s.Workers())
+	return ""
 }
 
 func waitForWorkers(t *testing.T, s *System, n int) {
@@ -194,8 +212,8 @@ func TestWorkerCrashFallsBackThenRecovers(t *testing.T) {
 		t.Fatal("empty response during failure")
 	}
 
-	// The manager replaces the crashed worker (TTL + replica floor).
-	waitFor(t, "replacement worker", func() bool {
+	// The manager has the crashed worker restarted by name (TTL + roster).
+	waitFor(t, "worker restarted", func() bool {
 		for _, fe := range s.FrontEnds() {
 			if len(fe.ManagerStub().Workers(distiller.ClassSJPG)) >= 1 {
 				return true
@@ -210,12 +228,33 @@ func TestWorkerCrashFallsBackThenRecovers(t *testing.T) {
 		r, err := s.Request(ctx, trace.ObjectURL(2002, media.MIMESJPG), "u")
 		return err == nil && r.Source == "distilled"
 	})
-	// Worker ids are never reused, so the dead one's collector must be
-	// gone: /metrics does not grow a family per respawn.
-	for key := range s.Registry().Snapshot() {
-		if strings.HasPrefix(key, "worker."+victim+".") {
-			t.Fatalf("registry still publishes dead worker's %s", key)
+	// /metrics holds one worker.<id>.* family per live worker: the
+	// restarted slot's under its old id, and none that outlives its
+	// worker — an extra that is reaped takes its family with it.
+	families := func() map[string]bool {
+		out := make(map[string]bool)
+		for key := range s.Registry().Snapshot() {
+			if id, ok := strings.CutPrefix(key, "worker."); ok {
+				out[id[:strings.LastIndex(id, ".")]] = true
+			}
 		}
+		return out
+	}
+	waitFor(t, "one collector family per live worker", func() bool {
+		got := families()
+		return len(got) == 3 && got[victim] && len(s.Workers()) == 3
+	})
+	extra := spawnExtra(t, s, distiller.ClassSJPG)
+	waitFor(t, "the extra publishes", func() bool { return families()[extra] })
+	if err := s.ReapWorker(extra); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the reaped extra's family is dropped", func() bool {
+		got := families()
+		return len(got) == 3 && !got[extra]
+	})
+	if err := s.ReapWorker(victim); err == nil {
+		t.Fatal("reaped a configured slot")
 	}
 }
 
@@ -328,16 +367,25 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 		}
 	}
 
-	// Crash a worker: the monitor alerts on its silence.
+	// Crash a configured worker: the monitor alerts on its silence. The
+	// manager has it back under its name a TTL or so after it dies, and
+	// the monitor's scan may or may not land in that gap, so the restart
+	// is held off (it waits on the component's lifecycle lock) until the
+	// alert is in.
 	var victim string
 	for _, id := range s.Workers() {
 		if strings.HasPrefix(id, distiller.ClassHTML) {
 			victim = id
 		}
 	}
+	v, err := s.lookup(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
+	v.e.life.Lock()
 	waitFor(t, "silence alert", func() bool {
 		for _, a := range s.Mon.Alerts() {
 			if a.Component == victim {
@@ -345,6 +393,10 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 			}
 		}
 		return false
+	})
+	v.e.life.Unlock()
+	waitFor(t, "the dead slot back under its name", func() bool {
+		return slices.Contains(s.Workers(), victim) && s.Manager().Stats().Workers == 3
 	})
 }
 
@@ -440,12 +492,13 @@ func TestSANPartitionWorkerRestartedOnVisibleSide(t *testing.T) {
 	node := stubAddrOf(t, s, distiller.ClassSJPG).Node
 
 	// Cut the worker's node off from the rest of the cluster. Its
-	// reports stop arriving; the manager infers the loss by timeout
-	// and restarts the worker on a still-visible node.
+	// reports stop arriving; the manager infers the loss by timeout and
+	// has the worker restarted, and because the old instance was still
+	// running where no beacon reached it, it comes back on another node.
 	s.Net.Partition(map[string]int{node: 1})
-	waitFor(t, "replacement on visible side", func() bool {
+	waitFor(t, "restart on the visible side", func() bool {
 		st := s.Manager().Stats()
-		return st.Spawns >= 1 && st.Workers >= 1
+		return st.WorkerRestarts >= 1 && st.Workers >= 1 && stubAddrOf(t, s, distiller.ClassSJPG).Node != node
 	})
 	waitFor(t, "distillation resumes", func() bool {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -454,12 +507,13 @@ func TestSANPartitionWorkerRestartedOnVisibleSide(t *testing.T) {
 		return err == nil && (r.Source == "distilled" || r.Source == "cache-distilled")
 	})
 
-	// Heal: the marooned original is still alive and re-registers on
-	// the next beacon it hears — no recovery protocol required.
-	before := s.Manager().Stats().Workers
+	// Heal: the restart was stop-then-start, so no marooned twin comes
+	// back from the far side — one worker was configured, one runs.
 	s.Net.Heal()
-	waitFor(t, "partitioned worker re-registers", func() bool {
-		return s.Manager().Stats().Workers > before
+	time.Sleep(10 * tick) // time for a twin to register
+	waitFor(t, "the one configured worker, and only it", func() bool {
+		st := s.Manager().Stats()
+		return st.Workers == 1 && len(s.Workers()) == 1 && st.Spawns == 0
 	})
 }
 

@@ -142,7 +142,7 @@ func TestMultiProcessEndToEnd(t *testing.T) {
 // TestMultiProcessSupervisedRestart is the acceptance test for the
 // supervisor tentpole: a front end in process A is killed; the manager
 // in process B infers the death from heartbeat silence, resolves A's
-// supervisor from its hello table, and delegates the restart over the
+// supervisor from its hello table, and sends it the restart over the
 // SAN — the process-peer duty made location-transparent. Service
 // resumes with zero failed requests and zero wire errors on both
 // sides.
@@ -160,9 +160,8 @@ func TestMultiProcessSupervisedRestart(t *testing.T) {
 	if err := sysA.Kill("fe0"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "delegated FE restart", func() bool {
-		st := sysB.Manager().Stats()
-		return st.Delegated >= 1 && st.FERestarts >= 1
+	waitFor(t, "FE restart through A's supervisor", func() bool {
+		return sysB.Manager().Stats().FERestarts >= 1 && sysA.Supervisor().Stats().Commands >= 1
 	})
 	waitFor(t, "front end serving again", func() bool {
 		fes := sysA.FrontEnds()
@@ -258,6 +257,11 @@ func TestMultiProcessRollingUpgradeWave(t *testing.T) {
 			t.Fatalf("wave order %v != inventory %v", rep.Upgraded, before)
 		}
 	}
+	// An upgrade restarts each worker where it stands: same id, same
+	// address, so no front end's cached inventory goes stale.
+	if after := sysA.Mon.WorkersOf(distiller.ClassSJPG); len(after) != 2 || after[0].Addr != before[0].Addr || after[1].Addr != before[1].Addr {
+		t.Fatalf("the wave moved a worker: %v -> %v", before, after)
+	}
 	if issued.Load() == 0 {
 		t.Fatal("load generator issued nothing")
 	}
@@ -288,4 +292,43 @@ func TestMultiProcessCacheHit(t *testing.T) {
 		resp, err := sysA.Request(ctx, url, "alice")
 		return err == nil && resp.Source == "cache-distilled"
 	})
+}
+
+// TestMultiProcessReapOverflowWorker: the manager lives in process B,
+// an idle overflow extra in process A. Retiring it is one OpReap to A's
+// supervisor — the worker exits gracefully, its row leaves A's roster,
+// the manager counts one reap, and nothing is sent twice.
+func TestMultiProcessReapOverflowWorker(t *testing.T) {
+	sysA, sysB := startPair(t, func(a, b *Config) {
+		a.OverflowNodes, a.ProcsPerNode = 1, 1 // every dedicated node of A is full: an extra lands on the overflow pool
+		b.Policy = manager.Policy{SpawnThreshold: 1e9, Damping: 4 * tick, ReapThreshold: 0.5}
+	})
+	waitFor(t, "cross-process supervisor hello", func() bool {
+		_, ok := sysB.Manager().SupervisorFor("a-ovf0")
+		return ok
+	})
+	before := sysA.Supervisor().Stats().Commands
+	extra := spawnExtra(t, sysA, distiller.ClassSJPG)
+	if addr, _ := sysA.Addr(extra); addr.Node != "a-ovf0" {
+		t.Fatalf("extra %s placed on %s, want the overflow pool", extra, addr.Node)
+	}
+
+	waitFor(t, "one reap through A's supervisor", func() bool {
+		return sysB.Manager().Stats().Reaps == 1 && len(sysA.Workers()) == 0
+	})
+	time.Sleep(10 * tick) // a second command, or a restart of the "silent" extra, would have gone out by now
+	st, sup := sysB.Manager().Stats(), sysA.Supervisor().Stats()
+	if sup.Commands-before != 1 || sup.Failures != 0 || st.Reaps != 1 || st.WorkerRestarts != 0 || st.DelegateFails != 0 || st.Workers != 3 {
+		t.Fatalf("manager %+v, A's supervisor %+v (was %d commands): want exactly one reap", st, sup, before)
+	}
+	for _, r := range sysA.Roster() {
+		if r.Name == extra {
+			t.Fatalf("reaped extra %s still in A's roster %v", extra, sysA.Roster())
+		}
+	}
+	for name, sys := range map[string]*System{"A": sysA, "B": sysB} {
+		if ws := sys.Net.Stats(); ws.WireErrors != 0 {
+			t.Fatalf("process %s: WireErrors=%d", name, ws.WireErrors)
+		}
+	}
 }

@@ -51,11 +51,10 @@ func TestSupervisorWiredIntoEveryRoleSet(t *testing.T) {
 
 // TestKillComponentByName: Kill crashes any registered component by
 // name — the lever behind cmd/node's /kill and the supervisor's kill
-// op — and whoever watches that kind brings it back: the manager's
-// replica floor replaces a worker under a fresh id, its sweeps restart
-// a cache and a front end by name, the election replaces a primary
-// manager. Nobody watches the edge; an explicit Restart returns it to
-// the same public address. Unknown names refuse.
+// op — and whoever watches that kind brings it back: the manager has a
+// worker, a cache and a front end restarted by name, the election
+// replaces a primary manager. Nobody watches the edge; an explicit
+// Restart returns it to the same public address. Unknown names refuse.
 func TestKillComponentByName(t *testing.T) {
 	s := startTranSend(t, func(c *Config) {
 		c.Seed = 2
@@ -85,7 +84,7 @@ func TestKillComponentByName(t *testing.T) {
 		back func() bool
 	}{
 		{worker, KindWorker, func() bool {
-			return len(s.Workers()) >= 3 && s.Manager().Stats().Workers >= 3
+			return live(KindWorker, worker) && s.Manager().Stats().Workers == 3 && s.Manager().Stats().WorkerRestarts >= 1
 		}},
 		{"cache0", KindCache, func() bool {
 			return live(KindCache, "cache0") && s.Manager().Stats().CacheRestarts >= 1
@@ -116,9 +115,6 @@ func TestKillComponentByName(t *testing.T) {
 		}
 		waitFor(t, c.name+" back", c.back)
 	}
-	if live(KindWorker, worker) {
-		t.Fatalf("dead worker %s back in the table", worker)
-	}
 	if err := s.Kill("nonesuch"); err == nil {
 		t.Fatal("killed a component that does not exist")
 	}
@@ -127,11 +123,42 @@ func TestKillComponentByName(t *testing.T) {
 	}
 }
 
-// TestWorkerTableHoldsNoCorpses: a worker that dies without Kill or
-// ReapWorker — here its node is powered off under it — leaves
-// Workers() through the exit observer, and the manager's replacement
-// takes its place. A late exit notice for an instance that a same-id
-// Restart has already replaced retires nothing.
+// TestEveryRestartIsOneSupervisorCommand: in one process as across
+// many, the manager's only lever is its supervisor. Killing a front end,
+// a cache and a configured worker costs exactly one command each, and
+// the supervisor's count equals the sum of the manager's restart
+// counters — there is no second path for a restart to take.
+func TestEveryRestartIsOneSupervisorCommand(t *testing.T) {
+	s := startTranSend(t, func(c *Config) { c.Seed = 6 })
+	waitForWorkers(t, s, 3)
+	waitFor(t, "cache supervision live", func() bool { return s.Manager().Stats().Caches >= 2 })
+	before := s.Supervisor().Stats().Commands
+
+	worker := s.Workers()[0]
+	for _, name := range []string{"fe0", "cache0", worker} {
+		if err := s.Kill(name); err != nil {
+			t.Fatalf("kill %s: %v", name, err)
+		}
+	}
+	waitFor(t, "all three back", func() bool {
+		st := s.Manager().Stats()
+		return st.FERestarts == 1 && st.CacheRestarts == 1 && st.WorkerRestarts == 1 &&
+			st.Workers == 3 && st.FrontEnds == 1 && st.Caches == 2 && slices.Contains(s.Workers(), worker)
+	})
+	time.Sleep(10 * tick) // a second command for any of them would have gone out by now
+	st, sup := s.Manager().Stats(), s.Supervisor().Stats()
+	if got := sup.Commands - before; got != st.FERestarts+st.CacheRestarts+st.WorkerRestarts || got != 3 || st.DelegateFails != 0 || sup.Failures != 0 {
+		t.Fatalf("%d supervisor commands for manager stats %+v (supervisor %+v)", got, st, sup)
+	}
+}
+
+// TestWorkerTableHoldsNoCorpses: a configured worker that dies without
+// Kill or ReapWorker — here its node is powered off under it — leaves
+// Workers() through the exit observer, stays in the roster, and is
+// restarted under its own name on another node. A dead extra is a
+// corpse nobody keeps: it leaves the roster and is not brought back. A
+// late exit notice for an instance that a same-id Restart has already
+// replaced retires nothing.
 func TestWorkerTableHoldsNoCorpses(t *testing.T) {
 	s := startTranSend(t, func(c *Config) { c.Seed = 5 })
 	waitForWorkers(t, s, 3)
@@ -141,14 +168,28 @@ func TestWorkerTableHoldsNoCorpses(t *testing.T) {
 	if err := s.Cluster.KillNode(addr.Node); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "corpse retired, replacement tracked", func() bool {
-		ids := s.Workers()
-		return !slices.Contains(ids, victim) && len(ids) >= 3
-	})
-	if s.WorkerStub(victim) != nil {
-		t.Fatalf("dead worker %s still resolves", victim)
+	if slices.Contains(s.Workers(), victim) || !slices.ContainsFunc(s.Roster(), func(r supervisor.Row) bool { return r.Name == victim }) {
+		t.Fatalf("dead slot %s: live %v, roster %v", victim, s.Workers(), s.Roster())
 	}
+	waitFor(t, "slot restarted by name off the dead node", func() bool {
+		moved, ok := s.Addr(victim)
+		return slices.Contains(s.Workers(), victim) && ok && moved.Node != addr.Node
+	})
 	waitForWorkers(t, s, 3)
+
+	extra := spawnExtra(t, s, strings.Split(victim, ".")[0])
+	waitForWorkers(t, s, 4)
+	if err := s.Kill(extra); err != nil {
+		t.Fatal(err)
+	}
+	if s.WorkerStub(extra) != nil || slices.ContainsFunc(s.Roster(), func(r supervisor.Row) bool { return r.Name == extra }) {
+		t.Fatalf("dead extra %s still resolves or is still in the roster", extra)
+	}
+	waitFor(t, "the extra expires at the manager", func() bool { return s.Manager().Stats().Workers == 3 })
+	time.Sleep(10 * tick)
+	if st := s.Manager().Stats(); st.WorkerRestarts != 1 || len(s.Workers()) != 3 {
+		t.Fatalf("dead extra was brought back: %v, manager %+v", s.Workers(), st)
+	}
 
 	// Restart racing the old instance's exit: hammer same-id restarts
 	// while a reader lists the table, then replay the old instance's
@@ -223,7 +264,11 @@ func TestRestartWorkerKeepsIdentity(t *testing.T) {
 	victim := s.Workers()[0]
 	before := s.WorkerStub(victim)
 	addr, _ := s.Addr(victim)
-	hb, _ := s.Manager().SupervisorFor(addr.Node)
+	var hb supervisor.HelloMsg
+	waitFor(t, "manager tracks the supervisor", func() (ok bool) {
+		hb, ok = s.Manager().SupervisorFor(addr.Node)
+		return ok
+	})
 	client := s.Net.Endpoint(san.Addr{Node: addr.Node, Proc: "upgrade-client"}, 8)
 	defer client.Close()
 	go func() {

@@ -609,7 +609,7 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 // else served here is.
 func (fe *FrontEnd) degradedServe(ctx context.Context, req Request) (Response, bool) {
 	pipeline, profile := fe.plan(req)
-	key, elseKey := probeKeys(pipeline, pipeline.CacheKey(req.URL, profile), "orig|"+req.URL)
+	key, elseKey := probeKeys(pipeline, pipeline.CacheKey(req.URL, profile), vcache.OrigKey(req.URL))
 	got, release := fe.cache.Probe(ctx, key, elseKey, true)
 	if !got.Found {
 		return Response{}, false
@@ -666,7 +666,7 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 	// service-specific dispatch logic decide the pipeline.
 	pipeline, profile := fe.plan(req)
 	distillKey := pipeline.CacheKey(req.URL, profile)
-	origKey := "orig|" + req.URL
+	origKey := vcache.OrigKey(req.URL)
 
 	// 3+4. One probe asks the URL's partition for the distilled variant,
 	// else the original. A distilled hit is the steady-state hot path, so

@@ -1,9 +1,6 @@
 package manager
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,139 +10,21 @@ import (
 	"repro/internal/vcache"
 )
 
-// scriptedSupervisor is a hand-driven supervisor endpoint: it
-// heartbeats like the real daemon but answers commands from a script —
-// absorb (no ack), refuse, or execute — so delegation failure modes
-// are deterministic instead of timing-dependent.
-type scriptedSupervisor struct {
-	net    *san.Network
-	addr   san.Addr
-	prefix string
-	ep     *san.Endpoint
-
-	mu       sync.Mutex
-	mode     string // "ok", "absorb", "refuse"
-	roster   []supervisor.Row
-	commands []supervisor.Command
-}
-
-func startScriptedSupervisor(t *testing.T, net *san.Network, node, prefix string) *scriptedSupervisor {
+// startManagerA boots a manager living in the "a-" process.
+func startManagerA(t *testing.T, net *san.Network) *Manager {
 	t.Helper()
-	s := &scriptedSupervisor{
-		net:    net,
-		addr:   san.Addr{Node: node, Proc: "sup"},
-		prefix: prefix,
-		mode:   "ok",
-	}
-	s.ep = net.Endpoint(s.addr, 64)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go func() {
-		hb := time.NewTicker(tick)
-		defer hb.Stop()
-		s.hello()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hb.C:
-				s.hello()
-			case msg, ok := <-s.ep.Inbox():
-				if !ok {
-					return
-				}
-				if msg.Kind != supervisor.MsgCmd {
-					continue
-				}
-				cmd := msg.Body.(supervisor.Command)
-				s.mu.Lock()
-				s.commands = append(s.commands, cmd)
-				mode := s.mode
-				s.mu.Unlock()
-				switch mode {
-				case "absorb":
-					// Supervisor died mid-restart: command received,
-					// no ack ever sent.
-				case "refuse":
-					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, Err: "busy"}, 64)
-				default:
-					_ = s.ep.Respond(msg, supervisor.MsgAck, supervisor.Ack{ID: cmd.ID, OK: true}, 64)
-				}
-			}
-		}
-	}()
-	return s
-}
-
-func (s *scriptedSupervisor) hello() {
-	s.mu.Lock()
-	roster := append([]supervisor.Row(nil), s.roster...)
-	s.mu.Unlock()
-	s.ep.Multicast(stub.GroupControl, supervisor.MsgHello, supervisor.HelloMsg{
-		Name: "sup", Addr: s.addr, Node: s.addr.Node, Prefix: s.prefix, Roster: roster,
-	}, 64)
-}
-
-func (s *scriptedSupervisor) setRoster(rows ...supervisor.Row) {
-	s.mu.Lock()
-	s.roster = rows
-	s.mu.Unlock()
-}
-
-func (s *scriptedSupervisor) setMode(mode string) {
-	s.mu.Lock()
-	s.mode = mode
-	s.mu.Unlock()
-}
-
-func (s *scriptedSupervisor) received() []supervisor.Command {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]supervisor.Command(nil), s.commands...)
-}
-
-// startManagerWithPrefix boots a manager that believes it lives in the
-// "a-" process, with a short delegation timeout for test speed.
-func startManagerWithPrefix(t *testing.T, net *san.Network, sp Spawner) *Manager {
-	t.Helper()
-	m := New(Config{
-		Node:           "a-mgr",
-		Prefix:         "a-",
-		Net:            net,
-		Policy:         Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
-		BeaconInterval: tick,
-		WorkerTTL:      5 * tick,
-		FETTL:          6 * tick,
-		CmdTimeout:     5 * tick,
-		Spawner:        sp,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go m.Run(ctx)
+	m, _ := startManager(t, net, "a-mgr", nil)
 	return m
-}
-
-// failingRestartSpawner is a spawner whose restarts always fail — the
-// truthful local answer for a component hosted elsewhere.
-type failingRestartSpawner struct {
-	*testSpawner
-}
-
-func (s *failingRestartSpawner) Restart(name string) error {
-	s.restarts.Add(1)
-	return fmt.Errorf("%s is not hosted here", name)
 }
 
 // TestRemoteFERestartDelegatesToSupervisor: a front end heartbeating
 // from another process's node prefix goes silent; the manager resolves
-// the owning supervisor from its heartbeat table and delegates the
-// restart over the SAN instead of erroring locally.
+// the owning supervisor from its heartbeat table and sends it the
+// restart over the SAN.
 func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
-	sup := startScriptedSupervisor(t, net, "b-node0", "b-")
+	m := startManagerA(t, net)
+	sup := startFakeSup(t, net, "b-node0", "b-")
 
 	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
 
@@ -154,28 +33,22 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 
-	waitFor(t, "delegated restart", func() bool { return m.Stats().Delegated >= 1 })
-	if m.Stats().FERestarts == 0 {
-		t.Fatal("delegated restart not counted as an FE restart")
-	}
+	waitFor(t, "restart", func() bool { return m.Stats().FERestarts >= 1 })
 	cmds := sup.received()
 	if len(cmds) == 0 || cmds[0].Op != supervisor.OpRestart || cmds[0].Target != "fe0" {
 		t.Fatalf("supervisor saw %+v", cmds)
 	}
 }
 
-// TestSupervisorDiesMidRestartManagerRedelegates: the first delegation
-// is absorbed (supervisor crashed mid-restart, no ack); the manager
-// counts the failure, tries the local fallback (which truthfully
-// fails), and re-delegates on a later tick with the SAME command id —
+// TestSupervisorDiesMidRestartManagerRedelegates: the first command is
+// absorbed (supervisor crashed mid-restart, no ack); the manager counts
+// the failure and re-issues on a later tick with the SAME command id —
 // so a supervisor that did execute before dying would answer the retry
 // from its idempotency cache rather than restarting twice.
 func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
-	sup := startScriptedSupervisor(t, net, "b-node0", "b-")
+	m := startManagerA(t, net)
+	sup := startFakeSup(t, net, "b-node0", "b-")
 	sup.setMode("absorb")
 
 	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
@@ -186,19 +59,16 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 		return m.Stats().Caches == 1
 	})
 
-	// Let the cache expire; the absorbed delegation must register as a
-	// failure (timeout + failed local fallback).
-	waitFor(t, "delegation failure recorded", func() bool { return m.Stats().DelegateFails >= 1 })
-	if m.Stats().Delegated != 0 {
-		t.Fatalf("absorbed command counted as delegated: %+v", m.Stats())
+	// Let the cache expire; the absorbed command must register as a
+	// failure (timeout).
+	waitFor(t, "command failure recorded", func() bool { return m.Stats().DelegateFails >= 1 })
+	if m.Stats().CacheRestarts != 0 {
+		t.Fatalf("absorbed command counted as a restart: %+v", m.Stats())
 	}
 
 	// Supervisor comes back: the retry succeeds.
 	sup.setMode("ok")
-	waitFor(t, "re-delegation succeeded", func() bool { return m.Stats().Delegated >= 1 })
-	if m.Stats().CacheRestarts == 0 {
-		t.Fatal("cache restart not recorded")
-	}
+	waitFor(t, "retry succeeded", func() bool { return m.Stats().CacheRestarts >= 1 })
 
 	// Every attempt for the incident carried the same command id.
 	cmds := sup.received()
@@ -215,39 +85,42 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 	}
 }
 
-// TestNoSupervisorFallsBackToLocalRestart: with no supervisor covering
-// the node, the manager keeps the old direct path — the degenerate
-// single-process deployment needs no daemon round trip.
-func TestNoSupervisorFallsBackToLocalRestart(t *testing.T) {
+// TestNoOwningSupervisorIsAFailureUntilOneAppears: the manager has no
+// lever of its own. With no supervisor covering a dead component's node
+// the incident fails and is retried; when the owner's hello arrives the
+// retry lands there, under the incident's one command id.
+func TestNoOwningSupervisorIsAFailureUntilOneAppears(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, sp)
+	m := startManagerA(t, net)
 
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
 	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
-	waitFor(t, "local restart", func() bool { return sp.restarts.Load() >= 1 })
-	if st := m.Stats(); st.Delegated != 0 || st.FERestarts == 0 {
-		t.Fatalf("stats %+v: want a local (non-delegated) restart", st)
+	waitFor(t, "ownerless incident fails", func() bool { return m.Stats().DelegateFails >= 1 })
+	if st := m.Stats(); st.FERestarts != 0 {
+		t.Fatalf("stats %+v: restarted something with no supervisor to do it", st)
+	}
+	sup := startFakeSup(t, net, "b-node0", "b-")
+	waitFor(t, "restart through the late supervisor", func() bool { return m.Stats().FERestarts == 1 })
+	if c := sup.received()[0]; c.Op != supervisor.OpRestart || c.Target != "fe0" || c.ID != 1 {
+		t.Fatalf("supervisor saw %+v, want the restart of fe0 under the incident's first id", c)
 	}
 }
 
 // TestFEHeartbeatsAreAddressKeyed: two processes each hosting an "fe0"
 // must not interleave — the live one's heartbeats cannot mask the dead
 // one's silence in the manager's table, and the dead one's restart
-// cannot land on the live one: the local lever restarts by bare name, so
+// cannot land on the live one: supervisors restart by bare name, so
 // while the peer's supervisor refuses, the incident is retried there and
-// the manager process's own fe0 is left alone.
+// the manager process's own supervisor, whose fe0 is fine, hears nothing.
 func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick) // a local Restart("fe0") would succeed, and is counted
-	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, sp)
-	supB := startScriptedSupervisor(t, net, "b-node0", "b-")
+	m := startManagerA(t, net)
+	supA := startFakeSup(t, net, "a-node0", "a-")
+	supB := startFakeSup(t, net, "b-node0", "b-")
 	supB.setMode("refuse")
 
-	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
+	waitFor(t, "supervisors tracked", func() bool { return m.Stats().Supervisors == 2 })
 
 	// Same name, two addresses: one local to the manager's process
 	// ("a-"), one remote ("b-").
@@ -276,20 +149,20 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 			}
 		}
 	}()
-	waitFor(t, "two refused delegations", func() bool { return m.Stats().DelegateFails >= 2 })
-	if st := m.Stats(); sp.restarts.Load() != 0 || st.FERestarts != 0 || st.Delegated != 0 {
-		t.Fatalf("%d local restarts of fe0 for the peer's dead fe0; stats %+v", sp.restarts.Load(), st)
+	waitFor(t, "two refused commands", func() bool { return m.Stats().DelegateFails >= 2 })
+	if st := m.Stats(); supA.count("") != 0 || st.FERestarts != 0 {
+		t.Fatalf("%d commands to the live fe0's supervisor for the peer's dead fe0; stats %+v", supA.count(""), st)
 	}
 	supB.setMode("ok")
-	waitFor(t, "dead replica restarted via its supervisor", func() bool { return m.Stats().Delegated >= 1 })
+	waitFor(t, "dead replica restarted via its supervisor", func() bool { return m.Stats().FERestarts >= 1 })
 	for _, c := range supB.received() {
 		if c.Op != supervisor.OpRestart || c.Target != "fe0" {
 			t.Fatalf("supervisor saw %+v", c)
 		}
 	}
 	// The live replica never stopped being tracked, and was never touched.
-	if m.Stats().FrontEnds < 1 || sp.restarts.Load() != 0 {
-		t.Fatalf("live replica: %d tracked, %d local restarts", m.Stats().FrontEnds, sp.restarts.Load())
+	if m.Stats().FrontEnds < 1 || supA.count("") != 0 {
+		t.Fatalf("live replica: %d tracked, %d commands to its supervisor", m.Stats().FrontEnds, supA.count(""))
 	}
 }
 
@@ -302,10 +175,8 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 // address is dropped instead of firing again a TTL later.
 func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	m := startManagerWithPrefix(t, net, &failingRestartSpawner{testSpawner: sp})
-	sup := startScriptedSupervisor(t, net, "b-node0", "b-")
+	m := startManagerA(t, net)
+	sup := startFakeSup(t, net, "b-node0", "b-")
 	fe := supervisor.Row{Name: "fe0", Kind: supervisor.KindFrontEnd, Node: "b-node1"}
 	cache := supervisor.Row{Name: "cache0", Kind: supervisor.KindCache, Node: "b-node2"}
 	sup.setRoster(fe, cache, supervisor.Row{Name: "sup", Node: "b-node0"})
@@ -346,7 +217,7 @@ func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	if len(cmds) != 1 || cmds[0].Op != supervisor.OpRestart || cmds[0].Target != "cache0" {
 		t.Fatalf("supervisor saw %+v, want exactly one restart of cache0", cmds)
 	}
-	if st := m.Stats(); st.FERestarts != 0 || st.CacheRestarts != 1 || st.Delegated != 1 {
-		t.Fatalf("stats %+v, want one delegated cache restart and nothing else", st)
+	if st := m.Stats(); st.FERestarts != 0 || st.CacheRestarts != 1 || st.WorkerRestarts != 0 {
+		t.Fatalf("stats %+v, want one cache restart and nothing else", st)
 	}
 }

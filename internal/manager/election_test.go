@@ -10,23 +10,9 @@ import (
 )
 
 // startReplica boots one manager replica with election knobs.
-func startReplica(t *testing.T, net *san.Network, node string, sp Spawner, rank int, standby bool) (*Manager, context.CancelFunc) {
+func startReplica(t *testing.T, net *san.Network, node string, rank int, standby bool) (*Manager, context.CancelFunc) {
 	t.Helper()
-	m := New(Config{
-		Node:           node,
-		Net:            net,
-		Policy:         Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
-		BeaconInterval: tick,
-		WorkerTTL:      5 * tick,
-		FETTL:          6 * tick,
-		Spawner:        sp,
-		Rank:           rank,
-		Standby:        standby,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go m.Run(ctx)
-	return m, cancel
+	return startManager(t, net, node, func(c *Config) { c.Rank, c.Standby = rank, standby })
 }
 
 // TestInitialEpochSeeding: a replica respawned with a known epoch
@@ -51,13 +37,12 @@ func TestInitialEpochSeeding(t *testing.T) {
 // interval behind.
 func TestStandbySuppressesOutput(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	primary, _ := startReplica(t, net, "mgrA", sp, 0, false)
-	standby, _ := startReplica(t, net, "mgrB", nil, 1, true)
+	sup := startFakeSup(t, net, "node0", "")
+	primary, _ := startReplica(t, net, "mgrA", 0, false)
+	standby, _ := startReplica(t, net, "mgrB", 1, true)
 
-	sp.spawn("echo", false)
-	sp.spawn("echo", false)
+	sup.slot("echo")
+	sup.slot("echo")
 	waitFor(t, "registrations", func() bool { return primary.Stats().Workers == 2 })
 	waitFor(t, "standby mirror", func() bool { return standby.Stats().Workers == 2 })
 
@@ -80,16 +65,11 @@ func TestStandbySuppressesOutput(t *testing.T) {
 // to elections.
 func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 	net := san.NewNetwork(1)
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	primary, killPrimary := startReplica(t, net, "mgrA", sp, 0, false)
-	// No spawner on the standby: this test watches pure re-anchoring,
-	// and a spawner would let the new primary race a replacement spawn
-	// against the original worker's re-registration (legal — BASE
-	// prefers a duplicate worker over a lost one — but noisy here).
-	standby, _ := startReplica(t, net, "mgrB", nil, 1, true)
+	sup := startFakeSup(t, net, "node0", "")
+	primary, killPrimary := startReplica(t, net, "mgrA", 0, false)
+	standby, _ := startReplica(t, net, "mgrB", 1, true)
 
-	sp.spawn("echo", false)
+	sup.slot("echo")
 	waitFor(t, "registration", func() bool { return primary.Stats().Workers == 1 })
 	waitFor(t, "standby mirror", func() bool { return standby.Stats().Workers == 1 })
 
@@ -107,6 +87,11 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 	if got := standby.Stats().Workers; got != 1 {
 		t.Fatalf("worker did not re-anchor on the new primary: %d workers", got)
 	}
+	// The roster named the worker and it spoke up inside its grace TTL:
+	// the new primary had nothing to restart.
+	if n := sup.count(""); n != 0 {
+		t.Fatalf("takeover issued %d commands against a healthy cluster: %+v", n, sup.received())
+	}
 }
 
 // TestSplitClaimResolvesByLowestAddress: two replicas both believing
@@ -115,8 +100,8 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 // smaller address — and the loser steps down on the winner's beacon.
 func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
 	net := san.NewNetwork(1)
-	a, _ := startReplica(t, net, "mgrA", nil, 0, false)
-	b, _ := startReplica(t, net, "mgrB", nil, 0, false)
+	a, _ := startReplica(t, net, "mgrA", 0, false)
+	b, _ := startReplica(t, net, "mgrB", 0, false)
 
 	waitFor(t, "split resolution", func() bool { return a.IsPrimary() && !b.IsPrimary() })
 	if st := b.Stats(); st.StepDowns != 1 {
@@ -135,7 +120,7 @@ func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
 // makes a partitioned ex-primary harmless the moment it rejoins.
 func TestPrimaryStepsDownOnHigherEpoch(t *testing.T) {
 	net := san.NewNetwork(1)
-	m, _ := startReplica(t, net, "mgrA", nil, 0, false)
+	m, _ := startReplica(t, net, "mgrA", 0, false)
 	// The replica is "primary" from construction; wait for its Run loop
 	// (first beacon) so it is actually listening on the control group.
 	waitFor(t, "primary boot", func() bool { return m.Stats().BeaconsSent >= 1 })

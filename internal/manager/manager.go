@@ -12,33 +12,39 @@
 // protocol at all — the BASE design that replaced the original
 // process-pair prototype.
 //
-// # One reconcile step
+// # One rule up, one lever
 //
-// Desired is the roster every live supervisor advertises in its hello
-// (its process's component table, alive or not) plus the learned
-// per-class worker floor. Actual is what the manager hears: front-end
-// heartbeats and cache hellos, keyed by SAN address, and worker
-// registrations. Pending holds every start the primary has issued,
-// local or delegated, under that same address (class#n for a worker
-// replacement) until the instance is heard or one TTL passes. Each tick
-// the primary diffs the three (reconcile) and issues what is missing
-// (act). Two restarts are deliberately somebody else's: front ends
-// restart a silent manager (stub's OnManagerSilence, §3.1.3), and a
-// process's exit observer respawns its own supervisor and retires dead
-// workers (core).
+// Desired is declared, never learned: the roster every live supervisor
+// advertises in its hello (its process's component table, alive or
+// not) — front ends, caches and every configured worker slot alike.
+// Actual is what the manager hears, keyed by SAN address: heartbeats,
+// hellos, worker registrations and load reports. Pending holds every
+// command the primary has booked under that same address (class#n for a
+// spawn, "reap id" for a reap) until the instance is heard or one TTL
+// passes — and, as a row that is never issued, every worker that left by
+// its own word (hot-upgrade disable, graceful reap), so nothing else is
+// booked at its address until it registers again. Each tick the primary diffs the three (reconcile) and issues
+// what is missing (act), always as a supervisor.Command to the
+// supervisor owning the row's node — its own process's included; the
+// manager holds no other lever. A row is restarted by name when its
+// address falls silent for its kind's TTL, or was never heard one TTL
+// after a roster first named it. Load-driven and cold-start workers are
+// extras outside that rule: spawned and reaped by policy, and one that
+// dies leaves its roster and is not brought back. Two restarts are
+// somebody else's: front ends restart a silent manager (§3.1.3), and a
+// process's exit observer respawns its own supervisor (core).
 //
 // # Replication, epochs, and standby mode
 //
 // The manager role is replicated: N Manager instances share the
 // control group, but exactly one — the primary — beacons, runs policy
-// sweeps, and delegates restarts. The rest run in standby mode: the
-// full receive loop stays live (they mirror the worker inventory and
-// replica floors from the primary's beacons and ingest the multicast
+// sweeps, and issues commands. The rest run in standby mode: the full
+// receive loop stays live (they mirror the worker inventory from the
+// primary's beacons, for its load hints, and ingest the multicast
 // front-end/cache/supervisor heartbeats directly), but every output is
-// suppressed. Because all of that state is BASE soft state, a standby
-// is always at most one beacon interval behind the primary, which is
-// the whole failover story: there is no state transfer and no recovery
-// protocol.
+// suppressed. What should run is in the rosters, which a standby hears
+// first-hand, so a takeover needs nothing from the old primary: there
+// is no state transfer and no recovery protocol.
 //
 // Election is by heartbeat rank: when a standby hears no primary
 // beacon for three beacon intervals plus a rank-proportional stagger, it
@@ -116,23 +122,6 @@ func (p Policy) ShouldReap(classAvg float64, count int, now, lastSpawn time.Time
 	return classAvg < p.ReapThreshold
 }
 
-// Spawner is the manager's lever on the cluster, wired up by the
-// platform layer (it stands in for the per-node daemons a production
-// deployment would run).
-type Spawner interface {
-	// SpawnWorker starts a fresh worker of class somewhere
-	// appropriate: dedicated capacity first, the overflow pool once
-	// that is exhausted (§2.2.3).
-	SpawnWorker(class string) error
-	// ReapWorker stops a worker process.
-	ReapWorker(id string) error
-	// Restart restarts a crashed front end or cache service by name
-	// (process peer). A cache's content is gone — it was a cache — but
-	// the partition's address and key range come back, so front ends
-	// re-absorb it without reconfiguration.
-	Restart(name string) error
-}
-
 // Config tunes the manager.
 type Config struct {
 	Name   string
@@ -146,31 +135,22 @@ type Config struct {
 	WorkerTTL time.Duration
 	// FETTL expires front ends that stop heartbeating; expiry
 	// triggers the process-peer restart. Supervisors expire on the
-	// same TTL: one that stops heartbeating drops out of delegation
+	// same TTL: one that stops heartbeating drops out of ownership
 	// resolution and takes its roster with it; its own process
 	// respawns it.
 	FETTL time.Duration
 	// CacheTTL expires cache services that stop heartbeating; expiry
 	// triggers the process-peer restart (defaults to FETTL).
 	CacheTTL time.Duration
-	// Prefix is the node-name prefix of the process hosting this
-	// manager. A dead component whose owning supervisor advertises a
-	// different prefix lives in another OS process: its restart is
-	// delegated to that supervisor over the SAN instead of attempted
-	// (and failed) locally. Components behind the manager's own prefix
-	// keep the direct local restart path — same process, no SAN hop.
-	Prefix string
-	// CmdTimeout bounds one delegated supervisor command (default 2s).
+	// CmdTimeout bounds one supervisor command (default 2s).
 	CmdTimeout time.Duration
-	// Spawner performs cluster actions; may be nil (no spawning).
-	Spawner Spawner
 	// Rank is this replica's election rank. It staggers takeover
 	// timing (rank r waits r extra beacon intervals beyond the
 	// election timeout) so replicas claim the primacy one at a time
 	// instead of racing.
 	Rank int
 	// Standby starts the replica in standby mode: full receive loop,
-	// no beacons, no policy sweeps, no delegation — until it wins an
+	// no beacons, no policy sweeps, no commands — until it wins an
 	// election. False (the default) starts as the acting primary at
 	// epoch 1, which keeps a single-manager deployment's behavior
 	// identical to the pre-replication code.
@@ -219,22 +199,19 @@ type Stats struct {
 	Reaps          uint64
 	FERestarts     uint64
 	CacheRestarts  uint64
+	WorkerRestarts uint64
 	ReportsHandled uint64
 	BeaconsSent    uint64
 	Registrations  uint64
 	// Readmits counts workers heard from again after silence expired
-	// them: never dead, so a replacement is the duplicate BASE tolerates.
+	// them: never dead, and spared if their restart had not gone out.
 	Readmits uint64
-	// Delegated counts process-peer actions executed by a remote
-	// supervisor on this manager's behalf; DelegateFails counts
-	// delegation attempts that timed out or were refused (each is
-	// retried at the next tick).
-	Delegated      uint64
-	DelegateFails  uint64
-	DelegatedSpawn uint64
-	// Election state: whether this replica is the acting primary, the
-	// epoch it believes is current, and how many times it took over or
-	// stepped down.
+	// DelegateFails counts supervisor commands that timed out, were
+	// refused or found no owner (each is retried at the next tick); a
+	// success is one of the restart, spawn or reap counters above.
+	DelegateFails uint64
+	// Election state: is this replica the acting primary, at what epoch,
+	// and how many times it took over or stepped down.
 	Primary   bool
 	Epoch     uint64
 	Takeovers uint64
@@ -246,16 +223,21 @@ type workerState struct {
 	avg  *softstate.MovingAverage
 }
 
-// start is one row of the pending table: a start the primary has
+// start is one row of the pending table: a command the primary has
 // booked and not yet seen the result of.
 type start struct {
-	key string // SAN address of a front end or cache; class#n for a worker replacement
-	// Name is the component to Restart (for Kind worker, the class to
-	// SpawnWorker); Node resolves the owning supervisor, "" this process.
+	key string // SAN address of a row restarted by name; class#n for a spawn; "reap id" for a reap
+	// Name is the command's target (the class for a spawn); Node resolves
+	// the owning supervisor (for a spawn, the manager's own node).
 	supervisor.Row
+	op string // supervisor.OpRestart, OpSpawnWorker or OpReap; opPark is never issued
+	// class is the worker class a spawn, or the restart of a worker the
+	// manager had heard, will bring back: one of either pending holds off
+	// another spawn of that class.
+	class string
 
 	cmdID    uint64    // minted at the first attempt of an incident, reused by its retries
-	issuedAt time.Time // last attempt, or when a roster first named the row; zero = due now
+	issuedAt time.Time // last attempt, or when the row was named or parked; zero = due now
 	attempts int       // consecutive failures
 	busy     bool      // a command is in flight; its completion decides
 }
@@ -263,24 +245,30 @@ type start struct {
 // maxAttempts is the retry budget of one incident.
 const maxAttempts = 10
 
+// opPark marks the pending row of a worker that de-registered: it holds
+// the address against a restart until the worker is heard again or its
+// process's roster drops it.
+const opPark = "park"
+
 // Manager is the centralized load balancer. It implements
 // cluster.Process.
 type Manager struct {
 	cfg Config
 	ep  *san.Endpoint
 
-	mu      sync.Mutex
-	workers *softstate.Table[*workerState]
-	// heard is the actual state of the kinds restarted by name (front
-	// ends, caches), each keyed by SAN address, not bare name: two
-	// processes may both host an "fe0", and one's heartbeats must not
+	mu sync.Mutex
+	// workers is the inventory beacons carry, by id; a worker's liveness
+	// is its row in heard, like everyone else's.
+	workers map[string]*workerState
+	// heard is the actual state of every kind restarted by name (front
+	// ends, caches, workers), each keyed by SAN address, not bare name:
+	// two processes may both host an "fe0", and one's heartbeats must not
 	// mask the other's death. A kind's table TTL is how long it may stay
 	// silent before it counts as dead.
 	heard     map[string]*softstate.Table[supervisor.Row]
 	sups      *softstate.Table[supervisor.HelloMsg]
-	floor     map[string]int // class -> replica floor (learned)
 	lastSpawn map[string]time.Time
-	pending   map[string]*start // every start in flight, by start.key
+	pending   map[string]*start // every command in flight, by start.key
 	nextCmdID uint64
 	seq       uint64
 	stats     Stats
@@ -296,13 +284,13 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:     cfg,
-		workers: softstate.NewTable[*workerState](cfg.WorkerTTL, nil),
+		workers: make(map[string]*workerState),
 		heard: map[string]*softstate.Table[supervisor.Row]{
 			supervisor.KindFrontEnd: softstate.NewTable[supervisor.Row](cfg.FETTL, nil),
 			supervisor.KindCache:    softstate.NewTable[supervisor.Row](cfg.CacheTTL, nil),
+			supervisor.KindWorker:   softstate.NewTable[supervisor.Row](cfg.WorkerTTL, nil),
 		},
 		sups:      softstate.NewTable[supervisor.HelloMsg](cfg.FETTL, nil),
-		floor:     make(map[string]int),
 		lastSpawn: make(map[string]time.Time),
 		pending:   make(map[string]*start),
 	}
@@ -327,7 +315,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.stats
-	st.Workers = m.workers.Len()
+	st.Workers = len(m.workers)
 	st.FrontEnds = m.heard[supervisor.KindFrontEnd].Len()
 	st.Caches = m.heard[supervisor.KindCache].Len()
 	st.Supervisors = m.sups.Len()
@@ -370,6 +358,7 @@ func (m *Manager) Run(ctx context.Context) error {
 		emit("reaps", float64(st.Reaps))
 		emit("fe_restarts", float64(st.FERestarts))
 		emit("cache_restarts", float64(st.CacheRestarts))
+		emit("worker_restarts", float64(st.WorkerRestarts))
 		emit("beacons_sent", float64(st.BeaconsSent))
 		emit("registrations", float64(st.Registrations))
 		emit("epoch", float64(st.Epoch))
@@ -379,7 +368,6 @@ func (m *Manager) Run(ctx context.Context) error {
 		}
 		emit("primary", primary)
 		emit("takeovers", float64(st.Takeovers))
-		emit("delegated", float64(st.Delegated))
 		emit("delegate_fails", float64(st.DelegateFails))
 		emit("supervisors", float64(st.Supervisors))
 	})
@@ -395,17 +383,32 @@ func (m *Manager) Run(ctx context.Context) error {
 		m.sendBeacon(ep) // announce immediately so workers register fast
 	}
 
+	listening := time.Now() // when the last primary tick was served
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
-			if m.IsPrimary() {
-				m.sendBeacon(ep)
-				m.reconcile()
-			} else {
+			if !m.IsPrimary() {
 				m.maybeTakeover(ep)
+				continue
 			}
+			m.sendBeacon(ep)
+			// Silence is judged only by a replica that was listening, or a
+			// hiccup here reads as deaths everywhere — and a false death is a
+			// live worker restarted. What queued up behind this tick is heard
+			// first; and if the tick itself is late (a whole interval was
+			// missed: this loop, or the process, stood still) nobody is
+			// judged until a full interval of listening has passed.
+			for len(ep.Inbox()) > 0 {
+				m.handle(<-ep.Inbox())
+			}
+			if time.Since(listening) > 2*m.cfg.BeaconInterval {
+				tick.Reset(m.cfg.BeaconInterval)
+			} else {
+				m.reconcile()
+			}
+			listening = time.Now()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("manager: endpoint closed")
@@ -437,8 +440,8 @@ func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 // observeBeacon processes a rival manager replica's beacon: adopt a
 // newer epoch (stepping down if this replica was primary), resolve an
 // equal-epoch split claim by lowest address, and — while in standby —
-// mirror the primary's worker inventory and replica floors so a later
-// takeover starts from state at most one beacon interval old.
+// mirror the primary's worker inventory so a later takeover balances
+// load from hints at most one beacon interval old.
 func (m *Manager) observeBeacon(b stub.Beacon) {
 	if b.Manager == m.Addr() {
 		return
@@ -461,36 +464,30 @@ func (m *Manager) observeBeacon(b stub.Beacon) {
 	m.lastClaim = time.Now()
 
 	// Standby mirror: the primary's beacon is the ground truth for the
-	// worker inventory and the per-class replica floors. Load averages
-	// ride along too, so a fresh primary's very first policy sweep
-	// balances with current hints instead of zeros.
+	// worker inventory and its load averages, so a fresh primary's very
+	// first policy sweep balances with current hints instead of zeros.
 	live := make(map[string]bool, len(b.Workers))
 	for _, wi := range b.Workers {
 		live[wi.ID] = true
-		if ws, ok := m.workers.Get(wi.ID); ok {
-			ws.info = wi
-			m.workers.Put(wi.ID, ws)
-		} else {
-			ws := &workerState{info: wi, avg: &softstate.MovingAverage{Alpha: 0.3}}
+		ws := m.workers[wi.ID]
+		if ws == nil {
+			ws = &workerState{avg: &softstate.MovingAverage{Alpha: 0.3}}
 			ws.avg.Add(wi.QLen)
-			m.workers.Put(wi.ID, ws)
 		}
+		ws.info = wi
+		m.hearLocked(ws)
 	}
-	for id := range m.workers.Snapshot() {
+	for id, ws := range m.workers {
 		if !live[id] {
-			m.workers.Delete(id)
+			m.forgetLocked(id, ws.info.Addr)
 		}
-	}
-	m.floor = make(map[string]int, len(b.Floors))
-	for class, f := range b.Floors {
-		m.floor[class] = f
 	}
 }
 
 func (m *Manager) handle(msg san.Message) {
 	if msg.Reply {
-		// Acks from delegated supervisor commands route back into
-		// their pending Calls.
+		// Acks from supervisor commands route back into their pending
+		// Calls.
 		m.ep.DeliverReply(msg)
 		return
 	}
@@ -505,22 +502,21 @@ func (m *Manager) handle(msg san.Message) {
 		m.mu.Unlock()
 	case stub.DeregisterMsg:
 		m.mu.Lock()
-		if ws, ok := m.workers.Get(b.ID); ok {
-			class := ws.info.Class
-			m.workers.Delete(b.ID)
-			// A voluntary de-registration lowers the floor: this
-			// worker is not coming back.
-			if m.floor[class] > m.classCountLocked(class) {
-				m.floor[class] = m.classCountLocked(class)
+		if ws := m.workers[b.ID]; ws != nil {
+			// Parked, unless this is the stop half of a restart in flight:
+			// that row stays, and its command's result decides.
+			key := m.forgetLocked(b.ID, ws.info.Addr)
+			if p := m.pending[key]; p == nil || !p.busy {
+				m.pending[key] = &start{key: key, Row: supervisor.Row{Name: b.ID, Kind: supervisor.KindWorker, Node: ws.info.Node}, op: opPark, issuedAt: time.Now()}
 			}
 		}
 		m.mu.Unlock()
 	case stub.LoadReport:
 		m.mu.Lock()
 		m.stats.ReportsHandled++
-		if ws, ok := m.workers.Get(b.ID); ok {
+		if ws := m.workers[b.ID]; ws != nil {
 			ws.avg.Add(float64(b.QLen))
-			m.workers.Put(b.ID, ws) // refresh TTL
+			m.hearLocked(ws) // refresh TTL
 		} else if b.Info.ID == b.ID && !b.Info.Addr.IsZero() {
 			// A report from a worker we expired (e.g. marooned by a
 			// SAN partition that has since healed): re-admit it. Soft
@@ -547,21 +543,11 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 	m.seq++
 	seq := m.seq
 	epoch := m.epoch
-	snap := m.workers.Snapshot()
-	workers := make([]stub.WorkerInfo, 0, len(snap))
-	for _, ws := range snap {
+	workers := make([]stub.WorkerInfo, 0, len(m.workers))
+	for _, ws := range m.workers {
 		info := ws.info
 		info.QLen = ws.avg.Value()
 		workers = append(workers, info)
-	}
-	var floors map[string]int
-	if len(m.floor) > 0 {
-		floors = make(map[string]int, len(m.floor))
-		for class, f := range m.floor {
-			if f > 0 {
-				floors[class] = f
-			}
-		}
 	}
 	m.stats.BeaconsSent++
 	m.mu.Unlock()
@@ -571,7 +557,6 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 		Seq:     seq,
 		Epoch:   epoch,
 		Workers: workers,
-		Floors:  floors,
 	}, 64+len(workers)*48)
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
 		Component: m.cfg.Name,
@@ -583,38 +568,48 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 
 // admitLocked records a worker heard from for the first time — by
 // registration, or by a load report after the manager had expired it.
-// The replica floor learns the highest concurrent count per class, so
-// crashed workers get replaced; an id not seen before is the instance a
-// booked replacement of its class was waiting to hear.
+// An id neither tracked nor booked by name is the instance a spawn of
+// its class was waiting to hear.
 func (m *Manager) admitLocked(info stub.WorkerInfo, qlen float64) {
-	_, known := m.workers.Get(info.ID)
+	_, known := m.workers[info.ID]
 	ws := &workerState{info: info, avg: &softstate.MovingAverage{Alpha: 0.3}}
 	ws.avg.Add(qlen)
-	m.workers.Put(info.ID, ws)
+	m.hearLocked(ws)
 	m.stats.Registrations++
-	if !known {
+	if !known && m.pending[info.Addr.String()] == nil {
 		for key, p := range m.pending {
-			if p.Kind == supervisor.KindWorker && p.Name == info.Class {
+			if p.op == supervisor.OpSpawnWorker && p.class == info.Class {
 				delete(m.pending, key)
 				break
 			}
 		}
 	}
-	if count := m.classCountLocked(info.Class); count > m.floor[info.Class] {
-		m.floor[info.Class] = count
-	}
+}
+
+// hearLocked records a worker in the inventory and refreshes its liveness.
+func (m *Manager) hearLocked(ws *workerState) {
+	m.workers[ws.info.ID] = ws
+	m.heard[supervisor.KindWorker].Put(ws.info.Addr.String(),
+		supervisor.Row{Name: ws.info.ID, Kind: supervisor.KindWorker, Node: ws.info.Node})
+}
+
+// forgetLocked drops a worker from both and returns its address key.
+func (m *Manager) forgetLocked(id string, addr san.Addr) string {
+	delete(m.workers, id)
+	m.heard[supervisor.KindWorker].Delete(addr.String())
+	return addr.String()
 }
 
 // classView is one worker class as the manager sees it now.
 type classView struct {
-	avg      float64 // mean of the live workers' queue-length averages
-	count    int
-	overflow []stub.WorkerInfo
+	avg    float64 // mean of the live workers' queue-length averages
+	count  int
+	victim stub.WorkerInfo // the lowest-id overflow worker: next to reap; zero if none
 }
 
 func (m *Manager) classViewsLocked() map[string]*classView {
 	classes := make(map[string]*classView)
-	for _, ws := range m.workers.Snapshot() {
+	for _, ws := range m.workers {
 		cv := classes[ws.info.Class]
 		if cv == nil {
 			cv = &classView{}
@@ -622,8 +617,8 @@ func (m *Manager) classViewsLocked() map[string]*classView {
 		}
 		cv.avg += ws.avg.Value()
 		cv.count++
-		if ws.info.Overflow {
-			cv.overflow = append(cv.overflow, ws.info)
+		if ws.info.Overflow && (cv.victim.ID == "" || ws.info.ID < cv.victim.ID) {
+			cv.victim = ws.info
 		}
 	}
 	for _, cv := range classes {
@@ -632,32 +627,24 @@ func (m *Manager) classViewsLocked() map[string]*classView {
 	return classes
 }
 
-// reconcile is the primary's policy tick: expire what went silent, diff
-// desired against actual, issue every missing start that is not already
-// pending, then apply the load-driven spawn and reap rules.
+// reconcile is the primary's policy tick: expire what went silent,
+// apply the load-driven spawn and reap rules, diff desired against
+// actual, and issue every command that is due.
 func (m *Manager) reconcile() {
-	if m.cfg.Spawner == nil {
-		return
-	}
 	now := time.Now()
 	m.mu.Lock()
-	// Timeout failure inference. An expired worker keeps its node: its
-	// replacement is started where the operator placed the capacity.
-	goneWorkers := m.workers.ExpiredEntries()
-	classes := m.classViewsLocked()
-	due := m.diffLocked(now, goneWorkers, classes)
 	var grow []string
-	var reap []stub.WorkerInfo
-	for class, cv := range classes {
+	for class, cv := range m.classViewsLocked() {
 		// Spawn on load (threshold H, damping D); reap an idle overflow
 		// worker once the burst subsides.
 		if m.cfg.Policy.ShouldSpawn(cv.avg, cv.count, now, m.lastSpawn[class]) {
 			grow = append(grow, class)
 		}
-		if len(cv.overflow) > 0 && m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, m.lastSpawn[class]) {
-			reap = append(reap, cv.overflow[0])
+		if v := cv.victim; v.ID != "" && m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, m.lastSpawn[class]) {
+			m.bookLocked(&start{key: "reap " + v.ID, Row: supervisor.Row{Name: v.ID, Kind: supervisor.KindWorker, Node: v.Node}, op: supervisor.OpReap})
 		}
 	}
+	due := m.diffLocked(now)
 	m.mu.Unlock()
 
 	for _, p := range due {
@@ -666,39 +653,36 @@ func (m *Manager) reconcile() {
 	for _, class := range grow {
 		m.trySpawn(class, false)
 	}
-	for _, victim := range reap {
-		_ = m.ep.Send(victim.Addr, stub.MsgShutdown, nil, 16)
-		if err := m.cfg.Spawner.ReapWorker(victim.ID); err == nil {
-			m.mu.Lock()
-			m.workers.Delete(victim.ID)
-			if m.floor[victim.Class] > 0 {
-				m.floor[victim.Class]--
-			}
-			m.stats.Reaps++
-			m.mu.Unlock()
-		}
+}
+
+func (m *Manager) bookLocked(p *start) {
+	if m.pending[p.key] == nil {
+		m.pending[p.key] = p
 	}
 }
 
 // diffLocked books what is desired and neither heard nor pending, drops
 // pending rows that were heard or are no longer desired, and returns the
-// rows whose start is due now.
-func (m *Manager) diffLocked(now time.Time, goneWorkers map[string]*workerState, classes map[string]*classView) (due []*start) {
-	book := func(p *start) {
-		if m.pending[p.key] == nil {
-			m.pending[p.key] = p
-		}
-	}
+// rows whose command is due now.
+func (m *Manager) diffLocked(now time.Time) (due []*start) {
 	// A component that was heard and fell silent is due at once: its
-	// TTL of silence has already passed.
+	// TTL of silence has already passed ("timeouts are used as a backup
+	// mechanism to infer failures", §3.1.3). A worker leaves the beacons
+	// with that.
 	for _, t := range m.heard {
 		for key, row := range t.ExpiredEntries() {
-			book(&start{key: key, Row: row})
+			p := &start{key: key, Row: row, op: supervisor.OpRestart}
+			if ws := m.workers[row.Name]; ws != nil && ws.info.Addr.String() == key {
+				p.class = ws.info.Class
+				delete(m.workers, row.Name)
+			}
+			m.bookLocked(p)
 		}
 	}
 	// A component a roster names and nobody has heard yet — boot, a
-	// respawned manager — gets one TTL to speak up before it counts as
-	// dead; one killed before any manager heard it is restarted then.
+	// respawned manager, a takeover — gets one TTL to speak up before it
+	// counts as dead; one killed before any manager heard it is restarted
+	// then.
 	sups := m.sups.Snapshot()
 	listed := make(map[string]bool)
 	for _, sup := range sups {
@@ -707,14 +691,15 @@ func (m *Manager) diffLocked(now time.Time, goneWorkers map[string]*workerState,
 				key := san.Addr{Node: r.Node, Proc: r.Name}.String()
 				listed[key] = true
 				if _, ok := t.Get(key); !ok {
-					book(&start{key: key, Row: r, issuedAt: now})
+					m.bookLocked(&start{key: key, Row: r, op: supervisor.OpRestart, issuedAt: now})
 				}
 			}
 		}
 	}
 	for key, p := range m.pending {
-		t, ttl, silent := m.heard[p.Kind], m.cfg.WorkerTTL, true // no table: a worker replacement
-		if t != nil {
+		named, ttl, silent := p.op == supervisor.OpRestart || p.op == opPark, m.cfg.WorkerTTL, true
+		if named { // keyed by the address of a row restarted by name
+			t := m.heard[p.Kind]
 			_, ok := t.Get(key)
 			ttl, silent = t.TTL(), !ok
 		}
@@ -723,59 +708,27 @@ func (m *Manager) diffLocked(now time.Time, goneWorkers map[string]*workerState,
 		case p.busy:
 		case !silent:
 			delete(m.pending, key)
-		case t != nil && !listed[key] && owned && len(owner.Roster) > 0:
+		case named && !listed[key] && owned && len(owner.Roster) > 0 && now.Sub(p.issuedAt) >= ttl:
 			// Its process's table no longer holds it at this address:
-			// moved off a dead node, or removed.
+			// moved off a dead node, removed, or an extra that died. One
+			// TTL on: a hello older than the row may predate the component.
 			delete(m.pending, key)
-		case now.Sub(p.issuedAt) >= ttl:
+		case p.op != opPark && now.Sub(p.issuedAt) >= ttl:
 			due = append(due, p)
-		}
-	}
-	// Replace crashed workers below the replica floor, each where an
-	// expired one of its class had been.
-	vacated := make(map[string][]string)
-	for _, ws := range goneWorkers {
-		vacated[ws.info.Class] = append(vacated[ws.info.Class], ws.info.Node)
-	}
-	for class, want := range m.floor {
-		have := m.pendingWorkersLocked(class)
-		if cv := classes[class]; cv != nil {
-			have += cv.count
-		}
-		for ; have < want; have++ {
-			node := ""
-			if v := vacated[class]; len(v) > 0 {
-				node, vacated[class] = v[0], v[1:]
-			}
-			due = append(due, m.bookWorkerLocked(class, node))
 		}
 	}
 	return due
 }
 
-// bookWorkerLocked books the start of one more worker of class, owned
-// by whichever supervisor governs node.
-func (m *Manager) bookWorkerLocked(class, node string) *start {
-	m.nextCmdID++
-	p := &start{key: fmt.Sprintf("%s#%d", class, m.nextCmdID), Row: supervisor.Row{Name: class, Kind: supervisor.KindWorker, Node: node}}
-	m.pending[p.key] = p
-	return p
-}
-
-// act issues the start one pending row stands for — the only place the
-// manager starts anything — off the receive loop: a restart waits for
-// the old instance to exit, a delegated one for an ack that arrives on
-// the manager's own inbox, and beacons must keep flowing meanwhile. A
-// row whose node belongs to a supervisor in another OS process (its
-// prefix is not the manager's own) is delegated over the SAN; everything
-// else takes the direct local path. The two never mix: the local lever
-// restarts by bare name, so a failed delegation is retried at the next
-// tick and never attempted here — a peer's dead fe0 must not restart
-// this process's live fe0. Retries of one incident reuse its command id,
-// so a supervisor that executed the command but whose ack was lost
-// answers the retry from its result cache instead of acting twice; the
-// command carries the issuing epoch, so a supervisor that has seen a
-// newer one refuses a deposed primary's in-flight commands.
+// act issues the command one pending row stands for — the only place
+// the manager starts or stops anything — off the receive loop: the ack
+// arrives on the manager's own inbox, and beacons must keep flowing
+// meanwhile. The command goes to the supervisor owning the row's node,
+// whichever OS process that is in; a failure is retried at the next
+// tick. Retries of one incident reuse its command id, so a supervisor
+// whose ack was lost answers the retry from its result cache instead of
+// acting twice; the command carries the issuing epoch, so a supervisor
+// that has seen a newer one refuses a deposed primary's commands.
 func (m *Manager) act(p *start) {
 	m.mu.Lock()
 	if p.cmdID == 0 {
@@ -783,31 +736,19 @@ func (m *Manager) act(p *start) {
 		p.cmdID = m.nextCmdID
 	}
 	p.busy, p.issuedAt = true, time.Now()
-	cmd := supervisor.Command{ID: p.cmdID, Origin: m.Addr().String(), Op: supervisor.OpRestart, Target: p.Name, Epoch: m.epoch}
+	cmd := supervisor.Command{ID: p.cmdID, Origin: m.Addr().String(), Op: p.op, Target: p.Name, Epoch: m.epoch}
 	m.mu.Unlock()
-	local := func() bool { return m.cfg.Spawner.Restart(p.Name) == nil }
-	if p.Kind == supervisor.KindWorker {
-		cmd.Op = supervisor.OpSpawnWorker
-		local = func() bool { return m.cfg.Spawner.SpawnWorker(p.Name) == nil }
-	}
 	sup, owned := m.SupervisorFor(p.Node)
-	remote := owned && sup.Prefix != m.cfg.Prefix
 	go func() {
-		if !remote {
-			m.complete(p, local(), false)
-			return
+		ok := false
+		if owned {
+			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
+			resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
+			cancel()
+			ack, _ := resp.Body.(supervisor.Ack) // a malformed ack is a refusal
+			ok = err == nil && ack.OK
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), m.cfg.CmdTimeout)
-		resp, err := m.ep.Call(ctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
-		cancel()
-		ack, _ := resp.Body.(supervisor.Ack) // a malformed ack is a refusal
-		delegated := err == nil && ack.OK
-		if !delegated {
-			m.mu.Lock()
-			m.stats.DelegateFails++
-			m.mu.Unlock()
-		}
-		m.complete(p, delegated, delegated)
+		m.complete(p, ok)
 	}()
 }
 
@@ -815,11 +756,12 @@ func (m *Manager) act(p *start) {
 // again at the next tick until the incident's budget is spent; then the
 // row, and its command id with it, is forgotten — a roster that still
 // names the component books a fresh incident.
-func (m *Manager) complete(p *start, ok, delegated bool) {
+func (m *Manager) complete(p *start, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p.busy = false
 	if !ok {
+		m.stats.DelegateFails++
 		p.issuedAt = time.Time{}
 		p.attempts++
 		if p.attempts >= maxAttempts && m.pending[p.key] == p {
@@ -828,35 +770,21 @@ func (m *Manager) complete(p *start, ok, delegated bool) {
 		return
 	}
 	p.attempts, p.cmdID = 0, 0
-	switch p.Kind {
-	case supervisor.KindFrontEnd:
-		m.stats.FERestarts++
-	case supervisor.KindCache:
-		m.stats.CacheRestarts++
-	case supervisor.KindWorker:
+	switch {
+	case p.op == supervisor.OpSpawnWorker:
 		m.stats.Spawns++
 		m.lastSpawn[p.Name] = p.issuedAt
-		// A load-driven spawn raises the floor; a replacement was
-		// already counted in it.
-		if c := m.classCountLocked(p.Name) + m.pendingWorkersLocked(p.Name); c > m.floor[p.Name] {
-			m.floor[p.Name] = c
-		}
+	case p.op == supervisor.OpReap:
+		m.stats.Reaps++
+		m.forgetLocked(p.Name, san.Addr{Node: p.Node, Proc: p.Name})
+		delete(m.pending, p.key)
+	case p.Kind == supervisor.KindFrontEnd:
+		m.stats.FERestarts++
+	case p.Kind == supervisor.KindCache:
+		m.stats.CacheRestarts++
+	case p.Kind == supervisor.KindWorker:
+		m.stats.WorkerRestarts++
 	}
-	if delegated && p.Kind == supervisor.KindWorker {
-		m.stats.DelegatedSpawn++
-	} else if delegated {
-		m.stats.Delegated++
-	}
-}
-
-func (m *Manager) pendingWorkersLocked(class string) int {
-	n := 0
-	for _, p := range m.pending {
-		if p.Kind == supervisor.KindWorker && p.Name == class {
-			n++
-		}
-	}
-	return n
 }
 
 // SupervisorFor resolves the supervisor owning a node by longest
@@ -867,42 +795,27 @@ func (m *Manager) SupervisorFor(node string) (supervisor.HelloMsg, bool) {
 	return supervisor.Owner(node, m.sups.Snapshot())
 }
 
-// trySpawn books and issues one more worker of class, unless the
-// damping window or a start of that class already pending says wait.
-// cold marks a front end's request: it knows no worker of the class, and
-// gets one only if the manager hears none either — a front end that gave
-// up on workers still reporting here is short of beacons, not workers.
+// trySpawn books and issues one more worker of class — an extra, owned
+// by the supervisor of the manager's own node — unless the damping
+// window, or a spawn or restart of that class already pending, says
+// wait. cold marks a front end's request: it knows no worker of the
+// class, and gets one only if the manager hears none either — a front
+// end that gave up on workers still reporting here is short of beacons,
+// not workers.
 func (m *Manager) trySpawn(class string, cold bool) {
 	m.mu.Lock()
 	var p *start
-	if m.cfg.Spawner != nil && time.Since(m.lastSpawn[class]) >= m.cfg.Policy.Damping &&
-		m.pendingWorkersLocked(class) == 0 && !(cold && m.classCountLocked(class) > 0) {
-		p = m.bookWorkerLocked(class, "")
+	coming := false
+	for _, q := range m.pending {
+		coming = coming || q.class == class
+	}
+	if time.Since(m.lastSpawn[class]) >= m.cfg.Policy.Damping && !coming && !(cold && m.classViewsLocked()[class] != nil) {
+		m.nextCmdID++
+		p = &start{key: fmt.Sprintf("%s#%d", class, m.nextCmdID), Row: supervisor.Row{Name: class, Kind: supervisor.KindWorker, Node: m.cfg.Node}, op: supervisor.OpSpawnWorker, class: class}
+		m.pending[p.key] = p
 	}
 	m.mu.Unlock()
 	if p != nil {
 		m.act(p)
 	}
-}
-
-func (m *Manager) classCountLocked(class string) int {
-	n := 0
-	for _, ws := range m.workers.Snapshot() {
-		if ws.info.Class == class {
-			n++
-		}
-	}
-	return n
-}
-
-// ClassAverages exposes per-class average queue lengths (used by
-// experiments and the monitor).
-func (m *Manager) ClassAverages() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64)
-	for class, cv := range m.classViewsLocked() {
-		out[class] = cv.avg
-	}
-	return out
 }

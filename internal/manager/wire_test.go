@@ -2,30 +2,28 @@ package manager
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/san"
 	"repro/internal/stub"
 )
 
 // TestManagerWorkerLifecycleOverWire runs the full manager <-> worker
-// protocol — beacons, registration, load reports, TTL expiry, crash
-// replacement — over a wire-mode SAN, so every control-plane message
+// protocol — beacons, registration, load reports, TTL expiry, the
+// restart of a crashed roster row — over a wire-mode SAN, so every control-plane message
 // the manager exchanges round-trips through the production codec.
 func TestManagerWorkerLifecycleOverWire(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	sp := newTestSpawner(net, tick)
-	defer sp.stopAll()
-	m := startManager(t, net, sp, Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1})
+	sup := startFakeSup(t, net, "node0", "")
+	m, _ := startManager(t, net, "mgr", nil)
 
-	info1 := sp.spawn("echo", false)
-	sp.spawn("echo", false)
+	info1 := sup.slot("echo")
+	sup.slot("echo")
 	waitFor(t, "registrations over wire", func() bool { return m.Stats().Workers == 2 })
 
-	// Crash one silently: timeout inference and the replica floor must
-	// work identically when the evidence arrives as bytes.
-	sp.crash(info1.ID)
-	waitFor(t, "replacement spawn", func() bool { return sp.spawns.Load() >= 3 })
+	// Crash one silently: timeout inference, the roster in the hello and
+	// the restart command must work identically when they travel as bytes.
+	sup.crash(info1.ID)
+	waitFor(t, "restart by name", func() bool { return m.Stats().WorkerRestarts == 1 })
 	waitFor(t, "two live workers", func() bool { return m.Stats().Workers == 2 })
 
 	st := net.Stats()

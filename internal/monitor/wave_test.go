@@ -30,6 +30,7 @@ func (h *waveHost) Restart(id string) error {
 	return nil
 }
 func (h *waveHost) SpawnWorker(string) error     { return nil }
+func (h *waveHost) ReapWorker(string) error      { return nil }
 func (h *waveHost) Addr(string) (san.Addr, bool) { return san.Addr{}, false }
 func (h *waveHost) Roster() []supervisor.Row     { return nil }
 

@@ -303,7 +303,9 @@ func TestQueueFullRejection(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		go ep.Call(ctx, info.Addr, MsgTask, slow, 64)
 	}
-	waitFor(t, "queue to fill", func() bool { return ws.QueueLen() >= 1 })
+	// One task in service and one queued is the cap: only then is the
+	// next one sure to be refused rather than queued behind them.
+	waitFor(t, "queue to fill", func() bool { return ws.QueueLen() >= 2 })
 	cctx, ccancel := context.WithTimeout(ctx, time.Second)
 	defer ccancel()
 	resp, err := ep.Call(cctx, info.Addr, MsgTask, slow, 64)

@@ -41,7 +41,6 @@ const (
 	MsgResult     = "wrk.result"   // worker -> front end (reply): ResultMsg
 	MsgFEHello    = "fe.heartbeat" // front end -> manager: FEHeartbeat
 	MsgSpawnReq   = "mgr.spawnreq" // front end -> manager: SpawnReq
-	MsgShutdown   = "ctl.shutdown" // manager -> worker: graceful reap
 	MsgDisable    = "ctl.disable"  // monitor -> component: hot upgrade
 	MsgEnable     = "ctl.enable"   // monitor -> component
 	MsgMonReport  = "mon.report"   // component -> reports group: StatusReport
@@ -66,16 +65,13 @@ type WorkerInfo struct {
 // front ends cache (§2.2.2). Epoch is the election generation: every
 // takeover bumps it, and listeners ignore beacons from epochs older
 // than the newest they have seen, so a deposed primary cannot drag
-// followers back. Floors carries the per-class replica floors so a
-// standby that wins an election adopts the primary's spawn duties
-// exactly — like everything else here, soft state rebuilt from one
-// beacon interval (§3.1.3).
+// followers back. What should be running is not in here: that is the
+// supervisors' rosters (supervisor.HelloMsg), which every replica hears.
 type Beacon struct {
 	Manager san.Addr
 	Seq     uint64
 	Epoch   uint64
 	Workers []WorkerInfo
-	Floors  map[string]int
 }
 
 // RegisterMsg announces a worker to the manager.
@@ -173,7 +169,6 @@ type SpanDigest struct {
 const (
 	DefaultBeaconInterval = 500 * time.Millisecond
 	DefaultReportInterval = 500 * time.Millisecond
-	DefaultWorkerTTL      = 5 * DefaultReportInterval
 	DefaultCallTimeout    = 2 * time.Second
 )
 
@@ -191,7 +186,7 @@ const (
 // built with san.WithCodec(WireCodec{}) runs this codec on its live
 // message path (wire mode); EncodeBodyAppend is the pooled-buffer
 // entry point that path uses, and control signals without a body
-// layout (MsgShutdown, MsgDisable, MsgEnable, vcache.MsgStats) encode
+// layout (MsgDisable, MsgEnable, vcache.MsgStats) encode
 // a nil body as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
@@ -221,7 +216,7 @@ func (WireCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
 }
 
 // EncodeBody serializes a message body for the given kind. Kinds
-// without a registered body layout (control signals like MsgShutdown)
+// without a registered body layout (control signals like MsgDisable)
 // encode a nil body as empty bytes.
 func EncodeBody(kind string, body any) ([]byte, error) {
 	return EncodeBodyAppend(nil, kind, body)
@@ -246,7 +241,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		for _, wi := range b.Workers {
 			w.workerInfo(wi)
 		}
-		w.intMap(b.Floors)
 	case MsgRegister:
 		m, ok := body.(RegisterMsg)
 		if !ok {
@@ -462,7 +456,6 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 				b.Workers = append(b.Workers, r.workerInfo())
 			}
 		}
-		b.Floors = r.intMap()
 		body = b
 	case MsgRegister:
 		body = RegisterMsg{Info: r.workerInfo()}
@@ -687,16 +680,6 @@ func (w *wireWriter) f64Map(m map[string]float64) {
 	}
 }
 
-func (w *wireWriter) intMap(m map[string]int) {
-	var scratch [8]string
-	keys := sortedKeys(m, &scratch)
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		w.varint(int64(m[k]))
-	}
-}
-
 // wireReader parses with sticky errors: after the first failure every
 // accessor returns zero values, so decode paths need no per-field
 // error plumbing. In view mode (DecodeBodyView) bytes() returns
@@ -856,23 +839,6 @@ func (r *wireReader) strMap() map[string]string {
 			return nil
 		}
 		m[k] = v
-	}
-	return m
-}
-
-func (r *wireReader) intMap() map[string]int {
-	n := r.sliceLen(2)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]int, n)
-	for i := 0; i < n; i++ {
-		k := r.str()
-		v := r.varint()
-		if r.err != nil {
-			return nil
-		}
-		m[k] = int(v)
 	}
 	return m
 }

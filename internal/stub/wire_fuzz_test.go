@@ -108,7 +108,7 @@ func wireSamples() map[string]any {
 		},
 		supervisor.MsgHello: helloWithRoster(3),
 		supervisor.MsgCmd: supervisor.Command{
-			ID: 9, Origin: "a-node1/manager", Op: "restart-cache", Target: "cache0", // pre-OpRestart spelling, still accepted
+			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestart, Target: "cache0", Epoch: 3,
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
 	}
@@ -260,7 +260,7 @@ func TestWireRejects(t *testing.T) {
 	if _, err := DecodeBody(MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
 		t.Fatal("decode accepted trailing garbage")
 	}
-	if _, err := DecodeBody(MsgShutdown, []byte{1}); err == nil {
+	if _, err := DecodeBody(MsgDisable, []byte{1}); err == nil {
 		t.Fatal("decode accepted a body for a body-less kind")
 	}
 }

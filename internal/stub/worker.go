@@ -73,6 +73,7 @@ type WorkerStub struct {
 	mu        sync.Mutex
 	manager   san.Addr
 	lastEpoch uint64
+	beaconAt  time.Time // when the last beacon was accepted; construction before the first
 	disabled  bool
 }
 
@@ -88,13 +89,14 @@ func (s *WorkerStub) InjectHang(h bool) { s.hung.Store(h) }
 func NewWorkerStub(name, node string, w tacc.Worker, net *san.Network, cfg WorkerConfig) *WorkerStub {
 	cfg = cfg.withDefaults()
 	s := &WorkerStub{
-		name:   name,
-		node:   node,
-		class:  w.Class(),
-		worker: w,
-		net:    net,
-		cfg:    cfg,
-		queue:  make(chan queuedTask, cfg.QueueCap),
+		name:     name,
+		node:     node,
+		class:    w.Class(),
+		worker:   w,
+		net:      net,
+		cfg:      cfg,
+		queue:    make(chan queuedTask, cfg.QueueCap),
+		beaconAt: time.Now(),
 	}
 	s.ep = net.Endpoint(s.addr(), cfg.QueueCap*2+64)
 	return s
@@ -117,6 +119,16 @@ func (s *WorkerStub) Info() WorkerInfo {
 		Node:     s.node,
 		Overflow: s.cfg.Overflow,
 	}
+}
+
+// BeaconAge is how long the stub has gone without a manager beacon. A
+// worker running on the far side of a SAN partition grows old here, and
+// that — not its silence at the manager, which a slow or disabled worker
+// shares — is what says a restart should move it (§2.2.4).
+func (s *WorkerStub) BeaconAge() time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return time.Since(s.beaconAt)
 }
 
 // QueueLen returns the current queue length (pending + in service).
@@ -146,9 +158,9 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 	ep := s.ep
 	defer ep.Close()
 	ep.Join(GroupControl)
-	// Worker ids are fresh per spawn, so nothing would ever replace this
-	// collector by name: drop it on exit, or every respawn leaves a dead
-	// worker.<id> family in /metrics with this stub pinned behind it.
+	// Drop the collector on exit: an extra's id is never used again, and
+	// a slot's successor sets its own, so a dead worker.<id> family never
+	// sits in /metrics with this stub pinned behind it.
 	defer s.net.Registry().DropCollector("worker." + s.name)
 	s.net.Registry().SetCollector("worker."+s.name, func(emit func(string, float64)) {
 		emit("qlen", float64(s.qlen.Load()))
@@ -215,7 +227,7 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 			s.mu.Unlock()
 			return
 		}
-		s.lastEpoch = b.Epoch
+		s.lastEpoch, s.beaconAt = b.Epoch, time.Now()
 		known := s.manager == b.Manager
 		disabled := s.disabled
 		s.manager = b.Manager
@@ -241,13 +253,6 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 		default:
 			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "queue full"}, 16)
 		}
-	case MsgShutdown:
-		// Graceful reap: de-register, then crash out cleanly; the
-		// cluster reaps the process.
-		s.deregister()
-		s.mu.Lock()
-		s.disabled = true
-		s.mu.Unlock()
 	case MsgDisable:
 		s.mu.Lock()
 		s.disabled = true

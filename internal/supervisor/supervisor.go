@@ -3,15 +3,15 @@
 // process boundaries. Every core.Start process runs one: it announces
 // itself on the SAN control group with periodic hello heartbeats
 // (address-keyed, exactly like cache services) and executes
-// restart/spawn/disable/enable commands sent to it as SAN calls.
+// restart/spawn/reap/disable/enable commands sent to it as SAN calls.
 //
 // The manager stays the brain — it watches heartbeats and decides what
-// must be restarted — but the muscle is now location-transparent: when
-// a component's process-peer duty points at another OS process, the
-// manager delegates the restart to that process's supervisor instead
-// of erroring out locally. This is the per-node resource/failover
-// manager of the Microsoft Cluster Service design (Vogels et al.)
-// grafted onto the SNS soft-state discipline: the supervisor keeps no
+// must be started or stopped — and the supervisor is its only muscle:
+// every start and stop is a command to the supervisor owning the
+// component's node, in the manager's own process or another, and the
+// manager never touches a process itself. This is the per-node
+// resource/failover manager of the Microsoft Cluster Service design
+// (Vogels et al.) grafted onto the SNS soft-state discipline: it keeps no
 // durable state, re-announces itself from the very next heartbeat
 // after a restart, and executes commands idempotently so a retried
 // delivery can never restart a component twice.
@@ -43,14 +43,15 @@ const (
 	// supervisor's process, whatever its kind: kill any lingering
 	// instance, spawn a fresh one under the same name. A front end or
 	// cache comes back at its address (the cache empty — it is a cache);
-	// a worker comes back under the same id and class, the hot-upgrade
-	// restart step. Peers that predate the single op still send
-	// "restart-frontend", "restart-cache" and "restart-worker"; execute
-	// accepts them as aliases.
+	// a worker comes back under the same id and class (a dead roster
+	// slot, or the hot-upgrade restart step).
 	OpRestart = "restart"
-	// OpSpawnWorker starts a fresh worker of the target class in this
-	// process (cross-process replacement spawns).
+	// OpSpawnWorker starts one more worker of the target class in this
+	// process: a load-driven or cold-start extra.
 	OpSpawnWorker = "spawn-worker"
+	// OpReap retires such an extra by id, gracefully: it de-registers on
+	// its way out and leaves the roster.
+	OpReap = "reap"
 	// OpDisable / OpEnable forward a hot-upgrade disable/enable control
 	// message to the named local component (§2.1).
 	OpDisable = "disable"
@@ -122,7 +123,7 @@ type Command struct {
 	ID     uint64
 	Origin string // issuing component's address, for idempotency scoping
 	Op     string
-	Target string // component name / worker id / class (OpSpawnWorker)
+	Target string // component name or worker id; the class for OpSpawnWorker
 	Epoch  uint64 // issuing manager's election epoch; 0 = unfenced
 }
 
@@ -143,6 +144,8 @@ type Host interface {
 	Restart(name string) error
 	// SpawnWorker starts a fresh worker of class.
 	SpawnWorker(class string) error
+	// ReapWorker gracefully stops a worker SpawnWorker started.
+	ReapWorker(id string) error
 	// Addr resolves a hosted component's SAN address (for forwarded
 	// disable/enable control messages).
 	Addr(name string) (san.Addr, bool)
@@ -214,9 +217,10 @@ type Supervisor struct {
 
 	epoch atomic.Uint64 // highest election epoch observed
 
-	mu    sync.Mutex
-	done  map[string]doneEntry // origin#id -> result, for idempotent redelivery
-	order []string             // FIFO eviction order for done
+	mu     sync.Mutex
+	done   map[string]doneEntry     // origin#id -> result, for idempotent redelivery
+	order  []string                 // FIFO eviction order for done
+	flying map[string]chan struct{} // origin#id -> closed when the execution in progress ends
 
 	commands   atomic.Uint64
 	dupes      atomic.Uint64
@@ -244,7 +248,7 @@ func New(cfg Config) *Supervisor {
 	if cfg.ResultCacheCap <= 0 {
 		cfg.ResultCacheCap = resultCacheCap
 	}
-	s := &Supervisor{cfg: cfg, done: make(map[string]doneEntry)}
+	s := &Supervisor{cfg: cfg, done: make(map[string]doneEntry), flying: make(map[string]chan struct{})}
 	s.ep = cfg.Net.Endpoint(s.addr(), 256)
 	return s
 }
@@ -338,8 +342,10 @@ func (s *Supervisor) Run(ctx context.Context) error {
 			if !ok {
 				continue
 			}
-			ack := s.dispatch(cmd)
-			_ = ep.Respond(msg, MsgAck, ack, 64)
+			// Off the loop: a restart waits for the old instance to exit,
+			// which can take as long as its slowest request, and neither
+			// the hellos nor the other components' commands wait with it.
+			go func() { _ = ep.Respond(msg, MsgAck, s.dispatch(cmd), 64) }()
 		}
 	}
 }
@@ -350,7 +356,8 @@ func (s *Supervisor) heartbeat(ep *san.Endpoint) {
 	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, hb, 64+32*len(hb.Roster))
 }
 
-// dispatch executes one command at most once: a duplicate delivery
+// dispatch executes one command at most once, on the caller's
+// goroutine (Run starts one per command): a duplicate delivery
 // (same origin and id) of a command that already SUCCEEDED is
 // answered from the result cache without touching the host again —
 // the case idempotency exists for, a success whose ack was lost.
@@ -374,12 +381,25 @@ func (s *Supervisor) dispatch(cmd Command) Ack {
 	}
 	key := cmd.Origin + "#" + fmt.Sprint(cmd.ID)
 	s.mu.Lock()
+	for f := s.flying[key]; f != nil; f = s.flying[key] {
+		s.mu.Unlock() // a retry of a command still executing waits for its result
+		<-f
+		s.mu.Lock()
+	}
 	if e, seen := s.done[key]; seen {
 		s.mu.Unlock()
 		s.dupes.Add(1)
 		return e.ack
 	}
+	f := make(chan struct{})
+	s.flying[key] = f
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.flying, key)
+		s.mu.Unlock()
+		close(f)
+	}()
 
 	ack := s.execute(cmd)
 	if !ack.OK {
@@ -388,18 +408,16 @@ func (s *Supervisor) dispatch(cmd Command) Ack {
 
 	now := time.Now()
 	s.mu.Lock()
-	if _, seen := s.done[key]; !seen {
-		s.done[key] = doneEntry{ack: ack, at: now}
-		s.order = append(s.order, key)
-		hardCap := s.cfg.ResultCacheCap * resultCacheHardFactor
-		for len(s.order) > s.cfg.ResultCacheCap {
-			oldest := s.done[s.order[0]]
-			if now.Sub(oldest.at) < s.cfg.ResultRetention && len(s.order) <= hardCap {
-				break // still inside its retry window; keep it
-			}
-			delete(s.done, s.order[0])
-			s.order = s.order[1:]
+	s.done[key] = doneEntry{ack: ack, at: now} // the key was not cached, and no twin of this execution ran
+	s.order = append(s.order, key)
+	hardCap := s.cfg.ResultCacheCap * resultCacheHardFactor
+	for len(s.order) > s.cfg.ResultCacheCap {
+		oldest := s.done[s.order[0]]
+		if now.Sub(oldest.at) < s.cfg.ResultRetention && len(s.order) <= hardCap {
+			break // still inside its retry window; keep it
 		}
+		delete(s.done, s.order[0])
+		s.order = s.order[1:]
 	}
 	s.mu.Unlock()
 	return ack
@@ -411,15 +429,17 @@ func (s *Supervisor) execute(cmd Command) Ack {
 	if s.cfg.Host == nil {
 		err = fmt.Errorf("supervisor: no host wired")
 	} else if cmd.Target == s.cfg.Name {
-		// The host's Restart waits for the old instance to exit, and this
-		// loop is that instance.
+		// The ack would leave through the endpoint the restart closes; the
+		// process's own exit observer is what respawns its supervisor.
 		err = fmt.Errorf("supervisor: %s cannot %s itself", s.cfg.Name, cmd.Op)
 	} else {
 		switch cmd.Op {
-		case OpRestart, "restart-frontend", "restart-cache", "restart-worker":
+		case OpRestart:
 			err = s.cfg.Host.Restart(cmd.Target)
 		case OpSpawnWorker:
 			err = s.cfg.Host.SpawnWorker(cmd.Target)
+		case OpReap:
+			err = s.cfg.Host.ReapWorker(cmd.Target)
 		case OpDisable:
 			err = s.forwardControl(cmd.Target, s.cfg.DisableKind)
 		case OpEnable:

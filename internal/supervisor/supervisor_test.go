@@ -18,6 +18,7 @@ type fakeHost struct {
 	restarts  map[string]int // op+":"+target -> count
 	failNext  map[string]error
 	compAddrs map[string]san.Addr
+	hold      map[string]chan struct{} // op+":"+target -> the action blocks until closed
 }
 
 func newFakeHost() *fakeHost {
@@ -29,9 +30,15 @@ func newFakeHost() *fakeHost {
 }
 
 func (h *fakeHost) act(op, target string) error {
+	key := op + ":" + target
+	h.mu.Lock()
+	hold := h.hold[key]
+	h.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := op + ":" + target
 	if err := h.failNext[key]; err != nil {
 		return err
 	}
@@ -47,6 +54,7 @@ func (h *fakeHost) count(op, target string) int {
 
 func (h *fakeHost) Restart(name string) error      { return h.act(OpRestart, name) }
 func (h *fakeHost) SpawnWorker(class string) error { return h.act(OpSpawnWorker, class) }
+func (h *fakeHost) ReapWorker(id string) error     { return h.act(OpReap, id) }
 func (h *fakeHost) Addr(name string) (san.Addr, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -97,21 +105,19 @@ func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
 	return ack
 }
 
-// TestCommandsExecuteThroughHost: every restart/spawn op reaches
-// the host exactly once and acks OK — the restart op under its own
-// name and under each of the three per-kind names older peers send —
-// and a redelivery of the same command id is answered from the result
-// cache, not executed again.
+// TestCommandsExecuteThroughHost: every restart/spawn/reap op reaches
+// the host exactly once and acks OK, and a redelivery of the same
+// command id is answered from the result cache, not executed again. The
+// three per-kind restart spellings retired with PR 13's senders are
+// unknown ops now: refused, zero host calls.
 func TestCommandsExecuteThroughHost(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
 
-	ops := []struct{ op, hostOp, target string }{
-		{OpRestart, OpRestart, "fe1"},
-		{"restart-frontend", OpRestart, "fe0"},
-		{"restart-cache", OpRestart, "cache1"},
-		{"restart-worker", OpRestart, "echo.3"},
-		{OpSpawnWorker, OpSpawnWorker, "echo"},
+	ops := []struct{ op, target string }{
+		{OpRestart, "fe1"},
+		{OpSpawnWorker, "echo"},
+		{OpReap, "echo.7"},
 	}
 	for i, c := range ops {
 		cmd := Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target}
@@ -120,7 +126,7 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 			if !ack.OK || ack.ID != cmd.ID {
 				t.Fatalf("%s (%s): ack %+v", c.op, delivery, ack)
 			}
-			if got := host.count(c.hostOp, c.target); got != 1 {
+			if got := host.count(c.op, c.target); got != 1 {
 				t.Fatalf("%s (%s) reached the host %d times", c.op, delivery, got)
 			}
 		}
@@ -128,9 +134,17 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 	if st := sup.Stats(); st.Commands != uint64(len(ops)) || st.Dupes != uint64(len(ops)) {
 		t.Fatalf("stats %+v, want %d commands + %d dupes", st, len(ops), len(ops))
 	}
+	for i, c := range []struct{ op, target string }{
+		{"restart-frontend", "fe0"}, {"restart-cache", "cache1"}, {"restart-worker", "echo.3"},
+	} {
+		ack := call(t, client, sup.Addr(), Command{ID: uint64(50 + i), Origin: "t", Op: c.op, Target: c.target})
+		if ack.OK || !strings.Contains(ack.Err, "unknown op") || host.count(OpRestart, c.target) != 0 {
+			t.Fatalf("retired spelling %s: ack %+v, %d host calls", c.op, ack, host.count(OpRestart, c.target))
+		}
+	}
 
-	// The host's Restart waits for the old instance to exit; aimed at the
-	// supervisor itself it would wait on this very command loop.
+	// A supervisor is respawned by its own process's exit observer, never
+	// by a command it would have to ack through the endpoint it closes.
 	if ack := call(t, client, sup.Addr(), Command{ID: 100, Origin: "t", Op: OpRestart, Target: "sup"}); ack.OK {
 		t.Fatal("restart aimed at the supervisor itself acked OK")
 	}
@@ -141,6 +155,60 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 	// through that process's own /kill, never over the SAN.
 	if ack := call(t, client, sup.Addr(), Command{ID: 101, Origin: "t", Op: "kill", Target: "cache0"}); ack.OK || !strings.Contains(ack.Err, "unknown op") {
 		t.Fatalf("retired kill op: ack %+v, want an unknown-op refusal", ack)
+	}
+}
+
+// TestSlowCommandStallsNothingElse: a restart that waits on a draining
+// component (a front end finishing its slowest request) runs off the
+// supervisor's loop. Hellos keep flowing, a command for another
+// component is executed meanwhile, and a retry of the slow command
+// itself — its origin timed out and re-sent the id — waits for the one
+// execution in progress and is answered from its result: the host is
+// called once.
+func TestSlowCommandStallsNothingElse(t *testing.T) {
+	host := newFakeHost()
+	release := make(chan struct{})
+	host.hold = map[string]chan struct{}{OpRestart + ":fe0": release}
+	sup, client := startSup(t, host)
+
+	slow := Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "fe0"}
+	acks := make(chan Ack, 2)
+	for i := 0; i < 2; i++ { // the command and its retry
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, _ := client.Call(ctx, sup.Addr(), MsgCmd, slow, 64)
+			ack, _ := resp.Body.(Ack) // a failed call reads as a refusal below
+			acks <- ack
+		}()
+	}
+	if ack := call(t, client, sup.Addr(), Command{ID: 2, Origin: "mgr/a", Op: OpSpawnWorker, Target: "echo"}); !ack.OK {
+		t.Fatalf("a command behind a slow one: %+v", ack)
+	}
+	before := sup.Stats().Hellos
+	deadline := time.Now().Add(2 * time.Second)
+	for sup.Stats().Hellos < before+3 {
+		if time.Now().After(deadline) {
+			t.Fatal("hellos stopped while a command was executing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case ack := <-acks:
+		t.Fatalf("the held restart acked early: %+v", ack)
+	default:
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if ack := <-acks; !ack.OK {
+			t.Fatalf("slow restart, delivery %d: %+v", i, ack)
+		}
+	}
+	if got := host.count(OpRestart, "fe0"); got != 1 {
+		t.Fatalf("the retry of an in-flight command reached the host: %d restarts", got)
+	}
+	if st := sup.Stats(); st.Commands != 2 || st.Dupes != 1 {
+		t.Fatalf("stats %+v, want 2 commands + 1 dupe", st)
 	}
 }
 

@@ -296,6 +296,13 @@ func (c *Client) RemoveNode(name string) {
 // Nodes returns the current partition names.
 func (c *Client) Nodes() []string { return c.ring.Nodes() }
 
+// OrigKey is the key a URL's unmodified original is cached under; its
+// variants are keyed by tacc.Pipeline.CacheKey. The one place the
+// convention is spelled (bench/ keeps a copy the benchmark owns).
+func OrigKey(url string) string { return origPrefix + url }
+
+const origPrefix = "orig|"
+
 // objectOf is the part of a cache key that names its object: leading
 // "orig|"s stripped, then cut at the first '|' or '#'. A URL's original
 // ("orig|"+URL) and its variants (URL, '|'-led stages, '#'-led profile)
@@ -304,8 +311,8 @@ func (c *Client) Nodes() []string { return c.ring.Nodes() }
 // splits (its variant keys read as originals): its paired probes miss
 // the fallback and fetch — slower, not wrong.
 func objectOf(key string) string {
-	for strings.HasPrefix(key, "orig|") {
-		key = key[len("orig|"):]
+	for strings.HasPrefix(key, origPrefix) {
+		key = key[len(origPrefix):]
 	}
 	if i := strings.IndexAny(key, "|#"); i >= 0 {
 		key = key[:i]
