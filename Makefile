@@ -17,7 +17,7 @@ test-short:
 # plus the lifecycle trio: core's component table is mutated by the
 # manager sweep, the supervisor, the exit observer and chaos at once.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/manager
+	$(GO) test -race -short ./internal/obs ./internal/san ./internal/vcache ./internal/frontend ./internal/edge ./internal/transport ./internal/chaos ./internal/core ./internal/supervisor ./internal/manager ./internal/stub ./internal/monitor ./internal/search
 
 # Non-test Go lines outside bench/ (whole tree, then internal/core,
 # internal/manager, cmd/experiments and cmd/node) — the numbers

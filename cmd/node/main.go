@@ -98,7 +98,7 @@ func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions,
 	feHTTP := fs.String("fe-http", "", "bind an HTTP adapter for every local front end on this host (port auto-assigned) and advertise it in FE heartbeats — what the edge routes to")
 	edgeRetryBudget := fs.Float64("edge-retry-budget", 0.5, "edge retry budget: retries allowed per request, as a fraction (0 disables transparent retry)")
 	reqDeadline := fs.Duration("request-deadline", 0, "end-to-end deadline stamped onto requests arriving without one (0 = none)")
-	feMaxInflight := fs.Int("fe-max-inflight", 0, "per-front-end admitted request bound; past it requests degrade to stale cache or shed (0 = default)")
+	feMaxInflight := fs.Int("fe-max-inflight", 0, "per-front-end bound on requests being handled at once, each on the goroutine that brought it; past it requests degrade to stale cache or shed (0 = 320)")
 	feHighWater := fs.Float64("fe-queue-highwater", 0, "shed at admission when the least-loaded worker's queue estimate exceeds this (0 = disabled)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "cache entry freshness TTL; expired entries survive as stale data for degraded service (0 = never stale)")
 	readyTimeout := fs.Duration("ready-timeout", 30*time.Second, "how long to wait for the cluster to become serviceable")

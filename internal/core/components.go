@@ -352,8 +352,6 @@ func (s *System) supervisorComponent() *component {
 				Host:              s,
 				HeartbeatGroup:    stub.GroupControl,
 				HeartbeatInterval: s.cfg.ReportInterval,
-				DisableKind:       stub.MsgDisable,
-				EnableKind:        stub.MsgEnable,
 				// The supervisor cannot import the stub package (stub's wire
 				// codec encodes supervisor commands), so the beacon-epoch
 				// extraction it fences stale commands with is injected here.

@@ -216,7 +216,7 @@ type Config struct {
 	// dispatch so every hop drops expired work. Zero = no deadline.
 	RequestDeadline time.Duration
 	// FEMaxInflight bounds each front end's admitted requests
-	// (0 = frontend default, the pool plus its queue; negative disables).
+	// (0 = frontend default, 320; negative disables).
 	FEMaxInflight int
 	// FEQueueHighWater sheds at admission when even the least-loaded
 	// worker's estimated queue reaches this depth (0 = off).

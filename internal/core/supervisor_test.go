@@ -271,11 +271,6 @@ func TestRestartWorkerKeepsIdentity(t *testing.T) {
 	})
 	client := s.Net.Endpoint(san.Addr{Node: addr.Node, Proc: "upgrade-client"}, 8)
 	defer client.Close()
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	resp, err := client.Call(ctx, hb.Addr, supervisor.MsgCmd, supervisor.Command{

@@ -35,7 +35,6 @@ func TestConcurrentMissesCoalesceToOneFetch(t *testing.T) {
 	counter := &countingFetcher{inner: static, delay: 50 * time.Millisecond}
 	fe, _, _ := startFE(t, func(cfg *Config) {
 		cfg.Origin = counter
-		cfg.Threads = 32
 	})
 	static.Put("http://a/hot.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 
@@ -81,7 +80,6 @@ func TestConcurrentDistillMissesCoalesce(t *testing.T) {
 	counter := &countingFetcher{inner: static, delay: 20 * time.Millisecond}
 	fe, _, _ := startFE(t, func(cfg *Config) {
 		cfg.Origin = counter
-		cfg.Threads = 32
 		cfg.Rules = func(url, mime string, profile map[string]string) tacc.Pipeline {
 			return tacc.Pipeline{{Class: "distill-sjpg"}}
 		}

@@ -2,8 +2,10 @@
 // component that presents the service interface to the outside world,
 // shepherds each request — pair it with the user's profile, probe the
 // virtual cache, dispatch a distiller pipeline via the manager stub,
-// fall back to originals when workers fail — and sustains throughput
-// with a large worker pool despite long blocking operations.
+// fall back to originals when workers fail. The goroutine that calls Do
+// is the paper's front-end thread: it blocks on the cache, the origin and
+// the distiller itself, each answer arriving on its own Call, and
+// Config.MaxInflight bounds how many do so at once.
 //
 // The front end also hosts the service's control decisions: dispatch
 // rules live here ("the behavior of the service as a whole [is]
@@ -96,10 +98,6 @@ type Config struct {
 	// CacheNodes maps cache partition names to their addresses.
 	CacheNodes map[string]san.Addr
 
-	// Threads is the worker-pool size (the paper's production front
-	// end ran ~400 threads). Default 64. The pending-request queue
-	// holds queuePerThread requests per thread.
-	Threads int
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
 	// HeartbeatInterval paces FE heartbeats to the manager.
@@ -130,12 +128,11 @@ type Config struct {
 	// of executing it. Zero leaves requests unbounded (the caller's
 	// context still applies).
 	RequestDeadline time.Duration
-	// MaxInflight bounds concurrently admitted requests (queued plus
-	// executing). Requests beyond it take the degraded path — a stale
-	// cache answer when one exists, a fast typed ErrOverloaded reply
-	// otherwise — rather than queueing into a deadline they cannot
-	// meet. Zero defaults to threads plus queue (the pool's natural
-	// capacity); negative disables the check.
+	// MaxInflight bounds concurrently admitted requests. Requests beyond
+	// it take the degraded path — a stale cache answer when one exists,
+	// a fast typed ErrOverloaded reply otherwise — rather than piling
+	// into a deadline they cannot meet. Zero defaults to
+	// defaultMaxInflight; negative disables the check.
 	MaxInflight int
 	// QueueHighWater, when positive, sheds on the lottery estimator's
 	// queue-delta signal: if even the least-loaded worker's estimated
@@ -159,13 +156,11 @@ type Config struct {
 // miss penalty (§4.4).
 const fetchTimeout = 2 * time.Minute
 
-// queuePerThread sizes the pending-request queue against the pool.
-const queuePerThread = 4
+// defaultMaxInflight is Config.MaxInflight's default, of the order of
+// the ~400 threads the paper's production front end ran.
+const defaultMaxInflight = 320
 
 func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = 64
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = stub.DefaultBeaconInterval
 	}
@@ -173,7 +168,7 @@ func (c Config) withDefaults() Config {
 		c.MinDistillSize = 1024
 	}
 	if c.MaxInflight == 0 {
-		c.MaxInflight = (1 + queuePerThread) * c.Threads
+		c.MaxInflight = defaultMaxInflight
 	}
 	return c
 }
@@ -198,18 +193,11 @@ type Stats struct {
 	// Shed counts requests refused outright at admission (typed
 	// ErrOverloaded, no degraded answer existed); DegradedServes
 	// counts saturated requests answered from stale/undistilled cache
-	// data instead; Expired counts queued requests dropped at dequeue
-	// because their deadline had already passed.
+	// data instead; Expired counts admitted requests dropped before any
+	// work because their deadline had already passed.
 	Shed           uint64
 	DegradedServes uint64
 	Expired        uint64
-}
-
-type job struct {
-	ctx  context.Context
-	req  Request
-	resp chan Response
-	err  chan error
 }
 
 // FrontEnd implements cluster.Process.
@@ -219,17 +207,20 @@ type FrontEnd struct {
 
 	mstub *stub.ManagerStub
 	cache *vcache.Client
-	jobs  chan job
 
 	// Miss coalescing: concurrent requests for one original (or one
 	// distilled variant) share a single origin fetch (or dispatch).
 	origFlight    stub.FlightGroup[tacc.Blob]
 	distillFlight stub.FlightGroup[tacc.Blob]
 
-	running  atomic.Bool
-	runDone  atomic.Pointer[chan struct{}] // closed when the current Run exits
-	inflight atomic.Int64                  // admitted requests currently queued or executing
-	lastBP   atomic.Uint64                 // last BackpressureFn sample (delta = congestion)
+	// life is the current Run's context, nil while no Run is live. Every
+	// wait a request makes ends with it — a Call when Run closes the
+	// endpoint, a flight because it runs under life — so a request caught
+	// by a kill returns at once, and Do answers it with a typed error
+	// (the caller may hold no deadline, e.g. the edge's HTTP adapter).
+	life     atomic.Pointer[context.Context]
+	inflight atomic.Int64  // admitted requests currently executing
+	lastBP   atomic.Uint64 // last BackpressureFn sample (delta = congestion)
 	stats    struct {
 		requests, cacheDistilled, cacheOriginal, originFetches atomic.Uint64
 		distilled, passedThrough, fallbacks, errors            atomic.Uint64
@@ -244,7 +235,7 @@ type FrontEnd struct {
 // New creates a front end and eagerly registers its endpoint.
 func New(cfg Config) *FrontEnd {
 	cfg = cfg.withDefaults()
-	fe := &FrontEnd{cfg: cfg, jobs: make(chan job, queuePerThread*cfg.Threads)}
+	fe := &FrontEnd{cfg: cfg}
 	fe.ep = cfg.Net.Endpoint(fe.addr(), 4096)
 	fe.mstub = stub.NewManagerStub(fe.ep, cfg.ManagerStub)
 	fe.cache = fe.newCacheClient()
@@ -298,9 +289,10 @@ func (fe *FrontEnd) Stats() Stats {
 }
 
 // Running reports whether the front end's Run loop is live.
-func (fe *FrontEnd) Running() bool { return fe.running.Load() }
+func (fe *FrontEnd) Running() bool { return fe.life.Load() != nil }
 
-// Run implements cluster.Process: receive loop plus worker pool.
+// Run implements cluster.Process: the control-plane receive loop
+// (beacons, heartbeats, disable/enable). Requests never pass through it.
 func (fe *FrontEnd) Run(ctx context.Context) error {
 	if fe.ep == nil || !fe.cfg.Net.Lookup(fe.addr()) {
 		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), 4096)
@@ -312,15 +304,10 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 	defer fe.mstub.Stop()
 	ep.Join(stub.GroupControl)
 
-	fe.running.Store(true)
-	defer fe.running.Store(false)
-	// Closed on exit so Do calls whose job is still queued when the FE
-	// dies fail fast instead of waiting on a worker that will never
-	// answer (the caller may hold no deadline — e.g. the edge's HTTP
-	// adapter — and a killed FE must read as an error, not a hang).
-	done := make(chan struct{})
-	fe.runDone.Store(&done)
-	defer close(done)
+	ctx, stop := context.WithCancel(ctx)
+	defer stop() // after life reads nil: ends every flight this Run's requests started
+	fe.life.Store(&ctx)
+	defer fe.life.Store(nil)
 	cache := fe.cache // a respawn replaces the field; this Run's collector reads this Run's client
 	fe.cfg.Net.Registry().SetCollector("fe."+fe.cfg.Name, func(emit func(string, float64)) {
 		st := fe.Stats()
@@ -340,32 +327,8 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		writes, writeErrs := cache.WriteStats()
 		emit("cache_writes", float64(writes))
 		emit("cache_write_errors", float64(writeErrs))
-		emit("queue", float64(len(fe.jobs)))
 		emit("inflight", float64(fe.inflight.Load()))
 	})
-
-	var wg sync.WaitGroup
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	for i := 0; i < fe.cfg.Threads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-wctx.Done():
-					return
-				case j := <-fe.jobs:
-					resp, err := fe.handle(j.ctx, wctx, j.req)
-					if err != nil {
-						j.err <- err
-					} else {
-						j.resp <- resp
-					}
-				}
-			}
-		}()
-	}
 
 	hb := time.NewTicker(fe.cfg.HeartbeatInterval)
 	defer hb.Stop()
@@ -375,15 +338,11 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			wcancel()
-			wg.Wait()
 			return nil
 		case <-hb.C:
 			fe.heartbeat(ep)
 		case msg, ok := <-ep.Inbox():
 			if !ok {
-				wcancel()
-				wg.Wait()
 				return fmt.Errorf("frontend: %s endpoint closed", fe.cfg.Name)
 			}
 			if fe.mstub.HandleMessage(msg) {
@@ -446,10 +405,9 @@ var ErrDisabled = fmt.Errorf("frontend: disabled for upgrade")
 
 // ErrOverloaded is the typed overload reply: the front end shed the
 // request at admission (saturated, and not even a degraded answer
-// existed) or found its queue full. It is deliberately fast — no
-// worker capacity, origin fetch, or dispatch retry was spent before
-// returning it.
-var ErrOverloaded = fmt.Errorf("frontend: request queue full")
+// existed). It is deliberately fast — no worker capacity, origin
+// fetch, or dispatch retry was spent before returning it.
+var ErrOverloaded = fmt.Errorf("frontend: overloaded")
 
 // saturated is the admission-control estimator: it combines the local
 // in-flight count, the lottery scheduler's queue-delta extrapolation
@@ -490,15 +448,11 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 	if disabled {
 		return Response{}, ErrDisabled
 	}
-	if !fe.running.Load() {
+	lp := fe.life.Load()
+	if lp == nil {
 		return Response{}, fmt.Errorf("frontend: %s not running", fe.cfg.Name)
 	}
-	// The current run's death signal: if the FE is killed after this
-	// job lands in the queue, no worker will ever answer it.
-	var done chan struct{}
-	if p := fe.runDone.Load(); p != nil {
-		done = *p
-	}
+	life := *lp
 	if fe.cfg.RequestDeadline > 0 {
 		if _, has := ctx.Deadline(); !has {
 			var cancel context.CancelFunc
@@ -536,50 +490,32 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 	}
 
 	if !fe.saturated() {
-		j := job{ctx: ctx, req: req, resp: make(chan Response, 1), err: make(chan error, 1)}
-		select {
-		case fe.jobs <- j:
-			if trace.Sampled() {
-				tracer.Record(obs.Span{
-					Trace: trace, Comp: fe.cfg.Name, Hop: "fe.admit", Note: "ok",
-					Start: start.UnixNano(), Dur: int64(time.Since(start)),
-				})
-			}
-			fe.inflight.Add(1)
-			defer fe.inflight.Add(-1)
-			select {
-			case resp := <-j.resp:
-				resp.Trace = trace
-				finish(resp.Source, false)
-				return resp, nil
-			case err := <-j.err:
-				finish("error", false)
-				return Response{}, err
-			case <-ctx.Done():
-				finish("expired", true)
-				return Response{}, ctx.Err()
-			case <-done:
-				// The run exited — but a worker may have answered just
-				// before it did, so prefer a buffered result over the
-				// death signal.
-				select {
-				case resp := <-j.resp:
-					resp.Trace = trace
-					finish(resp.Source, false)
-					return resp, nil
-				case err := <-j.err:
-					finish("error", false)
-					return Response{}, err
-				default:
-					fe.stats.errors.Add(1)
-					finish("stopped", true)
-					return Response{}, fmt.Errorf("frontend: %s stopped", fe.cfg.Name)
-				}
-			}
-		default:
-			// Queue full is saturation by definition: fall through to
-			// the degraded path.
+		if trace.Sampled() {
+			tracer.Record(obs.Span{
+				Trace: trace, Comp: fe.cfg.Name, Hop: "fe.admit", Note: "ok",
+				Start: start.UnixNano(), Dur: int64(time.Since(start)),
+			})
 		}
+		fe.inflight.Add(1)
+		resp, err := fe.handle(ctx, life, req)
+		fe.inflight.Add(-1)
+		switch {
+		case life.Err() != nil:
+			resp.Release()
+			fe.stats.errors.Add(1)
+			finish("stopped", true)
+			return Response{}, fmt.Errorf("frontend: %s stopped", fe.cfg.Name)
+		case ctx.Err() != nil:
+			resp.Release()
+			finish("expired", true)
+			return Response{}, ctx.Err()
+		case err != nil:
+			finish("error", false)
+			return Response{}, err
+		}
+		resp.Trace = trace
+		finish(resp.Source, false)
+		return resp, nil
 	}
 	if resp, ok := fe.degradedServe(ctx, req); ok {
 		tracer.ForceRecord(obs.Span{
@@ -603,7 +539,7 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 // degradedServe is the BASE harvest reduction an overloaded front end
 // applies before refusing a request: answer from whatever the cache
 // holds — the distilled variant or the original, fresh or past its TTL
-// — without consuming a worker-pool slot, an origin fetch, or a
+// — without consuming an admission slot, an origin fetch, or a
 // dispatch. A fresh distilled hit is a full-quality answer and not
 // marked Degraded (the cache probe is cheap either way); anything
 // else served here is.
@@ -641,18 +577,20 @@ func probeKeys(pipeline tacc.Pipeline, distillKey, origKey string) (key, elseKey
 	return distillKey, origKey
 }
 
-// handle shepherds one request end to end. life is the front end's
-// own lifecycle context: coalesced flights detach from the individual
-// request's ctx (one departing client must not fail the whole flight)
-// but still die with the process.
+// handle shepherds one request end to end on the caller's goroutine.
+// life is the admitting Run's context: coalesced flights detach from the
+// individual request's ctx (one departing client must not fail the whole
+// flight) but still die with the process. The flight's leader stays with
+// it, as the paper's thread does, so a leader pinned on a slow origin
+// outlasts its own deadline by up to the fetch.
 func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, error) {
 	fe.stats.requests.Add(1)
 	tracer := fe.cfg.Net.Tracer()
 	trace := obs.TraceFrom(ctx)
 
-	// 0. Drop expired work at dequeue: a request whose deadline passed
-	// while it aged in the job queue has nobody awaiting it — the same
-	// rule the workers apply to their inboxes.
+	// 0. Drop expired work at entry: a request whose deadline has already
+	// passed has nobody awaiting it — the same rule the workers apply to
+	// their inboxes.
 	if err := ctx.Err(); err != nil {
 		fe.stats.expired.Add(1)
 		tracer.ForceRecord(obs.Span{

@@ -36,7 +36,6 @@ func benchFE(b *testing.B, mutate func(*Config)) (*FrontEnd, *origin.Static) {
 		Net:         net,
 		Origin:      static,
 		CacheNodes:  map[string]san.Addr{"cache0": svc.Addr()},
-		Threads:     64,
 		ManagerStub: stub.ManagerStubConfig{CallTimeout: 50 * time.Millisecond},
 	}
 	if mutate != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,7 +54,6 @@ func startFEOn(t *testing.T, net *san.Network, mutate func(*Config)) (*FrontEnd,
 		Profiles:       profiledb.NewReadCache(db),
 		Origin:         static,
 		CacheNodes:     map[string]san.Addr{"cache0": svc.Addr()},
-		Threads:        8,
 		MinDistillSize: 100,
 		ManagerStub:    stub.ManagerStubConfig{CallTimeout: 50 * time.Millisecond},
 	}
@@ -204,12 +204,11 @@ func (s slowFetcher) Fetch(ctx context.Context, url string) (tacc.Blob, error) {
 }
 
 func TestOverload(t *testing.T) {
-	// A tiny pool with a slow origin: fill both admission slots with
-	// slow fetches, and the front end sheds further load instead of
-	// blocking forever.
+	// An inflight bound of two and a slow origin: fill both admission
+	// slots with slow fetches, and the front end sheds further load
+	// instead of blocking forever. MaxInflight alone decides.
 	static := origin.NewStatic()
 	fe, _, _ := startFE(t, func(cfg *Config) {
-		cfg.Threads = 1
 		cfg.MaxInflight = 2
 		cfg.Origin = slowFetcher{inner: static, delay: time.Second}
 	})
@@ -219,8 +218,8 @@ func TestOverload(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Occupy both inflight slots: one request on the worker thread,
-	// one in the queue, each pinned to the origin for a full second.
+	// Occupy both inflight slots, each pinned to the origin for a full
+	// second.
 	done := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
@@ -241,9 +240,126 @@ func TestOverload(t *testing.T) {
 	if st := fe.Stats(); st.Shed == 0 {
 		t.Fatalf("stats = %+v, want Shed > 0", st)
 	}
-	cancel() // release the pinned requests
+	<-done // each leader stays with its fetch to the end
 	<-done
-	<-done
+	waitFor(t, "inflight back to zero", func() bool { return fe.inflight.Load() == 0 })
+}
+
+// TestHitNeedsNoRunLoop: a request's cache answer goes from the SAN to
+// the goroutine inside Do, so a hit completes while the front end's Run
+// loop is stuck (here inside its own heartbeat's stats collection).
+func TestHitNeedsNoRunLoop(t *testing.T) {
+	fe, _, static := startFE(t, func(cfg *Config) { cfg.HeartbeatInterval = 5 * time.Millisecond })
+	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
+	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"}); err != nil {
+		t.Fatal(err)
+	}
+	stuck, gate := make(chan struct{}, 1), make(chan struct{})
+	t.Cleanup(func() { close(gate) }) // before StopAll, which waits for Run
+	fe.cfg.Net.Registry().SetCollector("fe.fe0", func(func(string, float64)) {
+		select {
+		case stuck <- struct{}{}:
+		default:
+		}
+		<-gate
+	})
+	<-stuck
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	resp, err := fe.Do(ctx, Request{URL: "http://a/x.bin"})
+	if err != nil || resp.Source != "original" || fe.Stats().CacheOriginal != 1 {
+		t.Fatalf("hit behind a stuck Run loop: resp %+v, err %v, stats %+v", resp, err, fe.Stats())
+	}
+}
+
+// TestKillWhilePinned: a front end killed while a request waits — on a
+// slow origin, or in a Call to a cache partition that never answers —
+// returns it with the typed stopped error at once: every wait a request
+// makes ends with the Run that admitted it.
+func TestKillWhilePinned(t *testing.T) {
+	static := origin.NewStatic()
+	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
+	for name, pin := range map[string]func(*Config){
+		"origin": func(cfg *Config) { cfg.Origin = slowFetcher{inner: static, delay: time.Minute} },
+		"cache": func(cfg *Config) {
+			cfg.Origin = static
+			cfg.CacheTimeout = time.Minute
+			cfg.CacheNodes = map[string]san.Addr{"mute": cfg.Net.Endpoint(san.Addr{Node: "c-node", Proc: "mute"}, 8).Addr()}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fe, cl, _ := startFE(t, pin)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"})
+				errc <- err
+			}()
+			waitFor(t, "request pinned", func() bool { return fe.inflight.Load() == 1 })
+			if err := cl.KillProcess("fe-node", "fe0"); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), "fe0 stopped") {
+					t.Fatalf("err = %v, want the typed stopped error", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Do still pinned 2 s after its front end was killed")
+			}
+			if n := fe.inflight.Load(); n != 0 {
+				t.Fatalf("inflight = %d after the kill", n)
+			}
+		})
+	}
+}
+
+// barrierFetcher holds every fetch until want of them are in it at
+// once, or fails the fetch after a timeout.
+type barrierFetcher struct {
+	inner   origin.Fetcher
+	want    int32
+	arrived atomic.Int32
+	all     chan struct{}
+}
+
+func (b *barrierFetcher) Fetch(ctx context.Context, url string) (tacc.Blob, error) {
+	if b.arrived.Add(1) == b.want {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return b.inner.Fetch(ctx, url)
+	case <-time.After(5 * time.Second):
+		return tacc.Blob{}, fmt.Errorf("only %d of %d fetches ever ran at once", b.arrived.Load(), b.want)
+	}
+}
+
+// TestRequestsRunOnTheirOwnGoroutines: 100 concurrent requests on a slow
+// origin are all at the origin at the same moment — none waits behind a
+// pool narrower than the admission bound — and every slot comes back.
+func TestRequestsRunOnTheirOwnGoroutines(t *testing.T) {
+	const n = 100
+	static := origin.NewStatic()
+	fe, _, _ := startFE(t, func(cfg *Config) {
+		cfg.Origin = &barrierFetcher{inner: static, want: n, all: make(chan struct{})}
+	})
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		url := fmt.Sprintf("http://a/x%d.bin", i)
+		static.Put(url, tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
+		go func() {
+			_, err := fe.Do(context.Background(), Request{URL: url})
+			errc <- err
+		}()
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fe.inflight.Load(); got != 0 {
+		t.Fatalf("inflight = %d after every request returned", got)
+	}
 }
 
 func TestDisabledFrontEndRejects(t *testing.T) {

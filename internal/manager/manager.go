@@ -485,12 +485,6 @@ func (m *Manager) observeBeacon(b stub.Beacon) {
 }
 
 func (m *Manager) handle(msg san.Message) {
-	if msg.Reply {
-		// Acks from supervisor commands route back into their pending
-		// Calls.
-		m.ep.DeliverReply(msg)
-		return
-	}
 	// Every message kind the manager consumes has a body type of its
 	// own, so the body selects the case.
 	switch b := msg.Body.(type) {

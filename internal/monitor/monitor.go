@@ -129,11 +129,6 @@ func (m *Monitor) Run(ctx context.Context) error {
 }
 
 func (m *Monitor) handle(msg san.Message) {
-	if msg.Reply {
-		// Acks for supervisor commands issued by an upgrade wave.
-		m.ep.DeliverReply(msg)
-		return
-	}
 	switch msg.Kind {
 	case stub.MsgMonReport:
 		r, ok := msg.Body.(stub.StatusReport)

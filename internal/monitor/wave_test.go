@@ -29,10 +29,9 @@ func (h *waveHost) Restart(id string) error {
 	h.restarted = append(h.restarted, id)
 	return nil
 }
-func (h *waveHost) SpawnWorker(string) error     { return nil }
-func (h *waveHost) ReapWorker(string) error      { return nil }
-func (h *waveHost) Addr(string) (san.Addr, bool) { return san.Addr{}, false }
-func (h *waveHost) Roster() []supervisor.Row     { return nil }
+func (h *waveHost) SpawnWorker(string) error { return nil }
+func (h *waveHost) ReapWorker(string) error  { return nil }
+func (h *waveHost) Roster() []supervisor.Row { return nil }
 
 func (h *waveHost) ids() []string {
 	h.mu.Lock()

@@ -5,7 +5,10 @@
 // injection: message loss, latency, and network partitions.
 //
 // The network is in-process: endpoints are registered per logical
-// process and messages are delivered to buffered inboxes. Components
+// process and messages are delivered to buffered inboxes, except the
+// reply to a Call, which delivery hands to the goroutine waiting in
+// that Call: an endpoint's receive loop never sees one, and an endpoint
+// that only calls needs no loop at all. Components
 // communicate only through this interface, so the protocol paths are
 // identical to a wire implementation; the impairment knobs let tests
 // reproduce the paper's SAN saturation and partition scenarios.
@@ -912,8 +915,12 @@ func (e *Endpoint) chance(p float64) bool {
 	return e.rng.Float64() < p
 }
 
-// push attempts non-blocking delivery.
+// push attempts non-blocking delivery: a reply goes straight to the
+// Call that awaits it, everything else to the inbox.
 func (e *Endpoint) push(msg Message) bool {
+	if msg.Reply && msg.CallID != 0 {
+		return !e.closed.Load() && e.DeliverReply(msg)
+	}
 	e.closeMu.RLock()
 	if e.closed.Load() {
 		e.closeMu.RUnlock()
@@ -1208,10 +1215,11 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 
 // Call sends a request and waits for the matching reply or context
 // cancellation. The component owning the destination endpoint must
-// respond via Respond. The caller's receive loop must route reply
-// messages through DeliverReply. The context's deadline, if any, is
-// stamped on the delivered request (Message.Deadline) so the callee
-// can skip work nobody will wait for.
+// respond via Respond; the SAN hands that reply to this goroutine at
+// delivery (push), never to the inbox, so an endpoint that only calls
+// needs no receive loop. The context's deadline, if any, is stamped on
+// the delivered request (Message.Deadline) so the callee can skip work
+// nobody will wait for.
 func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, size int) (Message, error) {
 	if e.closed.Load() {
 		return Message{}, ErrClosed
@@ -1247,9 +1255,10 @@ func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, siz
 	}
 }
 
-// DeliverReply routes a reply message to a waiting Call. It returns
-// true if the message was consumed. Receive loops should call this
-// first for every inbound message.
+// DeliverReply hands a reply to the Call that awaits it and reports
+// whether msg was a reply. push is its only caller that ever sees one;
+// it stays exported for bench/layers.go, whose pump over the inbox now
+// idles (ROADMAP item 6 un-exports it).
 func (e *Endpoint) DeliverReply(msg Message) bool {
 	if !msg.Reply || msg.CallID == 0 {
 		return false

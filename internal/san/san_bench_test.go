@@ -49,11 +49,6 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 			server.Respond(msg, "pong", nil, 16)
 		}
 	}()
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package san
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -140,12 +141,6 @@ func TestCallRespond(t *testing.T) {
 			}
 		}
 	}()
-	// The client receive loop routes replies.
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -163,11 +158,6 @@ func TestCallTimeout(t *testing.T) {
 	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	n.Endpoint(addr("n2", "server"), 8) // never answers
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	_, err := client.Call(ctx, addr("n2", "server"), "add", 1, 8)
@@ -193,23 +183,112 @@ func TestLateReplyIsConsumedQuietly(t *testing.T) {
 	server := n.Endpoint(addr("n2", "server"), 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	go func() {
-		for msg := range client.Inbox() {
-			if !client.DeliverReply(msg) {
-				t.Error("late reply not consumed")
-			}
-		}
-	}()
 	_, err := client.Call(ctx, server.Addr(), "slow", nil, 0)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
-	// Server answers after the caller gave up.
+	// Server answers after the caller gave up: the reply counts as
+	// delivered and is consumed there, never parked in the inbox.
 	req := <-server.Inbox()
+	sent := n.Stats().Sent
 	if err := server.Respond(req, "late", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	if st := n.Stats(); st.Sent != sent+1 || st.Dropped != 0 || len(client.Inbox()) != 0 {
+		t.Fatalf("late reply: stats %+v, inbox %d; want one more sent, none dropped, inbox empty", st, len(client.Inbox()))
+	}
+}
+
+// viewCodec is countingCodec decoding zero-copy: the body is the wire
+// bytes themselves, so every delivery carries a lease.
+type viewCodec struct{ countingCodec }
+
+func (c *viewCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
+	return data, true, nil
+}
+
+// TestCallNeedsNoReceiveLoop: delivery hands a reply to the Call that
+// awaits it, so the call completes on an endpoint whose inbox nobody
+// reads and which is full — in every delivery mode.
+func TestCallNeedsNoReceiveLoop(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"passthrough": nil,
+		"wire":        {WithCodec(&countingCodec{})},
+		"view":        {WithCodec(&viewCodec{})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := NewNetwork(1, opts...)
+			client := n.Endpoint(addr("n1", "client"), 2)
+			server := n.Endpoint(addr("n2", "server"), 2)
+			for i := 0; i < 3; i++ { // the third finds the inbox full
+				if err := server.Send(client.Addr(), "noise", "x", 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := n.Stats(); st.Sent != 2 || st.Dropped != 1 {
+				t.Fatalf("inbox not full: %+v", st)
+			}
+			go func() {
+				req := <-server.Inbox()
+				req.Release()
+				server.Respond(req, "pong", "pong", 4)
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			resp, err := client.Call(ctx, server.Addr(), "ping", "ping", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (resp.Lease != nil) != (name == "view") {
+				t.Fatalf("reply lease = %v in %s mode", resp.Lease, name)
+			}
+			resp.Release()
+			if len(client.Inbox()) != 2 {
+				t.Fatalf("inbox holds %d messages, want the 2 it was filled with", len(client.Inbox()))
+			}
+		})
+	}
+}
+
+// TestCloseDuringReply: replies racing their caller's Close reach the
+// Call or are dropped — never a send on a closed channel, never a
+// pending call left behind. Run with -race -count=50.
+func TestCloseDuringReply(t *testing.T) {
+	n := NewNetwork(1, WithCodec(&viewCodec{}))
+	server := n.Endpoint(addr("n2", "server"), 64)
+	go func() {
+		for req := range server.Inbox() {
+			req.Release()
+			server.Respond(req, "pong", "pong", 4)
+		}
+	}()
+	defer server.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for round := 0; round < 100; round++ {
+		client := n.Endpoint(addr("n1", "client"), 1)
+		const callers = 4
+		errc := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			go func() {
+				resp, err := client.Call(ctx, server.Addr(), "ping", "ping", 4)
+				resp.Release()
+				errc <- err
+			}()
+		}
+		client.Close()
+		for c := 0; c < callers; c++ {
+			if err := <-errc; err != nil && !errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		client.mu.Lock()
+		left := len(client.pending)
+		client.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("round %d: %d pending calls survive Close", round, left)
+		}
+	}
 }
 
 func TestDropNode(t *testing.T) {

@@ -25,11 +25,6 @@ func TestCallPropagatesTrace(t *testing.T) {
 			return
 		}
 	}()
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(obs.WithTrace(context.Background(), id), time.Second)
 	defer cancel()

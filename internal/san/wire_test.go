@@ -205,11 +205,6 @@ func TestWireCallRoundTrip(t *testing.T) {
 			}
 		}
 	}()
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	resp, err := client.Call(ctx, server.Addr(), "add", "41", 2)

@@ -131,7 +131,6 @@ type Engine struct {
 	cfg    Config
 	total  int
 	ep     *san.Endpoint
-	pump   sync.Once
 	shards []shardHosting
 
 	mu    sync.Mutex
@@ -207,17 +206,6 @@ func Deploy(cfg Config, docs []Doc) (*Engine, error) {
 	return e, nil
 }
 
-// startPump launches the reply router once.
-func (e *Engine) startPump() {
-	e.pump.Do(func() {
-		go func() {
-			for msg := range e.ep.Inbox() {
-				e.ep.DeliverReply(msg)
-			}
-		}()
-	})
-}
-
 // Stats returns engine counters.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
@@ -231,7 +219,6 @@ func (e *Engine) TotalDocs() int { return e.total }
 // Query fans the query out to every partition in parallel, collates
 // the top k, and caches the result for incremental delivery.
 func (e *Engine) Query(ctx context.Context, query string, k int) QueryResult {
-	e.startPump()
 	e.mu.Lock()
 	e.stats.Queries++
 	if cached, ok := e.cache.get(query); ok {

@@ -107,7 +107,7 @@ type ManagerStubStats struct {
 
 // NewManagerStub builds a stub over the front end's endpoint. The
 // owner's receive loop must route every inbound message through
-// HandleMessage (which also routes replies).
+// HandleMessage.
 func NewManagerStub(ep *san.Endpoint, cfg ManagerStubConfig) *ManagerStub {
 	cfg = cfg.withDefaults()
 	ms := &ManagerStub{
@@ -138,9 +138,6 @@ func (ms *ManagerStub) Stop() {
 // stub; it returns true when consumed. Call it for every message the
 // front end receives.
 func (ms *ManagerStub) HandleMessage(msg san.Message) bool {
-	if ms.ep.DeliverReply(msg) {
-		return true
-	}
 	if msg.Kind != MsgBeacon {
 		return false
 	}

@@ -52,10 +52,6 @@ const (
 	// OpReap retires such an extra by id, gracefully: it de-registers on
 	// its way out and leaves the roster.
 	OpReap = "reap"
-	// OpDisable / OpEnable forward a hot-upgrade disable/enable control
-	// message to the named local component (§2.1).
-	OpDisable = "disable"
-	OpEnable  = "enable"
 )
 
 // Row kinds: the clone sets a process hosts several instances of.
@@ -146,9 +142,6 @@ type Host interface {
 	SpawnWorker(class string) error
 	// ReapWorker gracefully stops a worker SpawnWorker started.
 	ReapWorker(id string) error
-	// Addr resolves a hosted component's SAN address (for forwarded
-	// disable/enable control messages).
-	Addr(name string) (san.Addr, bool)
 	// Roster lists every row of the process's component table.
 	Roster() []Row
 }
@@ -169,11 +162,6 @@ type Config struct {
 	// group to stub.GroupControl.
 	HeartbeatGroup    string
 	HeartbeatInterval time.Duration
-	// DisableKind/EnableKind are the control message kinds forwarded
-	// to components for OpDisable/OpEnable (the platform wires
-	// stub.MsgDisable/stub.MsgEnable).
-	DisableKind string
-	EnableKind  string
 	// EpochFrom, when set, makes Run join HeartbeatGroup and extract
 	// an election epoch from every group message it sees (the platform
 	// wires a closure that recognizes manager beacons — the supervisor
@@ -440,10 +428,6 @@ func (s *Supervisor) execute(cmd Command) Ack {
 			err = s.cfg.Host.SpawnWorker(cmd.Target)
 		case OpReap:
 			err = s.cfg.Host.ReapWorker(cmd.Target)
-		case OpDisable:
-			err = s.forwardControl(cmd.Target, s.cfg.DisableKind)
-		case OpEnable:
-			err = s.forwardControl(cmd.Target, s.cfg.EnableKind)
 		default:
 			err = fmt.Errorf("supervisor: unknown op %q", cmd.Op)
 		}
@@ -453,17 +437,4 @@ func (s *Supervisor) execute(cmd Command) Ack {
 		return Ack{ID: cmd.ID, Err: err.Error()}
 	}
 	return Ack{ID: cmd.ID, OK: true}
-}
-
-// forwardControl sends a hot-upgrade control message to a hosted
-// component resolved by name.
-func (s *Supervisor) forwardControl(name, kind string) error {
-	if kind == "" {
-		return fmt.Errorf("supervisor: no control kind configured")
-	}
-	addr, ok := s.cfg.Host.Addr(name)
-	if !ok {
-		return fmt.Errorf("supervisor: unknown component %s", name)
-	}
-	return s.ep.Send(addr, kind, nil, 16)
 }

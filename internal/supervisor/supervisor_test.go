@@ -14,18 +14,16 @@ import (
 
 // fakeHost records every action; failures are switchable per op.
 type fakeHost struct {
-	mu        sync.Mutex
-	restarts  map[string]int // op+":"+target -> count
-	failNext  map[string]error
-	compAddrs map[string]san.Addr
-	hold      map[string]chan struct{} // op+":"+target -> the action blocks until closed
+	mu       sync.Mutex
+	restarts map[string]int // op+":"+target -> count
+	failNext map[string]error
+	hold     map[string]chan struct{} // op+":"+target -> the action blocks until closed
 }
 
 func newFakeHost() *fakeHost {
 	return &fakeHost{
-		restarts:  make(map[string]int),
-		failNext:  make(map[string]error),
-		compAddrs: make(map[string]san.Addr),
+		restarts: make(map[string]int),
+		failNext: make(map[string]error),
 	}
 }
 
@@ -55,12 +53,6 @@ func (h *fakeHost) count(op, target string) int {
 func (h *fakeHost) Restart(name string) error      { return h.act(OpRestart, name) }
 func (h *fakeHost) SpawnWorker(class string) error { return h.act(OpSpawnWorker, class) }
 func (h *fakeHost) ReapWorker(id string) error     { return h.act(OpReap, id) }
-func (h *fakeHost) Addr(name string) (san.Addr, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	a, ok := h.compAddrs[name]
-	return a, ok
-}
 
 // Roster is a fixed two-row table: enough to see it ride the hello.
 func (h *fakeHost) Roster() []Row {
@@ -75,18 +67,12 @@ func startSup(t *testing.T, host Host) (*Supervisor, *san.Endpoint) {
 	sup := New(Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "b-", Host: host,
 		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
-		DisableKind: "ctl.disable", EnableKind: "ctl.enable",
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go sup.Run(ctx)
 
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 	return sup, client
 }
 
@@ -108,8 +94,8 @@ func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
 // TestCommandsExecuteThroughHost: every restart/spawn/reap op reaches
 // the host exactly once and acks OK, and a redelivery of the same
 // command id is answered from the result cache, not executed again. The
-// three per-kind restart spellings retired with PR 13's senders are
-// unknown ops now: refused, zero host calls.
+// three per-kind restart spellings retired with PR 13's senders, and
+// the forwarded disable, are unknown ops now: refused, zero host calls.
 func TestCommandsExecuteThroughHost(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
@@ -136,6 +122,7 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 	}
 	for i, c := range []struct{ op, target string }{
 		{"restart-frontend", "fe0"}, {"restart-cache", "cache1"}, {"restart-worker", "echo.3"},
+		{"disable", "echo.3"}, // no sender since the monitor disables workers over the SAN itself
 	} {
 		ack := call(t, client, sup.Addr(), Command{ID: uint64(50 + i), Origin: "t", Op: c.op, Target: c.target})
 		if ack.OK || !strings.Contains(ack.Err, "unknown op") || host.count(OpRestart, c.target) != 0 {
@@ -273,47 +260,6 @@ func TestFailedCommandAcksError(t *testing.T) {
 	}
 }
 
-// TestDisableEnableForwarded: OpDisable/OpEnable resolve the component
-// address through the host and forward the configured control kinds.
-func TestDisableEnableForwarded(t *testing.T) {
-	host := newFakeHost()
-	sup, client := startSup(t, host)
-
-	comp := client // reuse the client's network
-	compEp := sup.cfg.Net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 8)
-	host.mu.Lock()
-	host.compAddrs["w0"] = compEp.Addr()
-	host.mu.Unlock()
-	_ = comp
-
-	if ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpDisable, Target: "w0"}); !ack.OK {
-		t.Fatalf("disable ack %+v", ack)
-	}
-	select {
-	case msg := <-compEp.Inbox():
-		if msg.Kind != "ctl.disable" {
-			t.Fatalf("component got kind %q", msg.Kind)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("disable never reached the component")
-	}
-	if ack := call(t, client, sup.Addr(), Command{ID: 2, Origin: "t", Op: OpEnable, Target: "w0"}); !ack.OK {
-		t.Fatalf("enable ack %+v", ack)
-	}
-	select {
-	case msg := <-compEp.Inbox():
-		if msg.Kind != "ctl.enable" {
-			t.Fatalf("component got kind %q", msg.Kind)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("enable never reached the component")
-	}
-	// Unknown component refuses.
-	if ack := call(t, client, sup.Addr(), Command{ID: 3, Origin: "t", Op: OpDisable, Target: "nope"}); ack.OK {
-		t.Fatal("disable of unknown component acked OK")
-	}
-}
-
 // TestHeartbeatsAnnouncePrefix: hellos carry the address and prefix a
 // manager needs for ownership resolution, and the host's roster.
 func TestHeartbeatsAnnouncePrefix(t *testing.T) {
@@ -363,11 +309,6 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	t.Cleanup(cancel)
 	go sup.Run(ctx)
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 
 	// 10 distinct incidents: 2.5x the soft cap, well under the hard cap.
 	const storm = 10
@@ -428,11 +369,6 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	t.Cleanup(cancel)
 	go sup.Run(ctx)
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 
 	for i := 1; i <= 10; i++ {
 		call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: fmt.Sprintf("w%d", i)})
@@ -476,11 +412,6 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	t.Cleanup(cancel)
 	go sup.Run(ctx)
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
-	go func() {
-		for msg := range client.Inbox() {
-			client.DeliverReply(msg)
-		}
-	}()
 
 	// Epoch 3 command executes and raises the watermark.
 	if ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "w0", Epoch: 3}); !ack.OK {

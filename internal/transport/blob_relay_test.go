@@ -34,11 +34,6 @@ type relayPair struct {
 // of its own, to a network bridged to the pair's cache.
 func (p *relayPair) newRelayClient(net *san.Network, node, proc string) *vcache.Client {
 	ep := net.Endpoint(san.Addr{Node: node, Proc: proc}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
-		}
-	}()
 	client := vcache.NewClient(ep)
 	client.AddNode("cache0", p.cache)
 	return client

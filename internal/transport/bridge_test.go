@@ -60,8 +60,13 @@ func awaitMsg(t *testing.T, ep *san.Endpoint, timeout time.Duration) san.Message
 func TestBridgeUnicastAndReply(t *testing.T) {
 	netA, netB, ba, bb := bridgePair(t)
 
-	fe := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 64)
+	// The caller's inbox is full and nobody reads it: the reply frame
+	// goes from the bridge's reader straight to the waiting Call.
+	fe := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 1)
 	wk := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
+	if err := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "noise"}, 1).Send(fe.Addr(), stub.MsgEnable, nil, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	// Worker loop: echo every task back as a result.
 	go func() {
@@ -70,12 +75,6 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 				tm := msg.Body.(stub.TaskMsg)
 				_ = wk.Respond(msg, stub.MsgResult, stub.ResultMsg{Blob: tm.Task.Input}, 64)
 			}
-		}
-	}()
-	// Front-end reply router.
-	go func() {
-		for msg := range fe.Inbox() {
-			fe.DeliverReply(msg)
 		}
 	}()
 
@@ -104,6 +103,9 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 	rm, ok := resp.Body.(stub.ResultMsg)
 	if !ok || string(rm.Blob.Data) != "hello-across-processes" {
 		t.Fatalf("reply body wrong: %#v", resp.Body)
+	}
+	if n := len(fe.Inbox()); n != 1 {
+		t.Fatalf("caller's inbox holds %d messages, want the 1 it was filled with", n)
 	}
 
 	// Zero wire errors anywhere, and the route table learned both

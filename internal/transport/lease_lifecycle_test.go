@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/stub"
+	"repro/internal/vcache"
 )
 
 // These tests pin the lease-lifecycle contract of the chunked data
@@ -348,4 +350,30 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 			t.Fatal("dead id readmitted a build")
 		}
 	})
+}
+
+// TestAbandonedReplyLeaseBalance: a reply frame whose Call has given up
+// is consumed at delivery — counted delivered, its view reference
+// released there, nothing parked in the caller's inbox for a loop to
+// find (or, with no loop, to pin the receive buffer forever).
+func TestAbandonedReplyLeaseBalance(t *testing.T) {
+	net := newWireNet(1)
+	caller := net.Endpoint(san.Addr{Node: "a", Proc: "fe0"}, 4)
+	l := san.NewLease(4096)
+	wire, err := stub.WireCodec{}.AppendBody(l.Bytes(), vcache.MsgGot, vcache.GetResp{Found: true, Data: make([]byte, 2048)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetBytes(wire)
+	from := san.Addr{Node: "b", Proc: "cache0"}
+	if !net.InjectUnicast(from, caller.Addr(), vcache.MsgGot, 99, true, 0, wire, l) {
+		t.Fatal("abandoned reply reported dropped, want consumed")
+	}
+	if refs := l.Refs(); refs != 1 {
+		t.Fatalf("lease has %d refs after delivery, want the transport's own 1", refs)
+	}
+	if n := len(caller.Inbox()); n != 0 {
+		t.Fatalf("abandoned reply parked in the inbox (%d messages)", n)
+	}
+	l.Release()
 }

@@ -10,12 +10,9 @@
 // cost of performance — cache nodes are workers whose only job is the
 // management of BASE data."
 //
-// A Partition is internally split into key-hashed shards, each with
-// its own mutex, LRU list, and slice of the byte budget, so
-// concurrent Gets on one cache node serialize only when they land on
-// the same shard instead of on a single partition-wide lock. Eviction
-// is exact LRU per shard. Small partitions collapse to one shard and
-// behave exactly like the classic single-LRU implementation.
+// A Partition is one map and one LRU list under one mutex: its cache
+// node's Service serves the inbox serially, so the lock is only ever
+// shared with Stats readers.
 package vcache
 
 import (
@@ -44,140 +41,41 @@ type Stats struct {
 	Objects   int
 }
 
-const (
-	// defaultShards is the shard count for comfortably large budgets.
-	defaultShards = 16
-	// minShardBudget is the smallest per-shard byte budget: the shard
-	// count is halved until every shard holds at least this much.
-	// Since an object larger than its shard's budget is uncacheable,
-	// this floor is set above the content model's 2 MiB size ceiling
-	// so sharding never changes which objects are cacheable; it also
-	// means small test partitions collapse to one shard and keep
-	// exact whole-partition LRU semantics.
-	minShardBudget = 4 << 20
-)
-
-// Partition is one cache node's store: a sharded LRU map bounded by a
-// byte budget. Safe for concurrent use.
+// Partition is one cache node's store: an LRU map bounded by a byte
+// budget. Safe for concurrent use.
 type Partition struct {
-	shards []*shard
-	mask   uint64
-}
-
-// shard is one independently locked LRU slice of a partition.
-type shard struct {
 	budget int64
 	clock  func() time.Time
 
 	mu    sync.Mutex
 	ll    *list.List // front = most recent
-	index map[uint64]*list.Element
+	index map[string]*list.Element
 	used  int64
 	stats Stats
 }
 
-// lruItem keys the LRU list by the precomputed hash so eviction can
-// delete index entries without rehashing. The key string is kept to
-// detect (astronomically rare) 64-bit hash collisions.
 type lruItem struct {
 	entry Entry
-	hash  uint64
 	size  int64
 }
 
-// keyHash is inline FNV-1a (the hash/fnv interface costs more than
-// the hash itself). One hash both picks the shard and keys the index.
-func keyHash(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// shardCount picks a power-of-two shard count so each shard keeps a
-// useful slice of the budget.
-func shardCount(budget int64) int {
-	n := defaultShards
-	for n > 1 && budget/int64(n) < minShardBudget {
-		n /= 2
-	}
-	return n
-}
-
 // NewPartition creates a partition holding at most budget bytes of
-// object data, sharded automatically by budget. A nil clock uses real
-// time.
+// object data. A nil clock uses real time.
 func NewPartition(budget int64, clock func() time.Time) *Partition {
-	return NewPartitionShards(budget, clock, shardCount(budget))
-}
-
-// NewPartitionShards creates a partition with an explicit shard count
-// (rounded down to a power of two; minimum 1). Tests use one shard to
-// pin exact whole-partition LRU order; benchmarks use many to measure
-// scaling.
-func NewPartitionShards(budget int64, clock func() time.Time, shards int) *Partition {
 	if budget <= 0 {
 		panic("vcache: budget must be positive")
 	}
 	if clock == nil {
 		clock = time.Now
 	}
-	n := 1
-	for n*2 <= shards {
-		n *= 2
-	}
-	p := &Partition{shards: make([]*shard, n), mask: uint64(n - 1)}
-	per := budget / int64(n)
-	for i := range p.shards {
-		b := per
-		if i == 0 {
-			b += budget % int64(n) // remainder lands on shard 0
-		}
-		p.shards[i] = &shard{
-			budget: b,
-			clock:  clock,
-			ll:     list.New(),
-			index:  make(map[uint64]*list.Element),
-		}
-	}
-	return p
+	return &Partition{budget: budget, clock: clock, ll: list.New(), index: make(map[string]*list.Element)}
 }
 
-func (p *Partition) shard(h uint64) *shard {
-	return p.shards[h&p.mask]
-}
-
-// Get returns the cached entry for key and refreshes its recency.
+// Get returns the cached entry for key and refreshes its recency. An
+// entry past its TTL is removed and reads as a miss.
 func (p *Partition) Get(key string) (Entry, bool) {
-	h := keyHash(key)
-	s := p.shard(h)
-	s.mu.Lock()
-	el, ok := s.index[h]
-	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
-		return Entry{}, false
-	}
-	item := el.Value.(*lruItem)
-	if item.entry.Key != key { // 64-bit hash collision: treat as a miss
-		s.stats.Misses++
-		s.mu.Unlock()
-		return Entry{}, false
-	}
-	if !item.entry.Expires.IsZero() && s.clock().After(item.entry.Expires) {
-		s.removeLocked(el)
-		s.stats.Expired++
-		s.stats.Misses++
-		s.mu.Unlock()
-		return Entry{}, false
-	}
-	s.ll.MoveToFront(el)
-	s.stats.Hits++
-	e := item.entry
-	s.mu.Unlock()
-	return e, true
+	e, _, ok := p.get(key, false)
+	return e, ok
 }
 
 // GetStale returns the cached entry for key even when its TTL has
@@ -186,28 +84,29 @@ func (p *Partition) Get(key string) (Entry, bool) {
 // beats no data under overload) must stay repeatable while the entry
 // remains resident, and LRU eviction already bounds how long that is.
 // A stale hit refreshes recency like any other hit.
-func (p *Partition) GetStale(key string) (Entry, bool, bool) {
-	h := keyHash(key)
-	s := p.shard(h)
-	s.mu.Lock()
-	el, ok := s.index[h]
+func (p *Partition) GetStale(key string) (e Entry, stale, found bool) {
+	return p.get(key, true)
+}
+
+func (p *Partition) get(key string, keepStale bool) (e Entry, stale, found bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	el, ok := p.index[key]
 	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
+		p.stats.Misses++
 		return Entry{}, false, false
 	}
 	item := el.Value.(*lruItem)
-	if item.entry.Key != key { // 64-bit hash collision: treat as a miss
-		s.stats.Misses++
-		s.mu.Unlock()
+	stale = !item.entry.Expires.IsZero() && p.clock().After(item.entry.Expires)
+	if stale && !keepStale {
+		p.removeLocked(el)
+		p.stats.Expired++
+		p.stats.Misses++
 		return Entry{}, false, false
 	}
-	stale := !item.entry.Expires.IsZero() && s.clock().After(item.entry.Expires)
-	s.ll.MoveToFront(el)
-	s.stats.Hits++
-	e := item.entry
-	s.mu.Unlock()
-	return e, stale, true
+	p.ll.MoveToFront(el)
+	p.stats.Hits++
+	return item.entry, stale, true
 }
 
 // Put stores original (pre-transformation) content.
@@ -223,134 +122,74 @@ func (p *Partition) Inject(key string, data []byte, mime string, ttl time.Durati
 }
 
 func (p *Partition) store(key string, data []byte, mime string, ttl time.Duration, inject bool) {
-	h := keyHash(key)
-	s := p.shard(h)
 	size := int64(len(data)) + int64(len(key))
-	if size > s.budget {
-		// Larger than this shard's whole budget: uncacheable. With
-		// auto-sharding this cap is budget/shards, kept above the
-		// largest object the content model produces (see
-		// minShardBudget); single-shard partitions keep the classic
-		// whole-budget cap.
-		return
+	if size > p.budget {
+		return // larger than the whole budget: uncacheable
 	}
-	var expires time.Time
+	e := Entry{Key: key, Data: data, MIME: mime}
 	if ttl > 0 {
-		expires = s.clock().Add(ttl)
+		e.Expires = p.clock().Add(ttl)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if inject {
-		s.stats.Injects++
+		p.stats.Injects++
 	} else {
-		s.stats.Puts++
+		p.stats.Puts++
 	}
-	if el, ok := s.index[h]; ok {
+	if el, ok := p.index[key]; ok {
 		item := el.Value.(*lruItem)
-		if item.entry.Key != key {
-			// 64-bit hash collision with a different key: evict the
-			// squatter (BASE data — dropping it only costs a refetch).
-			s.removeLocked(el)
-			s.stats.Evictions++
-			s.insertLocked(h, Entry{Key: key, Data: data, MIME: mime, Expires: expires}, size)
-		} else {
-			s.used -= item.size
-			item.entry = Entry{Key: key, Data: data, MIME: mime, Expires: expires}
-			item.size = size
-			s.used += size
-			s.ll.MoveToFront(el)
-		}
+		p.used += size - item.size
+		item.entry, item.size = e, size
+		p.ll.MoveToFront(el)
 	} else {
-		s.insertLocked(h, Entry{Key: key, Data: data, MIME: mime, Expires: expires}, size)
+		p.index[key] = p.ll.PushFront(&lruItem{entry: e, size: size})
+		p.used += size
 	}
-	for s.used > s.budget {
-		back := s.ll.Back()
-		if back == nil {
-			break
-		}
-		s.removeLocked(back)
-		s.stats.Evictions++
+	for p.used > p.budget {
+		p.removeLocked(p.ll.Back())
+		p.stats.Evictions++
 	}
-}
-
-func (s *shard) insertLocked(h uint64, e Entry, size int64) {
-	el := s.ll.PushFront(&lruItem{entry: e, hash: h, size: size})
-	s.index[h] = el
-	s.used += size
 }
 
 // Remove deletes an entry.
 func (p *Partition) Remove(key string) bool {
-	h := keyHash(key)
-	s := p.shard(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.index[h]
-	if !ok || el.Value.(*lruItem).entry.Key != key {
-		return false
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	el, ok := p.index[key]
+	if ok {
+		p.removeLocked(el)
 	}
-	s.removeLocked(el)
-	return true
+	return ok
 }
 
-func (s *shard) removeLocked(el *list.Element) {
-	item := el.Value.(*lruItem)
-	s.ll.Remove(el)
-	delete(s.index, item.hash)
-	s.used -= item.size
+func (p *Partition) removeLocked(el *list.Element) {
+	item := p.ll.Remove(el).(*lruItem)
+	delete(p.index, item.entry.Key)
+	p.used -= item.size
 }
 
 // Flush discards everything — legal at any time for BASE data.
 func (p *Partition) Flush() {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		s.ll.Init()
-		s.index = make(map[uint64]*list.Element)
-		s.used = 0
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ll.Init()
+	p.index = make(map[string]*list.Element)
+	p.used = 0
 }
 
 // Len returns the number of cached objects.
-func (p *Partition) Len() int {
-	n := 0
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n += len(s.index)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (p *Partition) Len() int { return p.Stats().Objects }
 
 // Used returns the bytes currently cached.
-func (p *Partition) Used() int64 {
-	n := int64(0)
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n += s.used
-		s.mu.Unlock()
-	}
-	return n
-}
+func (p *Partition) Used() int64 { return p.Stats().Used }
 
-// Shards reports the shard count (for tests and tuning).
-func (p *Partition) Shards() int { return len(p.shards) }
-
-// Stats returns a snapshot of counters aggregated across shards.
+// Stats returns a snapshot of counters.
 func (p *Partition) Stats() Stats {
-	var st Stats
-	for _, s := range p.shards {
-		s.mu.Lock()
-		st.Hits += s.stats.Hits
-		st.Misses += s.stats.Misses
-		st.Puts += s.stats.Puts
-		st.Injects += s.stats.Injects
-		st.Evictions += s.stats.Evictions
-		st.Expired += s.stats.Expired
-		st.Used += s.used
-		st.Objects += len(s.index)
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.stats
+	st.Used, st.Objects = p.used, len(p.index)
 	return st
 }
 

@@ -256,7 +256,7 @@ func (r GetResp) Answered() string {
 // Client presents a set of cache partitions as one virtual cache: the
 // object a key is about (objectOf) is consistent-hashed to a node, and
 // membership changes re-hash automatically. It shares its owner's SAN
-// endpoint (whose receive loop must route replies via DeliverReply).
+// endpoint.
 type Client struct {
 	ep      *san.Endpoint
 	ring    *Ring

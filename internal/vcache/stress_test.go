@@ -7,16 +7,13 @@ import (
 	"time"
 )
 
-// TestPartitionShardedStress hammers a multi-shard partition with
-// concurrent Get/Put/Inject/Remove/Flush/Stats from many goroutines.
-// Run under -race this is the shard-safety proof; the invariant
-// checks catch budget-accounting corruption.
-func TestPartitionShardedStress(t *testing.T) {
+// TestPartitionStress hammers a partition with concurrent
+// Get/Put/Inject/Remove/Flush/Stats from many goroutines. Run under
+// -race this is the lock's proof; the invariant checks catch
+// budget-accounting corruption.
+func TestPartitionStress(t *testing.T) {
 	const budget = 64 << 20
 	p := NewPartition(budget, nil)
-	if p.Shards() < 2 {
-		t.Fatalf("want a sharded partition, got %d shards", p.Shards())
-	}
 	data := make([]byte, 2048)
 
 	var workers sync.WaitGroup
@@ -89,11 +86,11 @@ func TestPartitionShardedStress(t *testing.T) {
 	}
 }
 
-// TestPartitionShardBudgetInvariant checks that no interleaving of
-// concurrent puts overruns the aggregate budget.
-func TestPartitionShardBudgetInvariant(t *testing.T) {
+// TestPartitionBudgetInvariant checks that no interleaving of
+// concurrent puts overruns the budget.
+func TestPartitionBudgetInvariant(t *testing.T) {
 	const budget = 1 << 20
-	p := NewPartitionShards(budget, nil, 8)
+	p := NewPartition(budget, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -111,29 +108,4 @@ func TestPartitionShardBudgetInvariant(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestPartitionShardDistribution sanity-checks that realistic keys
-// actually spread across shards (a degenerate hash would quietly
-// serialize everything on one shard again).
-func TestPartitionShardDistribution(t *testing.T) {
-	p := NewPartitionShards(16<<20, nil, 16)
-	for i := 0; i < 4096; i++ {
-		p.Put(fmt.Sprintf("http://host/obj-%d.html", i), []byte("x"), "b", 0)
-	}
-	populated := 0
-	for _, s := range p.shards {
-		s.mu.Lock()
-		n := len(s.index)
-		s.mu.Unlock()
-		if n > 0 {
-			populated++
-		}
-		if n > 4096/len(p.shards)*3 {
-			t.Fatalf("shard holds %d of 4096 objects — hash is skewed", n)
-		}
-	}
-	if populated != 16 {
-		t.Fatalf("only %d/16 shards populated", populated)
-	}
 }

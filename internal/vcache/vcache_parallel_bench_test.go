@@ -7,20 +7,9 @@ import (
 )
 
 // BenchmarkPartitionGetParallel measures concurrent hit throughput on
-// one partition — before sharding, every Get serialized on a single
-// mutex to run MoveToFront.
+// one partition: every Get takes the partition's one mutex.
 func BenchmarkPartitionGetParallel(b *testing.B) {
-	benchPartitionGet(b, NewPartition(64<<20, nil))
-}
-
-// BenchmarkPartitionGetParallelSingleShard pins one shard — the
-// pre-sharding implementation's behavior — so the sharding win is
-// measurable in-tree on any machine.
-func BenchmarkPartitionGetParallelSingleShard(b *testing.B) {
-	benchPartitionGet(b, NewPartitionShards(64<<20, nil, 1))
-}
-
-func benchPartitionGet(b *testing.B, p *Partition) {
+	p := NewPartition(64<<20, nil)
 	data := make([]byte, 4096)
 	keys := make([]string, 1024)
 	for i := range keys {
@@ -32,7 +21,7 @@ func benchPartitionGet(b *testing.B, p *Partition) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// Stagger start offsets so goroutines are not in lockstep on
-		// the same key (and therefore the same shard) every iteration.
+		// the same key every iteration.
 		i := int(next.Add(1)) * 257
 		for pb.Next() {
 			p.Get(keys[i%len(keys)])

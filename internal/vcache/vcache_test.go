@@ -257,11 +257,6 @@ func startCacheCluster(t *testing.T, n int) (*Client, *cluster.Cluster) {
 func clientEndpoint(t *testing.T, net *san.Network) *san.Endpoint {
 	t.Helper()
 	ep := net.Endpoint(san.Addr{Node: "fe", Proc: "client"}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
-		}
-	}()
 	return ep
 }
 

@@ -40,11 +40,6 @@ func startViewCacheOn(t *testing.T, part *vcache.Partition) (*vcache.Client, *sa
 	go func() { _ = svc.Run(ctx) }()
 
 	ep := net.Endpoint(san.Addr{Node: "fe", Proc: "client"}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
-		}
-	}()
 	client := vcache.NewClient(ep)
 	client.AddNode("cache0", svc.Addr())
 	return client, net

@@ -309,11 +309,6 @@ func cacheAcrossBridge(b *testing.B) (client *vcache.Client, netA, netB *san.Net
 	go func() { _ = svc.Run(ctx) }()
 
 	ep := netA.Endpoint(san.Addr{Node: "a-fe", Proc: "client"}, 256)
-	go func() {
-		for msg := range ep.Inbox() {
-			ep.DeliverReply(msg)
-		}
-	}()
 	client = vcache.NewClient(ep)
 	client.AddNode("cache0", svc.Addr())
 	return client, netA, netB, ba, nil
