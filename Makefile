@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race loc loc-gate cover fuzz-smoke fuzz-frames smoke-multiprocess bench-micro bench-pairs chaos-soak
+.PHONY: build test test-short race loc loc-gate cover fuzz-smoke fuzz-frames fuzz-media smoke-multiprocess bench-micro bench-pairs chaos-soak
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ fuzz-smoke:
 fuzz-frames:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=15s ./internal/transport
 
+# Fuzz the two image decoders (arbitrary bytes never panic or allocate
+# past the pixel cap; SJPG's reduced decode agrees with decode-then-
+# Downscale). One target per go test run; CI runs both on every push.
+fuzz-media:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSJPG -fuzztime=10s ./internal/media
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSGIF -fuzztime=10s ./internal/media
+
 # Two OS processes over loopback TCP serving a TranSend workload:
 # zero failed requests, zero wire errors, or the target fails.
 smoke-multiprocess:
@@ -56,6 +63,7 @@ smoke-multiprocess:
 #   make bench-micro BENCH='Micro/(wire|san)'         codec + SAN send
 #   make bench-micro BENCH='Micro/(frame|bridge_send)' framing + socket
 #   make bench-micro BENCH='Micro/blob_relay'          FE→cache→FE relay
+#   make bench-micro BENCH='Micro/(distill|munge)'     one distillation per type
 BENCH ?= Micro
 bench-micro:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=1 .

@@ -107,7 +107,7 @@ func runFig6(seed int64) {
 // but the shape is the claim).
 func runFig7(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	w := distiller.SGIFDistiller{}
+	w := distiller.SGIFDistiller
 	gif := trace.GIFSizes()
 
 	type obs struct{ kb, ms float64 }
@@ -313,7 +313,7 @@ func runEcon(seed int64) {
 // so TranSend passes such objects through unmodified.
 func runThreshold(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	w := distiller.SGIFDistiller{}
+	w := distiller.SGIFDistiller
 	buckets := []struct {
 		label    string
 		lo, hi   int

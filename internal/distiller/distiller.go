@@ -8,10 +8,14 @@
 //
 // Profile/parameter keys honored by the image distillers:
 //
-//	scale    integer downscale factor (default 2)
+//	scale    integer downscale factor (default 2). SJPG decodes 2, 4
+//	         and 8 straight to the reduced raster; any other factor
+//	         decodes full size and box-filters, at a cost that follows
+//	         the image, never the factor
 //	colors   SGIF palette size after distillation (default 16)
 //	quality  SJPG re-encode quality (default 25)
-//	blur     optional low-pass radius before encoding (default 0)
+//	blur     optional low-pass radius before encoding (default 0);
+//	         forces the full-size decode, costs the same at any radius
 //	minsize  objects at or below this size pass through untouched
 //	         (default 1024 — the paper's 1 KB distillation threshold)
 package distiller
@@ -19,6 +23,7 @@ package distiller
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/media"
 	"repro/internal/tacc"
@@ -45,73 +50,71 @@ const DefaultMinSize = 1024
 
 // RegisterAll installs every worker class in a registry.
 func RegisterAll(reg *tacc.Registry) {
-	reg.Register(ClassSGIF, func() tacc.Worker { return SGIFDistiller{} })
-	reg.Register(ClassSJPG, func() tacc.Worker { return SJPGDistiller{} })
-	reg.Register(ClassHTML, func() tacc.Worker { return HTMLMunger{} })
-	reg.Register(ClassKeyword, func() tacc.Worker { return KeywordFilter{} })
-	reg.Register(ClassCulture, func() tacc.Worker { return CultureAggregator{} })
-	reg.Register(ClassSearch, func() tacc.Worker { return MetasearchAggregator{} })
-	reg.Register(ClassEncrypt, func() tacc.Worker { return EncryptWorker{} })
-	reg.Register(ClassDecrypt, func() tacc.Worker { return DecryptWorker{} })
-	reg.Register(ClassThin, func() tacc.Worker { return ThinClient{} })
+	for _, w := range []tacc.Worker{SGIFDistiller, SJPGDistiller, HTMLMunger{}, KeywordFilter{}, CultureAggregator{},
+		MetasearchAggregator{}, EncryptWorker{}, DecryptWorker{}, ThinClient{}} {
+		reg.Register(w.Class(), func() tacc.Worker { return w })
+	}
+}
+
+// ImageDistiller is both image workers: one body over what differs
+// between them — how an original becomes a raster reduced by a factor,
+// how a raster is re-encoded at a fidelity level, and which profile key
+// sets that level.
+type ImageDistiller struct {
+	class, mime, levelKey string
+	levelDefault          int
+	decode                func(data []byte, scale int) (*media.Image, error)
+	encode                func(im *media.Image, level int) []byte
 }
 
 // SGIFDistiller scales and palette-reduces SGIF images — the GIF
 // distiller ("GIF-to-JPEG conversion followed by JPEG degradation" is
 // approximated by palette + scale reduction on the same codec family,
-// keeping the size-linear cost profile of Figure 7).
-type SGIFDistiller struct{}
-
-// Class implements tacc.Worker.
-func (SGIFDistiller) Class() string { return ClassSGIF }
-
-// Process implements tacc.Worker.
-func (SGIFDistiller) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
-	in := task.Input
-	if in.Size() <= task.ParamInt("minsize", DefaultMinSize) {
-		return in.WithMeta("distilled", "skipped-small"), nil
-	}
-	im, err := media.DecodeSGIF(in.Data)
-	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: sgif: %w", err)
-	}
-	scale := task.ParamInt("scale", 2)
-	colors := task.ParamInt("colors", 16)
-	if r := task.ParamInt("blur", 0); r > 0 {
-		im = im.BoxBlur(r)
-	}
-	out := media.EncodeSGIF(im.Downscale(scale), colors)
-	blob := tacc.Blob{MIME: media.MIMESGIF, Data: out}
-	blob = blob.WithMeta("origSize", itoa(in.Size()))
-	return blob.WithMeta("distilled", "true"), nil
-}
+// keeping the size-linear cost profile of Figure 7). Run lengths say
+// nothing about a block of pixels until every pixel is out, so there is
+// no smaller raster to decode to: it expands, then scales.
+var SGIFDistiller = ImageDistiller{ClassSGIF, media.MIMESGIF, "colors", 16,
+	func(data []byte, scale int) (*media.Image, error) {
+		im, err := media.DecodeSGIF(data)
+		if err != nil {
+			return nil, err
+		}
+		return im.Downscale(scale), nil
+	}, media.EncodeSGIF}
 
 // SJPGDistiller scales, low-pass filters, and re-encodes SJPG images
 // at reduced quality — "scaling and low-pass filtering of JPEG images
-// using the off-the-shelf jpeg-6a library".
-type SJPGDistiller struct{}
+// using the off-the-shelf jpeg-6a library", whose decoder scales inside
+// the inverse transform (scale_denom), as media.DecodeSJPG does: the
+// raster it decodes to is already the size that ships.
+var SJPGDistiller = ImageDistiller{ClassSJPG, media.MIMESJPG, "quality", 25,
+	func(data []byte, scale int) (*media.Image, error) { return media.DecodeSJPG(data, scale) }, media.EncodeSJPG}
 
 // Class implements tacc.Worker.
-func (SJPGDistiller) Class() string { return ClassSJPG }
+func (d ImageDistiller) Class() string { return d.class }
 
-// Process implements tacc.Worker.
-func (SJPGDistiller) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
+// Process implements tacc.Worker. A blur has to see the full-size
+// raster, so it alone decodes at 1 and scales afterwards.
+func (d ImageDistiller) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
 	in := task.Input
 	if in.Size() <= task.ParamInt("minsize", DefaultMinSize) {
 		return in.WithMeta("distilled", "skipped-small"), nil
 	}
-	im, err := media.DecodeSJPG(in.Data)
+	scale, blur := task.ParamInt("scale", 2), task.ParamInt("blur", 0)
+	decodeAt := scale
+	if blur > 0 {
+		decodeAt = 1
+	}
+	im, err := d.decode(in.Data, decodeAt)
 	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: sjpg: %w", err)
+		return tacc.Blob{}, fmt.Errorf("distiller: %s: %w", d.class, err)
 	}
-	scale := task.ParamInt("scale", 2)
-	quality := task.ParamInt("quality", 25)
-	if r := task.ParamInt("blur", 0); r > 0 {
-		im = im.BoxBlur(r)
+	if blur > 0 {
+		im = im.BoxBlur(blur).Downscale(scale)
 	}
-	out := media.EncodeSJPG(im.Downscale(scale), quality)
-	blob := tacc.Blob{MIME: media.MIMESJPG, Data: out}
-	blob = blob.WithMeta("origSize", itoa(in.Size()))
+	out := d.encode(im, task.ParamInt(d.levelKey, d.levelDefault))
+	blob := tacc.Blob{MIME: d.mime, Data: out}
+	blob = blob.WithMeta("origSize", strconv.Itoa(in.Size()))
 	return blob.WithMeta("distilled", "true"), nil
 }
 
@@ -145,5 +148,3 @@ func (HTMLMunger) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 	})
 	return tacc.Blob{MIME: media.MIMEHTML, Data: out, Meta: map[string]string{"munged": "true"}}, nil
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }

@@ -27,7 +27,7 @@ func sjpgBlob(t *testing.T, target int) tacc.Blob {
 
 func TestSGIFDistillerShrinks(t *testing.T) {
 	in := sgifBlob(t, 10*1024)
-	out, err := (SGIFDistiller{}).Process(ctx, &tacc.Task{Input: in})
+	out, err := SGIFDistiller.Process(ctx, &tacc.Task{Input: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSGIFDistillerShrinks(t *testing.T) {
 
 func TestSJPGDistillerShrinks(t *testing.T) {
 	in := sjpgBlob(t, 10*1024)
-	out, err := (SJPGDistiller{}).Process(ctx, &tacc.Task{Input: in})
+	out, err := SJPGDistiller.Process(ctx, &tacc.Task{Input: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestSJPGDistillerShrinks(t *testing.T) {
 func TestDistillerRespectsProfileParams(t *testing.T) {
 	in := sjpgBlob(t, 10*1024)
 	// Profile asks for aggressive scale 4.
-	out4, err := (SJPGDistiller{}).Process(ctx, &tacc.Task{
+	out4, err := SJPGDistiller.Process(ctx, &tacc.Task{
 		Input:   in,
 		Profile: map[string]string{"scale": "4", "quality": "10"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := (SJPGDistiller{}).Process(ctx, &tacc.Task{Input: in})
+	out2, err := SJPGDistiller.Process(ctx, &tacc.Task{Input: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestOneKBThreshold(t *testing.T) {
 	if small.Size() > 1024 {
 		t.Skipf("generator overshot: %d bytes", small.Size())
 	}
-	out, err := (SGIFDistiller{}).Process(ctx, &tacc.Task{Input: small})
+	out, err := SGIFDistiller.Process(ctx, &tacc.Task{Input: small})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestOneKBThreshold(t *testing.T) {
 
 func TestDistillerCorruptInputErrors(t *testing.T) {
 	junk := tacc.Blob{MIME: media.MIMESGIF, Data: make([]byte, 5000)}
-	if _, err := (SGIFDistiller{}).Process(ctx, &tacc.Task{Input: junk}); err == nil {
+	if _, err := SGIFDistiller.Process(ctx, &tacc.Task{Input: junk}); err == nil {
 		t.Fatal("corrupt SGIF accepted")
 	}
 	junk.MIME = media.MIMESJPG
-	if _, err := (SJPGDistiller{}).Process(ctx, &tacc.Task{Input: junk}); err == nil {
+	if _, err := SJPGDistiller.Process(ctx, &tacc.Task{Input: junk}); err == nil {
 		t.Fatal("corrupt SJPG accepted")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/media"
@@ -111,7 +112,7 @@ func (CultureAggregator) Process(ctx context.Context, task *tacc.Task) (tacc.Blo
 	}
 	b.WriteString("</ul></body></html>\n")
 	blob := tacc.Blob{MIME: media.MIMEHTML, Data: []byte(b.String())}
-	return blob.WithMeta("events", itoa(len(events))), nil
+	return blob.WithMeta("events", strconv.Itoa(len(events))), nil
 }
 
 // resultRe extracts anchors from synthetic search-engine result pages.
@@ -155,19 +156,29 @@ func (MetasearchAggregator) Process(ctx context.Context, task *tacc.Task) (tacc.
 	}
 	b.WriteString("</ol></body></html>\n")
 	blob := tacc.Blob{MIME: media.MIMEHTML, Data: []byte(b.String())}
-	return blob.WithMeta("results", itoa(len(hits))), nil
+	return blob.WithMeta("results", strconv.Itoa(len(hits))), nil
 }
 
 // ErrNoKey reports a rewebber task without key material.
 var ErrNoKey = errors.New("distiller: rewebber requires a 'rewebkey' profile entry")
 
-func rewebKey(task *tacc.Task) ([]byte, error) {
+// rewebGCM is the cipher both rewebber sides run under the profile's
+// key; what names the failing side in an error.
+func rewebGCM(task *tacc.Task, what string) (cipher.AEAD, error) {
 	k := task.Param("rewebkey", "")
 	if k == "" {
 		return nil, ErrNoKey
 	}
 	sum := sha256.Sum256([]byte(k))
-	return sum[:], nil
+	block, err := aes.NewCipher(sum[:])
+	if err != nil {
+		return nil, fmt.Errorf("distiller: %s: %w", what, err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("distiller: %s: %w", what, err)
+	}
+	return gcm, nil
 }
 
 // EncryptWorker is the anonymous rewebber's publishing side (§5.1):
@@ -180,17 +191,9 @@ func (EncryptWorker) Class() string { return ClassEncrypt }
 
 // Process implements tacc.Worker.
 func (EncryptWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
-	key, err := rewebKey(task)
+	gcm, err := rewebGCM(task, "encrypt")
 	if err != nil {
 		return tacc.Blob{}, err
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: encrypt: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: encrypt: %w", err)
 	}
 	nonce := make([]byte, gcm.NonceSize())
 	if _, err := rand.Read(nonce); err != nil {
@@ -210,17 +213,9 @@ func (DecryptWorker) Class() string { return ClassDecrypt }
 
 // Process implements tacc.Worker.
 func (DecryptWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, error) {
-	key, err := rewebKey(task)
+	gcm, err := rewebGCM(task, "decrypt")
 	if err != nil {
 		return tacc.Blob{}, err
-	}
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: decrypt: %w", err)
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return tacc.Blob{}, fmt.Errorf("distiller: decrypt: %w", err)
 	}
 	data := task.Input.Data
 	if len(data) < gcm.NonceSize() {
@@ -275,5 +270,5 @@ func (ThinClient) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 	}
 	out := strings.Join(lines, "\n")
 	blob := tacc.Blob{MIME: "text/plain", Data: []byte(out)}
-	return blob.WithMeta("lines", itoa(len(lines))), nil
+	return blob.WithMeta("lines", strconv.Itoa(len(lines))), nil
 }

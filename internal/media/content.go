@@ -14,18 +14,12 @@ import (
 // target within roughly ±25% for images (codec output is not exactly
 // steerable) and a few bytes for HTML.
 func GenerateContent(rng *rand.Rand, mime string, targetBytes int) []byte {
-	if targetBytes < 64 {
-		targetBytes = 64
-	}
+	targetBytes = max(targetBytes, 64)
 	switch mime {
 	case MIMESGIF:
-		return generateSizedImage(rng, targetBytes, func(im *Image) []byte {
-			return EncodeSGIF(im, 64)
-		})
+		return generateSizedImage(rng, targetBytes, func(im *Image) []byte { return EncodeSGIF(im, 64) })
 	case MIMESJPG:
-		return generateSizedImage(rng, targetBytes, func(im *Image) []byte {
-			return EncodeSJPG(im, 75)
-		})
+		return generateSizedImage(rng, targetBytes, func(im *Image) []byte { return EncodeSJPG(im, 75) })
 	case MIMEHTML:
 		return GenerateHTML(rng, targetBytes, nil)
 	default:
@@ -41,10 +35,7 @@ func generateSizedImage(rng *rand.Rand, target int, encode func(*Image) []byte) 
 	// Initial guess: bytes-per-pixel ~0.6 for both codecs on
 	// value-noise content.
 	bpp := 0.6
-	side := int(math.Sqrt(float64(target) / bpp))
-	if side < 8 {
-		side = 8
-	}
+	side := max(int(math.Sqrt(float64(target)/bpp)), 8)
 	var best []byte
 	for iter := 0; iter < 4; iter++ {
 		im := Generate(rng, side, side)
@@ -56,13 +47,7 @@ func generateSizedImage(rng *rand.Rand, target int, encode func(*Image) []byte) 
 		if ratio > 0.8 && ratio < 1.25 {
 			break
 		}
-		side = int(float64(side) / math.Sqrt(ratio))
-		if side < 8 {
-			side = 8
-		}
-		if side > 4096 {
-			side = 4096
-		}
+		side = min(max(int(float64(side)/math.Sqrt(ratio)), 8), 4096)
 	}
 	return best
 }
@@ -89,11 +74,7 @@ func DetectMIME(data []byte) string {
 }
 
 func looksLikeHTML(data []byte) bool {
-	n := len(data)
-	if n > 64 {
-		n = 64
-	}
-	head := string(data[:n])
+	head := data[:min(len(data), 64)]
 	for i := 0; i+5 < len(head); i++ {
 		if head[i] == '<' {
 			switch {
@@ -108,19 +89,18 @@ func looksLikeHTML(data []byte) bool {
 	return false
 }
 
-func equalFold(s, prefix string) bool {
+// equalFold reports whether s starts with the lower-case ASCII prefix,
+// letters of s matching in either case.
+func equalFold[T string | []byte](s T, prefix string) bool {
 	if len(s) < len(prefix) {
 		return false
 	}
 	for i := 0; i < len(prefix); i++ {
-		c, p := s[i], prefix[i]
+		c := s[i]
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		if 'A' <= p && p <= 'Z' {
-			p += 'a' - 'A'
-		}
-		if c != p {
+		if c != prefix[i] {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -26,9 +27,7 @@ cluster network service scalable proxy distillation cache worker`)
 // paragraphs, anchors and inline image references. imageRefs returns
 // the src values to embed (in order); pass nil for defaults.
 func GenerateHTML(rng *rand.Rand, targetBytes int, imageRefs []string) []byte {
-	if targetBytes < 128 {
-		targetBytes = 128
-	}
+	targetBytes = max(targetBytes, 128)
 	var b strings.Builder
 	b.Grow(targetBytes + 256)
 	b.WriteString("<html><head><title>")
@@ -73,68 +72,6 @@ func writeWords(b *strings.Builder, rng *rand.Rand, n int) {
 	}
 }
 
-// ImageRef is one inline image reference found in a page.
-type ImageRef struct {
-	Src        string
-	TagStart   int // byte offset of '<'
-	TagEnd     int // byte offset one past '>'
-	SrcStart   int // byte offset of the src value
-	SrcEnd     int // byte offset one past the src value
-	AttrsExtra string
-}
-
-// FindImageRefs scans HTML for <img ...> tags and returns their src
-// attributes with offsets. The scanner is deliberately forgiving —
-// TranSend's HTML distiller had to survive pathological pages.
-func FindImageRefs(html []byte) []ImageRef {
-	var refs []ImageRef
-	s := string(html)
-	lower := strings.ToLower(s)
-	pos := 0
-	for {
-		i := strings.Index(lower[pos:], "<img")
-		if i < 0 {
-			return refs
-		}
-		start := pos + i
-		end := strings.IndexByte(s[start:], '>')
-		if end < 0 {
-			return refs
-		}
-		end = start + end + 1
-		tag := s[start:end]
-		tagLower := lower[start:end]
-		if j := strings.Index(tagLower, "src="); j >= 0 {
-			valStart := j + len("src=")
-			var valEnd int
-			if valStart < len(tag) && (tag[valStart] == '"' || tag[valStart] == '\'') {
-				quote := tag[valStart]
-				valStart++
-				rel := strings.IndexByte(tag[valStart:], quote)
-				if rel < 0 {
-					pos = end
-					continue
-				}
-				valEnd = valStart + rel
-			} else {
-				rel := strings.IndexAny(tag[valStart:], " \t\n>")
-				if rel < 0 {
-					rel = len(tag) - valStart
-				}
-				valEnd = valStart + rel
-			}
-			refs = append(refs, ImageRef{
-				Src:      tag[valStart:valEnd],
-				TagStart: start,
-				TagEnd:   end,
-				SrcStart: start + valStart,
-				SrcEnd:   start + valEnd,
-			})
-		}
-		pos = end
-	}
-}
-
 // MungeOptions controls RewriteHTML, mirroring the knobs the paper's
 // HTML distiller exposed per user profile.
 type MungeOptions struct {
@@ -149,40 +86,115 @@ type MungeOptions struct {
 	Toolbar string
 }
 
-// RewriteHTML applies the munge options and returns the new page.
+// RewriteHTML applies the munge options and returns the new page, in
+// one pass over the bytes into one buffer. The scan for <img ...> tags
+// and their src attributes is deliberately forgiving — TranSend's HTML
+// distiller had to survive pathological pages — and ignores the case
+// of ASCII letters only.
 func RewriteHTML(html []byte, opt MungeOptions) []byte {
-	refs := FindImageRefs(html)
-	var b strings.Builder
-	b.Grow(len(html) + 512)
-	s := string(html)
-	last := 0
-	for _, ref := range refs {
-		newSrc := ref.Src
-		if opt.RewriteSrc != nil {
-			newSrc = opt.RewriteSrc(ref.Src)
+	m := munger{toolbar: opt.Toolbar, body: -1}
+	m.out = make([]byte, 0, len(html)+len(html)/8+len(opt.Toolbar)+512)
+	pos, last := 0, 0
+	for {
+		i := indexFold(html[pos:], "<img")
+		if i < 0 {
+			break
 		}
-		b.WriteString(s[last:ref.SrcStart])
-		b.WriteString(newSrc)
-		b.WriteString(s[ref.SrcEnd:ref.TagEnd])
-		if opt.OriginalLink {
-			fmt.Fprintf(&b, `<a href="%s">[original]</a>`, ref.Src)
+		start := pos + i
+		end := bytes.IndexByte(html[start:], '>')
+		if end < 0 {
+			break
 		}
-		last = ref.TagEnd
-	}
-	b.WriteString(s[last:])
-	out := b.String()
-	if opt.Toolbar != "" {
-		lower := strings.ToLower(out)
-		if i := strings.Index(lower, "<body"); i >= 0 {
-			if j := strings.IndexByte(out[i:], '>'); j >= 0 {
-				at := i + j + 1
-				out = out[:at] + opt.Toolbar + out[at:]
+		end += start + 1
+		pos = end
+		tag := html[start:end]
+		valStart := indexFold(tag, "src=")
+		if valStart < 0 {
+			continue
+		}
+		valStart += len("src=")
+		var valEnd int
+		if quote := tag[valStart]; quote == '"' || quote == '\'' {
+			valStart++
+			if valEnd = bytes.IndexByte(tag[valStart:], quote); valEnd < 0 {
+				continue
 			}
 		} else {
-			out = opt.Toolbar + out
+			valEnd = bytes.IndexAny(tag[valStart:], " \t\n>") // the tag ends in '>'
+		}
+		src := tag[valStart : valStart+valEnd]
+		write(&m, html[last:start+valStart])
+		if opt.RewriteSrc != nil {
+			write(&m, opt.RewriteSrc(string(src)))
+		} else {
+			write(&m, src)
+		}
+		write(&m, html[start+valStart+valEnd:end])
+		if opt.OriginalLink {
+			write(&m, `<a href="`)
+			write(&m, src)
+			write(&m, `">[original]</a>`)
+		}
+		last = end
+	}
+	write(&m, html[last:])
+	if m.toolbar != "" && m.body < 0 { // no <body to follow: the toolbar leads
+		return append([]byte(m.toolbar), m.out...)
+	}
+	return m.out
+}
+
+// munger is RewriteHTML's output: the page so far, and the toolbar
+// until it is written — right behind the '>' that closes the first
+// "<body" of the output, wherever a rewrite may have put either.
+type munger struct {
+	out     []byte
+	toolbar string // pending; "" once written
+	body    int    // offset in out of the first "<body", -1 until seen
+}
+
+// write appends p, then the toolbar if p completed its place.
+func write[T string | []byte](m *munger, p T) {
+	from := len(m.out)
+	m.out = append(m.out, p...)
+	if m.toolbar == "" {
+		return
+	}
+	if m.body < 0 {
+		from = max(from-len("<body")+1, 0) // a match may straddle two writes
+		i := indexFold(m.out[from:], "<body")
+		if i < 0 {
+			return
+		}
+		m.body = from + i
+		from = m.body
+	}
+	if i := bytes.IndexByte(m.out[from:], '>'); i >= 0 {
+		at, n := from+i+1, len(m.out)
+		m.out = append(m.out, m.toolbar...)
+		copy(m.out[at+len(m.toolbar):], m.out[at:n])
+		copy(m.out[at:], m.toolbar)
+		m.toolbar = ""
+	}
+}
+
+// indexFold returns the offset of the first pat in s, ASCII letters
+// matching in either case, or -1. pat is lower-case; one that opens a
+// tag is found by jumping from '<' to '<'.
+func indexFold(s []byte, pat string) int {
+	for i := 0; i < len(s); i++ {
+		if pat[0] == '<' {
+			j := bytes.IndexByte(s[i:], '<')
+			if j < 0 {
+				return -1
+			}
+			i += j
+		}
+		if equalFold(s[i:], pat) {
+			return i
 		}
 	}
-	return []byte(out)
+	return -1
 }
 
 // StripTags removes all markup, returning the text content — the

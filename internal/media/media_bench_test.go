@@ -71,3 +71,14 @@ func BenchmarkRewriteHTML(b *testing.B) {
 		RewriteHTML(page, opt)
 	}
 }
+
+func BenchmarkDecodeSJPGHalf(b *testing.B) {
+	data := EncodeSJPG(benchImage(b), 75)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeSJPG(data, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

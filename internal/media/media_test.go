@@ -90,18 +90,6 @@ func TestSGIFPaletteReductionShrinks(t *testing.T) {
 	}
 }
 
-func TestSGIFInfo(t *testing.T) {
-	im := Generate(rand.New(rand.NewSource(5)), 33, 21)
-	data := EncodeSGIF(im, 16)
-	w, h, colors, err := SGIFInfo(data)
-	if err != nil || w != 33 || h != 21 || colors != 16 {
-		t.Fatalf("SGIFInfo = %d %d %d %v", w, h, colors, err)
-	}
-	if _, _, _, err := SGIFInfo([]byte("nope")); err == nil {
-		t.Fatal("expected error on garbage")
-	}
-}
-
 func TestSJPGRoundTripQuality(t *testing.T) {
 	im := Generate(rand.New(rand.NewSource(6)), 96, 96)
 	hi := EncodeSJPG(im, 90)
@@ -124,15 +112,6 @@ func TestSJPGRoundTripQuality(t *testing.T) {
 	}
 	if errHi > 8 {
 		t.Fatalf("q90 round-trip error %.2f too high", errHi)
-	}
-}
-
-func TestSJPGInfo(t *testing.T) {
-	im := Generate(rand.New(rand.NewSource(7)), 40, 24)
-	data := EncodeSJPG(im, 55)
-	w, h, q, err := SJPGInfo(data)
-	if err != nil || w != 40 || h != 24 || q != 55 {
-		t.Fatalf("SJPGInfo = %d %d %d %v", w, h, q, err)
 	}
 }
 
@@ -208,22 +187,21 @@ func TestGenerateHTMLTargetsSize(t *testing.T) {
 	}
 }
 
-func TestFindImageRefs(t *testing.T) {
+func TestRewriteFindsImageRefs(t *testing.T) {
 	html := []byte(`<html><body>
 <img src="http://a.example/x.sgif" alt="one">
 <IMG SRC='http://b.example/y.sjpg'>
 <img src=http://c.example/z.sgif >
 <img alt="no src here">
 </body></html>`)
-	refs := FindImageRefs(html)
-	if len(refs) != 3 {
-		t.Fatalf("found %d refs, want 3: %+v", len(refs), refs)
-	}
+	var got []string
+	RewriteHTML(html, MungeOptions{RewriteSrc: func(src string) string {
+		got = append(got, src)
+		return src
+	}})
 	want := []string{"http://a.example/x.sgif", "http://b.example/y.sjpg", "http://c.example/z.sgif"}
-	for i, ref := range refs {
-		if ref.Src != want[i] {
-			t.Fatalf("ref[%d] = %q, want %q", i, ref.Src, want[i])
-		}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("rewrote %q, want %q", got, want)
 	}
 }
 

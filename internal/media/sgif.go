@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,13 +28,10 @@ var ErrCorrupt = errors.New("media: corrupt image data")
 // EncodeSGIF encodes an image with the given palette size (2..256
 // gray levels). Fewer levels means longer runs and a smaller file.
 func EncodeSGIF(im *Image, colors int) []byte {
-	if colors < 2 {
-		colors = 2
-	}
-	if colors > 256 {
-		colors = 256
-	}
-	buf := make([]byte, 0, len(im.Pix)/4+64)
+	colors = min(max(colors, 2), 256)
+	// Never regrown: a run costs two bytes a pixel at worst (length 1),
+	// and the header is the magic, three varints and the palette.
+	buf := make([]byte, 0, 2*len(im.Pix)+4+3*binary.MaxVarintLen64+colors)
 	buf = append(buf, sgifMagic...)
 	buf = binary.AppendUvarint(buf, uint64(im.W))
 	buf = binary.AppendUvarint(buf, uint64(im.H))
@@ -41,14 +39,17 @@ func EncodeSGIF(im *Image, colors int) []byte {
 	for i := 0; i < colors; i++ {
 		buf = append(buf, byte(i*255/(colors-1)))
 	}
-	quant := func(v byte) byte {
-		return byte((int(v)*(colors-1) + 127) / 255)
+	var quant [256]byte // gray level -> palette index
+	for v := range quant {
+		quant[v] = byte((v*(colors-1) + 127) / 255)
 	}
-	i := 0
-	for i < len(im.Pix) {
-		idx := quant(im.Pix[i])
+	for i := 0; i < len(im.Pix); {
+		idx := quant[im.Pix[i]]
 		run := 1
-		for i+run < len(im.Pix) && quant(im.Pix[i+run]) == idx {
+		for _, p := range im.Pix[i+1:] {
+			if quant[p] != idx {
+				break
+			}
 			run++
 		}
 		buf = binary.AppendUvarint(buf, uint64(run))
@@ -64,10 +65,8 @@ func DecodeSGIF(data []byte) (*Image, error) {
 	if !r.expect(sgifMagic) {
 		return nil, fmt.Errorf("%w: bad SGIF magic", ErrCorrupt)
 	}
-	w := r.uvarint()
-	h := r.uvarint()
-	colors := r.uvarint()
-	if r.err != nil || w == 0 || h == 0 || colors < 2 || colors > 256 || w*h > 1<<28 {
+	w, h, colors := r.uvarint(), r.uvarint(), r.uvarint()
+	if r.err != nil || colors < 2 || colors > 256 || !validDims(w, h) {
 		return nil, fmt.Errorf("%w: bad SGIF header", ErrCorrupt)
 	}
 	palette := r.bytes(int(colors))
@@ -75,34 +74,27 @@ func DecodeSGIF(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("%w: truncated SGIF palette", ErrCorrupt)
 	}
 	im := NewImage(int(w), int(h))
-	pos := 0
-	for pos < len(im.Pix) {
-		run := r.uvarint()
-		idx := r.byte()
-		if r.err != nil || run == 0 || int(idx) >= len(palette) || pos+int(run) > len(im.Pix) {
+	// The run loop reads the stream directly: a run is two bytes far more
+	// often than not, and the cursor's per-call checks cost more than that.
+	rest := data[r.pos:]
+	for pos := 0; pos < len(im.Pix); {
+		run, n := uint64(0), 0
+		if len(rest) > 0 && rest[0] < 0x80 { // the one-byte length, without the call
+			run, n = uint64(rest[0]), 1
+		} else {
+			run, n = binary.Uvarint(rest)
+		}
+		if n <= 0 || n >= len(rest) || run == 0 || int(rest[n]) >= len(palette) || run > uint64(len(im.Pix)-pos) {
 			return nil, fmt.Errorf("%w: bad SGIF run at pixel %d", ErrCorrupt, pos)
 		}
-		v := palette[idx]
-		for j := 0; j < int(run); j++ {
-			im.Pix[pos+j] = v
+		seg, v := im.Pix[pos:pos+int(run)], palette[rest[n]]
+		for j := range seg {
+			seg[j] = v
 		}
-		pos += int(run)
+		pos += len(seg)
+		rest = rest[n+1:]
 	}
 	return im, nil
-}
-
-// SGIFInfo reports the dimensions and palette size without a full
-// decode.
-func SGIFInfo(data []byte) (w, h, colors int, err error) {
-	r := reader{data: data}
-	if !r.expect(sgifMagic) {
-		return 0, 0, 0, fmt.Errorf("%w: bad SGIF magic", ErrCorrupt)
-	}
-	uw, uh, uc := r.uvarint(), r.uvarint(), r.uvarint()
-	if r.err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: truncated SGIF header", ErrCorrupt)
-	}
-	return int(uw), int(uh), int(uc), nil
 }
 
 // reader is a bounds-checked byte cursor shared by the codecs.
@@ -113,15 +105,9 @@ type reader struct {
 }
 
 func (r *reader) expect(magic []byte) bool {
-	if r.pos+len(magic) > len(r.data) {
+	if !bytes.HasPrefix(r.data[r.pos:], magic) {
 		r.err = ErrCorrupt
 		return false
-	}
-	for i, b := range magic {
-		if r.data[r.pos+i] != b {
-			r.err = ErrCorrupt
-			return false
-		}
 	}
 	r.pos += len(magic)
 	return true

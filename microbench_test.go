@@ -9,12 +9,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/distiller"
+	"repro/internal/media"
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/tacc"
 	"repro/internal/transport"
 	"repro/internal/vcache"
 )
@@ -39,8 +44,9 @@ type MicroBench struct {
 func ceiling(baseline float64) float64 { return baseline*1.2 + 0.5 }
 
 // MicroBenches lists the request hot path's building blocks, bottom
-// up: codec, frame, SAN send, bridged send, cache partition, and the
-// FE→cache→FE blob relay at the paper's three content sizes. Baselines
+// up: codec, frame, SAN send, bridged send, cache partition, the
+// FE→cache→FE blob relay at the paper's three content sizes, and one
+// distillation per content type. Baselines
 // are allocs/op measured on the 2-CPU reference host.
 var MicroBenches = []MicroBench{
 	// Steady-state encode into a recycled buffer: alloc-free.
@@ -73,6 +79,51 @@ var MicroBenches = []MicroBench{
 	{Name: "blob_relay_4k", MaxAllocs: ceiling(15), F: func(b *testing.B) error { return benchBlobRelay(b, 4<<10) }},
 	{Name: "blob_relay_64k", MaxAllocs: ceiling(15), MaxBytes: 64 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 64<<10) }},
 	{Name: "blob_relay_512k", MaxAllocs: ceiling(48), MaxBytes: 512 << 10 / 8, F: func(b *testing.B) error { return benchBlobRelay(b, 512<<10) }},
+	// One distillation of a 20 KB original at the default profile, as a
+	// worker pays it; B/op is the raster count made measurable. SJPG
+	// decodes straight to the half-size raster (8.5 K pixels): 13.3 KB an
+	// op, and the ceiling is what keeps the full-size one (34 K) from
+	// coming back. SGIF has to expand every run before it can scale
+	// (70 KB: the raster, its half, the encoder's worst-case buffer). The
+	// munger writes one output buffer (28 KB; most of the 51 allocations
+	// are the src strings it hands RewriteSrc and gets back).
+	{Name: "distill_sjpg_20k", MaxAllocs: ceiling(8), MaxBytes: 16 << 10, F: func(b *testing.B) error { return benchDistill(b, media.MIMESJPG) }},
+	{Name: "distill_sgif_20k", MaxAllocs: ceiling(10), MaxBytes: 80 << 10, F: func(b *testing.B) error { return benchDistill(b, media.MIMESGIF) }},
+	{Name: "munge_html_20k", MaxAllocs: ceiling(51), MaxBytes: 36 << 10, F: func(b *testing.B) error { return benchDistill(b, media.MIMEHTML) }},
+}
+
+// benchDistill runs one type's distiller over a 20 KB original made the
+// way bench/workload.go makes miss_distill's: a square picture of the
+// side that encodes to about that size (0.6 bytes a pixel) at quality
+// 75 / 64 colours, or a generated page.
+func benchDistill(b *testing.B, mime string) error {
+	const size = 20 << 10
+	rng := rand.New(rand.NewSource(1))
+	side := int(math.Sqrt(size / 0.6))
+	var w tacc.Worker
+	var data []byte
+	switch mime {
+	case media.MIMESJPG:
+		w, data = distiller.SJPGDistiller, media.EncodeSJPG(media.Generate(rng, side, side), 75)
+	case media.MIMESGIF:
+		w, data = distiller.SGIFDistiller, media.EncodeSGIF(media.Generate(rng, side, side), 64)
+	default:
+		w, data = distiller.HTMLMunger{}, media.GenerateHTML(rng, size, nil)
+	}
+	task := &tacc.Task{Input: tacc.Blob{MIME: mime, Data: data}}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := w.Process(context.Background(), task)
+		if err != nil {
+			return err
+		}
+		if out.Size() == 0 || (mime != media.MIMEHTML && out.Size() >= len(data)/2) {
+			return fmt.Errorf("distilled %d bytes to %d", len(data), out.Size())
+		}
+	}
+	return nil
 }
 
 // wireLoadReport is the representative hot-path message: the periodic
