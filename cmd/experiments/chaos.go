@@ -20,7 +20,6 @@ func runFig9(seed int64) {
 		FrontEnds:      2,
 		DedicatedNodes: 12,
 		BeaconInterval: 50 * time.Millisecond,
-		ReportInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		fmt.Println("chaos start:", err)

@@ -106,7 +106,6 @@ func runFaults(seed int64) {
 		c.Registry = registry
 		c.Rules = distiller.TranSendRules()
 		c.BeaconInterval = 50 * time.Millisecond
-		c.ReportInterval = 50 * time.Millisecond
 		c.Policy = manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1}
 		return c
 	}
@@ -133,14 +132,14 @@ func runFaults(seed int64) {
 
 	fmt.Println("--- worker crash ---")
 	victim := sys.Workers()[0]
-	spawns := sys.Manager().Stats().Spawns
+	regs := sys.Manager().Stats().Registrations
 	t0 = time.Now()
 	sys.Kill(victim)
 	fmt.Printf("t=0       killed %s (no deregistration — crash)\n", victim)
 	src, err := probe()
 	fmt.Printf("t=%-7s request served via %q (err=%v)\n", since(), src, err)
-	await(func() bool { return sys.Manager().Stats().Spawns > spawns })
-	fmt.Printf("t=%-7s manager inferred the loss by timeout and spawned a replacement\n", since())
+	await(func() bool { return sys.Manager().Stats().Registrations > regs })
+	fmt.Printf("t=%-7s manager inferred the loss by timeout; restarted by name, it re-registered\n", since())
 
 	fmt.Println("--- primary manager crash, standby alive ---")
 	old := sys.Manager()
@@ -170,6 +169,7 @@ func runFaults(seed int64) {
 	await(func() bool { fes := sys.FrontEnds(); return len(fes) == 1 && fes[0].Running() })
 	src, err = probe()
 	fmt.Printf("t=%-7s manager restarted fe0; request served via %q (err=%v)\n", since(), src, err)
+	fmt.Printf("--- the monitor's view (§3.1.7) ---\n%s", sys.Mon.RenderTable())
 
 	fmt.Println("--- front-end crash in another process ---")
 	// A second system, front end only, joined to the first over a
@@ -292,7 +292,6 @@ func runTable1(seed int64) {
 		Registry:       registry,
 		Rules:          distiller.TranSendRules(),
 		BeaconInterval: 30 * time.Millisecond,
-		ReportInterval: 30 * time.Millisecond,
 		Policy:         manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
 	})
 	if err == nil && sys.WaitReady(10*time.Second) {

@@ -202,7 +202,7 @@ func main() {
 	if !sys.WaitReady(opts.readyTimeout) {
 		log.Fatalf("node: cluster not serviceable within %s (peers: %v)", opts.readyTimeout, sys.Bridge.Peers())
 	}
-	log.Printf("node: ready — peers %v", sys.Bridge.Peers())
+	log.Printf("node: ready in %.1f ms — peers %v", sys.Registry().Gauge("core.ready_ms").Value(), sys.Bridge.Peers())
 
 	var debugSrv *http.Server
 	if opts.httpAddr != "" {

@@ -44,7 +44,6 @@ type Config struct {
 
 	// Timings (compressed for tests).
 	BeaconInterval time.Duration
-	ReportInterval time.Duration
 	CallTimeout    time.Duration
 
 	// CacheSuperviseTTL tunes the manager's cache process-peer
@@ -109,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = 10 * time.Millisecond
 	}
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = c.BeaconInterval
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 250 * time.Millisecond
 	}
@@ -151,7 +147,6 @@ func New(cfg Config) (*Harness, error) {
 		Registry:          cfg.Registry,
 		Rules:             cfg.Rules,
 		BeaconInterval:    cfg.BeaconInterval,
-		ReportInterval:    cfg.ReportInterval,
 		CallTimeout:       cfg.CallTimeout,
 		CacheTimeout:      cacheTimeout,
 		CacheSuperviseTTL: cfg.CacheSuperviseTTL,

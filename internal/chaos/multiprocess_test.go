@@ -46,7 +46,6 @@ func startBridgedPair(t *testing.T, seedA, seedB int64) (sysA, sysB *core.System
 		Rules:          rules,
 		ProfileDir:     t.TempDir(),
 		BeaconInterval: tick,
-		ReportInterval: tick,
 		CallTimeout:    time.Second,
 		MinDistillSize: 1,
 		Policy:         policy,
@@ -69,7 +68,6 @@ func startBridgedPair(t *testing.T, seedA, seedB int64) (sysA, sysB *core.System
 		Rules:          rules,
 		ProfileDir:     t.TempDir(),
 		BeaconInterval: tick,
-		ReportInterval: tick,
 		CallTimeout:    time.Second,
 		MinDistillSize: 1,
 		Policy:         policy,

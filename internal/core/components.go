@@ -322,15 +322,15 @@ func (s *System) workerComponent(class string, ephemeral bool) *component {
 		// Three beacon intervals: the silence a standby takes for a dead primary.
 		cutOff: func(p process) bool { return p.(*stub.WorkerStub).BeaconAge() > 3*s.cfg.BeaconInterval },
 		// A Restart keeps id, class and pool: the stub deregisters as it
-		// stops and the fresh one re-registers on the next beacon — a dead
-		// slot coming back, or the hot-upgrade step ("the upgraded binary").
+		// stops and the fresh one registers as it starts — a dead slot
+		// coming back, or the hot-upgrade step ("the upgraded binary").
 		build: func(node string) (process, error) {
 			w, err := s.cfg.Registry.New(class)
 			if err != nil {
 				return nil, err
 			}
 			return stub.NewWorkerStub(id, node, w, s.Net, stub.WorkerConfig{
-				ReportInterval: s.cfg.ReportInterval,
+				ReportInterval: s.cfg.BeaconInterval,
 				Overflow:       overflow,
 			}), nil
 		},
@@ -351,7 +351,7 @@ func (s *System) supervisorComponent() *component {
 				Prefix:            s.cfg.NodePrefix,
 				Host:              s,
 				HeartbeatGroup:    stub.GroupControl,
-				HeartbeatInterval: s.cfg.ReportInterval,
+				HeartbeatInterval: s.cfg.BeaconInterval,
 				// The supervisor cannot import the stub package (stub's wire
 				// codec encodes supervisor commands), so the beacon-epoch
 				// extraction it fences stale commands with is injected here.
@@ -377,7 +377,7 @@ func (s *System) cacheComponent(name, node string) *component {
 		build: func(node string) (process, error) {
 			svc := vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil))
 			svc.HeartbeatGroup = stub.GroupControl
-			svc.HeartbeatInterval = s.cfg.ReportInterval
+			svc.HeartbeatInterval = s.cfg.BeaconInterval
 			return svc, nil
 		},
 		started: func(old, cur process) {
@@ -417,9 +417,7 @@ func (s *System) managerComponent(rank int) *component {
 			Node:           node,
 			Net:            s.Net,
 			Policy:         s.cfg.Policy,
-			BeaconInterval: s.cfg.BeaconInterval,
-			WorkerTTL:      5 * s.cfg.ReportInterval,
-			FETTL:          6 * s.cfg.BeaconInterval,
+			BeaconInterval: s.cfg.BeaconInterval, // WorkerTTL and FETTL at their defaults: 5 and 6 of it
 			CacheTTL:       s.cfg.CacheSuperviseTTL,
 			CmdTimeout:     s.cfg.CallTimeout,
 			Rank:           rank,
@@ -458,7 +456,7 @@ func (s *System) monitorComponent() *component {
 				s.Mon = monitor.New(monitor.Config{
 					Node:         node,
 					Net:          s.Net,
-					SilenceAfter: 4 * s.cfg.ReportInterval,
+					SilenceAfter: 4 * s.cfg.BeaconInterval,
 				})
 			}
 			return s.Mon, nil
@@ -473,7 +471,7 @@ func (s *System) reporterComponent() *component {
 	return &component{
 		name: "obsrep",
 		build: func(node string) (process, error) {
-			return &obsReporter{name: "obsrep", node: node, net: s.Net, interval: s.cfg.ReportInterval}, nil
+			return &obsReporter{name: "obsrep", node: node, net: s.Net, interval: s.cfg.BeaconInterval}, nil
 		},
 	}
 }

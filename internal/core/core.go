@@ -194,15 +194,14 @@ type Config struct {
 
 	// Tuning.
 	Policy         manager.Policy
-	BeaconInterval time.Duration
-	ReportInterval time.Duration
+	BeaconInterval time.Duration // every announcer's: beacons, hellos, reports
 	CallTimeout    time.Duration
 	CacheTTL       time.Duration
 	CacheTimeout   time.Duration // per-lookup vcache bound (0 = client default)
 	MinDistillSize int
 	// CacheSuperviseTTL is how long the manager tolerates cache
 	// heartbeat silence before its process-peer duty restarts the
-	// service (default 5x ReportInterval). Keep it comfortably above
+	// service (default 5x BeaconInterval). Keep it comfortably above
 	// the longest network partition a deployment should ride out —
 	// restarting a merely-partitioned cache is safe (the content is
 	// discardable) but churns.
@@ -274,14 +273,11 @@ func (c Config) withDefaults() Config {
 	if c.BeaconInterval <= 0 {
 		c.BeaconInterval = stub.DefaultBeaconInterval
 	}
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = c.BeaconInterval
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = stub.DefaultCallTimeout
 	}
 	if c.CacheSuperviseTTL <= 0 {
-		c.CacheSuperviseTTL = 5 * c.ReportInterval
+		c.CacheSuperviseTTL = 5 * c.BeaconInterval
 	}
 	if c.Policy == (manager.Policy{}) {
 		c.Policy = manager.DefaultPolicy()
@@ -309,6 +305,8 @@ type System struct {
 	rr        atomic.Uint64
 	tmpDir    string
 	stopped   atomic.Bool
+	started   time.Time
+	readyOnce sync.Once // publishes core.ready_ms
 }
 
 // nodeName/ovfName build prefix-qualified cluster node names — unique
@@ -340,7 +338,7 @@ func CacheAddrs(nodePrefix string, cacheParts, dedicatedNodes int) map[string]sa
 
 // Start builds and boots a system.
 func Start(cfg Config) (*System, error) {
-	s := &System{cfg: cfg.withDefaults(), table: make(map[string]*component)}
+	s := &System{cfg: cfg.withDefaults(), table: make(map[string]*component), started: time.Now()}
 	if err := s.boot(); err != nil {
 		s.cleanup()
 		return nil, err
@@ -616,18 +614,26 @@ func (s *System) CacheNodes() map[string]san.Addr {
 // beacon, and its stub's beacon cache must hold every configured worker
 // class at full strength — the cluster-wide view a beacon carries — so
 // a request needs no cold-start spawn. The edge, if hosted, must be
-// listening with at least one routable front end. It returns false on
-// timeout.
+// listening with at least one routable front end. Ready is repairable: a
+// process hosting the primary waits until it has heard this process's
+// supervisor, any other until its supervisor has seen a beacon. The first
+// success is published as core.ready_ms (since Start); false on timeout.
 func (s *System) WaitReady(timeout time.Duration) bool {
 	want := 0
 	for _, n := range s.cfg.Workers {
 		want += n
 	}
 	ready := func() bool {
-		if s.cfg.Roles.manager() {
-			if m := s.Manager(); m == nil || m.Stats().Workers < want {
+		m, sup := s.Manager(), s.Supervisor()
+		if m != nil && m.IsPrimary() {
+			if own, ok := m.SupervisorFor(sup.Addr().Node); !ok || own.Addr != sup.Addr() {
 				return false
 			}
+		} else if sup.Epoch() == 0 {
+			return false
+		}
+		if s.cfg.Roles.manager() && (m == nil || m.Stats().Workers < want) {
+			return false
 		}
 		if s.cfg.Roles.frontEnds() {
 			fes := s.FrontEnds()
@@ -648,12 +654,15 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 		eg := s.Edge()
 		return eg == nil || eg.Running() && eg.PoolStats().Healthy >= 1
 	}
-	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+	for deadline := time.Now().Add(timeout); ; time.Sleep(time.Millisecond) {
 		if ready() {
+			s.readyOnce.Do(func() { s.Registry().Gauge("core.ready_ms").Set(float64(time.Since(s.started).Microseconds()) / 1000) })
 			return true
 		}
+		if time.Now().After(deadline) {
+			return false
+		}
 	}
-	return ready()
 }
 
 // Request submits a client request, round-robining across live front

@@ -38,7 +38,6 @@ func startTranSend(t *testing.T, mutate func(*Config)) *System {
 		Rules:          distiller.TranSendRules(),
 		ProfileDir:     t.TempDir(),
 		BeaconInterval: tick,
-		ReportInterval: tick,
 		CallTimeout:    2 * time.Second,
 		Policy: manager.Policy{
 			SpawnThreshold: 1e9, // no autoscaling unless a test wants it
@@ -101,6 +100,102 @@ func waitForWorkers(t *testing.T, s *System, n int) {
 		}
 		return s.Manager().Stats().FrontEnds >= len(s.FrontEnds())
 	})
+}
+
+// TestReadyAtShippedIntervals: at the shipped 500 ms interval a
+// single-process system is serviceable in milliseconds — every worker
+// registered, the front end holding the worker table — not after the two
+// beacon intervals a rebuild of soft state once took. And ready means
+// repairable: a worker killed the instant WaitReady returns has an owner
+// the manager can command, and comes back by name with no failed command.
+func TestReadyAtShippedIntervals(t *testing.T) {
+	t.Parallel()
+	s := startTranSend(t, func(c *Config) { c.BeaconInterval = 0 })
+	if !s.WaitReady(10 * time.Second) {
+		t.Fatal("never ready")
+	}
+	victim := s.Workers()[0]
+	if err := s.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	ms := s.Registry().Snapshot()["core.ready_ms"]
+	t.Logf("ready in %v ms", ms)
+	if ms <= 0 || ms >= 250 {
+		t.Errorf("core.ready_ms %v, want (0, 250) at a %v interval", ms, s.cfg.BeaconInterval)
+	}
+	waitFor(t, "the victim restarted by name", func() bool {
+		st := s.Manager().Stats()
+		return st.WorkerRestarts == 1 && st.Workers == 3 && slices.Contains(s.Workers(), victim)
+	})
+	if st := s.Manager().Stats(); st.DelegateFails != 0 {
+		t.Fatalf("manager %+v: a command failed", st)
+	}
+}
+
+// TestPairReadyAtShippedIntervals: the two-process split is ready in
+// milliseconds on both sides at the shipped interval too — the worker
+// registrations, the beacon greeting the front end, and the epoch every
+// supervisor fences with all cross the bridge at once.
+func TestPairReadyAtShippedIntervals(t *testing.T) {
+	t.Parallel()
+	sysA, sysB := startPair(t, func(a, b *Config) { a.BeaconInterval, b.BeaconInterval = 0, 0 })
+	for name, sys := range map[string]*System{"A": sysA, "B": sysB} {
+		ms := sys.Registry().Snapshot()["core.ready_ms"]
+		t.Logf("process %s ready in %v ms", name, ms)
+		if ms <= 0 || ms >= 250 {
+			t.Errorf("process %s: core.ready_ms %v, want (0, 250)", name, ms)
+		}
+	}
+}
+
+// TestCrashedWorkerBackWithinTTL: at the shipped interval a crashed
+// worker is registered again within WorkerTTL + 250 ms of the kill —
+// detection is the whole cost, because its restart registers as it
+// starts instead of waiting for a beacon — and the front end lists it
+// again within 100 ms of that. The kill lands late in the victim's report
+// period, so the bound holds whatever the phase of the reconcile tick.
+func TestCrashedWorkerBackWithinTTL(t *testing.T) {
+	t.Parallel()
+	s := startTranSend(t, func(c *Config) { c.BeaconInterval = 0 })
+	if !s.WaitReady(10 * time.Second) {
+		t.Fatal("never ready")
+	}
+	victim := s.Workers()[0]
+	class := victim[:strings.LastIndex(victim, ".")]
+	lastReport := func() time.Time {
+		for _, c := range s.Mon.Snapshot() {
+			if c.Component == victim {
+				return c.LastSeen
+			}
+		}
+		return time.Time{}
+	}
+	seen := lastReport()
+	waitFor(t, "a report from the victim", func() bool { return lastReport() != seen })
+	time.Sleep(400*time.Millisecond - time.Since(lastReport()))
+
+	regs := s.Manager().Stats().Registrations
+	kill := time.Now()
+	if err := s.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "re-registration", func() bool { return s.Manager().Stats().Registrations > regs })
+	back := time.Since(kill)
+	t.Logf("re-registered %v after the kill", back)
+	if ttl := 5 * s.cfg.BeaconInterval; back > ttl+250*time.Millisecond {
+		t.Errorf("re-registered %v after the kill, want within WorkerTTL %v + 250ms", back, ttl)
+	}
+	waitFor(t, "the front end lists it", func() bool {
+		for _, w := range s.FrontEnds()[0].ManagerStub().Workers(class) {
+			if w.ID == victim {
+				return true
+			}
+		}
+		return false
+	})
+	if lag := time.Since(kill) - back; lag > 100*time.Millisecond {
+		t.Errorf("the front end listed the worker %v after its re-registration, want within 100ms", lag)
+	}
 }
 
 func TestEndToEndDistillation(t *testing.T) {

@@ -42,7 +42,6 @@ func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System
 		Rules:          distiller.TranSendRules(),
 		ProfileDir:     t.TempDir(),
 		BeaconInterval: tick,
-		ReportInterval: tick,
 		CallTimeout:    2 * time.Second,
 		Policy:         policy,
 	}
@@ -58,7 +57,6 @@ func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System
 		Rules:          distiller.TranSendRules(),
 		ProfileDir:     t.TempDir(),
 		BeaconInterval: tick,
-		ReportInterval: tick,
 		CallTimeout:    2 * time.Second,
 		Policy:         policy,
 	}

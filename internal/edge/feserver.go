@@ -118,6 +118,8 @@ func FetchHandler(do func(context.Context, frontend.Request) (frontend.Response,
 			return
 		}
 		defer resp.Release()
+		// A known length: no chunk framing here, nor at the edge relaying it.
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Blob.Data)))
 		w.Header().Set("Content-Type", resp.Blob.MIME)
 		w.Header().Set(HeaderSource, resp.Source)
 		if resp.Degraded {

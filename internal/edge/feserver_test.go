@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,34 @@ import (
 	"repro/internal/obs"
 	"repro/internal/tacc"
 )
+
+// TestFetchHandlerSendsLength: a body far past the server's chunking
+// buffer still goes out with its length and unchunked — from the adapter,
+// and relayed by the edge.
+func TestFetchHandlerSendsLength(t *testing.T) {
+	body := make([]byte, 256<<10)
+	adapter := httptest.NewServer(FetchHandler(func(context.Context, frontend.Request) (frontend.Response, error) {
+		return frontend.Response{Blob: tacc.Blob{MIME: "application/octet-stream", Data: body}, Source: "original"}, nil
+	}))
+	defer adapter.Close()
+	e := newTestEdge(t, 0)
+	e.ObserveBackend("n/fe0", "fe0", adapter.Listener.Addr().String(), false)
+
+	for hop, base := range map[string]string{"adapter": adapter.URL, "edge": "http://" + e.HTTPAddr()} {
+		resp, err := http.Get(base + "/fetch?url=u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || len(got) != len(body) {
+			t.Fatalf("%s: read %d of %d bytes: %v", hop, len(got), len(body), err)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none", hop, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
 
 // TestFetchHandler drives the one HTTP ↔ frontend.Request adapter
 // against a fake front end: how each query/header reaches the request

@@ -24,6 +24,7 @@ import (
 	"repro/internal/origin"
 	"repro/internal/profiledb"
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
@@ -330,30 +331,21 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		emit("inflight", float64(fe.inflight.Load()))
 	})
 
-	hb := time.NewTicker(fe.cfg.HeartbeatInterval)
+	hb := softstate.NewSchedule(fe.cfg.HeartbeatInterval)
 	defer hb.Stop()
-	fe.heartbeat(ep)
 
-	var greeted san.Addr
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-hb.C:
 			fe.heartbeat(ep)
+			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("frontend: %s endpoint closed", fe.cfg.Name)
 			}
 			if fe.mstub.HandleMessage(msg) {
-				// Greet a newly discovered (or restarted) manager at
-				// once, so the process-peer watch covers this front
-				// end from its very first beacon — not a heartbeat
-				// tick later.
-				if mgr := fe.mstub.Manager(); !mgr.IsZero() && mgr != greeted {
-					greeted = mgr
-					fe.heartbeat(ep)
-				}
 				continue
 			}
 			switch msg.Kind {
@@ -607,10 +599,10 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 	origKey := vcache.OrigKey(req.URL)
 
 	// 3+4. One probe asks the URL's partition for the distilled variant,
-	// else the original. A distilled hit is the steady-state hot path, so
-	// it serves the view directly — the bytes stay in the pooled receive
-	// buffer until the caller's Response.Release. An original is copied
-	// out: it outlives this call inside the flights below.
+	// else the original. A hit that is the answer serves the view: the
+	// bytes stay in the pooled receive buffer until the caller's
+	// Response.Release. An original still to distil is copied out: it
+	// outlives this call inside the flights below.
 	key, elseKey := probeKeys(pipeline, distillKey, origKey)
 	cstart := time.Now()
 	got, release := fe.cache.Probe(ctx, key, elseKey, false)
@@ -622,13 +614,16 @@ func (fe *FrontEnd) handle(ctx, life context.Context, req Request) (Response, er
 	}
 	var orig tacc.Blob
 	switch {
-	case got.Found && !got.Else && len(pipeline) > 0:
-		fe.stats.cacheDistilled.Add(1)
-		return Response{
-			Blob:    tacc.Blob{MIME: got.MIME, Data: got.Data},
-			Source:  "cache-distilled",
-			release: release,
-		}, nil
+	case got.Found && !got.Else: // with no pipeline the key is the original's
+		resp := Response{Blob: tacc.Blob{MIME: got.MIME, Data: got.Data}, Source: "cache-distilled", release: release}
+		if len(pipeline) == 0 {
+			resp.Source = "original"
+			fe.stats.cacheOriginal.Add(1)
+			fe.stats.passedThrough.Add(1)
+		} else {
+			fe.stats.cacheDistilled.Add(1)
+		}
+		return resp, nil
 	case got.Found:
 		fe.stats.cacheOriginal.Add(1)
 		orig = tacc.Blob{MIME: got.MIME, Data: got.Data}

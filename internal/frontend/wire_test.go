@@ -13,7 +13,9 @@ import (
 // TestFrontEndCachePathOverWire drives the front end's origin + cache
 // path over a wire-mode SAN: the vcache get/put protocol (byte
 // payloads included) must round-trip through the codec, and repeated
-// requests must hit the cache exactly as in passthrough mode.
+// requests must hit the cache exactly as in passthrough mode. A hit with
+// nothing to distil is served like a distilled hit: the reply's view,
+// not a copy, handed back once through Release.
 func TestFrontEndCachePathOverWire(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	fe, _, static := startFEOn(t, net, nil)
@@ -27,15 +29,26 @@ func TestFrontEndCachePathOverWire(t *testing.T) {
 	if resp.Source != "original" || resp.Blob.Size() != 5000 {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if _, err := fe.Do(ctx, Request{URL: "http://a/x.bin", User: "u"}); err != nil {
+	hit, err := fe.Do(ctx, Request{URL: "http://a/x.bin", User: "u"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if hit.Source != "original" || hit.Blob.Size() != 5000 || hit.release == nil {
+		t.Fatalf("hit = %s, %d bytes, release %v: want the original's view", hit.Source, hit.Blob.Size(), hit.release != nil)
+	}
+	release, releases := hit.release, 0
+	hit.release = func() { releases++; release() }
+	hit.Release()
+	hit.Release()
+	if releases != 1 {
+		t.Fatalf("the view's release ran %d times, want once", releases)
 	}
 	st := fe.Stats()
 	if st.OriginFetches != 1 {
 		t.Fatalf("origin fetches = %d, want 1 (cache must absorb the repeat over wire)", st.OriginFetches)
 	}
-	if st.CacheOriginal != 1 {
-		t.Fatalf("cache-original hits = %d", st.CacheOriginal)
+	if st.CacheOriginal != 1 || st.PassedThrough != 2 {
+		t.Fatalf("cache-original hits = %d, passed through %d; want 1 and 2", st.CacheOriginal, st.PassedThrough)
 	}
 
 	ns := net.Stats()

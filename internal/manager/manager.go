@@ -12,6 +12,15 @@
 // protocol at all — the BASE design that replaced the original
 // process-pair prototype.
 //
+// The primary's beacons refresh every listener's worker table once per
+// BeaconInterval (a softstate.Schedule), which bounds staleness. It also
+// beacons at once when its membership view changes — a worker admitted
+// or forgotten, a front end or supervisor heard new or again after its
+// row expired — one beacon per drained inbox and per reconcile. So a
+// rebuild of soft state converges in a round trip: §3.1.3's
+// re-registration at message speed, a newcomer greeted with the table it
+// needs, and an idle cluster pays only the periodic refresh.
+//
 // # One rule up, one lever
 //
 // Desired is declared, never learned: the roster every live supervisor
@@ -63,6 +72,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/san"
@@ -191,18 +201,19 @@ func (c Config) withDefaults() Config {
 
 // Stats is a snapshot of manager activity.
 type Stats struct {
-	Workers        int
-	FrontEnds      int
-	Caches         int
-	Supervisors    int
-	Spawns         uint64
-	Reaps          uint64
-	FERestarts     uint64
-	CacheRestarts  uint64
-	WorkerRestarts uint64
-	ReportsHandled uint64
-	BeaconsSent    uint64
-	Registrations  uint64
+	Workers          int
+	FrontEnds        int
+	Caches           int
+	Supervisors      int
+	Spawns           uint64
+	Reaps            uint64
+	FERestarts       uint64
+	CacheRestarts    uint64
+	WorkerRestarts   uint64
+	ReportsHandled   uint64
+	BeaconsSent      uint64
+	BeaconsTriggered uint64 // of BeaconsSent, those sent for a membership change
+	Registrations    uint64
 	// Readmits counts workers heard from again after silence expired
 	// them: never dead, and spared if their restart had not gone out.
 	Readmits uint64
@@ -272,6 +283,7 @@ type Manager struct {
 	nextCmdID uint64
 	seq       uint64
 	stats     Stats
+	changed   atomic.Bool // the membership view moved since the last beacon
 
 	// Election state (guarded by mu).
 	primary   bool
@@ -360,6 +372,7 @@ func (m *Manager) Run(ctx context.Context) error {
 		emit("cache_restarts", float64(st.CacheRestarts))
 		emit("worker_restarts", float64(st.WorkerRestarts))
 		emit("beacons_sent", float64(st.BeaconsSent))
+		emit("beacons_triggered", float64(st.BeaconsTriggered))
 		emit("registrations", float64(st.Registrations))
 		emit("epoch", float64(st.Epoch))
 		primary := 0.0
@@ -372,28 +385,30 @@ func (m *Manager) Run(ctx context.Context) error {
 		emit("supervisors", float64(st.Supervisors))
 	})
 
+	beacon := softstate.NewSchedule(m.cfg.BeaconInterval)
+	defer beacon.Stop()
 	tick := time.NewTicker(m.cfg.BeaconInterval)
 	defer tick.Stop()
 
 	m.mu.Lock()
 	m.lastClaim = time.Now() // fresh grace window per Run
-	primary := m.primary
 	m.mu.Unlock()
-	if primary {
-		m.sendBeacon(ep) // announce immediately so workers register fast
-	}
 
 	listening := time.Now() // when the last primary tick was served
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
+		case <-beacon.C:
+			if m.IsPrimary() {
+				m.sendBeacon(ep, false)
+			}
+			beacon.Next()
 		case <-tick.C:
 			if !m.IsPrimary() {
 				m.maybeTakeover(ep)
 				continue
 			}
-			m.sendBeacon(ep)
 			// Silence is judged only by a replica that was listening, or a
 			// hiccup here reads as deaths everywhere — and a false death is a
 			// live worker restarted. What queued up behind this tick is heard
@@ -414,6 +429,12 @@ func (m *Manager) Run(ctx context.Context) error {
 				return fmt.Errorf("manager: endpoint closed")
 			}
 			m.handle(msg)
+			for len(ep.Inbox()) > 0 {
+				m.handle(<-ep.Inbox())
+			}
+		}
+		if m.changed.Load() && m.IsPrimary() {
+			m.sendBeacon(ep, true) // one per drained inbox, one per reconcile
 		}
 	}
 }
@@ -434,7 +455,7 @@ func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 	m.primary = true
 	m.stats.Takeovers++
 	m.mu.Unlock()
-	m.sendBeacon(ep)
+	m.sendBeacon(ep, false)
 }
 
 // observeBeacon processes a rival manager replica's beacon: adopt a
@@ -520,19 +541,25 @@ func (m *Manager) handle(msg san.Message) {
 		}
 		m.mu.Unlock()
 	case stub.FEHeartbeat:
-		m.heard[supervisor.KindFrontEnd].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindFrontEnd, Node: b.Node})
+		// A newcomer is greeted: a front end needs the worker table, a
+		// process's supervisor the epoch that fences its commands.
+		if m.heard[supervisor.KindFrontEnd].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindFrontEnd, Node: b.Node}) {
+			m.changed.Store(true)
+		}
 	case vcache.HelloMsg:
 		m.heard[supervisor.KindCache].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindCache, Node: b.Node})
 	case supervisor.HelloMsg:
-		m.sups.Put(b.Addr.String(), b)
+		if m.sups.Put(b.Addr.String(), b) {
+			m.changed.Store(true)
+		}
 	case stub.SpawnReq:
 		m.trySpawn(b.Class, true)
 	}
 }
 
 // sendBeacon multicasts the manager's existence plus the current load
-// hints, and reports itself to the monitor.
-func (m *Manager) sendBeacon(ep *san.Endpoint) {
+// hints, and reports itself to the monitor. Whatever changed is in it.
+func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 	m.mu.Lock()
 	m.seq++
 	seq := m.seq
@@ -543,7 +570,11 @@ func (m *Manager) sendBeacon(ep *san.Endpoint) {
 		info.QLen = ws.avg.Value()
 		workers = append(workers, info)
 	}
+	m.changed.Store(false)
 	m.stats.BeaconsSent++
+	if triggered {
+		m.stats.BeaconsTriggered++
+	}
 	m.mu.Unlock()
 	sort.Slice(workers, func(i, j int) bool { return workers[i].ID < workers[j].ID })
 	ep.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
@@ -570,6 +601,9 @@ func (m *Manager) admitLocked(info stub.WorkerInfo, qlen float64) {
 	ws.avg.Add(qlen)
 	m.hearLocked(ws)
 	m.stats.Registrations++
+	if !known {
+		m.changed.Store(true)
+	}
 	if !known && m.pending[info.Addr.String()] == nil {
 		for key, p := range m.pending {
 			if p.op == supervisor.OpSpawnWorker && p.class == info.Class {
@@ -591,6 +625,7 @@ func (m *Manager) hearLocked(ws *workerState) {
 func (m *Manager) forgetLocked(id string, addr san.Addr) string {
 	delete(m.workers, id)
 	m.heard[supervisor.KindWorker].Delete(addr.String())
+	m.changed.Store(true)
 	return addr.String()
 }
 
@@ -668,7 +703,7 @@ func (m *Manager) diffLocked(now time.Time) (due []*start) {
 			p := &start{key: key, Row: row, op: supervisor.OpRestart}
 			if ws := m.workers[row.Name]; ws != nil && ws.info.Addr.String() == key {
 				p.class = ws.info.Class
-				delete(m.workers, row.Name)
+				m.forgetLocked(row.Name, ws.info.Addr)
 			}
 			m.bookLocked(p)
 		}

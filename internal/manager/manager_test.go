@@ -2,6 +2,7 @@ package manager
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"repro/internal/vcache"
 )
 
-// TestWorkerLifecycle: configured workers register on the first beacon;
-// one that crashes (no deregistration) is restarted by name — same id,
-// same address — once its silence outlasts WorkerTTL.
+// TestWorkerLifecycle: configured workers register as they start; one
+// that crashes (no deregistration) is restarted by name — same id, same
+// address — once its silence outlasts WorkerTTL, and is back in the
+// inventory a registration later.
 func TestWorkerLifecycle(t *testing.T) {
 	net := san.NewNetwork(1)
 	sup := startFakeSup(t, net, "node0", "")
@@ -24,14 +26,79 @@ func TestWorkerLifecycle(t *testing.T) {
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
 
 	sup.crash(info1.ID)
-	waitFor(t, "one worker left", func() bool { return m.Stats().Workers == 1 })
-	waitFor(t, "two live workers", func() bool { return m.Stats().Workers == 2 })
+	waitFor(t, "the restart, and two live workers", func() bool {
+		st := m.Stats()
+		return st.WorkerRestarts == 1 && st.Workers == 2
+	})
 	cmds := sup.received()
 	if len(cmds) != 1 || cmds[0].Op != supervisor.OpRestart || cmds[0].Target != info1.ID {
 		t.Fatalf("supervisor saw %+v, want one restart of %s", cmds, info1.ID)
 	}
 	if st := m.Stats(); st.WorkerRestarts != 1 || st.Spawns != 0 {
 		t.Fatalf("stats %+v, want one worker restart and no spawn", st)
+	}
+}
+
+// TestRegistrationBurstCoalesces: 32 registrations queued at once are
+// one change to announce, not 32 — the primary beacons after draining
+// its inbox, so the burst costs one triggered beacon (two if it straddles
+// the first receive). The same 32 again change nothing, and trigger
+// nothing: the double registration every worker makes at boot is free.
+func TestRegistrationBurstCoalesces(t *testing.T) {
+	net := san.NewNetwork(1)
+	m := New(Config{Node: "mgr", Net: net, BeaconInterval: time.Hour})
+	from := net.Endpoint(san.Addr{Node: "n1", Proc: "burst"}, 8)
+	burst := func() {
+		for i := 0; i < 32; i++ {
+			id := fmt.Sprintf("w%d", i)
+			info := stub.WorkerInfo{ID: id, Class: "echo", Addr: san.Addr{Node: "n1", Proc: id}, Node: "n1"}
+			if err := from.Send(m.Addr(), stub.MsgRegister, stub.RegisterMsg{Info: info}, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	burst() // queued before Run: delivered as one burst
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go m.Run(ctx)
+	waitFor(t, "32 workers", func() bool { return m.Stats().Workers == 32 })
+	if n := m.Stats().BeaconsTriggered; n < 1 || n > 2 {
+		t.Fatalf("a burst of 32 registrations triggered %d beacons, want 1 or 2", n)
+	}
+	before := m.Stats().BeaconsTriggered
+	burst()
+	waitFor(t, "64 registrations", func() bool { return m.Stats().Registrations == 64 })
+	if st := m.Stats(); st.BeaconsTriggered != before || st.Workers != 32 {
+		t.Fatalf("re-registering known workers: %+v, want %d triggered beacons and 32 workers", st, before)
+	}
+}
+
+// TestIdleBeaconsOnePerInterval: an idle cluster costs one beacon per
+// interval — the schedule's steady rate, and not one triggered beacon —
+// however fast it started.
+func TestIdleBeaconsOnePerInterval(t *testing.T) {
+	t.Parallel()
+	const interval = 100 * time.Millisecond
+	net := san.NewNetwork(1)
+	sup := startFakeSup(t, net, "node0", "")
+	m, _ := startManager(t, net, "mgr", func(c *Config) {
+		c.BeaconInterval, c.WorkerTTL, c.FETTL = interval, 5*interval, 6*interval
+	})
+	sup.slot("echo")
+	sup.slot("echo")
+	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
+	time.Sleep(2 * interval) // past the schedule's fast start
+
+	collected := func() map[string]float64 { return net.Registry().Collect("manager") }
+	start, t0 := collected(), time.Now()
+	time.Sleep(30 * interval)
+	end, elapsed := collected(), time.Since(t0)
+	want := float64(elapsed / interval)
+	if sent := end["beacons_sent"] - start["beacons_sent"]; sent < want-1 || sent > want+1 {
+		t.Errorf("%v of idle sent %v beacons, want %v ± 1", elapsed, sent, want)
+	}
+	if trig := end["beacons_triggered"] - start["beacons_triggered"]; trig != 0 {
+		t.Errorf("%v of idle triggered %v beacons, want none", elapsed, trig)
 	}
 }
 

@@ -55,7 +55,7 @@ func (c Config) withDefaults() Config {
 		c.Name = "monitor"
 	}
 	if c.SilenceAfter <= 0 {
-		c.SilenceAfter = 4 * stub.DefaultReportInterval
+		c.SilenceAfter = 4 * stub.DefaultBeaconInterval
 	}
 	return c
 }

@@ -1151,8 +1151,8 @@ func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, call
 // An unencodable body reaches nobody and returns 0.
 func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 	n := e.net
-	if n.closed.Load() {
-		return 0
+	if e.closed.Load() || n.closed.Load() {
+		return 0 // a dead process sends nothing, to anyone
 	}
 	st := n.state.Load()
 	members := st.groups[group]

@@ -310,6 +310,14 @@ func TestDropNode(t *testing.T) {
 	if _, ok := <-b.Inbox(); ok {
 		t.Fatal("inbox not closed after node drop")
 	}
+	// And the dead process it stood for says nothing, to one or to many.
+	a.Join("ctl")
+	if err := b.Send(a.Addr(), "ping", nil, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send from a dropped endpoint: %v, want ErrClosed", err)
+	}
+	if got := b.Multicast("ctl", "x", nil, 0); got != 0 {
+		t.Fatalf("multicast from a dropped endpoint reached %d", got)
+	}
 }
 
 func TestReRegisterReplacesEndpoint(t *testing.T) {

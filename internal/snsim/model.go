@@ -55,8 +55,7 @@ type Params struct {
 	DedicatedNodes int     // distiller slots before overflow (default 10)
 
 	// Control plane.
-	BeaconInterval time.Duration // default 500 ms
-	ReportInterval time.Duration // default 500 ms
+	BeaconInterval time.Duration // beacons and load reports alike (default 500 ms)
 	SpawnDelay     time.Duration // new-distiller startup (default 700 ms)
 	Policy         manager.Policy
 	UseDelta       bool // §4.5 estimator (default set by callers)
@@ -113,9 +112,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.BeaconInterval <= 0 {
 		p.BeaconInterval = 500 * time.Millisecond
-	}
-	if p.ReportInterval <= 0 {
-		p.ReportInterval = 500 * time.Millisecond
 	}
 	if p.SpawnDelay <= 0 {
 		p.SpawnDelay = 700 * time.Millisecond
@@ -284,7 +280,7 @@ func New(p Params) *Model {
 	}
 
 	// Control plane.
-	m.eng.Every(p.ReportInterval, p.ReportInterval, m.managerCollect)
+	m.eng.Every(p.BeaconInterval, p.BeaconInterval, m.managerCollect)
 	m.eng.Every(p.BeaconInterval, p.BeaconInterval, m.managerBeacon)
 	m.eng.Every(0, p.SampleInterval, m.sample)
 	m.scheduleNextArrival()
@@ -581,7 +577,7 @@ func (m *Model) updateSANDrop() {
 		m.dataBytes = 0
 		return
 	}
-	window := m.p.ReportInterval.Seconds()
+	window := m.p.BeaconInterval.Seconds()
 	offeredMbps := m.dataBytes * 8 / 1e6 / window
 	m.dataBytes = 0
 	util := offeredMbps / m.p.SANCapacityMbps

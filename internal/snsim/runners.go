@@ -329,8 +329,7 @@ func RunOscillation(seed int64, useDelta bool) OscillationResult {
 		HitRate:        1,
 		Distillers:     2,
 		FrontEnds:      4,               // independent manager stubs herd on stale hints
-		ReportInterval: 4 * time.Second, // deliberately stale
-		BeaconInterval: 4 * time.Second,
+		BeaconInterval: 4 * time.Second, // deliberately stale
 		Policy:         manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
 		UseDelta:       useDelta,
 		SampleInterval: 250 * time.Millisecond,

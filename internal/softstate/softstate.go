@@ -8,6 +8,11 @@
 // component simply rebuilds its tables from the next few beacons,
 // which is precisely the simplification BASE buys over the original
 // process-pair/hard-state manager prototype described in §3.1.3.
+//
+// Every announcer that keeps such a table alive — beacon, heartbeat,
+// hello, load report — is paced by one Schedule: at once, then 5 ms
+// later, the gap doubling up to the component's interval. The interval
+// bounds staleness, not how long a newcomer waits to be heard.
 package softstate
 
 import (
@@ -62,11 +67,15 @@ func NewTable[V any](ttl time.Duration, clock Clock) *Table[V] {
 // TTL returns how long an entry lives without a refresh.
 func (t *Table[V]) TTL() time.Duration { return t.ttl }
 
-// Put inserts or refreshes an entry.
-func (t *Table[V]) Put(key string, v V) {
+// Put inserts or refreshes an entry. It reports whether the key was
+// new to the table: absent, or present but expired.
+func (t *Table[V]) Put(key string, v V) (fresh bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	e, ok := t.m[key]
+	fresh = !ok || t.expired(e)
 	t.m[key] = Entry[V]{Value: v, Refreshed: t.clock.now()}
+	return fresh
 }
 
 // Touch refreshes an entry's TTL without changing its value. It
@@ -170,6 +179,50 @@ func (t *Table[V]) ExpiredEntries() map[string]V {
 
 func (t *Table[V]) expired(e Entry[V]) bool {
 	return t.clock.now().Sub(e.Refreshed) > t.ttl
+}
+
+// Schedule paces one announcer: receive from C, announce, call Next.
+// Steady-state traffic is one announcement per interval, as a ticker's.
+type Schedule struct {
+	C        <-chan time.Time // nil, never delivering, with no interval
+	timer    *time.Timer
+	interval time.Duration
+	n        int       // announcements made
+	due      time.Time // when the latest was due
+}
+
+// NewSchedule returns a schedule whose first announcement is due now.
+func NewSchedule(interval time.Duration) *Schedule {
+	s := &Schedule{timer: time.NewTimer(0), interval: interval, due: time.Now()}
+	if interval > 0 {
+		s.C = s.timer.C
+	}
+	return s
+}
+
+// Next arms the schedule for the announcement after the one just made:
+// one gap after the last was due, so time spent announcing does not slow
+// the steady rate — or at once, by a schedule that fell behind.
+func (s *Schedule) Next() {
+	s.n++
+	if s.due = s.due.Add(Gap(s.n, s.interval)); s.due.Before(time.Now()) {
+		s.due = time.Now()
+	}
+	s.timer.Reset(time.Until(s.due))
+}
+
+// Stop releases the schedule's timer.
+func (s *Schedule) Stop() { s.timer.Stop() }
+
+// Gap is the wait before announcement n (counting from 0) of a schedule
+// with the given interval: 0, 5 ms, 10 ms, 20 ms … doubling, capped at
+// the interval.
+func Gap(n int, interval time.Duration) time.Duration {
+	g := time.Duration(0)
+	for i := 0; i < n && g < interval; i++ {
+		g = max(2*g, 5*time.Millisecond)
+	}
+	return min(g, interval)
 }
 
 // Watchdog implements process-peer fault tolerance (§2.2.4): it

@@ -37,9 +37,42 @@ func TestTableExpiry(t *testing.T) {
 	if _, ok := tb.Get("w1"); !ok {
 		t.Fatal("entry expired early")
 	}
-	fc.Advance(2 * time.Millisecond)
+	if tb.Put("w1", "distiller") {
+		t.Fatal("a refresh of a live entry reported it new")
+	}
+	fc.Advance(1001 * time.Millisecond)
 	if _, ok := tb.Get("w1"); ok {
 		t.Fatal("entry survived past TTL")
+	}
+	if !tb.Put("w1", "distiller") {
+		t.Fatal("an entry back after expiring was not reported new")
+	}
+}
+
+// TestScheduleGaps: an announcement at once, then 5 ms, doubling to the
+// interval and holding there — for an interval on the doubling ladder
+// and one off it.
+func TestScheduleGaps(t *testing.T) {
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		interval time.Duration
+		want     []time.Duration
+	}{
+		{500 * ms, []time.Duration{0, 5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 320 * ms, 500 * ms, 500 * ms, 500 * ms}},
+		{20 * ms, []time.Duration{0, 5 * ms, 10 * ms, 20 * ms, 20 * ms}},
+		{3 * ms, []time.Duration{0, 3 * ms, 3 * ms}},
+	} {
+		for n, want := range tc.want {
+			if got := Gap(n, tc.interval); got != want {
+				t.Errorf("Gap(%d, %v) = %v, want %v", n, tc.interval, got, want)
+			}
+		}
+		if got := Gap(1<<30, tc.interval); got != tc.interval {
+			t.Errorf("Gap(1<<30, %v) = %v, want the interval", tc.interval, got)
+		}
+	}
+	if s := NewSchedule(0); s.C != nil {
+		t.Fatal("a schedule with no interval delivers")
 	}
 }
 

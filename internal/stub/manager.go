@@ -76,7 +76,6 @@ type ManagerStub struct {
 
 	mu        sync.Mutex
 	manager   san.Addr
-	lastSeq   uint64
 	lastEpoch uint64
 	rng       *rand.Rand // jitter source for retry backoff (under mu)
 
@@ -157,7 +156,6 @@ func (ms *ManagerStub) HandleMessage(msg san.Message) bool {
 	}
 	ms.lastEpoch = b.Epoch
 	ms.manager = b.Manager
-	ms.lastSeq = b.Seq
 	ms.beaconsSeen++
 	ms.mu.Unlock()
 	if ms.wd != nil {

@@ -33,7 +33,10 @@ func (echoWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 	return tacc.Blob{MIME: "text/plain", Data: append([]byte("echo:"), task.Input.Data...)}, nil
 }
 
-// fakeManager beacons periodically and records registrations.
+// fakeManager beacons periodically and records registrations. Admitting
+// a worker is idempotent, as the real manager's is: a stub's multicast
+// registrations and its unicast one after the first beacon all arrive,
+// and workers carries each worker once.
 type fakeManager struct {
 	net      *san.Network
 	ep       *san.Endpoint
@@ -43,14 +46,16 @@ type fakeManager struct {
 	deregistered atomic.Int64
 	loadReports  atomic.Int64
 	spawnReqs    atomic.Int64
-	workers      chan WorkerInfo
+	workers      chan WorkerInfo // sized to the stubs a test runs
+	admitted     map[string]bool // run's goroutine only
 }
 
 func newFakeManager(net *san.Network, interval time.Duration) *fakeManager {
 	fm := &fakeManager{
 		net:      net,
 		interval: interval,
-		workers:  make(chan WorkerInfo, 64),
+		workers:  make(chan WorkerInfo, 8),
+		admitted: make(map[string]bool),
 	}
 	fm.ep = net.Endpoint(san.Addr{Node: "mgr", Proc: "manager"}, 1024)
 	fm.ep.Join(GroupControl)
@@ -81,7 +86,10 @@ func (fm *fakeManager) run(ctx context.Context, advertise func() []WorkerInfo) {
 			switch msg.Kind {
 			case MsgRegister:
 				fm.registered.Add(1)
-				fm.workers <- msg.Body.(RegisterMsg).Info
+				if info := msg.Body.(RegisterMsg).Info; !fm.admitted[info.ID] {
+					fm.admitted[info.ID] = true
+					fm.workers <- info
+				}
 			case MsgDeregister:
 				fm.deregistered.Add(1)
 			case MsgLoadReport:
@@ -134,8 +142,7 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
 
-	// Worker must register after seeing a beacon.
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	info := <-fm.workers
 	if info.Class != "echo" || info.ID != "w0" {
 		t.Fatalf("info = %+v", info)
@@ -157,6 +164,34 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 	}
 }
 
+// TestWorkerRegistersBeforeAnyBeacon: a stub that knows no manager
+// multicasts its registration on its announce schedule — at once, then
+// 5, 15, 35 ms in — so a manager hears it long before its own next
+// beacon, here one that never beacons at all.
+func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
+	net := san.NewNetwork(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	listener := net.Endpoint(san.Addr{Node: "mgr", Proc: "silent"}, 64)
+	listener.Join(GroupControl)
+
+	start := time.Now()
+	go NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{}).Run(ctx)
+	for n := 0; n < 4; n++ {
+		select {
+		case msg := <-listener.Inbox():
+			if reg, ok := msg.Body.(RegisterMsg); !ok || reg.Info.ID != "w0" {
+				t.Fatalf("heard %s %+v, want w0's registration", msg.Kind, msg.Body)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%d registrations in %v", n, time.Since(start))
+		}
+	}
+	if d := time.Since(start); d > 250*time.Millisecond {
+		t.Fatalf("four registrations took %v at a %v interval", d, DefaultBeaconInterval)
+	}
+}
+
 func TestWorkerTaskErrorPropagates(t *testing.T) {
 	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -168,7 +203,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
@@ -195,7 +230,7 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	exit := make(chan error, 1)
 	go func() { exit <- ws.Run(ctx) }()
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	ep, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
@@ -228,7 +263,7 @@ func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
 		WorkerConfig{ReportInterval: 10 * time.Millisecond, SurvivePanic: true})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	waitFor(t, "worker visible", func() bool { return len(ms.Workers("echo")) == 1 })
@@ -259,7 +294,7 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 	// in the stale beacon — exactly the §3.1.8 scenario).
 	ws := NewWorkerStub("w-live", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	live := <-fm.workers
 	ghost := WorkerInfo{ID: "w-ghost", Class: "echo", Addr: san.Addr{Node: "gone", Proc: "w-ghost"}, Node: "gone"}
 	adv.Store([]WorkerInfo{live, ghost})
@@ -293,7 +328,7 @@ func TestQueueFullRejection(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
 		WorkerConfig{QueueCap: 1, ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	info := <-fm.workers
 	adv.Store([]WorkerInfo{info})
 
@@ -330,7 +365,7 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{
@@ -386,9 +421,12 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	info := <-fm.workers
 	adv.Store([]WorkerInfo{info})
+	// A deregistration goes to the manager the stub knows: one that has
+	// beaconed, as its load reports show.
+	waitFor(t, "a load report", func() bool { return fm.loadReports.Load() >= 1 })
 
 	ep, _ := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 16)
@@ -450,7 +488,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() == 1 })
+	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})

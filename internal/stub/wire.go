@@ -5,6 +5,12 @@
 // which caches load-balancing state from manager beacons, dispatches
 // tasks by lottery, and carries the process-peer duties (restart a
 // silent manager).
+//
+// A worker announces itself on a softstate.Schedule. While it knows no
+// manager each announcement multicasts its RegisterMsg on the control
+// group, so the primary admits it milliseconds after it starts; from its
+// first beacon on it registers by unicast with that manager (and with
+// any new one, §3.1.3) and each announcement is a load report.
 package stub
 
 import (
@@ -164,11 +170,11 @@ type SpanDigest struct {
 	Spans []obs.Span
 }
 
-// Timing defaults shared across the SNS layer. The paper beacons every
-// few seconds; tests compress time via Config knobs.
+// Timing defaults shared across the SNS layer: every announcer shares
+// the one interval. The paper beacons every few seconds; tests compress
+// time via Config knobs.
 const (
 	DefaultBeaconInterval = 500 * time.Millisecond
-	DefaultReportInterval = 500 * time.Millisecond
 	DefaultCallTimeout    = 2 * time.Second
 )
 

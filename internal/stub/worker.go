@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/tacc"
 )
 
@@ -17,7 +18,7 @@ type WorkerConfig struct {
 	// QueueCap bounds the request queue; beyond it the stub rejects
 	// tasks so front ends retry elsewhere. Default 64.
 	QueueCap int
-	// ReportInterval is the load-report period. Default 500 ms.
+	// ReportInterval paces announcements. Default DefaultBeaconInterval.
 	ReportInterval time.Duration
 	// SurvivePanic converts worker panics into task errors instead
 	// of killing the stub process. The default (false) is the
@@ -33,7 +34,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.QueueCap = 64
 	}
 	if c.ReportInterval <= 0 {
-		c.ReportInterval = DefaultReportInterval
+		c.ReportInterval = DefaultBeaconInterval
 	}
 	return c
 }
@@ -152,6 +153,9 @@ func (e errWorkerCrash) Error() string {
 
 // Run implements cluster.Process.
 func (s *WorkerStub) Run(ctx context.Context) error {
+	if ctx.Err() != nil {
+		return nil // killed before it ran: its endpoint stays dropped, and it says nothing
+	}
 	if s.ep == nil || !s.net.Lookup(s.addr()) {
 		s.ep = s.net.Endpoint(s.addr(), s.cfg.QueueCap*2+64)
 	}
@@ -181,8 +185,8 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 		s.processLoop(pctx, crashed)
 	}()
 
-	ticker := time.NewTicker(s.cfg.ReportInterval)
-	defer ticker.Stop()
+	report := softstate.NewSchedule(s.cfg.ReportInterval)
+	defer report.Stop()
 
 	for {
 		select {
@@ -199,8 +203,9 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 			pcancel()
 			wg.Wait()
 			return errWorkerCrash{cause: cause}
-		case <-ticker.C:
+		case <-report.C:
 			s.reportLoad(ep)
+			report.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				pcancel()
@@ -422,8 +427,8 @@ func (s *WorkerStub) observeCost(d time.Duration) {
 	s.costMs.Store((old*7 + us*3) / 10) // EWMA alpha 0.3
 }
 
-// reportLoad sends the periodic load report to the manager and a
-// status report to the monitor group.
+// reportLoad is the stub's announcement: a load report to its manager,
+// or its registration to any, and a status report to the monitor group.
 func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 	s.mu.Lock()
 	mgr := s.manager
@@ -439,7 +444,11 @@ func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 		Crashes: s.crashes.Load(),
 		Info:    s.Info(),
 	}
-	if !mgr.IsZero() && !disabled {
+	switch {
+	case disabled:
+	case mgr.IsZero():
+		ep.Multicast(GroupControl, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
+	default:
 		_ = ep.Send(mgr, MsgLoadReport, report, 64)
 	}
 	ep.Multicast(GroupReports, MsgMonReport, StatusReport{

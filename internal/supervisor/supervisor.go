@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/softstate"
 )
 
 // Message kinds. MsgHello is multicast on the configured heartbeat
@@ -157,9 +158,9 @@ type Config struct {
 	// Host executes commands. A nil Host acks every command with an
 	// error (useful only in tests).
 	Host Host
-	// HeartbeatGroup/HeartbeatInterval, when both set, make Run
-	// multicast a HelloMsg every interval. The platform wires the
-	// group to stub.GroupControl.
+	// HeartbeatGroup/HeartbeatInterval make Run multicast a HelloMsg,
+	// paced by a softstate.Schedule of that interval (none without one).
+	// The platform wires the group to stub.GroupControl.
 	HeartbeatGroup    string
 	HeartbeatInterval time.Duration
 	// EpochFrom, when set, makes Run join HeartbeatGroup and extract
@@ -294,13 +295,8 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	ep := s.ep
 	defer ep.Close()
 
-	var hb <-chan time.Time
-	if s.cfg.HeartbeatGroup != "" && s.cfg.HeartbeatInterval > 0 {
-		t := time.NewTicker(s.cfg.HeartbeatInterval)
-		defer t.Stop()
-		hb = t.C
-		s.heartbeat(ep) // announce immediately so delegation works now
-	}
+	hb := softstate.NewSchedule(s.cfg.HeartbeatInterval)
+	defer hb.Stop()
 	if s.cfg.EpochFrom != nil && s.cfg.HeartbeatGroup != "" {
 		// Observe election epochs from the control group's beacons so a
 		// deposed primary's commands are fenced even before the new
@@ -311,8 +307,9 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-hb:
+		case <-hb.C:
 			s.heartbeat(ep)
+			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("supervisor: %s endpoint closed", s.cfg.Name)

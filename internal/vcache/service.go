@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/softstate"
 )
 
 // Message kinds for the cache wire protocol. Cache nodes are plain
@@ -96,10 +97,11 @@ type Service struct {
 	// per-request service cost (the paper's 27 ms average hit).
 	ServiceTime func() time.Duration
 
-	// HeartbeatGroup/HeartbeatInterval, when both set, make Run
-	// multicast a HelloMsg on the group every interval so a process
-	// peer (the manager) can supervise this service. The platform
-	// layer wires these; bare services in unit tests stay silent.
+	// HeartbeatGroup/HeartbeatInterval make Run multicast a HelloMsg on
+	// the group, paced by a softstate.Schedule of that interval, so a
+	// process peer (the manager) can supervise this service. The platform
+	// layer wires these; bare services in unit tests (no interval) stay
+	// silent.
 	HeartbeatGroup    string
 	HeartbeatInterval time.Duration
 
@@ -146,19 +148,15 @@ func (s *Service) Run(ctx context.Context) error {
 		emit("hit_rate", st.HitRate())
 	})
 
-	var hb <-chan time.Time
-	if s.HeartbeatGroup != "" && s.HeartbeatInterval > 0 {
-		t := time.NewTicker(s.HeartbeatInterval)
-		defer t.Stop()
-		hb = t.C
-		s.heartbeat(ep) // announce immediately so supervision starts now
-	}
+	hb := softstate.NewSchedule(s.HeartbeatInterval)
+	defer hb.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-hb:
+		case <-hb.C:
 			s.heartbeat(ep)
+			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("vcache: %s endpoint closed", s.Name)

@@ -49,6 +49,10 @@
 # One FE process is kill -9ed under a curl workload through the edge and
 # later restarted: every request returns 200, edge.edge.ejects >= 1,
 # edge.edge.readmits >= 1, zero wire errors on the edge.
+#
+# Every node of every leg, restarts included, must report core.ready_ms
+# under 250 at the shipped 500 ms interval: ready is one round trip after
+# start, not the next announcement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,11 +141,16 @@ await() {
 }
 
 # up <name>...: the HTTP API is served only once the node judged the
-# cluster serviceable, so an answer from /status is "ready".
+# cluster serviceable, so an answer from /status is "ready". A joining
+# node is greeted at once, not at the next 500 ms announcement: each must
+# have been ready within 250 ms of its start (core.ready_ms).
 up() {
-    local n
+    local n ms
     for n in "$@"; do
         await 30 "${n} to serve its HTTP API" status_is "${http[$n]}" san.wire_errors -ge 0
+        ms=$(status_get "${http[$n]}" core.ready_ms)
+        echo "smoke: [${leg}] ${n} ready in ${ms} ms"
+        status_is "${http[$n]}" core.ready_ms -lt 250 || fail "${leg}" "${n} took ${ms:-?} ms to become ready, want < 250"
     done
 }
 
@@ -363,12 +372,13 @@ start_fe() { # start_fe <name> <seed>
     start_node "$1" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
         -roles frontend -frontends 1 -fe-http 127.0.0.1 -cache-host dp5 -seed "$2"
 }
+# The edge learns the front ends from their heartbeats alone, which come
+# fast only while they are starting: it starts with them.
 start_fe fea 11
 start_fe feb 12
-up dp5 fea feb
 start_node edg -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
     -roles edge -edge-listen "127.0.0.1:${EDGE_PORT}" -seed 13
-up edg
+up dp5 fea feb edg
 # The edge must have learned BOTH replicas from heartbeats before the
 # kill, or the eject/readmit assertions race pool discovery.
 await 10 "the edge pool to see both front ends" status_is "${http[edg]}" edge.edge.healthy -eq 2
@@ -389,6 +399,10 @@ for ((i = 1; i <= 60; i++)); do
 done
 expect edg edge.edge.ejects -ge 1
 
+# A front end heard again after its row expired is greeted with a beacon
+# at once; one back inside its old incarnation's TTL would wait for the
+# next periodic one.
+await 10 "the manager to let feb's front end expire" status_is "${http[dp5]}" manager.frontends -eq 1
 echo "smoke: [edge] restarting front-end process feb..."
 start_fe feb 12
 up feb
