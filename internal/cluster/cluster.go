@@ -104,7 +104,6 @@ type Cluster struct {
 	mu        sync.Mutex
 	nodes     map[string]*nodeState
 	order     []string // insertion order, for deterministic placement
-	exitCh    chan ExitInfo
 	observers map[int]func(ExitInfo)
 	nextObs   int
 	stopping  bool // StopAll called: no further spawns
@@ -121,28 +120,17 @@ type nodeState struct {
 // New creates a cluster over the given network.
 func New(net *san.Network) *Cluster {
 	return &Cluster{
-		net:    net,
-		nodes:  make(map[string]*nodeState),
-		exitCh: make(chan ExitInfo, 1024),
+		net:   net,
+		nodes: make(map[string]*nodeState),
 	}
 }
 
-// Network returns the SAN the cluster is attached to.
-func (c *Cluster) Network() *san.Network { return c.net }
-
-// Exits returns a channel of process exit notifications. Consumers
-// (e.g. the manager's process-peer logic in tests) may read it; it is
-// buffered and drops are impossible under normal test loads because
-// notify uses a blocking send guarded by the buffer size.
-func (c *Cluster) Exits() <-chan ExitInfo { return c.exitCh }
-
 // OnExit registers an observer invoked for every process exit (clean
-// or crash), independent of the Exits channel, so multiple consumers
-// — a chaos harness recording restart latencies, a supervisor wiring
-// respawn policies — can watch the same cluster without stealing each
-// other's notifications. Observers run synchronously on the exiting
-// process's goroutine and must be fast and non-blocking. The returned
-// function removes the observer.
+// or crash), so multiple consumers — a chaos harness recording restart
+// latencies, core respawning or retiring a component — can watch the
+// same cluster without stealing each other's notifications. Observers
+// run synchronously on the exiting process's goroutine and must be fast
+// and non-blocking. The returned function removes the observer.
 func (c *Cluster) OnExit(fn func(ExitInfo)) (remove func()) {
 	c.mu.Lock()
 	if c.observers == nil {
@@ -159,12 +147,8 @@ func (c *Cluster) OnExit(fn func(ExitInfo)) (remove func()) {
 	}
 }
 
-// notifyExit fans an exit out to the channel and all observers.
+// notifyExit fans an exit out to all observers.
 func (c *Cluster) notifyExit(info ExitInfo) {
-	select {
-	case c.exitCh <- info:
-	default: // never stall a dying process on a full channel
-	}
 	c.mu.Lock()
 	obs := make([]func(ExitInfo), 0, len(c.observers))
 	for _, fn := range c.observers {
@@ -195,13 +179,7 @@ func (c *Cluster) Nodes() []Node {
 	defer c.mu.Unlock()
 	out := make([]Node, 0, len(c.order))
 	for _, id := range c.order {
-		ns := c.nodes[id]
-		procs := make([]string, 0, len(ns.procs))
-		for p := range ns.procs {
-			procs = append(procs, p)
-		}
-		sort.Strings(procs)
-		out = append(out, Node{ID: ns.id, Overflow: ns.overflow, Alive: ns.alive, Procs: procs})
+		out = append(out, snapshotNode(c.nodes[id]))
 	}
 	return out
 }
@@ -362,6 +340,7 @@ func snapshotNode(ns *nodeState) Node {
 	for p := range ns.procs {
 		procs = append(procs, p)
 	}
+	sort.Strings(procs)
 	return Node{ID: ns.id, Overflow: ns.overflow, Alive: ns.alive, Procs: procs}
 }
 

@@ -117,6 +117,8 @@ func TestPanicIsolation(t *testing.T) {
 func TestExitNotifications(t *testing.T) {
 	c := newTestCluster()
 	c.AddNode("n1", false)
+	exits := make(chan ExitInfo, 1)
+	c.OnExit(func(info ExitInfo) { exits <- info })
 	wantErr := errors.New("boom")
 	h, err := c.Spawn("n1", ProcessFunc{Name: "flaky", Fn: func(ctx context.Context) error {
 		return wantErr
@@ -126,7 +128,7 @@ func TestExitNotifications(t *testing.T) {
 	}
 	_ = h.Wait()
 	select {
-	case exit := <-c.Exits():
+	case exit := <-exits:
 		if exit.Node != "n1" || exit.Proc != "flaky" || !errors.Is(exit.Err, wantErr) {
 			t.Fatalf("bad exit info: %+v", exit)
 		}
@@ -288,16 +290,13 @@ func TestOnExitObservers(t *testing.T) {
 	<-h2.Done()
 	waitFor(t, func() bool { return crashed.Load() == 1 })
 
-	// Removed observers stop firing; the Exits channel still works.
+	// Removed observers stop firing; the others still do.
+	var later atomic.Int32
+	c.OnExit(func(ExitInfo) { later.Add(1) })
 	remove()
 	h3, _ := c.Spawn("n1", blockUntilCancel("p3"))
 	h3.Stop()
-	select {
-	case info := <-c.Exits():
-		_ = info
-	case <-time.After(2 * time.Second):
-		t.Fatal("Exits channel starved")
-	}
+	waitFor(t, func() bool { return later.Load() == 1 })
 	if clean.Load() != 1 {
 		t.Fatalf("removed observer fired: clean=%d", clean.Load())
 	}

@@ -541,7 +541,7 @@ func (s *System) frontEndComponent(name string) *component {
 			}
 			p.FrontEnd = frontend.New(cfg)
 			if p.http != nil {
-				p.http.Serve(p.FrontEnd)
+				p.http.Serve(p.FrontEnd.Do)
 			}
 			return p, nil
 		},

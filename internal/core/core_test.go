@@ -444,7 +444,8 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 		t.Fatal("render table broken")
 	}
 	// One metrics list per component: a row in the monitor's table
-	// carries exactly the names the component publishes to /metrics.
+	// carries exactly the names the component publishes to /metrics,
+	// plus its process's two san inbox keys.
 	collector := map[string]string{"worker": "worker.", "frontend": "fe.", "manager": ""}
 	for _, c := range s.Mon.Snapshot() {
 		prefix, ok := collector[c.Kind]
@@ -452,8 +453,13 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 			continue
 		}
 		published := s.Registry().Collect(prefix + c.Component)
-		if len(published) == 0 || len(published) != len(c.Metrics) {
+		if len(published) == 0 || len(published)+2 != len(c.Metrics) {
 			t.Fatalf("%s reports %v, publishes %v", c.Component, c.Metrics, published)
+		}
+		for _, name := range []string{"san.inbox_max", "san.inbox_full"} {
+			if _, ok := c.Metrics[name]; !ok {
+				t.Fatalf("%s does not report %q: %v", c.Component, name, c.Metrics)
+			}
 		}
 		for name := range published {
 			if _, ok := c.Metrics[name]; !ok {

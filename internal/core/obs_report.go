@@ -34,7 +34,7 @@ func (r *obsReporter) ID() string { return r.name }
 func (r *obsReporter) Addr() san.Addr { return san.Addr{Node: r.node, Proc: r.name} }
 
 func (r *obsReporter) Run(ctx context.Context) error {
-	ep := r.net.Endpoint(r.Addr(), 1024)
+	ep := r.net.Endpoint(r.Addr(), san.InboxSize)
 	defer ep.Close()
 	ep.Join(stub.GroupReports)
 	tracer := r.net.Tracer()

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/stub"
 )
@@ -126,6 +127,7 @@ type Edge struct {
 	httpAddr string
 	ln       net.Listener
 	client   *http.Client
+	latency  *obs.Histogram // edge.<name>.latency_ns, resolved once by name
 
 	running atomic.Bool
 	stats   struct {
@@ -151,6 +153,7 @@ func New(cfg Config) (*Edge, error) {
 		pool:     NewPool(cfg.Pool),
 		ln:       ln,
 		httpAddr: ln.Addr().String(),
+		latency:  cfg.Net.Registry().Histogram("edge."+cfg.Name+".latency_ns", nil),
 		client: &http.Client{
 			Transport: &http.Transport{
 				MaxIdleConns:        64,
@@ -159,7 +162,7 @@ func New(cfg Config) (*Edge, error) {
 			},
 		},
 	}
-	e.ep = cfg.Net.Endpoint(e.addr(), 4096)
+	e.ep = cfg.Net.Endpoint(e.addr(), san.InboxSize)
 	return e, nil
 }
 
@@ -223,7 +226,7 @@ func (e *Edge) Stats() Stats {
 // and serve the public listener until the context ends.
 func (e *Edge) Run(ctx context.Context) error {
 	if e.ep == nil || !e.cfg.Net.Lookup(e.addr()) {
-		e.ep = e.cfg.Net.Endpoint(e.addr(), 4096)
+		e.ep = e.cfg.Net.Endpoint(e.addr(), san.InboxSize)
 	}
 	ep := e.ep
 	defer ep.Close()
@@ -329,8 +332,7 @@ func (e *Edge) handleProxy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, err := e.forward(ctx, r)
-	e.cfg.Net.Registry().Histogram("edge."+e.cfg.Name+".latency_ns", nil).
-		Observe(float64(time.Since(start)))
+	e.latency.Observe(float64(time.Since(start)))
 	if err != nil {
 		w.Header().Set(HeaderEdge, e.cfg.Name)
 		switch {

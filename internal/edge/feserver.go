@@ -46,10 +46,10 @@ func NewFEServer(listen string) (*FEServer, error) {
 // Addr returns the bound host:port.
 func (s *FEServer) Addr() string { return s.ln.Addr().String() }
 
-// Serve attaches the front end and starts serving. Call once.
-func (s *FEServer) Serve(fe *frontend.FrontEnd) {
+// Serve attaches the front end (its Do) and starts serving. Call once.
+func (s *FEServer) Serve(do func(context.Context, frontend.Request) (frontend.Response, error)) {
 	mux := http.NewServeMux()
-	mux.Handle("/fetch", FetchHandler(fe.Do))
+	mux.Handle("/fetch", FetchHandler(do))
 	s.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -58,14 +58,14 @@ func (s *FEServer) Serve(fe *frontend.FrontEnd) {
 	go func() { _ = s.srv.Serve(s.ln) }()
 }
 
-// Close shuts the adapter down, gracefully when it was serving.
+// Close shuts the adapter down at once, connections in flight included:
+// it is closed after its front end is gone (a restart's replacement has
+// its own adapter), so there is nothing left to drain.
 func (s *FEServer) Close() error {
 	if s.srv == nil {
 		return s.ln.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	return s.srv.Shutdown(ctx)
+	return s.srv.Close()
 }
 
 // FetchHandler is the one HTTP ↔ frontend.Request adapter, mounted on

@@ -44,6 +44,36 @@ func TestFetchHandlerSendsLength(t *testing.T) {
 	}
 }
 
+// TestFEServerCloseDoesNotDrain: an adapter is retired after its front
+// end is gone, so Close returns at once with a request still in flight
+// rather than waiting for it to finish.
+func TestFEServerCloseDoesNotDrain(t *testing.T) {
+	s, err := NewFEServer("127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	s.Serve(func(context.Context, frontend.Request) (frontend.Response, error) {
+		close(entered)
+		<-release
+		return frontend.Response{}, errors.New("released")
+	})
+	go func() {
+		if resp, err := http.Get("http://" + s.Addr() + "/fetch?url=u"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	start := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Fatalf("Close took %s with a request in flight, want < 100ms", took)
+	}
+}
+
 // TestFetchHandler drives the one HTTP ↔ frontend.Request adapter
 // against a fake front end: how each query/header reaches the request
 // and its context, and how each outcome maps back onto status and

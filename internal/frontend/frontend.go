@@ -206,8 +206,9 @@ type FrontEnd struct {
 	cfg Config
 	ep  *san.Endpoint
 
-	mstub *stub.ManagerStub
-	cache *vcache.Client
+	mstub   *stub.ManagerStub
+	cache   *vcache.Client
+	latency *obs.Histogram // fe.<name>.latency_ns, resolved once by name
 
 	// Miss coalescing: concurrent requests for one original (or one
 	// distilled variant) share a single origin fetch (or dispatch).
@@ -236,8 +237,8 @@ type FrontEnd struct {
 // New creates a front end and eagerly registers its endpoint.
 func New(cfg Config) *FrontEnd {
 	cfg = cfg.withDefaults()
-	fe := &FrontEnd{cfg: cfg}
-	fe.ep = cfg.Net.Endpoint(fe.addr(), 4096)
+	fe := &FrontEnd{cfg: cfg, latency: cfg.Net.Registry().Histogram("fe."+cfg.Name+".latency_ns", nil)}
+	fe.ep = cfg.Net.Endpoint(fe.addr(), san.InboxSize)
 	fe.mstub = stub.NewManagerStub(fe.ep, cfg.ManagerStub)
 	fe.cache = fe.newCacheClient()
 	return fe
@@ -296,7 +297,7 @@ func (fe *FrontEnd) Running() bool { return fe.life.Load() != nil }
 // (beacons, heartbeats, disable/enable). Requests never pass through it.
 func (fe *FrontEnd) Run(ctx context.Context) error {
 	if fe.ep == nil || !fe.cfg.Net.Lookup(fe.addr()) {
-		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), 4096)
+		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), san.InboxSize)
 		fe.mstub = stub.NewManagerStub(fe.ep, fe.cfg.ManagerStub)
 		fe.cache = fe.newCacheClient()
 	}
@@ -383,12 +384,8 @@ func (fe *FrontEnd) heartbeat(ep *san.Endpoint) {
 		HTTPAddr: fe.cfg.HTTPAddr,
 		Draining: draining,
 	}, 64)
-	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
-		Component: fe.cfg.Name,
-		Kind:      "frontend",
-		Node:      fe.cfg.Node,
-		Metrics:   fe.cfg.Net.Registry().Collect("fe." + fe.cfg.Name),
-	}, 96)
+	ep.Multicast(stub.GroupReports, stub.MsgMonReport,
+		stub.Report(fe.cfg.Net, fe.cfg.Name, "frontend", fe.cfg.Node, "fe."+fe.cfg.Name), 96)
 }
 
 // ErrDisabled is returned while the front end is disabled for a hot
@@ -469,7 +466,7 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 	// wrong are exactly the ones worth a trace.
 	finish := func(note string, forced bool) {
 		dur := time.Since(start)
-		fe.cfg.Net.Registry().Histogram("fe."+fe.cfg.Name+".latency_ns", nil).Observe(float64(dur))
+		fe.latency.Observe(float64(dur))
 		sp := obs.Span{
 			Trace: trace, Comp: fe.cfg.Name, Hop: obs.RootHop, Note: note,
 			Start: start.UnixNano(), Dur: int64(dur),

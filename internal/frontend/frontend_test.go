@@ -110,6 +110,23 @@ func TestPassThroughAndOriginCaching(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogramSurvivesRespawn: Do observes into a histogram
+// resolved once, by name, at construction — so a respawned instance
+// keeps filling the one its predecessor published.
+func TestLatencyHistogramSurvivesRespawn(t *testing.T) {
+	fe, _, static := startFE(t, nil)
+	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
+	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin", User: "u"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := fe.cfg.Net.Registry().Snapshot()["fe.fe0.latency_ns.count"]; n != 1 {
+		t.Fatalf("fe.fe0.latency_ns.count = %v after one request, want 1", n)
+	}
+	if again := New(fe.cfg); again.latency != fe.latency {
+		t.Fatal("a respawned front end resolved a different latency histogram")
+	}
+}
+
 func TestOriginErrorSurfaces(t *testing.T) {
 	fe, _, _ := startFE(t, nil)
 	_, err := fe.Do(context.Background(), Request{URL: "http://missing/x.bin", User: "u"})

@@ -312,7 +312,7 @@ func New(cfg Config) *Manager {
 		m.epoch++
 	}
 	m.lastClaim = time.Now()
-	m.ep = cfg.Net.Endpoint(m.Addr(), 4096)
+	m.ep = cfg.Net.Endpoint(m.Addr(), san.InboxSize)
 	return m
 }
 
@@ -353,7 +353,7 @@ func (m *Manager) Epoch() uint64 {
 // Run implements cluster.Process: serve until ctx is done.
 func (m *Manager) Run(ctx context.Context) error {
 	if m.ep == nil || !m.cfg.Net.Lookup(m.Addr()) {
-		m.ep = m.cfg.Net.Endpoint(m.Addr(), 4096)
+		m.ep = m.cfg.Net.Endpoint(m.Addr(), san.InboxSize)
 	}
 	ep := m.ep
 	defer ep.Close()
@@ -583,12 +583,8 @@ func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 		Epoch:   epoch,
 		Workers: workers,
 	}, 64+len(workers)*48)
-	ep.Multicast(stub.GroupReports, stub.MsgMonReport, stub.StatusReport{
-		Component: m.cfg.Name,
-		Kind:      "manager",
-		Node:      m.cfg.Node,
-		Metrics:   m.cfg.Net.Registry().Collect(m.cfg.Name),
-	}, 96)
+	ep.Multicast(stub.GroupReports, stub.MsgMonReport,
+		stub.Report(m.cfg.Net, m.cfg.Name, "manager", m.cfg.Node, m.cfg.Name), 96)
 }
 
 // admitLocked records a worker heard from for the first time — by

@@ -88,7 +88,7 @@ func New(cfg Config) *Monitor {
 		disabled: make(map[san.Addr]bool),
 		sups:     make(map[string]supervisor.HelloMsg),
 	}
-	m.ep = cfg.Net.Endpoint(m.addr(), 4096)
+	m.ep = cfg.Net.Endpoint(m.addr(), san.InboxSize)
 	return m
 }
 
@@ -103,7 +103,7 @@ func (m *Monitor) ID() string { return m.cfg.Name }
 // Run implements cluster.Process.
 func (m *Monitor) Run(ctx context.Context) error {
 	if m.ep == nil || !m.cfg.Net.Lookup(m.addr()) {
-		m.ep = m.cfg.Net.Endpoint(m.addr(), 4096)
+		m.ep = m.cfg.Net.Endpoint(m.addr(), san.InboxSize)
 	}
 	ep := m.ep
 	defer ep.Close()

@@ -109,15 +109,9 @@ func (t *Tracer) SetSampleRate(n int) {
 	t.rate.Store(int64(n))
 }
 
-// SampleRate returns the current rate (0 = off).
-func (t *Tracer) SampleRate() int { return int(t.rate.Load()) }
-
 // SetSlowThreshold enables the slow-request log for root spans at or
 // over d; d <= 0 disables it.
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slow.Store(int64(d)) }
-
-// SlowThreshold returns the current slow-request threshold.
-func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slow.Load()) }
 
 // SetLogf sets the sink for the slow-request log (nil disables
 // output; the default discards).

@@ -47,6 +47,27 @@
 // message clone them first (CloneBytes, copy-on-retain). Messages
 // whose bodies contain no []byte never carry a lease, so control-plane
 // consumers are unaffected.
+//
+// An inbox holds traffic, not reserve: a channel allocates every slot up
+// front (a Message is 176 bytes), so an inbox is one of two sizes, by
+// what fills it. InboxSize is an event loop's, drained as messages come:
+// a control inbox holds one interval's announcements, since soft state
+// (paper §3.1.3) means the next beacon, heartbeat or hello replaces a
+// lost one; a worker stub queues or refuses each task at once; and a
+// reply goes to its Call, so no request passes through a front end's or
+// the edge's inbox. The deepest each ran in one 15 s bench/run.sh run of
+// each workload: monitor 13, manager 9, worker 8, the rest ≤ 6.
+//
+// ServerInboxSize is for an endpoint that serves Calls one at a time (a
+// cache partition, a search shard): its depth is its callers'
+// concurrency, and a request dropped there costs its caller the Call's
+// timeout. A partition ran 21 deep in those runs, but 635–638 deep with
+// two front ends at their admission bound (640 requests) probing it at
+// 1 ms a probe, and up to 236 (595 under -race) at no added cost
+// (frontend.TestCacheInboxAtAdmissionBound). A degraded serve probes
+// without an admission slot and cmd/hotbot bounds no query, so that size
+// is a limit, not a measured bound. san.inbox_max and san.inbox_full
+// watch both.
 package san
 
 import (
@@ -134,15 +155,26 @@ func (m *Message) Release() {
 	}
 }
 
+// Inbox capacities, by what fills the inbox (see the package doc).
+const (
+	InboxSize       = 256  // an event loop: over ten times the deepest measured
+	ServerInboxSize = 1024 // serves Calls one at a time: a slot per caller
+)
+
 // Stats counts network activity. In wire mode Bytes counts actual
 // encoded wire bytes (the Size hint callers pass is replaced by the
-// real encoded length); in passthrough mode it sums the Size hints.
+// real encoded length); in passthrough mode it sums the Size hints. Under
+// SetLatency, Sent counts a point-to-point delivery when it is scheduled,
+// and Dropped too if it then finds its inbox full or closed.
 type Stats struct {
+	Endpoints    int    // endpoints registered now
 	Sent         uint64 // point-to-point messages delivered
 	Dropped      uint64 // lost to impairments, partitions, or full inboxes
 	McastSent    uint64 // multicast deliveries attempted
 	McastDropped uint64 // multicast deliveries lost
 	Bytes        uint64 // bytes delivered
+	InboxMax     uint64 // deepest any inbox of this network has been
+	InboxFull    uint64 // deliveries (either kind) dropped at a full inbox
 
 	// Wire-mode counters (zero in passthrough mode).
 	WireEncodes uint64 // codec encode calls (one per Send/Call/Respond/Multicast)
@@ -340,6 +372,9 @@ type Network struct {
 	mcastSent    atomic.Uint64
 	mcastDropped atomic.Uint64
 	bytes        atomic.Uint64
+	inboxMax     atomic.Uint64
+	full         atomic.Uint64 // point-to-point drops at a full inbox
+	mcastFull    atomic.Uint64 // multicast drops at a full inbox
 	wireEncodes  atomic.Uint64
 	wireDecodes  atomic.Uint64
 	wireErrors   atomic.Uint64
@@ -369,6 +404,8 @@ func NewNetwork(seed int64, opts ...Option) *Network {
 		emit("mcast_sent", float64(s.McastSent))
 		emit("mcast_dropped", float64(s.McastDropped))
 		emit("bytes", float64(s.Bytes))
+		emit("inbox_max", float64(s.InboxMax))
+		emit("inbox_full", float64(s.InboxFull))
 		emit("wire_encodes", float64(s.WireEncodes))
 		emit("wire_decodes", float64(s.WireDecodes))
 		emit("wire_errors", float64(s.WireErrors))
@@ -478,8 +515,7 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 		n.bytes.Add(uint64(len(wire)))
 		return true
 	}
-	msg.Release()
-	n.dropped.Add(1)
+	msg.Release() // push counted the drop
 	return false
 }
 
@@ -492,33 +528,46 @@ func (n *Network) InjectMulticast(from Addr, group, kind string, wire []byte, le
 	if n.closed.Load() || n.codec == nil {
 		return 0
 	}
-	st := n.state.Load()
+	return n.fanout(n.state.Load(), nil, from, group, kind, nil, len(wire), wire, lease)
+}
+
+// fanout is both multicast paths' delivery loop: every member but from,
+// losses drawn from lossRNG (the local sender; nil draws the receiver's),
+// and in wire mode a body decoded per delivery from the shared wire. It
+// returns the number of members reached.
+func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind string, body any, size int, wire []byte, lease *Lease) int {
 	delivered := 0
 	for _, dst := range st.groups[group] {
 		if dst.addr == from {
 			continue
 		}
 		n.mcastSent.Add(1)
-		if !st.samePartition(from.Node, dst.addr.Node) || dst.chance(st.mcastLossP) {
+		rng := lossRNG
+		if rng == nil {
+			rng = dst
+		}
+		if !st.samePartition(from.Node, dst.addr.Node) || rng.chance(st.mcastLossP) {
 			n.mcastDropped.Add(1)
 			continue
 		}
-		body, aliased, err := n.decodeDelivery(kind, wire)
-		if err != nil {
-			n.mcastDropped.Add(1)
-			continue
-		}
-		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: len(wire)}
-		if aliased && lease != nil {
-			lease.Retain()
-			msg.Lease = lease
+		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: size}
+		if n.codec != nil {
+			decoded, aliased, err := n.decodeDelivery(kind, wire)
+			if err != nil {
+				n.mcastDropped.Add(1)
+				continue
+			}
+			msg.Body = decoded
+			if aliased && lease != nil {
+				lease.Retain() // one reference per aliased delivery
+				msg.Lease = lease
+			}
 		}
 		if n.deliver(dst, msg, st.latency) {
 			delivered++
-			n.bytes.Add(uint64(len(wire)))
+			n.bytes.Add(uint64(size))
 		} else {
-			msg.Release()
-			n.mcastDropped.Add(1)
+			msg.Release() // push counted the drop
 		}
 	}
 	return delivered
@@ -701,24 +750,28 @@ func (n *Network) PartitionFor(groups map[string]int, dur time.Duration) *time.T
 // Stats returns a snapshot of network counters.
 func (n *Network) Stats() Stats {
 	return Stats{
+		Endpoints:    len(n.state.Load().endpoints),
 		Sent:         n.sent.Load(),
-		Dropped:      n.dropped.Load(),
+		Dropped:      n.dropped.Load() + n.full.Load(),
 		McastSent:    n.mcastSent.Load(),
-		McastDropped: n.mcastDropped.Load(),
+		McastDropped: n.mcastDropped.Load() + n.mcastFull.Load(),
 		Bytes:        n.bytes.Load(),
+		InboxMax:     n.inboxMax.Load(),
+		InboxFull:    n.full.Load() + n.mcastFull.Load(),
 		WireEncodes:  n.wireEncodes.Load(),
 		WireDecodes:  n.wireDecodes.Load(),
 		WireErrors:   n.wireErrors.Load(),
 	}
 }
 
-// Endpoint registers a new endpoint for addr with the given inbox
-// capacity. Registering an address twice replaces the old endpoint
-// (the old one is closed), which models a restarted process reclaiming
-// its name.
+// Endpoint registers a new endpoint for addr. Components ask for
+// InboxSize (so does inboxCap ≤ 0) or ServerInboxSize; tests may ask for
+// other sizes.
+// Registering an address twice replaces the old endpoint (the old one is
+// closed), which models a restarted process reclaiming its name.
 func (n *Network) Endpoint(addr Addr, inboxCap int) *Endpoint {
 	if inboxCap <= 0 {
-		inboxCap = 256
+		inboxCap = InboxSize
 	}
 	ep := &Endpoint{
 		net:     n,
@@ -843,7 +896,7 @@ func deliverLater(ep *Endpoint, msg Message, d time.Duration) bool {
 			msg.Release() // late drop: free the view buffer too
 		}
 	})
-	return true // counted as sent; late drop still possible
+	return true // counted as sent now; a late drop is also counted, by push
 }
 
 // atomicRand is a lock-free deterministic random source (splitmix64):
@@ -916,24 +969,42 @@ func (e *Endpoint) chance(p float64) bool {
 }
 
 // push attempts non-blocking delivery: a reply goes straight to the
-// Call that awaits it, everything else to the inbox.
+// Call that awaits it, everything else to the inbox. A failed push is
+// counted here and only here, so a drop costs one atomic add: at a full
+// inbox in full or mcastFull, at a closed endpoint in dropped or
+// mcastDropped.
 func (e *Endpoint) push(msg Message) bool {
+	n, closed, full := e.net, &e.net.dropped, &e.net.full
+	if msg.Group != "" {
+		closed, full = &n.mcastDropped, &n.mcastFull
+	}
 	if msg.Reply && msg.CallID != 0 {
-		return !e.closed.Load() && e.DeliverReply(msg)
+		if e.closed.Load() {
+			closed.Add(1)
+			return false
+		}
+		return e.DeliverReply(msg)
 	}
 	e.closeMu.RLock()
 	if e.closed.Load() {
 		e.closeMu.RUnlock()
+		closed.Add(1)
 		return false
 	}
-	var ok bool
 	select {
 	case e.inbox <- msg:
-		ok = true
 	default:
+		e.closeMu.RUnlock()
+		full.Add(1)
+		return false
 	}
 	e.closeMu.RUnlock()
-	return ok
+	// Raise the high-water mark: one load and a compare unless this push
+	// made an inbox the deepest yet (a lost race re-reads the mark).
+	hw := &n.inboxMax
+	for depth, mark := uint64(len(e.inbox)), hw.Load(); depth > mark && !hw.CompareAndSwap(mark, depth); mark = hw.Load() {
+	}
+	return true
 }
 
 // Close detaches the endpoint: it leaves all groups, unregisters the
@@ -1100,8 +1171,7 @@ func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64,
 		n.sent.Add(1)
 		n.bytes.Add(uint64(size))
 	} else {
-		msg.Release()
-		n.dropped.Add(1)
+		msg.Release() // push counted the drop
 	}
 	return nil
 }
@@ -1139,8 +1209,8 @@ func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, call
 }
 
 // Multicast delivers a best-effort message to every group member
-// except the sender. It returns the number of members the message was
-// handed to (before loss). The whole fanout reads one topology
+// except the sender. It returns the number of local members reached
+// (after loss and full inboxes). The whole fanout reads one topology
 // snapshot: membership or impairment changes mid-loop affect only
 // later multicasts.
 //
@@ -1155,14 +1225,13 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 		return 0 // a dead process sends nothing, to anyone
 	}
 	st := n.state.Load()
-	members := st.groups[group]
 	var (
 		wire    []byte
 		bufp    *[]byte
 		lease   *Lease
 		encoded bool
 	)
-	if n.codec != nil && (len(members) > 0 || st.fabric != nil) {
+	if n.codec != nil && (len(st.groups[group]) > 0 || st.fabric != nil) {
 		var err error
 		wire, bufp, lease, err = n.encodeWire(kind, body) // encode-once fan-out: 1 per Multicast
 		if err != nil {
@@ -1171,39 +1240,7 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 		size = len(wire)
 		encoded = true
 	}
-	delivered := 0
-	for _, dst := range members {
-		if dst.addr == e.addr {
-			continue
-		}
-		n.mcastSent.Add(1)
-		if !st.samePartition(e.addr.Node, dst.addr.Node) || e.chance(st.mcastLossP) {
-			n.mcastDropped.Add(1)
-			continue
-		}
-		mbody := body
-		var msgLease *Lease
-		if n.codec != nil {
-			decoded, aliased, err := n.decodeDelivery(kind, wire)
-			if err != nil {
-				n.mcastDropped.Add(1)
-				continue
-			}
-			mbody = decoded
-			if aliased && lease != nil {
-				lease.Retain() // one reference per aliased delivery
-				msgLease = lease
-			}
-		}
-		msg := Message{From: e.addr, Group: group, Kind: kind, Body: mbody, Size: size, Lease: msgLease}
-		if n.deliver(dst, msg, st.latency) {
-			delivered++
-			n.bytes.Add(uint64(size))
-		} else {
-			msg.Release()
-			n.mcastDropped.Add(1)
-		}
-	}
+	delivered := n.fanout(st, e, e.addr, group, kind, body, size, wire, lease)
 	if st.fabric != nil && encoded {
 		// The same encode-once bytes cross the process boundary; each
 		// remote network re-fans them out to its own members.

@@ -27,6 +27,40 @@ func TestPointToPoint(t *testing.T) {
 	}
 }
 
+// TestFullInboxDropsAndCounts: an endpoint pushed past InboxSize by
+// both kinds of send keeps the first InboxSize messages, drops the rest
+// (each counted once in inbox_full, alongside the totals dropped and
+// mcast_dropped), and inbox_max reads the size. Impairment losses are
+// not inbox_full's.
+func TestFullInboxDropsAndCounts(t *testing.T) {
+	n := NewNetwork(1)
+	a := n.Endpoint(addr("n1", "a"), 8)
+	b := n.Endpoint(addr("n2", "b"), 0)
+	b.Join("ctl")
+	const extra = 5
+	for i := 0; i < InboxSize+extra; i++ {
+		if err := a.Send(b.Addr(), "d", i, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Multicast("ctl", "beacon", nil, 1)
+	n.SetLoss(1, 1)
+	_ = a.Send(b.Addr(), "lost", nil, 1)
+	a.Multicast("ctl", "lost", nil, 1)
+
+	if got := len(b.Inbox()); got != InboxSize {
+		t.Fatalf("inbox holds %d, want %d", got, InboxSize)
+	}
+	st := n.Stats()
+	if st.InboxMax != InboxSize || st.InboxFull != extra+1 || st.Dropped != extra+1 || st.McastDropped != 2 {
+		t.Fatalf("stats = %+v, want inbox_max %d, inbox_full %d, dropped %d, mcast_dropped 2", st, InboxSize, extra+1, extra+1)
+	}
+	reg := n.Registry().Snapshot()
+	if reg["san.inbox_max"] != InboxSize || reg["san.inbox_full"] != extra+1 {
+		t.Fatalf("registry san.inbox_max %v, san.inbox_full %v", reg["san.inbox_max"], reg["san.inbox_full"])
+	}
+}
+
 func TestSendUnknownAddr(t *testing.T) {
 	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)

@@ -62,7 +62,7 @@ type shardService struct {
 
 func newShardService(name, node string, net *san.Network, shard *Shard) *shardService {
 	s := &shardService{name: name, node: node, net: net, shard: shard}
-	s.ep = net.Endpoint(san.Addr{Node: node, Proc: name}, 1024)
+	s.ep = net.Endpoint(san.Addr{Node: node, Proc: name}, san.ServerInboxSize)
 	return s
 }
 
@@ -72,7 +72,7 @@ func (s *shardService) addr() san.Addr { return san.Addr{Node: s.node, Proc: s.n
 
 func (s *shardService) Run(ctx context.Context) error {
 	if s.ep == nil || !s.net.Lookup(s.addr()) {
-		s.ep = s.net.Endpoint(s.addr(), 1024)
+		s.ep = s.net.Endpoint(s.addr(), san.ServerInboxSize)
 	}
 	ep := s.ep
 	defer ep.Close()
@@ -202,7 +202,8 @@ func Deploy(cfg Config, docs []Doc) (*Engine, error) {
 		}
 		e.shards = append(e.shards, hosting)
 	}
-	e.ep = cfg.Net.Endpoint(san.Addr{Node: "hotbot-fe", Proc: "collator"}, 4096)
+	// The collator only calls: replies go to its Calls, never its inbox.
+	e.ep = cfg.Net.Endpoint(san.Addr{Node: "hotbot-fe", Proc: "collator"}, san.InboxSize)
 	return e, nil
 }
 

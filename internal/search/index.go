@@ -89,9 +89,6 @@ func BuildShard(id int, docs []Doc) *Shard {
 // Docs returns the number of documents indexed.
 func (s *Shard) Docs() int { return s.docCount }
 
-// Terms returns the vocabulary size.
-func (s *Shard) Terms() int { return len(s.postings) }
-
 // Search scores the query against the shard and returns the top k
 // hits. Scoring is tf * idf with shard-local document frequencies —
 // sufficient for stable ranking within and across partitions of a

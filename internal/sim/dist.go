@@ -56,11 +56,10 @@ func Zipf(rng *rand.Rand, s float64, n int) func() int {
 	return func() int { return int(z.Uint64()) }
 }
 
-// Welford accumulates streaming mean and variance.
+// Welford accumulates a streaming mean, minimum and maximum.
 type Welford struct {
 	N    int
 	mean float64
-	m2   float64
 	Min  float64
 	Max  float64
 }
@@ -78,24 +77,11 @@ func (w *Welford) Add(x float64) {
 			w.Max = x
 		}
 	}
-	d := x - w.mean
-	w.mean += d / float64(w.N)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.N)
 }
 
 // Mean returns the running mean (0 for no observations).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the running sample variance.
-func (w *Welford) Var() float64 {
-	if w.N < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.N-1)
-}
-
-// Std returns the running sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Quantiles computes the requested quantiles (each in [0,1]) of xs.
 // xs is sorted in place. Empty input yields zeros.

@@ -161,6 +161,16 @@ type StatusReport struct {
 	Metrics   map[string]float64
 }
 
+// Report is a component's StatusReport: its registry collector's keys,
+// unprefixed, plus its network's san.inbox_max and san.inbox_full.
+func Report(net *san.Network, component, kind, node, collector string) StatusReport {
+	st := net.Stats()
+	m := net.Registry().Collect(collector)
+	m["san.inbox_max"] = float64(st.InboxMax)
+	m["san.inbox_full"] = float64(st.InboxFull)
+	return StatusReport{Component: component, Kind: kind, Node: node, Metrics: m}
+}
+
 // SpanDigest batches freshly recorded trace spans for the report
 // group: each process's span reporter multicasts one every report
 // interval, and every process ingests its peers' digests, so any

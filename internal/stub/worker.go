@@ -99,7 +99,7 @@ func NewWorkerStub(name, node string, w tacc.Worker, net *san.Network, cfg Worke
 		queue:    make(chan queuedTask, cfg.QueueCap),
 		beaconAt: time.Now(),
 	}
-	s.ep = net.Endpoint(s.addr(), cfg.QueueCap*2+64)
+	s.ep = net.Endpoint(s.addr(), san.InboxSize)
 	return s
 }
 
@@ -157,7 +157,7 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 		return nil // killed before it ran: its endpoint stays dropped, and it says nothing
 	}
 	if s.ep == nil || !s.net.Lookup(s.addr()) {
-		s.ep = s.net.Endpoint(s.addr(), s.cfg.QueueCap*2+64)
+		s.ep = s.net.Endpoint(s.addr(), san.InboxSize)
 	}
 	ep := s.ep
 	defer ep.Close()
@@ -451,12 +451,7 @@ func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
 	default:
 		_ = ep.Send(mgr, MsgLoadReport, report, 64)
 	}
-	ep.Multicast(GroupReports, MsgMonReport, StatusReport{
-		Component: s.name,
-		Kind:      "worker",
-		Node:      s.node,
-		Metrics:   s.net.Registry().Collect("worker." + s.name),
-	}, 96)
+	ep.Multicast(GroupReports, MsgMonReport, Report(s.net, s.name, "worker", s.node, "worker."+s.name), 96)
 }
 
 func (s *WorkerStub) deregister() {

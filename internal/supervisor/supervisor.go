@@ -238,7 +238,7 @@ func New(cfg Config) *Supervisor {
 		cfg.ResultCacheCap = resultCacheCap
 	}
 	s := &Supervisor{cfg: cfg, done: make(map[string]doneEntry), flying: make(map[string]chan struct{})}
-	s.ep = cfg.Net.Endpoint(s.addr(), 256)
+	s.ep = cfg.Net.Endpoint(s.addr(), san.InboxSize)
 	return s
 }
 
@@ -290,7 +290,7 @@ func (s *Supervisor) Hello() HelloMsg {
 // ctx is done.
 func (s *Supervisor) Run(ctx context.Context) error {
 	if s.ep == nil || !s.cfg.Net.Lookup(s.addr()) {
-		s.ep = s.cfg.Net.Endpoint(s.addr(), 256)
+		s.ep = s.cfg.Net.Endpoint(s.addr(), san.InboxSize)
 	}
 	ep := s.ep
 	defer ep.Close()

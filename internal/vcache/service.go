@@ -113,7 +113,7 @@ type Service struct {
 // spawned (no startup race between Spawn and the first request).
 func NewService(name string, net *san.Network, node string, part *Partition) *Service {
 	s := &Service{Name: name, Net: net, Node: node, Partition: part}
-	s.ep = net.Endpoint(s.addr(), 1024)
+	s.ep = net.Endpoint(s.addr(), san.ServerInboxSize)
 	return s
 }
 
@@ -131,7 +131,7 @@ func (s *Service) ID() string { return s.Name }
 // registered here.
 func (s *Service) Run(ctx context.Context) error {
 	if s.ep == nil || !s.Net.Lookup(s.addr()) {
-		s.ep = s.Net.Endpoint(s.addr(), 1024)
+		s.ep = s.Net.Endpoint(s.addr(), san.ServerInboxSize)
 	}
 	ep := s.ep
 	defer ep.Close()

@@ -52,7 +52,9 @@
 #
 # Every node of every leg, restarts included, must report core.ready_ms
 # under 250 at the shipped 500 ms interval: ready is one round trip after
-# start, not the next announcement.
+# start, not the next announcement. At the end of every leg each node
+# still running prints its deepest inbox (san.inbox_max) and must have
+# dropped nothing at a full one (san.inbox_full 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -181,6 +183,17 @@ get_ok() {
     fi
 }
 
+# inboxes: how deep each live node's inboxes ran this leg; a message
+# dropped at a full inbox fails it.
+inboxes() {
+    local n
+    for n in "${nodes[@]}"; do
+        [[ -n "${pid[$n]}" ]] || continue
+        echo "smoke: [${leg}] ${n} san.inbox_max $(status_get "${http[$n]}" san.inbox_max)"
+        expect "${n}" san.inbox_full -eq 0
+    done
+}
+
 # clean <name>...: nothing was corrupted or torn on the wire.
 clean() {
     local n
@@ -221,6 +234,7 @@ done
 expect ctl supervisor.commands -ge 1
 clean ctl srv
 echo "smoke: [heal] OK — $((REQUESTS + 20)) requests across two OS processes, zero failures, zero wire errors, cache0 crashed via /kill and restarted by its supervisor on the manager's command (manager.cache_restarts $(status_get "${http[srv]}" manager.cache_restarts), supervisor.commands $(status_get "${http[ctl]}" supervisor.commands))"
+inboxes
 stop_nodes
 
 leg=failover
@@ -268,6 +282,7 @@ expect srv2 fe.fe0.cache_probes -ge 1
 expect srv2 fe.fe0.cache_probes -le "${fe0_requests%%.*}"
 clean hub srv2
 echo "smoke: [failover] OK — rank-0 manager process kill -9ed mid-workload, standby primary at epoch $(status_get "${http[srv2]}" manager-r1.epoch), zero failed requests, zero wire errors"
+inboxes
 stop_nodes
 
 leg=overload
@@ -318,6 +333,7 @@ expect srv3 fe.fe0.shed -ge 1
 expect srv3 fe.fe0.degraded -ge 1
 clean ovl srv3
 echo "smoke: [overload] OK — 64-wide burst against an inflight bound of 2: ${degraded} degraded serves plus ${shed} typed sheds, nothing else, zero wire errors"
+inboxes
 stop_nodes
 
 leg=trace
@@ -362,6 +378,7 @@ curl -fsS "http://127.0.0.1:${http[tsv]}/metrics" | grep '^sns_san_sent ' >/dev/
 expect tsv san.sent -ge 1
 clean trc tsv
 echo "smoke: [trace] OK — one X-Trace-Id resolved to a span tree recorded by both OS processes (fe.request on tsv, worker.queue + worker.service on trc); /metrics and /status serve the registry"
+inboxes
 stop_nodes
 
 leg=edge
@@ -418,3 +435,4 @@ curl -fsS "http://127.0.0.1:${EDGE_PORT}/metrics" | grep '^sns_edge_' >/dev/null
     fail edge "/metrics on the edge listener has no sns_edge_ samples"
 expect edg san.wire_errors -eq 0
 echo "smoke: [edge] OK — FE process kill -9ed and restarted under load through the front door: zero failed requests, $(status_get "${http[edg]}" edge.edge.ejects) eject(s), $(status_get "${http[edg]}" edge.edge.readmits) probe readmission(s), zero wire errors"
+inboxes
