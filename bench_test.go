@@ -75,7 +75,7 @@ func TestMicroCeilings(t *testing.T) {
 func BenchmarkSANMulticastBeaconWire(b *testing.B) {
 	net := wireNet(1)
 	const members = 16
-	workers := []stub.WorkerInfo{wireLoadReport().(stub.LoadReport).Info}
+	workers := []stub.WorkerInfo{{ID: "w0", Class: "echo", Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1", QLen: 2.5}}
 	beacon := stub.Beacon{Manager: san.Addr{Node: "mgr", Proc: "manager"}, Seq: 1, Workers: workers}
 	for i := 0; i < members; i++ {
 		ep := net.Endpoint(san.Addr{Node: "m", Proc: fmt.Sprintf("p%d", i)}, 4096)

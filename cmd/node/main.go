@@ -94,8 +94,8 @@ func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions,
 	dampD := fs.Duration("D", 5*time.Second, "spawn damping window")
 	profileDir := fs.String("profiles", "", "profile DB directory (empty = temp)")
 	httpAddr := fs.String("http", "", "serve the HTTP API on this address: /fetch and /prefs (frontend role), /status, /metrics, /trace, /kill (any role)")
-	edgeListen := fs.String("edge-listen", "", "serve the L7 front door on this address (edge role): one listener balancing across every FE replica heard heartbeating")
-	feHTTP := fs.String("fe-http", "", "bind an HTTP adapter for every local front end on this host (port auto-assigned) and advertise it in FE heartbeats — what the edge routes to")
+	edgeListen := fs.String("edge-listen", "", "serve the L7 front door on this address (edge role): one listener balancing across every FE replica heard announcing itself")
+	feHTTP := fs.String("fe-http", "", "bind an HTTP adapter for every local front end on this host (port auto-assigned) and advertise it in FE announcements — what the edge routes to")
 	edgeRetryBudget := fs.Float64("edge-retry-budget", 0.5, "edge retry budget: retries allowed per request, as a fraction (0 disables transparent retry)")
 	reqDeadline := fs.Duration("request-deadline", 0, "end-to-end deadline stamped onto requests arriving without one (0 = none)")
 	feMaxInflight := fs.Int("fe-max-inflight", 0, "per-front-end bound on requests being handled at once, each on the goroutine that brought it; past it requests degrade to stale cache or shed (0 = 320)")

@@ -282,8 +282,8 @@ func (s *System) Restart(name string) error {
 func (s *System) Kill(name string) error { return s.stop(name, true) }
 
 // ReapWorker stops an extra worker gracefully (supervisor.Host): the
-// stub deregisters on its way out and its row leaves the roster. A
-// configured slot is not reaped: its row would stay, parked for good.
+// stub announces itself down on its way out and its row leaves the roster. A
+// configured slot is not reaped: its row would stay, and be restarted.
 func (s *System) ReapWorker(id string) error {
 	if v, err := s.lookup(id); err == nil && !v.e.ephemeral {
 		return fmt.Errorf("core: %s is a configured component, not an extra", id)
@@ -321,9 +321,9 @@ func (s *System) workerComponent(class string, ephemeral bool) *component {
 		},
 		// Three beacon intervals: the silence a standby takes for a dead primary.
 		cutOff: func(p process) bool { return p.(*stub.WorkerStub).BeaconAge() > 3*s.cfg.BeaconInterval },
-		// A Restart keeps id, class and pool: the stub deregisters as it
-		// stops and the fresh one registers as it starts — a dead slot
-		// coming back, or the hot-upgrade step ("the upgraded binary").
+		// A Restart keeps id, class and pool: the stub announces itself
+		// down as it stops and the fresh one up as it starts — a dead
+		// slot coming back, or the hot-upgrade step ("the upgraded binary").
 		build: func(node string) (process, error) {
 			w, err := s.cfg.Registry.New(class)
 			if err != nil {
@@ -366,7 +366,7 @@ func (s *System) supervisorComponent() *component {
 	}
 }
 
-// cacheComponent is one cache partition, heartbeating on the control
+// cacheComponent is one cache partition, announcing itself on the control
 // group so whichever process hosts the manager carries its process-peer
 // duty. A restart brings it back empty — it is a cache — and front ends
 // re-absorb it with no reconfiguration unless it had to move, in which

@@ -56,7 +56,7 @@ import (
 // restarts into any other.
 //
 // Replicated roles: front ends, workers, and caches may be hosted by
-// several processes of one cluster — FE and cache heartbeats are
+// several processes of one cluster — their announcements are
 // keyed by SAN address and worker ids are prefix-qualified, so
 // same-named components in different processes never interleave in
 // the manager's soft-state tables. The manager role replicates too:
@@ -199,8 +199,8 @@ type Config struct {
 	CacheTTL       time.Duration
 	CacheTimeout   time.Duration // per-lookup vcache bound (0 = client default)
 	MinDistillSize int
-	// CacheSuperviseTTL is how long the manager tolerates cache
-	// heartbeat silence before its process-peer duty restarts the
+	// CacheSuperviseTTL is how long the manager tolerates a cache's
+	// silence before its process-peer duty restarts the
 	// service (default 5x BeaconInterval). Keep it comfortably above
 	// the longest network partition a deployment should ride out —
 	// restarting a merely-partitioned cache is safe (the content is
@@ -230,7 +230,7 @@ type Config struct {
 	EdgeListen string
 	// FEHTTP, when non-empty, binds an HTTP adapter (edge.FEServer) on
 	// this host for every local front end and advertises its address
-	// in FE heartbeats — the per-replica listener the edge routes to.
+	// in FE announcements — the per-replica listener the edge routes to.
 	FEHTTP string
 	// EdgeRetryBudget bounds edge retries as a fraction of requests
 	// (0 disables transparent retry).

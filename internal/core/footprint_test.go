@@ -1,11 +1,18 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/san"
+	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 // liveHeap is the heap still reachable after a full collection.
@@ -25,19 +32,25 @@ func liveHeap() uint64 {
 // fits under it.
 const bootAllowance = 3 << 20
 
-// TestBenchTopologyFootprint boots the benchmark's topology — startPair's
-// two Systems with the edge, two front ends and their HTTP adapters on
-// side A, as bench/cluster.go boots it — and bounds the live heap the
-// boot adds: every endpoint's inbox at its size (the cache partitions at
-// san.ServerInboxSize, the rest at san.InboxSize), plus bootAllowance.
+// benchTopology is the benchmark's topology over startPair's two
+// Systems, as bench/cluster.go boots it: the edge, two front ends and
+// their HTTP adapters on side A.
+func benchTopology(a, b *Config) {
+	a.Roles = Roles{Edge: true, FrontEnds: true, Monitor: true}
+	a.FrontEnds = 2
+	a.FEHTTP = "127.0.0.1"
+	a.EdgeListen = "127.0.0.1:0"
+}
+
+// TestBenchTopologyFootprint boots the bench topology and bounds the
+// live heap the boot adds: every endpoint's inbox at its size (the cache
+// partitions at san.ServerInboxSize, the rest at san.InboxSize), plus
+// bootAllowance.
 func TestBenchTopologyFootprint(t *testing.T) {
 	before := liveHeap()
 	var parts int
 	a, b := startPair(t, func(a, b *Config) {
-		a.Roles = Roles{Edge: true, FrontEnds: true, Monitor: true}
-		a.FrontEnds = 2
-		a.FEHTTP = "127.0.0.1"
-		a.EdgeListen = "127.0.0.1:0"
+		benchTopology(a, b)
 		parts = b.CacheParts
 	})
 	grown := float64(liveHeap()) - float64(before)
@@ -49,5 +62,111 @@ func TestBenchTopologyFootprint(t *testing.T) {
 	if ceiling := inboxes + bootAllowance; grown > ceiling {
 		t.Fatalf("boot grew the live heap by %.2f MB, ceiling %.2f MB (%d endpoints' inboxes %.2f MB + %.2f MB)",
 			grown/mb, ceiling/mb, endpoints, inboxes/mb, float64(bootAllowance)/mb)
+	}
+}
+
+// parentLivenessBytes is what one interval of the bench topology's
+// liveness messages weighed before member.announce replaced five kinds
+// of them: two front-end heartbeats of 41 B, two cache hellos of 30 B and
+// three worker load reports of 140 B.
+const parentLivenessBytes = 562
+
+// TestIdleControlTraffic pins the bench topology's idle control plane.
+// A tap on each process's control group hears, per interval, one
+// member.announce from every front end and every cache partition, one
+// beacon and one hello per supervisor, and nothing from a worker; B's
+// SAN delivers one unicast per worker — its announcement to the manager.
+// The announcements of an interval weigh less than the liveness messages
+// they replaced.
+func TestIdleControlTraffic(t *testing.T) {
+	const intervals = 150
+	a, b := startPair(t, benchTopology)
+	waitFor(t, "every worker announcing to the manager", func() bool {
+		return b.Manager().Stats().Workers == len(b.Workers())
+	})
+	time.Sleep(10 * tick) // past every schedule's fast start
+
+	type tally struct {
+		mu       sync.Mutex
+		kinds    map[string]int // deliveries by kind
+		members  map[string]int // announcements by sender
+		announce int            // their body bytes
+	}
+	var taps []*tally
+	var eps []*san.Endpoint
+	for _, sys := range []*System{a, b} {
+		tl := &tally{kinds: map[string]int{}, members: map[string]int{}}
+		ep := sys.Net.Endpoint(san.Addr{Node: sys.cfg.NodePrefix + "tap", Proc: "tap"}, 4096)
+		ep.Join(stub.GroupControl)
+		go func() {
+			for msg := range ep.Inbox() {
+				tl.mu.Lock()
+				tl.kinds[msg.Kind]++
+				if m, ok := msg.Body.(supervisor.Member); ok {
+					tl.members[m.Addr.String()]++
+					tl.announce += msg.Size
+				}
+				tl.mu.Unlock()
+				msg.Release()
+			}
+		}()
+		taps, eps = append(taps, tl), append(eps, ep)
+	}
+	sent0, start := b.Net.Stats().Sent, time.Now()
+	time.Sleep(intervals * tick)
+	sent, n := b.Net.Stats().Sent-sent0, float64(time.Since(start))/float64(tick)
+	for _, ep := range eps {
+		ep.Close()
+	}
+
+	perInterval := func(count, want int) bool { return math.Abs(float64(count)/n-float64(want)) <= 0.1*float64(want) }
+	var members []string
+	for _, fe := range a.FrontEnds() {
+		members = append(members, fe.Addr().String())
+	}
+	for _, addr := range b.CacheNodes() {
+		members = append(members, addr.String())
+	}
+	sort.Strings(members)
+	for i, tl := range taps {
+		tl.mu.Lock()
+		t.Logf("tap %d over %.1f intervals: %v, announcements %v", i, n, tl.kinds, tl.members)
+		var heard []string
+		for addr, count := range tl.members {
+			heard = append(heard, addr)
+			if !perInterval(count, 1) {
+				t.Errorf("tap %d: %s announced %d times in %.1f intervals, want one an interval", i, addr, count, n)
+			}
+		}
+		sort.Strings(heard)
+		if len(heard) != len(members) || !slices.Equal(heard, members) {
+			t.Errorf("tap %d heard announcements from %v, want exactly the front ends and caches %v", i, heard, members)
+		}
+		if !perInterval(tl.kinds[stub.MsgBeacon], 1) || !perInterval(tl.kinds[supervisor.MsgHello], 2) {
+			t.Errorf("tap %d: %d beacons and %d supervisor hellos in %.1f intervals, want 1 and 2 an interval",
+				i, tl.kinds[stub.MsgBeacon], tl.kinds[supervisor.MsgHello], n)
+		}
+		tl.mu.Unlock()
+	}
+	workers := b.Workers()
+	if !perInterval(int(sent), len(workers)) {
+		t.Errorf("B delivered %d unicasts in %.1f intervals, want one an interval from each of %d workers", sent, n, len(workers))
+	}
+
+	workerBytes := 0
+	for _, id := range workers {
+		body, err := stub.EncodeBody(supervisor.MsgAnnounce, b.WorkerStub(id).Member())
+		if err != nil {
+			t.Fatal(err)
+		}
+		workerBytes += len(body)
+	}
+	taps[0].mu.Lock()
+	multicast := float64(taps[0].announce) / n
+	taps[0].mu.Unlock()
+	total := multicast + float64(workerBytes)
+	t.Logf("liveness bodies per interval: %.0f B (front ends and caches %.0f B, workers %d B), was %d B", total, multicast, workerBytes, parentLivenessBytes)
+	if total >= parentLivenessBytes {
+		t.Errorf("liveness bodies weigh %.0f B an interval, want under %d B", total, parentLivenessBytes)
 	}
 }

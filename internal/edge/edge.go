@@ -6,13 +6,13 @@
 // load, eject unhealthy replicas, and retry transparently.
 //
 // The edge joins the SAN as a first-class role and learns the FE pool
-// the same way the manager does: fe.heartbeat multicasts on the
-// control group, aged by TTL (soft state; losing the table costs one
-// rediscovery round, never correctness). Each heartbeat carries the
-// FE's HTTP adapter address and its Draining bit — a front end
-// disabled for a hot upgrade keeps heartbeating but stops receiving
-// new picks, which is what makes monitor-driven upgrade waves
-// zero-downtime through the edge.
+// the same way the manager does: the member.announce multicasts
+// (supervisor.Member) front ends send on the control group, aged by TTL
+// (soft state; losing the table costs one rediscovery round, never
+// correctness). Each announcement carries the FE's HTTP adapter address
+// and its state — a front end disabled for a hot upgrade keeps
+// announcing, as draining, but stops receiving new picks, which is what
+// makes monitor-driven upgrade waves zero-downtime through the edge.
 //
 // Routing is least-inflight power-of-two-choices across healthy
 // replicas. A backend is ejected after consecutive failures and
@@ -39,6 +39,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 // Header names shared between the edge, the per-FE HTTP adapters, and
@@ -92,7 +93,7 @@ type Config struct {
 	Name string
 	// Node is the cluster node hosting the edge process.
 	Node string
-	// Net is the SAN the edge listens to FE heartbeats on.
+	// Net is the SAN the edge listens to FE announcements on.
 	Net *san.Network
 	// Listen is the public HTTP listener address ("host:port"; port 0
 	// picks a free port). Required.
@@ -184,7 +185,7 @@ func (e *Edge) Running() bool { return e.running.Load() }
 func (e *Edge) PoolStats() PoolStats { return e.pool.Stats() }
 
 // ObserveBackend folds a backend into the pool directly — the test and
-// benchmark hook that stands in for an fe.heartbeat.
+// benchmark hook that stands in for a front end's announcement.
 func (e *Edge) ObserveBackend(key, name, httpAddr string, draining bool) {
 	e.pool.Observe(key, name, httpAddr, draining)
 }
@@ -222,7 +223,7 @@ func (e *Edge) Stats() Stats {
 	}
 }
 
-// Run implements cluster.Process: consume FE heartbeats into the pool
+// Run implements cluster.Process: consume FE announcements into the pool
 // and serve the public listener until the context ends.
 func (e *Edge) Run(ctx context.Context) error {
 	if e.ep == nil || !e.cfg.Net.Lookup(e.addr()) {
@@ -302,10 +303,8 @@ func (e *Edge) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("edge: %s endpoint closed", e.cfg.Name)
 			}
-			if msg.Kind == stub.MsgFEHello {
-				if hb, ok := msg.Body.(stub.FEHeartbeat); ok {
-					e.pool.Observe(hb.Addr.String(), hb.Name, hb.HTTPAddr, hb.Draining)
-				}
+			if m, ok := msg.Body.(supervisor.Member); ok && m.Kind == supervisor.KindFrontEnd {
+				e.pool.Observe(m.Addr.String(), m.Addr.Proc, m.HTTPAddr, m.State == supervisor.StateDraining)
 			}
 			msg.Release()
 		}

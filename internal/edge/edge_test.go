@@ -121,10 +121,11 @@ func TestEdgeRetriesIdempotentOnOtherReplica(t *testing.T) {
 }
 
 func TestEdgeRetryBudgetExhaustionReturnsTypedError(t *testing.T) {
+	// The edge binds first: the port the dead server frees must not be
+	// handed to the edge's own listener, or it would proxy to itself.
+	e := newTestEdge(t, 0) // no budget: first failure is final
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from here on
-
-	e := newTestEdge(t, 0) // no budget: first failure is final
 	e.ObserveBackend("n/fe0", "fe0", dead.Listener.Addr().String(), false)
 
 	req, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1/fetch?url=x", nil)

@@ -9,8 +9,8 @@ import (
 
 // PoolConfig tunes the front-end pool's health model.
 type PoolConfig struct {
-	// TTL bounds heartbeat staleness: a backend whose last FEHeartbeat
-	// is older than this falls out of the pool entirely. Keep it well
+	// TTL bounds announcement staleness: a backend whose last one is
+	// older than this falls out of the pool entirely. Keep it well
 	// above the beacon interval — an FE being SIGKILLed and respawned
 	// must not lose its (ejected) pool slot in between, or the probe
 	// readmission path never gets to run. Default 10s.
@@ -62,7 +62,7 @@ type backend struct {
 }
 
 // Pool is the edge's soft-state table of FE replicas, learned from
-// fe.heartbeat multicasts and aged by TTL (BASE: losing it costs one
+// their announcements and aged by TTL (BASE: losing it costs one
 // rediscovery round, never correctness). It balances picks across
 // healthy backends by least-inflight power-of-two-choices, ejects a
 // backend after EjectAfter consecutive failures, and readmits it
@@ -91,9 +91,9 @@ func NewPool(cfg PoolConfig) *Pool {
 	}
 }
 
-// Observe folds one FEHeartbeat into the table. Heartbeats without an
-// HTTP address (FEs running with no HTTP adapter) are not routable and
-// are ignored.
+// Observe folds one front end's announcement into the table. One
+// without an HTTP address (an FE running with no HTTP adapter) is not
+// routable and is ignored.
 func (p *Pool) Observe(key, name, httpAddr string, draining bool) {
 	if key == "" || httpAddr == "" {
 		return
@@ -109,7 +109,7 @@ func (p *Pool) Observe(key, name, httpAddr string, draining bool) {
 	b.seen = p.cfg.Clock()
 }
 
-// expireLocked drops backends whose heartbeats went stale.
+// expireLocked drops backends whose announcements went stale.
 func (p *Pool) expireLocked(now time.Time) {
 	for key, b := range p.backends {
 		if now.Sub(b.seen) > p.cfg.TTL {
@@ -190,7 +190,7 @@ func (p *Pool) Pick(allowProbe bool, exclude string) (*Pick, error) {
 
 // newPickLocked snapshots the backend's routing fields into the Pick
 // while the pool lock is held: Observe keeps rewriting the live entry
-// (a respawned FE heartbeats a new HTTP address), so the accessors
+// (a respawned FE announces a new HTTP address), so the accessors
 // must not read it lock-free.
 func newPickLocked(p *Pool, b *backend, probe bool) *Pick {
 	return &Pick{p: p, b: b, key: b.key, name: b.name, httpAddr: b.httpAddr, probe: probe}

@@ -46,7 +46,7 @@ func startDistillFE(t *testing.T, net *san.Network, cache san.Addr, mutate func(
 	}
 	mgr := net.Endpoint(san.Addr{Node: "w-node", Proc: "manager"}, 64)
 	mgr.Join(stub.GroupControl)
-	mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{Manager: mgr.Addr(), Seq: 1, Workers: []stub.WorkerInfo{ws.Info()}}, 128)
+	mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{Manager: mgr.Addr(), Seq: 1, Workers: []stub.WorkerInfo{{ID: "w0", Class: "distill-sjpg", Addr: ws.Addr(), Node: "w-node"}}}, 128)
 	waitFor(t, "worker visible to the front end", func() bool { return len(fe.ManagerStub().Workers("distill-sjpg")) == 1 })
 	return fe, static
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,6 +25,7 @@ import (
 	"repro/internal/san"
 	"repro/internal/softstate"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -101,10 +101,10 @@ type Config struct {
 
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
-	// HeartbeatInterval paces FE heartbeats to the manager.
+	// HeartbeatInterval paces the front end's announcements.
 	HeartbeatInterval time.Duration
 	// HTTPAddr is the host:port of this front end's HTTP adapter
-	// (edge.FEServer). It rides every heartbeat so the edge can route
+	// (edge.FEServer). It rides every announcement so the edge can route
 	// to the replica; empty means the FE is not HTTP-reachable and the
 	// edge ignores it.
 	HTTPAddr string
@@ -229,9 +229,7 @@ type FrontEnd struct {
 		coalescedOrigin, coalescedDistill                      atomic.Uint64
 		shed, degradedServes, expired                          atomic.Uint64
 	}
-
-	mu       sync.Mutex
-	disabled bool
+	disabled atomic.Bool // for a hot upgrade: refuse requests, announce draining
 }
 
 // New creates a front end and eagerly registers its endpoint.
@@ -294,7 +292,7 @@ func (fe *FrontEnd) Stats() Stats {
 func (fe *FrontEnd) Running() bool { return fe.life.Load() != nil }
 
 // Run implements cluster.Process: the control-plane receive loop
-// (beacons, heartbeats, disable/enable). Requests never pass through it.
+// (beacons, announcements, disable/enable). Requests never pass through it.
 func (fe *FrontEnd) Run(ctx context.Context) error {
 	if fe.ep == nil || !fe.cfg.Net.Lookup(fe.addr()) {
 		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), san.InboxSize)
@@ -340,7 +338,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return nil
 		case <-hb.C:
-			fe.heartbeat(ep)
+			fe.announce(ep)
 			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
@@ -349,41 +347,26 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 			if fe.mstub.HandleMessage(msg) {
 				continue
 			}
-			switch msg.Kind {
-			case stub.MsgDisable:
-				fe.mu.Lock()
-				fe.disabled = true
-				fe.mu.Unlock()
-				// Announce the drain at once — the edge must stop
-				// routing here now, not a heartbeat tick later.
-				fe.heartbeat(ep)
-			case stub.MsgEnable:
-				fe.mu.Lock()
-				fe.disabled = false
-				fe.mu.Unlock()
-				fe.heartbeat(ep)
+			if msg.Kind == stub.MsgDisable || msg.Kind == stub.MsgEnable {
+				fe.disabled.Store(msg.Kind == stub.MsgDisable)
+				// Announce it at once — the edge must stop (or resume)
+				// routing here now, not an interval later.
+				fe.announce(ep)
 			}
 		}
 	}
 }
 
-func (fe *FrontEnd) heartbeat(ep *san.Endpoint) {
-	// The liveness heartbeat is multicast on the control group, not
-	// unicast to the primary: every standby manager replica mirrors the
-	// front-end inventory from the same stream, so a freshly elected
-	// primary takes over the FE process-peer watch with no
-	// re-registration round (symmetric with cache and supervisor
-	// hellos).
-	fe.mu.Lock()
-	draining := fe.disabled
-	fe.mu.Unlock()
-	ep.Multicast(stub.GroupControl, stub.MsgFEHello, stub.FEHeartbeat{
-		Name:     fe.cfg.Name,
-		Addr:     fe.addr(),
-		Node:     fe.cfg.Node,
-		HTTPAddr: fe.cfg.HTTPAddr,
-		Draining: draining,
-	}, 64)
+func (fe *FrontEnd) announce(ep *san.Endpoint) {
+	// The announcement is multicast on the control group, not unicast to
+	// the primary: every standby manager replica and the edge read the
+	// same stream, so a freshly elected primary takes over the FE
+	// process-peer watch with no re-registration round.
+	m := supervisor.Member{Addr: fe.addr(), Kind: supervisor.KindFrontEnd, State: supervisor.StateUp, HTTPAddr: fe.cfg.HTTPAddr}
+	if fe.disabled.Load() {
+		m.State = supervisor.StateDraining
+	}
+	ep.Multicast(stub.GroupControl, supervisor.MsgAnnounce, m, 64)
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport,
 		stub.Report(fe.cfg.Net, fe.cfg.Name, "frontend", fe.cfg.Node, "fe."+fe.cfg.Name), 96)
 }
@@ -431,10 +414,7 @@ func (fe *FrontEnd) saturated() bool {
 // refusal (ErrOverloaded, fast and typed) beats a queued request that
 // will miss its deadline anyway.
 func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
-	fe.mu.Lock()
-	disabled := fe.disabled
-	fe.mu.Unlock()
-	if disabled {
+	if fe.disabled.Load() {
 		return Response{}, ErrDisabled
 	}
 	lp := fe.life.Load()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/san"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
-	"repro/internal/vcache"
 )
 
 // startManagerA boots a manager living in the "a-" process.
@@ -17,9 +16,9 @@ func startManagerA(t *testing.T, net *san.Network) *Manager {
 	return m
 }
 
-// TestRemoteFERestartDelegatesToSupervisor: a front end heartbeating
-// from another process's node prefix goes silent; the manager resolves
-// the owning supervisor from its heartbeat table and sends it the
+// TestRemoteFERestartDelegatesToSupervisor: a front end announcing
+// itself from another process's node prefix goes silent; the manager
+// resolves the owning supervisor from its hello table and sends it the
 // restart over the SAN.
 func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 	net := san.NewNetwork(1)
@@ -28,9 +27,9 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 
 	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
 
-	// One heartbeat from a remote front end, then silence.
+	// One announcement from a remote front end, then silence.
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+	fe.Send(m.Addr(), supervisor.MsgAnnounce, member(fe, supervisor.KindFrontEnd), 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 
 	waitFor(t, "restart", func() bool { return m.Stats().FERestarts >= 1 })
@@ -54,8 +53,7 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 	waitFor(t, "supervisor tracked", func() bool { return m.Stats().Supervisors == 1 })
 	cache := net.Endpoint(san.Addr{Node: "b-node2", Proc: "cache0"}, 8)
 	waitFor(t, "cache tracked", func() bool {
-		cache.Multicast(stub.GroupControl, vcache.MsgHello,
-			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "b-node2"}, 48)
+		cache.Multicast(stub.GroupControl, supervisor.MsgAnnounce, member(cache, supervisor.KindCache), 48)
 		return m.Stats().Caches == 1
 	})
 
@@ -94,7 +92,7 @@ func TestNoOwningSupervisorIsAFailureUntilOneAppears(t *testing.T) {
 	m := startManagerA(t, net)
 
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+	fe.Send(m.Addr(), supervisor.MsgAnnounce, member(fe, supervisor.KindFrontEnd), 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
 	waitFor(t, "ownerless incident fails", func() bool { return m.Stats().DelegateFails >= 1 })
 	if st := m.Stats(); st.FERestarts != 0 {
@@ -107,13 +105,13 @@ func TestNoOwningSupervisorIsAFailureUntilOneAppears(t *testing.T) {
 	}
 }
 
-// TestFEHeartbeatsAreAddressKeyed: two processes each hosting an "fe0"
-// must not interleave — the live one's heartbeats cannot mask the dead
+// TestFEAnnouncementsAreAddressKeyed: two processes each hosting an "fe0"
+// must not interleave — the live one's announcements cannot mask the dead
 // one's silence in the manager's table, and the dead one's restart
 // cannot land on the live one: supervisors restart by bare name, so
 // while the peer's supervisor refuses, the incident is retried there and
 // the manager process's own supervisor, whose fe0 is fine, hears nothing.
-func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
+func TestFEAnnouncementsAreAddressKeyed(t *testing.T) {
 	net := san.NewNetwork(1)
 	m := startManagerA(t, net)
 	supA := startFakeSup(t, net, "a-node0", "a-")
@@ -127,13 +125,13 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 	feA := net.Endpoint(san.Addr{Node: "a-node1", Proc: "fe0"}, 8)
 	feB := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
 	hbA := func() {
-		feA.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feA.Addr(), Node: "a-node1"}, 48)
+		feA.Send(m.Addr(), supervisor.MsgAnnounce, member(feA, supervisor.KindFrontEnd), 48)
 	}
 	hbA()
-	feB.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: feB.Addr(), Node: "b-node1"}, 48)
+	feB.Send(m.Addr(), supervisor.MsgAnnounce, member(feB, supervisor.KindFrontEnd), 48)
 	waitFor(t, "both replicas tracked", func() bool { return m.Stats().FrontEnds == 2 })
 
-	// B's replica goes silent while A's keeps heartbeating: the
+	// B's replica goes silent while A's keeps announcing: the
 	// remote supervisor must still see the restart.
 	stop := make(chan struct{})
 	defer close(stop)
@@ -167,11 +165,11 @@ func TestFEHeartbeatsAreAddressKeyed(t *testing.T) {
 }
 
 // TestRosterRowNeverHeardIsRestartedOnce: the roster is the desired
-// state. A row that heartbeats is left alone; a row nobody ever heard
+// state. A row that announces itself is left alone; a row nobody ever heard
 // gets one TTL of grace from the moment the roster names it, then
 // exactly one restart through its supervisor. The restart moves it (its
 // old node died): the roster now names it at the new address, it
-// heartbeats from there, and the start still booked under the old
+// announces itself from there, and the start still booked under the old
 // address is dropped instead of firing again a TTL later.
 func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	net := san.NewNetwork(1)
@@ -182,16 +180,12 @@ func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	sup.setRoster(fe, cache, supervisor.Row{Name: "sup", Node: "b-node0"})
 	named := time.Now()
 
-	heartbeat := func(stop chan struct{}, kind string, r supervisor.Row) {
+	heartbeat := func(stop chan struct{}, r supervisor.Row) {
 		ep := net.Endpoint(san.Addr{Node: r.Node, Proc: r.Name}, 8)
 		tk := time.NewTicker(tick)
 		defer tk.Stop()
 		for {
-			if kind == stub.MsgFEHello {
-				ep.Multicast(stub.GroupControl, kind, stub.FEHeartbeat{Name: r.Name, Addr: ep.Addr(), Node: r.Node}, 48)
-			} else {
-				ep.Multicast(stub.GroupControl, kind, vcache.HelloMsg{Name: r.Name, Addr: ep.Addr(), Node: r.Node}, 48)
-			}
+			ep.Multicast(stub.GroupControl, supervisor.MsgAnnounce, member(ep, r.Kind), 48)
 			select {
 			case <-stop:
 				return
@@ -201,7 +195,7 @@ func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	defer close(stop)
-	go heartbeat(stop, stub.MsgFEHello, fe)
+	go heartbeat(stop, fe)
 
 	waitFor(t, "restart of the row nobody heard", func() bool { return len(sup.received()) >= 1 })
 	if grace := time.Since(named); grace < 6*tick {
@@ -209,7 +203,7 @@ func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
 	}
 	cache.Node = "b-node3"
 	sup.setRoster(fe, cache)
-	go heartbeat(stop, vcache.MsgHello, cache)
+	go heartbeat(stop, cache)
 	waitFor(t, "restart counted", func() bool { return m.Stats().CacheRestarts == 1 })
 
 	time.Sleep(20 * tick) // three TTLs: time for a stale booking to fire again

@@ -73,7 +73,7 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 	waitFor(t, "registration", func() bool { return primary.Stats().Workers == 1 })
 	waitFor(t, "standby mirror", func() bool { return standby.Stats().Workers == 1 })
 
-	regs := standby.Stats().Registrations // the worker's multicast ones at boot reach standbys too
+	heard := standby.Stats().ReportsHandled // the worker's multicast announcements at boot reach standbys too
 	killPrimary()
 	waitFor(t, "takeover", func() bool { return standby.IsPrimary() })
 	st := standby.Stats()
@@ -81,9 +81,9 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 		t.Fatalf("takeover stats %+v, want epoch 2, 1 takeover", st)
 	}
 	// The worker saw a beacon from a manager address it did not know and
-	// re-registered — the standby's inventory is now first-hand, not
-	// mirrored, and survives past the worker TTL.
-	waitFor(t, "worker re-registration", func() bool { return standby.Stats().Registrations > regs })
+	// announced itself there — the standby's inventory is now first-hand,
+	// not mirrored, and survives past the worker TTL.
+	waitFor(t, "worker re-anchored", func() bool { return standby.Stats().ReportsHandled > heard })
 	time.Sleep(6 * tick) // past WorkerTTL: only refreshed state survives
 	if got := standby.Stats().Workers; got != 1 {
 		t.Fatalf("worker did not re-anchor on the new primary: %d workers", got)

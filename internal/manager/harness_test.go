@@ -112,6 +112,11 @@ func startFakeSup(t *testing.T, net *san.Network, node, prefix string) *fakeSup 
 	return s
 }
 
+// member is the announcement of a component of kind at ep, up.
+func member(ep *san.Endpoint, kind string) supervisor.Member {
+	return supervisor.Member{Addr: ep.Addr(), Kind: kind, State: supervisor.StateUp}
+}
+
 func (s *fakeSup) hello() {
 	s.mu.Lock()
 	roster := append([]supervisor.Row(nil), s.roster...)
@@ -201,7 +206,7 @@ func (s *fakeSup) runLocked(w *fakeWorker) stub.WorkerInfo {
 		ws.Run(ctx)
 		close(done)
 	}(w.done)
-	return ws.Info()
+	return stub.WorkerInfo{ID: w.row.Name, Class: w.class, Addr: ws.Addr(), Node: w.row.Node, Overflow: w.ovf}
 }
 
 // stopLocked ends a worker's current instance and waits for it to exit;

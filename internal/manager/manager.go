@@ -1,6 +1,6 @@
 // Package manager implements the SNS layer's centralized,
 // fault-tolerant load-balancing manager (paper §2.2.2, §3.1.2): it
-// collects load reports from worker stubs, synthesizes hints as
+// collects the load worker stubs announce, synthesizes hints as
 // weighted moving averages, piggybacks them on periodic multicast
 // beacons, spawns additional workers when a class's average queue
 // crosses the threshold H (damped by D seconds), recruits overflow
@@ -24,24 +24,27 @@
 // # One rule up, one lever
 //
 // Desired is declared, never learned: the roster every live supervisor
-// advertises in its hello (its process's component table, alive or
-// not) — front ends, caches and every configured worker slot alike.
-// Actual is what the manager hears, keyed by SAN address: heartbeats,
-// hellos, worker registrations and load reports. Pending holds every
-// command the primary has booked under that same address (class#n for a
-// spawn, "reap id" for a reap) until the instance is heard or one TTL
-// passes — and, as a row that is never issued, every worker that left by
-// its own word (hot-upgrade disable, graceful reap), so nothing else is
-// booked at its address until it registers again. Each tick the primary diffs the three (reconcile) and issues
-// what is missing (act), always as a supervisor.Command to the
-// supervisor owning the row's node — its own process's included; the
-// manager holds no other lever. A row is restarted by name when its
-// address falls silent for its kind's TTL, or was never heard one TTL
-// after a roster first named it. Load-driven and cold-start workers are
-// extras outside that rule: spawned and reaped by policy, and one that
-// dies leaves its roster and is not brought back. Two restarts are
-// somebody else's: front ends restart a silent manager (§3.1.3), and a
-// process's exit observer respawns its own supervisor (core).
+// advertises in its hello (its process's component table, alive or not)
+// — front ends, caches and every configured worker slot alike. Actual
+// is what the manager hears, keyed by SAN address: one member.announce
+// (supervisor.Member) per interval from every front end, cache and
+// worker, each kind's table aged by that kind's TTL. A member
+// announcing itself draining (disabled for a hot upgrade) is heard like
+// any other and never restarted; a draining worker is only left out of
+// the beacons. A worker announcing itself down was stopped on purpose
+// and is forgotten at once. Pending holds every command the primary has
+// booked under that same address (class#n for a spawn, "reap id" for a
+// reap) until the instance is heard or one TTL passes. Each tick the
+// primary diffs the three (reconcile) and issues what is missing (act),
+// always as a supervisor.Command to the supervisor owning the row's
+// node — its own process's included; the manager holds no other lever.
+// A row is restarted by name when its address falls silent for its
+// kind's TTL, or was never heard one TTL after a roster first named it.
+// Load-driven and cold-start workers are extras outside that rule:
+// spawned and reaped by policy, and one that dies leaves its roster and
+// is not brought back. Two restarts are somebody else's: front ends
+// restart a silent manager (§3.1.3), and a process's exit observer
+// respawns its own supervisor (core).
 //
 // # Replication, epochs, and standby mode
 //
@@ -50,8 +53,8 @@
 // sweeps, and issues commands. The rest run in standby mode: the full
 // receive loop stays live (they mirror the worker inventory from the
 // primary's beacons, for its load hints, and ingest the multicast
-// front-end/cache/supervisor heartbeats directly), but every output is
-// suppressed. What should run is in the rosters, which a standby hears
+// front-end/cache announcements and supervisor hellos directly), but
+// every output is suppressed. What should run is in the rosters, which a standby hears
 // first-hand, so a takeover needs nothing from the old primary: there
 // is no state transfer and no recovery protocol.
 //
@@ -79,7 +82,6 @@ import (
 	"repro/internal/softstate"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
-	"repro/internal/vcache"
 )
 
 // Policy is the spawn/reap policy (§4.5). It is shared verbatim with
@@ -143,13 +145,13 @@ type Config struct {
 	// WorkerTTL expires workers that stop reporting ("timeouts are
 	// used as a backup mechanism to infer failures", §3.1.3).
 	WorkerTTL time.Duration
-	// FETTL expires front ends that stop heartbeating; expiry
+	// FETTL expires front ends that stop announcing; expiry
 	// triggers the process-peer restart. Supervisors expire on the
 	// same TTL: one that stops heartbeating drops out of ownership
 	// resolution and takes its roster with it; its own process
 	// respawns it.
 	FETTL time.Duration
-	// CacheTTL expires cache services that stop heartbeating; expiry
+	// CacheTTL expires cache services that stop announcing; expiry
 	// triggers the process-peer restart (defaults to FETTL).
 	CacheTTL time.Duration
 	// CmdTimeout bounds one supervisor command (default 2s).
@@ -210,13 +212,12 @@ type Stats struct {
 	FERestarts       uint64
 	CacheRestarts    uint64
 	WorkerRestarts   uint64
-	ReportsHandled   uint64
+	ReportsHandled   uint64 // worker announcements
 	BeaconsSent      uint64
 	BeaconsTriggered uint64 // of BeaconsSent, those sent for a membership change
-	Registrations    uint64
-	// Readmits counts workers heard from again after silence expired
-	// them: never dead, and spared if their restart had not gone out.
-	Readmits uint64
+	// Registrations counts workers put into the beacons: heard for the
+	// first time, again after silence expired them, or back from draining.
+	Registrations uint64
 	// DelegateFails counts supervisor commands that timed out, were
 	// refused or found no owner (each is retried at the next tick); a
 	// success is one of the restart, spawn or reap counters above.
@@ -241,25 +242,20 @@ type start struct {
 	// Name is the command's target (the class for a spawn); Node resolves
 	// the owning supervisor (for a spawn, the manager's own node).
 	supervisor.Row
-	op string // supervisor.OpRestart, OpSpawnWorker or OpReap; opPark is never issued
+	op string // supervisor.OpRestart, OpSpawnWorker or OpReap
 	// class is the worker class a spawn, or the restart of a worker the
 	// manager had heard, will bring back: one of either pending holds off
 	// another spawn of that class.
 	class string
 
 	cmdID    uint64    // minted at the first attempt of an incident, reused by its retries
-	issuedAt time.Time // last attempt, or when the row was named or parked; zero = due now
+	issuedAt time.Time // last attempt, or when the row was named; zero = due now
 	attempts int       // consecutive failures
 	busy     bool      // a command is in flight; its completion decides
 }
 
 // maxAttempts is the retry budget of one incident.
 const maxAttempts = 10
-
-// opPark marks the pending row of a worker that de-registered: it holds
-// the address against a restart until the worker is heard again or its
-// process's roster drops it.
-const opPark = "park"
 
 // Manager is the centralized load balancer. It implements
 // cluster.Process.
@@ -268,13 +264,14 @@ type Manager struct {
 	ep  *san.Endpoint
 
 	mu sync.Mutex
-	// workers is the inventory beacons carry, by id; a worker's liveness
-	// is its row in heard, like everyone else's.
+	// workers is the inventory beacons carry, by id: the workers heard
+	// up. A worker's liveness is its row in heard, like everyone else's,
+	// so a draining worker has a row there and none here.
 	workers map[string]*workerState
 	// heard is the actual state of every kind restarted by name (front
 	// ends, caches, workers), each keyed by SAN address, not bare name:
-	// two processes may both host an "fe0", and one's heartbeats must not
-	// mask the other's death. A kind's table TTL is how long it may stay
+	// two processes may both host an "fe0", and one's announcements must
+	// not mask the other's death. A kind's table TTL is how long it may stay
 	// silent before it counts as dead.
 	heard     map[string]*softstate.Table[supervisor.Row]
 	sups      *softstate.Table[supervisor.HelloMsg]
@@ -511,43 +508,8 @@ func (m *Manager) handle(msg san.Message) {
 	switch b := msg.Body.(type) {
 	case stub.Beacon:
 		m.observeBeacon(b)
-	case stub.RegisterMsg:
-		m.mu.Lock()
-		m.admitLocked(b.Info, 0)
-		m.mu.Unlock()
-	case stub.DeregisterMsg:
-		m.mu.Lock()
-		if ws := m.workers[b.ID]; ws != nil {
-			// Parked, unless this is the stop half of a restart in flight:
-			// that row stays, and its command's result decides.
-			key := m.forgetLocked(b.ID, ws.info.Addr)
-			if p := m.pending[key]; p == nil || !p.busy {
-				m.pending[key] = &start{key: key, Row: supervisor.Row{Name: b.ID, Kind: supervisor.KindWorker, Node: ws.info.Node}, op: opPark, issuedAt: time.Now()}
-			}
-		}
-		m.mu.Unlock()
-	case stub.LoadReport:
-		m.mu.Lock()
-		m.stats.ReportsHandled++
-		if ws := m.workers[b.ID]; ws != nil {
-			ws.avg.Add(float64(b.QLen))
-			m.hearLocked(ws) // refresh TTL
-		} else if b.Info.ID == b.ID && !b.Info.Addr.IsZero() {
-			// A report from a worker we expired (e.g. marooned by a
-			// SAN partition that has since healed): re-admit it. Soft
-			// state rebuilds from periodic messages alone (§3.1.3).
-			m.stats.Readmits++
-			m.admitLocked(b.Info, float64(b.QLen))
-		}
-		m.mu.Unlock()
-	case stub.FEHeartbeat:
-		// A newcomer is greeted: a front end needs the worker table, a
-		// process's supervisor the epoch that fences its commands.
-		if m.heard[supervisor.KindFrontEnd].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindFrontEnd, Node: b.Node}) {
-			m.changed.Store(true)
-		}
-	case vcache.HelloMsg:
-		m.heard[supervisor.KindCache].Put(b.Addr.String(), supervisor.Row{Name: b.Name, Kind: supervisor.KindCache, Node: b.Node})
+	case supervisor.Member:
+		m.hear(b)
 	case supervisor.HelloMsg:
 		if m.sups.Put(b.Addr.String(), b) {
 			m.changed.Store(true)
@@ -587,19 +549,59 @@ func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 		stub.Report(m.cfg.Net, m.cfg.Name, "manager", m.cfg.Node, m.cfg.Name), 96)
 }
 
-// admitLocked records a worker heard from for the first time — by
-// registration, or by a load report after the manager had expired it.
-// An id neither tracked nor booked by name is the instance a spawn of
-// its class was waiting to hear.
+// hear folds one announcement into the membership view. A front end or
+// cache refreshes its row; a newcomer front end is greeted, since it
+// needs the worker table. A worker up is put in the beacons, or its load
+// averaged in if it is there; a worker draining keeps its row heard and
+// leaves the beacons, so it is neither picked nor restarted; a worker
+// down was stopped on purpose and is forgotten — its last word, so no
+// announcement of it still in flight can put it back.
+func (m *Manager) hear(a supervisor.Member) {
+	t, row := m.heard[a.Kind], supervisor.Row{Name: a.Addr.Proc, Kind: a.Kind, Node: a.Addr.Node}
+	if t == nil {
+		return
+	}
+	if a.Kind != supervisor.KindWorker {
+		if t.Put(a.Addr.String(), row) && a.Kind == supervisor.KindFrontEnd {
+			m.changed.Store(true)
+		}
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.stats.ReportsHandled++
+	ws := m.workers[a.Addr.Proc]
+	mine := ws != nil && ws.info.Addr == a.Addr
+	switch {
+	case a.State != supervisor.StateUp:
+		if a.State == supervisor.StateDraining {
+			t.Put(a.Addr.String(), row)
+		} else {
+			t.Delete(a.Addr.String())
+		}
+		if mine {
+			delete(m.workers, a.Addr.Proc)
+			m.changed.Store(true)
+		}
+	case mine:
+		ws.avg.Add(float64(a.Load))
+		m.hearLocked(ws)
+	default:
+		m.admitLocked(stub.WorkerInfo{ID: a.Addr.Proc, Class: a.Class, Addr: a.Addr, Node: a.Addr.Node, Overflow: a.Overflow}, float64(a.Load))
+	}
+}
+
+// admitLocked puts a worker in the inventory: heard up for the first
+// time, again after the manager expired it, or back from draining. An id
+// neither tracked nor booked by name is the instance a spawn of its class
+// was waiting to hear.
 func (m *Manager) admitLocked(info stub.WorkerInfo, qlen float64) {
 	_, known := m.workers[info.ID]
 	ws := &workerState{info: info, avg: &softstate.MovingAverage{Alpha: 0.3}}
 	ws.avg.Add(qlen)
 	m.hearLocked(ws)
 	m.stats.Registrations++
-	if !known {
-		m.changed.Store(true)
-	}
+	m.changed.Store(true)
 	if !known && m.pending[info.Addr.String()] == nil {
 		for key, p := range m.pending {
 			if p.op == supervisor.OpSpawnWorker && p.class == info.Class {
@@ -617,12 +619,11 @@ func (m *Manager) hearLocked(ws *workerState) {
 		supervisor.Row{Name: ws.info.ID, Kind: supervisor.KindWorker, Node: ws.info.Node})
 }
 
-// forgetLocked drops a worker from both and returns its address key.
-func (m *Manager) forgetLocked(id string, addr san.Addr) string {
+// forgetLocked drops a worker from both.
+func (m *Manager) forgetLocked(id string, addr san.Addr) {
 	delete(m.workers, id)
 	m.heard[supervisor.KindWorker].Delete(addr.String())
 	m.changed.Store(true)
-	return addr.String()
 }
 
 // classView is one worker class as the manager sees it now.
@@ -722,7 +723,7 @@ func (m *Manager) diffLocked(now time.Time) (due []*start) {
 		}
 	}
 	for key, p := range m.pending {
-		named, ttl, silent := p.op == supervisor.OpRestart || p.op == opPark, m.cfg.WorkerTTL, true
+		named, ttl, silent := p.op == supervisor.OpRestart, m.cfg.WorkerTTL, true
 		if named { // keyed by the address of a row restarted by name
 			t := m.heard[p.Kind]
 			_, ok := t.Get(key)
@@ -738,7 +739,7 @@ func (m *Manager) diffLocked(now time.Time) (due []*start) {
 			// moved off a dead node, removed, or an extra that died. One
 			// TTL on: a hello older than the row may predate the component.
 			delete(m.pending, key)
-		case p.op != opPark && now.Sub(p.issuedAt) >= ttl:
+		case now.Sub(p.issuedAt) >= ttl:
 			due = append(due, p)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/san"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
-	"repro/internal/vcache"
 )
 
 // TestWorkerLifecycle: configured workers register as they start; one
@@ -39,20 +38,20 @@ func TestWorkerLifecycle(t *testing.T) {
 	}
 }
 
-// TestRegistrationBurstCoalesces: 32 registrations queued at once are
-// one change to announce, not 32 — the primary beacons after draining
-// its inbox, so the burst costs one triggered beacon (two if it straddles
-// the first receive). The same 32 again change nothing, and trigger
-// nothing: the double registration every worker makes at boot is free.
+// TestRegistrationBurstCoalesces: 32 workers announcing themselves at
+// once are one change to beacon, not 32 — the primary beacons after
+// draining its inbox, so the burst costs one triggered beacon (two if it
+// straddles the first receive). The same 32 again change nothing, and
+// trigger nothing: the announcements every worker multicasts at boot
+// before its unicast ones are free.
 func TestRegistrationBurstCoalesces(t *testing.T) {
 	net := san.NewNetwork(1)
 	m := New(Config{Node: "mgr", Net: net, BeaconInterval: time.Hour})
 	from := net.Endpoint(san.Addr{Node: "n1", Proc: "burst"}, 8)
 	burst := func() {
 		for i := 0; i < 32; i++ {
-			id := fmt.Sprintf("w%d", i)
-			info := stub.WorkerInfo{ID: id, Class: "echo", Addr: san.Addr{Node: "n1", Proc: id}, Node: "n1"}
-			if err := from.Send(m.Addr(), stub.MsgRegister, stub.RegisterMsg{Info: info}, 64); err != nil {
+			w := supervisor.Member{Addr: san.Addr{Node: "n1", Proc: fmt.Sprintf("w%d", i)}, Kind: supervisor.KindWorker, Class: "echo", State: supervisor.StateUp}
+			if err := from.Send(m.Addr(), supervisor.MsgAnnounce, w, 64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -63,13 +62,13 @@ func TestRegistrationBurstCoalesces(t *testing.T) {
 	go m.Run(ctx)
 	waitFor(t, "32 workers", func() bool { return m.Stats().Workers == 32 })
 	if n := m.Stats().BeaconsTriggered; n < 1 || n > 2 {
-		t.Fatalf("a burst of 32 registrations triggered %d beacons, want 1 or 2", n)
+		t.Fatalf("a burst of 32 new workers triggered %d beacons, want 1 or 2", n)
 	}
 	before := m.Stats().BeaconsTriggered
 	burst()
-	waitFor(t, "64 registrations", func() bool { return m.Stats().Registrations == 64 })
-	if st := m.Stats(); st.BeaconsTriggered != before || st.Workers != 32 {
-		t.Fatalf("re-registering known workers: %+v, want %d triggered beacons and 32 workers", st, before)
+	waitFor(t, "64 announcements", func() bool { return m.Stats().ReportsHandled == 64 })
+	if st := m.Stats(); st.BeaconsTriggered != before || st.Workers != 32 || st.Registrations != 32 {
+		t.Fatalf("known workers again: %+v, want %d triggered beacons and 32 workers registered", st, before)
 	}
 }
 
@@ -108,39 +107,8 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 	defer cancel()
 	startManager(t, net, "mgr", func(c *Config) { c.WorkerTTL = time.Hour }) // isolate from expiry
 
-	// A hand-rolled worker that reports a fixed queue length of 10.
-	wep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 64)
-	wep.Join(stub.GroupControl)
-	go func() {
-		var mgr san.Addr
-		registered := false
-		tk := time.NewTicker(tick)
-		defer tk.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case msg, ok := <-wep.Inbox():
-				if !ok {
-					return
-				}
-				if msg.Kind == stub.MsgBeacon {
-					b := msg.Body.(stub.Beacon)
-					mgr = b.Manager
-					if !registered {
-						registered = true
-						wep.Send(mgr, stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
-							ID: "w0", Class: "echo", Addr: wep.Addr(), Node: "n1",
-						}}, 64)
-					}
-				}
-			case <-tk.C:
-				if !mgr.IsZero() {
-					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "w0", Class: "echo", QLen: 10}, 64)
-				}
-			}
-		}
-	}()
+	// A hand-rolled worker that announces a fixed queue length of 10.
+	go fakeLoad(ctx, net, "w0", 10)
 
 	// Listen for beacons and check the advertised moving average
 	// converges toward 10.
@@ -160,6 +128,34 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 	t.Fatal("beacon load average never converged toward reports")
 }
 
+// fakeLoad is a hand-rolled worker: once it has heard a beacon it
+// announces itself every tick to that manager with a fixed load.
+func fakeLoad(ctx context.Context, net *san.Network, id string, load int) {
+	wep := net.Endpoint(san.Addr{Node: "n1", Proc: id}, 64)
+	wep.Join(stub.GroupControl)
+	w := supervisor.Member{Addr: wep.Addr(), Kind: supervisor.KindWorker, Class: "echo", State: supervisor.StateUp, Load: load}
+	var mgr san.Addr
+	tk := time.NewTicker(tick)
+	defer tk.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case msg, ok := <-wep.Inbox():
+			if !ok {
+				return
+			}
+			if b, ok := msg.Body.(stub.Beacon); ok {
+				mgr = b.Manager
+			}
+		case <-tk.C:
+			if !mgr.IsZero() {
+				wep.Send(mgr, supervisor.MsgAnnounce, w, 64)
+			}
+		}
+	}
+}
+
 func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 	net := san.NewNetwork(1)
 	sup := startFakeSup(t, net, "node0", "")
@@ -170,37 +166,8 @@ func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 		c.WorkerTTL = time.Hour
 	})
 
-	// Register a fake overloaded worker reporting queue 50.
-	wep := net.Endpoint(san.Addr{Node: "n1", Proc: "hot"}, 64)
-	wep.Join(stub.GroupControl)
-	go func() {
-		var mgr san.Addr
-		reg := false
-		tk := time.NewTicker(tick)
-		defer tk.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case msg, ok := <-wep.Inbox():
-				if !ok {
-					return
-				}
-				if msg.Kind == stub.MsgBeacon {
-					mgr = msg.Body.(stub.Beacon).Manager
-					if !reg {
-						reg = true
-						wep.Send(mgr, stub.MsgRegister, stub.RegisterMsg{Info: stub.WorkerInfo{
-							ID: "hot", Class: "echo", Addr: wep.Addr(), Node: "n1"}}, 64)
-					}
-				}
-			case <-tk.C:
-				if !mgr.IsZero() {
-					wep.Send(mgr, stub.MsgLoadReport, stub.LoadReport{ID: "hot", Class: "echo", QLen: 50}, 64)
-				}
-			}
-		}
-	}()
+	// A fake overloaded worker announcing queue 50.
+	go fakeLoad(ctx, net, "hot", 50)
 
 	waitFor(t, "load spawn", func() bool { return sup.count(supervisor.OpSpawnWorker) >= 1 })
 	// Damping: no flood of spawns immediately after.
@@ -263,17 +230,17 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 	m, _ := startManager(t, net, "mgr", nil)
 
 	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "fe0"}, 64)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "fe"}, 48)
+	fe.Send(m.Addr(), supervisor.MsgAnnounce, member(fe, supervisor.KindFrontEnd), 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
-	// Stop heartbeating: the manager has the FE restarted after FETTL.
+	// Silence: the manager has the FE restarted after FETTL.
 	waitFor(t, "FE restart", func() bool { return m.Stats().FERestarts >= 1 })
 	if c := sup.received()[0]; c.Op != supervisor.OpRestart || c.Target != "fe0" {
 		t.Fatalf("supervisor saw %+v", c)
 	}
 }
 
-// TestCacheProcessPeerRestart: cache services heartbeat on the
-// control group; silence past CacheTTL triggers the manager's
+// TestCacheProcessPeerRestart: cache services announce themselves on
+// the control group; silence past CacheTTL triggers the manager's
 // restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
 	net := san.NewNetwork(1)
@@ -282,13 +249,12 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 
 	cache := net.Endpoint(san.Addr{Node: "c0", Proc: "cache0"}, 64)
 	waitFor(t, "cache tracked", func() bool {
-		// Heartbeat until the manager (whose Run loop joins the group
+		// Announce until the manager (whose Run loop joins the group
 		// asynchronously) has caught one.
-		cache.Multicast(stub.GroupControl, vcache.MsgHello,
-			vcache.HelloMsg{Name: "cache0", Addr: cache.Addr(), Node: "c0"}, 48)
+		cache.Multicast(stub.GroupControl, supervisor.MsgAnnounce, member(cache, supervisor.KindCache), 48)
 		return m.Stats().Caches == 1
 	})
-	// Stop heartbeating: the manager has the cache restarted after CacheTTL.
+	// Silence: the manager has the cache restarted after CacheTTL.
 	waitFor(t, "cache restart", func() bool { return m.Stats().CacheRestarts >= 1 })
 	if c := sup.received()[0]; c.Op != supervisor.OpRestart || c.Target != "cache0" {
 		t.Fatalf("supervisor saw %+v", c)
@@ -358,7 +324,7 @@ func TestCollectorCarriesElectionAndCommands(t *testing.T) {
 		t.Fatalf("standby publishes %v, want primary 0 and no takeover", got)
 	}
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
-	fe.Send(m.Addr(), stub.MsgFEHello, stub.FEHeartbeat{Name: "fe0", Addr: fe.Addr(), Node: "b-node1"}, 48)
+	fe.Send(m.Addr(), supervisor.MsgAnnounce, member(fe, supervisor.KindFrontEnd), 48)
 
 	waitFor(t, "takeover", func() bool { return collected()["primary"] == 1 })
 	waitFor(t, "refused command", func() bool { return collected()["delegate_fails"] >= 1 })

@@ -105,13 +105,14 @@ func TestDeadExtraIsNotRestarted(t *testing.T) {
 	})
 }
 
-// TestParkedWorkerIsNotRestarted: a worker that de-registers by its own
-// word — the disable step of an upgrade wave — stays in its roster,
-// silent, and is left alone however long the wave takes; enabling it
-// brings it back as itself. Nothing else here can fall silent by
-// accident (it is the only worker, and the supervisor's TTL is out of
-// reach), so the hold runs six WorkerTTLs whatever the scheduler does.
-func TestParkedWorkerIsNotRestarted(t *testing.T) {
+// TestDrainingWorkerIsNotRestarted: a worker disabled for a hot upgrade
+// keeps announcing itself, as draining — out of the beacons, still
+// heard — and is left alone however long the wave takes; enabling it
+// puts it back in the beacons as itself. Nothing else here can fall
+// silent by accident (it is the only worker, and the supervisor's TTL is
+// out of reach), so the hold runs six WorkerTTLs whatever the scheduler
+// does. Its silence is still news: one that dies draining is restarted.
+func TestDrainingWorkerIsNotRestarted(t *testing.T) {
 	net := san.NewNetwork(1)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.FETTL = time.Minute })
@@ -123,24 +124,27 @@ func TestParkedWorkerIsNotRestarted(t *testing.T) {
 
 	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 8)
 	ctl.Send(w.Addr, stub.MsgDisable, nil, 16)
-	waitFor(t, "worker de-registered", func() bool { return m.Stats().Workers == 0 })
-	holds(t, 30*tick, "a parked worker draws no command", m, sup, func() bool {
+	waitFor(t, "worker out of the beacons", func() bool { return m.Stats().Workers == 0 })
+	holds(t, 30*tick, "a draining worker draws no command", m, sup, func() bool {
 		return sup.count("") == 0 && m.Stats().Workers == 0
 	})
 	ctl.Send(w.Addr, stub.MsgEnable, nil, 16)
-	waitFor(t, "worker registered again", func() bool { return m.Stats().Workers == 1 })
+	waitFor(t, "worker back in the beacons", func() bool { return m.Stats().Workers == 1 })
 
-	// Unparked, it is an ordinary slot again: a crash now is restarted.
+	ctl.Send(w.Addr, stub.MsgDisable, nil, 16)
+	waitFor(t, "draining again", func() bool { return m.Stats().Workers == 0 })
 	sup.crash(w.ID)
-	waitFor(t, "restart after a real death", func() bool { return m.Stats().WorkerRestarts == 1 })
+	waitFor(t, "restart after a real death, back up", func() bool {
+		st := m.Stats()
+		return st.WorkerRestarts == 1 && st.Workers == 1
+	})
 }
 
 // TestGoodbyeDuringRestartDoesNotPark: a falsely expired worker is heard
 // again while its restart is in flight, the restart's stop half makes it
-// say goodbye, and the start half then fails. That goodbye is not the
-// worker's own word: the row stays booked, the incident is retried under
-// its id, and the slot comes back — parked, it would have stayed down
-// for good.
+// say goodbye (down), and the start half then fails. That goodbye ends
+// nothing: the row stays booked, the incident is retried under its id,
+// and the slot comes back — left down, it would have stayed down for good.
 func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
 	net := san.NewNetwork(1)
 	sup := startFakeSup(t, net, "node0", "")
@@ -151,12 +155,16 @@ func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
 	sup.setMode("absorb") // the command is in flight until CmdTimeout, then counts as failed
 	sup.crash(w.ID)
 	waitFor(t, "restart issued", func() bool { return sup.count(supervisor.OpRestart) == 1 })
+	regs := m.Stats().Registrations
 	old := net.Endpoint(san.Addr{Node: w.Node, Proc: "old-instance"}, 8)
-	old.Send(m.Addr(), stub.MsgLoadReport, stub.LoadReport{ID: w.ID, Class: w.Class, Info: w}, 64)
-	old.Send(m.Addr(), stub.MsgDeregister, stub.DeregisterMsg{ID: w.ID}, 32)
+	up := supervisor.Member{Addr: w.Addr, Kind: supervisor.KindWorker, Class: w.Class, State: supervisor.StateUp}
+	down := up
+	down.State = supervisor.StateDown
+	old.Send(m.Addr(), supervisor.MsgAnnounce, up, 64)
+	old.Send(m.Addr(), supervisor.MsgAnnounce, down, 64)
 	waitFor(t, "heard again, then gone", func() bool {
 		st := m.Stats()
-		return st.Readmits == 1 && st.Workers == 0
+		return st.Registrations == regs+1 && st.Workers == 0
 	})
 
 	sup.setMode("ok")

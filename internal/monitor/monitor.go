@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
 )
@@ -44,7 +45,8 @@ type Config struct {
 	Node string
 	Net  *san.Network
 	// SilenceAfter marks a component silent (and alerts) when no
-	// report arrives for this long. Default 4x the report interval.
+	// report arrives for this long, and forgets a supervisor whose hellos
+	// stopped that long ago. Default 4x the report interval.
 	SilenceAfter time.Duration
 	// OnAlert is invoked for every alert (nil = collect only).
 	OnAlert func(Alert)
@@ -62,8 +64,9 @@ func (c Config) withDefaults() Config {
 
 // Monitor implements cluster.Process.
 type Monitor struct {
-	cfg Config
-	ep  *san.Endpoint
+	cfg  Config
+	ep   *san.Endpoint
+	sups *softstate.Table[supervisor.HelloMsg] // supervisor table, addr-keyed
 
 	mu         sync.Mutex
 	seen       map[string]*ComponentStatus
@@ -71,9 +74,8 @@ type Monitor struct {
 	alerts     []Alert
 	alerted    map[string]bool // component -> alert outstanding
 	disabled   map[san.Addr]bool
-	sups       map[string]supervisor.HelloMsg // supervisor table, addr-keyed
-	workers    []stub.WorkerInfo              // inventory from the last beacon
-	workersSeq uint64                         // beacon seq the inventory came from
+	workers    []stub.WorkerInfo // inventory from the last beacon
+	workersSeq uint64            // beacon seq the inventory came from
 	cmdSeq     uint64
 }
 
@@ -86,7 +88,7 @@ func New(cfg Config) *Monitor {
 		hops:     make(map[string]*hopAgg),
 		alerted:  make(map[string]bool),
 		disabled: make(map[san.Addr]bool),
-		sups:     make(map[string]supervisor.HelloMsg),
+		sups:     softstate.NewTable[supervisor.HelloMsg](cfg.SilenceAfter, nil),
 	}
 	m.ep = cfg.Net.Endpoint(m.addr(), san.InboxSize)
 	return m
@@ -199,9 +201,7 @@ func (m *Monitor) handle(msg san.Message) {
 		if !ok {
 			return
 		}
-		m.mu.Lock()
-		m.sups[hb.Addr.String()] = hb
-		m.mu.Unlock()
+		m.sups.Put(hb.Addr.String(), hb)
 	}
 }
 
@@ -243,6 +243,7 @@ func (m *Monitor) HopBreakdown() []HopStat {
 
 func (m *Monitor) scanSilence() {
 	now := time.Now()
+	m.sups.Expired() // drop the rows silence has already hidden
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for name, st := range m.seen {
@@ -346,9 +347,7 @@ func (m *Monitor) workersOfSeq(class string) ([]stub.WorkerInfo, uint64) {
 // advertised prefix (supervisor.Owner — the same rule the manager
 // uses, shared so the two watchers can never disagree).
 func (m *Monitor) SupervisorFor(node string) (supervisor.HelloMsg, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return supervisor.Owner(node, m.sups)
+	return supervisor.Owner(node, m.sups.Snapshot())
 }
 
 // WaveOptions tunes an upgrade wave.
@@ -389,12 +388,13 @@ type WaveReport struct {
 
 // UpgradeWave performs the paper's hot upgrade (§2.1) as a rolling
 // restart across every worker of a class, wherever each one's OS
-// process lives: disable (the worker drains and deregisters — a
-// voluntary departure, so the manager spawns no replacement), ask the
-// owning process's supervisor to restart it under the same id (the
-// restarted stub is the "upgraded binary"), re-enable, and wait for it
-// to re-register before touching the next one. One worker is down at
-// a time, so a class with two or more replicas serves throughout.
+// process lives: disable (the worker drains and announces itself
+// draining, so the manager leaves it out of the beacons and restarts
+// nothing), ask the owning process's supervisor to restart it under the
+// same id (the restarted stub is the "upgraded binary"), re-enable, and
+// wait for it to be back in the beacons before touching the next one.
+// One worker is down at a time, so a class with two or more replicas
+// serves throughout.
 func (m *Monitor) UpgradeWave(ctx context.Context, class string, opts WaveOptions) (WaveReport, error) {
 	opts = opts.withDefaults()
 	rep := WaveReport{Class: class}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 func startMonitor(t *testing.T, net *san.Network, silence time.Duration) (*Monitor, *atomic.Int32) {
@@ -60,6 +61,41 @@ func TestMonitorTracksReports(t *testing.T) {
 	snap := m.Snapshot()
 	if snap[0].Metrics["qlen"] != 3 || snap[0].Silent {
 		t.Fatalf("status = %+v", snap[0])
+	}
+}
+
+// TestMonitorForgetsSilentSupervisor: a process's supervisor respawns at
+// a new address under its old prefix, and the old one falls silent.
+// Until SilenceAfter passes both are heard and the tie goes to the lower
+// address, the dead one; after it the monitor has forgotten that one, so
+// an upgrade wave's restart goes to the live supervisor, every time.
+func TestMonitorForgetsSilentSupervisor(t *testing.T) {
+	net := san.NewNetwork(1)
+	const silence = 100 * time.Millisecond
+	m, _ := startMonitor(t, net, silence)
+	hello := func(ep *san.Endpoint) {
+		ep.Multicast(stub.GroupControl, supervisor.MsgHello, supervisor.HelloMsg{Name: "sup", Addr: ep.Addr(), Node: ep.Addr().Node, Prefix: "b-"}, 64)
+	}
+	old := net.Endpoint(san.Addr{Node: "b-node0", Proc: "sup"}, 8)
+	moved := net.Endpoint(san.Addr{Node: "b-node5", Proc: "sup"}, 8)
+	owner := func() san.Addr { sup, _ := m.SupervisorFor("b-node2"); return sup.Addr }
+	waitFor(t, "both supervisors heard", func() bool {
+		hello(old)
+		hello(moved)
+		return owner() == old.Addr()
+	})
+	lastOld := time.Now()
+	waitFor(t, "the silent supervisor forgotten", func() bool {
+		hello(moved)
+		return owner() == moved.Addr()
+	})
+	if d := time.Since(lastOld); d < silence {
+		t.Fatalf("forgot a supervisor %v after its last hello, inside SilenceAfter %v", d, silence)
+	}
+	for i := 0; i < 100; i++ {
+		if got := owner(); got != moved.Addr() {
+			t.Fatalf("lookup %d resolved %v, want the live %v", i, got, moved.Addr())
+		}
 	}
 }
 

@@ -9,8 +9,9 @@
 // which is precisely the simplification BASE buys over the original
 // process-pair/hard-state manager prototype described in §3.1.3.
 //
-// Every announcer that keeps such a table alive — beacon, heartbeat,
-// hello, load report — is paced by one Schedule: at once, then 5 ms
+// Every announcer that keeps such a table alive — the manager's beacon,
+// a supervisor's hello, every other component's member announcement —
+// is paced by one Schedule: at once, then 5 ms
 // later, the gap doubling up to the component's interval. The interval
 // bounds staleness, not how long a newcomer waits to be heard.
 package softstate

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,8 +21,19 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.hex fro
 // re-encode to the same bytes, so a field added, dropped, reordered or
 // retyped fails here first and the fixture is regenerated on purpose
 // (go test ./internal/stub -run TestGoldenFrames -update), with the
-// diff of a .hex file in the PR saying which kind changed.
+// diff of a .hex file in the PR saying which kind changed. A fixture
+// for a kind the codec no longer speaks fails too: a deleted kind's
+// frame is removed with it, on purpose.
 func TestGoldenFrames(t *testing.T) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "golden", "*.hex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range fixtures {
+		if kind := strings.TrimSuffix(filepath.Base(path), ".hex"); !slices.Contains(WireKinds(), kind) {
+			t.Errorf("%s: a golden frame for %q, which is not a wire kind", path, kind)
+		}
+	}
 	for kind, body := range wireSamples() {
 		path := filepath.Join("testdata", "golden", kind+".hex")
 		if *updateGolden {

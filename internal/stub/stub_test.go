@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 )
 
@@ -33,21 +34,21 @@ func (echoWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 	return tacc.Blob{MIME: "text/plain", Data: append([]byte("echo:"), task.Input.Data...)}, nil
 }
 
-// fakeManager beacons periodically and records registrations. Admitting
+// fakeManager beacons periodically and counts announcements. Admitting
 // a worker is idempotent, as the real manager's is: a stub's multicast
-// registrations and its unicast one after the first beacon all arrive,
+// announcements and its unicast ones after the first beacon all arrive,
 // and workers carries each worker once.
 type fakeManager struct {
 	net      *san.Network
 	ep       *san.Endpoint
 	interval time.Duration
 
-	registered   atomic.Int64
-	deregistered atomic.Int64
-	loadReports  atomic.Int64
-	spawnReqs    atomic.Int64
-	workers      chan WorkerInfo // sized to the stubs a test runs
-	admitted     map[string]bool // run's goroutine only
+	up        atomic.Int64 // announcements of a worker up
+	draining  atomic.Int64 // ... and of one draining
+	unicast   atomic.Int64 // of either, those sent here rather than to the group
+	spawnReqs atomic.Int64
+	workers   chan WorkerInfo // sized to the stubs a test runs
+	admitted  map[string]bool // run's goroutine only
 }
 
 func newFakeManager(net *san.Network, interval time.Duration) *fakeManager {
@@ -84,16 +85,22 @@ func (fm *fakeManager) run(ctx context.Context, advertise func() []WorkerInfo) {
 				return
 			}
 			switch msg.Kind {
-			case MsgRegister:
-				fm.registered.Add(1)
-				if info := msg.Body.(RegisterMsg).Info; !fm.admitted[info.ID] {
-					fm.admitted[info.ID] = true
-					fm.workers <- info
+			case supervisor.MsgAnnounce:
+				m := msg.Body.(supervisor.Member)
+				if msg.Group == "" {
+					fm.unicast.Add(1)
 				}
-			case MsgDeregister:
-				fm.deregistered.Add(1)
-			case MsgLoadReport:
-				fm.loadReports.Add(1)
+				if m.State == supervisor.StateDraining {
+					fm.draining.Add(1)
+				}
+				if m.State != supervisor.StateUp {
+					continue
+				}
+				fm.up.Add(1)
+				if !fm.admitted[m.Addr.Proc] {
+					fm.admitted[m.Addr.Proc] = true
+					fm.workers <- WorkerInfo{ID: m.Addr.Proc, Class: m.Class, Addr: m.Addr, Node: m.Addr.Node}
+				}
 			case MsgSpawnReq:
 				fm.spawnReqs.Add(1)
 			}
@@ -142,15 +149,15 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
 
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	info := <-fm.workers
 	if info.Class != "echo" || info.ID != "w0" {
 		t.Fatalf("info = %+v", info)
 	}
 	advertised.Store([]WorkerInfo{info})
 
-	// Load reports must flow.
-	waitFor(t, "load reports", func() bool { return fm.loadReports.Load() >= 2 })
+	// Announcements go to the manager once the worker has heard it.
+	waitFor(t, "unicast announcements", func() bool { return fm.unicast.Load() >= 2 })
 
 	// Dispatch through a manager stub.
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
@@ -165,9 +172,9 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 }
 
 // TestWorkerRegistersBeforeAnyBeacon: a stub that knows no manager
-// multicasts its registration on its announce schedule — at once, then
-// 5, 15, 35 ms in — so a manager hears it long before its own next
-// beacon, here one that never beacons at all.
+// multicasts its announcement on its schedule — at once, then 5, 15,
+// 35 ms in — so a manager hears it long before its own next beacon, here
+// one that never beacons at all.
 func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
 	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -180,15 +187,15 @@ func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
 	for n := 0; n < 4; n++ {
 		select {
 		case msg := <-listener.Inbox():
-			if reg, ok := msg.Body.(RegisterMsg); !ok || reg.Info.ID != "w0" {
-				t.Fatalf("heard %s %+v, want w0's registration", msg.Kind, msg.Body)
+			if m, ok := msg.Body.(supervisor.Member); !ok || m.Addr.Proc != "w0" || m.State != supervisor.StateUp || msg.Group != GroupControl {
+				t.Fatalf("heard %s %+v, want w0 announcing itself up on the group", msg.Kind, msg.Body)
 			}
 		case <-time.After(time.Second):
-			t.Fatalf("%d registrations in %v", n, time.Since(start))
+			t.Fatalf("%d announcements in %v", n, time.Since(start))
 		}
 	}
 	if d := time.Since(start); d > 250*time.Millisecond {
-		t.Fatalf("four registrations took %v at a %v interval", d, DefaultBeaconInterval)
+		t.Fatalf("four announcements took %v at a %v interval", d, DefaultBeaconInterval)
 	}
 }
 
@@ -203,7 +210,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
@@ -230,7 +237,7 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	exit := make(chan error, 1)
 	go func() { exit <- ws.Run(ctx) }()
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	ep, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
@@ -263,7 +270,7 @@ func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
 		WorkerConfig{ReportInterval: 10 * time.Millisecond, SurvivePanic: true})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	waitFor(t, "worker visible", func() bool { return len(ms.Workers("echo")) == 1 })
@@ -294,7 +301,7 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 	// in the stale beacon — exactly the §3.1.8 scenario).
 	ws := NewWorkerStub("w-live", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	live := <-fm.workers
 	ghost := WorkerInfo{ID: "w-ghost", Class: "echo", Addr: san.Addr{Node: "gone", Proc: "w-ghost"}, Node: "gone"}
 	adv.Store([]WorkerInfo{live, ghost})
@@ -328,7 +335,7 @@ func TestQueueFullRejection(t *testing.T) {
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
 		WorkerConfig{QueueCap: 1, ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	info := <-fm.workers
 	adv.Store([]WorkerInfo{info})
 
@@ -365,7 +372,7 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{
@@ -421,19 +428,18 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	info := <-fm.workers
 	adv.Store([]WorkerInfo{info})
-	// A deregistration goes to the manager the stub knows: one that has
-	// beaconed, as its load reports show.
-	waitFor(t, "a load report", func() bool { return fm.loadReports.Load() >= 1 })
 
+	// Disabled, the worker keeps announcing — as draining — and refuses
+	// tasks.
 	ep, _ := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 16)
 	if err := ctl.Send(info.Addr, MsgDisable, nil, 8); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "deregistration", func() bool { return fm.deregistered.Load() >= 1 })
+	waitFor(t, "draining announcements", func() bool { return fm.draining.Load() >= 2 })
 
 	cctx, ccancel := context.WithTimeout(ctx, time.Second)
 	defer ccancel()
@@ -445,12 +451,12 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 		t.Fatalf("resp = %+v", resp.Body)
 	}
 
-	// Enable: worker re-registers and serves again.
-	before := fm.registered.Load()
+	// Enable: worker announces itself up and serves again.
+	before := fm.up.Load()
 	if err := ctl.Send(info.Addr, MsgEnable, nil, 8); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "re-registration", func() bool { return fm.registered.Load() > before })
+	waitFor(t, "announced up again", func() bool { return fm.up.Load() > before })
 	resp, err = ep.Call(cctx, info.Addr, MsgTask,
 		TaskMsg{Task: tacc.Task{Input: tacc.Blob{Data: []byte("hi")}}}, 16)
 	if err != nil {
@@ -488,7 +494,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
 	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.registered.Load() >= 1 })
+	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
 	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})

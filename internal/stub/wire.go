@@ -6,11 +6,17 @@
 // tasks by lottery, and carries the process-peer duties (restart a
 // silent manager).
 //
-// A worker announces itself on a softstate.Schedule. While it knows no
-// manager each announcement multicasts its RegisterMsg on the control
-// group, so the primary admits it milliseconds after it starts; from its
-// first beacon on it registers by unicast with that manager (and with
-// any new one, §3.1.3) and each announcement is a load report.
+// A worker says it is alive the way a front end or a cache does: one
+// supervisor.Member (member.announce) per interval on a
+// softstate.Schedule, from its own serving loop, carrying its queue
+// length as its load. While it knows no manager each announcement is
+// multicast on the control group, so the primary admits it milliseconds
+// after it starts; from its first beacon on it is unicast to that
+// manager, and a new manager's beacon is answered at once (§3.1.3). A
+// worker disabled for a hot upgrade keeps announcing, as draining: the
+// manager leaves it out of the beacons and does not restart it. A worker
+// stopped on purpose (reaped, or a restart's stop half) says down as its
+// last word; a crashed one says nothing, and its silence is the news.
 package stub
 
 import (
@@ -33,19 +39,16 @@ import (
 // indirection and relieves components of having to explicitly locate
 // each other" (§3.1.2).
 const (
-	GroupControl = "sns.control" // manager beacons, registration traffic
+	GroupControl = "sns.control" // manager beacons, supervisor hellos, member announcements
 	GroupReports = "sns.reports" // monitor state reports
 )
 
-// Message kinds.
+// Message kinds. Liveness is supervisor.MsgAnnounce, whose Member body
+// sits beside the roster rows it is diffed against.
 const (
 	MsgBeacon     = "mgr.beacon"   // manager -> group: Beacon
-	MsgRegister   = "wrk.register" // worker -> manager: RegisterMsg
-	MsgDeregister = "wrk.dereg"    // worker -> manager: DeregisterMsg
-	MsgLoadReport = "wrk.load"     // worker -> manager: LoadReport
 	MsgTask       = "wrk.task"     // front end -> worker: TaskMsg
 	MsgResult     = "wrk.result"   // worker -> front end (reply): ResultMsg
-	MsgFEHello    = "fe.heartbeat" // front end -> manager: FEHeartbeat
 	MsgSpawnReq   = "mgr.spawnreq" // front end -> manager: SpawnReq
 	MsgDisable    = "ctl.disable"  // monitor -> component: hot upgrade
 	MsgEnable     = "ctl.enable"   // monitor -> component
@@ -80,34 +83,6 @@ type Beacon struct {
 	Workers []WorkerInfo
 }
 
-// RegisterMsg announces a worker to the manager.
-type RegisterMsg struct {
-	Info WorkerInfo
-}
-
-// DeregisterMsg removes a worker (clean shutdown).
-type DeregisterMsg struct {
-	ID string
-}
-
-// LoadReport carries one worker's queue length to the manager. The
-// paper characterizes distiller load "in terms of the queue length at
-// the distiller, optionally weighted by the expected cost of
-// distilling each item".
-type LoadReport struct {
-	ID      string
-	Class   string
-	QLen    int
-	CostMs  float64 // average per-task cost observed, milliseconds
-	Done    uint64  // tasks completed since start
-	Errors  uint64
-	Crashes uint64
-	// Info lets the manager re-admit a worker it expired (e.g. after
-	// a healed SAN partition): soft state regenerates from the very
-	// next periodic message, no explicit rejoin protocol needed.
-	Info WorkerInfo
-}
-
 // TaskMsg asks a worker to run one task. Deadline, when non-zero, is
 // the absolute wall-clock instant (unix nanoseconds) after which the
 // caller no longer awaits the result; it rides inside the body so it
@@ -127,23 +102,6 @@ type TaskMsg struct {
 type ResultMsg struct {
 	Blob tacc.Blob
 	Err  string // empty on success
-}
-
-// FEHeartbeat tells the manager a front end is alive (process-peer
-// input for "the manager detects and restarts a crashed front end").
-// HTTPAddr, when non-empty, is the host:port of the front end's HTTP
-// adapter — the address an edge proxy routes client requests to.
-// Draining marks a front end that has been disabled for a hot upgrade:
-// still alive (heartbeats keep flowing so the manager does not restart
-// it) but asking the edge to stop sending it new requests. Both fields
-// ride an optional tail on the wire so pre-extension frames decode with
-// zero values.
-type FEHeartbeat struct {
-	Name     string
-	Addr     san.Addr
-	Node     string
-	HTTPAddr string
-	Draining bool
 }
 
 // SpawnReq asks the manager to start a worker of a class the front end
@@ -257,31 +215,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		for _, wi := range b.Workers {
 			w.workerInfo(wi)
 		}
-	case MsgRegister:
-		m, ok := body.(RegisterMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants RegisterMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.workerInfo(m.Info)
-	case MsgDeregister:
-		m, ok := body.(DeregisterMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants DeregisterMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.ID)
-	case MsgLoadReport:
-		m, ok := body.(LoadReport)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants LoadReport, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.ID)
-		w.str(m.Class)
-		w.varint(int64(m.QLen))
-		w.f64(m.CostMs)
-		w.u64(m.Done)
-		w.u64(m.Errors)
-		w.u64(m.Crashes)
-		w.workerInfo(m.Info)
 	case MsgTask:
 		m, ok := body.(TaskMsg)
 		if !ok {
@@ -304,16 +237,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		}
 		w.blob(m.Blob)
 		w.str(m.Err)
-	case MsgFEHello:
-		m, ok := body.(FEHeartbeat)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants FEHeartbeat, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Name)
-		w.addr(m.Addr)
-		w.str(m.Node)
-		w.str(m.HTTPAddr)
-		w.bool(m.Draining)
 	case MsgSpawnReq:
 		m, ok := body.(SpawnReq)
 		if !ok {
@@ -352,14 +275,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		w.str(m.Key)
 		w.bool(m.Stale)
 		w.str(m.Else)
-	case vcache.MsgHello:
-		m, ok := body.(vcache.HelloMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants vcache.HelloMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Name)
-		w.addr(m.Addr)
-		w.str(m.Node)
 	case vcache.MsgGot:
 		m, ok := body.(vcache.GetResp)
 		if !ok {
@@ -410,6 +325,18 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 			w.str(row.Kind)
 			w.str(row.Node)
 		}
+	case supervisor.MsgAnnounce:
+		m, ok := body.(supervisor.Member)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s wants supervisor.Member, got %T", ErrWireFormat, kind, body)
+		}
+		w.addr(m.Addr)
+		w.str(m.Kind)
+		w.str(m.Class)
+		w.str(m.State)
+		w.varint(int64(m.Load))
+		w.str(m.HTTPAddr)
+		w.bool(m.Overflow)
 	case supervisor.MsgCmd:
 		m, ok := body.(supervisor.Command)
 		if !ok {
@@ -473,21 +400,6 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 			}
 		}
 		body = b
-	case MsgRegister:
-		body = RegisterMsg{Info: r.workerInfo()}
-	case MsgDeregister:
-		body = DeregisterMsg{ID: r.str()}
-	case MsgLoadReport:
-		var m LoadReport
-		m.ID = r.str()
-		m.Class = r.str()
-		m.QLen = int(r.varint())
-		m.CostMs = r.f64()
-		m.Done = r.u64()
-		m.Errors = r.u64()
-		m.Crashes = r.u64()
-		m.Info = r.workerInfo()
-		body = m
 	case MsgTask:
 		var m TaskMsg
 		m.Task.Key = r.str()
@@ -506,15 +418,6 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		body = m
 	case MsgResult:
 		body = ResultMsg{Blob: r.blob(), Err: r.str()}
-	case MsgFEHello:
-		m := FEHeartbeat{Name: r.str(), Addr: r.addr(), Node: r.str()}
-		// Optional tail: frames encoded before the HTTPAddr/Draining
-		// extension end here and decode with zero values.
-		if r.err == nil && r.pos < len(r.buf) {
-			m.HTTPAddr = r.str()
-			m.Draining = r.bool()
-		}
-		body = m
 	case MsgSpawnReq:
 		body = SpawnReq{Class: r.str()}
 	case MsgMonReport:
@@ -539,8 +442,6 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		body = m
 	case vcache.MsgGet:
 		body = vcache.GetReq{Key: r.str(), Stale: r.bool(), Else: r.str()}
-	case vcache.MsgHello:
-		body = vcache.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str()}
 	case vcache.MsgGot:
 		body = vcache.GetResp{Found: r.bool(), Data: r.bytes(), MIME: r.str(), Stale: r.bool(), Else: r.bool()}
 	case vcache.MsgPut, vcache.MsgInject:
@@ -571,6 +472,8 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 			}
 		}
 		body = m
+	case supervisor.MsgAnnounce:
+		body = supervisor.Member{Addr: r.addr(), Kind: r.str(), Class: r.str(), State: r.str(), Load: int(r.varint()), HTTPAddr: r.str(), Overflow: r.bool()}
 	case supervisor.MsgCmd:
 		body = supervisor.Command{ID: r.u64(), Origin: r.str(), Op: r.str(), Target: r.str(), Epoch: r.u64()}
 	case supervisor.MsgAck:
@@ -594,10 +497,9 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 // the fuzzer's kind table.
 func WireKinds() []string {
 	return []string{
-		MsgBeacon, MsgDeregister, MsgFEHello, MsgLoadReport, MsgMonReport,
-		MsgRegister, MsgResult, MsgSpawnReq, MsgSpanDigest, MsgTask,
-		supervisor.MsgAck, supervisor.MsgCmd, supervisor.MsgHello,
-		vcache.MsgGet, vcache.MsgGot, vcache.MsgHello, vcache.MsgInject, vcache.MsgPut, vcache.MsgStatsR,
+		MsgBeacon, MsgMonReport, MsgResult, MsgSpawnReq, MsgSpanDigest, MsgTask,
+		supervisor.MsgAck, supervisor.MsgAnnounce, supervisor.MsgCmd, supervisor.MsgHello,
+		vcache.MsgGet, vcache.MsgGot, vcache.MsgInject, vcache.MsgPut, vcache.MsgStatsR,
 	}
 }
 

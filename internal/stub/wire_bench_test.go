@@ -2,14 +2,16 @@ package stub
 
 import (
 	"testing"
+
+	"repro/internal/supervisor"
 )
 
 // BenchmarkWireEncode is the cold path: every encode allocates its own
 // buffer. (The steady-state append and the decode are rows of the
 // root micro-benchmark table: go test -bench 'Micro/wire' repro.)
 func BenchmarkWireEncode(b *testing.B) {
-	// The periodic load report every worker sends every ReportInterval.
-	kind, body := MsgLoadReport, wireSamples()[MsgLoadReport]
+	// The announcement every worker sends every ReportInterval.
+	kind, body := supervisor.MsgAnnounce, wireSamples()[supervisor.MsgAnnounce]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -36,12 +36,6 @@ func wireSamples() map[string]any {
 			Seq:     42,
 			Workers: []WorkerInfo{w0, ovf},
 		},
-		MsgRegister:   RegisterMsg{Info: w0},
-		MsgDeregister: DeregisterMsg{ID: "w0"},
-		MsgLoadReport: LoadReport{
-			ID: "w0", Class: "echo", QLen: 10, CostMs: 3.75,
-			Done: 100, Errors: 2, Crashes: 1, Info: w0,
-		},
 		MsgTask: TaskMsg{Task: tacc.Task{
 			Key:   "http://origin1.example/obj42.sjpg",
 			Input: tacc.Blob{MIME: "image/sjpg", Data: []byte("payload"), Meta: map[string]string{"orig": "1024"}},
@@ -61,10 +55,6 @@ func wireSamples() map[string]any {
 		MsgResult: ResultMsg{
 			Blob: tacc.Blob{MIME: "image/sjpg", Data: []byte("distilled")},
 			Err:  "",
-		},
-		MsgFEHello: FEHeartbeat{
-			Name: "fe0", Addr: san.Addr{Node: "fe", Proc: "fe0"}, Node: "fe",
-			HTTPAddr: "127.0.0.1:39201", Draining: true,
 		},
 		MsgSpawnReq: SpawnReq{Class: "echo"},
 		MsgMonReport: StatusReport{
@@ -90,9 +80,6 @@ func wireSamples() map[string]any {
 			Key: "http://origin1.example/obj42.sjpg|distill-sjpg#", Stale: true,
 			Else: "orig|http://origin1.example/obj42.sjpg",
 		},
-		vcache.MsgHello: vcache.HelloMsg{
-			Name: "cache0", Addr: san.Addr{Node: "node0", Proc: "cache0"}, Node: "node0",
-		},
 		vcache.MsgGot: vcache.GetResp{Found: true, Data: []byte("cached bytes"), MIME: "image/sjpg", Stale: true, Else: true},
 		vcache.MsgPut: vcache.PutReq{
 			Key: "http://origin1.example/obj42.sjpg", Data: []byte("original"),
@@ -107,6 +94,11 @@ func wireSamples() map[string]any {
 			Evictions: 3, Expired: 1, Used: 1 << 20, Objects: 49,
 		},
 		supervisor.MsgHello: helloWithRoster(3),
+		// A worker's announcement: the liveness message sent most often.
+		supervisor.MsgAnnounce: supervisor.Member{
+			Addr: san.Addr{Node: "b-node3", Proc: "b-distill-sjpg.2"}, Kind: supervisor.KindWorker,
+			Class: "distill-sjpg", State: supervisor.StateUp, Load: 3,
+		},
 		supervisor.MsgCmd: supervisor.Command{
 			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestart, Target: "cache0", Epoch: 3,
 		},
@@ -172,9 +164,22 @@ func TestHelloRosterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRoundTrip: encode -> decode restores every sample exactly.
+// TestWireRoundTrip: encode -> decode restores every sample, and every
+// shape of announcement, exactly.
 func TestWireRoundTrip(t *testing.T) {
+	type sample struct {
+		kind string
+		body any
+	}
+	var all []sample
 	for kind, body := range wireSamples() {
+		all = append(all, sample{kind, body})
+	}
+	for _, m := range memberShapes() {
+		all = append(all, sample{supervisor.MsgAnnounce, m})
+	}
+	for _, s := range all {
+		kind, body := s.kind, s.body
 		data, err := EncodeBody(kind, body)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", kind, err)
@@ -245,7 +250,7 @@ func TestWireDeterministic(t *testing.T) {
 
 // TestWireRejectsWrongType and truncation: the codec errors cleanly.
 func TestWireRejects(t *testing.T) {
-	if _, err := EncodeBody(MsgBeacon, DeregisterMsg{}); err == nil {
+	if _, err := EncodeBody(MsgBeacon, SpawnReq{}); err == nil {
 		t.Fatal("encode accepted a mismatched body type")
 	}
 	data, err := EncodeBody(MsgBeacon, wireSamples()[MsgBeacon])
@@ -265,32 +270,14 @@ func TestWireRejects(t *testing.T) {
 	}
 }
 
-// TestFEHeartbeatOldFormatDecodes pins wire compatibility for the
-// HTTPAddr/Draining extension: a frame laid out the pre-extension way
-// (Name, Addr, Node only) must still decode, with the new fields
-// zero-valued — a mixed-version cluster's old front ends keep
-// heartbeating through new managers and edges.
-func TestFEHeartbeatOldFormatDecodes(t *testing.T) {
-	full := wireSamples()[MsgFEHello].(FEHeartbeat)
-	old := struct {
-		name, node string
-		addr       san.Addr
-	}{full.Name, full.Node, full.Addr}
-
-	// Hand-build the old frame with the writer primitives the original
-	// encoder used: str(Name), addr(Addr), str(Node), nothing after.
-	w := &wireWriter{}
-	w.str(old.name)
-	w.addr(old.addr)
-	w.str(old.node)
-
-	got, err := DecodeBody(MsgFEHello, w.buf)
-	if err != nil {
-		t.Fatalf("old-format frame rejected: %v", err)
-	}
-	want := FEHeartbeat{Name: old.name, Addr: old.addr, Node: old.node}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("old-format decode:\n got %#v\nwant %#v", got, want)
+// memberShapes are the announcements beyond the worker in wireSamples:
+// a front end up and draining, a cache, an overflow worker draining.
+func memberShapes() []supervisor.Member {
+	return []supervisor.Member{
+		{Addr: san.Addr{Node: "a-node0", Proc: "fe0"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateUp, HTTPAddr: "127.0.0.1:39201"},
+		{Addr: san.Addr{Node: "a-node1", Proc: "fe1"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateDraining, HTTPAddr: "127.0.0.1:39202"},
+		{Addr: san.Addr{Node: "b-node0", Proc: "cache0"}, Kind: supervisor.KindCache, State: supervisor.StateUp},
+		{Addr: san.Addr{Node: "b-ovf0", Proc: "b-distill-sjpg.7"}, Kind: supervisor.KindWorker, Class: "distill-sjpg", State: supervisor.StateDraining, Load: 17, Overflow: true},
 	}
 }
 
@@ -368,6 +355,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			f.Add(slices.Index(kinds, kind), data)
 		}
+	}
+	for _, m := range memberShapes() {
+		data, err := EncodeBody(supervisor.MsgAnnounce, m)
+		if err != nil {
+			f.Fatalf("member seed %+v: %v", m, err)
+		}
+		f.Add(slices.Index(kinds, supervisor.MsgAnnounce), data)
 	}
 
 	f.Fuzz(func(t *testing.T, kindIdx int, data []byte) {

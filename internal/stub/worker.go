@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/softstate"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 )
 
@@ -40,9 +41,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 }
 
 // WorkerStub wraps a tacc.Worker into an SNS citizen: it queues tasks,
-// reports load, registers with whatever manager is beaconing, survives
-// (or deliberately propagates) worker crashes, and honors hot-upgrade
-// disable/enable. It implements cluster.Process.
+// announces itself and its load to whatever manager is beaconing,
+// survives (or deliberately propagates) worker crashes, and honors
+// hot-upgrade disable/enable. It implements cluster.Process.
 //
 // The worker code itself "need not be thread-safe" (§2.2.5): the stub
 // executes tasks strictly serially.
@@ -111,15 +112,19 @@ func (s *WorkerStub) Addr() san.Addr { return s.addr() }
 // ID implements cluster.Process.
 func (s *WorkerStub) ID() string { return s.name }
 
-// Info describes this worker for registration.
-func (s *WorkerStub) Info() WorkerInfo {
-	return WorkerInfo{
-		ID:       s.name,
-		Class:    s.class,
-		Addr:     s.addr(),
-		Node:     s.node,
-		Overflow: s.cfg.Overflow,
+// Member is this worker's announcement of itself: its queue length as
+// its load, draining while disabled.
+func (s *WorkerStub) Member() supervisor.Member {
+	m := supervisor.Member{
+		Addr: s.addr(), Kind: supervisor.KindWorker, Class: s.class, State: supervisor.StateUp,
+		Load: int(s.qlen.Load()), Overflow: s.cfg.Overflow,
 	}
+	s.mu.Lock()
+	if s.disabled {
+		m.State = supervisor.StateDraining
+	}
+	s.mu.Unlock()
+	return m
 }
 
 // BeaconAge is how long the stub has gone without a manager beacon. A
@@ -191,11 +196,13 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			// Clean shutdown: tell the manager we are leaving so it
-			// does not spawn a replacement. A crash (below) sends
-			// nothing — a dead process cannot deregister, and the
-			// manager must discover the loss by timeout (§3.1.3).
-			s.deregister()
+			// Stopped on purpose: say so last, behind any announcement
+			// still in flight. A crash (below), or a kill that dropped the
+			// endpoint first, sends nothing — a dead process cannot say
+			// goodbye, and the manager infers the loss by timeout (§3.1.3).
+			down := s.Member()
+			down.State = supervisor.StateDown
+			s.announce(ep, down)
 			pcancel()
 			wg.Wait()
 			return nil
@@ -204,7 +211,8 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 			wg.Wait()
 			return errWorkerCrash{cause: cause}
 		case <-report.C:
-			s.reportLoad(ep)
+			s.announce(ep, s.Member())
+			ep.Multicast(GroupReports, MsgMonReport, Report(s.net, s.name, "worker", s.node, "worker."+s.name), 96)
 			report.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
@@ -234,15 +242,14 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 		}
 		s.lastEpoch, s.beaconAt = b.Epoch, time.Now()
 		known := s.manager == b.Manager
-		disabled := s.disabled
 		s.manager = b.Manager
 		s.mu.Unlock()
-		if !known && !disabled {
-			// New manager (first sight or restarted): re-register.
+		if !known {
+			// New manager (first sight or restarted): announce at once.
 			// This is the §3.1.3 recovery path — "if the manager
 			// crashes and restarts, the distillers detect beacons
 			// from the new manager and re-register themselves".
-			_ = ep.Send(b.Manager, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
+			s.announce(ep, s.Member())
 		}
 	case MsgTask:
 		s.mu.Lock()
@@ -258,19 +265,13 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 		default:
 			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "queue full"}, 16)
 		}
-	case MsgDisable:
+	case MsgDisable, MsgEnable:
+		// Say so at once: the manager takes a draining worker out of the
+		// beacons it sends now, and puts an enabled one back.
 		s.mu.Lock()
-		s.disabled = true
+		s.disabled = msg.Kind == MsgDisable
 		s.mu.Unlock()
-		s.deregister()
-	case MsgEnable:
-		s.mu.Lock()
-		s.disabled = false
-		mgr := s.manager
-		s.mu.Unlock()
-		if !mgr.IsZero() {
-			_ = ep.Send(mgr, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
-		}
+		s.announce(ep, s.Member())
 	}
 }
 
@@ -427,38 +428,15 @@ func (s *WorkerStub) observeCost(d time.Duration) {
 	s.costMs.Store((old*7 + us*3) / 10) // EWMA alpha 0.3
 }
 
-// reportLoad is the stub's announcement: a load report to its manager,
-// or its registration to any, and a status report to the monitor group.
-func (s *WorkerStub) reportLoad(ep *san.Endpoint) {
-	s.mu.Lock()
-	mgr := s.manager
-	disabled := s.disabled
-	s.mu.Unlock()
-	report := LoadReport{
-		ID:      s.name,
-		Class:   s.class,
-		QLen:    int(s.qlen.Load()),
-		CostMs:  float64(s.costMs.Load()) / 1000,
-		Done:    s.done.Load(),
-		Errors:  s.errs.Load(),
-		Crashes: s.crashes.Load(),
-		Info:    s.Info(),
-	}
-	switch {
-	case disabled:
-	case mgr.IsZero():
-		ep.Multicast(GroupControl, MsgRegister, RegisterMsg{Info: s.Info()}, 64)
-	default:
-		_ = ep.Send(mgr, MsgLoadReport, report, 64)
-	}
-	ep.Multicast(GroupReports, MsgMonReport, Report(s.net, s.name, "worker", s.node, "worker."+s.name), 96)
-}
-
-func (s *WorkerStub) deregister() {
+// announce sends m to the stub's manager, or multicasts it on the
+// control group while it knows none.
+func (s *WorkerStub) announce(ep *san.Endpoint, m supervisor.Member) {
 	s.mu.Lock()
 	mgr := s.manager
 	s.mu.Unlock()
-	if !mgr.IsZero() {
-		_ = s.ep.Send(mgr, MsgDeregister, DeregisterMsg{ID: s.name}, 32)
+	if mgr.IsZero() {
+		ep.Multicast(GroupControl, supervisor.MsgAnnounce, m, 64)
+	} else {
+		_ = ep.Send(mgr, supervisor.MsgAnnounce, m, 64)
 	}
 }

@@ -31,11 +31,14 @@ import (
 
 // Message kinds. MsgHello is multicast on the configured heartbeat
 // group (the platform wires it to the SNS control group); MsgCmd /
-// MsgAck are the unicast command protocol.
+// MsgAck are the unicast command protocol. MsgAnnounce is every other
+// component's "I am here": front ends, caches and workers each send one
+// Member per interval.
 const (
-	MsgHello = "sup.hello" // supervisor -> group: HelloMsg
-	MsgCmd   = "sup.cmd"   // manager/monitor -> supervisor (Call): Command
-	MsgAck   = "sup.ack"   // supervisor -> caller (reply): Ack
+	MsgHello    = "sup.hello"       // supervisor -> group: HelloMsg
+	MsgCmd      = "sup.cmd"         // manager/monitor -> supervisor (Call): Command
+	MsgAck      = "sup.ack"         // supervisor -> caller (reply): Ack
+	MsgAnnounce = "member.announce" // component -> group or manager: Member
 )
 
 // Command operations.
@@ -50,8 +53,8 @@ const (
 	// OpSpawnWorker starts one more worker of the target class in this
 	// process: a load-driven or cold-start extra.
 	OpSpawnWorker = "spawn-worker"
-	// OpReap retires such an extra by id, gracefully: it de-registers on
-	// its way out and leaves the roster.
+	// OpReap retires such an extra by id, gracefully: it announces
+	// itself down on its way out and leaves the roster.
 	OpReap = "reap"
 )
 
@@ -73,6 +76,35 @@ type Row struct {
 	Node string
 }
 
+// Member states. A draining member is alive and must not be restarted,
+// but takes no new work: a front end or worker disabled for a hot
+// upgrade keeps announcing in this state. Down is a worker's last word
+// when it is stopped on purpose (reaped, or the stop half of a restart):
+// its earlier announcements may still be in flight, and down, sent after
+// them on the same path, is what keeps them from putting it back.
+const (
+	StateUp       = "up"
+	StateDraining = "draining"
+	StateDown     = "down"
+)
+
+// Member is the body of MsgAnnounce: one component of a roster row's
+// kind saying it is alive, where, and in what state. Its silence past
+// its kind's TTL is how a watcher infers its death (§3.1.3), so it is
+// sent from the component's own serving loop. Class, Load and Overflow
+// describe a worker (its queue length is the load the lottery balances
+// on); HTTPAddr is a front end's HTTP adapter, the address the edge
+// routes to.
+type Member struct {
+	Addr     san.Addr // Addr.Proc is the row's name, Addr.Node its node
+	Kind     string
+	Class    string
+	State    string
+	Load     int
+	HTTPAddr string
+	Overflow bool
+}
+
 // HelloMsg is the supervisor's heartbeat body. Prefix is the node-name
 // prefix of the process it governs: a manager resolving which
 // supervisor owns a dead component matches the component's node name
@@ -90,15 +122,20 @@ type HelloMsg struct {
 }
 
 // Owner resolves which supervisor owns a node by longest advertised
-// prefix — the single ownership rule every resolver (manager restart
-// sweeps, monitor upgrade waves) must share, or two watchers could
-// delegate the same node's duties to different daemons.
+// prefix, equal prefixes by lowest address — the single ownership rule
+// every resolver (manager restart sweeps, monitor upgrade waves) must
+// share, or two watchers could delegate the same node's duties to
+// different daemons. Two hellos share a prefix while a respawned
+// supervisor's old address has not yet expired from a table.
 func Owner(node string, sups map[string]HelloMsg) (HelloMsg, bool) {
 	var best HelloMsg
 	bestLen := -1
 	for _, hb := range sups {
-		if strings.HasPrefix(node, hb.Prefix) && len(hb.Prefix) > bestLen {
-			best, bestLen = hb, len(hb.Prefix)
+		if !strings.HasPrefix(node, hb.Prefix) {
+			continue
+		}
+		if n := len(hb.Prefix); n > bestLen || n == bestLen && hb.Addr.String() < best.Addr.String() {
+			best, bestLen = hb, n
 		}
 	}
 	return best, bestLen >= 0

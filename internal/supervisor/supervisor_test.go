@@ -291,6 +291,27 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 	t.Fatal("no hello heartbeat observed")
 }
 
+// TestOwnerTieGoesToLowestAddress: a respawned supervisor hellos from a
+// new address under its old prefix while its old address still sits in
+// a watcher's table. Every watcher must pick the same one of the two,
+// whatever order its map iterates in: the longer prefix first, then the
+// lowest address.
+func TestOwnerTieGoesToLowestAddress(t *testing.T) {
+	old := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"}, Prefix: "b-"}
+	moved := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node4", Proc: "sup"}, Prefix: "b-"}
+	for i := 0; i < 1000; i++ {
+		sups := map[string]HelloMsg{moved.Addr.String(): moved, old.Addr.String(): old}
+		if got, ok := Owner("b-node2", sups); !ok || got.Addr != old.Addr {
+			t.Fatalf("map %d: owner %v, want the lowest address %v", i, got.Addr, old.Addr)
+		}
+	}
+	longer := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-x0", Proc: "sup"}, Prefix: "b-x"}
+	sups := map[string]HelloMsg{"1": old, "2": moved, "3": longer}
+	if got, _ := Owner("b-x1", sups); got.Addr != longer.Addr {
+		t.Fatalf("owner %v, want the longest prefix %v", got.Addr, longer.Addr)
+	}
+}
+
 // TestResultCacheRetentionUnderRetryStorm: a storm of distinct
 // commands overflowing the cache's soft capacity must NOT evict
 // results still inside their retry window — redelivering any of them

@@ -8,15 +8,16 @@ import (
 
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 // sampleBody returns real wire-codec bytes — frames on a live bridge
 // always carry codec output, so tests and benches should too.
 func sampleBody(t testing.TB) []byte {
 	t.Helper()
-	body, err := stub.EncodeBody(stub.MsgLoadReport, stub.LoadReport{
-		ID: "w0", Class: "echo", QLen: 7, CostMs: 2.5, Done: 41,
-		Info: stub.WorkerInfo{ID: "w0", Class: "echo", Addr: san.Addr{Node: "b-node1", Proc: "w0"}, Node: "b-node1"},
+	body, err := stub.EncodeBody(supervisor.MsgAnnounce, supervisor.Member{
+		Addr: san.Addr{Node: "b-node1", Proc: "w0"}, Kind: supervisor.KindWorker,
+		Class: "echo", State: supervisor.StateUp, Load: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func sampleFrames(t testing.TB) [][]byte {
 		AppendData(nil,
 			san.Addr{Node: "a-node0", Proc: "fe0"},
 			san.Addr{Node: "b-node1", Proc: "w0"},
-			stub.MsgLoadReport, 0, false, body),
+			supervisor.MsgAnnounce, 0, false, body),
 		AppendData(nil,
 			san.Addr{Node: "b-node1", Proc: "w0"},
 			san.Addr{Node: "a-node0", Proc: "fe0"},

@@ -13,6 +13,11 @@
 // A Partition is one map and one LRU list under one mutex: its cache
 // node's Service serves the inbox serially, so the lock is only ever
 // shared with Stats readers.
+//
+// A Service is a roster row like a front end: it announces itself on the
+// control group once an interval (supervisor.MsgAnnounce, a Member of
+// kind cache, always up — a cache has nothing to drain), and the manager
+// restarts one whose announcements stop.
 package vcache
 
 import (

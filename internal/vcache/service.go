@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/softstate"
+	"repro/internal/supervisor"
 )
 
 // Message kinds for the cache wire protocol. Cache nodes are plain
@@ -39,20 +40,7 @@ const (
 	MsgInject = "cache.inject"
 	MsgStats  = "cache.stats"
 	MsgStatsR = "cache.stats.reply"
-	// MsgHello is the cache service's periodic liveness heartbeat,
-	// multicast on the control group so the manager can carry the
-	// process-peer duty for cache nodes: silence longer than the TTL
-	// means the service crashed and must be restarted (§3.1.3 timeout
-	// inference, same as for front ends).
-	MsgHello = "cache.hello"
 )
-
-// HelloMsg is the MsgHello body.
-type HelloMsg struct {
-	Name string
-	Addr san.Addr
-	Node string
-}
 
 // GetReq asks for Key and, when Key misses and Else is set, for Else on
 // the same partition. Stale widens both lookups to entries whose TTL
@@ -97,11 +85,13 @@ type Service struct {
 	// per-request service cost (the paper's 27 ms average hit).
 	ServiceTime func() time.Duration
 
-	// HeartbeatGroup/HeartbeatInterval make Run multicast a HelloMsg on
-	// the group, paced by a softstate.Schedule of that interval, so a
-	// process peer (the manager) can supervise this service. The platform
-	// layer wires these; bare services in unit tests (no interval) stay
-	// silent.
+	// HeartbeatGroup/HeartbeatInterval make Run announce the service
+	// (supervisor.MsgAnnounce, a cache Member) on the group, paced by a
+	// softstate.Schedule of that interval, so a process peer (the
+	// manager) can supervise it: silence past its TTL means the service
+	// crashed and must be restarted (§3.1.3 timeout inference, as for
+	// front ends). The platform layer wires these; bare services in unit
+	// tests (no interval) stay silent.
 	HeartbeatGroup    string
 	HeartbeatInterval time.Duration
 
@@ -155,7 +145,7 @@ func (s *Service) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return nil
 		case <-hb.C:
-			s.heartbeat(ep)
+			s.announce(ep)
 			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
@@ -166,12 +156,9 @@ func (s *Service) Run(ctx context.Context) error {
 	}
 }
 
-func (s *Service) heartbeat(ep *san.Endpoint) {
-	ep.Multicast(s.HeartbeatGroup, MsgHello, HelloMsg{
-		Name: s.Name,
-		Addr: s.addr(),
-		Node: s.Node,
-	}, 48)
+func (s *Service) announce(ep *san.Endpoint) {
+	ep.Multicast(s.HeartbeatGroup, supervisor.MsgAnnounce,
+		supervisor.Member{Addr: s.addr(), Kind: supervisor.KindCache, State: supervisor.StateUp}, 48)
 }
 
 func (s *Service) handle(ep *san.Endpoint, msg san.Message) {

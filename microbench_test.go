@@ -19,6 +19,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/transport"
 	"repro/internal/vcache"
@@ -51,17 +52,18 @@ func ceiling(baseline float64) float64 { return baseline*1.2 + 0.5 }
 var MicroBenches = []MicroBench{
 	// Steady-state encode into a recycled buffer: alloc-free.
 	{Name: "wire_encode_append", MaxAllocs: ceiling(0), F: benchWireEncodeAppend},
-	// The decoded body's owned strings.
-	{Name: "wire_decode", MaxAllocs: ceiling(8), F: benchWireDecode},
+	// The decoded body's owned strings: a worker's announcement carries
+	// five, plus the boxed Member.
+	{Name: "wire_decode", MaxAllocs: ceiling(6), F: benchWireDecode},
 	// Alloc-free append and zero-copy streaming decode: >= 1 alloc/op
 	// means the append path or the decoder's buffer reuse broke.
 	{Name: "frame_encode", MaxAllocs: ceiling(0), F: benchFrameEncode},
 	{Name: "frame_decode", MaxAllocs: ceiling(0), F: benchFrameDecode},
 	{Name: "san_send_wire", MaxAllocs: ceiling(0), F: benchSANSendParallel},
 	// Per-frame cost of the socket data plane. What remains is the far
-	// side's decode (wire_decode's 8); more means frame scratch pooling
-	// or the vectored path regressed.
-	{Name: "bridge_send", MaxAllocs: ceiling(7.7), F: benchBridgeSend},
+	// side's decode (one fewer than wire_decode's 6); more means frame
+	// scratch pooling or the vectored path regressed.
+	{Name: "bridge_send", MaxAllocs: ceiling(5), F: benchBridgeSend},
 	{Name: "partition_get", MaxAllocs: ceiling(0), F: benchPartitionGet},
 	// A cache write as its caller pays it: one encode, one vectored
 	// frame, no wait. The 6 are the far side's decode and the partition's
@@ -126,17 +128,13 @@ func benchDistill(b *testing.B, mime string) error {
 	return nil
 }
 
-// wireLoadReport is the representative hot-path message: the periodic
-// load report every worker sends every ReportInterval, pre-boxed so the
-// measurement is the codec, not callsite interface conversion.
-func wireLoadReport() any {
-	return stub.LoadReport{
-		ID: "w0", Class: "echo", QLen: 10, CostMs: 3.75,
-		Done: 100, Errors: 2, Crashes: 1,
-		Info: stub.WorkerInfo{
-			ID: "w0", Class: "echo",
-			Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1", QLen: 2.5,
-		},
+// wireMember is the representative periodic message: the announcement
+// every worker sends every ReportInterval, pre-boxed so the measurement
+// is the codec, not callsite interface conversion.
+func wireMember() any {
+	return supervisor.Member{
+		Addr: san.Addr{Node: "b-node3", Proc: "b-distill-sjpg.2"}, Kind: supervisor.KindWorker,
+		Class: "distill-sjpg", State: supervisor.StateUp, Load: 3,
 	}
 }
 
@@ -147,15 +145,15 @@ func wireNet(seed int64) *san.Network {
 // benchWireEncodeAppend is the steady-state encode the SAN runs:
 // appending into a recycled buffer. Must stay at 0 allocs/op.
 func benchWireEncodeAppend(b *testing.B) error {
-	body := wireLoadReport()
-	buf, err := stub.EncodeBodyAppend(nil, stub.MsgLoadReport, body)
+	body := wireMember()
+	buf, err := stub.EncodeBodyAppend(nil, supervisor.MsgAnnounce, body)
 	if err != nil {
 		return err
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf, err = stub.EncodeBodyAppend(buf[:0], stub.MsgLoadReport, body); err != nil {
+		if buf, err = stub.EncodeBodyAppend(buf[:0], supervisor.MsgAnnounce, body); err != nil {
 			return err
 		}
 	}
@@ -165,7 +163,7 @@ func benchWireEncodeAppend(b *testing.B) error {
 // benchWireDecode is the per-delivery decode: each recipient
 // materializes its own value from the shared bytes.
 func benchWireDecode(b *testing.B) error {
-	data, err := stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
+	data, err := stub.EncodeBody(supervisor.MsgAnnounce, wireMember())
 	if err != nil {
 		return err
 	}
@@ -173,27 +171,27 @@ func benchWireDecode(b *testing.B) error {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stub.DecodeBody(stub.MsgLoadReport, data); err != nil {
+		if _, err := stub.DecodeBody(supervisor.MsgAnnounce, data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadReportFrame returns the data frame both frame benches work on —
-// an encoded load report between two prefix-qualified addresses — and
+// memberFrame returns the data frame both frame benches work on —
+// an encoded worker announcement between two prefix-qualified addresses — and
 // the arguments that rebuild it.
-func loadReportFrame() (frame []byte, from, to san.Addr, body []byte, err error) {
-	body, err = stub.EncodeBody(stub.MsgLoadReport, wireLoadReport())
+func memberFrame() (frame []byte, from, to san.Addr, body []byte, err error) {
+	body, err = stub.EncodeBody(supervisor.MsgAnnounce, wireMember())
 	from = san.Addr{Node: "a-node0", Proc: "fe0"}
 	to = san.Addr{Node: "b-node1", Proc: "w0"}
-	return transport.AppendData(nil, from, to, stub.MsgLoadReport, 1, false, body), from, to, body, err
+	return transport.AppendData(nil, from, to, supervisor.MsgAnnounce, 1, false, body), from, to, body, err
 }
 
 // benchFrameEncode appends a data frame into a warm buffer — the
 // bridge's send path. Must stay at 0 allocs/op.
 func benchFrameEncode(b *testing.B) error {
-	buf, from, to, body, err := loadReportFrame()
+	buf, from, to, body, err := memberFrame()
 	if err != nil {
 		return err
 	}
@@ -201,7 +199,7 @@ func benchFrameEncode(b *testing.B) error {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = transport.AppendData(buf[:0], from, to, stub.MsgLoadReport, 1, false, body)
+		buf = transport.AppendData(buf[:0], from, to, supervisor.MsgAnnounce, 1, false, body)
 	}
 	return nil
 }
@@ -209,7 +207,7 @@ func benchFrameEncode(b *testing.B) error {
 // benchFrameDecode runs the streaming decoder over the same frame — the
 // bridge's receive path before SAN injection.
 func benchFrameDecode(b *testing.B) error {
-	frame, _, _, _, err := loadReportFrame()
+	frame, _, _, _, err := memberFrame()
 	if err != nil {
 		return err
 	}
@@ -302,8 +300,8 @@ func benchBridgeSend(b *testing.B) error {
 	// Teach A a route for dst: routes are learned from the source
 	// address of RECEIVED frames, so dst must send something back
 	// once; after that the benchmark loop is routed, not flooded.
-	report := wireLoadReport()
-	if err := dst.Send(src.Addr(), stub.MsgLoadReport, report, 0); err != nil {
+	report := wireMember()
+	if err := dst.Send(src.Addr(), supervisor.MsgAnnounce, report, 0); err != nil {
 		return err
 	}
 	<-src.Inbox()
@@ -311,7 +309,7 @@ func benchBridgeSend(b *testing.B) error {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := src.Send(dst.Addr(), stub.MsgLoadReport, report, 0); err != nil {
+		if err := src.Send(dst.Addr(), supervisor.MsgAnnounce, report, 0); err != nil {
 			refused++ // the SAN reports any fabric refusal as ErrUnknownAddr
 		}
 	}

@@ -389,14 +389,14 @@ start_fe() { # start_fe <name> <seed>
     start_node "$1" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
         -roles frontend -frontends 1 -fe-http 127.0.0.1 -cache-host dp5 -seed "$2"
 }
-# The edge learns the front ends from their heartbeats alone, which come
+# The edge learns the front ends from their announcements alone, which come
 # fast only while they are starting: it starts with them.
 start_fe fea 11
 start_fe feb 12
 start_node edg -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
     -roles edge -edge-listen "127.0.0.1:${EDGE_PORT}" -seed 13
 up dp5 fea feb edg
-# The edge must have learned BOTH replicas from heartbeats before the
+# The edge must have learned BOTH replicas from announcements before the
 # kill, or the eject/readmit assertions race pool discovery.
 await 10 "the edge pool to see both front ends" status_is "${http[edg]}" edge.edge.healthy -eq 2
 
