@@ -41,9 +41,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=15s ./internal/stub
 
 # Fuzz the transport's streaming frame decoder (torn reads, corrupt
-# CRCs, concatenated batches). CI runs this on every push.
+# CRCs, concatenated batches), then one connection's chunk reassembly
+# (interleaved, repeated, overlapping and contradictory fragments). One
+# target per go test run; CI runs both on every push.
 fuzz-frames:
 	$(GO) test -run='^$$' -fuzz=FuzzFrameRoundTrip -fuzztime=15s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzChunkReassembly -fuzztime=15s ./internal/transport
 
 # Fuzz the two image decoders (arbitrary bytes never panic or allocate
 # past the pixel cap; SJPG's reduced decode agrees with decode-then-

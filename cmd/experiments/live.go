@@ -38,7 +38,7 @@ func runMgrCap(seed int64) {
 		reportInterval = 500 * time.Millisecond
 		measureFor     = 4 * time.Second
 	)
-	net := san.NewNetwork(seed)
+	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
 	m := manager.New(manager.Config{
 		Node:           "mgr",
 		Net:            net,
@@ -224,7 +224,7 @@ func runHotBot(seed int64) {
 	docs := search.GenerateCorpus(rng, docsN, 5000)
 
 	for _, mode := range []search.FailureMode{search.FastRestart, search.CrossMount} {
-		net := san.NewNetwork(seed)
+		net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
 		cl := cluster.New(net)
 		for i := 0; i < 26; i++ {
 			cl.AddNode(fmt.Sprintf("n%d", i), false)
@@ -305,7 +305,7 @@ func runTable1(seed int64) {
 	}
 	// (2) HotBot fan-out is static: every query touches all shards.
 	rng := rand.New(rand.NewSource(seed))
-	net := san.NewNetwork(seed)
+	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
 	cl := cluster.New(net)
 	for i := 0; i < 4; i++ {
 		cl.AddNode(fmt.Sprintf("n%d", i), false)

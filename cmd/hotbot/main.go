@@ -28,6 +28,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/san"
 	"repro/internal/search"
+	"repro/internal/stub"
 )
 
 func main() {
@@ -41,7 +42,7 @@ func main() {
 	log.Printf("hotbot: indexing %d documents across %d partitions...", *docsN, *partitions)
 	docs := search.GenerateCorpus(rng, *docsN, 8000)
 
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	cl := cluster.New(net)
 	for i := 0; i < *partitions; i++ {
 		cl.AddNode(fmt.Sprintf("node%d", i), false)

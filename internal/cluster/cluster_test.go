@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -7,15 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/san"
+	"repro/internal/stub"
 )
 
-func newTestCluster() *Cluster {
-	return New(san.NewNetwork(1))
+func newTestCluster() *cluster.Cluster {
+	return cluster.New(san.NewNetwork(1, san.WithCodec(stub.WireCodec{})))
 }
 
-func blockUntilCancel(name string) ProcessFunc {
-	return ProcessFunc{Name: name, Fn: func(ctx context.Context) error {
+func blockUntilCancel(name string) cluster.ProcessFunc {
+	return cluster.ProcessFunc{Name: name, Fn: func(ctx context.Context) error {
 		<-ctx.Done()
 		return nil
 	}}
@@ -25,7 +27,7 @@ func TestSpawnAndStop(t *testing.T) {
 	c := newTestCluster()
 	c.AddNode("n1", false)
 	var started atomic.Bool
-	h, err := c.Spawn("n1", ProcessFunc{Name: "p", Fn: func(ctx context.Context) error {
+	h, err := c.Spawn("n1", cluster.ProcessFunc{Name: "p", Fn: func(ctx context.Context) error {
 		started.Store(true)
 		<-ctx.Done()
 		return nil
@@ -46,7 +48,7 @@ func TestSpawnAndStop(t *testing.T) {
 
 func TestSpawnErrors(t *testing.T) {
 	c := newTestCluster()
-	if _, err := c.Spawn("ghost", blockUntilCancel("p")); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := c.Spawn("ghost", blockUntilCancel("p")); !errors.Is(err, cluster.ErrNoSuchNode) {
 		t.Fatalf("err = %v, want ErrNoSuchNode", err)
 	}
 	c.AddNode("n1", false)
@@ -54,27 +56,27 @@ func TestSpawnErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Spawn("n1", blockUntilCancel("p")); !errors.Is(err, ErrDuplicate) {
+	if _, err := c.Spawn("n1", blockUntilCancel("p")); !errors.Is(err, cluster.ErrDuplicate) {
 		t.Fatalf("err = %v, want ErrDuplicate", err)
 	}
 	h.Stop()
 	if err := c.KillNode("n1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Spawn("n1", blockUntilCancel("q")); !errors.Is(err, ErrNodeDown) {
+	if _, err := c.Spawn("n1", blockUntilCancel("q")); !errors.Is(err, cluster.ErrNodeDown) {
 		t.Fatalf("err = %v, want ErrNodeDown", err)
 	}
 }
 
 func TestKillNodeCancelsProcessesAndDropsEndpoints(t *testing.T) {
-	net := san.NewNetwork(1)
-	c := New(net)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	c := cluster.New(net)
 	c.AddNode("n1", false)
 	c.AddNode("n2", false)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "svc"}, 8)
 	_ = ep
 	var cancelled atomic.Bool
-	_, err := c.Spawn("n1", ProcessFunc{Name: "svc", Fn: func(ctx context.Context) error {
+	_, err := c.Spawn("n1", cluster.ProcessFunc{Name: "svc", Fn: func(ctx context.Context) error {
 		<-ctx.Done()
 		cancelled.Store(true)
 		return ctx.Err()
@@ -103,7 +105,7 @@ func TestKillNodeCancelsProcessesAndDropsEndpoints(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	c := newTestCluster()
 	c.AddNode("n1", false)
-	h, err := c.Spawn("n1", ProcessFunc{Name: "buggy", Fn: func(ctx context.Context) error {
+	h, err := c.Spawn("n1", cluster.ProcessFunc{Name: "buggy", Fn: func(ctx context.Context) error {
 		panic("pathological input")
 	}})
 	if err != nil {
@@ -117,10 +119,10 @@ func TestPanicIsolation(t *testing.T) {
 func TestExitNotifications(t *testing.T) {
 	c := newTestCluster()
 	c.AddNode("n1", false)
-	exits := make(chan ExitInfo, 1)
-	c.OnExit(func(info ExitInfo) { exits <- info })
+	exits := make(chan cluster.ExitInfo, 1)
+	c.OnExit(func(info cluster.ExitInfo) { exits <- info })
 	wantErr := errors.New("boom")
-	h, err := c.Spawn("n1", ProcessFunc{Name: "flaky", Fn: func(ctx context.Context) error {
+	h, err := c.Spawn("n1", cluster.ProcessFunc{Name: "flaky", Fn: func(ctx context.Context) error {
 		return wantErr
 	}})
 	if err != nil {
@@ -149,7 +151,7 @@ func TestKillProcess(t *testing.T) {
 	if err := c.KillProcess("n1", "w0"); err == nil {
 		t.Fatal("expected error killing dead process")
 	}
-	if err := c.KillProcess("ghost", "w0"); !errors.Is(err, ErrNoSuchNode) {
+	if err := c.KillProcess("ghost", "w0"); !errors.Is(err, cluster.ErrNoSuchNode) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -198,7 +200,7 @@ func TestPlaceFilter(t *testing.T) {
 	c := newTestCluster()
 	c.AddNode("n1", false)
 	c.AddNode("n2", false)
-	got := c.Place(false, func(n Node) bool { return n.ID != "n1" })
+	got := c.Place(false, func(n cluster.Node) bool { return n.ID != "n1" })
 	if got != "n2" {
 		t.Fatalf("Place with filter = %q, want n2", got)
 	}
@@ -210,7 +212,7 @@ func TestStopAllWaits(t *testing.T) {
 	var running atomic.Int32
 	for i := 0; i < 8; i++ {
 		name := string(rune('a' + i))
-		if _, err := c.Spawn("n1", ProcessFunc{Name: name, Fn: func(ctx context.Context) error {
+		if _, err := c.Spawn("n1", cluster.ProcessFunc{Name: name, Fn: func(ctx context.Context) error {
 			running.Add(1)
 			defer running.Add(-1)
 			<-ctx.Done()
@@ -260,7 +262,7 @@ func TestOnExitObservers(t *testing.T) {
 	c.AddNode("n1", false)
 	var clean, crashed atomic.Int32
 	var last atomic.Value
-	remove := c.OnExit(func(info ExitInfo) {
+	remove := c.OnExit(func(info cluster.ExitInfo) {
 		if info.Err == nil {
 			clean.Add(1)
 		} else {
@@ -275,13 +277,13 @@ func TestOnExitObservers(t *testing.T) {
 	}
 	h.Stop()
 	waitFor(t, func() bool { return clean.Load() == 1 })
-	info := last.Load().(ExitInfo)
+	info := last.Load().(cluster.ExitInfo)
 	if info.Node != "n1" || info.Proc != "p1" || info.At.IsZero() {
 		t.Fatalf("exit info = %+v", info)
 	}
 
 	// A crashing process reports its error to observers too.
-	h2, err := c.Spawn("n1", ProcessFunc{Name: "p2", Fn: func(ctx context.Context) error {
+	h2, err := c.Spawn("n1", cluster.ProcessFunc{Name: "p2", Fn: func(ctx context.Context) error {
 		return errors.New("boom")
 	}})
 	if err != nil {
@@ -292,7 +294,7 @@ func TestOnExitObservers(t *testing.T) {
 
 	// Removed observers stop firing; the others still do.
 	var later atomic.Int32
-	c.OnExit(func(ExitInfo) { later.Add(1) })
+	c.OnExit(func(cluster.ExitInfo) { later.Add(1) })
 	remove()
 	h3, _ := c.Spawn("n1", blockUntilCancel("p3"))
 	h3.Stop()
@@ -314,7 +316,7 @@ func TestSpawnAfterStopAllFails(t *testing.T) {
 	// The race this guards: a manager replacing a crashed worker
 	// concurrently with system shutdown must not leak an unkillable
 	// process past StopAll's wait.
-	if _, err := c.Spawn("n1", blockUntilCancel("late")); !errors.Is(err, ErrStopped) {
+	if _, err := c.Spawn("n1", blockUntilCancel("late")); !errors.Is(err, cluster.ErrStopped) {
 		t.Fatalf("late spawn err = %v, want ErrStopped", err)
 	}
 }

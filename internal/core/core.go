@@ -352,11 +352,10 @@ func Start(cfg Config) (*System, error) {
 func (s *System) boot() error {
 	cfg := s.cfg
 	// Every message body crosses the SAN as stub wire-codec bytes, in
-	// one process or many — the same serialization path a production
-	// interconnect runs. Decode views ride along: []byte bodies alias
-	// pooled receive buffers (see san.WithDecodeViews), and every
-	// consumer in this tree honors the Lease/Release contract.
-	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}), san.WithDecodeViews(true))
+	// one process or many, as on every network. Deliveries decode views:
+	// []byte bodies alias pooled wire buffers, and every consumer in this
+	// tree honors the Lease/Release contract.
+	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}))
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
 		id := cfg.Transport.ID

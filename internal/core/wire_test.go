@@ -15,9 +15,6 @@ import (
 // wire layout (nothing silently bypasses or fails serialization).
 func TestWireModeEndToEnd(t *testing.T) {
 	s := startTranSend(t, nil)
-	if !s.Net.WireMode() {
-		t.Fatal("Start did not install the codec")
-	}
 	waitForWorkers(t, s, 3)
 
 	url := trace.ObjectURL(42, media.MIMESJPG)

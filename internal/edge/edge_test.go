@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/stub"
 )
 
 func newTestEdge(t *testing.T, retryBudget float64) *Edge {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	t.Cleanup(net.Close)
 	e, err := New(Config{
 		Name:        "edge",

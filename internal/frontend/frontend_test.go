@@ -23,7 +23,7 @@ import (
 // harness is added by the test).
 func startFE(t *testing.T, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
 	t.Helper()
-	return startFEOn(t, san.NewNetwork(1), mutate)
+	return startFEOn(t, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})), mutate)
 }
 
 // startFEOn is startFE over a caller-built network (e.g. one with the

@@ -12,6 +12,7 @@ import (
 	"repro/internal/origin"
 	"repro/internal/profiledb"
 	"repro/internal/san"
+	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -26,7 +27,7 @@ import (
 func TestCacheInboxAtAdmissionBound(t *testing.T) {
 	for name, service := range map[string]time.Duration{"1ms": time.Millisecond, "none": 0} {
 		t.Run(name, func(t *testing.T) {
-			net := san.NewNetwork(1)
+			net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 			cl := cluster.New(net)
 			t.Cleanup(cl.StopAll)
 			cl.AddNode("fe-node", false)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/media"
 	"repro/internal/san"
+	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -76,7 +77,7 @@ func (p *loggingPartition) sent() []string {
 // "distilled"; a hit sends one; the overloaded front end's degraded
 // serve sends one whether or not anything is there.
 func TestOneProbePerRequest(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	part := startLoggingPartition(net)
 	fe, static := startDistillFE(t, net, part.ep.Addr(), nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestFrontEndCachePathOverWire drives the front end's origin + cache
-// path over a wire-mode SAN: the vcache get/put protocol (byte
-// payloads included) must round-trip through the codec, and repeated
-// requests must hit the cache exactly as in passthrough mode. A hit with
+// path over the SAN: the vcache get/put protocol (byte payloads
+// included) must round-trip through the codec, and repeated requests
+// must hit the cache. A hit with
 // nothing to distil is served like a distilled hit: the reply's view,
 // not a copy, handed back once through Release.
 func TestFrontEndCachePathOverWire(t *testing.T) {

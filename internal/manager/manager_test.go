@@ -16,7 +16,7 @@ import (
 // address — once its silence outlasts WorkerTTL, and is back in the
 // inventory a registration later.
 func TestWorkerLifecycle(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", calm)
 
@@ -45,7 +45,7 @@ func TestWorkerLifecycle(t *testing.T) {
 // trigger nothing: the announcements every worker multicasts at boot
 // before its unicast ones are free.
 func TestRegistrationBurstCoalesces(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m := New(Config{Node: "mgr", Net: net, BeaconInterval: time.Hour})
 	from := net.Endpoint(san.Addr{Node: "n1", Proc: "burst"}, 8)
 	burst := func() {
@@ -78,7 +78,7 @@ func TestRegistrationBurstCoalesces(t *testing.T) {
 func TestIdleBeaconsOnePerInterval(t *testing.T) {
 	t.Parallel()
 	const interval = 100 * time.Millisecond
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) {
 		c.BeaconInterval, c.WorkerTTL, c.FETTL = interval, 5*interval, 6*interval
@@ -102,7 +102,7 @@ func TestIdleBeaconsOnePerInterval(t *testing.T) {
 }
 
 func TestBeaconCarriesLoadAverages(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	startManager(t, net, "mgr", func(c *Config) { c.WorkerTTL = time.Hour }) // isolate from expiry
@@ -157,7 +157,7 @@ func fakeLoad(ctx context.Context, net *san.Network, id string, load int) {
 }
 
 func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -181,7 +181,7 @@ func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 }
 
 func TestSpawnRequestFromFrontEnd(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.Policy.Damping = time.Millisecond })
 
@@ -207,7 +207,7 @@ func TestSpawnRequestFromFrontEnd(t *testing.T) {
 // supervisor owning its node; the dedicated slot survives, and the
 // extra's graceful exit is not mistaken for a death.
 func TestReapOverflowWorkers(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) {
 		c.Policy = Policy{SpawnThreshold: 1e9, Damping: 2 * tick, ReapThreshold: 0.5}
@@ -225,7 +225,7 @@ func TestReapOverflowWorkers(t *testing.T) {
 }
 
 func TestFrontEndProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", nil)
 
@@ -243,7 +243,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 // the control group; silence past CacheTTL triggers the manager's
 // restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", nil)
 
@@ -264,7 +264,7 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 func TestManagerRestartRebuildsSoftState(t *testing.T) {
 	// §3.1.3: kill the manager, start a new one; workers re-register
 	// on its beacons with no recovery protocol.
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m1, kill := startManager(t, net, "mgr", calm)
 	sup.slot("echo")
@@ -313,7 +313,7 @@ func TestPolicyPureFunctions(t *testing.T) {
 // has to be there and has to agree with Stats(). A lone standby is left
 // to take over, then to have one command refused and land the retry.
 func TestCollectorCarriesElectionAndCommands(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "b-node0", "b-")
 	sup.setMode("refuse")
 	m, _ := startReplica(t, net, "a-mgr1", 1, true)

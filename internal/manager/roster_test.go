@@ -19,7 +19,7 @@ import (
 // and nobody ever heard gets one WorkerTTL of grace, then exactly one
 // restart; once it registers the booking is dropped for good.
 func TestRosterWorkerNeverHeardIsRestartedOnce(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", calm)
 
@@ -45,7 +45,7 @@ func TestRosterWorkerNeverHeardIsRestartedOnce(t *testing.T) {
 // learned survives the manager, and nothing needs to: its successor
 // reads the slot off the roster and restarts it after one TTL.
 func TestRespawnedManagerRestoresWorkerFromRoster(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m1, kill := startManager(t, net, "mgr", calm)
 	w1 := sup.slot("echo")
@@ -71,7 +71,7 @@ func TestRespawnedManagerRestoresWorkerFromRoster(t *testing.T) {
 // stop-then-start under its own name, so when the partition heals the
 // class is at its configured strength — not one above it.
 func TestFalselyExpiredWorkerHasNoTwin(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", calm)
 	w1 := sup.slot("echo")
@@ -91,7 +91,7 @@ func TestFalselyExpiredWorkerHasNoTwin(t *testing.T) {
 // its roster; the manager books its silence, finds no row, and lets it
 // go. The configured slot beside it is untouched.
 func TestDeadExtraIsNotRestarted(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", calm)
 	sup.slot("echo")
@@ -113,7 +113,7 @@ func TestDeadExtraIsNotRestarted(t *testing.T) {
 // out of reach), so the hold runs six WorkerTTLs whatever the scheduler
 // does. Its silence is still news: one that dies draining is restarted.
 func TestDrainingWorkerIsNotRestarted(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.FETTL = time.Minute })
 	w := sup.slot("echo")
@@ -146,7 +146,7 @@ func TestDrainingWorkerIsNotRestarted(t *testing.T) {
 // nothing: the row stays booked, the incident is retried under its id,
 // and the slot comes back — left down, it would have stayed down for good.
 func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.CmdTimeout = 30 * tick })
 	w := sup.slot("echo")
@@ -186,7 +186,7 @@ func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
 // silence; by the next one, a full interval later, the worker has
 // reported. On-time ticks reconcile as before: a real death is restarted.
 func TestLateTickJudgesNobody(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) {
 		c.BeaconInterval, c.WorkerTTL, c.FETTL = 20*tick, 60*tick, time.Minute
@@ -213,7 +213,7 @@ func TestLateTickJudgesNobody(t *testing.T) {
 // load hints, not a worker count — and needs nothing: it hears the same
 // rosters, takes over, and restarts the missing slot under its own epoch.
 func TestStandbyActsFromRostersAlone(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")
 	primary, killPrimary := startManager(t, net, "mgrA", calm)
 	standby, _ := startManager(t, net, "mgrB", func(c *Config) { calm(c); c.Rank, c.Standby = 1, true })

@@ -9,8 +9,8 @@ import (
 
 // TestManagerWorkerLifecycleOverWire runs the full manager <-> worker
 // protocol — beacons, registration, load reports, TTL expiry, the
-// restart of a crashed roster row — over a wire-mode SAN, so every control-plane message
-// the manager exchanges round-trips through the production codec.
+// restart of a crashed roster row — over the SAN, so every control-plane
+// message the manager exchanges round-trips through the production codec.
 func TestManagerWorkerLifecycleOverWire(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	sup := startFakeSup(t, net, "node0", "")

@@ -50,7 +50,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestMonitorTracksReports(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
@@ -70,7 +70,7 @@ func TestMonitorTracksReports(t *testing.T) {
 // address, the dead one; after it the monitor has forgotten that one, so
 // an upgrade wave's restart goes to the live supervisor, every time.
 func TestMonitorForgetsSilentSupervisor(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	const silence = 100 * time.Millisecond
 	m, _ := startMonitor(t, net, silence)
 	hello := func(ep *san.Endpoint) {
@@ -100,7 +100,7 @@ func TestMonitorForgetsSilentSupervisor(t *testing.T) {
 }
 
 func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, alerts := startMonitor(t, net, 40*time.Millisecond)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
@@ -145,7 +145,7 @@ func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
 // inventory and nothing else — the manager's table row is its own
 // status report, never a second list synthesized here.
 func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	mgr := net.Endpoint(san.Addr{Node: "m", Proc: "manager"}, 16)
 	waitFor(t, "inventory visible", func() bool {
@@ -161,7 +161,7 @@ func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
 }
 
 func TestMonitorDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	target := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	if err := m.Disable(target.Addr()); err != nil {
@@ -181,7 +181,7 @@ func TestMonitorDisableEnable(t *testing.T) {
 }
 
 func TestRenderTableFormatting(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "a-worker"}, 16)
 	waitFor(t, "component", func() bool {
@@ -195,7 +195,7 @@ func TestRenderTableFormatting(t *testing.T) {
 }
 
 func TestDisabledList(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	a := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	b := net.Endpoint(san.Addr{Node: "n2", Proc: "w1"}, 16)
@@ -222,7 +222,7 @@ func TestDisabledList(t *testing.T) {
 // the reporter's map — a sender mutating its map after the multicast
 // must not change (or race with) what the monitor displays.
 func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 
@@ -256,7 +256,7 @@ func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
 // TestMonitorHopBreakdown: span digests on the report group aggregate
 // into per-hop count/avg/max across distinct processes.
 func TestMonitorHopBreakdown(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 

@@ -44,7 +44,7 @@ func (h *waveHost) ids() []string {
 // driver touches, without booting a full system.
 func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 	t.Helper()
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 

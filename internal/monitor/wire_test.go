@@ -9,7 +9,7 @@ import (
 )
 
 // TestMonitorOverWire feeds the monitor status reports and manager
-// beacons through a wire-mode SAN: the reports group traffic it
+// beacons through the SAN: the reports group traffic it
 // watches — including the metrics maps — must survive the codec, and
 // the disable/enable control signals (body-less kinds) must still be
 // deliverable.

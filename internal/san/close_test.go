@@ -16,7 +16,7 @@ import (
 // bridge tearing a network down cannot leak goroutines or push into
 // freed endpoints.
 func TestNetworkClose(t *testing.T) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
 	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
 	b.Join("g")
@@ -80,12 +80,12 @@ func TestNetworkClose(t *testing.T) {
 // timers when the network closes are dropped deterministically, and
 // the timer goroutines do not outlive the drop.
 func TestNetworkCloseDropsDelayedDeliveries(t *testing.T) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	n.SetLatency(func() time.Duration { return 20 * time.Millisecond })
 	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
 	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
 	for i := 0; i < 16; i++ {
-		if err := a.Send(b.Addr(), "k", i, 8); err != nil {
+		if err := a.Send(b.Addr(), "k", "x", 8); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -40,7 +40,7 @@ func (f *fakeFabric) EndpointDown(a Addr) { f.downs = append(f.downs, a) }
 // inject APIs; local behavior is untouched.
 func TestFabricSeam(t *testing.T) {
 	local, _ := wireNet(t)
-	remote := NewNetwork(2, WithCodec(&countingCodec{}))
+	remote := newNet(2)
 	fab := &fakeFabric{peer: remote}
 	local.SetFabric(fab)
 
@@ -129,7 +129,7 @@ func TestFabricSeam(t *testing.T) {
 func TestFabricSeesEndpointTable(t *testing.T) {
 	n, _ := wireNet(t)
 	pre := n.Endpoint(Addr{Node: "n0", Proc: "pre"}, 8)
-	fab := &fakeFabric{peer: NewNetwork(9, WithCodec(&countingCodec{}))}
+	fab := &fakeFabric{peer: newNet(9)}
 	n.SetFabric(fab)
 	if len(fab.ups) != 1 || fab.ups[0] != pre.Addr() {
 		t.Fatalf("replay ups = %v, want [%v]", fab.ups, pre.Addr())
@@ -159,15 +159,34 @@ func TestFabricSeesEndpointTable(t *testing.T) {
 	}
 }
 
-// TestSetFabricRequiresWireMode: installing a fabric on a passthrough
-// network is a deployment bug and panics.
-func TestSetFabricRequiresWireMode(t *testing.T) {
+// TestNewNetworkRequiresCodec: every network serializes, so one built
+// without a codec is a construction bug and panics.
+func TestNewNetworkRequiresCodec(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetFabric on a passthrough network did not panic")
+			t.Fatal("NewNetwork without WithCodec did not panic")
 		}
 	}()
-	NewNetwork(1).SetFabric(&fakeFabric{})
+	NewNetwork(1)
+}
+
+// TestRemoteSendEncodesBeforeLoss: a send to another process pays its
+// encode before the loss draw, as a local one does, so a body with no
+// layout is ErrCodec even when the datagram would have been lost.
+func TestRemoteSendEncodesBeforeLoss(t *testing.T) {
+	local, _ := wireNet(t)
+	remote := newNet(2)
+	fab := &fakeFabric{peer: remote}
+	local.SetFabric(fab)
+	src := local.Endpoint(Addr{Node: "a-n0", Proc: "src"}, 8)
+	dst := remote.Endpoint(Addr{Node: "b-n0", Proc: "dst"}, 8)
+	local.SetLoss(1, 0)
+	if err := src.Send(dst.Addr(), "k", 42, 8); !errors.Is(err, ErrCodec) {
+		t.Fatalf("unencodable remote send under total loss: err=%v, want ErrCodec", err)
+	}
+	if err := src.Send(dst.Addr(), "k", "lost", 8); err != nil || fab.unicasts != 0 {
+		t.Fatalf("lost remote send: err=%v, fabric saw %d unicasts; want nil, 0", err, fab.unicasts)
+	}
 }
 
 // TestInjectRespectsPartition: remote injections honor the receiving
@@ -198,7 +217,7 @@ func TestInjectRespectsPartition(t *testing.T) {
 // TestDropRemovesEndpoint: Drop (process crash) detaches the address
 // and group membership without goodbye traffic.
 func TestDropRemovesEndpoint(t *testing.T) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	ep := n.Endpoint(Addr{Node: "n0", Proc: "p"}, 8)
 	ep.Join("g")
 	other := n.Endpoint(Addr{Node: "n0", Proc: "q"}, 8)

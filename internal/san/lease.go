@@ -1,8 +1,8 @@
 package san
 
 // Lease: epoch-pooled, refcounted receive/encode buffers — the
-// ownership token of the zero-copy data plane. In view mode the wire
-// bytes a message body aliases are backed by a Lease; the buffer
+// ownership token of the zero-copy data plane. The wire bytes a
+// message body aliases are backed by a Lease; the buffer
 // returns to the pool only after the last holder releases, so a
 // decoded []byte view can never be recycled out from under a live
 // reader.
@@ -22,8 +22,7 @@ import (
 )
 
 // maxPooledLease bounds the lease buffers kept in the pool so one huge
-// payload does not pin memory forever (mirrors maxPooledBuf on the
-// encode pool).
+// payload does not pin memory forever.
 const maxPooledLease = 1 << 20
 
 // leaseMinCap is the smallest buffer a fresh lease carries; tiny
@@ -82,8 +81,12 @@ func (l *Lease) Retain() {
 
 // Release drops one reference; the last release recycles the buffer.
 // Releasing more times than retained panics — that is the bug the
-// refcount exists to catch, not a runtime condition.
+// refcount exists to catch, not a runtime condition. A nil lease (a nil
+// body's, which encodes to no bytes) releases nothing.
 func (l *Lease) Release() {
+	if l == nil {
+		return
+	}
 	n := l.refs.Add(-1)
 	if n < 0 {
 		panic("san: lease released more times than retained")

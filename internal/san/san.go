@@ -20,33 +20,30 @@
 // senders never contend on a network-wide mutex. Loss decisions use
 // per-endpoint deterministic rngs instead of a shared locked source.
 //
-// Wire mode (WithCodec) makes the serialization path real: every
-// Send/Multicast/Call/Respond encodes its body to bytes through the
-// installed Codec and every delivery decodes it, so messages cross the
-// SAN exactly as they would a production interconnect. Encode buffers
-// are pooled (steady-state sends allocate nothing for encoding) and
-// Multicast encodes each body exactly once regardless of group size,
-// sharing the immutable byte slice across all recipient decodes.
+// Every network serializes (paper §2.1: components meet only on the
+// SAN). NewNetwork takes the Codec (WithCodec) and panics without one:
+// every Send, Multicast, Call and Respond encodes its body once into a
+// refcounted Lease, and every delivery decodes its own body from those
+// bytes, so a message crosses the in-process SAN exactly as it crosses
+// a socket, and a test runs the codec the cluster runs. Multicast
+// encodes once however large the group.
 //
 // A Fabric (SetFabric) splices this network into a larger logical SAN
 // spanning OS processes: point-to-point sends whose destination is not
 // registered locally are handed to the fabric as wire bytes, every
 // multicast is mirrored to it, and frames arriving from remote
-// processes re-enter through InjectUnicast/InjectMulticast. The
-// in-process mode is untouched when no fabric is installed —
+// processes re-enter through InjectUnicast/InjectMulticast —
 // internal/transport provides the socket implementation.
 //
-// Zero-copy views: when the codec also implements ViewCodec (and views
-// are not disabled with WithDecodeViews(false)), delivery decodes
-// []byte body fields as views that alias the encoded wire bytes
-// instead of copying them. The wire bytes then live in a refcounted
-// Lease carried on the Message; the buffer is recycled only after
-// every holder releases, so consumers that finish with a message call
-// msg.Release() (a performance obligation — forgetting it costs a pool
-// miss, never corruption) and consumers that keep body bytes past the
-// message clone them first (CloneBytes, copy-on-retain). Messages
-// whose bodies contain no []byte never carry a lease, so control-plane
-// consumers are unaffected.
+// Deliveries decode views: []byte body fields alias the encoded wire
+// bytes instead of copying them, and the Lease backing those bytes
+// rides the Message. The buffer is recycled only after every holder
+// releases, so consumers that finish with a message call msg.Release()
+// (a performance obligation — forgetting it costs a pool miss, never
+// corruption) and consumers that keep body bytes past the message
+// clone them first (CloneBytes, copy-on-retain). Messages whose bodies
+// contain no []byte never carry a lease, so control-plane consumers
+// are unaffected.
 //
 // An inbox holds traffic, not reserve: a channel allocates every slot up
 // front (a Message is 176 bytes), so an inbox is one of two sizes, by
@@ -96,9 +93,8 @@ func (a Addr) String() string { return a.Node + "/" + a.Proc }
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Node == "" && a.Proc == "" }
 
-// Message is a datagram on the SAN. Body is an arbitrary value (the
-// in-process analogue of a serialized payload); Size is the simulated
-// wire size in bytes, used for bandwidth accounting and stats.
+// Message is a datagram on the SAN. Body is the value the codec decoded
+// for this delivery; Size is the length of its encoding in bytes.
 type Message struct {
 	From  Addr
 	To    Addr   // zero for multicast
@@ -129,10 +125,10 @@ type Message struct {
 	Trace obs.TraceID
 
 	// Lease, when non-nil, backs []byte fields of Body with a pooled
-	// receive buffer (zero-copy view mode). The consumer that finishes
-	// with the message calls Release; a consumer that keeps body bytes
-	// beyond its own release must clone them first (CloneBytes).
-	// Nil for passthrough deliveries and for bodies without views.
+	// wire buffer. The consumer that finishes with the message calls
+	// Release; a consumer that keeps body bytes beyond its own release
+	// must clone them first (CloneBytes). Nil when the body aliases no
+	// bytes (no []byte field, or a nil body).
 	Lease *Lease
 }
 
@@ -161,9 +157,8 @@ const (
 	ServerInboxSize = 1024 // serves Calls one at a time: a slot per caller
 )
 
-// Stats counts network activity. In wire mode Bytes counts actual
-// encoded wire bytes (the Size hint callers pass is replaced by the
-// real encoded length); in passthrough mode it sums the Size hints. Under
+// Stats counts network activity. Bytes counts encoded wire bytes: the
+// size argument of Send, Call, Respond and Multicast is ignored. Under
 // SetLatency, Sent counts a point-to-point delivery when it is scheduled,
 // and Dropped too if it then finds its inbox full or closed.
 type Stats struct {
@@ -176,7 +171,7 @@ type Stats struct {
 	InboxMax     uint64 // deepest any inbox of this network has been
 	InboxFull    uint64 // deliveries (either kind) dropped at a full inbox
 
-	// Wire-mode counters (zero in passthrough mode).
+	// Codec counters.
 	WireEncodes uint64 // codec encode calls (one per Send/Call/Respond/Multicast)
 	WireDecodes uint64 // codec decode calls (one per delivery)
 	WireErrors  uint64 // bodies the codec rejected
@@ -187,7 +182,7 @@ var (
 	ErrClosed      = errors.New("san: endpoint closed")
 	ErrUnknownAddr = errors.New("san: unknown address")
 	ErrTimeout     = errors.New("san: call timed out")
-	// ErrCodec wraps wire-mode serialization failures: the body could
+	// ErrCodec wraps serialization failures: the body could
 	// not be encoded (or its bytes decoded), so nothing was sent — the
 	// analogue of a marshalling error at a production NIC.
 	ErrCodec = errors.New("san: wire codec")
@@ -196,30 +191,20 @@ var (
 	ErrNetworkClosed = errors.New("san: network closed")
 )
 
-// Codec serializes message bodies for wire mode. AppendBody writes the
-// encoding of body into dst (growing it as needed) and returns the
-// extended slice; DecodeBody parses those bytes back into the concrete
-// body type for kind. A Codec must be safe for concurrent use, and
-// DecodeBody's values must not alias the input bytes (the network
-// pools and reuses encode buffers); ViewCodec below is the aliasing
-// variant. A zero-length encoding represents a nil body, and the
+// Codec serializes message bodies; every network has one. AppendBody
+// writes the encoding of body into dst (growing it as needed) and
+// returns the extended slice; DecodeBodyView parses those bytes back
+// into the concrete body type for kind. []byte fields of the result may
+// alias data directly, reported by aliased=true: the network then parks
+// the wire bytes in a refcounted Lease on the delivered Message, and
+// consumers govern the buffer's lifetime with Release. Kinds that carry
+// no byte slices must report aliased=false. A Codec must be safe for
+// concurrent use. A zero-length encoding represents a nil body, and the
 // codec is bypassed in both directions for them: nil bodies travel as
 // zero-length wire without an encode call, and zero-length wire is
 // delivered as a nil body without a decode call.
 type Codec interface {
 	AppendBody(dst []byte, kind string, body any) ([]byte, error)
-	DecodeBody(kind string, data []byte) (any, error)
-}
-
-// ViewCodec extends Codec with zero-copy decoding: DecodeBodyView is
-// DecodeBody except that []byte fields of the result may alias data
-// directly, reported by aliased=true. The network then parks the wire
-// bytes in a refcounted Lease on the delivered Message instead of
-// recycling them, and consumers govern the buffer's lifetime with
-// Release. Kinds that carry no byte slices decode identically in both
-// modes and must report aliased=false.
-type ViewCodec interface {
-	Codec
 	DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error)
 }
 
@@ -255,40 +240,15 @@ type Fabric interface {
 // Option configures a Network at construction.
 type Option func(*Network)
 
-// WithCodec enables wire mode: every message body is serialized
-// through c on send and re-materialized by decoding on delivery.
+// WithCodec installs the codec every message body crosses; NewNetwork
+// panics without it.
 func WithCodec(c Codec) Option {
 	return func(n *Network) { n.codec = c }
 }
 
-// WithDecodeViews forces zero-copy decode views on or off. The default
-// (option absent) enables views whenever the codec implements
-// ViewCodec; WithDecodeViews(false) pins the copying decode path — the
-// escape hatch for consumers that cannot honor the Lease contract.
-func WithDecodeViews(on bool) Option {
-	return func(n *Network) { n.viewsForced, n.viewsOn = true, on }
-}
-
-// maxPooledBuf bounds the encode buffers kept in the pool so one huge
-// payload does not pin memory forever.
-const maxPooledBuf = 1 << 20
-
-// encPool recycles wire-mode encode buffers; steady-state sends do not
-// allocate for encoding.
-var encPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
-}
-
-func putEncBuf(bp *[]byte, b []byte) {
-	if cap(b) > maxPooledBuf {
-		return
-	}
-	*bp = b[:0]
-	encPool.Put(bp)
-}
+// WithDecodeViews does nothing: every delivery decodes views. It stays
+// for callers written when views were optional.
+func WithDecodeViews(bool) Option { return func(*Network) {} }
 
 // netState is the immutable topology+impairment snapshot read by every
 // Send and Multicast. Mutators clone it under Network.mu and swap the
@@ -353,14 +313,8 @@ type Network struct {
 	mu     sync.Mutex // serializes mutators; senders never take it
 	state  atomic.Pointer[netState]
 	seed   int64 // derives each endpoint's deterministic rng
-	codec  Codec // nil = passthrough mode (bodies pass by reference)
+	codec  Codec // every body crosses it
 	closed atomic.Bool
-
-	// viewCodec is non-nil when deliveries decode zero-copy views
-	// (codec implements ViewCodec and views are not disabled).
-	viewCodec   ViewCodec
-	viewsForced bool // WithDecodeViews was given
-	viewsOn     bool // ... and its value
 
 	// Process-wide observability plane: every component that holds the
 	// network (or an endpoint on it) shares these.
@@ -381,7 +335,8 @@ type Network struct {
 }
 
 // NewNetwork returns an unimpaired network seeded for deterministic
-// loss decisions.
+// loss decisions. It panics without WithCodec: a network that passed
+// bodies by reference would test a path no cluster runs.
 func NewNetwork(seed int64, opts ...Option) *Network {
 	n := &Network{seed: seed}
 	n.state.Store(&netState{
@@ -392,8 +347,8 @@ func NewNetwork(seed int64, opts ...Option) *Network {
 	for _, opt := range opts {
 		opt(n)
 	}
-	if vc, ok := n.codec.(ViewCodec); ok && (!n.viewsForced || n.viewsOn) {
-		n.viewCodec = vc
+	if n.codec == nil {
+		panic("san: NewNetwork without WithCodec")
 	}
 	n.tracer = obs.NewTracer(uint64(seed), 0)
 	n.registry = obs.NewRegistry()
@@ -420,19 +375,10 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 // Registry returns the network's metrics registry.
 func (n *Network) Registry() *obs.Registry { return n.registry }
 
-// WireMode reports whether a codec is installed.
-func (n *Network) WireMode() bool { return n.codec != nil }
-
 // SetFabric installs (or, with nil, detaches) the cross-process
-// fabric. A fabric requires wire mode: message bodies must already be
-// bytes to cross a process boundary, so installing one on a
-// passthrough network panics — that is a deployment bug, not a
-// runtime condition. Endpoints already registered are replayed to the
-// new fabric's EndpointUp so its route advertisements start complete.
+// fabric. Endpoints already registered are replayed to the new
+// fabric's EndpointUp so its route advertisements start complete.
 func (n *Network) SetFabric(f Fabric) {
-	if f != nil && n.codec == nil {
-		panic("san: SetFabric requires wire mode (construct the network with WithCodec)")
-	}
 	var eps []Addr
 	n.mutate(func(s *netState) {
 		s.fabric = f
@@ -483,12 +429,12 @@ func (n *Network) Closed() bool { return n.closed.Load() }
 // dropped datagram, never an error, mirroring a NIC discarding a
 // frame for an unbound port.
 //
-// A non-nil lease must back wire (the transport's receive buffer); in
-// view mode the delivery retains it so the transport can recycle the
-// buffer only after the consumer releases. The caller keeps its own
-// reference either way.
+// A non-nil lease must back wire (the transport's receive buffer); a
+// delivery whose body aliases it retains it, so the transport can
+// recycle the buffer only after the consumer releases. The caller keeps
+// its own reference either way.
 func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool {
-	if n.closed.Load() || n.codec == nil {
+	if n.closed.Load() {
 		return false
 	}
 	st := n.state.Load()
@@ -500,7 +446,7 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 		n.dropped.Add(1)
 		return false
 	}
-	body, aliased, err := n.decodeDelivery(kind, wire)
+	body, aliased, err := n.decode(kind, wire)
 	if err != nil {
 		n.dropped.Add(1)
 		return false
@@ -525,17 +471,17 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 // returns the number of members reached. Lease semantics match
 // InjectUnicast: each aliased delivery retains it.
 func (n *Network) InjectMulticast(from Addr, group, kind string, wire []byte, lease *Lease) int {
-	if n.closed.Load() || n.codec == nil {
+	if n.closed.Load() {
 		return 0
 	}
-	return n.fanout(n.state.Load(), nil, from, group, kind, nil, len(wire), wire, lease)
+	return n.fanout(n.state.Load(), nil, from, group, kind, wire, lease)
 }
 
 // fanout is both multicast paths' delivery loop: every member but from,
 // losses drawn from lossRNG (the local sender; nil draws the receiver's),
-// and in wire mode a body decoded per delivery from the shared wire. It
-// returns the number of members reached.
-func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind string, body any, size int, wire []byte, lease *Lease) int {
+// a body decoded per delivery from the shared wire. It returns the
+// number of members reached.
+func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind string, wire []byte, lease *Lease) int {
 	delivered := 0
 	for _, dst := range st.groups[group] {
 		if dst.addr == from {
@@ -550,22 +496,19 @@ func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind
 			n.mcastDropped.Add(1)
 			continue
 		}
-		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: size}
-		if n.codec != nil {
-			decoded, aliased, err := n.decodeDelivery(kind, wire)
-			if err != nil {
-				n.mcastDropped.Add(1)
-				continue
-			}
-			msg.Body = decoded
-			if aliased && lease != nil {
-				lease.Retain() // one reference per aliased delivery
-				msg.Lease = lease
-			}
+		body, aliased, err := n.decode(kind, wire)
+		if err != nil {
+			n.mcastDropped.Add(1)
+			continue
+		}
+		msg := Message{From: from, Group: group, Kind: kind, Body: body, Size: len(wire)}
+		if aliased && lease != nil {
+			lease.Retain() // one reference per aliased delivery
+			msg.Lease = lease
 		}
 		if n.deliver(dst, msg, st.latency) {
 			delivered++
-			n.bytes.Add(uint64(size))
+			n.bytes.Add(uint64(len(wire)))
 		} else {
 			msg.Release() // push counted the drop
 		}
@@ -573,104 +516,43 @@ func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind
 	return delivered
 }
 
-// encodeToPool serializes body into a pooled buffer — the sender's
-// half of the wire, at amortized zero allocations. On success the
-// caller owns the buffer and must release it with putEncBuf(bp, buf).
-func (n *Network) encodeToPool(kind string, body any) (buf []byte, bp *[]byte, err error) {
-	bp = encPool.Get().(*[]byte)
-	buf, err = n.codec.AppendBody((*bp)[:0], kind, body)
+// encode serializes body for one send or multicast into a fresh
+// refcounted Lease, so deliveries can alias the bytes; the caller
+// releases its reference once every delivery holds its own. A nil body
+// encodes to nothing and no lease: a bodiless control message (acks,
+// shutdowns, stats probes) costs no codec call and no buffer.
+func (n *Network) encode(kind string, body any) ([]byte, *Lease, error) {
+	if body == nil {
+		return nil, nil, nil
+	}
+	lease := NewLease(0)
+	wire, err := n.codec.AppendBody(lease.buf, kind, body)
 	if err != nil {
-		encPool.Put(bp)
+		lease.Release()
 		n.wireErrors.Add(1)
 		return nil, nil, fmt.Errorf("%w: encode %s: %v", ErrCodec, kind, err)
 	}
+	lease.buf = wire // adopt growth so the pool keeps the capacity
 	n.wireEncodes.Add(1)
-	return buf, bp, nil
+	return wire, lease, nil
 }
 
-// decodeWire materializes one delivery's body from the shared wire
-// bytes — the receiver's half. It is called once per actual delivery;
-// datagrams the network drops are never decoded (the receiver never
-// saw them). Decoded values alias nothing in the buffer.
-func (n *Network) decodeWire(kind string, wire []byte) (any, error) {
-	out, err := n.codec.DecodeBody(kind, wire)
-	if err != nil {
-		n.wireErrors.Add(1)
-		return nil, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
-	}
-	n.wireDecodes.Add(1)
-	return out, nil
-}
-
-// encodeWire serializes body for one send or multicast. Three shapes,
-// by decreasing frequency on the data plane:
-//   - view mode: the bytes land in a fresh refcounted Lease (returned
-//     non-nil) so deliveries can alias them;
-//   - copy mode: a pooled buffer (bp non-nil), recycled immediately
-//     after the copying decode;
-//   - nil body: encoded with no buffer at all — a bodiless control
-//     message appends nothing, so there is nothing to pool. (A codec
-//     that encodes nil to bytes still works; the fresh slice is simply
-//     GC-owned.)
-//
-// The caller settles exactly one obligation: putEncBuf(bp, wire) when
-// bp is non-nil, lease.Release() when lease is non-nil.
-func (n *Network) encodeWire(kind string, body any) (wire []byte, bp *[]byte, lease *Lease, err error) {
-	if body == nil {
-		// Nil bodies bypass the codec in both directions: they travel
-		// as zero-length wire and decodeDelivery delivers them as nil
-		// without a decode call. This is what puts wire-mode control
-		// messages (acks, shutdowns, stats probes) at passthrough
-		// parity — no codec call, no pool round trip, no counters.
-		return nil, nil, nil, nil
-	}
-	if n.viewCodec != nil {
-		lease = NewLease(0)
-		wire, err = n.codec.AppendBody(lease.buf, kind, body)
-		if err != nil {
-			lease.Release()
-			n.wireErrors.Add(1)
-			return nil, nil, nil, fmt.Errorf("%w: encode %s: %v", ErrCodec, kind, err)
-		}
-		lease.buf = wire // adopt growth so the pool keeps the capacity
-		n.wireEncodes.Add(1)
-		return wire, nil, lease, nil
-	}
-	wire, bp, err = n.encodeToPool(kind, body)
-	return wire, bp, nil, err
-}
-
-// releaseEnc settles encodeWire's buffer obligation on paths that drop
-// the message before (or instead of) delivery.
-func (n *Network) releaseEnc(bp *[]byte, lease *Lease, wire []byte) {
-	if bp != nil {
-		putEncBuf(bp, wire)
-	}
-	if lease != nil {
-		lease.Release()
-	}
-}
-
-// decodeDelivery materializes one delivery's body. In view mode the
-// result's []byte fields may alias wire (aliased=true) and the caller
-// pairs the message with the backing lease. A zero-length encoding is
-// a nil body and skips the codec entirely — the nil-body fast path
-// that puts wire-mode control messages at parity with passthrough.
-func (n *Network) decodeDelivery(kind string, wire []byte) (body any, aliased bool, err error) {
+// decode materializes one delivery's body; datagrams the network drops
+// are never decoded (the receiver never saw them). The result's []byte
+// fields may alias wire (aliased=true), and the caller pairs the
+// message with the backing lease. Zero-length wire is a nil body and
+// skips the codec.
+func (n *Network) decode(kind string, wire []byte) (any, bool, error) {
 	if len(wire) == 0 {
 		return nil, false, nil
 	}
-	if vc := n.viewCodec; vc != nil {
-		body, aliased, err = vc.DecodeBodyView(kind, wire)
-		if err != nil {
-			n.wireErrors.Add(1)
-			return nil, false, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
-		}
-		n.wireDecodes.Add(1)
-		return body, aliased, nil
+	body, aliased, err := n.codec.DecodeBodyView(kind, wire)
+	if err != nil {
+		n.wireErrors.Add(1)
+		return nil, false, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
 	}
-	body, err = n.decodeWire(kind, wire)
-	return body, false, err
+	n.wireDecodes.Add(1)
+	return body, aliased, nil
 }
 
 // mutate applies f to a private clone of the current state and
@@ -1098,20 +980,28 @@ func (e *Endpoint) Leave(group string) {
 
 // Send delivers a point-to-point message. It returns ErrUnknownAddr if
 // no endpoint holds the destination address, or an ErrCodec-wrapped
-// error in wire mode when the body cannot be serialized; losses and
-// partition drops are silent (datagram semantics), mirroring a real
-// SAN.
+// error when the body cannot be serialized; losses and partition drops
+// are silent (datagram semantics), mirroring a real SAN. size is
+// ignored: a message's size is the length of its encoding.
 func (e *Endpoint) Send(to Addr, kind string, body any, size int) error {
 	return e.SendTraced(0, to, kind, body, size)
 }
 
 // SendTraced is Send stamped with a request's trace id, so the one-way
 // legs of a sampled request stay attributable at the receiver.
-func (e *Endpoint) SendTraced(trace obs.TraceID, to Addr, kind string, body any, size int) error {
-	return e.send(to, kind, body, size, 0, false, time.Time{}, trace)
+func (e *Endpoint) SendTraced(trace obs.TraceID, to Addr, kind string, body any, _ int) error {
+	return e.send(to, kind, body, 0, false, time.Time{}, trace)
 }
 
-func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64, reply bool, deadline time.Time, trace obs.TraceID) error {
+// send is every point-to-point path. A destination in another OS
+// process goes to the fabric, whose delivery on the far side is the
+// remote network's business (datagram semantics, no acknowledgement);
+// a fabric that cannot place the address surfaces as ErrUnknownAddr,
+// the answer a purely local network gives for an unbound address.
+// Either way the sender pays serialization before the network can drop
+// the datagram, as a real NIC would, so an unencodable body is an
+// error under loss and partition too.
+func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply bool, deadline time.Time, trace obs.TraceID) error {
 	if e.closed.Load() {
 		return ErrClosed // a dead process sends nothing
 	}
@@ -1120,90 +1010,49 @@ func (e *Endpoint) send(to Addr, kind string, body any, size int, callID uint64,
 		return ErrNetworkClosed
 	}
 	st := n.state.Load()
-	dst, ok := st.endpoints[to]
-	if !ok {
-		if st.fabric == nil {
-			return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
-		}
-		return e.sendRemote(st, to, kind, body, callID, reply, trace)
+	dst, local := st.endpoints[to]
+	if !local && st.fabric == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
-	var (
-		wire  []byte
-		bp    *[]byte
-		lease *Lease
-	)
-	if n.codec != nil {
-		// The sender pays serialization before the network can drop
-		// the datagram, as a real NIC would.
-		var err error
-		wire, bp, lease, err = n.encodeWire(kind, body)
-		if err != nil {
-			return err
-		}
-		size = len(wire)
-	}
-	if !st.samePartition(e.addr.Node, to.Node) || e.chance(st.lossP) {
-		n.releaseEnc(bp, lease, wire)
-		n.dropped.Add(1)
-		return nil
-	}
-	var msgLease *Lease
-	if n.codec != nil {
-		decoded, aliased, err := n.decodeDelivery(kind, wire)
-		if err != nil {
-			// The bytes arrived but the receiver cannot parse them:
-			// dropped on delivery, surfaced to the sender for tests.
-			n.releaseEnc(bp, lease, wire)
-			n.dropped.Add(1)
-			return err
-		}
-		body = decoded
-		if aliased && lease != nil {
-			// The delivery's reference; the sender's own (below) then
-			// leaves the buffer alive until the consumer releases.
-			lease.Retain()
-			msgLease = lease
-		}
-		n.releaseEnc(bp, lease, wire)
-	}
-	msg := Message{From: e.addr, To: to, Kind: kind, Body: body, Size: size, CallID: callID, Reply: reply, Deadline: deadline, Trace: trace, Lease: msgLease}
-	if n.deliver(dst, msg, st.latency) {
-		n.sent.Add(1)
-		n.bytes.Add(uint64(size))
-	} else {
-		msg.Release() // push counted the drop
-	}
-	return nil
-}
-
-// sendRemote hands a message whose destination lives in another OS
-// process to the fabric. The sender pays the same costs as a local
-// send — partition check, loss draw, serialization — before the bytes
-// leave; delivery on the far side is the remote network's business
-// (datagram semantics, no acknowledgement). A fabric that reports the
-// address unplaceable — no peer advertises it and it is not worth a
-// flood — surfaces as ErrUnknownAddr, the same answer a purely local
-// network gives for an unbound address.
-func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, callID uint64, reply bool, trace obs.TraceID) error {
-	n := e.net
-	if !st.samePartition(e.addr.Node, to.Node) || e.chance(st.lossP) {
-		n.dropped.Add(1)
-		return nil
-	}
-	wire, bp, lease, err := n.encodeWire(kind, body)
+	wire, lease, err := n.encode(kind, body)
 	if err != nil {
 		return err
 	}
-	handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, trace, wire, lease)
-	if handed {
+	if !st.samePartition(e.addr.Node, to.Node) || e.chance(st.lossP) {
+		lease.Release()
+		n.dropped.Add(1)
+		return nil
+	}
+	if !local {
+		handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, trace, wire, lease)
+		lease.Release()
+		if !handed {
+			n.dropped.Add(1)
+			return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
+		}
+		n.sent.Add(1)
+		n.bytes.Add(uint64(len(wire)))
+		return nil
+	}
+	body, aliased, err := n.decode(kind, wire)
+	if err != nil {
+		// The bytes arrived but the receiver cannot parse them:
+		// dropped on delivery, surfaced to the sender for tests.
+		lease.Release()
+		n.dropped.Add(1)
+		return err
+	}
+	msg := Message{From: e.addr, To: to, Kind: kind, Body: body, Size: len(wire), CallID: callID, Reply: reply, Deadline: deadline, Trace: trace}
+	if aliased {
+		msg.Lease = lease // the sender's reference becomes the delivery's
+	} else {
+		lease.Release()
+	}
+	if n.deliver(dst, msg, st.latency) {
 		n.sent.Add(1)
 		n.bytes.Add(uint64(len(wire)))
 	} else {
-		n.dropped.Add(1)
-	}
-	n.releaseEnc(bp, lease, wire)
-	if !handed {
-		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
+		msg.Release() // push counted the drop
 	}
 	return nil
 }
@@ -1214,39 +1063,31 @@ func (e *Endpoint) sendRemote(st *netState, to Addr, kind string, body any, call
 // snapshot: membership or impairment changes mid-loop affect only
 // later multicasts.
 //
-// In wire mode the body is encoded exactly once per call, however
-// large the group: the immutable byte slice is shared across the
-// fanout and each actual delivery decodes its own fresh value from it
-// (lost datagrams are never decoded — the receiver never saw them).
-// An unencodable body reaches nobody and returns 0.
-func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
+// The body is encoded exactly once per call, however large the group:
+// the immutable byte slice is shared across the fanout and each actual
+// delivery decodes its own fresh value from it (lost datagrams are
+// never decoded — the receiver never saw them). An unencodable body
+// reaches nobody and returns 0. size is ignored, as in Send.
+func (e *Endpoint) Multicast(group, kind string, body any, _ int) int {
 	n := e.net
 	if e.closed.Load() || n.closed.Load() {
 		return 0 // a dead process sends nothing, to anyone
 	}
 	st := n.state.Load()
-	var (
-		wire    []byte
-		bufp    *[]byte
-		lease   *Lease
-		encoded bool
-	)
-	if n.codec != nil && (len(st.groups[group]) > 0 || st.fabric != nil) {
-		var err error
-		wire, bufp, lease, err = n.encodeWire(kind, body) // encode-once fan-out: 1 per Multicast
-		if err != nil {
-			return 0
-		}
-		size = len(wire)
-		encoded = true
+	if len(st.groups[group]) == 0 && st.fabric == nil {
+		return 0 // nobody to hear it: nothing to encode
 	}
-	delivered := n.fanout(st, e, e.addr, group, kind, body, size, wire, lease)
-	if st.fabric != nil && encoded {
+	wire, lease, err := n.encode(kind, body) // encode-once fan-out: 1 per Multicast
+	if err != nil {
+		return 0
+	}
+	delivered := n.fanout(st, e, e.addr, group, kind, wire, lease)
+	if st.fabric != nil {
 		// The same encode-once bytes cross the process boundary; each
 		// remote network re-fans them out to its own members.
 		st.fabric.Multicast(e.addr, group, kind, wire)
 	}
-	n.releaseEnc(bufp, lease, wire)
+	lease.Release()
 	return delivered
 }
 
@@ -1257,7 +1098,7 @@ func (e *Endpoint) Multicast(group, kind string, body any, size int) int {
 // needs no receive loop. The context's deadline, if any, is stamped on
 // the delivered request (Message.Deadline) so the callee can skip work
 // nobody will wait for.
-func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, size int) (Message, error) {
+func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, _ int) (Message, error) {
 	if e.closed.Load() {
 		return Message{}, ErrClosed
 	}
@@ -1278,7 +1119,7 @@ func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, siz
 	}()
 
 	deadline, _ := ctx.Deadline()
-	if err := e.send(to, kind, body, size, id, false, deadline, obs.TraceFrom(ctx)); err != nil {
+	if err := e.send(to, kind, body, id, false, deadline, obs.TraceFrom(ctx)); err != nil {
 		return Message{}, err
 	}
 	select {
@@ -1317,8 +1158,8 @@ func (e *Endpoint) DeliverReply(msg Message) bool {
 // Respond answers a request message received from Call. The request's
 // trace id is echoed onto the reply so the return leg of a traced
 // request stays attributable.
-func (e *Endpoint) Respond(req Message, kind string, body any, size int) error {
-	return e.send(req.From, kind, body, size, req.CallID, true, time.Time{}, req.Trace)
+func (e *Endpoint) Respond(req Message, kind string, body any, _ int) error {
+	return e.send(req.From, kind, body, req.CallID, true, time.Time{}, req.Trace)
 }
 
 // Expired reports whether the message carries a deadline that has

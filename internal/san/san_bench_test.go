@@ -2,11 +2,15 @@ package san
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
+// kib is the 1 KiB body the throughput benchmarks send.
+var kib = strings.Repeat("x", 1024)
+
 func BenchmarkSendReceive(b *testing.B) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	dst := n.Endpoint(Addr{Node: "b", Proc: "dst"}, 1024)
 	go func() {
@@ -16,14 +20,14 @@ func BenchmarkSendReceive(b *testing.B) {
 	b.SetBytes(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for src.Send(dst.Addr(), "d", nil, 1024) != nil {
+		for src.Send(dst.Addr(), "d", kib, 1024) != nil {
 			b.Fatal("send failed")
 		}
 	}
 }
 
 func BenchmarkMulticastFanout(b *testing.B) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	const members = 32
 	for i := 0; i < members; i++ {
@@ -41,7 +45,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 }
 
 func BenchmarkCallRoundTrip(b *testing.B) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	client := n.Endpoint(Addr{Node: "a", Proc: "client"}, 256)
 	server := n.Endpoint(Addr{Node: "b", Proc: "server"}, 256)
 	go func() {

@@ -12,7 +12,7 @@ import (
 // rides the delivered request (Message.Trace) and is echoed on the
 // reply, exactly like the deadline convention.
 func TestCallPropagatesTrace(t *testing.T) {
-	n := NewNetwork(1)
+	n := newNet(1)
 	client := n.Endpoint(Addr{Node: "n1", Proc: "client"}, 8)
 	server := n.Endpoint(Addr{Node: "n2", Proc: "server"}, 8)
 
@@ -67,7 +67,7 @@ func TestInjectStampsTrace(t *testing.T) {
 // TestNetworkObsPlane: the network owns one tracer/registry pair and
 // the san collector publishes its stats.
 func TestNetworkObsPlane(t *testing.T) {
-	n := NewNetwork(3)
+	n := newNet(3)
 	if n.Tracer() == nil || n.Registry() == nil {
 		t.Fatal("network missing obs plane")
 	}

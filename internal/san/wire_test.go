@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// countingCodec is a minimal wire codec for string bodies (nil encodes
-// to empty) that counts every encode and decode call — the instrument
-// behind the encode-once fan-out assertions.
+// countingCodec is the package's test codec: string bodies (nil encodes
+// to empty), decoded into fresh strings that alias nothing, counting
+// every encode and decode call — the instrument behind the encode-once
+// fan-out assertions.
 type countingCodec struct {
 	encodes atomic.Int64
 	decodes atomic.Int64
@@ -31,22 +32,18 @@ func (c *countingCodec) AppendBody(dst []byte, kind string, body any) ([]byte, e
 	return append(dst, s...), nil
 }
 
-func (c *countingCodec) DecodeBody(kind string, data []byte) (any, error) {
+func (c *countingCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
 	c.decodes.Add(1)
-	if len(data) == 0 {
-		return nil, nil
-	}
-	return string(data), nil
+	return string(data), false, nil
 }
+
+// newNet is a network on the test codec.
+func newNet(seed int64) *Network { return NewNetwork(seed, WithCodec(&countingCodec{})) }
 
 func wireNet(t *testing.T) (*Network, *countingCodec) {
 	t.Helper()
 	c := &countingCodec{}
-	n := NewNetwork(1, WithCodec(c))
-	if !n.WireMode() {
-		t.Fatal("WithCodec did not enable wire mode")
-	}
-	return n, c
+	return NewNetwork(1, WithCodec(c)), c
 }
 
 // TestWireSendRoundTrip: a point-to-point send crosses the SAN as
@@ -220,7 +217,7 @@ func TestWireCallRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireBufferReuseIsSafe: pooled encode buffers never leak one
+// TestWireBufferReuseIsSafe: pooled lease buffers never leak one
 // message's bytes into another's body, even under concurrency.
 func TestWireBufferReuseIsSafe(t *testing.T) {
 	n, _ := wireNet(t)

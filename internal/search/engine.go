@@ -33,18 +33,23 @@ func (m FailureMode) String() string {
 	return "fast-restart"
 }
 
-// Wire protocol.
+// Wire protocol: the collator's Call to a shard and its reply. Both
+// have layouts in stub's codec, so a shard can answer from another
+// process.
 const (
-	msgQuery = "shard.query"
-	msgHits  = "shard.hits"
+	MsgQuery = "shard.query" // collator -> shard: QueryReq
+	MsgHits  = "shard.hits"  // shard -> collator (reply): QueryResp
 )
 
-type queryReq struct {
+// QueryReq asks one shard for its top K hits.
+type QueryReq struct {
 	Query string
 	K     int
 }
 
-type queryResp struct {
+// QueryResp is a shard's answer: its top hits and how many documents
+// it searched (the collator's measure of harvest).
+type QueryResp struct {
 	Hits []Hit
 	Docs int
 }
@@ -84,15 +89,15 @@ func (s *shardService) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("search: %s endpoint closed", s.name)
 			}
-			if msg.Kind != msgQuery {
+			if msg.Kind != MsgQuery {
 				continue
 			}
-			req, ok := msg.Body.(queryReq)
+			req, ok := msg.Body.(QueryReq)
 			if !ok {
 				continue
 			}
 			hits := s.shard.Search(req.Query, req.K)
-			_ = ep.Respond(msg, msgHits, queryResp{Hits: hits, Docs: s.shard.Docs()}, 64+32*len(hits))
+			_ = ep.Respond(msg, MsgHits, QueryResp{Hits: hits, Docs: s.shard.Docs()}, 64+32*len(hits))
 		}
 	}
 }
@@ -237,7 +242,7 @@ func (e *Engine) Query(ctx context.Context, query string, k int) QueryResult {
 	e.mu.Unlock()
 
 	type shardAnswer struct {
-		resp     queryResp
+		resp     QueryResp
 		ok       bool
 		fellBack bool
 	}
@@ -296,14 +301,14 @@ func (e *Engine) Query(ctx context.Context, query string, k int) QueryResult {
 	return res
 }
 
-func (e *Engine) askShard(ctx context.Context, addr san.Addr, query string, k int) (queryResp, bool) {
+func (e *Engine) askShard(ctx context.Context, addr san.Addr, query string, k int) (QueryResp, bool) {
 	cctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
 	defer cancel()
-	msg, err := e.ep.Call(cctx, addr, msgQuery, queryReq{Query: query, K: k}, len(query)+16)
+	msg, err := e.ep.Call(cctx, addr, MsgQuery, QueryReq{Query: query, K: k}, len(query)+16)
 	if err != nil {
-		return queryResp{}, false
+		return QueryResp{}, false
 	}
-	resp, ok := msg.Body.(queryResp)
+	resp, ok := msg.Body.(QueryResp)
 	return resp, ok
 }
 

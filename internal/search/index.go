@@ -11,7 +11,10 @@
 //
 // HotBot predates the layered SNS framework and used ad hoc mechanisms
 // in places; mirroring that, this package talks to the cluster and SAN
-// directly instead of going through the TACC worker stubs.
+// directly instead of going through the TACC worker stubs. Its two
+// message kinds (MsgQuery, MsgHits) are laid out by stub's wire codec,
+// the one every SAN runs, so a shard's answer crosses the same bytes
+// whether the collator is in its process or not.
 package search
 
 import (

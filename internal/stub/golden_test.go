@@ -56,7 +56,7 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: %s is not hex: %v", kind, path, err)
 			continue
 		}
-		got, err := DecodeBody(kind, golden)
+		got, err := decode(kind, golden)
 		if err != nil {
 			t.Errorf("%s: the committed frame no longer decodes: %v", kind, err)
 			continue

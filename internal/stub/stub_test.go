@@ -137,7 +137,7 @@ func feEndpoint(t *testing.T, net *san.Network, cfg ManagerStubConfig) (*san.End
 }
 
 func TestWorkerRegistersAndServes(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -176,7 +176,7 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 // 35 ms in — so a manager hears it long before its own next beacon, here
 // one that never beacons at all.
 func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	listener := net.Endpoint(san.Addr{Node: "mgr", Proc: "silent"}, 64)
@@ -200,7 +200,7 @@ func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
 }
 
 func TestWorkerTaskErrorPropagates(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -226,7 +226,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 }
 
 func TestWorkerPanicCrashesStub(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -259,7 +259,7 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 }
 
 func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -289,7 +289,7 @@ func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
 }
 
 func TestDispatchFailsOverToLiveWorker(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -323,7 +323,7 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -361,7 +361,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestManagerStubSurvivesManagerDeath(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -397,7 +397,7 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 }
 
 func TestManagerWatchdogFires(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -418,7 +418,7 @@ func TestManagerWatchdogFires(t *testing.T) {
 }
 
 func TestHotUpgradeDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -468,7 +468,7 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 }
 
 func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -484,7 +484,7 @@ func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
 }
 
 func TestDispatchPipelineChains(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -516,7 +516,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 }
 
 func TestBeaconRemovesVanishedWorkers(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -537,7 +537,7 @@ func TestBeaconRemovesVanishedWorkers(t *testing.T) {
 
 func TestRetryBackoffJitteredExponential(t *testing.T) {
 	const base = 2 * time.Millisecond
-	_, ms := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: base})
+	_, ms := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 7, RetryBackoff: base})
 
 	// Every draw for attempt n lands in [base*2^(n-1), 2*base*2^(n-1)),
 	// with the exponent capped at 6 so deep retry budgets cannot turn
@@ -557,8 +557,8 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 
 	// Same seed, same jitter sequence: retry timing stays inside the
 	// run-twice determinism contract.
-	_, ms1 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
-	_, ms2 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms1 := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms2 := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 42, RetryBackoff: base})
 	for attempt := 1; attempt <= 6; attempt++ {
 		if d1, d2 := ms1.retryBackoff(attempt), ms2.retryBackoff(attempt); d1 != d2 {
 			t.Fatalf("attempt %d: same-seed stubs drew %v vs %v", attempt, d1, d2)
@@ -566,14 +566,14 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 	}
 
 	// Negative disables backoff outright (zero would mean "default").
-	_, msOff := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
+	_, msOff := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
 	if d := msOff.retryBackoff(3); d != 0 {
 		t.Fatalf("disabled backoff returned %v, want 0", d)
 	}
 }
 
 func TestDispatchBacksOffBetweenRetries(t *testing.T) {
-	net := san.NewNetwork(1)
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 5*time.Millisecond)

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/search"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
@@ -149,27 +150,27 @@ const (
 // ---------------------------------------------------------------------------
 // Wire codec.
 //
-// EncodeBody/DecodeBody define the production wire format for every
-// SNS message — the stub control plane, the task/result data plane,
-// and the vcache cache protocol: a compact, deterministic binary
-// encoding (strings and byte slices are uvarint-length-prefixed, maps
-// are emitted in sorted key order so equal values encode to equal
-// bytes, floats are IEEE-754 bits). DecodeBody is total: malformed
-// input yields an error, never a panic or an unbounded allocation —
-// the property the FuzzWireRoundTrip fuzzer hammers on. A san.Network
-// built with san.WithCodec(WireCodec{}) runs this codec on its live
-// message path (wire mode); EncodeBodyAppend is the pooled-buffer
-// entry point that path uses, and control signals without a body
-// layout (MsgDisable, MsgEnable, vcache.MsgStats) encode
-// a nil body as empty bytes.
+// EncodeBodyAppend/DecodeBodyView define the production wire format for
+// every SNS message — the stub control plane, the task/result data
+// plane, the vcache cache protocol and HotBot's shard queries: a
+// compact, deterministic binary encoding (strings and byte slices are
+// uvarint-length-prefixed, maps are emitted in sorted key order so equal
+// values encode to equal bytes, floats are IEEE-754 bits). DecodeBodyView
+// is total: malformed input yields an error, never a panic or an
+// unbounded allocation — the property the FuzzWireRoundTrip fuzzer
+// hammers on. Every san.Network outside san's own tests is built with
+// san.WithCodec(WireCodec{}), so this codec is every message path;
+// control signals without a body layout (MsgDisable, MsgEnable,
+// vcache.MsgStats) encode a nil body as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
 var ErrWireFormat = errors.New("stub: malformed wire message")
 
 // WireCodec adapts the package codec to san.Codec, so a network built
 // with san.WithCodec(stub.WireCodec{}) serializes every SNS message —
-// control plane, data plane, and the cache protocol — through the
-// production encoding.
+// control plane, data plane, the cache protocol and HotBot's shard
+// queries — through the production encoding, and decodes []byte body
+// fields as views whose deliveries carry the backing san.Lease.
 type WireCodec struct{}
 
 // AppendBody implements san.Codec.
@@ -177,14 +178,7 @@ func (WireCodec) AppendBody(dst []byte, kind string, body any) ([]byte, error) {
 	return EncodeBodyAppend(dst, kind, body)
 }
 
-// DecodeBody implements san.Codec.
-func (WireCodec) DecodeBody(kind string, data []byte) (any, error) {
-	return DecodeBody(kind, data)
-}
-
-// DecodeBodyView implements san.ViewCodec: a network running this
-// codec decodes []byte body fields as views into the wire bytes, and
-// deliveries carry the backing buffer's san.Lease.
+// DecodeBodyView implements san.Codec.
 func (WireCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
 	return DecodeBodyView(kind, data)
 }
@@ -199,7 +193,7 @@ func EncodeBody(kind string, body any) ([]byte, error) {
 // EncodeBodyAppend serializes a message body for the given kind into
 // dst (which may be nil or a recycled buffer; its existing contents
 // are preserved) and returns the extended slice — the zero-alloc
-// variant the SAN's pooled wire path uses.
+// variant the SAN's pooled lease buffers use.
 func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 	w := &wireWriter{buf: dst}
 	switch kind {
@@ -355,6 +349,26 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		w.u64(m.ID)
 		w.bool(m.OK)
 		w.str(m.Err)
+	case search.MsgQuery:
+		m, ok := body.(search.QueryReq)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s wants search.QueryReq, got %T", ErrWireFormat, kind, body)
+		}
+		w.str(m.Query)
+		w.varint(int64(m.K))
+	case search.MsgHits:
+		m, ok := body.(search.QueryResp)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s wants search.QueryResp, got %T", ErrWireFormat, kind, body)
+		}
+		w.uvarint(uint64(len(m.Hits)))
+		for _, h := range m.Hits {
+			w.varint(int64(h.Doc))
+			w.str(h.Title)
+			w.f64(h.Score)
+			w.varint(int64(h.Shard))
+		}
+		w.varint(int64(m.Docs))
 	default:
 		if body != nil {
 			return nil, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
@@ -363,28 +377,16 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 	return w.buf, nil
 }
 
-// DecodeBody parses a message body for the given kind. The returned
-// value has the same concrete type EncodeBody accepts for that kind
-// and shares no memory with data.
-func DecodeBody(kind string, data []byte) (any, error) {
-	body, _, err := decodeBody(kind, data, false)
-	return body, err
-}
-
-// DecodeBodyView parses a message body in view mode: []byte fields of
-// the result (blob data, cache values) alias data directly instead of
-// copying, reported by aliased=true. Strings are always copied (Go
-// string conversion), so only the bulk payload bytes share memory with
-// the input. The caller owns data's lifetime: with aliased=true the
-// result is valid only while data's buffer is — the san layer pairs it
-// with a Lease. Kinds without byte-slice fields return aliased=false
-// and are identical to DecodeBody.
-func DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error) {
-	return decodeBody(kind, data, true)
-}
-
-func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
-	r := &wireReader{buf: data, view: view}
+// DecodeBodyView parses a message body for the given kind into the
+// concrete type EncodeBody accepts for it. []byte fields of the result
+// (blob data, cache values) alias data directly instead of copying,
+// reported by aliased=true; strings are always copied (Go string
+// conversion), so only the bulk payload bytes share memory with the
+// input. The caller owns data's lifetime: with aliased=true the result
+// is valid only while data's buffer is — the san layer pairs it with a
+// Lease. Kinds without byte-slice fields return aliased=false.
+func DecodeBodyView(kind string, data []byte) (any, bool, error) {
+	r := &wireReader{buf: data}
 	var body any
 	switch kind {
 	case MsgBeacon:
@@ -395,8 +397,11 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		n := r.sliceLen(wireMinWorkerInfo)
 		if n > 0 {
 			b.Workers = make([]WorkerInfo, 0, n)
+			class := ""
 			for i := 0; i < n; i++ {
-				b.Workers = append(b.Workers, r.workerInfo())
+				wi := r.workerInfo(class)
+				class = wi.Class
+				b.Workers = append(b.Workers, wi)
 			}
 		}
 		body = b
@@ -459,16 +464,13 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		}
 	case supervisor.MsgHello:
 		m := supervisor.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str(), Prefix: r.str()}
-		// Optional tail: a hello encoded before the roster ends here.
-		if r.err == nil && r.pos < len(r.buf) {
-			n := r.sliceLen(wireMinRow)
-			if n > wireMaxRoster {
-				r.fail()
-			} else if n > 0 {
-				m.Roster = make([]supervisor.Row, 0, n)
-				for i := 0; i < n; i++ {
-					m.Roster = append(m.Roster, supervisor.Row{Name: r.str(), Kind: r.str(), Node: r.str()})
-				}
+		n := r.sliceLen(wireMinRow)
+		if n > wireMaxRoster {
+			r.fail()
+		} else if n > 0 {
+			m.Roster = make([]supervisor.Row, 0, n)
+			for i := 0; i < n; i++ {
+				m.Roster = append(m.Roster, supervisor.Row{Name: r.str(), Kind: r.str(), Node: r.str()})
 			}
 		}
 		body = m
@@ -478,6 +480,19 @@ func decodeBody(kind string, data []byte, view bool) (any, bool, error) {
 		body = supervisor.Command{ID: r.u64(), Origin: r.str(), Op: r.str(), Target: r.str(), Epoch: r.u64()}
 	case supervisor.MsgAck:
 		body = supervisor.Ack{ID: r.u64(), OK: r.bool(), Err: r.str()}
+	case search.MsgQuery:
+		body = search.QueryReq{Query: r.str(), K: int(r.varint())}
+	case search.MsgHits:
+		var m search.QueryResp
+		n := r.sliceLen(wireMinHit)
+		if n > 0 {
+			m.Hits = make([]search.Hit, 0, n)
+			for i := 0; i < n; i++ {
+				m.Hits = append(m.Hits, search.Hit{Doc: int(r.varint()), Title: r.str(), Score: r.f64(), Shard: int(r.varint())})
+			}
+		}
+		m.Docs = int(r.varint())
+		body = m
 	default:
 		if len(data) != 0 {
 			return nil, false, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
@@ -500,6 +515,7 @@ func WireKinds() []string {
 		MsgBeacon, MsgMonReport, MsgResult, MsgSpawnReq, MsgSpanDigest, MsgTask,
 		supervisor.MsgAck, supervisor.MsgAnnounce, supervisor.MsgCmd, supervisor.MsgHello,
 		vcache.MsgGet, vcache.MsgGot, vcache.MsgInject, vcache.MsgPut, vcache.MsgStatsR,
+		search.MsgHits, search.MsgQuery,
 	}
 }
 
@@ -507,10 +523,11 @@ func WireKinds() []string {
 // attacker-controlled counts: a claimed N-element slice needs at
 // least N*min bytes of remaining input.
 const (
-	wireMinWorkerInfo = 7 // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
-	wireMinBlob       = 3 // empty MIME + empty data + empty meta
-	wireMinSpan       = 7 // trace uvarint + 4 empty strings + 2 varints
-	wireMinRow        = 3 // three empty strings
+	wireMinWorkerInfo = 7  // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
+	wireMinBlob       = 3  // empty MIME + empty data + empty meta
+	wireMinSpan       = 7  // trace uvarint + 4 empty strings + 2 varints
+	wireMinRow        = 3  // three empty strings
+	wireMinHit        = 11 // doc varint + empty title + f64 score + shard varint
 )
 
 // wireMaxRoster bounds the component-table rows one supervisor hello
@@ -600,14 +617,13 @@ func (w *wireWriter) f64Map(m map[string]float64) {
 
 // wireReader parses with sticky errors: after the first failure every
 // accessor returns zero values, so decode paths need no per-field
-// error plumbing. In view mode (DecodeBodyView) bytes() returns
-// subslices of buf instead of copies and records that it did, so the
-// caller knows the result aliases the input.
+// error plumbing. bytes() returns subslices of buf instead of copies
+// and records that it did, so the caller knows the result aliases the
+// input.
 type wireReader struct {
 	buf     []byte
 	pos     int
 	err     error
-	view    bool
 	aliased bool
 }
 
@@ -680,20 +696,15 @@ func (r *wireReader) bytes() []byte {
 	if len(raw) == 0 {
 		return nil
 	}
-	if r.view {
-		r.aliased = true
-		// Capacity-capped so an append by the consumer reallocates
-		// instead of scribbling over the rest of the receive buffer.
-		return raw[:len(raw):len(raw)]
-	}
-	out := make([]byte, len(raw))
-	copy(out, raw)
-	return out
+	r.aliased = true
+	// Capacity-capped so an append by the consumer reallocates instead
+	// of scribbling over the rest of the receive buffer.
+	return raw[:len(raw):len(raw)]
 }
 
 // raw reads a length-prefixed field as a subslice of the input — no
 // copy, no aliased mark. Callers either copy it themselves (str: the
-// string conversion is the copy) or wrap it via bytes().
+// string conversion is the copy) or mark it via bytes().
 func (r *wireReader) raw() []byte {
 	n := r.uvarint()
 	if r.err != nil {
@@ -729,15 +740,32 @@ func (r *wireReader) addr() san.Addr {
 	return san.Addr{Node: r.str(), Proc: r.str()}
 }
 
-func (r *wireReader) workerInfo() WorkerInfo {
+// workerInfo reads one beacon row. A row repeats itself — its address's
+// Proc is its ID, its Node its address's node, and rows in a row share a
+// class (prevClass) — and those fields reuse the string already read:
+// every stub decodes every beacon, so a 900-worker beacon costs 900
+// stubs 2 string allocations a row instead of 5.
+func (r *wireReader) workerInfo(prevClass string) WorkerInfo {
+	id := r.str()
+	class := r.strOr(prevClass)
+	node := r.str()
 	return WorkerInfo{
-		ID:       r.str(),
-		Class:    r.str(),
-		Addr:     r.addr(),
-		Node:     r.str(),
+		ID:       id,
+		Class:    class,
+		Addr:     san.Addr{Node: node, Proc: r.strOr(id)},
+		Node:     r.strOr(node),
 		QLen:     r.f64(),
 		Overflow: r.bool(),
 	}
+}
+
+// strOr reads a string field, returning same rather than a copy when the
+// bytes are equal.
+func (r *wireReader) strOr(same string) string {
+	if raw := r.raw(); string(raw) != same {
+		return string(raw)
+	}
+	return same
 }
 
 func (r *wireReader) blob() tacc.Blob {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/search"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
@@ -103,12 +104,25 @@ func wireSamples() map[string]any {
 			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestart, Target: "cache0", Epoch: 3,
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
+		search.MsgQuery:   search.QueryReq{Query: "ba de ka", K: 10},
+		search.MsgHits: search.QueryResp{
+			Hits: []search.Hit{
+				{Doc: 4711, Title: "ba de lo", Score: 3.25, Shard: 7},
+				{Doc: 12, Title: "ka", Score: 1.5, Shard: 7},
+			},
+			Docs: 2077,
+		},
 	}
 }
 
+// decode is DecodeBodyView without the aliasing report.
+func decode(kind string, data []byte) (any, error) {
+	body, _, err := DecodeBodyView(kind, data)
+	return body, err
+}
+
 // helloWithRoster is a supervisor hello advertising the first rows of a
-// component table (0 = the roster-less hello of a peer that predates
-// it, or of a process whose table is still empty).
+// component table (0 = a process whose table is still empty).
 func helloWithRoster(rows int) supervisor.HelloMsg {
 	hb := supervisor.HelloMsg{
 		Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"},
@@ -126,8 +140,9 @@ func helloWithRoster(rows int) supervisor.HelloMsg {
 
 // TestHelloRosterRoundTrip: a hello carries a roster of any length up
 // to the codec's bound exactly; one row past it is refused whole by the
-// encoder and, hand-framed, by the decoder — never cut short. A hello
-// laid out before the roster existed still decodes, roster-less.
+// encoder and, hand-framed, by the decoder — never cut short. The
+// roster count is part of the layout: a hello that ends before it (as
+// one did before rosters existed) is refused as truncated.
 func TestHelloRosterRoundTrip(t *testing.T) {
 	for _, rows := range []int{0, 1, 12, wireMaxRoster} {
 		want := helloWithRoster(rows)
@@ -135,7 +150,7 @@ func TestHelloRosterRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d rows: encode: %v", rows, err)
 		}
-		got, err := DecodeBody(supervisor.MsgHello, data)
+		got, err := decode(supervisor.MsgHello, data)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d rows: round trip err=%v\n got %#v\nwant %#v", rows, err, got, want)
 		}
@@ -156,11 +171,11 @@ func TestHelloRosterRoundTrip(t *testing.T) {
 		w.str(row.Kind)
 		w.str(row.Node)
 	}
-	if _, err := DecodeBody(supervisor.MsgHello, w.buf); !errors.Is(err, ErrWireFormat) {
+	if _, err := decode(supervisor.MsgHello, w.buf); !errors.Is(err, ErrWireFormat) {
 		t.Fatalf("decoder accepted %d rows: %v", len(over.Roster), err)
 	}
-	if got, err := DecodeBody(supervisor.MsgHello, old); err != nil || !reflect.DeepEqual(got, helloWithRoster(0)) {
-		t.Fatalf("pre-roster hello: %#v, %v", got, err)
+	if got, err := decode(supervisor.MsgHello, old); !errors.Is(err, ErrWireFormat) {
+		t.Fatalf("roster-less hello decoded to %#v, %v; want ErrWireFormat", got, err)
 	}
 }
 
@@ -184,7 +199,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", kind, err)
 		}
-		got, err := DecodeBody(kind, data)
+		got, err := decode(kind, data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", kind, err)
 		}
@@ -258,14 +273,14 @@ func TestWireRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeBody(MsgBeacon, data[:cut]); err == nil {
+		if _, err := decode(MsgBeacon, data[:cut]); err == nil {
 			t.Fatalf("decode accepted truncation at %d/%d bytes", cut, len(data))
 		}
 	}
-	if _, err := DecodeBody(MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
+	if _, err := decode(MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
 		t.Fatal("decode accepted trailing garbage")
 	}
-	if _, err := DecodeBody(MsgDisable, []byte{1}); err == nil {
+	if _, err := decode(MsgDisable, []byte{1}); err == nil {
 		t.Fatal("decode accepted a body for a body-less kind")
 	}
 }
@@ -298,9 +313,9 @@ func probeWireBodies() map[string][]any {
 }
 
 // TestProbeWireFields: the fallback key and the which-key-answered flag
-// cross the codec on both decode paths, and they are part of the layout,
-// not an optional tail — a frame that ends where the old layout did is
-// malformed (every process of a cluster runs one build).
+// cross the codec, and they are part of the layout, not an optional tail
+// — a frame that ends where the old layout did is malformed (every
+// process of a cluster runs one build).
 func TestProbeWireFields(t *testing.T) {
 	for kind, list := range probeWireBodies() {
 		for _, want := range list {
@@ -308,26 +323,24 @@ func TestProbeWireFields(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: encode: %v", kind, want, err)
 			}
-			if got, err := DecodeBody(kind, data); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: owning decode %+v, %v; want %+v", kind, got, err, want)
+			if got, err := decode(kind, data); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decode %+v, %v; want %+v", kind, got, err, want)
 			}
-			if got, _, err := DecodeBodyView(kind, data); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: view decode %+v, %v; want %+v", kind, got, err, want)
-			}
-			if _, err := DecodeBody(kind, data[:len(data)-1]); !errors.Is(err, ErrWireFormat) {
+			if _, err := decode(kind, data[:len(data)-1]); !errors.Is(err, ErrWireFormat) {
 				t.Fatalf("%s %+v: frame cut before its last field decoded: %v", kind, want, err)
 			}
 		}
 	}
 }
 
-// FuzzWireRoundTrip fuzzes DecodeBody across every message kind
-// (including the cache protocol): arbitrary bytes must never panic or
-// over-allocate, and any input that decodes successfully must
-// re-encode and re-decode to the same value (the codec is canonical on
-// its own output). The re-encode runs through EncodeBodyAppend into a
-// dirty recycled buffer, so the fuzzer also hammers the pooled
-// append path the SAN's wire mode uses.
+// FuzzWireRoundTrip fuzzes DecodeBodyView across every message kind
+// (including the cache protocol and HotBot's shard queries): arbitrary
+// bytes must never panic or over-allocate, and any input that decodes
+// successfully must re-encode and re-decode to the same value (the
+// codec is canonical on its own output). The re-encode runs through
+// EncodeBodyAppend into a dirty recycled buffer, so the fuzzer also
+// hammers the append path the SAN's lease buffers use. A decode that
+// reports aliased=false must share no memory with its input.
 func FuzzWireRoundTrip(f *testing.F) {
 	kinds := WireKinds()
 	for i, kind := range kinds {
@@ -363,6 +376,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(slices.Index(kinds, supervisor.MsgAnnounce), data)
 	}
+	// A shard that matched nothing answers with no hits.
+	data, err := EncodeBody(search.MsgHits, search.QueryResp{Docs: 2077})
+	if err != nil {
+		f.Fatalf("empty hits seed: %v", err)
+	}
+	f.Add(slices.Index(kinds, search.MsgHits), data)
 
 	f.Fuzz(func(t *testing.T, kindIdx int, data []byte) {
 		if kindIdx < 0 {
@@ -380,12 +399,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 			eb, errB := EncodeBody(kind, b)
 			return errA == nil && errB == nil && bytes.Equal(ea, eb)
 		}
-		body, err := DecodeBody(kind, data)
+		body, err := decode(kind, data)
 		if err != nil {
 			return // malformed input rejected cleanly: fine
 		}
 		// Re-encode into a recycled buffer holding stale garbage, as
-		// the SAN's pool hands out.
+		// the SAN's lease pool hands out.
 		scratch := bytes.Repeat([]byte{0xa5}, 16)
 		re, err := EncodeBodyAppend(scratch[:0], kind, body)
 		if err != nil {
@@ -394,24 +413,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if direct, err2 := EncodeBody(kind, body); err2 != nil || !bytes.Equal(re, direct) {
 			t.Fatalf("%s: append encoding diverges from EncodeBody (err=%v)", kind, err2)
 		}
-		body2, err := DecodeBody(kind, re)
+		vbuf := append([]byte{}, re...)
+		body2, aliased, err := DecodeBodyView(kind, vbuf)
 		if err != nil {
 			t.Fatalf("%s: re-encoded bytes failed to decode: %v", kind, err)
 		}
 		if !same(body, body2) {
 			t.Fatalf("%s: canonical round trip mismatch:\n got %#v\nwant %#v", kind, body2, body)
-		}
-		// View-mode equivalence: the zero-copy decoder must produce the
-		// same value as the owning decoder for every input the owning
-		// decoder accepts — aliasing is a lifetime difference, never a
-		// value difference.
-		vbuf := append([]byte{}, re...)
-		view, aliased, err := DecodeBodyView(kind, vbuf)
-		if err != nil {
-			t.Fatalf("%s: owning decode succeeded but view decode failed: %v", kind, err)
-		}
-		if !same(view, body2) {
-			t.Fatalf("%s: view decode diverges from DecodeBody:\n got %#v\nwant %#v", kind, view, body2)
 		}
 		if !aliased {
 			// aliased=false promises the result shares no memory with
@@ -419,8 +427,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			for i := range vbuf {
 				vbuf[i] ^= 0xFF
 			}
-			if !same(view, body2) {
-				t.Fatalf("%s: aliased=false but the view changed when its buffer was dirtied", kind)
+			if !same(body2, body) {
+				t.Fatalf("%s: aliased=false but the body changed when its buffer was dirtied", kind)
 			}
 		}
 	})

@@ -1,4 +1,4 @@
-package supervisor
+package supervisor_test
 
 import (
 	"context"
@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/san"
+	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 // fakeHost records every action; failures are switchable per op.
@@ -50,21 +52,24 @@ func (h *fakeHost) count(op, target string) int {
 	return h.restarts[op+":"+target]
 }
 
-func (h *fakeHost) Restart(name string) error      { return h.act(OpRestart, name) }
-func (h *fakeHost) SpawnWorker(class string) error { return h.act(OpSpawnWorker, class) }
-func (h *fakeHost) ReapWorker(id string) error     { return h.act(OpReap, id) }
+func (h *fakeHost) Restart(name string) error      { return h.act(supervisor.OpRestart, name) }
+func (h *fakeHost) SpawnWorker(class string) error { return h.act(supervisor.OpSpawnWorker, class) }
+func (h *fakeHost) ReapWorker(id string) error     { return h.act(supervisor.OpReap, id) }
 
 // Roster is a fixed two-row table: enough to see it ride the hello.
-func (h *fakeHost) Roster() []Row {
-	return []Row{{Name: "cache0", Kind: KindCache, Node: "b-node0"}, {Name: "sup", Node: "b-node0"}}
+func (h *fakeHost) Roster() []supervisor.Row {
+	return []supervisor.Row{{Name: "cache0", Kind: supervisor.KindCache, Node: "b-node0"}, {Name: "sup", Node: "b-node0"}}
 }
+
+// softCap is the result cache's soft capacity in the cache tests.
+const softCap = 4
 
 // startSup boots a supervisor on a fresh network and returns it plus a
 // client endpoint for issuing commands.
-func startSup(t *testing.T, host Host) (*Supervisor, *san.Endpoint) {
+func startSup(t *testing.T, host supervisor.Host) (*supervisor.Supervisor, *san.Endpoint) {
 	t.Helper()
-	net := san.NewNetwork(1)
-	sup := New(Config{
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "b-", Host: host,
 		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
 	})
@@ -76,15 +81,15 @@ func startSup(t *testing.T, host Host) (*Supervisor, *san.Endpoint) {
 	return sup, client
 }
 
-func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd Command) Ack {
+func call(t *testing.T, client *san.Endpoint, to san.Addr, cmd supervisor.Command) supervisor.Ack {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := client.Call(ctx, to, MsgCmd, cmd, 64)
+	resp, err := client.Call(ctx, to, supervisor.MsgCmd, cmd, 64)
 	if err != nil {
 		t.Fatalf("command %+v: %v", cmd, err)
 	}
-	ack, ok := resp.Body.(Ack)
+	ack, ok := resp.Body.(supervisor.Ack)
 	if !ok {
 		t.Fatalf("reply body %T", resp.Body)
 	}
@@ -101,12 +106,12 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 	sup, client := startSup(t, host)
 
 	ops := []struct{ op, target string }{
-		{OpRestart, "fe1"},
-		{OpSpawnWorker, "echo"},
-		{OpReap, "echo.7"},
+		{supervisor.OpRestart, "fe1"},
+		{supervisor.OpSpawnWorker, "echo"},
+		{supervisor.OpReap, "echo.7"},
 	}
 	for i, c := range ops {
-		cmd := Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target}
+		cmd := supervisor.Command{ID: uint64(i + 1), Origin: "t", Op: c.op, Target: c.target}
 		for _, delivery := range []string{"first", "redelivered"} {
 			ack := call(t, client, sup.Addr(), cmd)
 			if !ack.OK || ack.ID != cmd.ID {
@@ -124,23 +129,23 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 		{"restart-frontend", "fe0"}, {"restart-cache", "cache1"}, {"restart-worker", "echo.3"},
 		{"disable", "echo.3"}, // no sender since the monitor disables workers over the SAN itself
 	} {
-		ack := call(t, client, sup.Addr(), Command{ID: uint64(50 + i), Origin: "t", Op: c.op, Target: c.target})
-		if ack.OK || !strings.Contains(ack.Err, "unknown op") || host.count(OpRestart, c.target) != 0 {
-			t.Fatalf("retired spelling %s: ack %+v, %d host calls", c.op, ack, host.count(OpRestart, c.target))
+		ack := call(t, client, sup.Addr(), supervisor.Command{ID: uint64(50 + i), Origin: "t", Op: c.op, Target: c.target})
+		if ack.OK || !strings.Contains(ack.Err, "unknown op") || host.count(supervisor.OpRestart, c.target) != 0 {
+			t.Fatalf("retired spelling %s: ack %+v, %d host calls", c.op, ack, host.count(supervisor.OpRestart, c.target))
 		}
 	}
 
 	// A supervisor is respawned by its own process's exit observer, never
 	// by a command it would have to ack through the endpoint it closes.
-	if ack := call(t, client, sup.Addr(), Command{ID: 100, Origin: "t", Op: OpRestart, Target: "sup"}); ack.OK {
+	if ack := call(t, client, sup.Addr(), supervisor.Command{ID: 100, Origin: "t", Op: supervisor.OpRestart, Target: "sup"}); ack.OK {
 		t.Fatal("restart aimed at the supervisor itself acked OK")
 	}
-	if host.count(OpRestart, "sup") != 0 {
+	if host.count(supervisor.OpRestart, "sup") != 0 {
 		t.Fatal("restart aimed at the supervisor itself reached the host")
 	}
 	// Remote fault injection is gone: a process's components are crashed
 	// through that process's own /kill, never over the SAN.
-	if ack := call(t, client, sup.Addr(), Command{ID: 101, Origin: "t", Op: "kill", Target: "cache0"}); ack.OK || !strings.Contains(ack.Err, "unknown op") {
+	if ack := call(t, client, sup.Addr(), supervisor.Command{ID: 101, Origin: "t", Op: "kill", Target: "cache0"}); ack.OK || !strings.Contains(ack.Err, "unknown op") {
 		t.Fatalf("retired kill op: ack %+v, want an unknown-op refusal", ack)
 	}
 }
@@ -155,21 +160,21 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 func TestSlowCommandStallsNothingElse(t *testing.T) {
 	host := newFakeHost()
 	release := make(chan struct{})
-	host.hold = map[string]chan struct{}{OpRestart + ":fe0": release}
+	host.hold = map[string]chan struct{}{supervisor.OpRestart + ":fe0": release}
 	sup, client := startSup(t, host)
 
-	slow := Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "fe0"}
-	acks := make(chan Ack, 2)
+	slow := supervisor.Command{ID: 1, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "fe0"}
+	acks := make(chan supervisor.Ack, 2)
 	for i := 0; i < 2; i++ { // the command and its retry
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			resp, _ := client.Call(ctx, sup.Addr(), MsgCmd, slow, 64)
-			ack, _ := resp.Body.(Ack) // a failed call reads as a refusal below
+			resp, _ := client.Call(ctx, sup.Addr(), supervisor.MsgCmd, slow, 64)
+			ack, _ := resp.Body.(supervisor.Ack) // a failed call reads as a refusal below
 			acks <- ack
 		}()
 	}
-	if ack := call(t, client, sup.Addr(), Command{ID: 2, Origin: "mgr/a", Op: OpSpawnWorker, Target: "echo"}); !ack.OK {
+	if ack := call(t, client, sup.Addr(), supervisor.Command{ID: 2, Origin: "mgr/a", Op: supervisor.OpSpawnWorker, Target: "echo"}); !ack.OK {
 		t.Fatalf("a command behind a slow one: %+v", ack)
 	}
 	before := sup.Stats().Hellos
@@ -191,7 +196,7 @@ func TestSlowCommandStallsNothingElse(t *testing.T) {
 			t.Fatalf("slow restart, delivery %d: %+v", i, ack)
 		}
 	}
-	if got := host.count(OpRestart, "fe0"); got != 1 {
+	if got := host.count(supervisor.OpRestart, "fe0"); got != 1 {
 		t.Fatalf("the retry of an in-flight command reached the host: %d restarts", got)
 	}
 	if st := sup.Stats(); st.Commands != 2 || st.Dupes != 1 {
@@ -206,13 +211,13 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
 
-	cmd := Command{ID: 7, Origin: "mgr/a", Op: OpRestart, Target: "fe0"}
+	cmd := supervisor.Command{ID: 7, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "fe0"}
 	first := call(t, client, sup.Addr(), cmd)
 	second := call(t, client, sup.Addr(), cmd)
 	if !first.OK || !second.OK {
 		t.Fatalf("acks: %+v / %+v", first, second)
 	}
-	if got := host.count(OpRestart, "fe0"); got != 1 {
+	if got := host.count(supervisor.OpRestart, "fe0"); got != 1 {
 		t.Fatalf("duplicate delivery executed the restart %d times", got)
 	}
 	if st := sup.Stats(); st.Dupes != 1 || st.Commands != 1 {
@@ -220,9 +225,9 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 	}
 
 	// A different id from the same origin is a new incident.
-	third := call(t, client, sup.Addr(), Command{ID: 8, Origin: "mgr/a", Op: OpRestart, Target: "fe0"})
-	if !third.OK || host.count(OpRestart, "fe0") != 2 {
-		t.Fatalf("new incident not executed (count %d)", host.count(OpRestart, "fe0"))
+	third := call(t, client, sup.Addr(), supervisor.Command{ID: 8, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "fe0"})
+	if !third.OK || host.count(supervisor.OpRestart, "fe0") != 2 {
+		t.Fatalf("new incident not executed (count %d)", host.count(supervisor.OpRestart, "fe0"))
 	}
 }
 
@@ -231,10 +236,10 @@ func TestDuplicateCommandIsIdempotent(t *testing.T) {
 // a transient refusal cannot be pinned against the incident's id.
 func TestFailedCommandAcksError(t *testing.T) {
 	host := newFakeHost()
-	host.failNext[OpRestart+":cache0"] = fmt.Errorf("node is down")
+	host.failNext[supervisor.OpRestart+":cache0"] = fmt.Errorf("node is down")
 	sup, client := startSup(t, host)
 
-	ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestart, Target: "cache0"})
+	ack := call(t, client, sup.Addr(), supervisor.Command{ID: 1, Origin: "t", Op: supervisor.OpRestart, Target: "cache0"})
 	if ack.OK || ack.Err == "" {
 		t.Fatalf("ack %+v, want error", ack)
 	}
@@ -244,17 +249,17 @@ func TestFailedCommandAcksError(t *testing.T) {
 	// The transient condition clears; the SAME command id must now
 	// execute for real instead of replaying the cached refusal.
 	host.mu.Lock()
-	delete(host.failNext, OpRestart+":cache0")
+	delete(host.failNext, supervisor.OpRestart+":cache0")
 	host.mu.Unlock()
-	ack = call(t, client, sup.Addr(), Command{ID: 1, Origin: "t", Op: OpRestart, Target: "cache0"})
+	ack = call(t, client, sup.Addr(), supervisor.Command{ID: 1, Origin: "t", Op: supervisor.OpRestart, Target: "cache0"})
 	if !ack.OK {
 		t.Fatalf("retry after transient failure replayed the refusal: %+v", ack)
 	}
-	if got := host.count(OpRestart, "cache0"); got != 1 {
+	if got := host.count(supervisor.OpRestart, "cache0"); got != 1 {
 		t.Fatalf("retry executed %d times, want 1", got)
 	}
 	// Unknown op also errors cleanly.
-	ack = call(t, client, sup.Addr(), Command{ID: 2, Origin: "t", Op: "frobnicate", Target: "x"})
+	ack = call(t, client, sup.Addr(), supervisor.Command{ID: 2, Origin: "t", Op: "frobnicate", Target: "x"})
 	if ack.OK {
 		t.Fatalf("unknown op acked OK")
 	}
@@ -266,18 +271,17 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 	host := newFakeHost()
 	sup, client := startSup(t, host)
 
-	watcher := sup.cfg.Net.Endpoint(san.Addr{Node: "w", Proc: "watch"}, 64)
+	watcher := client
 	watcher.Join("ctl")
-	_ = client
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		select {
 		case msg := <-watcher.Inbox():
-			if msg.Kind != MsgHello {
+			if msg.Kind != supervisor.MsgHello {
 				continue
 			}
-			hb, ok := msg.Body.(HelloMsg)
+			hb, ok := msg.Body.(supervisor.HelloMsg)
 			if !ok {
 				t.Fatalf("hello body %T", msg.Body)
 			}
@@ -297,17 +301,17 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 // whatever order its map iterates in: the longer prefix first, then the
 // lowest address.
 func TestOwnerTieGoesToLowestAddress(t *testing.T) {
-	old := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"}, Prefix: "b-"}
-	moved := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node4", Proc: "sup"}, Prefix: "b-"}
+	old := supervisor.HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node0", Proc: "sup"}, Prefix: "b-"}
+	moved := supervisor.HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-node4", Proc: "sup"}, Prefix: "b-"}
 	for i := 0; i < 1000; i++ {
-		sups := map[string]HelloMsg{moved.Addr.String(): moved, old.Addr.String(): old}
-		if got, ok := Owner("b-node2", sups); !ok || got.Addr != old.Addr {
+		sups := map[string]supervisor.HelloMsg{moved.Addr.String(): moved, old.Addr.String(): old}
+		if got, ok := supervisor.Owner("b-node2", sups); !ok || got.Addr != old.Addr {
 			t.Fatalf("map %d: owner %v, want the lowest address %v", i, got.Addr, old.Addr)
 		}
 	}
-	longer := HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-x0", Proc: "sup"}, Prefix: "b-x"}
-	sups := map[string]HelloMsg{"1": old, "2": moved, "3": longer}
-	if got, _ := Owner("b-x1", sups); got.Addr != longer.Addr {
+	longer := supervisor.HelloMsg{Name: "sup", Addr: san.Addr{Node: "b-x0", Proc: "sup"}, Prefix: "b-x"}
+	sups := map[string]supervisor.HelloMsg{"1": old, "2": moved, "3": longer}
+	if got, _ := supervisor.Owner("b-x1", sups); got.Addr != longer.Addr {
 		t.Fatalf("owner %v, want the longest prefix %v", got.Addr, longer.Addr)
 	}
 }
@@ -320,10 +324,10 @@ func TestOwnerTieGoesToLowestAddress(t *testing.T) {
 // hard cap, and results past their retention age, may be shed.
 func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(1)
-	sup := New(Config{
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
-		ResultCacheCap:  4,
+		ResultCacheCap:  softCap,
 		ResultRetention: time.Hour, // nothing ages out during the test
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -335,7 +339,7 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	const storm = 10
 	for i := 1; i <= storm; i++ {
 		target := fmt.Sprintf("w%d", i)
-		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target}); !ack.OK {
+		if ack := call(t, client, sup.Addr(), supervisor.Command{ID: uint64(i), Origin: "mgr/a", Op: supervisor.OpRestart, Target: target}); !ack.OK {
 			t.Fatalf("command %d: %+v", i, ack)
 		}
 	}
@@ -344,11 +348,11 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	// still answer idempotently.
 	for i := 1; i <= storm; i++ {
 		target := fmt.Sprintf("w%d", i)
-		ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target})
+		ack := call(t, client, sup.Addr(), supervisor.Command{ID: uint64(i), Origin: "mgr/a", Op: supervisor.OpRestart, Target: target})
 		if !ack.OK {
 			t.Fatalf("redelivery %d refused: %+v", i, ack)
 		}
-		if got := host.count(OpRestart, target); got != 1 {
+		if got := host.count(supervisor.OpRestart, target); got != 1 {
 			t.Fatalf("redelivery of in-retention command %d re-executed the restart (%d times)", i, got)
 		}
 	}
@@ -358,17 +362,14 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 
 	// The hard cap still bounds memory when age cannot: push past
 	// cap*hardFactor and verify the cache sheds down to it.
-	hard := sup.cfg.ResultCacheCap * resultCacheHardFactor
+	hard := softCap * supervisor.ResultCacheHardFactor
 	for i := storm + 1; i <= hard+20; i++ {
 		target := fmt.Sprintf("w%d", i)
-		if ack := call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: target}); !ack.OK {
+		if ack := call(t, client, sup.Addr(), supervisor.Command{ID: uint64(i), Origin: "mgr/a", Op: supervisor.OpRestart, Target: target}); !ack.OK {
 			t.Fatalf("command %d: %+v", i, ack)
 		}
 	}
-	sup.mu.Lock()
-	cached := len(sup.order)
-	sup.mu.Unlock()
-	if cached > hard {
+	if cached := sup.CachedResults(); cached > hard {
 		t.Fatalf("result cache holds %d entries, hard cap is %d", cached, hard)
 	}
 }
@@ -380,10 +381,10 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 // the retry contract the window encodes.
 func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(2)
-	sup := New(Config{
+	net := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
+	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
-		ResultCacheCap:  4,
+		ResultCacheCap:  softCap,
 		ResultRetention: 10 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -392,20 +393,17 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
 
 	for i := 1; i <= 10; i++ {
-		call(t, client, sup.Addr(), Command{ID: uint64(i), Origin: "mgr/a", Op: OpRestart, Target: fmt.Sprintf("w%d", i)})
+		call(t, client, sup.Addr(), supervisor.Command{ID: uint64(i), Origin: "mgr/a", Op: supervisor.OpRestart, Target: fmt.Sprintf("w%d", i)})
 	}
 	time.Sleep(25 * time.Millisecond) // everything ages out of retention
 	// The next completion triggers eviction down to the soft cap.
-	call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestart, Target: "w11"})
-	sup.mu.Lock()
-	cached := len(sup.order)
-	sup.mu.Unlock()
-	if cached > sup.cfg.ResultCacheCap {
-		t.Fatalf("aged results not evicted: %d cached, soft cap %d", cached, sup.cfg.ResultCacheCap)
+	call(t, client, sup.Addr(), supervisor.Command{ID: 11, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "w11"})
+	if cached := sup.CachedResults(); cached > softCap {
+		t.Fatalf("aged results not evicted: %d cached, soft cap %d", cached, softCap)
 	}
 	// An aged-out incident re-executes on redelivery — exactly once more.
-	call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "w1"})
-	if got := host.count(OpRestart, "w1"); got != 2 {
+	call(t, client, sup.Addr(), supervisor.Command{ID: 1, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "w1"})
+	if got := host.count(supervisor.OpRestart, "w1"); got != 2 {
 		t.Fatalf("aged redelivery executed %d times total, want 2", got)
 	}
 }
@@ -417,16 +415,13 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 // tooling.
 func TestStaleEpochCommandFenced(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(3)
-	sup := New(Config{
+	net := san.NewNetwork(3, san.WithCodec(stub.WireCodec{}))
+	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
 		EpochFrom: func(kind string, body any) (uint64, bool) {
-			if kind != "test.beacon" {
-				return 0, false
-			}
-			e, ok := body.(uint64)
-			return e, ok
+			b, ok := body.(stub.Beacon)
+			return b.Epoch, ok && kind == stub.MsgBeacon
 		},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -435,23 +430,23 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	client := net.Endpoint(san.Addr{Node: "c0", Proc: "client"}, 64)
 
 	// Epoch 3 command executes and raises the watermark.
-	if ack := call(t, client, sup.Addr(), Command{ID: 1, Origin: "mgr/a", Op: OpRestart, Target: "w0", Epoch: 3}); !ack.OK {
+	if ack := call(t, client, sup.Addr(), supervisor.Command{ID: 1, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "w0", Epoch: 3}); !ack.OK {
 		t.Fatalf("epoch-3 command refused: %+v", ack)
 	}
 	// A deposed primary's epoch-2 command is fenced: refused, never
 	// executed.
-	ack := call(t, client, sup.Addr(), Command{ID: 9, Origin: "mgr/b", Op: OpRestart, Target: "w0", Epoch: 2})
+	ack := call(t, client, sup.Addr(), supervisor.Command{ID: 9, Origin: "mgr/b", Op: supervisor.OpRestart, Target: "w0", Epoch: 2})
 	if ack.OK {
 		t.Fatal("stale-epoch command executed")
 	}
-	if got := host.count(OpRestart, "w0"); got != 1 {
+	if got := host.count(supervisor.OpRestart, "w0"); got != 1 {
 		t.Fatalf("stale-epoch command reached the host (%d executions)", got)
 	}
 	if st := sup.Stats(); st.StaleEpoch != 1 {
 		t.Fatalf("stats %+v, want 1 stale-epoch refusal", st)
 	}
 	// Epoch 0 is no election claim at all: always accepted.
-	if ack := call(t, client, sup.Addr(), Command{ID: 10, Origin: "op/cli", Op: OpRestart, Target: "w1", Epoch: 0}); !ack.OK {
+	if ack := call(t, client, sup.Addr(), supervisor.Command{ID: 10, Origin: "op/cli", Op: supervisor.OpRestart, Target: "w1", Epoch: 0}); !ack.OK {
 		t.Fatalf("unfenced command refused: %+v", ack)
 	}
 
@@ -459,7 +454,7 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	// command: an epoch-7 beacon fences even the regime that was valid a
 	// moment ago.
 	beaconer := net.Endpoint(san.Addr{Node: "m0", Proc: "mgr"}, 16)
-	beaconer.Multicast("ctl", "test.beacon", uint64(7), 16)
+	beaconer.Multicast("ctl", stub.MsgBeacon, stub.Beacon{Manager: beaconer.Addr(), Epoch: 7}, 16)
 	waitFor := time.Now().Add(2 * time.Second)
 	for sup.Epoch() < 7 && time.Now().Before(waitFor) {
 		time.Sleep(time.Millisecond)
@@ -467,7 +462,7 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 	if sup.Epoch() != 7 {
 		t.Fatalf("beacon-observed epoch = %d, want 7", sup.Epoch())
 	}
-	ack = call(t, client, sup.Addr(), Command{ID: 11, Origin: "mgr/a", Op: OpRestart, Target: "w0", Epoch: 3})
+	ack = call(t, client, sup.Addr(), supervisor.Command{ID: 11, Origin: "mgr/a", Op: supervisor.OpRestart, Target: "w0", Epoch: 3})
 	if ack.OK {
 		t.Fatal("command from a beacon-deposed epoch executed")
 	}

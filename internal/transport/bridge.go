@@ -15,9 +15,8 @@ import (
 
 // Config assembles a Bridge.
 type Config struct {
-	// Net is the local SAN the bridge splices into the cluster. It
-	// must be in wire mode (san.WithCodec) — bodies cross process
-	// boundaries as bytes.
+	// Net is the local SAN the bridge splices into the cluster; every
+	// network serializes, so its bodies already cross as bytes.
 	Net *san.Network
 
 	// Listen is the socket to accept peers on: "tcp:host:port" or
@@ -133,9 +132,10 @@ func (p *peer) canonical(selfID string) bool {
 // Bridge splices a san.Network into a multi-process SAN. It implements
 // san.Fabric: the network hands it messages for non-local endpoints;
 // frames arriving from peers re-enter through the network's inject
-// APIs. Routing is learned, switch-style, from the source address of
-// received frames; unicasts with no learned route flood to all peers
-// (the wrong recipients drop them silently — datagram semantics).
+// APIs. Routes are the endpoint tables peers advertise (hello,
+// catch-up advert, EndpointUp adverts); a unicast to an address no peer
+// has advertised yet floods to all peers (the wrong recipients drop it
+// silently — datagram semantics).
 type Bridge struct {
 	cfg       Config
 	net       *san.Network
@@ -144,8 +144,7 @@ type Bridge struct {
 
 	mu      sync.RWMutex
 	peers   map[string]*peer
-	routes  map[san.Addr]*peer // learned from observed traffic (freshest)
-	dialing map[string]bool    // canonical addrs with a live dial loop
+	dialing map[string]bool // canonical addrs with a live dial loop
 	closed  bool
 
 	// Endpoint-table advertisement state: locals is this process's
@@ -197,9 +196,6 @@ func New(cfg Config) (*Bridge, error) {
 	if cfg.Net == nil {
 		return nil, errors.New("transport: Config.Net is required")
 	}
-	if !cfg.Net.WireMode() {
-		return nil, errors.New("transport: bridge requires a wire-mode network (san.WithCodec)")
-	}
 	network, address, err := splitListen(cfg.Listen)
 	if err != nil {
 		return nil, err
@@ -214,7 +210,6 @@ func New(cfg Config) (*Bridge, error) {
 		ln:         ln,
 		advertise:  network + ":" + ln.Addr().String(),
 		peers:      make(map[string]*peer),
-		routes:     make(map[san.Addr]*peer),
 		dialing:    make(map[string]bool),
 		locals:     make(map[san.Addr]bool),
 		advertised: make(map[san.Addr]*peer),
@@ -426,21 +421,19 @@ func (b *Bridge) isClosed() bool {
 // ---------------------------------------------------------------------------
 // Fabric (outbound).
 
-// Unicast implements san.Fabric. Routing preference: a route learned
-// from observed traffic (freshest), then the peer that advertised the
-// endpoint in its hello/advert stream. An address that was advertised
-// and then invalidated (the endpoint closed) is refused outright —
-// the SAN surfaces that as ErrUnknownAddr, the cross-process analogue
-// of sending to an unbound local address. Only a genuinely never-seen
-// address still floods, as a last resort for races the advert stream
-// has not covered yet.
+// Unicast implements san.Fabric. The route is the peer that advertised
+// the endpoint in its hello/advert stream. An address that was
+// advertised and then invalidated (the endpoint closed) is refused
+// outright — the SAN surfaces that as ErrUnknownAddr, the cross-process
+// analogue of sending to an unbound local address. A never-advertised
+// address floods: a process can hear of an endpoint (a worker named in
+// a manager's beacon) on one connection before the advert from the
+// endpoint's own process lands on another.
 func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
 	var stack [1]*peer
 	targets := stack[:0]
 	b.mu.RLock()
-	if p, ok := b.routes[to]; ok {
-		targets = append(targets, p)
-	} else if p, ok := b.advertised[to]; ok {
+	if p, ok := b.advertised[to]; ok {
 		targets = append(targets, p)
 	} else if b.tombs[to] {
 		b.mu.RUnlock()
@@ -1017,11 +1010,6 @@ func (b *Bridge) registerPeer(p *peer) bool {
 		}
 		// The new conn is the canonical one: evict the old.
 		delete(b.peers, p.id)
-		for addr, rp := range b.routes {
-			if rp == old {
-				delete(b.routes, addr)
-			}
-		}
 		go old.close()
 	}
 	b.peers[p.id] = p
@@ -1044,11 +1032,6 @@ func (b *Bridge) removePeer(p *peer) {
 	if b.peers[p.id] == p {
 		delete(b.peers, p.id)
 	}
-	for addr, rp := range b.routes {
-		if rp == p {
-			delete(b.routes, addr)
-		}
-	}
 	// The peer's advertised endpoints are unreachable but NOT dead —
 	// it may reconnect and re-advertise them in its next hello — so
 	// they are forgotten, not tombstoned.
@@ -1066,7 +1049,7 @@ func (b *Bridge) removePeer(p *peer) {
 type chunkBuild struct {
 	lease *san.Lease
 	buf   []byte
-	got   int // fragment bytes received; TCP ordering makes overlap a sender bug
+	got   int // bytes received: where the next fragment must start
 }
 
 // maxChunkBuilds bounds concurrent reassemblies per connection — a
@@ -1160,7 +1143,6 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 	case FrameData:
 		from := san.Addr{Node: intern.str(f.SrcNode), Proc: intern.str(f.SrcProc)}
 		to := san.Addr{Node: intern.str(f.DstNode), Proc: intern.str(f.DstProc)}
-		b.learn(from, p)
 		if f.Flags&FlagChunk != 0 {
 			b.handleChunk(asm, f, from, to, intern.str(f.Kind))
 			return
@@ -1170,7 +1152,6 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 		}
 	case FrameMcast:
 		from := san.Addr{Node: intern.str(f.SrcNode), Proc: intern.str(f.SrcProc)}
-		b.learn(from, p)
 		if b.net.InjectMulticast(from, intern.str(f.Group), intern.str(f.Kind), f.Body, dec.Lease()) > 0 {
 			b.injected.Add(1)
 		}
@@ -1196,9 +1177,6 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 			for _, a := range addrs {
 				if b.advertised[a] == p {
 					delete(b.advertised, a)
-				}
-				if b.routes[a] == p {
-					delete(b.routes, a)
 				}
 				b.tombstoneLocked(a)
 			}
@@ -1252,7 +1230,10 @@ func (b *Bridge) handleChunk(asm *chunkAsm, f Frame, from, to san.Addr, kind str
 			asm.order = live
 		}
 	}
-	if total != len(cb.buf) || offset+len(frag) > len(cb.buf) {
+	// A sender writes a stream's fragments in order to one connection,
+	// so each starts where the last ended; a gap, repeat or overlap would
+	// complete the build with a hole (ParseChunk keeps frag within total).
+	if total != len(cb.buf) || offset != cb.got {
 		b.frameErrors.Add(1)
 		asm.drop(id)
 		asm.markDead(id) // the stream is poisoned; its tail is garbage
@@ -1270,25 +1251,6 @@ func (b *Bridge) handleChunk(asm *chunkAsm, f Frame, from, to san.Addr, kind str
 		b.injected.Add(1)
 	}
 	cb.lease.Release()
-}
-
-// learn records that addr is reachable via p (switch-style MAC
-// learning: the source of an observed frame is a valid route). Entries
-// move if the address shows up behind a different peer — a component
-// restarted in another process. Observed traffic is proof of life, so
-// any tombstone for the address dies with the sighting.
-func (b *Bridge) learn(addr san.Addr, p *peer) {
-	b.mu.RLock()
-	cur, ok := b.routes[addr]
-	tomb := b.tombs[addr]
-	b.mu.RUnlock()
-	if ok && cur == p && !tomb {
-		return
-	}
-	b.mu.Lock()
-	b.routes[addr] = p
-	delete(b.tombs, addr)
-	b.mu.Unlock()
 }
 
 // deadlineWriter applies writeTimeout to every write so one stalled

@@ -13,7 +13,7 @@ import (
 	"repro/internal/tacc"
 )
 
-// newWireNet builds a wire-mode network carrying the production codec.
+// newWireNet builds a network carrying the production codec.
 func newWireNet(seed int64) *san.Network {
 	return san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
 }
@@ -78,7 +78,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 		}
 	}()
 
-	// Plain send A->B (flooded: no route learned yet).
+	// Plain send A->B (routed by B's advert, or flooded until it lands).
 	if err := fe.Send(wk.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}, 16); err != nil {
 		t.Fatalf("cross-process send: %v", err)
 	}
@@ -108,8 +108,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 		t.Fatalf("caller's inbox holds %d messages, want the 1 it was filled with", n)
 	}
 
-	// Zero wire errors anywhere, and the route table learned both
-	// directions (reply taught A; request taught B).
+	// Zero wire errors anywhere, and frames flowed both ways.
 	for name, n := range map[string]*san.Network{"A": netA, "B": netB} {
 		if s := n.Stats(); s.WireErrors != 0 {
 			t.Fatalf("net %s: WireErrors=%d", name, s.WireErrors)
@@ -396,12 +395,9 @@ func TestBridgeUnixSocket(t *testing.T) {
 	t.Fatal("no delivery over unix sockets")
 }
 
-// TestBridgeRejectsPassthroughNet: a bridge cannot carry a network
-// without a codec — bodies must be bytes to cross a process boundary.
-func TestBridgeRejectsPassthroughNet(t *testing.T) {
-	if _, err := New(Config{Net: san.NewNetwork(1), Listen: "tcp:127.0.0.1:0"}); err == nil {
-		t.Fatal("bridge accepted a passthrough network")
-	}
+// TestBridgeRejectsBadConfig: a bridge needs a network and an address
+// to listen on.
+func TestBridgeRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Listen: "tcp:127.0.0.1:0"}); err == nil {
 		t.Fatal("bridge accepted a nil network")
 	}

@@ -5,17 +5,18 @@
 //   - a versioned frame format — magic, version, frame type, flags,
 //     call id, source/destination endpoint ids, message kind, body
 //     length, CRC32 — with alloc-free encoders that append onto the
-//     SAN's pooled wire-encode path, and a streaming Decoder that
-//     tolerates torn reads and never trusts a length it has not
-//     bounded;
+//     SAN's pooled wire bytes (every SAN serializes), and a streaming
+//     Decoder that tolerates torn reads and never trusts a length it
+//     has not bounded;
 //   - a batching writer (Batcher) that coalesces multiple frames into
 //     one Write syscall under load, flushing on size or a microsecond
 //     deadline, so per-message syscall cost amortizes away at high
 //     rates;
 //   - a Bridge that implements san.Fabric over TCP or Unix sockets:
 //     per-peer connections with a handshake, peer-list gossip for mesh
-//     formation, automatic reconnect, and a learning route table that
-//     maps endpoint addresses to peers from observed traffic.
+//     formation, automatic reconnect, and a route table built from the
+//     endpoint tables peers advertise (first packets to an address no
+//     peer has advertised yet flood).
 //
 // The data plane is zero-copy end to end. Outbound, bodies at or
 // above a small threshold are not copied into the batch buffer:
@@ -25,8 +26,8 @@
 // Bodies above DefaultChunkBytes stream as chunkFrag-sized chunk
 // frames (FlagChunk + a uvarint id/total/offset envelope) so one huge
 // body never stalls small frames queued behind it; the receiving
-// bridge reassembles the stream into a single leased buffer before
-// injecting it. Inbound,
+// bridge reassembles the stream, in order, into a single leased buffer
+// before injecting it. Inbound,
 // NewLeasedDecoder reads into san.Lease-backed buffers and delivery
 // views alias them; the decoder recycles a buffer only after every
 // consumer releases (see the Lease contract in internal/san —
@@ -116,8 +117,9 @@ var (
 // Frame is one decoded frame. The byte-slice fields alias the
 // Decoder's internal buffer and are valid only until the next call to
 // Next or Write; copy anything that must outlive the handling of this
-// frame. (san's codec already copies on DecodeBody, so handing Body
-// straight to InjectUnicast/InjectMulticast is safe.)
+// frame. (Handing Body straight to InjectUnicast/InjectMulticast is
+// safe with the Decoder's lease: a delivery whose body aliases the
+// bytes retains it.)
 type Frame struct {
 	Type   byte
 	Flags  byte

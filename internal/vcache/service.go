@@ -332,8 +332,7 @@ func (c *Client) Get(ctx context.Context, key string) (data []byte, mime string,
 // view, data aliases a pooled receive buffer and release is non-nil —
 // the caller must finish reading (or copy) before calling release, must
 // call it exactly once, and must not touch data afterwards. A nil
-// release means data is already owned (local passthrough delivery, or
-// a miss). Front ends that write the bytes straight to a client socket
+// release means there is nothing to release (a miss, or an empty value). Front ends that write the bytes straight to a client socket
 // use this to serve a cache hit without any body copy in this process.
 func (c *Client) GetView(ctx context.Context, key string) (data []byte, mime string, release func(), found bool) {
 	got, release := c.Probe(ctx, key, "", false)

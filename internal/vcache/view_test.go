@@ -1,7 +1,8 @@
 package vcache_test
 
-// View-mode equivalence over a real wire-mode SAN (external test
-// package: the codec lives in stub, which itself imports vcache).
+// View-mode equivalence over a SAN running the production codec
+// (external test package: the codec lives in stub, which itself imports
+// vcache).
 // Get and GetView must be observationally identical — same data, mime,
 // and hit/miss verdicts — and the copy-on-retain discipline must hold:
 // bytes a caller keeps past release stay stable while the zero-copy
@@ -26,12 +27,12 @@ func startViewCache(t *testing.T) *vcache.Client {
 	return client
 }
 
-// startViewCacheOn serves part over a wire-mode SAN and returns a
+// startViewCacheOn serves part over the SAN and returns a
 // client of it, and the network for tests that add endpoints.
 func startViewCacheOn(t *testing.T, part *vcache.Partition) (*vcache.Client, *san.Network) {
 	t.Helper()
-	// WireCodec implements ViewCodec, so decode views are on: cache
-	// responses arrive as leased buffers, exactly as in production.
+	// Every delivery decodes views: cache responses arrive as leased
+	// buffers, exactly as in production.
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	t.Cleanup(net.Close)
 	svc := vcache.NewService("cache0", net, "cnode", part)

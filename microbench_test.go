@@ -52,8 +52,9 @@ func ceiling(baseline float64) float64 { return baseline*1.2 + 0.5 }
 var MicroBenches = []MicroBench{
 	// Steady-state encode into a recycled buffer: alloc-free.
 	{Name: "wire_encode_append", MaxAllocs: ceiling(0), F: benchWireEncodeAppend},
-	// The decoded body's owned strings: a worker's announcement carries
-	// five, plus the boxed Member.
+	// The view decode every delivery runs, on a body with no []byte to
+	// alias: a worker's announcement's five owned strings, plus the boxed
+	// Member.
 	{Name: "wire_decode", MaxAllocs: ceiling(6), F: benchWireDecode},
 	// Alloc-free append and zero-copy streaming decode: >= 1 alloc/op
 	// means the append path or the decoder's buffer reuse broke.
@@ -160,8 +161,8 @@ func benchWireEncodeAppend(b *testing.B) error {
 	return nil
 }
 
-// benchWireDecode is the per-delivery decode: each recipient
-// materializes its own value from the shared bytes.
+// benchWireDecode is the per-delivery decode every SAN delivery runs:
+// each recipient materializes its own value from the shared bytes.
 func benchWireDecode(b *testing.B) error {
 	data, err := stub.EncodeBody(supervisor.MsgAnnounce, wireMember())
 	if err != nil {
@@ -171,7 +172,7 @@ func benchWireDecode(b *testing.B) error {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stub.DecodeBody(supervisor.MsgAnnounce, data); err != nil {
+		if _, _, err := stub.DecodeBodyView(supervisor.MsgAnnounce, data); err != nil {
 			return err
 		}
 	}
