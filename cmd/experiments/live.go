@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -31,7 +33,8 @@ func (w nullWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, er
 // distillers send a load announcement every half second (1800
 // announcements/s); the manager must absorb them. With each distiller
 // worth >20 req/s of service capacity, the manager is three orders of
-// magnitude away from being the bottleneck.
+// magnitude away from being the bottleneck. It reads the rate, and the
+// CPU the whole control plane spends, at steady state.
 func runMgrCap(seed int64) {
 	const (
 		workers        = 900
@@ -63,15 +66,18 @@ func runMgrCap(seed int64) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	fmt.Printf("registered: %d workers\n", m.Stats().Workers)
+	time.Sleep(3 * reportInterval) // past every stub's softstate.Schedule ramp
 
-	before := m.Stats().ReportsHandled
+	before, cpu0 := m.Stats().ReportsHandled, cpuSeconds()
 	start := time.Now()
 	time.Sleep(measureFor)
 	elapsed := time.Since(start).Seconds()
 	handled := float64(m.Stats().ReportsHandled-before) / elapsed
+	cpu := cpuSeconds() - cpu0
 
 	fmt.Printf("load announcements handled: %.0f/s (offered %.0f/s)\n",
 		handled, float64(workers)/reportInterval.Seconds())
+	fmt.Printf("cpu in the %.0f s window: %.2f s (user + GC)\n", elapsed, cpu)
 	perDistiller := 20.0
 	fmt.Printf("equivalent service capacity represented: %.0f req/s (paper: ~18000 req/s,\n",
 		float64(workers)*perDistiller)
@@ -81,6 +87,20 @@ func runMgrCap(seed int64) {
 	} else {
 		fmt.Printf("NOTE: handled %.0f/s on this host\n", handled)
 	}
+}
+
+// cpuSeconds is the CPU this process has spent running Go code and
+// collecting garbage (runtime/metrics' user and GC classes). The runtime
+// refreshes those classes only at a collection, so it forces one first:
+// the reading is current, and costs a few milliseconds of GC itself.
+func cpuSeconds() float64 {
+	runtime.GC()
+	samples := []metrics.Sample{
+		{Name: "/cpu/classes/user:cpu-seconds"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+	}
+	metrics.Read(samples)
+	return samples[0].Value.Float64() + samples[1].Value.Float64()
 }
 
 // await polls cond for up to ten seconds.

@@ -29,6 +29,7 @@
 //	GET /prefs?user=<id>                       show a profile
 //	GET /status                                the metrics registry as a flat JSON map
 //	GET /metrics, /trace?id=<hex>              the same registry as Prometheus text; span tree
+//	                                           (cluster-wide on the monitor's process, local elsewhere)
 //	GET /kill?component=<name>                 fault injection: any hosted component by name
 //
 // Synthetic URLs look like http://origin7.example/obj123.sjpg — any
@@ -259,8 +260,9 @@ func apiMux(sys *core.System) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		sys.Registry().WritePrometheus(w)
 	})
-	// /trace?id=<hex> renders the span tree this process can answer for
-	// — local spans plus whatever peer digests have been ingested.
+	// /trace?id=<hex> renders the span tree this process can answer for:
+	// the cluster-wide tree where the monitor runs (it ingests every
+	// process's span digests), this process's own spans elsewhere.
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		idStr := r.URL.Query().Get("id")
 		if idStr == "" {

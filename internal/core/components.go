@@ -465,8 +465,8 @@ func (s *System) monitorComponent() *component {
 }
 
 // reporterComponent publishes this process's trace spans on the report
-// group and ingests its peers', so any process can answer /trace?id=
-// with the cluster-wide tree.
+// group, where the monitor ingests them, so the monitor's process
+// answers /trace?id= with the cluster-wide tree.
 func (s *System) reporterComponent() *component {
 	return &component{
 		name: "obsrep",

@@ -71,13 +71,25 @@ func TestBenchTopologyFootprint(t *testing.T) {
 // three worker load reports of 140 B.
 const parentLivenessBytes = 562
 
+// Ceilings on the bench topology's idle deliveries an interval, both
+// SANs together. They read 85.97 messages and 11,434 B while every
+// worker decoded the whole beacon and every process took in every span
+// digest and status report; with each message reaching only its readers
+// they read ≈ 56 and ≈ 6,250.
+const (
+	idleMsgsCeiling  = 60
+	idleBytesCeiling = 7000
+)
+
 // TestIdleControlTraffic pins the bench topology's idle control plane.
-// A tap on each process's control group hears, per interval, one
-// member.announce from every front end and every cache partition, one
-// beacon and one hello per supervisor, and nothing from a worker; B's
-// SAN delivers one unicast per worker — its announcement to the manager.
-// The announcements of an interval weigh less than the liveness messages
-// they replaced.
+// Untapped, the two SANs deliver at most idleMsgsCeiling messages and
+// idleBytesCeiling bytes an interval, B's one unicast per worker (its
+// announcement to the manager) among them. Then taps listen: on each
+// process's control group one member.announce from every front end and
+// every cache partition, one beacon and one hello per supervisor, and
+// nothing from a worker; on each process's beacon group one beacon head
+// an interval, with no rows. The announcements of an interval weigh less
+// than the liveness messages they replaced.
 func TestIdleControlTraffic(t *testing.T) {
 	const intervals = 150
 	a, b := startPair(t, benchTopology)
@@ -86,11 +98,38 @@ func TestIdleControlTraffic(t *testing.T) {
 	})
 	time.Sleep(10 * tick) // past every schedule's fast start
 
+	delivered := func() (msgs, bytes uint64) {
+		for _, sys := range []*System{a, b} {
+			st := sys.Net.Stats()
+			msgs += st.Sent + st.McastSent - st.McastDropped
+			bytes += st.Bytes
+		}
+		return msgs, bytes
+	}
+	msgs0, bytes0 := delivered()
+	sent0, start := b.Net.Stats().Sent, time.Now()
+	time.Sleep(intervals * tick)
+	msgs1, bytes1 := delivered()
+	sent, n := b.Net.Stats().Sent-sent0, float64(time.Since(start))/float64(tick)
+	msgsPer, bytesPer := float64(msgs1-msgs0)/n, float64(bytes1-bytes0)/n
+	t.Logf("idle over %.1f intervals: %.2f messages and %.0f B delivered an interval", n, msgsPer, bytesPer)
+	if msgsPer > idleMsgsCeiling || bytesPer > idleBytesCeiling {
+		t.Errorf("idle deliveries %.2f messages and %.0f B an interval, want at most %d and %d",
+			msgsPer, bytesPer, idleMsgsCeiling, idleBytesCeiling)
+	}
+	perInterval := func(count, want int) bool { return math.Abs(float64(count)/n-float64(want)) <= 0.1*float64(want) }
+	workers := b.Workers()
+	if !perInterval(int(sent), len(workers)) {
+		t.Errorf("B delivered %d unicasts in %.1f intervals, want one an interval from each of %d workers", sent, n, len(workers))
+	}
+
 	type tally struct {
 		mu       sync.Mutex
-		kinds    map[string]int // deliveries by kind
+		kinds    map[string]int // control-group deliveries by kind
 		members  map[string]int // announcements by sender
 		announce int            // their body bytes
+		heads    int            // beacon-group beacons without rows
+		other    int            // anything else on the beacon group
 	}
 	var taps []*tally
 	var eps []*san.Endpoint
@@ -98,10 +137,19 @@ func TestIdleControlTraffic(t *testing.T) {
 		tl := &tally{kinds: map[string]int{}, members: map[string]int{}}
 		ep := sys.Net.Endpoint(san.Addr{Node: sys.cfg.NodePrefix + "tap", Proc: "tap"}, 4096)
 		ep.Join(stub.GroupControl)
+		ep.Join(stub.GroupBeacon)
 		go func() {
 			for msg := range ep.Inbox() {
 				tl.mu.Lock()
-				tl.kinds[msg.Kind]++
+				if msg.Group == stub.GroupBeacon {
+					if bc, ok := msg.Body.(stub.Beacon); ok && len(bc.Workers) == 0 {
+						tl.heads++
+					} else {
+						tl.other++
+					}
+				} else {
+					tl.kinds[msg.Kind]++
+				}
 				if m, ok := msg.Body.(supervisor.Member); ok {
 					tl.members[m.Addr.String()]++
 					tl.announce += msg.Size
@@ -112,14 +160,13 @@ func TestIdleControlTraffic(t *testing.T) {
 		}()
 		taps, eps = append(taps, tl), append(eps, ep)
 	}
-	sent0, start := b.Net.Stats().Sent, time.Now()
+	start = time.Now()
 	time.Sleep(intervals * tick)
-	sent, n := b.Net.Stats().Sent-sent0, float64(time.Since(start))/float64(tick)
+	n = float64(time.Since(start)) / float64(tick)
 	for _, ep := range eps {
 		ep.Close()
 	}
 
-	perInterval := func(count, want int) bool { return math.Abs(float64(count)/n-float64(want)) <= 0.1*float64(want) }
 	var members []string
 	for _, fe := range a.FrontEnds() {
 		members = append(members, fe.Addr().String())
@@ -130,7 +177,7 @@ func TestIdleControlTraffic(t *testing.T) {
 	sort.Strings(members)
 	for i, tl := range taps {
 		tl.mu.Lock()
-		t.Logf("tap %d over %.1f intervals: %v, announcements %v", i, n, tl.kinds, tl.members)
+		t.Logf("tap %d over %.1f intervals: %v, announcements %v, beacon heads %d", i, n, tl.kinds, tl.members, tl.heads)
 		var heard []string
 		for addr, count := range tl.members {
 			heard = append(heard, addr)
@@ -146,11 +193,11 @@ func TestIdleControlTraffic(t *testing.T) {
 			t.Errorf("tap %d: %d beacons and %d supervisor hellos in %.1f intervals, want 1 and 2 an interval",
 				i, tl.kinds[stub.MsgBeacon], tl.kinds[supervisor.MsgHello], n)
 		}
+		if !perInterval(tl.heads, 1) || tl.other != 0 {
+			t.Errorf("tap %d: beacon group carried %d heads and %d other messages in %.1f intervals, want one head an interval and nothing else",
+				i, tl.heads, tl.other, n)
+		}
 		tl.mu.Unlock()
-	}
-	workers := b.Workers()
-	if !perInterval(int(sent), len(workers)) {
-		t.Errorf("B delivered %d unicasts in %.1f intervals, want one an interval from each of %d workers", sent, n, len(workers))
 	}
 
 	workerBytes := 0

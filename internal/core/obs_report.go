@@ -13,10 +13,10 @@ import (
 
 // obsReporter is the per-process glue between the local obs plane and
 // the cluster: every interval it drains the tracer's newly recorded
-// local spans and multicasts them as a digest on the report group (the
-// same channel the §3.1.7 monitor already subscribes to), and it
-// ingests the digests peer processes publish so /trace?id= on any node
-// can render the cluster-wide span tree. It implements
+// local spans and multicasts them as a digest on the report group, to
+// the §3.1.7 monitor, the one listener there. It hears nothing itself:
+// /trace?id= renders the cluster-wide span tree on the monitor's
+// process, and this process's own spans elsewhere. It implements
 // cluster.Process.
 type obsReporter struct {
 	name     string
@@ -34,9 +34,8 @@ func (r *obsReporter) ID() string { return r.name }
 func (r *obsReporter) Addr() san.Addr { return san.Addr{Node: r.node, Proc: r.name} }
 
 func (r *obsReporter) Run(ctx context.Context) error {
-	ep := r.net.Endpoint(r.Addr(), san.InboxSize)
+	ep := r.net.Endpoint(r.Addr(), 1) // it only sends
 	defer ep.Close()
-	ep.Join(stub.GroupReports)
 	tracer := r.net.Tracer()
 
 	tick := time.NewTicker(r.interval)
@@ -57,11 +56,6 @@ func (r *obsReporter) Run(ctx context.Context) error {
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("core: obs reporter endpoint closed")
-			}
-			if msg.Kind == stub.MsgSpanDigest {
-				if d, isDigest := msg.Body.(stub.SpanDigest); isDigest {
-					tracer.Ingest(d.Spans)
-				}
 			}
 			msg.Release()
 		}

@@ -14,7 +14,8 @@ import (
 // tree — queried on the front-end process alone — decomposes the
 // request into front-end, dispatch, and worker hops recorded by BOTH
 // processes (the worker-side spans arrive via span-digest multicast on
-// the report group).
+// the report group, which A's monitor alone hears), while B answers for
+// its own spans only.
 func TestMultiProcessTracePropagation(t *testing.T) {
 	sysA, sysB := startPair(t, func(a, b *Config) {
 		a.TraceSampleRate = 1
@@ -66,12 +67,27 @@ func TestMultiProcessTracePropagation(t *testing.T) {
 		}
 	}
 
-	// The digests flow the other way too: B's tracer can answer for the
-	// FE-side hops.
-	waitFor(t, "FE spans ingested on the worker process", func() bool {
-		_, ok := hopsOf(sysB.Tracer())[obs.RootHop]
-		return ok
+	// Digests go to the monitor alone. Once A's reporter has published
+	// the root span (A's monitor has folded it in), B — which hosts no
+	// monitor — still holds only what it recorded itself.
+	waitFor(t, "the root span in the monitor's hop table", func() bool {
+		for _, h := range sysA.Mon.HopBreakdown() {
+			if h.Hop == obs.RootHop {
+				return true
+			}
+		}
+		return false
 	})
+	time.Sleep(3 * tick) // room for the same digest to cross to B, were B listening
+	bSpans := sysB.Tracer().Spans(resp.Trace)
+	if len(bSpans) == 0 {
+		t.Fatal("B's tracer holds none of its own spans of the request")
+	}
+	for _, sp := range bSpans {
+		if sp.Proc != "b-" {
+			t.Fatalf("B's tracer holds a span recorded by %q: %+v", sp.Proc, sp)
+		}
+	}
 
 	// Queue-wait vs service decomposition: both worker spans carry
 	// non-negative durations and the service span names the class.

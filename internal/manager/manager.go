@@ -12,6 +12,13 @@
 // protocol at all — the BASE design that replaced the original
 // process-pair prototype.
 //
+// Each beacon goes out twice, to two audiences (§3.1.3): whole on
+// stub.GroupControl, where front ends, standby replicas, supervisors, the
+// edge and the monitor hear the load table, and as its head alone
+// (manager, seq, epoch) on stub.GroupBeacon, where the workers hear that
+// a manager exists — so a worker's cost per beacon does not grow with
+// the number of workers.
+//
 // The primary's beacons refresh every listener's worker table once per
 // BeaconInterval (a softstate.Schedule), which bounds staleness. It also
 // beacons at once when its membership view changes — a worker admitted
@@ -520,7 +527,9 @@ func (m *Manager) handle(msg san.Message) {
 }
 
 // sendBeacon multicasts the manager's existence plus the current load
-// hints, and reports itself to the monitor. Whatever changed is in it.
+// hints on the control group, the existence alone (no rows) to the
+// workers on the beacon group, and reports itself to the monitor.
+// Whatever changed is in it.
 func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 	m.mu.Lock()
 	m.seq++
@@ -539,12 +548,10 @@ func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 	}
 	m.mu.Unlock()
 	sort.Slice(workers, func(i, j int) bool { return workers[i].ID < workers[j].ID })
-	ep.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
-		Manager: m.Addr(),
-		Seq:     seq,
-		Epoch:   epoch,
-		Workers: workers,
-	}, 64+len(workers)*48)
+	head := stub.Beacon{Manager: m.Addr(), Seq: seq, Epoch: epoch}
+	ep.Multicast(stub.GroupBeacon, stub.MsgBeacon, head, 64)
+	head.Workers = workers
+	ep.Multicast(stub.GroupControl, stub.MsgBeacon, head, 64+len(workers)*48)
 	ep.Multicast(stub.GroupReports, stub.MsgMonReport,
 		stub.Report(m.cfg.Net, m.cfg.Name, "manager", m.cfg.Node, m.cfg.Name), 96)
 }

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -126,6 +127,72 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 		}
 	}
 	t.Fatal("beacon load average never converged toward reports")
+}
+
+// TestBeaconAudiences: what a worker hears of a beacon, the head on the
+// beacon group, is the same bytes with 10 workers heard as with 900 —
+// its cost does not grow with the cluster — while the control group's
+// beacon, the front ends' load table, carries every row.
+func TestBeaconAudiences(t *testing.T) {
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	m, _ := startManager(t, net, "mgr", func(c *Config) { c.WorkerTTL = time.Hour })
+	worker := net.Endpoint(san.Addr{Node: "n1", Proc: "listener"}, 4096)
+	worker.Join(stub.GroupBeacon)
+	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "listener"}, 4096)
+	fe.Join(stub.GroupControl)
+	from := net.Endpoint(san.Addr{Node: "n1", Proc: "burst"}, 8)
+
+	// heads returns the worker's and the front end's copy of the first
+	// beacon carrying rows workers, and the head's size on the wire.
+	heads := func(rows int) (head, table stub.Beacon, size int) {
+		for i := m.Stats().Workers; i < rows; i++ {
+			w := supervisor.Member{Addr: san.Addr{Node: "n1", Proc: fmt.Sprintf("w%d", i)}, Kind: supervisor.KindWorker, Class: "echo", State: supervisor.StateUp}
+			if err := from.Send(m.Addr(), supervisor.MsgAnnounce, w, 64); err != nil {
+				t.Fatal(err)
+			}
+			if i%100 == 99 { // within the manager's inbox
+				waitFor(t, "announcements heard", func() bool { return m.Stats().Workers > i })
+			}
+		}
+		deadline := time.After(5 * time.Second)
+		for len(table.Workers) != rows {
+			select {
+			case msg := <-fe.Inbox():
+				table, _ = msg.Body.(stub.Beacon)
+			case <-deadline:
+				t.Fatalf("no control-group beacon with %d rows", rows)
+			}
+		}
+		for head.Seq != table.Seq {
+			select {
+			case msg := <-worker.Inbox():
+				head, size = msg.Body.(stub.Beacon), msg.Size
+			case <-deadline:
+				t.Fatalf("no beacon-group head of seq %d", table.Seq)
+			}
+		}
+		return head, table, size
+	}
+	encoded := func(b stub.Beacon) []byte {
+		b.Seq = 0
+		body, err := stub.EncodeBody(stub.MsgBeacon, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	head10, _, size10 := heads(10)
+	head900, table900, size900 := heads(900)
+	if len(head10.Workers) != 0 || len(head900.Workers) != 0 || head900.Manager != m.Addr() {
+		t.Fatalf("beacon-group heads %+v and %+v, want the manager and no rows", head10, head900)
+	}
+	if size10 != size900 || !bytes.Equal(encoded(head10), encoded(head900)) {
+		t.Fatalf("a worker's beacon weighs %d B at 10 workers and %d B at 900, want the same bytes", size10, size900)
+	}
+	if len(table900.Workers) != 900 {
+		t.Fatalf("the control group's beacon carries %d rows, want 900", len(table900.Workers))
+	}
+	t.Logf("a worker's beacon: %d B at 10 and at 900 workers; the load table at 900: %d rows", size10, len(table900.Workers))
 }
 
 // fakeLoad is a hand-rolled worker: once it has heard a beacon it

@@ -1,10 +1,11 @@
 // Package monitor implements the SNS graphical monitor (paper §3.1.7)
-// minus the Tcl/Tk pixels: it subscribes to the multicast report
-// group, presents a unified view of the system as a single virtual
-// entity, raises asynchronous alerts when a component falls silent
-// ("the monitor can page or email the system operator ... if it stops
-// receiving reports from some component"), and supports temporarily
-// disabling components for hot upgrades (§2.1).
+// minus the Tcl/Tk pixels: it is the one subscriber of the multicast
+// report group (status reports and span digests, the latter ingested
+// into its process's tracer), presents a unified view of the system as
+// a single virtual entity, raises asynchronous alerts when a component
+// falls silent ("the monitor can page or email the system operator ...
+// if it stops receiving reports from some component"), and supports
+// temporarily disabling components for hot upgrades (§2.1).
 package monitor
 
 import (
@@ -137,19 +138,12 @@ func (m *Monitor) handle(msg san.Message) {
 		if !ok {
 			return
 		}
-		// Copy the metrics map: with the in-process SAN the sender's map
-		// arrives by reference, and aliasing it would let a reporter
-		// mutate the monitor's view (or race with it) after ingest.
-		metrics := make(map[string]float64, len(r.Metrics))
-		for k, v := range r.Metrics {
-			metrics[k] = v
-		}
 		m.mu.Lock()
 		m.seen[r.Component] = &ComponentStatus{
 			Component: r.Component,
 			Kind:      r.Kind,
 			Node:      r.Node,
-			Metrics:   metrics,
+			Metrics:   r.Metrics, // decoded for this delivery: nobody else holds it
 			LastSeen:  time.Now(),
 		}
 		if m.alerted[r.Component] {
@@ -176,6 +170,9 @@ func (m *Monitor) handle(msg san.Message) {
 		if !ok {
 			return
 		}
+		// The monitor is the one place digests go: its process's tracer
+		// answers /trace?id= for the whole cluster.
+		m.cfg.Net.Tracer().Ingest(d.Spans)
 		m.mu.Lock()
 		for _, sp := range d.Spans {
 			if sp.Hop == "" {

@@ -220,7 +220,8 @@ func TestDisabledList(t *testing.T) {
 
 // TestMonitorCopiesMetricsOnIngest: the monitor's view must not alias
 // the reporter's map — a sender mutating its map after the multicast
-// must not change (or race with) what the monitor displays.
+// must not change (or race with) what the monitor displays. The SAN's
+// codec makes the copy: every delivery decodes a map of its own.
 func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
@@ -283,5 +284,9 @@ func TestMonitorHopBreakdown(t *testing.T) {
 	}
 	if !strings.Contains(m.RenderTable(), "worker.service") {
 		t.Fatal("RenderTable missing per-hop section")
+	}
+	// The monitor's process answers /trace for the spans it took in.
+	if got := net.Tracer().Spans(3); len(got) != 3 {
+		t.Fatalf("the monitor's tracer holds %d spans of trace 3, want the digest's 3", len(got))
 	}
 }

@@ -33,10 +33,12 @@
 // a mutex-guarded array write, paid only for sampled traces, so the
 // zero-copy send path stays inside its alloc gates when sampling is
 // off. Each process periodically multicasts its freshly recorded
-// spans as a digest on the report group (core's span reporter);
-// every process ingests its peers' digests into the same ring, so
-// /trace?id= on any node returns the cluster-wide span tree, and the
-// monitor folds the digests into a per-hop latency breakdown.
+// spans as a digest on the report group (core's span reporter), and
+// only the monitor listens: it ingests every digest into its process's
+// ring, dropping spans its own process recorded (they are there
+// already), and folds them into a per-hop latency breakdown. So
+// /trace?id= on the monitor's process returns the cluster-wide span
+// tree, and on any other process that process's own spans.
 //
 // A root span ("fe.request") whose duration crosses SlowThreshold
 // triggers the slow-request log: the full local span tree for that

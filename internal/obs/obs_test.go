@@ -138,6 +138,20 @@ func TestTakeNewPublishesLocalOnly(t *testing.T) {
 	}
 }
 
+// TestIngestDropsOwnProc: a digest carrying spans this process recorded
+// (the monitor hears its own process's reporter too) stores them once.
+func TestIngestDropsOwnProc(t *testing.T) {
+	tr := NewTracer(1, 16)
+	tr.SetProc("a-")
+	id := TraceID(5)
+	tr.Record(Span{Trace: id, Hop: "fe.request", Start: 1})
+	tr.Ingest(append(tr.TakeNew(100), Span{Trace: id, Hop: "worker.service", Proc: "b-", Start: 2}))
+	got := tr.Spans(id)
+	if len(got) != 2 || got[0].Proc != "a-" || got[1].Proc != "b-" {
+		t.Fatalf("Spans = %+v, want the local fe.request once and b-'s worker.service", got)
+	}
+}
+
 func TestTakeNewSkipsEvicted(t *testing.T) {
 	tr := NewTracer(1, 4)
 	id := TraceID(7)

@@ -172,14 +172,19 @@ func (t *Tracer) ForceRecord(sp Span) {
 }
 
 // Ingest sinks spans received from a peer's digest. They keep their
-// own Proc and are not republished by TakeNew (no gossip loops).
+// own Proc and are not republished by TakeNew (no gossip loops). Spans
+// whose Proc is this tracer's own are dropped: this process recorded
+// them, so they are in the ring already.
 func (t *Tracer) Ingest(spans []Span) {
 	if len(spans) == 0 {
 		return
 	}
+	t.procMu.Lock()
+	self := t.proc
+	t.procMu.Unlock()
 	t.mu.Lock()
 	for _, sp := range spans {
-		if !sp.Trace.Valid() {
+		if !sp.Trace.Valid() || sp.Proc == self {
 			continue
 		}
 		t.ring[t.head%uint64(len(t.ring))] = slot{span: sp}

@@ -67,8 +67,9 @@ func (fm *fakeManager) run(ctx context.Context, advertise func() []WorkerInfo) {
 	tk := time.NewTicker(fm.interval)
 	defer tk.Stop()
 	seq := uint64(0)
-	send := func() {
+	send := func() { // as the manager does: the head to workers, the table to the rest
 		seq++
+		fm.ep.Multicast(GroupBeacon, MsgBeacon, Beacon{Manager: fm.ep.Addr(), Seq: seq}, 64)
 		fm.ep.Multicast(GroupControl, MsgBeacon, Beacon{
 			Manager: fm.ep.Addr(), Seq: seq, Workers: advertise(),
 		}, 128)

@@ -13,6 +13,8 @@
 // multicast on the control group, so the primary admits it milliseconds
 // after it starts; from its first beacon on it is unicast to that
 // manager, and a new manager's beacon is answered at once (§3.1.3). A
+// worker hears only the beacon's head, on GroupBeacon: the load table is
+// for front ends, so a worker's cost per beacon does not grow with N. A
 // worker disabled for a hot upgrade keeps announcing, as draining: the
 // manager leaves it out of the beacons and does not restart it. A worker
 // stopped on purpose (reaped, or a restart's stop half) says down as its
@@ -38,10 +40,14 @@ import (
 // Multicast groups. Components discover each other exclusively through
 // these — the paper's "use of IP multicast provides a level of
 // indirection and relieves components of having to explicitly locate
-// each other" (§3.1.2).
+// each other" (§3.1.2). Each message goes to the group of those who read
+// it: the primary beacons its existence to the workers on GroupBeacon
+// and its load table to everyone else on GroupControl (§3.1.3), and
+// status reports and span digests go to the monitor alone (§3.1.7).
 const (
-	GroupControl = "sns.control" // manager beacons, supervisor hellos, member announcements
-	GroupReports = "sns.reports" // monitor state reports
+	GroupControl = "sns.control" // full manager beacons, supervisor hellos, member announcements
+	GroupBeacon  = "sns.beacon"  // the beacon's head (Manager, Seq, Epoch, no rows): what a worker reads
+	GroupReports = "sns.reports" // status reports and span digests, joined by the monitor only
 )
 
 // Message kinds. Liveness is supervisor.MsgAnnounce, whose Member body
@@ -132,9 +138,10 @@ func Report(net *san.Network, component, kind, node, collector string) StatusRep
 
 // SpanDigest batches freshly recorded trace spans for the report
 // group: each process's span reporter multicasts one every report
-// interval, and every process ingests its peers' digests, so any
-// node can answer /trace?id= for the whole cluster (and the monitor
-// folds the same stream into its per-hop latency table).
+// interval, and the monitor alone takes them in — into its process's
+// tracer, so /trace?id= there answers for the whole cluster, and into
+// its per-hop latency table. Every other process answers for its own
+// spans only.
 type SpanDigest struct {
 	Spans []obs.Span
 }

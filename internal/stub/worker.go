@@ -166,7 +166,7 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 	}
 	ep := s.ep
 	defer ep.Close()
-	ep.Join(GroupControl)
+	ep.Join(GroupBeacon) // the head only: the load table is the front ends'
 	// Drop the collector on exit: an extra's id is never used again, and
 	// a slot's successor sets its own, so a dead worker.<id> family never
 	// sits in /metrics with this stub pinned behind it.

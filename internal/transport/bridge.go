@@ -1047,57 +1047,28 @@ func (b *Bridge) removePeer(p *peer) {
 // offsets in a lease-backed buffer sized for the full body, so the
 // completed message injects with zero further copies.
 type chunkBuild struct {
-	lease *san.Lease
-	buf   []byte
-	got   int // bytes received: where the next fragment must start
+	lease  *san.Lease
+	buf    []byte
+	got    int    // bytes received: where the next fragment must start
+	opened uint64 // the connection's build count when it opened, for FIFO eviction
 }
 
 // maxChunkBuilds bounds concurrent reassemblies per connection — a
 // hostile or wildly interleaving peer pins at most maxChunkBuilds ×
-// MaxChunkBody. maxDeadChunkIDs bounds the memory of finished
-// streams: ids whose build completed, corrupted, or was evicted stay
-// on a dead list so their late fragments are dropped outright instead
-// of seeding a fresh build that can never complete (which would pin a
-// new lease until eviction came around for it again).
-const (
-	maxChunkBuilds  = 64
-	maxDeadChunkIDs = 1024
-)
+// MaxChunkBody.
+const maxChunkBuilds = 64
 
 // chunkAsm is a connection's reassembly table (owned by its read loop,
 // so unlocked).
 type chunkAsm struct {
-	builds    map[uint64]*chunkBuild
-	order     []uint64 // build insertion order, for FIFO eviction
-	dead      map[uint64]bool
-	deadOrder []uint64 // FIFO eviction for dead
+	builds map[uint64]*chunkBuild
+	opened uint64 // builds ever opened
 }
 
 func (a *chunkAsm) drop(id uint64) {
 	if cb := a.builds[id]; cb != nil {
 		cb.lease.Release()
 		delete(a.builds, id)
-	}
-}
-
-// markDead retires a stream id: late fragments carrying it are dropped
-// at the door from now on. The set is FIFO-bounded; ids are never
-// reused within a connection (the sender mints them from a counter),
-// so an id aging off the list can only readmit a fragment delayed past
-// maxDeadChunkIDs whole streams — at which point the build it seeds is
-// ordinary eviction fodder.
-func (a *chunkAsm) markDead(id uint64) {
-	if a.dead == nil {
-		a.dead = make(map[uint64]bool)
-	}
-	if a.dead[id] {
-		return
-	}
-	a.dead[id] = true
-	a.deadOrder = append(a.deadOrder, id)
-	if len(a.deadOrder) > maxDeadChunkIDs {
-		delete(a.dead, a.deadOrder[0])
-		a.deadOrder = a.deadOrder[1:]
 	}
 }
 
@@ -1189,54 +1160,46 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 // and injects the message when the last fragment lands. The frame's
 // CRC already passed, so a malformed envelope or an inconsistent total
 // is a sender bug; it poisons only that stream, not the connection.
+//
+// A sender writes a stream's fragments in order to one connection, so
+// each starts where the last ended, and only a stream's first fragment
+// (offset 0) opens a build; a gap, repeat or overlap would complete the
+// build with a hole (ParseChunk keeps frag within total). Any other
+// fragment without an open build — the tail of a stream that was
+// evicted or poisoned, or a stray — is counted and dropped before
+// anything is allocated for the total it declares.
 func (b *Bridge) handleChunk(asm *chunkAsm, f Frame, from, to san.Addr, kind string) {
 	id, total, offset, frag, err := ParseChunk(f.Body)
 	if err != nil {
 		b.frameErrors.Add(1)
 		return
 	}
-	if asm.dead[id] {
-		// Late fragment of a stream that already completed, corrupted,
-		// or was evicted: it must never seed a fresh build.
-		return
-	}
 	cb := asm.builds[id]
 	if cb == nil {
-		cb = &chunkBuild{lease: san.NewLease(total)}
-		cb.buf = cb.lease.Bytes()[:total]
-		asm.builds[id] = cb
-		asm.order = append(asm.order, id)
-		for len(asm.builds) > maxChunkBuilds && len(asm.order) > 0 {
-			evicted := asm.order[0]
-			asm.order = asm.order[1:]
-			if asm.builds[evicted] == nil {
-				continue // stale entry of an already-finished stream
-			}
-			// A live stream is being sacrificed: release its lease and
-			// retire the id, so the fragments still in flight for it
-			// cannot restart an uncompletable build.
-			asm.drop(evicted)
-			asm.markDead(evicted)
+		if offset != 0 {
+			b.frameErrors.Add(1)
+			return
 		}
-		// Finished streams leave stale ids behind in order; compact
-		// before the slice outgrows a small multiple of the live bound.
-		if len(asm.order) > 4*maxChunkBuilds {
-			live := asm.order[:0]
-			for _, oid := range asm.order {
-				if asm.builds[oid] != nil {
-					live = append(live, oid)
+		if len(asm.builds) == maxChunkBuilds {
+			// The oldest live stream is sacrificed; its fragments still in
+			// flight find no build and are dropped at the door.
+			var oldest *chunkBuild
+			var oldestID uint64
+			for oid, ob := range asm.builds {
+				if oldest == nil || ob.opened < oldest.opened {
+					oldest, oldestID = ob, oid
 				}
 			}
-			asm.order = live
+			asm.drop(oldestID)
 		}
+		asm.opened++
+		cb = &chunkBuild{lease: san.NewLease(total), opened: asm.opened}
+		cb.buf = cb.lease.Bytes()[:total]
+		asm.builds[id] = cb
 	}
-	// A sender writes a stream's fragments in order to one connection,
-	// so each starts where the last ended; a gap, repeat or overlap would
-	// complete the build with a hole (ParseChunk keeps frag within total).
 	if total != len(cb.buf) || offset != cb.got {
 		b.frameErrors.Add(1)
-		asm.drop(id)
-		asm.markDead(id) // the stream is poisoned; its tail is garbage
+		asm.drop(id) // the stream is poisoned; its tail is garbage
 		return
 	}
 	copy(cb.buf[offset:], frag)
@@ -1244,8 +1207,7 @@ func (b *Bridge) handleChunk(asm *chunkAsm, f Frame, from, to san.Addr, kind str
 	if cb.got < len(cb.buf) {
 		return
 	}
-	delete(asm.builds, id) // stale order entry: skipped by eviction, compacted later
-	asm.markDead(id)       // a late duplicate must not rebuild a done stream
+	delete(asm.builds, id)
 	b.reassembled.Add(1)
 	if b.net.InjectUnicast(from, to, kind, f.CallID, f.Flags&FlagReply != 0, obs.TraceID(f.Trace), cb.buf, cb.lease) {
 		b.injected.Add(1)

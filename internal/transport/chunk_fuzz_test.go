@@ -85,7 +85,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			for i := range frag {
 				frag[i] = senderByte(id, start+i)
 			}
-			if asm.builds[id] == nil && !asm.dead[id] {
+			if asm.builds[id] == nil && start == 0 {
 				declared[id] = total // this fragment seeds the stream's build
 			}
 			body := append(appendChunkEnv(nil, id, total, start), frag...)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +17,9 @@ import (
 
 // These tests pin the lease-lifecycle contract of the chunked data
 // plane: every Retain handed to a batcher is balanced by exactly one
-// Release no matter how the stream dies, and a stream id that
-// completed, corrupted, or was evicted can never seed a fresh
-// reassembly build from its late fragments.
+// Release no matter how the stream dies, and only a stream's first
+// fragment can open a reassembly build: the late fragments of one that
+// completed, corrupted, or was evicted are dropped at the door.
 
 // newChunkBridge builds the minimal Bridge the chunk send/receive
 // paths need — counters, frame pool, and a network for injection —
@@ -210,11 +211,11 @@ func feedChunk(b *Bridge, asm *chunkAsm, id uint64, total, offset int, frag []by
 }
 
 // TestChunkReassemblyDeadStreams drives hostile fragment interleavings
-// straight into handleChunk and asserts the dead-id bookkeeping: late
-// or duplicate fragments of finished streams are dropped at the door,
-// eviction picks live builds (skipping stale order entries) and
-// releases their leases, poisoned streams stay poisoned, and every
-// bookkeeping structure stays bounded.
+// straight into handleChunk: a fragment that does not start a stream
+// finds no build once its stream completed, was evicted or was poisoned,
+// and is dropped at the door; eviction picks live builds (skipping stale
+// order entries) and releases their leases; and the bookkeeping stays
+// bounded.
 func TestChunkReassemblyDeadStreams(t *testing.T) {
 	t.Run("late fragment of a completed stream", func(t *testing.T) {
 		b := newChunkBridge()
@@ -254,15 +255,15 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 		if refs := victim.lease.Refs(); refs != 1 {
 			t.Fatalf("evicted build's lease refs = %d, want 1 (only the test's hold) — eviction leaked the build reference", refs)
 		}
-		if !asm.dead[100] {
-			t.Fatal("evicted stream id not marked dead")
-		}
 		// The evicted stream's tail arrives late: it must not restart an
-		// uncompletable build (the pre-fix leak: a new lease pinned until
-		// eviction wrapped around again).
+		// uncompletable build (a new lease pinned until eviction wrapped
+		// around again).
 		feedChunk(b, asm, 100, 8, 4, []byte{4, 5, 6, 7})
 		if asm.builds[100] != nil {
 			t.Fatal("late fragment of an evicted stream seeded a fresh build")
+		}
+		if got := b.frameErrors.Load(); got != 1 {
+			t.Fatalf("frameErrors = %d, want 1: the stray tail is counted", got)
 		}
 		if got := b.reassembled.Load(); got != 0 {
 			t.Fatalf("reassembled = %d, want 0", got)
@@ -272,7 +273,7 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 	t.Run("eviction skips stale order entries of finished streams", func(t *testing.T) {
 		b := newChunkBridge()
 		asm := &chunkAsm{builds: make(map[uint64]*chunkBuild)}
-		// Three streams complete; their order entries go stale.
+		// Three streams complete: opened first, no longer live.
 		for id := uint64(1); id <= 3; id++ {
 			feedChunk(b, asm, id, 4, 0, []byte{9, 9, 9, 9})
 		}
@@ -281,17 +282,14 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 			feedChunk(b, asm, id, 8, 0, []byte{0, 1, 2, 3})
 		}
 		feedChunk(b, asm, 500, 8, 0, []byte{0, 1, 2, 3})
-		// Pre-fix, popping a stale entry counted as the eviction and the
-		// table stayed over budget; now the oldest LIVE build (id 10) is
-		// the one sacrificed.
+		// A finished stream never counts as the eviction (the table would
+		// stay over budget): the oldest LIVE build (id 10) is the one
+		// sacrificed.
 		if len(asm.builds) != maxChunkBuilds {
 			t.Fatalf("builds = %d after eviction, want %d", len(asm.builds), maxChunkBuilds)
 		}
 		if asm.builds[10] != nil {
 			t.Fatal("oldest live build survived eviction")
-		}
-		if !asm.dead[10] {
-			t.Fatal("evicted live stream not marked dead")
 		}
 		if asm.builds[11] == nil || asm.builds[500] == nil {
 			t.Fatal("eviction removed the wrong builds")
@@ -307,8 +305,8 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 		if b.frameErrors.Load() != 1 {
 			t.Fatalf("frameErrors = %d, want 1", b.frameErrors.Load())
 		}
-		if asm.builds[42] != nil || !asm.dead[42] {
-			t.Fatal("poisoned stream not dropped and retired")
+		if asm.builds[42] != nil {
+			t.Fatal("poisoned stream not dropped")
 		}
 		// Even a well-formed tail of the poisoned stream is garbage now.
 		feedChunk(b, asm, 42, 8, 4, []byte{4, 5, 6, 7})
@@ -333,23 +331,29 @@ func TestChunkReassemblyDeadStreams(t *testing.T) {
 		if len(asm.builds) != 0 {
 			t.Fatalf("%d builds leaked", len(asm.builds))
 		}
-		if len(asm.dead) > maxDeadChunkIDs || len(asm.deadOrder) > maxDeadChunkIDs {
-			t.Fatalf("dead set unbounded: %d ids, %d order entries (cap %d)",
-				len(asm.dead), len(asm.deadOrder), maxDeadChunkIDs)
-		}
-		if len(asm.order) > 4*maxChunkBuilds+1 {
-			t.Fatalf("order slice not compacted: %d entries", len(asm.order))
-		}
-		// The most recent completions are still remembered as dead…
-		if !asm.dead[n] || !asm.dead[n-maxDeadChunkIDs+1] {
-			t.Fatal("recent stream ids missing from the dead set")
-		}
-		// …and a fragment bearing one is still refused.
-		feedChunk(b, asm, n, 4, 0, []byte{1, 2, 3, 4})
-		if len(asm.builds) != 0 {
-			t.Fatal("dead id readmitted a build")
-		}
 	})
+}
+
+// TestChunkStrayFragmentAllocatesNothing: a fragment that does not
+// start a stream and finds no build is counted and dropped before the
+// receiver allocates anything for the total it declares — here the
+// largest a stream may claim, which a build would have to allocate.
+func TestChunkStrayFragmentAllocatesNothing(t *testing.T) {
+	b := newChunkBridge()
+	asm := &chunkAsm{builds: make(map[uint64]*chunkBuild)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	feedChunk(b, asm, 7, MaxChunkBody, 4096, []byte{1, 2, 3, 4})
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("one stray fragment allocated %d bytes, want < 1 MiB", grown)
+	}
+	if len(asm.builds) != 0 {
+		t.Fatalf("a stray fragment opened %d builds", len(asm.builds))
+	}
+	if got := b.frameErrors.Load(); got != 1 {
+		t.Fatalf("frameErrors = %d, want 1", got)
+	}
 }
 
 // TestAbandonedReplyLeaseBalance: a reply frame whose Call has given up

@@ -36,8 +36,9 @@
 # leg; fe.fe0.shed and fe.fe0.degraded must have counted.
 #
 # Leg 4 [trace] — end-to-end tracing: with -trace-sample 1 one /fetch
-# returns an X-Trace-Id; /trace?id= on the serving process must render a
-# span tree recorded by BOTH OS processes (front-end hops here, worker
+# returns an X-Trace-Id; /trace?id= on the serving process, which hosts
+# the monitor (the one taker of span digests), must render a span tree
+# recorded by BOTH OS processes (front-end hops here, worker
 # queue-wait + service hops and the partition's store of the request's
 # one-way cache writes crossed back as span digests), with the cache
 # read in it as one hop a side: one fe.cache, one cache.serve, their
@@ -350,7 +351,7 @@ trace_id=$(curl -fsS -D - -o /dev/null \
 [[ -n "${trace_id}" ]] || fail trace "/fetch returned no X-Trace-Id header"
 echo "smoke: [trace] trace id ${trace_id}"
 
-# The worker-side spans cross back on the next report tick; poll /trace
+# The worker-side spans cross to the monitor on the next report tick; poll /trace
 # until the tree covers both OS processes and decomposes the worker's
 # part into queue-wait and service time.
 tree_complete() {
