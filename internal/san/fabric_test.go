@@ -19,7 +19,7 @@ type fakeFabric struct {
 	noRoute  bool // report delivery failure
 }
 
-func (f *fakeFabric) Unicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool {
+func (f *fakeFabric) Unicast(from, to Addr, kind string, callID uint64, reply, _ bool, trace obs.TraceID, wire []byte, lease *Lease) bool {
 	f.unicasts++
 	if f.noRoute {
 		return false

@@ -208,6 +208,10 @@ type Codec interface {
 	DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error)
 }
 
+// Prompter marks a body a fabric sends at once instead of holding it for
+// a batch: a distillation's task or result (stub.TaskMsg, stub.ResultMsg).
+type Prompter interface{ Prompt() }
+
 // Fabric carries SAN traffic to endpoints hosted by other OS
 // processes — the pluggable seam the socket transport plugs into
 // (internal/transport.Bridge). Implementations receive already-encoded
@@ -224,8 +228,9 @@ type Fabric interface {
 	// chunked writes) retains it instead of copying, releasing when
 	// the socket write completes. A nil lease keeps the old contract:
 	// copy to retain. A non-zero trace rides the frame so the receiving
-	// process can stamp it back onto the delivered Message.
-	Unicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool
+	// process can stamp it back onto the delivered Message. prompt: the
+	// body is a Prompter, to be sent now rather than held for a batch.
+	Unicast(from, to Addr, kind string, callID uint64, reply, prompt bool, trace obs.TraceID, wire []byte, lease *Lease) bool
 	// Multicast forwards a group message to every remote process;
 	// each re-fans it out to its own local group members.
 	Multicast(from Addr, group, kind string, wire []byte)
@@ -1024,7 +1029,8 @@ func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply boo
 		return nil
 	}
 	if !local {
-		handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, trace, wire, lease)
+		_, prompt := body.(Prompter)
+		handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, prompt, trace, wire, lease)
 		lease.Release()
 		if !handed {
 			n.dropped.Add(1)

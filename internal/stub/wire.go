@@ -111,6 +111,12 @@ type ResultMsg struct {
 	Err  string // empty on success
 }
 
+// Prompt makes a task and its result san.Prompters, written at once
+// whatever their size: a front end's request blocks on its one dispatch
+// and a worker serves one task at a time, so nothing would share a write.
+func (TaskMsg) Prompt()   {}
+func (ResultMsg) Prompt() {}
+
 // SpawnReq asks the manager to start a worker of a class the front end
 // found no instances of.
 type SpawnReq struct {

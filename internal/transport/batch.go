@@ -11,12 +11,14 @@ import (
 // Batching defaults. The delay is nominal: a Go process with idle Ps
 // parks in epoll_wait at millisecond granularity, so the timer fires
 // ~1.1 ms after it is armed and a frame that waits for it pays that on
-// some request's critical path. The size threshold says which frames
-// wait: at 8 KiB and up a frame is a body on the move (an original on
-// its way to Put, a distiller task, a relay fragment) — one or two per
-// request, several packets each, nothing to gain from sharing a
-// write(2) — so its appender writes it, and whatever is staged, at
-// once. The small frames that do arrive in bursts keep the deadline
+// some request's critical path. Two kinds of frame never wait, because
+// a request sends one or two of each and nothing would share their
+// write(2): a body on the move at 8 KiB and up (an original on its way
+// to Put, a relay fragment), and a prompt frame, a distillation's task
+// or result (a worker serves one task at a time, each result behind
+// tenths of a millisecond of distiller CPU). Their appender writes them,
+// and whatever is staged, at once. The small frames that do arrive in
+// bursts (cache probes and writes, announcements) keep the deadline
 // (ROADMAP item 1 has what writing those at once measures and needs).
 const (
 	DefaultFlushBytes = 8 << 10
@@ -40,8 +42,8 @@ type BatchStats struct {
 	Frames       uint64 // frames appended
 	Batches      uint64 // Write calls issued
 	Bytes        uint64 // bytes written
-	SizeFlushes  uint64 // flushes triggered by the size threshold
-	TimeFlushes  uint64 // flushes triggered by the deadline
+	NowFlushes   uint64 // flushes an appender ran: the size threshold, or a prompt frame
+	TimeFlushes  uint64 // flushes that waited: the deadline, or an explicit Flush/Close
 	VecFrames    uint64 // frames whose body went out as its own iovec
 	VecBytes     uint64 // body bytes written without staging (writev)
 	Backpressure uint64 // appends refused because the queue bound was hit
@@ -69,9 +71,9 @@ type cut struct {
 }
 
 // Batcher coalesces frames into one buffered write per flush. Appends
-// accumulate until the staged bytes reach DefaultFlushBytes (flushed by
-// the appender's goroutine) or the oldest pending frame has waited
-// DefaultFlushDelay (flushed from a timer).
+// accumulate until the staged bytes reach DefaultFlushBytes or a prompt
+// frame arrives (flushed by the appender's goroutine), or the oldest
+// pending frame has waited DefaultFlushDelay (flushed from a timer).
 //
 // Writes happen OUTSIDE the batcher's lock: the goroutine that
 // triggers a flush takes ownership of the staged bytes (becoming the
@@ -124,10 +126,12 @@ func NewBatcher(w io.Writer, maxBytes int) *Batcher {
 // Append queues one frame — hdr ++ body ++ trailer on the wire — and
 // is the only way into the socket. hdr and trailer are copied into the
 // staging buffer, so the caller's buffers are free for reuse on return;
-// a fully staged frame is Append(frame, nil, nil, nil). A non-empty
-// body (the AppendDataVec split) is only referenced: at flush it goes
-// to the socket as its own iovec, and until done runs the caller must
-// keep it immutable and alive — exactly the Lease.Retain/Release
+// a fully staged frame is Append(frame, nil, nil, false, nil). A prompt
+// frame never waits for the deadline: on return it has been written with
+// everything staged before it, or an active drainer will carry it. A
+// non-empty body (the AppendDataVec split) is only referenced: at flush
+// it goes to the socket as its own iovec, and until done runs the caller
+// must keep it immutable and alive — exactly the Lease.Retain/Release
 // contract. done, if non-nil, runs exactly once: after the write that
 // carried the frame completes (successfully or not), or inline when
 // the append is refused (closed, sticky error, backpressure — nothing
@@ -135,7 +139,7 @@ func NewBatcher(w io.Writer, maxBytes int) *Batcher {
 // a frame still staged when an earlier write fails: it is dropped and
 // its done runs under the batcher's lock, so done must never call back
 // into the Batcher.
-func (b *Batcher) Append(hdr, body, trailer []byte, done func()) error {
+func (b *Batcher) Append(hdr, body, trailer []byte, prompt bool, done func()) error {
 	b.mu.Lock()
 	if err := b.refusalLocked(len(hdr) + len(body) + len(trailer)); err != nil {
 		b.mu.Unlock()
@@ -155,7 +159,7 @@ func (b *Batcher) Append(hdr, body, trailer []byte, done func()) error {
 	b.buf = append(b.buf, trailer...)
 	b.pending++
 	b.stats.Frames++
-	err := b.afterAppendLocked()
+	err := b.afterAppendLocked(prompt)
 	b.mu.Unlock()
 	return err
 }
@@ -175,11 +179,11 @@ func (b *Batcher) refusalLocked(n int) error {
 	return nil
 }
 
-func (b *Batcher) afterAppendLocked() error {
+func (b *Batcher) afterAppendLocked(prompt bool) error {
 	if q := uint64(len(b.buf) + b.ext); q > b.stats.MaxQueued {
 		b.stats.MaxQueued = q
 	}
-	if len(b.buf)+b.ext < b.flushBytes {
+	if !prompt && len(b.buf)+b.ext < b.flushBytes {
 		if !b.armed {
 			b.armed = true
 			if b.timer == nil {
@@ -195,7 +199,7 @@ func (b *Batcher) afterAppendLocked() error {
 		// retires; starting a second write would reorder the stream.
 		return nil
 	}
-	return b.drainLocked(&b.stats.SizeFlushes)
+	return b.drainLocked(&b.stats.NowFlushes)
 }
 
 func (b *Batcher) timerFlush() {

@@ -84,6 +84,7 @@ type Stats struct {
 	FramesIn     uint64 // frames decoded from peers
 	BytesIn      uint64 // raw bytes read
 	Batches      uint64 // write syscalls issued (all peers, lifetime)
+	TimerWrites  uint64 // of those, the ones the flush timer ran: frames that waited for the clock
 	BytesOut     uint64 // bytes written (all peers, lifetime)
 	Floods       uint64 // unicasts sent to every peer for lack of any route
 	FrameErrors  uint64 // connections dropped for stream corruption
@@ -182,6 +183,7 @@ type Bridge struct {
 	// Batch counters accumulated from connections that have closed;
 	// Stats() adds the live batchers on top.
 	deadBatches      atomic.Uint64
+	deadTimerWrites  atomic.Uint64
 	deadBytesOut     atomic.Uint64
 	deadBackpressure atomic.Uint64
 	deadMaxQueued    atomic.Uint64 // max, not sum: high-water across dead conns
@@ -232,6 +234,7 @@ func New(cfg Config) (*Bridge, error) {
 		emit("bytes_in", float64(st.BytesIn))
 		emit("bytes_out", float64(st.BytesOut))
 		emit("batches", float64(st.Batches))
+		emit("timer_writes", float64(st.TimerWrites))
 		emit("floods", float64(st.Floods))
 		emit("frame_errors", float64(st.FrameErrors))
 		emit("injected", float64(st.Injected))
@@ -362,6 +365,7 @@ func (b *Bridge) Stats() Stats {
 		Chunked:      b.chunked.Load(),
 		Reassembled:  b.reassembled.Load(),
 		Batches:      b.deadBatches.Load(),
+		TimerWrites:  b.deadTimerWrites.Load(),
 		BytesOut:     b.deadBytesOut.Load(),
 		Backpressure: b.deadBackpressure.Load(),
 		MaxQueued:    b.deadMaxQueued.Load(),
@@ -376,6 +380,7 @@ func (b *Bridge) Stats() Stats {
 	for _, batch := range live {
 		bs := batch.Stats()
 		st.Batches += bs.Batches
+		st.TimerWrites += bs.TimeFlushes
 		st.BytesOut += bs.Bytes
 		st.Backpressure += bs.Backpressure
 		if bs.MaxQueued > st.MaxQueued {
@@ -428,8 +433,9 @@ func (b *Bridge) isClosed() bool {
 // analogue of sending to an unbound local address. A never-advertised
 // address floods: a process can hear of an endpoint (a worker named in
 // a manager's beacon) on one connection before the advert from the
-// endpoint's own process lands on another.
-func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
+// endpoint's own process lands on another. A prompt frame never waits
+// for the flush timer (Batcher.Append).
+func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
 	var stack [1]*peer
 	targets := stack[:0]
 	b.mu.RLock()
@@ -460,7 +466,7 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bo
 	// frames interleave between them instead of stalling a whole batch
 	// behind one 500 KB blob.
 	if lease != nil && len(wire) > DefaultChunkBytes && len(wire) <= MaxChunkBody {
-		return b.unicastChunked(targets, from, to, kind, callID, flags, trace, wire, lease)
+		return b.unicastChunked(targets, from, to, kind, callID, flags, prompt, trace, wire, lease)
 	}
 
 	bufp := b.framePool.Get().(*[]byte)
@@ -484,7 +490,7 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bo
 		if trace.Sampled() {
 			done = b.flushSpan(trace, kind, len(wire), done)
 		}
-		if b.appendToPeer(p, hdr, body, trailer, done) {
+		if b.appendToPeer(p, hdr, body, trailer, prompt, done) {
 			sent++
 		}
 	}
@@ -508,8 +514,8 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply bo
 // of it — inline when the append is refused, after the flush that
 // wrote the fragment otherwise. The Retain therefore
 // sits immediately before the hand-off and nowhere else; this loop
-// itself never releases.
-func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string, callID uint64, flags byte, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
+// itself never releases. A prompt body's fragments are prompt too.
+func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string, callID uint64, flags byte, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
 	id := b.chunkSeq.Add(1)
 	total := len(wire)
 	flags |= FlagChunk
@@ -546,7 +552,7 @@ func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string,
 				// fragment's flush completes.
 				done = b.flushSpan(trace, kind, total, done)
 			}
-			if b.appendToPeer(p, hdr, frag, trailer[:], done) {
+			if b.appendToPeer(p, hdr, frag, trailer[:], prompt, done) {
 				frames++
 				if off == 0 {
 					sent++
@@ -618,7 +624,7 @@ func (b *Bridge) broadcastAdvert(op byte, a san.Addr, peers []*peer) {
 	one[0] = a
 	frame := AppendAdvert((*bufp)[:0], op, one[:])
 	for _, p := range peers {
-		b.appendToPeer(p, frame, nil, nil, nil)
+		b.appendToPeer(p, frame, nil, nil, false, nil)
 	}
 	*bufp = frame[:0]
 	b.framePool.Put(bufp)
@@ -663,8 +669,12 @@ func (b *Bridge) applyAdvertised(p *peer, addrs []san.Addr) {
 // the read loop unblocks, the peer is removed, and the dial loop
 // redials — a wedged connection must never keep counting as a live
 // peer. The batcher runs done itself on every path, refusals included.
-func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, done func()) bool {
-	err := p.batch.Append(hdr, body, trailer, done)
+// A prompt appender writes its own frame, so a worker answering a task
+// can block in a stalled peer's write for one writeTimeout at most, once
+// per connection: the failed write closes the peer, and meanwhile other
+// appenders stage behind it or get ErrBackpressure at once.
+func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, prompt bool, done func()) bool {
+	err := p.batch.Append(hdr, body, trailer, prompt, done)
 	if err == nil {
 		return true
 	}
@@ -721,7 +731,7 @@ func (b *Bridge) Multicast(from san.Addr, group, kind string, wire []byte) {
 	frame := AppendMcast((*bufp)[:0], from, group, kind, wire)
 	sent := 0
 	for _, p := range peers {
-		if b.appendToPeer(p, frame, nil, nil, nil) {
+		if b.appendToPeer(p, frame, nil, nil, false, nil) {
 			sent++
 		}
 	}
@@ -949,7 +959,7 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 	if len(catchup) > 0 {
 		bufp := b.framePool.Get().(*[]byte)
 		frame := AppendAdvert((*bufp)[:0], AdvertUp, catchup)
-		b.appendToPeer(p, frame, nil, nil, nil)
+		b.appendToPeer(p, frame, nil, nil, false, nil)
 		*bufp = frame[:0]
 		b.framePool.Put(bufp)
 	}
@@ -1020,6 +1030,7 @@ func (b *Bridge) removePeer(p *peer) {
 	p.close()
 	bs := p.batch.Stats()
 	b.deadBatches.Add(bs.Batches)
+	b.deadTimerWrites.Add(bs.TimeFlushes)
 	b.deadBytesOut.Add(bs.Bytes)
 	b.deadBackpressure.Add(bs.Backpressure)
 	for {

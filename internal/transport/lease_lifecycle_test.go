@@ -104,7 +104,7 @@ func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 
 	from := san.Addr{Node: "a", Proc: "src"}
 	to := san.Addr{Node: "b", Proc: "dst"}
-	ok := b.unicastChunked([]*peer{good, bad}, from, to, "blob", 7, 0, 0, wire, lease)
+	ok := b.unicastChunked([]*peer{good, bad}, from, to, "blob", 7, 0, false, 0, wire, lease)
 	if !ok {
 		t.Fatal("unicastChunked reported total failure despite a healthy peer")
 	}
@@ -186,7 +186,7 @@ func TestChunkedConcurrentStreamsLeaseBalance(t *testing.T) {
 		wg.Add(1)
 		go func(i int, wire []byte, lease *san.Lease) {
 			defer wg.Done()
-			b.unicastChunked([]*peer{good, bad}, from, to, "blob", uint64(i), 0, 0, wire, lease)
+			b.unicastChunked([]*peer{good, bad}, from, to, "blob", uint64(i), 0, false, 0, wire, lease)
 		}(i, wire, lease)
 	}
 	wg.Wait()

@@ -74,6 +74,12 @@ var MicroBenches = []MicroBench{
 	// whose 16 KiB original answers. blob_relay's round trip plus the
 	// second key's string at the partition's decode.
 	{Name: "cache_probe_pair", MaxAllocs: ceiling(16), F: benchCacheProbePair},
+	// One distillation's dispatch without the distiller: a small task out
+	// and its result back across the bridged pair. Both are prompt, so
+	// neither waits for the flush timer (≈ 31 µs/op on the reference
+	// host; 2.2 ms when each waited a tick). The 8 are the two decodes
+	// and the Call's reply channel.
+	{Name: "dispatch_rtt", MaxAllocs: ceiling(8), F: benchDispatchRTT},
 	// "At most one body copy per hop" in numbers: B/op stays far below
 	// the body size. The ceiling is an eighth of the body, not a margin
 	// over the ~1-2 KB baseline: at the gate's run length one missed
@@ -451,6 +457,51 @@ func benchCacheProbePair(b *testing.B) error {
 	b.StopTimer()
 	if we := netA.Stats().WireErrors + netB.Stats().WireErrors; we != 0 {
 		return fmt.Errorf("wire errors during paired probes: %d", we)
+	}
+	return nil
+}
+
+// benchDispatchRTT measures the front end's Call of a 512-byte task to a
+// worker endpoint across the bridged pair, which answers each task with
+// its input as the result, from its own receive loop.
+func benchDispatchRTT(b *testing.B) error {
+	netA, netB, _, err := bridgedPair(b)
+	if err != nil {
+		return err
+	}
+	fe := netA.Endpoint(san.Addr{Node: "a-fe", Proc: "fe0"}, san.InboxSize)
+	wk := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, san.InboxSize)
+	go func() {
+		for msg := range wk.Inbox() {
+			if tm, ok := msg.Body.(stub.TaskMsg); ok {
+				_ = wk.Respond(msg, stub.MsgResult, stub.ResultMsg{Blob: tm.Task.Input}, 0)
+			}
+			msg.Release()
+		}
+	}()
+	task := stub.TaskMsg{Task: tacc.Task{Key: "k", Input: tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 512)}}}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dispatch := func() error {
+		resp, err := fe.Call(ctx, wk.Addr(), stub.MsgTask, task, 0)
+		if err != nil {
+			return err
+		}
+		defer resp.Release()
+		if res, ok := resp.Body.(stub.ResultMsg); !ok || len(res.Blob.Data) != len(task.Task.Input.Data) {
+			return fmt.Errorf("dispatch answered %#v", resp.Body)
+		}
+		return nil
+	}
+	if err := dispatch(); err != nil {
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dispatch(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
