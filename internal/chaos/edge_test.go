@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/monitor"
+	"repro/internal/core"
 )
 
 // TestScenarioEdgeFEKillUnderLoad: SIGKILL one of two front ends with
@@ -94,10 +94,11 @@ func TestScenarioEdgeFEKillUnderLoad(t *testing.T) {
 }
 
 // TestScenarioEdgeDrainUpgradeZeroDowntime: with load flowing through
-// the edge, drain each front end in turn (the hot-upgrade handshake:
-// monitor disable -> FE heartbeats Draining -> edge stops routing
-// there) and then roll an UpgradeWave across the worker class. The
-// client outside the cluster must see zero failures throughout.
+// the edge, restart each front end in turn (the hot upgrade: the stop
+// announces the FE draining, so the edge stops routing there, and
+// returns once its admitted requests have answered) and then roll an
+// UpgradeWave across the worker class. The client outside the cluster
+// must see zero failures throughout, and the edge no failure to eject.
 func TestScenarioEdgeDrainUpgradeZeroDowntime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("edge load scenario skipped in -short mode")
@@ -117,28 +118,20 @@ func TestScenarioEdgeDrainUpgradeZeroDowntime(t *testing.T) {
 	}
 
 	// Roll the front ends one at a time, like an FE binary upgrade.
-	for _, fe := range h.Sys.FrontEnds() {
-		addr := fe.Addr()
-		if err := h.Sys.Mon.Disable(addr); err != nil {
+	for _, name := range h.Sys.Names(core.KindFrontEnd) {
+		if err := h.Sys.Restart(name); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "edge sees "+addr.String()+" draining", func() bool {
-			st := eg.PoolStats()
-			return st.Draining >= 1 && st.Healthy == 1
-		})
-		time.Sleep(150 * time.Millisecond) // serve through the survivor
-		if err := h.Sys.Mon.Enable(addr); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "edge readmits "+addr.String()+" after enable", func() bool {
+		waitFor(t, "edge routes to "+name+" again", func() bool {
 			st := eg.PoolStats()
 			return st.Draining == 0 && st.Healthy == 2
 		})
+		time.Sleep(150 * time.Millisecond) // serve through both
 	}
-	h.Note("edge-fe-roll", "both front ends drained and re-enabled")
+	h.Note("edge-fe-roll", "both front ends drained and restarted")
 
 	// Hot-upgrade the worker class while requests keep arriving.
-	rep, err := h.Sys.Mon.UpgradeWave(ctx, EchoClass, monitor.WaveOptions{})
+	rep, err := h.Sys.Mon.UpgradeWave(ctx, EchoClass)
 	if err != nil {
 		t.Fatalf("upgrade wave: %v", err)
 	}

@@ -396,56 +396,49 @@ func TestScenarioMonitorSeesComponentDeath(t *testing.T) {
 	}
 }
 
-// TestScenarioHotUpgradeDisableEnable exercises the monitor's
-// disable/re-enable-after-upgrade path against a live worker: the
-// disabled worker deregisters (no respawn — the departure is
-// voluntary), the system keeps serving, and enabling brings it back.
+// TestScenarioHotUpgradeDisableEnable: the hot upgrade under load
+// (§2.1). A wave restarts both workers one at a time — each stop the
+// temporary disabling of its worker, each start its upgraded return —
+// while requests keep arriving. No request fails, the manager restarts
+// and spawns nothing of its own, and both workers are back under their
+// own ids.
 func TestScenarioHotUpgradeDisableEnable(t *testing.T) {
 	h := newHarness(t, Config{Seed: seed})
 	ctx := context.Background()
-
-	victim := h.pick(core.KindWorker, 0)
-	ws := h.Sys.WorkerStub(victim)
-	if ws == nil {
-		t.Fatalf("no stub for %s", victim)
-	}
-	addr := ws.Addr()
-
-	if err := h.Sys.Mon.Disable(addr); err != nil {
-		t.Fatal(err)
-	}
-	if d := h.Sys.Mon.Disabled(); len(d) != 1 || d[0] != addr {
-		t.Fatalf("Disabled() = %v, want [%v]", d, addr)
-	}
-	waitFor(t, "worker deregistered for upgrade", func() bool {
-		return h.Sys.Manager().Stats().Workers == 1
-	})
-
-	// Still serving through the remaining worker.
-	for i := 0; i < 5; i++ {
-		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		_, err := h.Sys.Request(rctx, fmt.Sprintf("http://chaos.example/u%d.bin", i), "u")
-		cancel()
-		if err != nil {
-			t.Fatalf("request %d failed during hot upgrade: %v", i, err)
+	waitFor(t, "the monitor's inventory and supervisor", func() bool {
+		ws := h.Sys.Mon.WorkersOf(EchoClass)
+		if len(ws) != 2 {
+			return false
 		}
-	}
-	// A voluntary departure parks the row: silent well past WorkerTTL,
-	// listed in the roster, and neither restarted nor replaced.
-	time.Sleep(10 * h.cfg.BeaconInterval)
-	if st := h.Sys.Manager().Stats(); st.WorkerRestarts != 0 || st.Spawns != 0 || h.Sys.WorkerStub(victim) != ws {
-		t.Fatalf("a disabled worker was restarted or replaced: %+v", st)
-	}
+		_, ok := h.Sys.Mon.SupervisorFor(ws[0].Node)
+		return ok
+	})
+	before := h.Sys.Workers()
 
-	if err := h.Sys.Mon.Enable(addr); err != nil {
-		t.Fatal(err)
+	h.StartLoad(200, 200, 3*time.Second)
+	time.Sleep(200 * time.Millisecond) // requests in flight before the first stop
+	rep, err := h.Sys.Mon.UpgradeWave(ctx, EchoClass)
+	if err != nil || len(rep.Upgraded) != 2 {
+		t.Fatalf("upgrade wave: %v (report %+v)", err, rep)
 	}
-	if d := h.Sys.Mon.Disabled(); len(d) != 0 {
-		t.Fatalf("Disabled() = %v after enable", d)
+	time.Sleep(200 * time.Millisecond) // and after the last start
+	load := h.StopLoad()
+	if load.Issued == 0 {
+		t.Fatal("load generator issued nothing")
 	}
-	waitFor(t, "worker re-registered after upgrade", func() bool {
+	if load.Failed != 0 {
+		t.Fatalf("%d requests failed across the wave: %+v\n%s", load.Failed, load, h.Timeline())
+	}
+	if st := h.Sys.Manager().Stats(); st.WorkerRestarts != 0 || st.Spawns != 0 {
+		t.Fatalf("the manager acted on a wave's stops: %+v", st)
+	}
+	waitFor(t, "both workers in the beacons", func() bool {
 		return h.Sys.Manager().Stats().Workers == 2
 	})
+	if after := h.Sys.Workers(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("workers %v after the wave, want %v", after, before)
+	}
+	h.Note("upgrade-wave", fmt.Sprintf("%d requests, slowest %v", load.Issued, load.Max))
 }
 
 // TestSoakKillAnything is the §4.3 closing experiment: kill something

@@ -493,7 +493,7 @@ func (p *feProc) Close() error {
 
 func (s *System) frontEndComponent(name string) *component {
 	return &component{
-		name: name, kind: KindFrontEnd,
+		name: name, kind: KindFrontEnd, drop: true,
 		build: func(node string) (process, error) {
 			p := &feProc{}
 			cfg := frontend.Config{

@@ -501,37 +501,35 @@ func TestMonitorSeesComponentsAndAlertsOnSilence(t *testing.T) {
 	})
 }
 
+// TestHotUpgradeDisableEnableWorker: a worker's hot upgrade is its
+// restart (§2.1). The stop is the disable: the stub says it is down, so
+// the manager forgets it at once, and the start is the enable, the same
+// id heard again — a second registration. The upgraded worker class
+// distills after it.
 func TestHotUpgradeDisableEnableWorker(t *testing.T) {
 	s := startTranSend(t, func(cfg *Config) {
 		cfg.Workers = map[string]int{distiller.ClassSJPG: 2}
 	})
 	waitForWorkers(t, s, 2)
 
-	// Disable one SJPG worker via the monitor; service continues on
-	// the other.
-	var addr = stubAddrOf(t, s, distiller.ClassSJPG)
-	if err := s.Mon.Disable(addr); err != nil {
+	addr := stubAddrOf(t, s, distiller.ClassSJPG)
+	regs := s.Manager().Stats().Registrations
+	if err := s.Restart(addr.Proc); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "worker deregisters", func() bool {
-		return s.Manager().Stats().Workers == 1
-	})
-	// Service continues on the remaining worker. A fallback is
-	// acceptable in the brief window before the front end's cached
-	// table drops the disabled instance; distillation must resume.
-	waitFor(t, "distillation on remaining worker", func() bool {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		r, err := s.Request(ctx, trace.ObjectURL(77, media.MIMESJPG), "u")
-		return err == nil && (r.Source == "distilled" || r.Source == "cache-distilled")
-	})
-	// Re-enable: both workers back.
-	if err := s.Mon.Enable(addr); err != nil {
-		t.Fatal(err)
+	if got := stubAddrOf(t, s, distiller.ClassSJPG); got != addr {
+		t.Fatalf("the restart moved the worker: %v -> %v", addr, got)
 	}
-	waitFor(t, "worker re-registers", func() bool {
-		return s.Manager().Stats().Workers == 2
+	waitFor(t, "the worker forgotten on its stop and heard again", func() bool {
+		st := s.Manager().Stats()
+		return st.Registrations > regs && st.Workers == 2
 	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	r, err := s.Request(ctx, trace.ObjectURL(77, media.MIMESJPG), "u")
+	if err != nil || r.Source != "distilled" {
+		t.Fatalf("after the upgrade: %+v, %v", r, err)
+	}
 }
 
 func stubAddrOf(t *testing.T, s *System, class string) (addr sanAddr) {

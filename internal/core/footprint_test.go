@@ -75,10 +75,11 @@ const parentLivenessBytes = 562
 // SANs together. They read 85.97 messages and 11,434 B while every
 // worker decoded the whole beacon and every process took in every span
 // digest and status report; with each message reaching only its readers
-// they read ≈ 56 and ≈ 6,250.
+// they read ≈ 56 and ≈ 6,250, and ≈ 46 and ≈ 5,190 once supervisors
+// heard only the beacon's head.
 const (
-	idleMsgsCeiling  = 60
-	idleBytesCeiling = 7000
+	idleMsgsCeiling  = 50
+	idleBytesCeiling = 5800
 )
 
 // TestIdleControlTraffic pins the bench topology's idle control plane.

@@ -10,9 +10,10 @@
 // (supervisor.Member) front ends send on the control group, aged by TTL
 // (soft state; losing the table costs one rediscovery round, never
 // correctness). Each announcement carries the FE's HTTP adapter address
-// and its state — a front end disabled for a hot upgrade keeps
-// announcing, as draining, but stops receiving new picks, which is what
-// makes monitor-driven upgrade waves zero-downtime through the edge.
+// and its state — a front end that is stopping announces itself
+// draining and gets no new picks, and a request that raced the drain is
+// refused and sent to another replica, which is what makes rolling
+// restarts zero-downtime through the edge.
 //
 // Routing is least-inflight power-of-two-choices across healthy
 // replicas. A backend is ejected after consecutive failures and
@@ -421,9 +422,15 @@ func (e *Edge) forward(ctx context.Context, r *http.Request) (*http.Response, er
 				// control shedding, or a request racing a drain. Not a
 				// health signal (ejecting a shedding replica collapses
 				// the pool exactly when the cluster is saturated) and
-				// not worth spending retry budget on: relay the typed
-				// reply and let the client's degrade path decide.
+				// not worth spending retry budget on. A shed is relayed
+				// for the client's degrade path to decide; a drain's
+				// refusal, of a request it never admitted, goes to one
+				// other replica first.
 				pk.Done(true)
+				if he == "disabled" && prev == nil {
+					prev, exclude = resp, pk.Key()
+					continue
+				}
 				if prev != nil {
 					_ = prev.Body.Close()
 				}

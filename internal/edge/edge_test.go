@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,6 +218,54 @@ func TestEdgeShedDoesNotEject(t *testing.T) {
 	}
 	if st := e.Stats(); st.Retries != 0 {
 		t.Fatalf("shed responses spent retry budget: %+v", st)
+	}
+}
+
+// TestEdgeRetriesDrainRefusal: a request that raced a front end's drain
+// was never admitted there, so the edge sends it to the other replica —
+// at no cost to the retry budget, and without a mark against the
+// draining one. With nowhere else to go, the typed refusal is relayed.
+func TestEdgeRetriesDrainRefusal(t *testing.T) {
+	var refused atomic.Int64
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		refused.Add(1)
+		w.Header().Set(HeaderError, "disabled")
+		http.Error(w, "disabled", http.StatusServiceUnavailable)
+	}))
+	defer draining.Close()
+	serving := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}))
+	defer serving.Close()
+
+	e := newTestEdge(t, 0)
+	e.ObserveBackend("n/fe0", "fe0", draining.Listener.Addr().String(), false)
+	e.ObserveBackend("n/fe1", "fe1", serving.Listener.Addr().String(), false)
+	for i := 0; refused.Load() == 0; i++ { // until a pick lands on the draining one
+		if i == 100 {
+			t.Fatal("100 picks and none on fe0")
+		}
+		resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d (%s), want the other replica's answer", resp.StatusCode, resp.Header.Get(HeaderError))
+		}
+	}
+	if st := e.PoolStats(); st.Ejects != 0 || st.Healthy != 2 {
+		t.Fatalf("a drain refusal counted against the backend: %+v", st)
+	}
+
+	e.ObserveBackend("n/fe1", "fe1", serving.Listener.Addr().String(), true)
+	resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.Header.Get(HeaderError) != "disabled" {
+		t.Fatalf("status %d error %q, want the typed refusal relayed", resp.StatusCode, resp.Header.Get(HeaderError))
 	}
 }
 

@@ -229,7 +229,7 @@ type FrontEnd struct {
 		coalescedOrigin, coalescedDistill                      atomic.Uint64
 		shed, degradedServes, expired                          atomic.Uint64
 	}
-	disabled atomic.Bool // for a hot upgrade: refuse requests, announce draining
+	draining atomic.Bool // stopping: refuse new requests, announce draining
 }
 
 // New creates a front end and eagerly registers its endpoint.
@@ -292,7 +292,8 @@ func (fe *FrontEnd) Stats() Stats {
 func (fe *FrontEnd) Running() bool { return fe.life.Load() != nil }
 
 // Run implements cluster.Process: the control-plane receive loop
-// (beacons, announcements, disable/enable). Requests never pass through it.
+// (beacons, announcements). Requests never pass through it. A stop is
+// §2.1's disable: see drain.
 func (fe *FrontEnd) Run(ctx context.Context) error {
 	if fe.ep == nil || !fe.cfg.Net.Lookup(fe.addr()) {
 		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), san.InboxSize)
@@ -304,9 +305,11 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 	defer fe.mstub.Stop()
 	ep.Join(stub.GroupControl)
 
-	ctx, stop := context.WithCancel(ctx)
+	// life outlasts ctx by the drain: a stop's admitted requests finish.
+	life, stop := context.WithCancel(context.WithoutCancel(ctx))
 	defer stop() // after life reads nil: ends every flight this Run's requests started
-	fe.life.Store(&ctx)
+	fe.draining.Store(false)
+	fe.life.Store(&life)
 	defer fe.life.Store(nil)
 	cache := fe.cache // a respawn replaces the field; this Run's collector reads this Run's client
 	fe.cfg.Net.Registry().SetCollector("fe."+fe.cfg.Name, func(emit func(string, float64)) {
@@ -336,6 +339,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
+			fe.drain(ep)
 			return nil
 		case <-hb.C:
 			fe.announce(ep)
@@ -344,16 +348,22 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("frontend: %s endpoint closed", fe.cfg.Name)
 			}
-			if fe.mstub.HandleMessage(msg) {
-				continue
-			}
-			if msg.Kind == stub.MsgDisable || msg.Kind == stub.MsgEnable {
-				fe.disabled.Store(msg.Kind == stub.MsgDisable)
-				// Announce it at once — the edge must stop (or resume)
-				// routing here now, not an interval later.
-				fe.announce(ep)
-			}
+			fe.mstub.HandleMessage(msg)
 		}
+	}
+}
+
+// drain is a stop: announce draining, refuse new requests with
+// ErrDisabled, and wait for the admitted ones. A kill that dropped the
+// endpoint first skips it: a crash says nothing and waits for nothing.
+func (fe *FrontEnd) drain(ep *san.Endpoint) {
+	if !fe.cfg.Net.Lookup(fe.addr()) {
+		return
+	}
+	fe.draining.Store(true)
+	fe.announce(ep) // at once: the edge must stop routing here now
+	for fe.inflight.Load() > 0 {
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -363,7 +373,7 @@ func (fe *FrontEnd) announce(ep *san.Endpoint) {
 	// same stream, so a freshly elected primary takes over the FE
 	// process-peer watch with no re-registration round.
 	m := supervisor.Member{Addr: fe.addr(), Kind: supervisor.KindFrontEnd, State: supervisor.StateUp, HTTPAddr: fe.cfg.HTTPAddr}
-	if fe.disabled.Load() {
+	if fe.draining.Load() {
 		m.State = supervisor.StateDraining
 	}
 	ep.Multicast(stub.GroupControl, supervisor.MsgAnnounce, m, 64)
@@ -371,8 +381,7 @@ func (fe *FrontEnd) announce(ep *san.Endpoint) {
 		stub.Report(fe.cfg.Net, fe.cfg.Name, "frontend", fe.cfg.Node, "fe."+fe.cfg.Name), 96)
 }
 
-// ErrDisabled is returned while the front end is disabled for a hot
-// upgrade.
+// ErrDisabled is returned while the front end is draining to stop.
 var ErrDisabled = fmt.Errorf("frontend: disabled for upgrade")
 
 // ErrOverloaded is the typed overload reply: the front end shed the
@@ -414,7 +423,7 @@ func (fe *FrontEnd) saturated() bool {
 // refusal (ErrOverloaded, fast and typed) beats a queued request that
 // will miss its deadline anyway.
 func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
-	if fe.disabled.Load() {
+	if fe.draining.Load() {
 		return Response{}, ErrDisabled
 	}
 	lp := fe.life.Load()
@@ -466,10 +475,17 @@ func (fe *FrontEnd) Do(ctx context.Context, req Request) (Response, error) {
 			})
 		}
 		fe.inflight.Add(1)
+		if fe.draining.Load() { // the stop began since the check above
+			fe.inflight.Add(-1)
+			return Response{}, ErrDisabled
+		}
 		resp, err := fe.handle(ctx, life, req)
+		// Read before the release, which a drain waits for; a kill may fail
+		// the request's Call by dropping the endpoint before life ends.
+		stopped := life.Err() != nil || !fe.cfg.Net.Lookup(fe.addr())
 		fe.inflight.Add(-1)
 		switch {
-		case life.Err() != nil:
+		case stopped:
 			resp.Release()
 			fe.stats.errors.Add(1)
 			finish("stopped", true)

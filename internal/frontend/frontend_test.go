@@ -14,6 +14,7 @@ import (
 	"repro/internal/profiledb"
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -292,7 +293,9 @@ func TestHitNeedsNoRunLoop(t *testing.T) {
 // TestKillWhilePinned: a front end killed while a request waits — on a
 // slow origin, or in a Call to a cache partition that never answers —
 // returns it with the typed stopped error at once: every wait a request
-// makes ends with the Run that admitted it.
+// makes ends with the Run that admitted it. A kill detaches the endpoint
+// before it cancels the Run, as core's System.Kill does, so the front
+// end does not drain.
 func TestKillWhilePinned(t *testing.T) {
 	static := origin.NewStatic()
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
@@ -312,9 +315,8 @@ func TestKillWhilePinned(t *testing.T) {
 				errc <- err
 			}()
 			waitFor(t, "request pinned", func() bool { return fe.inflight.Load() == 1 })
-			if err := cl.KillProcess("fe-node", "fe0"); err != nil {
-				t.Fatal(err)
-			}
+			fe.cfg.Net.Drop(fe.Addr())
+			_ = cl.KillProcess("fe-node", "fe0") // the drop may have ended Run already
 			select {
 			case err := <-errc:
 				if err == nil || !strings.Contains(err.Error(), "fe0 stopped") {
@@ -379,24 +381,94 @@ func TestRequestsRunOnTheirOwnGoroutines(t *testing.T) {
 	}
 }
 
+// TestDisabledFrontEndRejects: the hot upgrade's disable is a stop, and
+// its enable the next Run (§2.1). A stopped front end refuses with the
+// retryable ErrDisabled; run again, it serves.
 func TestDisabledFrontEndRejects(t *testing.T) {
-	fe, _, static := startFE(t, nil)
+	fe, cl, static := startFE(t, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
-	mon := fe.cfg.Net.Endpoint(san.Addr{Node: "m", Proc: "mon"}, 8)
-	if err := mon.Send(fe.Addr(), stub.MsgDisable, nil, 8); err != nil {
+	if err := cl.KillProcess("fe-node", "fe0"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "disabled", func() bool {
-		_, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"})
-		return err == ErrDisabled
-	})
-	if err := mon.Send(fe.Addr(), stub.MsgEnable, nil, 8); err != nil {
+	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"}); err != ErrDisabled {
+		t.Fatalf("stopped front end answered %v, want %v", err, ErrDisabled)
+	}
+	if _, err := cl.Spawn("fe-node", fe); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "re-enabled", func() bool {
-		_, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"})
-		return err == nil
-	})
+	waitFor(t, "running again", fe.Running)
+	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"}); err != nil {
+		t.Fatalf("restarted front end: %v", err)
+	}
+}
+
+// gateFetcher holds every origin fetch until gate closes.
+type gateFetcher struct {
+	inner origin.Fetcher
+	gate  chan struct{}
+}
+
+func (g gateFetcher) Fetch(ctx context.Context, url string) (tacc.Blob, error) {
+	<-g.gate
+	return g.inner.Fetch(ctx, url)
+}
+
+// TestStopDrainsAdmittedRequests: a stop announces the front end
+// draining at once, refuses what arrives after that with ErrDisabled,
+// and returns only when every request admitted before it has answered —
+// each of them OK.
+func TestStopDrainsAdmittedRequests(t *testing.T) {
+	gate := make(chan struct{})
+	static := origin.NewStatic()
+	fe, cl, _ := startFE(t, func(cfg *Config) { cfg.Origin = gateFetcher{inner: static, gate: gate} })
+	var draining atomic.Bool
+	lis := fe.cfg.Net.Endpoint(san.Addr{Node: "edge", Proc: "edge"}, 64)
+	lis.Join(stub.GroupControl)
+	go func() {
+		for msg := range lis.Inbox() {
+			if m, ok := msg.Body.(supervisor.Member); ok && m.Addr == fe.Addr() && m.State == supervisor.StateDraining {
+				draining.Store(true)
+			}
+		}
+	}()
+	t.Cleanup(lis.Close)
+
+	const n = 3
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		url := fmt.Sprintf("http://a/held%d.bin", i)
+		static.Put(url, tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 200)})
+		go func() {
+			resp, err := fe.Do(context.Background(), Request{URL: url})
+			if err == nil && resp.Source != "original" {
+				err = fmt.Errorf("source %q", resp.Source)
+			}
+			errc <- err
+		}()
+	}
+	waitFor(t, "requests admitted", func() bool { return fe.inflight.Load() == n })
+
+	stopped := make(chan error, 1)
+	go func() { stopped <- cl.KillProcess("fe-node", "fe0") }()
+	waitFor(t, "draining announced", draining.Load)
+	if _, err := fe.Do(context.Background(), Request{URL: "http://a/held0.bin"}); err != ErrDisabled {
+		t.Fatalf("request after the draining announcement: %v, want %v", err, ErrDisabled)
+	}
+	if !fe.Running() {
+		t.Fatal("Run returned with requests still in flight")
+	}
+	close(gate)
+	for i := 0; i < n; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("admitted request: %v", err)
+		}
+	}
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	if fe.Running() {
+		t.Fatal("still running after the stop returned")
+	}
 }
 
 func TestProfilePairing(t *testing.T) {

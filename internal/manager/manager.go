@@ -35,18 +35,17 @@
 // — front ends, caches and every configured worker slot alike. Actual
 // is what the manager hears, keyed by SAN address: one member.announce
 // (supervisor.Member) per interval from every front end, cache and
-// worker, each kind's table aged by that kind's TTL. A member
-// announcing itself draining (disabled for a hot upgrade) is heard like
-// any other and never restarted; a draining worker is only left out of
-// the beacons. A worker announcing itself down was stopped on purpose
-// and is forgotten at once. Pending holds every command the primary has
-// booked under that same address (class#n for a spawn, "reap id" for a
-// reap) until the instance is heard or one TTL passes. Each tick the
-// primary diffs the three (reconcile) and issues what is missing (act),
-// always as a supervisor.Command to the supervisor owning the row's
-// node — its own process's included; the manager holds no other lever.
-// A row is restarted by name when its address falls silent for its
-// kind's TTL, or was never heard one TTL after a roster first named it.
+// worker, each kind's table aged by that kind's TTL. A front end
+// announcing itself draining (it is stopping) is heard like any other.
+// A worker announcing itself down was stopped on purpose and is
+// forgotten at once. Pending holds every command the primary has booked
+// under that same address (class#n for a spawn, "reap id" for a reap)
+// until the instance is heard or one TTL passes. Each tick the primary
+// diffs the three (reconcile) and issues what is missing (act), always
+// as a supervisor.Command to the supervisor owning the row's node — its
+// own process's included; the manager holds no other lever. A row is
+// restarted by name when its address falls silent for its kind's TTL,
+// or was never heard one TTL after a roster first named it.
 // Load-driven and cold-start workers are extras outside that rule:
 // spawned and reaped by policy, and one that dies leaves its roster and
 // is not brought back. Two restarts are somebody else's: front ends
@@ -223,7 +222,7 @@ type Stats struct {
 	BeaconsSent      uint64
 	BeaconsTriggered uint64 // of BeaconsSent, those sent for a membership change
 	// Registrations counts workers put into the beacons: heard for the
-	// first time, again after silence expired them, or back from draining.
+	// first time, or again after silence or a stop removed them.
 	Registrations uint64
 	// DelegateFails counts supervisor commands that timed out, were
 	// refused or found no owner (each is retried at the next tick); a
@@ -272,8 +271,7 @@ type Manager struct {
 
 	mu sync.Mutex
 	// workers is the inventory beacons carry, by id: the workers heard
-	// up. A worker's liveness is its row in heard, like everyone else's,
-	// so a draining worker has a row there and none here.
+	// up. A worker's liveness is its row in heard, like everyone else's.
 	workers map[string]*workerState
 	// heard is the actual state of every kind restarted by name (front
 	// ends, caches, workers), each keyed by SAN address, not bare name:
@@ -559,10 +557,9 @@ func (m *Manager) sendBeacon(ep *san.Endpoint, triggered bool) {
 // hear folds one announcement into the membership view. A front end or
 // cache refreshes its row; a newcomer front end is greeted, since it
 // needs the worker table. A worker up is put in the beacons, or its load
-// averaged in if it is there; a worker draining keeps its row heard and
-// leaves the beacons, so it is neither picked nor restarted; a worker
-// down was stopped on purpose and is forgotten — its last word, so no
-// announcement of it still in flight can put it back.
+// averaged in if it is there; a worker down was stopped on purpose and is
+// forgotten — its last word, so no announcement of it still in flight
+// can put it back.
 func (m *Manager) hear(a supervisor.Member) {
 	t, row := m.heard[a.Kind], supervisor.Row{Name: a.Addr.Proc, Kind: a.Kind, Node: a.Addr.Node}
 	if t == nil {
@@ -581,11 +578,7 @@ func (m *Manager) hear(a supervisor.Member) {
 	mine := ws != nil && ws.info.Addr == a.Addr
 	switch {
 	case a.State != supervisor.StateUp:
-		if a.State == supervisor.StateDraining {
-			t.Put(a.Addr.String(), row)
-		} else {
-			t.Delete(a.Addr.String())
-		}
+		t.Delete(a.Addr.String())
 		if mine {
 			delete(m.workers, a.Addr.Proc)
 			m.changed.Store(true)
@@ -599,7 +592,7 @@ func (m *Manager) hear(a supervisor.Member) {
 }
 
 // admitLocked puts a worker in the inventory: heard up for the first
-// time, again after the manager expired it, or back from draining. An id
+// time, or again after the manager expired or forgot it. An id
 // neither tracked nor booked by name is the instance a spawn of its class
 // was waiting to hear.
 func (m *Manager) admitLocked(info stub.WorkerInfo, qlen float64) {

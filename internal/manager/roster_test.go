@@ -105,41 +105,6 @@ func TestDeadExtraIsNotRestarted(t *testing.T) {
 	})
 }
 
-// TestDrainingWorkerIsNotRestarted: a worker disabled for a hot upgrade
-// keeps announcing itself, as draining — out of the beacons, still
-// heard — and is left alone however long the wave takes; enabling it
-// puts it back in the beacons as itself. Nothing else here can fall
-// silent by accident (it is the only worker, and the supervisor's TTL is
-// out of reach), so the hold runs six WorkerTTLs whatever the scheduler
-// does. Its silence is still news: one that dies draining is restarted.
-func TestDrainingWorkerIsNotRestarted(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", func(c *Config) { c.FETTL = time.Minute })
-	w := sup.slot("echo")
-	waitFor(t, "registration, and a roster that names the slot", func() bool {
-		hb, ok := m.SupervisorFor(w.Node)
-		return ok && len(hb.Roster) == 1 && m.Stats().Workers == 1
-	})
-
-	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 8)
-	ctl.Send(w.Addr, stub.MsgDisable, nil, 16)
-	waitFor(t, "worker out of the beacons", func() bool { return m.Stats().Workers == 0 })
-	holds(t, 30*tick, "a draining worker draws no command", m, sup, func() bool {
-		return sup.count("") == 0 && m.Stats().Workers == 0
-	})
-	ctl.Send(w.Addr, stub.MsgEnable, nil, 16)
-	waitFor(t, "worker back in the beacons", func() bool { return m.Stats().Workers == 1 })
-
-	ctl.Send(w.Addr, stub.MsgDisable, nil, 16)
-	waitFor(t, "draining again", func() bool { return m.Stats().Workers == 0 })
-	sup.crash(w.ID)
-	waitFor(t, "restart after a real death, back up", func() bool {
-		st := m.Stats()
-		return st.WorkerRestarts == 1 && st.Workers == 1
-	})
-}
-
 // TestGoodbyeDuringRestartDoesNotPark: a falsely expired worker is heard
 // again while its restart is in flight, the restart's stop half makes it
 // say goodbye (down), and the start half then fails. That goodbye ends

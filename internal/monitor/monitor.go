@@ -4,8 +4,9 @@
 // into its process's tracer), presents a unified view of the system as
 // a single virtual entity, raises asynchronous alerts when a component
 // falls silent ("the monitor can page or email the system operator ...
-// if it stops receiving reports from some component"), and supports
-// temporarily disabling components for hot upgrades (§2.1).
+// if it stops receiving reports from some component"), and drives hot
+// upgrades (§2.1) as a rolling wave of supervisor restarts, each one's
+// stop the temporary disabling of its worker.
 package monitor
 
 import (
@@ -73,8 +74,7 @@ type Monitor struct {
 	seen       map[string]*ComponentStatus
 	hops       map[string]*hopAgg // per-hop latency from span digests
 	alerts     []Alert
-	alerted    map[string]bool // component -> alert outstanding
-	disabled   map[san.Addr]bool
+	alerted    map[string]bool   // component -> alert outstanding
 	workers    []stub.WorkerInfo // inventory from the last beacon
 	workersSeq uint64            // beacon seq the inventory came from
 	cmdSeq     uint64
@@ -84,12 +84,11 @@ type Monitor struct {
 func New(cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
-		cfg:      cfg,
-		seen:     make(map[string]*ComponentStatus),
-		hops:     make(map[string]*hopAgg),
-		alerted:  make(map[string]bool),
-		disabled: make(map[san.Addr]bool),
-		sups:     softstate.NewTable[supervisor.HelloMsg](cfg.SilenceAfter, nil),
+		cfg:     cfg,
+		seen:    make(map[string]*ComponentStatus),
+		hops:    make(map[string]*hopAgg),
+		alerted: make(map[string]bool),
+		sups:    softstate.NewTable[supervisor.HelloMsg](cfg.SilenceAfter, nil),
 	}
 	m.ep = cfg.Net.Endpoint(m.addr(), san.InboxSize)
 	return m
@@ -285,37 +284,6 @@ func (m *Monitor) Alerts() []Alert {
 	return append([]Alert(nil), m.alerts...)
 }
 
-// Disable sends a hot-upgrade disable to a component (§2.1 "temporary
-// disabling of system components for hot upgrades").
-func (m *Monitor) Disable(addr san.Addr) error {
-	m.mu.Lock()
-	m.disabled[addr] = true
-	m.mu.Unlock()
-	return m.ep.Send(addr, stub.MsgDisable, nil, 16)
-}
-
-// Enable re-enables a disabled component.
-func (m *Monitor) Enable(addr san.Addr) error {
-	m.mu.Lock()
-	delete(m.disabled, addr)
-	m.mu.Unlock()
-	return m.ep.Send(addr, stub.MsgEnable, nil, 16)
-}
-
-// Disabled lists components currently disabled for upgrade, sorted by
-// address, so operators (and chaos assertions) can see an upgrade in
-// progress.
-func (m *Monitor) Disabled() []san.Addr {
-	m.mu.Lock()
-	out := make([]san.Addr, 0, len(m.disabled))
-	for a := range m.disabled {
-		out = append(out, a)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
 // WorkersOf returns the workers of a class from the latest manager
 // beacon, sorted by id — the cluster-wide inventory, wherever each
 // worker's process lives.
@@ -347,34 +315,13 @@ func (m *Monitor) SupervisorFor(node string) (supervisor.HelloMsg, bool) {
 	return supervisor.Owner(node, m.sups.Snapshot())
 }
 
-// WaveOptions tunes an upgrade wave.
-type WaveOptions struct {
-	// Drain is how long a disabled worker gets to finish its queue
-	// before the restart (default 100ms).
-	Drain time.Duration
-	// CommandTimeout bounds each supervisor command (default 5s).
-	CommandTimeout time.Duration
-	// Retries is the command attempt budget per worker (default 3);
-	// retries reuse the command id, so they are idempotent.
-	Retries int
-}
-
-// waveReadyTimeout bounds the wait for a restarted worker to
-// re-register before the wave rolls on.
-const waveReadyTimeout = 10 * time.Second
-
-func (o WaveOptions) withDefaults() WaveOptions {
-	if o.Drain <= 0 {
-		o.Drain = 100 * time.Millisecond
-	}
-	if o.CommandTimeout <= 0 {
-		o.CommandTimeout = 5 * time.Second
-	}
-	if o.Retries <= 0 {
-		o.Retries = 3
-	}
-	return o
-}
+// Wave bounds: per supervisor command (retries reuse its id, so they are
+// idempotent), and for a restarted worker to re-register.
+const (
+	waveCommandTimeout = 5 * time.Second
+	waveRetries        = 3
+	waveReadyTimeout   = 10 * time.Second
+)
 
 // WaveReport summarizes one upgrade wave.
 type WaveReport struct {
@@ -385,15 +332,14 @@ type WaveReport struct {
 
 // UpgradeWave performs the paper's hot upgrade (§2.1) as a rolling
 // restart across every worker of a class, wherever each one's OS
-// process lives: disable (the worker drains and announces itself
-// draining, so the manager leaves it out of the beacons and restarts
-// nothing), ask the owning process's supervisor to restart it under the
-// same id (the restarted stub is the "upgraded binary"), re-enable, and
-// wait for it to be back in the beacons before touching the next one.
-// One worker is down at a time, so a class with two or more replicas
-// serves throughout.
-func (m *Monitor) UpgradeWave(ctx context.Context, class string, opts WaveOptions) (WaveReport, error) {
-	opts = opts.withDefaults()
+// process lives: ask the owning process's supervisor to restart it
+// under the same id, and wait for it to be back in the beacons before
+// touching the next one. The restart's stop is the disable — the worker
+// announces itself down, finishes the task in service and refuses the
+// rest, so their callers fail over at once — and the restarted stub is
+// the "upgraded binary". One worker is down at a time, so a class with
+// two or more replicas serves throughout.
+func (m *Monitor) UpgradeWave(ctx context.Context, class string) (WaveReport, error) {
 	rep := WaveReport{Class: class}
 	workers := m.WorkersOf(class)
 	if len(workers) == 0 {
@@ -407,7 +353,7 @@ func (m *Monitor) UpgradeWave(ctx context.Context, class string, opts WaveOption
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
-		if err := m.rollOne(ctx, class, w, opts); err != nil {
+		if err := m.rollOne(ctx, class, w); err != nil {
 			rep.Failed = append(rep.Failed, w.ID)
 			m.mu.Lock()
 			m.emitLocked("upgrade-wave", fmt.Sprintf("%s failed: %v", w.ID, err))
@@ -426,23 +372,8 @@ func (m *Monitor) UpgradeWave(ctx context.Context, class string, opts WaveOption
 	return rep, nil
 }
 
-// rollOne upgrades a single worker: disable -> drain -> supervisor
-// restart -> enable -> wait for re-registration.
-func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, opts WaveOptions) error {
-	if err := m.Disable(w.Addr); err != nil {
-		return fmt.Errorf("disable: %w", err)
-	}
-	// Whatever happens below, the component must not stay marked
-	// disabled: the restarted stub is born enabled, and a failed wave
-	// step should leave the old instance serving.
-	defer func() { _ = m.Enable(w.Addr) }()
-
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(opts.Drain):
-	}
-
+// rollOne upgrades one worker: restart it, then wait for re-registration.
+func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo) error {
 	sup, ok := m.SupervisorFor(w.Node)
 	if !ok {
 		return fmt.Errorf("no supervisor owns node %s", w.Node)
@@ -458,8 +389,8 @@ func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, 
 	m.mu.Unlock()
 
 	var lastErr error
-	for attempt := 0; attempt < opts.Retries; attempt++ {
-		cctx, cancel := context.WithTimeout(ctx, opts.CommandTimeout)
+	for attempt := 0; attempt < waveRetries; attempt++ {
+		cctx, cancel := context.WithTimeout(ctx, waveCommandTimeout)
 		resp, err := m.ep.Call(cctx, sup.Addr, supervisor.MsgCmd, cmd, 64)
 		cancel()
 		if err != nil {
@@ -483,7 +414,7 @@ func (m *Monitor) rollOne(ctx context.Context, class string, w stub.WorkerInfo, 
 
 	// Roll on only once the upgraded instance is back in the beacon
 	// inventory — the zero-downtime guarantee for the next step. The
-	// cached inventory can still be the stale pre-disable snapshot
+	// cached inventory can still be the stale pre-restart snapshot
 	// (it is at most one beacon old and would still list w.ID), so
 	// insist on one carried by a beacon at least two seqs past the
 	// restart: re-registration happens on beacon receipt, so the

@@ -160,26 +160,6 @@ func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
 	}
 }
 
-func TestMonitorDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
-	target := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
-	if err := m.Disable(target.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	msg := <-target.Inbox()
-	if msg.Kind != stub.MsgDisable {
-		t.Fatalf("got %s", msg.Kind)
-	}
-	if err := m.Enable(target.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	msg = <-target.Inbox()
-	if msg.Kind != stub.MsgEnable {
-		t.Fatalf("got %s", msg.Kind)
-	}
-}
-
 func TestRenderTableFormatting(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
@@ -191,30 +171,6 @@ func TestRenderTableFormatting(t *testing.T) {
 	out := m.RenderTable()
 	if !strings.Contains(out, "a-worker") || !strings.Contains(out, "qlen=3.0") {
 		t.Fatalf("render = %q", out)
-	}
-}
-
-func TestDisabledList(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
-	a := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
-	b := net.Endpoint(san.Addr{Node: "n2", Proc: "w1"}, 16)
-	if err := m.Disable(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Disable(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	got := m.Disabled()
-	if len(got) != 2 || got[0] != a.Addr() || got[1] != b.Addr() {
-		t.Fatalf("Disabled() = %v, want sorted [n1/w0 n2/w1]", got)
-	}
-	if err := m.Enable(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	got = m.Disabled()
-	if len(got) != 1 || got[0] != b.Addr() {
-		t.Fatalf("Disabled() after enable = %v", got)
 	}
 }
 

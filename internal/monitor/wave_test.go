@@ -39,9 +39,9 @@ func (h *waveHost) ids() []string {
 	return append([]string(nil), h.restarted...)
 }
 
-// waveFixture: a monitor, a real supervisor daemon, a scripted manager
-// beacon source, and two live worker endpoints — everything the wave
-// driver touches, without booting a full system.
+// waveFixture: a monitor, a real supervisor daemon and a scripted
+// manager beacon source — everything the wave driver touches, without
+// booting a full system.
 func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 	t.Helper()
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
@@ -62,14 +62,6 @@ func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 		{ID: "a-echo.1", Class: "echo", Addr: san.Addr{Node: "a-node1", Proc: "a-echo.1"}, Node: "a-node1"},
 		{ID: "a-echo.2", Class: "echo", Addr: san.Addr{Node: "a-node2", Proc: "a-echo.2"}, Node: "a-node2"},
 		{ID: "a-sgif.1", Class: "sgif", Addr: san.Addr{Node: "a-node3", Proc: "a-sgif.1"}, Node: "a-node3"},
-	}
-	for _, w := range workers {
-		ep := net.Endpoint(w.Addr, 64)
-		go func() {
-			for range ep.Inbox() {
-				// Workers only need to absorb disable/enable here.
-			}
-		}()
 	}
 	mgr := net.Endpoint(san.Addr{Node: "m1", Proc: "manager"}, 64)
 	go func() {
@@ -102,11 +94,11 @@ func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 }
 
 // TestUpgradeWaveRollsEveryWorker: the driver walks the class in id
-// order, restarts each worker through the owning supervisor, and
-// leaves nothing disabled.
+// order and restarts each worker through the owning supervisor — one
+// command each, nothing else sent.
 func TestUpgradeWaveRollsEveryWorker(t *testing.T) {
 	m, host, _ := startWaveFixture(t)
-	rep, err := m.UpgradeWave(context.Background(), "echo", WaveOptions{Drain: time.Millisecond})
+	rep, err := m.UpgradeWave(context.Background(), "echo")
 	if err != nil {
 		t.Fatalf("wave: %v (report %+v)", err, rep)
 	}
@@ -117,9 +109,6 @@ func TestUpgradeWaveRollsEveryWorker(t *testing.T) {
 	if got := host.ids(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("host restarted %v, want %v", got, want)
 	}
-	if d := m.Disabled(); len(d) != 0 {
-		t.Fatalf("wave left %v disabled", d)
-	}
 	// The other class was untouched.
 	if len(m.WorkersOf("sgif")) != 1 {
 		t.Fatal("sgif inventory changed")
@@ -127,22 +116,25 @@ func TestUpgradeWaveRollsEveryWorker(t *testing.T) {
 }
 
 // TestUpgradeWaveFailureReenables: a refused restart marks the worker
-// failed, re-enables it, and the wave (and its error) report it.
+// failed, and the wave (and its error) report it. There is nothing to
+// re-enable: a restart the supervisor refused never stopped the worker,
+// so it serves on as it was. A refusal is an answer, not a lost command:
+// it is not retried.
 func TestUpgradeWaveFailureReenables(t *testing.T) {
 	m, host, _ := startWaveFixture(t)
 	host.mu.Lock()
 	host.fail = true
 	host.mu.Unlock()
-	rep, err := m.UpgradeWave(context.Background(), "echo",
-		WaveOptions{Drain: time.Millisecond, Retries: 1, CommandTimeout: time.Second})
+	start := time.Now()
+	rep, err := m.UpgradeWave(context.Background(), "echo")
 	if err == nil {
 		t.Fatalf("wave succeeded despite refusing host: %+v", rep)
 	}
 	if len(rep.Failed) != 2 || len(rep.Upgraded) != 0 {
 		t.Fatalf("report %+v, want both failed", rep)
 	}
-	if d := m.Disabled(); len(d) != 0 {
-		t.Fatalf("failed wave left %v disabled", d)
+	if took := time.Since(start); took > waveCommandTimeout {
+		t.Fatalf("a refused wave took %v: a refusal was retried or waited on", took)
 	}
 }
 
@@ -150,7 +142,7 @@ func TestUpgradeWaveFailureReenables(t *testing.T) {
 // vacuous success.
 func TestUpgradeWaveUnknownClass(t *testing.T) {
 	m, _, _ := startWaveFixture(t)
-	if _, err := m.UpgradeWave(context.Background(), "nope", WaveOptions{}); err == nil {
+	if _, err := m.UpgradeWave(context.Background(), "nope"); err == nil {
 		t.Fatal("wave over an unknown class succeeded")
 	}
 }

@@ -8,11 +8,9 @@ import (
 	"repro/internal/stub"
 )
 
-// TestMonitorOverWire feeds the monitor status reports and manager
-// beacons through the SAN: the reports group traffic it
-// watches — including the metrics maps — must survive the codec, and
-// the disable/enable control signals (body-less kinds) must still be
-// deliverable.
+// TestMonitorOverWire feeds the monitor status reports through the SAN:
+// the reports group traffic it watches — including the metrics maps —
+// must survive the codec.
 func TestMonitorOverWire(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	m, _ := startMonitor(t, net, time.Hour)
@@ -24,15 +22,6 @@ func TestMonitorOverWire(t *testing.T) {
 	})
 	if snap := m.Snapshot(); snap[0].Metrics["qlen"] != 3 {
 		t.Fatalf("metrics map lost in transit: %+v", snap[0].Metrics)
-	}
-
-	// Disable: a nil-body control message over the wire path.
-	if err := m.Disable(ep.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	msg := <-ep.Inbox()
-	if msg.Kind != stub.MsgDisable || msg.Body != nil {
-		t.Fatalf("disable arrived as %q body=%#v", msg.Kind, msg.Body)
 	}
 
 	st := net.Stats()

@@ -664,7 +664,7 @@ func (n *Network) Endpoint(addr Addr, inboxCap int) *Endpoint {
 		net:     n,
 		addr:    addr,
 		inbox:   make(chan Message, inboxCap),
-		pending: make(map[uint64]chan Message),
+		pending: make(map[uint64]pendingCall),
 	}
 	ep.rng.seed(n.seed, addr)
 	// The closed check happens inside the mutator (under its lock) so
@@ -829,8 +829,14 @@ type Endpoint struct {
 	closeMu sync.RWMutex
 
 	mu      sync.Mutex // guards pending, groups
-	pending map[uint64]chan Message
+	pending map[uint64]pendingCall
 	groups  []string
+}
+
+// pendingCall is one Call awaiting its reply from to.
+type pendingCall struct {
+	to Addr
+	ch chan Message
 }
 
 // Addr returns the endpoint's address.
@@ -934,11 +940,27 @@ func (e *Endpoint) closeInternal() {
 	close(e.inbox)
 	e.closeMu.Unlock()
 	e.mu.Lock()
-	for id, ch := range e.pending {
-		close(ch)
+	for id, c := range e.pending {
+		close(c.ch)
 		delete(e.pending, id)
 	}
 	e.mu.Unlock()
+}
+
+// Unreachable ends every Call awaiting a reply from addr with
+// ErrUnknownAddr: a fabric heard that remote endpoint close, behind any
+// reply it sent, so a request still on its way there is dropped.
+func (n *Network) Unreachable(addr Addr) {
+	for _, ep := range n.state.Load().endpoints {
+		ep.mu.Lock()
+		for id, c := range ep.pending {
+			if c.to == addr {
+				close(c.ch)
+				delete(ep.pending, id)
+			}
+		}
+		ep.mu.Unlock()
+	}
 }
 
 // Join subscribes the endpoint to a multicast group (idempotent).
@@ -1115,7 +1137,7 @@ func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, _ i
 		e.mu.Unlock()
 		return Message{}, ErrClosed
 	}
-	e.pending[id] = ch
+	e.pending[id] = pendingCall{to: to, ch: ch}
 	e.mu.Unlock()
 
 	defer func() {
@@ -1130,10 +1152,14 @@ func (e *Endpoint) Call(ctx context.Context, to Addr, kind string, body any, _ i
 	}
 	select {
 	case m, ok := <-ch:
-		if !ok {
+		if ok {
+			return m, nil
+		}
+		if e.closed.Load() {
 			return Message{}, ErrClosed
 		}
-		return m, nil
+		return Message{}, fmt.Errorf("%w: %s", ErrUnknownAddr, to) // Unreachable
+
 	case <-ctx.Done():
 		return Message{}, fmt.Errorf("%w: %s to %s", ErrTimeout, kind, to)
 	}
@@ -1148,13 +1174,13 @@ func (e *Endpoint) DeliverReply(msg Message) bool {
 		return false
 	}
 	e.mu.Lock()
-	ch, ok := e.pending[msg.CallID]
+	c, ok := e.pending[msg.CallID]
 	if ok {
 		delete(e.pending, msg.CallID)
 	}
 	e.mu.Unlock()
 	if ok {
-		ch <- msg
+		c.ch <- msg
 	} else {
 		msg.Release() // the caller gave up: nobody will read the body
 	}

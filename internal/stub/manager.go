@@ -408,7 +408,7 @@ func (ms *ManagerStub) Dispatch(ctx context.Context, class string, task *tacc.Ta
 				// Terminal, not retryable: the clock won't run backwards.
 				return tacc.Blob{}, fmt.Errorf("%w: class %s (dropped by %s)", ErrDeadline, class, id)
 			}
-			if res.Err == "queue full" || res.Err == "worker disabled" {
+			if res.Err == "queue full" || res.Err == ErrWorkerDisabled {
 				continue // overloaded/disabled: try another instance
 			}
 			// A genuine task error (e.g. pathological input) is

@@ -30,6 +30,8 @@ func (echoWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, erro
 		case <-time.After(time.Second):
 		case <-ctx.Done():
 		}
+	case "busy": // a distiller's CPU burst: no context to watch
+		time.Sleep(40 * time.Millisecond)
 	}
 	return tacc.Blob{MIME: "text/plain", Data: append([]byte("echo:"), task.Input.Data...)}, nil
 }
@@ -44,7 +46,7 @@ type fakeManager struct {
 	interval time.Duration
 
 	up        atomic.Int64 // announcements of a worker up
-	draining  atomic.Int64 // ... and of one draining
+	down      atomic.Int64 // ... and of one stopping
 	unicast   atomic.Int64 // of either, those sent here rather than to the group
 	spawnReqs atomic.Int64
 	workers   chan WorkerInfo // sized to the stubs a test runs
@@ -91,8 +93,8 @@ func (fm *fakeManager) run(ctx context.Context, advertise func() []WorkerInfo) {
 				if msg.Group == "" {
 					fm.unicast.Add(1)
 				}
-				if m.State == supervisor.StateDraining {
-					fm.draining.Add(1)
+				if m.State == supervisor.StateDown {
+					fm.down.Add(1)
 				}
 				if m.State != supervisor.StateUp {
 					continue
@@ -418,53 +420,113 @@ func TestManagerWatchdogFires(t *testing.T) {
 	waitFor(t, "watchdog", func() bool { return restarts.Load() >= 1 })
 }
 
+// TestHotUpgradeDisableEnable: the hot upgrade's disable is a stop and
+// its enable the restart under the same name (§2.1). Stopped, the worker
+// says it is down, and a task sent to it fails at once instead of
+// waiting out a timeout; restarted, it announces itself up and serves.
 func TestHotUpgradeDisableEnable(t *testing.T) {
 	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
-	var adv atomic.Value
-	adv.Store([]WorkerInfo{})
-	go fm.run(ctx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
+	go fm.run(ctx, func() []WorkerInfo { return nil })
 
+	wctx, stop := context.WithCancel(ctx)
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
-	go ws.Run(ctx)
+	exited := make(chan error, 1)
+	go func() { exited <- ws.Run(wctx) }()
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	info := <-fm.workers
-	adv.Store([]WorkerInfo{info})
 
-	// Disabled, the worker keeps announcing — as draining — and refuses
-	// tasks.
-	ep, _ := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
-	ctl := net.Endpoint(san.Addr{Node: "mon", Proc: "monitor"}, 16)
-	if err := ctl.Send(info.Addr, MsgDisable, nil, 8); err != nil {
-		t.Fatal(err)
+	stop()
+	if err := <-exited; err != nil {
+		t.Fatalf("graceful stop returned %v", err)
 	}
-	waitFor(t, "draining announcements", func() bool { return fm.draining.Load() >= 2 })
-
+	waitFor(t, "announced down", func() bool { return fm.down.Load() == 1 })
+	ep, _ := feEndpoint(t, net, ManagerStubConfig{})
 	cctx, ccancel := context.WithTimeout(ctx, time.Second)
 	defer ccancel()
-	resp, err := ep.Call(cctx, info.Addr, MsgTask, TaskMsg{}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Body.(ResultMsg).Err != "worker disabled" {
-		t.Fatalf("resp = %+v", resp.Body)
+	if _, err := ep.Call(cctx, info.Addr, MsgTask, TaskMsg{}, 16); !errors.Is(err, san.ErrUnknownAddr) {
+		t.Fatalf("task to a stopped worker: %v, want %v", err, san.ErrUnknownAddr)
 	}
 
-	// Enable: worker announces itself up and serves again.
+	// The restart: the same name, a fresh instance (the upgraded binary).
 	before := fm.up.Load()
-	if err := ctl.Send(info.Addr, MsgEnable, nil, 8); err != nil {
-		t.Fatal(err)
-	}
+	go NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond}).Run(ctx)
 	waitFor(t, "announced up again", func() bool { return fm.up.Load() > before })
-	resp, err = ep.Call(cctx, info.Addr, MsgTask,
+	resp, err := ep.Call(cctx, info.Addr, MsgTask,
 		TaskMsg{Task: tacc.Task{Input: tacc.Blob{Data: []byte("hi")}}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := resp.Body.(ResultMsg); res.Err != "" || string(res.Blob.Data) != "echo:hi" {
 		t.Fatalf("res = %+v", res)
+	}
+}
+
+// TestStopDrainsHeldTasks: a graceful stop answers every task the
+// stub holds. One task is in service and three wait behind it; the one
+// in service finishes, the three queued ones are refused with the
+// retryable "worker disabled", and every caller has its answer well
+// inside its call timeout.
+func TestStopDrainsHeldTasks(t *testing.T) {
+	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wctx, stop := context.WithCancel(ctx)
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: time.Minute})
+	exited := make(chan error, 1)
+	go func() { exited <- ws.Run(wctx) }()
+
+	caller := net.Endpoint(san.Addr{Node: "fe", Proc: "fe0"}, 16)
+	type answer struct {
+		res ResultMsg
+		err error
+		at  time.Time
+	}
+	answers := make(chan answer, 4)
+	busy := TaskMsg{Task: tacc.Task{Params: map[string]string{"mode": "busy"}}}
+	call := func() {
+		cctx, ccancel := context.WithTimeout(ctx, 2*time.Second)
+		defer ccancel()
+		resp, err := caller.Call(cctx, ws.Addr(), MsgTask, busy, 16)
+		a := answer{err: err, at: time.Now()}
+		if err == nil {
+			a.res = resp.Body.(ResultMsg)
+		}
+		answers <- a
+	}
+	go call()
+	waitFor(t, "first task in service", func() bool { return ws.QueueLen() == 1 && len(ws.queue) == 0 })
+	for range 3 {
+		go call()
+	}
+	waitFor(t, "three tasks queued behind it", func() bool { return ws.QueueLen() == 4 })
+
+	stopAt := time.Now()
+	stop()
+	served, refused := 0, 0
+	for range 4 {
+		a := <-answers
+		switch {
+		case a.err != nil:
+			t.Fatalf("a caller got no answer: %v", a.err)
+		case a.res.Err == "":
+			served++
+		case a.res.Err == "worker disabled":
+			refused++
+		default:
+			t.Fatalf("unexpected answer %+v", a.res)
+		}
+		if wait := a.at.Sub(stopAt); wait > 100*time.Millisecond {
+			t.Fatalf("a caller waited %v after the stop", wait)
+		}
+	}
+	if served != 1 || refused != 3 {
+		t.Fatalf("served %d, refused %d; want the task in service served and 3 refused", served, refused)
+	}
+	if err := <-exited; err != nil {
+		t.Fatalf("graceful stop returned %v", err)
 	}
 }
 

@@ -15,10 +15,10 @@
 // manager, and a new manager's beacon is answered at once (§3.1.3). A
 // worker hears only the beacon's head, on GroupBeacon: the load table is
 // for front ends, so a worker's cost per beacon does not grow with N. A
-// worker disabled for a hot upgrade keeps announcing, as draining: the
-// manager leaves it out of the beacons and does not restart it. A worker
-// stopped on purpose (reaped, or a restart's stop half) says down as its
-// last word; a crashed one says nothing, and its silence is the news.
+// worker stopped on purpose (reaped, or a restart's stop half — the hot
+// upgrade's disable) says down as its last word and refuses every task
+// it will not run; a crashed one says nothing, and its silence is the
+// news.
 package stub
 
 import (
@@ -41,13 +41,14 @@ import (
 // these — the paper's "use of IP multicast provides a level of
 // indirection and relieves components of having to explicitly locate
 // each other" (§3.1.2). Each message goes to the group of those who read
-// it: the primary beacons its existence to the workers on GroupBeacon
-// and its load table to everyone else on GroupControl (§3.1.3), and
-// status reports and span digests go to the monitor alone (§3.1.7).
+// it: the primary beacons its existence to workers and supervisors on
+// GroupBeacon and its load table to everyone else on GroupControl
+// (§3.1.3), and status reports and span digests go to the monitor alone
+// (§3.1.7).
 const (
-	GroupControl = "sns.control" // full manager beacons, supervisor hellos, member announcements
-	GroupBeacon  = "sns.beacon"  // the beacon's head (Manager, Seq, Epoch, no rows): what a worker reads
-	GroupReports = "sns.reports" // status reports and span digests, joined by the monitor only
+	GroupControl = "sns.control"          // full manager beacons, supervisor hellos, member announcements
+	GroupBeacon  = supervisor.GroupBeacon // the beacon's head (Manager, Seq, Epoch, no rows): what workers and supervisors read
+	GroupReports = "sns.reports"          // status reports and span digests, joined by the monitor only
 )
 
 // Message kinds. Liveness is supervisor.MsgAnnounce, whose Member body
@@ -57,8 +58,6 @@ const (
 	MsgTask       = "wrk.task"     // front end -> worker: TaskMsg
 	MsgResult     = "wrk.result"   // worker -> front end (reply): ResultMsg
 	MsgSpawnReq   = "mgr.spawnreq" // front end -> manager: SpawnReq
-	MsgDisable    = "ctl.disable"  // monitor -> component: hot upgrade
-	MsgEnable     = "ctl.enable"   // monitor -> component
 	MsgMonReport  = "mon.report"   // component -> reports group: StatusReport
 	MsgSpanDigest = "obs.spans"    // span reporter -> reports group: SpanDigest
 )
@@ -173,8 +172,8 @@ const (
 // unbounded allocation — the property the FuzzWireRoundTrip fuzzer
 // hammers on. Every san.Network outside san's own tests is built with
 // san.WithCodec(WireCodec{}), so this codec is every message path;
-// control signals without a body layout (MsgDisable, MsgEnable,
-// vcache.MsgStats) encode a nil body as empty bytes.
+// a signal without a body layout (vcache.MsgStats) encodes a nil body
+// as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
 var ErrWireFormat = errors.New("stub: malformed wire message")
@@ -197,7 +196,7 @@ func (WireCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
 }
 
 // EncodeBody serializes a message body for the given kind. Kinds
-// without a registered body layout (control signals like MsgDisable)
+// without a registered body layout (signals like vcache.MsgStats)
 // encode a nil body as empty bytes.
 func EncodeBody(kind string, body any) ([]byte, error) {
 	return EncodeBodyAppend(nil, kind, body)

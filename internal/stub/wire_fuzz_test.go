@@ -280,7 +280,7 @@ func TestWireRejects(t *testing.T) {
 	if _, err := decode(MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
 		t.Fatal("decode accepted trailing garbage")
 	}
-	if _, err := decode(MsgDisable, []byte{1}); err == nil {
+	if _, err := decode(vcache.MsgStats, []byte{1}); err == nil {
 		t.Fatal("decode accepted a body for a body-less kind")
 	}
 }

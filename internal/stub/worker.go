@@ -42,8 +42,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // WorkerStub wraps a tacc.Worker into an SNS citizen: it queues tasks,
 // announces itself and its load to whatever manager is beaconing,
-// survives (or deliberately propagates) worker crashes, and honors
-// hot-upgrade disable/enable. It implements cluster.Process.
+// survives (or deliberately propagates) worker crashes, and drains when
+// stopped — the hot upgrade's disable (§2.1). It implements
+// cluster.Process.
 //
 // The worker code itself "need not be thread-safe" (§2.2.5): the stub
 // executes tasks strictly serially.
@@ -76,7 +77,6 @@ type WorkerStub struct {
 	manager   san.Addr
 	lastEpoch uint64
 	beaconAt  time.Time // when the last beacon was accepted; construction before the first
-	disabled  bool
 }
 
 // InjectSlowdown adds d to every subsequent task execution (zero
@@ -112,25 +112,19 @@ func (s *WorkerStub) Addr() san.Addr { return s.addr() }
 // ID implements cluster.Process.
 func (s *WorkerStub) ID() string { return s.name }
 
-// Member is this worker's announcement of itself: its queue length as
-// its load, draining while disabled.
+// Member is this worker's announcement of itself, with its queue
+// length as its load.
 func (s *WorkerStub) Member() supervisor.Member {
-	m := supervisor.Member{
+	return supervisor.Member{
 		Addr: s.addr(), Kind: supervisor.KindWorker, Class: s.class, State: supervisor.StateUp,
 		Load: int(s.qlen.Load()), Overflow: s.cfg.Overflow,
 	}
-	s.mu.Lock()
-	if s.disabled {
-		m.State = supervisor.StateDraining
-	}
-	s.mu.Unlock()
-	return m
 }
 
 // BeaconAge is how long the stub has gone without a manager beacon. A
 // worker running on the far side of a SAN partition grows old here, and
-// that — not its silence at the manager, which a slow or disabled worker
-// shares — is what says a restart should move it (§2.2.4).
+// that — not its silence at the manager, which a slow worker shares —
+// is what says a restart should move it (§2.2.4).
 func (s *WorkerStub) BeaconAge() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -196,16 +190,32 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			// Stopped on purpose: say so last, behind any announcement
-			// still in flight. A crash (below), or a kill that dropped the
-			// endpoint first, sends nothing — a dead process cannot say
-			// goodbye, and the manager infers the loss by timeout (§3.1.3).
+			// Stopped on purpose (§2.1's disable): say so behind any
+			// announcement still in flight, finish the task in service and
+			// refuse the rest, so their callers fail over now. A crash
+			// (below), or a kill that dropped the endpoint first, sends
+			// nothing — a dead process cannot say goodbye, and the manager
+			// infers the loss by timeout (§3.1.3).
 			down := s.Member()
 			down.State = supervisor.StateDown
 			s.announce(ep, down)
 			pcancel()
 			wg.Wait()
-			return nil
+			for {
+				select {
+				case qt := <-s.queue:
+					s.refuse(qt.msg)
+				case msg, ok := <-ep.Inbox():
+					if !ok {
+						return nil
+					}
+					if msg.Kind == MsgTask {
+						s.refuse(msg)
+					}
+				default:
+					return nil
+				}
+			}
 		case cause := <-crashed:
 			pcancel()
 			wg.Wait()
@@ -252,27 +262,22 @@ func (s *WorkerStub) handle(ctx context.Context, ep *san.Endpoint, msg san.Messa
 			s.announce(ep, s.Member())
 		}
 	case MsgTask:
-		s.mu.Lock()
-		disabled := s.disabled
-		s.mu.Unlock()
-		if disabled {
-			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "worker disabled"}, 16)
-			return
-		}
 		select {
 		case s.queue <- queuedTask{msg: msg, at: time.Now()}:
 			s.qlen.Add(1)
 		default:
 			_ = ep.Respond(msg, MsgResult, ResultMsg{Err: "queue full"}, 16)
 		}
-	case MsgDisable, MsgEnable:
-		// Say so at once: the manager takes a draining worker out of the
-		// beacons it sends now, and puts an enabled one back.
-		s.mu.Lock()
-		s.disabled = msg.Kind == MsgDisable
-		s.mu.Unlock()
-		s.announce(ep, s.Member())
 	}
+}
+
+// ErrWorkerDisabled answers a task a stopping worker will not run.
+const ErrWorkerDisabled = "worker disabled"
+
+// refuse answers a held task the stub will not run.
+func (s *WorkerStub) refuse(msg san.Message) {
+	_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: ErrWorkerDisabled}, 16)
+	msg.Release()
 }
 
 // queuedTask pairs a task with its enqueue instant so the process
@@ -292,19 +297,21 @@ func (s *WorkerStub) processLoop(ctx context.Context, crashed chan<- any) {
 			return
 		case qt := <-s.queue:
 			msg := qt.msg
-			for s.hung.Load() {
+			for s.hung.Load() && ctx.Err() == nil {
 				select {
 				case <-ctx.Done():
-					return
 				case <-time.After(2 * time.Millisecond):
 				}
 			}
 			if d := time.Duration(s.slowdown.Load()); d > 0 {
 				select {
 				case <-ctx.Done():
-					return
 				case <-time.After(d):
 				}
+			}
+			if ctx.Err() != nil {
+				s.refuse(msg) // stopping: not yet in service, so not run
+				return
 			}
 			trace := taskTrace(msg)
 			if trace.Sampled() {

@@ -3,7 +3,7 @@
 // process boundaries. Every core.Start process runs one: it announces
 // itself on the SAN control group with periodic hello heartbeats
 // (address-keyed, exactly like cache services) and executes
-// restart/spawn/reap/disable/enable commands sent to it as SAN calls.
+// restart/spawn/reap commands sent to it as SAN calls.
 //
 // The manager stays the brain — it watches heartbeats and decides what
 // must be started or stopped — and the supervisor is its only muscle:
@@ -41,6 +41,10 @@ const (
 	MsgAnnounce = "member.announce" // component -> group or manager: Member
 )
 
+// GroupBeacon carries the primary manager's beacon head (Manager, Seq,
+// Epoch, no rows): all a supervisor with EpochFrom hears.
+const GroupBeacon = "sns.beacon"
+
 // Command operations.
 const (
 	// OpRestart restarts the named component hosted by this
@@ -76,12 +80,12 @@ type Row struct {
 	Node string
 }
 
-// Member states. A draining member is alive and must not be restarted,
-// but takes no new work: a front end or worker disabled for a hot
-// upgrade keeps announcing in this state. Down is a worker's last word
-// when it is stopped on purpose (reaped, or the stop half of a restart):
-// its earlier announcements may still be in flight, and down, sent after
-// them on the same path, is what keeps them from putting it back.
+// Member states. A draining member is alive but takes no new work: a
+// front end that is stopping announces this state while it finishes the
+// requests it admitted. Down is a worker's last word when it is stopped
+// on purpose (reaped, or the stop half of a restart): its earlier
+// announcements may still be in flight, and down, sent after them on the
+// same path, is what keeps them from putting it back.
 const (
 	StateUp       = "up"
 	StateDraining = "draining"
@@ -200,8 +204,8 @@ type Config struct {
 	// The platform wires the group to stub.GroupControl.
 	HeartbeatGroup    string
 	HeartbeatInterval time.Duration
-	// EpochFrom, when set, makes Run join HeartbeatGroup and extract
-	// an election epoch from every group message it sees (the platform
+	// EpochFrom, when set, makes Run join GroupBeacon and extract an
+	// election epoch from every message it hears there (the platform
 	// wires a closure that recognizes manager beacons — the supervisor
 	// cannot import the stub package itself). The highest epoch
 	// observed fences stale-epoch commands.
@@ -334,11 +338,11 @@ func (s *Supervisor) Run(ctx context.Context) error {
 
 	hb := softstate.NewSchedule(s.cfg.HeartbeatInterval)
 	defer hb.Stop()
-	if s.cfg.EpochFrom != nil && s.cfg.HeartbeatGroup != "" {
-		// Observe election epochs from the control group's beacons so a
-		// deposed primary's commands are fenced even before the new
-		// primary sends us anything directly.
-		ep.Join(s.cfg.HeartbeatGroup)
+	if s.cfg.EpochFrom != nil {
+		// Observe election epochs from the beacon's head so a deposed
+		// primary's commands are fenced even before the new primary
+		// sends us anything directly.
+		ep.Join(GroupBeacon)
 	}
 	for {
 		select {

@@ -127,7 +127,7 @@ func TestCommandsExecuteThroughHost(t *testing.T) {
 	}
 	for i, c := range []struct{ op, target string }{
 		{"restart-frontend", "fe0"}, {"restart-cache", "cache1"}, {"restart-worker", "echo.3"},
-		{"disable", "echo.3"}, // no sender since the monitor disables workers over the SAN itself
+		{"disable", "echo.3"}, // no sender: a hot upgrade is a restart
 	} {
 		ack := call(t, client, sup.Addr(), supervisor.Command{ID: uint64(50 + i), Origin: "t", Op: c.op, Target: c.target})
 		if ack.OK || !strings.Contains(ack.Err, "unknown op") || host.count(supervisor.OpRestart, c.target) != 0 {
@@ -410,7 +410,7 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 
 // TestStaleEpochCommandFenced: the supervisor refuses commands stamped
 // with an epoch older than the highest it has observed — from commands
-// or from group traffic via EpochFrom — so a deposed primary can never
+// or from beacon heads via EpochFrom — so a deposed primary can never
 // double-restart a component. Epoch 0 stays unfenced for operator
 // tooling.
 func TestStaleEpochCommandFenced(t *testing.T) {
@@ -450,11 +450,10 @@ func TestStaleEpochCommandFenced(t *testing.T) {
 		t.Fatalf("unfenced command refused: %+v", ack)
 	}
 
-	// Beacons on the heartbeat group raise the watermark without any
-	// command: an epoch-7 beacon fences even the regime that was valid a
-	// moment ago.
+	// Beacon heads raise the watermark without any command: an epoch-7
+	// head fences even the regime that was valid a moment ago.
 	beaconer := net.Endpoint(san.Addr{Node: "m0", Proc: "mgr"}, 16)
-	beaconer.Multicast("ctl", stub.MsgBeacon, stub.Beacon{Manager: beaconer.Addr(), Epoch: 7}, 16)
+	beaconer.Multicast(supervisor.GroupBeacon, stub.MsgBeacon, stub.Beacon{Manager: beaconer.Addr(), Epoch: 7}, 16)
 	waitFor := time.Now().Add(2 * time.Second)
 	for sup.Epoch() < 7 && time.Now().Before(waitFor) {
 		time.Sleep(time.Millisecond)

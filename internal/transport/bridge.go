@@ -1163,6 +1163,9 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 				b.tombstoneLocked(a)
 			}
 			b.mu.Unlock()
+			for _, a := range addrs {
+				b.net.Unreachable(a)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/san"
 	"repro/internal/stub"
 	"repro/internal/tacc"
+	"repro/internal/vcache"
 )
 
 // newWireNet builds a network carrying the production codec.
@@ -64,7 +65,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 	// goes from the bridge's reader straight to the waiting Call.
 	fe := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 1)
 	wk := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
-	if err := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "noise"}, 1).Send(fe.Addr(), stub.MsgEnable, nil, 0); err != nil {
+	if err := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "noise"}, 1).Send(fe.Addr(), vcache.MsgStats, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -294,6 +295,59 @@ func TestBridgeInvalidationOnClose(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("dead endpoint never became unroutable at the sender")
+}
+
+// TestBridgeCallEndsWhenCalleeCloses: a Call whose callee closes on the
+// far side ends with ErrUnknownAddr when the close's advert arrives,
+// not at its timeout — a request that crossed the close is dropped on
+// arrival, and nothing else would answer it. A reply sent before the
+// close still wins: it travels ahead of the advert.
+func TestBridgeCallEndsWhenCalleeCloses(t *testing.T) {
+	netA, netB, ba, _ := bridgePair(t)
+	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
+	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
+	routed := func() {
+		for start := time.Now(); ; time.Sleep(2 * time.Millisecond) {
+			ba.mu.RLock()
+			_, ok := ba.advertised[dst.Addr()]
+			ba.mu.RUnlock()
+			if ok {
+				return
+			}
+			if time.Since(start) > 5*time.Second {
+				t.Fatal("w0 was never advertised to A")
+			}
+		}
+	}
+	routed()
+	call := func() (san.Message, error, time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		resp, err := src.Call(ctx, dst.Addr(), stub.MsgTask, stub.TaskMsg{}, 16)
+		return resp, err, time.Since(start)
+	}
+
+	// Answered, then closed at once: the reply arrives.
+	go func() {
+		req := awaitMsg(t, dst, 5*time.Second)
+		_ = dst.Respond(req, stub.MsgResult, stub.ResultMsg{Err: "worker disabled"}, 16)
+		dst.Close()
+	}()
+	if resp, err, _ := call(); err != nil || resp.Body.(stub.ResultMsg).Err != "worker disabled" {
+		t.Fatalf("a reply sent before the close: %+v, %v", resp.Body, err)
+	}
+
+	// Closed with the request unanswered: the Call ends with the advert.
+	dst = netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
+	routed()
+	go func() {
+		awaitMsg(t, dst, 5*time.Second)
+		dst.Close()
+	}()
+	if _, err, took := call(); !errors.Is(err, san.ErrUnknownAddr) || took > time.Second {
+		t.Fatalf("a Call to a callee that closed: %v after %v, want %v at once", err, took, san.ErrUnknownAddr)
+	}
 }
 
 // TestBridgeMeshGossip: a third process joining via one seed learns of
