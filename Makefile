@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race loc loc-gate cover fuzz-smoke fuzz-frames fuzz-media smoke-multiprocess bench-micro bench-pairs chaos-soak
+.PHONY: build test test-short race loc loc-gate cover fuzz-smoke fuzz-frames fuzz-media fuzz-headers smoke-multiprocess bench-micro bench-pairs chaos-soak
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,12 @@ fuzz-frames:
 fuzz-media:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSJPG -fuzztime=10s ./internal/media
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSGIF -fuzztime=10s ./internal/media
+
+# Fuzz the front door's header parsing (X-Deadline-Ns, X-Trace-Id): an
+# absent or malformed deadline gets the fallback, and what a hop writes
+# reads back as written. CI runs it on every push.
+fuzz-headers:
+	$(GO) test -run='^$$' -fuzz=FuzzRequestHeaders -fuzztime=15s ./internal/edge
 
 # Two OS processes over loopback TCP serving a TranSend workload:
 # zero failed requests, zero wire errors, or the target fails.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/distiller"
 	"repro/internal/manager"
@@ -234,52 +233,91 @@ func runFaults(seed int64) {
 	fmt.Println("state rebuilt from beacons means no recovery protocol anywhere")
 }
 
-// runHotBot reproduces the §3.2 behaviours: parallel fan-out latency,
-// graceful degradation under node loss (fast-restart), and 100%
-// availability with cross-mounted replicas.
+// runHotBot reproduces the §3.2 behaviours on the SNS layer: every
+// index partition is a worker class, so a query is one task per class.
+// Fast restart loses one partition's worker, answers from the rest and
+// is whole again once the manager restarts it by name; cross-mount runs
+// two workers a class and stays whole.
 func runHotBot(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
 	const docsN = 54000 // 54M documents at 1:1000 scale
 	fmt.Printf("corpus: %d docs (54M at 1:1000 scale), 26 partitions as in HotBot\n\n", docsN)
-	docs := search.GenerateCorpus(rng, docsN, 5000)
-
+	docs := search.GenerateCorpus(rand.New(rand.NewSource(seed)), docsN, 5000)
 	for _, mode := range []search.FailureMode{search.FastRestart, search.CrossMount} {
-		net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
-		cl := cluster.New(net)
-		for i := 0; i < 26; i++ {
-			cl.AddNode(fmt.Sprintf("n%d", i), false)
-		}
-		engine, err := search.Deploy(search.Config{
-			Net: net, Cluster: cl, Partitions: 26, Mode: mode, Seed: seed,
-		}, docs)
-		if err != nil {
-			fmt.Println("deploy:", err)
+		if err := hotbotRun(seed, mode, docs); err != nil {
+			fmt.Println("hotbot:", err)
 			return
 		}
-		ctx := context.Background()
-
-		start := time.Now()
-		res := engine.Query(ctx, "ba de ka", 10)
-		lat := time.Since(start)
-		fmt.Printf("[%s] query over %d shards: %d hits, %v, full corpus (%d docs)\n",
-			mode, res.ShardsAsked, len(res.Hits), lat.Round(time.Microsecond), res.DocsSearched)
-
-		cl.KillNode("n7")
-		res = engine.Query(ctx, "bi du", 10)
-		fmt.Printf("[%s] after losing 1 of 26 nodes: %d of %d docs searched (%.1f%%), partial=%v\n",
-			mode, res.DocsSearched, res.TotalDocs,
-			100*float64(res.DocsSearched)/float64(res.TotalDocs), res.Partial)
-		if mode == search.FastRestart {
-			fmt.Printf("    paper: 54M -> ~51M documents, 'still significantly larger than\n")
-			fmt.Printf("    other search engines (Alta Vista at 30M)'\n")
-		} else {
-			fmt.Printf("    paper (original Inktomi): cross-mounted databases kept 100%% data\n")
-			fmt.Printf("    availability with graceful performance degradation (fallbacks=%d)\n",
-				engine.Stats().ReplicaFallbacks)
-		}
-		cl.StopAll()
 		fmt.Println()
 	}
+}
+
+// hotbotStart boots a search engine of the given partition count on
+// core.Start and returns it with the system and a front end's dispatch.
+func hotbotStart(seed int64, mode search.FailureMode, parts int, docs []search.Doc) (*search.Engine, *core.System, search.Dispatch, error) {
+	reg := tacc.NewRegistry()
+	engine := search.Deploy(search.Config{Partitions: parts, Mode: mode, Seed: seed}, reg, docs)
+	sys, err := core.Start(core.Config{
+		Seed: seed, DedicatedNodes: parts, CacheParts: 1,
+		Registry: reg, Workers: engine.Workers(),
+		BeaconInterval: 30 * time.Millisecond,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !sys.WaitReady(10 * time.Second) {
+		sys.Stop()
+		return nil, nil, nil, fmt.Errorf("%s: not ready in 10 s", mode)
+	}
+	return engine, sys, sys.FrontEnds()[0].ManagerStub().Dispatch, nil
+}
+
+func hotbotRun(seed int64, mode search.FailureMode, docs []search.Doc) error {
+	boot := time.Now()
+	engine, sys, dispatch, err := hotbotStart(seed, mode, 26, docs)
+	if err != nil {
+		return err
+	}
+	defer sys.Stop()
+	ctx := context.Background()
+	show := func(what string, res search.QueryResult) {
+		fmt.Printf("[%s] %s: %d of %d shards, %d of %d docs (%.1f%%), partial=%v\n",
+			mode, what, res.ShardsAlive, res.ShardsAsked, res.DocsSearched, res.TotalDocs,
+			100*float64(res.DocsSearched)/float64(res.TotalDocs), res.Partial)
+	}
+	fmt.Printf("[%s] %d workers up on core.Start in %v\n", mode, len(sys.Workers()), time.Since(boot).Round(time.Millisecond))
+	start := time.Now()
+	res := engine.Query(ctx, dispatch, "ba de ka", 10)
+	show(fmt.Sprintf("query in %v", time.Since(start).Round(time.Microsecond)), res)
+
+	victim := ""
+	for _, id := range sys.Workers() {
+		if strings.HasPrefix(id, search.ShardClass(7)+".") {
+			victim = id
+			break
+		}
+	}
+	killed := time.Now()
+	if err := sys.Kill(victim); err != nil {
+		return err
+	}
+	res = engine.Query(ctx, dispatch, "bi du", 10)
+	show(fmt.Sprintf("%v after killing %s", time.Since(killed).Round(100*time.Microsecond), victim), res)
+	if mode == search.CrossMount {
+		fmt.Printf("    paper (original Inktomi): cross-mounted databases kept 100%% data\n")
+		fmt.Printf("    availability with graceful performance degradation (stub failovers=%d)\n",
+			sys.FrontEnds()[0].ManagerStub().Stats().Failovers)
+		return nil
+	}
+	fmt.Printf("    paper: 54M -> ~51M documents, 'still significantly larger than\n")
+	fmt.Printf("    other search engines (Alta Vista at 30M)'\n")
+	// A partial answer is not cached: asking again reaches every class.
+	for res.Partial && time.Since(killed) < 2*time.Second {
+		time.Sleep(5 * time.Millisecond)
+		res = engine.Query(ctx, dispatch, "bi du", 10)
+	}
+	show(fmt.Sprintf("%v after the kill, manager restarts=%d", time.Since(killed).Round(time.Millisecond),
+		sys.Manager().Stats().WorkerRestarts), res)
+	return nil
 }
 
 // runTable1 verifies Table 1's structural comparison by inspecting the
@@ -289,8 +327,8 @@ func runTable1(seed int64) {
 		{"Load balancing", "dynamic, by queue lengths at workers (lottery over beacon hints)", "static partitioning of read-only data; every query to all workers"},
 		{"Application layer", "composable TACC workers (internal/distiller via internal/tacc)", "fixed search application (internal/search)"},
 		{"Service layer", "worker dispatch rules in the front end (distiller.TranSendRules)", "dynamic result-page generation (search.RenderResults)"},
-		{"Failure management", "centralized, fault-tolerant manager with process peers", "distributed per node: replicas or fast restart (FailureMode)"},
-		{"Worker placement", "workers run anywhere; FEs and caches bound to nodes", "all workers bound to their partitions' nodes"},
+		{"Failure management", "centralized, fault-tolerant manager with process peers", "the same SNS manager: replicas or restart by name (FailureMode)"},
+		{"Worker placement", "workers run anywhere; FEs and caches bound to nodes", "SNS placement; a worker is bound to its partition's class"},
 		{"Profile database", "WAL-backed store with FE read caches (internal/profiledb)", "parallel commercial DB (same ACID island, scaled)"},
 		{"Caching", "pre- and post-transformation web data (internal/vcache)", "recent searches for incremental delivery (search result cache)"},
 	}
@@ -323,19 +361,15 @@ func runTable1(seed int64) {
 			len(sys.FrontEnds()[0].ManagerStub().Workers(distiller.ClassSJPG)))
 		sys.Stop()
 	}
-	// (2) HotBot fan-out is static: every query touches all shards.
-	rng := rand.New(rand.NewSource(seed))
-	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
-	cl := cluster.New(net)
-	for i := 0; i < 4; i++ {
-		cl.AddNode(fmt.Sprintf("n%d", i), false)
-	}
-	engine, err := search.Deploy(search.Config{Net: net, Cluster: cl, Partitions: 4, Seed: seed},
-		search.GenerateCorpus(rng, 2000, 500))
+	// (2) HotBot fan-out is static: every query touches every
+	// partition's class, each a worker class the same SNS layer places
+	// and restarts.
+	engine, hsys, dispatch, err := hotbotStart(seed, search.FastRestart, 4,
+		search.GenerateCorpus(rand.New(rand.NewSource(seed)), 2000, 500))
 	if err == nil {
-		res := engine.Query(context.Background(), "ba", 5)
-		fmt.Printf("  HotBot: query fanned out to %d/%d statically placed shards\n",
+		res := engine.Query(context.Background(), dispatch, "ba", 5)
+		fmt.Printf("  HotBot: query fanned out to %d/%d partition classes on the SNS layer\n",
 			res.ShardsAlive, res.ShardsAsked)
-		cl.StopAll()
+		hsys.Stop()
 	}
 }

@@ -1,9 +1,11 @@
 // Package repro is a from-scratch Go reproduction of "Cluster-Based
 // Scalable Network Services" (Fox, Gribble, Chawathe, Brewer, and
-// Gauthier — SOSP 1997): the layered SNS/TACC architecture, the
-// TranSend distillation proxy and HotBot-style search engine built on
-// it, and a harness that regenerates every table and figure in the
-// paper's evaluation.
+// Gauthier — SOSP 1997): the layered SNS/TACC architecture, two
+// services on it — the TranSend distillation proxy and a HotBot-style
+// search engine whose index partitions are worker classes of the same
+// layer — and a harness that regenerates every table and figure in the
+// paper's evaluation. layering_test.go keeps the layer's packages from
+// depending on either service.
 //
 // Start with README.md for the tour and the package map (including
 // the SAN's wire codec — the serialization path every assembled

@@ -318,18 +318,9 @@ func (e *Edge) Run(ctx context.Context) error {
 func (e *Edge) handleProxy(w http.ResponseWriter, r *http.Request) {
 	e.stats.requests.Add(1)
 	start := time.Now()
-	ctx := r.Context()
-	if h := r.Header.Get(HeaderDeadline); h != "" {
-		if ns, err := strconv.ParseInt(h, 10, 64); err == nil {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, time.Unix(0, ns))
-			defer cancel()
-		}
-	} else {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.RequestTimeout)
-		defer cancel()
-	}
+	deadline, _ := requestHeaders(r.Header, e.cfg.RequestTimeout)
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
+	defer cancel()
 
 	resp, err := e.forward(ctx, r)
 	e.latency.Observe(float64(time.Since(start)))

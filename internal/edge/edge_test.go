@@ -18,16 +18,18 @@ import (
 
 func newTestEdge(t *testing.T, retryBudget float64) *Edge {
 	t.Helper()
+	return startTestEdge(t, Config{RetryBudget: retryBudget})
+}
+
+// startTestEdge runs an edge of cfg on a fresh network, listening on a
+// free loopback port.
+func startTestEdge(t *testing.T, cfg Config) *Edge {
+	t.Helper()
 	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	t.Cleanup(net.Close)
-	e, err := New(Config{
-		Name:        "edge",
-		Node:        "edgenode",
-		Net:         net,
-		Listen:      "127.0.0.1:0",
-		RetryBudget: retryBudget,
-		Pool:        PoolConfig{Seed: 1, ProbeAfter: 50 * time.Millisecond},
-	})
+	cfg.Name, cfg.Node, cfg.Net, cfg.Listen = "edge", "edgenode", net, "127.0.0.1:0"
+	cfg.Pool = PoolConfig{Seed: 1, ProbeAfter: 50 * time.Millisecond}
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +89,40 @@ func TestEdgeProxiesHeadersAndDeadline(t *testing.T) {
 	}
 	if st := e.Stats(); st.Proxied != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestEdgeMalformedDeadlineGetsRequestTimeout: a junk X-Deadline-Ns is
+// treated as absent — the edge applies RequestTimeout and forwards a
+// deadline of its own instead of the junk.
+func TestEdgeMalformedDeadlineGetsRequestTimeout(t *testing.T) {
+	var forwarded atomic.Value
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		forwarded.Store(r.Header.Get(HeaderDeadline))
+		select {
+		case <-r.Context().Done():
+		case <-time.After(2 * time.Second):
+			fmt.Fprint(w, "late")
+		}
+	}))
+	defer backend.Close()
+
+	e := startTestEdge(t, Config{RequestTimeout: 100 * time.Millisecond})
+	e.ObserveBackend("n/fe0", "fe0", backend.Listener.Addr().String(), false)
+
+	req, _ := http.NewRequest(http.MethodGet, "http://"+e.HTTPAddr()+"/fetch?url=x", nil)
+	req.Header.Set(HeaderDeadline, "junk")
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); resp.StatusCode != http.StatusGatewayTimeout || took > time.Second {
+		t.Fatalf("status %d after %v, want 504 within 1 s", resp.StatusCode, took)
+	}
+	if h, _ := forwarded.Load().(string); h == "junk" {
+		t.Fatal("the junk deadline header was forwarded as-is")
 	}
 }
 

@@ -68,6 +68,24 @@ func (s *FEServer) Close() error {
 	return s.srv.Close()
 }
 
+// requestHeaders reads the deadline and trace id a request carries: the
+// X-Deadline-Ns instant, or now plus fallback when the header is absent
+// or malformed, and the X-Trace-Id (zero when absent or malformed). The
+// edge and every front end's HTTP entry read them here, alike. An absent
+// header is not parsed, since a failed parse allocates its error.
+func requestHeaders(h http.Header, fallback time.Duration) (deadline time.Time, trace obs.TraceID) {
+	deadline = time.Now().Add(fallback)
+	if v := h.Get(HeaderDeadline); v != "" {
+		if ns, err := strconv.ParseInt(v, 10, 64); err == nil {
+			deadline = time.Unix(0, ns)
+		}
+	}
+	if v := h.Get(HeaderTraceID); v != "" {
+		trace, _ = obs.ParseTraceID(v)
+	}
+	return deadline, trace
+}
+
 // FetchHandler is the one HTTP ↔ frontend.Request adapter, mounted on
 // every HTTP entry to a front end (the per-FE listeners above and
 // cmd/node -http). GET /fetch?url=<u>&user=<id>&raw=1: the deadline
@@ -83,18 +101,10 @@ func FetchHandler(do func(context.Context, frontend.Request) (frontend.Response,
 			http.Error(w, "missing url", http.StatusBadRequest)
 			return
 		}
-		ns, err := strconv.ParseInt(r.Header.Get(HeaderDeadline), 10, 64)
-		deadline := time.Unix(0, ns)
-		if err != nil { // absent or malformed
-			deadline = time.Now().Add(fetchTimeout)
-		}
+		deadline, trace := requestHeaders(r.Header, fetchTimeout)
 		ctx, cancel := context.WithDeadline(r.Context(), deadline)
 		defer cancel()
-		if h := r.Header.Get(HeaderTraceID); h != "" {
-			if id, err := obs.ParseTraceID(h); err == nil {
-				ctx = obs.WithTrace(ctx, id)
-			}
-		}
+		ctx = obs.WithTrace(ctx, trace)
 
 		resp, err := do(ctx, frontend.Request{
 			URL:  url,

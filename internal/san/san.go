@@ -56,14 +56,14 @@
 // each workload: monitor 13, manager 9, worker 8, the rest ≤ 6.
 //
 // ServerInboxSize is for an endpoint that serves Calls one at a time (a
-// cache partition, a search shard): its depth is its callers'
+// cache partition, the only one left): its depth is its callers'
 // concurrency, and a request dropped there costs its caller the Call's
 // timeout. A partition ran 21 deep in those runs, but 635–638 deep with
 // two front ends at their admission bound (640 requests) probing it at
 // 1 ms a probe, and up to 236 (595 under -race) at no added cost
 // (frontend.TestCacheInboxAtAdmissionBound). A degraded serve probes
-// without an admission slot and cmd/hotbot bounds no query, so that size
-// is a limit, not a measured bound. san.inbox_max and san.inbox_full
+// without an admission slot, so that size is a limit, not a measured
+// bound. san.inbox_max and san.inbox_full
 // watch both.
 package san
 

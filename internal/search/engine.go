@@ -2,26 +2,28 @@ package search
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/san"
+	"repro/internal/tacc"
 )
 
-// FailureMode selects how the engine handles node loss (§3.2).
+// FailureMode selects how the service rides out a lost worker (§3.2):
+// how many replicas serve each partition.
 type FailureMode int
 
 const (
 	// FastRestart is the HotBot production design: one copy of each
-	// partition; a lost node temporarily shrinks the searchable
-	// corpus, and fast restart brings it back.
+	// partition; a lost worker temporarily shrinks the searchable
+	// corpus until the manager restarts it by name.
 	FastRestart FailureMode = iota
 	// CrossMount is the original Inktomi design: every partition is
-	// reachable from two nodes, so data availability stays at 100%
-	// with graceful performance degradation.
+	// served by two workers, so data availability stays at 100% with
+	// graceful performance degradation.
 	CrossMount
 )
 
@@ -33,79 +35,8 @@ func (m FailureMode) String() string {
 	return "fast-restart"
 }
 
-// Wire protocol: the collator's Call to a shard and its reply. Both
-// have layouts in stub's codec, so a shard can answer from another
-// process.
-const (
-	MsgQuery = "shard.query" // collator -> shard: QueryReq
-	MsgHits  = "shard.hits"  // shard -> collator (reply): QueryResp
-)
-
-// QueryReq asks one shard for its top K hits.
-type QueryReq struct {
-	Query string
-	K     int
-}
-
-// QueryResp is a shard's answer: its top hits and how many documents
-// it searched (the collator's measure of harvest).
-type QueryResp struct {
-	Hits []Hit
-	Docs int
-}
-
-// shardService serves one partition on one node. In CrossMount mode
-// the same *Shard is served by a second service on a different node
-// (the replica "cross-mounts" the shard's disk).
-type shardService struct {
-	name  string
-	node  string
-	net   *san.Network
-	shard *Shard
-	ep    *san.Endpoint
-}
-
-func newShardService(name, node string, net *san.Network, shard *Shard) *shardService {
-	s := &shardService{name: name, node: node, net: net, shard: shard}
-	s.ep = net.Endpoint(san.Addr{Node: node, Proc: name}, san.ServerInboxSize)
-	return s
-}
-
-func (s *shardService) ID() string { return s.name }
-
-func (s *shardService) addr() san.Addr { return san.Addr{Node: s.node, Proc: s.name} }
-
-func (s *shardService) Run(ctx context.Context) error {
-	if s.ep == nil || !s.net.Lookup(s.addr()) {
-		s.ep = s.net.Endpoint(s.addr(), san.ServerInboxSize)
-	}
-	ep := s.ep
-	defer ep.Close()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case msg, ok := <-ep.Inbox():
-			if !ok {
-				return fmt.Errorf("search: %s endpoint closed", s.name)
-			}
-			if msg.Kind != MsgQuery {
-				continue
-			}
-			req, ok := msg.Body.(QueryReq)
-			if !ok {
-				continue
-			}
-			hits := s.shard.Search(req.Query, req.K)
-			_ = ep.Respond(msg, MsgHits, QueryResp{Hits: hits, Docs: s.shard.Docs()}, 64+32*len(hits))
-		}
-	}
-}
-
-// Config assembles a search engine deployment.
+// Config describes the search service.
 type Config struct {
-	Net     *san.Network
-	Cluster *cluster.Cluster
 	// Partitions is the number of index partitions (the paper's
 	// HotBot ran 26 nodes; tests use fewer).
 	Partitions int
@@ -121,8 +52,8 @@ type Config struct {
 type QueryResult struct {
 	Query string
 	Hits  []Hit
-	// DocsSearched / TotalDocs expose graceful degradation: on a
-	// node loss in FastRestart mode, DocsSearched < TotalDocs.
+	// DocsSearched / TotalDocs expose graceful degradation: while a
+	// partition has no worker to answer, DocsSearched < TotalDocs.
 	DocsSearched int
 	TotalDocs    int
 	Partial      bool
@@ -131,12 +62,43 @@ type QueryResult struct {
 	ShardsAlive  int
 }
 
-// Engine is a deployed, queryable search service.
+// Dispatch runs one task on some worker of a class: the SNS layer's
+// stub.ManagerStub.Dispatch, passed as a method value, so this package
+// depends on neither the stub nor the SAN.
+type Dispatch func(ctx context.Context, class string, task *tacc.Task) (tacc.Blob, error)
+
+// ShardClass names the worker class that serves index partition i.
+func ShardClass(i int) string { return fmt.Sprintf("search-shard%d", i) }
+
+// shardAnswer is a shard worker's result, JSON in its Blob: its top hits
+// and how many documents it searched (the collator's measure of harvest).
+type shardAnswer struct {
+	Hits []Hit
+	Docs int
+}
+
+// shardWorker serves one partition: the task's Key is the query, its
+// "k" param how many hits to return.
+type shardWorker struct {
+	class string
+	shard *Shard
+}
+
+func (w shardWorker) Class() string { return w.class }
+
+func (w shardWorker) Process(_ context.Context, task *tacc.Task) (tacc.Blob, error) {
+	data, err := json.Marshal(shardAnswer{Hits: w.shard.Search(task.Key, task.ParamInt("k", 10)), Docs: w.shard.Docs()})
+	if err != nil {
+		return tacc.Blob{}, err
+	}
+	return tacc.Blob{MIME: "application/json", Data: data}, nil
+}
+
+// Engine is the search service's collator: it sends each query to one
+// worker of every partition's class and merges the answers.
 type Engine struct {
-	cfg    Config
-	total  int
-	ep     *san.Endpoint
-	shards []shardHosting
+	cfg   Config
+	total int
 
 	mu    sync.Mutex
 	cache *resultCache
@@ -145,24 +107,19 @@ type Engine struct {
 
 // EngineStats counts engine activity.
 type EngineStats struct {
-	Queries          uint64
-	CacheHits        uint64
-	PartialAnswers   uint64
-	ShardTimeouts    uint64
-	ReplicaFallbacks uint64
+	Queries        uint64
+	CacheHits      uint64
+	PartialAnswers uint64
 }
 
-type shardHosting struct {
-	shard   *Shard
-	primary san.Addr
-	replica san.Addr // zero unless CrossMount
-}
-
-// Deploy partitions the corpus, builds shards, and spawns shard
-// services across the cluster's dedicated nodes (one partition per
-// node, like HotBot's workers that are "bound to particular
-// machines").
-func Deploy(cfg Config, docs []Doc) (*Engine, error) {
+// Deploy partitions the corpus and registers one worker class per
+// partition in reg. Partitions are distinct classes and a partition's
+// replicas are interchangeable clones of its class (Devlin/Gray). A
+// class's factory builds its partition's shard, so a worker the manager
+// restarts by name comes back with its partition: HotBot's fast
+// restart. Start the SNS layer with reg and Workers, then Query through
+// a front end's dispatch.
+func Deploy(cfg Config, reg *tacc.Registry, docs []Doc) *Engine {
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}
@@ -172,44 +129,25 @@ func Deploy(cfg Config, docs []Doc) (*Engine, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	nodes := cfg.Cluster.Nodes()
-	var hosts []string
-	for _, n := range nodes {
-		if !n.Overflow && n.Alive {
-			hosts = append(hosts, n.ID)
-		}
+	for i, part := range Partition(docs, cfg.Partitions, cfg.Seed) {
+		class := ShardClass(i)
+		reg.Register(class, func() tacc.Worker { return shardWorker{class: class, shard: BuildShard(i, part)} })
 	}
-	if len(hosts) < cfg.Partitions {
-		return nil, fmt.Errorf("search: %d partitions need %d nodes, have %d",
-			cfg.Partitions, cfg.Partitions, len(hosts))
+	return &Engine{cfg: cfg, total: len(docs), cache: newResultCache(cfg.CacheSize)}
+}
+
+// Workers is the core.Config.Workers map: every partition's class, one
+// worker each in FastRestart mode, two in CrossMount.
+func (e *Engine) Workers() map[string]int {
+	n := 1
+	if e.cfg.Mode == CrossMount {
+		n = 2
 	}
-	parts := Partition(docs, cfg.Partitions, cfg.Seed)
-	e := &Engine{cfg: cfg, total: len(docs), cache: newResultCache(cfg.CacheSize)}
-	for i, part := range parts {
-		shard := BuildShard(i, part)
-		primaryNode := hosts[i%len(hosts)]
-		name := fmt.Sprintf("shard%d", i)
-		svc := newShardService(name, primaryNode, cfg.Net, shard)
-		if _, err := cfg.Cluster.Spawn(primaryNode, svc); err != nil {
-			return nil, err
-		}
-		hosting := shardHosting{shard: shard, primary: svc.addr()}
-		if cfg.Mode == CrossMount {
-			// The replica serves the same shard from the next node
-			// over — the cross-mounted-disk arrangement.
-			replicaNode := hosts[(i+1)%len(hosts)]
-			rname := fmt.Sprintf("shard%d.r", i)
-			rsvc := newShardService(rname, replicaNode, cfg.Net, shard)
-			if _, err := cfg.Cluster.Spawn(replicaNode, rsvc); err != nil {
-				return nil, err
-			}
-			hosting.replica = rsvc.addr()
-		}
-		e.shards = append(e.shards, hosting)
+	out := make(map[string]int, e.cfg.Partitions)
+	for i := 0; i < e.cfg.Partitions; i++ {
+		out[ShardClass(i)] = n
 	}
-	// The collator only calls: replies go to its Calls, never its inbox.
-	e.ep = cfg.Net.Endpoint(san.Addr{Node: "hotbot-fe", Proc: "collator"}, san.InboxSize)
-	return e, nil
+	return out
 }
 
 // Stats returns engine counters.
@@ -219,97 +157,63 @@ func (e *Engine) Stats() EngineStats {
 	return e.stats
 }
 
-// TotalDocs returns the corpus size at deployment.
-func (e *Engine) TotalDocs() int { return e.total }
-
-// Query fans the query out to every partition in parallel, collates
-// the top k, and caches the result for incremental delivery.
-func (e *Engine) Query(ctx context.Context, query string, k int) QueryResult {
+// Query sends the query to every partition's class in parallel, each
+// task bounded by QueryTimeout, collates the top k, and caches a full
+// result for incremental delivery. A partition no worker answers for is
+// left out: the answer shrinks instead of failing, and is not cached, so
+// the same query asked after the partition's restart is whole again.
+func (e *Engine) Query(ctx context.Context, dispatch Dispatch, query string, k int) QueryResult {
 	e.mu.Lock()
 	e.stats.Queries++
 	if cached, ok := e.cache.get(query); ok {
 		e.stats.CacheHits++
 		e.mu.Unlock()
-		hits := cached.Hits
-		if len(hits) > k {
-			hits = hits[:k]
-		}
 		out := *cached
-		out.Hits = hits
+		if len(out.Hits) > k {
+			out.Hits = out.Hits[:k]
+		}
 		out.FromCache = true
 		return out
 	}
 	e.mu.Unlock()
 
-	type shardAnswer struct {
-		resp     QueryResp
-		ok       bool
-		fellBack bool
-	}
-	answers := make([]shardAnswer, len(e.shards))
+	answers := make([]*shardAnswer, e.cfg.Partitions)
 	var wg sync.WaitGroup
-	for i, h := range e.shards {
-		i, h := i, h
+	for i := range answers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, ok := e.askShard(ctx, h.primary, query, k)
-			fellBack := false
-			if !ok && !h.replica.IsZero() {
-				resp, ok = e.askShard(ctx, h.replica, query, k)
-				fellBack = ok
+			cctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
+			defer cancel()
+			task := &tacc.Task{Key: query, Params: map[string]string{"k": strconv.Itoa(k)}}
+			out, err := dispatch(cctx, ShardClass(i), task)
+			var a shardAnswer
+			if err == nil && json.Unmarshal(out.Data, &a) == nil {
+				answers[i] = &a
 			}
-			answers[i] = shardAnswer{resp: resp, ok: ok, fellBack: fellBack}
 		}()
 	}
 	wg.Wait()
 
+	res := QueryResult{Query: query, TotalDocs: e.total, ShardsAsked: len(answers)}
 	lists := make([][]Hit, 0, len(answers))
-	searched := 0
-	alive := 0
 	for _, a := range answers {
-		if !a.ok {
-			continue
+		if a != nil {
+			res.ShardsAlive++
+			res.DocsSearched += a.Docs
+			lists = append(lists, a.Hits)
 		}
-		alive++
-		searched += a.resp.Docs
-		lists = append(lists, a.resp.Hits)
 	}
-	res := QueryResult{
-		Query:        query,
-		Hits:         MergeHits(lists, k),
-		DocsSearched: searched,
-		TotalDocs:    e.total,
-		Partial:      alive < len(e.shards),
-		ShardsAsked:  len(e.shards),
-		ShardsAlive:  alive,
-	}
+	res.Hits = MergeHits(lists, k)
+	res.Partial = res.ShardsAlive < res.ShardsAsked
 	e.mu.Lock()
 	if res.Partial {
 		e.stats.PartialAnswers++
+	} else {
+		e.cache.put(query, &res)
 	}
-	for _, a := range answers {
-		if !a.ok {
-			e.stats.ShardTimeouts++
-		}
-		if a.fellBack {
-			e.stats.ReplicaFallbacks++
-		}
-	}
-	e.cache.put(query, &res)
 	e.mu.Unlock()
 	return res
-}
-
-func (e *Engine) askShard(ctx context.Context, addr san.Addr, query string, k int) (QueryResp, bool) {
-	cctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
-	defer cancel()
-	msg, err := e.ep.Call(cctx, addr, MsgQuery, QueryReq{Query: query, K: k}, len(query)+16)
-	if err != nil {
-		return QueryResp{}, false
-	}
-	resp, ok := msg.Body.(QueryResp)
-	return resp, ok
 }
 
 // Page serves result pages from the recent-results cache — the

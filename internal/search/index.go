@@ -9,12 +9,12 @@
 // loss (the HotBot/RAID design, graceful corpus degradation: losing 1
 // of 26 nodes drops 54M docs to ~51M).
 //
-// HotBot predates the layered SNS framework and used ad hoc mechanisms
-// in places; mirroring that, this package talks to the cluster and SAN
-// directly instead of going through the TACC worker stubs. Its two
-// message kinds (MsgQuery, MsgHits) are laid out by stub's wire codec,
-// the one every SAN runs, so a shard's answer crosses the same bytes
-// whether the collator is in its process or not.
+// HotBot predates the layered SNS framework, but this package runs it
+// on that layer as a second tenant beside TranSend: each partition is a
+// TACC worker class (ShardClass) whose one or two workers the manager
+// places, restarts by name and load-balances like any other, and the
+// collator fans a query out through the front end's stub dispatch, one
+// task per class. It imports neither the stub nor the SAN.
 package search
 
 import (
@@ -75,9 +75,10 @@ func BuildShard(id int, docs []Doc) *Shard {
 		postings: make(map[string][]posting),
 		titles:   make(map[int32]string, len(docs)),
 	}
+	counts := map[string]int32{} // one document's term frequencies, reused
 	for _, d := range docs {
 		s.titles[int32(d.ID)] = d.Title
-		counts := map[string]int32{}
+		clear(counts)
 		for _, t := range Tokenize(d.Title + " " + d.Body) {
 			counts[t]++
 		}

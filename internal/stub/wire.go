@@ -19,6 +19,11 @@
 // upgrade's disable) says down as its last word and refuses every task
 // it will not run; a crashed one says nothing, and its silence is the
 // news.
+//
+// The stub serves every tenant alike and imports none: a TranSend
+// distillation and a HotBot shard query are both a Task dispatched to
+// some worker of a class, and the wire codec lays out the SNS layer's
+// messages only.
 package stub
 
 import (
@@ -31,7 +36,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
-	"repro/internal/search"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
@@ -164,25 +168,25 @@ const (
 //
 // EncodeBodyAppend/DecodeBodyView define the production wire format for
 // every SNS message — the stub control plane, the task/result data
-// plane, the vcache cache protocol and HotBot's shard queries: a
-// compact, deterministic binary encoding (strings and byte slices are
-// uvarint-length-prefixed, maps are emitted in sorted key order so equal
-// values encode to equal bytes, floats are IEEE-754 bits). DecodeBodyView
-// is total: malformed input yields an error, never a panic or an
-// unbounded allocation — the property the FuzzWireRoundTrip fuzzer
-// hammers on. Every san.Network outside san's own tests is built with
-// san.WithCodec(WireCodec{}), so this codec is every message path;
-// a signal without a body layout (vcache.MsgStats) encodes a nil body
-// as empty bytes.
+// plane (HotBot's shard queries are tasks too) and the vcache cache
+// protocol: a compact, deterministic binary encoding (strings and byte
+// slices are uvarint-length-prefixed, maps are emitted in sorted key
+// order so equal values encode to equal bytes, floats are IEEE-754
+// bits). DecodeBodyView is total: malformed input yields an error,
+// never a panic or an unbounded allocation — the property the
+// FuzzWireRoundTrip fuzzer hammers on. Every san.Network outside san's
+// own tests is built with san.WithCodec(WireCodec{}), so this codec is
+// every message path; a signal without a body layout (vcache.MsgStats)
+// encodes a nil body as empty bytes.
 
 // ErrWireFormat reports a malformed or truncated wire message.
 var ErrWireFormat = errors.New("stub: malformed wire message")
 
 // WireCodec adapts the package codec to san.Codec, so a network built
 // with san.WithCodec(stub.WireCodec{}) serializes every SNS message —
-// control plane, data plane, the cache protocol and HotBot's shard
-// queries — through the production encoding, and decodes []byte body
-// fields as views whose deliveries carry the backing san.Lease.
+// control plane, data plane and the cache protocol — through the
+// production encoding, and decodes []byte body fields as views whose
+// deliveries carry the backing san.Lease.
 type WireCodec struct{}
 
 // AppendBody implements san.Codec.
@@ -361,26 +365,6 @@ func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
 		w.u64(m.ID)
 		w.bool(m.OK)
 		w.str(m.Err)
-	case search.MsgQuery:
-		m, ok := body.(search.QueryReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants search.QueryReq, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Query)
-		w.varint(int64(m.K))
-	case search.MsgHits:
-		m, ok := body.(search.QueryResp)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants search.QueryResp, got %T", ErrWireFormat, kind, body)
-		}
-		w.uvarint(uint64(len(m.Hits)))
-		for _, h := range m.Hits {
-			w.varint(int64(h.Doc))
-			w.str(h.Title)
-			w.f64(h.Score)
-			w.varint(int64(h.Shard))
-		}
-		w.varint(int64(m.Docs))
 	default:
 		if body != nil {
 			return nil, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
@@ -492,19 +476,6 @@ func DecodeBodyView(kind string, data []byte) (any, bool, error) {
 		body = supervisor.Command{ID: r.u64(), Origin: r.str(), Op: r.str(), Target: r.str(), Epoch: r.u64()}
 	case supervisor.MsgAck:
 		body = supervisor.Ack{ID: r.u64(), OK: r.bool(), Err: r.str()}
-	case search.MsgQuery:
-		body = search.QueryReq{Query: r.str(), K: int(r.varint())}
-	case search.MsgHits:
-		var m search.QueryResp
-		n := r.sliceLen(wireMinHit)
-		if n > 0 {
-			m.Hits = make([]search.Hit, 0, n)
-			for i := 0; i < n; i++ {
-				m.Hits = append(m.Hits, search.Hit{Doc: int(r.varint()), Title: r.str(), Score: r.f64(), Shard: int(r.varint())})
-			}
-		}
-		m.Docs = int(r.varint())
-		body = m
 	default:
 		if len(data) != 0 {
 			return nil, false, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
@@ -527,7 +498,6 @@ func WireKinds() []string {
 		MsgBeacon, MsgMonReport, MsgResult, MsgSpawnReq, MsgSpanDigest, MsgTask,
 		supervisor.MsgAck, supervisor.MsgAnnounce, supervisor.MsgCmd, supervisor.MsgHello,
 		vcache.MsgGet, vcache.MsgGot, vcache.MsgInject, vcache.MsgPut, vcache.MsgStatsR,
-		search.MsgHits, search.MsgQuery,
 	}
 }
 
@@ -535,11 +505,10 @@ func WireKinds() []string {
 // attacker-controlled counts: a claimed N-element slice needs at
 // least N*min bytes of remaining input.
 const (
-	wireMinWorkerInfo = 7  // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
-	wireMinBlob       = 3  // empty MIME + empty data + empty meta
-	wireMinSpan       = 7  // trace uvarint + 4 empty strings + 2 varints
-	wireMinRow        = 3  // three empty strings
-	wireMinHit        = 11 // doc varint + empty title + f64 score + shard varint
+	wireMinWorkerInfo = 7 // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
+	wireMinBlob       = 3 // empty MIME + empty data + empty meta
+	wireMinSpan       = 7 // trace uvarint + 4 empty strings + 2 varints
+	wireMinRow        = 3 // three empty strings
 )
 
 // wireMaxRoster bounds the component-table rows one supervisor hello

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
-	"repro/internal/search"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
@@ -104,14 +103,6 @@ func wireSamples() map[string]any {
 			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestart, Target: "cache0", Epoch: 3,
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
-		search.MsgQuery:   search.QueryReq{Query: "ba de ka", K: 10},
-		search.MsgHits: search.QueryResp{
-			Hits: []search.Hit{
-				{Doc: 4711, Title: "ba de lo", Score: 3.25, Shard: 7},
-				{Doc: 12, Title: "ka", Score: 1.5, Shard: 7},
-			},
-			Docs: 2077,
-		},
 	}
 }
 
@@ -334,7 +325,7 @@ func TestProbeWireFields(t *testing.T) {
 }
 
 // FuzzWireRoundTrip fuzzes DecodeBodyView across every message kind
-// (including the cache protocol and HotBot's shard queries): arbitrary
+// (including the cache protocol): arbitrary
 // bytes must never panic or over-allocate, and any input that decodes
 // successfully must re-encode and re-decode to the same value (the
 // codec is canonical on its own output). The re-encode runs through
@@ -376,13 +367,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		f.Add(slices.Index(kinds, supervisor.MsgAnnounce), data)
 	}
-	// A shard that matched nothing answers with no hits.
-	data, err := EncodeBody(search.MsgHits, search.QueryResp{Docs: 2077})
-	if err != nil {
-		f.Fatalf("empty hits seed: %v", err)
-	}
-	f.Add(slices.Index(kinds, search.MsgHits), data)
-
 	f.Fuzz(func(t *testing.T, kindIdx int, data []byte) {
 		if kindIdx < 0 {
 			kindIdx = -kindIdx
