@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/stub"
+	"repro/internal/vcache"
 )
 
 // TestDistillationResultWritesAtOnce: a distillation's result leaves the
@@ -22,27 +23,65 @@ func TestDistillationResultWritesAtOnce(t *testing.T) {
 		a.TraceSampleRate = 1
 		b.TraceSampleRate = 1
 	})
-	const misses = 160
-	timerA, timerB := sysA.Bridge.Stats().TimerWrites, sysB.Bridge.Stats().TimerWrites
-	traces := make([]obs.TraceID, 0, misses)
-	for i := 0; i < misses; i++ {
+	traces := tracedRequests(t, sysA, sysB, 160, func(i int) string {
+		return fmt.Sprintf("http://origin%d.example/prompt%d.sjpg", i%4, i)
+	})
+	if p50 := flushP50(t, sysB.Tracer(), traces, stub.MsgResult); p50 >= 300*time.Microsecond {
+		t.Fatalf("wrk.result flush p50 %v, want < 300µs: the result waited for the flush timer", p50)
+	}
+}
+
+// TestCacheProbeWritesAtOnce: a cache probe's request leaves the front
+// end's process by its caller's own write, as every Call's request does.
+// Over 160 sequential hits on 16 warmed URLs, every one traced, the
+// transport.flush spans the front end's process records for cache.get
+// read a p50 under 300 µs. The answer, a small reply, still waits one
+// tick: the cache's process runs about one timer write per request.
+func TestCacheProbeWritesAtOnce(t *testing.T) {
+	sysA, sysB := startPair(t, func(a, b *Config) {
+		a.TraceSampleRate = 1
+		b.TraceSampleRate = 1
+	})
+	url := func(i int) string { return fmt.Sprintf("http://origin%d.example/probe%d.sjpg", i%4, i%16) }
+	tracedRequests(t, sysA, sysB, 16, url) // the misses that warm the cache
+	traces := tracedRequests(t, sysA, sysB, 160, url)
+	if p50 := flushP50(t, sysA.Tracer(), traces, vcache.MsgGet); p50 >= 300*time.Microsecond {
+		t.Fatalf("cache.get flush p50 %v, want < 300µs: the probe waited for the flush timer", p50)
+	}
+}
+
+// tracedRequests runs n sequential requests on feSide, the i-th for
+// url(i), and returns their trace ids. It logs the writes each process's
+// flush timer ran per request meanwhile.
+func tracedRequests(t *testing.T, feSide, mgrSide *System, n int, url func(int) string) []obs.TraceID {
+	t.Helper()
+	timerA, timerB := feSide.Bridge.Stats().TimerWrites, mgrSide.Bridge.Stats().TimerWrites
+	traces := make([]obs.TraceID, 0, n)
+	for i := 0; i < n; i++ {
 		rctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		resp, err := sysA.Request(rctx, fmt.Sprintf("http://origin%d.example/prompt%d.sjpg", i%4, i), "alice")
+		resp, err := feSide.Request(rctx, url(i), "alice")
 		cancel()
 		if err != nil {
-			t.Fatalf("miss %d: %v", i, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
 		traces = append(traces, resp.Trace)
 	}
-	perReqA := float64(sysA.Bridge.Stats().TimerWrites-timerA) / misses
-	perReqB := float64(sysB.Bridge.Stats().TimerWrites-timerB) / misses
+	t.Logf("%d requests; timer writes per request: front-end process %.2f, cache and worker process %.2f", n,
+		float64(feSide.Bridge.Stats().TimerWrites-timerA)/float64(n),
+		float64(mgrSide.Bridge.Stats().TimerWrites-timerB)/float64(n))
+	return traces
+}
 
+// flushP50 waits until tr holds 100 transport.flush spans of kind among
+// traces and returns their median.
+func flushP50(t *testing.T, tr *obs.Tracer, traces []obs.TraceID, kind string) time.Duration {
+	t.Helper()
 	var durs []int64
-	waitFor(t, "100 wrk.result flush spans on the worker's process", func() bool {
+	waitFor(t, "100 "+kind+" flush spans", func() bool {
 		durs = durs[:0]
 		for _, id := range traces {
-			for _, sp := range sysB.Tracer().Spans(id) {
-				if sp.Hop == "transport.flush" && sp.Note == stub.MsgResult {
+			for _, sp := range tr.Spans(id) {
+				if sp.Hop == "transport.flush" && sp.Note == kind {
 					durs = append(durs, sp.Dur)
 				}
 			}
@@ -51,11 +90,8 @@ func TestDistillationResultWritesAtOnce(t *testing.T) {
 	})
 	slices.Sort(durs)
 	p50 := time.Duration(durs[len(durs)/2])
-	t.Logf("%d wrk.result flushes, p50 %v; timer writes per request: front-end process %.2f, worker process %.2f",
-		len(durs), p50, perReqA, perReqB)
-	if p50 >= 300*time.Microsecond {
-		t.Fatalf("wrk.result flush p50 %v, want < 300µs: the result waited for the flush timer", p50)
-	}
+	t.Logf("%d %s flushes, p50 %v", len(durs), kind, p50)
+	return p50
 }
 
 // TestMultiProcessTracePropagation is the acceptance test for the

@@ -208,8 +208,11 @@ type Codec interface {
 	DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error)
 }
 
-// Prompter marks a body a fabric sends at once instead of holding it for
-// a batch: a distillation's task or result (stub.TaskMsg, stub.ResultMsg).
+// Prompter marks a body a fabric sends at once, not held for a batch: a
+// distillation's result (stub.ResultMsg), so a result never waits. A
+// Call's request never waits either, unmarked: its caller is blocked on
+// the answer. Other replies and one-way sends (small cache writes,
+// announcements) may wait for the fabric's batch, one flush tick.
 type Prompter interface{ Prompt() }
 
 // Fabric carries SAN traffic to endpoints hosted by other OS
@@ -228,8 +231,10 @@ type Fabric interface {
 	// chunked writes) retains it instead of copying, releasing when
 	// the socket write completes. A nil lease keeps the old contract:
 	// copy to retain. A non-zero trace rides the frame so the receiving
-	// process can stamp it back onto the delivered Message. prompt: the
-	// body is a Prompter, to be sent now rather than held for a batch.
+	// process can stamp it back onto the delivered Message. prompt: send
+	// now, not held for a batch. It is true for every Call's request and
+	// every Prompter body (a result); a small reply, cache write or
+	// announcement is false and waits for the batch's flush tick.
 	Unicast(from, to Addr, kind string, callID uint64, reply, prompt bool, trace obs.TraceID, wire []byte, lease *Lease) bool
 	// Multicast forwards a group message to every remote process;
 	// each re-fans it out to its own local group members.
@@ -1052,6 +1057,7 @@ func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply boo
 	}
 	if !local {
 		_, prompt := body.(Prompter)
+		prompt = prompt || (callID != 0 && !reply) // a caller waits on it
 		handed := st.fabric.Unicast(e.addr, to, kind, callID, reply, prompt, trace, wire, lease)
 		lease.Release()
 		if !handed {

@@ -114,10 +114,9 @@ type ResultMsg struct {
 	Err  string // empty on success
 }
 
-// Prompt makes a task and its result san.Prompters, written at once
-// whatever their size: a front end's request blocks on its one dispatch
-// and a worker serves one task at a time, so nothing would share a write.
-func (TaskMsg) Prompt()   {}
+// Prompt makes a result a san.Prompter, written at once whatever its
+// size: a worker serves one task at a time, so nothing would share its
+// write. A task needs no mark: a Call's request is always prompt.
 func (ResultMsg) Prompt() {}
 
 // SpawnReq asks the manager to start a worker of a class the front end

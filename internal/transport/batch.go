@@ -11,15 +11,14 @@ import (
 // Batching defaults. The delay is nominal: a Go process with idle Ps
 // parks in epoll_wait at millisecond granularity, so the timer fires
 // ~1.1 ms after it is armed and a frame that waits for it pays that on
-// some request's critical path. Two kinds of frame never wait, because
-// a request sends one or two of each and nothing would share their
-// write(2): a body on the move at 8 KiB and up (an original on its way
-// to Put, a relay fragment), and a prompt frame, a distillation's task
-// or result (a worker serves one task at a time, each result behind
-// tenths of a millisecond of distiller CPU). Their appender writes them,
-// and whatever is staged, at once. The small frames that do arrive in
-// bursts (cache probes and writes, announcements) keep the deadline
-// (ROADMAP item 1 has what writing those at once measures and needs).
+// some request's critical path. Two kinds of frame never wait: a body
+// on the move at 8 KiB and up (an original on its way to Put, a relay
+// fragment), and a prompt frame. A Call's request never waits (a probe,
+// a task: its caller is blocked on the answer), nor does a result (a
+// worker serves one task at a time); the SAN marks both prompt. Their
+// appender writes them, and whatever is staged, at once. Small replies
+// (a probe's answer), small cache writes and announcements wait one
+// tick (ROADMAP item 1 has what writing those at once measures and needs).
 const (
 	DefaultFlushBytes = 8 << 10
 	DefaultFlushDelay = 200 * time.Microsecond
@@ -44,8 +43,6 @@ type BatchStats struct {
 	Bytes        uint64 // bytes written
 	NowFlushes   uint64 // flushes an appender ran: the size threshold, or a prompt frame
 	TimeFlushes  uint64 // flushes that waited: the deadline, or an explicit Flush/Close
-	VecFrames    uint64 // frames whose body went out as its own iovec
-	VecBytes     uint64 // body bytes written without staging (writev)
 	Backpressure uint64 // appends refused because the queue bound was hit
 	MaxQueued    uint64 // high-water mark of bytes staged behind a write
 }
@@ -152,10 +149,7 @@ func (b *Batcher) Append(hdr, body, trailer []byte, prompt bool, done func()) er
 	if len(body) > 0 || done != nil {
 		b.cuts = append(b.cuts, cut{off: len(b.buf), body: body, release: done})
 	}
-	if len(body) > 0 {
-		b.ext += len(body)
-		b.stats.VecFrames++
-	}
+	b.ext += len(body)
 	b.buf = append(b.buf, trailer...)
 	b.pending++
 	b.stats.Frames++
@@ -250,7 +244,7 @@ func (b *Batcher) drainLocked(cause *uint64) error {
 	buf, cuts := b.takeLocked()
 	for {
 		b.mu.Unlock()
-		n, vecBytes, err := b.writeBatch(buf, cuts)
+		n, err := b.writeBatch(buf, cuts)
 		// The write attempt is over, success or not: the bodies are no
 		// longer needed. Hooks run outside the lock.
 		for i := range cuts {
@@ -262,7 +256,6 @@ func (b *Batcher) drainLocked(cause *uint64) error {
 		b.mu.Lock()
 		b.stats.Batches++
 		b.stats.Bytes += uint64(n)
-		b.stats.VecBytes += vecBytes
 		*cause++
 		b.spare = buf[:0]
 		b.spareCuts = cuts[:0]
@@ -297,11 +290,11 @@ func (b *Batcher) takeLocked() ([]byte, []cut) {
 // writeBatch writes one taken batch with no lock held. The gather-list
 // scratch (b.iov) is owned by the active drainer, of which there is at
 // most one, so touching it unlocked is safe.
-func (b *Batcher) writeBatch(buf []byte, cuts []cut) (n int64, vecBytes uint64, err error) {
+func (b *Batcher) writeBatch(buf []byte, cuts []cut) (n int64, err error) {
 	if len(cuts) == 0 {
 		var w int
 		w, err = b.w.Write(buf)
-		return int64(w), 0, err
+		return int64(w), err
 	}
 	iov := b.iov[:0]
 	prev := 0
@@ -311,7 +304,6 @@ func (b *Batcher) writeBatch(buf []byte, cuts []cut) (n int64, vecBytes uint64, 
 		}
 		if len(c.body) > 0 {
 			iov = append(iov, c.body)
-			vecBytes += uint64(len(c.body))
 		}
 		prev = c.off
 	}
@@ -330,7 +322,7 @@ func (b *Batcher) writeBatch(buf []byte, cuts []cut) (n int64, vecBytes uint64, 
 	for i := range b.iov {
 		b.iov[i] = nil // drop body references; the slots get reused
 	}
-	return n, vecBytes, err
+	return n, err
 }
 
 // releaseStagedLocked drops staged frames that will never be written

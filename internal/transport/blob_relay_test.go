@@ -107,14 +107,15 @@ func probePair(client *vcache.Client, key, elseKey string, want []byte, wantElse
 // order, and the partition drains its inbox serially. The three sizes
 // are the three ways a write leaves: 32 KiB is one vectored frame its
 // appender writes at once, 4 KiB is staged for the flush timer (the
-// probe stages behind it), 256 KiB crosses as chunk fragments that are
-// reassembled before the probe behind them is injected. They run
-// concurrently off one endpoint so fragments and small frames
-// interleave. Every round overwrites its key: a hit with the previous
-// round's bytes is a failure too. A fourth writer does what a miss
-// does, on a URL new every round: right behind only the Put of the
-// original, the paired probe (variant, else original) is answered by the
-// fallback key; right behind the Inject of the variant, by the primary.
+// prompt probe behind it writes both), 256 KiB crosses as chunk
+// fragments that are reassembled before the probe behind them is
+// injected. They run concurrently off one endpoint so fragments and
+// small frames interleave. Every round overwrites its key: a hit with
+// the previous round's bytes is a failure too. A fourth writer does what
+// a miss does, on a URL new every round: right behind only the Put of
+// the original, the paired probe (variant, else original) is answered
+// by the fallback key; right behind the Inject of the variant, by the
+// primary.
 func TestCacheWritesReadYourWrites(t *testing.T) {
 	pair := startRelayPair(t)
 	ctx := context.Background()

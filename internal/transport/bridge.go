@@ -669,10 +669,11 @@ func (b *Bridge) applyAdvertised(p *peer, addrs []san.Addr) {
 // the read loop unblocks, the peer is removed, and the dial loop
 // redials — a wedged connection must never keep counting as a live
 // peer. The batcher runs done itself on every path, refusals included.
-// A prompt appender writes its own frame, so a worker answering a task
-// can block in a stalled peer's write for one writeTimeout at most, once
-// per connection: the failed write closes the peer, and meanwhile other
-// appenders stage behind it or get ErrBackpressure at once.
+// A prompt or ≥ 8 KiB frame's appender writes it, so one caller per
+// stalled connection (a probe, a dispatch, a Put or Inject, a worker's
+// result) may wait one writeTimeout: the failed write closes the peer,
+// and meanwhile other appenders stage behind it (a Call ends at its own
+// deadline) or get ErrBackpressure at once.
 func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, prompt bool, done func()) bool {
 	err := p.batch.Append(hdr, body, trailer, prompt, done)
 	if err == nil {

@@ -72,8 +72,16 @@ var MicroBenches = []MicroBench{
 	{Name: "cache_put_send", MaxAllocs: ceiling(6), F: benchCachePutSend},
 	// The miss path's one read: a paired probe whose variant misses and
 	// whose 16 KiB original answers. blob_relay's round trip plus the
-	// second key's string at the partition's decode.
-	{Name: "cache_probe_pair", MaxAllocs: ceiling(16), F: benchCacheProbePair},
+	// second key's string at the partition's decode. The probe is a
+	// Call's request and the answer is over 8 KiB, so neither waits for
+	// the flush timer (≈ 24 µs/op on the reference host; 1.04 ms when
+	// the probe waited a tick).
+	{Name: "cache_probe_pair", MaxAllocs: ceiling(16), F: func(b *testing.B) error { return benchCacheProbe(b, 16<<10, false) }},
+	// A hit's read, hit_small's shape: the same probe answered by a 2 KiB
+	// distilled variant. The answer is a small reply, so it still waits
+	// one tick (≈ 1.0 ms/op on the reference host; 2.06 ms when the
+	// probe waited one too). Same 16 allocations as the pair.
+	{Name: "cache_probe_small", MaxAllocs: ceiling(16), F: func(b *testing.B) error { return benchCacheProbe(b, 2<<10, true) }},
 	// One distillation's dispatch without the distiller: a small task out
 	// and its result back across the bridged pair. Both are prompt, so
 	// neither waits for the flush timer (≈ 31 µs/op on the reference
@@ -420,22 +428,28 @@ func benchCachePutSend(b *testing.B) error {
 	return nil
 }
 
-// benchCacheProbePair measures the probe a distilled-miss/original-hit
-// request sends across the bridged pair: the partition misses the
-// variant key, finds the 16 KiB original under the fallback key and
-// answers with it, once, as a view.
-func benchCacheProbePair(b *testing.B) error {
+// benchCacheProbe measures one request's paired probe across the
+// bridged pair. With variant false the partition misses the variant key,
+// finds a size-byte original under the fallback key and answers with it
+// (the miss path); with variant true it answers with a size-byte
+// distilled variant (a hit). Either way the answer comes back once, as
+// a view.
+func benchCacheProbe(b *testing.B, size int, variant bool) error {
 	client, netA, netB, _, err := cacheAcrossBridge(b)
 	if err != nil {
 		return err
 	}
-	const size = 16 << 10
 	const url = "http://origin1.example/obj42.sjpg"
+	key, orig := url+"|distill-sjpg#", "orig|"+url
 	ctx := context.Background()
-	client.Put(ctx, "orig|"+url, make([]byte, size), "image/sjpg", 0)
+	if variant {
+		client.Inject(ctx, key, make([]byte, size), "image/sjpg", 0)
+	} else {
+		client.Put(ctx, orig, make([]byte, size), "image/sjpg", 0)
+	}
 	probe := func() error {
-		got, release := client.Probe(ctx, url+"|distill-sjpg#", "orig|"+url, false)
-		if !got.Found || !got.Else || len(got.Data) != size {
+		got, release := client.Probe(ctx, key, orig, false)
+		if !got.Found || got.Else == variant || len(got.Data) != size {
 			return fmt.Errorf("paired probe: found=%v else=%v len=%d", got.Found, got.Else, len(got.Data))
 		}
 		if release != nil {
@@ -443,10 +457,10 @@ func benchCacheProbePair(b *testing.B) error {
 		}
 		return nil
 	}
-	if err := probe(); err != nil { // rides behind the Put; teaches A the route
+	if err := probe(); err != nil { // rides behind the write; teaches A the route
 		return err
 	}
-	b.SetBytes(size)
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
