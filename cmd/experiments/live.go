@@ -40,13 +40,11 @@ func runMgrCap(seed int64) {
 		reportInterval = 500 * time.Millisecond
 		measureFor     = 4 * time.Second
 	)
-	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}), san.WithBeacon(reportInterval))
 	m := manager.New(manager.Config{
-		Node:           "mgr",
-		Net:            net,
-		BeaconInterval: reportInterval,
-		WorkerTTL:      time.Hour,
-		Policy:         manager.Policy{SpawnThreshold: 1e18, Damping: time.Hour, ReapThreshold: -1},
+		Node:   "mgr",
+		Net:    net,
+		Policy: manager.Policy{SpawnThreshold: 1e18, Damping: time.Hour, ReapThreshold: -1},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -55,8 +53,7 @@ func runMgrCap(seed int64) {
 	fmt.Printf("spawning %d worker stubs reporting every %s...\n", workers, reportInterval)
 	for i := 0; i < workers; i++ {
 		ws := stub.NewWorkerStub(fmt.Sprintf("d%d", i), fmt.Sprintf("n%d", i%64),
-			nullWorker{class: "distill"}, net,
-			stub.WorkerConfig{ReportInterval: reportInterval})
+			nullWorker{class: "distill"}, net, stub.WorkerConfig{})
 		go ws.Run(ctx)
 	}
 	// Let registrations settle.

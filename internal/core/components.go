@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/edge"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/manager"
 	"repro/internal/monitor"
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
 	"repro/internal/vcache"
@@ -319,8 +319,10 @@ func (s *System) workerComponent(class string, ephemeral bool) *component {
 			}
 			return node
 		},
-		// Three beacon intervals: the silence a standby takes for a dead primary.
-		cutOff: func(p process) bool { return p.(*stub.WorkerStub).BeaconAge() > 3*s.cfg.BeaconInterval },
+		// The silence a standby takes for a dead primary.
+		cutOff: func(p process) bool {
+			return p.(*stub.WorkerStub).BeaconAge() > softstate.Takeover.Of(s.Net.Beacon())
+		},
 		// A Restart keeps id, class and pool: the stub announces itself
 		// down as it stops and the fresh one up as it starts — a dead
 		// slot coming back, or the hot-upgrade step ("the upgraded binary").
@@ -329,10 +331,7 @@ func (s *System) workerComponent(class string, ephemeral bool) *component {
 			if err != nil {
 				return nil, err
 			}
-			return stub.NewWorkerStub(id, node, w, s.Net, stub.WorkerConfig{
-				ReportInterval: s.cfg.BeaconInterval,
-				Overflow:       overflow,
-			}), nil
+			return stub.NewWorkerStub(id, node, w, s.Net, stub.WorkerConfig{Overflow: overflow}), nil
 		},
 	}
 }
@@ -346,12 +345,10 @@ func (s *System) supervisorComponent() *component {
 		name: "sup", respawn: true,
 		build: func(node string) (process, error) {
 			return supervisor.New(supervisor.Config{
-				Node:              node,
-				Net:               s.Net,
-				Prefix:            s.cfg.NodePrefix,
-				Host:              s,
-				HeartbeatGroup:    stub.GroupControl,
-				HeartbeatInterval: s.cfg.BeaconInterval,
+				Node:   node,
+				Net:    s.Net,
+				Prefix: s.cfg.NodePrefix,
+				Host:   s,
 				// The supervisor cannot import the stub package (stub's wire
 				// codec encodes supervisor commands), so the beacon-epoch
 				// extraction it fences stale commands with is injected here.
@@ -375,10 +372,7 @@ func (s *System) cacheComponent(name, node string) *component {
 	return &component{
 		name: name, kind: KindCache, drop: true, node: node,
 		build: func(node string) (process, error) {
-			svc := vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil))
-			svc.HeartbeatGroup = stub.GroupControl
-			svc.HeartbeatInterval = s.cfg.BeaconInterval
-			return svc, nil
+			return vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil)), nil
 		},
 		started: func(old, cur process) {
 			if old == nil || old.Addr() == cur.Addr() {
@@ -413,16 +407,15 @@ func (s *System) managerComponent(rank int) *component {
 			standby, epoch = s.managerRejoin(e)
 		}
 		return manager.New(manager.Config{
-			Name:           procName,
-			Node:           node,
-			Net:            s.Net,
-			Policy:         s.cfg.Policy,
-			BeaconInterval: s.cfg.BeaconInterval, // WorkerTTL and FETTL at their defaults: 5 and 6 of it
-			CacheTTL:       s.cfg.CacheSuperviseTTL,
-			CmdTimeout:     s.cfg.CallTimeout,
-			Rank:           rank,
-			Standby:        standby,
-			InitialEpoch:   epoch,
+			Name:         procName,
+			Node:         node,
+			Net:          s.Net,
+			Policy:       s.cfg.Policy,
+			CacheTTL:     s.cfg.CacheSuperviseTTL,
+			CmdTimeout:   s.cfg.CallTimeout,
+			Rank:         rank,
+			Standby:      standby,
+			InitialEpoch: epoch,
 		}), nil
 	}
 	return e
@@ -453,11 +446,7 @@ func (s *System) monitorComponent() *component {
 		name: "monitor",
 		build: func(node string) (process, error) {
 			if s.Mon == nil {
-				s.Mon = monitor.New(monitor.Config{
-					Node:         node,
-					Net:          s.Net,
-					SilenceAfter: 4 * s.cfg.BeaconInterval,
-				})
+				s.Mon = monitor.New(monitor.Config{Node: node, Net: s.Net})
 			}
 			return s.Mon, nil
 		},
@@ -471,7 +460,7 @@ func (s *System) reporterComponent() *component {
 	return &component{
 		name: "obsrep",
 		build: func(node string) (process, error) {
-			return &obsReporter{name: "obsrep", node: node, net: s.Net, interval: s.cfg.BeaconInterval}, nil
+			return &obsReporter{name: "obsrep", node: node, net: s.Net}, nil
 		},
 	}
 }
@@ -497,26 +486,22 @@ func (s *System) frontEndComponent(name string) *component {
 		build: func(node string) (process, error) {
 			p := &feProc{}
 			cfg := frontend.Config{
-				Name:              name,
-				Node:              node,
-				Net:               s.Net,
-				Rules:             s.cfg.Rules,
-				Profiles:          s.Profile,
-				Origin:            s.cfg.Origin,
-				CacheNodes:        s.CacheNodes(),
-				CacheTTL:          s.cfg.CacheTTL,
-				CacheTimeout:      s.cfg.CacheTimeout,
-				HeartbeatInterval: s.cfg.BeaconInterval,
-				MinDistillSize:    s.cfg.MinDistillSize,
-				RequestDeadline:   s.cfg.RequestDeadline,
-				MaxInflight:       s.cfg.FEMaxInflight,
-				QueueHighWater:    s.cfg.FEQueueHighWater,
+				Name:            name,
+				Node:            node,
+				Net:             s.Net,
+				Rules:           s.cfg.Rules,
+				Profiles:        s.Profile,
+				Origin:          s.cfg.Origin,
+				CacheNodes:      s.CacheNodes(),
+				CacheTTL:        s.cfg.CacheTTL,
+				CacheTimeout:    s.cfg.CacheTimeout,
+				MinDistillSize:  s.cfg.MinDistillSize,
+				RequestDeadline: s.cfg.RequestDeadline,
+				MaxInflight:     s.cfg.FEMaxInflight,
+				QueueHighWater:  s.cfg.FEQueueHighWater,
 				ManagerStub: stub.ManagerStubConfig{
 					Seed:             s.cfg.Seed,
 					CallTimeout:      s.cfg.CallTimeout,
-					UseDelta:         true, // the §4.5 queue-delta estimator
-					WorkerTTL:        20 * s.cfg.BeaconInterval,
-					ManagerTimeout:   5 * s.cfg.BeaconInterval,
 					OnManagerSilence: s.restartManager,
 				},
 			}
@@ -552,12 +537,6 @@ func (s *System) frontEndComponent(name string) *component {
 // FE replicas it hears heartbeating (local and peer-process alike).
 // Built once: Edge.Run rebinds the same public address after a restart.
 func (s *System) edgeComponent() *component {
-	// Generous pool TTL: an FE being SIGKILLed and respawned must keep
-	// its (ejected) slot across the gap so the probe readmission path
-	// runs. The kill→respawn window is wall-clock (detection sweep +
-	// spawn), not a beacon multiple, so the TTL gets an absolute floor
-	// even under very fast test beacons.
-	poolTTL := max(20*s.cfg.BeaconInterval, 2*time.Second)
 	var eg *edge.Edge
 	return &component{
 		name: "edge",
@@ -567,16 +546,12 @@ func (s *System) edgeComponent() *component {
 			}
 			var err error
 			eg, err = edge.New(edge.Config{
-				Name:        "edge",
-				Node:        node,
-				Net:         s.Net,
-				Listen:      s.cfg.EdgeListen,
-				RetryBudget: s.cfg.EdgeRetryBudget,
-				Pool: edge.PoolConfig{
-					TTL:        poolTTL,
-					ProbeAfter: 2 * s.cfg.BeaconInterval,
-					Seed:       s.cfg.Seed,
-				},
+				Name:           "edge",
+				Node:           node,
+				Net:            s.Net,
+				Listen:         s.cfg.EdgeListen,
+				RetryBudget:    s.cfg.EdgeRetryBudget,
+				Pool:           edge.PoolConfig{Seed: s.cfg.Seed},
 				RequestTimeout: s.cfg.RequestDeadline,
 			})
 			return eg, err

@@ -193,15 +193,20 @@ type Config struct {
 	ProfileDir string
 
 	// Tuning.
-	Policy         manager.Policy
-	BeaconInterval time.Duration // every announcer's: beacons, hellos, reports
+	Policy manager.Policy
+	// BeaconInterval is the system's one soft-state interval (default
+	// san.DefaultBeacon): it is the SAN's (san.WithBeacon), every
+	// announcer's period, and the unit of every silence timeout — the
+	// multiples are internal/softstate's table. No component takes a
+	// period or TTL of its own but CacheSuperviseTTL.
+	BeaconInterval time.Duration
 	CallTimeout    time.Duration
 	CacheTTL       time.Duration
 	CacheTimeout   time.Duration // per-lookup vcache bound (0 = client default)
 	MinDistillSize int
 	// CacheSuperviseTTL is how long the manager tolerates a cache's
 	// silence before its process-peer duty restarts the
-	// service (default 5x BeaconInterval). Keep it comfortably above
+	// service (default softstate.CacheTTL beats). Keep it comfortably above
 	// the longest network partition a deployment should ride out —
 	// restarting a merely-partitioned cache is safe (the content is
 	// discardable) but churns.
@@ -270,14 +275,8 @@ func (c Config) withDefaults() Config {
 	if c.Registry == nil {
 		c.Registry = tacc.NewRegistry()
 	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = stub.DefaultBeaconInterval
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = stub.DefaultCallTimeout
-	}
-	if c.CacheSuperviseTTL <= 0 {
-		c.CacheSuperviseTTL = 5 * c.BeaconInterval
 	}
 	if c.Policy == (manager.Policy{}) {
 		c.Policy = manager.DefaultPolicy()
@@ -355,7 +354,7 @@ func (s *System) boot() error {
 	// one process or many, as on every network. Deliveries decode views:
 	// []byte bodies alias pooled wire buffers, and every consumer in this
 	// tree honors the Lease/Release contract.
-	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}))
+	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}), san.WithBeacon(cfg.BeaconInterval))
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
 		id := cfg.Transport.ID

@@ -11,6 +11,7 @@ import (
 	"repro/internal/distiller"
 	"repro/internal/manager"
 	"repro/internal/media"
+	"repro/internal/softstate"
 	"repro/internal/tacc"
 	"repro/internal/trace"
 )
@@ -121,7 +122,7 @@ func TestReadyAtShippedIntervals(t *testing.T) {
 	ms := s.Registry().Snapshot()["core.ready_ms"]
 	t.Logf("ready in %v ms", ms)
 	if ms <= 0 || ms >= 250 {
-		t.Errorf("core.ready_ms %v, want (0, 250) at a %v interval", ms, s.cfg.BeaconInterval)
+		t.Errorf("core.ready_ms %v, want (0, 250) at a %v interval", ms, s.Net.Beacon())
 	}
 	waitFor(t, "the victim restarted by name", func() bool {
 		st := s.Manager().Stats()
@@ -182,7 +183,7 @@ func TestCrashedWorkerBackWithinTTL(t *testing.T) {
 	waitFor(t, "re-registration", func() bool { return s.Manager().Stats().Registrations > regs })
 	back := time.Since(kill)
 	t.Logf("re-registered %v after the kill", back)
-	if ttl := 5 * s.cfg.BeaconInterval; back > ttl+250*time.Millisecond {
+	if ttl := softstate.WorkerTTL.Of(s.Net.Beacon()); back > ttl+250*time.Millisecond {
 		t.Errorf("re-registered %v after the kill, want within WorkerTTL %v + 250ms", back, ttl)
 	}
 	waitFor(t, "the front end lists it", func() bool {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/stub"
 )
 
@@ -19,10 +20,9 @@ import (
 // process, and this process's own spans elsewhere. It implements
 // cluster.Process.
 type obsReporter struct {
-	name     string
-	node     string
-	net      *san.Network
-	interval time.Duration
+	name string
+	node string
+	net  *san.Network
 }
 
 // spanDigestBatch bounds one digest's span count; anything beyond it
@@ -38,7 +38,7 @@ func (r *obsReporter) Run(ctx context.Context) error {
 	defer ep.Close()
 	tracer := r.net.Tracer()
 
-	tick := time.NewTicker(r.interval)
+	tick := time.NewTicker(softstate.Announce.Of(r.net.Beacon()))
 	defer tick.Stop()
 	flush := func() {
 		if spans := tracer.TakeNew(spanDigestBatch); len(spans) > 0 {

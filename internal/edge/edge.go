@@ -152,7 +152,7 @@ func New(cfg Config) (*Edge, error) {
 	}
 	e := &Edge{
 		cfg:      cfg,
-		pool:     NewPool(cfg.Pool),
+		pool:     newPool(cfg.Pool, cfg.Net.Beacon()),
 		ln:       ln,
 		httpAddr: ln.Addr().String(),
 		latency:  cfg.Net.Registry().Histogram("edge."+cfg.Name+".latency_ns", nil),

@@ -25,10 +25,11 @@ func newTestEdge(t *testing.T, retryBudget float64) *Edge {
 // free loopback port.
 func startTestEdge(t *testing.T, cfg Config) *Edge {
 	t.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	// A 25 ms beat: an ejected backend is probed after 50 ms.
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(25*time.Millisecond))
 	t.Cleanup(net.Close)
 	cfg.Name, cfg.Node, cfg.Net, cfg.Listen = "edge", "edgenode", net, "127.0.0.1:0"
-	cfg.Pool = PoolConfig{Seed: 1, ProbeAfter: 50 * time.Millisecond}
+	cfg.Pool = PoolConfig{Seed: 1}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +240,7 @@ func TestEdgeShedDoesNotEject(t *testing.T) {
 	e := newTestEdge(t, 1.0)
 	e.ObserveBackend("n/fe0", "fe0", shed.Listener.Addr().String(), false)
 
-	for i := 0; i < 8; i++ { // far past EjectAfter
+	for i := 0; i < 8; i++ { // far past ejectAfter
 		resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
 		if err != nil {
 			t.Fatal(err)

@@ -5,38 +5,24 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/san"
+	"repro/internal/softstate"
 )
 
 // PoolConfig tunes the front-end pool's health model.
 type PoolConfig struct {
-	// TTL bounds announcement staleness: a backend whose last one is
-	// older than this falls out of the pool entirely. Keep it well
-	// above the beacon interval — an FE being SIGKILLed and respawned
-	// must not lose its (ejected) pool slot in between, or the probe
-	// readmission path never gets to run. Default 10s.
-	TTL time.Duration
-	// EjectAfter is how many consecutive failed requests a backend
-	// absorbs before it is ejected from rotation. Default 3.
-	EjectAfter int
-	// ProbeAfter is how long an ejected backend rests before the pool
-	// offers it a single half-open probe request. Default 1s.
-	ProbeAfter time.Duration
 	// Seed makes the power-of-two-choices sampling deterministic.
 	Seed int64
 	// Clock is injectable for tests (default time.Now).
 	Clock func() time.Time
 }
 
+// ejectAfter is how many consecutive failed requests a backend absorbs
+// before it is ejected from rotation.
+const ejectAfter = 3
+
 func (c PoolConfig) withDefaults() PoolConfig {
-	if c.TTL <= 0 {
-		c.TTL = 10 * time.Second
-	}
-	if c.EjectAfter <= 0 {
-		c.EjectAfter = 3
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = time.Second
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -65,12 +51,16 @@ type backend struct {
 // their announcements and aged by TTL (BASE: losing it costs one
 // rediscovery round, never correctness). It balances picks across
 // healthy backends by least-inflight power-of-two-choices, ejects a
-// backend after EjectAfter consecutive failures, and readmits it
+// backend after ejectAfter consecutive failures, and readmits it
 // through a half-open probe: one real (idempotent) request is risked
-// against the ejected backend after ProbeAfter; success readmits,
-// failure re-arms the timer.
+// against the ejected backend after softstate.EdgeProbe beats; success
+// readmits, failure re-arms the timer. A backend silent for
+// softstate.EdgePoolTTL beats (never less than softstate.EdgePoolFloor)
+// falls out of the pool entirely.
 type Pool struct {
-	cfg PoolConfig
+	cfg        PoolConfig
+	ttl        time.Duration
+	probeAfter time.Duration
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -81,13 +71,18 @@ type Pool struct {
 	expired  uint64
 }
 
-// NewPool creates an empty pool.
-func NewPool(cfg PoolConfig) *Pool {
+// NewPool creates an empty pool timed for a network of the default
+// beacon interval; an edge's pool keeps its network's time.
+func NewPool(cfg PoolConfig) *Pool { return newPool(cfg, san.DefaultBeacon) }
+
+func newPool(cfg PoolConfig, beacon time.Duration) *Pool {
 	cfg = cfg.withDefaults()
 	return &Pool{
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		backends: make(map[string]*backend),
+		cfg:        cfg,
+		ttl:        max(softstate.EdgePoolTTL.Of(beacon), softstate.EdgePoolFloor),
+		probeAfter: softstate.EdgeProbe.Of(beacon),
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		backends:   make(map[string]*backend),
 	}
 }
 
@@ -112,7 +107,7 @@ func (p *Pool) Observe(key, name, httpAddr string, draining bool) {
 // expireLocked drops backends whose announcements went stale.
 func (p *Pool) expireLocked(now time.Time) {
 	for key, b := range p.backends {
-		if now.Sub(b.seen) > p.cfg.TTL {
+		if now.Sub(b.seen) > p.ttl {
 			delete(p.backends, key)
 			p.expired++
 		}
@@ -140,7 +135,7 @@ func (p *Pool) Pick(allowProbe bool, exclude string) (*Pick, error) {
 			if !b.ejected || b.probing || b.draining || b.key == exclude {
 				continue
 			}
-			if now.Sub(b.ejectedAt) < p.cfg.ProbeAfter {
+			if now.Sub(b.ejectedAt) < p.probeAfter {
 				continue
 			}
 			if probe == nil || b.ejectedAt.Before(probe.ejectedAt) ||
@@ -251,7 +246,7 @@ func (pk *Pick) Done(ok bool) {
 		return
 	}
 	b.fails++
-	if !b.ejected && b.fails >= pk.p.cfg.EjectAfter {
+	if !b.ejected && b.fails >= ejectAfter {
 		b.ejected = true
 		b.ejectedAt = pk.p.cfg.Clock()
 		pk.p.ejects++

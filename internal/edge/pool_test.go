@@ -13,13 +13,8 @@ func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
 func newTestPool(clk *fakeClock) *Pool {
-	return NewPool(PoolConfig{
-		TTL:        10 * time.Second,
-		EjectAfter: 3,
-		ProbeAfter: time.Second,
-		Seed:       1,
-		Clock:      clk.Now,
-	})
+	// At the default 500 ms beat: a 10 s TTL, a probe after 1 s.
+	return NewPool(PoolConfig{Seed: 1, Clock: clk.Now})
 }
 
 func TestPoolEjectAfterConsecutiveFailures(t *testing.T) {
@@ -66,9 +61,9 @@ func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 		t.Fatalf("setup: want 1 ejected, got %+v", st)
 	}
 
-	// Before ProbeAfter elapses: no probe offered.
+	// Before the probe delay elapses: no probe offered.
 	if _, err := p.Pick(true, ""); !errors.Is(err, ErrNoBackends) {
-		t.Fatalf("probe before ProbeAfter: err=%v, want ErrNoBackends", err)
+		t.Fatalf("probe before the probe delay: err=%v, want ErrNoBackends", err)
 	}
 
 	clk.Advance(2 * time.Second)
@@ -78,7 +73,7 @@ func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 		t.Fatalf("probe pick: %v", err)
 	}
 	if !pk.Probe() {
-		t.Fatal("pick past ProbeAfter should be a half-open probe")
+		t.Fatal("pick past the probe delay should be a half-open probe")
 	}
 	// Only one probe outstanding at a time.
 	if _, err := p.Pick(true, ""); !errors.Is(err, ErrNoBackends) {

@@ -101,8 +101,6 @@ type Config struct {
 
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
-	// HeartbeatInterval paces the front end's announcements.
-	HeartbeatInterval time.Duration
 	// HTTPAddr is the host:port of this front end's HTTP adapter
 	// (edge.FEServer). It rides every announcement so the edge can route
 	// to the replica; empty means the FE is not HTTP-reachable and the
@@ -162,9 +160,6 @@ const fetchTimeout = 2 * time.Minute
 const defaultMaxInflight = 320
 
 func (c Config) withDefaults() Config {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = stub.DefaultBeaconInterval
-	}
 	if c.MinDistillSize <= 0 {
 		c.MinDistillSize = 1024
 	}
@@ -333,7 +328,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		emit("inflight", float64(fe.inflight.Load()))
 	})
 
-	hb := softstate.NewSchedule(fe.cfg.HeartbeatInterval)
+	hb := softstate.NewSchedule(softstate.Announce.Of(fe.cfg.Net.Beacon()))
 	defer hb.Stop()
 
 	for {

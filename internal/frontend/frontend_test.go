@@ -267,7 +267,8 @@ func TestOverload(t *testing.T) {
 // the goroutine inside Do, so a hit completes while the front end's Run
 // loop is stuck (here inside its own heartbeat's stats collection).
 func TestHitNeedsNoRunLoop(t *testing.T) {
-	fe, _, static := startFE(t, func(cfg *Config) { cfg.HeartbeatInterval = 5 * time.Millisecond })
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
+	fe, _, static := startFEOn(t, net, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"}); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func startManagerA(t *testing.T, net *san.Network) *Manager {
 // resolves the owning supervisor from its hello table and sends it the
 // restart over the SAN.
 func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m := startManagerA(t, net)
 	sup := startFakeSup(t, net, "b-node0", "b-")
 
@@ -45,7 +45,7 @@ func TestRemoteFERestartDelegatesToSupervisor(t *testing.T) {
 // so a supervisor that did execute before dying would answer the retry
 // from its idempotency cache rather than restarting twice.
 func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m := startManagerA(t, net)
 	sup := startFakeSup(t, net, "b-node0", "b-")
 	sup.setMode("absorb")
@@ -88,7 +88,7 @@ func TestSupervisorDiesMidRestartManagerRedelegates(t *testing.T) {
 // the incident fails and is retried; when the owner's hello arrives the
 // retry lands there, under the incident's one command id.
 func TestNoOwningSupervisorIsAFailureUntilOneAppears(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m := startManagerA(t, net)
 
 	fe := net.Endpoint(san.Addr{Node: "b-node1", Proc: "fe0"}, 8)
@@ -112,7 +112,7 @@ func TestNoOwningSupervisorIsAFailureUntilOneAppears(t *testing.T) {
 // while the peer's supervisor refuses, the incident is retried there and
 // the manager process's own supervisor, whose fe0 is fine, hears nothing.
 func TestFEAnnouncementsAreAddressKeyed(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m := startManagerA(t, net)
 	supA := startFakeSup(t, net, "a-node0", "a-")
 	supB := startFakeSup(t, net, "b-node0", "b-")
@@ -172,7 +172,7 @@ func TestFEAnnouncementsAreAddressKeyed(t *testing.T) {
 // announces itself from there, and the start still booked under the old
 // address is dropped instead of firing again a TTL later.
 func TestRosterRowNeverHeardIsRestartedOnce(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m := startManagerA(t, net)
 	sup := startFakeSup(t, net, "b-node0", "b-")
 	fe := supervisor.Row{Name: "fe0", Kind: supervisor.KindFrontEnd, Node: "b-node1"}

@@ -20,7 +20,7 @@ func startReplica(t *testing.T, net *san.Network, node string, rank int, standby
 // (standby) — otherwise its beacons would be dropped forever by stubs
 // whose monotonic epoch checks saw the dead regime.
 func TestInitialEpochSeeding(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	p := New(Config{Node: "a", Net: net, InitialEpoch: 5})
 	if !p.IsPrimary() || p.Epoch() != 6 {
 		t.Fatalf("non-standby with InitialEpoch 5: primary=%v epoch=%d, want primary at 6", p.IsPrimary(), p.Epoch())
@@ -36,7 +36,7 @@ func TestInitialEpochSeeding(t *testing.T) {
 // from those beacons, so a later takeover starts at most one beacon
 // interval behind.
 func TestStandbySuppressesOutput(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	primary, _ := startReplica(t, net, "mgrA", 0, false)
 	standby, _ := startReplica(t, net, "mgrB", 1, true)
@@ -64,7 +64,7 @@ func TestStandbySuppressesOutput(t *testing.T) {
 // no recovery protocol, exactly the paper's §3.1.3 discipline extended
 // to elections.
 func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	primary, killPrimary := startReplica(t, net, "mgrA", 0, false)
 	standby, _ := startReplica(t, net, "mgrB", 1, true)
@@ -100,7 +100,7 @@ func TestStandbyTakesOverAfterPrimarySilence(t *testing.T) {
 // partition heals) converge on exactly one — the lexicographically
 // smaller address — and the loser steps down on the winner's beacon.
 func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	a, _ := startReplica(t, net, "mgrA", 0, false)
 	b, _ := startReplica(t, net, "mgrB", 0, false)
 
@@ -120,7 +120,7 @@ func TestSplitClaimResolvesByLowestAddress(t *testing.T) {
 // deposes the current primary unconditionally — the fencing rule that
 // makes a partitioned ex-primary harmless the moment it rejoins.
 func TestPrimaryStepsDownOnHigherEpoch(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	m, _ := startReplica(t, net, "mgrA", 0, false)
 	// The replica is "primary" from construction; wait for its Run loop
 	// (first beacon) so it is actually listening on the control group.

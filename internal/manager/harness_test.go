@@ -13,7 +13,19 @@ import (
 	"repro/internal/tacc"
 )
 
+// tick is the suite's beat: a network of newNet(tick) announces every
+// 10 ms and expires a worker after 5 ticks, a front end after 6.
 const tick = 10 * time.Millisecond
+
+// calmBeat stretches the worker TTL to 20 ticks (5 beats): for tests
+// that assert nothing more happens, on a test host whose scheduler can
+// stall a heartbeat past the suite's usual five.
+const calmBeat = 4 * tick
+
+// newNet is a test network whose components announce once a beat.
+func newNet(beat time.Duration) *san.Network {
+	return san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(beat))
+}
 
 type nullWorker struct{ class string }
 
@@ -199,7 +211,7 @@ func (s *fakeSup) add(class string, extra, overflow bool) stub.WorkerInfo {
 
 func (s *fakeSup) runLocked(w *fakeWorker) stub.WorkerInfo {
 	ws := stub.NewWorkerStub(w.row.Name, w.row.Node, nullWorker{class: w.class}, s.net,
-		stub.WorkerConfig{ReportInterval: tick, Overflow: w.ovf})
+		stub.WorkerConfig{Overflow: w.ovf})
 	ctx, cancel := context.WithCancel(context.Background())
 	w.cancel, w.done = cancel, make(chan struct{})
 	go func(done chan struct{}) {
@@ -266,24 +278,16 @@ func (s *fakeSup) execute(cmd supervisor.Command) error {
 	return nil
 }
 
-// calm stretches the TTLs to 20 ticks: for tests that assert nothing
-// more happens, on a test host whose scheduler can stall a heartbeat
-// past the suite's usual five.
-func calm(c *Config) { c.WorkerTTL, c.FETTL = 20*tick, 20*tick }
-
-// startManager runs a manager on node, with the suite's compressed
-// timers as mutate adjusts them, until the test ends; the returned
-// cancel kills it early.
+// startManager runs a manager on node, as mutate adjusts it, until the
+// test ends; the returned cancel kills it early. Its timing is its
+// network's beat.
 func startManager(t *testing.T, net *san.Network, node string, mutate func(*Config)) (*Manager, context.CancelFunc) {
 	t.Helper()
 	cfg := Config{
-		Node:           node,
-		Net:            net,
-		Policy:         Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
-		BeaconInterval: tick,
-		WorkerTTL:      5 * tick,
-		FETTL:          6 * tick,
-		CmdTimeout:     5 * tick,
+		Node:       node,
+		Net:        net,
+		Policy:     Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1},
+		CmdTimeout: 5 * tick,
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -20,8 +20,8 @@
 // the number of workers.
 //
 // The primary's beacons refresh every listener's worker table once per
-// BeaconInterval (a softstate.Schedule), which bounds staleness. It also
-// beacons at once when its membership view changes — a worker admitted
+// beacon interval (its network's, paced by a softstate.Schedule), which
+// bounds staleness. It also beacons at once when its membership view changes — a worker admitted
 // or forgotten, a front end or supervisor heard new or again after its
 // row expired — one beacon per drained inbox and per reconcile. So a
 // rebuild of soft state converges in a round trip: §3.1.3's
@@ -103,8 +103,6 @@ type Policy struct {
 	// ReapThreshold: reap an overflow worker when the class average
 	// falls below it.
 	ReapThreshold float64
-	// MaxPerClass bounds workers per class (0 = unlimited).
-	MaxPerClass int
 }
 
 // DefaultPolicy mirrors the values used in the Figure 8 experiment.
@@ -113,16 +111,12 @@ func DefaultPolicy() Policy {
 		SpawnThreshold: 15,
 		Damping:        15 * time.Second,
 		ReapThreshold:  1,
-		MaxPerClass:    0,
 	}
 }
 
-// ShouldSpawn applies H/D given a class's average queue, live count,
-// and the time of its last spawn.
-func (p Policy) ShouldSpawn(classAvg float64, count int, now, lastSpawn time.Time) bool {
-	if p.MaxPerClass > 0 && count >= p.MaxPerClass {
-		return false
-	}
+// ShouldSpawn applies H/D given a class's average queue and the time
+// of its last spawn.
+func (p Policy) ShouldSpawn(classAvg float64, now, lastSpawn time.Time) bool {
 	if now.Sub(lastSpawn) < p.Damping {
 		return false
 	}
@@ -146,19 +140,9 @@ type Config struct {
 	Node   string
 	Net    *san.Network
 	Policy Policy
-	// BeaconInterval is the multicast beacon period.
-	BeaconInterval time.Duration
-	// WorkerTTL expires workers that stop reporting ("timeouts are
-	// used as a backup mechanism to infer failures", §3.1.3).
-	WorkerTTL time.Duration
-	// FETTL expires front ends that stop announcing; expiry
-	// triggers the process-peer restart. Supervisors expire on the
-	// same TTL: one that stops heartbeating drops out of ownership
-	// resolution and takes its roster with it; its own process
-	// respawns it.
-	FETTL time.Duration
 	// CacheTTL expires cache services that stop announcing; expiry
-	// triggers the process-peer restart (defaults to FETTL).
+	// triggers the process-peer restart (default softstate.CacheTTL
+	// beats).
 	CacheTTL time.Duration
 	// CmdTimeout bounds one supervisor command (default 2s).
 	CmdTimeout time.Duration
@@ -186,17 +170,8 @@ func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "manager"
 	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = stub.DefaultBeaconInterval
-	}
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 5 * c.BeaconInterval
-	}
-	if c.FETTL <= 0 {
-		c.FETTL = 6 * c.BeaconInterval
-	}
 	if c.CacheTTL <= 0 {
-		c.CacheTTL = c.FETTL
+		c.CacheTTL = softstate.CacheTTL.Of(c.Net.Beacon())
 	}
 	if c.CmdTimeout <= 0 {
 		c.CmdTimeout = 2 * time.Second
@@ -296,15 +271,19 @@ type Manager struct {
 // New creates a manager and eagerly registers its SAN endpoint.
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
+	beat := cfg.Net.Beacon()
 	m := &Manager{
 		cfg:     cfg,
 		workers: make(map[string]*workerState),
 		heard: map[string]*softstate.Table[supervisor.Row]{
-			supervisor.KindFrontEnd: softstate.NewTable[supervisor.Row](cfg.FETTL, nil),
+			supervisor.KindFrontEnd: softstate.NewTable[supervisor.Row](softstate.MemberTTL.Of(beat), nil),
 			supervisor.KindCache:    softstate.NewTable[supervisor.Row](cfg.CacheTTL, nil),
-			supervisor.KindWorker:   softstate.NewTable[supervisor.Row](cfg.WorkerTTL, nil),
+			supervisor.KindWorker:   softstate.NewTable[supervisor.Row](softstate.WorkerTTL.Of(beat), nil),
 		},
-		sups:      softstate.NewTable[supervisor.HelloMsg](cfg.FETTL, nil),
+		// A supervisor that stops heartbeating drops out of ownership
+		// resolution and takes its roster with it; its own process
+		// respawns it.
+		sups:      softstate.NewTable[supervisor.HelloMsg](softstate.MemberTTL.Of(beat), nil),
 		lastSpawn: make(map[string]time.Time),
 		pending:   make(map[string]*start),
 	}
@@ -387,9 +366,10 @@ func (m *Manager) Run(ctx context.Context) error {
 		emit("supervisors", float64(st.Supervisors))
 	})
 
-	beacon := softstate.NewSchedule(m.cfg.BeaconInterval)
+	beat := m.cfg.Net.Beacon()
+	beacon := softstate.NewSchedule(softstate.Announce.Of(beat))
 	defer beacon.Stop()
-	tick := time.NewTicker(m.cfg.BeaconInterval)
+	tick := time.NewTicker(beat)
 	defer tick.Stop()
 
 	m.mu.Lock()
@@ -420,8 +400,8 @@ func (m *Manager) Run(ctx context.Context) error {
 			for len(ep.Inbox()) > 0 {
 				m.handle(<-ep.Inbox())
 			}
-			if time.Since(listening) > 2*m.cfg.BeaconInterval {
-				tick.Reset(m.cfg.BeaconInterval)
+			if time.Since(listening) > 2*beat {
+				tick.Reset(beat)
 			} else {
 				m.reconcile()
 			}
@@ -442,13 +422,13 @@ func (m *Manager) Run(ctx context.Context) error {
 }
 
 // maybeTakeover is the standby half of the election: primary silence
-// past the election timeout (three beacon intervals) plus this
+// past the election timeout (softstate.Takeover: three beacons) plus this
 // replica's rank stagger means the primary is gone — claim the next
 // epoch and beacon immediately, so every stub, supervisor, and rival
 // replica re-anchors within one beacon interval.
 func (m *Manager) maybeTakeover(ep *san.Endpoint) {
 	m.mu.Lock()
-	wait := time.Duration(3+m.cfg.Rank) * m.cfg.BeaconInterval
+	wait := (softstate.Takeover + softstate.Beats(m.cfg.Rank)).Of(m.cfg.Net.Beacon())
 	if m.primary || time.Since(m.lastClaim) < wait {
 		m.mu.Unlock()
 		return
@@ -663,7 +643,7 @@ func (m *Manager) reconcile() {
 	for class, cv := range m.classViewsLocked() {
 		// Spawn on load (threshold H, damping D); reap an idle overflow
 		// worker once the burst subsides.
-		if m.cfg.Policy.ShouldSpawn(cv.avg, cv.count, now, m.lastSpawn[class]) {
+		if m.cfg.Policy.ShouldSpawn(cv.avg, now, m.lastSpawn[class]) {
 			grow = append(grow, class)
 		}
 		if v := cv.victim; v.ID != "" && m.cfg.Policy.ShouldReap(cv.avg, cv.count, now, m.lastSpawn[class]) {
@@ -723,7 +703,7 @@ func (m *Manager) diffLocked(now time.Time) (due []*start) {
 		}
 	}
 	for key, p := range m.pending {
-		named, ttl, silent := p.op == supervisor.OpRestart, m.cfg.WorkerTTL, true
+		named, ttl, silent := p.op == supervisor.OpRestart, m.heard[supervisor.KindWorker].TTL(), true
 		if named { // keyed by the address of a row restarted by name
 			t := m.heard[p.Kind]
 			_, ok := t.Get(key)

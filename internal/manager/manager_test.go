@@ -17,9 +17,9 @@ import (
 // address — once its silence outlasts WorkerTTL, and is back in the
 // inventory a registration later.
 func TestWorkerLifecycle(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", calm)
+	m, _ := startManager(t, net, "mgr", nil)
 
 	info1 := sup.slot("echo")
 	sup.slot("echo")
@@ -46,8 +46,8 @@ func TestWorkerLifecycle(t *testing.T) {
 // trigger nothing: the announcements every worker multicasts at boot
 // before its unicast ones are free.
 func TestRegistrationBurstCoalesces(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m := New(Config{Node: "mgr", Net: net, BeaconInterval: time.Hour})
+	net := newNet(time.Hour)
+	m := New(Config{Node: "mgr", Net: net})
 	from := net.Endpoint(san.Addr{Node: "n1", Proc: "burst"}, 8)
 	burst := func() {
 		for i := 0; i < 32; i++ {
@@ -79,11 +79,9 @@ func TestRegistrationBurstCoalesces(t *testing.T) {
 func TestIdleBeaconsOnePerInterval(t *testing.T) {
 	t.Parallel()
 	const interval = 100 * time.Millisecond
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(interval)
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", func(c *Config) {
-		c.BeaconInterval, c.WorkerTTL, c.FETTL = interval, 5*interval, 6*interval
-	})
+	m, _ := startManager(t, net, "mgr", nil)
 	sup.slot("echo")
 	sup.slot("echo")
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
@@ -103,10 +101,10 @@ func TestIdleBeaconsOnePerInterval(t *testing.T) {
 }
 
 func TestBeaconCarriesLoadAverages(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	startManager(t, net, "mgr", func(c *Config) { c.WorkerTTL = time.Hour }) // isolate from expiry
+	startManager(t, net, "mgr", nil)
 
 	// A hand-rolled worker that announces a fixed queue length of 10.
 	go fakeLoad(ctx, net, "w0", 10)
@@ -134,8 +132,11 @@ func TestBeaconCarriesLoadAverages(t *testing.T) {
 // its cost does not grow with the cluster — while the control group's
 // beacon, the front ends' load table, carries every row.
 func TestBeaconAudiences(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startManager(t, net, "mgr", func(c *Config) { c.WorkerTTL = time.Hour })
+	// A minute's beat: the 900 workers announced once stay heard (a
+	// worker's TTL is five beats); every beacon read here is one a
+	// membership change triggered.
+	net := newNet(time.Minute)
+	m, _ := startManager(t, net, "mgr", nil)
 	worker := net.Endpoint(san.Addr{Node: "n1", Proc: "listener"}, 4096)
 	worker.Join(stub.GroupBeacon)
 	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "listener"}, 4096)
@@ -224,13 +225,12 @@ func fakeLoad(ctx context.Context, net *san.Network, id string, load int) {
 }
 
 func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m, _ := startManager(t, net, "mgr", func(c *Config) {
 		c.Policy = Policy{SpawnThreshold: 5, Damping: 10 * tick, ReapThreshold: -1}
-		c.WorkerTTL = time.Hour
 	})
 
 	// A fake overloaded worker announcing queue 50.
@@ -248,7 +248,7 @@ func TestSpawnOnLoadThresholdWithDamping(t *testing.T) {
 }
 
 func TestSpawnRequestFromFrontEnd(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.Policy.Damping = time.Millisecond })
 
@@ -274,11 +274,10 @@ func TestSpawnRequestFromFrontEnd(t *testing.T) {
 // supervisor owning its node; the dedicated slot survives, and the
 // extra's graceful exit is not mistaken for a death.
 func TestReapOverflowWorkers(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) {
 		c.Policy = Policy{SpawnThreshold: 1e9, Damping: 2 * tick, ReapThreshold: 0.5}
-		calm(c)
 	})
 
 	sup.slot("echo")
@@ -292,14 +291,14 @@ func TestReapOverflowWorkers(t *testing.T) {
 }
 
 func TestFrontEndProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", nil)
 
 	fe := net.Endpoint(san.Addr{Node: "fe", Proc: "fe0"}, 64)
 	fe.Send(m.Addr(), supervisor.MsgAnnounce, member(fe, supervisor.KindFrontEnd), 48)
 	waitFor(t, "FE tracked", func() bool { return m.Stats().FrontEnds == 1 })
-	// Silence: the manager has the FE restarted after FETTL.
+	// Silence: the manager has the FE restarted after its TTL.
 	waitFor(t, "FE restart", func() bool { return m.Stats().FERestarts >= 1 })
 	if c := sup.received()[0]; c.Op != supervisor.OpRestart || c.Target != "fe0" {
 		t.Fatalf("supervisor saw %+v", c)
@@ -310,7 +309,7 @@ func TestFrontEndProcessPeerRestart(t *testing.T) {
 // the control group; silence past CacheTTL triggers the manager's
 // restart duty, exactly like front ends.
 func TestCacheProcessPeerRestart(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", nil)
 
@@ -331,9 +330,9 @@ func TestCacheProcessPeerRestart(t *testing.T) {
 func TestManagerRestartRebuildsSoftState(t *testing.T) {
 	// §3.1.3: kill the manager, start a new one; workers re-register
 	// on its beacons with no recovery protocol.
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m1, kill := startManager(t, net, "mgr", calm)
+	m1, kill := startManager(t, net, "mgr", nil)
 	sup.slot("echo")
 	sup.slot("echo")
 	waitFor(t, "initial registrations", func() bool { return m1.Stats().Workers == 2 })
@@ -342,26 +341,23 @@ func TestManagerRestartRebuildsSoftState(t *testing.T) {
 	net.DropNode("mgr")
 	time.Sleep(3 * tick)
 
-	m2, _ := startManager(t, net, "mgr2", calm)
+	m2, _ := startManager(t, net, "mgr2", nil)
 	waitFor(t, "re-registration with new manager", func() bool { return m2.Stats().Workers == 2 })
 	holds(t, 25*tick, "no command to a full-strength cluster", m2, sup, func() bool { return sup.count("") == 0 })
 }
 
 func TestPolicyPureFunctions(t *testing.T) {
-	p := Policy{SpawnThreshold: 10, Damping: time.Minute, ReapThreshold: 1, MaxPerClass: 3}
+	p := Policy{SpawnThreshold: 10, Damping: time.Minute, ReapThreshold: 1}
 	now := time.Now()
 	old := now.Add(-2 * time.Minute)
-	if !p.ShouldSpawn(11, 1, now, old) {
+	if !p.ShouldSpawn(11, now, old) {
 		t.Fatal("should spawn above threshold")
 	}
-	if p.ShouldSpawn(11, 1, now, now.Add(-time.Second)) {
+	if p.ShouldSpawn(11, now, now.Add(-time.Second)) {
 		t.Fatal("damping violated")
 	}
-	if p.ShouldSpawn(9, 1, now, old) {
+	if p.ShouldSpawn(9, now, old) {
 		t.Fatal("spawned below threshold")
-	}
-	if p.ShouldSpawn(11, 3, now, old) {
-		t.Fatal("MaxPerClass violated")
 	}
 	if !p.ShouldReap(0.5, 2, now, old) {
 		t.Fatal("should reap idle class")
@@ -380,7 +376,7 @@ func TestPolicyPureFunctions(t *testing.T) {
 // has to be there and has to agree with Stats(). A lone standby is left
 // to take over, then to have one command refused and land the retry.
 func TestCollectorCarriesElectionAndCommands(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "b-node0", "b-")
 	sup.setMode("refuse")
 	m, _ := startReplica(t, net, "a-mgr1", 1, true)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/san"
-	"repro/internal/stub"
 	"repro/internal/supervisor"
 )
 
@@ -19,9 +18,9 @@ import (
 // and nobody ever heard gets one WorkerTTL of grace, then exactly one
 // restart; once it registers the booking is dropped for good.
 func TestRosterWorkerNeverHeardIsRestartedOnce(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", calm)
+	m, _ := startManager(t, net, "mgr", nil)
 
 	live := sup.slot("echo")
 	dead := sup.slot("echo")
@@ -45,9 +44,9 @@ func TestRosterWorkerNeverHeardIsRestartedOnce(t *testing.T) {
 // learned survives the manager, and nothing needs to: its successor
 // reads the slot off the roster and restarts it after one TTL.
 func TestRespawnedManagerRestoresWorkerFromRoster(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m1, kill := startManager(t, net, "mgr", calm)
+	m1, kill := startManager(t, net, "mgr", nil)
 	w1 := sup.slot("echo")
 	sup.slot("echo")
 	waitFor(t, "registrations", func() bool { return m1.Stats().Workers == 2 })
@@ -56,7 +55,7 @@ func TestRespawnedManagerRestoresWorkerFromRoster(t *testing.T) {
 	net.DropNode("mgr")
 	sup.crash(w1.ID)
 
-	m2, _ := startManager(t, net, "mgr2", calm)
+	m2, _ := startManager(t, net, "mgr2", nil)
 	waitFor(t, "full strength under the new manager", func() bool {
 		return m2.Stats().Workers == 2 && len(sup.live()) == 2
 	})
@@ -71,9 +70,9 @@ func TestRespawnedManagerRestoresWorkerFromRoster(t *testing.T) {
 // stop-then-start under its own name, so when the partition heals the
 // class is at its configured strength — not one above it.
 func TestFalselyExpiredWorkerHasNoTwin(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", calm)
+	m, _ := startManager(t, net, "mgr", nil)
 	w1 := sup.slot("echo")
 	sup.slot("echo")
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
@@ -91,9 +90,9 @@ func TestFalselyExpiredWorkerHasNoTwin(t *testing.T) {
 // its roster; the manager books its silence, finds no row, and lets it
 // go. The configured slot beside it is untouched.
 func TestDeadExtraIsNotRestarted(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", calm)
+	m, _ := startManager(t, net, "mgr", nil)
 	sup.slot("echo")
 	extra := sup.extra("echo", false)
 	waitFor(t, "registrations", func() bool { return m.Stats().Workers == 2 })
@@ -111,7 +110,7 @@ func TestDeadExtraIsNotRestarted(t *testing.T) {
 // nothing: the row stays booked, the incident is retried under its id,
 // and the slot comes back — left down, it would have stayed down for good.
 func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", func(c *Config) { c.CmdTimeout = 30 * tick })
 	w := sup.slot("echo")
@@ -151,20 +150,22 @@ func TestGoodbyeDuringRestartDoesNotPark(t *testing.T) {
 // silence; by the next one, a full interval later, the worker has
 // reported. On-time ticks reconcile as before: a real death is restarted.
 func TestLateTickJudgesNobody(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(12 * tick) // a worker TTL of 60 ticks
 	sup := startFakeSup(t, net, "node0", "")
-	m, _ := startManager(t, net, "mgr", func(c *Config) {
-		c.BeaconInterval, c.WorkerTTL, c.FETTL = 20*tick, 60*tick, time.Minute
-	})
+	m, _ := startManager(t, net, "mgr", nil)
 	w := sup.slot("echo")
 	waitFor(t, "registration", func() bool { return m.Stats().Workers == 1 })
 
 	m.mu.Lock() // the receive loop blocks at its next tick
 	net.Partition(map[string]int{w.Node: 1})
 	time.Sleep(100 * tick)
-	m.mu.Unlock()
-	time.Sleep(2 * tick) // the late tick is served with the worker still unheard
+	// The process wakes: the worker is reachable again 2 ticks before
+	// the late tick is served, and announces within a beat of that — so
+	// before the next tick, whatever its phase. One announcing inside
+	// those 2 ticks waits in the inbox and is heard before the late tick.
 	net.Heal()
+	time.Sleep(2 * tick)
+	m.mu.Unlock()
 	holds(t, 60*tick, "a manager that was not listening restarts nobody", m, sup, func() bool {
 		return sup.count("") == 0 && m.Stats().Workers == 1
 	})
@@ -178,10 +179,10 @@ func TestLateTickJudgesNobody(t *testing.T) {
 // load hints, not a worker count — and needs nothing: it hears the same
 // rosters, takes over, and restarts the missing slot under its own epoch.
 func TestStandbyActsFromRostersAlone(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(calmBeat)
 	sup := startFakeSup(t, net, "node0", "")
-	primary, killPrimary := startManager(t, net, "mgrA", calm)
-	standby, _ := startManager(t, net, "mgrB", func(c *Config) { calm(c); c.Rank, c.Standby = 1, true })
+	primary, killPrimary := startManager(t, net, "mgrA", nil)
+	standby, _ := startManager(t, net, "mgrB", func(c *Config) { c.Rank, c.Standby = 1, true })
 	w1 := sup.slot("echo")
 	sup.slot("echo")
 	waitFor(t, "registrations", func() bool { return primary.Stats().Workers == 2 })

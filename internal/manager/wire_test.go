@@ -1,18 +1,13 @@
 package manager
 
-import (
-	"testing"
-
-	"repro/internal/san"
-	"repro/internal/stub"
-)
+import "testing"
 
 // TestManagerWorkerLifecycleOverWire runs the full manager <-> worker
 // protocol — beacons, registration, load reports, TTL expiry, the
 // restart of a crashed roster row — over the SAN, so every control-plane
 // message the manager exchanges round-trips through the production codec.
 func TestManagerWorkerLifecycleOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := newNet(tick)
 	sup := startFakeSup(t, net, "node0", "")
 	m, _ := startManager(t, net, "mgr", nil)
 

@@ -43,32 +43,24 @@ type Alert struct {
 
 // Config tunes the monitor.
 type Config struct {
-	Name string
 	Node string
 	Net  *san.Network
-	// SilenceAfter marks a component silent (and alerts) when no
-	// report arrives for this long, and forgets a supervisor whose hellos
-	// stopped that long ago. Default 4x the report interval.
-	SilenceAfter time.Duration
 	// OnAlert is invoked for every alert (nil = collect only).
 	OnAlert func(Alert)
 }
 
-func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "monitor"
-	}
-	if c.SilenceAfter <= 0 {
-		c.SilenceAfter = 4 * stub.DefaultBeaconInterval
-	}
-	return c
-}
+// procName is the monitor's process id: there is one per cluster.
+const procName = "monitor"
 
-// Monitor implements cluster.Process.
+// Monitor implements cluster.Process. A component is silent (and
+// alerted on) when no report arrived for softstate.MonitorSilence
+// beats, and a supervisor whose hellos stopped that long ago is
+// forgotten.
 type Monitor struct {
-	cfg  Config
-	ep   *san.Endpoint
-	sups *softstate.Table[supervisor.HelloMsg] // supervisor table, addr-keyed
+	cfg     Config
+	silence time.Duration
+	ep      *san.Endpoint
+	sups    *softstate.Table[supervisor.HelloMsg] // supervisor table, addr-keyed
 
 	mu         sync.Mutex
 	seen       map[string]*ComponentStatus
@@ -82,25 +74,26 @@ type Monitor struct {
 
 // New creates a monitor and registers its endpoint.
 func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
+	silence := softstate.MonitorSilence.Of(cfg.Net.Beacon())
 	m := &Monitor{
 		cfg:     cfg,
+		silence: silence,
 		seen:    make(map[string]*ComponentStatus),
 		hops:    make(map[string]*hopAgg),
 		alerted: make(map[string]bool),
-		sups:    softstate.NewTable[supervisor.HelloMsg](cfg.SilenceAfter, nil),
+		sups:    softstate.NewTable[supervisor.HelloMsg](silence, nil),
 	}
 	m.ep = cfg.Net.Endpoint(m.addr(), san.InboxSize)
 	return m
 }
 
-func (m *Monitor) addr() san.Addr { return san.Addr{Node: m.cfg.Node, Proc: m.cfg.Name} }
+func (m *Monitor) addr() san.Addr { return san.Addr{Node: m.cfg.Node, Proc: procName} }
 
 // Addr returns the monitor's SAN address.
 func (m *Monitor) Addr() san.Addr { return m.addr() }
 
 // ID implements cluster.Process.
-func (m *Monitor) ID() string { return m.cfg.Name }
+func (m *Monitor) ID() string { return procName }
 
 // Run implements cluster.Process.
 func (m *Monitor) Run(ctx context.Context) error {
@@ -112,7 +105,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 	ep.Join(stub.GroupReports)
 	ep.Join(stub.GroupControl) // beacons double as manager liveness
 
-	scan := time.NewTicker(m.cfg.SilenceAfter / 2)
+	scan := time.NewTicker(m.silence / 2)
 	defer scan.Stop()
 
 	for {
@@ -243,7 +236,7 @@ func (m *Monitor) scanSilence() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for name, st := range m.seen {
-		if now.Sub(st.LastSeen) > m.cfg.SilenceAfter {
+		if now.Sub(st.LastSeen) > m.silence {
 			st.Silent = true
 			if !m.alerted[name] {
 				m.alerted[name] = true

@@ -9,18 +9,25 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/softstate"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
 )
 
-func startMonitor(t *testing.T, net *san.Network, silence time.Duration) (*Monitor, *atomic.Int32) {
+// silentAfter is a test network on which the monitor marks a component
+// silent after silence.
+func silentAfter(silence time.Duration) *san.Network {
+	beat := silence / time.Duration(softstate.MonitorSilence)
+	return san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(beat))
+}
+
+func startMonitor(t *testing.T, net *san.Network) (*Monitor, *atomic.Int32) {
 	t.Helper()
 	var alerts atomic.Int32
 	m := New(Config{
-		Node:         "mon",
-		Net:          net,
-		SilenceAfter: silence,
-		OnAlert:      func(Alert) { alerts.Add(1) },
+		Node:    "mon",
+		Net:     net,
+		OnAlert: func(Alert) { alerts.Add(1) },
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -50,8 +57,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestMonitorTracksReports(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
 		report(ep, "w0", "worker")
@@ -66,13 +73,13 @@ func TestMonitorTracksReports(t *testing.T) {
 
 // TestMonitorForgetsSilentSupervisor: a process's supervisor respawns at
 // a new address under its old prefix, and the old one falls silent.
-// Until SilenceAfter passes both are heard and the tie goes to the lower
+// Until the monitor's silence passes both are heard and the tie goes to the lower
 // address, the dead one; after it the monitor has forgotten that one, so
 // an upgrade wave's restart goes to the live supervisor, every time.
 func TestMonitorForgetsSilentSupervisor(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
 	const silence = 100 * time.Millisecond
-	m, _ := startMonitor(t, net, silence)
+	net := silentAfter(silence)
+	m, _ := startMonitor(t, net)
 	hello := func(ep *san.Endpoint) {
 		ep.Multicast(stub.GroupControl, supervisor.MsgHello, supervisor.HelloMsg{Name: "sup", Addr: ep.Addr(), Node: ep.Addr().Node, Prefix: "b-"}, 64)
 	}
@@ -90,7 +97,7 @@ func TestMonitorForgetsSilentSupervisor(t *testing.T) {
 		return owner() == moved.Addr()
 	})
 	if d := time.Since(lastOld); d < silence {
-		t.Fatalf("forgot a supervisor %v after its last hello, inside SilenceAfter %v", d, silence)
+		t.Fatalf("forgot a supervisor %v after its last hello, inside the monitor's silence %v", d, silence)
 	}
 	for i := 0; i < 100; i++ {
 		if got := owner(); got != moved.Addr() {
@@ -100,8 +107,8 @@ func TestMonitorForgetsSilentSupervisor(t *testing.T) {
 }
 
 func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, alerts := startMonitor(t, net, 40*time.Millisecond)
+	net := silentAfter(40 * time.Millisecond)
+	m, alerts := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible", func() bool {
 		report(ep, "w0", "worker")
@@ -145,8 +152,8 @@ func TestMonitorSilenceAlertAndRecovery(t *testing.T) {
 // inventory and nothing else — the manager's table row is its own
 // status report, never a second list synthesized here.
 func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	mgr := net.Endpoint(san.Addr{Node: "m", Proc: "manager"}, 16)
 	waitFor(t, "inventory visible", func() bool {
 		mgr.Multicast(stub.GroupControl, stub.MsgBeacon, stub.Beacon{
@@ -161,8 +168,8 @@ func TestMonitorReadsInventoryFromBeacons(t *testing.T) {
 }
 
 func TestRenderTableFormatting(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "a-worker"}, 16)
 	waitFor(t, "component", func() bool {
 		report(ep, "a-worker", "worker")
@@ -179,8 +186,8 @@ func TestRenderTableFormatting(t *testing.T) {
 // must not change (or race with) what the monitor displays. The SAN's
 // codec makes the copy: every delivery decodes a map of its own.
 func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 
 	// Warm up until the monitor has joined the report group, then send
@@ -213,8 +220,8 @@ func TestMonitorCopiesMetricsOnIngest(t *testing.T) {
 // TestMonitorHopBreakdown: span digests on the report group aggregate
 // into per-hop count/avg/max across distinct processes.
 func TestMonitorHopBreakdown(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 
 	waitFor(t, "monitor joined", func() bool {

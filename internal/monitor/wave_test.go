@@ -44,17 +44,17 @@ func (h *waveHost) ids() []string {
 // booting a full system.
 func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 	t.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	// A 250 ms beat: the monitor forgets a supervisor after 1 s of silence.
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(250*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 
-	m := New(Config{Node: "m0", Net: net, SilenceAfter: time.Second})
+	m := New(Config{Node: "m0", Net: net})
 	go m.Run(ctx)
 
 	host := &waveHost{}
 	sup := supervisor.New(supervisor.Config{
 		Node: "a-node0", Net: net, Prefix: "a-", Host: host,
-		HeartbeatGroup: stub.GroupControl, HeartbeatInterval: 10 * time.Millisecond,
 	})
 	go sup.Run(ctx)
 
@@ -155,7 +155,6 @@ func TestSupervisorForLongestPrefix(t *testing.T) {
 	t.Cleanup(cancel)
 	sup2 := supervisor.New(supervisor.Config{
 		Node: "a-x0", Net: net, Prefix: "a-node1",
-		HeartbeatGroup: stub.GroupControl, HeartbeatInterval: 10 * time.Millisecond,
 	})
 	go sup2.Run(ctx)
 	deadline := time.Now().Add(5 * time.Second)

@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"repro/internal/san"
-	"repro/internal/stub"
 )
 
 // TestMonitorOverWire feeds the monitor status reports through the SAN:
 // the reports group traffic it watches — including the metrics maps —
 // must survive the codec.
 func TestMonitorOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	m, _ := startMonitor(t, net, time.Hour)
+	net := silentAfter(time.Hour)
+	m, _ := startMonitor(t, net)
 	ep := net.Endpoint(san.Addr{Node: "n1", Proc: "w0"}, 16)
 	waitFor(t, "component visible over wire", func() bool {
 		report(ep, "w0", "worker")

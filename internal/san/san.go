@@ -256,6 +256,21 @@ func WithCodec(c Codec) Option {
 	return func(n *Network) { n.codec = c }
 }
 
+// DefaultBeacon is a network's beacon interval without WithBeacon.
+const DefaultBeacon = 500 * time.Millisecond
+
+// WithBeacon sets the network's beacon interval: the one period every
+// component on it announces at, and the unit every soft-state timeout
+// is a multiple of (internal/softstate). Zero or negative keeps
+// DefaultBeacon.
+func WithBeacon(d time.Duration) Option {
+	return func(n *Network) {
+		if d > 0 {
+			n.beacon = d
+		}
+	}
+}
+
 // WithDecodeViews does nothing: every delivery decodes views. It stays
 // for callers written when views were optional.
 func WithDecodeViews(bool) Option { return func(*Network) {} }
@@ -324,6 +339,7 @@ type Network struct {
 	state  atomic.Pointer[netState]
 	seed   int64 // derives each endpoint's deterministic rng
 	codec  Codec // every body crosses it
+	beacon time.Duration
 	closed atomic.Bool
 
 	// Process-wide observability plane: every component that holds the
@@ -348,7 +364,7 @@ type Network struct {
 // loss decisions. It panics without WithCodec: a network that passed
 // bodies by reference would test a path no cluster runs.
 func NewNetwork(seed int64, opts ...Option) *Network {
-	n := &Network{seed: seed}
+	n := &Network{seed: seed, beacon: DefaultBeacon}
 	n.state.Store(&netState{
 		endpoints: make(map[Addr]*Endpoint),
 		groups:    make(map[string][]*Endpoint),
@@ -377,6 +393,9 @@ func NewNetwork(seed int64, opts ...Option) *Network {
 	})
 	return n
 }
+
+// Beacon returns the network's beacon interval (WithBeacon).
+func (n *Network) Beacon() time.Duration { return n.beacon }
 
 // Tracer returns the network's request tracer — the shared span sink
 // for every component in this process.
@@ -857,6 +876,9 @@ func (e *Endpoint) Tracer() *obs.Tracer { return e.net.tracer }
 
 // Registry returns the owning network's metrics registry.
 func (e *Endpoint) Registry() *obs.Registry { return e.net.registry }
+
+// Beacon returns the endpoint's network's beacon interval.
+func (e *Endpoint) Beacon() time.Duration { return e.net.beacon }
 
 // chance draws a loss decision from the endpoint's own rng.
 func (e *Endpoint) chance(p float64) bool {

@@ -44,9 +44,10 @@ type Config struct {
 	Seed       int64
 	// QueryTimeout bounds each per-shard query.
 	QueryTimeout time.Duration
-	// CacheSize bounds the recent-results cache (queries).
-	CacheSize int
 }
+
+// resultCacheSize bounds the recent-results cache (queries).
+const resultCacheSize = 1024
 
 // QueryResult is a collated answer.
 type QueryResult struct {
@@ -126,14 +127,11 @@ func Deploy(cfg Config, reg *tacc.Registry, docs []Doc) *Engine {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = 2 * time.Second
 	}
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 1024
-	}
 	for i, part := range Partition(docs, cfg.Partitions, cfg.Seed) {
 		class := ShardClass(i)
 		reg.Register(class, func() tacc.Worker { return shardWorker{class: class, shard: BuildShard(i, part)} })
 	}
-	return &Engine{cfg: cfg, total: len(docs), cache: newResultCache(cfg.CacheSize)}
+	return &Engine{cfg: cfg, total: len(docs), cache: newResultCache(resultCacheSize)}
 }
 
 // Workers is the core.Config.Workers map: every partition's class, one

@@ -543,7 +543,7 @@ func (m *Model) managerBeacon() {
 	}
 	now := time.Unix(0, 0).Add(m.lastSpawn)
 	vnow := m.vnow()
-	if !m.spawning && m.p.Policy.ShouldSpawn(classAvg, count, vnow, now) {
+	if !m.spawning && m.p.Policy.ShouldSpawn(classAvg, vnow, now) {
 		m.spawning = true
 		m.lastSpawn = m.eng.Now() // damp immediately at decision time
 		overflow := count >= m.p.DedicatedNodes

@@ -9,17 +9,69 @@
 // which is precisely the simplification BASE buys over the original
 // process-pair/hard-state manager prototype described in §3.1.3.
 //
-// Every announcer that keeps such a table alive — the manager's beacon,
-// a supervisor's hello, every other component's member announcement —
-// is paced by one Schedule: at once, then 5 ms
-// later, the gap doubling up to the component's interval. The interval
-// bounds staleness, not how long a newcomer waits to be heard.
+// Every soft-state period and silence timeout is a whole number of Beats
+// of one interval, the network's beacon interval (san.WithBeacon); the
+// table below is the only place a multiple is written. Every announcer
+// that keeps such a table alive — the manager's beacon, a supervisor's
+// hello, every other component's member announcement — is paced by one
+// Schedule: at once, then 5 ms later, the gap doubling up to the
+// interval. The interval bounds staleness, not how long a newcomer
+// waits to be heard.
 package softstate
 
 import (
 	"sync"
 	"time"
 )
+
+// Beats counts beacon intervals.
+type Beats int
+
+// Of is b intervals of beacon.
+func (b Beats) Of(beacon time.Duration) time.Duration { return time.Duration(b) * beacon }
+
+// The cadence of an SNS (§3.1.3): components announce once a beat, and
+// a peer infers a death from this many beats of silence.
+const (
+	// Announce paces every announcer: the manager's beacon, supervisor
+	// hellos, the announcements of front ends, workers and caches, and
+	// the span reporter's digests.
+	Announce Beats = 1
+	// WorkerTTL is the manager's bound on a worker's silence ("timeouts
+	// are used as a backup mechanism to infer failures").
+	WorkerTTL Beats = 5
+	// MemberTTL is the manager's bound on a front end's or a
+	// supervisor's silence.
+	MemberTTL Beats = 6
+	// CacheTTL is the manager's bound on a cache partition's silence,
+	// unless the deployment sets its own (core.Config.CacheSuperviseTTL).
+	CacheTTL Beats = 5
+	// Takeover is how long a standby manager waits without a primary's
+	// beacon before it claims the primacy (plus one beat per rank), and
+	// how long a worker may go unbeaconed before its restart moves it.
+	Takeover Beats = 3
+	// StubWorkerTTL is how long a front end keeps its worker table
+	// without a beacon: generous, so the table carries it through a
+	// manager crash (§3.1.8 "stale load balancing data").
+	StubWorkerTTL Beats = 20
+	// ManagerSilence is the front end's process-peer watchdog on the
+	// manager.
+	ManagerSilence Beats = 5
+	// MonitorSilence marks a component silent at the monitor.
+	MonitorSilence Beats = 4
+	// EdgePoolTTL is how long the edge keeps a front end that stopped
+	// announcing, never less than EdgePoolFloor: a killed front end's
+	// (ejected) slot must outlive its respawn, a wall-clock window
+	// (detection sweep plus spawn) however fast the beat, so the
+	// half-open probe gets to readmit it.
+	EdgePoolTTL Beats = 20
+	// EdgeProbe is how long an ejected front end rests before the edge
+	// risks one probe request on it.
+	EdgeProbe Beats = 2
+)
+
+// EdgePoolFloor is EdgePoolTTL's wall-clock minimum.
+const EdgePoolFloor = 2 * time.Second
 
 // Clock abstracts time for tests. The zero value of components uses
 // real time.
@@ -185,7 +237,7 @@ func (t *Table[V]) expired(e Entry[V]) bool {
 // Schedule paces one announcer: receive from C, announce, call Next.
 // Steady-state traffic is one announcement per interval, as a ticker's.
 type Schedule struct {
-	C        <-chan time.Time // nil, never delivering, with no interval
+	C        <-chan time.Time
 	timer    *time.Timer
 	interval time.Duration
 	n        int       // announcements made
@@ -194,11 +246,11 @@ type Schedule struct {
 
 // NewSchedule returns a schedule whose first announcement is due now.
 func NewSchedule(interval time.Duration) *Schedule {
-	s := &Schedule{timer: time.NewTimer(0), interval: interval, due: time.Now()}
-	if interval > 0 {
-		s.C = s.timer.C
+	if interval <= 0 {
+		panic("softstate: interval must be positive")
 	}
-	return s
+	t := time.NewTimer(0)
+	return &Schedule{C: t.C, timer: t, interval: interval, due: time.Now()}
 }
 
 // Next arms the schedule for the announcement after the one just made:

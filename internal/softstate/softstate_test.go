@@ -71,9 +71,12 @@ func TestScheduleGaps(t *testing.T) {
 			t.Errorf("Gap(1<<30, %v) = %v, want the interval", tc.interval, got)
 		}
 	}
-	if s := NewSchedule(0); s.C != nil {
-		t.Fatal("a schedule with no interval delivers")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSchedule(0) built a schedule: every announcer has an interval")
+		}
+	}()
+	NewSchedule(0)
 }
 
 func TestTableRefresh(t *testing.T) {

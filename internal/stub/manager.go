@@ -18,15 +18,8 @@ import (
 
 // ManagerStubConfig tunes a front end's manager stub.
 type ManagerStubConfig struct {
-	// WorkerTTL expires cached worker entries that stop appearing
-	// in beacons. Generous by design: the cache must carry the
-	// front end through a manager crash (§3.1.8 "stale load
-	// balancing data"). Default 10x the beacon interval.
-	WorkerTTL time.Duration
 	// CallTimeout bounds one dispatch attempt to one worker.
 	CallTimeout time.Duration
-	// Retries is how many distinct workers to try before failing.
-	Retries int
 	// RetryBackoff is the base delay inserted before each retry
 	// attempt. The actual delay grows exponentially per attempt with
 	// uniform jitter (base*2^(attempt-1) .. 2x that), so a fleet of
@@ -34,27 +27,22 @@ type ManagerStubConfig struct {
 	// re-converge on the next one in lockstep — the retry-storm
 	// amplifier under overload. Default 2 ms; negative disables.
 	RetryBackoff time.Duration
-	// UseDelta enables the §4.5 queue-delta estimator.
-	UseDelta bool
-	// ManagerTimeout is the process-peer watchdog period: silence
-	// longer than this triggers OnManagerSilence. Zero disables.
-	ManagerTimeout time.Duration
 	// OnManagerSilence is the process-peer action, typically
-	// "restart the manager" wired up by the platform layer.
+	// "restart the manager" wired up by the platform layer: a watchdog
+	// runs it after softstate.ManagerSilence beats without a beacon.
+	// Nil watches nothing.
 	OnManagerSilence func()
 	// Seed feeds the lottery scheduler.
 	Seed int64
 }
 
+// dispatchAttempts is how many distinct workers one dispatch tries
+// before it fails.
+const dispatchAttempts = 3
+
 func (c ManagerStubConfig) withDefaults() ManagerStubConfig {
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 10 * DefaultBeaconInterval
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = DefaultCallTimeout
-	}
-	if c.Retries <= 0 {
-		c.Retries = 3
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 2 * time.Millisecond
@@ -112,13 +100,13 @@ func NewManagerStub(ep *san.Endpoint, cfg ManagerStubConfig) *ManagerStub {
 	ms := &ManagerStub{
 		ep:      ep,
 		cfg:     cfg,
-		workers: softstate.NewTable[WorkerInfo](cfg.WorkerTTL, nil),
-		sched:   lottery.NewScheduler(cfg.Seed, cfg.UseDelta),
+		workers: softstate.NewTable[WorkerInfo](softstate.StubWorkerTTL.Of(ep.Beacon()), nil),
+		sched:   lottery.NewScheduler(cfg.Seed, true),                  // the §4.5 queue-delta estimator
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x6261636b6f6666)), // "backoff"
 	}
-	if cfg.ManagerTimeout > 0 && cfg.OnManagerSilence != nil {
+	if cfg.OnManagerSilence != nil {
 		ms.wd = &softstate.Watchdog{
-			Timeout:   cfg.ManagerTimeout,
+			Timeout:   softstate.ManagerSilence.Of(ep.Beacon()),
 			OnSilence: func(int) { cfg.OnManagerSilence() },
 		}
 		ms.wd.Start()
@@ -338,7 +326,7 @@ func (ms *ManagerStub) Dispatch(ctx context.Context, class string, task *tacc.Ta
 	}
 
 	tried := make(map[string]bool)
-	for attempt := 0; attempt < ms.cfg.Retries; attempt++ {
+	for attempt := 0; attempt < dispatchAttempts; attempt++ {
 		if attempt > 0 && !ms.sleepBackoff(ctx, attempt) {
 			return tacc.Blob{}, fmt.Errorf("%w: class %s", ErrDeadline, class)
 		}

@@ -123,6 +123,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// newNet is a test network whose components announce once a beat.
+func newNet(beat time.Duration) *san.Network {
+	return san.NewNetwork(1, san.WithCodec(WireCodec{}), san.WithBeacon(beat))
+}
+
 // feEndpoint builds a front-end-like endpoint with a manager stub and
 // a pump routing messages into it.
 func feEndpoint(t *testing.T, net *san.Network, cfg ManagerStubConfig) (*san.Endpoint, *ManagerStub) {
@@ -140,7 +145,7 @@ func feEndpoint(t *testing.T, net *san.Network, cfg ManagerStubConfig) (*san.End
 }
 
 func TestWorkerRegistersAndServes(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -149,7 +154,7 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 	advertised.Store([]WorkerInfo{})
 	go fm.run(ctx, func() []WorkerInfo { return advertised.Load().([]WorkerInfo) })
 
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	go ws.Run(ctx)
 
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
@@ -198,12 +203,12 @@ func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
 		}
 	}
 	if d := time.Since(start); d > 250*time.Millisecond {
-		t.Fatalf("four announcements took %v at a %v interval", d, DefaultBeaconInterval)
+		t.Fatalf("four announcements took %v at a %v interval", d, net.Beacon())
 	}
 }
 
 func TestWorkerTaskErrorPropagates(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -211,7 +216,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 	adv.Store([]WorkerInfo{})
 	go fm.run(ctx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
 
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	go ws.Run(ctx)
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
@@ -229,7 +234,7 @@ func TestWorkerTaskErrorPropagates(t *testing.T) {
 }
 
 func TestWorkerPanicCrashesStub(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -237,7 +242,7 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 	adv.Store([]WorkerInfo{})
 	go fm.run(ctx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
 
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	exit := make(chan error, 1)
 	go func() { exit <- ws.Run(ctx) }()
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
@@ -261,38 +266,8 @@ func TestWorkerPanicCrashesStub(t *testing.T) {
 	}
 }
 
-func TestWorkerPanicSurvivesWhenConfigured(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	fm := newFakeManager(net, 10*time.Millisecond)
-	var adv atomic.Value
-	adv.Store([]WorkerInfo{})
-	go fm.run(ctx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
-
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
-		WorkerConfig{ReportInterval: 10 * time.Millisecond, SurvivePanic: true})
-	go ws.Run(ctx)
-	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
-	adv.Store([]WorkerInfo{<-fm.workers})
-	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
-	waitFor(t, "worker visible", func() bool { return len(ms.Workers("echo")) == 1 })
-
-	if _, err := ms.Dispatch(ctx, "echo", &tacc.Task{Params: map[string]string{"mode": "panic"}}); err == nil {
-		t.Fatal("panic should error")
-	}
-	// Stub survives and still serves.
-	out, err := ms.Dispatch(ctx, "echo", &tacc.Task{Input: tacc.Blob{Data: []byte("ok")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out.Data) != "echo:ok" {
-		t.Fatalf("out = %q", out.Data)
-	}
-}
-
 func TestDispatchFailsOverToLiveWorker(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -302,14 +277,14 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 
 	// One live worker plus one advertised ghost (crashed but still
 	// in the stale beacon — exactly the §3.1.8 scenario).
-	ws := NewWorkerStub("w-live", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w-live", "n1", echoWorker{}, net, WorkerConfig{})
 	go ws.Run(ctx)
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	live := <-fm.workers
 	ghost := WorkerInfo{ID: "w-ghost", Class: "echo", Addr: san.Addr{Node: "gone", Proc: "w-ghost"}, Node: "gone"}
 	adv.Store([]WorkerInfo{live, ghost})
 
-	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: 50 * time.Millisecond, Retries: 3})
+	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: 50 * time.Millisecond})
 	waitFor(t, "both visible", func() bool { return len(ms.Workers("echo")) == 2 })
 
 	// Run enough dispatches that the lottery must hit the ghost at
@@ -326,7 +301,7 @@ func TestDispatchFailsOverToLiveWorker(t *testing.T) {
 }
 
 func TestQueueFullRejection(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -336,7 +311,7 @@ func TestQueueFullRejection(t *testing.T) {
 
 	// Tiny queue + slow tasks = rejections.
 	ws := NewWorkerStub("w0", "n1", echoWorker{}, net,
-		WorkerConfig{QueueCap: 1, ReportInterval: 10 * time.Millisecond})
+		WorkerConfig{QueueCap: 1})
 	go ws.Run(ctx)
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	info := <-fm.workers
@@ -364,7 +339,7 @@ func TestQueueFullRejection(t *testing.T) {
 }
 
 func TestManagerStubSurvivesManagerDeath(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -373,15 +348,14 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 	adv.Store([]WorkerInfo{})
 	go fm.run(mgrCtx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
 
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	go ws.Run(ctx)
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
 
-	_, ms := feEndpoint(t, net, ManagerStubConfig{
-		CallTimeout: time.Second,
-		WorkerTTL:   10 * time.Second, // generous: cache must outlive the manager
-	})
+	// The stub keeps a worker 20 beats (200 ms) after the beacons stop:
+	// generous, so its cache outlives the manager.
+	_, ms := feEndpoint(t, net, ManagerStubConfig{CallTimeout: time.Second})
 	waitFor(t, "worker visible", func() bool { return len(ms.Workers("echo")) == 1 })
 
 	// Kill the manager; dispatch must keep working from cache.
@@ -400,7 +374,7 @@ func TestManagerStubSurvivesManagerDeath(t *testing.T) {
 }
 
 func TestManagerWatchdogFires(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(12 * time.Millisecond) // the watchdog fires after 5 beats: 60 ms
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	mgrCtx, mgrCancel := context.WithCancel(ctx)
@@ -408,10 +382,7 @@ func TestManagerWatchdogFires(t *testing.T) {
 	go fm.run(mgrCtx, func() []WorkerInfo { return nil })
 
 	var restarts atomic.Int32
-	_, ms := feEndpoint(t, net, ManagerStubConfig{
-		ManagerTimeout:   60 * time.Millisecond,
-		OnManagerSilence: func() { restarts.Add(1) },
-	})
+	_, ms := feEndpoint(t, net, ManagerStubConfig{OnManagerSilence: func() { restarts.Add(1) }})
 	waitFor(t, "first beacon", func() bool { return ms.Stats().BeaconsSeen > 0 })
 	if restarts.Load() != 0 {
 		t.Fatal("watchdog fired while manager alive")
@@ -425,14 +396,14 @@ func TestManagerWatchdogFires(t *testing.T) {
 // says it is down, and a task sent to it fails at once instead of
 // waiting out a timeout; restarted, it announces itself up and serves.
 func TestHotUpgradeDisableEnable(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
 	go fm.run(ctx, func() []WorkerInfo { return nil })
 
 	wctx, stop := context.WithCancel(ctx)
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	exited := make(chan error, 1)
 	go func() { exited <- ws.Run(wctx) }()
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
@@ -452,7 +423,7 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 
 	// The restart: the same name, a fresh instance (the upgraded binary).
 	before := fm.up.Load()
-	go NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond}).Run(ctx)
+	go NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{}).Run(ctx)
 	waitFor(t, "announced up again", func() bool { return fm.up.Load() > before })
 	resp, err := ep.Call(cctx, info.Addr, MsgTask,
 		TaskMsg{Task: tacc.Task{Input: tacc.Blob{Data: []byte("hi")}}}, 16)
@@ -474,7 +445,7 @@ func TestStopDrainsHeldTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wctx, stop := context.WithCancel(ctx)
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: time.Minute})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	exited := make(chan error, 1)
 	go func() { exited <- ws.Run(wctx) }()
 
@@ -547,7 +518,7 @@ func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
 }
 
 func TestDispatchPipelineChains(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := newNet(10 * time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -555,7 +526,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 	adv.Store([]WorkerInfo{})
 	go fm.run(ctx, func() []WorkerInfo { return adv.Load().([]WorkerInfo) })
 
-	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{ReportInterval: 10 * time.Millisecond})
+	ws := NewWorkerStub("w0", "n1", echoWorker{}, net, WorkerConfig{})
 	go ws.Run(ctx)
 	waitFor(t, "registration", func() bool { return fm.up.Load() >= 1 })
 	adv.Store([]WorkerInfo{<-fm.workers})
@@ -654,7 +625,6 @@ func TestDispatchBacksOffBetweenRetries(t *testing.T) {
 	_, ms := feEndpoint(t, net, ManagerStubConfig{
 		Seed:         3,
 		CallTimeout:  10 * time.Millisecond,
-		Retries:      3,
 		RetryBackoff: base,
 	})
 	waitFor(t, "ghosts advertised", func() bool { return len(ms.Workers("echo")) == 3 })

@@ -50,9 +50,9 @@ import (
 // (§3.1.3), and status reports and span digests go to the monitor alone
 // (§3.1.7).
 const (
-	GroupControl = "sns.control"          // full manager beacons, supervisor hellos, member announcements
-	GroupBeacon  = supervisor.GroupBeacon // the beacon's head (Manager, Seq, Epoch, no rows): what workers and supervisors read
-	GroupReports = "sns.reports"          // status reports and span digests, joined by the monitor only
+	GroupControl = supervisor.GroupControl // full manager beacons, supervisor hellos, member announcements
+	GroupBeacon  = supervisor.GroupBeacon  // the beacon's head (Manager, Seq, Epoch, no rows): what workers and supervisors read
+	GroupReports = "sns.reports"           // status reports and span digests, joined by the monitor only
 )
 
 // Message kinds. Liveness is supervisor.MsgAnnounce, whose Member body
@@ -154,13 +154,10 @@ type SpanDigest struct {
 	Spans []obs.Span
 }
 
-// Timing defaults shared across the SNS layer: every announcer shares
-// the one interval. The paper beacons every few seconds; tests compress
-// time via Config knobs.
-const (
-	DefaultBeaconInterval = 500 * time.Millisecond
-	DefaultCallTimeout    = 2 * time.Second
-)
+// DefaultCallTimeout bounds one dispatch attempt or supervisor command
+// unless a deployment sets its own. Soft-state timing is the network's
+// beacon interval (san.WithBeacon) and the softstate table.
+const DefaultCallTimeout = 2 * time.Second
 
 // ---------------------------------------------------------------------------
 // Wire codec.

@@ -10,7 +10,7 @@ import (
 // buffer. (The steady-state append and the decode are rows of the
 // root micro-benchmark table: go test -bench 'Micro/wire' repro.)
 func BenchmarkWireEncode(b *testing.B) {
-	// The announcement every worker sends every ReportInterval.
+	// The announcement every worker sends once a beat.
 	kind, body := supervisor.MsgAnnounce, wireSamples()[supervisor.MsgAnnounce]
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -19,13 +19,6 @@ type WorkerConfig struct {
 	// QueueCap bounds the request queue; beyond it the stub rejects
 	// tasks so front ends retry elsewhere. Default 64.
 	QueueCap int
-	// ReportInterval paces announcements. Default DefaultBeaconInterval.
-	ReportInterval time.Duration
-	// SurvivePanic converts worker panics into task errors instead
-	// of killing the stub process. The default (false) is the
-	// paper's model: distillers crash freely on pathological input
-	// and the SNS layer restarts them.
-	SurvivePanic bool
 	// Overflow marks this stub as running on an overflow-pool node.
 	Overflow bool
 }
@@ -34,16 +27,14 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.ReportInterval <= 0 {
-		c.ReportInterval = DefaultBeaconInterval
-	}
 	return c
 }
 
 // WorkerStub wraps a tacc.Worker into an SNS citizen: it queues tasks,
 // announces itself and its load to whatever manager is beaconing,
-// survives (or deliberately propagates) worker crashes, and drains when
-// stopped — the hot upgrade's disable (§2.1). It implements
+// exits when its worker crashes (the paper's model: a distiller crashes
+// freely on pathological input and the SNS layer restarts it), and
+// drains when stopped — the hot upgrade's disable (§2.1). It implements
 // cluster.Process.
 //
 // The worker code itself "need not be thread-safe" (§2.2.5): the stub
@@ -184,7 +175,7 @@ func (s *WorkerStub) Run(ctx context.Context) error {
 		s.processLoop(pctx, crashed)
 	}()
 
-	report := softstate.NewSchedule(s.cfg.ReportInterval)
+	report := softstate.NewSchedule(softstate.Announce.Of(s.net.Beacon()))
 	defer report.Stop()
 
 	for {
@@ -352,14 +343,11 @@ func (s *WorkerStub) processLoop(ctx context.Context, crashed chan<- any) {
 				s.crashes.Add(1)
 				_ = s.ep.Respond(msg, MsgResult, ResultMsg{Err: fmt.Sprintf("worker panic: %v", panicked)}, 16)
 				msg.Release()
-				if !s.cfg.SurvivePanic {
-					select {
-					case crashed <- panicked:
-					default:
-					}
-					return
+				select {
+				case crashed <- panicked:
+				default:
 				}
-				continue
+				return
 			}
 			if err != nil {
 				s.errs.Add(1)

@@ -29,8 +29,7 @@ import (
 	"repro/internal/softstate"
 )
 
-// Message kinds. MsgHello is multicast on the configured heartbeat
-// group (the platform wires it to the SNS control group); MsgCmd /
+// Message kinds. MsgHello is multicast on GroupControl; MsgCmd /
 // MsgAck are the unicast command protocol. MsgAnnounce is every other
 // component's "I am here": front ends, caches and workers each send one
 // Member per interval.
@@ -41,9 +40,14 @@ const (
 	MsgAnnounce = "member.announce" // component -> group or manager: Member
 )
 
-// GroupBeacon carries the primary manager's beacon head (Manager, Seq,
-// Epoch, no rows): all a supervisor with EpochFrom hears.
-const GroupBeacon = "sns.beacon"
+// The control groups. GroupControl carries full manager beacons,
+// supervisor hellos and member announcements; GroupBeacon the primary
+// manager's beacon head (Manager, Seq, Epoch, no rows): all a supervisor
+// with EpochFrom hears.
+const (
+	GroupControl = "sns.control"
+	GroupBeacon  = "sns.beacon"
+)
 
 // Command operations.
 const (
@@ -199,11 +203,6 @@ type Config struct {
 	// Host executes commands. A nil Host acks every command with an
 	// error (useful only in tests).
 	Host Host
-	// HeartbeatGroup/HeartbeatInterval make Run multicast a HelloMsg,
-	// paced by a softstate.Schedule of that interval (none without one).
-	// The platform wires the group to stub.GroupControl.
-	HeartbeatGroup    string
-	HeartbeatInterval time.Duration
 	// EpochFrom, when set, makes Run join GroupBeacon and extract an
 	// election epoch from every message it hears there (the platform
 	// wires a closure that recognizes manager beacons — the supervisor
@@ -336,7 +335,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	ep := s.ep
 	defer ep.Close()
 
-	hb := softstate.NewSchedule(s.cfg.HeartbeatInterval)
+	hb := softstate.NewSchedule(softstate.Announce.Of(s.cfg.Net.Beacon()))
 	defer hb.Stop()
 	if s.cfg.EpochFrom != nil {
 		// Observe election epochs from the beacon's head so a deposed
@@ -379,7 +378,7 @@ func (s *Supervisor) Run(ctx context.Context) error {
 func (s *Supervisor) heartbeat(ep *san.Endpoint) {
 	s.hellos.Add(1)
 	hb := s.Hello()
-	ep.Multicast(s.cfg.HeartbeatGroup, MsgHello, hb, 64+32*len(hb.Roster))
+	ep.Multicast(GroupControl, MsgHello, hb, 64+32*len(hb.Roster))
 }
 
 // dispatch executes one command at most once, on the caller's

@@ -68,10 +68,9 @@ const softCap = 4
 // client endpoint for issuing commands.
 func startSup(t *testing.T, host supervisor.Host) (*supervisor.Supervisor, *san.Endpoint) {
 	t.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "b-", Host: host,
-		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
@@ -272,7 +271,7 @@ func TestHeartbeatsAnnouncePrefix(t *testing.T) {
 	sup, client := startSup(t, host)
 
 	watcher := client
-	watcher.Join("ctl")
+	watcher.Join(supervisor.GroupControl)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -415,10 +414,9 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 // tooling.
 func TestStaleEpochCommandFenced(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(3, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(3, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
-		HeartbeatGroup: "ctl", HeartbeatInterval: 5 * time.Millisecond,
 		EpochFrom: func(kind string, body any) (uint64, bool) {
 			b, ok := body.(stub.Beacon)
 			return b.Epoch, ok && kind == stub.MsgBeacon

@@ -1,8 +1,8 @@
 // Package trace reproduces TranSend's workload substrate (paper §4.1):
 // the content-size distributions of Figure 5, the bursty arrival
-// process of Figure 6, a synthetic HTTP trace format, and the
-// high-performance playback engine used to stress the system at a
-// controlled, tunable offered load.
+// process of Figure 6, and the synthetic object ids, URLs and
+// attributes requests name. The load generators built on it are
+// bench/'s and the chaos harness's (internal/chaos/loadgen.go).
 //
 // The real 45-day Berkeley dialup trace is unavailable, so the
 // generator is calibrated to every marginal the paper publishes: MIME

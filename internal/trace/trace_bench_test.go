@@ -23,12 +23,3 @@ func BenchmarkArrivalGenerateMinute(b *testing.B) {
 		m.Generate(rng, 12*time.Hour, 12*time.Hour+time.Minute)
 	}
 }
-
-func BenchmarkTraceGenerate(b *testing.B) {
-	cfg := DefaultConfig(1)
-	cfg.Duration = time.Minute
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Generate(cfg)
-	}
-}

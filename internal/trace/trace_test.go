@@ -1,13 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"context"
-	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,17 +154,27 @@ func TestCascadeMeanOne(t *testing.T) {
 	}
 }
 
+// TestGenerateTraceDeterministic: what a workload is generated from —
+// arrival times and each object's attributes — is a function of the
+// seed alone.
 func TestGenerateTraceDeterministic(t *testing.T) {
-	cfg := DefaultConfig(9)
-	cfg.Duration = 2 * time.Minute
-	a := Generate(cfg)
-	b := Generate(cfg)
+	arrivals := func() []time.Duration {
+		return DefaultArrivals(9).Generate(rand.New(rand.NewSource(9)), 12*time.Hour, 12*time.Hour+2*time.Minute)
+	}
+	a, b := arrivals(), arrivals()
 	if len(a) == 0 || len(a) != len(b) {
 		t.Fatalf("lens = %d, %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("records diverge at %d", i)
+			t.Fatalf("arrivals diverge at %d", i)
+		}
+	}
+	for obj := range 100 {
+		m1, s1 := ObjectAttrs(9, obj, NewContentModel())
+		m2, s2 := ObjectAttrs(9, obj, NewContentModel())
+		if m1 != m2 || s1 != s2 {
+			t.Fatalf("object %d: %s/%d then %s/%d", obj, m1, s1, m2, s2)
 		}
 	}
 }
@@ -190,61 +195,15 @@ func TestObjectAttrsStable(t *testing.T) {
 func TestTraceRepeatsObjects(t *testing.T) {
 	// Zipf popularity must produce repeated objects — the property
 	// caching depends on.
-	cfg := DefaultConfig(10)
-	cfg.Duration = 10 * time.Minute
-	cfg.Objects = 5000
-	recs := Generate(cfg)
+	rng := rand.New(rand.NewSource(10))
+	n := len(DefaultArrivals(10).Generate(rng, 12*time.Hour, 12*time.Hour+10*time.Minute))
+	zipf := sim.Zipf(rng, 1.1, 5000)
 	seen := map[int]int{}
-	for _, r := range recs {
-		seen[r.Object]++
+	for range n {
+		seen[zipf()]++
 	}
-	if len(seen) >= len(recs) {
-		t.Fatalf("no repeats: %d unique of %d", len(seen), len(recs))
-	}
-}
-
-func TestReadWriteRoundTrip(t *testing.T) {
-	cfg := DefaultConfig(11)
-	cfg.Duration = time.Minute
-	recs := Generate(cfg)
-	var buf bytes.Buffer
-	if err := Write(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("round trip %d != %d", len(got), len(recs))
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
-func TestReadGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewBufferString("{bad json")); err == nil {
-		t.Fatal("expected parse error")
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.jsonl")
-	cfg := DefaultConfig(12)
-	cfg.Duration = 30 * time.Second
-	recs := Generate(cfg)
-	if err := WriteFile(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("file round trip %d != %d", len(got), len(recs))
+	if len(seen) >= n {
+		t.Fatalf("no repeats: %d unique of %d", len(seen), n)
 	}
 }
 
@@ -256,82 +215,5 @@ func TestBucketizeEdges(t *testing.T) {
 	}
 	if Bucketize(times, 0, 0, time.Second) != nil {
 		t.Fatal("empty range should return nil")
-	}
-}
-
-func TestPlayConstantRate(t *testing.T) {
-	recs := make([]Record, 200)
-	p := &Player{Concurrency: 32}
-	var served atomic.Int32
-	start := time.Now()
-	st := p.PlayConstant(context.Background(), recs, 1000, func(ctx context.Context, rec Record) error {
-		served.Add(1)
-		return nil
-	})
-	elapsed := time.Since(start)
-	if st.Issued != 200 || served.Load() != 200 {
-		t.Fatalf("issued %d served %d", st.Issued, served.Load())
-	}
-	// 200 requests at 1000/s should take ~0.2s; allow generous slop.
-	if elapsed > 2*time.Second {
-		t.Fatalf("constant-rate playback too slow: %v", elapsed)
-	}
-}
-
-func TestPlayFaithfulHonorsGaps(t *testing.T) {
-	recs := []Record{{T: 0}, {T: 100 * time.Millisecond}}
-	p := &Player{Concurrency: 4, Speedup: 2}
-	start := time.Now()
-	st := p.PlayFaithful(context.Background(), recs, func(ctx context.Context, rec Record) error {
-		return nil
-	})
-	elapsed := time.Since(start)
-	if st.Issued != 2 {
-		t.Fatalf("issued %d", st.Issued)
-	}
-	// 100 ms gap at 2x speedup = 50 ms minimum.
-	if elapsed < 40*time.Millisecond {
-		t.Fatalf("faithful playback ignored gaps: %v", elapsed)
-	}
-}
-
-func TestPlayCancellation(t *testing.T) {
-	recs := make([]Record, 100000)
-	for i := range recs {
-		recs[i].T = time.Duration(i) * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	p := &Player{Concurrency: 4}
-	st := p.PlayFaithful(ctx, recs, func(ctx context.Context, rec Record) error { return nil })
-	if st.Issued >= len(recs) {
-		t.Fatal("cancellation did not stop playback")
-	}
-}
-
-func TestPlayErrorsCounted(t *testing.T) {
-	recs := make([]Record, 10)
-	p := &Player{Concurrency: 2}
-	boom := errors.New("boom")
-	st := p.PlayConstant(context.Background(), recs, 10000, func(ctx context.Context, rec Record) error {
-		return boom
-	})
-	if st.Errors != 10 {
-		t.Fatalf("errors = %d, want 10", st.Errors)
-	}
-	if st.Latency.N != 10 {
-		t.Fatalf("latency samples = %d", st.Latency.N)
-	}
-}
-
-func TestSetRateWhileRunning(t *testing.T) {
-	p := &Player{Concurrency: 8}
-	p.SetRate(50)
-	if got := p.currentRate(); math.Abs(got-50) > 1e-6 {
-		t.Fatalf("rate = %v", got)
-	}
-	p.SetRate(-1)
-	if got := p.currentRate(); got != 0 {
-		t.Fatalf("negative rate should clamp to 0, got %v", got)
 	}
 }

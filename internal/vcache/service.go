@@ -85,16 +85,6 @@ type Service struct {
 	// per-request service cost (the paper's 27 ms average hit).
 	ServiceTime func() time.Duration
 
-	// HeartbeatGroup/HeartbeatInterval make Run announce the service
-	// (supervisor.MsgAnnounce, a cache Member) on the group, paced by a
-	// softstate.Schedule of that interval, so a process peer (the
-	// manager) can supervise it: silence past its TTL means the service
-	// crashed and must be restarted (§3.1.3 timeout inference, as for
-	// front ends). The platform layer wires these; bare services in unit
-	// tests (no interval) stay silent.
-	HeartbeatGroup    string
-	HeartbeatInterval time.Duration
-
 	ep *san.Endpoint
 }
 
@@ -138,7 +128,11 @@ func (s *Service) Run(ctx context.Context) error {
 		emit("hit_rate", st.HitRate())
 	})
 
-	hb := softstate.NewSchedule(s.HeartbeatInterval)
+	// Run announces the service (supervisor.MsgAnnounce, a cache Member)
+	// on the control group once a beat, so a process peer (the manager)
+	// can supervise it: silence past its TTL means the service crashed
+	// and must be restarted (§3.1.3 timeout inference, as for front ends).
+	hb := softstate.NewSchedule(softstate.Announce.Of(s.Net.Beacon()))
 	defer hb.Stop()
 	for {
 		select {
@@ -157,7 +151,7 @@ func (s *Service) Run(ctx context.Context) error {
 }
 
 func (s *Service) announce(ep *san.Endpoint) {
-	ep.Multicast(s.HeartbeatGroup, supervisor.MsgAnnounce,
+	ep.Multicast(supervisor.GroupControl, supervisor.MsgAnnounce,
 		supervisor.Member{Addr: s.addr(), Kind: supervisor.KindCache, State: supervisor.StateUp}, 48)
 }
 

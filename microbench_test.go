@@ -144,7 +144,7 @@ func benchDistill(b *testing.B, mime string) error {
 }
 
 // wireMember is the representative periodic message: the announcement
-// every worker sends every ReportInterval, pre-boxed so the measurement
+// every worker sends once a beat, pre-boxed so the measurement
 // is the codec, not callsite interface conversion.
 func wireMember() any {
 	return supervisor.Member{
