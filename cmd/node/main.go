@@ -80,8 +80,7 @@ type nodeOptions struct {
 func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions, error) {
 	listen := fs.String("listen", "tcp:127.0.0.1:0", "transport bridge listen address (tcp:host:port or unix:/path)")
 	join := fs.String("join", "", "comma-separated seed bridge addresses to join")
-	id := fs.String("id", "", "bridge id (default: -prefix, then the listen address)")
-	prefix := fs.String("prefix", "", "node-name prefix; must be unique per process (required with -join or when joined)")
+	prefix := fs.String("prefix", "", "node-name prefix, and the bridge's id: peers send this process every node it prefixes (longest match); must be unique per process (required with -join or when joined)")
 	rolesFlag := fs.String("roles", "all", "roles to host: frontend,manager,worker,cache,monitor,edge (or 'all')")
 	cacheHost := fs.String("cache-host", "", "node prefix of the process hosting the cache partitions (when the cache role is remote)")
 	frontEnds := fs.Int("frontends", 2, "front ends (frontend role)")
@@ -145,7 +144,6 @@ func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions,
 		Transport: core.TransportConfig{
 			Listen: *listen,
 			Join:   joins,
-			ID:     *id,
 		},
 		DedicatedNodes: *nodes,
 		OverflowNodes:  *overflow,

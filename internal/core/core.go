@@ -120,9 +120,10 @@ func ParseRoles(s string) (Roles, error) {
 
 // TransportConfig attaches the SAN to a socket bridge
 // (internal/transport) so the process can splice into a cluster that
-// spans real OS processes. A non-empty Listen enables it. These three
-// are all a deployment chooses; the bridge's batching, chunking,
-// queue bound and timeouts are constants of the transport package.
+// spans real OS processes. A non-empty Listen enables it. These two
+// are all a deployment chooses: the bridge's id is NodePrefix, the
+// node names this process owns, and its batching, chunking, queue
+// bound and timeouts are constants of the transport package.
 type TransportConfig struct {
 	// Listen is the bridge's socket: "tcp:host:port" or "unix:/path"
 	// (port 0 picks a free port).
@@ -130,9 +131,6 @@ type TransportConfig struct {
 	// Join lists seed bridge addresses; peer gossip completes the
 	// mesh from any one of them.
 	Join []string
-	// ID names this process's bridge uniquely in the cluster
-	// (defaults to NodePrefix, then to the resolved listen address).
-	ID string
 }
 
 // Config describes a deployment.
@@ -145,7 +143,8 @@ type Config struct {
 	// NodePrefix prefixes every cluster node name ("node0" becomes
 	// "<prefix>node0"), keeping SAN addresses disjoint when several
 	// OS processes join one logical SAN. Required (and must be
-	// unique) per process in multi-process mode.
+	// unique) per process in multi-process mode. It is the bridge's id
+	// too: a peer sends here every node this prefix matches longest.
 	NodePrefix string
 
 	// Transport, when Listen is set, bridges this process's SAN to
@@ -357,15 +356,11 @@ func (s *System) boot() error {
 	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}), san.WithBeacon(cfg.BeaconInterval))
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
-		id := cfg.Transport.ID
-		if id == "" {
-			id = cfg.NodePrefix // may still be empty; bridge then uses its listen addr
-		}
 		br, err := transport.New(transport.Config{
 			Net:    s.Net,
 			Listen: cfg.Transport.Listen,
 			Join:   cfg.Transport.Join,
-			ID:     id,
+			ID:     cfg.NodePrefix, // peers route every node it prefixes here
 		})
 		if err != nil {
 			return err

@@ -101,3 +101,48 @@ func TestNetworkCloseDropsDelayedDeliveries(t *testing.T) {
 		t.Fatalf("goroutines still growing after Close: %d -> %d", base, g)
 	}
 }
+
+// TestLocalCallEndsWhenCalleeRemoved: a Call whose callee leaves the
+// table with the request still queued ends with ErrUnknownAddr at once,
+// not at its timeout, whether the callee is dropped, its node dropped or
+// it closes — a local caller fails as fast as a remote one. A restart
+// that reclaims the name removes nothing: that Call waits out its own
+// deadline, since the address is held again.
+func TestLocalCallEndsWhenCalleeRemoved(t *testing.T) {
+	callee := Addr{Node: "n1", Proc: "w0"}
+	for _, c := range []struct {
+		name    string
+		remove  func(n *Network, ep *Endpoint)
+		timeout time.Duration
+		want    error
+	}{
+		{"drop", func(n *Network, _ *Endpoint) { n.Drop(callee) }, 5 * time.Second, ErrUnknownAddr},
+		{"drop node", func(n *Network, _ *Endpoint) { n.DropNode(callee.Node) }, 5 * time.Second, ErrUnknownAddr},
+		{"close", func(_ *Network, ep *Endpoint) { ep.Close() }, 5 * time.Second, ErrUnknownAddr},
+		{"reclaim", func(n *Network, _ *Endpoint) { n.Endpoint(callee, 8) }, 200 * time.Millisecond, ErrTimeout},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := newNet(1)
+			caller := n.Endpoint(Addr{Node: "n0", Proc: "fe0"}, 8)
+			ep := n.Endpoint(callee, 8)
+			done := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
+				defer cancel()
+				_, err := caller.Call(ctx, callee, "req", "x", 0)
+				done <- err
+			}()
+			for deadline := time.Now().Add(2 * time.Second); len(ep.Inbox()) == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the request never reached the callee's inbox")
+				}
+			}
+			removed := time.Now()
+			c.remove(n, ep)
+			err := <-done
+			if took := time.Since(removed); !errors.Is(err, c.want) || c.want == ErrUnknownAddr && took >= 100*time.Millisecond {
+				t.Fatalf("Call after the callee's %s: %v %v later, want %v", c.name, err, took, c.want)
+			}
+		})
+	}
+}

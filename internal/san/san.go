@@ -72,6 +72,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"iter"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +94,29 @@ func (a Addr) String() string { return a.Node + "/" + a.Proc }
 
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.Node == "" && a.Proc == "" }
+
+// Owner resolves which OS process hosts a node. Each process owns the
+// node names that begin with its prefix, so the owner is the candidate
+// whose prefix is the longest match for node; equal prefixes go to the
+// lowest key (two supervisor hellos share a prefix while a respawned
+// one's old address has not yet expired). ok is false when no prefix
+// matches. It is the one ownership rule: the bridge routes every
+// cross-process unicast by it, and managers delegate every restart by
+// it (supervisor.Owner), so a node's traffic and its repairs always go
+// to the same process.
+func Owner[C any](node string, cands iter.Seq[C], prefix, key func(C) string) (best C, ok bool) {
+	bestLen, bestKey := -1, ""
+	for c := range cands {
+		p := prefix(c)
+		if !strings.HasPrefix(node, p) || len(p) < bestLen {
+			continue
+		}
+		if k := key(c); len(p) > bestLen || k < bestKey {
+			best, bestLen, bestKey = c, len(p), k
+		}
+	}
+	return best, bestLen >= 0
+}
 
 // Message is a datagram on the SAN. Body is the value the codec decoded
 // for this delivery; Size is the length of its encoding in bytes.
@@ -239,11 +264,9 @@ type Fabric interface {
 	// Multicast forwards a group message to every remote process;
 	// each re-fans it out to its own local group members.
 	Multicast(from Addr, group, kind string, wire []byte)
-	// EndpointUp/EndpointDown observe this network's endpoint table so
-	// the fabric can advertise routes to its peers (and invalidate
-	// them when an endpoint closes) instead of flooding first packets.
-	// Both are idempotent and must not block.
-	EndpointUp(a Addr)
+	// EndpointDown tells the fabric a local endpoint closed, so remote
+	// Calls still awaiting it can end at once (Unreachable on their
+	// side). It must not block.
 	EndpointDown(a Addr)
 }
 
@@ -405,21 +428,9 @@ func (n *Network) Tracer() *obs.Tracer { return n.tracer }
 func (n *Network) Registry() *obs.Registry { return n.registry }
 
 // SetFabric installs (or, with nil, detaches) the cross-process
-// fabric. Endpoints already registered are replayed to the new
-// fabric's EndpointUp so its route advertisements start complete.
+// fabric.
 func (n *Network) SetFabric(f Fabric) {
-	var eps []Addr
-	n.mutate(func(s *netState) {
-		s.fabric = f
-		if f != nil {
-			for a := range s.endpoints {
-				eps = append(eps, a)
-			}
-		}
-	})
-	for _, a := range eps {
-		f.EndpointUp(a)
-	}
+	n.mutate(func(s *netState) { s.fabric = f })
 }
 
 // Close shuts the network down deterministically: the fabric is
@@ -696,7 +707,6 @@ func (n *Network) Endpoint(addr Addr, inboxCap int) *Endpoint {
 	// instead of resurrecting the address table after Close swept it;
 	// the unchanged clone mutate publishes in that case is harmless.
 	var old *Endpoint
-	var fab Fabric
 	registered := false
 	n.mutate(func(s *netState) {
 		if n.closed.Load() {
@@ -704,7 +714,6 @@ func (n *Network) Endpoint(addr Addr, inboxCap int) *Endpoint {
 		}
 		old = s.endpoints[addr]
 		s.endpoints[addr] = ep
-		fab = s.fabric
 		registered = true
 	})
 	if !registered {
@@ -713,9 +722,6 @@ func (n *Network) Endpoint(addr Addr, inboxCap int) *Endpoint {
 	}
 	if old != nil {
 		old.Close()
-	}
-	if fab != nil {
-		fab.EndpointUp(addr)
 	}
 	return ep
 }
@@ -730,7 +736,6 @@ func (n *Network) Lookup(addr Addr) bool {
 // from the address table and all groups without any goodbye traffic.
 func (n *Network) Drop(addr Addr) {
 	var ep *Endpoint
-	var fab Fabric
 	n.mutate(func(s *netState) {
 		var ok bool
 		ep, ok = s.endpoints[addr]
@@ -741,13 +746,9 @@ func (n *Network) Drop(addr Addr) {
 		for g, members := range s.groups {
 			s.groups[g] = withoutMember(members, ep)
 		}
-		fab = s.fabric
 	})
 	if ep != nil {
-		ep.closeInternal()
-		if fab != nil {
-			fab.EndpointDown(addr)
-		}
+		n.removed(ep)
 	}
 }
 
@@ -755,7 +756,6 @@ func (n *Network) Drop(addr Addr) {
 // it from all groups, modelling a workstation crash.
 func (n *Network) DropNode(node string) {
 	var victims []*Endpoint
-	var fab Fabric
 	n.mutate(func(s *netState) {
 		for addr, ep := range s.endpoints {
 			if addr.Node == node {
@@ -772,13 +772,22 @@ func (n *Network) DropNode(node string) {
 			}
 			s.groups[g] = kept
 		}
-		fab = s.fabric
 	})
 	for _, ep := range victims {
-		ep.closeInternal()
-		if fab != nil {
-			fab.EndpointDown(ep.addr)
-		}
+		n.removed(ep)
+	}
+}
+
+// removed finishes taking ep's address out of the table: ep closes,
+// and every Call still awaiting that address ends with ErrUnknownAddr,
+// here at once and in other processes when the fabric's down frame
+// lands. A restart that reclaims the name removes nothing, so its
+// callers keep waiting for the new endpoint.
+func (n *Network) removed(ep *Endpoint) {
+	ep.closeInternal()
+	n.Unreachable(ep.addr)
+	if fab := n.state.Load().fabric; fab != nil {
+		fab.EndpointDown(ep.addr)
 	}
 }
 
@@ -928,26 +937,25 @@ func (e *Endpoint) push(msg Message) bool {
 }
 
 // Close detaches the endpoint: it leaves all groups, unregisters the
-// address, fails pending calls, and closes the inbox. The fabric is
-// told only when this endpoint actually held the address — a replaced
-// endpoint (restart reclaiming its name) must not invalidate its
-// successor's route.
+// address, fails pending calls, and closes the inbox. Calls awaiting
+// the address end only when this endpoint actually held it (removed) —
+// a replaced endpoint (restart reclaiming its name) must not fail its
+// successor's callers.
 func (e *Endpoint) Close() {
 	removed := false
-	var fab Fabric
 	e.net.mutate(func(s *netState) {
 		if s.endpoints[e.addr] == e {
 			delete(s.endpoints, e.addr)
 			removed = true
-			fab = s.fabric
 		}
 		for _, g := range e.groupsSnapshot() {
 			s.groups[g] = withoutMember(s.groups[g], e)
 		}
 	})
-	e.closeInternal()
-	if removed && fab != nil {
-		fab.EndpointDown(e.addr)
+	if removed {
+		e.net.removed(e)
+	} else {
+		e.closeInternal()
 	}
 }
 
@@ -975,19 +983,36 @@ func (e *Endpoint) closeInternal() {
 }
 
 // Unreachable ends every Call awaiting a reply from addr with
-// ErrUnknownAddr: a fabric heard that remote endpoint close, behind any
-// reply it sent, so a request still on its way there is dropped.
+// ErrUnknownAddr: that endpoint closed, here or (as a fabric heard,
+// behind any reply it sent) in another process, so a request still on
+// its way there is dropped.
 func (n *Network) Unreachable(addr Addr) {
 	for _, ep := range n.state.Load().endpoints {
-		ep.mu.Lock()
-		for id, c := range ep.pending {
-			if c.to == addr {
-				close(c.ch)
-				delete(ep.pending, id)
-			}
-		}
-		ep.mu.Unlock()
+		ep.unreachable(addr, 0)
 	}
+}
+
+// UnreachableCall ends with ErrUnknownAddr the one Call caller awaits
+// under callID, if it awaits addr: the process that owns addr found no
+// endpoint there when the request arrived. Other Calls to addr are
+// untouched, so one that reached a live endpoint is never ended by it.
+func (n *Network) UnreachableCall(caller Addr, callID uint64, addr Addr) {
+	if ep, ok := n.state.Load().endpoints[caller]; ok {
+		ep.unreachable(addr, callID)
+	}
+}
+
+// unreachable closes the pending Calls to addr: every one, or with a
+// non-zero callID only that one.
+func (e *Endpoint) unreachable(addr Addr, callID uint64) {
+	e.mu.Lock()
+	for id, c := range e.pending {
+		if c.to == addr && (callID == 0 || id == callID) {
+			close(c.ch)
+			delete(e.pending, id)
+		}
+	}
+	e.mu.Unlock()
 }
 
 // Join subscribes the endpoint to a multicast group (idempotent).

@@ -22,7 +22,6 @@ func (f *promptFabric) Unicast(_, _ san.Addr, kind string, _ uint64, _, prompt b
 	return true
 }
 func (f *promptFabric) Multicast(san.Addr, string, string, []byte) {}
-func (f *promptFabric) EndpointUp(san.Addr)                        {}
 func (f *promptFabric) EndpointDown(san.Addr)                      {}
 
 // TestFabricPromptKinds: the SAN hands the fabric prompt=true for every

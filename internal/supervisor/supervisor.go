@@ -20,7 +20,7 @@ package supervisor
 import (
 	"context"
 	"fmt"
-	"strings"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,25 +129,19 @@ type HelloMsg struct {
 	Roster []Row
 }
 
-// Owner resolves which supervisor owns a node by longest advertised
-// prefix, equal prefixes by lowest address — the single ownership rule
-// every resolver (manager restart sweeps, monitor upgrade waves) must
-// share, or two watchers could delegate the same node's duties to
-// different daemons. Two hellos share a prefix while a respawned
-// supervisor's old address has not yet expired from a table.
+// Owner resolves which supervisor owns a node: san.Owner over the
+// advertised prefixes, equal prefixes by lowest address. It is the
+// single ownership rule every resolver (manager restart sweeps, monitor
+// upgrade waves) shares with the bridge's routes, or two watchers could
+// delegate the same node's duties to different daemons. Two hellos
+// share a prefix while a respawned supervisor's old address has not yet
+// expired from a table.
 func Owner(node string, sups map[string]HelloMsg) (HelloMsg, bool) {
-	var best HelloMsg
-	bestLen := -1
-	for _, hb := range sups {
-		if !strings.HasPrefix(node, hb.Prefix) {
-			continue
-		}
-		if n := len(hb.Prefix); n > bestLen || n == bestLen && hb.Addr.String() < best.Addr.String() {
-			best, bestLen = hb, n
-		}
-	}
-	return best, bestLen >= 0
+	return san.Owner(node, maps.Values(sups), helloPrefix, helloAddr)
 }
+
+func helloPrefix(hb HelloMsg) string { return hb.Prefix }
+func helloAddr(hb HelloMsg) string   { return hb.Addr.String() }
 
 // Command asks a supervisor to act. ID must be unique per Origin for
 // one incident: retries of the same incident reuse the ID, so a

@@ -44,12 +44,12 @@ func startRelayPair(tb testing.TB) *relayPair {
 	netA, netB := newWireNet(1), newWireNet(2)
 	tb.Cleanup(func() { netA.Close() })
 	tb.Cleanup(func() { netB.Close() })
-	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "relay-a"})
+	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { ba.Close() })
-	bb, err := New(Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "relay-b", Join: []string{ba.Advertise()}})
+	bb, err := New(Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestCacheWritesAcrossEndpoints(t *testing.T) {
 
 	netC := newWireNet(3)
 	t.Cleanup(netC.Close)
-	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "relay-c", Join: []string{pair.bb.Advertise()}})
+	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{pair.bb.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,10 @@ type Config struct {
 	// hello gossips the rest of the mesh.
 	Join []string
 
-	// ID names this bridge uniquely across the cluster. Empty
-	// defaults to the advertised listen address, which is unique by
-	// construction.
+	// ID is the node-name prefix this process owns, and names the
+	// bridge across the cluster: a peer sends here every unicast whose
+	// destination node this prefix matches longest (san.Owner). The
+	// empty prefix owns every node no longer prefix claims.
 	ID string
 }
 
@@ -86,13 +87,12 @@ type Stats struct {
 	Batches      uint64 // write syscalls issued (all peers, lifetime)
 	TimerWrites  uint64 // of those, the ones the flush timer ran: frames that waited for the clock
 	BytesOut     uint64 // bytes written (all peers, lifetime)
-	Floods       uint64 // unicasts sent to every peer for lack of any route
+	Floods       uint64 // always 0: a unicast goes to its node's owner or nowhere (bench/layers.go reads it)
 	FrameErrors  uint64 // connections dropped for stream corruption
 	Injected     uint64 // frames delivered into the local SAN
 	Reconnects   uint64 // successful dials after the first
 	HellosIn     uint64 // handshakes accepted
-	AdvertsIn    uint64 // endpoint-table advertisement frames received
-	Unroutable   uint64 // unicasts refused: destination advertised dead
+	Unroutable   uint64 // unicasts refused: no connected peer owns the destination's node
 	Chunked      uint64 // outbound bodies streamed as chunk fragments
 	Reassembled  uint64 // inbound chunk streams completed and injected
 	Backpressure uint64 // frames refused: a peer's write queue was full
@@ -133,10 +133,10 @@ func (p *peer) canonical(selfID string) bool {
 // Bridge splices a san.Network into a multi-process SAN. It implements
 // san.Fabric: the network hands it messages for non-local endpoints;
 // frames arriving from peers re-enter through the network's inject
-// APIs. Routes are the endpoint tables peers advertise (hello,
-// catch-up advert, EndpointUp adverts); a unicast to an address no peer
-// has advertised yet floods to all peers (the wrong recipients drop it
-// silently — datagram semantics).
+// APIs. A peer's id is the node-name prefix its process owns, so a
+// unicast goes to the peer owning the destination's node (san.Owner,
+// the rule managers delegate restarts by) and the bridge holds no
+// per-endpoint state.
 type Bridge struct {
 	cfg       Config
 	net       *san.Network
@@ -148,30 +148,16 @@ type Bridge struct {
 	dialing map[string]bool // canonical addrs with a live dial loop
 	closed  bool
 
-	// Endpoint-table advertisement state: locals is this process's
-	// endpoint set (announced in hellos and incremental adverts);
-	// advertised maps remote endpoints to the peer that vouched for
-	// them; tombs records addresses known to be dead — advertised or
-	// local endpoints that closed and were never re-announced — so a
-	// send to one fails fast (ErrUnknownAddr on the SAN) instead of
-	// flooding the mesh with undeliverable datagrams.
-	locals     map[san.Addr]bool
-	advertised map[san.Addr]*peer
-	tombs      map[san.Addr]bool
-	tombOrder  []san.Addr // FIFO eviction for tombs
-
 	done chan struct{}
 	wg   sync.WaitGroup
 
 	framesOut   atomic.Uint64
 	framesIn    atomic.Uint64
 	bytesIn     atomic.Uint64
-	floods      atomic.Uint64
 	frameErrors atomic.Uint64
 	injected    atomic.Uint64
 	reconnects  atomic.Uint64
 	hellosIn    atomic.Uint64
-	advertsIn   atomic.Uint64
 	unroutable  atomic.Uint64
 	chunked     atomic.Uint64
 	reassembled atomic.Uint64
@@ -207,23 +193,17 @@ func New(cfg Config) (*Bridge, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", cfg.Listen, err)
 	}
 	b := &Bridge{
-		cfg:        cfg,
-		net:        cfg.Net,
-		ln:         ln,
-		advertise:  network + ":" + ln.Addr().String(),
-		peers:      make(map[string]*peer),
-		dialing:    make(map[string]bool),
-		locals:     make(map[san.Addr]bool),
-		advertised: make(map[san.Addr]*peer),
-		tombs:      make(map[san.Addr]bool),
-		done:       make(chan struct{}),
+		cfg:       cfg,
+		net:       cfg.Net,
+		ln:        ln,
+		advertise: network + ":" + ln.Addr().String(),
+		peers:     make(map[string]*peer),
+		dialing:   make(map[string]bool),
+		done:      make(chan struct{}),
 	}
 	b.framePool.New = func() any {
 		buf := make([]byte, 0, 2048)
 		return &buf
-	}
-	if b.cfg.ID == "" {
-		b.cfg.ID = b.advertise
 	}
 	cfg.Net.SetFabric(b)
 	cfg.Net.Registry().SetCollector("bridge", func(emit func(string, float64)) {
@@ -235,7 +215,6 @@ func New(cfg Config) (*Bridge, error) {
 		emit("bytes_out", float64(st.BytesOut))
 		emit("batches", float64(st.Batches))
 		emit("timer_writes", float64(st.TimerWrites))
-		emit("floods", float64(st.Floods))
 		emit("frame_errors", float64(st.FrameErrors))
 		emit("injected", float64(st.Injected))
 		emit("reconnects", float64(st.Reconnects))
@@ -277,7 +256,7 @@ func canonicalAddr(s string) (string, error) {
 	return network + ":" + address, nil
 }
 
-// ID returns the bridge's cluster-unique id.
+// ID returns the bridge's id: the node-name prefix its process owns.
 func (b *Bridge) ID() string { return b.cfg.ID }
 
 // Advertise returns the canonical dialable listen address
@@ -318,7 +297,7 @@ func (b *Bridge) WaitPeers(n int, timeout time.Duration) bool {
 // multi-process analogue of san.Network.PartitionFor, so scripted
 // TCP-partition schedules share the in-process chaos vocabulary.
 // Healing is automatic: when the window passes, the standing dial
-// loops reconnect and the hello exchange re-advertises endpoints.
+// loops reconnect, and each peer owns its prefix again.
 // SeverPeers(0) just drops the current connections (redial starts
 // immediately), matching a transient network blip.
 func (b *Bridge) SeverPeers(d time.Duration) {
@@ -355,12 +334,10 @@ func (b *Bridge) Stats() Stats {
 		FramesOut:    b.framesOut.Load(),
 		FramesIn:     b.framesIn.Load(),
 		BytesIn:      b.bytesIn.Load(),
-		Floods:       b.floods.Load(),
 		FrameErrors:  b.frameErrors.Load(),
 		Injected:     b.injected.Load(),
 		Reconnects:   b.reconnects.Load(),
 		HellosIn:     b.hellosIn.Load(),
-		AdvertsIn:    b.advertsIn.Load(),
 		Unroutable:   b.unroutable.Load(),
 		Chunked:      b.chunked.Load(),
 		Reassembled:  b.reassembled.Load(),
@@ -399,10 +376,7 @@ func (b *Bridge) Close() error {
 		return nil
 	}
 	b.closed = true
-	peers := make([]*peer, 0, len(b.peers))
-	for _, p := range b.peers {
-		peers = append(peers, p)
-	}
+	peers := b.peersLocked()
 	b.mu.Unlock()
 
 	if !b.net.Closed() {
@@ -426,35 +400,19 @@ func (b *Bridge) isClosed() bool {
 // ---------------------------------------------------------------------------
 // Fabric (outbound).
 
-// Unicast implements san.Fabric. The route is the peer that advertised
-// the endpoint in its hello/advert stream. An address that was
-// advertised and then invalidated (the endpoint closed) is refused
-// outright — the SAN surfaces that as ErrUnknownAddr, the cross-process
-// analogue of sending to an unbound local address. A never-advertised
-// address floods: a process can hear of an endpoint (a worker named in
-// a manager's beacon) on one connection before the advert from the
-// endpoint's own process lands on another. A prompt frame never waits
-// for the flush timer (Batcher.Append).
+// Unicast implements san.Fabric. The route is the peer that owns the
+// destination's node: of this process and its connected peers, the one
+// whose id is the longest prefix of it (ownerLocked). When nobody does,
+// or this process does (the SAN found no such local endpoint), the send
+// is refused and the SAN surfaces ErrUnknownAddr at once; a Call routed
+// to an owner that has no such endpoint is answered by it (inject). A
+// prompt frame never waits for the flush timer (Batcher.Append).
 func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
-	var stack [1]*peer
-	targets := stack[:0]
 	b.mu.RLock()
-	if p, ok := b.advertised[to]; ok {
-		targets = append(targets, p)
-	} else if b.tombs[to] {
-		b.mu.RUnlock()
-		b.unroutable.Add(1)
-		return false
-	} else {
-		for _, p := range b.peers {
-			targets = append(targets, p)
-		}
-		if len(targets) > 0 {
-			b.floods.Add(1)
-		}
-	}
+	p := b.ownerLocked(to.Node)
 	b.mu.RUnlock()
-	if len(targets) == 0 {
+	if p == nil {
+		b.unroutable.Add(1)
 		return false
 	}
 
@@ -466,145 +424,115 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply, p
 	// frames interleave between them instead of stalling a whole batch
 	// behind one 500 KB blob.
 	if lease != nil && len(wire) > DefaultChunkBytes && len(wire) <= MaxChunkBody {
-		return b.unicastChunked(targets, from, to, kind, callID, flags, prompt, trace, wire, lease)
+		return b.unicastChunked(p, from, to, kind, callID, flags, prompt, trace, wire, lease)
 	}
 
 	bufp := b.framePool.Get().(*[]byte)
 	var hdr, body, trailer []byte
+	var done func()
 	if lease != nil && len(wire) >= vecMinBody {
 		// Vectored: only the header and CRC trailer are staged; the
 		// already-encoded body goes to the socket as its own iovec,
-		// pinned by one lease reference per peer until its flush.
+		// pinned by a lease reference until its flush.
 		h, crc := AppendDataVec((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), nil, wire)
 		hdr, body, trailer = h, wire, crc[:]
+		lease.Retain()
+		done = lease.Release
 	} else {
 		hdr = AppendDataTrace((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), wire)
 	}
-	sent := 0
-	for _, p := range targets {
-		var done func()
-		if body != nil {
-			lease.Retain()
-			done = lease.Release
-		}
-		if trace.Sampled() {
-			done = b.flushSpan(trace, kind, len(wire), done)
-		}
-		if b.appendToPeer(p, hdr, body, trailer, prompt, done) {
-			sent++
-		}
+	if trace.Sampled() {
+		done = b.flushSpan(trace, kind, len(wire), done)
+	}
+	sent := b.appendToPeer(p, hdr, body, trailer, prompt, done)
+	if sent {
+		b.framesOut.Add(1)
 	}
 	*bufp = hdr[:0]
-	b.framesOut.Add(uint64(sent))
 	b.framePool.Put(bufp)
-	return sent > 0
+	return sent
 }
 
-// unicastChunked streams wire to each target as FlagChunk fragments of
-// chunkFrag bytes. Each fragment is a self-contained frame (envelope:
-// stream id, total, offset) carrying its slice of the body as an iovec,
-// so the body is still never copied on the send side; the receiver
-// reassembles into one lease and injects the completed message. A
-// target counts as reached if its first fragment was accepted — a
-// failure later in the stream is a dying connection, and the loss
-// surfaces exactly like any other dropped datagram.
+// ownerLocked returns the peer owning node, nil when this process owns
+// it or nobody does. A peer's id is the prefix it owns, and ids are
+// unique (registerPeer refuses a second and this bridge's own), so no
+// two candidates tie. The caller holds b.mu.
+func (b *Bridge) ownerLocked(node string) *peer {
+	id, _ := san.Owner(node, func(yield func(string) bool) {
+		if yield(b.cfg.ID) {
+			for id := range b.peers {
+				if !yield(id) {
+					return
+				}
+			}
+		}
+	}, ownedPrefix, ownedPrefix)
+	return b.peers[id]
+}
+
+// ownedPrefix is a bridge id read as the node-name prefix it owns.
+func ownedPrefix(id string) string { return id }
+
+// unicastChunked streams wire to p as FlagChunk fragments of chunkFrag
+// bytes. Each fragment is a self-contained frame (envelope: stream id,
+// total, offset) carrying its slice of the body as an iovec, so the
+// body is still never copied on the send side; the receiver reassembles
+// into one lease and injects the completed message. The send counts as
+// handed over if its first fragment was accepted — a failure later in
+// the stream is a dying connection, and the loss surfaces exactly like
+// any other dropped datagram.
 //
 // Lease discipline: every appendToPeer call is handed exactly one
 // retained reference, and the batcher guarantees exactly one release
 // of it — inline when the append is refused, after the flush that
-// wrote the fragment otherwise. The Retain therefore
-// sits immediately before the hand-off and nowhere else; this loop
-// itself never releases. A prompt body's fragments are prompt too.
-func (b *Bridge) unicastChunked(targets []*peer, from, to san.Addr, kind string, callID uint64, flags byte, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
+// wrote the fragment otherwise. The Retain therefore sits immediately
+// before the hand-off and nowhere else; this loop itself never
+// releases. A prompt body's fragments are prompt too.
+func (b *Bridge) unicastChunked(p *peer, from, to san.Addr, kind string, callID uint64, flags byte, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
 	id := b.chunkSeq.Add(1)
 	total := len(wire)
 	flags |= FlagChunk
 	bufp := b.framePool.Get().(*[]byte)
 	scratch := (*bufp)[:0]
 	var env [3 * 10]byte // three uvarints, 10 bytes max each
-	sent := 0
 	frames := 0
-	// A peer whose batcher errors mid-stream is dying (appendToPeer
-	// already closed it): skip its remaining fragments. Feeding them to
-	// the closed batcher would only retain/release the lease N more
-	// times for nothing — and were the connection redialed mid-stream,
-	// the fresh batcher would accept a tail with no head, seeding a
-	// reassembly build on the receiver that can never complete.
-	var failed map[*peer]bool
 	for off := 0; off < total; off += chunkFrag {
-		end := off + chunkFrag
-		if end > total {
-			end = total
-		}
+		end := min(off+chunkFrag, total)
 		frag := wire[off:end]
 		prefix := appendChunkEnv(env[:0], id, total, off)
 		hdr, trailer := AppendDataVec(scratch[:0], from, to, kind, callID, flags, uint64(trace), prefix, frag)
 		scratch = hdr
-		last := end == total
-		for _, p := range targets {
-			if failed[p] {
-				continue
-			}
-			lease.Retain() // ownership of this one ref passes to the batcher
-			done := lease.Release
-			if trace.Sampled() && last {
-				// One span per chunked send, closed when the final
-				// fragment's flush completes.
-				done = b.flushSpan(trace, kind, total, done)
-			}
-			if b.appendToPeer(p, hdr, frag, trailer[:], prompt, done) {
-				frames++
-				if off == 0 {
-					sent++
-				}
-			} else {
-				if failed == nil {
-					failed = make(map[*peer]bool, len(targets))
-				}
-				failed[p] = true
-			}
+		lease.Retain() // ownership of this one ref passes to the batcher
+		done := lease.Release
+		if trace.Sampled() && end == total {
+			// One span per chunked send, closed when the final
+			// fragment's flush completes.
+			done = b.flushSpan(trace, kind, total, done)
 		}
+		if !b.appendToPeer(p, hdr, frag, trailer[:], prompt, done) {
+			// The peer refused (dying, or its queue is full): the rest of
+			// the stream stays home. Fed to a redialed connection, a tail
+			// with no head would seed a build that can never complete.
+			break
+		}
+		frames++
 	}
 	b.framesOut.Add(uint64(frames))
 	b.chunked.Add(1)
 	*bufp = scratch[:0]
 	b.framePool.Put(bufp)
-	return sent > 0
+	return frames > 0
 }
 
-// ---------------------------------------------------------------------------
-// Endpoint-table advertisement (san.Fabric observers).
-
-// EndpointUp implements san.Fabric: a local endpoint registered. Peers
-// learn it immediately through an incremental advert so their first
-// packet to it routes instead of flooding.
-func (b *Bridge) EndpointUp(a san.Addr) {
-	b.mu.Lock()
-	if b.closed || b.locals[a] {
-		b.mu.Unlock()
-		return
-	}
-	b.locals[a] = true
-	delete(b.tombs, a)
-	peers := b.peersLocked()
-	b.mu.Unlock()
-	b.broadcastAdvert(AdvertUp, a, peers)
-}
-
-// EndpointDown implements san.Fabric: a local endpoint closed. Peers
-// invalidate their route and tombstone the address, so their next send
-// to it reads as ErrUnknownAddr instead of a silent flood.
+// EndpointDown implements san.Fabric: a local endpoint closed. Every
+// peer hears a down frame, so a Call of theirs still awaiting the
+// address ends at once.
 func (b *Bridge) EndpointDown(a san.Addr) {
-	b.mu.Lock()
-	if b.closed || !b.locals[a] {
-		b.mu.Unlock()
-		return
-	}
-	delete(b.locals, a)
-	b.tombstoneLocked(a)
-	peers := b.peersLocked()
-	b.mu.Unlock()
-	b.broadcastAdvert(AdvertDown, a, peers)
+	bufp := b.framePool.Get().(*[]byte)
+	frame := AppendDown((*bufp)[:0], a, san.Addr{}, 0)
+	b.broadcast(frame)
+	*bufp = frame[:0]
+	b.framePool.Put(bufp)
 }
 
 func (b *Bridge) peersLocked() []*peer {
@@ -615,51 +543,22 @@ func (b *Bridge) peersLocked() []*peer {
 	return out
 }
 
-func (b *Bridge) broadcastAdvert(op byte, a san.Addr, peers []*peer) {
-	if len(peers) == 0 {
+// broadcast appends one staged frame to every peer's batcher.
+func (b *Bridge) broadcast(frame []byte) {
+	b.mu.RLock()
+	if b.closed {
+		b.mu.RUnlock()
 		return
 	}
-	bufp := b.framePool.Get().(*[]byte)
-	var one [1]san.Addr
-	one[0] = a
-	frame := AppendAdvert((*bufp)[:0], op, one[:])
+	peers := b.peersLocked()
+	b.mu.RUnlock()
+	sent := 0
 	for _, p := range peers {
-		b.appendToPeer(p, frame, nil, nil, false, nil)
-	}
-	*bufp = frame[:0]
-	b.framePool.Put(bufp)
-}
-
-// maxTombs bounds the dead-endpoint set; the oldest tombstones fall
-// off FIFO. Losing a tombstone only downgrades a fast failure to one
-// flood, so the bound is safe.
-const maxTombs = 4096
-
-func (b *Bridge) tombstoneLocked(a san.Addr) {
-	if b.tombs[a] {
-		return
-	}
-	b.tombs[a] = true
-	b.tombOrder = append(b.tombOrder, a)
-	if len(b.tombOrder) > maxTombs {
-		if b.tombs[b.tombOrder[0]] {
-			delete(b.tombs, b.tombOrder[0])
+		if b.appendToPeer(p, frame, nil, nil, false, nil) {
+			sent++
 		}
-		b.tombOrder = b.tombOrder[1:]
 	}
-}
-
-// applyAdvertised records a peer's claim to host the given endpoints.
-func (b *Bridge) applyAdvertised(p *peer, addrs []san.Addr) {
-	if len(addrs) == 0 {
-		return
-	}
-	b.mu.Lock()
-	for _, a := range addrs {
-		b.advertised[a] = p
-		delete(b.tombs, a)
-	}
-	b.mu.Unlock()
+	b.framesOut.Add(uint64(sent))
 }
 
 // appendToPeer queues one frame (hdr ++ body ++ trailer; see
@@ -717,26 +616,9 @@ func (b *Bridge) flushSpan(trace obs.TraceID, kind string, size int, inner func(
 // same bytes are appended to every peer's batch — the encode-once
 // fan-out extended across the wire.
 func (b *Bridge) Multicast(from san.Addr, group, kind string, wire []byte) {
-	b.mu.RLock()
-	if len(b.peers) == 0 {
-		b.mu.RUnlock()
-		return
-	}
-	peers := make([]*peer, 0, len(b.peers))
-	for _, p := range b.peers {
-		peers = append(peers, p)
-	}
-	b.mu.RUnlock()
-
 	bufp := b.framePool.Get().(*[]byte)
 	frame := AppendMcast((*bufp)[:0], from, group, kind, wire)
-	sent := 0
-	for _, p := range peers {
-		if b.appendToPeer(p, frame, nil, nil, false, nil) {
-			sent++
-		}
-	}
-	b.framesOut.Add(uint64(sent))
+	b.broadcast(frame)
 	*bufp = frame[:0]
 	b.framePool.Put(bufp)
 }
@@ -890,9 +772,8 @@ func (b *Bridge) peerByAdvertiseOrID(canon, id string) *peer {
 	return nil
 }
 
-// helloFor snapshots the gossip payload: who we are, every peer
-// address we can vouch for, and the endpoint table we host — so the
-// receiver can route its very first packet to us instead of flooding.
+// helloFor snapshots the gossip payload: who we are (the prefix we
+// own) and every peer address we can vouch for.
 func (b *Bridge) helloFor() Hello {
 	h := Hello{ID: b.cfg.ID, Advertise: b.advertise}
 	b.mu.RLock()
@@ -900,9 +781,6 @@ func (b *Bridge) helloFor() Hello {
 		if p.advertise != "" {
 			h.Peers = append(h.Peers, p.advertise)
 		}
-	}
-	for a := range b.locals {
-		h.Endpoints = append(h.Endpoints, a)
 	}
 	b.mu.RUnlock()
 	return h
@@ -914,6 +792,12 @@ func (b *Bridge) helloFor() Hello {
 // peer id the handshake produced ("" if none) and whether the
 // connection was kept (registered and run, vs rejected).
 func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) {
+	if b.severedFor() > 0 {
+		// A SeverPeers window: no handshake, so the dialer never holds
+		// this bridge as a peer, not even until registerPeer refuses it.
+		_ = conn.Close()
+		return "", false
+	}
 	// Handshake: send our hello, read theirs, both under a deadline.
 	deadline := time.Now().Add(handshakeTimeout)
 	_ = conn.SetDeadline(deadline)
@@ -943,26 +827,6 @@ func (b *Bridge) runConn(conn net.Conn, dialed bool) (peerID string, kept bool) 
 		_ = conn.Close()
 		dec.Close()
 		return hello.ID, false
-	}
-
-	// The peer's hello advertises its endpoint table; seed routes from
-	// it so nothing we send it ever needs the flood path.
-	b.applyAdvertised(p, hello.Endpoints)
-	// Catch-up advert: any endpoint that registered here between our
-	// hello snapshot and the peer becoming visible would otherwise be
-	// missed by both the hello and the incremental broadcast.
-	b.mu.RLock()
-	catchup := make([]san.Addr, 0, len(b.locals))
-	for a := range b.locals {
-		catchup = append(catchup, a)
-	}
-	b.mu.RUnlock()
-	if len(catchup) > 0 {
-		bufp := b.framePool.Get().(*[]byte)
-		frame := AppendAdvert((*bufp)[:0], AdvertUp, catchup)
-		b.appendToPeer(p, frame, nil, nil, false, nil)
-		*bufp = frame[:0]
-		b.framePool.Put(bufp)
 	}
 
 	// Gossip: dial anyone the peer knows that we don't.
@@ -1044,14 +908,6 @@ func (b *Bridge) removePeer(p *peer) {
 	if b.peers[p.id] == p {
 		delete(b.peers, p.id)
 	}
-	// The peer's advertised endpoints are unreachable but NOT dead —
-	// it may reconnect and re-advertise them in its next hello — so
-	// they are forgotten, not tombstoned.
-	for addr, rp := range b.advertised {
-		if rp == p {
-			delete(b.advertised, addr)
-		}
-	}
 	b.mu.Unlock()
 }
 
@@ -1108,7 +964,7 @@ func (b *Bridge) readLoop(p *peer, dec *Decoder) {
 				break
 			}
 			b.framesIn.Add(1)
-			b.handleFrame(p, f, intern, dec, asm)
+			b.handleFrame(f, intern, dec, asm)
 		}
 		n, err := p.conn.Read(buf)
 		if n > 0 {
@@ -1121,7 +977,7 @@ func (b *Bridge) readLoop(p *peer, dec *Decoder) {
 	}
 }
 
-func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, asm *chunkAsm) {
+func (b *Bridge) handleFrame(f Frame, intern *interner, dec *Decoder, asm *chunkAsm) {
 	switch f.Type {
 	case FrameData:
 		from := san.Addr{Node: intern.str(f.SrcNode), Proc: intern.str(f.SrcProc)}
@@ -1130,45 +986,51 @@ func (b *Bridge) handleFrame(p *peer, f Frame, intern *interner, dec *Decoder, a
 			b.handleChunk(asm, f, from, to, intern.str(f.Kind))
 			return
 		}
-		if b.net.InjectUnicast(from, to, intern.str(f.Kind), f.CallID, f.Flags&FlagReply != 0, obs.TraceID(f.Trace), f.Body, dec.Lease()) {
-			b.injected.Add(1)
-		}
+		b.inject(from, to, intern.str(f.Kind), f.CallID, f.Flags&FlagReply != 0, obs.TraceID(f.Trace), f.Body, dec.Lease())
 	case FrameMcast:
 		from := san.Addr{Node: intern.str(f.SrcNode), Proc: intern.str(f.SrcProc)}
 		if b.net.InjectMulticast(from, intern.str(f.Group), intern.str(f.Kind), f.Body, dec.Lease()) > 0 {
 			b.injected.Add(1)
 		}
-	case FrameHello:
-		if h, err := f.DecodeHello(); err == nil {
-			b.applyAdvertised(p, h.Endpoints)
-			b.ensureDial(h.Advertise)
-			for _, addr := range h.Peers {
-				b.ensureDial(addr)
-			}
-		}
-	case FrameAdvert:
-		op, addrs, err := f.DecodeAdvert()
-		if err != nil {
-			return
-		}
-		b.advertsIn.Add(1)
-		switch op {
-		case AdvertUp:
-			b.applyAdvertised(p, addrs)
-		case AdvertDown:
-			b.mu.Lock()
-			for _, a := range addrs {
-				if b.advertised[a] == p {
-					delete(b.advertised, a)
-				}
-				b.tombstoneLocked(a)
-			}
-			b.mu.Unlock()
-			for _, a := range addrs {
-				b.net.Unreachable(a)
-			}
+	case FrameDown:
+		gone := san.Addr{Node: intern.str(f.SrcNode), Proc: intern.str(f.SrcProc)}
+		if f.CallID == 0 {
+			b.net.Unreachable(gone)
+		} else {
+			caller := san.Addr{Node: intern.str(f.DstNode), Proc: intern.str(f.DstProc)}
+			b.net.UnreachableCall(caller, f.CallID, gone)
 		}
 	}
+}
+
+// inject delivers one point-to-point message into the local SAN. A
+// Call's request that finds no endpoint at its address is answered at
+// once with a down frame for that one Call: the sender routed it here
+// because this process owns the node, so nobody else holds the address
+// and the caller would otherwise wait out its timeout. A request that
+// reached a live endpoint, or was dropped at a full inbox or a
+// partition, is never answered this way (Lookup finds the endpoint).
+func (b *Bridge) inject(from, to san.Addr, kind string, callID uint64, reply bool, trace obs.TraceID, body []byte, lease *san.Lease) {
+	if b.net.InjectUnicast(from, to, kind, callID, reply, trace, body, lease) {
+		b.injected.Add(1)
+		return
+	}
+	if callID == 0 || reply || b.net.Lookup(to) {
+		return
+	}
+	b.mu.RLock()
+	p := b.ownerLocked(from.Node)
+	b.mu.RUnlock()
+	if p == nil {
+		return
+	}
+	bufp := b.framePool.Get().(*[]byte)
+	frame := AppendDown((*bufp)[:0], to, from, callID)
+	if b.appendToPeer(p, frame, nil, nil, true, nil) { // the caller is blocked on it
+		b.framesOut.Add(1)
+	}
+	*bufp = frame[:0]
+	b.framePool.Put(bufp)
 }
 
 // handleChunk folds one FlagChunk fragment into its reassembly build
@@ -1224,9 +1086,7 @@ func (b *Bridge) handleChunk(asm *chunkAsm, f Frame, from, to san.Addr, kind str
 	}
 	delete(asm.builds, id)
 	b.reassembled.Add(1)
-	if b.net.InjectUnicast(from, to, kind, f.CallID, f.Flags&FlagReply != 0, obs.TraceID(f.Trace), cb.buf, cb.lease) {
-		b.injected.Add(1)
-	}
+	b.inject(from, to, kind, f.CallID, f.Flags&FlagReply != 0, obs.TraceID(f.Trace), cb.buf, cb.lease)
 	cb.lease.Release()
 }
 

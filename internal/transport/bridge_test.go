@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/san"
 	"repro/internal/stub"
+	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -20,16 +22,16 @@ func newWireNet(seed int64) *san.Network {
 }
 
 // bridgePair splices two fresh networks over loopback TCP and waits
-// for the mesh to form.
+// for the mesh to form. A owns the "a-" nodes, B the "b-" nodes.
 func bridgePair(t *testing.T) (*san.Network, *san.Network, *Bridge, *Bridge) {
 	t.Helper()
 	netA, netB := newWireNet(1), newWireNet(2)
-	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a"})
+	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ba.Close() })
-	bb, err := New(Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b", Join: []string{ba.Advertise()}})
+	bb, err := New(Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestBridgeUnicastAndReply(t *testing.T) {
 		}
 	}()
 
-	// Plain send A->B (routed by B's advert, or flooded until it lands).
+	// Plain send A->B, routed to B: it owns b-n0.
 	if err := fe.Send(wk.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "echo"}, 16); err != nil {
 		t.Fatalf("cross-process send: %v", err)
 	}
@@ -159,6 +161,11 @@ func TestBridgeMulticast(t *testing.T) {
 	if s := netB.Stats(); s.WireErrors != 0 {
 		t.Fatalf("WireErrors=%d on receiving net", s.WireErrors)
 	}
+	// The bridge counts an injection once InjectMulticast returns, which
+	// may be after a member already holds the frame.
+	for deadline := time.Now().Add(5 * time.Second); bb.Stats().Injected == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if bb.Stats().Injected == 0 {
 		t.Fatal("nothing injected on B")
 	}
@@ -197,129 +204,210 @@ func TestBridgeBurstBatches(t *testing.T) {
 	t.Logf("burst packing: %d frames in %d batches (%.1f frames/batch)", st.FramesOut, st.Batches, perBatch)
 }
 
-// TestBridgeAdvertRouting: endpoint-table advertisement kills the
-// first-packet flood. In a three-process mesh, a send to a remote
-// endpoint that has produced no traffic yet routes straight to the
-// advertising peer — the bridge never floods.
-func TestBridgeAdvertRouting(t *testing.T) {
-	netA, netB, ba, _ := bridgePair(t)
+// joinThird adds bridge C, owner of the "c-" nodes, to a's mesh and
+// waits until all three are connected.
+func joinThird(t *testing.T, ba *Bridge) (*san.Network, *Bridge) {
+	t.Helper()
 	netC := newWireNet(3)
-	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c", Join: []string{ba.Advertise()}})
+	t.Cleanup(netC.Close)
+	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bc.Close()
+	t.Cleanup(func() { bc.Close() })
 	if !ba.WaitPeers(2, 5*time.Second) || !bc.WaitPeers(2, 5*time.Second) {
 		t.Fatal("mesh never formed")
 	}
+	return netC, bc
+}
+
+// callWithin makes one Call under a 5 s timeout and returns its error
+// and how long it took.
+func callWithin(src *san.Endpoint, to san.Addr) (error, time.Duration) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := src.Call(ctx, to, stub.MsgTask, stub.TaskMsg{}, 16)
+	return err, time.Since(start)
+}
+
+// TestBridgePrefixRouting: a node's owner is its name prefix. In a
+// three-process mesh, the very first packet to a remote endpoint that
+// has produced no traffic goes straight to the process owning its node,
+// and the uninvolved peer never sees it.
+func TestBridgePrefixRouting(t *testing.T) {
+	netA, netB, ba, _ := bridgePair(t)
+	_, bc := joinThird(t, ba)
 
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 64)
-
-	// Wait until A has seen B's advert for dst (hello or incremental).
-	waitAdvertised := func() bool {
-		ba.mu.RLock()
-		_, ok := ba.advertised[dst.Addr()]
-		ba.mu.RUnlock()
-		return ok
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !waitAdvertised() && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !waitAdvertised() {
-		t.Fatal("dst was never advertised to A")
-	}
-
 	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "routed"}, 16); err != nil {
-		t.Fatalf("advert-routed send: %v", err)
+		t.Fatalf("first send: %v", err)
 	}
 	if m := awaitMsg(t, dst, 5*time.Second); m.Body.(stub.SpawnReq).Class != "routed" {
-		t.Fatal("advert-routed message wrong")
+		t.Fatal("routed message wrong")
 	}
-	if f := ba.Stats().Floods; f != 0 {
-		t.Fatalf("first packet flooded %d times despite the advert", f)
-	}
-	// C, the uninvolved peer, never saw the unicast.
 	if inj := bc.Stats().Injected; inj != 0 {
 		t.Fatalf("bystander process received %d injected frames", inj)
 	}
+	if st := ba.Stats(); st.Unroutable != 0 || st.Floods != 0 {
+		t.Fatalf("unroutable %d, floods %d: want the send routed", st.Unroutable, st.Floods)
+	}
 }
 
-// TestBridgeInvalidationOnClose: closing a remote endpoint reaches the
-// sender as an advert-down; the next send fails fast with
-// ErrUnknownAddr instead of silently flooding the mesh forever.
+// TestBridgeInvalidationOnClose: a remote endpoint that crashed (no
+// goodbye traffic) is invalid where it lived: a Call to it is answered
+// by its owning process and ends with ErrUnknownAddr at once instead of
+// at its timeout, and re-registering the address revives it.
 func TestBridgeInvalidationOnClose(t *testing.T) {
 	netA, netB, ba, _ := bridgePair(t)
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 64)
-
-	// Establish the route (and drain the delivery).
-	deadline := time.Now().Add(5 * time.Second)
-	delivered := false
-	for !delivered && time.Now().Before(deadline) {
-		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"}, 16)
-		select {
-		case <-dst.Inbox():
-			delivered = true
-		case <-time.After(10 * time.Millisecond):
-		}
+	if err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "pre"}, 16); err != nil {
+		t.Fatal(err)
 	}
-	if !delivered {
-		t.Fatal("route never established")
-	}
+	awaitMsg(t, dst, 5*time.Second)
 
-	// Crash the endpoint (no goodbye traffic): the SAN tells the
-	// bridge, the bridge tells its peers.
 	netB.Drop(dst.Addr())
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		err := src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "post"}, 16)
-		if errors.Is(err, san.ErrUnknownAddr) {
-			if ba.Stats().Unroutable == 0 {
-				t.Fatal("unroutable send not counted")
-			}
-			// Re-registration revives the address.
-			dst2 := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 64)
-			for time.Now().Before(deadline) {
-				if err := src.Send(dst2.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "back"}, 16); err == nil {
-					select {
-					case <-dst2.Inbox():
-						return
-					case <-time.After(10 * time.Millisecond):
-					}
-				}
-			}
-			t.Fatal("address never revived after re-registration")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err, took := callWithin(src, dst.Addr()); !errors.Is(err, san.ErrUnknownAddr) || took > time.Second {
+		t.Fatalf("a Call to a crashed endpoint: %v after %v, want %v at once", err, took, san.ErrUnknownAddr)
 	}
-	t.Fatal("dead endpoint never became unroutable at the sender")
+	if u := ba.Stats().Unroutable; u != 0 {
+		t.Fatalf("%d sends refused at the caller: the owner, not the sender, knows the endpoint is gone", u)
+	}
+
+	dst2 := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "dst"}, 64)
+	if err := src.Send(dst2.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "back"}, 16); err != nil {
+		t.Fatal(err)
+	}
+	if m := awaitMsg(t, dst2, 5*time.Second); m.Body.(stub.SpawnReq).Class != "back" {
+		t.Fatal("address never revived after re-registration")
+	}
+}
+
+// TestBridgeCallToUnknownAddrEndsAtOnce: a Call to an address nobody
+// ever registered, on a node a connected peer owns, is answered by that
+// peer: it ends with ErrUnknownAddr within 100 ms of a 5 s timeout. A
+// Call to a live endpoint beside it is answered normally.
+func TestBridgeCallToUnknownAddrEndsAtOnce(t *testing.T) {
+	netA, netB, _, bb := bridgePair(t)
+	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
+	live := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
+	go func() {
+		for msg := range live.Inbox() {
+			_ = live.Respond(msg, stub.MsgResult, stub.ResultMsg{}, 16)
+		}
+	}()
+
+	for i := 0; i < 3; i++ {
+		err, took := callWithin(src, san.Addr{Node: "b-n0", Proc: "nobody"})
+		if !errors.Is(err, san.ErrUnknownAddr) || took >= 100*time.Millisecond {
+			t.Fatalf("call %d to a never-registered address: %v after %v, want %v within 100 ms", i, err, took, san.ErrUnknownAddr)
+		}
+		if err, _ := callWithin(src, live.Addr()); err != nil {
+			t.Fatalf("call %d to the live endpoint beside it: %v", i, err)
+		}
+	}
+	if u := bb.Stats().Unroutable; u != 0 {
+		t.Fatalf("the owner refused %d of its own answers", u)
+	}
+}
+
+// TestBridgeSeveredOwnerEndsAtOnce: with three bridges, once C has
+// severed its peers no connected process owns the "c-" nodes, so a Call
+// from A to one is refused at A and ends at once — nothing is sent to
+// B on the chance that it hosts the address.
+func TestBridgeSeveredOwnerEndsAtOnce(t *testing.T) {
+	netA, _, ba, bb := bridgePair(t)
+	netC, bc := joinThird(t, ba)
+	dst := netC.Endpoint(san.Addr{Node: "c-n0", Proc: "w0"}, 64)
+	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
+
+	bc.SeverPeers(time.Minute)
+	for start := time.Now(); ; time.Sleep(2 * time.Millisecond) {
+		if len(ba.Peers()) == 1 {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("A still sees peers %v after C severed them", ba.Peers())
+		}
+	}
+	injected := bb.Stats().Injected
+	if err, took := callWithin(src, dst.Addr()); !errors.Is(err, san.ErrUnknownAddr) || took >= 100*time.Millisecond {
+		t.Fatalf("a Call to a severed owner's node: %v after %v, want %v within 100 ms", err, took, san.ErrUnknownAddr)
+	}
+	if u := ba.Stats().Unroutable; u != 1 {
+		t.Fatalf("unroutable = %d at the caller, want 1", u)
+	}
+	if got := bb.Stats().Injected; got != injected {
+		t.Fatalf("the bystander received %d frames meant for C's node", got-injected)
+	}
+}
+
+// TestOwnerRule: san.Owner is the one rule, and the bridge's route and
+// supervisor.Owner agree on it: the longest prefix owns a node, the
+// empty prefix owns whatever no other claims, this process's own prefix
+// competes like a peer's, and with no match nobody owns it.
+func TestOwnerRule(t *testing.T) {
+	cases := []struct {
+		name, self string
+		peers      []string
+		node       string
+		want       string // owning prefix; "" with ok false: nobody
+		ok         bool
+	}{
+		{"longest of nested", "x-", []string{"a", "ab"}, "abc0", "ab", true},
+		{"shorter when the longer misses", "x-", []string{"a", "ab"}, "ac0", "a", true},
+		{"empty prefix owns the rest", "x-", []string{"", "a"}, "b0", "", true},
+		{"no match", "x-", []string{"a", "ab"}, "b0", "", false},
+		{"self", "ab", []string{"a"}, "abc0", "ab", true},
+		{"self, shorter than a peer", "a", []string{"ab"}, "abc0", "ab", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			candidates := append([]string{c.self}, c.peers...)
+			got, ok := san.Owner(c.node, slices.Values(candidates), ownedPrefix, ownedPrefix)
+			if ok != c.ok || got != c.want {
+				t.Fatalf("san.Owner(%q) = %q, %v; want %q, %v", c.node, got, ok, c.want, c.ok)
+			}
+
+			// The bridge routes to the owning peer, and nowhere when it
+			// owns the node itself or nobody does.
+			b := &Bridge{cfg: Config{ID: c.self}, peers: map[string]*peer{}}
+			for _, id := range c.peers {
+				b.peers[id] = &peer{id: id}
+			}
+			route := b.ownerLocked(c.node)
+			switch wantPeer := ok && got != c.self; {
+			case wantPeer && (route == nil || route.id != got):
+				t.Fatalf("bridge routes %q to %v, want peer %q", c.node, route, got)
+			case !wantPeer && route != nil:
+				t.Fatalf("bridge routes %q to peer %q, want no route", c.node, route.id)
+			}
+
+			// A manager delegating the node's repairs picks the same process.
+			sups := map[string]supervisor.HelloMsg{}
+			for i, prefix := range candidates {
+				a := san.Addr{Node: prefix + "node0", Proc: fmt.Sprintf("sup%d", i)}
+				sups[a.String()] = supervisor.HelloMsg{Addr: a, Prefix: prefix}
+			}
+			hb, sok := supervisor.Owner(c.node, sups)
+			if sok != ok || (ok && hb.Prefix != got) {
+				t.Fatalf("supervisor.Owner(%q) = %q, %v; want %q, %v", c.node, hb.Prefix, sok, got, ok)
+			}
+		})
+	}
 }
 
 // TestBridgeCallEndsWhenCalleeCloses: a Call whose callee closes on the
-// far side ends with ErrUnknownAddr when the close's advert arrives,
-// not at its timeout — a request that crossed the close is dropped on
-// arrival, and nothing else would answer it. A reply sent before the
-// close still wins: it travels ahead of the advert.
+// far side ends with ErrUnknownAddr when the close's down frame
+// arrives, not at its timeout — a request that crossed the close is
+// dropped on arrival, and nothing else would answer it. A reply sent
+// before the close still wins: it travels ahead of the down frame.
 func TestBridgeCallEndsWhenCalleeCloses(t *testing.T) {
-	netA, netB, ba, _ := bridgePair(t)
+	netA, netB, _, _ := bridgePair(t)
 	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
 	dst := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
-	routed := func() {
-		for start := time.Now(); ; time.Sleep(2 * time.Millisecond) {
-			ba.mu.RLock()
-			_, ok := ba.advertised[dst.Addr()]
-			ba.mu.RUnlock()
-			if ok {
-				return
-			}
-			if time.Since(start) > 5*time.Second {
-				t.Fatal("w0 was never advertised to A")
-			}
-		}
-	}
-	routed()
 	call := func() (san.Message, error, time.Duration) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -338,9 +426,8 @@ func TestBridgeCallEndsWhenCalleeCloses(t *testing.T) {
 		t.Fatalf("a reply sent before the close: %+v, %v", resp.Body, err)
 	}
 
-	// Closed with the request unanswered: the Call ends with the advert.
+	// Closed with the request unanswered: the Call ends with the down frame.
 	dst = netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
-	routed()
 	go func() {
 		awaitMsg(t, dst, 5*time.Second)
 		dst.Close()
@@ -356,7 +443,7 @@ func TestBridgeMeshGossip(t *testing.T) {
 	netA, _, ba, _ := bridgePair(t)
 	_ = netA
 	netC := newWireNet(3)
-	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c", Join: []string{ba.Advertise()}})
+	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,8 +520,8 @@ func TestBridgeUnixSocket(t *testing.T) {
 		t.Fatalf("Peers() = %v", peers)
 	}
 
-	src := netA.Endpoint(san.Addr{Node: "n0", Proc: "src"}, 8)
-	dst := netB.Endpoint(san.Addr{Node: "n1", Proc: "dst"}, 64)
+	src := netA.Endpoint(san.Addr{Node: "ua-n0", Proc: "src"}, 8)
+	dst := netB.Endpoint(san.Addr{Node: "ub-n1", Proc: "dst"}, 64)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		_ = src.Send(dst.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "ux"}, 16)
@@ -478,8 +565,8 @@ func TestBridgeTeardownNoLeaks(t *testing.T) {
 		if !ba.WaitPeers(1, 5*time.Second) {
 			t.Fatal("no peer")
 		}
-		src := netA.Endpoint(san.Addr{Node: "n0", Proc: "src"}, 64)
-		dst := netB.Endpoint(san.Addr{Node: "n1", Proc: "dst"}, 64)
+		src := netA.Endpoint(san.Addr{Node: fmt.Sprintf("la%d-n0", i), Proc: "src"}, 64)
+		dst := netB.Endpoint(san.Addr{Node: fmt.Sprintf("lb%d-n1", i), Proc: "dst"}, 64)
 		go func() {
 			for range dst.Inbox() {
 			}

@@ -14,9 +14,9 @@
 //     rates;
 //   - a Bridge that implements san.Fabric over TCP or Unix sockets:
 //     per-peer connections with a handshake, peer-list gossip for mesh
-//     formation, automatic reconnect, and a route table built from the
-//     endpoint tables peers advertise (first packets to an address no
-//     peer has advertised yet flood).
+//     formation, and automatic reconnect. A bridge's id is the node-name
+//     prefix its process owns, so a unicast goes to the peer that owns
+//     the destination's node (san.Owner) and no route is ever learned.
 //
 // The data plane is zero-copy end to end. Outbound, bodies at or
 // above a small threshold are not copied into the batch buffer:
@@ -37,8 +37,8 @@
 //
 //	offset size  field
 //	0      2     magic 0x5341 ("AS")
-//	2      1     version (1)
-//	3      1     frame type (hello/data/mcast)
+//	2      1     version (2)
+//	3      1     frame type (hello/data/mcast/down)
 //	4      4     length of everything after this prelude, CRC included
 //	8      ...   payload (per-type, strings uvarint-length-prefixed)
 //	8+n    4     CRC32 (IEEE) over prelude+payload
@@ -46,7 +46,8 @@
 // Data payload: flags(1) [trace(uvarint) when FlagTrace] callID(uvarint)
 // srcNode srcProc dstNode dstProc kind body. Mcast payload: srcNode
 // srcProc group kind body. Hello payload: id advertise peerCount
-// peers....
+// peers.... Down payload: callID(uvarint) goneNode goneProc callerNode
+// callerProc.
 package transport
 
 import (
@@ -63,7 +64,7 @@ import (
 // bound every allocation before trusting anything else.
 const (
 	Magic   uint16 = 0x5341 // "AS" on the wire
-	Version byte   = 1
+	Version byte   = 2
 
 	preludeLen = 8
 	crcLen     = 4
@@ -76,16 +77,10 @@ const (
 
 // Frame types.
 const (
-	FrameHello  byte = 1 // handshake: bridge id, listen addr, known peers, endpoint table
-	FrameData   byte = 2 // point-to-point SAN message
-	FrameMcast  byte = 3 // multicast SAN message
-	FrameAdvert byte = 4 // incremental endpoint-table advertisement
-)
-
-// Advert operations (carried in the advert frame's op byte).
-const (
-	AdvertUp   byte = 1 // the listed endpoints registered on the sender
-	AdvertDown byte = 2 // the listed endpoints closed on the sender
+	FrameHello byte = 1 // handshake: bridge id (its node prefix), listen addr, known peers
+	FrameData  byte = 2 // point-to-point SAN message
+	FrameMcast byte = 3 // multicast SAN message
+	FrameDown  byte = 4 // an endpoint is not on the sender: closed, or absent for one Call
 )
 
 // Data-frame flags.
@@ -126,8 +121,8 @@ type Frame struct {
 	CallID uint64
 	Trace  uint64 // distributed-tracing id; zero unless FlagTrace
 
-	SrcNode, SrcProc []byte
-	DstNode, DstProc []byte // FrameData only
+	SrcNode, SrcProc []byte // FrameDown: the endpoint that is not there
+	DstNode, DstProc []byte // FrameData; FrameDown: the caller, when CallID is set
 	Group            []byte // FrameMcast only
 	Kind             []byte
 	Body             []byte
@@ -270,15 +265,13 @@ func AppendMcast(dst []byte, from san.Addr, group, kind string, body []byte) []b
 }
 
 // Hello is the handshake payload each side sends immediately after a
-// connection opens: who it is, where it can be dialed, which other
-// peers it knows — the gossip that lets a joining process complete the
-// mesh from one seed address — and which SAN endpoints it hosts, so
-// the receiver can route first packets instead of flooding them.
+// connection opens: who it is (the node-name prefix it owns), where it
+// can be dialed, and which other peers it knows — the gossip that lets
+// a joining process complete the mesh from one seed address.
 type Hello struct {
 	ID        string
-	Advertise string     // canonical dialable listen address
-	Peers     []string   // advertised addresses of other known peers
-	Endpoints []san.Addr // SAN endpoints registered on the sender
+	Advertise string   // canonical dialable listen address
+	Peers     []string // advertised addresses of other known peers
 }
 
 // AppendHello appends one handshake frame.
@@ -290,38 +283,22 @@ func AppendHello(dst []byte, h Hello) []byte {
 	for _, p := range h.Peers {
 		dst = appendString(dst, p)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(h.Endpoints)))
-	for _, a := range h.Endpoints {
-		dst = appendString(dst, a.Node)
-		dst = appendString(dst, a.Proc)
-	}
 	return finishFrame(dst, off)
 }
 
 // DecodeHello materializes a Hello from a decoded FrameHello (the
 // hello fields ride in the payload reader's slots: ID in SrcNode,
-// Advertise in SrcProc, peers and endpoints packed in Body). Callers
-// get copies — hellos are rare and long-lived, unlike data frames. A
-// hello without an endpoint section (an older capture) still parses;
-// the endpoint table then arrives by advert frames alone.
+// Advertise in SrcProc, peers packed in Body). Callers get copies —
+// hellos are rare and long-lived, unlike data frames.
 func (f *Frame) DecodeHello() (Hello, error) {
 	if f.Type != FrameHello {
 		return Hello{}, fmt.Errorf("%w: not a hello frame", ErrFrameFormat)
 	}
 	h := Hello{ID: string(f.SrcNode), Advertise: string(f.SrcProc)}
 	r := payloadReader{buf: f.Body}
-	n := r.sliceLen(1)
+	n := r.sliceLen()
 	for i := 0; i < n && r.err == nil; i++ {
 		h.Peers = append(h.Peers, string(r.bytes()))
-	}
-	if r.err == nil && r.pos < len(r.buf) {
-		m := r.sliceLen(2)
-		for i := 0; i < m && r.err == nil; i++ {
-			a := san.Addr{Node: string(r.bytes()), Proc: string(r.bytes())}
-			if r.err == nil {
-				h.Endpoints = append(h.Endpoints, a)
-			}
-		}
 	}
 	if r.err != nil || r.pos != len(r.buf) {
 		return Hello{}, fmt.Errorf("%w: hello peer list", ErrFrameFormat)
@@ -329,43 +306,21 @@ func (f *Frame) DecodeHello() (Hello, error) {
 	return h, nil
 }
 
-// AppendAdvert appends one endpoint-table advertisement frame: op
-// (AdvertUp/AdvertDown) plus the affected addresses. Adverts ride the
-// same ordered stream as data frames, so a peer's view of the sender's
-// endpoint table is never ahead of the traffic that depends on it.
-func AppendAdvert(dst []byte, op byte, addrs []san.Addr) []byte {
-	dst, off := appendPrelude(dst, FrameAdvert)
-	dst = append(dst, op)
-	dst = binary.AppendUvarint(dst, uint64(len(addrs)))
-	for _, a := range addrs {
-		dst = appendString(dst, a.Node)
-		dst = appendString(dst, a.Proc)
-	}
+// AppendDown appends one down frame: gone is not registered on the
+// sender. With callID zero it closed there, and every Call awaiting it
+// ends (san.Network.Unreachable); otherwise the sender owns gone's node
+// and found no endpoint when caller's request callID arrived, and that
+// one Call ends (san.Network.UnreachableCall). Down frames ride the same
+// ordered stream as data frames, so one never overtakes a reply sent
+// before it.
+func AppendDown(dst []byte, gone, caller san.Addr, callID uint64) []byte {
+	dst, off := appendPrelude(dst, FrameDown)
+	dst = binary.AppendUvarint(dst, callID)
+	dst = appendString(dst, gone.Node)
+	dst = appendString(dst, gone.Proc)
+	dst = appendString(dst, caller.Node)
+	dst = appendString(dst, caller.Proc)
 	return finishFrame(dst, off)
-}
-
-// DecodeAdvert materializes an advert from a decoded FrameAdvert: the
-// op rides in Flags, the packed address list in Body. Addresses are
-// copied (adverts mutate long-lived route tables).
-func (f *Frame) DecodeAdvert() (op byte, addrs []san.Addr, err error) {
-	if f.Type != FrameAdvert {
-		return 0, nil, fmt.Errorf("%w: not an advert frame", ErrFrameFormat)
-	}
-	r := payloadReader{buf: f.Body}
-	n := r.sliceLen(2)
-	for i := 0; i < n && r.err == nil; i++ {
-		a := san.Addr{Node: string(r.bytes()), Proc: string(r.bytes())}
-		if r.err == nil {
-			addrs = append(addrs, a)
-		}
-	}
-	if r.err != nil || r.pos != len(r.buf) {
-		return 0, nil, fmt.Errorf("%w: advert address list", ErrFrameFormat)
-	}
-	if f.Flags != AdvertUp && f.Flags != AdvertDown {
-		return 0, nil, fmt.Errorf("%w: advert op %d", ErrFrameFormat, f.Flags)
-	}
-	return f.Flags, addrs, nil
 }
 
 // Decoder incrementally parses a byte stream into frames. Feed raw
@@ -554,10 +509,13 @@ func parsePayload(ftype byte, payload []byte) (Frame, error) {
 	case FrameHello:
 		f.SrcNode = r.bytes() // hello ID
 		f.SrcProc = r.bytes() // hello advertise addr
-		f.Body = r.rest()     // packed peer + endpoint lists, parsed by DecodeHello
-	case FrameAdvert:
-		f.Flags = r.byte() // advert op
-		f.Body = r.rest()  // packed address list, parsed by DecodeAdvert
+		f.Body = r.rest()     // packed peer list, parsed by DecodeHello
+	case FrameDown:
+		f.CallID = r.uvarint()
+		f.SrcNode = r.bytes()
+		f.SrcProc = r.bytes()
+		f.DstNode = r.bytes()
+		f.DstProc = r.bytes()
 	default:
 		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrFrameFormat, ftype)
 	}
@@ -631,14 +589,14 @@ func (r *payloadReader) rest() []byte {
 }
 
 // sliceLen reads an element count bounded by the bytes remaining (each
-// element needs at least min bytes), so a hostile count cannot force
-// an allocation the input could never back.
-func (r *payloadReader) sliceLen(min int) int {
+// element needs at least one), so a hostile count cannot force an
+// allocation the input could never back.
+func (r *payloadReader) sliceLen() int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64((len(r.buf)-r.pos)/min)+1 {
+	if n > uint64(len(r.buf)-r.pos)+1 {
 		r.fail()
 		return 0
 	}

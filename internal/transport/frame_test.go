@@ -30,16 +30,12 @@ func sampleFrames(t testing.TB) [][]byte {
 	body := sampleBody(t)
 	return [][]byte{
 		AppendHello(nil, Hello{
-			ID:        "a",
+			ID:        "a-",
 			Advertise: "tcp:127.0.0.1:7401",
 			Peers:     []string{"tcp:127.0.0.1:7402", "unix:/tmp/sns.sock"},
-			Endpoints: []san.Addr{
-				{Node: "a-node0", Proc: "fe0"},
-				{Node: "a-node1", Proc: "monitor"},
-			},
 		}),
-		AppendAdvert(nil, AdvertUp, []san.Addr{{Node: "a-node2", Proc: "cache0"}}),
-		AppendAdvert(nil, AdvertDown, []san.Addr{{Node: "a-node2", Proc: "cache0"}}),
+		AppendDown(nil, san.Addr{Node: "a-node2", Proc: "cache0"}, san.Addr{Node: "b-node1", Proc: "fe0"}, 42),
+		AppendDown(nil, san.Addr{Node: "a-node2", Proc: "cache0"}, san.Addr{}, 0),
 		AppendData(nil,
 			san.Addr{Node: "a-node0", Proc: "fe0"},
 			san.Addr{Node: "b-node1", Proc: "w0"},
@@ -127,10 +123,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("mcast fields wrong: %+v", f)
 	}
 
-	h := Hello{
-		ID: "a", Advertise: "tcp:127.0.0.1:7401", Peers: []string{"tcp:127.0.0.1:7402"},
-		Endpoints: []san.Addr{{Node: "a-node0", Proc: "fe0"}, {Node: "a-node0", Proc: "sup"}},
-	}
+	h := Hello{ID: "a-", Advertise: "tcp:127.0.0.1:7401", Peers: []string{"tcp:127.0.0.1:7402"}}
 	d = Decoder{}
 	_, _ = d.Write(AppendHello(nil, h))
 	f, ok, err = d.Next()
@@ -142,24 +135,21 @@ func TestFrameRoundTrip(t *testing.T) {
 		len(got.Peers) != 1 || got.Peers[0] != h.Peers[0] {
 		t.Fatalf("hello round trip: %+v err=%v", got, err)
 	}
-	if len(got.Endpoints) != 2 || got.Endpoints[0] != h.Endpoints[0] || got.Endpoints[1] != h.Endpoints[1] {
-		t.Fatalf("hello endpoint table round trip: %+v", got.Endpoints)
-	}
 
-	adv := AppendAdvert(nil, AdvertDown, []san.Addr{{Node: "b-node2", Proc: "cache0"}})
+	gone, caller := san.Addr{Node: "b-node2", Proc: "cache0"}, san.Addr{Node: "a-node0", Proc: "fe0"}
+	down := AppendDown(nil, gone, caller, 42)
 	d = Decoder{}
-	_, _ = d.Write(adv)
+	_, _ = d.Write(down)
 	f, ok, err = d.Next()
-	if err != nil || !ok || f.Type != FrameAdvert {
-		t.Fatalf("advert decode: ok=%v err=%v type=%d", ok, err, f.Type)
+	if err != nil || !ok || f.Type != FrameDown {
+		t.Fatalf("down decode: ok=%v err=%v type=%d", ok, err, f.Type)
 	}
-	op, addrs, err := f.DecodeAdvert()
-	if err != nil || op != AdvertDown || len(addrs) != 1 ||
-		(addrs[0] != san.Addr{Node: "b-node2", Proc: "cache0"}) {
-		t.Fatalf("advert round trip: op=%d addrs=%v err=%v", op, addrs, err)
+	if f.CallID != 42 || string(f.SrcNode) != gone.Node || string(f.SrcProc) != gone.Proc ||
+		string(f.DstNode) != caller.Node || string(f.DstProc) != caller.Proc {
+		t.Fatalf("down frame fields wrong: %+v", f)
 	}
-	if !bytes.Equal(AppendAdvert(nil, op, addrs), adv) {
-		t.Fatal("re-encoding a decoded advert diverged from the original bytes")
+	if !bytes.Equal(reencode(f), down) {
+		t.Fatal("re-encoding a decoded down frame diverged from the original bytes")
 	}
 }
 

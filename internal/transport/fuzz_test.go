@@ -18,9 +18,9 @@ import (
 //   - any frame that decodes successfully re-encodes to bytes that
 //     decode to an identical frame (the format is self-consistent).
 //
-// The corpus is seeded from real captures: a handshake exchange and a
-// batch of data/mcast frames carrying genuine wire-codec bodies, as a
-// live bridge would produce.
+// The corpus is seeded from real captures: a handshake, both forms of
+// down frame, and a batch of data/mcast frames carrying genuine
+// wire-codec bodies, as a live bridge would produce.
 func FuzzFrameRoundTrip(f *testing.F) {
 	for _, fr := range sampleFrames(f) {
 		f.Add(fr)
@@ -36,7 +36,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	corrupted := append([]byte(nil), batch...)
 	corrupted[len(corrupted)-2] ^= 0xff // CRC damage on the last frame
 	f.Add(corrupted)
-	f.Add([]byte{0x41, 0x53, 1, 2, 0xff, 0xff, 0xff, 0x7f}) // huge length claim
+	f.Add([]byte{0x41, 0x53, Version, FrameData, 0xff, 0xff, 0xff, 0x7f}) // huge length claim
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -135,12 +135,11 @@ func reencode(f Frame) []byte {
 			return nil
 		}
 		return AppendHello(nil, h)
-	case FrameAdvert:
-		op, addrs, err := f.DecodeAdvert()
-		if err != nil {
-			return nil
-		}
-		return AppendAdvert(nil, op, addrs)
+	case FrameDown:
+		return AppendDown(nil,
+			san.Addr{Node: string(f.SrcNode), Proc: string(f.SrcProc)},
+			san.Addr{Node: string(f.DstNode), Proc: string(f.DstProc)},
+			f.CallID)
 	}
 	return nil
 }

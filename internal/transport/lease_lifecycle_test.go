@@ -104,9 +104,11 @@ func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 
 	from := san.Addr{Node: "a", Proc: "src"}
 	to := san.Addr{Node: "b", Proc: "dst"}
-	ok := b.unicastChunked([]*peer{good, bad}, from, to, "blob", 7, 0, false, 0, wire, lease)
-	if !ok {
-		t.Fatal("unicastChunked reported total failure despite a healthy peer")
+	if !b.unicastChunked(good, from, to, "blob", 7, 0, false, 0, wire, lease) {
+		t.Fatal("unicastChunked reported failure to a healthy peer")
+	}
+	if !b.unicastChunked(bad, from, to, "blob", 7, 0, false, 0, wire, lease) {
+		t.Fatal("unicastChunked reported failure though the dying peer took the first fragment")
 	}
 
 	// Lease balance: only our own reference may remain. With inline
@@ -186,7 +188,8 @@ func TestChunkedConcurrentStreamsLeaseBalance(t *testing.T) {
 		wg.Add(1)
 		go func(i int, wire []byte, lease *san.Lease) {
 			defer wg.Done()
-			b.unicastChunked([]*peer{good, bad}, from, to, "blob", uint64(i), 0, false, 0, wire, lease)
+			b.unicastChunked(good, from, to, "blob", uint64(i), 0, false, 0, wire, lease)
+			b.unicastChunked(bad, from, to, "blob", uint64(i), 0, false, 0, wire, lease)
 		}(i, wire, lease)
 	}
 	wg.Wait()

@@ -40,14 +40,13 @@ const stall = 500 * time.Millisecond
 
 // stalledPeer starts a bridge on a fresh wire network, makes one
 // endpoint per name in procs, then registers a peer whose reader has
-// stalled and routes remote to it. The endpoints exist before the peer,
-// so no advert of theirs reaches its batcher: the first write to it is
+// stalled and which owns the "z-" nodes, so the first write to it is
 // the test's.
-func stalledPeer(t *testing.T, remote san.Addr, procs ...string) (*san.Network, []*san.Endpoint, *peer, stalledWriter) {
+func stalledPeer(t *testing.T, procs ...string) (*san.Network, []*san.Endpoint, *peer, stalledWriter) {
 	t.Helper()
 	netA := newWireNet(1)
 	t.Cleanup(netA.Close)
-	b, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a"})
+	b, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +58,10 @@ func stalledPeer(t *testing.T, remote san.Addr, procs ...string) (*san.Network, 
 	w := stalledWriter{entered: make(chan struct{}, 1), d: stall}
 	near, far := net.Pipe()
 	t.Cleanup(func() { _ = far.Close() })
-	p := &peer{id: "stalled", conn: near, batch: NewBatcher(w, DefaultMaxBatchBytes), done: make(chan struct{})}
+	p := &peer{id: "z-", conn: near, batch: NewBatcher(w, DefaultMaxBatchBytes), done: make(chan struct{})}
 	if !b.registerPeer(p) {
 		t.Fatal("bridge refused the stalled peer")
 	}
-	b.applyAdvertised(p, []san.Addr{remote})
 	return netA, eps, p, w
 }
 
@@ -128,7 +126,7 @@ func TestBridgeStalledPeerPromptSenders(t *testing.T) {
 		for i := 0; i < workers; i++ {
 			procs = append(procs, fmt.Sprintf("w%d", i))
 		}
-		_, eps, p, w := stalledPeer(t, remote, procs...)
+		_, eps, p, w := stalledPeer(t, procs...)
 		first, fe := eps[0], eps[1]
 
 		result := stub.ResultMsg{Blob: tacc.Blob{MIME: "image/sjpg", Data: make([]byte, 16<<10)}}
@@ -194,7 +192,7 @@ func TestBridgeStalledPeerPromptSenders(t *testing.T) {
 		for i := 0; i < frontEnds; i++ {
 			procs = append(procs, fmt.Sprintf("fe%d", i))
 		}
-		_, eps, p, w := stalledPeer(t, remote, procs...)
+		_, eps, p, w := stalledPeer(t, procs...)
 		probe := vcache.GetReq{Key: "http://origin1.example/obj42.sjpg|distill-sjpg#", Else: "orig|http://origin1.example/obj42.sjpg"}
 		call := func(ep *san.Endpoint, timeout time.Duration) (time.Duration, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -260,7 +258,7 @@ func TestBridgeStalledPeerCacheWriters(t *testing.T) {
 	for i := range procs {
 		procs[i] = fmt.Sprintf("fe%d", i)
 	}
-	netA, eps, p, w := stalledPeer(t, remote, procs...)
+	netA, eps, p, w := stalledPeer(t, procs...)
 	clients := make([]*vcache.Client, frontEnds)
 	for i, ep := range eps {
 		clients[i] = vcache.NewClient(ep)

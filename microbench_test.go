@@ -274,17 +274,18 @@ func benchSANSendParallel(b *testing.B) error {
 	return nil
 }
 
-// bridgedPair joins two wire networks over loopback TCP.
+// bridgedPair joins two wire networks over loopback TCP: the first
+// owns the "a-" nodes, the second the "b-" nodes.
 func bridgedPair(b *testing.B) (netA, netB *san.Network, ba *transport.Bridge, err error) {
 	netA, netB = wireNet(1), wireNet(2)
 	b.Cleanup(netA.Close)
 	b.Cleanup(netB.Close)
-	ba, err = transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "bench-a"})
+	ba, err = transport.New(transport.Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	b.Cleanup(func() { ba.Close() })
-	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "bench-b", Join: []string{ba.Advertise()}})
+	bb, err := transport.New(transport.Config{Net: netB, Listen: "tcp:127.0.0.1:0", ID: "b-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -312,9 +313,8 @@ func benchBridgeSend(b *testing.B) error {
 		for range dst.Inbox() {
 		}
 	}()
-	// Teach A a route for dst: routes are learned from the source
-	// address of RECEIVED frames, so dst must send something back
-	// once; after that the benchmark loop is routed, not flooded.
+	// One round trip first, so the connection carries traffic both
+	// ways before the timer starts.
 	report := wireMember()
 	if err := dst.Send(src.Addr(), supervisor.MsgAnnounce, report, 0); err != nil {
 		return err

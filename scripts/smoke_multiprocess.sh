@@ -217,6 +217,10 @@ up ctl srv
 bad=0
 for ((i = 0; i < REQUESTS; i++)); do
     if ((i == REQUESTS / 3)); then
+        # Each bridge sends a node's traffic to the process whose prefix
+        # owns it: across real sockets, no send so far found no owner.
+        expect ctl bridge.unroutable -eq 0
+        expect srv bridge.unroutable -eq 0
         # The cache is an optimization: nothing may fail while it is gone.
         echo "smoke: [heal] crashing cache0 on its host (ctl) at request ${i}..."
         curl -fsS "http://127.0.0.1:${http[ctl]}/kill?component=cache0" >/dev/null ||
