@@ -36,7 +36,8 @@ loc-gate:
 cover:
 	./scripts/coverage_check.sh
 
-# Short fuzz smoke over the wire codec (CI runs this on every push).
+# Short fuzz smoke over every wire layout in san's kind table (CI runs
+# this on every push).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=15s ./internal/stub
 

@@ -40,7 +40,7 @@ func runMgrCap(seed int64) {
 		reportInterval = 500 * time.Millisecond
 		measureFor     = 4 * time.Second
 	)
-	net := san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}), san.WithBeacon(reportInterval))
+	net := san.NewNetwork(seed, san.WithBeacon(reportInterval))
 	m := manager.New(manager.Config{
 		Node:   "mgr",
 		Net:    net,

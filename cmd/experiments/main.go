@@ -1,16 +1,21 @@
-// Command experiments regenerates every table and figure from the
-// paper's evaluation (§4) plus the ablations DESIGN.md calls out.
+// Command experiments regenerates the tables and figures of the paper's
+// evaluation: the trace's content and burstiness (§4.1, Figures 5 and
+// 6) and the 1 KB distillation threshold, distillation cost (Figure 7),
+// self-tuning and recovery (§4.3, Figures 8 and 9), the cache (§4.4),
+// scalability and the stale-load oscillation (§4.5, Table 2), the
+// manager's and the SAN's limits (§4.6), process-peer fault tolerance
+// (§3.1.3), HotBot beside TranSend (§3.2, Table 1) and the economics of
+// §5.2.
 //
 // Usage:
 //
 //	experiments -run all
-//	experiments -run fig5|fig6|fig7|fig8|table1|table2|cache|cachecurve|
-//	                 mgrcap|oscillation|sansat|faults|hotbot|econ
+//	experiments -run fig5|fig6|fig7|fig8|fig9|table1|table2|cache|cachecurve|
+//	                 mgrcap|oscillation|sansat|faults|hotbot|econ|threshold
 //	experiments -list
 //
-// Each experiment prints the same rows/series the paper reports, so
-// output can be compared side by side with the published artifact
-// (EXPERIMENTS.md records that comparison).
+// Each experiment prints the rows or series the paper reports, so its
+// output reads side by side with the paper's own tables and figures.
 package main
 
 import (

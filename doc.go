@@ -8,8 +8,9 @@
 // depending on either service.
 //
 // Start with README.md for the tour and the package map (including
-// the SAN's wire codec — the serialization path every assembled
-// system runs — internal/transport, the framed, batched socket
+// the SAN's kind table, whose rows each message type's owner
+// registers — the serialization path every assembled system runs —
+// internal/transport, the framed, batched socket
 // layer that lets one cluster span real OS processes via cmd/node,
 // and internal/supervisor, the per-process daemon whose roster the
 // primary manager reconciles against what it hears, and whose hand

@@ -9,11 +9,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/san"
-	"repro/internal/stub"
 )
 
 func newTestCluster() *cluster.Cluster {
-	return cluster.New(san.NewNetwork(1, san.WithCodec(stub.WireCodec{})))
+	return cluster.New(san.NewNetwork(1))
 }
 
 func blockUntilCancel(name string) cluster.ProcessFunc {
@@ -69,7 +68,7 @@ func TestSpawnErrors(t *testing.T) {
 }
 
 func TestKillNodeCancelsProcessesAndDropsEndpoints(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	c := cluster.New(net)
 	c.AddNode("n1", false)
 	c.AddNode("n2", false)

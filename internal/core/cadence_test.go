@@ -57,7 +57,7 @@ func TestAnnouncersKeepTheNetworkBeat(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(beat))
+			net := san.NewNetwork(1, san.WithBeacon(beat))
 			defer net.Close()
 			listener := net.Endpoint(san.Addr{Node: "n1", Proc: "listener"}, 1024)
 			listener.Join(stub.GroupControl)

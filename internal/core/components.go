@@ -349,8 +349,8 @@ func (s *System) supervisorComponent() *component {
 				Net:    s.Net,
 				Prefix: s.cfg.NodePrefix,
 				Host:   s,
-				// The supervisor cannot import the stub package (stub's wire
-				// codec encodes supervisor commands), so the beacon-epoch
+				// The supervisor cannot import the stub package (stub
+				// imports the supervisor), so the beacon-epoch
 				// extraction it fences stale commands with is injected here.
 				EpochFrom: func(kind string, body any) (uint64, bool) {
 					if b, ok := body.(stub.Beacon); ok && kind == stub.MsgBeacon {

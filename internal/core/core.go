@@ -349,11 +349,11 @@ func Start(cfg Config) (*System, error) {
 // tears down whatever was built.
 func (s *System) boot() error {
 	cfg := s.cfg
-	// Every message body crosses the SAN as stub wire-codec bytes, in
-	// one process or many, as on every network. Deliveries decode views:
+	// Every message body crosses the SAN as the bytes of its kind's
+	// layout, in one process or many, as on every network. Deliveries decode views:
 	// []byte bodies alias pooled wire buffers, and every consumer in this
 	// tree honors the Lease/Release contract.
-	s.Net = san.NewNetwork(cfg.Seed, san.WithCodec(stub.WireCodec{}), san.WithBeacon(cfg.BeaconInterval))
+	s.Net = san.NewNetwork(cfg.Seed, san.WithBeacon(cfg.BeaconInterval))
 	s.configureObs()
 	if cfg.Transport.Listen != "" {
 		br, err := transport.New(transport.Config{

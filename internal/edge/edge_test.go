@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/san"
-	"repro/internal/stub"
 )
 
 func newTestEdge(t *testing.T, retryBudget float64) *Edge {
@@ -26,7 +25,7 @@ func newTestEdge(t *testing.T, retryBudget float64) *Edge {
 func startTestEdge(t *testing.T, cfg Config) *Edge {
 	t.Helper()
 	// A 25 ms beat: an ejected backend is probed after 50 ms.
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(25*time.Millisecond))
+	net := san.NewNetwork(1, san.WithBeacon(25*time.Millisecond))
 	t.Cleanup(net.Close)
 	cfg.Name, cfg.Node, cfg.Net, cfg.Listen = "edge", "edgenode", net, "127.0.0.1:0"
 	cfg.Pool = PoolConfig{Seed: 1}

@@ -61,7 +61,7 @@ func startDistillFE(t *testing.T, net *san.Network, cache san.Addr, mutate func(
 // the answer is still "distilled", and the refusals — the only failure
 // signal a one-way write has — show up on the fe.* counters.
 func TestMissDoesNotWaitOnCacheWrites(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	mute := net.Endpoint(san.Addr{Node: "c-node", Proc: "mute"}, 64)
 	var puts, injects atomic.Int64
 	go func() {

@@ -19,7 +19,7 @@ import (
 // origin, mirroring startFE but for benchmarks.
 func benchFE(b *testing.B, mutate func(*Config)) (*FrontEnd, *origin.Static) {
 	b.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	cl := cluster.New(net)
 	cl.AddNode("fe-node", false)
 	cl.AddNode("c-node", false)

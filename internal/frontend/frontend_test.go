@@ -24,7 +24,7 @@ import (
 // harness is added by the test).
 func startFE(t *testing.T, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
 	t.Helper()
-	return startFEOn(t, san.NewNetwork(1, san.WithCodec(stub.WireCodec{})), mutate)
+	return startFEOn(t, san.NewNetwork(1), mutate)
 }
 
 // startFEOn is startFE over a caller-built network (e.g. one with the
@@ -267,7 +267,7 @@ func TestOverload(t *testing.T) {
 // the goroutine inside Do, so a hit completes while the front end's Run
 // loop is stuck (here inside its own heartbeat's stats collection).
 func TestHitNeedsNoRunLoop(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
+	net := san.NewNetwork(1, san.WithBeacon(5*time.Millisecond))
 	fe, _, static := startFEOn(t, net, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 	if _, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"}); err != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/origin"
 	"repro/internal/profiledb"
 	"repro/internal/san"
-	"repro/internal/stub"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
@@ -27,7 +26,7 @@ import (
 func TestCacheInboxAtAdmissionBound(t *testing.T) {
 	for name, service := range map[string]time.Duration{"1ms": time.Millisecond, "none": 0} {
 		t.Run(name, func(t *testing.T) {
-			net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+			net := san.NewNetwork(1)
 			cl := cluster.New(net)
 			t.Cleanup(cl.StopAll)
 			cl.AddNode("fe-node", false)

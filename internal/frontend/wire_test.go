@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/media"
 	"repro/internal/san"
-	"repro/internal/stub"
 	"repro/internal/tacc"
 )
 
@@ -17,7 +16,7 @@ import (
 // nothing to distil is served like a distilled hit: the reply's view,
 // not a copy, handed back once through Release.
 func TestFrontEndCachePathOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	fe, _, static := startFEOn(t, net, nil)
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 	ctx := context.Background()
@@ -66,7 +65,7 @@ func TestFrontEndCachePathOverWire(t *testing.T) {
 // is answered by its fallback key — as a leased view the front end
 // copies out before it dispatches — and nothing is fetched twice.
 func TestPairedProbeOverWire(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	fe, static := startDistillFE(t, net, san.Addr{Node: "c-node", Proc: "cache0"}, nil)
 	static.Put("http://a/x.sjpg", tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 9000)})
 	if err := fe.cfg.Profiles.Set("bob", "quality", "10"); err != nil {

@@ -114,13 +114,6 @@ func (e *Estimator) Estimate(now time.Time, useDelta bool) float64 {
 	return est
 }
 
-// Reports returns how many reports have been recorded.
-func (e *Estimator) Reports() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.reports
-}
-
 // Scheduler selects among a set of workers by lottery over estimated
 // queue lengths. It is the manager-stub-side policy object shared by
 // the live front end and the discrete-event model.

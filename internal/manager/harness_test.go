@@ -24,7 +24,7 @@ const calmBeat = 4 * tick
 
 // newNet is a test network whose components announce once a beat.
 func newNet(beat time.Duration) *san.Network {
-	return san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(beat))
+	return san.NewNetwork(1, san.WithBeacon(beat))
 }
 
 type nullWorker struct{ class string }

@@ -18,7 +18,7 @@ import (
 // silent after silence.
 func silentAfter(silence time.Duration) *san.Network {
 	beat := silence / time.Duration(softstate.MonitorSilence)
-	return san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(beat))
+	return san.NewNetwork(1, san.WithBeacon(beat))
 }
 
 func startMonitor(t *testing.T, net *san.Network) (*Monitor, *atomic.Int32) {

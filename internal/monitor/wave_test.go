@@ -45,7 +45,7 @@ func (h *waveHost) ids() []string {
 func startWaveFixture(t *testing.T) (*Monitor, *waveHost, *san.Network) {
 	t.Helper()
 	// A 250 ms beat: the monitor forgets a supervisor after 1 s of silence.
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(250*time.Millisecond))
+	net := san.NewNetwork(1, san.WithBeacon(250*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 

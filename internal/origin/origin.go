@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/media"
-	"repro/internal/sim"
 	"repro/internal/tacc"
 	"repro/internal/trace"
 )
@@ -43,16 +42,6 @@ type Simulated struct {
 // NewSimulated creates an origin universe.
 func NewSimulated(seed int64) *Simulated {
 	return &Simulated{Seed: seed}
-}
-
-// MissPenalty returns a delay source matching the paper's observed
-// distribution: lognormal with median ~1 s, clamped to [100 ms, 100 s].
-// Scale compresses it for tests (e.g. 0.01 gives 1-1000 ms).
-func MissPenalty(scale float64) func(rng *rand.Rand) time.Duration {
-	return func(rng *rand.Rand) time.Duration {
-		s := sim.Clamp(sim.LogNormal(rng, 0, 1.5), 0.1, 100) * scale
-		return sim.Seconds(s)
-	}
 }
 
 // Fetches reports how many fetches have been served.

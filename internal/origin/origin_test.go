@@ -83,30 +83,6 @@ func TestFetchDelayCancellation(t *testing.T) {
 	}
 }
 
-func TestMissPenaltyDistribution(t *testing.T) {
-	p := MissPenalty(1.0)
-	rng := rand.New(rand.NewSource(5))
-	min, max := time.Hour, time.Duration(0)
-	for i := 0; i < 20000; i++ {
-		d := p(rng)
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	if min < 100*time.Millisecond {
-		t.Fatalf("min penalty %v below paper floor", min)
-	}
-	if max > 100*time.Second {
-		t.Fatalf("max penalty %v above paper ceiling", max)
-	}
-	if max < 5*time.Second {
-		t.Fatalf("max penalty %v suspiciously small; want a heavy tail", max)
-	}
-}
-
 func TestStaticFetcher(t *testing.T) {
 	s := NewStatic()
 	s.Put("http://a/page", tacc.Blob{MIME: "text/html", Data: []byte("hi")})

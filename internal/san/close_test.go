@@ -3,7 +3,6 @@ package san
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -16,7 +15,7 @@ import (
 // bridge tearing a network down cannot leak goroutines or push into
 // freed endpoints.
 func TestNetworkClose(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
 	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
 	b.Join("g")
@@ -76,32 +75,6 @@ func TestNetworkClose(t *testing.T) {
 	}
 }
 
-// TestNetworkCloseDropsDelayedDeliveries: messages sitting in latency
-// timers when the network closes are dropped deterministically, and
-// the timer goroutines do not outlive the drop.
-func TestNetworkCloseDropsDelayedDeliveries(t *testing.T) {
-	n := newNet(1)
-	n.SetLatency(func() time.Duration { return 20 * time.Millisecond })
-	a := n.Endpoint(Addr{Node: "n0", Proc: "a"}, 8)
-	b := n.Endpoint(Addr{Node: "n0", Proc: "b"}, 8)
-	for i := 0; i < 16; i++ {
-		if err := a.Send(b.Addr(), "k", "x", 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.Close()
-	// Drain whatever raced in before the close; nothing may arrive
-	// after the inbox reports closed.
-	for range b.Inbox() {
-	}
-	time.Sleep(50 * time.Millisecond) // let the delayed pushes fire into the closed endpoint
-	base := runtime.NumGoroutine()
-	time.Sleep(10 * time.Millisecond)
-	if g := runtime.NumGoroutine(); g > base+2 {
-		t.Fatalf("goroutines still growing after Close: %d -> %d", base, g)
-	}
-}
-
 // TestLocalCallEndsWhenCalleeRemoved: a Call whose callee leaves the
 // table with the request still queued ends with ErrUnknownAddr at once,
 // not at its timeout, whether the callee is dropped, its node dropped or
@@ -122,7 +95,7 @@ func TestLocalCallEndsWhenCalleeRemoved(t *testing.T) {
 		{"reclaim", func(n *Network, _ *Endpoint) { n.Endpoint(callee, 8) }, 200 * time.Millisecond, ErrTimeout},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			n := newNet(1)
+			n := NewNetwork(1)
 			caller := n.Endpoint(Addr{Node: "n0", Proc: "fe0"}, 8)
 			ep := n.Endpoint(callee, 8)
 			done := make(chan error, 1)

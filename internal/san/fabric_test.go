@@ -37,8 +37,8 @@ func (f *fakeFabric) EndpointDown(a Addr) { f.downs = append(f.downs, a) }
 // addresses serialize once and re-enter the peer network through the
 // inject APIs; local behavior is untouched.
 func TestFabricSeam(t *testing.T) {
-	local, _ := wireNet(t)
-	remote := newNet(2)
+	local := NewNetwork(1)
+	remote := NewNetwork(2)
 	fab := &fakeFabric{peer: remote}
 	local.SetFabric(fab)
 
@@ -126,9 +126,9 @@ func TestFabricSeam(t *testing.T) {
 // endpoint (restart reclaiming its name) never invalidates its
 // successor.
 func TestFabricSeesEndpointTable(t *testing.T) {
-	n, _ := wireNet(t)
+	n := NewNetwork(1)
 	pre := n.Endpoint(Addr{Node: "n0", Proc: "pre"}, 8)
-	fab := &fakeFabric{peer: newNet(9)}
+	fab := &fakeFabric{peer: NewNetwork(9)}
 	n.SetFabric(fab)
 
 	ep := n.Endpoint(Addr{Node: "n0", Proc: "p"}, 8)
@@ -148,23 +148,12 @@ func TestFabricSeesEndpointTable(t *testing.T) {
 	}
 }
 
-// TestNewNetworkRequiresCodec: every network serializes, so one built
-// without a codec is a construction bug and panics.
-func TestNewNetworkRequiresCodec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewNetwork without WithCodec did not panic")
-		}
-	}()
-	NewNetwork(1)
-}
-
 // TestRemoteSendEncodesBeforeLoss: a send to another process pays its
 // encode before the loss draw, as a local one does, so a body with no
 // layout is ErrCodec even when the datagram would have been lost.
 func TestRemoteSendEncodesBeforeLoss(t *testing.T) {
-	local, _ := wireNet(t)
-	remote := newNet(2)
+	local := NewNetwork(1)
+	remote := NewNetwork(2)
 	fab := &fakeFabric{peer: remote}
 	local.SetFabric(fab)
 	src := local.Endpoint(Addr{Node: "a-n0", Proc: "src"}, 8)
@@ -182,7 +171,7 @@ func TestRemoteSendEncodesBeforeLoss(t *testing.T) {
 // network's partition map, so a chaos partition isolates bridged
 // traffic too.
 func TestInjectRespectsPartition(t *testing.T) {
-	n, _ := wireNet(t)
+	n := NewNetwork(1)
 	dst := n.Endpoint(Addr{Node: "n0", Proc: "dst"}, 8)
 	dst.Join("grp")
 	n.Partition(map[string]int{"n0": 1}) // remote senders land in group 0
@@ -206,7 +195,7 @@ func TestInjectRespectsPartition(t *testing.T) {
 // TestDropRemovesEndpoint: Drop (process crash) detaches the address
 // and group membership without goodbye traffic.
 func TestDropRemovesEndpoint(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	ep := n.Endpoint(Addr{Node: "n0", Proc: "p"}, 8)
 	ep.Join("g")
 	other := n.Endpoint(Addr{Node: "n0", Proc: "q"}, 8)

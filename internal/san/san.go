@@ -2,7 +2,7 @@
 // SNS components (paper §2.1). It provides addressed point-to-point
 // messaging, best-effort multicast groups (the paper's IP-multicast
 // analogue used for manager beacons and monitor reports), and failure
-// injection: message loss, latency, and network partitions.
+// injection: message loss and network partitions.
 //
 // The network is in-process: endpoints are registered per logical
 // process and messages are delivered to buffered inboxes, except the
@@ -21,11 +21,11 @@
 // per-endpoint deterministic rngs instead of a shared locked source.
 //
 // Every network serializes (paper §2.1: components meet only on the
-// SAN). NewNetwork takes the Codec (WithCodec) and panics without one:
+// SAN, so the SAN holds the one kind table of wire layouts, wire.go):
 // every Send, Multicast, Call and Respond encodes its body once into a
 // refcounted Lease, and every delivery decodes its own body from those
 // bytes, so a message crosses the in-process SAN exactly as it crosses
-// a socket, and a test runs the codec the cluster runs. Multicast
+// a socket, and a test runs the layouts the cluster runs. Multicast
 // encodes once however large the group.
 //
 // A Fabric (SetFabric) splices this network into a larger logical SAN
@@ -118,8 +118,8 @@ func Owner[C any](node string, cands iter.Seq[C], prefix, key func(C) string) (b
 	return best, bestLen >= 0
 }
 
-// Message is a datagram on the SAN. Body is the value the codec decoded
-// for this delivery; Size is the length of its encoding in bytes.
+// Message is a datagram on the SAN. Body is the value its kind's layout
+// decoded for this delivery; Size is the length of its encoding in bytes.
 type Message struct {
 	From  Addr
 	To    Addr   // zero for multicast
@@ -183,9 +183,7 @@ const (
 )
 
 // Stats counts network activity. Bytes counts encoded wire bytes: the
-// size argument of Send, Call, Respond and Multicast is ignored. Under
-// SetLatency, Sent counts a point-to-point delivery when it is scheduled,
-// and Dropped too if it then finds its inbox full or closed.
+// size argument of Send, Call, Respond and Multicast is ignored.
 type Stats struct {
 	Endpoints    int    // endpoints registered now
 	Sent         uint64 // point-to-point messages delivered
@@ -196,10 +194,10 @@ type Stats struct {
 	InboxMax     uint64 // deepest any inbox of this network has been
 	InboxFull    uint64 // deliveries (either kind) dropped at a full inbox
 
-	// Codec counters.
-	WireEncodes uint64 // codec encode calls (one per Send/Call/Respond/Multicast)
-	WireDecodes uint64 // codec decode calls (one per delivery)
-	WireErrors  uint64 // bodies the codec rejected
+	// Kind-table counters.
+	WireEncodes uint64 // bodies encoded (one per Send/Call/Respond/Multicast)
+	WireDecodes uint64 // bodies decoded (one per delivery)
+	WireErrors  uint64 // bodies the kind table refused, either way
 }
 
 // Errors returned by endpoint operations.
@@ -215,23 +213,6 @@ var (
 	// Close.
 	ErrNetworkClosed = errors.New("san: network closed")
 )
-
-// Codec serializes message bodies; every network has one. AppendBody
-// writes the encoding of body into dst (growing it as needed) and
-// returns the extended slice; DecodeBodyView parses those bytes back
-// into the concrete body type for kind. []byte fields of the result may
-// alias data directly, reported by aliased=true: the network then parks
-// the wire bytes in a refcounted Lease on the delivered Message, and
-// consumers govern the buffer's lifetime with Release. Kinds that carry
-// no byte slices must report aliased=false. A Codec must be safe for
-// concurrent use. A zero-length encoding represents a nil body, and the
-// codec is bypassed in both directions for them: nil bodies travel as
-// zero-length wire without an encode call, and zero-length wire is
-// delivered as a nil body without a decode call.
-type Codec interface {
-	AppendBody(dst []byte, kind string, body any) ([]byte, error)
-	DecodeBodyView(kind string, data []byte) (body any, aliased bool, err error)
-}
 
 // Prompter marks a body a fabric sends at once, not held for a batch: a
 // distillation's result (stub.ResultMsg), so a result never waits. A
@@ -273,11 +254,9 @@ type Fabric interface {
 // Option configures a Network at construction.
 type Option func(*Network)
 
-// WithCodec installs the codec every message body crosses; NewNetwork
-// panics without it.
-func WithCodec(c Codec) Option {
-	return func(n *Network) { n.codec = c }
-}
+// WithCodec does nothing: every network runs the one kind table. It
+// stays for bench/, frozen until ROADMAP item 20, and goes with it.
+func WithCodec(any) Option { return func(*Network) {} }
 
 // DefaultBeacon is a network's beacon interval without WithBeacon.
 const DefaultBeacon = 500 * time.Millisecond
@@ -310,7 +289,6 @@ type netState struct {
 	// Impairments. Loss probabilities are applied per delivery.
 	lossP      float64 // point-to-point loss probability
 	mcastLossP float64 // multicast delivery loss probability
-	latency    func() time.Duration
 }
 
 // clone makes a shallow copy with fresh maps; group member slices are
@@ -323,7 +301,6 @@ func (s *netState) clone() *netState {
 		fabric:     s.fabric,
 		lossP:      s.lossP,
 		mcastLossP: s.mcastLossP,
-		latency:    s.latency,
 	}
 	for a, ep := range s.endpoints {
 		c.endpoints[a] = ep
@@ -361,7 +338,6 @@ type Network struct {
 	mu     sync.Mutex // serializes mutators; senders never take it
 	state  atomic.Pointer[netState]
 	seed   int64 // derives each endpoint's deterministic rng
-	codec  Codec // every body crosses it
 	beacon time.Duration
 	closed atomic.Bool
 
@@ -384,8 +360,7 @@ type Network struct {
 }
 
 // NewNetwork returns an unimpaired network seeded for deterministic
-// loss decisions. It panics without WithCodec: a network that passed
-// bodies by reference would test a path no cluster runs.
+// loss decisions.
 func NewNetwork(seed int64, opts ...Option) *Network {
 	n := &Network{seed: seed, beacon: DefaultBeacon}
 	n.state.Store(&netState{
@@ -395,9 +370,6 @@ func NewNetwork(seed int64, opts ...Option) *Network {
 	})
 	for _, opt := range opts {
 		opt(n)
-	}
-	if n.codec == nil {
-		panic("san: NewNetwork without WithCodec")
 	}
 	n.tracer = obs.NewTracer(uint64(seed), 0)
 	n.registry = obs.NewRegistry()
@@ -436,10 +408,7 @@ func (n *Network) SetFabric(f Fabric) {
 // Close shuts the network down deterministically: the fabric is
 // detached, every endpoint is closed (pending calls fail, inboxes
 // close after their buffered messages drain), and subsequent sends
-// fail with ErrClosed. Latency-delayed deliveries still in flight are
-// dropped when their timers fire — nothing is ever delivered to a
-// closed endpoint — so a transport bridge can tear down without
-// leaking goroutines or racing late pushes. Close is idempotent.
+// fail with ErrClosed. Close is idempotent.
 func (n *Network) Close() {
 	if !n.closed.CompareAndSwap(false, true) {
 		return
@@ -463,7 +432,7 @@ func (n *Network) Closed() bool { return n.closed.Load() }
 
 // InjectUnicast delivers a point-to-point message that arrived from a
 // remote process over the fabric: the wire bytes are decoded through
-// the local codec and pushed to the destination endpoint, applying
+// the kind table and pushed to the destination endpoint, applying
 // this network's partition map (loss was the sending side's call). It
 // reports whether the message reached an inbox — false reads as a
 // dropped datagram, never an error, mirroring a NIC discarding a
@@ -496,7 +465,7 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 		lease.Retain()
 		msg.Lease = lease
 	}
-	if n.deliver(dst, msg, st.latency) {
+	if dst.push(msg) {
 		n.sent.Add(1)
 		n.bytes.Add(uint64(len(wire)))
 		return true
@@ -546,7 +515,7 @@ func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind
 			lease.Retain() // one reference per aliased delivery
 			msg.Lease = lease
 		}
-		if n.deliver(dst, msg, st.latency) {
+		if dst.push(msg) {
 			delivered++
 			n.bytes.Add(uint64(len(wire)))
 		} else {
@@ -560,13 +529,13 @@ func (n *Network) fanout(st *netState, lossRNG *Endpoint, from Addr, group, kind
 // refcounted Lease, so deliveries can alias the bytes; the caller
 // releases its reference once every delivery holds its own. A nil body
 // encodes to nothing and no lease: a bodiless control message (acks,
-// shutdowns, stats probes) costs no codec call and no buffer.
+// shutdowns, stats probes) costs no table lookup and no buffer.
 func (n *Network) encode(kind string, body any) ([]byte, *Lease, error) {
 	if body == nil {
 		return nil, nil, nil
 	}
 	lease := NewLease(0)
-	wire, err := n.codec.AppendBody(lease.buf, kind, body)
+	wire, err := AppendBody(lease.buf, kind, body)
 	if err != nil {
 		lease.Release()
 		n.wireErrors.Add(1)
@@ -581,12 +550,12 @@ func (n *Network) encode(kind string, body any) ([]byte, *Lease, error) {
 // are never decoded (the receiver never saw them). The result's []byte
 // fields may alias wire (aliased=true), and the caller pairs the
 // message with the backing lease. Zero-length wire is a nil body and
-// skips the codec.
+// skips the table.
 func (n *Network) decode(kind string, wire []byte) (any, bool, error) {
 	if len(wire) == 0 {
 		return nil, false, nil
 	}
-	body, aliased, err := n.codec.DecodeBodyView(kind, wire)
+	body, aliased, err := DecodeBodyView(kind, wire)
 	if err != nil {
 		n.wireErrors.Add(1)
 		return nil, false, fmt.Errorf("%w: decode %s: %v", ErrCodec, kind, err)
@@ -612,13 +581,6 @@ func (n *Network) mutate(f func(s *netState)) {
 // raising mcast loss.
 func (n *Network) SetLoss(p2p, mcast float64) {
 	n.mutate(func(s *netState) { s.lossP, s.mcastLossP = p2p, mcast })
-}
-
-// SetLatency installs a per-message latency source (nil for instant
-// delivery). Latency is applied with real timers; keep it small in
-// tests.
-func (n *Network) SetLatency(f func() time.Duration) {
-	n.mutate(func(s *netState) { s.latency = f })
 }
 
 // Partition assigns nodes to partition groups. Messages between nodes
@@ -789,34 +751,6 @@ func (n *Network) removed(ep *Endpoint) {
 	if fab := n.state.Load().fabric; fab != nil {
 		fab.EndpointDown(ep.addr)
 	}
-}
-
-// deliver places msg in ep's inbox, applying latency. Returns false if
-// the inbox was full or the endpoint closed.
-func (n *Network) deliver(ep *Endpoint, msg Message, latency func() time.Duration) bool {
-	if latency != nil {
-		d := latency()
-		if d > 0 {
-			return deliverLater(ep, msg, d)
-		}
-	}
-	return ep.push(msg)
-}
-
-// deliverLater schedules a latency-delayed push. It lives in its own
-// never-inlined function so the timer closure's capture of msg makes
-// it heap-escape only on this rare path; merged into deliver, the
-// capture forces every zero-latency delivery to allocate the whole
-// Message (the 1 alloc/op the send benchmarks used to carry).
-//
-//go:noinline
-func deliverLater(ep *Endpoint, msg Message, d time.Duration) bool {
-	time.AfterFunc(d, func() {
-		if !ep.push(msg) {
-			msg.Release() // late drop: free the view buffer too
-		}
-	})
-	return true // counted as sent now; a late drop is also counted, by push
 }
 
 // atomicRand is a lock-free deterministic random source (splitmix64):
@@ -1129,7 +1063,7 @@ func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply boo
 	} else {
 		lease.Release()
 	}
-	if n.deliver(dst, msg, st.latency) {
+	if dst.push(msg) {
 		n.sent.Add(1)
 		n.bytes.Add(uint64(len(wire)))
 	} else {

@@ -10,7 +10,7 @@ import (
 var kib = strings.Repeat("x", 1024)
 
 func BenchmarkSendReceive(b *testing.B) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	dst := n.Endpoint(Addr{Node: "b", Proc: "dst"}, 1024)
 	go func() {
@@ -27,7 +27,7 @@ func BenchmarkSendReceive(b *testing.B) {
 }
 
 func BenchmarkMulticastFanout(b *testing.B) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	src := n.Endpoint(Addr{Node: "a", Proc: "src"}, 64)
 	const members = 32
 	for i := 0; i < members; i++ {
@@ -45,7 +45,7 @@ func BenchmarkMulticastFanout(b *testing.B) {
 }
 
 func BenchmarkCallRoundTrip(b *testing.B) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(Addr{Node: "a", Proc: "client"}, 256)
 	server := n.Endpoint(Addr{Node: "b", Proc: "server"}, 256)
 	go func() {

@@ -11,7 +11,7 @@ import (
 func addr(node, proc string) Addr { return Addr{Node: node, Proc: proc} }
 
 func TestPointToPoint(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	if err := a.Send(b.Addr(), "ping", "hello", 5); err != nil {
@@ -33,7 +33,7 @@ func TestPointToPoint(t *testing.T) {
 // mcast_dropped), and inbox_max reads the size. Impairment losses are
 // not inbox_full's.
 func TestFullInboxDropsAndCounts(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 0)
 	b.Join("ctl")
@@ -62,7 +62,7 @@ func TestFullInboxDropsAndCounts(t *testing.T) {
 }
 
 func TestSendUnknownAddr(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	err := a.Send(addr("nx", "ghost"), "ping", nil, 0)
 	if err == nil {
@@ -71,7 +71,7 @@ func TestSendUnknownAddr(t *testing.T) {
 }
 
 func TestMulticast(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	c := n.Endpoint(addr("n3", "c"), 8)
@@ -95,7 +95,7 @@ func TestMulticast(t *testing.T) {
 }
 
 func TestLeaveGroup(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
@@ -106,7 +106,7 @@ func TestLeaveGroup(t *testing.T) {
 }
 
 func TestPartitionDropsTraffic(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
@@ -130,7 +130,7 @@ func TestPartitionDropsTraffic(t *testing.T) {
 }
 
 func TestLoss(t *testing.T) {
-	n := newNet(42)
+	n := NewNetwork(42)
 	a := n.Endpoint(addr("n1", "a"), 4096)
 	b := n.Endpoint(addr("n2", "b"), 4096)
 	n.SetLoss(0.5, 0)
@@ -147,7 +147,7 @@ func TestLoss(t *testing.T) {
 }
 
 func TestMulticastLoss(t *testing.T) {
-	n := newNet(42)
+	n := NewNetwork(42)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 4096)
 	b.Join("ctl")
@@ -161,7 +161,7 @@ func TestMulticastLoss(t *testing.T) {
 }
 
 func TestCallRespond(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 
@@ -189,7 +189,7 @@ func TestCallRespond(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	n.Endpoint(addr("n2", "server"), 8) // never answers
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -201,7 +201,7 @@ func TestCallTimeout(t *testing.T) {
 }
 
 func TestCallToDeadEndpoint(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -212,7 +212,7 @@ func TestCallToDeadEndpoint(t *testing.T) {
 }
 
 func TestLateReplyIsConsumedQuietly(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -233,25 +233,17 @@ func TestLateReplyIsConsumedQuietly(t *testing.T) {
 	}
 }
 
-// viewCodec is countingCodec decoding zero-copy: the body is the wire
-// bytes themselves, so every delivery carries a lease.
-type viewCodec struct{ countingCodec }
-
-func (c *viewCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
-	return data, true, nil
-}
-
 // TestCallNeedsNoReceiveLoop: delivery hands a reply to the Call that
 // awaits it, so the call completes on an endpoint whose inbox nobody
 // reads and which is full — whether or not the reply's body aliases
 // its wire bytes.
 func TestCallNeedsNoReceiveLoop(t *testing.T) {
-	for name, codec := range map[string]Codec{
-		"wire": &countingCodec{},
-		"view": &viewCodec{},
+	for name, pair := range map[string][2]string{
+		"wire": {"ping", "pong"},
+		"view": {"view.ping", "view.pong"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			n := NewNetwork(1, WithCodec(codec))
+			n := NewNetwork(1)
 			client := n.Endpoint(addr("n1", "client"), 2)
 			server := n.Endpoint(addr("n2", "server"), 2)
 			for i := 0; i < 3; i++ { // the third finds the inbox full
@@ -265,11 +257,11 @@ func TestCallNeedsNoReceiveLoop(t *testing.T) {
 			go func() {
 				req := <-server.Inbox()
 				req.Release()
-				server.Respond(req, "pong", "pong", 4)
+				server.Respond(req, pair[1], "pong", 4)
 			}()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			resp, err := client.Call(ctx, server.Addr(), "ping", "ping", 4)
+			resp, err := client.Call(ctx, server.Addr(), pair[0], "ping", 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,12 +280,12 @@ func TestCallNeedsNoReceiveLoop(t *testing.T) {
 // Call or are dropped — never a send on a closed channel, never a
 // pending call left behind. Run with -race -count=50.
 func TestCloseDuringReply(t *testing.T) {
-	n := NewNetwork(1, WithCodec(&viewCodec{}))
+	n := NewNetwork(1)
 	server := n.Endpoint(addr("n2", "server"), 64)
 	go func() {
 		for req := range server.Inbox() {
 			req.Release()
-			server.Respond(req, "pong", "pong", 4)
+			server.Respond(req, "view.pong", "pong", 4)
 		}
 	}()
 	defer server.Close()
@@ -305,7 +297,7 @@ func TestCloseDuringReply(t *testing.T) {
 		errc := make(chan error, callers)
 		for c := 0; c < callers; c++ {
 			go func() {
-				resp, err := client.Call(ctx, server.Addr(), "ping", "ping", 4)
+				resp, err := client.Call(ctx, server.Addr(), "view.ping", "ping", 4)
 				resp.Release()
 				errc <- err
 			}()
@@ -326,7 +318,7 @@ func TestCloseDuringReply(t *testing.T) {
 }
 
 func TestDropNode(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 8)
 	b.Join("ctl")
@@ -355,7 +347,7 @@ func TestDropNode(t *testing.T) {
 }
 
 func TestReRegisterReplacesEndpoint(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	old := n.Endpoint(addr("n1", "p"), 8)
 	nu := n.Endpoint(addr("n1", "p"), 8)
 	if _, ok := <-old.Inbox(); ok {
@@ -371,7 +363,7 @@ func TestReRegisterReplacesEndpoint(t *testing.T) {
 }
 
 func TestFullInboxDrops(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 8)
 	b := n.Endpoint(addr("n2", "b"), 1)
 	if err := a.Send(b.Addr(), "one", nil, 0); err != nil {
@@ -385,23 +377,8 @@ func TestFullInboxDrops(t *testing.T) {
 	}
 }
 
-func TestLatency(t *testing.T) {
-	n := newNet(1)
-	n.SetLatency(func() time.Duration { return 10 * time.Millisecond })
-	a := n.Endpoint(addr("n1", "a"), 8)
-	b := n.Endpoint(addr("n2", "b"), 8)
-	start := time.Now()
-	if err := a.Send(b.Addr(), "ping", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	<-b.Inbox()
-	if elapsed := time.Since(start); elapsed < 8*time.Millisecond {
-		t.Fatalf("latency not applied: %v", elapsed)
-	}
-}
-
 func TestConcurrentSendersRace(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	dst := n.Endpoint(addr("n0", "sink"), 100000)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -422,7 +399,7 @@ func TestConcurrentSendersRace(t *testing.T) {
 }
 
 func TestCloseFailsPendingCalls(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(addr("n1", "client"), 8)
 	server := n.Endpoint(addr("n2", "server"), 8)
 	errc := make(chan error, 1)
@@ -449,7 +426,7 @@ func TestAddrString(t *testing.T) {
 }
 
 func TestLossBurstRestoresPriorLoss(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 256)
 	b := n.Endpoint(addr("n2", "b"), 256)
 
@@ -479,7 +456,7 @@ func TestLossBurstRestoresPriorLoss(t *testing.T) {
 }
 
 func TestPartitionForHeals(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	a := n.Endpoint(addr("n1", "a"), 256)
 	b := n.Endpoint(addr("n2", "b"), 256)
 

@@ -14,7 +14,7 @@ import (
 // mutator; without it, it still shakes out lost-wakeup and
 // send-on-closed bugs.
 func TestConcurrentSendCloseJoin(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	const receivers = 4
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -101,7 +101,7 @@ func TestConcurrentSendCloseJoin(t *testing.T) {
 
 // TestConcurrentDropNodeVsSend races node crashes against traffic.
 func TestConcurrentDropNodeVsSend(t *testing.T) {
-	n := newNet(7)
+	n := NewNetwork(7)
 	var wg sync.WaitGroup
 	for round := 0; round < 20; round++ {
 		dst := n.Endpoint(Addr{Node: "victim", Proc: "p"}, 1024)
@@ -137,7 +137,7 @@ func TestConcurrentDropNodeVsSend(t *testing.T) {
 // run over run — the property the figure experiments rely on.
 func TestDeterministicLossSequence(t *testing.T) {
 	run := func() []bool {
-		n := newNet(42)
+		n := NewNetwork(42)
 		src := n.Endpoint(Addr{Node: "a", Proc: "s"}, 8)
 		dst := n.Endpoint(Addr{Node: "b", Proc: "d"}, 4096)
 		n.SetLoss(0.5, 0)

@@ -12,7 +12,7 @@ import (
 // rides the delivered request (Message.Trace) and is echoed on the
 // reply, exactly like the deadline convention.
 func TestCallPropagatesTrace(t *testing.T) {
-	n := newNet(1)
+	n := NewNetwork(1)
 	client := n.Endpoint(Addr{Node: "n1", Proc: "client"}, 8)
 	server := n.Endpoint(Addr{Node: "n2", Proc: "server"}, 8)
 
@@ -48,7 +48,7 @@ func TestCallPropagatesTrace(t *testing.T) {
 // TestInjectStampsTrace: a trace id arriving over the fabric is
 // stamped on the delivered message.
 func TestInjectStampsTrace(t *testing.T) {
-	n, _ := wireNet(t)
+	n := NewNetwork(1)
 	dst := n.Endpoint(Addr{Node: "n0", Proc: "dst"}, 8)
 	from := Addr{Node: "other", Proc: "src"}
 	if !n.InjectUnicast(from, dst.Addr(), "k", 7, false, obs.TraceID(0x55), []byte("p"), nil) {
@@ -67,7 +67,7 @@ func TestInjectStampsTrace(t *testing.T) {
 // TestNetworkObsPlane: the network owns one tracer/registry pair and
 // the san collector publishes its stats.
 func TestNetworkObsPlane(t *testing.T) {
-	n := newNet(3)
+	n := NewNetwork(3)
 	if n.Tracer() == nil || n.Registry() == nil {
 		t.Fatal("network missing obs plane")
 	}

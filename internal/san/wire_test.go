@@ -9,41 +9,43 @@ import (
 	"time"
 )
 
-// countingCodec is the package's test codec: string bodies (nil encodes
-// to empty), decoded into fresh strings that alias nothing, counting
-// every encode and decode call — the instrument behind the encode-once
-// fan-out assertions.
-type countingCodec struct {
-	encodes atomic.Int64
-	decodes atomic.Int64
-}
+// The package's test kinds carry string bodies, decoded into fresh
+// strings that alias nothing, and count every encode and decode: the
+// instrument behind the encode-once fan-out assertions. viewKinds
+// decode zero-copy instead: the body is the wire bytes themselves, so
+// every delivery carries a lease.
+var (
+	testKinds        = []string{"add", "beacon", "d", "k", "noise", "ping", "pong", "req", "sum"}
+	viewKinds        = []string{"view.ping", "view.pong"}
+	encodes, decodes atomic.Int64
+)
 
-var errBadBody = errors.New("countingCodec: body is not a string")
-
-func (c *countingCodec) AppendBody(dst []byte, kind string, body any) ([]byte, error) {
-	c.encodes.Add(1)
-	if body == nil {
-		return dst, nil
+func init() {
+	enc := func(w Writer, s string) (Writer, error) {
+		encodes.Add(1)
+		return append(w, s...), nil
 	}
-	s, ok := body.(string)
-	if !ok {
-		return nil, errBadBody
+	for _, k := range testKinds {
+		RegisterKind(k, enc, func(data []byte) (any, bool, error) {
+			decodes.Add(1)
+			return string(data), false, nil
+		})
 	}
-	return append(dst, s...), nil
+	for _, k := range viewKinds {
+		RegisterKind(k, enc, func(data []byte) (any, bool, error) { return data, true, nil })
+	}
 }
 
-func (c *countingCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
-	c.decodes.Add(1)
-	return string(data), false, nil
-}
+// codecCounts reads the test kinds' encodes and decodes since it was
+// made (the package's tests run one at a time).
+type codecCounts struct{ enc0, dec0 int64 }
 
-// newNet is a network on the test codec.
-func newNet(seed int64) *Network { return NewNetwork(seed, WithCodec(&countingCodec{})) }
+func (c codecCounts) encodes() int64 { return encodes.Load() - c.enc0 }
+func (c codecCounts) decodes() int64 { return decodes.Load() - c.dec0 }
 
-func wireNet(t *testing.T) (*Network, *countingCodec) {
+func wireNet(t *testing.T) (*Network, codecCounts) {
 	t.Helper()
-	c := &countingCodec{}
-	return NewNetwork(1, WithCodec(c)), c
+	return NewNetwork(1), codecCounts{encodes.Load(), decodes.Load()}
 }
 
 // TestWireSendRoundTrip: a point-to-point send crosses the SAN as
@@ -62,8 +64,8 @@ func TestWireSendRoundTrip(t *testing.T) {
 	if msg.Size != 5 {
 		t.Fatalf("size = %d, want the encoded length 5", msg.Size)
 	}
-	if c.encodes.Load() != 1 || c.decodes.Load() != 1 {
-		t.Fatalf("encodes=%d decodes=%d, want 1/1", c.encodes.Load(), c.decodes.Load())
+	if c.encodes() != 1 || c.decodes() != 1 {
+		t.Fatalf("encodes=%d decodes=%d, want 1/1", c.encodes(), c.decodes())
 	}
 	st := n.Stats()
 	if st.WireEncodes != 1 || st.WireDecodes != 1 || st.WireErrors != 0 {
@@ -91,11 +93,11 @@ func TestWireMulticastEncodesOnce(t *testing.T) {
 	if got := src.Multicast("grp", "beacon", "payload", 7); got != members {
 		t.Fatalf("delivered %d, want %d", got, members)
 	}
-	if c.encodes.Load() != 1 {
-		t.Fatalf("encodes = %d, want exactly 1 for the whole fanout", c.encodes.Load())
+	if c.encodes() != 1 {
+		t.Fatalf("encodes = %d, want exactly 1 for the whole fanout", c.encodes())
 	}
-	if c.decodes.Load() != members {
-		t.Fatalf("decodes = %d, want one per delivery (%d)", c.decodes.Load(), members)
+	if c.decodes() != members {
+		t.Fatalf("decodes = %d, want one per delivery (%d)", c.decodes(), members)
 	}
 	for _, ep := range sinks {
 		msg := <-ep.Inbox()
@@ -106,8 +108,8 @@ func TestWireMulticastEncodesOnce(t *testing.T) {
 	// A second fanout encodes once more — the count scales with calls,
 	// not with group size.
 	src.Multicast("grp", "beacon", "again", 5)
-	if c.encodes.Load() != 2 {
-		t.Fatalf("encodes after 2nd multicast = %d, want 2", c.encodes.Load())
+	if c.encodes() != 2 {
+		t.Fatalf("encodes after 2nd multicast = %d, want 2", c.encodes())
 	}
 }
 
@@ -125,11 +127,11 @@ func TestWireMulticastLostDeliveriesNotDecoded(t *testing.T) {
 	if got := src.Multicast("grp", "beacon", "x", 1); got != 0 {
 		t.Fatalf("delivered %d under total loss", got)
 	}
-	if c.encodes.Load() != 1 {
-		t.Fatalf("encodes = %d, want 1 (sender still pays serialization)", c.encodes.Load())
+	if c.encodes() != 1 {
+		t.Fatalf("encodes = %d, want 1 (sender still pays serialization)", c.encodes())
 	}
-	if c.decodes.Load() != 0 {
-		t.Fatalf("decodes = %d, want 0 for all-lost fanout", c.decodes.Load())
+	if c.decodes() != 0 {
+		t.Fatalf("decodes = %d, want 0 for all-lost fanout", c.decodes())
 	}
 }
 
@@ -147,11 +149,11 @@ func TestWireSendLostDeliveriesNotDecoded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.encodes.Load() != sends {
-		t.Fatalf("encodes = %d, want %d (sender pays serialization before the drop)", c.encodes.Load(), sends)
+	if c.encodes() != sends {
+		t.Fatalf("encodes = %d, want %d (sender pays serialization before the drop)", c.encodes(), sends)
 	}
-	if c.decodes.Load() != 0 {
-		t.Fatalf("decodes = %d, want 0 for all-lost sends", c.decodes.Load())
+	if c.decodes() != 0 {
+		t.Fatalf("decodes = %d, want 0 for all-lost sends", c.decodes())
 	}
 	if st := n.Stats(); st.Dropped != sends || st.WireDecodes != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -161,7 +163,7 @@ func TestWireSendLostDeliveriesNotDecoded(t *testing.T) {
 // TestWireEncodeErrors: an unencodable body fails the send with
 // ErrCodec, reaches nobody, and is counted.
 func TestWireEncodeErrors(t *testing.T) {
-	n, _ := wireNet(t)
+	n := NewNetwork(1)
 	a := n.Endpoint(Addr{Node: "n1", Proc: "a"}, 4)
 	b := n.Endpoint(Addr{Node: "n1", Proc: "b"}, 4)
 	b.Join("grp")
@@ -212,15 +214,15 @@ func TestWireCallRoundTrip(t *testing.T) {
 		t.Fatalf("reply body = %#v", resp.Body)
 	}
 	<-done
-	if c.encodes.Load() != 2 || c.decodes.Load() != 2 {
-		t.Fatalf("encodes=%d decodes=%d, want 2/2 (request + reply)", c.encodes.Load(), c.decodes.Load())
+	if c.encodes() != 2 || c.decodes() != 2 {
+		t.Fatalf("encodes=%d decodes=%d, want 2/2 (request + reply)", c.encodes(), c.decodes())
 	}
 }
 
 // TestWireBufferReuseIsSafe: pooled lease buffers never leak one
 // message's bytes into another's body, even under concurrency.
 func TestWireBufferReuseIsSafe(t *testing.T) {
-	n, _ := wireNet(t)
+	n := NewNetwork(1)
 	const senders, msgs = 4, 200
 	sinks := make([]*Endpoint, senders)
 	for i := range sinks {
@@ -252,5 +254,52 @@ func TestWireBufferReuseIsSafe(t *testing.T) {
 				t.Fatalf("sink %d msg %d: body %#v, want %q", i, j, msg.Body, want)
 			}
 		}
+	}
+}
+
+// TestRegisterKindTwicePanics: a kind has one layout, so a second
+// registration of it is a construction bug.
+func TestRegisterKindTwicePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second RegisterKind of one kind did not panic")
+		}
+	}()
+	RegisterKind("k", func(w Writer, _ int) (Writer, error) { return w, nil }, nil)
+}
+
+// TestUnregisteredKind: a kind without a row carries no body. A body of
+// one is refused at the sender with ErrCodec, and wire bytes of one
+// arriving from another process are dropped; both count as wire errors.
+// A nil body and empty wire pass, as a signal does.
+func TestUnregisteredKind(t *testing.T) {
+	n := NewNetwork(1)
+	a := n.Endpoint(Addr{Node: "n1", Proc: "a"}, 4)
+	b := n.Endpoint(Addr{Node: "n2", Proc: "b"}, 4)
+	b.Join("grp")
+	if err := a.Send(b.Addr(), "unregistered", "body", 0); !errors.Is(err, ErrCodec) {
+		t.Fatalf("send of a body under an unregistered kind: %v, want ErrCodec", err)
+	}
+	if got := a.Multicast("grp", "unregistered", "body", 0); got != 0 {
+		t.Fatalf("multicast of a body under an unregistered kind reached %d", got)
+	}
+	from := Addr{Node: "other", Proc: "src"}
+	if n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, []byte("p"), nil) {
+		t.Fatal("wire bytes of an unregistered kind were delivered")
+	}
+	if got := n.InjectMulticast(from, "grp", "unregistered", []byte("p"), nil); got != 0 {
+		t.Fatalf("wire bytes of an unregistered kind reached %d members", got)
+	}
+	if st := n.Stats(); st.WireErrors != 4 || st.Sent != 0 || st.McastSent != 1 || st.McastDropped != 1 {
+		t.Fatalf("stats = %+v, want 4 wire errors and nothing delivered", st)
+	}
+	if err := a.Send(b.Addr(), "unregistered", nil, 0); err != nil {
+		t.Fatalf("signal under an unregistered kind: %v", err)
+	}
+	if !n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, nil, nil) {
+		t.Fatal("empty wire of an unregistered kind was not delivered")
+	}
+	if st := n.Stats(); st.WireErrors != 4 || st.Sent != 2 {
+		t.Fatalf("stats after two signals = %+v", st)
 	}
 }

@@ -326,14 +326,6 @@ func (w *Watchdog) Stop() {
 	}
 }
 
-// Silences returns how many consecutive timeouts have fired since the
-// last Feed.
-func (w *Watchdog) Silences() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.silences
-}
-
 func (w *Watchdog) fire() {
 	w.mu.Lock()
 	if w.stopped || w.timer == nil {

@@ -196,10 +196,6 @@ func TestWatchdogCountsConsecutiveSilences(t *testing.T) {
 	if first != 1 || second != 2 {
 		t.Fatalf("silence counts = %d, %d; want 1, 2", first, second)
 	}
-	w.Feed()
-	if w.Silences() != 0 {
-		t.Fatal("Feed did not reset silence count")
-	}
 }
 
 func TestWatchdogStop(t *testing.T) {

@@ -10,19 +10,22 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/san"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.hex from the current encoder")
 
-// TestGoldenFrames pins the wire layout of every kind to bytes committed
-// under testdata/golden: each fixture is the encoding of that kind's
+// TestGoldenFrames pins the wire layout of every kind in san's table
+// (the test binary links every owner: stub, supervisor, vcache) to bytes
+// committed under testdata/golden: each fixture is the encoding of that kind's
 // wireSamples() body as of the last deliberate layout change. A frame a
 // peer built from those bytes must still decode to the same value and
 // re-encode to the same bytes, so a field added, dropped, reordered or
 // retyped fails here first and the fixture is regenerated on purpose
 // (go test ./internal/stub -run TestGoldenFrames -update), with the
 // diff of a .hex file in the PR saying which kind changed. A fixture
-// for a kind the codec no longer speaks fails too: a deleted kind's
+// for a kind the table no longer holds fails too: a deleted kind's
 // frame is removed with it, on purpose.
 func TestGoldenFrames(t *testing.T) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "golden", "*.hex"))
@@ -30,11 +33,17 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range fixtures {
-		if kind := strings.TrimSuffix(filepath.Base(path), ".hex"); !slices.Contains(WireKinds(), kind) {
+		if kind := strings.TrimSuffix(filepath.Base(path), ".hex"); !slices.Contains(san.Kinds(), kind) {
 			t.Errorf("%s: a golden frame for %q, which is not a wire kind", path, kind)
 		}
 	}
-	for kind, body := range wireSamples() {
+	samples := wireSamples()
+	for _, kind := range san.Kinds() {
+		body, ok := samples[kind]
+		if !ok {
+			t.Errorf("%s: no wire sample", kind)
+			continue
+		}
 		path := filepath.Join("testdata", "golden", kind+".hex")
 		if *updateGolden {
 			data, err := EncodeBody(kind, body)

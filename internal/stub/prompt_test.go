@@ -30,7 +30,7 @@ func (f *promptFabric) EndpointDown(san.Addr)                      {}
 // however it is sent. Every other reply (cache.got included) and every
 // one-way Send of any other kind the wire carries is false.
 func TestFabricPromptKinds(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	fab := &promptFabric{prompt: make(map[string][]bool)}
 	net.SetFabric(fab)
 	src := net.Endpoint(san.Addr{Node: "a-n0", Proc: "src"}, 8)

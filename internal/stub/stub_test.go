@@ -125,7 +125,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // newNet is a test network whose components announce once a beat.
 func newNet(beat time.Duration) *san.Network {
-	return san.NewNetwork(1, san.WithCodec(WireCodec{}), san.WithBeacon(beat))
+	return san.NewNetwork(1, san.WithBeacon(beat))
 }
 
 // feEndpoint builds a front-end-like endpoint with a manager stub and
@@ -184,7 +184,7 @@ func TestWorkerRegistersAndServes(t *testing.T) {
 // 35 ms in — so a manager hears it long before its own next beacon, here
 // one that never beacons at all.
 func TestWorkerRegistersBeforeAnyBeacon(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	listener := net.Endpoint(san.Addr{Node: "mgr", Proc: "silent"}, 64)
@@ -441,7 +441,7 @@ func TestHotUpgradeDisableEnable(t *testing.T) {
 // retryable "worker disabled", and every caller has its answer well
 // inside its call timeout.
 func TestStopDrainsHeldTasks(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wctx, stop := context.WithCancel(ctx)
@@ -502,7 +502,7 @@ func TestStopDrainsHeldTasks(t *testing.T) {
 }
 
 func TestDispatchNoWorkersAsksForSpawn(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -550,7 +550,7 @@ func TestDispatchPipelineChains(t *testing.T) {
 }
 
 func TestBeaconRemovesVanishedWorkers(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 10*time.Millisecond)
@@ -571,7 +571,7 @@ func TestBeaconRemovesVanishedWorkers(t *testing.T) {
 
 func TestRetryBackoffJitteredExponential(t *testing.T) {
 	const base = 2 * time.Millisecond
-	_, ms := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 7, RetryBackoff: base})
+	_, ms := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: base})
 
 	// Every draw for attempt n lands in [base*2^(n-1), 2*base*2^(n-1)),
 	// with the exponent capped at 6 so deep retry budgets cannot turn
@@ -591,8 +591,8 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 
 	// Same seed, same jitter sequence: retry timing stays inside the
 	// run-twice determinism contract.
-	_, ms1 := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 42, RetryBackoff: base})
-	_, ms2 := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms1 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
+	_, ms2 := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 42, RetryBackoff: base})
 	for attempt := 1; attempt <= 6; attempt++ {
 		if d1, d2 := ms1.retryBackoff(attempt), ms2.retryBackoff(attempt); d1 != d2 {
 			t.Fatalf("attempt %d: same-seed stubs drew %v vs %v", attempt, d1, d2)
@@ -600,14 +600,14 @@ func TestRetryBackoffJitteredExponential(t *testing.T) {
 	}
 
 	// Negative disables backoff outright (zero would mean "default").
-	_, msOff := feEndpoint(t, san.NewNetwork(1, san.WithCodec(WireCodec{})), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
+	_, msOff := feEndpoint(t, san.NewNetwork(1), ManagerStubConfig{Seed: 7, RetryBackoff: -time.Millisecond})
 	if d := msOff.retryBackoff(3); d != 0 {
 		t.Fatalf("disabled backoff returned %v, want 0", d)
 	}
 }
 
 func TestDispatchBacksOffBetweenRetries(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(WireCodec{}))
+	net := san.NewNetwork(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fm := newFakeManager(net, 5*time.Millisecond)

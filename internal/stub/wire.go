@@ -22,23 +22,18 @@
 //
 // The stub serves every tenant alike and imports none: a TranSend
 // distillation and a HotBot shard query are both a Task dispatched to
-// some worker of a class, and the wire codec lays out the SNS layer's
-// messages only.
+// some worker of a class. It registers the wire layouts of its own six
+// kinds in san's kind table (wire.go's init); the cache's and the
+// supervisor's kinds are theirs to lay out.
 package stub
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
-	"slices"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
-	"repro/internal/vcache"
 )
 
 // Multicast groups. Components discover each other exclusively through
@@ -159,626 +154,182 @@ type SpanDigest struct {
 // beacon interval (san.WithBeacon) and the softstate table.
 const DefaultCallTimeout = 2 * time.Second
 
-// ---------------------------------------------------------------------------
-// Wire codec.
-//
-// EncodeBodyAppend/DecodeBodyView define the production wire format for
-// every SNS message — the stub control plane, the task/result data
-// plane (HotBot's shard queries are tasks too) and the vcache cache
-// protocol: a compact, deterministic binary encoding (strings and byte
-// slices are uvarint-length-prefixed, maps are emitted in sorted key
-// order so equal values encode to equal bytes, floats are IEEE-754
-// bits). DecodeBodyView is total: malformed input yields an error,
-// never a panic or an unbounded allocation — the property the
-// FuzzWireRoundTrip fuzzer hammers on. Every san.Network outside san's
-// own tests is built with san.WithCodec(WireCodec{}), so this codec is
-// every message path; a signal without a body layout (vcache.MsgStats)
-// encodes a nil body as empty bytes.
+// The layouts of the stub's kinds: rows of san's kind table.
+func init() {
+	san.RegisterKind(MsgBeacon, appendBeacon, decodeBeacon)
+	san.RegisterKind(MsgTask, appendTask, decodeTask)
+	san.RegisterKind(MsgResult, appendResult, decodeResult)
+	san.RegisterKind(MsgSpawnReq, appendSpawnReq, decodeSpawnReq)
+	san.RegisterKind(MsgMonReport, appendReport, decodeReport)
+	san.RegisterKind(MsgSpanDigest, appendSpanDigest, decodeSpanDigest)
+}
 
-// ErrWireFormat reports a malformed or truncated wire message.
-var ErrWireFormat = errors.New("stub: malformed wire message")
-
-// WireCodec adapts the package codec to san.Codec, so a network built
-// with san.WithCodec(stub.WireCodec{}) serializes every SNS message —
-// control plane, data plane and the cache protocol — through the
-// production encoding, and decodes []byte body fields as views whose
-// deliveries carry the backing san.Lease.
+// WireCodec is empty: every network runs san's kind table. bench/ still
+// names it; it goes with ROADMAP item 20.
 type WireCodec struct{}
 
-// AppendBody implements san.Codec.
-func (WireCodec) AppendBody(dst []byte, kind string, body any) ([]byte, error) {
-	return EncodeBodyAppend(dst, kind, body)
-}
+// EncodeBody is san.AppendBody into a new buffer; it goes with item 20.
+func EncodeBody(kind string, body any) ([]byte, error) { return san.AppendBody(nil, kind, body) }
 
-// DecodeBodyView implements san.Codec.
-func (WireCodec) DecodeBodyView(kind string, data []byte) (any, bool, error) {
-	return DecodeBodyView(kind, data)
-}
-
-// EncodeBody serializes a message body for the given kind. Kinds
-// without a registered body layout (signals like vcache.MsgStats)
-// encode a nil body as empty bytes.
-func EncodeBody(kind string, body any) ([]byte, error) {
-	return EncodeBodyAppend(nil, kind, body)
-}
-
-// EncodeBodyAppend serializes a message body for the given kind into
-// dst (which may be nil or a recycled buffer; its existing contents
-// are preserved) and returns the extended slice — the zero-alloc
-// variant the SAN's pooled lease buffers use.
+// EncodeBodyAppend is san.AppendBody; it goes with item 20.
 func EncodeBodyAppend(dst []byte, kind string, body any) ([]byte, error) {
-	w := &wireWriter{buf: dst}
-	switch kind {
-	case MsgBeacon:
-		b, ok := body.(Beacon)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants Beacon, got %T", ErrWireFormat, kind, body)
-		}
-		w.addr(b.Manager)
-		w.u64(b.Seq)
-		w.u64(b.Epoch)
-		w.uvarint(uint64(len(b.Workers)))
-		for _, wi := range b.Workers {
-			w.workerInfo(wi)
-		}
-	case MsgTask:
-		m, ok := body.(TaskMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants TaskMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Task.Key)
-		w.blob(m.Task.Input)
-		w.uvarint(uint64(len(m.Task.Inputs)))
-		for _, b := range m.Task.Inputs {
-			w.blob(b)
-		}
-		w.strMap(m.Task.Profile)
-		w.strMap(m.Task.Params)
-		w.varint(m.Deadline)
-		w.uvarint(m.Trace)
-	case MsgResult:
-		m, ok := body.(ResultMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants ResultMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.blob(m.Blob)
-		w.str(m.Err)
-	case MsgSpawnReq:
-		m, ok := body.(SpawnReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants SpawnReq, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Class)
-	case MsgMonReport:
-		m, ok := body.(StatusReport)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants StatusReport, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Component)
-		w.str(m.Kind)
-		w.str(m.Node)
-		w.f64Map(m.Metrics)
-	case MsgSpanDigest:
-		m, ok := body.(SpanDigest)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants SpanDigest, got %T", ErrWireFormat, kind, body)
-		}
-		w.uvarint(uint64(len(m.Spans)))
-		for _, sp := range m.Spans {
-			w.uvarint(uint64(sp.Trace))
-			w.str(sp.Proc)
-			w.str(sp.Comp)
-			w.str(sp.Hop)
-			w.str(sp.Note)
-			w.varint(sp.Start)
-			w.varint(sp.Dur)
-		}
-	case vcache.MsgGet:
-		m, ok := body.(vcache.GetReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants vcache.GetReq, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Key)
-		w.bool(m.Stale)
-		w.str(m.Else)
-	case vcache.MsgGot:
-		m, ok := body.(vcache.GetResp)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants vcache.GetResp, got %T", ErrWireFormat, kind, body)
-		}
-		w.bool(m.Found)
-		w.bytes(m.Data)
-		w.str(m.MIME)
-		w.bool(m.Stale)
-		w.bool(m.Else)
-	case vcache.MsgPut, vcache.MsgInject:
-		m, ok := body.(vcache.PutReq)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants vcache.PutReq, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Key)
-		w.bytes(m.Data)
-		w.str(m.MIME)
-		w.varint(int64(m.TTL))
-	case vcache.MsgStatsR:
-		m, ok := body.(vcache.Stats)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants vcache.Stats, got %T", ErrWireFormat, kind, body)
-		}
-		w.u64(m.Hits)
-		w.u64(m.Misses)
-		w.u64(m.Puts)
-		w.u64(m.Injects)
-		w.u64(m.Evictions)
-		w.u64(m.Expired)
-		w.varint(m.Used)
-		w.varint(int64(m.Objects))
-	case supervisor.MsgHello:
-		m, ok := body.(supervisor.HelloMsg)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants supervisor.HelloMsg, got %T", ErrWireFormat, kind, body)
-		}
-		w.str(m.Name)
-		w.addr(m.Addr)
-		w.str(m.Node)
-		w.str(m.Prefix)
-		if len(m.Roster) > wireMaxRoster {
-			return nil, fmt.Errorf("%w: %s roster of %d rows exceeds %d", ErrWireFormat, kind, len(m.Roster), wireMaxRoster)
-		}
-		w.uvarint(uint64(len(m.Roster)))
-		for _, row := range m.Roster {
-			w.str(row.Name)
-			w.str(row.Kind)
-			w.str(row.Node)
-		}
-	case supervisor.MsgAnnounce:
-		m, ok := body.(supervisor.Member)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants supervisor.Member, got %T", ErrWireFormat, kind, body)
-		}
-		w.addr(m.Addr)
-		w.str(m.Kind)
-		w.str(m.Class)
-		w.str(m.State)
-		w.varint(int64(m.Load))
-		w.str(m.HTTPAddr)
-		w.bool(m.Overflow)
-	case supervisor.MsgCmd:
-		m, ok := body.(supervisor.Command)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants supervisor.Command, got %T", ErrWireFormat, kind, body)
-		}
-		w.u64(m.ID)
-		w.str(m.Origin)
-		w.str(m.Op)
-		w.str(m.Target)
-		w.u64(m.Epoch)
-	case supervisor.MsgAck:
-		m, ok := body.(supervisor.Ack)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s wants supervisor.Ack, got %T", ErrWireFormat, kind, body)
-		}
-		w.u64(m.ID)
-		w.bool(m.OK)
-		w.str(m.Err)
-	default:
-		if body != nil {
-			return nil, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
-		}
-	}
-	return w.buf, nil
+	return san.AppendBody(dst, kind, body)
 }
 
-// DecodeBodyView parses a message body for the given kind into the
-// concrete type EncodeBody accepts for it. []byte fields of the result
-// (blob data, cache values) alias data directly instead of copying,
-// reported by aliased=true; strings are always copied (Go string
-// conversion), so only the bulk payload bytes share memory with the
-// input. The caller owns data's lifetime: with aliased=true the result
-// is valid only while data's buffer is — the san layer pairs it with a
-// Lease. Kinds without byte-slice fields return aliased=false.
+// DecodeBodyView is san.DecodeBodyView; it goes with item 20.
 func DecodeBodyView(kind string, data []byte) (any, bool, error) {
-	r := &wireReader{buf: data}
-	var body any
-	switch kind {
-	case MsgBeacon:
-		var b Beacon
-		b.Manager = r.addr()
-		b.Seq = r.u64()
-		b.Epoch = r.u64()
-		n := r.sliceLen(wireMinWorkerInfo)
-		if n > 0 {
-			b.Workers = make([]WorkerInfo, 0, n)
-			class := ""
-			for i := 0; i < n; i++ {
-				wi := r.workerInfo(class)
-				class = wi.Class
-				b.Workers = append(b.Workers, wi)
-			}
+	return san.DecodeBodyView(kind, data)
+}
+
+func appendBeacon(w san.Writer, b Beacon) (san.Writer, error) {
+	w.Addr(b.Manager)
+	w.U64(b.Seq)
+	w.U64(b.Epoch)
+	w.Uvarint(uint64(len(b.Workers)))
+	for _, wi := range b.Workers {
+		w.Str(wi.ID)
+		w.Str(wi.Class)
+		w.Addr(wi.Addr)
+		w.Str(wi.Node)
+		w.F64(wi.QLen)
+		w.Bool(wi.Overflow)
+	}
+	return w, nil
+}
+
+// decodeBeacon reads a row's repeats without copying them — its
+// address's Proc is its ID, its Node its address's node, and rows in a
+// row share a class: every stub decodes every beacon, so a 900-worker
+// beacon costs 900 stubs 2 string allocations a row instead of 5.
+func decodeBeacon(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	b := Beacon{Manager: r.Addr(), Seq: r.U64(), Epoch: r.U64()}
+	if n := r.SliceLen(7); n > 0 { // a row is at least 7 bytes
+		b.Workers = make([]WorkerInfo, 0, n)
+		class := ""
+		for i := 0; i < n; i++ {
+			id := r.Str()
+			class = r.StrOr(class)
+			node := r.Str()
+			b.Workers = append(b.Workers, WorkerInfo{
+				ID:       id,
+				Class:    class,
+				Addr:     san.Addr{Node: node, Proc: r.StrOr(id)},
+				Node:     r.StrOr(node),
+				QLen:     r.F64(),
+				Overflow: r.Bool(),
+			})
 		}
-		body = b
-	case MsgTask:
-		var m TaskMsg
-		m.Task.Key = r.str()
-		m.Task.Input = r.blob()
-		n := r.sliceLen(wireMinBlob)
-		if n > 0 {
-			m.Task.Inputs = make([]tacc.Blob, 0, n)
-			for i := 0; i < n; i++ {
-				m.Task.Inputs = append(m.Task.Inputs, r.blob())
-			}
+	}
+	return r.Done(b)
+}
+
+func appendTask(w san.Writer, m TaskMsg) (san.Writer, error) {
+	w.Str(m.Task.Key)
+	appendBlob(&w, m.Task.Input)
+	w.Uvarint(uint64(len(m.Task.Inputs)))
+	for _, b := range m.Task.Inputs {
+		appendBlob(&w, b)
+	}
+	w.StrMap(m.Task.Profile)
+	w.StrMap(m.Task.Params)
+	w.Varint(m.Deadline)
+	w.Uvarint(m.Trace)
+	return w, nil
+}
+
+func decodeTask(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	var m TaskMsg
+	m.Task.Key = r.Str()
+	m.Task.Input = readBlob(&r)
+	if n := r.SliceLen(3); n > 0 { // a blob is at least 3 bytes
+		m.Task.Inputs = make([]tacc.Blob, 0, n)
+		for i := 0; i < n; i++ {
+			m.Task.Inputs = append(m.Task.Inputs, readBlob(&r))
 		}
-		m.Task.Profile = r.strMap()
-		m.Task.Params = r.strMap()
-		m.Deadline = r.varint()
-		m.Trace = r.uvarint()
-		body = m
-	case MsgResult:
-		body = ResultMsg{Blob: r.blob(), Err: r.str()}
-	case MsgSpawnReq:
-		body = SpawnReq{Class: r.str()}
-	case MsgMonReport:
-		body = StatusReport{Component: r.str(), Kind: r.str(), Node: r.str(), Metrics: r.f64Map()}
-	case MsgSpanDigest:
-		var m SpanDigest
-		n := r.sliceLen(wireMinSpan)
-		if n > 0 {
-			m.Spans = make([]obs.Span, 0, n)
-			for i := 0; i < n; i++ {
-				m.Spans = append(m.Spans, obs.Span{
-					Trace: obs.TraceID(r.uvarint()),
-					Proc:  r.str(),
-					Comp:  r.str(),
-					Hop:   r.str(),
-					Note:  r.str(),
-					Start: r.varint(),
-					Dur:   r.varint(),
-				})
-			}
+	}
+	m.Task.Profile = r.StrMap()
+	m.Task.Params = r.StrMap()
+	m.Deadline = r.Varint()
+	m.Trace = r.Uvarint()
+	return r.Done(m)
+}
+
+func appendResult(w san.Writer, m ResultMsg) (san.Writer, error) {
+	appendBlob(&w, m.Blob)
+	w.Str(m.Err)
+	return w, nil
+}
+
+func decodeResult(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(ResultMsg{Blob: readBlob(&r), Err: r.Str()})
+}
+
+func appendSpawnReq(w san.Writer, m SpawnReq) (san.Writer, error) {
+	w.Str(m.Class)
+	return w, nil
+}
+
+func decodeSpawnReq(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(SpawnReq{Class: r.Str()})
+}
+
+func appendReport(w san.Writer, m StatusReport) (san.Writer, error) {
+	w.Str(m.Component)
+	w.Str(m.Kind)
+	w.Str(m.Node)
+	w.F64Map(m.Metrics)
+	return w, nil
+}
+
+func decodeReport(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(StatusReport{Component: r.Str(), Kind: r.Str(), Node: r.Str(), Metrics: r.F64Map()})
+}
+
+func appendSpanDigest(w san.Writer, m SpanDigest) (san.Writer, error) {
+	w.Uvarint(uint64(len(m.Spans)))
+	for _, sp := range m.Spans {
+		w.Uvarint(uint64(sp.Trace))
+		w.Str(sp.Proc)
+		w.Str(sp.Comp)
+		w.Str(sp.Hop)
+		w.Str(sp.Note)
+		w.Varint(sp.Start)
+		w.Varint(sp.Dur)
+	}
+	return w, nil
+}
+
+func decodeSpanDigest(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	var m SpanDigest
+	if n := r.SliceLen(7); n > 0 { // a span is at least 7 bytes
+		m.Spans = make([]obs.Span, 0, n)
+		for i := 0; i < n; i++ {
+			m.Spans = append(m.Spans, obs.Span{
+				Trace: obs.TraceID(r.Uvarint()),
+				Proc:  r.Str(),
+				Comp:  r.Str(),
+				Hop:   r.Str(),
+				Note:  r.Str(),
+				Start: r.Varint(),
+				Dur:   r.Varint(),
+			})
 		}
-		body = m
-	case vcache.MsgGet:
-		body = vcache.GetReq{Key: r.str(), Stale: r.bool(), Else: r.str()}
-	case vcache.MsgGot:
-		body = vcache.GetResp{Found: r.bool(), Data: r.bytes(), MIME: r.str(), Stale: r.bool(), Else: r.bool()}
-	case vcache.MsgPut, vcache.MsgInject:
-		body = vcache.PutReq{Key: r.str(), Data: r.bytes(), MIME: r.str(), TTL: time.Duration(r.varint())}
-	case vcache.MsgStatsR:
-		body = vcache.Stats{
-			Hits:      r.u64(),
-			Misses:    r.u64(),
-			Puts:      r.u64(),
-			Injects:   r.u64(),
-			Evictions: r.u64(),
-			Expired:   r.u64(),
-			Used:      r.varint(),
-			Objects:   int(r.varint()),
-		}
-	case supervisor.MsgHello:
-		m := supervisor.HelloMsg{Name: r.str(), Addr: r.addr(), Node: r.str(), Prefix: r.str()}
-		n := r.sliceLen(wireMinRow)
-		if n > wireMaxRoster {
-			r.fail()
-		} else if n > 0 {
-			m.Roster = make([]supervisor.Row, 0, n)
-			for i := 0; i < n; i++ {
-				m.Roster = append(m.Roster, supervisor.Row{Name: r.str(), Kind: r.str(), Node: r.str()})
-			}
-		}
-		body = m
-	case supervisor.MsgAnnounce:
-		body = supervisor.Member{Addr: r.addr(), Kind: r.str(), Class: r.str(), State: r.str(), Load: int(r.varint()), HTTPAddr: r.str(), Overflow: r.bool()}
-	case supervisor.MsgCmd:
-		body = supervisor.Command{ID: r.u64(), Origin: r.str(), Op: r.str(), Target: r.str(), Epoch: r.u64()}
-	case supervisor.MsgAck:
-		body = supervisor.Ack{ID: r.u64(), OK: r.bool(), Err: r.str()}
-	default:
-		if len(data) != 0 {
-			return nil, false, fmt.Errorf("%w: kind %q carries no body layout", ErrWireFormat, kind)
-		}
-		return nil, false, nil
 	}
-	if r.err != nil {
-		return nil, false, r.err
-	}
-	if len(r.buf) != r.pos {
-		return nil, false, fmt.Errorf("%w: %d trailing bytes", ErrWireFormat, len(r.buf)-r.pos)
-	}
-	return body, r.aliased, nil
+	return r.Done(m)
 }
 
-// WireKinds lists every kind with a registered body layout, sorted —
-// the fuzzer's kind table.
-func WireKinds() []string {
-	return []string{
-		MsgBeacon, MsgMonReport, MsgResult, MsgSpawnReq, MsgSpanDigest, MsgTask,
-		supervisor.MsgAck, supervisor.MsgAnnounce, supervisor.MsgCmd, supervisor.MsgHello,
-		vcache.MsgGet, vcache.MsgGot, vcache.MsgInject, vcache.MsgPut, vcache.MsgStatsR,
-	}
+func appendBlob(w *san.Writer, b tacc.Blob) {
+	w.Str(b.MIME)
+	w.Bytes(b.Data)
+	w.StrMap(b.Meta)
 }
 
-// Minimum encoded sizes, used to bound slice preallocation against
-// attacker-controlled counts: a claimed N-element slice needs at
-// least N*min bytes of remaining input.
-const (
-	wireMinWorkerInfo = 7 // 4 empty strings + f64 varint + bool + 2 more strings? conservative floor
-	wireMinBlob       = 3 // empty MIME + empty data + empty meta
-	wireMinSpan       = 7 // trace uvarint + 4 empty strings + 2 varints
-	wireMinRow        = 3 // three empty strings
-)
-
-// wireMaxRoster bounds the component-table rows one supervisor hello
-// may carry, on both sides: a longer roster is refused whole, never cut
-// short — a manager handed half a table would stop watching the rest.
-const wireMaxRoster = 1024
-
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *wireWriter) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *wireWriter) u64(v uint64)     { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *wireWriter) f64(v float64)    { w.u64(math.Float64bits(v)) }
-func (w *wireWriter) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	w.buf = append(w.buf, b)
-}
-
-func (w *wireWriter) bytes(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-func (w *wireWriter) str(s string) { w.bytes([]byte(s)) }
-
-func (w *wireWriter) addr(a san.Addr) {
-	w.str(a.Node)
-	w.str(a.Proc)
-}
-
-func (w *wireWriter) workerInfo(i WorkerInfo) {
-	w.str(i.ID)
-	w.str(i.Class)
-	w.addr(i.Addr)
-	w.str(i.Node)
-	w.f64(i.QLen)
-	w.bool(i.Overflow)
-}
-
-func (w *wireWriter) blob(b tacc.Blob) {
-	w.str(b.MIME)
-	w.bytes(b.Data)
-	w.strMap(b.Meta)
-}
-
-// sortedKeys collects and sorts a map's keys, using the caller's
-// stack-backed scratch array when it fits so typical small maps
-// (profiles, metrics) sort without a heap allocation.
-func sortedKeys[V any](m map[string]V, scratch *[8]string) []string {
-	var keys []string
-	if len(m) <= len(scratch) {
-		keys = scratch[:0]
-	} else {
-		keys = make([]string, 0, len(m))
-	}
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// strMap encodes a map in sorted key order: equal maps always yield
-// equal bytes.
-func (w *wireWriter) strMap(m map[string]string) {
-	var scratch [8]string
-	keys := sortedKeys(m, &scratch)
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		w.str(m[k])
-	}
-}
-
-func (w *wireWriter) f64Map(m map[string]float64) {
-	var scratch [8]string
-	keys := sortedKeys(m, &scratch)
-	w.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.str(k)
-		w.f64(m[k])
-	}
-}
-
-// wireReader parses with sticky errors: after the first failure every
-// accessor returns zero values, so decode paths need no per-field
-// error plumbing. bytes() returns subslices of buf instead of copies
-// and records that it did, so the caller knows the result aliases the
-// input.
-type wireReader struct {
-	buf     []byte
-	pos     int
-	err     error
-	aliased bool
-}
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = ErrWireFormat
-	}
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wireReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.pos >= len(r.buf) {
-		r.fail()
-		return false
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	if b > 1 {
-		r.fail()
-		return false
-	}
-	return b == 1
-}
-
-func (r *wireReader) bytes() []byte {
-	raw := r.raw()
-	if len(raw) == 0 {
-		return nil
-	}
-	r.aliased = true
-	// Capacity-capped so an append by the consumer reallocates instead
-	// of scribbling over the rest of the receive buffer.
-	return raw[:len(raw):len(raw)]
-}
-
-// raw reads a length-prefixed field as a subslice of the input — no
-// copy, no aliased mark. Callers either copy it themselves (str: the
-// string conversion is the copy) or mark it via bytes().
-func (r *wireReader) raw() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		r.fail()
-		return nil
-	}
-	out := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return out
-}
-
-func (r *wireReader) str() string { return string(r.raw()) }
-
-// sliceLen reads an element count and bounds it by the bytes left:
-// each element needs at least min bytes, so a count the remaining
-// input cannot possibly satisfy is rejected before any allocation.
-func (r *wireReader) sliceLen(min int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64((len(r.buf)-r.pos)/min)+1 {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *wireReader) addr() san.Addr {
-	return san.Addr{Node: r.str(), Proc: r.str()}
-}
-
-// workerInfo reads one beacon row. A row repeats itself — its address's
-// Proc is its ID, its Node its address's node, and rows in a row share a
-// class (prevClass) — and those fields reuse the string already read:
-// every stub decodes every beacon, so a 900-worker beacon costs 900
-// stubs 2 string allocations a row instead of 5.
-func (r *wireReader) workerInfo(prevClass string) WorkerInfo {
-	id := r.str()
-	class := r.strOr(prevClass)
-	node := r.str()
-	return WorkerInfo{
-		ID:       id,
-		Class:    class,
-		Addr:     san.Addr{Node: node, Proc: r.strOr(id)},
-		Node:     r.strOr(node),
-		QLen:     r.f64(),
-		Overflow: r.bool(),
-	}
-}
-
-// strOr reads a string field, returning same rather than a copy when the
-// bytes are equal.
-func (r *wireReader) strOr(same string) string {
-	if raw := r.raw(); string(raw) != same {
-		return string(raw)
-	}
-	return same
-}
-
-func (r *wireReader) blob() tacc.Blob {
-	return tacc.Blob{MIME: r.str(), Data: r.bytes(), Meta: r.strMap()}
-}
-
-func (r *wireReader) strMap() map[string]string {
-	n := r.sliceLen(2)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := r.str()
-		v := r.str()
-		if r.err != nil {
-			return nil
-		}
-		m[k] = v
-	}
-	return m
-}
-
-func (r *wireReader) f64Map() map[string]float64 {
-	n := r.sliceLen(9)
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]float64, n)
-	for i := 0; i < n; i++ {
-		k := r.str()
-		v := r.f64()
-		if r.err != nil {
-			return nil
-		}
-		m[k] = v
-	}
-	return m
+func readBlob(r *san.Reader) tacc.Blob {
+	return tacc.Blob{MIME: r.Str(), Data: r.Bytes(), Meta: r.StrMap()}
 }

@@ -129,13 +129,17 @@ func helloWithRoster(rows int) supervisor.HelloMsg {
 	return hb
 }
 
+// maxRoster is the supervisor's bound on a hello's roster rows, pinned
+// here as part of the layout.
+const maxRoster = 1024
+
 // TestHelloRosterRoundTrip: a hello carries a roster of any length up
-// to the codec's bound exactly; one row past it is refused whole by the
+// to the layout's bound exactly; one row past it is refused whole by the
 // encoder and, hand-framed, by the decoder — never cut short. The
 // roster count is part of the layout: a hello that ends before it (as
 // one did before rosters existed) is refused as truncated.
 func TestHelloRosterRoundTrip(t *testing.T) {
-	for _, rows := range []int{0, 1, 12, wireMaxRoster} {
+	for _, rows := range []int{0, 1, 12, maxRoster} {
 		want := helloWithRoster(rows)
 		data, err := EncodeBody(supervisor.MsgHello, want)
 		if err != nil {
@@ -146,26 +150,26 @@ func TestHelloRosterRoundTrip(t *testing.T) {
 			t.Fatalf("%d rows: round trip err=%v\n got %#v\nwant %#v", rows, err, got, want)
 		}
 	}
-	over := helloWithRoster(wireMaxRoster + 1)
-	if _, err := EncodeBody(supervisor.MsgHello, over); !errors.Is(err, ErrWireFormat) {
+	over := helloWithRoster(maxRoster + 1)
+	if _, err := EncodeBody(supervisor.MsgHello, over); !errors.Is(err, san.ErrWireFormat) {
 		t.Fatalf("encoder accepted %d rows: %v", len(over.Roster), err)
 	}
-	w := &wireWriter{}
-	w.str(over.Name)
-	w.addr(over.Addr)
-	w.str(over.Node)
-	w.str(over.Prefix)
-	old := append([]byte(nil), w.buf...)
-	w.uvarint(uint64(len(over.Roster)))
+	w := &san.Writer{}
+	w.Str(over.Name)
+	w.Addr(over.Addr)
+	w.Str(over.Node)
+	w.Str(over.Prefix)
+	old := append([]byte(nil), *w...)
+	w.Uvarint(uint64(len(over.Roster)))
 	for _, row := range over.Roster {
-		w.str(row.Name)
-		w.str(row.Kind)
-		w.str(row.Node)
+		w.Str(row.Name)
+		w.Str(row.Kind)
+		w.Str(row.Node)
 	}
-	if _, err := decode(supervisor.MsgHello, w.buf); !errors.Is(err, ErrWireFormat) {
+	if _, err := decode(supervisor.MsgHello, *w); !errors.Is(err, san.ErrWireFormat) {
 		t.Fatalf("decoder accepted %d rows: %v", len(over.Roster), err)
 	}
-	if got, err := decode(supervisor.MsgHello, old); !errors.Is(err, ErrWireFormat) {
+	if got, err := decode(supervisor.MsgHello, old); !errors.Is(err, san.ErrWireFormat) {
 		t.Fatalf("roster-less hello decoded to %#v, %v; want ErrWireFormat", got, err)
 	}
 }
@@ -204,13 +208,13 @@ func TestWireRoundTrip(t *testing.T) {
 // the codec registers has a seed sample.
 func TestWireSamplesCoverEveryKind(t *testing.T) {
 	samples := wireSamples()
-	for _, kind := range WireKinds() {
+	for _, kind := range san.Kinds() {
 		if _, ok := samples[kind]; !ok {
 			t.Errorf("no wire sample for kind %q", kind)
 		}
 	}
-	if len(samples) != len(WireKinds()) {
-		t.Errorf("%d samples for %d kinds", len(samples), len(WireKinds()))
+	if len(samples) != len(san.Kinds()) {
+		t.Errorf("%d samples for %d kinds", len(samples), len(san.Kinds()))
 	}
 }
 
@@ -317,7 +321,7 @@ func TestProbeWireFields(t *testing.T) {
 			if got, err := decode(kind, data); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: decode %+v, %v; want %+v", kind, got, err, want)
 			}
-			if _, err := decode(kind, data[:len(data)-1]); !errors.Is(err, ErrWireFormat) {
+			if _, err := decode(kind, data[:len(data)-1]); !errors.Is(err, san.ErrWireFormat) {
 				t.Fatalf("%s %+v: frame cut before its last field decoded: %v", kind, want, err)
 			}
 		}
@@ -333,7 +337,7 @@ func TestProbeWireFields(t *testing.T) {
 // hammers the append path the SAN's lease buffers use. A decode that
 // reports aliased=false must share no memory with its input.
 func FuzzWireRoundTrip(f *testing.F) {
-	kinds := WireKinds()
+	kinds := san.Kinds()
 	for i, kind := range kinds {
 		data, err := EncodeBody(kind, wireSamples()[kind])
 		if err != nil {

@@ -170,6 +170,93 @@ type Ack struct {
 	Err string // empty when OK
 }
 
+// The layouts of the supervisor's kinds: rows of san's kind table.
+func init() {
+	san.RegisterKind(MsgHello, appendHello, decodeHello)
+	san.RegisterKind(MsgAnnounce, appendMember, decodeMember)
+	san.RegisterKind(MsgCmd, appendCommand, decodeCommand)
+	san.RegisterKind(MsgAck, appendAck, decodeAck)
+}
+
+// maxRoster bounds the component-table rows one hello may carry, on
+// both sides: a longer roster is refused whole, never cut short — a
+// manager handed half a table would stop watching the rest.
+const maxRoster = 1024
+
+func appendHello(w san.Writer, m HelloMsg) (san.Writer, error) {
+	if len(m.Roster) > maxRoster {
+		return nil, fmt.Errorf("%w: %s roster of %d rows exceeds %d", san.ErrWireFormat, MsgHello, len(m.Roster), maxRoster)
+	}
+	w.Str(m.Name)
+	w.Addr(m.Addr)
+	w.Str(m.Node)
+	w.Str(m.Prefix)
+	w.Uvarint(uint64(len(m.Roster)))
+	for _, row := range m.Roster {
+		w.Str(row.Name)
+		w.Str(row.Kind)
+		w.Str(row.Node)
+	}
+	return w, nil
+}
+
+func decodeHello(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	m := HelloMsg{Name: r.Str(), Addr: r.Addr(), Node: r.Str(), Prefix: r.Str()}
+	n := r.SliceLen(3) // a row is at least three empty strings
+	if n > maxRoster {
+		r.Fail()
+	} else if n > 0 {
+		m.Roster = make([]Row, 0, n)
+		for i := 0; i < n; i++ {
+			m.Roster = append(m.Roster, Row{Name: r.Str(), Kind: r.Str(), Node: r.Str()})
+		}
+	}
+	return r.Done(m)
+}
+
+func appendMember(w san.Writer, m Member) (san.Writer, error) {
+	w.Addr(m.Addr)
+	w.Str(m.Kind)
+	w.Str(m.Class)
+	w.Str(m.State)
+	w.Varint(int64(m.Load))
+	w.Str(m.HTTPAddr)
+	w.Bool(m.Overflow)
+	return w, nil
+}
+
+func decodeMember(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(Member{Addr: r.Addr(), Kind: r.Str(), Class: r.Str(), State: r.Str(), Load: int(r.Varint()), HTTPAddr: r.Str(), Overflow: r.Bool()})
+}
+
+func appendCommand(w san.Writer, m Command) (san.Writer, error) {
+	w.U64(m.ID)
+	w.Str(m.Origin)
+	w.Str(m.Op)
+	w.Str(m.Target)
+	w.U64(m.Epoch)
+	return w, nil
+}
+
+func decodeCommand(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(Command{ID: r.U64(), Origin: r.Str(), Op: r.Str(), Target: r.Str(), Epoch: r.U64()})
+}
+
+func appendAck(w san.Writer, m Ack) (san.Writer, error) {
+	w.U64(m.ID)
+	w.Bool(m.OK)
+	w.Str(m.Err)
+	return w, nil
+}
+
+func decodeAck(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(Ack{ID: r.U64(), OK: r.Bool(), Err: r.Str()})
+}
+
 // Host is the supervisor's lever on its own process — the platform
 // layer (core.System) implements it. All methods act locally: a
 // component another process hosts is that process's supervisor's

@@ -68,7 +68,7 @@ const softCap = 4
 // client endpoint for issuing commands.
 func startSup(t *testing.T, host supervisor.Host) (*supervisor.Supervisor, *san.Endpoint) {
 	t.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
+	net := san.NewNetwork(1, san.WithBeacon(5*time.Millisecond))
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "b-", Host: host,
 	})
@@ -323,7 +323,7 @@ func TestOwnerTieGoesToLowestAddress(t *testing.T) {
 // hard cap, and results past their retention age, may be shed.
 func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		ResultCacheCap:  softCap,
@@ -380,7 +380,7 @@ func TestResultCacheRetentionUnderRetryStorm(t *testing.T) {
 // the retry contract the window encodes.
 func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(2, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(2)
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		ResultCacheCap:  softCap,
@@ -414,7 +414,7 @@ func TestResultCacheAgedEvictionRestoresCapacity(t *testing.T) {
 // tooling.
 func TestStaleEpochCommandFenced(t *testing.T) {
 	host := newFakeHost()
-	net := san.NewNetwork(3, san.WithCodec(stub.WireCodec{}), san.WithBeacon(5*time.Millisecond))
+	net := san.NewNetwork(3, san.WithBeacon(5*time.Millisecond))
 	sup := supervisor.New(supervisor.Config{
 		Name: "sup", Node: "n0", Net: net, Prefix: "n", Host: host,
 		EpochFrom: func(kind string, body any) (uint64, bool) {

@@ -41,7 +41,7 @@ func (p *relayPair) newRelayClient(net *san.Network, node, proc string) *vcache.
 
 func startRelayPair(tb testing.TB) *relayPair {
 	tb.Helper()
-	netA, netB := newWireNet(1), newWireNet(2)
+	netA, netB := san.NewNetwork(1), san.NewNetwork(2)
 	tb.Cleanup(func() { netA.Close() })
 	tb.Cleanup(func() { netB.Close() })
 	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
@@ -199,7 +199,7 @@ func TestCacheWritesAcrossEndpoints(t *testing.T) {
 		}
 	}
 
-	netC := newWireNet(3)
+	netC := san.NewNetwork(3)
 	t.Cleanup(netC.Close)
 	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{pair.bb.Advertise()}})
 	if err != nil {

@@ -16,16 +16,11 @@ import (
 	"repro/internal/vcache"
 )
 
-// newWireNet builds a network carrying the production codec.
-func newWireNet(seed int64) *san.Network {
-	return san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
-}
-
 // bridgePair splices two fresh networks over loopback TCP and waits
 // for the mesh to form. A owns the "a-" nodes, B the "b-" nodes.
 func bridgePair(t *testing.T) (*san.Network, *san.Network, *Bridge, *Bridge) {
 	t.Helper()
-	netA, netB := newWireNet(1), newWireNet(2)
+	netA, netB := san.NewNetwork(1), san.NewNetwork(2)
 	ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +203,7 @@ func TestBridgeBurstBatches(t *testing.T) {
 // waits until all three are connected.
 func joinThird(t *testing.T, ba *Bridge) (*san.Network, *Bridge) {
 	t.Helper()
-	netC := newWireNet(3)
+	netC := san.NewNetwork(3)
 	t.Cleanup(netC.Close)
 	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{ba.Advertise()}})
 	if err != nil {
@@ -442,7 +437,7 @@ func TestBridgeCallEndsWhenCalleeCloses(t *testing.T) {
 func TestBridgeMeshGossip(t *testing.T) {
 	netA, _, ba, _ := bridgePair(t)
 	_ = netA
-	netC := newWireNet(3)
+	netC := san.NewNetwork(3)
 	bc, err := New(Config{Net: netC, Listen: "tcp:127.0.0.1:0", ID: "c-", Join: []string{ba.Advertise()}})
 	if err != nil {
 		t.Fatal(err)
@@ -499,7 +494,7 @@ func TestBridgeReconnect(t *testing.T) {
 // the zero-config local deployment mode.
 func TestBridgeUnixSocket(t *testing.T) {
 	dir := t.TempDir()
-	netA, netB := newWireNet(1), newWireNet(2)
+	netA, netB := san.NewNetwork(1), san.NewNetwork(2)
 	ba, err := New(Config{Net: netA, Listen: "unix:" + dir + "/a.sock", ID: "ua"})
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +537,7 @@ func TestBridgeRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Listen: "tcp:127.0.0.1:0"}); err == nil {
 		t.Fatal("bridge accepted a nil network")
 	}
-	if _, err := New(Config{Net: newWireNet(1), Listen: ""}); err == nil {
+	if _, err := New(Config{Net: san.NewNetwork(1), Listen: ""}); err == nil {
 		t.Fatal("bridge accepted an empty listen address")
 	}
 }
@@ -553,7 +548,7 @@ func TestBridgeRejectsBadConfig(t *testing.T) {
 func TestBridgeTeardownNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		netA, netB := newWireNet(10), newWireNet(11)
+		netA, netB := san.NewNetwork(10), san.NewNetwork(11)
 		ba, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: fmt.Sprintf("la%d", i)})
 		if err != nil {
 			t.Fatal(err)

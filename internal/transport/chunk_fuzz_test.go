@@ -6,15 +6,13 @@ import (
 	"repro/internal/san"
 )
 
-// rawCodec carries a []byte body as itself and decodes a view of it, so
-// a delivery holds its reassembly lease exactly as a real consumer does.
-type rawCodec struct{}
-
-func (rawCodec) AppendBody(dst []byte, _ string, body any) ([]byte, error) {
-	return append(dst, body.([]byte)...), nil
+// Kind "blob" carries a []byte body as itself and decodes a view of it,
+// so a delivery holds its reassembly lease exactly as a real consumer
+// does.
+func init() {
+	san.RegisterKind("blob", func(w san.Writer, body []byte) (san.Writer, error) { return append(w, body...), nil },
+		func(data []byte) (any, bool, error) { return data, true, nil })
 }
-
-func (rawCodec) DecodeBodyView(_ string, data []byte) (any, bool, error) { return data, true, nil }
 
 // senderByte is byte pos of stream id's body as its sender wrote it.
 func senderByte(id uint64, pos int) byte { return byte(id*31 + uint64(pos)*7 + 1) }
@@ -48,7 +46,7 @@ func FuzzChunkReassembly(f *testing.F) {
 	}
 	f.Add(interleaved)
 
-	net := san.NewNetwork(1, san.WithCodec(rawCodec{}))
+	net := san.NewNetwork(1)
 	defer net.Close()
 	from, to := san.Addr{Node: "x", Proc: "src"}, san.Addr{Node: "y", Proc: "dst"}
 	f.Fuzz(func(t *testing.T, ops []byte) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/san"
-	"repro/internal/stub"
 	"repro/internal/vcache"
 )
 
@@ -25,7 +24,7 @@ import (
 // paths need — counters, frame pool, and a network for injection —
 // without listeners or real peers.
 func newChunkBridge() *Bridge {
-	b := &Bridge{net: newWireNet(1)}
+	b := &Bridge{net: san.NewNetwork(1)}
 	b.framePool.New = func() any {
 		buf := make([]byte, 0, 2048)
 		return &buf
@@ -364,10 +363,10 @@ func TestChunkStrayFragmentAllocatesNothing(t *testing.T) {
 // released there, nothing parked in the caller's inbox for a loop to
 // find (or, with no loop, to pin the receive buffer forever).
 func TestAbandonedReplyLeaseBalance(t *testing.T) {
-	net := newWireNet(1)
+	net := san.NewNetwork(1)
 	caller := net.Endpoint(san.Addr{Node: "a", Proc: "fe0"}, 4)
 	l := san.NewLease(4096)
-	wire, err := stub.WireCodec{}.AppendBody(l.Bytes(), vcache.MsgGot, vcache.GetResp{Found: true, Data: make([]byte, 2048)})
+	wire, err := san.AppendBody(l.Bytes(), vcache.MsgGot, vcache.GetResp{Found: true, Data: make([]byte, 2048)})
 	if err != nil {
 		t.Fatal(err)
 	}

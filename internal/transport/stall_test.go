@@ -44,7 +44,7 @@ const stall = 500 * time.Millisecond
 // the test's.
 func stalledPeer(t *testing.T, procs ...string) (*san.Network, []*san.Endpoint, *peer, stalledWriter) {
 	t.Helper()
-	netA := newWireNet(1)
+	netA := san.NewNetwork(1)
 	t.Cleanup(netA.Close)
 	b, err := New(Config{Net: netA, Listen: "tcp:127.0.0.1:0", ID: "a-"})
 	if err != nil {

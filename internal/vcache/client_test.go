@@ -1,7 +1,6 @@
-package vcache_test
+package vcache
 
-// The client against live partitions, over a SAN running stub's codec
-// (an external test package: stub imports vcache).
+// The client against live partitions over a SAN.
 
 import (
 	"context"
@@ -11,22 +10,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/san"
-	"repro/internal/stub"
-	"repro/internal/vcache"
 )
 
 // startCacheCluster boots n cache services and returns a client wired
 // to all of them plus a cleanup func.
-func startCacheCluster(t *testing.T, n int) (*vcache.Client, *cluster.Cluster) {
+func startCacheCluster(t *testing.T, n int) (*Client, *cluster.Cluster) {
 	t.Helper()
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	cl := cluster.New(net)
-	client := vcache.NewClient(clientEndpoint(t, net))
+	client := NewClient(clientEndpoint(t, net))
 	for i := 0; i < n; i++ {
 		node := fmt.Sprintf("cnode%d", i)
 		cl.AddNode(node, false)
 		name := fmt.Sprintf("cache%d", i)
-		svc := vcache.NewService(name, net, node, vcache.NewPartition(1<<20, nil))
+		svc := NewService(name, net, node, NewPartition(1<<20, nil))
 		if _, err := cl.Spawn(node, svc); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +78,7 @@ func TestClientNodeLossIsAMiss(t *testing.T) {
 	var key string
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if client.PartitionOf(k) == "cache1" {
+		if client.ring.Lookup(objectOf(k)) == "cache1" {
 			key = k
 			break
 		}
@@ -113,9 +110,9 @@ func TestClientNodeLossIsAMiss(t *testing.T) {
 // hang this test rather than slow it. Once the endpoint is dropped the
 // SAN refuses the send, which the caller sees only as a counter.
 func TestClientWritesAreOneWay(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	silent := net.Endpoint(san.Addr{Node: "cnode", Proc: "silent"}, 8)
-	client := vcache.NewClient(clientEndpoint(t, net))
+	client := NewClient(clientEndpoint(t, net))
 	client.Timeout = time.Hour
 	client.AddNode("silent", silent.Addr())
 	ctx := context.Background()
@@ -158,8 +155,8 @@ func TestClientInjectAndStats(t *testing.T) {
 }
 
 func TestClientEmptyRing(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
-	client := vcache.NewClient(clientEndpoint(t, net))
+	net := san.NewNetwork(1)
+	client := NewClient(clientEndpoint(t, net))
 	if _, _, ok := client.Get(context.Background(), "x"); ok {
 		t.Fatal("hit with no partitions")
 	}
@@ -167,16 +164,16 @@ func TestClientEmptyRing(t *testing.T) {
 }
 
 func TestServiceTimeModel(t *testing.T) {
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	cl := cluster.New(net)
 	cl.AddNode("c0", false)
-	svc := vcache.NewService("cache0", net, "c0", vcache.NewPartition(1<<20, nil))
+	svc := NewService("cache0", net, "c0", NewPartition(1<<20, nil))
 	svc.ServiceTime = func() time.Duration { return 20 * time.Millisecond }
 	if _, err := cl.Spawn("c0", svc); err != nil {
 		t.Fatal(err)
 	}
 	defer cl.StopAll()
-	client := vcache.NewClient(clientEndpoint(t, net))
+	client := NewClient(clientEndpoint(t, net))
 	client.AddNode("cache0", san.Addr{Node: "c0", Proc: "cache0"})
 	ctx := context.Background()
 	client.Put(ctx, "k", []byte("v"), "b", 0)

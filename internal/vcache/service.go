@@ -71,6 +71,81 @@ type PutReq struct {
 	TTL  time.Duration
 }
 
+// The layouts of the cache protocol: rows of san's kind table (MsgStats,
+// a signal, has none).
+func init() {
+	san.RegisterKind(MsgGet, appendGet, decodeGet)
+	san.RegisterKind(MsgGot, appendGot, decodeGot)
+	san.RegisterKind(MsgPut, appendPut, decodePut)
+	san.RegisterKind(MsgInject, appendPut, decodePut)
+	san.RegisterKind(MsgStatsR, appendStats, decodeStats)
+}
+
+func appendGet(w san.Writer, m GetReq) (san.Writer, error) {
+	w.Str(m.Key)
+	w.Bool(m.Stale)
+	w.Str(m.Else)
+	return w, nil
+}
+
+func decodeGet(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(GetReq{Key: r.Str(), Stale: r.Bool(), Else: r.Str()})
+}
+
+func appendGot(w san.Writer, m GetResp) (san.Writer, error) {
+	w.Bool(m.Found)
+	w.Bytes(m.Data)
+	w.Str(m.MIME)
+	w.Bool(m.Stale)
+	w.Bool(m.Else)
+	return w, nil
+}
+
+func decodeGot(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(GetResp{Found: r.Bool(), Data: r.Bytes(), MIME: r.Str(), Stale: r.Bool(), Else: r.Bool()})
+}
+
+func appendPut(w san.Writer, m PutReq) (san.Writer, error) {
+	w.Str(m.Key)
+	w.Bytes(m.Data)
+	w.Str(m.MIME)
+	w.Varint(int64(m.TTL))
+	return w, nil
+}
+
+func decodePut(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(PutReq{Key: r.Str(), Data: r.Bytes(), MIME: r.Str(), TTL: time.Duration(r.Varint())})
+}
+
+func appendStats(w san.Writer, m Stats) (san.Writer, error) {
+	w.U64(m.Hits)
+	w.U64(m.Misses)
+	w.U64(m.Puts)
+	w.U64(m.Injects)
+	w.U64(m.Evictions)
+	w.U64(m.Expired)
+	w.Varint(m.Used)
+	w.Varint(int64(m.Objects))
+	return w, nil
+}
+
+func decodeStats(data []byte) (any, bool, error) {
+	r := san.NewReader(data)
+	return r.Done(Stats{
+		Hits:      r.U64(),
+		Misses:    r.U64(),
+		Puts:      r.U64(),
+		Injects:   r.U64(),
+		Evictions: r.U64(),
+		Expired:   r.U64(),
+		Used:      r.Varint(),
+		Objects:   int(r.Varint()),
+	})
+}
+
 // Service hosts one cache partition on a cluster node. It implements
 // cluster.Process.
 type Service struct {

@@ -1,8 +1,6 @@
-package vcache_test
+package vcache
 
-// View-mode equivalence over a SAN running the production codec
-// (external test package: the codec lives in stub, which itself imports
-// vcache).
+// View-mode equivalence over a SAN.
 // Get and GetView must be observationally identical — same data, mime,
 // and hit/miss verdicts — and the copy-on-retain discipline must hold:
 // bytes a caller keeps past release stay stable while the zero-copy
@@ -17,31 +15,29 @@ import (
 	"time"
 
 	"repro/internal/san"
-	"repro/internal/stub"
-	"repro/internal/vcache"
 )
 
-func startViewCache(t *testing.T) *vcache.Client {
+func startViewCache(t *testing.T) *Client {
 	t.Helper()
-	client, _ := startViewCacheOn(t, vcache.NewPartition(1<<20, nil))
+	client, _ := startViewCacheOn(t, NewPartition(1<<20, nil))
 	return client
 }
 
 // startViewCacheOn serves part over the SAN and returns a
 // client of it, and the network for tests that add endpoints.
-func startViewCacheOn(t *testing.T, part *vcache.Partition) (*vcache.Client, *san.Network) {
+func startViewCacheOn(t *testing.T, part *Partition) (*Client, *san.Network) {
 	t.Helper()
 	// Every delivery decodes views: cache responses arrive as leased
 	// buffers, exactly as in production.
-	net := san.NewNetwork(1, san.WithCodec(stub.WireCodec{}))
+	net := san.NewNetwork(1)
 	t.Cleanup(net.Close)
-	svc := vcache.NewService("cache0", net, "cnode", part)
+	svc := NewService("cache0", net, "cnode", part)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go func() { _ = svc.Run(ctx) }()
 
 	ep := net.Endpoint(san.Addr{Node: "fe", Proc: "client"}, 256)
-	client := vcache.NewClient(ep)
+	client := NewClient(ep)
 	client.AddNode("cache0", svc.Addr())
 	return client, net
 }
@@ -130,7 +126,7 @@ func TestGetViewCopyOnRetain(t *testing.T) {
 // see them.
 func TestProbePairTable(t *testing.T) {
 	var now atomic.Int64
-	part := vcache.NewPartition(1<<20, func() time.Time { return time.Unix(0, now.Load()) })
+	part := NewPartition(1<<20, func() time.Time { return time.Unix(0, now.Load()) })
 	client, _ := startViewCacheOn(t, part)
 	ctx := context.Background()
 	put := func(key, body string, ttl time.Duration) {
@@ -196,7 +192,7 @@ func TestProbePairTable(t *testing.T) {
 // a paired probe its Timeout and reads as a miss; one whose endpoint is
 // gone is refused at once.
 func TestProbeDeadPartitionIsAMiss(t *testing.T) {
-	client, net := startViewCacheOn(t, vcache.NewPartition(1<<20, nil))
+	client, net := startViewCacheOn(t, NewPartition(1<<20, nil))
 	silent := net.Endpoint(san.Addr{Node: "cnode", Proc: "silent"}, 8)
 	client.RemoveNode("cache0")
 	client.AddNode("silent", silent.Addr())

@@ -20,9 +20,15 @@ var snsLayer = []string{
 // tenants are the two services built on the layer (§3.2, Table 1).
 var tenants = []string{"search", "distiller"}
 
-// TestLayering fails when an SNS package depends on a tenant, directly
-// or transitively. It reads the import clauses of every non-test file
-// under internal/ — nothing is type-checked or built.
+// ownerOnly lists, per SNS package, layers it must not reach either:
+// san holds the wire layouts and each owner registers its own, so the
+// worker stub needs no client's message types.
+var ownerOnly = map[string][]string{"stub": {"vcache"}}
+
+// TestLayering fails when an SNS package depends on a tenant, or on a
+// package ownerOnly keeps it from, directly or transitively. It reads
+// the import clauses of every non-test file under internal/ — nothing
+// is type-checked or built.
 //
 // Out of scope: internal/origin's simulated fetcher, which core and the
 // front end import as the default origin, pulls media, trace and sim
@@ -73,15 +79,15 @@ func TestLayering(t *testing.T) {
 				}
 			}
 		}
-		for _, tenant := range tenants {
-			if _, ok := via[tenant]; !ok {
+		for _, dep := range append(ownerOnly[pkg], tenants...) {
+			if _, ok := via[dep]; !ok {
 				continue
 			}
-			path := []string{tenant}
-			for p := via[tenant]; p != ""; p = via[p] {
+			path := []string{dep}
+			for p := via[dep]; p != ""; p = via[p] {
 				path = append([]string{p}, path...)
 			}
-			t.Errorf("internal/%s depends on the tenant internal/%s: %s", pkg, tenant, strings.Join(path, " -> "))
+			t.Errorf("internal/%s depends on internal/%s: %s", pkg, dep, strings.Join(path, " -> "))
 		}
 	}
 }

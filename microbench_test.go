@@ -154,7 +154,7 @@ func wireMember() any {
 }
 
 func wireNet(seed int64) *san.Network {
-	return san.NewNetwork(seed, san.WithCodec(stub.WireCodec{}))
+	return san.NewNetwork(seed)
 }
 
 // benchWireEncodeAppend is the steady-state encode the SAN runs:
