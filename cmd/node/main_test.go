@@ -116,7 +116,7 @@ func TestConfigFromFlags(t *testing.T) {
 }
 
 // TestNodeOnlyServes pins the shape left once the in-process test
-// client went: three serving options, none of them a mode, and 27 flags.
+// client went: three serving options, none of them a mode, and 26 flags.
 func TestNodeOnlyServes(t *testing.T) {
 	if n := reflect.TypeOf(nodeOptions{}).NumField(); n != 3 {
 		t.Fatalf("nodeOptions has %d fields, want roles, httpAddr, readyTimeout", n)
@@ -128,8 +128,8 @@ func TestNodeOnlyServes(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 27 {
-		t.Fatalf("%d flags defined, want 27 (a new flag needs a caller that sets it)", n)
+	if n != 26 {
+		t.Fatalf("%d flags defined, want 26 (a new flag needs a caller that sets it)", n)
 	}
 }
 

@@ -29,10 +29,9 @@ type Config struct {
 	// pre-replication topology. KillManager faults always target the
 	// acting primary.
 	Managers int
-	// Edge adds the L7 front door: the system binds an edge listener
-	// and per-FE HTTP adapters on loopback, and StartEdgeLoad drives
-	// the workload through it as real HTTP instead of in-process
-	// System.Request calls.
+	// Edge adds the L7 front door: the system binds an edge listener on
+	// loopback, and StartEdgeLoad drives the workload through it as real
+	// HTTP instead of in-process System.Request calls.
 	Edge bool
 
 	// Service. Nil Registry/Rules install an echo worker class
@@ -133,9 +132,9 @@ type Harness struct {
 // New boots a complete SNS instance and attaches the observers.
 func New(cfg Config) (*Harness, error) {
 	cfg = cfg.withDefaults()
-	var edgeListen, feHTTP string
+	var edgeListen string
 	if cfg.Edge {
-		edgeListen, feHTTP = "127.0.0.1:0", "127.0.0.1"
+		edgeListen = "127.0.0.1:0"
 	}
 	sys, err := core.Start(core.Config{
 		Seed:              cfg.Seed,
@@ -156,7 +155,6 @@ func New(cfg Config) (*Harness, error) {
 		FEQueueHighWater:  cfg.FEQueueHighWater,
 		CacheTTL:          cfg.CacheTTL,
 		EdgeListen:        edgeListen,
-		FEHTTP:            feHTTP,
 		EdgeRetryBudget:   0.5,
 	})
 	if err != nil {

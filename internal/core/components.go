@@ -465,9 +465,10 @@ func (s *System) reporterComponent() *component {
 	}
 }
 
-// feProc is a front end plus the HTTP adapter bound for it (nil when
-// Config.FEHTTP is unset). The adapter outlives the process — a killed
-// front end's listener is retired when its replacement is up.
+// feProc is a front end plus the HTTP listener bound for it (nil when
+// Config.FEHTTP is unset; it goes with ROADMAP item 20). The listener
+// outlives the process — a killed front end's is retired when its
+// replacement is up.
 type feProc struct {
 	*frontend.FrontEnd
 	http *edge.FEServer
@@ -512,20 +513,12 @@ func (s *System) frontEndComponent(name string) *component {
 			if br := s.Bridge; br != nil {
 				cfg.BackpressureFn = func() uint64 { return br.Stats().Backpressure }
 			}
-			// Bind the HTTP adapter first: its address goes into the config
-			// so the very first heartbeat advertises it. A respawn rebinds
-			// (fresh port); the edge's pool entry is keyed by SAN address,
-			// so the new address refreshes the existing slot and the
-			// half-open probe readmits it.
+			p.FrontEnd = frontend.New(cfg)
 			if s.cfg.FEHTTP != "" {
 				var err error
 				if p.http, err = edge.NewFEServer(s.cfg.FEHTTP); err != nil {
 					return nil, err
 				}
-				cfg.HTTPAddr = p.http.Addr()
-			}
-			p.FrontEnd = frontend.New(cfg)
-			if p.http != nil {
 				p.http.Serve(p.FrontEnd.Do)
 			}
 			return p, nil
@@ -534,7 +527,8 @@ func (s *System) frontEndComponent(name string) *component {
 }
 
 // edgeComponent is the front door: one L7 proxy balancing across the
-// FE replicas it hears heartbeating (local and peer-process alike).
+// FE replicas it hears announcing themselves (local and peer-process
+// alike), each reached by a SAN Call.
 // Built once: Edge.Run rebinds the same public address after a restart.
 func (s *System) edgeComponent() *component {
 	var eg *edge.Edge

@@ -232,9 +232,9 @@ type Config struct {
 	// the process carries the edge role (or the host-everything zero
 	// Roles).
 	EdgeListen string
-	// FEHTTP, when non-empty, binds an HTTP adapter (edge.FEServer) on
-	// this host for every local front end and advertises its address
-	// in FE announcements — the per-replica listener the edge routes to.
+	// FEHTTP, when non-empty, binds an HTTP listener (edge.FEServer) on
+	// this host for every local front end. The edge does not use it: it
+	// is bench/'s direct front-end probe, and goes with ROADMAP item 20.
 	FEHTTP string
 	// EdgeRetryBudget bounds edge retries as a fraction of requests
 	// (0 disables transparent retry).
@@ -554,8 +554,9 @@ func (s *System) Edge() *edge.Edge {
 	return eg
 }
 
-// FrontEndHTTPAddr returns the HTTP adapter address of a local front
-// end ("" when FEHTTP is unset or the name is unknown).
+// FrontEndHTTPAddr returns the HTTP listener address of a local front
+// end ("" when FEHTTP is unset or the name is unknown). Only bench/
+// reads it; it goes with ROADMAP item 20.
 func (s *System) FrontEndHTTPAddr(name string) string {
 	if fe, ok := s.proc(name).(*feProc); ok && fe.http != nil {
 		return fe.http.Addr()

@@ -34,7 +34,7 @@ const bootAllowance = 3 << 20
 
 // benchTopology is the benchmark's topology over startPair's two
 // Systems, as bench/cluster.go boots it: the edge, two front ends and
-// their HTTP adapters on side A.
+// the front ends' HTTP listeners (bench/'s direct probe) on side A.
 func benchTopology(a, b *Config) {
 	a.Roles = Roles{Edge: true, FrontEnds: true, Monitor: true}
 	a.FrontEnds = 2
@@ -44,18 +44,18 @@ func benchTopology(a, b *Config) {
 
 // TestBenchTopologyFootprint boots the bench topology and bounds the
 // live heap the boot adds: every endpoint's inbox at its size (the cache
-// partitions at san.ServerInboxSize, the rest at san.InboxSize), plus
-// bootAllowance.
+// partitions and the front ends, whose inboxes queue Calls, at
+// san.ServerInboxSize, the rest at san.InboxSize), plus bootAllowance.
 func TestBenchTopologyFootprint(t *testing.T) {
 	before := liveHeap()
-	var parts int
+	var servers int
 	a, b := startPair(t, func(a, b *Config) {
 		benchTopology(a, b)
-		parts = b.CacheParts
+		servers = b.CacheParts + a.FrontEnds
 	})
 	grown := float64(liveHeap()) - float64(before)
 	endpoints := a.Net.Stats().Endpoints + b.Net.Stats().Endpoints
-	slots := (endpoints-parts)*san.InboxSize + parts*san.ServerInboxSize
+	slots := (endpoints-servers)*san.InboxSize + servers*san.ServerInboxSize
 	inboxes := float64(slots) * float64(unsafe.Sizeof(san.Message{}))
 	const mb = 1 << 20
 	t.Logf("boot grew the live heap by %.2f MB: %d endpoints, %.2f MB of inboxes at their sizes", grown/mb, endpoints, inboxes/mb)

@@ -60,7 +60,6 @@ func TestKillComponentByName(t *testing.T) {
 		c.Seed = 2
 		c.Managers = 2
 		c.EdgeListen = "127.0.0.1:0"
-		c.FEHTTP = "127.0.0.1"
 	})
 	if !s.WaitReady(10 * time.Second) {
 		t.Fatal("system not ready")

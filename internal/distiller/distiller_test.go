@@ -308,9 +308,6 @@ func TestThinClient(t *testing.T) {
 func TestRegisterAllAndPipelines(t *testing.T) {
 	reg := tacc.NewRegistry()
 	RegisterAll(reg)
-	if len(reg.Classes()) != 9 {
-		t.Fatalf("classes = %v", reg.Classes())
-	}
 	// End-to-end: HTML through munger + keyword filter via registry.
 	rng := rand.New(rand.NewSource(8))
 	page := media.GenerateHTML(rng, 3000, nil)

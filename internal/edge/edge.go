@@ -9,11 +9,15 @@
 // the same way the manager does: the member.announce multicasts
 // (supervisor.Member) front ends send on the control group, aged by TTL
 // (soft state; losing the table costs one rediscovery round, never
-// correctness). Each announcement carries the FE's HTTP adapter address
-// and its state — a front end that is stopping announces itself
-// draining and gets no new picks, and a request that raced the drain is
-// refused and sent to another replica, which is what makes rolling
-// restarts zero-downtime through the edge.
+// correctness). It is the one component that speaks HTTP: each request
+// reaches the front end it picked as one SAN Call (frontend.MsgRequest,
+// at the SAN address the front end announces), and the answer comes back
+// as one frontend.MsgReply whose body is written to the client from the
+// buffer it arrived in. An announcement also carries the FE's state — a
+// front end that is stopping announces itself draining and gets no new
+// picks, and a request that raced the drain is refused and sent to
+// another replica, which is what makes rolling restarts zero-downtime
+// through the edge.
 //
 // Routing is least-inflight power-of-two-choices across healthy
 // replicas. A backend is ejected after consecutive failures and
@@ -21,8 +25,9 @@
 // risked against it, success readmits, failure re-arms the timer.
 // Idempotent requests (GET/HEAD) that fail are retried once on a
 // different replica under a retry budget, so a SIGKILLed FE costs
-// clients nothing. Deadlines (X-Deadline-Ns) and trace ids
-// (X-Trace-Id) propagate both ways.
+// clients nothing. The deadline (X-Deadline-Ns, else RequestTimeout) is
+// the Call's, and the trace id (X-Trace-Id) is adopted on the way in and
+// echoed on the way out.
 package edge
 
 import (
@@ -30,21 +35,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/san"
 	"repro/internal/stub"
 	"repro/internal/supervisor"
 )
 
-// Header names shared between the edge, the per-FE HTTP adapters, and
-// cmd/node's debug endpoint.
+// Header names shared between the edge and every HTTP entry to a front
+// end (FetchHandler).
 const (
 	// HeaderDeadline carries an absolute request deadline in unix
 	// nanoseconds; every hop that sees it re-arms its context from it.
@@ -66,13 +70,13 @@ const (
 // pool.
 var ErrNoBackends = errors.New("edge: no healthy backends")
 
-// ErrUpstream is the sentinel every transport-level upstream failure
-// matches via errors.Is — returned (wrapped in *UpstreamError) when
-// the retry budget is exhausted or the request was not retryable.
+// ErrUpstream is the sentinel every failed Call to a front end matches
+// via errors.Is — returned (wrapped in *UpstreamError) when the retry
+// budget is exhausted or the request was not retryable.
 var ErrUpstream = errors.New("edge: upstream failure")
 
 // UpstreamError is the typed upstream failure: which backend, how many
-// attempts, and the underlying transport error.
+// attempts, and the Call's error.
 type UpstreamError struct {
 	Backend  string
 	Attempts int
@@ -94,7 +98,7 @@ type Config struct {
 	Name string
 	// Node is the cluster node hosting the edge process.
 	Node string
-	// Net is the SAN the edge listens to FE announcements on.
+	// Net is the SAN the edge hears FE announcements on and Calls them over.
 	Net *san.Network
 	// Listen is the public HTTP listener address ("host:port"; port 0
 	// picks a free port). Required.
@@ -128,7 +132,6 @@ type Edge struct {
 
 	httpAddr string
 	ln       net.Listener
-	client   *http.Client
 	latency  *obs.Histogram // edge.<name>.latency_ns, resolved once by name
 
 	running atomic.Bool
@@ -156,13 +159,6 @@ func New(cfg Config) (*Edge, error) {
 		ln:       ln,
 		httpAddr: ln.Addr().String(),
 		latency:  cfg.Net.Registry().Histogram("edge."+cfg.Name+".latency_ns", nil),
-		client: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 16,
-				IdleConnTimeout:     30 * time.Second,
-			},
-		},
 	}
 	e.ep = cfg.Net.Endpoint(e.addr(), san.InboxSize)
 	return e, nil
@@ -184,12 +180,6 @@ func (e *Edge) Running() bool { return e.running.Load() }
 
 // PoolStats returns the backend pool's counters.
 func (e *Edge) PoolStats() PoolStats { return e.pool.Stats() }
-
-// ObserveBackend folds a backend into the pool directly — the test and
-// benchmark hook that stands in for a front end's announcement.
-func (e *Edge) ObserveBackend(key, name, httpAddr string, draining bool) {
-	e.pool.Observe(key, name, httpAddr, draining)
-}
 
 // Close releases the HTTP listener. Only needed when the edge was
 // created but never run (Run's shutdown path closes it otherwise).
@@ -275,7 +265,7 @@ func (e *Edge) Run(ctx context.Context) error {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		reg.WritePrometheus(w)
 	})
-	mux.HandleFunc("/", e.handleProxy)
+	mux.HandleFunc("/fetch", e.handleProxy)
 	srv := &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -305,27 +295,38 @@ func (e *Edge) Run(ctx context.Context) error {
 				return fmt.Errorf("edge: %s endpoint closed", e.cfg.Name)
 			}
 			if m, ok := msg.Body.(supervisor.Member); ok && m.Kind == supervisor.KindFrontEnd {
-				e.pool.Observe(m.Addr.String(), m.Addr.Proc, m.HTTPAddr, m.State == supervisor.StateDraining)
+				e.pool.observe(m.Addr, m.State == supervisor.StateDraining)
 			}
 			msg.Release()
 		}
 	}
 }
 
-// handleProxy is the front door: pick a backend, forward, retry once
-// on a different replica when the request is idempotent and the
-// budget allows, relay the response.
+// handleProxy is the front door: read the request, forward it to a
+// front end as one Call, retry once on a different replica when it is
+// idempotent and the budget allows, and write the reply.
 func (e *Edge) handleProxy(w http.ResponseWriter, r *http.Request) {
 	e.stats.requests.Add(1)
 	start := time.Now()
-	deadline, _ := requestHeaders(r.Header, e.cfg.RequestTimeout)
+	q := r.URL.Query()
+	url := q.Get("url")
+	if url == "" {
+		http.Error(w, "missing url", http.StatusBadRequest)
+		return
+	}
+	deadline, trace := requestHeaders(r.Header, e.cfg.RequestTimeout)
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
+	ctx = obs.WithTrace(ctx, trace)
+	req := frontend.RequestMsg{
+		Request:  frontend.Request{URL: url, User: q.Get("user"), Raw: q.Get("raw") == "1"},
+		Deadline: deadline.UnixNano(),
+	}
 
-	resp, err := e.forward(ctx, r)
+	reply, err := e.forward(ctx, req, r.Method == http.MethodGet || r.Method == http.MethodHead)
 	e.latency.Observe(float64(time.Since(start)))
+	w.Header().Set(HeaderEdge, e.cfg.Name)
 	if err != nil {
-		w.Header().Set(HeaderEdge, e.cfg.Name)
 		switch {
 		case errors.Is(err, ErrNoBackends):
 			w.Header().Set(HeaderError, "no-backends")
@@ -337,21 +338,14 @@ func (e *Edge) handleProxy(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	defer resp.Body.Close()
-	hdr := w.Header()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			hdr.Add(k, v)
-		}
-	}
-	hdr.Set(HeaderEdge, e.cfg.Name)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	if resp.StatusCode >= 500 {
+	defer reply.Release()
+	body := reply.Body.(frontend.ReplyMsg)
+	if body.Refusal != "" {
 		e.stats.relayed5xx.Add(1)
 	} else {
 		e.stats.proxied.Add(1)
 	}
+	writeReply(w, body, reply.Trace)
 }
 
 // allowRetry spends from the retry budget: a retry is permitted only
@@ -366,99 +360,82 @@ func (e *Edge) allowRetry() bool {
 	return retries+1 <= e.cfg.RetryBudget*requests+1
 }
 
-// forward runs the pick/roundtrip/outcome loop. The returned response
-// may carry an upstream 5xx — it is relayed verbatim so the FE's
-// classification headers (X-TranSend-Error) survive the edge; a
-// transport-level failure surfaces as *UpstreamError instead.
-func (e *Edge) forward(ctx context.Context, r *http.Request) (*http.Response, error) {
-	idempotent := r.Method == http.MethodGet || r.Method == http.MethodHead
+// forward runs the pick/Call/outcome loop and returns a front end's
+// frontend.ReplyMsg to relay: its answer, or a refusal, which keeps its
+// class so clients can tell shed from failure. A Call that fails (the
+// replica died or its inbox is full) surfaces as *UpstreamError instead.
+func (e *Edge) forward(ctx context.Context, req frontend.RequestMsg, idempotent bool) (san.Message, error) {
 	exclude := ""
-	// The first attempt's 5xx is kept open while a retry runs: if the
-	// retry can do no better (no other backend, transport error), the
-	// original upstream reply — with its classification headers — beats
-	// a synthesized edge error.
-	var prev *http.Response
+	// The first attempt's refusal is kept while a retry runs: if the
+	// retry can do no better (no other backend, a failed Call), the
+	// original reply, with its class, beats a synthesized edge error.
+	var prev *san.Message
+	relay := func(m san.Message) (san.Message, error) {
+		if prev != nil {
+			prev.Release()
+		}
+		return m, nil
+	}
 	for attempt := 1; ; attempt++ {
 		pk, err := e.pool.Pick(idempotent, exclude)
 		if err != nil {
 			if prev != nil {
-				return prev, nil
+				return *prev, nil
 			}
 			e.stats.noBackends.Add(1)
-			return nil, err
+			return san.Message{}, err
 		}
-		resp, err := e.roundTrip(ctx, r, pk.HTTPAddr())
+		reply, err := e.ep.Call(ctx, pk.Addr(), frontend.MsgRequest, req, 0)
+		body, ok := reply.Body.(frontend.ReplyMsg)
+		if err == nil && !ok {
+			reply.Release()
+			err = fmt.Errorf("edge: a %s reply from %s", reply.Kind, pk.Key())
+		}
 		if err != nil {
 			pk.Done(false)
 			if prev != nil {
-				return prev, nil
+				return *prev, nil
 			}
 			uerr := &UpstreamError{Backend: pk.Key(), Attempts: attempt, Cause: err}
 			if !idempotent || attempt > 1 || ctx.Err() != nil {
 				e.stats.upstreamErrors.Add(1)
-				return nil, uerr
+				return san.Message{}, uerr
 			}
 			if !e.allowRetry() {
 				e.stats.retryDenied.Add(1)
 				e.stats.upstreamErrors.Add(1)
-				return nil, uerr
+				return san.Message{}, uerr
 			}
 			e.stats.retries.Add(1)
 			exclude = pk.Key()
 			continue
 		}
-		if resp.StatusCode >= 500 {
-			if he := resp.Header.Get(HeaderError); he == "overloaded" || he == "disabled" {
-				// A policy refusal from an alive backend — admission
-				// control shedding, or a request racing a drain. Not a
-				// health signal (ejecting a shedding replica collapses
-				// the pool exactly when the cluster is saturated) and
-				// not worth spending retry budget on. A shed is relayed
-				// for the client's degrade path to decide; a drain's
-				// refusal, of a request it never admitted, goes to one
-				// other replica first.
-				pk.Done(true)
-				if he == "disabled" && prev == nil {
-					prev, exclude = resp, pk.Key()
-					continue
-				}
-				if prev != nil {
-					_ = prev.Body.Close()
-				}
-				return resp, nil
-			}
-			pk.Done(false)
-			if prev == nil && idempotent && ctx.Err() == nil && e.allowRetry() {
-				prev = resp
-				e.stats.retries.Add(1)
-				exclude = pk.Key()
+		switch body.Refusal {
+		case "":
+			pk.Done(true)
+			return relay(reply)
+		case frontend.RefusedOverloaded, frontend.RefusedDisabled:
+			// A policy refusal from an alive backend — admission
+			// control shedding, or a request racing a drain. Not a
+			// health signal (ejecting a shedding replica collapses the
+			// pool exactly when the cluster is saturated) and not worth
+			// spending retry budget on. A shed is relayed for the
+			// client's degrade path to decide; a drain's refusal, of a
+			// request it never admitted, goes to one other replica first.
+			pk.Done(true)
+			if body.Refusal == frontend.RefusedDisabled && prev == nil {
+				prev, exclude = &reply, pk.Key()
 				continue
 			}
-			if prev != nil {
-				_ = prev.Body.Close()
-			}
-			return resp, nil
+			return relay(reply)
 		}
-		pk.Done(true)
-		if prev != nil {
-			_ = prev.Body.Close()
+		pk.Done(false)
+		if prev == nil && idempotent && ctx.Err() == nil && e.allowRetry() {
+			prev = &reply
+			e.stats.retries.Add(1)
+			exclude = pk.Key()
+			continue
 		}
-		return resp, nil
+		return relay(reply)
 	}
-}
-
-// roundTrip forwards one attempt to one backend, stamping the
-// context's deadline into X-Deadline-Ns (X-Trace-Id rides along in the
-// cloned headers untouched).
-func (e *Edge) roundTrip(ctx context.Context, r *http.Request, backend string) (*http.Response, error) {
-	out := r.Clone(ctx)
-	out.URL.Scheme = "http"
-	out.URL.Host = backend
-	out.RequestURI = ""
-	out.Host = ""
-	out.Header.Del("Connection")
-	if dl, ok := ctx.Deadline(); ok {
-		out.Header.Set(HeaderDeadline, strconv.FormatInt(dl.UnixNano(), 10))
-	}
-	return e.client.Do(out)
 }

@@ -4,15 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/frontend"
+	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/stub"
+	"repro/internal/supervisor"
 )
 
 func newTestEdge(t *testing.T, retryBudget float64) *Edge {
@@ -47,21 +50,122 @@ func startTestEdge(t *testing.T, cfg Config) *Edge {
 	return e
 }
 
+// fakeFE is a front end as the edge sees it: an endpoint on the edge's
+// network that announces itself on the control group as a real one
+// does (a supervisor.Member, once a beat) and answers each fe.request
+// Call with what serve returns — or, when serve says no, not at all.
+type fakeFE struct {
+	ep       *san.Endpoint
+	draining atomic.Bool
+	requests atomic.Int64
+	stop     chan struct{}
+}
+
+type serveFunc func(msg san.Message, req frontend.RequestMsg) (frontend.ReplyMsg, bool)
+
+// startFakeFE starts front end name ("n/<name>") on e's network and
+// waits until e's pool holds it.
+func startFakeFE(t *testing.T, e *Edge, name string, serve serveFunc) *fakeFE {
+	t.Helper()
+	return startFakeFEInbox(t, e, name, san.ServerInboxSize, serve)
+}
+
+func startFakeFEInbox(t *testing.T, e *Edge, name string, inbox int, serve serveFunc) *fakeFE {
+	t.Helper()
+	f := &fakeFE{ep: e.cfg.Net.Endpoint(san.Addr{Node: "n", Proc: name}, inbox), stop: make(chan struct{})}
+	backends := e.PoolStats().Backends
+	f.announce()
+	go func() {
+		tick := time.NewTicker(e.cfg.Net.Beacon())
+		defer tick.Stop()
+		for {
+			select {
+			case <-f.stop:
+				return
+			case <-tick.C:
+				f.announce()
+			}
+		}
+	}()
+	if serve != nil {
+		go func() {
+			for msg := range f.ep.Inbox() {
+				f.requests.Add(1)
+				go func(msg san.Message) {
+					if rep, ok := serve(msg, msg.Body.(frontend.RequestMsg)); ok {
+						_ = f.ep.Respond(msg, frontend.MsgReply, rep, 0)
+					}
+				}(msg)
+			}
+		}()
+	}
+	t.Cleanup(f.close)
+	waitPool(t, e, func(st PoolStats) bool { return st.Backends > backends })
+	return f
+}
+
+func (f *fakeFE) announce() {
+	m := supervisor.Member{Addr: f.ep.Addr(), Kind: supervisor.KindFrontEnd, State: supervisor.StateUp}
+	if f.draining.Load() {
+		m.State = supervisor.StateDraining
+	}
+	f.ep.Multicast(stub.GroupControl, supervisor.MsgAnnounce, m, 0)
+}
+
+// close silences the front end and drops its endpoint: a Call to it
+// fails at once from here on.
+func (f *fakeFE) close() {
+	select {
+	case <-f.stop:
+	default:
+		close(f.stop)
+		f.ep.Close()
+	}
+}
+
+func waitPool(t *testing.T, e *Edge, cond func(PoolStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(e.PoolStats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never reached the wanted state: %+v", e.PoolStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// answer serves every request with body, a cache-distilled text/plain answer.
+func answer(body string) serveFunc {
+	return func(san.Message, frontend.RequestMsg) (frontend.ReplyMsg, bool) {
+		return frontend.ReplyMsg{MIME: "text/plain", Source: "cache-distilled", Data: []byte(body)}, true
+	}
+}
+
+// refuse refuses every request with class and text.
+func refuse(class, text string) serveFunc {
+	return func(san.Message, frontend.RequestMsg) (frontend.ReplyMsg, bool) {
+		return frontend.ReplyMsg{Refusal: class, Data: []byte(text)}, true
+	}
+}
+
+func get(t *testing.T, e *Edge, path string) *http.Response {
+	t.Helper()
+	resp, err := http.Get("http://" + e.HTTPAddr() + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestEdgeProxiesHeadersAndDeadline(t *testing.T) {
-	var sawDeadline, sawTrace bool
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sawDeadline = r.Header.Get(HeaderDeadline) != ""
-		sawTrace = r.Header.Get(HeaderTraceID) == "00000000000000ff"
-		w.Header().Set(HeaderSource, "cache-distilled")
-		w.Header().Set(HeaderTraceID, "00000000000000ff")
-		fmt.Fprint(w, "body")
-	}))
-	defer backend.Close()
-
+	var seen atomic.Value
 	e := newTestEdge(t, 0)
-	e.ObserveBackend("n/fe0", "fe0", backend.Listener.Addr().String(), false)
+	startFakeFE(t, e, "fe0", func(msg san.Message, req frontend.RequestMsg) (frontend.ReplyMsg, bool) {
+		seen.Store([2]any{req, msg.Trace})
+		return frontend.ReplyMsg{MIME: "text/plain", Source: "cache-distilled", Degraded: true, Data: []byte("body")}, true
+	})
 
-	req, _ := http.NewRequest(http.MethodGet, "http://"+e.HTTPAddr()+"/fetch?url=x", nil)
+	req, _ := http.NewRequest(http.MethodGet, "http://"+e.HTTPAddr()+"/fetch?url=x&user=alice&raw=1", nil)
 	req.Header.Set(HeaderTraceID, "00000000000000ff")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -72,20 +176,20 @@ func TestEdgeProxiesHeadersAndDeadline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(body) != "body" {
 		t.Fatalf("status %d body %q", resp.StatusCode, body)
 	}
-	if !sawDeadline {
-		t.Error("backend did not receive X-Deadline-Ns")
+	got, _ := seen.Load().([2]any)
+	if fr, _ := got[0].(frontend.RequestMsg); fr.Request != (frontend.Request{URL: "x", User: "alice", Raw: true}) || fr.Deadline == 0 {
+		t.Errorf("the front end got %+v, want the request with its deadline", fr)
 	}
-	if !sawTrace {
-		t.Error("backend did not receive the propagated X-Trace-Id")
+	if tr, _ := got[1].(obs.TraceID); tr != 0xff {
+		t.Errorf("the front end's Call carried trace %v, want the propagated X-Trace-Id", tr)
 	}
-	if got := resp.Header.Get(HeaderSource); got != "cache-distilled" {
-		t.Errorf("response lost upstream headers: source=%q", got)
-	}
-	if resp.Header.Get(HeaderTraceID) != "00000000000000ff" {
-		t.Error("response lost the trace id")
-	}
-	if resp.Header.Get(HeaderEdge) != "edge" {
-		t.Error("response missing the edge marker header")
+	for h, want := range map[string]string{
+		HeaderSource: "cache-distilled", HeaderDegraded: "1", HeaderTraceID: "00000000000000ff",
+		HeaderEdge: "edge", "Content-Type": "text/plain", "Content-Length": "4",
+	} {
+		if v := resp.Header.Get(h); v != want {
+			t.Errorf("%s = %q, want %q", h, v, want)
+		}
 	}
 	if st := e.Stats(); st.Proxied != 1 {
 		t.Errorf("stats: %+v", st)
@@ -93,22 +197,15 @@ func TestEdgeProxiesHeadersAndDeadline(t *testing.T) {
 }
 
 // TestEdgeMalformedDeadlineGetsRequestTimeout: a junk X-Deadline-Ns is
-// treated as absent — the edge applies RequestTimeout and forwards a
-// deadline of its own instead of the junk.
+// treated as absent — the edge applies RequestTimeout, which is the
+// deadline its Call carries and ends at.
 func TestEdgeMalformedDeadlineGetsRequestTimeout(t *testing.T) {
-	var forwarded atomic.Value
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		forwarded.Store(r.Header.Get(HeaderDeadline))
-		select {
-		case <-r.Context().Done():
-		case <-time.After(2 * time.Second):
-			fmt.Fprint(w, "late")
-		}
-	}))
-	defer backend.Close()
-
+	var forwarded atomic.Int64
 	e := startTestEdge(t, Config{RequestTimeout: 100 * time.Millisecond})
-	e.ObserveBackend("n/fe0", "fe0", backend.Listener.Addr().String(), false)
+	startFakeFE(t, e, "fe0", func(_ san.Message, req frontend.RequestMsg) (frontend.ReplyMsg, bool) {
+		forwarded.Store(req.Deadline)
+		return frontend.ReplyMsg{}, false // never answers
+	})
 
 	req, _ := http.NewRequest(http.MethodGet, "http://"+e.HTTPAddr()+"/fetch?url=x", nil)
 	req.Header.Set(HeaderDeadline, "junk")
@@ -121,32 +218,20 @@ func TestEdgeMalformedDeadlineGetsRequestTimeout(t *testing.T) {
 	if took := time.Since(start); resp.StatusCode != http.StatusGatewayTimeout || took > time.Second {
 		t.Fatalf("status %d after %v, want 504 within 1 s", resp.StatusCode, took)
 	}
-	if h, _ := forwarded.Load().(string); h == "junk" {
-		t.Fatal("the junk deadline header was forwarded as-is")
+	if dl := time.Unix(0, forwarded.Load()); dl.Before(start) || dl.After(start.Add(time.Second)) {
+		t.Fatalf("forwarded deadline %v, want start + RequestTimeout (start %v)", dl, start)
 	}
 }
 
 func TestEdgeRetriesIdempotentOnOtherReplica(t *testing.T) {
-	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "ok")
-	}))
-	defer good.Close()
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-
 	e := newTestEdge(t, 1.0)
-	e.ObserveBackend("n/fe0", "fe0", bad.Listener.Addr().String(), false)
-	e.ObserveBackend("n/fe1", "fe1", good.Listener.Addr().String(), false)
+	startFakeFE(t, e, "fe0", refuse(frontend.RefusedError, "boom"))
+	startFakeFE(t, e, "fe1", answer("ok"))
 
-	// Every GET must come back 200: first-attempt 5xxs are retried on
-	// the other replica under the (ample) budget.
+	// Every GET must come back 200: first-attempt failures are retried
+	// on the other replica under the (ample) budget.
 	for i := 0; i < 8; i++ {
-		resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := get(t, e, "/fetch?url=x")
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || string(body) != "ok" {
@@ -158,16 +243,31 @@ func TestEdgeRetriesIdempotentOnOtherReplica(t *testing.T) {
 	}
 }
 
-func TestEdgeRetryBudgetExhaustionReturnsTypedError(t *testing.T) {
-	// The edge binds first: the port the dead server frees must not be
-	// handed to the edge's own listener, or it would proxy to itself.
-	e := newTestEdge(t, 0) // no budget: first failure is final
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	dead.Close() // connection refused from here on
-	e.ObserveBackend("n/fe0", "fe0", dead.Listener.Addr().String(), false)
+// TestEdgeRetriesFullInboxElsewhere: a replica whose inbox is full
+// refuses the Call at once, and the request goes to the other replica
+// instead of waiting out its deadline.
+func TestEdgeRetriesFullInboxElsewhere(t *testing.T) {
+	e := newTestEdge(t, 1.0)
+	full := startFakeFEInbox(t, e, "fe0", 1, nil) // never reads its inbox
+	if err := full.ep.Send(full.ep.Addr(), frontend.MsgRequest, frontend.RequestMsg{}, 0); err != nil {
+		t.Fatal(err) // the one slot, taken
+	}
+	startFakeFE(t, e, "fe1", answer("ok"))
+	for i := 0; i < 4; i++ {
+		start := time.Now()
+		resp := get(t, e, "/fetch?url=x")
+		resp.Body.Close()
+		if took := time.Since(start); resp.StatusCode != http.StatusOK || took > time.Second {
+			t.Fatalf("request %d: status %d after %v, want 200 at once", i, resp.StatusCode, took)
+		}
+	}
+}
 
-	req, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1/fetch?url=x", nil)
-	_, err := e.forward(context.Background(), req)
+func TestEdgeRetryBudgetExhaustionReturnsTypedError(t *testing.T) {
+	e := newTestEdge(t, 0) // no budget: first failure is final
+	startFakeFE(t, e, "fe0", nil).close()
+
+	_, err := e.forward(context.Background(), frontend.RequestMsg{Request: frontend.Request{URL: "x"}}, true)
 	if err == nil {
 		t.Fatal("forward against a dead backend succeeded")
 	}
@@ -175,8 +275,8 @@ func TestEdgeRetryBudgetExhaustionReturnsTypedError(t *testing.T) {
 		t.Fatalf("err=%v, want errors.Is(_, ErrUpstream)", err)
 	}
 	var uerr *UpstreamError
-	if !errors.As(err, &uerr) || uerr.Backend != "n/fe0" {
-		t.Fatalf("err=%#v, want *UpstreamError naming the backend", err)
+	if !errors.As(err, &uerr) || uerr.Backend != "n/fe0" || !errors.Is(err, san.ErrUnknownAddr) {
+		t.Fatalf("err=%#v, want *UpstreamError naming the backend and the Call's error", err)
 	}
 	st := e.Stats()
 	if st.RetryDenied != 1 || st.UpstreamErrors != 1 {
@@ -186,10 +286,7 @@ func TestEdgeRetryBudgetExhaustionReturnsTypedError(t *testing.T) {
 
 func TestEdgeNoBackendsIs503(t *testing.T) {
 	e := newTestEdge(t, 0)
-	resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := get(t, e, "/fetch?url=x")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -200,19 +297,10 @@ func TestEdgeNoBackendsIs503(t *testing.T) {
 }
 
 func TestEdgeRelays5xxVerbatim(t *testing.T) {
-	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(HeaderError, "overloaded")
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer shed.Close()
+	e := newTestEdge(t, 0) // no retry: the refusal is relayed as-is
+	startFakeFE(t, e, "fe0", refuse(frontend.RefusedOverloaded, "overloaded"))
 
-	e := newTestEdge(t, 0) // no retry: the 5xx is relayed as-is
-	e.ObserveBackend("n/fe0", "fe0", shed.Listener.Addr().String(), false)
-
-	resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := get(t, e, "/fetch?url=x")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
@@ -226,24 +314,15 @@ func TestEdgeRelays5xxVerbatim(t *testing.T) {
 }
 
 // TestEdgeShedDoesNotEject: an FE refusing by policy (typed
-// "overloaded"/"disabled" 503) is alive — the refusal must not count
-// toward ejection or spend retry budget, or admission control would
-// collapse the pool exactly when the cluster saturates.
+// "overloaded"/"disabled") is alive — the refusal must not count toward
+// ejection or spend retry budget, or admission control would collapse
+// the pool exactly when the cluster saturates.
 func TestEdgeShedDoesNotEject(t *testing.T) {
-	shed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(HeaderError, "overloaded")
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer shed.Close()
-
 	e := newTestEdge(t, 1.0)
-	e.ObserveBackend("n/fe0", "fe0", shed.Listener.Addr().String(), false)
+	startFakeFE(t, e, "fe0", refuse(frontend.RefusedOverloaded, "overloaded"))
 
 	for i := 0; i < 8; i++ { // far past ejectAfter
-		resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := get(t, e, "/fetch?url=x")
 		resp.Body.Close()
 		if resp.Header.Get(HeaderError) != "overloaded" {
 			t.Fatalf("request %d: error header %q, want the typed shed", i, resp.Header.Get(HeaderError))
@@ -262,29 +341,14 @@ func TestEdgeShedDoesNotEject(t *testing.T) {
 // at no cost to the retry budget, and without a mark against the
 // draining one. With nowhere else to go, the typed refusal is relayed.
 func TestEdgeRetriesDrainRefusal(t *testing.T) {
-	var refused atomic.Int64
-	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		refused.Add(1)
-		w.Header().Set(HeaderError, "disabled")
-		http.Error(w, "disabled", http.StatusServiceUnavailable)
-	}))
-	defer draining.Close()
-	serving := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "ok")
-	}))
-	defer serving.Close()
-
 	e := newTestEdge(t, 0)
-	e.ObserveBackend("n/fe0", "fe0", draining.Listener.Addr().String(), false)
-	e.ObserveBackend("n/fe1", "fe1", serving.Listener.Addr().String(), false)
-	for i := 0; refused.Load() == 0; i++ { // until a pick lands on the draining one
+	draining := startFakeFE(t, e, "fe0", refuse(frontend.RefusedDisabled, "disabled"))
+	serving := startFakeFE(t, e, "fe1", answer("ok"))
+	for i := 0; draining.requests.Load() == 0; i++ { // until a pick lands on the draining one
 		if i == 100 {
 			t.Fatal("100 picks and none on fe0")
 		}
-		resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := get(t, e, "/fetch?url=x")
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d (%s), want the other replica's answer", resp.StatusCode, resp.Header.Get(HeaderError))
@@ -294,11 +358,10 @@ func TestEdgeRetriesDrainRefusal(t *testing.T) {
 		t.Fatalf("a drain refusal counted against the backend: %+v", st)
 	}
 
-	e.ObserveBackend("n/fe1", "fe1", serving.Listener.Addr().String(), true)
-	resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serving.draining.Store(true)
+	serving.announce()
+	waitPool(t, e, func(st PoolStats) bool { return st.Draining == 1 })
+	resp := get(t, e, "/fetch?url=x")
 	resp.Body.Close()
 	if resp.Header.Get(HeaderError) != "disabled" {
 		t.Fatalf("status %d error %q, want the typed refusal relayed", resp.StatusCode, resp.Header.Get(HeaderError))
@@ -306,25 +369,17 @@ func TestEdgeRetriesDrainRefusal(t *testing.T) {
 }
 
 // TestEdgeRelaysFirst5xxWhenRetryFindsNoBackend: with a single (bad)
-// replica, a retried 5xx has nowhere to go — the client must get the
-// original upstream reply back, not a synthesized no-backends error.
+// replica, a retried failure has nowhere to go — the client must get
+// the front end's own reply back, not a synthesized no-backends error.
 func TestEdgeRelaysFirst5xxWhenRetryFindsNoBackend(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "frontend: fe0 stopped", http.StatusBadGateway)
-	}))
-	defer bad.Close()
-
 	e := newTestEdge(t, 1.0)
-	e.ObserveBackend("n/fe0", "fe0", bad.Listener.Addr().String(), false)
+	startFakeFE(t, e, "fe0", refuse(frontend.RefusedError, "frontend: fe0 stopped"))
 
-	resp, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := get(t, e, "/fetch?url=x")
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("status %d body %q, want the upstream 502 relayed", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadGateway || string(body) != "frontend: fe0 stopped\n" {
+		t.Fatalf("status %d body %q, want the front end's 502 relayed", resp.StatusCode, body)
 	}
 	if st := e.Stats(); st.NoBackends != 0 {
 		t.Fatalf("retry dead-end surfaced as no-backends: %+v", st)
@@ -332,21 +387,11 @@ func TestEdgeRelaysFirst5xxWhenRetryFindsNoBackend(t *testing.T) {
 }
 
 func TestEdgeStatusEndpoint(t *testing.T) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "ok")
-	}))
-	defer backend.Close()
-
 	e := newTestEdge(t, 0.5)
-	e.ObserveBackend("n/fe0", "fe0", backend.Listener.Addr().String(), false)
-	if _, err := http.Get("http://" + e.HTTPAddr() + "/fetch?url=x"); err != nil {
-		t.Fatal(err)
-	}
+	startFakeFE(t, e, "fe0", answer("ok"))
+	get(t, e, "/fetch?url=x").Body.Close()
 
-	resp, err := http.Get("http://" + e.HTTPAddr() + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := get(t, e, "/status")
 	defer resp.Body.Close()
 	// The registry snapshot, like every other /status in the tree: the
 	// edge's own numbers are its collector's keys.
@@ -356,5 +401,23 @@ func TestEdgeStatusEndpoint(t *testing.T) {
 	}
 	if status["edge.edge.requests"] < 1 || status["edge.edge.healthy"] != 1 || status["edge.edge.backends"] != 1 {
 		t.Fatalf("status: %v", status)
+	}
+}
+
+// fetchLength GETs url and checks the body arrives whole,
+// with its length and unchunked.
+func fetchLength(t *testing.T, hop, url string, want int) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(got) != want {
+		t.Fatalf("%s: read %d of %d bytes: %v", hop, len(got), want, err)
+	}
+	if resp.ContentLength != int64(want) || len(resp.TransferEncoding) != 0 || resp.Header.Get("Content-Length") != strconv.Itoa(want) {
+		t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none", hop, resp.ContentLength, resp.TransferEncoding, want)
 	}
 }

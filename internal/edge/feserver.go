@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,15 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// FEServer is the per-front-end HTTP adapter: the listener whose
-// address an FE advertises in its heartbeats and the edge routes to.
-// It lives in this package so edge→frontend is the only new dependency
-// direction — the frontend package itself stays free of net/http.
-//
-// Construction is two-step (NewFEServer binds, Serve attaches the
-// front end) because the bound address must be known before the front
-// end is built: it goes into frontend.Config.HTTPAddr so the very
-// first heartbeat already advertises it.
+// FEServer is a per-front-end HTTP listener serving FetchHandler. The
+// edge does not use it (it Calls front ends over the SAN): it is the
+// direct front-end probe of bench/'s --trace peel (core.Config.FEHTTP),
+// and it goes with ROADMAP item 20.
 type FEServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -71,7 +65,7 @@ func (s *FEServer) Close() error {
 // requestHeaders reads the deadline and trace id a request carries: the
 // X-Deadline-Ns instant, or now plus fallback when the header is absent
 // or malformed, and the X-Trace-Id (zero when absent or malformed). The
-// edge and every front end's HTTP entry read them here, alike. An absent
+// edge and FetchHandler read them here, alike. An absent
 // header is not parsed, since a failed parse allocates its error.
 func requestHeaders(h http.Header, fallback time.Duration) (deadline time.Time, trace obs.TraceID) {
 	deadline = time.Now().Add(fallback)
@@ -86,13 +80,12 @@ func requestHeaders(h http.Header, fallback time.Duration) (deadline time.Time, 
 	return deadline, trace
 }
 
-// FetchHandler is the one HTTP ↔ frontend.Request adapter, mounted on
-// every HTTP entry to a front end (the per-FE listeners above and
-// cmd/node -http). GET /fetch?url=<u>&user=<id>&raw=1: the deadline
-// comes from X-Deadline-Ns (else, or if malformed, fetchTimeout), the
-// trace id is adopted from X-Trace-Id, and refusals are classified via
-// X-TranSend-Error so the edge and load generators can tell shed from
-// failure.
+// FetchHandler is the HTTP ↔ frontend.Request adapter of a front end's
+// own process (cmd/node -http's /fetch, and FEServer). GET
+// /fetch?url=<u>&user=<id>&raw=1: the deadline comes from X-Deadline-Ns
+// (else, or if malformed, fetchTimeout), the trace id is adopted from
+// X-Trace-Id, and the outcome is written as the edge writes a front
+// end's reply (writeReply).
 func FetchHandler(do func(context.Context, frontend.Request) (frontend.Response, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -111,33 +104,41 @@ func FetchHandler(do func(context.Context, frontend.Request) (frontend.Response,
 			User: q.Get("user"),
 			Raw:  q.Get("raw") == "1",
 		})
-		if err != nil {
-			switch {
-			case errors.Is(err, frontend.ErrDisabled):
-				w.Header().Set(HeaderError, "disabled")
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			case errors.Is(err, frontend.ErrOverloaded):
-				w.Header().Set(HeaderError, "overloaded")
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			case ctx.Err() != nil:
-				w.Header().Set(HeaderError, "deadline")
-				http.Error(w, err.Error(), http.StatusGatewayTimeout)
-			default:
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
-			return
-		}
 		defer resp.Release()
-		// A known length: no chunk framing here, nor at the edge relaying it.
-		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Blob.Data)))
-		w.Header().Set("Content-Type", resp.Blob.MIME)
-		w.Header().Set(HeaderSource, resp.Source)
-		if resp.Degraded {
-			w.Header().Set(HeaderDegraded, "1")
-		}
-		if resp.Trace.Valid() {
-			w.Header().Set(HeaderTraceID, resp.Trace.String())
-		}
-		_, _ = w.Write(resp.Blob.Data)
+		writeReply(w, frontend.Reply(ctx, resp, err), resp.Trace)
 	})
+}
+
+// writeReply writes a front end's reply as HTTP, the one place its
+// fields become a status and headers. A refusal is classified via
+// X-TranSend-Error so load generators can tell shed from failure:
+// disabled and overloaded are 503, a passed deadline 504, anything else
+// a 502. An answer goes out with a known length (no chunk framing),
+// its MIME type, source and degraded mark.
+func writeReply(w http.ResponseWriter, rep frontend.ReplyMsg, trace obs.TraceID) {
+	h := w.Header()
+	if trace.Valid() {
+		h.Set(HeaderTraceID, trace.String())
+	}
+	if rep.Refusal != "" {
+		status := http.StatusBadGateway
+		switch rep.Refusal {
+		case frontend.RefusedDisabled, frontend.RefusedOverloaded:
+			status = http.StatusServiceUnavailable
+		case frontend.RefusedDeadline:
+			status = http.StatusGatewayTimeout
+		}
+		if status != http.StatusBadGateway {
+			h.Set(HeaderError, rep.Refusal)
+		}
+		http.Error(w, string(rep.Data), status)
+		return
+	}
+	h.Set("Content-Length", strconv.Itoa(len(rep.Data)))
+	h.Set("Content-Type", rep.MIME)
+	h.Set(HeaderSource, rep.Source)
+	if rep.Degraded {
+		h.Set(HeaderDegraded, "1")
+	}
+	_, _ = w.Write(rep.Data)
 }

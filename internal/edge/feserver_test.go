@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,35 +12,26 @@ import (
 
 	"repro/internal/frontend"
 	"repro/internal/obs"
+	"repro/internal/san"
 	"repro/internal/tacc"
 )
 
 // TestFetchHandlerSendsLength: a body far past the server's chunking
-// buffer still goes out with its length and unchunked — from the adapter,
-// and relayed by the edge.
+// buffer still goes out with its length and unchunked — from FetchHandler,
+// and from the edge relaying a front end's reply.
 func TestFetchHandlerSendsLength(t *testing.T) {
 	body := make([]byte, 256<<10)
 	adapter := httptest.NewServer(FetchHandler(func(context.Context, frontend.Request) (frontend.Response, error) {
 		return frontend.Response{Blob: tacc.Blob{MIME: "application/octet-stream", Data: body}, Source: "original"}, nil
 	}))
 	defer adapter.Close()
-	e := newTestEdge(t, 0)
-	e.ObserveBackend("n/fe0", "fe0", adapter.Listener.Addr().String(), false)
+	fetchLength(t, "adapter", adapter.URL+"/fetch?url=u", len(body))
 
-	for hop, base := range map[string]string{"adapter": adapter.URL, "edge": "http://" + e.HTTPAddr()} {
-		resp, err := http.Get(base + "/fetch?url=u")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || len(got) != len(body) {
-			t.Fatalf("%s: read %d of %d bytes: %v", hop, len(got), len(body), err)
-		}
-		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
-			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v; want %d and none", hop, resp.ContentLength, resp.TransferEncoding, len(body))
-		}
-	}
+	e := newTestEdge(t, 0)
+	startFakeFE(t, e, "fe0", func(san.Message, frontend.RequestMsg) (frontend.ReplyMsg, bool) {
+		return frontend.ReplyMsg{MIME: "application/octet-stream", Source: "original", Data: body}, true
+	})
+	fetchLength(t, "edge", "http://"+e.HTTPAddr()+"/fetch?url=u", len(body))
 }
 
 // TestFEServerCloseDoesNotDrain: an adapter is retired after its front

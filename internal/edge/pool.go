@@ -3,6 +3,7 @@ package edge
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -34,9 +35,8 @@ func (c PoolConfig) withDefaults() PoolConfig {
 // FE refreshes its existing (possibly ejected) slot rather than
 // appearing as a stranger.
 type backend struct {
-	key      string // SAN address ("node/proc")
-	name     string
-	httpAddr string
+	key      string   // addr.String()
+	addr     san.Addr // where the edge Calls it
 	draining bool
 	seen     time.Time
 
@@ -72,7 +72,8 @@ type Pool struct {
 }
 
 // NewPool creates an empty pool timed for a network of the default
-// beacon interval; an edge's pool keeps its network's time.
+// beacon interval; an edge's pool keeps its network's time. Only bench/
+// builds a pool of its own; NewPool goes with ROADMAP item 20.
 func NewPool(cfg PoolConfig) *Pool { return newPool(cfg, san.DefaultBeacon) }
 
 func newPool(cfg PoolConfig, beacon time.Duration) *Pool {
@@ -86,21 +87,26 @@ func newPool(cfg PoolConfig, beacon time.Duration) *Pool {
 	}
 }
 
-// Observe folds one front end's announcement into the table. One
-// without an HTTP address (an FE running with no HTTP adapter) is not
-// routable and is ignored.
-func (p *Pool) Observe(key, name, httpAddr string, draining bool) {
-	if key == "" || httpAddr == "" {
-		return
+// Observe folds in the front end whose SAN address reads key
+// ("node/proc"); name and addr are not read. It keeps bench/'s
+// signature for its pick microbenchmark and goes with ROADMAP item 20.
+func (p *Pool) Observe(key, name, addr string, draining bool) {
+	if node, proc, ok := strings.Cut(key, "/"); ok {
+		p.observe(san.Addr{Node: node, Proc: proc}, draining)
 	}
+}
+
+// observe folds one front end's announcement into the table.
+func (p *Pool) observe(addr san.Addr, draining bool) {
+	key := addr.String()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b := p.backends[key]
 	if b == nil {
-		b = &backend{key: key}
+		b = &backend{key: key, addr: addr}
 		p.backends[key] = b
 	}
-	b.name, b.httpAddr, b.draining = name, httpAddr, draining
+	b.draining = draining
 	b.seen = p.cfg.Clock()
 }
 
@@ -146,7 +152,7 @@ func (p *Pool) Pick(allowProbe bool, exclude string) (*Pick, error) {
 		if probe != nil {
 			probe.probing = true
 			probe.inflight++
-			return newPickLocked(p, probe, true), nil
+			return &Pick{p: p, b: probe, probe: true}, nil
 		}
 	}
 
@@ -180,15 +186,7 @@ func (p *Pool) Pick(allowProbe bool, exclude string) (*Pick, error) {
 		}
 	}
 	chosen.inflight++
-	return newPickLocked(p, chosen, false), nil
-}
-
-// newPickLocked snapshots the backend's routing fields into the Pick
-// while the pool lock is held: Observe keeps rewriting the live entry
-// (a respawned FE announces a new HTTP address), so the accessors
-// must not read it lock-free.
-func newPickLocked(p *Pool, b *backend, probe bool) *Pick {
-	return &Pick{p: p, b: b, key: b.key, name: b.name, httpAddr: b.httpAddr, probe: probe}
+	return &Pick{p: p, b: chosen}, nil
 }
 
 // Pick is one routing decision: a borrowed backend slot. Callers must
@@ -197,22 +195,15 @@ type Pick struct {
 	p *Pool
 	b *backend
 
-	key      string
-	name     string
-	httpAddr string
-
 	probe bool
 	done  bool
 }
 
 // Key returns the picked backend's pool key (its SAN address).
-func (pk *Pick) Key() string { return pk.key }
+func (pk *Pick) Key() string { return pk.b.key }
 
-// Name returns the picked backend's FE name.
-func (pk *Pick) Name() string { return pk.name }
-
-// HTTPAddr returns the picked backend's HTTP host:port as of the pick.
-func (pk *Pick) HTTPAddr() string { return pk.httpAddr }
+// Addr returns the picked backend's SAN address, where its requests go.
+func (pk *Pick) Addr() san.Addr { return pk.b.addr }
 
 // Probe reports whether this pick is a half-open probe of an ejected
 // backend.

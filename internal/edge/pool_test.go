@@ -2,9 +2,15 @@ package edge
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/san"
 )
+
+// feAddr is front end i's SAN address, pool key "n/fe<i>".
+func feAddr(i int) san.Addr { return san.Addr{Node: "n", Proc: fmt.Sprintf("fe%d", i)} }
 
 // fakeClock is a manually advanced Pool clock.
 type fakeClock struct{ now time.Time }
@@ -20,7 +26,7 @@ func newTestPool(clk *fakeClock) *Pool {
 func TestPoolEjectAfterConsecutiveFailures(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
+	p.observe(feAddr(0), false)
 
 	// Two failures with a success in between: the counter is
 	// *consecutive*, so no eject.
@@ -52,7 +58,7 @@ func TestPoolEjectAfterConsecutiveFailures(t *testing.T) {
 func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
+	p.observe(feAddr(0), false)
 	for i := 0; i < 3; i++ {
 		pk, _ := p.Pick(false, "")
 		pk.Done(false)
@@ -67,7 +73,7 @@ func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 	}
 
 	clk.Advance(2 * time.Second)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false) // keep the heartbeat fresh
+	p.observe(feAddr(0), false) // keep the heartbeat fresh
 	pk, err := p.Pick(true, "")
 	if err != nil {
 		t.Fatalf("probe pick: %v", err)
@@ -86,7 +92,7 @@ func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 		t.Fatalf("probe immediately after failed probe: err=%v, want ErrNoBackends", err)
 	}
 	clk.Advance(2 * time.Second)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
+	p.observe(feAddr(0), false)
 	pk, err = p.Pick(true, "")
 	if err != nil || !pk.Probe() {
 		t.Fatalf("re-armed probe: pick=%v err=%v", pk, err)
@@ -108,8 +114,8 @@ func TestPoolHalfOpenProbeReadmission(t *testing.T) {
 func TestPoolDrainingExcludedFromPicks(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
-	p.Observe("n/fe1", "fe1", "127.0.0.1:2", true) // draining
+	p.observe(feAddr(0), false)
+	p.Observe("n/fe1", "fe1", "", true) // draining; bench/'s entry point, by key
 
 	for i := 0; i < 16; i++ {
 		pk, err := p.Pick(false, "")
@@ -126,13 +132,13 @@ func TestPoolDrainingExcludedFromPicks(t *testing.T) {
 	}
 
 	// Drain the survivor too: nothing left.
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", true)
+	p.observe(feAddr(0), true)
 	if _, err := p.Pick(false, ""); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("pick from all-draining pool: err=%v, want ErrNoBackends", err)
 	}
 
 	// Un-drain restores service — the hot-upgrade re-enable path.
-	p.Observe("n/fe1", "fe1", "127.0.0.1:2", false)
+	p.observe(feAddr(1), false)
 	pk, err := p.Pick(false, "")
 	if err != nil || pk.Key() != "n/fe1" {
 		t.Fatalf("post-enable pick: pk=%v err=%v", pk, err)
@@ -143,8 +149,8 @@ func TestPoolDrainingExcludedFromPicks(t *testing.T) {
 func TestPoolLeastInflightUnderSkew(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
-	p.Observe("n/fe1", "fe1", "127.0.0.1:2", false)
+	p.observe(feAddr(0), false)
+	p.observe(feAddr(1), false)
 
 	// Pin one request in flight on fe0; with two backends,
 	// power-of-two-choices always compares both, so every subsequent
@@ -207,8 +213,8 @@ func TestPoolLeastInflightUnderSkew(t *testing.T) {
 func TestPoolSequentialTrafficSpreads(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
-	p.Observe("n/fe1", "fe1", "127.0.0.1:2", false)
+	p.observe(feAddr(0), false)
+	p.observe(feAddr(1), false)
 
 	counts := map[string]int{}
 	for i := 0; i < 200; i++ {
@@ -229,7 +235,7 @@ func TestPoolSequentialTrafficSpreads(t *testing.T) {
 func TestPoolExpiresStaleBackends(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
+	p.observe(feAddr(0), false)
 	clk.Advance(11 * time.Second) // past TTL
 	if st := p.Stats(); st.Backends != 0 || st.Expired != 1 {
 		t.Fatalf("want stale backend expired, got %+v", st)
@@ -241,23 +247,23 @@ func TestPoolExpiresStaleBackends(t *testing.T) {
 
 func TestPoolRespawnRefreshesEjectedSlot(t *testing.T) {
 	// The SIGKILL-and-respawn sequence: the backend is ejected, the
-	// respawned FE heartbeats a *new* HTTP address under the same SAN
-	// key, and the probe against the new address readmits it.
+	// respawned FE announces itself again under the same SAN address,
+	// and the probe against it readmits it.
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	p := newTestPool(clk)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:1", false)
+	p.observe(feAddr(0), false)
 	for i := 0; i < 3; i++ {
 		pk, _ := p.Pick(false, "")
 		pk.Done(false)
 	}
 	clk.Advance(2 * time.Second)
-	p.Observe("n/fe0", "fe0", "127.0.0.1:9", false) // respawn, new port
+	p.observe(feAddr(0), false) // respawned
 	pk, err := p.Pick(true, "")
 	if err != nil || !pk.Probe() {
 		t.Fatalf("probe after respawn: pk=%v err=%v", pk, err)
 	}
-	if pk.HTTPAddr() != "127.0.0.1:9" {
-		t.Fatalf("probe should target the respawned address, got %s", pk.HTTPAddr())
+	if pk.Addr() != feAddr(0) {
+		t.Fatalf("probe should target the respawned front end, got %v", pk.Addr())
 	}
 	pk.Done(true)
 	if st := p.Stats(); st.Readmits != 1 || st.Healthy != 1 {

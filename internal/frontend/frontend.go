@@ -7,6 +7,11 @@
 // the distiller itself, each answer arriving on its own Call, and
 // Config.MaxInflight bounds how many do so at once.
 //
+// The outside world reaches a front end over the SAN: the edge forwards
+// each client request as one MsgRequest Call, Run hands it to a
+// goroutine of its own that calls Do, and the answer goes back as one
+// MsgReply (wire.go).
+//
 // The front end also hosts the service's control decisions: dispatch
 // rules live here ("the behavior of the service as a whole [is]
 // defined almost entirely in the front end"), workers stay simple.
@@ -53,8 +58,8 @@ type Response struct {
 	// exact answer delivered slowly" (§3.1.8).
 	Degraded bool
 	// Trace is the request's end-to-end trace id, minted at admission.
-	// HTTP adapters surface it (X-Trace-Id) so an operator can pull the
-	// span tree from /trace?id= on any node that saw the request.
+	// The edge and FetchHandler surface it (X-Trace-Id) so an operator can
+	// pull the span tree from /trace?id= on any node that saw the request.
 	Trace obs.TraceID
 
 	// release, when non-nil, returns Blob.Data's backing buffer to the
@@ -77,7 +82,7 @@ func (r *Response) Release() {
 }
 
 // WithRelease returns r with release as its buffer-return hook, for
-// producers of view responses outside this package (the HTTP adapter's
+// producers of view responses outside this package (edge.FetchHandler's
 // test counts Release calls with it).
 func (r Response) WithRelease(release func()) Response {
 	r.release = release
@@ -101,11 +106,6 @@ type Config struct {
 
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
-	// HTTPAddr is the host:port of this front end's HTTP adapter
-	// (edge.FEServer). It rides every announcement so the edge can route
-	// to the replica; empty means the FE is not HTTP-reachable and the
-	// edge ignores it.
-	HTTPAddr string
 	// CacheTimeout bounds one virtual-cache round trip; an
 	// unreachable cache partition reads as a miss after this long
 	// (BASE: the cache is never a correctness dependency). Zero
@@ -214,9 +214,10 @@ type FrontEnd struct {
 	// wait a request makes ends with it — a Call when Run closes the
 	// endpoint, a flight because it runs under life — so a request caught
 	// by a kill returns at once, and Do answers it with a typed error
-	// (the caller may hold no deadline, e.g. the edge's HTTP adapter).
+	// (the caller may hold no deadline).
 	life     atomic.Pointer[context.Context]
 	inflight atomic.Int64  // admitted requests currently executing
+	serving  atomic.Int64  // MsgRequest Calls not yet answered
 	lastBP   atomic.Uint64 // last BackpressureFn sample (delta = congestion)
 	stats    struct {
 		requests, cacheDistilled, cacheOriginal, originFetches atomic.Uint64
@@ -231,7 +232,7 @@ type FrontEnd struct {
 func New(cfg Config) *FrontEnd {
 	cfg = cfg.withDefaults()
 	fe := &FrontEnd{cfg: cfg, latency: cfg.Net.Registry().Histogram("fe."+cfg.Name+".latency_ns", nil)}
-	fe.ep = cfg.Net.Endpoint(fe.addr(), san.InboxSize)
+	fe.ep = cfg.Net.Endpoint(fe.addr(), san.ServerInboxSize) // a slot per caller: requests queue here
 	fe.mstub = stub.NewManagerStub(fe.ep, cfg.ManagerStub)
 	fe.cache = fe.newCacheClient()
 	return fe
@@ -286,12 +287,13 @@ func (fe *FrontEnd) Stats() Stats {
 // Running reports whether the front end's Run loop is live.
 func (fe *FrontEnd) Running() bool { return fe.life.Load() != nil }
 
-// Run implements cluster.Process: the control-plane receive loop
-// (beacons, announcements). Requests never pass through it. A stop is
-// §2.1's disable: see drain.
+// Run implements cluster.Process: the receive loop. It hands each
+// MsgRequest to a goroutine of its own and the control plane (beacons)
+// to the manager stub; requests never wait for each other here. A stop
+// is §2.1's disable: see drain.
 func (fe *FrontEnd) Run(ctx context.Context) error {
 	if fe.ep == nil || !fe.cfg.Net.Lookup(fe.addr()) {
-		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), san.InboxSize)
+		fe.ep = fe.cfg.Net.Endpoint(fe.addr(), san.ServerInboxSize)
 		fe.mstub = stub.NewManagerStub(fe.ep, fe.cfg.ManagerStub)
 		fe.cache = fe.newCacheClient()
 	}
@@ -343,22 +345,64 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 			if !ok {
 				return fmt.Errorf("frontend: %s endpoint closed", fe.cfg.Name)
 			}
-			fe.mstub.HandleMessage(msg)
+			fe.receive(ep, msg)
 		}
 	}
 }
 
+// receive routes one inbound message: a request to a goroutine of its
+// own (Do's admission bound keeps it short: past MaxInflight it is
+// refused at once), anything else to the manager stub.
+func (fe *FrontEnd) receive(ep *san.Endpoint, msg san.Message) {
+	if msg.Kind != MsgRequest {
+		fe.mstub.HandleMessage(msg)
+		return
+	}
+	fe.serving.Add(1)
+	go fe.serve(ep, msg)
+}
+
+// serve answers one MsgRequest Call: Do under the request's deadline and
+// trace id, then the reply, whose body is a view of the buffer the
+// response arrived in, released once the reply is encoded.
+func (fe *FrontEnd) serve(ep *san.Endpoint, msg san.Message) {
+	defer fe.serving.Add(-1)
+	defer msg.Release()
+	req, _ := msg.Body.(RequestMsg)
+	ctx := obs.WithTrace(context.Background(), msg.Trace)
+	if req.Deadline != 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, req.Deadline))
+		defer cancel()
+	}
+	resp, err := fe.Do(ctx, req.Request)
+	defer resp.Release()
+	if err == nil {
+		msg.Trace = resp.Trace // the reply carries the id Do minted or adopted
+	}
+	_ = ep.Respond(msg, MsgReply, Reply(ctx, resp, err), 0) // a caller that gave up is not the front end's error
+}
+
 // drain is a stop: announce draining, refuse new requests with
-// ErrDisabled, and wait for the admitted ones. A kill that dropped the
-// endpoint first skips it: a crash says nothing and waits for nothing.
+// ErrDisabled (those still arriving too, so their callers go elsewhere at
+// once), and wait for the admitted ones. A kill that dropped the endpoint
+// first skips it: a crash says nothing and waits for nothing.
 func (fe *FrontEnd) drain(ep *san.Endpoint) {
 	if !fe.cfg.Net.Lookup(fe.addr()) {
 		return
 	}
 	fe.draining.Store(true)
 	fe.announce(ep) // at once: the edge must stop routing here now
-	for fe.inflight.Load() > 0 {
-		time.Sleep(time.Millisecond)
+	for inbox := ep.Inbox(); fe.inflight.Load() > 0 || fe.serving.Load() > 0; {
+		select {
+		case msg, ok := <-inbox:
+			if !ok {
+				inbox = nil // dropped meanwhile: only the wait is left
+				continue
+			}
+			fe.receive(ep, msg)
+		case <-time.After(time.Millisecond):
+		}
 	}
 }
 
@@ -367,7 +411,7 @@ func (fe *FrontEnd) announce(ep *san.Endpoint) {
 	// the primary: every standby manager replica and the edge read the
 	// same stream, so a freshly elected primary takes over the FE
 	// process-peer watch with no re-registration round.
-	m := supervisor.Member{Addr: fe.addr(), Kind: supervisor.KindFrontEnd, State: supervisor.StateUp, HTTPAddr: fe.cfg.HTTPAddr}
+	m := supervisor.Member{Addr: fe.addr(), Kind: supervisor.KindFrontEnd, State: supervisor.StateUp}
 	if fe.draining.Load() {
 		m.State = supervisor.StateDraining
 	}
@@ -411,9 +455,10 @@ func (fe *FrontEnd) saturated() bool {
 	return false
 }
 
-// Do submits a request and waits for the response — the programmatic
-// equivalent of an HTTP arrival (edge.FetchHandler adapts net/http
-// onto this). Under saturation it degrades before shedding: a stale cache
+// Do submits a request and waits for the response: the one admission
+// path, whether the request arrived as a MsgRequest Call (serve) or at an
+// HTTP entry of the front end's own process (edge.FetchHandler). Under
+// saturation it degrades before shedding: a stale cache
 // entry past its TTL (Response.Degraded) beats a refusal, and a
 // refusal (ErrOverloaded, fast and typed) beats a queued request that
 // will miss its deadline anyway.

@@ -272,17 +272,6 @@ func (t *Tracer) TakeNew(max int) []Span {
 	return out
 }
 
-// RingLen reports how many spans are currently held (for tests and
-// status output).
-func (t *Tracer) RingLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.head > uint64(len(t.ring)) {
-		return len(t.ring)
-	}
-	return int(t.head)
-}
-
 type traceCtxKey struct{}
 
 // WithTrace attaches a trace id to a context; san.Endpoint.Call picks

@@ -38,14 +38,12 @@ var leasePool = sync.Pool{New: func() any { return &Lease{} }}
 type Lease struct {
 	buf  []byte
 	refs atomic.Int32
-	gen  uint32 // epoch: bumped per pool cycle, for debug assertions
 }
 
 // NewLease returns a lease holding one reference and an empty buffer
 // with capacity at least n.
 func NewLease(n int) *Lease {
 	l := leasePool.Get().(*Lease)
-	l.gen++
 	if cap(l.buf) < n {
 		if n < leaseMinCap {
 			n = leaseMinCap
@@ -101,11 +99,6 @@ func (l *Lease) Release() {
 // any other value means views are live. (The count can only fall
 // concurrently, never rise, once the producer stops sharing it.)
 func (l *Lease) Refs() int32 { return int32(l.refs.Load()) }
-
-// Generation returns the lease's pool epoch — it changes every time
-// the lease is re-acquired from the pool, so a test holding a stale
-// view can detect recycling.
-func (l *Lease) Generation() uint32 { return l.gen }
 
 // CloneBytes is the copy-on-retain helper: a private copy of b that no
 // lease backs, safe to hold forever. A nil or empty input returns nil.

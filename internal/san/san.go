@@ -51,20 +51,22 @@
 // a control inbox holds one interval's announcements, since soft state
 // (paper §3.1.3) means the next beacon, heartbeat or hello replaces a
 // lost one; a worker stub queues or refuses each task at once; and a
-// reply goes to its Call, so no request passes through a front end's or
-// the edge's inbox. The deepest each ran in one 15 s bench/run.sh run of
-// each workload: monitor 13, manager 9, worker 8, the rest ≤ 6.
+// reply goes to its Call, so no reply passes through an inbox. The
+// deepest each ran in one 15 s bench/run.sh run of each workload:
+// monitor 13, manager 9, worker 8, the rest ≤ 6.
 //
-// ServerInboxSize is for an endpoint that serves Calls one at a time (a
-// cache partition, the only one left): its depth is its callers'
-// concurrency, and a request dropped there costs its caller the Call's
-// timeout. A partition ran 21 deep in those runs, but 635–638 deep with
-// two front ends at their admission bound (640 requests) probing it at
-// 1 ms a probe, and up to 236 (595 under -race) at no added cost
+// ServerInboxSize is for an endpoint whose inbox queues Calls: a cache
+// partition, which serves them one at a time, and a front end, whose
+// loop hands each edge request to a goroutine. Its depth is its callers'
+// concurrency. A request a full inbox refuses ends a caller of the same
+// process at once (ErrUnknownAddr), so it can go elsewhere; a caller in
+// another process still waits out its Call's timeout. A partition ran 21
+// deep in those runs, but 635–638 deep with two front ends at their
+// admission bound (640 requests) probing it at 1 ms a probe, and up to
+// 236 (595 under -race) at no added cost
 // (frontend.TestCacheInboxAtAdmissionBound). A degraded serve probes
 // without an admission slot, so that size is a limit, not a measured
-// bound. san.inbox_max and san.inbox_full
-// watch both.
+// bound. san.inbox_max and san.inbox_full watch both.
 package san
 
 import (
@@ -1010,7 +1012,8 @@ func (e *Endpoint) SendTraced(trace obs.TraceID, to Addr, kind string, body any,
 // process goes to the fabric, whose delivery on the far side is the
 // remote network's business (datagram semantics, no acknowledgement);
 // a fabric that cannot place the address surfaces as ErrUnknownAddr,
-// the answer a purely local network gives for an unbound address.
+// the answer a purely local network gives for an unbound address, and
+// for a Call's request that a full local inbox refused.
 // Either way the sender pays serialization before the network can drop
 // the datagram, as a real NIC would, so an unencodable body is an
 // error under loss and partition too.
@@ -1063,12 +1066,15 @@ func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply boo
 	} else {
 		lease.Release()
 	}
-	if dst.push(msg) {
-		n.sent.Add(1)
-		n.bytes.Add(uint64(len(wire)))
-	} else {
+	if !dst.push(msg) {
 		msg.Release() // push counted the drop
+		if callID != 0 && !reply {
+			return fmt.Errorf("%w: %s refused the request (inbox full)", ErrUnknownAddr, to) // its caller ends now
+		}
+		return nil
 	}
+	n.sent.Add(1)
+	n.bytes.Add(uint64(len(wire)))
 	return nil
 }
 

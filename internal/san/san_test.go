@@ -377,6 +377,28 @@ func TestFullInboxDrops(t *testing.T) {
 	}
 }
 
+// TestCallToFullInboxEndsAtOnce: a Call whose request a full local inbox
+// refuses ends at once with ErrUnknownAddr, not at its deadline — nobody
+// will ever answer it, so its caller can go elsewhere now.
+func TestCallToFullInboxEndsAtOnce(t *testing.T) {
+	n := NewNetwork(1)
+	client := n.Endpoint(addr("n1", "client"), 8)
+	server := n.Endpoint(addr("n2", "server"), 1) // never read
+	if err := client.Send(server.Addr(), "fill", nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := client.Call(ctx, server.Addr(), "add", "1", 0)
+	if took := time.Since(start); !errors.Is(err, ErrUnknownAddr) || took > time.Second {
+		t.Fatalf("Call to a full inbox: %v after %v, want ErrUnknownAddr well inside its 5 s deadline", err, took)
+	}
+	if st := n.Stats(); st.InboxFull != 1 {
+		t.Fatalf("inbox_full %d, want 1", st.InboxFull)
+	}
+}
+
 func TestConcurrentSendersRace(t *testing.T) {
 	n := NewNetwork(1)
 	dst := n.Endpoint(addr("n0", "sink"), 100000)

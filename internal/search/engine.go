@@ -214,31 +214,6 @@ func (e *Engine) Query(ctx context.Context, dispatch Dispatch, query string, k i
 	return res
 }
 
-// Page serves result pages from the recent-results cache — the
-// "integrated cache of recent searches, for incremental delivery"
-// (Table 1). Page numbering is 1-based; ok is false when the query is
-// not cached (caller should re-Query).
-func (e *Engine) Page(query string, page, pageSize int) (hits []Hit, ok bool) {
-	if page < 1 || pageSize <= 0 {
-		return nil, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	res, found := e.cache.get(query)
-	if !found {
-		return nil, false
-	}
-	start := (page - 1) * pageSize
-	if start >= len(res.Hits) {
-		return nil, true
-	}
-	end := start + pageSize
-	if end > len(res.Hits) {
-		end = len(res.Hits)
-	}
-	return res.Hits[start:end], true
-}
-
 // resultCache is a small LRU of recent query results.
 type resultCache struct {
 	cap   int

@@ -177,20 +177,4 @@ func TestResultCacheIncrementalDelivery(t *testing.T) {
 	if e.Stats().CacheHits != 1 {
 		t.Fatalf("cache hits = %d", e.Stats().CacheHits)
 	}
-	// Page 2 straight from the cache.
-	if len(res.Hits) > 10 {
-		page2, ok := e.Page("ba", 2, 10)
-		if !ok || len(page2) == 0 {
-			t.Fatal("page 2 unavailable from cache")
-		}
-		if page2[0].Doc != res.Hits[10].Doc {
-			t.Fatal("page 2 content wrong")
-		}
-	}
-	if _, ok := e.Page("never-queried", 1, 10); ok {
-		t.Fatal("uncached query paged")
-	}
-	if _, ok := e.Page("ba", 0, 10); ok {
-		t.Fatal("page 0 accepted")
-	}
 }

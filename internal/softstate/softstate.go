@@ -131,21 +131,6 @@ func (t *Table[V]) Put(key string, v V) (fresh bool) {
 	return fresh
 }
 
-// Touch refreshes an entry's TTL without changing its value. It
-// reports whether the entry existed (and was still live); an expired
-// entry is not refreshed and is left for Expired() to collect.
-func (t *Table[V]) Touch(key string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.m[key]
-	if !ok || t.expired(e) {
-		return false
-	}
-	e.Refreshed = t.clock.now()
-	t.m[key] = e
-	return true
-}
-
 // Get returns a live entry's value. An expired entry reads as absent
 // but is left in place for Expired() to collect.
 func (t *Table[V]) Get(key string) (V, bool) {

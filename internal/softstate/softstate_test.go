@@ -85,16 +85,16 @@ func TestTableRefresh(t *testing.T) {
 	tb.Put("k", 1)
 	for i := 0; i < 5; i++ {
 		fc.Advance(900 * time.Millisecond)
-		if !tb.Touch("k") {
-			t.Fatalf("Touch failed at refresh %d", i)
+		if tb.Put("k", 1) {
+			t.Fatalf("refresh %d found the entry expired", i)
 		}
 	}
 	if _, ok := tb.Get("k"); !ok {
 		t.Fatal("refreshed entry expired")
 	}
 	fc.Advance(1100 * time.Millisecond)
-	if tb.Touch("k") {
-		t.Fatal("Touch succeeded on expired entry")
+	if _, ok := tb.Get("k"); ok {
+		t.Fatal("entry outlived its TTL")
 	}
 }
 
@@ -139,7 +139,6 @@ func TestTableConcurrency(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				tb.Put(key, i)
 				tb.Get(key)
-				tb.Touch(key)
 			}
 		}()
 	}
@@ -268,8 +267,8 @@ func TestMovingAverageDefaultAlpha(t *testing.T) {
 }
 
 // TestReadsDoNotConsumeExpiry is the regression test for the stolen
-// front-end restart: a status poller calling Len/Snapshot/Get (or a
-// failed Touch) around the moment an entry expires must not eat the
+// front-end restart: a status poller calling Len/Snapshot/Get around
+// the moment an entry expires must not eat the
 // expiry event — Expired() is the single consumer, and the policy
 // loop acting on it must still see the key.
 func TestReadsDoNotConsumeExpiry(t *testing.T) {
@@ -287,9 +286,6 @@ func TestReadsDoNotConsumeExpiry(t *testing.T) {
 	}
 	if _, ok := tb.Get("fe0"); ok {
 		t.Fatal("Get returned an expired entry")
-	}
-	if tb.Touch("fe0") {
-		t.Fatal("Touch refreshed an expired entry")
 	}
 	// ...but the expiry event is still deliverable exactly once.
 	if gone := tb.Expired(); len(gone) != 1 || gone[0] != "fe0" {

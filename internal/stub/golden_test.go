@@ -1,4 +1,4 @@
-package stub
+package stub_test
 
 import (
 	"bytes"
@@ -12,12 +12,13 @@ import (
 	"testing"
 
 	"repro/internal/san"
+	"repro/internal/stub"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden/*.hex from the current encoder")
 
 // TestGoldenFrames pins the wire layout of every kind in san's table
-// (the test binary links every owner: stub, supervisor, vcache) to bytes
+// (the test binary links every owner: stub, supervisor, vcache, frontend) to bytes
 // committed under testdata/golden: each fixture is the encoding of that kind's
 // wireSamples() body as of the last deliberate layout change. A frame a
 // peer built from those bytes must still decode to the same value and
@@ -46,7 +47,7 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		path := filepath.Join("testdata", "golden", kind+".hex")
 		if *updateGolden {
-			data, err := EncodeBody(kind, body)
+			data, err := stub.EncodeBody(kind, body)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", kind, err)
 			}
@@ -73,7 +74,7 @@ func TestGoldenFrames(t *testing.T) {
 		if !reflect.DeepEqual(got, body) {
 			t.Errorf("%s: the committed frame decodes to\n %#v\nwant %#v", kind, got, body)
 		}
-		if again, err := EncodeBody(kind, got); err != nil || !bytes.Equal(again, golden) {
+		if again, err := stub.EncodeBody(kind, got); err != nil || !bytes.Equal(again, golden) {
 			t.Errorf("%s: decode -> re-encode changed the bytes (%v):\n got %x\nwant %x", kind, err, again, golden)
 		}
 	}

@@ -1,12 +1,14 @@
-package stub
+package stub_test
 
 import (
 	"context"
 	"testing"
 	"time"
 
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/stub"
 	"repro/internal/supervisor"
 	"repro/internal/vcache"
 )
@@ -25,10 +27,11 @@ func (f *promptFabric) Multicast(san.Addr, string, string, []byte) {}
 func (f *promptFabric) EndpointDown(san.Addr)                      {}
 
 // TestFabricPromptKinds: the SAN hands the fabric prompt=true for every
-// Call's request (cache.get, cache.stats, sup.cmd, wrk.task: each
-// caller is blocked on the answer) and for a distillation's result,
-// however it is sent. Every other reply (cache.got included) and every
-// one-way Send of any other kind the wire carries is false.
+// Call's request (cache.get, cache.stats, sup.cmd, wrk.task, fe.request:
+// each caller is blocked on the answer) and for the two Prompter bodies,
+// a distillation's result and a front end's reply, however they are
+// sent. Every other reply (cache.got included) and every one-way Send of
+// any other kind the wire carries is false.
 func TestFabricPromptKinds(t *testing.T) {
 	net := san.NewNetwork(1)
 	fab := &promptFabric{prompt: make(map[string][]bool)}
@@ -38,8 +41,9 @@ func TestFabricPromptKinds(t *testing.T) {
 
 	samples := wireSamples()
 	samples[vcache.MsgStats] = nil // a stats Call carries no body
-	calls := []string{MsgTask, vcache.MsgGet, vcache.MsgStats, supervisor.MsgCmd}
-	replies := []string{MsgResult, vcache.MsgGot, vcache.MsgStatsR, supervisor.MsgAck}
+	calls := []string{stub.MsgTask, vcache.MsgGet, vcache.MsgStats, supervisor.MsgCmd, frontend.MsgRequest}
+	replies := []string{stub.MsgResult, vcache.MsgGot, vcache.MsgStatsR, supervisor.MsgAck, frontend.MsgReply}
+	prompter := func(kind string) bool { return kind == stub.MsgResult || kind == frontend.MsgReply }
 	expect := func(via string, kinds []string, want func(kind string) bool) {
 		t.Helper()
 		for _, kind := range kinds {
@@ -57,7 +61,7 @@ func TestFabricPromptKinds(t *testing.T) {
 		}
 		sent = append(sent, kind)
 	}
-	expect("Send", sent, func(kind string) bool { return kind == MsgResult })
+	expect("Send", sent, prompter)
 
 	for _, kind := range calls {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
@@ -74,5 +78,5 @@ func TestFabricPromptKinds(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
-	expect("Respond", replies, func(kind string) bool { return kind == MsgResult })
+	expect("Respond", replies, prompter)
 }

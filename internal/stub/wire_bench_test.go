@@ -1,8 +1,9 @@
-package stub
+package stub_test
 
 import (
 	"testing"
 
+	"repro/internal/stub"
 	"repro/internal/supervisor"
 )
 
@@ -15,7 +16,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeBody(kind, body); err != nil {
+		if _, err := stub.EncodeBody(kind, body); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -24,14 +25,14 @@ func BenchmarkWireEncode(b *testing.B) {
 // BenchmarkWireBeaconEncodeAppend tracks the biggest recurring encode:
 // a manager beacon carrying a full worker table.
 func BenchmarkWireBeaconEncodeAppend(b *testing.B) {
-	beacon := wireSamples()[MsgBeacon].(Beacon)
+	beacon := wireSamples()[stub.MsgBeacon].(stub.Beacon)
 	for len(beacon.Workers) < 32 {
 		beacon.Workers = append(beacon.Workers, beacon.Workers...)
 	}
 	// Pre-box so the measurement is the codec, not callsite interface
 	// conversion (the SAN receives bodies already boxed in `any`).
 	var body any = beacon
-	buf, err := EncodeBodyAppend(nil, MsgBeacon, body)
+	buf, err := stub.EncodeBodyAppend(nil, stub.MsgBeacon, body)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func BenchmarkWireBeaconEncodeAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = EncodeBodyAppend(buf[:0], MsgBeacon, body)
+		buf, err = stub.EncodeBodyAppend(buf[:0], stub.MsgBeacon, body)
 		if err != nil {
 			b.Fatal(err)
 		}

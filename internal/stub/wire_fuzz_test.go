@@ -1,4 +1,4 @@
-package stub
+package stub_test
 
 import (
 	"bytes"
@@ -9,34 +9,41 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/san"
+	"repro/internal/stub"
 	"repro/internal/supervisor"
 	"repro/internal/tacc"
 	"repro/internal/vcache"
 )
 
+// The wire tests are an external package so that their test binary can
+// link every package that registers kinds in san's table — stub,
+// supervisor, vcache and frontend (which imports stub, so stub's own
+// test package cannot see its kinds) — and san.Kinds() lists them all.
+
 // wireSamples are representative protocol messages — the values the
 // existing stub/manager tests pass over the in-process SAN — used
 // both as the round-trip unit corpus and as fuzz seeds.
 func wireSamples() map[string]any {
-	w0 := WorkerInfo{
+	w0 := stub.WorkerInfo{
 		ID: "w0", Class: "echo",
 		Addr: san.Addr{Node: "n1", Proc: "w0"}, Node: "n1",
 		QLen: 2.5,
 	}
-	ovf := WorkerInfo{
+	ovf := stub.WorkerInfo{
 		ID: "sjpg.3", Class: "distill-sjpg",
 		Addr: san.Addr{Node: "ovf0", Proc: "sjpg.3"}, Node: "ovf0",
 		QLen: 17.25, Overflow: true,
 	}
 	return map[string]any{
-		MsgBeacon: Beacon{
+		stub.MsgBeacon: stub.Beacon{
 			Manager: san.Addr{Node: "mgr", Proc: "manager"},
 			Seq:     42,
-			Workers: []WorkerInfo{w0, ovf},
+			Workers: []stub.WorkerInfo{w0, ovf},
 		},
-		MsgTask: TaskMsg{Task: tacc.Task{
+		stub.MsgTask: stub.TaskMsg{Task: tacc.Task{
 			Key:   "http://origin1.example/obj42.sjpg",
 			Input: tacc.Blob{MIME: "image/sjpg", Data: []byte("payload"), Meta: map[string]string{"orig": "1024"}},
 			Inputs: []tacc.Blob{
@@ -52,16 +59,16 @@ func wireSamples() map[string]any {
 			Deadline: 1700000000123456789,
 			Trace:    0x1d2c3b4a59687f01 | 1,
 		},
-		MsgResult: ResultMsg{
+		stub.MsgResult: stub.ResultMsg{
 			Blob: tacc.Blob{MIME: "image/sjpg", Data: []byte("distilled")},
 			Err:  "",
 		},
-		MsgSpawnReq: SpawnReq{Class: "echo"},
-		MsgMonReport: StatusReport{
+		stub.MsgSpawnReq: stub.SpawnReq{Class: "echo"},
+		stub.MsgMonReport: stub.StatusReport{
 			Component: "w0", Kind: "worker", Node: "n1",
 			Metrics: map[string]float64{"qlen": 3, "cost_ms": 1.5, "done": 7},
 		},
-		MsgSpanDigest: SpanDigest{Spans: []obs.Span{
+		stub.MsgSpanDigest: stub.SpanDigest{Spans: []obs.Span{
 			{
 				Trace: 0x1d2c3b4a59687f01 | 1, Proc: "b-", Comp: "w0",
 				Hop: "worker.service", Note: "distill-sjpg",
@@ -103,12 +110,17 @@ func wireSamples() map[string]any {
 			ID: 9, Origin: "a-node1/manager", Op: supervisor.OpRestart, Target: "cache0", Epoch: 3,
 		},
 		supervisor.MsgAck: supervisor.Ack{ID: 9, OK: false, Err: "cache0 is not hosted here"},
+		frontend.MsgRequest: frontend.RequestMsg{
+			Request:  frontend.Request{URL: "http://origin1.example/obj42.sjpg", User: "alice", Raw: true},
+			Deadline: 1700000000123456789,
+		},
+		frontend.MsgReply: frontend.ReplyMsg{MIME: "image/sjpg", Source: "cache-distilled", Degraded: true, Data: []byte("distilled")},
 	}
 }
 
 // decode is DecodeBodyView without the aliasing report.
 func decode(kind string, data []byte) (any, error) {
-	body, _, err := DecodeBodyView(kind, data)
+	body, _, err := stub.DecodeBodyView(kind, data)
 	return body, err
 }
 
@@ -141,7 +153,7 @@ const maxRoster = 1024
 func TestHelloRosterRoundTrip(t *testing.T) {
 	for _, rows := range []int{0, 1, 12, maxRoster} {
 		want := helloWithRoster(rows)
-		data, err := EncodeBody(supervisor.MsgHello, want)
+		data, err := stub.EncodeBody(supervisor.MsgHello, want)
 		if err != nil {
 			t.Fatalf("%d rows: encode: %v", rows, err)
 		}
@@ -151,7 +163,7 @@ func TestHelloRosterRoundTrip(t *testing.T) {
 		}
 	}
 	over := helloWithRoster(maxRoster + 1)
-	if _, err := EncodeBody(supervisor.MsgHello, over); !errors.Is(err, san.ErrWireFormat) {
+	if _, err := stub.EncodeBody(supervisor.MsgHello, over); !errors.Is(err, san.ErrWireFormat) {
 		t.Fatalf("encoder accepted %d rows: %v", len(over.Roster), err)
 	}
 	w := &san.Writer{}
@@ -190,7 +202,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	for _, s := range all {
 		kind, body := s.kind, s.body
-		data, err := EncodeBody(kind, body)
+		data, err := stub.EncodeBody(kind, body)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", kind, err)
 		}
@@ -223,14 +235,14 @@ func TestWireSamplesCoverEveryKind(t *testing.T) {
 // reuses the destination's capacity instead of allocating.
 func TestEncodeBodyAppend(t *testing.T) {
 	for kind, body := range wireSamples() {
-		want, err := EncodeBody(kind, body)
+		want, err := stub.EncodeBody(kind, body)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", kind, err)
 		}
 		prefix := []byte("frame-header:")
 		buf := make([]byte, len(prefix), len(prefix)+len(want)+64)
 		copy(buf, prefix)
-		got, err := EncodeBodyAppend(buf, kind, body)
+		got, err := stub.EncodeBodyAppend(buf, kind, body)
 		if err != nil {
 			t.Fatalf("%s: append encode: %v", kind, err)
 		}
@@ -250,8 +262,8 @@ func TestEncodeBodyAppend(t *testing.T) {
 // emitted in sorted order).
 func TestWireDeterministic(t *testing.T) {
 	for kind, body := range wireSamples() {
-		a, _ := EncodeBody(kind, body)
-		b, _ := EncodeBody(kind, body)
+		a, _ := stub.EncodeBody(kind, body)
+		b, _ := stub.EncodeBody(kind, body)
 		if string(a) != string(b) {
 			t.Fatalf("%s: nondeterministic encoding", kind)
 		}
@@ -260,19 +272,19 @@ func TestWireDeterministic(t *testing.T) {
 
 // TestWireRejectsWrongType and truncation: the codec errors cleanly.
 func TestWireRejects(t *testing.T) {
-	if _, err := EncodeBody(MsgBeacon, SpawnReq{}); err == nil {
+	if _, err := stub.EncodeBody(stub.MsgBeacon, stub.SpawnReq{}); err == nil {
 		t.Fatal("encode accepted a mismatched body type")
 	}
-	data, err := EncodeBody(MsgBeacon, wireSamples()[MsgBeacon])
+	data, err := stub.EncodeBody(stub.MsgBeacon, wireSamples()[stub.MsgBeacon])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := decode(MsgBeacon, data[:cut]); err == nil {
+		if _, err := decode(stub.MsgBeacon, data[:cut]); err == nil {
 			t.Fatalf("decode accepted truncation at %d/%d bytes", cut, len(data))
 		}
 	}
-	if _, err := decode(MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
+	if _, err := decode(stub.MsgBeacon, append(append([]byte{}, data...), 0)); err == nil {
 		t.Fatal("decode accepted trailing garbage")
 	}
 	if _, err := decode(vcache.MsgStats, []byte{1}); err == nil {
@@ -284,8 +296,8 @@ func TestWireRejects(t *testing.T) {
 // a front end up and draining, a cache, an overflow worker draining.
 func memberShapes() []supervisor.Member {
 	return []supervisor.Member{
-		{Addr: san.Addr{Node: "a-node0", Proc: "fe0"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateUp, HTTPAddr: "127.0.0.1:39201"},
-		{Addr: san.Addr{Node: "a-node1", Proc: "fe1"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateDraining, HTTPAddr: "127.0.0.1:39202"},
+		{Addr: san.Addr{Node: "a-node0", Proc: "fe0"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateUp},
+		{Addr: san.Addr{Node: "a-node1", Proc: "fe1"}, Kind: supervisor.KindFrontEnd, State: supervisor.StateDraining},
 		{Addr: san.Addr{Node: "b-node0", Proc: "cache0"}, Kind: supervisor.KindCache, State: supervisor.StateUp},
 		{Addr: san.Addr{Node: "b-ovf0", Proc: "b-distill-sjpg.7"}, Kind: supervisor.KindWorker, Class: "distill-sjpg", State: supervisor.StateDraining, Load: 17, Overflow: true},
 	}
@@ -314,7 +326,7 @@ func probeWireBodies() map[string][]any {
 func TestProbeWireFields(t *testing.T) {
 	for kind, list := range probeWireBodies() {
 		for _, want := range list {
-			data, err := EncodeBody(kind, want)
+			data, err := stub.EncodeBody(kind, want)
 			if err != nil {
 				t.Fatalf("%s %+v: encode: %v", kind, want, err)
 			}
@@ -339,7 +351,7 @@ func TestProbeWireFields(t *testing.T) {
 func FuzzWireRoundTrip(f *testing.F) {
 	kinds := san.Kinds()
 	for i, kind := range kinds {
-		data, err := EncodeBody(kind, wireSamples()[kind])
+		data, err := stub.EncodeBody(kind, wireSamples()[kind])
 		if err != nil {
 			f.Fatalf("%s: seed encode: %v", kind, err)
 		}
@@ -348,7 +360,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(0, []byte{})
 	f.Add(1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	for _, rows := range []int{0, 1, 40} { // the sample above carries 3
-		data, err := EncodeBody(supervisor.MsgHello, helloWithRoster(rows))
+		data, err := stub.EncodeBody(supervisor.MsgHello, helloWithRoster(rows))
 		if err != nil {
 			f.Fatalf("hello seed, %d rows: %v", rows, err)
 		}
@@ -357,7 +369,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	for kind, bodies := range probeWireBodies() { // the samples above carry the paired, stale, fallback-answered shapes
 		for _, body := range bodies {
-			data, err := EncodeBody(kind, body)
+			data, err := stub.EncodeBody(kind, body)
 			if err != nil {
 				f.Fatalf("%s seed %+v: %v", kind, body, err)
 			}
@@ -365,7 +377,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	}
 	for _, m := range memberShapes() {
-		data, err := EncodeBody(supervisor.MsgAnnounce, m)
+		data, err := stub.EncodeBody(supervisor.MsgAnnounce, m)
 		if err != nil {
 			f.Fatalf("member seed %+v: %v", m, err)
 		}
@@ -383,8 +395,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			if reflect.DeepEqual(a, b) {
 				return true
 			}
-			ea, errA := EncodeBody(kind, a)
-			eb, errB := EncodeBody(kind, b)
+			ea, errA := stub.EncodeBody(kind, a)
+			eb, errB := stub.EncodeBody(kind, b)
 			return errA == nil && errB == nil && bytes.Equal(ea, eb)
 		}
 		body, err := decode(kind, data)
@@ -394,15 +406,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// Re-encode into a recycled buffer holding stale garbage, as
 		// the SAN's lease pool hands out.
 		scratch := bytes.Repeat([]byte{0xa5}, 16)
-		re, err := EncodeBodyAppend(scratch[:0], kind, body)
+		re, err := stub.EncodeBodyAppend(scratch[:0], kind, body)
 		if err != nil {
 			t.Fatalf("%s: value %#v decoded but failed to re-encode: %v", kind, body, err)
 		}
-		if direct, err2 := EncodeBody(kind, body); err2 != nil || !bytes.Equal(re, direct) {
-			t.Fatalf("%s: append encoding diverges from EncodeBody (err=%v)", kind, err2)
+		if direct, err2 := stub.EncodeBody(kind, body); err2 != nil || !bytes.Equal(re, direct) {
+			t.Fatalf("%s: append encoding diverges from stub.EncodeBody (err=%v)", kind, err2)
 		}
 		vbuf := append([]byte{}, re...)
-		body2, aliased, err := DecodeBodyView(kind, vbuf)
+		body2, aliased, err := stub.DecodeBodyView(kind, vbuf)
 		if err != nil {
 			t.Fatalf("%s: re-encoded bytes failed to decode: %v", kind, err)
 		}
@@ -427,19 +439,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 // mutation shows through), and CloneBytes taken before the mutation is
 // the copy-on-retain escape hatch that stays stable.
 func TestDecodeBodyViewAliasing(t *testing.T) {
-	want := wireSamples()[MsgResult].(ResultMsg)
-	wire, err := EncodeBody(MsgResult, want)
+	want := wireSamples()[stub.MsgResult].(stub.ResultMsg)
+	wire, err := stub.EncodeBody(stub.MsgResult, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, aliased, err := DecodeBodyView(MsgResult, wire)
+	body, aliased, err := stub.DecodeBodyView(stub.MsgResult, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !aliased {
-		t.Fatal("MsgResult carries blob bytes but view decode reported aliased=false")
+		t.Fatal("stub.MsgResult carries blob bytes but view decode reported aliased=false")
 	}
-	got := body.(ResultMsg)
+	got := body.(stub.ResultMsg)
 	if !bytes.Equal(got.Blob.Data, want.Blob.Data) {
 		t.Fatalf("view data mismatch: %q", got.Blob.Data)
 	}

@@ -101,15 +101,13 @@ const (
 // its kind's TTL is how a watcher infers its death (§3.1.3), so it is
 // sent from the component's own serving loop. Class, Load and Overflow
 // describe a worker (its queue length is the load the lottery balances
-// on); HTTPAddr is a front end's HTTP adapter, the address the edge
-// routes to.
+// on). A front end's Addr is also where the edge sends its requests.
 type Member struct {
 	Addr     san.Addr // Addr.Proc is the row's name, Addr.Node its node
 	Kind     string
 	Class    string
 	State    string
 	Load     int
-	HTTPAddr string
 	Overflow bool
 }
 
@@ -221,14 +219,13 @@ func appendMember(w san.Writer, m Member) (san.Writer, error) {
 	w.Str(m.Class)
 	w.Str(m.State)
 	w.Varint(int64(m.Load))
-	w.Str(m.HTTPAddr)
 	w.Bool(m.Overflow)
 	return w, nil
 }
 
 func decodeMember(data []byte) (any, bool, error) {
 	r := san.NewReader(data)
-	return r.Done(Member{Addr: r.Addr(), Kind: r.Str(), Class: r.Str(), State: r.Str(), Load: int(r.Varint()), HTTPAddr: r.Str(), Overflow: r.Bool()})
+	return r.Done(Member{Addr: r.Addr(), Kind: r.Str(), Class: r.Str(), State: r.Str(), Load: int(r.Varint()), Overflow: r.Bool()})
 }
 
 func appendCommand(w san.Writer, m Command) (san.Writer, error) {

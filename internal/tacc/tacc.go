@@ -217,18 +217,6 @@ func (r *Registry) New(class string) (Worker, error) {
 	return f(), nil
 }
 
-// Classes lists registered classes, sorted.
-func (r *Registry) Classes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for c := range r.factories {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Run executes a pipeline locally, instantiating each stage's worker
 // from the registry. This is the composition semantics reference (the
 // distributed path in the front end dispatches each stage to remote

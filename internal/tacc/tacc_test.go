@@ -205,16 +205,17 @@ func TestCacheKeyDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestRegistryClasses: every registered class instantiates, and a class
+// nobody registered is ErrUnknownClass.
 func TestRegistryClasses(t *testing.T) {
 	r := newTestRegistry()
-	classes := r.Classes()
-	if len(classes) != 4 {
-		t.Fatalf("classes = %v", classes)
-	}
-	for i := 1; i < len(classes); i++ {
-		if classes[i-1] >= classes[i] {
-			t.Fatal("classes not sorted")
+	for _, class := range []string{"upper", "suffix", "failing", "concat"} {
+		if w, err := r.New(class); err != nil || w == nil {
+			t.Fatalf("%s: %v, %v", class, w, err)
 		}
+	}
+	if _, err := r.New("nobody"); !errors.Is(err, ErrUnknownClass) {
+		t.Fatalf("unregistered class: %v, want ErrUnknownClass", err)
 	}
 }
 

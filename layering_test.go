@@ -91,3 +91,35 @@ func TestLayering(t *testing.T) {
 		}
 	}
 }
+
+// TestWireTestsLinkEveryOwner: the wire tests (golden frames, the sample
+// corpus, the round-trip fuzzer: internal/stub's wire_fuzz_test.go, an
+// external test package) cover the kinds their binary links, so that
+// file must import every package that registers a kind in san's table.
+// A new owner that it misses fails here, not silently unpinned.
+func TestWireTestsLinkEveryOwner(t *testing.T) {
+	const module = "repro/internal/"
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "stub", "wire_fuzz_test.go"), nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := map[string]bool{"stub": true}
+	for _, spec := range f.Imports {
+		if imp, _ := strconv.Unquote(spec.Path.Value); strings.HasPrefix(imp, module) {
+			linked[strings.TrimPrefix(imp, module)] = true
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join("internal", "*", "*.go"))
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner := filepath.Base(filepath.Dir(path)); strings.Contains(string(src), "san.RegisterKind(") && !linked[owner] {
+			t.Errorf("%s registers wire kinds, but internal/stub/wire_fuzz_test.go does not import internal/%s", path, owner)
+		}
+	}
+}

@@ -46,7 +46,8 @@
 # /metrics serves the same registry as Prometheus text.
 #
 # Leg 5 [edge] — edge front door: data plane with the manager, two
-# single-FE processes advertising HTTP adapters, an edge-only process.
+# single-FE processes, an edge-only process that reaches them over the
+# bridge (each request one fe.request Call, its answer one fe.reply).
 # One FE process is kill -9ed under a curl workload through the edge and
 # later restarted: every request returns 200, edge.edge.ejects >= 1,
 # edge.edge.readmits >= 1, zero wire errors on the edge.
@@ -392,7 +393,7 @@ echo "smoke: [edge] data-plane process (manager,worker,cache,monitor) on :${PORT
 start_node dp5 -listen "tcp:127.0.0.1:${PORT5}" -roles manager,worker,cache,monitor -seed 10
 start_fe() { # start_fe <name> <seed>
     start_node "$1" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
-        -roles frontend -frontends 1 -fe-http 127.0.0.1 -cache-host dp5 -seed "$2"
+        -roles frontend -frontends 1 -cache-host dp5 -seed "$2"
 }
 # The edge learns the front ends from their announcements alone, which come
 # fast only while they are starting: it starts with them.
