@@ -204,9 +204,8 @@ func runFaults(seed int64) {
 	defer back.Stop()
 	front, err := core.Start(config(core.Config{
 		Seed: seed + 1, NodePrefix: "a-", FrontEnds: 1,
-		Roles:        core.Roles{FrontEnds: true},
-		Transport:    core.TransportConfig{Listen: "tcp:127.0.0.1:0", Join: []string{back.Bridge.Advertise()}},
-		RemoteCaches: core.CacheAddrs("b-", caches, nodes),
+		Roles:     core.Roles{FrontEnds: true},
+		Transport: core.TransportConfig{Listen: "tcp:127.0.0.1:0", Join: []string{back.Bridge.Advertise()}},
 	}))
 	if err != nil {
 		fmt.Println("start:", err)

@@ -12,8 +12,10 @@
 //
 //	# terminal 2 — serving plane: front ends + monitor, joins terminal 1
 //	go run ./cmd/node -listen tcp:127.0.0.1:7402 -prefix a \
-//	    -roles frontend,monitor -join tcp:127.0.0.1:7401 \
-//	    -cache-host b -http :8089
+//	    -roles frontend,monitor -join tcp:127.0.0.1:7401 -http :8089
+//
+// The front ends of terminal 2 find terminal 1's cache partitions by
+// hearing them announce themselves; no flag says where they are.
 //
 //	curl 'localhost:8089/fetch?url=http://origin1.example/obj42.sjpg&user=alice'
 //	curl 'localhost:8089/status'
@@ -82,13 +84,11 @@ func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions,
 	join := fs.String("join", "", "comma-separated seed bridge addresses to join")
 	prefix := fs.String("prefix", "", "node-name prefix, and the bridge's id: peers send this process every node it prefixes (longest match); must be unique per process (required with -join or when joined)")
 	rolesFlag := fs.String("roles", "all", "roles to host: frontend,manager,worker,cache,monitor,edge (or 'all')")
-	cacheHost := fs.String("cache-host", "", "node prefix of the process hosting the cache partitions (when the cache role is remote)")
 	frontEnds := fs.Int("frontends", 2, "front ends (frontend role)")
 	managers := fs.Int("managers", 1, "manager replicas hosted in this process (manager role)")
 	managerRank := fs.Int("manager-rank", 0, "election rank of this process's first manager replica; global rank 0 boots as the acting primary, everyone else standby")
-	cacheParts := fs.Int("caches", 2, "cache partitions (cluster-wide count; used to compute remote addresses too)")
+	cacheParts := fs.Int("caches", 2, "cache partitions this process hosts (cache role); front ends everywhere find them by their announcements")
 	nodes := fs.Int("nodes", 8, "dedicated cluster nodes in this process")
-	cacheNodes := fs.Int("cache-nodes", 0, "dedicated node count of the cache-hosting process (default: -nodes)")
 	overflow := fs.Int("overflow", 2, "overflow pool nodes")
 	spawnH := fs.Float64("H", 10, "spawn threshold (avg queue length)")
 	dampD := fs.Duration("D", 5*time.Second, "spawn damping window")
@@ -167,13 +167,6 @@ func configFromFlags(fs *flag.FlagSet, args []string) (core.Config, nodeOptions,
 		CacheTTL:           *cacheTTL,
 		TraceSampleRate:    *traceSample,
 		TraceSlowThreshold: *traceSlow,
-	}
-	if *cacheHost != "" {
-		cn := *cacheNodes
-		if cn <= 0 {
-			cn = *nodes
-		}
-		cfg.RemoteCaches = core.CacheAddrs(*cacheHost, *cacheParts, cn)
 	}
 	return cfg, nodeOptions{
 		roles:        *rolesFlag,

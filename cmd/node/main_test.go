@@ -35,26 +35,17 @@ func TestConfigFromFlags(t *testing.T) {
 			},
 		},
 		{
-			name: "remote caches are the cache host's placement",
-			args: "-prefix a -join tcp:127.0.0.1:7401,,tcp:127.0.0.1:7403 -cache-host b -caches 3 -nodes 5 -cache-nodes 2",
+			name: "caches count the partitions hosted here",
+			args: "-prefix a -join tcp:127.0.0.1:7401,,tcp:127.0.0.1:7403 -caches 3 -nodes 5",
 			check: func(t *testing.T, cfg core.Config, _ nodeOptions) {
-				if want := core.CacheAddrs("b", 3, 2); !reflect.DeepEqual(cfg.RemoteCaches, want) {
-					t.Fatalf("RemoteCaches %v, want %v", cfg.RemoteCaches, want)
-				}
 				if cfg.CacheParts != 3 || cfg.DedicatedNodes != 5 || cfg.NodePrefix != "a" {
 					t.Fatalf("caches %d nodes %d prefix %q", cfg.CacheParts, cfg.DedicatedNodes, cfg.NodePrefix)
 				}
+				if cfg.RemoteCaches != nil {
+					t.Fatalf("RemoteCaches %v, want none: front ends hear the partitions announce", cfg.RemoteCaches)
+				}
 				if want := []string{"tcp:127.0.0.1:7401", "tcp:127.0.0.1:7403"}; !reflect.DeepEqual(cfg.Transport.Join, want) {
 					t.Fatalf("Join %v, want %v", cfg.Transport.Join, want)
-				}
-			},
-		},
-		{
-			name: "cache-nodes defaults to nodes",
-			args: "-cache-host b -nodes 5",
-			check: func(t *testing.T, cfg core.Config, _ nodeOptions) {
-				if want := core.CacheAddrs("b", 2, 5); !reflect.DeepEqual(cfg.RemoteCaches, want) {
-					t.Fatalf("RemoteCaches %v, want %v", cfg.RemoteCaches, want)
 				}
 			},
 		},
@@ -98,6 +89,9 @@ func TestConfigFromFlags(t *testing.T) {
 		{name: "-selftest-spacing is gone", args: "-selftest-spacing 30ms", wantErr: "not defined: -selftest-spacing"},
 		{name: "-selftest-expect-epoch is gone", args: "-selftest-expect-epoch 2", wantErr: "not defined: -selftest-expect-epoch"},
 		{name: "-selftest-overload is gone", args: "-selftest-overload 64", wantErr: "not defined: -selftest-overload"},
+		// Where the cache partitions are is heard, not configured.
+		{name: "-cache-host is gone", args: "-cache-host b", wantErr: "not defined: -cache-host"},
+		{name: "-cache-nodes is gone", args: "-cache-nodes 2", wantErr: "not defined: -cache-nodes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("node", flag.ContinueOnError)
@@ -116,7 +110,7 @@ func TestConfigFromFlags(t *testing.T) {
 }
 
 // TestNodeOnlyServes pins the shape left once the in-process test
-// client went: three serving options, none of them a mode, and 26 flags.
+// client went: three serving options, none of them a mode, and 24 flags.
 func TestNodeOnlyServes(t *testing.T) {
 	if n := reflect.TypeOf(nodeOptions{}).NumField(); n != 3 {
 		t.Fatalf("nodeOptions has %d fields, want roles, httpAddr, readyTimeout", n)
@@ -128,8 +122,8 @@ func TestNodeOnlyServes(t *testing.T) {
 	}
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 26 {
-		t.Fatalf("%d flags defined, want 26 (a new flag needs a caller that sets it)", n)
+	if n != 24 {
+		t.Fatalf("%d flags defined, want 24 (a new flag needs a caller that sets it)", n)
 	}
 }
 

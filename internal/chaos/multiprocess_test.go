@@ -62,7 +62,6 @@ func startBridgedPair(t *testing.T, seedA, seedB int64) (sysA, sysB *core.System
 		Transport:      core.TransportConfig{Listen: "tcp:127.0.0.1:0", Join: []string{sysB.Bridge.Advertise()}},
 		DedicatedNodes: 4,
 		FrontEnds:      1,
-		RemoteCaches:   core.CacheAddrs("b-", 2, 6),
 		Workers:        workers,
 		Registry:       reg,
 		Rules:          rules,

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/manager"
+	"repro/internal/softstate"
 )
 
 const seed = 1
@@ -313,6 +314,55 @@ func TestScenarioCacheCrashLoop(t *testing.T) {
 	}
 	if got := h.Sys.Manager().Stats().CacheRestarts; got < 2*cycles {
 		t.Fatalf("manager recorded %d cache restarts over %d cycles", got, cycles)
+	}
+}
+
+// TestScenarioCacheKillRingFollows: kill one of two cache partitions
+// under load. No request fails — a probe to the dead partition is a miss
+// at once, and its keys go to the origin — and every front end's ring
+// follows the partition's announcements: it drops the name once the
+// partition has been silent for softstate.CacheTTL, and holds it again
+// within one CacheTTL of the manager's restart. The manager's own timeout
+// is set past the ring's, so the drop comes first.
+func TestScenarioCacheKillRingFollows(t *testing.T) {
+	h := newHarness(t, Config{Seed: seed, FrontEnds: 2, CacheSuperviseTTL: 300 * time.Millisecond})
+	ctx := context.Background()
+	ttl := softstate.CacheTTL.Of(h.cfg.BeaconInterval)
+	victim := h.pick(core.KindCache, 0)
+	addr, _ := h.Sys.Addr(victim)
+	rings := func(want bool) func() bool {
+		return func() bool {
+			for _, fe := range h.Sys.FrontEnds() {
+				if slices.Contains(fe.Cache().Nodes(), victim) != want {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	if !rings(true)() {
+		t.Fatalf("%s not in every ring at ready", victim)
+	}
+
+	h.StartLoad(200, 64, 10*time.Second)
+	waitFor(t, "load flowing", func() bool { return h.LoadStats().OK >= 20 })
+	h.Execute(ctx, Schedule{Seed: seed, Events: []Event{{Kind: KillCache, Slot: 0}}})
+	waitFor(t, victim+" out of every ring", rings(false))
+	waitFor(t, victim+" restarted", func() bool { return h.Sys.Net.Lookup(addr) })
+	restarted, issued := time.Now(), h.LoadStats().Issued
+	waitFor(t, victim+" back in every ring", rings(true))
+	back := time.Since(restarted)
+	h.Note("ring-regained", back.String())
+	waitFor(t, "load past the restart", func() bool { return h.LoadStats().Issued >= issued+20 })
+	st := h.StopLoad()
+	if st.Failed != 0 || st.Shed != 0 || st.Issued == 0 {
+		t.Fatalf("load across the partition's death: %+v, want no failure and no shed\n%s", st, h.Timeline())
+	}
+	if back > ttl {
+		t.Fatalf("%s back in the rings %s after its restart, want within one CacheTTL (%s)\n%s", victim, back, ttl, h.Timeline())
+	}
+	if got := h.Sys.Manager().Stats().CacheRestarts; got != 1 {
+		t.Fatalf("%d cache restarts, want 1", got)
 	}
 }
 

@@ -58,7 +58,6 @@ type component struct {
 	place   func(avoid string) string          // a node other than avoid, for a component free to move; nil = least-loaded dedicated
 	cutOff  func(p process) bool               // optional: p runs where it cannot hear the manager, so a restart moves it
 	build   func(node string) (process, error) // a fresh instance for node
-	started func(old, cur process)             // optional hook after a start; old is nil the first time
 
 	life sync.Mutex // serialises start/stop of this one component
 	node string
@@ -208,9 +207,6 @@ func (s *System) start(e *component, ifDead bool) error {
 	s.mu.Unlock()
 	if old != nil && old != p {
 		closeProc(old)
-	}
-	if e.started != nil {
-		e.started(old, p)
 	}
 	return nil
 }
@@ -365,23 +361,14 @@ func (s *System) supervisorComponent() *component {
 
 // cacheComponent is one cache partition, announcing itself on the control
 // group so whichever process hosts the manager carries its process-peer
-// duty. A restart brings it back empty — it is a cache — and front ends
-// re-absorb it with no reconfiguration unless it had to move, in which
-// case the local front ends' clients are re-pointed.
+// duty, and every front end routes to it. A restart brings it back empty
+// — it is a cache — and, if it had to move, its first announcement
+// re-points the front ends of every process.
 func (s *System) cacheComponent(name, node string) *component {
 	return &component{
 		name: name, kind: KindCache, drop: true, node: node,
 		build: func(node string) (process, error) {
 			return vcache.NewService(name, s.Net, node, vcache.NewPartition(s.cfg.CacheBudget, nil)), nil
-		},
-		started: func(old, cur process) {
-			if old == nil || old.Addr() == cur.Addr() {
-				return
-			}
-			for _, fe := range s.FrontEnds() {
-				fe.Cache().RemoveNode(name)
-				fe.Cache().AddNode(name, cur.Addr())
-			}
 		},
 	}
 }
@@ -493,7 +480,6 @@ func (s *System) frontEndComponent(name string) *component {
 				Rules:           s.cfg.Rules,
 				Profiles:        s.Profile,
 				Origin:          s.cfg.Origin,
-				CacheNodes:      s.CacheNodes(),
 				CacheTTL:        s.cfg.CacheTTL,
 				CacheTimeout:    s.cfg.CacheTimeout,
 				MinDistillSize:  s.cfg.MinDistillSize,

@@ -26,7 +26,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,10 +153,9 @@ type Config struct {
 	// its peers over sockets.
 	Transport TransportConfig
 
-	// RemoteCaches names cache partitions hosted by peer processes
-	// (use CacheAddrs to compute them from the hosting process's
-	// prefix and topology). Merged with locally hosted partitions
-	// into every front end's view.
+	// RemoteCaches names partitions hosted by peers that WaitReady waits
+	// for every local front end to hear announce; it routes nothing. It is
+	// bench/'s readiness expectation, and goes with ROADMAP item 20.
 	RemoteCaches map[string]san.Addr
 
 	// Topology.
@@ -176,7 +177,7 @@ type Config struct {
 	// gives each manager-role process Managers=1 and a distinct
 	// ManagerRank; exactly one process runs rank 0.
 	ManagerRank int
-	CacheParts  int
+	CacheParts  int // partitions hosted here, with the cache role (default 2)
 	// CacheBudget is bytes per cache partition (default 64 MiB).
 	CacheBudget int64
 	// Workers maps class -> initial replica count.
@@ -314,19 +315,12 @@ func ovfName(prefix string, i int) string  { return fmt.Sprintf("%sovf%d", prefi
 
 func cacheName(i int) string { return fmt.Sprintf("cache%d", i) }
 
-// CacheAddrs computes the deterministic SAN addresses the cache
-// partitions of a process started with the given prefix and topology
-// will hold: cache i lives on node i (mod dedicated). A front-end
-// process uses this to reach partitions hosted by a peer process
-// without a discovery protocol. Zero parts/dedicated take the Config
-// defaults (2 partitions, 8 nodes).
+// CacheAddrs computes where the cache partitions of a process started
+// with the given prefix and topology are first placed: cache i on node i
+// (mod dedicated). It is placement only — front ends route by the
+// partitions' announcements — and bench/ names the partitions it waits
+// for with it.
 func CacheAddrs(nodePrefix string, cacheParts, dedicatedNodes int) map[string]san.Addr {
-	if cacheParts <= 0 {
-		cacheParts = 2
-	}
-	if dedicatedNodes <= 0 {
-		dedicatedNodes = 8
-	}
 	out := make(map[string]san.Addr, cacheParts)
 	for i := 0; i < cacheParts; i++ {
 		out[cacheName(i)] = san.Addr{Node: nodeName(nodePrefix, i%dedicatedNodes), Proc: cacheName(i)}
@@ -400,13 +394,9 @@ func (s *System) boot() error {
 	// The start list, in dependency order. Every process gets a
 	// supervisor, whatever its roles, so the manager's process-peer
 	// duties reach into it wherever the manager itself lives. Caches
-	// precede the front ends, which are built with their addresses.
+	// precede the front ends, which hear them announce.
 	boot := []*component{s.supervisorComponent()}
 	if cfg.Roles.caches() {
-		// Placement comes from CacheAddrs — the same function peer
-		// processes call — so the "computed address == actual address"
-		// contract that replaces a discovery protocol is enforced by
-		// construction, not by keeping two formulas in sync.
 		addrs := CacheAddrs(cfg.NodePrefix, cfg.CacheParts, cfg.DedicatedNodes)
 		for i := 0; i < cfg.CacheParts; i++ {
 			boot = append(boot, s.cacheComponent(cacheName(i), addrs[cacheName(i)].Node))
@@ -587,13 +577,9 @@ func (s *System) WorkerStub(id string) *stub.WorkerStub {
 	return ws
 }
 
-// CacheNodes returns the cache partition addresses the front ends
-// route to: the partitions hosted here plus Config.RemoteCaches.
+// CacheNodes returns the addresses of the cache partitions hosted here.
 func (s *System) CacheNodes() map[string]san.Addr {
-	out := make(map[string]san.Addr, len(s.cfg.RemoteCaches))
-	for name, addr := range s.cfg.RemoteCaches {
-		out[name] = addr
-	}
+	out := make(map[string]san.Addr)
 	for _, v := range s.snapshot(KindCache) {
 		out[v.e.name] = v.proc.Addr()
 	}
@@ -607,8 +593,9 @@ func (s *System) CacheNodes() map[string]san.Addr {
 // configured front end must be running, must have heard a manager
 // beacon, and its stub's beacon cache must hold every configured worker
 // class at full strength — the cluster-wide view a beacon carries — so
-// a request needs no cold-start spawn. The edge, if hosted, must be
-// listening with at least one routable front end. Ready is repairable: a
+// a request needs no cold-start spawn; its ring must hold a partition,
+// and every one hosted here or named in Config.RemoteCaches, each heard
+// announcing itself. The edge, if hosted, must be listening with at least one routable front end. Ready is repairable: a
 // process hosting the primary waits until it has heard this process's
 // supervisor, any other until its supervisor has seen a beacon. The first
 // success is published as core.ready_ms (since Start); false on timeout.
@@ -617,6 +604,7 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 	for _, n := range s.cfg.Workers {
 		want += n
 	}
+	caches := slices.AppendSeq(s.Names(KindCache), maps.Keys(s.cfg.RemoteCaches))
 	ready := func() bool {
 		m, sup := s.Manager(), s.Supervisor()
 		if m != nil && m.IsPrimary() {
@@ -642,6 +630,10 @@ func (s *System) WaitReady(timeout time.Duration) bool {
 					if len(fe.ManagerStub().Workers(class)) < n {
 						return false
 					}
+				}
+				ring := fe.Cache().Nodes()
+				if len(ring) == 0 || slices.ContainsFunc(caches, func(c string) bool { return !slices.Contains(ring, c) }) {
+					return false
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -75,8 +76,9 @@ const parentLivenessBytes = 562
 // SANs together. They read 85.97 messages and 11,434 B while every
 // worker decoded the whole beacon and every process took in every span
 // digest and status report; with each message reaching only its readers
-// they read ≈ 56 and ≈ 6,250, and ≈ 46 and ≈ 5,190 once supervisors
-// heard only the beacon's head.
+// they read ≈ 56 and ≈ 6,250, ≈ 46 and ≈ 5,190 once supervisors heard
+// only the beacon's head, and ≈ 48 and ≈ 5,170 once the cache partitions
+// heard it too.
 const (
 	idleMsgsCeiling  = 50
 	idleBytesCeiling = 5800
@@ -91,14 +93,76 @@ const (
 // nothing from a worker; on each process's beacon group one beacon head
 // an interval, with no rows. The announcements of an interval weigh less
 // than the liveness messages they replaced.
+//
+// Idle means nothing is being repaired. A worker multicasts its
+// announcement until a beacon head names its manager, so the windows
+// open once every worker is registered and two beacons have gone out
+// since; and a window in which the manager restarted, spawned, reaped or
+// re-registered anything (a worker whose WorkerTTL lapsed on a loaded
+// host comes back and multicasts once) is not idle: it is logged with
+// its cause and measured again, and the test fails naming the cause if
+// no window of three is idle.
 func TestIdleControlTraffic(t *testing.T) {
-	const intervals = 150
 	a, b := startPair(t, benchTopology)
 	waitFor(t, "every worker announcing to the manager", func() bool {
 		return b.Manager().Stats().Workers == len(b.Workers())
 	})
-	time.Sleep(10 * tick) // past every schedule's fast start
+	beacons := b.Manager().Stats().BeaconsSent
+	waitFor(t, "two beacons since every worker registered", func() bool {
+		return b.Manager().Stats().BeaconsSent >= beacons+2
+	})
 
+	const attempts = 3
+	for i := 1; ; i++ {
+		before := repairs(b)
+		w := measureIdle(a, b)
+		after := repairs(b)
+		if after == before {
+			w.check(t, a, b)
+			return
+		}
+		verdict := fmt.Sprintf("window %d is not idle: the manager's repairs went from %+v to %+v — a restarted worker multicasts its first announcement before it hears a beacon, so the taps would count it", i, before, after)
+		if i == attempts {
+			t.Fatal(verdict)
+		}
+		t.Log(verdict + "; measuring again")
+	}
+}
+
+// repairCounts are the manager's counters that move only while it
+// repairs or resizes the cluster.
+type repairCounts struct {
+	WorkerRestarts, FERestarts, CacheRestarts, Spawns, Reaps, Registrations uint64
+}
+
+func repairs(s *System) repairCounts {
+	st := s.Manager().Stats()
+	return repairCounts{st.WorkerRestarts, st.FERestarts, st.CacheRestarts, st.Spawns, st.Reaps, st.Registrations}
+}
+
+// idleTally is one tap's count of an idle window.
+type idleTally struct {
+	mu       sync.Mutex
+	kinds    map[string]int // control-group deliveries by kind
+	members  map[string]int // announcements by sender
+	announce int            // their body bytes
+	heads    int            // beacon-group beacons without rows
+	other    int            // anything else on the beacon group
+}
+
+// idleWindow is what measureIdle saw: an untapped window's deliveries,
+// then a tapped window's tallies, each over n intervals.
+type idleWindow struct {
+	n, msgsPer, bytesPer float64
+	sent                 uint64 // B's unicasts in the untapped window
+	tapN                 float64
+	taps                 []*idleTally
+}
+
+// measureIdle runs TestIdleControlTraffic's two windows, untapped then
+// tapped, 150 intervals each.
+func measureIdle(a, b *System) idleWindow {
+	const intervals = 150
 	delivered := func() (msgs, bytes uint64) {
 		for _, sys := range []*System{a, b} {
 			st := sys.Net.Stats()
@@ -107,35 +171,17 @@ func TestIdleControlTraffic(t *testing.T) {
 		}
 		return msgs, bytes
 	}
+	var w idleWindow
 	msgs0, bytes0 := delivered()
 	sent0, start := b.Net.Stats().Sent, time.Now()
 	time.Sleep(intervals * tick)
 	msgs1, bytes1 := delivered()
-	sent, n := b.Net.Stats().Sent-sent0, float64(time.Since(start))/float64(tick)
-	msgsPer, bytesPer := float64(msgs1-msgs0)/n, float64(bytes1-bytes0)/n
-	t.Logf("idle over %.1f intervals: %.2f messages and %.0f B delivered an interval", n, msgsPer, bytesPer)
-	if msgsPer > idleMsgsCeiling || bytesPer > idleBytesCeiling {
-		t.Errorf("idle deliveries %.2f messages and %.0f B an interval, want at most %d and %d",
-			msgsPer, bytesPer, idleMsgsCeiling, idleBytesCeiling)
-	}
-	perInterval := func(count, want int) bool { return math.Abs(float64(count)/n-float64(want)) <= 0.1*float64(want) }
-	workers := b.Workers()
-	if !perInterval(int(sent), len(workers)) {
-		t.Errorf("B delivered %d unicasts in %.1f intervals, want one an interval from each of %d workers", sent, n, len(workers))
-	}
+	w.sent, w.n = b.Net.Stats().Sent-sent0, float64(time.Since(start))/float64(tick)
+	w.msgsPer, w.bytesPer = float64(msgs1-msgs0)/w.n, float64(bytes1-bytes0)/w.n
 
-	type tally struct {
-		mu       sync.Mutex
-		kinds    map[string]int // control-group deliveries by kind
-		members  map[string]int // announcements by sender
-		announce int            // their body bytes
-		heads    int            // beacon-group beacons without rows
-		other    int            // anything else on the beacon group
-	}
-	var taps []*tally
 	var eps []*san.Endpoint
 	for _, sys := range []*System{a, b} {
-		tl := &tally{kinds: map[string]int{}, members: map[string]int{}}
+		tl := &idleTally{kinds: map[string]int{}, members: map[string]int{}}
 		ep := sys.Net.Endpoint(san.Addr{Node: sys.cfg.NodePrefix + "tap", Proc: "tap"}, 4096)
 		ep.Join(stub.GroupControl)
 		ep.Join(stub.GroupBeacon)
@@ -159,13 +205,31 @@ func TestIdleControlTraffic(t *testing.T) {
 				msg.Release()
 			}
 		}()
-		taps, eps = append(taps, tl), append(eps, ep)
+		w.taps, eps = append(w.taps, tl), append(eps, ep)
 	}
 	start = time.Now()
 	time.Sleep(intervals * tick)
-	n = float64(time.Since(start)) / float64(tick)
+	w.tapN = float64(time.Since(start)) / float64(tick)
 	for _, ep := range eps {
 		ep.Close()
+	}
+	return w
+}
+
+// check asserts an idle window's numbers (see TestIdleControlTraffic).
+func (w idleWindow) check(t *testing.T, a, b *System) {
+	t.Helper()
+	t.Logf("idle over %.1f intervals: %.2f messages and %.0f B delivered an interval", w.n, w.msgsPer, w.bytesPer)
+	if w.msgsPer > idleMsgsCeiling || w.bytesPer > idleBytesCeiling {
+		t.Errorf("idle deliveries %.2f messages and %.0f B an interval, want at most %d and %d",
+			w.msgsPer, w.bytesPer, idleMsgsCeiling, idleBytesCeiling)
+	}
+	perInterval := func(count, want int, n float64) bool {
+		return math.Abs(float64(count)/n-float64(want)) <= 0.1*float64(want)
+	}
+	workers := b.Workers()
+	if !perInterval(int(w.sent), len(workers), w.n) {
+		t.Errorf("B delivered %d unicasts in %.1f intervals, want one an interval from each of %d workers", w.sent, w.n, len(workers))
 	}
 
 	var members []string
@@ -176,13 +240,14 @@ func TestIdleControlTraffic(t *testing.T) {
 		members = append(members, addr.String())
 	}
 	sort.Strings(members)
-	for i, tl := range taps {
+	n := w.tapN
+	for i, tl := range w.taps {
 		tl.mu.Lock()
 		t.Logf("tap %d over %.1f intervals: %v, announcements %v, beacon heads %d", i, n, tl.kinds, tl.members, tl.heads)
 		var heard []string
 		for addr, count := range tl.members {
 			heard = append(heard, addr)
-			if !perInterval(count, 1) {
+			if !perInterval(count, 1, n) {
 				t.Errorf("tap %d: %s announced %d times in %.1f intervals, want one an interval", i, addr, count, n)
 			}
 		}
@@ -190,11 +255,11 @@ func TestIdleControlTraffic(t *testing.T) {
 		if len(heard) != len(members) || !slices.Equal(heard, members) {
 			t.Errorf("tap %d heard announcements from %v, want exactly the front ends and caches %v", i, heard, members)
 		}
-		if !perInterval(tl.kinds[stub.MsgBeacon], 1) || !perInterval(tl.kinds[supervisor.MsgHello], 2) {
+		if !perInterval(tl.kinds[stub.MsgBeacon], 1, n) || !perInterval(tl.kinds[supervisor.MsgHello], 2, n) {
 			t.Errorf("tap %d: %d beacons and %d supervisor hellos in %.1f intervals, want 1 and 2 an interval",
 				i, tl.kinds[stub.MsgBeacon], tl.kinds[supervisor.MsgHello], n)
 		}
-		if !perInterval(tl.heads, 1) || tl.other != 0 {
+		if !perInterval(tl.heads, 1, n) || tl.other != 0 {
 			t.Errorf("tap %d: beacon group carried %d heads and %d other messages in %.1f intervals, want one head an interval and nothing else",
 				i, tl.heads, tl.other, n)
 		}
@@ -209,9 +274,9 @@ func TestIdleControlTraffic(t *testing.T) {
 		}
 		workerBytes += len(body)
 	}
-	taps[0].mu.Lock()
-	multicast := float64(taps[0].announce) / n
-	taps[0].mu.Unlock()
+	w.taps[0].mu.Lock()
+	multicast := float64(w.taps[0].announce) / n
+	w.taps[0].mu.Unlock()
 	total := multicast + float64(workerBytes)
 	t.Logf("liveness bodies per interval: %.0f B (front ends and caches %.0f B, workers %d B), was %d B", total, multicast, workerBytes, parentLivenessBytes)
 	if total >= parentLivenessBytes {

@@ -9,16 +9,14 @@ import (
 
 	"repro/internal/distiller"
 	"repro/internal/manager"
+	"repro/internal/san"
 	"repro/internal/tacc"
 )
 
-// startPair boots a two-process cluster in one test binary: process B
-// hosts the manager, the workers, and the cache partitions; process A
-// hosts the front ends and the monitor. They share nothing but
-// loopback TCP — each has its own san.Network, cluster, and profile
-// store, spliced by a transport.Bridge pair, exactly what two cmd/node
-// processes run.
-func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System) {
+// pairConfigs is startPair's two configurations: process B hosts the
+// manager, the workers, and the cache partitions; process A hosts the
+// front ends and the monitor, and is told nothing about B's partitions.
+func pairConfigs(t *testing.T) (cfgA, cfgB Config) {
 	t.Helper()
 	reg := tacc.NewRegistry()
 	distiller.RegisterAll(reg)
@@ -29,7 +27,7 @@ func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System
 	}
 	policy := manager.Policy{SpawnThreshold: 1e9, Damping: time.Hour, ReapThreshold: -1}
 
-	cfgB := Config{
+	cfgB = Config{
 		Seed:           2,
 		Roles:          Roles{Manager: true, Workers: true, Caches: true},
 		NodePrefix:     "b-",
@@ -44,13 +42,12 @@ func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System
 		CallTimeout:    2 * time.Second,
 		Policy:         policy,
 	}
-	cfgA := Config{
+	cfgA = Config{
 		Seed:           1,
 		Roles:          Roles{FrontEnds: true, Monitor: true},
 		NodePrefix:     "a-",
 		DedicatedNodes: 4,
 		FrontEnds:      1,
-		RemoteCaches:   CacheAddrs("b-", cfgB.CacheParts, cfgB.DedicatedNodes),
 		Workers:        workers, // readiness expectation only (no worker role)
 		Registry:       reg,
 		Rules:          distiller.TranSendRules(),
@@ -59,23 +56,36 @@ func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System
 		CallTimeout:    2 * time.Second,
 		Policy:         policy,
 	}
+	return cfgA, cfgB
+}
+
+// startSide starts one side of a pair, joined to join's bridge when
+// join is not nil, and stops it when the test ends.
+func startSide(t *testing.T, cfg Config, join *System) *System {
+	t.Helper()
+	if join != nil {
+		cfg.Transport = TransportConfig{Listen: "tcp:127.0.0.1:0", Join: []string{join.Bridge.Advertise()}}
+	}
+	sys, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Stop)
+	return sys
+}
+
+// startPair boots a two-process cluster in one test binary (see
+// pairConfigs). The processes share nothing but loopback TCP — each has
+// its own san.Network, cluster, and profile store, spliced by a
+// transport.Bridge pair, exactly what two cmd/node processes run.
+func startPair(t *testing.T, mutate func(a, b *Config)) (feSide, mgrSide *System) {
+	t.Helper()
+	cfgA, cfgB := pairConfigs(t)
 	if mutate != nil {
 		mutate(&cfgA, &cfgB)
 	}
-
-	sysB, err := Start(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sysB.Stop)
-
-	cfgA.Transport = TransportConfig{Listen: "tcp:127.0.0.1:0", Join: []string{sysB.Bridge.Advertise()}}
-	sysA, err := Start(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sysA.Stop)
-
+	sysB := startSide(t, cfgB, nil)
+	sysA := startSide(t, cfgA, sysB)
 	if !sysA.Bridge.WaitPeers(1, 10*time.Second) {
 		t.Fatal("bridges never met")
 	}
@@ -292,6 +302,117 @@ func TestMultiProcessCacheHit(t *testing.T) {
 		resp, err := sysA.Request(ctx, url, "alice")
 		return err == nil && resp.Source == "cache-distilled"
 	})
+}
+
+// TestMultiProcessCachesHeard: B hosts three cache partitions and A is
+// told nothing about them. A's front end holds all three in its ring,
+// heard from their announcements, and its probes reach every one: each
+// partition has been asked for keys, and answers A's stats Call at the
+// address it announced.
+func TestMultiProcessCachesHeard(t *testing.T) {
+	sysA, sysB := startPair(t, func(a, b *Config) { b.CacheParts = 3 })
+	fe := sysA.FrontEnds()[0]
+	waitFor(t, "B's three partitions in A's ring", func() bool { return len(fe.Cache().Nodes()) == 3 })
+
+	ctx := context.Background()
+	for i := 0; i < 48; i++ { // a partition missing all 48 URLs: (2/3)^48 ≈ 4e-9
+		if _, err := sysA.Request(ctx, fmt.Sprintf("http://origin%d.example/obj%d.sjpg", i%4, i), "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name := range sysB.CacheNodes() {
+		st, err := fe.Cache().StatsOf(ctx, name)
+		if err != nil {
+			t.Fatalf("A cannot reach %s: %v", name, err)
+		}
+		if st.Misses == 0 || st.Puts == 0 {
+			t.Fatalf("%s was never probed or written by A: %+v", name, st)
+		}
+	}
+}
+
+// TestMultiProcessLateFrontEndGreeted: a front-end process that joins
+// long after B's partitions slowed to their interval still hears them at
+// once. The primary greets its front end with a beacon, and each
+// partition answers the beacon's head with its announcement, so A is
+// ready in milliseconds — at an interval of an hour, where B's next
+// scheduled announcement is more than half a second away.
+func TestMultiProcessLateFrontEndGreeted(t *testing.T) {
+	cfgA, cfgB := pairConfigs(t)
+	cfgA.BeaconInterval, cfgB.BeaconInterval = time.Hour, time.Hour
+	sysB := startSide(t, cfgB, nil)
+	if !sysB.WaitReady(15 * time.Second) {
+		t.Fatal("B not ready")
+	}
+	// B's announcers fire at 0, 5, 15, 35, 75, 155, 315, 635 and 1275 ms:
+	// A joins with the next one more than half a second away.
+	time.Sleep(700*time.Millisecond - time.Since(sysB.started))
+	start := time.Now()
+	sysA := startSide(t, cfgA, sysB)
+	if !sysA.WaitReady(15 * time.Second) {
+		t.Fatal("A not ready")
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("A ready %s after it started, want under 250 ms: greeted, not waiting for the next announcement", took)
+	}
+	if got := sysA.FrontEnds()[0].Cache().Nodes(); len(got) != cfgB.CacheParts {
+		t.Fatalf("A's ring %v, want B's %d partitions", got, cfgB.CacheParts)
+	}
+}
+
+// TestMultiProcessMovedPartitionRepointed: the node under one of B's
+// partitions dies, and B respawns the partition on another node. A's
+// front end reaches it at its new address within one announce interval
+// of the respawn: the partition's first announcement re-points every
+// process's ring, not only the front ends beside it.
+func TestMultiProcessMovedPartitionRepointed(t *testing.T) {
+	const beat = 100 * time.Millisecond
+	sysA, sysB := startPair(t, func(a, b *Config) {
+		a.BeaconInterval, b.BeaconInterval = beat, beat
+		b.CacheParts = 3
+	})
+	fe := sysA.FrontEnds()[0]
+	waitFor(t, "B's three partitions in A's ring", func() bool { return len(fe.Cache().Nodes()) == 3 })
+
+	// The victim: a partition whose node hosts neither B's manager nor its
+	// supervisor, which nobody in B would restart.
+	keep := map[string]bool{}
+	for _, name := range []string{"manager", "sup"} {
+		addr, _ := sysB.Addr(name)
+		keep[addr.Node] = true
+	}
+	var victim string
+	var old san.Addr
+	for name, addr := range sysB.CacheNodes() {
+		if !keep[addr.Node] {
+			victim, old = name, addr
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatalf("every partition shares a node with the manager or the supervisor: %v", sysB.CacheNodes())
+	}
+	ctx := context.Background()
+	if _, err := fe.Cache().StatsOf(ctx, victim); err != nil {
+		t.Fatalf("A cannot reach %s before the fault: %v", victim, err)
+	}
+
+	if err := sysB.Cluster.KillNode(old.Node); err != nil {
+		t.Fatal(err)
+	}
+	var moved san.Addr
+	waitFor(t, victim+" respawned on another node", func() bool {
+		moved = sysB.CacheNodes()[victim]
+		return moved.Node != old.Node && sysB.Net.Lookup(moved)
+	})
+	respawned := time.Now()
+	waitFor(t, "A reaching "+victim+" at "+moved.String(), func() bool {
+		_, err := fe.Cache().StatsOf(ctx, victim)
+		return err == nil
+	})
+	if took := time.Since(respawned); took > beat {
+		t.Fatalf("A reached %s at its new address %s after the respawn, want within one announce interval (%s)", victim, took, beat)
+	}
 }
 
 // TestMultiProcessReapOverflowWorker: the manager lives in process B,

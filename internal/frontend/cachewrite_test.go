@@ -24,13 +24,12 @@ func (shrinkWorker) Process(ctx context.Context, task *tacc.Task) (tacc.Blob, er
 }
 
 // startDistillFE boots a front end whose every request runs a one-stage
-// pipeline on a live shrinkWorker, with cache as its one partition: one
-// worker, and a beacon that names it, is all a front end's stub needs
-// of a manager.
+// pipeline on a live shrinkWorker, with cache as its one partition (zero
+// is cache0, as in startFEWith): one worker, and a beacon that names it,
+// is all a front end's stub needs of a manager.
 func startDistillFE(t *testing.T, net *san.Network, cache san.Addr, mutate func(*Config)) (*FrontEnd, *origin.Static) {
 	t.Helper()
-	fe, cl, static := startFEOn(t, net, func(cfg *Config) {
-		cfg.CacheNodes = map[string]san.Addr{cache.Proc: cache}
+	fe, cl, static := startFEWith(t, net, cache, func(cfg *Config) {
 		cfg.ManagerStub = stub.ManagerStubConfig{CallTimeout: time.Second}
 		cfg.Rules = func(url, mime string, profile map[string]string) tacc.Pipeline {
 			return tacc.Pipeline{{Class: "distill-sjpg"}}

@@ -12,6 +12,9 @@
 // goroutine of its own that calls Do, and the answer goes back as one
 // MsgReply (wire.go).
 //
+// It finds the cache partitions as it finds the manager, by listening on
+// the control group: its vcache.Client routes to the partitions it hears.
+//
 // The front end also hosts the service's control decisions: dispatch
 // rules live here ("the behavior of the service as a whole [is]
 // defined almost entirely in the front end"), workers stay simple.
@@ -101,8 +104,6 @@ type Config struct {
 	Profiles *profiledb.ReadCache
 	// Origin fetches content on cache misses.
 	Origin origin.Fetcher
-	// CacheNodes maps cache partition names to their addresses.
-	CacheNodes map[string]san.Addr
 
 	// CacheTTL is the TTL for objects we cache. Zero = no expiry.
 	CacheTTL time.Duration
@@ -243,9 +244,6 @@ func (fe *FrontEnd) newCacheClient() *vcache.Client {
 	if fe.cfg.CacheTimeout > 0 {
 		c.Timeout = fe.cfg.CacheTimeout
 	}
-	for name, addr := range fe.cfg.CacheNodes {
-		c.AddNode(name, addr)
-	}
 	return c
 }
 
@@ -260,7 +258,7 @@ func (fe *FrontEnd) ID() string { return fe.cfg.Name }
 // ManagerStub exposes the stub (for stats and tests).
 func (fe *FrontEnd) ManagerStub() *stub.ManagerStub { return fe.mstub }
 
-// Cache exposes the virtual-cache client (for membership changes).
+// Cache exposes the virtual-cache client (its partitions, for stats and tests).
 func (fe *FrontEnd) Cache() *vcache.Client { return fe.cache }
 
 // Stats returns a snapshot of counters.
@@ -328,6 +326,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 		emit("cache_writes", float64(writes))
 		emit("cache_write_errors", float64(writeErrs))
 		emit("inflight", float64(fe.inflight.Load()))
+		emit("cache_partitions", float64(len(cache.Nodes()))) // heard announcing
 	})
 
 	hb := softstate.NewSchedule(softstate.Announce.Of(fe.cfg.Net.Beacon()))
@@ -340,6 +339,7 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 			return nil
 		case <-hb.C:
 			fe.announce(ep)
+			fe.cache.Sweep()
 			hb.Next()
 		case msg, ok := <-ep.Inbox():
 			if !ok {
@@ -352,10 +352,12 @@ func (fe *FrontEnd) Run(ctx context.Context) error {
 
 // receive routes one inbound message: a request to a goroutine of its
 // own (Do's admission bound keeps it short: past MaxInflight it is
-// refused at once), anything else to the manager stub.
+// refused at once), anything else to the manager stub and the cache
+// client, each of which takes what it reads.
 func (fe *FrontEnd) receive(ep *san.Endpoint, msg san.Message) {
 	if msg.Kind != MsgRequest {
 		fe.mstub.HandleMessage(msg)
+		fe.cache.Learn(msg)
 		return
 	}
 	fe.serving.Add(1)

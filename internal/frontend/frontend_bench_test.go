@@ -35,7 +35,6 @@ func benchFE(b *testing.B, mutate func(*Config)) (*FrontEnd, *origin.Static) {
 		Node:        "fe-node",
 		Net:         net,
 		Origin:      static,
-		CacheNodes:  map[string]san.Addr{"cache0": svc.Addr()},
 		ManagerStub: stub.ManagerStubConfig{CallTimeout: 50 * time.Millisecond},
 	}
 	if mutate != nil {
@@ -47,9 +46,9 @@ func benchFE(b *testing.B, mutate func(*Config)) (*FrontEnd, *origin.Static) {
 	}
 	b.Cleanup(cl.StopAll)
 	deadline := time.Now().Add(5 * time.Second)
-	for !fe.Running() {
+	for !fe.Running() || len(fe.Cache().Nodes()) == 0 {
 		if time.Now().After(deadline) {
-			b.Fatal("front end never started")
+			b.Fatal("front end never started, or never heard cache0")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -19,9 +19,9 @@ import (
 	"repro/internal/vcache"
 )
 
-// startFE boots a front end with a static origin, optional cache
-// nodes, and no manager (pass-through paths only unless a rules+worker
-// harness is added by the test).
+// startFE boots a front end with a static origin, one cache partition
+// (cache0, heard announcing itself), and no manager (pass-through paths
+// only unless a rules+worker harness is added by the test).
 func startFE(t *testing.T, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
 	t.Helper()
 	return startFEOn(t, san.NewNetwork(1), mutate)
@@ -30,6 +30,15 @@ func startFE(t *testing.T, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *
 // startFEOn is startFE over a caller-built network (e.g. one with the
 // wire codec installed).
 func startFEOn(t *testing.T, net *san.Network, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
+	t.Helper()
+	return startFEWith(t, net, san.Addr{}, mutate)
+}
+
+// startFEWith is startFEOn with cache as the front end's one partition
+// instead of cache0: an endpoint the test serves itself, which does not
+// announce, so the client is given it by AddNode. A zero cache spawns
+// cache0 and returns once the front end has heard it.
+func startFEWith(t *testing.T, net *san.Network, cache san.Addr, mutate func(*Config)) (*FrontEnd, *cluster.Cluster, *origin.Static) {
 	t.Helper()
 	cl := cluster.New(net)
 	cl.AddNode("fe-node", false)
@@ -42,10 +51,11 @@ func startFEOn(t *testing.T, net *san.Network, mutate func(*Config)) (*FrontEnd,
 	}
 	t.Cleanup(func() { db.Close() })
 
-	// One cache partition.
-	svc := vcache.NewService("cache0", net, "c-node", vcache.NewPartition(1<<20, nil))
-	if _, err := cl.Spawn("c-node", svc); err != nil {
-		t.Fatal(err)
+	if cache == (san.Addr{}) {
+		svc := vcache.NewService("cache0", net, "c-node", vcache.NewPartition(1<<20, nil))
+		if _, err := cl.Spawn("c-node", svc); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cfg := Config{
@@ -54,7 +64,6 @@ func startFEOn(t *testing.T, net *san.Network, mutate func(*Config)) (*FrontEnd,
 		Net:            net,
 		Profiles:       profiledb.NewReadCache(db),
 		Origin:         static,
-		CacheNodes:     map[string]san.Addr{"cache0": svc.Addr()},
 		MinDistillSize: 100,
 		ManagerStub:    stub.ManagerStubConfig{CallTimeout: 50 * time.Millisecond},
 	}
@@ -62,11 +71,15 @@ func startFEOn(t *testing.T, net *san.Network, mutate func(*Config)) (*FrontEnd,
 		mutate(&cfg)
 	}
 	fe := New(cfg)
+	if cache != (san.Addr{}) {
+		fe.Cache().AddNode(cache.Proc, cache)
+	}
 	if _, err := cl.Spawn("fe-node", fe); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.StopAll)
 	waitFor(t, "fe running", fe.Running)
+	waitFor(t, "a cache partition in the ring", func() bool { return len(fe.Cache().Nodes()) == 1 })
 	return fe, cl, static
 }
 
@@ -305,11 +318,15 @@ func TestKillWhilePinned(t *testing.T) {
 		"cache": func(cfg *Config) {
 			cfg.Origin = static
 			cfg.CacheTimeout = time.Minute
-			cfg.CacheNodes = map[string]san.Addr{"mute": cfg.Net.Endpoint(san.Addr{Node: "c-node", Proc: "mute"}, 8).Addr()}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			fe, cl, _ := startFE(t, pin)
+			net := san.NewNetwork(1)
+			var cache san.Addr // zero: the origin pins, cache0 answers
+			if name == "cache" {
+				cache = net.Endpoint(san.Addr{Node: "c-node", Proc: "mute"}, 8).Addr()
+			}
+			fe, cl, _ := startFEWith(t, net, cache, pin)
 			errc := make(chan error, 1)
 			go func() {
 				_, err := fe.Do(context.Background(), Request{URL: "http://a/x.bin"})

@@ -53,13 +53,13 @@ func TestCacheInboxAtAdmissionBound(t *testing.T) {
 					Net:            net,
 					Profiles:       profiledb.NewReadCache(db),
 					Origin:         static,
-					CacheNodes:     map[string]san.Addr{"cache0": svc.Addr()},
 					MinDistillSize: 100,
 				})
 				if _, err := cl.Spawn("fe-node", fe); err != nil {
 					t.Fatal(err)
 				}
 				waitFor(t, "fe running", fe.Running)
+				waitFor(t, "cache0 heard", func() bool { return len(fe.Cache().Nodes()) == 1 })
 				fes = append(fes, fe)
 			}
 			ctx := context.Background()

@@ -14,10 +14,14 @@ import (
 // included) must round-trip through the codec, and repeated requests
 // must hit the cache. A hit with
 // nothing to distil is served like a distilled hit: the reply's view,
-// not a copy, handed back once through Release.
+// not a copy, handed back once through Release. The partition was found
+// by its announcement, and /status shows the ring's size.
 func TestFrontEndCachePathOverWire(t *testing.T) {
 	net := san.NewNetwork(1)
 	fe, _, static := startFEOn(t, net, nil)
+	if n := net.Registry().Snapshot()["fe.fe0.cache_partitions"]; n != 1 {
+		t.Fatalf("fe.fe0.cache_partitions = %v, want the one partition heard", n)
+	}
 	static.Put("http://a/x.bin", tacc.Blob{MIME: media.MIMEOther, Data: make([]byte, 5000)})
 	ctx := context.Background()
 
@@ -66,7 +70,7 @@ func TestFrontEndCachePathOverWire(t *testing.T) {
 // copies out before it dispatches — and nothing is fetched twice.
 func TestPairedProbeOverWire(t *testing.T) {
 	net := san.NewNetwork(1)
-	fe, static := startDistillFE(t, net, san.Addr{Node: "c-node", Proc: "cache0"}, nil)
+	fe, static := startDistillFE(t, net, san.Addr{}, nil)
 	static.Put("http://a/x.sjpg", tacc.Blob{MIME: media.MIMESJPG, Data: make([]byte, 9000)})
 	if err := fe.cfg.Profiles.Set("bob", "quality", "10"); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package san
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func (f *fakeFabric) Unicast(from, to Addr, kind string, callID uint64, reply, _
 	if f.noRoute {
 		return false
 	}
-	return f.peer.InjectUnicast(from, to, kind, callID, reply, trace, wire, lease)
+	return f.peer.InjectUnicast(from, to, kind, callID, reply, trace, wire, lease) == nil
 }
 
 func (f *fakeFabric) Multicast(from Addr, group, kind string, wire []byte) {
@@ -99,13 +100,13 @@ func TestFabricSeam(t *testing.T) {
 	}
 
 	// Inject to an address nobody holds reads as a dropped datagram.
-	if remote.InjectUnicast(src.Addr(), Addr{Node: "x", Proc: "y"}, "k", 0, false, 0, nil, nil) {
+	if remote.InjectUnicast(src.Addr(), Addr{Node: "x", Proc: "y"}, "k", 0, false, 0, nil, nil) == nil {
 		t.Fatal("inject to unbound address claimed delivery")
 	}
 
 	// A reply injection routes back into a pending Call: callID and
 	// the reply flag survive the fabric hop.
-	if !remote.InjectUnicast(src.Addr(), dst.Addr(), "req", 42, false, 0, []byte("q"), nil) {
+	if remote.InjectUnicast(src.Addr(), dst.Addr(), "req", 42, false, 0, []byte("q"), nil) != nil {
 		t.Fatal("request injection failed")
 	}
 	req := <-dst.Inbox()
@@ -177,18 +178,43 @@ func TestInjectRespectsPartition(t *testing.T) {
 	n.Partition(map[string]int{"n0": 1}) // remote senders land in group 0
 
 	from := Addr{Node: "other", Proc: "src"}
-	if n.InjectUnicast(from, dst.Addr(), "k", 0, false, 0, []byte("p"), nil) {
+	if n.InjectUnicast(from, dst.Addr(), "k", 0, false, 0, []byte("p"), nil) == nil {
 		t.Fatal("unicast crossed a partition")
 	}
 	if got := n.InjectMulticast(from, "grp", "k", []byte("p"), nil); got != 0 {
 		t.Fatalf("multicast crossed a partition to %d members", got)
 	}
 	n.Heal()
-	if !n.InjectUnicast(from, dst.Addr(), "k", 0, false, 0, []byte("p"), nil) {
+	if n.InjectUnicast(from, dst.Addr(), "k", 0, false, 0, []byte("p"), nil) != nil {
 		t.Fatal("unicast failed after heal")
 	}
 	if got := n.InjectMulticast(from, "grp", "k", []byte("p"), nil); got != 1 {
 		t.Fatalf("multicast reached %d members after heal, want 1", got)
+	}
+}
+
+// TestInjectSaysWhy: InjectUnicast names its drop. No endpoint and a full
+// inbox both wrap ErrUnknownAddr — nobody here will answer the message,
+// so a transport may fail a remote Call at once — while a partition's
+// drop is another error, which a transport keeps from the sender.
+func TestInjectSaysWhy(t *testing.T) {
+	n := NewNetwork(1)
+	dst := n.Endpoint(Addr{Node: "n0", Proc: "dst"}, 1)
+	from := Addr{Node: "other", Proc: "src"}
+	inject := func(to Addr) error { return n.InjectUnicast(from, to, "k", 7, false, 0, []byte("p"), nil) }
+	if err := inject(dst.Addr()); err != nil {
+		t.Fatalf("first request: %v", err)
+	}
+	if err := inject(dst.Addr()); !errors.Is(err, ErrUnknownAddr) || !strings.Contains(err.Error(), "inbox full") {
+		t.Fatalf("request to a full inbox: %v, want ErrUnknownAddr naming the full inbox", err)
+	}
+	if err := inject(Addr{Node: "n0", Proc: "ghost"}); !errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("request to an unheld address: %v, want ErrUnknownAddr", err)
+	}
+	<-dst.Inbox()
+	n.Partition(map[string]int{"n0": 1})
+	if err := inject(dst.Addr()); err == nil || errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("request across a partition: %v, want a drop that is not ErrUnknownAddr", err)
 	}
 }
 

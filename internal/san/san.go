@@ -436,31 +436,33 @@ func (n *Network) Closed() bool { return n.closed.Load() }
 // remote process over the fabric: the wire bytes are decoded through
 // the kind table and pushed to the destination endpoint, applying
 // this network's partition map (loss was the sending side's call). It
-// reports whether the message reached an inbox — false reads as a
-// dropped datagram, never an error, mirroring a NIC discarding a
-// frame for an unbound port.
+// returns nil when the message reached an inbox, and otherwise says why
+// it was dropped, as a NIC discarding a frame would count it: an error
+// wrapping ErrUnknownAddr when no endpoint holds the address or its
+// inbox refused the message (nobody here will ever answer it), another
+// error when a partition separates the two or the body did not decode.
 //
 // A non-nil lease must back wire (the transport's receive buffer); a
 // delivery whose body aliases it retains it, so the transport can
 // recycle the buffer only after the consumer releases. The caller keeps
 // its own reference either way.
-func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) bool {
+func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply bool, trace obs.TraceID, wire []byte, lease *Lease) error {
 	if n.closed.Load() {
-		return false
+		return ErrNetworkClosed
 	}
 	st := n.state.Load()
 	dst, ok := st.endpoints[to]
 	if !ok {
-		return false
+		return fmt.Errorf("%w: %s", ErrUnknownAddr, to)
 	}
 	if !st.samePartition(from.Node, to.Node) {
 		n.dropped.Add(1)
-		return false
+		return errPartitioned
 	}
 	body, aliased, err := n.decode(kind, wire)
 	if err != nil {
 		n.dropped.Add(1)
-		return false
+		return err
 	}
 	msg := Message{From: from, To: to, Kind: kind, Body: body, Size: len(wire), CallID: callID, Reply: reply, Trace: trace}
 	if aliased && lease != nil {
@@ -470,10 +472,18 @@ func (n *Network) InjectUnicast(from, to Addr, kind string, callID uint64, reply
 	if dst.push(msg) {
 		n.sent.Add(1)
 		n.bytes.Add(uint64(len(wire)))
-		return true
+		return nil
 	}
 	msg.Release() // push counted the drop
-	return false
+	return refused(to)
+}
+
+// errPartitioned is InjectUnicast's drop across a partition.
+var errPartitioned = errors.New("san: partitioned from the sender")
+
+// refused is the drop at a full (or closing) inbox: nobody will answer.
+func refused(to Addr) error {
+	return fmt.Errorf("%w: %s refused the message (inbox full)", ErrUnknownAddr, to)
 }
 
 // InjectMulticast fans a group message that arrived from a remote
@@ -1069,7 +1079,7 @@ func (e *Endpoint) send(to Addr, kind string, body any, callID uint64, reply boo
 	if !dst.push(msg) {
 		msg.Release() // push counted the drop
 		if callID != 0 && !reply {
-			return fmt.Errorf("%w: %s refused the request (inbox full)", ErrUnknownAddr, to) // its caller ends now
+			return refused(to) // its caller ends now
 		}
 		return nil
 	}

@@ -51,7 +51,7 @@ func TestInjectStampsTrace(t *testing.T) {
 	n := NewNetwork(1)
 	dst := n.Endpoint(Addr{Node: "n0", Proc: "dst"}, 8)
 	from := Addr{Node: "other", Proc: "src"}
-	if !n.InjectUnicast(from, dst.Addr(), "k", 7, false, obs.TraceID(0x55), []byte("p"), nil) {
+	if n.InjectUnicast(from, dst.Addr(), "k", 7, false, obs.TraceID(0x55), []byte("p"), nil) != nil {
 		t.Fatal("inject failed")
 	}
 	select {

@@ -284,7 +284,7 @@ func TestUnregisteredKind(t *testing.T) {
 		t.Fatalf("multicast of a body under an unregistered kind reached %d", got)
 	}
 	from := Addr{Node: "other", Proc: "src"}
-	if n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, []byte("p"), nil) {
+	if n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, []byte("p"), nil) == nil {
 		t.Fatal("wire bytes of an unregistered kind were delivered")
 	}
 	if got := n.InjectMulticast(from, "grp", "unregistered", []byte("p"), nil); got != 0 {
@@ -296,7 +296,7 @@ func TestUnregisteredKind(t *testing.T) {
 	if err := a.Send(b.Addr(), "unregistered", nil, 0); err != nil {
 		t.Fatalf("signal under an unregistered kind: %v", err)
 	}
-	if !n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, nil, nil) {
+	if n.InjectUnicast(from, b.Addr(), "unregistered", 0, false, 0, nil, nil) != nil {
 		t.Fatal("empty wire of an unregistered kind was not delivered")
 	}
 	if st := n.Stats(); st.WireErrors != 4 || st.Sent != 2 {

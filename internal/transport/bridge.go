@@ -1004,18 +1004,18 @@ func (b *Bridge) handleFrame(f Frame, intern *interner, dec *Decoder, asm *chunk
 }
 
 // inject delivers one point-to-point message into the local SAN. A
-// Call's request that finds no endpoint at its address is answered at
-// once with a down frame for that one Call: the sender routed it here
-// because this process owns the node, so nobody else holds the address
-// and the caller would otherwise wait out its timeout. A request that
-// reached a live endpoint, or was dropped at a full inbox or a
-// partition, is never answered this way (Lookup finds the endpoint).
+// Call's request that finds no endpoint at its address, or one whose
+// inbox is full, is answered at once with a down frame for that one
+// Call: the sender routed it here because this process owns the node,
+// so nobody else will answer it and the caller would otherwise wait out
+// its timeout. A request dropped by a partition gets no answer.
 func (b *Bridge) inject(from, to san.Addr, kind string, callID uint64, reply bool, trace obs.TraceID, body []byte, lease *san.Lease) {
-	if b.net.InjectUnicast(from, to, kind, callID, reply, trace, body, lease) {
+	err := b.net.InjectUnicast(from, to, kind, callID, reply, trace, body, lease)
+	if err == nil {
 		b.injected.Add(1)
 		return
 	}
-	if callID == 0 || reply || b.net.Lookup(to) {
+	if callID == 0 || reply || !errors.Is(err, san.ErrUnknownAddr) {
 		return
 	}
 	b.mu.RLock()

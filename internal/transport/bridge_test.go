@@ -308,6 +308,43 @@ func TestBridgeCallToUnknownAddrEndsAtOnce(t *testing.T) {
 	}
 }
 
+// TestBridgeCallToFullInboxEndsAtOnce: a Call whose request reaches its
+// callee's process but finds the callee's inbox full is answered by that
+// process with a down frame, so it ends with ErrUnknownAddr in
+// milliseconds, not at its 5 s deadline — as a local Call to a full
+// inbox does. Once the inbox drains, the next Call reaches the callee.
+func TestBridgeCallToFullInboxEndsAtOnce(t *testing.T) {
+	netA, netB, _, _ := bridgePair(t)
+	src := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
+	callee := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "cache0"}, 1) // read by nobody yet
+	if err := src.Send(callee.Addr(), stub.MsgSpawnReq, stub.SpawnReq{Class: "fill"}, 16); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(callee.Inbox()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the filling send never arrived")
+		}
+	}
+
+	err, took := callWithin(src, callee.Addr())
+	if !errors.Is(err, san.ErrUnknownAddr) || took >= 100*time.Millisecond {
+		t.Fatalf("a Call to a full inbox in another process: %v after %v, want %v within 100 ms", err, took, san.ErrUnknownAddr)
+	}
+	if full := netB.Stats().InboxFull; full != 1 {
+		t.Fatalf("callee's process counted %d full-inbox drops, want 1", full)
+	}
+
+	<-callee.Inbox()
+	go func() {
+		for msg := range callee.Inbox() {
+			_ = callee.Respond(msg, stub.MsgResult, stub.ResultMsg{}, 16)
+		}
+	}()
+	if err, _ := callWithin(src, callee.Addr()); err != nil {
+		t.Fatalf("a Call once the inbox drained: %v", err)
+	}
+}
+
 // TestBridgeSeveredOwnerEndsAtOnce: with three bridges, once C has
 // severed its peers no connected process owns the "c-" nodes, so a Call
 // from A to one is refused at A and ends at once — nothing is sent to

@@ -169,24 +169,11 @@ func AppendData(dst []byte, from, to san.Addr, kind string, callID uint64, reply
 
 // AppendDataTrace is AppendData with a verbatim flags byte and an
 // optional tracing id: a non-zero trace sets FlagTrace and rides the
-// frame as a uvarint. Zero traces add nothing to the wire.
+// frame as a uvarint. Zero traces add nothing to the wire. It is
+// AppendDataVec's three pieces laid end to end.
 func AppendDataTrace(dst []byte, from, to san.Addr, kind string, callID uint64, flags byte, trace uint64, body []byte) []byte {
-	dst, off := appendPrelude(dst, FrameData)
-	if trace != 0 {
-		flags |= FlagTrace
-	}
-	dst = append(dst, flags)
-	if trace != 0 {
-		dst = binary.AppendUvarint(dst, trace)
-	}
-	dst = binary.AppendUvarint(dst, callID)
-	dst = appendString(dst, from.Node)
-	dst = appendString(dst, from.Proc)
-	dst = appendString(dst, to.Node)
-	dst = appendString(dst, to.Proc)
-	dst = appendString(dst, kind)
-	dst = appendBytes(dst, body)
-	return finishFrame(dst, off)
+	hdr, trailer := AppendDataVec(dst, from, to, kind, callID, flags, trace, nil, body)
+	return append(append(hdr, body...), trailer[:]...)
 }
 
 // AppendDataVec builds the same wire bytes as AppendData but without

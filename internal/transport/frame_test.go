@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"testing"
 
@@ -51,6 +52,26 @@ func sampleFrames(t testing.TB) [][]byte {
 		AppendMcast(nil,
 			san.Addr{Node: "b-node0", Proc: "manager"},
 			stub.GroupControl, stub.MsgBeacon, body),
+	}
+}
+
+// TestDataFrameBytes pins two data frames byte for byte, an untraced
+// request and a traced reply: a change here is a wire change.
+func TestDataFrameBytes(t *testing.T) {
+	from := san.Addr{Node: "a-node0", Proc: "fe0"}
+	to := san.Addr{Node: "b-node1", Proc: "cache1"}
+	for _, tc := range []struct {
+		frame []byte
+		want  string
+	}{
+		{AppendDataTrace(nil, from, to, "cache.get", 0, 0, 0, []byte("orig|http://x")),
+			"4153020239000000000007612d6e6f6465300366653007622d6e6f646531066361636865310963616368652e6765740d6f7269677c687474703a2f2f786af4aba4"},
+		{AppendDataTrace(nil, from, to, "cache.got", 42, FlagReply, 0x55aa, []byte("reply-bytes")),
+			"415302023a00000005aaab012a07612d6e6f6465300366653007622d6e6f646531066361636865310963616368652e676f740b7265706c792d6279746573223a9f89"},
+	} {
+		if got := hex.EncodeToString(tc.frame); got != tc.want {
+			t.Errorf("frame\n got %s\nwant %s", got, tc.want)
+		}
 	}
 }
 

@@ -372,7 +372,7 @@ func TestAbandonedReplyLeaseBalance(t *testing.T) {
 	}
 	l.SetBytes(wire)
 	from := san.Addr{Node: "b", Proc: "cache0"}
-	if !net.InjectUnicast(from, caller.Addr(), vcache.MsgGot, 99, true, 0, wire, l) {
+	if net.InjectUnicast(from, caller.Addr(), vcache.MsgGot, 99, true, 0, wire, l) != nil {
 		t.Fatal("abandoned reply reported dropped, want consumed")
 	}
 	if refs := l.Refs(); refs != 1 {

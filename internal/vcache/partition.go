@@ -17,7 +17,9 @@
 // A Service is a roster row like a front end: it announces itself on the
 // control group once an interval (supervisor.MsgAnnounce, a Member of
 // kind cache, always up — a cache has nothing to drain), and the manager
-// restarts one whose announcements stop.
+// restarts one whose announcements stop. A Client finds the partitions
+// by the same announcements (Learn, Sweep): where they live is heard in
+// every process, not computed by any.
 package vcache
 
 import (

@@ -3,17 +3,15 @@ package vcache
 import (
 	"hash/fnv"
 	"sort"
-	"sync"
 )
 
 // Ring is a consistent-hash ring mapping cache keys to node names.
 // Each node owns VNodes virtual points; removing a node remaps only
 // the keys it owned (the property that makes "automatically
 // re-hashing when cache nodes are added or removed" cheap, §3.1.5).
+// It is not safe for concurrent use: its Client's lock guards it.
 type Ring struct {
 	vnodes int
-
-	mu     sync.RWMutex
 	points []ringPoint // sorted by hash
 	nodes  map[string]bool
 }
@@ -50,8 +48,6 @@ func hashKey(s string) uint64 {
 
 // Add inserts a node (idempotent).
 func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.nodes[node] {
 		return
 	}
@@ -67,8 +63,6 @@ func (r *Ring) Add(node string) {
 
 // Remove deletes a node (idempotent).
 func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if !r.nodes[node] {
 		return
 	}
@@ -84,8 +78,6 @@ func (r *Ring) Remove(node string) {
 
 // Lookup returns the node owning key, or "" if the ring is empty.
 func (r *Ring) Lookup(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return ""
 	}
@@ -99,8 +91,6 @@ func (r *Ring) Lookup(key string) string {
 
 // Nodes returns the current node set, sorted.
 func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.nodes))
 	for n := range r.nodes {
 		out = append(out, n)
@@ -111,8 +101,6 @@ func (r *Ring) Nodes() []string {
 
 // Len returns the number of physical nodes.
 func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return len(r.nodes)
 }
 

@@ -20,7 +20,7 @@ import (
 // routingClient is a client over n partitions that are never called:
 // owner only reads the membership.
 func routingClient(n int) *Client {
-	c := NewClient(nil)
+	c := NewClient(san.NewNetwork(1).Endpoint(san.Addr{Node: "fe", Proc: "client"}, 8))
 	for i := 0; i < n; i++ {
 		name := "cache" + strconv.Itoa(i)
 		c.AddNode(name, san.Addr{Node: "cnode" + strconv.Itoa(i), Proc: name})

@@ -204,9 +204,12 @@ func (s *Service) Run(ctx context.Context) error {
 	})
 
 	// Run announces the service (supervisor.MsgAnnounce, a cache Member)
-	// on the control group once a beat, so a process peer (the manager)
-	// can supervise it: silence past its TTL means the service crashed
-	// and must be restarted (§3.1.3 timeout inference, as for front ends).
+	// on the control group once a beat, so the manager can supervise it
+	// (§3.1.3 timeout inference) and front ends route to it. It answers
+	// each beacon head at once — the primary greets a newcomer front end
+	// with one — and its own schedule, pushed back by each answer, speaks
+	// while no manager beacons.
+	ep.Join(supervisor.GroupBeacon)
 	hb := softstate.NewSchedule(softstate.Announce.Of(s.Net.Beacon()))
 	defer hb.Stop()
 	for {
@@ -219,6 +222,12 @@ func (s *Service) Run(ctx context.Context) error {
 		case msg, ok := <-ep.Inbox():
 			if !ok {
 				return fmt.Errorf("vcache: %s endpoint closed", s.Name)
+			}
+			if msg.Group == supervisor.GroupBeacon {
+				msg.Release()
+				s.announce(ep)
+				hb.Next()
+				continue
 			}
 			s.handle(ep, msg)
 		}
@@ -308,14 +317,16 @@ func (r GetResp) Answered() string {
 }
 
 // Client presents a set of cache partitions as one virtual cache: the
-// object a key is about (objectOf) is consistent-hashed to a node, and
-// membership changes re-hash automatically. It shares its owner's SAN
-// endpoint.
+// object a key is about (objectOf) is consistent-hashed to a partition
+// name, and membership changes re-hash automatically. The ring is keyed
+// by name and the address looked up beside it, so a partition that
+// moves keeps its keys. It shares its owner's SAN endpoint.
 type Client struct {
 	ep      *san.Endpoint
 	ring    *Ring
-	mu      sync.RWMutex // guards addrs, and ring mutation with it
+	mu      sync.RWMutex // guards addrs and ring
 	addrs   map[string]san.Addr
+	heard   *softstate.Table[san.Addr] // the partitions Learn heard, by name
 	Timeout time.Duration
 
 	probes, writes, writeErrors atomic.Uint64
@@ -327,11 +338,34 @@ func NewClient(ep *san.Endpoint) *Client {
 		ep:      ep,
 		ring:    NewRing(0),
 		addrs:   make(map[string]san.Addr),
+		heard:   softstate.NewTable[san.Addr](softstate.CacheTTL.Of(ep.Beacon()), nil),
 		Timeout: 2 * time.Second,
 	}
 }
 
-// AddNode registers a cache partition under a logical name.
+// Learn takes one control-group message: a cache partition's
+// announcement keeps it in the ring, under its name, at the address it
+// announced from, so a partition respawned elsewhere is re-pointed by its
+// first announcement. Anything else is ignored.
+func (c *Client) Learn(msg san.Message) {
+	m, ok := msg.Body.(supervisor.Member)
+	if !ok || msg.Kind != supervisor.MsgAnnounce || m.Kind != supervisor.KindCache {
+		return
+	}
+	c.heard.Put(m.Addr.Proc, m.Addr)
+	c.AddNode(m.Addr.Proc, m.Addr)
+}
+
+// Sweep drops every learned partition silent past softstate.CacheTTL;
+// its keys go to their successors until it announces again.
+func (c *Client) Sweep() {
+	for _, name := range c.heard.Expired() {
+		c.RemoveNode(name)
+	}
+}
+
+// AddNode registers a cache partition under a logical name, or points a
+// known name at a new address; one Learn never heard stays until RemoveNode.
 func (c *Client) AddNode(name string, addr san.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -348,7 +382,11 @@ func (c *Client) RemoveNode(name string) {
 }
 
 // Nodes returns the current partition names.
-func (c *Client) Nodes() []string { return c.ring.Nodes() }
+func (c *Client) Nodes() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.ring.Nodes()
+}
 
 // OrigKey is the key a URL's unmodified original is cached under; its
 // variants are keyed by tacc.Pipeline.CacheKey. The one place the

@@ -48,9 +48,12 @@
 # Leg 5 [edge] — edge front door: data plane with the manager, two
 # single-FE processes, an edge-only process that reaches them over the
 # bridge (each request one fe.request Call, its answer one fe.reply).
-# One FE process is kill -9ed under a curl workload through the edge and
-# later restarted: every request returns 200, edge.edge.ejects >= 1,
-# edge.edge.readmits >= 1, zero wire errors on the edge.
+# No process is told where the cache partitions are: each FE-only
+# process's ring (fe.fe0.cache_partitions) must read the host's partition
+# count, heard from their announcements. One FE process is kill -9ed
+# under a curl workload through the edge and later restarted: every
+# request returns 200, edge.edge.ejects >= 1, edge.edge.readmits >= 1,
+# zero wire errors on the edge.
 #
 # Every node of every leg, restarts included, must report core.ready_ms
 # under 250 at the shipped 500 ms interval: ready is one round trip after
@@ -212,7 +215,7 @@ leg=heal
 echo "smoke: [heal] data-plane process (worker,cache) on :${PORT}, serving process (frontend,manager,monitor)..."
 start_node ctl -listen "tcp:127.0.0.1:${PORT}" -roles worker,cache -seed 1
 start_node srv -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT}" \
-    -roles frontend,manager,monitor -cache-host ctl -seed 2
+    -roles frontend,manager,monitor -seed 2
 up ctl srv
 
 bad=0
@@ -251,7 +254,7 @@ start_node m0 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
     -roles manager -manager-rank 0 -seed 4
 up hub m0
 start_node srv2 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT2}" \
-    -roles frontend,manager,monitor -manager-rank 1 -cache-host hub -seed 5
+    -roles frontend,manager,monitor -manager-rank 1 -seed 5
 up srv2
 # Kill on observed state, not on a timer: rank 0 is the acting primary
 # and the standby knows it (a standby that has heard no beacon yet would
@@ -299,7 +302,7 @@ echo "smoke: [overload] data-plane process on :${PORT3}, serving process with 1 
 # degraded rung can serve.
 start_node ovl -listen "tcp:127.0.0.1:${PORT3}" -roles worker,cache -seed 6
 start_node srv3 -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT3}" \
-    -roles frontend,manager,monitor -cache-host ovl -seed 7 \
+    -roles frontend,manager,monitor -seed 7 \
     -frontends 1 -fe-max-inflight 2 -cache-ttl 500ms
 up ovl srv3
 
@@ -347,7 +350,7 @@ PORT4=$((PORT + 3))
 echo "smoke: [trace] data-plane process on :${PORT4}, serving process with -trace-sample 1..."
 start_node trc -listen "tcp:127.0.0.1:${PORT4}" -roles worker,cache -seed 8
 start_node tsv -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT4}" \
-    -roles frontend,manager,monitor -cache-host trc -seed 9 -trace-sample 1
+    -roles frontend,manager,monitor -seed 9 -trace-sample 1
 up trc tsv
 
 trace_id=$(curl -fsS -D - -o /dev/null \
@@ -393,7 +396,7 @@ echo "smoke: [edge] data-plane process (manager,worker,cache,monitor) on :${PORT
 start_node dp5 -listen "tcp:127.0.0.1:${PORT5}" -roles manager,worker,cache,monitor -seed 10
 start_fe() { # start_fe <name> <seed>
     start_node "$1" -listen tcp:127.0.0.1:0 -join "tcp:127.0.0.1:${PORT5}" \
-        -roles frontend -frontends 1 -cache-host dp5 -seed "$2"
+        -roles frontend -frontends 1 -seed "$2"
 }
 # The edge learns the front ends from their announcements alone, which come
 # fast only while they are starting: it starts with them.
@@ -405,6 +408,16 @@ up dp5 fea feb edg
 # The edge must have learned BOTH replicas from announcements before the
 # kill, or the eject/readmit assertions race pool discovery.
 await 10 "the edge pool to see both front ends" status_is "${http[edg]}" edge.edge.healthy -eq 2
+# Nobody told fea or feb where the partitions are: they heard them.
+partitions=$(curl -fsS "http://127.0.0.1:${http[dp5]}/status" | grep -c '"cache\.[^.]*\.hits"' || true)
+((partitions >= 1)) || fail edge "dp5 hosts no cache partition"
+rings() { # rings <name>...: every FE process's ring holds the host's partitions
+    local n
+    for n in "$@"; do
+        status_is "${http[$n]}" fe.fe0.cache_partitions -eq "${partitions}" || return 1
+    done
+}
+await 5 "fea's and feb's rings to hold dp5's ${partitions} partitions" rings fea feb
 
 edge_get() { # through the front door, not a node's own -http
     curl -fsS -o /dev/null --max-time 10 \
@@ -436,9 +449,10 @@ probe_readmitted() {
     status_is "${http[edg]}" edge.edge.readmits -ge 1
 }
 await 15 "the respawned backend to be readmitted" probe_readmitted
+await 5 "the restarted feb's ring to hold dp5's ${partitions} partitions" rings feb
 ((bad == 0)) || fail edge "${bad} client-visible request failures across the FE kill"
 curl -fsS "http://127.0.0.1:${EDGE_PORT}/metrics" | grep '^sns_edge_' >/dev/null ||
     fail edge "/metrics on the edge listener has no sns_edge_ samples"
 expect edg san.wire_errors -eq 0
-echo "smoke: [edge] OK — FE process kill -9ed and restarted under load through the front door: zero failed requests, $(status_get "${http[edg]}" edge.edge.ejects) eject(s), $(status_get "${http[edg]}" edge.edge.readmits) probe readmission(s), zero wire errors"
+echo "smoke: [edge] OK — both FE processes heard dp5's ${partitions} cache partitions with no cache flag; FE process kill -9ed and restarted under load through the front door: zero failed requests, $(status_get "${http[edg]}" edge.edge.ejects) eject(s), $(status_get "${http[edg]}" edge.edge.readmits) probe readmission(s), zero wire errors"
 inboxes
