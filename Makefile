@@ -68,15 +68,18 @@ smoke-multiprocess:
 	./scripts/smoke_multiprocess.sh
 
 # The micro-benchmark table (microbench_test.go): leaf costs of the
-# request hot path, single run. TestMicroCeilings gates the same rows'
-# allocs/op and B/op in `make test`. BENCH narrows the run, e.g.
+# request hot path, COUNT runs a row (one run is not a measurement on a
+# shared host), then each row's median and min ns/op, B/op and
+# allocs/op. TestMicroCeilings gates the same rows' allocs/op and B/op
+# in `make test`. BENCH narrows the run, e.g.
 #   make bench-micro BENCH='Micro/(wire|san)'         codec + SAN send
 #   make bench-micro BENCH='Micro/(frame|bridge_send)' framing + socket
 #   make bench-micro BENCH='Micro/blob_relay'          FE→cache→FE relay
 #   make bench-micro BENCH='Micro/(distill|munge)'     one distillation per type
 BENCH ?= Micro
+COUNT ?= 10
 bench-micro:
-	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -count=1 .
+	./scripts/bench_micro.sh '$(BENCH)' $(COUNT)
 
 # Alternating parent/working-tree runs of one bench/ workload with the
 # pair-rule summary a performance claim needs, e.g.

@@ -11,14 +11,15 @@ import (
 // Batching defaults. The delay is nominal: a Go process with idle Ps
 // parks in epoll_wait at millisecond granularity, so the timer fires
 // ~1.1 ms after it is armed and a frame that waits for it pays that on
-// some request's critical path. Two kinds of frame never wait: a body
-// on the move at 8 KiB and up (an original on its way to Put, a relay
-// fragment), and a prompt frame. A Call's request never waits (a probe,
-// a task: its caller is blocked on the answer), nor does a result (a
-// worker serves one task at a time); the SAN marks both prompt. Their
-// appender writes them, and whatever is staged, at once. Small replies
-// (a probe's answer), small cache writes and announcements wait one
-// tick (ROADMAP item 1 has what writing those at once measures and needs).
+// some request's critical path. Two kinds of message never wait: a body
+// on the move at 8 KiB and up (an original on its way to Put, a chunked
+// relay with every fragment, its tail included), and a prompt frame. A
+// Call's request never waits (a probe, a task: its caller is blocked on
+// the answer), nor does a result (a worker serves one task at a time);
+// the SAN marks both prompt. Their appender writes them, and whatever
+// is staged, at once. Small replies (a probe's answer), small cache
+// writes and announcements wait one tick (ROADMAP item 1 has what
+// writing those at once measures and needs).
 const (
 	DefaultFlushBytes = 8 << 10
 	DefaultFlushDelay = 200 * time.Microsecond
@@ -30,20 +31,20 @@ var ErrBatcherClosed = errors.New("transport: batcher closed")
 // ErrBackpressure is returned by Append when the bytes queued behind
 // an in-progress write exceed the batcher's bound: the peer's reader
 // has stalled and buffering more would only hide the congestion. The
-// frame is dropped (datagram semantics) and its done hook has already
-// run; the connection stays up.
+// message is dropped whole (datagram semantics) and its done hook has
+// already run; the connection stays up.
 var ErrBackpressure = errors.New("transport: peer write queue full (backpressure)")
 
 // BatchStats counts a batcher's life. FramesPerBatch (derivable as
 // Frames/Batches) is the coalescing figure of merit: >1 means multiple
 // frames shared a syscall/packet.
 type BatchStats struct {
-	Frames       uint64 // frames appended
+	Frames       uint64 // frames appended (a chunked message's fragments each count)
 	Batches      uint64 // Write calls issued
 	Bytes        uint64 // bytes written
 	NowFlushes   uint64 // flushes an appender ran: the size threshold, or a prompt frame
 	TimeFlushes  uint64 // flushes that waited: the deadline, or an explicit Flush/Close
-	Backpressure uint64 // appends refused because the queue bound was hit
+	Backpressure uint64 // messages refused because the queue bound was hit (a chunked stream counts once)
 	MaxQueued    uint64 // high-water mark of bytes staged behind a write
 }
 
@@ -120,45 +121,60 @@ func NewBatcher(w io.Writer, maxBytes int) *Batcher {
 	return b
 }
 
-// Append queues one frame — hdr ++ body ++ trailer on the wire — and
-// is the only way into the socket. hdr and trailer are copied into the
-// staging buffer, so the caller's buffers are free for reuse on return;
-// a fully staged frame is Append(frame, nil, nil, false, nil). A prompt
-// frame never waits for the deadline: on return it has been written with
-// everything staged before it, or an active drainer will carry it. A
-// non-empty body (the AppendDataVec split) is only referenced: at flush
-// it goes to the socket as its own iovec, and until done runs the caller
-// must keep it immutable and alive — exactly the Lease.Retain/Release
-// contract. done, if non-nil, runs exactly once: after the write that
-// carried the frame completes (successfully or not), or inline when
-// the append is refused (closed, sticky error, backpressure — nothing
-// will carry the frame); both with no lock held. The one exception is
-// a frame still staged when an earlier write fails: it is dropped and
+// Piece is one frame handed to Append: Hdr ++ Body ++ Trailer on the
+// wire (the AppendDataVec split). A fully staged frame is Piece{Hdr: frame}.
+type Piece struct{ Hdr, Body, Trailer []byte }
+
+// Append queues one message — one frame, or a chunked body's every
+// fragment, laid end to end — and is the only way into the socket. Refusal is per message: closed, a sticky error or
+// backpressure refuses every frame, or none. Each Hdr and Trailer is
+// copied into the staging buffer, so the caller's buffers are free for
+// reuse on return. A prompt message, or one that brings the staged
+// bytes to the flush threshold, never waits for the deadline: on return
+// it has been written with everything staged before it, in one write,
+// or an active drainer will carry it. A non-empty Body is only
+// referenced: at flush it goes to the socket as its own iovec, and
+// until done runs the caller must keep it immutable and alive — exactly
+// the Lease.Retain/Release contract. done, if non-nil, runs exactly
+// once: after the write that carried the message completes
+// (successfully or not), or inline when the append is refused (nothing
+// will carry it); both with no lock held. The one exception is a
+// message still staged when an earlier write fails: it is dropped and
 // its done runs under the batcher's lock, so done must never call back
 // into the Batcher.
-func (b *Batcher) Append(hdr, body, trailer []byte, prompt bool, done func()) error {
+func (b *Batcher) Append(frames []Piece, prompt bool, done func()) error {
+	n := 0
+	for _, f := range frames {
+		n += len(f.Hdr) + len(f.Body) + len(f.Trailer)
+	}
 	b.mu.Lock()
-	if err := b.refusalLocked(len(hdr) + len(body) + len(trailer)); err != nil {
+	if err := b.refusalLocked(n); err != nil {
 		b.mu.Unlock()
 		if done != nil {
 			done()
 		}
 		return err
 	}
-	b.buf = append(b.buf, hdr...)
-	if len(body) > 0 || done != nil {
-		b.cuts = append(b.cuts, cut{off: len(b.buf), body: body, release: done})
+	for i, f := range frames {
+		b.buf = append(b.buf, f.Hdr...)
+		c := cut{off: len(b.buf), body: f.Body}
+		if i == len(frames)-1 {
+			c.release = done
+		}
+		if len(c.body) > 0 || c.release != nil {
+			b.cuts = append(b.cuts, c)
+		}
+		b.ext += len(f.Body)
+		b.buf = append(b.buf, f.Trailer...)
 	}
-	b.ext += len(body)
-	b.buf = append(b.buf, trailer...)
-	b.pending++
-	b.stats.Frames++
+	b.pending += len(frames)
+	b.stats.Frames += uint64(len(frames))
 	err := b.afterAppendLocked(prompt)
 	b.mu.Unlock()
 	return err
 }
 
-// refusalLocked reports why a frame of n bytes cannot be staged now,
+// refusalLocked reports why a message of n bytes cannot be staged now,
 // nil if it can.
 func (b *Batcher) refusalLocked(n int) error {
 	switch {

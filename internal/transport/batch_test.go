@@ -49,7 +49,7 @@ func TestBatcherPacksBurst(t *testing.T) {
 
 	const frames = 1000
 	for i := 0; i < frames; i++ {
-		if err := b.Append(frame, nil, nil, false, nil); err != nil {
+		if err := b.Append([]Piece{{Hdr: frame}}, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 	w := &recordingWriter{}
 	b := testBatcher(w, 1<<20, time.Millisecond, DefaultMaxBatchBytes)
 	defer b.Close()
-	if err := b.Append([]byte("solo"), nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: []byte("solo")}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(time.Second)
@@ -113,13 +113,13 @@ func TestBatcherSizeFlush(t *testing.T) {
 	b := testBatcher(w, 64, time.Hour, DefaultMaxBatchBytes) // deadline effectively off
 	defer b.Close()
 	chunk := make([]byte, 48)
-	if err := b.Append(chunk, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: chunk}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.Stats(); st.Batches != 0 {
 		t.Fatal("flushed below the size threshold")
 	}
-	if err := b.Append(chunk, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: chunk}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := b.Stats()
@@ -130,7 +130,7 @@ func TestBatcherSizeFlush(t *testing.T) {
 	one := testBatcher(&recordingWriter{}, 1, time.Hour, DefaultMaxBatchBytes)
 	defer one.Close()
 	for i := 0; i < 10; i++ {
-		if err := one.Append([]byte("frame"), nil, nil, false, nil); err != nil {
+		if err := one.Append([]Piece{{Hdr: []byte("frame")}}, false, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,11 +150,11 @@ func TestBatcherBodiesDoNotWait(t *testing.T) {
 	b := testBatcher(&w, DefaultFlushBytes, time.Hour, DefaultMaxBatchBytes)
 	defer b.Close()
 	small := bytes.Repeat([]byte{'s'}, 100)
-	if err := b.Append(small, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: small}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	under := bytes.Repeat([]byte{'u'}, DefaultFlushBytes-len(small)-1)
-	if err := b.Append(under[:8], under[8:], nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{under[:8], under[8:], nil}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.Stats(); st.Batches != 0 {
@@ -167,10 +167,10 @@ func TestBatcherBodiesDoNotWait(t *testing.T) {
 
 	released := false
 	body := bytes.Repeat([]byte{'b'}, chunkFrag) // one relay fragment
-	if err := b.Append(small, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: small}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Append([]byte("hdr4"), body, []byte("crc4"), false, func() { released = true }); err != nil {
+	if err := b.Append([]Piece{{[]byte("hdr4"), body, []byte("crc4")}}, false, func() { released = true }); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append(append(append([]byte(nil), small...), "hdr4"...), body...), "crc4"...)
@@ -192,7 +192,7 @@ func TestBatcherPromptFrames(t *testing.T) {
 	b := testBatcher(&w, DefaultFlushBytes, time.Hour, DefaultMaxBatchBytes)
 	defer b.Close()
 	probe := []byte("cache.get")
-	if err := b.Append(probe, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: probe}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if w.Len() != 0 {
@@ -200,18 +200,18 @@ func TestBatcherPromptFrames(t *testing.T) {
 	}
 	released := false
 	body := bytes.Repeat([]byte{'t'}, 300)
-	if err := b.Append([]byte("hdr!"), body, []byte("crc!"), true, func() { released = true }); err != nil {
+	if err := b.Append([]Piece{{[]byte("hdr!"), body, []byte("crc!")}}, true, func() { released = true }); err != nil {
 		t.Fatal(err)
 	}
 	result := []byte("wrk.result")
-	if err := b.Append(result, nil, nil, true, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: result}}, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := bytes.Join([][]byte{probe, []byte("hdr!"), body, []byte("crc!"), result}, nil)
 	if !bytes.Equal(w.Bytes(), want) {
 		t.Fatalf("writer holds %q when the prompt Appends return, want %q", w.Bytes(), want)
 	}
-	if err := b.Append(probe, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: probe}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if w.Len() != len(want) {
@@ -267,9 +267,9 @@ func TestBatcherConcurrentAppenders(t *testing.T) {
 				binary.BigEndian.PutUint32(r[4:], uint32(i))
 				var err error
 				if s%2 == 0 {
-					err = b.Append(r[:], nil, nil, false, nil)
+					err = b.Append([]Piece{{Hdr: r[:]}}, false, nil)
 				} else {
-					err = b.Append(r[:4], r[4:], nil, false, func() {})
+					err = b.Append([]Piece{{r[:4], r[4:], nil}}, false, func() {})
 				}
 				if err != nil {
 					t.Errorf("sender %d append %d: %v", s, i, err)
@@ -336,7 +336,7 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 func stallDrainer(t *testing.T, b *Batcher, w *blockingWriter) []byte {
 	t.Helper()
 	lead := bytes.Repeat([]byte{'L'}, 32)
-	if err := b.Append(lead, nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: lead}}, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -384,7 +384,7 @@ func TestBatcherAppendShapes(t *testing.T) {
 		if sh.lease != nil {
 			sh.lease.Retain()
 		}
-		return b.Append(sh.hdr, sh.body, sh.trailer, false, done)
+		return b.Append([]Piece{{sh.hdr, sh.body, sh.trailer}}, false, done)
 	}
 	newWriter := func(open bool) *blockingWriter {
 		w := &blockingWriter{entered: make(chan struct{}, 64), gate: make(chan struct{})}
@@ -420,7 +420,7 @@ func TestBatcherAppendShapes(t *testing.T) {
 			w, ran := newWriter(true), new(atomic.Int32)
 			b := testBatcher(w, 1<<20, time.Hour, DefaultMaxBatchBytes)
 			first, last := []byte("AAAA"), []byte("ZZZZ")
-			for _, err := range []error{b.Append(first, nil, nil, false, nil), appendShape(b, sh, ran), b.Append(last, nil, nil, false, nil)} {
+			for _, err := range []error{b.Append([]Piece{{Hdr: first}}, false, nil), appendShape(b, sh, ran), b.Append([]Piece{{Hdr: last}}, false, nil)} {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -470,7 +470,7 @@ func TestBatcherAppendShapes(t *testing.T) {
 			b := testBatcher(w, 64, time.Millisecond, 256)
 			lead := stallDrainer(t, b, w)
 			filler := bytes.Repeat([]byte{'F'}, 200)
-			if err := b.Append(filler, nil, nil, false, nil); err != nil {
+			if err := b.Append([]Piece{{Hdr: filler}}, false, nil); err != nil {
 				t.Fatalf("append within the bound: %v", err)
 			}
 			if err := appendShape(b, sh, ran); err != ErrBackpressure {
@@ -502,17 +502,17 @@ func TestBatcherBackpressure(t *testing.T) {
 	stallDrainer(t, b, w)
 
 	// Staging continues behind the stalled write until the bound.
-	if err := b.Append(make([]byte, 100), nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: make([]byte, 100)}}, false, nil); err != nil {
 		t.Fatalf("first staged append: %v", err)
 	}
-	if err := b.Append(make([]byte, 100), nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: make([]byte, 100)}}, false, nil); err != nil {
 		t.Fatalf("second staged append: %v", err)
 	}
-	if err := b.Append(make([]byte, 100), nil, nil, false, nil); err != ErrBackpressure {
+	if err := b.Append([]Piece{{Hdr: make([]byte, 100)}}, false, nil); err != ErrBackpressure {
 		t.Fatalf("append past the bound returned %v, want ErrBackpressure", err)
 	}
 	released := false
-	err := b.Append(make([]byte, 16), make([]byte, 100), make([]byte, 4), false, func() { released = true })
+	err := b.Append([]Piece{{make([]byte, 16), make([]byte, 100), make([]byte, 4)}}, false, func() { released = true })
 	if err != ErrBackpressure {
 		t.Fatalf("vectored append past the bound returned %v, want ErrBackpressure", err)
 	}
@@ -526,7 +526,7 @@ func TestBatcherBackpressure(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if err := b.Append(make([]byte, 100), nil, nil, false, nil); err != nil {
+	if err := b.Append([]Piece{{Hdr: make([]byte, 100)}}, false, nil); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if err := b.Close(); err != nil {

@@ -4,9 +4,9 @@ package transport
 // exercised at the paper's content sizes (a small HTML page, a mid-size
 // image, a huge GIF). This is the path the zero-copy data plane exists
 // for: the root micro-benchmark table (go test -bench 'Micro/blob_relay'
-// repro) tracks per-request cost at each size, and the latency test
-// here pins down the property chunked relay buys — a 512 KB body in
-// flight does not stall small frames behind it.
+// repro) tracks per-request cost at each size, and the tests here pin
+// what a chunked body costs: one write per stream, and a 512 KB body in
+// flight stalls a small frame for no more than that one write.
 
 import (
 	"bytes"
@@ -233,10 +233,10 @@ func TestCacheWritesAcrossEndpoints(t *testing.T) {
 
 // TestChunkedRelayLatency: while 512 KB responses stream continuously
 // across the bridge, interleaved small requests must keep answering
-// promptly — the chunked relay splits the big body into chunkFrag
-// fragments precisely so a small frame is never queued behind more
-// than a couple of them. Also asserts the stream arrived intact, via
-// the chunk counters and a clean wire-error count.
+// promptly. A stream is one append and one write, so a small frame
+// staged meanwhile waits behind at most one stream's write (a 512 KB
+// writev on loopback), then rides the next. Also asserts the stream
+// arrived intact, via the chunk counters and a clean wire-error count.
 func TestChunkedRelayLatency(t *testing.T) {
 	pair := startRelayPair(t)
 	ctx := context.Background()
@@ -290,6 +290,7 @@ func TestChunkedRelayLatency(t *testing.T) {
 
 	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
 	median := rtts[len(rtts)/2]
+	t.Logf("median small-frame RTT %v over %d fetches while 512 KB bodies streamed", median, len(rtts))
 	// The bound is deliberately far above a loopback RTT but far below
 	// what a wedged batcher (small frames stuck behind 512 KB bodies
 	// for a write-deadline's worth of flushes) would produce.
@@ -308,5 +309,57 @@ func TestChunkedRelayLatency(t *testing.T) {
 	}
 	if fe := pair.ba.Stats().FrameErrors + pair.bb.Stats().FrameErrors; fe != 0 {
 		t.Fatalf("frame errors: %d", fe)
+	}
+}
+
+// TestChunkedReplyOneWrite: a 256 KB Call reply with a 100-byte tail
+// (a cache.got's shape) crosses as 17 chunk fragments handed to the
+// responder's batcher in one append, so each reply costs the
+// responder's bridge exactly one write, run at once by the responder:
+// no fragment is a write of its own, and the tail never waits for the
+// flush timer.
+func TestChunkedReplyOneWrite(t *testing.T) {
+	netA, netB, _, bb := bridgePair(t)
+	caller := netA.Endpoint(san.Addr{Node: "a-n0", Proc: "fe0"}, 8)
+	callee := netB.Endpoint(san.Addr{Node: "b-n0", Proc: "cache0"}, 8)
+	reply := make([]byte, 256<<10+100)
+	go func() {
+		for msg := range callee.Inbox() {
+			_ = callee.Respond(msg, "blob", reply, len(reply))
+			msg.Release()
+		}
+	}()
+
+	const calls = 20
+	before := bb.Stats()
+	for i := 0; i < calls; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		resp, err := caller.Call(ctx, callee.Addr(), "blob", []byte("get"), 3)
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got := len(resp.Body.([]byte)); got != len(reply) {
+			t.Fatalf("call %d: reply of %d bytes, want %d", i, got, len(reply))
+		}
+		resp.Release()
+	}
+	// The drainer counts its write after the bytes have left, so the
+	// last reply can arrive a moment before its batch is counted.
+	deadline := time.Now().Add(2 * time.Second)
+	for bb.Stats().Batches-before.Batches < calls && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	after := bb.Stats()
+	frames := after.FramesOut - before.FramesOut
+	if batches := after.Batches - before.Batches; batches != calls {
+		t.Fatalf("%d replies of 256 KB cost %d writes (%d frames), want one each", calls, batches, frames)
+	}
+	if timer := after.TimerWrites - before.TimerWrites; timer != 0 {
+		t.Fatalf("%d of the writes waited for the flush timer, want none", timer)
+	}
+	if frames != calls*17 {
+		t.Fatalf("%d replies crossed as %d frames, want 17 each", calls, frames)
 	}
 }

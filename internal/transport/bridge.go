@@ -41,15 +41,16 @@ type Config struct {
 // no deployment ever set one, and each is sized against the others.
 const (
 	// DefaultChunkBytes is the chunked-relay threshold: a leased body
-	// larger than this streams to peers as FlagChunk fragments instead
-	// of one giant frame, so ordinary frames interleave between
-	// fragments rather than stalling behind a 500 KB blob occupying a
-	// whole batch. Sized so a 64 KB cache object still rides one
-	// (vectored) frame while the long tail of huge GIFs fragments.
+	// larger than this crosses as FlagChunk fragments instead of one
+	// giant frame, so the receiver reads it through bounded frames (its
+	// 64 KiB decoder leases) into one exact-size reassembly lease.
+	// Sized so a 64 KB cache object still rides one (vectored) frame
+	// while the long tail of huge GIFs fragments.
 	DefaultChunkBytes = 128 << 10
-	// chunkFrag is the fragment size of chunked relay — above the
-	// batch threshold, so each fragment is written as it is appended
-	// and competing small frames never wait behind more than one.
+	// chunkFrag is the fragment size of chunked relay. A stream's
+	// fragments are one Batcher.Append, written in one write with no
+	// fragment waiting for the flush timer, so a small frame appended
+	// meanwhile waits behind at most one stream's write.
 	chunkFrag = 16 << 10
 	// vecMinBody: leased bodies at least this large skip the staging
 	// copy and go to the socket as their own iovec. Below it the
@@ -95,7 +96,7 @@ type Stats struct {
 	Unroutable   uint64 // unicasts refused: no connected peer owns the destination's node
 	Chunked      uint64 // outbound bodies streamed as chunk fragments
 	Reassembled  uint64 // inbound chunk streams completed and injected
-	Backpressure uint64 // frames refused: a peer's write queue was full
+	Backpressure uint64 // messages refused: a peer's write queue was full (a chunked stream counts once)
 	MaxQueued    uint64 // highest bytes any peer ever staged behind a write
 }
 
@@ -175,6 +176,7 @@ type Bridge struct {
 	deadMaxQueued    atomic.Uint64 // max, not sum: high-water across dead conns
 
 	framePool sync.Pool
+	piecePool sync.Pool // *[]Piece: a chunked stream's fragment list
 }
 
 // New opens the listener, installs the bridge as the network's fabric,
@@ -205,6 +207,7 @@ func New(cfg Config) (*Bridge, error) {
 		buf := make([]byte, 0, 2048)
 		return &buf
 	}
+	b.piecePool.New = func() any { return new([]Piece) }
 	cfg.Net.SetFabric(b)
 	cfg.Net.Registry().SetCollector("bridge", func(emit func(string, float64)) {
 		st := b.Stats()
@@ -420,35 +423,35 @@ func (b *Bridge) Unicast(from, to san.Addr, kind string, callID uint64, reply, p
 	if reply {
 		flags |= FlagReply
 	}
-	// Huge leased bodies stream as chunk fragments so competing small
-	// frames interleave between them instead of stalling a whole batch
-	// behind one 500 KB blob.
+	// Huge leased bodies cross as chunk fragments, so the receiver
+	// decodes bounded frames; the stream is one append.
 	if lease != nil && len(wire) > DefaultChunkBytes && len(wire) <= MaxChunkBody {
 		return b.unicastChunked(p, from, to, kind, callID, flags, prompt, trace, wire, lease)
 	}
 
 	bufp := b.framePool.Get().(*[]byte)
-	var hdr, body, trailer []byte
+	var frame Piece
 	var done func()
 	if lease != nil && len(wire) >= vecMinBody {
 		// Vectored: only the header and CRC trailer are staged; the
 		// already-encoded body goes to the socket as its own iovec,
 		// pinned by a lease reference until its flush.
-		h, crc := AppendDataVec((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), nil, wire)
-		hdr, body, trailer = h, wire, crc[:]
+		hdr, crc := AppendDataVec((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), nil, wire)
+		*bufp = append(hdr, crc[:]...)
+		frame = Piece{hdr, wire, (*bufp)[len(hdr):]}
 		lease.Retain()
 		done = lease.Release
 	} else {
-		hdr = AppendDataTrace((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), wire)
+		*bufp = AppendDataTrace((*bufp)[:0], from, to, kind, callID, flags, uint64(trace), wire)
+		frame = Piece{Hdr: *bufp}
 	}
 	if trace.Sampled() {
 		done = b.flushSpan(trace, kind, len(wire), done)
 	}
-	sent := b.appendToPeer(p, hdr, body, trailer, prompt, done)
+	sent := b.appendToPeer(p, []Piece{frame}, prompt, done)
 	if sent {
 		b.framesOut.Add(1)
 	}
-	*bufp = hdr[:0]
 	b.framePool.Put(bufp)
 	return sent
 }
@@ -473,55 +476,47 @@ func (b *Bridge) ownerLocked(node string) *peer {
 // ownedPrefix is a bridge id read as the node-name prefix it owns.
 func ownedPrefix(id string) string { return id }
 
-// unicastChunked streams wire to p as FlagChunk fragments of chunkFrag
-// bytes. Each fragment is a self-contained frame (envelope: stream id,
-// total, offset) carrying its slice of the body as an iovec, so the
-// body is still never copied on the send side; the receiver reassembles
-// into one lease and injects the completed message. The send counts as
-// handed over if its first fragment was accepted — a failure later in
-// the stream is a dying connection, and the loss surfaces exactly like
-// any other dropped datagram.
+// unicastChunked sends wire to p as FlagChunk fragments of chunkFrag
+// bytes in one Batcher.Append. Each fragment is a self-contained frame
+// (envelope: stream id, total, offset) carrying its slice of the body as
+// an iovec, so the body is still never copied on the send side; the
+// receiver reassembles into one lease and injects the completed message.
+// The batcher takes the stream whole or refuses it whole, so a refused
+// stream leaves no head behind to seed a build that cannot complete.
 //
-// Lease discipline: every appendToPeer call is handed exactly one
-// retained reference, and the batcher guarantees exactly one release
-// of it — inline when the append is refused, after the flush that
-// wrote the fragment otherwise. The Retain therefore sits immediately
-// before the hand-off and nowhere else; this loop itself never
-// releases. A prompt body's fragments are prompt too.
+// Lease discipline: the stream carries one retained reference, handed to
+// the batcher with the append, which releases it exactly once — inline
+// when the append is refused, after the write that carried the stream
+// otherwise. A prompt body's stream is prompt too.
 func (b *Bridge) unicastChunked(p *peer, from, to san.Addr, kind string, callID uint64, flags byte, prompt bool, trace obs.TraceID, wire []byte, lease *san.Lease) bool {
 	id := b.chunkSeq.Add(1)
 	total := len(wire)
 	flags |= FlagChunk
-	bufp := b.framePool.Get().(*[]byte)
-	scratch := (*bufp)[:0]
+	bufp, piecesp := b.framePool.Get().(*[]byte), b.piecePool.Get().(*[]Piece)
+	scratch, frames := (*bufp)[:0], (*piecesp)[:0]
 	var env [3 * 10]byte // three uvarints, 10 bytes max each
-	frames := 0
 	for off := 0; off < total; off += chunkFrag {
-		end := min(off+chunkFrag, total)
-		frag := wire[off:end]
-		prefix := appendChunkEnv(env[:0], id, total, off)
-		hdr, trailer := AppendDataVec(scratch[:0], from, to, kind, callID, flags, uint64(trace), prefix, frag)
-		scratch = hdr
-		lease.Retain() // ownership of this one ref passes to the batcher
-		done := lease.Release
-		if trace.Sampled() && end == total {
-			// One span per chunked send, closed when the final
-			// fragment's flush completes.
-			done = b.flushSpan(trace, kind, total, done)
-		}
-		if !b.appendToPeer(p, hdr, frag, trailer[:], prompt, done) {
-			// The peer refused (dying, or its queue is full): the rest of
-			// the stream stays home. Fed to a redialed connection, a tail
-			// with no head would seed a build that can never complete.
-			break
-		}
-		frames++
+		frag := wire[off:min(off+chunkFrag, total)]
+		start := len(scratch)
+		hdr, trailer := AppendDataVec(scratch, from, to, kind, callID, flags, uint64(trace), appendChunkEnv(env[:0], id, total, off), frag)
+		scratch = append(hdr, trailer[:]...)
+		frames = append(frames, Piece{Hdr: scratch[start:len(hdr)], Body: frag, Trailer: scratch[len(hdr):]})
 	}
-	b.framesOut.Add(uint64(frames))
+	lease.Retain() // ownership of this one ref passes to the batcher
+	done := lease.Release
+	if trace.Sampled() {
+		done = b.flushSpan(trace, kind, total, done)
+	}
+	sent := b.appendToPeer(p, frames, prompt, done)
+	if sent {
+		b.framesOut.Add(uint64(len(frames)))
+	}
 	b.chunked.Add(1)
-	*bufp = scratch[:0]
+	clear(frames) // drop the body references before pooling
+	*bufp, *piecesp = scratch[:0], frames[:0]
 	b.framePool.Put(bufp)
-	return frames > 0
+	b.piecePool.Put(piecesp)
+	return sent
 }
 
 // EndpointDown implements san.Fabric: a local endpoint closed. Every
@@ -554,27 +549,27 @@ func (b *Bridge) broadcast(frame []byte) {
 	b.mu.RUnlock()
 	sent := 0
 	for _, p := range peers {
-		if b.appendToPeer(p, frame, nil, nil, false, nil) {
+		if b.appendToPeer(p, []Piece{{Hdr: frame}}, false, nil) {
 			sent++
 		}
 	}
 	b.framesOut.Add(uint64(sent))
 }
 
-// appendToPeer queues one frame (hdr ++ body ++ trailer; see
-// Batcher.Append) on one peer's batcher, and is the one place a send
-// result is classified. A write error (e.g. the write timeout firing
+// appendToPeer queues one message (one frame, or a chunked stream's
+// fragments; see Batcher.Append) on one peer's batcher, and is the one
+// place a send result is classified. A write error (e.g. the write timeout firing
 // on a stalled peer) is fatal to the connection: the conn is closed so
 // the read loop unblocks, the peer is removed, and the dial loop
 // redials — a wedged connection must never keep counting as a live
 // peer. The batcher runs done itself on every path, refusals included.
-// A prompt or ≥ 8 KiB frame's appender writes it, so one caller per
+// A prompt or ≥ 8 KiB message's appender writes it, so one caller per
 // stalled connection (a probe, a dispatch, a Put or Inject, a worker's
-// result) may wait one writeTimeout: the failed write closes the peer,
-// and meanwhile other appenders stage behind it (a Call ends at its own
-// deadline) or get ErrBackpressure at once.
-func (b *Bridge) appendToPeer(p *peer, hdr, body, trailer []byte, prompt bool, done func()) bool {
-	err := p.batch.Append(hdr, body, trailer, prompt, done)
+// result, a chunked reply) may wait one writeTimeout: the failed write
+// closes the peer, and meanwhile other appenders stage behind it (a
+// Call ends at its own deadline) or get ErrBackpressure at once.
+func (b *Bridge) appendToPeer(p *peer, frames []Piece, prompt bool, done func()) bool {
+	err := p.batch.Append(frames, prompt, done)
 	if err == nil {
 		return true
 	}
@@ -1026,7 +1021,7 @@ func (b *Bridge) inject(from, to san.Addr, kind string, callID uint64, reply boo
 	}
 	bufp := b.framePool.Get().(*[]byte)
 	frame := AppendDown((*bufp)[:0], to, from, callID)
-	if b.appendToPeer(p, frame, nil, nil, true, nil) { // the caller is blocked on it
+	if b.appendToPeer(p, []Piece{{Hdr: frame}}, true, nil) { // the caller is blocked on it
 		b.framesOut.Add(1)
 	}
 	*bufp = frame[:0]

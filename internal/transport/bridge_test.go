@@ -448,22 +448,24 @@ func TestBridgeCallEndsWhenCalleeCloses(t *testing.T) {
 		return resp, err, time.Since(start)
 	}
 
-	// Answered, then closed at once: the reply arrives.
-	go func() {
+	// Answered, then closed at once: the reply arrives. Each goroutine
+	// gets its endpoint as an argument: the first may still be closing
+	// its own after dst names the second.
+	go func(dst *san.Endpoint) {
 		req := awaitMsg(t, dst, 5*time.Second)
 		_ = dst.Respond(req, stub.MsgResult, stub.ResultMsg{Err: "worker disabled"}, 16)
 		dst.Close()
-	}()
+	}(dst)
 	if resp, err, _ := call(); err != nil || resp.Body.(stub.ResultMsg).Err != "worker disabled" {
 		t.Fatalf("a reply sent before the close: %+v, %v", resp.Body, err)
 	}
 
 	// Closed with the request unanswered: the Call ends with the down frame.
 	dst = netB.Endpoint(san.Addr{Node: "b-n0", Proc: "w0"}, 64)
-	go func() {
+	go func(dst *san.Endpoint) {
 		awaitMsg(t, dst, 5*time.Second)
 		dst.Close()
-	}()
+	}(dst)
 	if _, err, took := call(); !errors.Is(err, san.ErrUnknownAddr) || took > time.Second {
 		t.Fatalf("a Call to a callee that closed: %v after %v, want %v at once", err, took, san.ErrUnknownAddr)
 	}

@@ -23,11 +23,13 @@
 // AppendDataVec stages only the header and CRC trailer, the body
 // rides as its own iovec, and the Batcher flushes via
 // net.Buffers/writev, releasing the body's san.Lease after the write.
-// Bodies above DefaultChunkBytes stream as chunkFrag-sized chunk
-// frames (FlagChunk + a uvarint id/total/offset envelope) so one huge
-// body never stalls small frames queued behind it; the receiving
-// bridge reassembles the stream, in order, into a single leased buffer
-// before injecting it. Inbound,
+// Bodies above DefaultChunkBytes cross as chunkFrag-sized chunk
+// frames (FlagChunk + a uvarint id/total/offset envelope), so the
+// receiver only ever decodes bounded frames; the sender hands a
+// stream's fragments to the Batcher in one Append, so they leave in one
+// write and a small frame waits behind at most that one write. The
+// receiving bridge reassembles the stream, in order, into a single
+// leased buffer before injecting it. Inbound,
 // NewLeasedDecoder reads into san.Lease-backed buffers and delivery
 // views alias them; the decoder recycles a buffer only after every
 // consumer releases (see the Lease contract in internal/san —

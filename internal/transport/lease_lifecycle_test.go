@@ -29,6 +29,7 @@ func newChunkBridge() *Bridge {
 		buf := make([]byte, 0, 2048)
 		return &buf
 	}
+	b.piecePool.New = func() any { return new([]Piece) }
 	return b
 }
 
@@ -79,20 +80,21 @@ func leasedBody(total int) (*san.Lease, []byte) {
 	return l, wire
 }
 
-// TestChunkedMidStreamWriterErrorLeaseBalance: a peer whose connection
-// dies mid-stream must not unbalance the body lease — every fragment
-// retain is released exactly once (by the flush that carried it, or
-// inline once the batcher is sticky-errored), the dying peer is closed
-// so its dial loop can take over, and the healthy peer still receives
-// a complete, byte-identical stream.
+// TestChunkedMidStreamWriterErrorLeaseBalance: a stream is one append
+// and one write, so a connection that dies mid-stream dies inside that
+// write. The one lease reference the stream carries must be released
+// exactly once, the dying peer is closed so its dial loop can take
+// over, nothing more is written to it, and the healthy peer still
+// receives a complete, byte-identical stream.
 func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 	b := newChunkBridge()
 	var goodBuf bytes.Buffer
-	good := newTestPeer(t, "good", &goodBuf, 1, time.Hour) // flush per fragment
-	// The bad writer survives exactly one flush (hdr+body+trailer ride
-	// as three sequential writes through the net.Buffers fallback), so
-	// fragment 1 lands and fragment 2 hits the error: a genuinely
-	// mid-stream death.
+	good := newTestPeer(t, "good", &goodBuf, 1, time.Hour)
+	// The stream's one write reaches a plain writer as sequential writes
+	// of its iovecs (net.Buffers' fallback): fragment 1's header, its
+	// body, its trailer with fragment 2's header. The bad writer survives
+	// those three and fails on fragment 2's body: a genuinely mid-stream
+	// death.
 	badW := &failAfterWriter{ok: 3}
 	bad := newTestPeer(t, "bad", badW, 1, time.Hour)
 	t.Cleanup(func() { good.close(); bad.close() })
@@ -106,15 +108,18 @@ func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 	if !b.unicastChunked(good, from, to, "blob", 7, 0, false, 0, wire, lease) {
 		t.Fatal("unicastChunked reported failure to a healthy peer")
 	}
-	if !b.unicastChunked(bad, from, to, "blob", 7, 0, false, 0, wire, lease) {
-		t.Fatal("unicastChunked reported failure though the dying peer took the first fragment")
+	if b.unicastChunked(bad, from, to, "blob", 7, 0, false, 0, wire, lease) {
+		t.Fatal("unicastChunked reported success though the write carrying the stream failed")
+	}
+	if b.unicastChunked(bad, from, to, "blob", 8, 0, false, 0, wire, lease) {
+		t.Fatal("unicastChunked reported success to a closed peer")
 	}
 
-	// Lease balance: only our own reference may remain. With inline
-	// flushing every batcher release has already run by the time
-	// unicastChunked returns.
+	// Lease balance: only our own reference may remain. The appender
+	// wrote each stream itself (or was refused), so every batcher
+	// release has already run by the time unicastChunked returns.
 	if refs := lease.Refs(); refs != 1 {
-		t.Fatalf("lease refs = %d after send, want 1 (leaked or double-released fragment references)", refs)
+		t.Fatalf("lease refs = %d after send, want 1 (leaked or double-released stream reference)", refs)
 	}
 	// The dying peer was closed so the redial path owns it now.
 	select {
@@ -122,10 +127,15 @@ func TestChunkedMidStreamWriterErrorLeaseBalance(t *testing.T) {
 	default:
 		t.Fatal("failing peer was not closed after its mid-stream write error")
 	}
-	// Its writer saw fragment 1 (three writes) plus the failing attempt
-	// for fragment 2; the skip must prevent attempts for fragments 3-4.
-	if badW.writes > 4 {
-		t.Fatalf("failing peer saw %d writes; fragments after the error were not skipped", badW.writes)
+	// One write per stream: the good peer's stream went out in one batch,
+	// and the bad peer's writer saw its three pieces and the failing
+	// fourth; neither the rest of that write nor the next stream was
+	// attempted.
+	if st := good.batch.Stats(); st.Batches != 1 || st.Frames != 4 {
+		t.Fatalf("healthy peer: %d batches for %d frames, want 1 for 4", st.Batches, st.Frames)
+	}
+	if badW.writes != 4 {
+		t.Fatalf("failing peer saw %d writes, want 4 (3 that landed, the failing one, nothing after)", badW.writes)
 	}
 
 	// The healthy peer's stream reassembles to the exact body.

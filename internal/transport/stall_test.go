@@ -325,3 +325,59 @@ func TestBridgeStalledPeerCacheWriters(t *testing.T) {
 		t.Fatal("a write that hit its deadline left the peer open")
 	}
 }
+
+// TestChunkedStreamRefusedWhole: behind a peer whose reader has
+// stalled, 256 KB streams stage until the 1 MiB bound is near, and the
+// one that does not fit is refused whole: no fragment of it is staged
+// (a head staged alone would be written once the peer drained, leaving
+// the receiver a build that can never complete) and it counts once as
+// backpressure. Every stream's lease reference comes back when the
+// stalled write fails.
+func TestChunkedStreamRefusedWhole(t *testing.T) {
+	b := newChunkBridge()
+	w := stalledWriter{entered: make(chan struct{}, 1), d: stall}
+	p := newTestPeer(t, "z-", w, DefaultFlushBytes, time.Hour)
+	t.Cleanup(p.close)
+	from, to := san.Addr{Node: "a-n0", Proc: "cache0"}, san.Addr{Node: "z-n0", Proc: "fe0"}
+	const size = 256 << 10
+	lease, wire := leasedBody(size)
+	defer lease.Release()
+
+	// The first stream's appender becomes the drainer and sits in the
+	// stalled write; the streams after it stage behind the write.
+	drainer := make(chan bool, 1)
+	go func() { drainer <- b.unicastChunked(p, from, to, "blob", 1, 0, false, 0, wire, lease) }()
+	<-w.entered
+	// Bodies alone fill the bound after DefaultMaxBatchBytes/size
+	// streams, so one fewer fits with its headers and the next does not.
+	fits := DefaultMaxBatchBytes/size - 1
+	for i := 0; i < fits; i++ {
+		if !b.unicastChunked(p, from, to, "blob", uint64(2+i), 0, false, 0, wire, lease) {
+			t.Fatalf("stream %d of %d refused below the bound (%d bytes queued)", i+1, fits, p.batch.Stats().MaxQueued)
+		}
+	}
+	before := p.batch.Stats()
+	sent := b.unicastChunked(p, from, to, "blob", 99, 0, false, 0, wire, lease)
+	after := p.batch.Stats()
+	if staged := after.Frames - before.Frames; staged != 0 {
+		t.Fatalf("the stream past the bound staged %d fragments, want none", staged)
+	}
+	if refused := after.Backpressure - before.Backpressure; refused != 1 {
+		t.Fatalf("the stream past the bound counted %d times as backpressure, want once", refused)
+	}
+	if sent {
+		t.Fatal("a stream past the bound was accepted")
+	}
+
+	select {
+	case ok := <-drainer:
+		if ok {
+			t.Fatal("the stream whose write hit its deadline reported success")
+		}
+	case <-time.After(stall + 5*time.Second):
+		t.Fatal("the drainer never returned from its stalled write")
+	}
+	if refs := lease.Refs(); refs != 1 {
+		t.Fatalf("lease refs = %d after the stalled write failed, want 1", refs)
+	}
+}
